@@ -22,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/figures"
 	"repro/internal/path"
+	"repro/internal/provplan"
 	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
@@ -445,6 +446,75 @@ func BenchmarkQueries(b *testing.B) {
 			}
 		}
 	})
+}
+
+// relQueryStore fills a fresh rel:// store with tids transactions of 20
+// records each and returns it with the locations to ask about. Transaction t
+// writes T/e<t>/n<i>, copied from transaction t-1's entry except every
+// eighth, which inserts — so a trace walks a chain of up to eight steps —
+// and every other question is about a child of a stored location, which
+// only hierarchical inference can answer.
+func relQueryStore(tb testing.TB, tids int) (cpdb.Backend, []path.Path) {
+	tb.Helper()
+	backend, err := cpdb.OpenBackend("rel://" + tb.TempDir() + "/prov.db?create=1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { provstore.Close(backend) }) //nolint:errcheck // scratch store
+	entry := func(tid int) path.Path { return path.MustParse("T").Child("e" + strconv.Itoa(tid)) }
+	var locs []path.Path
+	for tid := 1; tid <= tids; tid++ {
+		recs := make([]provstore.Record, 0, 20)
+		for i := 0; i < 20; i++ {
+			r := provstore.Record{Tid: int64(tid), Op: provstore.OpInsert, Loc: entry(tid).Child("n" + strconv.Itoa(i))}
+			if tid%8 != 1 {
+				r.Op, r.Src = provstore.OpCopy, entry(tid-1).Child("n"+strconv.Itoa(i))
+			}
+			recs = append(recs, r)
+			if i%2 == 1 {
+				locs = append(locs, r.Loc.Child("x"))
+			} else {
+				locs = append(locs, r.Loc)
+			}
+		}
+		if err := backend.Append(context.Background(), recs); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return backend, locs
+}
+
+// relQuery is the i-th question of kind (trace, hist, mod, or a bounded
+// select) over locs, asked "as of now" so the store resolves the horizon —
+// what a daemon does for every remote query.
+func relQuery(kind string, locs []path.Path, i int) *provplan.Query {
+	p := locs[i%len(locs)]
+	switch kind {
+	case provplan.OpMod:
+		p = p.Prefix(2)
+	case "select":
+		return provplan.MustParse("select where loc>=" + p.Prefix(2).String() + " order loc-tid limit 50")
+	}
+	return &provplan.Query{Op: kind, Path: p.String()}
+}
+
+// BenchmarkRelQueries is BenchmarkQueries over the relational engine: the
+// small-answer read path (horizon, index cursors, row decode) of a rel://
+// store holding 10k records. allocs/op and B/op must track the answer, not
+// the relation; TestRelTraceAllocBound pins that.
+func BenchmarkRelQueries(b *testing.B) {
+	backend, locs := relQueryStore(b, 500)
+	ctx := context.Background()
+	for _, kind := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpMod, "select"} {
+		b.Run(kind, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := provplan.Collect(ctx, backend, relQuery(kind, locs, i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkEditorPipeline measures one fully tracked editor operation.

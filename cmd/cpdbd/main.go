@@ -75,6 +75,12 @@
 // ?verify=pin clients check answers against. Its auth.* gauges
 // (auth.root_tid, auth.proofs_served, auth.verify_failures) join the
 // shutdown dump the same way the repl.* gauges do, zero or not.
+//
+// A rel:// store reports the work its engine has done since open —
+// rel.bufpool.hits, rel.bufpool.misses (pages fetched) and
+// rel.rows_decoded — in /v1/stats and as cpdb_backend_gauge on /metrics;
+// the difference of two readings is what the requests in between cost
+// below the Backend interface.
 package main
 
 import (

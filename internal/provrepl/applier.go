@@ -278,9 +278,12 @@ func (b *ReplicatedBackend) anchorShipRoot(ctx context.Context, auth provauth.Au
 // recoverHighWater computes the replica's high-water {Tid, Loc} mark from
 // the replica itself: its largest transaction id, and the largest location
 // within it (ScanTid streams in Loc order, so the last record carries it).
-// This is what makes restart resume O(log n): the next applyPass seeks the
-// primary to this key instead of re-reading (or re-shipping) the prefix the
-// replica already holds.
+// This is what makes restart resume O(log n + the last transaction): MaxTid
+// is one descent of the replica's index (mem:// keeps it sorted; rel://
+// reads the last primary key, relprov.Backend.MaxTid), ScanTid reads that
+// one transaction, and the next applyPass seeks the primary to this key
+// instead of re-reading (or re-shipping) the prefix the replica already
+// holds.
 func (b *ReplicatedBackend) recoverHighWater(r *replica) error {
 	maxTid, err := r.store.MaxTid(b.ctx)
 	if err != nil {

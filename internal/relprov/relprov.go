@@ -6,11 +6,11 @@
 package relprov
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"sync"
 
 	"repro/internal/path"
@@ -39,6 +39,7 @@ type Backend struct {
 var (
 	_ provstore.Backend        = (*Backend)(nil)
 	_ provstore.GroupCommitter = (*Backend)(nil)
+	_ provstore.Gauger         = (*Backend)(nil)
 )
 
 // Schema returns the provenance table schema.
@@ -100,6 +101,26 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 	b.db.AttachWAL(w)
 	b.wal = w
 	b.durable = true
+}
+
+// Gauges implements provstore.Gauger with the work the engine has done
+// since the store was opened, so a daemon's /v1/stats and /metrics show what
+// a request cost below the Backend interface (diff two readings):
+//
+//	rel.bufpool.hits    page fetches served from the buffer pool
+//	rel.bufpool.misses  page fetches that read the file
+//	rel.rows_decoded    stored rows decoded
+//
+// hits+misses is pages touched. A point read costs about tree-height pages
+// and decodes the rows it returns; a reading that grows with the relation
+// on a small answer means a scan is hiding in the read path.
+func (b *Backend) Gauges() map[string]int64 {
+	hits, misses := b.db.CacheStats()
+	return map[string]int64{
+		"rel.bufpool.hits":   hits,
+		"rel.bufpool.misses": misses,
+		"rel.rows_decoded":   b.tbl.RowsDecoded(),
+	}
 }
 
 // Close releases the underlying database and, if group commit was enabled,
@@ -189,12 +210,21 @@ func (b *Backend) AppendBatch(ctx context.Context, batches ...[]provstore.Record
 			if err != nil {
 				return err
 			}
-			k := fmt.Sprintf("%d|%x", r.Tid, row[1])
-			if _, dup := seen[k]; dup {
+			// The encoded primary key identifies the record both within
+			// the group and against the store; the probe is key-only.
+			pk, err := b.tbl.KeyPrefix(r.Tid, row[1])
+			if err != nil {
+				return err
+			}
+			if _, dup := seen[string(pk)]; dup {
 				return &provstore.DupKeyError{Tid: r.Tid, Loc: r.Loc}
 			}
-			seen[k] = struct{}{}
-			if _, err := b.tbl.Get(r.Tid, row[1]); err == nil {
+			seen[string(pk)] = struct{}{}
+			stored, err := b.tbl.Has(pk)
+			if err != nil {
+				return err
+			}
+			if stored {
 				return &provstore.DupKeyError{Tid: r.Tid, Loc: r.Loc}
 			}
 			rows = append(rows, row)
@@ -279,37 +309,46 @@ func (b *Backend) NearestAncestor(ctx context.Context, tid int64, loc path.Path)
 // order; rows appended concurrently appear iff they sort after the
 // cursor's current position.
 
-// scanChunk is the number of rows gathered per lock window.
-const scanChunk = 256
+// A cursor gathers firstWindow rows in its first lock window and four times
+// as many in each later one, up to scanChunk: a probe that matches a few
+// rows, or a consumer that stops after a few dozen, pays for about what it
+// uses; a drain reaches full windows by its third.
+const (
+	firstWindow = 16
+	scanChunk   = 256
+)
 
-// chunkedScan drives one cursor: scan must invoke fn with rows whose
-// encoded key is ≥ its from argument, in key order (ScanKeyFrom or
-// ScanIndexFrom under the hood); prefix bounds the walk (nil = whole
-// tree); keep filters decoded records (nil = all); yield is the consumer.
-// The chunk buffer and resume key are reused across windows, so a full
-// drain allocates per window, not per row.
-func (b *Backend) chunkedScan(ctx context.Context, scan func(from []byte, fn func(key []byte, row relstore.Row) bool) error, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
+// A scanFunc is a resumable relstore walk (Table.ScanKeyFrom, or
+// ScanIndexFrom on by_loc): it invokes fn with the rows whose encoded key
+// is ≥ from and begins with prefix, in key order, and stops on the first
+// key outside the prefix without fetching its row.
+type scanFunc func(from, prefix []byte, fn func(key []byte, row relstore.Row) bool) error
+
+// chunkedScan drives one cursor over the keys beginning with prefix (nil =
+// whole tree); keep filters decoded records (nil = all); yield is the
+// consumer.
+func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
 	b.chunkedScanFrom(ctx, scan, prefix, prefix, keep, yield)
 }
 
 // chunkedScanFrom is chunkedScan with an independent start position: the
 // walk seeks to from (which may lie strictly inside the prefix range — the
-// keyset-resume case) while prefix still bounds where it ends.
-func (b *Backend) chunkedScanFrom(ctx context.Context, scan func(from []byte, fn func(key []byte, row relstore.Row) bool) error, from, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
+// keyset-resume case) while prefix still bounds where it ends. The first
+// window's buffer grows from empty, so a point probe allocates for the rows
+// it returns; full-size windows reuse one buffer and one resume key, so a
+// drain allocates per window, not per row.
+func (b *Backend) chunkedScanFrom(ctx context.Context, scan scanFunc, from, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
 	if err := ctx.Err(); err != nil {
 		yield(provstore.Record{}, err)
 		return
 	}
-	chunk := make([]provstore.Record, 0, scanChunk)
+	var chunk []provstore.Record
 	var lastKey []byte
+	window := firstWindow
 	for {
-		chunk = chunk[:0]
 		var derr error
 		b.mu.RLock()
-		err := scan(from, func(key []byte, row relstore.Row) bool {
-			if !bytes.HasPrefix(key, prefix) {
-				return false
-			}
+		err := scan(from, prefix, func(key []byte, row relstore.Row) bool {
 			rec, e := fromRow(row)
 			if e != nil {
 				derr = e
@@ -317,7 +356,7 @@ func (b *Backend) chunkedScanFrom(ctx context.Context, scan func(from []byte, fn
 			}
 			lastKey = append(lastKey[:0], key...)
 			chunk = append(chunk, rec)
-			return len(chunk) < scanChunk
+			return len(chunk) < window
 		})
 		b.mu.RUnlock()
 		if derr == nil {
@@ -339,8 +378,14 @@ func (b *Backend) chunkedScanFrom(ctx context.Context, scan func(from []byte, fn
 			yield(provstore.Record{}, derr)
 			return
 		}
-		if len(chunk) < scanChunk {
+		if len(chunk) < window {
 			return // the walk ended inside this window
+		}
+		if window < scanChunk {
+			window *= 4
+			chunk = make([]provstore.Record, 0, window)
+		} else {
+			chunk = chunk[:0]
 		}
 		// Resume strictly after the last key of the window: key‖0x00 is its
 		// immediate successor in bytewise order. Copied, so the reused
@@ -349,14 +394,9 @@ func (b *Backend) chunkedScanFrom(ctx context.Context, scan func(from []byte, fn
 	}
 }
 
-// keyFrom adapts the primary tree to chunkedScan's resumable-scan shape.
-func (b *Backend) keyFrom(from []byte, fn func(key []byte, row relstore.Row) bool) error {
-	return b.tbl.ScanKeyFrom(from, fn)
-}
-
-// indexFrom adapts the by_loc index likewise.
-func (b *Backend) indexFrom(from []byte, fn func(key []byte, row relstore.Row) bool) error {
-	return b.tbl.ScanIndexFrom("by_loc", from, fn)
+// indexFrom adapts the by_loc index to a scanFunc.
+func (b *Backend) indexFrom(from, prefix []byte, fn func(key []byte, row relstore.Row) bool) error {
+	return b.tbl.ScanIndexFrom("by_loc", from, prefix, fn)
 }
 
 // ScanTid implements provstore.Backend: a primary-key prefix walk, already
@@ -368,12 +408,14 @@ func (b *Backend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Re
 			yield(provstore.Record{}, err)
 			return
 		}
-		b.chunkedScan(ctx, b.keyFrom, prefix, nil, yield)
+		b.chunkedScan(ctx, b.tbl.ScanKeyFrom, prefix, nil, yield)
 	}
 }
 
 // scanLocCursor streams the records at exactly loc in Tid order via the
-// location index.
+// location index. The index key is the terminated encoding of loc followed
+// by the primary key, so the key prefix alone selects exactly loc: an
+// ancestor probe that matches nothing ends on its first index key.
 func (b *Backend) scanLocCursor(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
 		prefix, err := b.tbl.IndexPrefix("by_loc", loc.AppendBinary(nil))
@@ -381,8 +423,7 @@ func (b *Backend) scanLocCursor(ctx context.Context, loc path.Path) iter.Seq2[pr
 			yield(provstore.Record{}, err)
 			return
 		}
-		b.chunkedScan(ctx, b.indexFrom, prefix,
-			func(r provstore.Record) bool { return r.Loc.Equal(loc) }, yield)
+		b.chunkedScan(ctx, b.indexFrom, prefix, nil, yield)
 	}
 }
 
@@ -436,7 +477,7 @@ func (b *Backend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.
 // order, chunk by chunk.
 func (b *Backend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
-		b.chunkedScan(ctx, b.keyFrom, nil, nil, yield)
+		b.chunkedScan(ctx, b.tbl.ScanKeyFrom, nil, nil, yield)
 	}
 }
 
@@ -451,47 +492,62 @@ func (b *Backend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) it
 			yield(provstore.Record{}, err)
 			return
 		}
-		b.chunkedScanFrom(ctx, b.keyFrom, append(key, 0), nil, nil, yield)
+		b.chunkedScanFrom(ctx, b.tbl.ScanKeyFrom, append(key, 0), nil, nil, yield)
 	}
 }
 
-// Tids implements provstore.Backend (a full scan; rarely used online).
+// Tids implements provstore.Backend as a skip-scan of the primary key: one
+// key-only seek per distinct tid (to the first key of tid+1), so the cost is
+// O(distinct tids × tree height) pages and no row is decoded.
 func (b *Backend) Tids(ctx context.Context) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.tidsLocked()
-}
-
-func (b *Backend) tidsLocked() ([]int64, error) {
 	var out []int64
-	var last int64
-	first := true
-	err := b.tbl.Scan(func(row relstore.Row) bool {
-		tid := row[0].(int64)
-		if first || tid != last {
-			out = append(out, tid)
-			last, first = tid, false
+	var from []byte
+	for {
+		key, ok, err := b.tbl.SeekKey(from)
+		if err != nil || !ok {
+			return out, err
 		}
-		return true
-	})
-	return out, err
+		tid, err := keyTid(key)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, tid)
+		if tid == math.MaxInt64 {
+			return out, nil
+		}
+		if from, err = b.tbl.KeyPrefix(tid + 1); err != nil {
+			return nil, err
+		}
+	}
 }
 
-// MaxTid implements provstore.Backend.
+// MaxTid implements provstore.Backend: the tid column of the last primary
+// key, one rightmost descent of the tree (O(height) pages, no row decoded).
 func (b *Backend) MaxTid(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	tids, err := b.tidsLocked()
-	if err != nil || len(tids) == 0 {
+	key, ok, err := b.tbl.LastKey()
+	if err != nil || !ok {
 		return 0, err
 	}
-	return tids[len(tids)-1], nil
+	return keyTid(key)
+}
+
+// keyTid decodes the tid, the leading column of an encoded primary key.
+func keyTid(key []byte) (int64, error) {
+	tid, _, err := relstore.DecodeKeyInt(key)
+	if err != nil {
+		return 0, fmt.Errorf("relprov: bad primary key: %w", err)
+	}
+	return tid, nil
 }
 
 // Count implements provstore.Backend.

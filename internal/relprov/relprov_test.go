@@ -488,3 +488,157 @@ func TestRelCursorReadInLoopWithConcurrentWriter(t *testing.T) {
 	close(stop)
 	<-writerDone
 }
+
+// pagesAndRows reports what f cost the engine below b: buffer-pool fetches
+// (hits + misses) and rows decoded, as deltas of the backend's gauges.
+func pagesAndRows(b *relprov.Backend, f func()) (pages, rows int64) {
+	g0 := b.Gauges()
+	f()
+	g1 := b.Gauges()
+	pages = g1["rel.bufpool.hits"] + g1["rel.bufpool.misses"] - g0["rel.bufpool.hits"] - g0["rel.bufpool.misses"]
+	return pages, g1["rel.rows_decoded"] - g0["rel.rows_decoded"]
+}
+
+// TestMaxTidPagesIndependentOfStoreSize pins the shape of the horizon probe,
+// not its speed: MaxTid is one rightmost descent, so it fetches fewer pages
+// than a point Lookup (one per level; the Lookup fetches its leaf twice) at
+// 1k records and at 20k — its cost grows with the tree's height, never with
+// the relation — and decodes no row. Tids, the skip-scan, decodes none
+// either.
+func TestMaxTidPagesIndependentOfStoreSize(t *testing.T) {
+	ctx := context.Background()
+	b := newBackend(t)
+	n := 0
+	grow := func(to int) {
+		for n < to {
+			batch := make([]provstore.Record, 0, 50)
+			for i := 0; i < 50; i++ {
+				batch = append(batch, rec(int64(n/10+1), provstore.OpInsert, fmt.Sprintf("T/e%d/f%d", n/10, n%10), ""))
+				n++
+			}
+			if err := b.Append(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var maxTidPages [2]int64
+	for i, size := range []int{1000, 20000} {
+		grow(size)
+		wantTid := int64(size / 10)
+		lookupPages, _ := pagesAndRows(b, func() {
+			if _, ok, err := b.Lookup(ctx, wantTid, path.MustParse("T/nope")); ok || err != nil {
+				t.Fatalf("Lookup of an absent loc = %v, %v", ok, err)
+			}
+		})
+		var rows int64
+		maxTidPages[i], rows = pagesAndRows(b, func() {
+			if tid, err := b.MaxTid(ctx); err != nil || tid != wantTid {
+				t.Fatalf("MaxTid at %d records = %d, %v; want %d", size, tid, err, wantTid)
+			}
+		})
+		if maxTidPages[i] != lookupPages-1 || rows != 0 {
+			t.Errorf("%d records: MaxTid fetched %d pages and decoded %d rows; a point lookup fetches %d pages",
+				size, maxTidPages[i], rows, lookupPages)
+		}
+		_, rows = pagesAndRows(b, func() {
+			if tids, err := b.Tids(ctx); err != nil || len(tids) != size/10 || tids[len(tids)-1] != wantTid {
+				t.Fatalf("Tids at %d records: %d tids, %v", size, len(tids), err)
+			}
+		})
+		if rows != 0 {
+			t.Errorf("%d records: Tids decoded %d rows, want a key-only skip-scan", size, rows)
+		}
+	}
+	if grew := maxTidPages[1] - maxTidPages[0]; grew < 0 || grew > 2 {
+		t.Errorf("MaxTid pages went %d → %d over a 20× larger store", maxTidPages[0], maxTidPages[1])
+	}
+}
+
+// TestRelProvTidsMatchMem holds MaxTid and Tids to the in-memory store's
+// answers on an empty store, with gaps between tids, with an older
+// transaction appended after a newer one, and after a durable store is
+// closed and reopened.
+func TestRelProvTidsMatchMem(t *testing.T) {
+	ctx := context.Background()
+	file := filepath.Join(t.TempDir(), "prov.db")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { b.Close() }()
+	mem := provstore.NewMemBackend()
+	check := func(when string) {
+		t.Helper()
+		wantMax, _ := mem.MaxTid(ctx)
+		wantTids, _ := mem.Tids(ctx)
+		gotMax, err := b.MaxTid(ctx)
+		if err != nil || gotMax != wantMax {
+			t.Errorf("%s: MaxTid = %d, %v; mem:// says %d", when, gotMax, err, wantMax)
+		}
+		gotTids, err := b.Tids(ctx)
+		if err != nil || fmt.Sprint(gotTids) != fmt.Sprint(wantTids) {
+			t.Errorf("%s: Tids = %v, %v; mem:// says %v", when, gotTids, err, wantTids)
+		}
+	}
+	check("empty")
+	for _, tid := range []int64{1, 5, 6, 100, 1 << 40, 3, 99, 7, 1<<40 + 2, 101} {
+		batch := []provstore.Record{
+			rec(tid, provstore.OpInsert, "T/a", ""),
+			rec(tid, provstore.OpCopy, fmt.Sprintf("T/b/n%d", tid), "S/x"),
+		}
+		for _, s := range []provstore.Backend{mem, b} {
+			if err := s.Append(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("after tid %d", tid))
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = relprov.OpenFile(file, relprov.Options{Durable: true}); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened")
+}
+
+// TestRelCursorEmptyRangeFetchesNoRows checks the bound pushdown from the
+// cursor's side: a location cursor whose index range is empty decodes no
+// row, and an ancestor-merged scan decodes exactly the rows it yields — the
+// probes for ancestors that were never written cost index pages only.
+func TestRelCursorEmptyRangeFetchesNoRows(t *testing.T) {
+	ctx := context.Background()
+	b := newBackend(t)
+	var batch []provstore.Record
+	for i := 0; i < 400; i++ {
+		batch = append(batch, rec(int64(i/4+1), provstore.OpInsert, fmt.Sprintf("T/e%d/f/g/h%d", i/4, i%4), ""))
+	}
+	if err := b.Append(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	drain := func(scan iter.Seq2[provstore.Record, error]) (n int64) {
+		for _, err := range scan {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		return n
+	}
+	for name, c := range map[string]struct {
+		scan iter.Seq2[provstore.Record, error]
+		want int64
+	}{
+		"absent loc between stored ones": {b.ScanLoc(ctx, path.MustParse("T/e50/f")), 0},
+		"absent loc past the last one":   {b.ScanLoc(ctx, path.MustParse("U")), 0},
+		"loc with absent ancestors":      {b.ScanLocWithAncestors(ctx, path.MustParse("T/e50/f/g/h2")), 1},
+		"absent loc, absent ancestors":   {b.ScanLocWithAncestors(ctx, path.MustParse("T/e50/f/g/h9/i")), 0},
+		"absent tid":                     {b.ScanTid(ctx, 1000), 0},
+	} {
+		var yielded int64
+		_, rows := pagesAndRows(b, func() { yielded = drain(c.scan) })
+		if yielded != c.want || rows != c.want {
+			t.Errorf("%s: yielded %d records and decoded %d rows, want %d of each", name, yielded, rows, c.want)
+		}
+	}
+}

@@ -140,45 +140,107 @@ const nodeCapacity = PageSize - headerSize
 func (t *BTree) Get(key []byte) ([]byte, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leafID, err := t.descend(key, nil)
+	var out []byte
+	found, err := t.find(key, func(val []byte) { out = bytes.Clone(val) })
 	if err != nil {
 		return nil, err
 	}
-	pg, err := t.bp.Fetch(leafID)
-	if err != nil {
-		return nil, err
-	}
-	defer t.bp.Unpin(leafID, false)
-	idx, exact, err := leafSearch(pg, key)
-	if err != nil {
-		return nil, err
-	}
-	if !exact {
+	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	cell, err := pg.Cell(idx)
-	if err != nil {
-		return nil, err
-	}
-	_, val, err := decodeLeafCell(cell)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(val))
-	copy(out, val)
 	return out, nil
 }
 
-// Has reports whether key is present.
+// Has reports whether key is present. It compares keys only: the value is
+// neither decoded nor copied.
 func (t *BTree) Has(key []byte) (bool, error) {
-	_, err := t.Get(key)
-	if errors.Is(err, ErrKeyNotFound) {
-		return false, nil
-	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.find(key, nil)
+}
+
+// find descends to key's leaf and reports whether key is there; on a hit
+// with visit non-nil, visit sees the stored value while the leaf is still
+// pinned (it must copy what it keeps). Caller holds mu.
+func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
+	leafID, err := t.descend(key, nil)
 	if err != nil {
 		return false, err
 	}
+	pg, err := t.bp.Fetch(leafID)
+	if err != nil {
+		return false, err
+	}
+	defer t.bp.Unpin(leafID, false)
+	idx, exact, err := leafSearch(pg, key)
+	if err != nil || !exact || visit == nil {
+		return exact, err
+	}
+	cell, err := pg.Cell(idx)
+	if err != nil {
+		return false, err
+	}
+	_, val, err := decodeLeafCell(cell)
+	if err != nil {
+		return false, err
+	}
+	visit(val)
 	return true, nil
+}
+
+// Last returns a copy of the largest key, ok=false on an empty tree. It is
+// a rightmost descent — O(height) pages — whenever the rightmost leaf holds
+// an entry. Deletes never rebalance, so that leaf (or a whole rightmost
+// subtree) may have been emptied; the descent then backs up to the next
+// child to the left, and only in that case touches more than one path.
+func (t *BTree) Last() (key []byte, ok bool, err error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.lastUnder(t.root)
+}
+
+// lastUnder returns the largest key in the subtree rooted at id. The node
+// stays pinned while its children are tried, so at most height pages are
+// pinned at once.
+func (t *BTree) lastUnder(id PageID) ([]byte, bool, error) {
+	pg, err := t.bp.Fetch(id)
+	if err != nil {
+		return nil, false, err
+	}
+	defer t.bp.Unpin(id, false)
+	n := pg.NumSlots()
+	if pg.Kind() == KindBTreeLeaf {
+		if n == 0 {
+			return nil, false, nil
+		}
+		cell, err := pg.Cell(n - 1)
+		if err != nil {
+			return nil, false, err
+		}
+		k, _, err := decodeLeafCell(cell)
+		if err != nil {
+			return nil, false, err
+		}
+		return bytes.Clone(k), true, nil
+	}
+	// Children right to left: cell i-1 links child i, the header link is
+	// child 0.
+	for i := n; i >= 0; i-- {
+		child := pg.Next()
+		if i > 0 {
+			cell, err := pg.Cell(i - 1)
+			if err != nil {
+				return nil, false, err
+			}
+			if _, child, err = decodeInnerCell(cell); err != nil {
+				return nil, false, err
+			}
+		}
+		if key, ok, err := t.lastUnder(child); err != nil || ok {
+			return key, ok, err
+		}
+	}
+	return nil, false, nil
 }
 
 // descend walks from the root to the leaf that should contain key. If path
@@ -574,7 +636,15 @@ func (it *Iter) Next() {
 // ScanPrefix calls fn for every entry whose key begins with prefix, in key
 // order, stopping early if fn returns false.
 func (t *BTree) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) error {
-	it := t.Seek(prefix)
+	return t.ScanFrom(prefix, prefix, fn)
+}
+
+// ScanFrom calls fn for every entry whose key is ≥ from and begins with
+// prefix (nil = every key), in key order, stopping early if fn returns
+// false. The walk ends on the first key outside the prefix, so the entry
+// that ends it is never handed to fn.
+func (t *BTree) ScanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
+	it := t.Seek(from)
 	for ; it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
 			break

@@ -326,3 +326,84 @@ func TestRIDCodec(t *testing.T) {
 		t.Errorf("RID.String = %q", rid.String())
 	}
 }
+
+// TestBTreeLast checks the rightmost descent on every tree shape it must
+// survive: empty, a single leaf, many levels, and — deletes never rebalance
+// — a rightmost leaf (then a whole rightmost subtree, then everything)
+// emptied behind it.
+func TestBTreeLast(t *testing.T) {
+	bp := testPool(t, 128)
+	bt, _ := NewBTree(bp)
+	wantLast := func(want string, wantOK bool) {
+		t.Helper()
+		got, ok, err := bt.Last()
+		if err != nil || ok != wantOK || string(got) != want {
+			t.Fatalf("Last = %q, %v, %v; want %q, %v", got, ok, err, want, wantOK)
+		}
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+
+	wantLast("", false)
+	bt.Insert([]byte("m"), []byte("v"))
+	wantLast("m", true)
+	bt.Insert([]byte("c"), []byte("v"))
+	wantLast("m", true)
+	bt.Delete([]byte("m"))
+	wantLast("c", true)
+	bt.Delete([]byte("c"))
+	wantLast("", false)
+
+	// ~12 entries a leaf and ~200 leaves an inner node: three levels, so the
+	// deletes below empty whole inner subtrees, not just leaves.
+	const n = 5000
+	bulk := bytes.Repeat([]byte("v"), 300)
+	for _, i := range rand.New(rand.NewSource(11)).Perm(n) {
+		if err := bt.Insert(key(i), bulk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLast(string(key(n-1)), true)
+	// The returned key is a copy: scribbling on it must not reach the page.
+	got, _, _ := bt.Last()
+	got[0] = 'X'
+	wantLast(string(key(n-1)), true)
+
+	// Delete from the top down: the rightmost leaves empty one after
+	// another, then every one of them.
+	for i := n - 1; i >= 0; i-- {
+		if err := bt.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wantLast("", false)
+		} else if i%25 == 0 || i > n-300 {
+			wantLast(string(key(i-1)), true)
+		}
+	}
+	// The emptied tree still takes inserts and finds them.
+	bt.Insert(key(42), []byte("v"))
+	wantLast(string(key(42)), true)
+}
+
+func TestBTreeScanFrom(t *testing.T) {
+	bp := testPool(t, 64)
+	bt, _ := NewBTree(bp)
+	for _, k := range []string{"a/1", "a/2", "a/3", "b/1"} {
+		bt.Insert([]byte(k), []byte("v"))
+	}
+	var got []string
+	bt.ScanFrom([]byte("a/2"), []byte("a/"), func(k, _ []byte) bool {
+		got = append(got, string(k))
+		return true
+	})
+	if fmt.Sprint(got) != "[a/2 a/3]" {
+		t.Errorf("ScanFrom = %v", got)
+	}
+	// A nil prefix bounds nothing; an empty range calls fn not at all.
+	calls := 0
+	bt.ScanFrom([]byte("a/3"), nil, func(_, _ []byte) bool { calls++; return true })
+	bt.ScanFrom([]byte("a/4"), []byte("a/"), func(_, _ []byte) bool { calls += 100; return true })
+	if calls != 2 {
+		t.Errorf("ScanFrom calls = %d, want 2", calls)
+	}
+}

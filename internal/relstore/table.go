@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // A Column describes one table column.
@@ -50,6 +51,8 @@ type Table struct {
 	keyIdx  []int
 	keyType []ColType
 	types   []ColType
+
+	decoded atomic.Int64 // rows decoded since open; see RowsDecoded
 }
 
 // Errors returned by table operations.
@@ -238,7 +241,7 @@ func (t *Table) Put(row Row) error {
 		return errGet
 	}
 	if old != nil {
-		oldRow, err := DecodeRow(t.types, old)
+		oldRow, err := t.decodeRow(old)
 		if err != nil {
 			return err
 		}
@@ -291,7 +294,7 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeRow(t.types, enc)
+	return t.decodeRow(enc)
 }
 
 // Delete removes the row with the given primary key values.
@@ -310,7 +313,7 @@ func (t *Table) Delete(keyVals ...Value) error {
 	if err != nil {
 		return err
 	}
-	row, err := DecodeRow(t.types, enc)
+	row, err := t.decodeRow(enc)
 	if err != nil {
 		return err
 	}
@@ -331,6 +334,41 @@ func (t *Table) Delete(keyVals ...Value) error {
 	return t.db.persistTable(t)
 }
 
+// Has reports whether a row with the encoded primary key pk (as built by
+// KeyPrefix with every key column) exists. It compares keys only: no row is
+// fetched or decoded.
+func (t *Table) Has(pk []byte) (bool, error) {
+	return t.primary.Has(pk)
+}
+
+// LastKey returns the largest encoded primary key, ok=false on an empty
+// table, in O(tree height) pages and without decoding a row (see
+// BTree.Last for the cost after deletes).
+func (t *Table) LastKey() (key []byte, ok bool, err error) {
+	return t.primary.Last()
+}
+
+// SeekKey returns the smallest encoded primary key ≥ from, ok=false when
+// there is none: one descent, keys only. Decoding a leading key column
+// (DecodeKeyInt) and seeking past it walks the distinct values of that
+// column without visiting the rows in between.
+func (t *Table) SeekKey(from []byte) (key []byte, ok bool, err error) {
+	it := t.primary.Seek(from)
+	if !it.Valid() {
+		return nil, false, it.Err()
+	}
+	return it.Key(), true, nil
+}
+
+// RowsDecoded returns the number of rows this table has decoded since it
+// was opened, by any method — with DB.CacheStats, the work a read did.
+func (t *Table) RowsDecoded() int64 { return t.decoded.Load() }
+
+func (t *Table) decodeRow(enc []byte) (Row, error) {
+	t.decoded.Add(1)
+	return DecodeRow(t.types, enc)
+}
+
 // Scan calls fn for every row in primary-key order, stopping early if fn
 // returns false.
 func (t *Table) Scan(fn func(Row) bool) error {
@@ -340,58 +378,20 @@ func (t *Table) Scan(fn func(Row) bool) error {
 // ScanKeyPrefix calls fn for every row whose encoded primary key begins
 // with prefix (as built by KeyPrefix), in key order.
 func (t *Table) ScanKeyPrefix(prefix []byte, fn func(Row) bool) error {
-	var derr error
-	err := t.primary.ScanPrefix(prefix, func(_, val []byte) bool {
-		row, err := DecodeRow(t.types, val)
-		if err != nil {
-			derr = err
-			return false
-		}
-		return fn(row)
-	})
-	if derr != nil {
-		return derr
-	}
-	return err
+	return t.ScanKeyFrom(prefix, prefix, func(_ []byte, row Row) bool { return fn(row) })
 }
 
-// ScanKeyFrom calls fn for every row whose encoded primary key is ≥ from,
-// in key order, until fn returns false. fn receives the encoded key along
-// with the row, so a caller iterating in bounded chunks can record where a
-// chunk ended and resume strictly after it (key‖0x00 is the immediate
-// successor of key in bytewise order).
-func (t *Table) ScanKeyFrom(from []byte, fn func(key []byte, row Row) bool) error {
+// ScanKeyFrom calls fn for every row whose encoded primary key is ≥ from
+// and begins with prefix (nil = the whole table; from must not sort before
+// prefix), in key order, until fn returns false. The walk stops on the
+// first key outside the prefix without decoding its row. fn receives the
+// encoded key along with the row, so a caller iterating in bounded chunks
+// can record where a chunk ended and resume strictly after it (key‖0x00 is
+// the immediate successor of key in bytewise order).
+func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
 	var derr error
-	err := t.primary.ScanRange(from, nil, func(key, val []byte) bool {
-		row, err := DecodeRow(t.types, val)
-		if err != nil {
-			derr = err
-			return false
-		}
-		return fn(key, row)
-	})
-	if derr != nil {
-		return derr
-	}
-	return err
-}
-
-// ScanIndexFrom is ScanKeyFrom over a secondary index: fn sees the encoded
-// index entry key (index columns followed by the primary key) and the row
-// fetched through the primary tree.
-func (t *Table) ScanIndexFrom(index string, from []byte, fn func(key []byte, row Row) bool) error {
-	ixi := t.findIndex(index)
-	if ixi < 0 {
-		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
-	}
-	var derr error
-	err := t.seconds[ixi].ScanRange(from, nil, func(key, pk []byte) bool {
-		enc, err := t.primary.Get(pk)
-		if err != nil {
-			derr = err
-			return false
-		}
-		row, err := DecodeRow(t.types, enc)
+	err := t.primary.ScanFrom(from, prefix, func(key, val []byte) bool {
+		row, err := t.decodeRow(val)
 		if err != nil {
 			derr = err
 			return false
@@ -408,23 +408,32 @@ func (t *Table) ScanIndexFrom(index string, from []byte, fn func(key []byte, row
 // (as built by IndexPrefix), in index order, fetching each row through the
 // primary tree.
 func (t *Table) ScanIndexPrefix(index string, prefix []byte, fn func(Row) bool) error {
+	return t.ScanIndexFrom(index, prefix, prefix, func(_ []byte, row Row) bool { return fn(row) })
+}
+
+// ScanIndexFrom is ScanKeyFrom over a secondary index: fn sees the encoded
+// index entry key (index columns followed by the primary key) and the row
+// fetched through the primary tree. The prefix is checked on the index key
+// alone, so the entry that ends the walk — and a walk whose range is empty
+// — costs no primary-tree fetch.
+func (t *Table) ScanIndexFrom(index string, from, prefix []byte, fn func(key []byte, row Row) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
 	}
 	var derr error
-	err := t.seconds[ixi].ScanPrefix(prefix, func(_, pk []byte) bool {
+	err := t.seconds[ixi].ScanFrom(from, prefix, func(key, pk []byte) bool {
 		enc, err := t.primary.Get(pk)
 		if err != nil {
 			derr = err
 			return false
 		}
-		row, err := DecodeRow(t.types, enc)
+		row, err := t.decodeRow(enc)
 		if err != nil {
 			derr = err
 			return false
 		}
-		return fn(row)
+		return fn(key, row)
 	})
 	if derr != nil {
 		return derr

@@ -390,3 +390,89 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 		t.Errorf("scan saw %d, model %d", seen, len(model))
 	}
 }
+
+// TestScanDecidesOnKeys checks that scans and probes settle on keys before
+// touching rows: the entry that ends a bounded walk, a walk whose range is
+// empty, Has, LastKey and SeekKey decode no row at all.
+func TestScanDecidesOnKeys(t *testing.T) {
+	db := testDB(t)
+	tbl, _ := db.CreateTable(provSchema())
+	for tid := int64(1); tid <= 3; tid++ {
+		for j := 0; j < 4; j++ {
+			if err := tbl.Insert(Row{tid * 10, []byte(fmt.Sprintf("T/c%d", j)), "I", []byte{}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decoded := func(f func()) int64 {
+		before := tbl.RowsDecoded()
+		f()
+		return tbl.RowsDecoded() - before
+	}
+	indexRows := func(loc string) (rows int) {
+		prefix, err := tbl.IndexPrefix("by_loc", []byte(loc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.ScanIndexFrom("by_loc", prefix, prefix, func([]byte, Row) bool { rows++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	// T/c1 is followed in the index by T/c2: three rows, three decodes.
+	if n := decoded(func() {
+		if rows := indexRows("T/c1"); rows != 3 {
+			t.Errorf("index scan of T/c1 saw %d rows", rows)
+		}
+	}); n != 3 {
+		t.Errorf("index scan of 3 rows decoded %d", n)
+	}
+	// Empty ranges: between two stored locs, and past the last one.
+	for _, loc := range []string{"T/c", "T/c1x", "T/zz"} {
+		if n := decoded(func() {
+			if rows := indexRows(loc); rows != 0 {
+				t.Errorf("index scan of absent %s saw %d rows", loc, rows)
+			}
+		}); n != 0 {
+			t.Errorf("index scan of absent %s decoded %d rows", loc, n)
+		}
+	}
+	// Primary walk bounded to tid 20, resumed after its second row.
+	prefix, _ := tbl.KeyPrefix(int64(20))
+	from, _ := tbl.KeyPrefix(int64(20), []byte("T/c1"))
+	if n := decoded(func() {
+		rows := 0
+		tbl.ScanKeyFrom(append(from, 0), prefix, func([]byte, Row) bool { rows++; return true })
+		if rows != 2 {
+			t.Errorf("resumed key scan saw %d rows, want 2", rows)
+		}
+	}); n != 2 {
+		t.Errorf("resumed key scan of 2 rows decoded %d", n)
+	}
+	// Key-only probes.
+	if n := decoded(func() {
+		if ok, err := tbl.Has(from); err != nil || !ok {
+			t.Errorf("Has(stored) = %v, %v", ok, err)
+		}
+		absent, _ := tbl.KeyPrefix(int64(20), []byte("T/nope"))
+		if ok, err := tbl.Has(absent); err != nil || ok {
+			t.Errorf("Has(absent) = %v, %v", ok, err)
+		}
+		last, ok, err := tbl.LastKey()
+		want, _ := tbl.KeyPrefix(int64(30), []byte("T/c3"))
+		if err != nil || !ok || !bytes.Equal(last, want) {
+			t.Errorf("LastKey = %x, %v, %v; want %x", last, ok, err, want)
+		}
+		seek, _ := tbl.KeyPrefix(int64(11))
+		first, _ := tbl.KeyPrefix(int64(20), []byte("T/c0"))
+		if key, ok, err := tbl.SeekKey(seek); err != nil || !ok || !bytes.Equal(key, first) {
+			t.Errorf("SeekKey(11) = %x, %v, %v; want %x", key, ok, err, first)
+		}
+		past, _ := tbl.KeyPrefix(int64(31))
+		if _, ok, err := tbl.SeekKey(past); err != nil || ok {
+			t.Errorf("SeekKey past the end = %v, %v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("key-only probes decoded %d rows", n)
+	}
+}

@@ -12,11 +12,13 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 
 	cpdb "repro"
 	"repro/internal/provhttp"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/provtrace"
 )
@@ -167,6 +169,39 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 		t.Errorf("remote drain allocates %.1f objects/record, budget %d", perRecord, maxAllocsPerRecord)
 	}
 	t.Logf("remote drain: %.2f allocs/record over %d records", perRecord, total)
+}
+
+// TestRelTraceAllocBound bounds what a small answer costs over the
+// relational engine: a trace and a hist on a 10k-record rel:// store, asked
+// "as of now" so the store resolves the horizon, must each stay under 4k
+// allocations and 256 KB whatever location they ask about. The budget is an
+// order of magnitude above today's cost (a few hundred allocations) and an
+// order below what a scan of the relation hiding in the read path costs
+// (≈ 36k allocations, 3 MB, when MaxTid walked the table).
+func TestRelTraceAllocBound(t *testing.T) {
+	backend, locs := relQueryStore(t, 500)
+	ctx := context.Background()
+	const maxAllocs, maxBytes = 4000, 256 << 10
+	var ms runtime.MemStats
+	for _, kind := range []string{provplan.OpTrace, provplan.OpHist} {
+		var worstAllocs, worstBytes uint64
+		for i := 0; i < len(locs); i += len(locs)/16 + 1 {
+			q := relQuery(kind, locs, i)
+			runtime.ReadMemStats(&ms)
+			allocs, bytes := ms.Mallocs, ms.TotalAlloc
+			if _, err := provplan.Collect(ctx, backend, q); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			worstAllocs = max(worstAllocs, ms.Mallocs-allocs)
+			worstBytes = max(worstBytes, ms.TotalAlloc-bytes)
+		}
+		if worstAllocs > maxAllocs || worstBytes > maxBytes {
+			t.Errorf("%s over rel:// allocates up to %d objects / %d bytes, budget %d / %d",
+				kind, worstAllocs, worstBytes, maxAllocs, maxBytes)
+		}
+		t.Logf("%s over rel://: worst of 16 locations %d allocs, %d bytes", kind, worstAllocs, worstBytes)
+	}
 }
 
 // BenchmarkScanAllStreamed drains the full store through the ScanAll
