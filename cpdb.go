@@ -240,9 +240,9 @@ func CreateRelBackend(file string) (Backend, error) {
 
 // CreateDurableRelBackend creates a relational provenance store with a
 // write-ahead log (file + ".wal") and group commit: every append batch is
-// durable before it returns, at a constant fsync cost per batch — pair
+// durable before it returns, for one log write and one log fsync — pair
 // with Config.BatchSize to amortize it over many transactions. Reopen with
-// OpenDurableRelBackend (which also repairs torn pages after a crash), and
+// OpenDurableRelBackend (which replays the log after a crash), and
 // release the files with Session.Close (or by closing the backend).
 //
 // Equivalent to OpenBackend("rel://FILE?create=1&durable=1"), kept stable

@@ -2,8 +2,11 @@ package provcache
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/provobs"
 )
@@ -188,4 +191,128 @@ func TestInternConcurrent(t *testing.T) {
 	if in.Len() != 300 {
 		t.Fatalf("len=%d, want 300", in.Len())
 	}
+}
+
+// TestInternFillIsLinear: filling the table allocates a small multiple of
+// the bytes one pre-sized map of the final size costs (snapshots double and
+// each overflow map grows to its snapshot's size: about 4×). A table that
+// copies itself on every Put allocates thousands of times that.
+func TestInternFillIsLinear(t *testing.T) {
+	const n = 8192
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("T/c%d/x%d", i%97, i)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	final := allocated(func() {
+		m := make(map[string]int, n)
+		for i, k := range keys {
+			m[k] = i
+		}
+	})
+	in := NewIntern[int](n)
+	fill := allocated(func() {
+		for i, k := range keys {
+			in.Put(k, i)
+		}
+	})
+	if in.Len() != n {
+		t.Fatalf("len=%d, want %d", in.Len(), n)
+	}
+	if fill > 16*final {
+		t.Fatalf("filling %d entries allocated %d bytes, %.0f× the final table's %d (want ≤ 16×)",
+			n, fill, float64(fill)/float64(final), final)
+	}
+}
+
+// TestInternGetSettledKeyAllocFree: once a key has been promoted into the
+// snapshot a Get neither allocates nor reaches the overflow map.
+func TestInternGetSettledKeyAllocFree(t *testing.T) {
+	in := NewIntern[int](64)
+	for i := 0; i < 10; i++ {
+		in.Put(fmt.Sprintf("k%d", i), i)
+	}
+	k := "k0"
+	if _, ok := (*in.snap.Load())[k]; !ok {
+		t.Fatal("k0 was not promoted into the snapshot")
+	}
+	var got int
+	if n := testing.AllocsPerRun(100, func() { got, _ = in.Get(k) }); n != 0 {
+		t.Fatalf("Get of a settled key allocates %v times", n)
+	}
+	if got != 0 {
+		t.Fatalf("Get(k0) = %d", got)
+	}
+}
+
+// TestInternOverflowIsVisible: an entry is found, and InternString returns
+// the table's copy, while the entry still sits in the overflow map.
+func TestInternOverflowIsVisible(t *testing.T) {
+	in := NewIntern[string](64)
+	for i := 0; i < 4; i++ {
+		InternString(in, fmt.Sprintf("seg%d", i))
+	}
+	first := InternString(in, string([]byte("fresh"))) // 4 settled + 1 pending
+	if _, ok := (*in.snap.Load())["fresh"]; ok {
+		t.Fatal("test premise: fresh should still be in the overflow map")
+	}
+	second := InternString(in, string([]byte("fresh")))
+	if unsafe.StringData(first) != unsafe.StringData(second) {
+		t.Fatal("InternString returned the caller's copy, not the table's")
+	}
+	if in.Len() != 5 {
+		t.Fatalf("len=%d, want 5", in.Len())
+	}
+}
+
+// TestInternFullTableIsSettled: reaching the cap promotes everything, so
+// misses on a full table never take the mutex.
+func TestInternFullTableIsSettled(t *testing.T) {
+	in := NewIntern[int](7)
+	for i := 0; i < 20; i++ {
+		in.Put(fmt.Sprintf("k%d", i), i)
+	}
+	if in.Len() != 7 || len(*in.snap.Load()) != 7 || in.pending.Load() != 0 {
+		t.Fatalf("len=%d snapshot=%d pending=%d, want 7/7/0", in.Len(), len(*in.snap.Load()), in.pending.Load())
+	}
+}
+
+// TestInternGetDuringPromotion: readers race writers across many
+// promotions; a key whose Put has returned is always found, with the first
+// value, wherever it currently lives.
+func TestInternGetDuringPromotion(t *testing.T) {
+	const n = 4096
+	in := NewIntern[int](n)
+	var done atomic.Int64 // keys k0..k(done-1) have been Put
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				hi := int(done.Load())
+				if hi == n {
+					return
+				}
+				for i := r; i < hi; i += 37 {
+					if v, ok := in.Get(fmt.Sprintf("k%d", i)); !ok || v != i {
+						t.Errorf("Get(k%d) = %d, %v after its Put returned", i, v, ok)
+						return
+					}
+				}
+				runtime.Gosched()
+			}
+		}(r)
+	}
+	for i := 0; i < n; i++ {
+		in.Put(fmt.Sprintf("k%d", i), i)
+		done.Store(int64(i + 1))
+	}
+	wg.Wait()
 }

@@ -1,0 +1,243 @@
+package relprov_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/path"
+	"repro/internal/provstore"
+	"repro/internal/relprov"
+	"repro/internal/relstore"
+)
+
+// commitTxns appends txns transactions of five records each, one durable
+// AppendBatch per transaction, and returns the acknowledged records. Locs
+// spread over many subtrees so both indexes split leaves all over.
+func commitTxns(t *testing.T, b *relprov.Backend, firstTid int64, txns int) []provstore.Record {
+	t.Helper()
+	var acked []provstore.Record
+	for i := 0; i < txns; i++ {
+		tid := firstTid + int64(i)
+		var recs []provstore.Record
+		for j := 0; j < 5; j++ {
+			loc := fmt.Sprintf("T/c%d/entry-%d/field-%d-with-a-long-label", (int(tid)*7+j)%23, tid, j)
+			recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/src%d/x%d", j, tid)))
+		}
+		if err := b.AppendBatch(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, recs...)
+	}
+	return acked
+}
+
+// checkStore opens the durable store in dir — which recovers it — and
+// requires exactly the acknowledged records: Count, MaxTid, every record by
+// point lookup, and a full clean walk of the primary tree and of by_loc.
+func checkStore(t *testing.T, dir string, want []provstore.Record) {
+	t.Helper()
+	checkStoreOpened(t, dir, relprov.Options{Durable: true}, want)
+}
+
+func checkStoreOpened(t *testing.T, dir string, opts relprov.Options, want []provstore.Record) {
+	t.Helper()
+	b, err := relprov.OpenFile(filepath.Join(dir, "prov.db"), opts)
+	if err != nil {
+		t.Fatalf("crashed store does not open: %v", err)
+	}
+	defer b.Close()
+	ctx := context.Background()
+	if n, err := b.Count(ctx); err != nil || n != len(want) {
+		t.Errorf("Count = %d, %v; want %d", n, err, len(want))
+	}
+	if max, err := b.MaxTid(ctx); err != nil || max != want[len(want)-1].Tid {
+		t.Errorf("MaxTid = %d, %v; want %d", max, err, want[len(want)-1].Tid)
+	}
+	for _, r := range want {
+		if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || !reflect.DeepEqual(got, r) {
+			t.Fatalf("acknowledged record %v: Lookup = %v, %v, %v", r, got, ok, err)
+		}
+	}
+	all, err := provstore.CollectScan(b.ScanAll(ctx))
+	if err != nil || len(all) != len(want) {
+		t.Errorf("primary walk: %d records, %v; want %d", len(all), err, len(want))
+	}
+	byLoc, err := provstore.CollectScan(b.ScanLocPrefix(ctx, path.MustParse("T")))
+	if err != nil || len(byLoc) != len(want) {
+		t.Errorf("by_loc walk: %d records, %v; want %d", len(byLoc), err, len(want))
+	}
+}
+
+func readFile(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// crashedDir builds a store directory out of a data file and a log.
+func crashedDir(t *testing.T, data, log []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range map[string][]byte{"prov.db": data, "prov.db.wal": log} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestCrashMatrix: the data file is written at commit but fsynced only at a
+// checkpoint, so after a crash it may hold any subset of the page writes
+// since the last one. Whatever subset that is, the log — page images and
+// the pager header — brings back every acknowledged record.
+func TestCrashMatrix(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "prov.db")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := commitTxns(t, b, 1, 40)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := readFile(t, file) // the data file as of the last checkpoint
+
+	b, err = relprov.OpenFile(file, relprov.Options{Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	acked = append(acked, commitTxns(t, b, 41, 60)...)
+	// The crash: no Close. Everything above was acknowledged.
+	log, now := readFile(t, file+".wal"), readFile(t, file)
+	if b.Gauges()["rel.checkpoints"] != 0 || len(log) == 0 {
+		t.Fatal("test premise: the commits must stay below the checkpoint threshold")
+	}
+	if len(now) <= len(old) {
+		t.Fatal("test premise: the commits must allocate pages")
+	}
+
+	t.Run("nothing reached the data file", func(t *testing.T) {
+		checkStore(t, crashedDir(t, old, log), acked)
+	})
+	t.Run("half the pages reached it, one torn", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2006))
+		data := append([]byte(nil), old...)
+		var written []int
+		for pg := 0; pg*relstore.PageSize < len(now); pg++ {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			lo, hi := pg*relstore.PageSize, (pg+1)*relstore.PageSize
+			if hi > len(data) {
+				data = append(data, make([]byte, hi-len(data))...)
+			}
+			copy(data[lo:hi], now[lo:hi])
+			written = append(written, pg)
+		}
+		torn := written[len(written)/2] * relstore.PageSize
+		copy(data[torn+relstore.PageSize/2:torn+relstore.PageSize], make([]byte, relstore.PageSize/2))
+		checkStore(t, crashedDir(t, data, log), acked)
+	})
+	t.Run("reopened without durable=1", func(t *testing.T) {
+		checkStoreOpened(t, crashedDir(t, old, log), relprov.Options{}, acked)
+	})
+	t.Run("between the data sync and the truncate", func(t *testing.T) {
+		checkStore(t, crashedDir(t, now, log), acked)
+	})
+	t.Run("during recovery", func(t *testing.T) {
+		// Recovery rewrote and fsynced the data file but died before it
+		// truncated the log: the next open replays the same log again.
+		crashed := crashedDir(t, old, log)
+		if _, err := relstore.RecoverPager(filepath.Join(crashed, "prov.db"), filepath.Join(crashed, "prov.db.wal")); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, "prov.db.wal"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkStore(t, crashed, acked)
+	})
+	t.Run("an unfinished group", func(t *testing.T) {
+		// The last group lost its tail: it was never acknowledged, so its
+		// transaction is gone whole and the store still opens clean.
+		checkStore(t, crashedDir(t, old, log[:len(log)-relstore.PageSize/2]), acked[:len(acked)-5])
+	})
+}
+
+// TestCloseLeavesEmptyLog: a clean Close checkpoints, so the store carries
+// no dead log along and the next open has nothing to replay.
+func TestCloseLeavesEmptyLog(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "prov.db")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := commitTxns(t, b, 1, 10)
+	if fi, err := os.Stat(file + ".wal"); err != nil || fi.Size() == 0 {
+		t.Fatalf("log before Close: %v, %v; want the ten commits", fi, err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(file + ".wal"); err != nil || fi.Size() != 0 {
+		t.Fatalf("log after Close: %d bytes, %v; want 0", fi.Size(), err)
+	}
+	if n, err := relstore.RecoverPager(file, file+".wal"); err != nil || n != 0 {
+		t.Fatalf("reopening a cleanly closed store repairs %d pages, %v; want 0", n, err)
+	}
+	checkStore(t, filepath.Dir(file), acked)
+}
+
+// TestGroupCommitOneFsync: a durable append costs one log fsync and no data
+// fsync; the data file is fsynced once per checkpoint, when the log has
+// grown past its threshold and is truncated.
+func TestGroupCommitOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "prov.db")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	before := b.Gauges()
+	const n = 25
+	acked := commitTxns(t, b, 1, n)
+	after := b.Gauges()
+	delta := func(name string) int64 { return after[name] - before[name] }
+	if delta("rel.wal.fsyncs") != n || delta("rel.data.fsyncs") != 0 || delta("rel.checkpoints") != 0 {
+		t.Fatalf("%d appends cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 0, 0",
+			n, delta("rel.wal.fsyncs"), delta("rel.data.fsyncs"), delta("rel.checkpoints"), n)
+	}
+	if perTxn := delta("rel.wal.bytes") / n; perTxn < relstore.PageSize || perTxn > 24*relstore.PageSize {
+		t.Errorf("a five-record transaction logs %d bytes", perTxn)
+	}
+
+	// Keep committing until the log is checkpointed once.
+	appends := int64(n)
+	for b.Gauges()["rel.checkpoints"] == 0 {
+		if appends > 2000 {
+			t.Fatal("no checkpoint after 2000 commits")
+		}
+		acked = append(acked, commitTxns(t, b, appends+1, 10)...)
+		appends += 10
+	}
+	after = b.Gauges()
+	if delta("rel.wal.fsyncs") != appends || delta("rel.data.fsyncs") != 1 || delta("rel.checkpoints") != 1 {
+		t.Errorf("%d appends and a checkpoint cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 1, 1",
+			appends, delta("rel.wal.fsyncs"), delta("rel.data.fsyncs"), delta("rel.checkpoints"), appends)
+	}
+	if fi, err := os.Stat(file + ".wal"); err != nil || fi.Size() >= 4<<20 {
+		t.Errorf("log after its checkpoint: %d bytes, %v", fi.Size(), err)
+	}
+	// A crash right here finds the checkpointed data file and a short log.
+	checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), acked)
+}

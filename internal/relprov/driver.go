@@ -2,6 +2,7 @@ package relprov
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/provstore"
 	"repro/internal/relstore"
@@ -12,8 +13,9 @@ import (
 //
 //	create=1    create the database file (it must not exist yet)
 //	durable=1   attach a write-ahead log (file + ".wal") and group-commit
-//	            every append batch; on open, first replay the log to repair
-//	            torn pages a crash left behind
+//	            every append batch; on open, first replay the log: after a
+//	            crash it holds everything committed since the data file was
+//	            last fsynced
 //
 // so cpdb.OpenBackend (and any DSN-configured deployment) can reach the
 // relational engine without calling its constructors directly.
@@ -46,7 +48,7 @@ type Options struct {
 	// one.
 	Create bool
 	// Durable attaches a write-ahead log (file + ".wal") and group-commits
-	// every append batch, recovering torn pages on open. See
+	// every append batch, replaying the log on open. See
 	// Backend.EnableGroupCommit.
 	Durable bool
 }
@@ -54,13 +56,19 @@ type Options struct {
 // OpenFile opens (or, with opts.Create, creates) a relational provenance
 // store in the given database file. With opts.Durable the store group-
 // commits through a write-ahead log at file + ".wal"; opening an existing
-// durable store replays that log first, repairing any torn pages a crash
-// left behind. Close the returned backend to release the files.
+// durable store replays that log first, restoring whatever a crash kept
+// from the data file (which is fsynced only at checkpoints). A clean Close
+// leaves the log empty. Close the returned backend to release the files.
 func OpenFile(file string, opts Options) (*Backend, error) {
 	walFile := file + ".wal"
-	if !opts.Create && opts.Durable {
-		if _, err := relstore.RecoverPager(file, walFile); err != nil {
-			return nil, err
+	if !opts.Create {
+		// A non-empty log is replayed even when this open will not write
+		// one: it holds commits a crashed durable session acknowledged
+		// and the data file may lack.
+		if fi, err := os.Stat(walFile); opts.Durable || err == nil && fi.Size() > 0 {
+			if _, err := relstore.RecoverPager(file, walFile); err != nil {
+				return nil, err
+			}
 		}
 	}
 	var (

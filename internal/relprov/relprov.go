@@ -82,21 +82,23 @@ func Open(db *relstore.DB) (*Backend, error) {
 func (b *Backend) DB() *relstore.DB { return b.db }
 
 // EnableGroupCommit attaches a write-ahead log to the underlying database
-// and makes every Append and AppendBatch durable before returning — at a
-// constant fsync cost per call (one log sync plus one data sync), however
-// many records (Append) or whole batches (AppendBatch) it carries. This is
-// the group-commit write path of the sharded ingest pipeline; without it
-// the store is durable only at Flush/Close, as the paper's MySQL
-// deployment was at transaction boundaries. The log is checkpointed
-// (truncated) automatically as it grows, and closed by Close. After a
-// crash, repair torn pages with relstore.RecoverPager before reopening.
+// and makes every Append and AppendBatch durable before returning — at the
+// cost of one log write and one log fsync per call, however many records
+// (Append) or whole batches (AppendBatch) it carries. The data file is
+// written at every commit but fsynced only when the log is checkpointed
+// (truncated, every few megabytes logged) and at Close, which leaves the
+// log empty. This is the group-commit write path of the sharded ingest
+// pipeline; without it the store is durable only at Flush/Close, as the
+// paper's MySQL deployment was at transaction boundaries. The log is closed
+// by Close. After a crash, run relstore.RecoverPager before reopening
+// (OpenFile does): the data file alone may lack anything committed since
+// the last checkpoint.
 func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 	// Log appends from buffer-pool evictions between commits stay
 	// unsynced — otherwise every eviction beyond the cache size would pay
 	// a per-page fsync, collapsing group commit back to per-record cost.
 	// GroupCommit's AppendGroup syncs the whole log (including those
-	// earlier appends) before the data-file sync, so every acknowledged
-	// group is still crash-safe.
+	// earlier appends), so every acknowledged group is still crash-safe.
 	w.SetSyncEvery(1 << 30)
 	b.db.AttachWAL(w)
 	b.wal = w
@@ -110,21 +112,34 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 //	rel.bufpool.hits    page fetches served from the buffer pool
 //	rel.bufpool.misses  page fetches that read the file
 //	rel.rows_decoded    stored rows decoded
+//	rel.wal.fsyncs      fsyncs of the write-ahead log
+//	rel.wal.bytes       bytes appended to the write-ahead log
+//	rel.data.fsyncs     fsyncs of the data file
+//	rel.checkpoints     log truncations (each after one data fsync)
 //
 // hits+misses is pages touched. A point read costs about tree-height pages
 // and decodes the rows it returns; a reading that grows with the relation
-// on a small answer means a scan is hiding in the read path.
+// on a small answer means a scan is hiding in the read path. A durable
+// append costs exactly one log fsync and no data fsync: rel.wal.fsyncs
+// rises by one per Append/AppendBatch, rel.data.fsyncs only with
+// rel.checkpoints.
 func (b *Backend) Gauges() map[string]int64 {
 	hits, misses := b.db.CacheStats()
+	st := b.db.IOStats()
 	return map[string]int64{
 		"rel.bufpool.hits":   hits,
 		"rel.bufpool.misses": misses,
 		"rel.rows_decoded":   b.tbl.RowsDecoded(),
+		"rel.wal.fsyncs":     st.WALFsyncs,
+		"rel.wal.bytes":      st.WALBytes,
+		"rel.data.fsyncs":    st.DataFsyncs,
+		"rel.checkpoints":    st.Checkpoints,
 	}
 }
 
-// Close releases the underlying database and, if group commit was enabled,
-// its write-ahead log.
+// Close releases the underlying database — whose Close syncs the data file
+// and then empties the log, so a cleanly closed store carries no log to
+// replay — and, if group commit was enabled, closes the log file.
 func (b *Backend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -184,9 +199,9 @@ func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 // AppendBatch implements provstore.GroupCommitter: several record batches
 // — typically several committed transactions accumulated by the batching
 // ingest layer — are inserted and then made durable together with a single
-// GroupCommit (one WAL fsync), instead of one durability round trip per
-// batch. The whole group is validated before any row is inserted, so a
-// duplicate {Tid, Loc} anywhere across the group aborts it wholesale.
+// GroupCommit (one WAL write and fsync), instead of one durability round
+// trip per batch. The whole group is validated before any row is inserted,
+// so a duplicate {Tid, Loc} anywhere across the group aborts it wholesale.
 func (b *Backend) AppendBatch(ctx context.Context, batches ...[]provstore.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -147,14 +147,13 @@ func (bp *BufferPool) Free(id PageID) error {
 	return bp.pager.Free(pg)
 }
 
-// FlushGroup writes back every dirty page as one group commit: the pages
-// reach the write-ahead log with a single fsync (Pager.WriteGroup), then
-// the data file — including the pager header, whose writes bypass the log —
-// is synced once. A constant number of fsyncs per group, however many
-// records dirtied the pages: the log fsync guards against torn data-file
-// writes, the data fsync makes the group (and the header) durable. After
-// the data sync every logged image is redundant, so the log is truncated
-// once it grows past a threshold (checkpoint).
+// FlushGroup writes back every dirty page as one group commit
+// (Pager.WriteGroup). With a log attached the group — pages and pager
+// header — is durable behind one log write and one log fsync, however many
+// records dirtied the pages; the data file is written but not fsynced
+// until the log has grown past walCheckpointBytes and is checkpointed. That,
+// and Close, are the only data-file fsyncs. With no log the data file is
+// the only copy and is fsynced here, every time.
 func (bp *BufferPool) FlushGroup() error {
 	bp.mu.Lock()
 	var dirty []*Page
@@ -177,8 +176,8 @@ func (bp *BufferPool) FlushGroup() error {
 		f.dirty = false
 	}
 	bp.mu.Unlock()
-	if err := bp.pager.Sync(); err != nil {
-		return err
+	if !bp.pager.HasWAL() {
+		return bp.pager.Sync()
 	}
 	return bp.pager.checkpointIfLarge()
 }
@@ -206,7 +205,8 @@ func (bp *BufferPool) Stats() (hits, misses int64) {
 	return bp.hits, bp.misses
 }
 
-// Close flushes and closes the underlying pager.
+// Close flushes and closes the underlying pager, which empties the attached
+// log.
 func (bp *BufferPool) Close() error {
 	if err := bp.FlushAll(); err != nil {
 		bp.pager.Close()

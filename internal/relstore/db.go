@@ -208,19 +208,21 @@ func (db *DB) tableNamesLocked() []string {
 
 // AttachWAL write-ahead-logs every subsequent page write of this database.
 // With a log attached, GroupCommit makes a batch of logical writes durable
-// with a single fsync.
+// with a single fsync. Close the log after the database, whose Close
+// truncates it.
 func (db *DB) AttachWAL(w *WAL) {
 	db.bp.Pager().AttachWAL(w)
 }
 
-// GroupCommit makes everything written so far durable at a constant number
-// of fsyncs: the catalog is refreshed and every dirty page flushes as one
-// page group — one log fsync (torn-write protection) plus one data-file
-// sync (durability, covering the header), however many records the group
-// carries. This is the commit primitive behind relprov's AppendBatch; when
-// it returns, the committed state survives a crash (an in-flight group
-// that never returned may be lost, and torn pages it left behind are
-// repaired from the log on reopen).
+// GroupCommit makes everything written so far durable at the cost of its
+// pages: the catalog is refreshed and every dirty page, with the pager
+// header, goes to the attached log as one group — one write, one fsync,
+// however many records it carries — and then to the data file, which is
+// fsynced only by the checkpoint that truncates the log and by Close
+// (without a log: here, every time). This is the commit primitive behind
+// relprov's AppendBatch; when it returns, the committed state survives a
+// crash (RecoverPager replays it on reopen; an in-flight group that never
+// returned is replayed whole or not at all).
 func (db *DB) GroupCommit() error {
 	db.mu.Lock()
 	if err := db.flushCatalogLocked(); err != nil {
@@ -249,6 +251,11 @@ func (db *DB) Size() (int64, error) {
 		return 0, err
 	}
 	return db.bp.Pager().FileSize()
+}
+
+// IOStats exposes the pager's fsync, log-byte and checkpoint counters.
+func (db *DB) IOStats() IOStats {
+	return db.bp.Pager().IOStats()
 }
 
 // CacheStats exposes buffer-pool hit/miss counters.

@@ -14,7 +14,10 @@ const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 
 // A Pager reads and writes fixed-size pages of a store file and manages the
 // free list. Page 0 holds the store header: magic, page count, free-list
-// head, and the catalog root page id.
+// head, and the catalog root page id. Header changes are kept in memory and
+// written out with the next page group, Sync or Close — after the attached
+// write-ahead log, if any, has them (see WriteGroup): like every page, the
+// header never reaches the data file ahead of the log.
 //
 // The Pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
@@ -25,8 +28,16 @@ type Pager struct {
 	freeHead PageID
 	catalog  PageID
 	readOnly bool
-	wal      *WAL // optional write-ahead log (see AttachWAL)
+	// loose: since the last page group or Sync, the header changed or a
+	// page was written on its own; the next one logs and writes the header.
+	loose bool
+	wal   *WAL // optional write-ahead log (see AttachWAL)
+
+	dataSyncs, checkpoints int64 // see IOStats
 }
+
+// storeHeaderSize is the used prefix of page 0.
+const storeHeaderSize = 16
 
 // Errors returned by the pager.
 var (
@@ -41,8 +52,12 @@ func CreatePager(path string) (*Pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f, pages: 1}
-	if err := p.writeHeader(); err != nil {
+	p := &Pager{f: f, pages: 1, loose: true}
+	// Page 0 is all zeroes but for its header.
+	if err = f.Truncate(PageSize); err == nil {
+		err = p.writeHeader()
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -67,14 +82,27 @@ func OpenPager(path string, readOnly bool) (*Pager, error) {
 	return p, nil
 }
 
-func (p *Pager) writeHeader() error {
-	var buf [PageSize]byte
+// header encodes the current header fields.
+func (p *Pager) header() (buf [storeHeaderSize]byte) {
 	binary.BigEndian.PutUint32(buf[0:], storeMagic)
 	binary.BigEndian.PutUint32(buf[4:], uint32(p.pages))
 	binary.BigEndian.PutUint32(buf[8:], uint32(p.freeHead))
 	binary.BigEndian.PutUint32(buf[12:], uint32(p.catalog))
-	_, err := p.f.WriteAt(buf[:], 0)
-	return err
+	return buf
+}
+
+// writeHeader writes the header to the data file if it may have changed.
+// With a log attached the caller has logged it first. Caller holds mu.
+func (p *Pager) writeHeader() error {
+	if !p.loose {
+		return nil
+	}
+	hdr := p.header()
+	if _, err := p.f.WriteAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("relstore: writing header: %w", err)
+	}
+	p.loose = false
+	return nil
 }
 
 func (p *Pager) readHeader() error {
@@ -106,7 +134,8 @@ func (p *Pager) SetCatalog(id PageID) error {
 		return ErrReadOnly
 	}
 	p.catalog = id
-	return p.writeHeader()
+	p.loose = true
+	return nil
 }
 
 // NumPages returns the total number of pages, including the header page.
@@ -132,17 +161,13 @@ func (p *Pager) Alloc(kind byte) (*Page, error) {
 			return nil, err
 		}
 		p.freeHead = pg.Next()
-		if err := p.writeHeader(); err != nil {
-			return nil, err
-		}
+		p.loose = true
 		pg.Init(kind)
 		return pg, nil
 	}
 	id := p.pages
 	p.pages++
-	if err := p.writeHeader(); err != nil {
-		return nil, err
-	}
+	p.loose = true
 	return NewPage(id, kind), nil
 }
 
@@ -156,10 +181,8 @@ func (p *Pager) Free(pg *Page) error {
 	pg.Init(KindFree)
 	pg.SetNext(p.freeHead)
 	p.freeHead = pg.ID
-	if err := p.writeLocked(pg); err != nil {
-		return err
-	}
-	return p.writeHeader()
+	p.loose = true
+	return p.writeLocked(pg)
 }
 
 // Read fetches a page from disk, verifying its checksum.
@@ -202,6 +225,7 @@ func (p *Pager) writeLocked(pg *Page) error {
 		if err := p.wal.Append(pg); err != nil {
 			return fmt.Errorf("relstore: logging page %d: %w", pg.ID, err)
 		}
+		p.loose = true
 	}
 	pg.seal()
 	if _, err := p.f.WriteAt(pg.buf[:], int64(pg.ID)*PageSize); err != nil {
@@ -210,18 +234,37 @@ func (p *Pager) writeLocked(pg *Page) error {
 	return nil
 }
 
-// Sync flushes the underlying file.
+// Sync writes out a changed header and fsyncs the data file. With a log
+// attached, a group of no pages first makes the header and every page
+// logged on its own durable there: the data file on disk is never newer
+// than the log.
 func (p *Pager) Sync() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.syncLocked()
+}
+
+func (p *Pager) syncLocked() error {
+	if p.wal != nil && p.loose {
+		if err := p.wal.AppendGroup(nil, p.header()); err != nil {
+			return fmt.Errorf("relstore: syncing log: %w", err)
+		}
+	}
+	if err := p.writeHeader(); err != nil {
+		return err
+	}
+	p.dataSyncs++
 	return p.f.Sync()
 }
 
-// Close syncs and closes the store file.
+// Close checkpoints (syncs the data file, then empties the attached log,
+// which must still be open) and closes the store file.
 func (p *Pager) Close() error {
-	if err := p.f.Sync(); err != nil {
-		p.f.Close()
-		return err
+	err := p.Checkpoint()
+	if cerr := p.f.Close(); err == nil {
+		err = cerr
 	}
-	return p.f.Close()
+	return err
 }
 
 // FileSize returns the current size of the store file in bytes.

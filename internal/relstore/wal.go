@@ -1,19 +1,21 @@
 package relstore
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
 
-// A WAL is a write-ahead log of full page images. Every page write to the
-// store file is logged first, so a crash between or during data-file writes
-// (torn pages) is repairable by replay. The log is truncated at checkpoints
-// (Close/FlushAll of a WAL-attached database).
+// A WAL is a write-ahead log of full page images and pager headers. Every
+// write to the store file is logged first, so a crash between or during
+// data-file writes (torn or missing pages) is repairable by replay. The log
+// is truncated at checkpoints, once the data file has been fsynced.
 //
 // The paper's related work (§5) discusses transaction logging as a
 // neighbouring mechanism and argues provenance must not be bolted onto it:
@@ -22,26 +24,44 @@ import (
 // nothing about provenance; provenance records are ordinary table rows
 // above it.
 //
-// Record layout:
+// Two record kinds share one layout:
 //
-//	magic   uint32
+//	magic   uint32  walMagic             walGroupMagic
 //	lsn     uint64
-//	pageID  uint32
-//	crc32   uint32 of the image
-//	image   PageSize bytes
+//	pageID  uint32  the image's page     0
+//	crc32   uint32  of the body
+//	body            PageSize-byte image  pager header ‖ uint32 page count
+//
+// A page record on its own (Append) is replayed unconditionally; a log
+// written before group records existed holds nothing else and still
+// replays. A group record opens a commit (AppendGroup): the pager header as
+// of the commit and the number of page records that follow and belong to
+// it. A group missing any of its records is not replayed at all.
 type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 	lsn  uint64
-	// syncEvery syncs the log after every N appends (1 = always).
+	size int64 // bytes in the log; the next append goes here
+	// syncEvery syncs the log after every N Appends (1 = always).
 	syncEvery int
 	sinceSync int
+	buf       []byte // encode buffer, reused from append to append
+	// fsyncs and bytes count log fsyncs and bytes appended since open.
+	fsyncs, bytes int64
 }
 
-const walMagic uint32 = 0xCA11B0C5
+const (
+	walMagic      uint32 = 0xCA11B0C5
+	walGroupMagic uint32 = 0xCA11B0C6
 
-const walHeaderSize = 4 + 8 + 4 + 4
+	walHeaderSize = 4 + 8 + 4 + 4
+	walPageSize   = walHeaderSize + PageSize
+	walGroupSize  = walHeaderSize + storeHeaderSize + 4
+	// walKeepBuf caps the encode buffer kept between appends; a larger
+	// group (a bulk load) is encoded in a buffer of its own.
+	walKeepBuf = 64 * walPageSize
+)
 
 // ErrTornLog reports a truncated or corrupt trailing log record, which
 // replay treats as the end of the usable log.
@@ -65,7 +85,7 @@ func OpenWAL(path string) (*WAL, error) {
 	}
 	w := &WAL{f: f, path: path, syncEvery: 1}
 	// Find the end of the intact prefix and the newest LSN.
-	end, maxLSN, err := w.scan(nil)
+	end, maxLSN, err := w.scan(math.MaxInt64, nil)
 	if err != nil && !errors.Is(err, ErrTornLog) {
 		f.Close()
 		return nil, err
@@ -74,15 +94,11 @@ func OpenWAL(path string) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.lsn = maxLSN
+	w.size, w.lsn = end, maxLSN
 	return w, nil
 }
 
-// SetSyncEvery makes the log sync only every n appends (trading durability
+// SetSyncEvery makes the log sync only every n Appends (trading durability
 // of the tail for throughput); n < 1 is treated as 1.
 func (w *WAL) SetSyncEvery(n int) {
 	if n < 1 {
@@ -93,143 +109,166 @@ func (w *WAL) SetSyncEvery(n int) {
 	w.mu.Unlock()
 }
 
-// Append logs a page image (the page is sealed — checksummed — first).
+// Append logs one page image (the page is sealed — checksummed — first).
 func (w *WAL) Append(pg *Page) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.appendLocked(pg); err != nil {
-		return err
-	}
 	w.sinceSync++
-	if w.sinceSync >= w.syncEvery {
-		w.sinceSync = 0
-		return w.f.Sync()
-	}
-	return nil
+	return w.write(w.appendPage(w.buf[:0], pg), w.sinceSync >= w.syncEvery)
 }
 
-// AppendGroup logs a batch of page images with a single sync at the end —
-// the group commit of the ingest pipeline: however many records (or whole
-// transactions) dirtied these pages, the log pays one fsync for all of
-// them, not one per record.
-func (w *WAL) AppendGroup(pgs []*Page) error {
-	if len(pgs) == 0 {
-		return nil
-	}
+// AppendGroup logs a commit — the pager header and a batch of page images —
+// with one write and one fsync: however many records (or whole
+// transactions) dirtied these pages, that is all the log pays. The fsync
+// also covers every earlier unsynced Append.
+func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var count [4]byte
+	binary.BigEndian.PutUint32(count[:], uint32(len(pgs)))
+	buf := w.appendRecord(w.buf[:0], walGroupMagic, 0, header[:], count[:])
 	for _, pg := range pgs {
-		if err := w.appendLocked(pg); err != nil {
-			return err
-		}
+		buf = w.appendPage(buf, pg)
+	}
+	return w.write(buf, true)
+}
+
+// appendPage seals pg and encodes its page record.
+func (w *WAL) appendPage(buf []byte, pg *Page) []byte {
+	pg.seal()
+	return w.appendRecord(buf, walMagic, pg.ID, pg.buf[:])
+}
+
+// appendRecord encodes one record, its body given in pieces, under the next
+// LSN. The checksum is taken over the encoded copy, so no piece escapes.
+func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) []byte {
+	w.lsn++
+	buf = binary.BigEndian.AppendUint32(buf, magic)
+	buf = binary.BigEndian.AppendUint64(buf, w.lsn)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(id))
+	sum := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, 0)
+	for _, b := range body {
+		buf = append(buf, b...)
+	}
+	binary.BigEndian.PutUint32(buf[sum:], crc32.ChecksumIEEE(buf[sum+4:]))
+	return buf
+}
+
+// write appends the encoded records to the log in one write and fsyncs it
+// if asked. Caller holds mu.
+func (w *WAL) write(buf []byte, sync bool) error {
+	if cap(buf) <= walKeepBuf {
+		w.buf = buf[:0]
+	}
+	if _, err := w.f.WriteAt(buf, w.size); err != nil {
+		return err
+	}
+	w.size += int64(len(buf))
+	w.bytes += int64(len(buf))
+	if !sync {
+		return nil
 	}
 	w.sinceSync = 0
+	w.fsyncs++
 	return w.f.Sync()
 }
 
-// appendLocked writes one log record without syncing. Caller holds mu.
-func (w *WAL) appendLocked(pg *Page) error {
-	w.lsn++
-	var hdr [walHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], walMagic)
-	binary.BigEndian.PutUint64(hdr[4:], w.lsn)
-	binary.BigEndian.PutUint32(hdr[12:], uint32(pg.ID))
-	pg.seal()
-	binary.BigEndian.PutUint32(hdr[16:], crc32.ChecksumIEEE(pg.buf[:]))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.f.Write(pg.buf[:])
-	return err
-}
-
-// scan reads the log from the start, calling apply (if non-nil) for every
-// intact record, and returns the offset after the last intact record plus
-// the newest LSN seen. A torn tail yields ErrTornLog with the prefix
-// results intact.
-func (w *WAL) scan(apply func(lsn uint64, id PageID, image []byte) error) (int64, uint64, error) {
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
+// scan reads the first limit bytes of the log, calling apply (if non-nil)
+// for every intact page image and, as page 0, for the pager header of every
+// group. It returns the offset after the last intact record or whole group
+// and the newest LSN seen. A torn tail, which includes a group missing any
+// of its records, yields ErrTornLog with the prefix results intact. Records
+// are applied as they are read, so a caller that must not see part of a
+// group passes a limit some earlier scan returned.
+func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end int64, maxLSN uint64, err error) {
 	var (
-		off    int64
-		maxLSN uint64
-		hdr    [walHeaderSize]byte
-		img    = make([]byte, PageSize)
+		r       = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, limit), 1<<16)
+		prefix  [walHeaderSize]byte
+		body    = make([]byte, PageSize)
+		pos     int64
+		pending uint32 // page records the open group still lacks
 	)
 	for {
-		if _, err := io.ReadFull(w.f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return off, maxLSN, nil
+		if _, err := io.ReadFull(r, prefix[:]); err != nil {
+			if errors.Is(err, io.EOF) && pending == 0 {
+				return end, maxLSN, nil
 			}
-			return off, maxLSN, ErrTornLog
+			return end, maxLSN, ErrTornLog
 		}
-		if binary.BigEndian.Uint32(hdr[0:]) != walMagic {
-			return off, maxLSN, ErrTornLog
+		magic, b := binary.BigEndian.Uint32(prefix[0:]), body
+		if magic == walGroupMagic && pending == 0 {
+			b = body[:storeHeaderSize+4]
+		} else if magic != walMagic {
+			return end, maxLSN, ErrTornLog
 		}
-		lsn := binary.BigEndian.Uint64(hdr[4:])
-		id := PageID(binary.BigEndian.Uint32(hdr[12:]))
-		sum := binary.BigEndian.Uint32(hdr[16:])
-		if _, err := io.ReadFull(w.f, img); err != nil {
-			return off, maxLSN, ErrTornLog
+		if _, err := io.ReadFull(r, b); err != nil || crc32.ChecksumIEEE(b) != binary.BigEndian.Uint32(prefix[16:]) {
+			return end, maxLSN, ErrTornLog
 		}
-		if crc32.ChecksumIEEE(img) != sum {
-			return off, maxLSN, ErrTornLog
+		maxLSN = max(maxLSN, binary.BigEndian.Uint64(prefix[4:]))
+		pos += walHeaderSize + int64(len(b))
+		if magic == walGroupMagic {
+			pending, b = binary.BigEndian.Uint32(b[storeHeaderSize:]), b[:storeHeaderSize]
+		} else if pending > 0 {
+			pending--
 		}
 		if apply != nil {
-			if err := apply(lsn, id, img); err != nil {
-				return off, maxLSN, err
+			if err := apply(PageID(binary.BigEndian.Uint32(prefix[12:])), b); err != nil {
+				return end, maxLSN, err
 			}
 		}
-		off += walHeaderSize + PageSize
-		if lsn > maxLSN {
-			maxLSN = lsn
+		if pending == 0 {
+			end = pos
 		}
 	}
 }
 
-// Replay applies every intact logged image in order. A torn tail ends the
-// replay silently (the tail was never acknowledged); other errors abort.
-// It returns the number of records applied.
+// Replay applies every logged page image in order, and every group's pager
+// header as a storeHeaderSize-byte image of page 0. It reads the extent
+// OpenWAL found intact plus what has been appended since, so it never
+// applies part of a group. It returns the number of page images applied.
 func (w *WAL) Replay(apply func(id PageID, image []byte) error) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := 0
-	_, _, err := w.scan(func(_ uint64, id PageID, image []byte) error {
-		n++
+	_, _, err := w.scan(w.size, func(id PageID, image []byte) error {
+		if id != InvalidPage {
+			n++
+		}
 		return apply(id, image)
 	})
 	if err != nil && !errors.Is(err, ErrTornLog) {
 		return n, err
 	}
-	// Restore the append position.
-	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
-		return n, err
-	}
 	return n, nil
 }
 
-// Truncate empties the log (a checkpoint: all logged writes are known to be
-// in the data file).
+// Truncate empties the log (a checkpoint: every logged write is in the
+// fsynced data file). The truncation is not itself fsynced — the next
+// group's fsync covers it; a crash before that may bring the old log back,
+// and replaying it over a data file that holds all of it changes nothing.
 func (w *WAL) Truncate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	return w.f.Sync()
+	w.size, w.sinceSync = 0, 0
+	return nil
 }
 
-// Size returns the log file size in bytes.
-func (w *WAL) Size() (int64, error) {
-	fi, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
+// Size returns the log size in bytes.
+func (w *WAL) Size() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.size
+}
+
+// Stats returns the log fsyncs and bytes appended since the log was opened.
+func (w *WAL) Stats() (fsyncs, bytes int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.fsyncs, w.bytes
 }
 
 // Close closes the log file.
@@ -254,34 +293,31 @@ func (p *Pager) HasWAL() bool {
 	return p.wal != nil
 }
 
-// walCheckpointBytes bounds the attached log's growth: once the data file
-// has been synced (so every logged image is redundant) and the log exceeds
-// this size, it is truncated.
+// walCheckpointBytes bounds the attached log's growth: once the log exceeds
+// this size the data file is fsynced (making every logged image redundant)
+// and the log truncated.
 const walCheckpointBytes = 4 << 20
 
-// checkpointIfLarge truncates the attached log if it has grown past the
-// checkpoint threshold. Call only after a data-file sync.
+// checkpointIfLarge checkpoints if the attached log has grown past the
+// checkpoint threshold. This is the only data-file fsync of a store that
+// commits through a log, besides Close: one per walCheckpointBytes logged.
 func (p *Pager) checkpointIfLarge() error {
 	p.mu.Lock()
 	w := p.wal
 	p.mu.Unlock()
-	if w == nil {
+	if w == nil || w.Size() < walCheckpointBytes {
 		return nil
 	}
-	size, err := w.Size()
-	if err != nil {
-		return err
-	}
-	if size < walCheckpointBytes {
-		return nil
-	}
-	return w.Truncate()
+	return p.Checkpoint()
 }
 
-// WriteGroup seals and persists a batch of pages as one group commit: all
-// images reach the attached log first with a single fsync (AppendGroup),
-// then the data file. With no log attached it degrades to plain writes; the
-// caller is then responsible for syncing the data file.
+// WriteGroup seals and persists a batch of pages as one group commit. With
+// a log attached, the images and the pager header reach the log with one
+// write and one fsync (AppendGroup) — the group is durable from then on —
+// and are then written to the data file, which is not fsynced: until the
+// next checkpoint the log is what a crash recovers the group from. With no
+// log attached it degrades to plain writes; the caller is then responsible
+// for syncing the data file.
 func (p *Pager) WriteGroup(pgs []*Page) error {
 	if len(pgs) == 0 {
 		return nil
@@ -296,38 +332,56 @@ func (p *Pager) WriteGroup(pgs []*Page) error {
 			return fmt.Errorf("%w: %d (have %d)", ErrOutOfRange, pg.ID, p.pages)
 		}
 	}
-	if p.wal != nil {
-		if err := p.wal.AppendGroup(pgs); err != nil {
-			return fmt.Errorf("relstore: logging page group: %w", err)
+	if p.wal == nil {
+		for _, pg := range pgs {
+			pg.seal()
 		}
+	} else if err := p.wal.AppendGroup(pgs, p.header()); err != nil { // seals them
+		return fmt.Errorf("relstore: logging page group: %w", err)
 	}
 	for _, pg := range pgs {
-		pg.seal()
 		if _, err := p.f.WriteAt(pg.buf[:], int64(pg.ID)*PageSize); err != nil {
 			return fmt.Errorf("relstore: writing page %d: %w", pg.ID, err)
 		}
 	}
-	return nil
+	return p.writeHeader()
 }
 
-// Checkpoint syncs the data file and truncates the attached log.
+// Checkpoint fsyncs the data file and then truncates the attached log,
+// whose every record is redundant from that moment.
 func (p *Pager) Checkpoint() error {
 	p.mu.Lock()
-	w := p.wal
-	p.mu.Unlock()
-	if w == nil {
-		return nil
-	}
-	if err := p.Sync(); err != nil {
+	defer p.mu.Unlock()
+	if err := p.syncLocked(); err != nil || p.wal == nil {
 		return err
 	}
-	return w.Truncate()
+	p.checkpoints++
+	return p.wal.Truncate()
+}
+
+// IOStats counts the durability work done since the pager was opened:
+// fsyncs of the attached log (one per group commit) and bytes appended to
+// it, fsyncs of the data file, and checkpoints (each a data fsync followed
+// by a log truncation).
+type IOStats struct{ WALFsyncs, WALBytes, DataFsyncs, Checkpoints int64 }
+
+// IOStats returns the pager's durability counters.
+func (p *Pager) IOStats() IOStats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := IOStats{DataFsyncs: p.dataSyncs, Checkpoints: p.checkpoints}
+	if p.wal != nil {
+		st.WALFsyncs, st.WALBytes = p.wal.Stats()
+	}
+	return st
 }
 
 // RecoverPager repairs a store file from its write-ahead log by rewriting
-// every logged page image, then truncating the log. It returns the number
-// of pages repaired. Use before OpenPager when the store may have torn
-// writes (e.g. failed checksum reads after a crash).
+// every logged page image and pager header, fsyncing the file, then
+// truncating the log. It returns the number of pages repaired. The log holds
+// every write since the data file was last fsynced, in order, so it does
+// not matter which of them the file already has, or has torn. Use before
+// OpenPager on any store that commits through a log.
 func RecoverPager(storePath, walPath string) (int, error) {
 	w, err := OpenWAL(walPath)
 	if err != nil {

@@ -1,8 +1,11 @@
 package relstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,7 +56,7 @@ func TestWALAppendReplay(t *testing.T) {
 	if n != 0 {
 		t.Errorf("after truncate: %d records", n)
 	}
-	if sz, _ := w.Size(); sz != 0 {
+	if sz := w.Size(); sz != 0 {
 		t.Errorf("size after truncate: %d", sz)
 	}
 }
@@ -153,10 +156,18 @@ func TestCrashRecovery(t *testing.T) {
 	if err := bp.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	// The crash comes here: a clean Close would checkpoint and empty the log.
+	crashedLog, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
+	if err := os.WriteFile(walPath, crashedLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Simulate torn writes: scribble over several pages of the data file.
 	f, err := os.OpenFile(storePath, os.O_RDWR, 0)
@@ -209,9 +220,10 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestWALAppendGroup: a group append logs every image exactly once and
-// replay reproduces them in order; after a crash the whole group is
-// recoverable (one fsync covered it).
+// TestWALAppendGroup: a group append logs the pager header and every image
+// exactly once and replay reproduces them in order, the header as a short
+// image of page 0; after a crash the whole group is recoverable (one fsync
+// covered it).
 func TestWALAppendGroup(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
@@ -225,10 +237,11 @@ func TestWALAppendGroup(t *testing.T) {
 		pg.InsertCell([]byte(fmt.Sprintf("grouped-%d", i)))
 		pgs = append(pgs, pg)
 	}
-	if err := w.AppendGroup(pgs); err != nil {
+	hdr := [storeHeaderSize]byte{0xC9, 0xDB}
+	if err := w.AppendGroup(pgs, hdr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendGroup(nil); err != nil {
+	if err := w.AppendGroup(nil, hdr); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -241,21 +254,30 @@ func TestWALAppendGroup(t *testing.T) {
 	var got []PageID
 	n, err := w2.Replay(func(id PageID, image []byte) error {
 		got = append(got, id)
+		if id == 0 && !bytes.Equal(image, hdr[:]) {
+			t.Errorf("replayed header = %x, want %x", image, hdr)
+		}
 		return nil
 	})
 	if err != nil || n != 5 {
 		t.Fatalf("Replay = %d, %v", n, err)
 	}
-	if fmt.Sprint(got) != "[1 2 3 4 5]" {
+	if fmt.Sprint(got) != "[0 1 2 3 4 5 0]" {
 		t.Errorf("replay order = %v", got)
+	}
+	if fsyncs, logged := w.Stats(); fsyncs != 2 || logged != 2*walGroupSize+5*walPageSize {
+		t.Errorf("two groups cost %d fsyncs and %d bytes", fsyncs, logged)
 	}
 }
 
-// TestPagerWriteGroup: a grouped write reaches both the log and the data
-// file; out-of-range pages are rejected before anything is logged.
+// TestPagerWriteGroup: a grouped write reaches the log — pages and pager
+// header, behind one log fsync and no data fsync — and the data file;
+// the log alone rebuilds the group over a data file that never saw it;
+// out-of-range pages are rejected before anything is logged.
 func TestPagerWriteGroup(t *testing.T) {
 	dir := t.TempDir()
-	pager, err := CreatePager(filepath.Join(dir, "s.db"))
+	storePath := filepath.Join(dir, "s.db")
+	pager, err := CreatePager(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,6 +291,10 @@ func TestPagerWriteGroup(t *testing.T) {
 	if !pager.HasWAL() {
 		t.Fatal("HasWAL = false after attach")
 	}
+	emptyStore, err := os.ReadFile(storePath) // header only, 1 page
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pgs []*Page
 	for i := 0; i < 3; i++ {
 		pg, err := pager.Alloc(KindHeap)
@@ -281,6 +307,9 @@ func TestPagerWriteGroup(t *testing.T) {
 	if err := pager.WriteGroup(pgs); err != nil {
 		t.Fatal(err)
 	}
+	if st := pager.IOStats(); st.WALFsyncs != 1 || st.DataFsyncs != 0 || st.WALBytes != walGroupSize+3*walPageSize {
+		t.Errorf("one group cost %+v; want 1 log fsync, 0 data fsyncs, %d log bytes", st, walGroupSize+3*walPageSize)
+	}
 	for _, pg := range pgs {
 		got, err := pager.Read(pg.ID)
 		if err != nil {
@@ -291,49 +320,227 @@ func TestPagerWriteGroup(t *testing.T) {
 		}
 	}
 	if n, err := w.Replay(func(PageID, []byte) error { return nil }); err != nil || n != 3 {
-		t.Errorf("log has %d records, %v; want 3", n, err)
+		t.Errorf("log has %d page records, %v; want 3", n, err)
 	}
 	bad := NewPage(PageID(999), KindHeap)
 	if err := pager.WriteGroup([]*Page{bad}); !errors.Is(err, ErrOutOfRange) {
 		t.Errorf("out-of-range group write: %v", err)
 	}
-}
+	if got := w.Size(); got != walGroupSize+3*walPageSize {
+		t.Errorf("rejected group was logged: log size %d", got)
+	}
 
-// TestBufferPoolFlushGroup: dirty pages flush as one group and stay
-// readable; a second flush is a no-op.
-func TestBufferPoolFlushGroup(t *testing.T) {
-	dir := t.TempDir()
-	pager, err := CreatePager(filepath.Join(dir, "s.db"))
+	// Crash with none of the group in the data file: the log carries the
+	// page count too, so the recovered pager can read all three pages.
+	crashed := filepath.Join(dir, "crashed.db")
+	if err := os.WriteFile(crashed, emptyStore, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	copyFile(t, filepath.Join(dir, "s.wal"), crashed+".wal")
+	if n, err := RecoverPager(crashed, crashed+".wal"); err != nil || n != 3 {
+		t.Fatalf("RecoverPager = %d, %v; want 3 pages", n, err)
+	}
+	rec, err := OpenPager(crashed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := CreateWAL(filepath.Join(dir, "s.wal"))
+	defer rec.Close()
+	if rec.NumPages() != 4 {
+		t.Errorf("recovered NumPages = %d, want 4", rec.NumPages())
+	}
+	for _, pg := range pgs {
+		if got, err := rec.Read(pg.ID); err != nil || got.NumSlots() != 1 {
+			t.Errorf("recovered page %d: %v", pg.ID, err)
+		}
+	}
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBufferPoolFlushGroup: dirty pages flush as one group and stay
+// readable; a second flush is a no-op. With a log the flush costs one log
+// fsync and leaves the data file unsynced; without one it fsyncs the data
+// file, the only copy.
+func TestBufferPoolFlushGroup(t *testing.T) {
+	for _, logged := range []bool{true, false} {
+		dir := t.TempDir()
+		pager, err := CreatePager(filepath.Join(dir, "s.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if logged {
+			w, err := CreateWAL(filepath.Join(dir, "s.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			pager.AttachWAL(w)
+		}
+		bp := NewBufferPool(pager, 16)
+		defer bp.Close()
+		bt, err := NewBTree(bp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if err := bt.Put([]byte(fmt.Sprintf("g%03d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := pager.IOStats()
+		if err := bp.FlushGroup(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bp.FlushGroup(); err != nil { // nothing dirty: no-op
+			t.Fatal(err)
+		}
+		after := pager.IOStats()
+		logSyncs, dataSyncs := after.WALFsyncs-before.WALFsyncs, after.DataFsyncs-before.DataFsyncs
+		if logged && (logSyncs != 1 || dataSyncs != 0) || !logged && (logSyncs != 0 || dataSyncs != 1) {
+			t.Errorf("logged=%v: group flush cost %d log fsyncs, %d data fsyncs", logged, logSyncs, dataSyncs)
+		}
+		for i := 0; i < 50; i++ {
+			if _, err := bt.Get([]byte(fmt.Sprintf("g%03d", i))); err != nil {
+				t.Fatalf("key %d lost after group flush: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestWALGroupIsAtomic: a group that lost any of its records — its tail, or
+// one image's checksum — is not replayed at all, and neither is anything
+// after it; the groups before it are.
+func TestWALGroupIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "log")
+	w, err := CreateWAL(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := func(ids ...PageID) {
+		var pgs []*Page
+		for _, id := range ids {
+			pgs = append(pgs, NewPage(id, KindHeap))
+		}
+		if err := w.AppendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	group(1, 2)
+	group(3, 4, 5)
+	w.Close()
+	whole, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := walGroupSize + 2*walPageSize // where the second group starts
+	for name, damage := range map[string]func([]byte) []byte{
+		"tail cut":       func(b []byte) []byte { return b[:len(b)-100] },
+		"last image cut": func(b []byte) []byte { return b[:len(b)-walPageSize] },
+		"middle image flipped": func(b []byte) []byte {
+			b[second+walGroupSize+walPageSize+walHeaderSize+7] ^= 0xFF
+			return b
+		},
+		"header flipped": func(b []byte) []byte { b[second+walHeaderSize+1] ^= 0xFF; return b },
+	} {
+		if err := os.WriteFile(logPath, damage(bytes.Clone(whole)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := OpenWAL(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []PageID
+		if _, err := w2.Replay(func(id PageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != "[0 1 2]" {
+			t.Errorf("%s: replayed %v, want only the first group [0 1 2]", name, got)
+		}
+		if w2.Size() != int64(second) {
+			t.Errorf("%s: appends resume at %d, want %d (after the first group)", name, w2.Size(), second)
+		}
+		w2.Close()
+	}
+}
+
+// TestWALParentFormat: a page record is, byte for byte, the record the log
+// held before group records existed, and a log of only such records — what
+// a store last written by that code leaves behind — replays in full.
+func TestWALParentFormat(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "log")
+	var old []byte
+	var pages []*Page
+	for i := 1; i <= 3; i++ {
+		pg := NewPage(PageID(i), KindHeap)
+		pg.InsertCell([]byte(fmt.Sprintf("parent-%d", i)))
+		pg.seal()
+		pages = append(pages, pg)
+		old = binary.BigEndian.AppendUint32(old, 0xCA11B0C5)
+		old = binary.BigEndian.AppendUint64(old, uint64(i))
+		old = binary.BigEndian.AppendUint32(old, uint32(i))
+		old = binary.BigEndian.AppendUint32(old, crc32.ChecksumIEEE(pg.buf[:]))
+		old = append(old, pg.buf[:]...)
+	}
+	if err := os.WriteFile(logPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := OpenWAL(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []PageID
+	n, err := w.Replay(func(id PageID, image []byte) error {
+		got = append(got, id)
+		if !bytes.Equal(image, pages[id-1].buf[:]) {
+			t.Errorf("page %d replayed with a different image", id)
+		}
+		return nil
+	})
+	if err != nil || n != 3 || fmt.Sprint(got) != "[1 2 3]" {
+		t.Fatalf("parent-format replay = %d %v, %v", n, got, err)
+	}
+	w.Close()
+
+	w, err = CreateWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	pager.AttachWAL(w)
-	bp := NewBufferPool(pager, 16)
-	defer bp.Close()
-	bt, err := NewBTree(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if err := bt.Put([]byte(fmt.Sprintf("g%03d", i)), []byte("v")); err != nil {
+	for _, pg := range pages {
+		if err := w.Append(pg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bp.FlushGroup(); err != nil {
+	if now, _ := os.ReadFile(logPath); !bytes.Equal(now, old) {
+		t.Error("Append no longer writes the parent's page-record format")
+	}
+}
+
+// TestWALAppendGroupAllocFree: a commit is encoded in the log's own buffer.
+func TestWALAppendGroupAllocFree(t *testing.T) {
+	w, err := CreateWAL(filepath.Join(t.TempDir(), "log"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FlushGroup(); err != nil { // nothing dirty: no-op
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		if _, err := bt.Get([]byte(fmt.Sprintf("g%03d", i))); err != nil {
-			t.Fatalf("key %d lost after group flush: %v", i, err)
+	defer w.Close()
+	pgs := []*Page{NewPage(1, KindHeap), NewPage(2, KindHeap), NewPage(3, KindHeap)}
+	var hdr [storeHeaderSize]byte
+	if n := testing.AllocsPerRun(20, func() {
+		if err := w.AppendGroup(pgs, hdr); err != nil {
+			t.Fatal(err)
 		}
+	}); n != 0 {
+		t.Errorf("AppendGroup allocates %v times per commit", n)
 	}
 }
 
@@ -359,13 +566,13 @@ func TestPagerCheckpoint(t *testing.T) {
 	if err := pager.Write(pg); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := w.Size(); sz == 0 {
+	if sz := w.Size(); sz == 0 {
 		t.Fatal("write not logged")
 	}
 	if err := pager.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if sz, _ := w.Size(); sz != 0 {
+	if sz := w.Size(); sz != 0 {
 		t.Errorf("log size after checkpoint: %d", sz)
 	}
 }

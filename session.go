@@ -34,7 +34,7 @@ type Config struct {
 	Shards int
 	// BatchSize groups provenance appends into batches of at least N
 	// records flushed together as one group commit — one store round trip
-	// (and, for a WAL-backed store, a constant fsync cost) per batch
+	// (and, for a WAL-backed store, one log fsync) per batch
 	// instead of per append. Queries read through the buffer, so results
 	// never lag. The default (0 or 1) writes through, exactly today's
 	// behavior.
