@@ -448,15 +448,15 @@ func BenchmarkQueries(b *testing.B) {
 	})
 }
 
-// relQueryStore fills a fresh rel:// store with tids transactions of 20
-// records each and returns it with the locations to ask about. Transaction t
-// writes T/e<t>/n<i>, copied from transaction t-1's entry except every
-// eighth, which inserts — so a trace walks a chain of up to eight steps —
-// and every other question is about a child of a stored location, which
-// only hierarchical inference can answer.
-func relQueryStore(tb testing.TB, tids int) (cpdb.Backend, []path.Path) {
+// queryStore opens dsn, fills it with tids transactions of 20 records each
+// and returns it with the locations to ask about. Transaction t writes
+// T/e<t>/n<i>, copied from transaction t-1's entry except every eighth, which
+// inserts — so a trace walks a chain of up to eight steps — and every other
+// question is about a child of a stored location, which only hierarchical
+// inference can answer.
+func queryStore(tb testing.TB, dsn string, tids int) (cpdb.Backend, []path.Path) {
 	tb.Helper()
-	backend, err := cpdb.OpenBackend("rel://" + tb.TempDir() + "/prov.db?create=1")
+	backend, err := cpdb.OpenBackend(dsn)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func relQuery(kind string, locs []path.Path, i int) *provplan.Query {
 // store holding 10k records. allocs/op and B/op must track the answer, not
 // the relation; TestRelTraceAllocBound pins that.
 func BenchmarkRelQueries(b *testing.B) {
-	backend, locs := relQueryStore(b, 500)
+	backend, locs := queryStore(b, "rel://"+b.TempDir()+"/prov.db?create=1", 500)
 	ctx := context.Background()
 	for _, kind := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpMod, "select"} {
 		b.Run(kind, func(b *testing.B) {
@@ -514,6 +514,32 @@ func BenchmarkRelQueries(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMemQueries is BenchmarkRelQueries over the in-memory store and its
+// four-shard form, at 1k, 10k and 100k records. Every question has an answer
+// of the same few records at every size, so ns/op must stay level as the
+// store grows: a read costs its answer, not the relation.
+func BenchmarkMemQueries(b *testing.B) {
+	ctx := context.Background()
+	for _, dsn := range []string{"mem://", "mem://?shards=4"} {
+		for _, tids := range []int{50, 500, 5000} {
+			backend, locs := queryStore(b, dsn, tids)
+			// The same 320 questions at every size: the newest 16
+			// transactions, whose chains are as long in every store.
+			locs = locs[len(locs)-320:]
+			for _, kind := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpMod, "select"} {
+				b.Run(fmt.Sprintf("%s/recs=%d/%s", dsn, 20*tids, kind), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := provplan.Collect(ctx, backend, relQuery(kind, locs, i)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

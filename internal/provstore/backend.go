@@ -2,9 +2,13 @@ package provstore
 
 import (
 	"context"
+	"errors"
 	"iter"
+	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/path"
 )
@@ -60,16 +64,16 @@ type Backend interface {
 	// (Tid, Loc) — the paper's Figure 5 table as one cursor. It is the
 	// bounded-memory path under Query.Records: one round trip however
 	// large the store, never materializing the records (file-backed and
-	// remote stores hold a page/chunk; the in-memory store sorts an
-	// index permutation, one int per record).
+	// remote stores hold a page/chunk; the in-memory store a chunk of
+	// record numbers copied out of its (Tid, Loc) index).
 	ScanAll(ctx context.Context) iter.Seq2[Record, error]
 	// ScanAllAfter streams the (Tid, Loc)-ordered relation strictly after
 	// the key (tid, loc) — the seekable form of ScanAll. It is the resume
 	// path of keyset cursors (a truncated /v1/scan-all stream, a replica
 	// applier catching up from its high-water mark): implementations seek —
 	// a B-tree positions on the successor key, the in-memory store
-	// binary-searches its sorted index — so resuming costs O(log n), not
-	// O(records skipped).
+	// binary-searches its (Tid, Loc) index — so resuming costs O(log n),
+	// not O(records skipped).
 	ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error]
 	// Tids returns all transaction identifiers in ascending order.
 	Tids(ctx context.Context) ([]int64, error)
@@ -81,24 +85,30 @@ type Backend interface {
 	Bytes(ctx context.Context) (int64, error)
 }
 
-// MemBackend is an in-memory Backend, used for tests, examples and as the
-// reference implementation the relational backend is cross-checked against.
-// It is safe for concurrent use.
+// MemBackend is the in-memory Backend: the default store of cpdbd, Session
+// and the CLI, every shard of mem://?shards=N, and the reference the
+// relational backend is cross-checked against. It is safe for concurrent use.
+//
+// The relation is held as the paper defines it — keyed on {Tid, Loc} and
+// indexed on Loc — as two orders over an append-only record log, both kept up
+// in Append under the write lock, so every read costs O(log n + records
+// returned) in records examined.
 type MemBackend struct {
-	mu    sync.RWMutex
-	recs  []Record        // insertion order
-	byTid map[int64][]int // tid -> indexes into recs
-	byKey map[string]int  // tid|loc key -> index
-	bytes int64
-	maxT  int64
+	mu     sync.RWMutex
+	recs   []Record // append order; a record's number is its index here
+	tidLoc memIndex // the key: (Tid, Loc) order
+	locTid memIndex // the index on Loc: (Loc, Tid) order
+	bytes  int64
+
+	examined   atomic.Int64 // records compared or yielded by reads
+	outOfOrder atomic.Int64 // records appended below the last (Tid, Loc) key
 }
+
+var _ Gauger = (*MemBackend)(nil)
 
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend {
-	return &MemBackend{
-		byTid: make(map[int64][]int),
-		byKey: make(map[string]int),
-	}
+	return &MemBackend{tidLoc: memIndex{cmp: CompareTidLoc}, locTid: memIndex{cmp: CompareLocTid}}
 }
 
 func memKey(tid int64, loc path.Path) string {
@@ -109,6 +119,172 @@ func memKey(tid int64, loc path.Path) string {
 	return string(loc.AppendBinary(buf))
 }
 
+// A memIndex is one order over a record log: the record numbers in sorted
+// runs of at most memRunMax, every key of a run below every key of the next,
+// so a run's first entry is its key in the directory the runs form — a
+// two-level B+tree, and append-only, so with no delete or rebalance code. A
+// key above the last one extends the last run, which keeps an in-order
+// writer's runs full; any other lands by two binary searches and moves at
+// most one run's numbers (2 KB). Runs change in place: a reader copies the
+// numbers it needs under the store's read lock.
+type memIndex struct {
+	cmp  func(a, c Record) int
+	runs [][]int32
+}
+
+const memRunMax = 512
+
+// seek returns the position — a run and an offset into it — of the first
+// entry at or after key, or after it when after is set; the run is
+// len(x.runs) when there is none. The records it compares are added to
+// *examined.
+func (x *memIndex) seek(recs []Record, key Record, after bool, examined *int) (int, int) {
+	least := 0
+	if after {
+		least = 1
+	}
+	reached := func(id int32) bool {
+		*examined++
+		return x.cmp(recs[id], key) >= least
+	}
+	// The entry is in the last run whose directory key has not reached key,
+	// or is the directory key of the run after that one.
+	i := sort.Search(len(x.runs), func(i int) bool { return reached(x.runs[i][0]) })
+	if i == 0 {
+		return 0, 0
+	}
+	run := x.runs[i-1]
+	if j := 1 + sort.Search(len(run)-1, func(j int) bool { return reached(run[j+1]) }); j < len(run) {
+		return i - 1, j
+	}
+	return i, 0
+}
+
+// insert adds record number id, whose key no entry has, and reports whether
+// the key was above every other.
+func (x *memIndex) insert(recs []Record, id int32) bool {
+	n := len(x.runs)
+	if n == 0 {
+		x.runs = [][]int32{{id}}
+		return true
+	}
+	i, j, examined := n-1, len(x.runs[n-1]), 0
+	last := x.cmp(recs[x.runs[i][j-1]], recs[id]) < 0
+	if !last {
+		if i, j = x.seek(recs, recs[id], true, &examined); j == 0 && i > 0 {
+			i, j = i-1, len(x.runs[i-1]) // between two runs: the end of the earlier one
+		}
+	}
+	switch run := x.runs[i]; {
+	case len(run) < memRunMax:
+		x.runs[i] = slices.Insert(run, j, id)
+	case j == memRunMax: // past the end of a full run: a new one, so ascending keys leave full runs behind
+		x.runs = slices.Insert(x.runs, i+1, append(make([]int32, 0, memRunMax), id))
+	default: // split the run in half, then there is room
+		const half = memRunMax / 2
+		x.runs = slices.Insert(x.runs, i+1, append(make([]int32, 0, memRunMax), run[half:]...))
+		x.runs[i] = run[:half]
+		if j > half {
+			i, j = i+1, j-half
+		}
+		x.runs[i] = slices.Insert(x.runs[i], j, id)
+	}
+	return last
+}
+
+// collect appends to ids the record numbers below limit of the stretch of x
+// that starts at the first key at or after from — after it, when after is
+// set — and lasts while keep holds (nil: to the end), stopping once ids
+// holds want of them. It returns ids, the last number it passed (the place
+// to go on from) and whether the stretch may go on. The caller holds a lock.
+func (b *MemBackend) collect(ids []int32, x *memIndex, from Record, after bool, keep func(Record) bool, limit int32, want int) ([]int32, int32, bool) {
+	examined, last := 0, int32(-1)
+	defer func() { b.examined.Add(int64(examined)) }()
+	i, j := x.seek(b.recs, from, after, &examined)
+	for ; i < len(x.runs); i, j = i+1, 0 {
+		for _, id := range x.runs[i][j:] {
+			examined++
+			if keep != nil && !keep(b.recs[id]) {
+				return ids, last, false
+			}
+			if last = id; id < limit {
+				ids = append(ids, id)
+			}
+			if len(ids) >= want {
+				return ids, last, true
+			}
+		}
+	}
+	return ids, last, false
+}
+
+// The record numbers a cursor copies per visit to the index: few at first —
+// most answers are a handful of records, and a consumer that stops after a
+// few pays for a few — then four times as many per visit.
+const memChunkFirst, memChunkMax = 16, 1024
+
+// scan streams the stretch of x that starts at the first key at or after
+// from — after it, when after is set — and lasts while keep holds. The cursor
+// visits the index under the read lock, copies a chunk of record numbers and
+// yields their records with no lock held, then resumes after the last key it
+// passed, so a drain of any size holds a chunk and never the lock while the
+// consumer runs. The records stored at the first visit are the cursor's
+// snapshot: a record appended later has a higher number wherever its key
+// falls, and is skipped — the store's equivalent of snapshot isolation.
+func (b *MemBackend) scan(ctx context.Context, x *memIndex, from Record, after bool, keep func(Record) bool) iter.Seq2[Record, error] {
+	return func(yield func(Record, error) bool) {
+		if err := ctx.Err(); err != nil {
+			yield(Record{}, err)
+			return
+		}
+		var ids []int32
+		limit := int32(-1)
+		for want, more := memChunkFirst, true; more; want = min(4*want, memChunkMax) {
+			var last int32
+			b.mu.RLock()
+			recs := b.recs
+			if limit < 0 {
+				limit = int32(len(recs))
+			}
+			ids, last, more = b.collect(ids[:0], x, from, after, keep, limit, want)
+			b.mu.RUnlock()
+			if !yieldIDs(ctx, recs, ids, yield) {
+				return
+			}
+			if more {
+				from, after = recs[last], true
+			}
+		}
+	}
+}
+
+// yieldIDs streams recs[ids[0]], recs[ids[1]], … observing ctx between
+// records, and reports whether the consumer wants more.
+func yieldIDs(ctx context.Context, recs []Record, ids []int32, yield func(Record, error) bool) bool {
+	for _, id := range ids {
+		if err := ctx.Err(); err != nil {
+			yield(Record{}, err)
+			return false
+		}
+		if !yield(recs[id], nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// Gauges implements Gauger:
+//
+//	mem.recs_examined         records compared or yielded by reads since open
+//	mem.appends_out_of_order  records appended below the last (Tid, Loc) key
+//	                          (two binary searches more than one in order)
+func (b *MemBackend) Gauges() map[string]int64 {
+	return map[string]int64{
+		"mem.recs_examined":        b.examined.Load(),
+		"mem.appends_out_of_order": b.outOfOrder.Load(),
+	}
+}
+
 // Append implements Backend.
 func (b *MemBackend) Append(ctx context.Context, recs []Record) error {
 	if err := ctx.Err(); err != nil {
@@ -116,32 +292,57 @@ func (b *MemBackend) Append(ctx context.Context, recs []Record) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Validate the whole batch first so a failed Append stores nothing.
-	seen := make(map[string]struct{}, len(recs))
-	for _, r := range recs {
+	base := len(b.recs)
+	if base+len(recs) > math.MaxInt32 {
+		return errors.New("provstore: in-memory store is full (2^31 records)")
+	}
+	// Validate the whole batch first so a failed Append stores nothing. A
+	// batch that ascends strictly — all a deferred tracker ever appends —
+	// cannot repeat a key of its own; any other is sorted to find out.
+	ascending := true
+	for i, r := range recs {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		k := memKey(r.Tid, r.Loc)
-		if _, dup := seen[k]; dup {
+		if _, dup, _ := b.find(r.Tid, r.Loc); dup {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
-		if _, dup := b.byKey[k]; dup {
-			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-		}
-		seen[k] = struct{}{}
+		ascending = ascending && (i == 0 || CompareTidLoc(recs[i-1], r) < 0)
 	}
-	for _, r := range recs {
-		idx := len(b.recs)
-		b.recs = append(b.recs, r)
-		b.byTid[r.Tid] = append(b.byTid[r.Tid], idx)
-		b.byKey[memKey(r.Tid, r.Loc)] = idx
-		b.bytes += int64(r.EncodedSize())
-		if r.Tid > b.maxT {
-			b.maxT = r.Tid
+	if !ascending {
+		sorted := slices.SortedFunc(slices.Values(recs), CompareTidLoc)
+		for i := 1; i < len(sorted); i++ {
+			if r := sorted[i]; CompareTidLoc(sorted[i-1], r) == 0 {
+				return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
+			}
 		}
+	}
+	b.recs = append(b.recs, recs...)
+	for i, r := range recs {
+		b.bytes += int64(r.EncodedSize())
+		if !b.tidLoc.insert(b.recs, int32(base+i)) {
+			b.outOfOrder.Add(1)
+		}
+		b.locTid.insert(b.recs, int32(base+i))
 	}
 	return nil
+}
+
+// find looks the key up in the (Tid, Loc) order and reports the number of
+// records it compared: one for a key above the last — every duplicate probe
+// of an in-order writer. The caller holds a lock.
+func (b *MemBackend) find(tid int64, loc path.Path) (id int32, ok bool, examined int) {
+	x, key := &b.tidLoc, Record{Tid: tid, Loc: loc}
+	n := len(x.runs)
+	if n == 0 {
+		return 0, false, 0
+	}
+	if last := x.runs[n-1]; CompareTidLoc(b.recs[last[len(last)-1]], key) < 0 {
+		return 0, false, 1
+	}
+	i, j := x.seek(b.recs, key, false, &examined)
+	id = x.runs[i][j]
+	return id, CompareTidLoc(b.recs[id], key) == 0, examined + 2
 }
 
 // Lookup implements Backend.
@@ -151,10 +352,12 @@ func (b *MemBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Reco
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if idx, ok := b.byKey[memKey(tid, loc)]; ok {
-		return b.recs[idx], true, nil
+	id, ok, examined := b.find(tid, loc)
+	b.examined.Add(int64(examined))
+	if !ok {
+		return Record{}, false, nil
 	}
-	return Record{}, false, nil
+	return b.recs[id], true, nil
 }
 
 // NearestAncestor implements Backend.
@@ -164,166 +367,105 @@ func (b *MemBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Pa
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	anc := loc.Ancestors()
-	for i := len(anc) - 1; i >= 0; i-- {
-		if idx, ok := b.byKey[memKey(tid, anc[i])]; ok {
-			return b.recs[idx], true, nil
+	for n := loc.Len() - 1; n >= 1; n-- {
+		id, ok, examined := b.find(tid, loc.Prefix(n))
+		b.examined.Add(int64(examined))
+		if ok {
+			return b.recs[id], true, nil
 		}
 	}
 	return Record{}, false, nil
 }
 
-// snapshot captures a stable view of the stored records under the read
-// lock. The record log is append-only and records are immutable, so the
-// captured slice header stays valid (and invisible to later appends) after
-// the lock is released — a concurrent scan iterates its own snapshot, the
-// store's equivalent of snapshot isolation.
-func (b *MemBackend) snapshot() []Record {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.recs[:len(b.recs):len(b.recs)]
-}
-
-// yieldIdxs streams recs[idxs[0]], recs[idxs[1]], … observing ctx between
-// records.
-func yieldIdxs(ctx context.Context, recs []Record, idxs []int, yield func(Record, error) bool) {
-	for _, i := range idxs {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return
-		}
-		if !yield(recs[i], nil) {
-			return
-		}
-	}
-}
-
-// ScanTid implements Backend: a snapshot of the transaction's index entries
-// is sorted by Loc (indexes only — no record is copied) and streamed.
+// ScanTid implements Backend: the transaction's stretch of the (Tid, Loc)
+// order, which is sorted by Loc. No record is at the forest root, so
+// (tid, root) is below every key of tid.
 func (b *MemBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return
-		}
-		b.mu.RLock()
-		recs := b.recs[:len(b.recs):len(b.recs)]
-		idxs := append([]int(nil), b.byTid[tid]...)
-		b.mu.RUnlock()
-		sort.Slice(idxs, func(i, j int) bool { return recs[idxs[i]].Loc.Compare(recs[idxs[j]].Loc) < 0 })
-		yieldIdxs(ctx, recs, idxs, yield)
-	}
+	return b.scan(ctx, &b.tidLoc, Record{Tid: tid}, false, func(r Record) bool { return r.Tid == tid })
 }
 
-// scanFiltered streams the snapshot's records matching keep, ordered by
-// less over snapshot indexes — the shared body of the location scans.
-func (b *MemBackend) scanFiltered(ctx context.Context, keep func(Record) bool, less func(a, c Record) bool) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return
-		}
-		recs := b.snapshot()
-		var idxs []int
-		for i, r := range recs {
-			if keep(r) {
-				idxs = append(idxs, i)
-			}
-		}
-		sort.Slice(idxs, func(i, j int) bool { return less(recs[idxs[i]], recs[idxs[j]]) })
-		yieldIdxs(ctx, recs, idxs, yield)
-	}
-}
-
-// ScanLoc implements Backend.
-func (b *MemBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.scanFiltered(ctx,
-		func(r Record) bool { return r.Loc.Equal(loc) },
-		func(a, c Record) bool { return a.Tid < c.Tid })
-}
-
-// ScanLocPrefix implements Backend.
-func (b *MemBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
-	return b.scanFiltered(ctx,
-		func(r Record) bool { return prefix.IsPrefixOf(r.Loc) },
-		func(a, c Record) bool { return CompareLocTid(a, c) < 0 })
-}
-
-// ScanLocWithAncestors implements Backend.
-func (b *MemBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.scanFiltered(ctx,
-		func(r Record) bool { return r.Loc.IsPrefixOf(loc) },
-		func(a, c Record) bool { return CompareTidLoc(a, c) < 0 })
-}
-
-// sortedAll snapshots the store and returns the snapshot with an index
-// permutation sorted by (Tid, Loc) — the whole table in cursor order, one
-// int per record, no record values copied. Shared by ScanAll and
-// ScanAllAfter.
-func (b *MemBackend) sortedAll() ([]Record, []int) {
-	recs := b.snapshot()
-	idxs := make([]int, len(recs))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	sort.Slice(idxs, func(i, j int) bool { return CompareTidLoc(recs[idxs[i]], recs[idxs[j]]) < 0 })
-	return recs, idxs
-}
-
-// ScanAll implements Backend: the whole table in (Tid, Loc) order. The heap
-// is unordered, so an index permutation is sorted (one int per record — no
-// record values are copied or retained beyond the snapshot the store
-// already holds).
+// ScanAll implements Backend: the (Tid, Loc) order from its first key.
 func (b *MemBackend) ScanAll(ctx context.Context) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return
-		}
-		recs, idxs := b.sortedAll()
-		yieldIdxs(ctx, recs, idxs, yield)
-	}
+	return b.scan(ctx, &b.tidLoc, Record{Tid: math.MinInt64}, false, nil)
 }
 
-// ScanAllAfter implements Backend: the sorted index permutation is built as
-// for ScanAll, then the resume position is found with one binary search —
-// no record before the key is compared against a filter, let alone yielded.
+// ScanAllAfter implements Backend: a seek to the successor of the key — no
+// record before it is compared against a filter, let alone yielded.
 func (b *MemBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error] {
+	return b.scan(ctx, &b.tidLoc, Record{Tid: tid, Loc: loc}, true, nil)
+}
+
+// ScanLoc implements Backend: one equal range of the (Loc, Tid) order.
+func (b *MemBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
+	return b.scan(ctx, &b.locTid, Record{Tid: math.MinInt64, Loc: loc}, false, func(r Record) bool { return r.Loc.Equal(loc) })
+}
+
+// ScanLocPrefix implements Backend: path.Compare sorts a path immediately
+// before its descendants' region, so the subtree is one stretch — seek to the
+// prefix, stop at the first key outside it.
+func (b *MemBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
+	return b.scan(ctx, &b.locTid, Record{Tid: math.MinInt64, Loc: prefix}, false, func(r Record) bool { return prefix.IsPrefixOf(r.Loc) })
+}
+
+// ScanLocWithAncestors implements Backend: one equal range of the (Loc, Tid)
+// order per prefix of loc, gathered in one visit, then an answer-sized sort
+// into (Tid, Loc) order.
+func (b *MemBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		if err := ctx.Err(); err != nil {
 			yield(Record{}, err)
 			return
 		}
-		recs, idxs := b.sortedAll()
-		after := Record{Tid: tid, Loc: loc}
-		start := sort.Search(len(idxs), func(i int) bool { return CompareTidLoc(recs[idxs[i]], after) > 0 })
-		yieldIdxs(ctx, recs, idxs[start:], yield)
+		var ids []int32
+		var p path.Path
+		at := func(r Record) bool { return r.Loc.Equal(p) }
+		b.mu.RLock()
+		recs := b.recs
+		for n := 1; n <= loc.Len(); n++ {
+			p = loc.Prefix(n)
+			ids, _, _ = b.collect(ids, &b.locTid, Record{Tid: math.MinInt64, Loc: p}, false, at, math.MaxInt32, math.MaxInt)
+		}
+		b.mu.RUnlock()
+		slices.SortFunc(ids, func(x, y int32) int { return CompareTidLoc(recs[x], recs[y]) })
+		yieldIDs(ctx, recs, ids, yield)
 	}
 }
 
-// Tids implements Backend.
+// Tids implements Backend: a skip-scan of the (Tid, Loc) order, one seek per
+// distinct transaction.
 func (b *MemBackend) Tids(ctx context.Context) ([]int64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := make([]int64, 0, len(b.byTid))
-	for t := range b.byTid {
-		out = append(out, t)
+	out := []int64{}
+	examined, x := 0, &b.tidLoc
+	for i, j := 0, 0; i < len(x.runs); i, j = x.seek(b.recs, Record{Tid: out[len(out)-1] + 1}, false, &examined) {
+		out = append(out, b.recs[x.runs[i][j]].Tid)
+		if examined++; out[len(out)-1] == math.MaxInt64 {
+			break
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	b.examined.Add(int64(examined))
 	return out, nil
 }
 
-// MaxTid implements Backend.
+// MaxTid implements Backend: the transaction of the last (Tid, Loc) key, or
+// 0 for a store with no positive one.
 func (b *MemBackend) MaxTid(ctx context.Context) (int64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.maxT, nil
+	n := len(b.tidLoc.runs)
+	if n == 0 {
+		return 0, nil
+	}
+	b.examined.Add(1)
+	last := b.tidLoc.runs[n-1]
+	return max(b.recs[last[len(last)-1]].Tid, 0), nil
 }
 
 // Count implements Backend.

@@ -43,33 +43,52 @@ func listKey(loc path.Path) string {
 
 func (l *provlist) len() int { return len(l.entries) }
 
+// listKeyStack is the room the probes below keep on the stack for a
+// location's key; a longer key costs them one allocation.
+const listKeyStack = 128
+
 // at returns the entry exactly at loc, or nil.
 func (l *provlist) at(loc path.Path) *listEntry {
-	return l.entries[listKey(loc)]
+	var stack [listKeyStack]byte
+	return l.entries[string(loc.AppendBinary(stack[:0]))]
+}
+
+// nearest returns the entry at the longest prefix of loc that has one — loc
+// itself counting unless strict — or nil. This is the in-memory analogue of
+// Backend.NearestAncestor and implements the hierarchical inference rule
+// against the active list. AppendBinary ends every label in 0x00 and escapes
+// that byte inside one, so loc is encoded once and the key of each ancestor
+// is the encoding cut after an earlier 0x00: the probes allocate nothing.
+func (l *provlist) nearest(loc path.Path, strict bool) *listEntry {
+	var stack [listKeyStack]byte
+	key := loc.AppendBinary(stack[:0])
+	if strict {
+		key = dropLabel(key)
+	}
+	for ; len(key) > 0; key = dropLabel(key) {
+		if e := l.entries[string(key)]; e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// dropLabel cuts the last label off a location's key: its 0x00 terminator,
+// then its bytes.
+func dropLabel(key []byte) []byte {
+	n := len(key) - 1
+	for n > 0 && key[n-1] != 0x00 {
+		n--
+	}
+	return key[:max(n, 0)]
 }
 
 // nearestAncestorOrSelf returns the entry at loc or at its longest prefix
-// that has one, or nil. This is the in-memory analogue of
-// Backend.NearestAncestor and implements the hierarchical inference rule
-// against the active list.
-func (l *provlist) nearestAncestorOrSelf(loc path.Path) *listEntry {
-	for n := loc.Len(); n >= 1; n-- {
-		if e := l.entries[listKey(loc.Prefix(n))]; e != nil {
-			return e
-		}
-	}
-	return nil
-}
+// that has one, or nil.
+func (l *provlist) nearestAncestorOrSelf(loc path.Path) *listEntry { return l.nearest(loc, false) }
 
 // nearestStrictAncestor is nearestAncestorOrSelf excluding loc itself.
-func (l *provlist) nearestStrictAncestor(loc path.Path) *listEntry {
-	for n := loc.Len() - 1; n >= 1; n-- {
-		if e := l.entries[listKey(loc.Prefix(n))]; e != nil {
-			return e
-		}
-	}
-	return nil
-}
+func (l *provlist) nearestStrictAncestor(loc path.Path) *listEntry { return l.nearest(loc, true) }
 
 // createdAt reports whether the node at loc was created (inserted or copied)
 // during the current transaction, using the hierarchical inference rule:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/path"
@@ -179,36 +178,77 @@ func TestBatchingScanReadsThroughWithoutFlush(t *testing.T) {
 	}
 }
 
-// TestScanSnapshotIsolation: a mem cursor opened before an append streams
-// the store as it was — appends during iteration are invisible.
+// TestScanSnapshotIsolation: a mem cursor of any kind streams the store as it
+// was at its first pull — records appended while it is being consumed never
+// appear in it, whether they extend the (Tid, Loc) order or land in the
+// middle of it, ahead of the cursor's position, and the next cursor shows
+// them all.
 func TestScanSnapshotIsolation(t *testing.T) {
 	ctx := context.Background()
-	b := NewMemBackend()
-	if err := b.Append(ctx, []Record{
-		{Tid: 1, Op: OpInsert, Loc: path.MustParse("T/a")},
-		{Tid: 1, Op: OpInsert, Loc: path.MustParse("T/b")},
-	}); err != nil {
-		t.Fatal(err)
+	hot := path.MustParse("T/s1/hot")
+	scans := map[string]func(b Backend) iter.Seq2[Record, error]{
+		"ScanAll":              func(b Backend) iter.Seq2[Record, error] { return b.ScanAll(ctx) },
+		"ScanAllAfter":         func(b Backend) iter.Seq2[Record, error] { return b.ScanAllAfter(ctx, 2, hot) },
+		"ScanTid":              func(b Backend) iter.Seq2[Record, error] { return b.ScanTid(ctx, 5) },
+		"ScanLoc":              func(b Backend) iter.Seq2[Record, error] { return b.ScanLoc(ctx, hot) },
+		"ScanLocPrefix":        func(b Backend) iter.Seq2[Record, error] { return b.ScanLocPrefix(ctx, hot.Prefix(2)) },
+		"ScanLocWithAncestors": func(b Backend) iter.Seq2[Record, error] { return b.ScanLocWithAncestors(ctx, hot.Child("x")) },
 	}
-	var got []Record
-	for r, err := range b.ScanAll(ctx) {
-		if err != nil {
-			t.Fatal(err)
+	// Both batches hold a record every one of the scans would select.
+	appends := map[string][]Record{
+		"in-order": {
+			{Tid: 5, Op: OpInsert, Loc: path.MustParse("T/s2/zz")},
+			{Tid: 9, Op: OpInsert, Loc: hot},
+			{Tid: 9, Op: OpInsert, Loc: hot.Child("x")},
+		},
+		"out-of-order": {
+			{Tid: 3, Op: OpInsert, Loc: hot},
+			{Tid: 5, Op: OpInsert, Loc: path.MustParse("T/s0")},
+			{Tid: 0, Op: OpInsert, Loc: hot.Prefix(2)},
+		},
+	}
+	for sname, scan := range scans {
+		for aname, late := range appends {
+			t.Run(sname+"/"+aname, func(t *testing.T) {
+				b := NewMemBackend()
+				scanFixture(t, b)
+				for tid := int64(1); tid <= 5; tid++ {
+					if tid == 3 {
+						continue
+					}
+					if err := b.Append(ctx, []Record{{Tid: tid, Op: OpInsert, Loc: hot}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := CollectScan(scan(b))
+				if err != nil || len(want) < 2 {
+					t.Fatalf("fixture answers %d records, %v", len(want), err)
+				}
+				var got []Record
+				for r, err := range scan(b) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, r)
+					if len(got) == 1 {
+						before := b.Gauges()["mem.appends_out_of_order"]
+						if err := b.Append(ctx, late); err != nil {
+							t.Fatal(err)
+						}
+						if ooo := b.Gauges()["mem.appends_out_of_order"] > before; ooo != (aname == "out-of-order") {
+							t.Fatalf("the %s append landed out of order: %v", aname, ooo)
+						}
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("a mid-iteration append changed the cursor:\n got %v\nwant %v", got, want)
+				}
+				after, err := CollectScan(scan(b))
+				if err != nil || len(after) <= len(want) {
+					t.Fatalf("the next cursor shows %d records (%v), want more than %d", len(after), err, len(want))
+				}
+			})
 		}
-		got = append(got, r)
-		if len(got) == 1 {
-			// Mid-iteration append: must not appear in this cursor.
-			if err := b.Append(ctx, []Record{{Tid: 5, Op: OpInsert, Loc: path.MustParse("T/late")}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("snapshot leaked a concurrent append: %v", got)
-	}
-	sort.Slice(got, func(i, j int) bool { return CompareTidLoc(got[i], got[j]) < 0 })
-	if got[0].Loc.String() != "T/a" || got[1].Loc.String() != "T/b" {
-		t.Fatalf("snapshot contents: %v", got)
 	}
 }
 

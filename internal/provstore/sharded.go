@@ -92,7 +92,25 @@ type ShardedBackend struct {
 	shards []Backend
 }
 
-var _ Backend = (*ShardedBackend)(nil)
+var (
+	_ Backend = (*ShardedBackend)(nil)
+	_ Gauger  = (*ShardedBackend)(nil)
+)
+
+// Gauges implements Gauger: the shards' gauges summed name by name, so a
+// sharded store reports the work of its reads (mem.recs_examined,
+// rel.rows_decoded, …) as the one store it stands for.
+func (b *ShardedBackend) Gauges() map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range b.shards {
+		if g, ok := s.(Gauger); ok {
+			for k, v := range g.Gauges() {
+				out[k] += v
+			}
+		}
+	}
+	return out
+}
 
 // NewSharded builds a sharded backend over the given shard stores. At least
 // one shard is required.

@@ -55,17 +55,26 @@ func (f *Forest) Get(p path.Path) (*Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown database %q", ErrNoSuchPath, p.DB())
 	}
-	rel, err := p.TrimPrefix(path.New(p.DB()))
-	if err != nil {
-		return nil, err
+	n, i := root.descend(p, 1)
+	if n == nil {
+		// The error speaks in database-relative paths, as root.Get would.
+		rel, _ := p.TrimPrefix(p.Prefix(1))
+		return nil, &NoSuchPathError{Path: rel, MissingAt: rel.Prefix(i)}
 	}
-	return root.Get(rel)
+	return n, nil
 }
 
 // Has reports whether the absolute path exists in the forest.
 func (f *Forest) Has(p path.Path) bool {
-	_, err := f.Get(p)
-	return err == nil
+	if p.IsRoot() {
+		return false
+	}
+	root, ok := f.dbs[p.DB()]
+	if !ok {
+		return false
+	}
+	n, _ := root.descend(p, 1)
+	return n != nil
 }
 
 // Clone returns a deep copy of the forest.

@@ -145,24 +145,47 @@ func (n *Node) RemoveChild(label string) error {
 	return nil
 }
 
-// Get returns the node at the relative path p under n (t.p in the paper),
-// or ErrNoSuchPath.
-func (n *Node) Get(p path.Path) (*Node, error) {
+// A NoSuchPathError is the ErrNoSuchPath of a failed Get: Path was asked
+// for, and MissingAt is its shortest prefix that does not exist. The message
+// is rendered only when somebody reads it — a miss is the normal answer to
+// "does the target exist yet?", asked before every insert and copy.
+type NoSuchPathError struct {
+	Path, MissingAt path.Path
+}
+
+func (e *NoSuchPathError) Error() string {
+	return fmt.Sprintf("%v: %q (missing at %q)", ErrNoSuchPath, e.Path, e.MissingAt)
+}
+
+// Unwrap makes errors.Is(err, ErrNoSuchPath) hold.
+func (e *NoSuchPathError) Unwrap() error { return ErrNoSuchPath }
+
+// descend follows the labels p[from:] down from n and returns the node reached,
+// or nil and the index of the first label with no edge.
+func (n *Node) descend(p path.Path, from int) (*Node, int) {
 	cur := n
-	for i := 0; i < p.Len(); i++ {
-		next := cur.Child(p.At(i))
-		if next == nil {
-			return nil, fmt.Errorf("%w: %q (missing at %q)", ErrNoSuchPath, p, p.Prefix(i+1))
+	for i := from; i < p.Len(); i++ {
+		if cur = cur.Child(p.At(i)); cur == nil {
+			return nil, i
 		}
-		cur = next
+	}
+	return cur, p.Len()
+}
+
+// Get returns the node at the relative path p under n (t.p in the paper),
+// or a *NoSuchPathError (which is an ErrNoSuchPath).
+func (n *Node) Get(p path.Path) (*Node, error) {
+	cur, i := n.descend(p, 0)
+	if cur == nil {
+		return nil, &NoSuchPathError{Path: p, MissingAt: p.Prefix(i + 1)}
 	}
 	return cur, nil
 }
 
 // Has reports whether the relative path p exists under n.
 func (n *Node) Has(p path.Path) bool {
-	_, err := n.Get(p)
-	return err == nil
+	cur, _ := n.descend(p, 0)
+	return cur != nil
 }
 
 // Clone returns a deep copy of the subtree rooted at n. Copy-paste semantics

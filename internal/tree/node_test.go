@@ -282,3 +282,47 @@ func TestForestCloneEqual(t *testing.T) {
 		t.Error("different db sets must not be equal")
 	}
 }
+
+// TestNoSuchPathError: a miss is a typed error that still is ErrNoSuchPath
+// and still reads as it always did, and asking whether a path exists builds
+// no error at all.
+func TestNoSuchPathError(t *testing.T) {
+	s1 := figure4S1()
+	f := NewForest()
+	if err := f.AddDB("S1", s1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		get  func() (*Node, error)
+		want string
+	}{
+		{func() (*Node, error) { return s1.Get(path.MustParse("a1/q/r")) },
+			`tree: no such path: "a1/q/r" (missing at "a1/q")`},
+		{func() (*Node, error) { return f.Get(path.MustParse("S1/a9")) },
+			`tree: no such path: "a9" (missing at "a9")`},
+		{func() (*Node, error) { return f.Get(path.MustParse("S1/a1/x/deep/er")) },
+			`tree: no such path: "a1/x/deep/er" (missing at "a1/x/deep")`},
+	} {
+		_, err := tc.get()
+		var nsp *NoSuchPathError
+		if !errors.Is(err, ErrNoSuchPath) || !errors.As(err, &nsp) || err.Error() != tc.want {
+			t.Errorf("miss = %T %q, want a NoSuchPathError reading %q", err, err, tc.want)
+		}
+	}
+	if n, err := f.Get(path.MustParse("S1/a3/y")); err != nil || n.Value() != "6" {
+		t.Errorf("Forest.Get(S1/a3/y) = %v, %v", n, err)
+	}
+
+	hit, miss, other := path.MustParse("S1/a1/y"), path.MustParse("S1/a1/q/r"), path.MustParse("S9/a1")
+	if !f.Has(hit) || f.Has(miss) || f.Has(other) || f.Has(path.Root) {
+		t.Error("Forest.Has disagrees with Get")
+	}
+	rel := path.MustParse("a1/q/r")
+	if allocs := testing.AllocsPerRun(100, func() {
+		if f.Has(miss) || s1.Has(rel) || !f.Has(hit) {
+			t.Fatal("Has changed its answer")
+		}
+	}); allocs != 0 {
+		t.Errorf("Has allocates %v times per run, want 0", allocs)
+	}
+}

@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	cpdb "repro"
+	"repro/internal/path"
 	"repro/internal/provhttp"
 	"repro/internal/provplan"
 	"repro/internal/provstore"
@@ -179,9 +180,28 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 // order below what a scan of the relation hiding in the read path costs
 // (≈ 36k allocations, 3 MB, when MaxTid walked the table).
 func TestRelTraceAllocBound(t *testing.T) {
-	backend, locs := relQueryStore(t, 500)
+	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500)
+	checkTraceAllocBound(t, "rel://", backend, locs, 4000, 256<<10)
+}
+
+// TestMemTraceAllocBound is TestRelTraceAllocBound for the in-memory store,
+// plain and four-way sharded, at the same 10k records: a trace and a hist
+// copy the record numbers of their answers out of the indexes and nothing
+// else. The budget (2500 allocations, 128 KB) is an order of magnitude above
+// today's cost and below what copying an index of the whole store — 40 KB
+// per scan, several scans per trace — would come to.
+func TestMemTraceAllocBound(t *testing.T) {
+	for _, dsn := range []string{"mem://", "mem://?shards=4"} {
+		backend, locs := queryStore(t, dsn, 500)
+		checkTraceAllocBound(t, dsn, backend, locs, 2500, 128<<10)
+	}
+}
+
+// checkTraceAllocBound asks a trace and a hist about 16 of locs, "as of now",
+// and fails if any one question allocates more than the budget.
+func checkTraceAllocBound(t *testing.T, name string, backend cpdb.Backend, locs []path.Path, maxAllocs, maxBytes uint64) {
+	t.Helper()
 	ctx := context.Background()
-	const maxAllocs, maxBytes = 4000, 256 << 10
 	var ms runtime.MemStats
 	for _, kind := range []string{provplan.OpTrace, provplan.OpHist} {
 		var worstAllocs, worstBytes uint64
@@ -197,17 +217,17 @@ func TestRelTraceAllocBound(t *testing.T) {
 			worstBytes = max(worstBytes, ms.TotalAlloc-bytes)
 		}
 		if worstAllocs > maxAllocs || worstBytes > maxBytes {
-			t.Errorf("%s over rel:// allocates up to %d objects / %d bytes, budget %d / %d",
-				kind, worstAllocs, worstBytes, maxAllocs, maxBytes)
+			t.Errorf("%s over %s allocates up to %d objects / %d bytes, budget %d / %d",
+				kind, name, worstAllocs, worstBytes, maxAllocs, maxBytes)
 		}
-		t.Logf("%s over rel://: worst of 16 locations %d allocs, %d bytes", kind, worstAllocs, worstBytes)
+		t.Logf("%s over %s: worst of 16 locations %d allocs, %d bytes", kind, name, worstAllocs, worstBytes)
 	}
 }
 
 // BenchmarkScanAllStreamed drains the full store through the ScanAll
 // cursor — the Query.Records path after the refactor. Compare B/op with
 // BenchmarkScanAllMaterialized: the streamed drain's allocations stay flat
-// in store size (an index permutation for the in-memory store; a page for
+// in store size (a chunk of record numbers for the in-memory store; a page for
 // file-backed ones) where the materialized path's grow with the table.
 func BenchmarkScanAllStreamed(b *testing.B) {
 	backend := provstore.NewMemBackend()
