@@ -301,78 +301,10 @@ func BenchmarkAblation_RedundantLinks(b *testing.B) {
 				if _, err := provtest.Run(tr, f, seq, 0); err != nil {
 					b.Fatal(err)
 				}
-				rows, _ = tr.Backend().Count(context.Background())
+				st, _ := tr.Backend().Stat(context.Background())
+				rows = st.Count
 			}
 			b.ReportMetric(float64(rows), "rows")
-		})
-	}
-}
-
-// BenchmarkShardedIngest sweeps the sharded, group-committed ingest
-// pipeline (shards × batch size) against the single-shard write-through
-// baseline, for both the in-memory store (CPU-bound: gains need cores) and
-// the durable WAL-backed relational store (fsync-bound: batching
-// group-commits many records per fsync, and shards commit independently).
-// Each iteration ingests a fixed workload — workers × ops records through
-// one ShardedTracker — so ns/op is comparable across cells; recs/sec is
-// also reported. `cpdbbench -exp shard` runs the same sweep as tables.
-func BenchmarkShardedIngest(b *testing.B) {
-	const workers = 8
-	cases := []struct {
-		disk          bool
-		shards, batch int
-		opsPerW       int
-	}{
-		{false, 1, 1, 2000},
-		{false, 4, 64, 2000},
-		{false, 8, 64, 2000},
-		{true, 1, 1, 250},
-		{true, 4, 64, 250},
-		{true, 8, 256, 250},
-	}
-	for _, c := range cases {
-		kind := "mem"
-		if c.disk {
-			kind = "disk"
-		}
-		b.Run(fmt.Sprintf("%s/shards=%d/batch=%d", kind, c.shards, c.batch), func(b *testing.B) {
-			b.ReportAllocs()
-			var rps float64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				var backend provstore.Backend
-				var closeAll func() error
-				if c.disk {
-					var err error
-					backend, closeAll, err = bench.DurableShardedBackend(b.TempDir(), "ingest", c.shards, c.batch)
-					if err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					backend = provstore.NewShardedMem(c.shards)
-					if c.batch > 1 {
-						backend = provstore.NewBatching(backend, c.batch)
-					}
-				}
-				b.StartTimer()
-				var err error
-				rps, err = bench.IngestThroughput(backend, provstore.Naive, workers, c.opsPerW, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				n, err := backend.Count(context.Background())
-				if err != nil || n != workers*c.opsPerW {
-					b.Fatalf("stored %d records (err=%v), want %d", n, err, workers*c.opsPerW)
-				}
-				if closeAll != nil {
-					if err := closeAll(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(rps, "recs/sec")
 		})
 	}
 }

@@ -1,21 +1,14 @@
 // Command cpdbbench reruns the evaluation of Buneman, Chapman & Cheney
 // (SIGMOD 2006): every table and figure of §4, plus the design-choice
-// ablations and the sharded-ingest/group-commit, loopback
-// network-service, replication, declarative-query, authenticated-store,
-// and read-path-caching sweeps that go beyond the paper,
-// printing the rows/series behind each artifact. See EXPERIMENTS.md for the experiment ↔ figure
-// mapping and how to read the output.
+// ablations, printing the rows/series behind each artifact. See
+// EXPERIMENTS.md for the experiment ↔ figure mapping and how to read the
+// output. What each layer of the stack costs in real time is measured by
+// benchmark/ (go run ./benchmark -ladder), not here.
 //
 // Usage:
 //
 //	cpdbbench                  # run everything at paper scale
 //	cpdbbench -exp fig7        # one experiment
-//	cpdbbench -exp shard       # sharding × batching ingest throughput
-//	cpdbbench -exp net         # loopback cpdb:// vs in-process mem://
-//	cpdbbench -exp repl        # replicated:// ingest + read fan-out sweep
-//	cpdbbench -exp query       # declarative plans: pushdown + 1-RT remote execution
-//	cpdbbench -exp auth        # verified:// Merkle-tree overhead + proof cost sweep
-//	cpdbbench -exp cache       # client/plan/page caches vs size and horizon churn
 //	cpdbbench -quick           # scaled-down sizes (seconds, for smoke runs)
 //	cpdbbench -json out.json   # also write machine-readable results
 //	cpdbbench -list            # list experiment ids
@@ -50,7 +43,6 @@ type jsonReport struct {
 	Seed       int64        `json:"seed"`
 	StepsShort int          `json:"stepsShort"`
 	StepsLong  int          `json:"stepsLong"`
-	BackendDSN string       `json:"backendDSN,omitempty"`
 	Results    []jsonResult `json:"results"`
 }
 
@@ -63,7 +55,6 @@ func main() {
 		long      = flag.Int("steps-long", 0, "override the 14000-step runs")
 		seed      = flag.Int64("seed", 0, "override the workload seed")
 		dir       = flag.String("dir", "", "scratch directory for store files")
-		backend   = flag.String("backend", "", `provenance-store DSN template for -exp shard, e.g. "mem://?shards=4" or "rel://{dir}/p{batch}.db?create=1&durable=1"`)
 		jsonOut   = flag.String("json", "", "write machine-readable results (JSON) to FILE")
 	)
 	flag.Parse()
@@ -89,7 +80,6 @@ func main() {
 		rc.Seed = *seed
 	}
 	rc.Dir = *dir
-	rc.BackendDSN = *backend
 	if rc.Dir == "" {
 		tmp, err := os.MkdirTemp("", "cpdbbench-")
 		if err != nil {
@@ -113,7 +103,6 @@ func main() {
 		Seed:       rc.Seed,
 		StepsShort: rc.StepsShort,
 		StepsLong:  rc.StepsLong,
-		BackendDSN: rc.BackendDSN,
 	}
 	for _, e := range experiments {
 		fmt.Printf("### %s — %s\n\n", e.ID, e.Title)

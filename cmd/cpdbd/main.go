@@ -31,7 +31,7 @@
 // threshold; -pprof mounts the net/http/pprof handlers under /debug/pprof/.
 //
 // Caching (off by default): -cache-bytes bounds a server-side page cache
-// over limit-bounded /v1/scan-all pages — validity is horizon-keyed, so an
+// over limit-bounded /v1/scan pages — validity is horizon-keyed, so an
 // append invalidates simply by moving MaxTid — and -plan-cache caches up
 // to N compiled /v1/query plans by canonical query text. Both report
 // cpdb_cache_{hits,misses,evictions}_total and cpdb_cache_{bytes,entries}
@@ -50,6 +50,14 @@
 // continued traces are always kept. Kept traces tag /metrics latency
 // buckets with {trace_id} exemplars, and -slow-query lines add the
 // top-3 spans by self time. Inspect with cpdb -query "traces [ID]".
+//
+// Limits: a client must finish its request header within
+// provhttp.ReadHeaderTimeout and an idle keep-alive connection is closed
+// after provhttp.IdleTimeout; a POST /v1/append body over
+// provhttp.MaxAppendBytes, or a POST /v1/query body over
+// provhttp.MaxQueryBytes, is refused whole with 413 and counted
+// (rejected in /v1/stats, cpdb_http_rejected_total at /metrics). Responses
+// are not timed: a drain is a long one.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops
 // accepting, in-flight requests drain (bounded by -shutdown-timeout), and
@@ -188,7 +196,7 @@ func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, ppro
 		log.Printf("cpdbd: tracing last %d traces at http://%s/v1/traces (sample %g)", traceBuffer, ln.Addr(), traceSample)
 	}
 
-	hs := &http.Server{Handler: handler}
+	hs := provhttp.NewHTTPServer(handler)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -231,12 +239,10 @@ func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, ppro
 
 // logStats prints the final counter snapshot in a stable order — the same
 // elision rules /v1/stats consumers rely on (see provobs.DumpLines): zero
-// counters drop except the cursor rows — cursors_open is the leak gauge,
-// and endpoint.scan/all records whether clients used the streaming
-// whole-table cursor — and the repl.*/auth.* gauges, where zero is exactly
-// the interesting value (repl.lag.<i>=0 at shutdown means every replica
-// drained; auth.verify_failures=0 means no proof request ever named a
-// record outside the log).
+// counters drop except cursors_open, the leak gauge, and the repl.*/auth.*
+// gauges, where zero is exactly the interesting value (repl.lag.<i>=0 at
+// shutdown means every replica drained; auth.verify_failures=0 means no
+// proof request ever named a record outside the log).
 func logStats(stats map[string]int64) {
 	for _, line := range provobs.DumpLines(stats) {
 		log.Printf("cpdbd: stat %s", line)

@@ -34,6 +34,10 @@ type (
 	Record = provstore.Record
 	// Backend persists provenance records.
 	Backend = provstore.Backend
+	// ScanSpec is one ordered scan as a value — the argument of Backend.Scan.
+	ScanSpec = provstore.ScanSpec
+	// Stat is a store's scalars — the answer of Backend.Stat.
+	Stat = provstore.Stat
 	// DSN is a parsed backend data source name (see OpenBackend).
 	DSN = provstore.DSN
 	// Driver opens backends for one DSN scheme (see RegisterDriver).

@@ -198,7 +198,8 @@ func TestDurableRelBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b2.(io.Closer).Close()
-	n2, err := b2.Count(context.Background())
+	st, err := b2.Stat(context.Background())
+	n2 := st.Count
 	if err != nil || n2 != n {
 		t.Fatalf("reopened count = %d, %v; want %d", n2, err, n)
 	}

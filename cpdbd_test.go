@@ -80,7 +80,7 @@ func TestCLIEquivalenceOverNetwork(t *testing.T) {
 // TestSessionPlanSingleRoundTrip pins the declarative layer's headline
 // property at the public API: a Session over cpdb:// answers a whole
 // remote Trace or Mod — every chain step, every BFS wave — in exactly one
-// POST /v1/query, with no scan, point or maxtid round trips behind it.
+// POST /v1/query, with no scan, point or stat round trips behind it.
 func TestSessionPlanSingleRoundTrip(t *testing.T) {
 	inner, err := cpdb.OpenBackend("mem://")
 	if err != nil {
@@ -137,8 +137,8 @@ func TestSessionPlanSingleRoundTrip(t *testing.T) {
 		if d := after["endpoint.query"] - before["endpoint.query"]; d != 1 {
 			t.Errorf("%s: endpoint.query delta = %d, want 1", tc.text, d)
 		}
-		if d := after["endpoint.maxtid"] - before["endpoint.maxtid"]; d != 0 {
-			t.Errorf("%s: endpoint.maxtid delta = %d, want 0 (horizon resolves server-side)", tc.text, d)
+		if d := after["endpoint.stat"] - before["endpoint.stat"]; d != 0 {
+			t.Errorf("%s: endpoint.stat delta = %d, want 0 (horizon resolves server-side)", tc.text, d)
 		}
 	}
 }
@@ -177,7 +177,8 @@ func TestSessionCloseFlushesOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cpdb.CloseBackend(second) //nolint:errcheck // loopback teardown
-	n, err := second.Count(context.Background())
+	st, err := second.Stat(context.Background())
+	n := st.Count
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,13 +109,15 @@
 // verify=pin clients, whose answers must carry fresh proofs
 // (DESIGN.md §10).
 //
-// Records rides the store's streaming scan path end to end: every backend
+// Records rides the store's streaming scan path end to end: a Backend has
+// one read method for more than one record, Scan(ctx, ScanSpec), and every
 // scan is a pull-based cursor (iter.Seq2[Record, error]), so a full-table
 // drain never materializes the relation — file-backed and remote stores
-// stream a page/chunk at a time; the in-memory store sorts an index
-// permutation (one int per record, no record copies). On a cpdb:// service
-// it costs a single scan round trip (the server-side /v1/scan-all cursor,
-// plus one MaxTid read pinning the horizon), and it stops promptly —
+// stream a page/chunk at a time; the in-memory store walks an ordered index
+// a chunk of record numbers at a time. On a cpdb:// service it costs a
+// single scan round trip (the server-side GET /v1/scan cursor — /v1/scan-all
+// is the same handler, kind defaulting to all — plus one GET /v1/stat read
+// pinning the horizon), and it stops promptly —
 // releasing locks, connections and server-side work — when the consumer
 // breaks out of the loop or cancels ctx.
 //

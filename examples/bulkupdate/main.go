@@ -85,8 +85,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	exactRows, _ := exact.Backend().Count(context.Background())
-	fmt.Printf("exact transactional provenance: %d records\n", exactRows)
+	st, _ := exact.Backend().Stat(context.Background())
+	fmt.Printf("exact transactional provenance: %d records\n", st.Count)
 	fmt.Printf("approximate provenance:         %d record (%s)\n\n",
 		astore.Count(), astore.All()[0])
 
@@ -99,7 +99,7 @@ func main() {
 		astore.CannotComeFrom(tid, loc, cpdb.MustParsePath("Bib/ref{42}/title")))
 
 	// Soundness check against the exact store, record by record.
-	recs, _ := provstore.CollectScan(exact.Backend().ScanTid(context.Background(), tid))
+	recs, _ := provstore.CollectScan(exact.Backend().Scan(context.Background(), provstore.ByTid(tid)))
 	excluded := 0
 	for _, r := range recs {
 		if astore.CannotComeFrom(tid, r.Loc, r.Src) {

@@ -164,7 +164,7 @@ func TestApproxIsSound(t *testing.T) {
 
 	// Approximate record: one row total.
 	as := approx.NewStore()
-	tids, _ := exact.Backend().Tids(context.Background())
+	tids, _ := provstore.Tids(context.Background(), exact.Backend())
 	for _, tid := range tids {
 		if err := as.Append(bulk.Record(tid)); err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestApproxIsSound(t *testing.T) {
 
 	// Soundness: every exact copy link is admitted by the approximation.
 	for _, tid := range tids {
-		recs, _ := provstore.CollectScan(exact.Backend().ScanTid(context.Background(), tid))
+		recs, _ := provstore.CollectScan(exact.Backend().Scan(context.Background(), provstore.ByTid(tid)))
 		for _, r := range recs {
 			if r.Op != provstore.OpCopy {
 				continue
@@ -190,7 +190,8 @@ func TestApproxIsSound(t *testing.T) {
 		}
 	}
 	// Storage: 1 approximate record vs 6 exact rows (3 copies × size 2).
-	n, _ := exact.Backend().Count(context.Background())
+	st, _ := exact.Backend().Stat(context.Background())
+	n := st.Count
 	if n <= as.Count() {
 		t.Errorf("exact rows %d should exceed approximate %d", n, as.Count())
 	}

@@ -196,10 +196,10 @@ func Reconstruct(ctx context.Context, lost string, witnesses []Witness) (*Recons
 	}
 	conflict := make(map[string]bool)
 	for _, w := range witnesses {
-		// One ScanAll cursor per witness streams its whole provenance
+		// One All() cursor per witness streams its whole provenance
 		// relation in (Tid, Loc) order — the same order the per-transaction
 		// walk produced, in one round trip instead of one per transaction.
-		for r, err := range w.Backend.ScanAll(ctx) {
+		for r, err := range w.Backend.Scan(ctx, provstore.All()) {
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -371,53 +370,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-// TestShardSweepShape: the sweep runs end to end; sharded cells never lose
-// records, and every cell stores exactly workers × ops records.
-func TestShardSweepShape(t *testing.T) {
-	rc := quick(t)
-	tabs, err := ShardSweep(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 2 {
-		t.Fatalf("want 2 tables, got %d", len(tabs))
-	}
-	mem := tabs[0]
-	if len(mem.Rows) == 0 || len(mem.Rows[0]) < 3 {
-		t.Fatalf("mem sweep malformed:\n%s", mem)
-	}
-	for r := range mem.Rows {
-		for c := 1; c < len(mem.Rows[r])-1; c++ {
-			if numCell(t, mem, r, c) <= 0 {
-				t.Errorf("cell (%d,%d) not positive:\n%s", r, c, mem)
-			}
-		}
-	}
-	wal := tabs[1]
-	for r := range wal.Rows {
-		if numCell(t, wal, r, 2) <= 0 {
-			t.Errorf("wal row %d not positive:\n%s", r, wal)
-		}
-	}
-}
-
-// TestIngestThroughputCounts: concurrent sharded+batched ingest stores the
-// exact record count (no loss, no duplication).
-func TestIngestThroughputCounts(t *testing.T) {
-	backend := provstore.NewBatching(provstore.NewShardedMem(4), 32)
-	const workers, ops = 4, 500
-	if _, err := IngestThroughput(backend, provstore.Naive, workers, ops, 5); err != nil {
-		t.Fatal(err)
-	}
-	n, err := backend.Count(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != workers*ops {
-		t.Errorf("stored %d records, want %d", n, workers*ops)
-	}
-}
-
 // TestMakeSequenceDeterministic: same config, same sequence.
 func TestMakeSequenceDeterministic(t *testing.T) {
 	rc := Quick()
@@ -425,125 +377,5 @@ func TestMakeSequenceDeterministic(t *testing.T) {
 	b := MakeSequence(rc, workload.Mix, workload.DelRandom, 100)
 	if a.String() != b.String() {
 		t.Error("sequence generation not deterministic")
-	}
-}
-
-// TestQuerySweepShape: the declarative sweep produces both tables, the
-// pushdown table's scanned counts never exceed the full scan's, and every
-// remote plan row costs exactly one round trip.
-func TestQuerySweepShape(t *testing.T) {
-	tabs, err := QuerySweep(quick(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 2 || tabs[0].ID != "query" || tabs[1].ID != "queryrt" {
-		t.Fatalf("want tables query, queryrt, got %v", tabs)
-	}
-	push := tabs[0]
-	if len(push.Rows) < 5 {
-		t.Fatalf("pushdown table too small:\n%s", push)
-	}
-	for r := range push.Rows {
-		down, full := numCell(t, push, r, 2), numCell(t, push, r, 4)
-		if down > full {
-			t.Errorf("row %d: pushdown scanned %v > full scan %v:\n%s", r, down, full, push)
-		}
-		if full <= 0 {
-			t.Errorf("row %d: full scan scanned nothing:\n%s", r, push)
-		}
-	}
-	rt := tabs[1]
-	if len(rt.Rows) != 3 {
-		t.Fatalf("round-trip table malformed:\n%s", rt)
-	}
-	for r := range rt.Rows {
-		if got := numCell(t, rt, r, 2); got != 1 {
-			t.Errorf("row %d: plan cost %v round trips, want exactly 1:\n%s", r, got, rt)
-		}
-		if legacy := numCell(t, rt, r, 4); legacy <= 1 {
-			t.Errorf("row %d: legacy path cost %v round trips, want >1:\n%s", r, legacy, rt)
-		}
-	}
-}
-
-// TestAuthSweepShape: the authenticated-store sweep produces one row per
-// size with sane cells — proof sizes in the tens of hash-widths, not zero
-// or wild, and a positive proven-scan rate.
-func TestAuthSweepShape(t *testing.T) {
-	tabs, err := AuthSweep(quick(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 1 || tabs[0].ID != "auth" {
-		t.Fatalf("want one auth table, got %v", tabs)
-	}
-	tb := tabs[0]
-	if len(tb.Rows) != 2 {
-		t.Fatalf("quick sweep should have 2 rows:\n%s", tb)
-	}
-	for r := range tb.Rows {
-		if rate := numCell(t, tb, r, 2); rate <= 0 {
-			t.Errorf("row %d: verified ingest rate %v, want > 0:\n%s", r, rate, tb)
-		}
-		// A proof is ~log2(n) 32-byte hashes plus a few varints.
-		if pb := numCell(t, tb, r, 4); pb < 32 || pb > 64*32 {
-			t.Errorf("row %d: proof bytes %v outside [32, 2048]:\n%s", r, pb, tb)
-		}
-		if us := numCell(t, tb, r, 5); us <= 0 {
-			t.Errorf("row %d: prove+verify %v µs, want > 0:\n%s", r, us, tb)
-		}
-		if sr := numCell(t, tb, r, 6); sr <= 0 {
-			t.Errorf("row %d: proven scan rate %v, want > 0:\n%s", r, sr, tb)
-		}
-	}
-}
-
-// TestCacheSweepShape: the caching sweep produces both tables; at a warm
-// 1mb cache with no churn, repeated remote reads must beat the uncached
-// path by at least 2x (the acceptance bar — in practice it is far more),
-// the hit ratio must be high, and the server-side caches must record hits.
-func TestCacheSweepShape(t *testing.T) {
-	tabs, err := CacheSweep(quick(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs) != 2 || tabs[0].ID != "cache" || tabs[1].ID != "cachesrv" {
-		t.Fatalf("want tables cache, cachesrv, got %v", tabs)
-	}
-	tb := tabs[0]
-	if len(tb.Rows) != 6 {
-		t.Fatalf("cache table should have 3 sizes x 2 churn rates = 6 rows:\n%s", tb)
-	}
-	// Rows are (size, churn) in declaration order; row 4 is 1mb/no-churn.
-	warm := -1
-	for r := range tb.Rows {
-		if cell(t, tb, r, 0) == "1mb" && cell(t, tb, r, 1) == "none" {
-			warm = r
-		}
-	}
-	if warm < 0 {
-		t.Fatalf("no 1mb/none row:\n%s", tb)
-	}
-	speedup := strings.TrimSuffix(cell(t, tb, warm, 4), "x")
-	if v, err := strconv.ParseFloat(speedup, 64); err != nil || v < 2 {
-		t.Errorf("warm-cache speedup = %sx, want >= 2x:\n%s", speedup, tb)
-	}
-	if hit := numCell(t, tb, warm, 3); hit < 80 {
-		t.Errorf("warm-cache hit ratio = %v%%, want >= 80%%:\n%s", hit, tb)
-	}
-	// The off rows must report no hit ratio at all.
-	for r := range tb.Rows {
-		if cell(t, tb, r, 0) == "off" && cell(t, tb, r, 3) != "-" {
-			t.Errorf("row %d: uncached client reported a hit ratio:\n%s", r, tb)
-		}
-	}
-	srv := tabs[1]
-	if len(srv.Rows) != 2 {
-		t.Fatalf("cachesrv table should have 2 rows:\n%s", srv)
-	}
-	for r := range srv.Rows {
-		if hits := numCell(t, srv, r, 3); hits <= 0 {
-			t.Errorf("row %d: server cache recorded no hits:\n%s", r, srv)
-		}
 	}
 }

@@ -29,7 +29,6 @@ type RunConfig struct {
 	Seed        int64
 	Costs       Costs
 	Dir         string // scratch directory ("" = temp)
-	BackendDSN  string // provenance-store DSN template for the shard sweep
 	Target      dataset.MiMIConfig
 	Source      dataset.OrganelleConfig
 	QueryProbes int // random locations per query benchmark
@@ -97,13 +96,6 @@ func All() []Experiment {
 		{"fig12", "Transaction length vs processing time (Figure 12)", Fig12},
 		{"fig13", "Provenance query times (Figure 13)", Fig13},
 		{"ablation", "Design-choice ablations (A1–A4)", Ablations},
-		{"shard", "Sharded concurrent ingest and group-commit sweep (beyond the paper)", ShardSweep},
-		{"net", "Loopback cpdb:// vs in-process mem:// per-operation latency (beyond the paper)", NetSweep},
-		{"repl", "Replicated store: ingest + read fan-out vs replica count (beyond the paper)", ReplSweep},
-		{"query", "Declarative plans: pushdown vs full scan, 1-RT remote plans vs legacy (beyond the paper)", QuerySweep},
-		{"auth", "Authenticated store: Merkle-tree ingest overhead, proof size and verify latency (beyond the paper)", AuthSweep},
-		{"cache", "Adaptive read-path caching: client result cache vs size and horizon churn, server plan/page caches on vs off (beyond the paper)", CacheSweep},
-		{"trace", "Span tracing overhead: hot read wires with tracing off, armed and on (beyond the paper)", TraceSweep},
 	}
 }
 
@@ -143,12 +135,12 @@ func Fig7(rc RunConfig) ([]*Table, error) {
 				env.Close()
 				return nil, err
 			}
-			n, err := env.Inner.Count(context.Background())
+			st, err := env.Inner.Stat(context.Background())
 			env.Close()
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprint(n))
+			row = append(row, fmt.Sprint(st.Count))
 		}
 		t.AddRow(row...)
 	}
@@ -180,11 +172,12 @@ func Fig8(rc RunConfig) ([]*Table, error) {
 				env.Close()
 				return nil, err
 			}
-			n, err := env.Inner.Count(context.Background())
+			st, err := env.Inner.Stat(context.Background())
 			if err != nil {
 				env.Close()
 				return nil, err
 			}
+			n := st.Count
 			size, err := env.relDB.Size()
 			env.Close()
 			if err != nil {
@@ -353,12 +346,12 @@ func Fig11(rc RunConfig) ([]*Table, error) {
 					env.Close()
 					return nil, err
 				}
-				n, err := env.Inner.Count(context.Background())
+				st, err := env.Inner.Stat(context.Background())
 				env.Close()
 				if err != nil {
 					return nil, err
 				}
-				counts = append(counts, n)
+				counts = append(counts, st.Count)
 			}
 			row = append(row, fmt.Sprint(counts[0]), fmt.Sprint(counts[1]))
 		}
@@ -431,34 +424,9 @@ func (q *queryPriced) NearestAncestor(ctx context.Context, tid int64, loc path.P
 	return q.Backend.NearestAncestor(ctx, tid, loc)
 }
 
-func (q *queryPriced) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
+func (q *queryPriced) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	q.charge()
-	return q.Backend.ScanTid(ctx, tid)
-}
-
-func (q *queryPriced) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.ScanLoc(ctx, loc)
-}
-
-func (q *queryPriced) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.ScanLocPrefix(ctx, prefix)
-}
-
-func (q *queryPriced) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.ScanLocWithAncestors(ctx, loc)
-}
-
-func (q *queryPriced) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.ScanAll(ctx)
-}
-
-func (q *queryPriced) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.ScanAllAfter(ctx, tid, loc)
+	return q.Backend.Scan(ctx, spec)
 }
 
 // Fig13 reruns the query experiment: average getSrc/getMod/getHist times on
@@ -493,21 +461,17 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 			env.Close()
 			return err
 		}
-		rows, err := env.Inner.Count(context.Background())
+		st, err := env.Inner.Stat(context.Background())
 		if err != nil {
 			env.Close()
 			return err
 		}
+		rows, tnow := st.Count, st.MaxTid
 		qconn := netsim.NewConn("prov-query", env.Clock, netsim.CostModel{
 			RTT:       rc.Costs.QueryRTT,
 			PerRecord: rc.Costs.QueryPerRow,
 		})
 		engine := provquery.New(&queryPriced{Backend: env.Inner, conn: qconn, rows: rows})
-		tnow, err := env.Inner.MaxTid(context.Background())
-		if err != nil {
-			env.Close()
-			return err
-		}
 
 		// Random live locations from the final target state.
 		rng := rand.New(rand.NewSource(rc.Seed + int64(m)))

@@ -82,7 +82,8 @@ func TestEditorRunsFigure3(t *testing.T) {
 		t.Error("mirror diverged from store")
 	}
 	// Provenance matches Figure 5(d): 7 rows.
-	cnt, _ := ed.Tracker().Backend().Count(context.Background())
+	st, _ := ed.Tracker().Backend().Stat(context.Background())
+	cnt := st.Count
 	if cnt != len(figures.Fig5d) {
 		t.Errorf("stored %d rows, want %d", cnt, len(figures.Fig5d))
 	}
@@ -145,7 +146,8 @@ func TestEditorValidation(t *testing.T) {
 	if err := ed.Delete(path.MustParse("T/nothing")); err == nil {
 		t.Error("delete of missing node should fail")
 	}
-	cnt, _ := ed.Tracker().Backend().Count(context.Background())
+	st, _ := ed.Tracker().Backend().Stat(context.Background())
+	cnt := st.Count
 	if cnt != 0 {
 		t.Errorf("failed ops stored %d records", cnt)
 	}
@@ -159,7 +161,7 @@ func TestEditorCopyWithinTarget(t *testing.T) {
 	if !target.Has(path.MustParse("T/c9/x")) {
 		t.Error("intra-target copy missing")
 	}
-	recs, _ := provstore.CollectScan(ed.Tracker().Backend().ScanTid(context.Background(), figures.FirstTid))
+	recs, _ := provstore.CollectScan(ed.Tracker().Backend().Scan(context.Background(), provstore.ByTid(figures.FirstTid)))
 	if len(recs) != 3 || recs[0].Src.DB() != "T" {
 		t.Errorf("intra-target provenance: %v", recs)
 	}
@@ -174,7 +176,7 @@ func TestAutoCommit(t *testing.T) {
 		}
 	}
 	// 5 ops with auto-commit every 2 → 2 commits done, 1 op pending.
-	tids, _ := ed.Tracker().Backend().Tids(context.Background())
+	tids, _ := provstore.Tids(context.Background(), ed.Tracker().Backend())
 	if len(tids) != 2 {
 		t.Errorf("auto-commits = %v", tids)
 	}
@@ -184,7 +186,7 @@ func TestAutoCommit(t *testing.T) {
 	if _, err := ed.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tids, _ = ed.Tracker().Backend().Tids(context.Background())
+	tids, _ = provstore.Tids(context.Background(), ed.Tracker().Backend())
 	if len(tids) != 3 {
 		t.Errorf("after final commit: %v", tids)
 	}
@@ -282,7 +284,8 @@ func TestConsistencyUnderFaults(t *testing.T) {
 	if !store.Snapshot().Equal(before) {
 		t.Error("target not compensated after failed copy")
 	}
-	cnt, _ := backend.Inner().Count(context.Background())
+	st, _ := backend.Inner().Stat(context.Background())
+	cnt := st.Count
 	if cnt != 0 {
 		t.Errorf("provenance store has %d rows after failures", cnt)
 	}

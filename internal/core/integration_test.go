@@ -91,7 +91,8 @@ func TestFullStackDiskBacked(t *testing.T) {
 	if !gen.TargetMirror().Equal(targetStore.Snapshot()) {
 		t.Fatal("generator mirror diverged from the store")
 	}
-	rows, _ := backend.Count(context.Background())
+	st, _ := backend.Stat(context.Background())
+	rows := st.Count
 	if rows == 0 {
 		t.Fatal("no provenance stored")
 	}
@@ -117,7 +118,8 @@ func TestFullStackDiskBacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, _ := backend2.Count(context.Background())
+	st2, _ := backend2.Stat(context.Background())
+	rows2 := st2.Count
 	if rows2 != rows {
 		t.Fatalf("rows after reopen: %d vs %d", rows2, rows)
 	}
@@ -134,10 +136,10 @@ func TestFullStackDiskBacked(t *testing.T) {
 	}
 	// Every copied location present in the final target must trace to the
 	// source database.
-	tids, _ := backend2.Tids(context.Background())
+	tids, _ := provstore.Tids(context.Background(), backend2)
 	traced := 0
 	for _, tid := range tids {
-		recs, _ := provstore.CollectScan(backend2.ScanTid(context.Background(), tid))
+		recs, _ := provstore.CollectScan(backend2.Scan(context.Background(), provstore.ByTid(tid)))
 		for _, r := range recs {
 			if r.Op != provstore.OpCopy || !r.Src.IsRoot() && r.Src.DB() != "OrganelleDB" {
 				continue

@@ -61,7 +61,7 @@ type Authority interface {
 // Sealing: records of the highest (open) transaction buffer until a
 // higher-tid append arrives or Flush/Close runs; sealing appends them to
 // the tree in Loc order and records the per-transaction checkpoint. The
-// leaf sequence is therefore exactly the store's (Tid, Loc) ScanAll order,
+// leaf sequence is therefore exactly the store's (Tid, Loc) scan order,
 // which is what lets New rebuild the tree from an existing store. The
 // price of an ordered log: appending at or below the last sealed
 // transaction fails with ErrSealed, and appends serialize through the
@@ -93,14 +93,14 @@ var (
 )
 
 // New wraps inner with a history tree, rebuilding it from the store's
-// ScanAll stream — reopening verified:// over a populated rel:// file
+// All() scan — reopening verified:// over a populated rel:// file
 // recomputes the same roots the original process published, checkpoint per
 // transaction. Everything already in the store is sealed.
 func New(inner provstore.Backend) (*AuthBackend, error) {
 	a := &AuthBackend{inner: inner, leaf: make(map[string]uint64), obs: provobs.NewRegistry()}
 	a.proveDur = a.obs.Histogram("cpdb_auth_prove_duration_seconds",
 		"Time to build one inclusion proof (lock wait included).", provobs.UnitSeconds)
-	for rec, err := range inner.ScanAll(context.Background()) {
+	for rec, err := range inner.Scan(context.Background(), provstore.All()) {
 		if err != nil {
 			return nil, fmt.Errorf("provauth: rebuilding tree from store: %w", err)
 		}
@@ -221,7 +221,7 @@ func (a *AuthBackend) ingest(recs []provstore.Record) {
 }
 
 // seal closes the open transaction: its records enter the tree in Loc
-// order (matching ScanAll) and the checkpoint is published. Caller holds
+// order (matching the All() scan) and the checkpoint is published. Caller holds
 // the write lock; openTid != 0.
 func (a *AuthBackend) seal() {
 	slices.SortFunc(a.open, func(x, y provstore.Record) int { return x.Loc.Compare(y.Loc) })
@@ -436,7 +436,7 @@ func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLo
 		a.mu.RLock()
 		root := a.rootLocked()
 		a.mu.RUnlock()
-		for rec, err := range a.inner.ScanAllAfter(ctx, afterTid, afterLoc) {
+		for rec, err := range a.inner.Scan(ctx, provstore.All().After(afterTid, afterLoc)) {
 			if err != nil {
 				sp.SetErr(err)
 				yield(ProvenRecord{}, err)
@@ -471,44 +471,10 @@ func (a *AuthBackend) NearestAncestor(ctx context.Context, tid int64, loc path.P
 	return a.inner.NearestAncestor(ctx, tid, loc)
 }
 
-// ScanTid implements Backend.
-func (a *AuthBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanTid(ctx, tid)
+// Scan implements Backend.
+func (a *AuthBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
+	return a.inner.Scan(ctx, spec)
 }
 
-// ScanLoc implements Backend.
-func (a *AuthBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanLoc(ctx, loc)
-}
-
-// ScanLocPrefix implements Backend.
-func (a *AuthBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanLocPrefix(ctx, prefix)
-}
-
-// ScanLocWithAncestors implements Backend.
-func (a *AuthBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanLocWithAncestors(ctx, loc)
-}
-
-// ScanAll implements Backend.
-func (a *AuthBackend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanAll(ctx)
-}
-
-// ScanAllAfter implements Backend.
-func (a *AuthBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return a.inner.ScanAllAfter(ctx, tid, loc)
-}
-
-// Tids implements Backend.
-func (a *AuthBackend) Tids(ctx context.Context) ([]int64, error) { return a.inner.Tids(ctx) }
-
-// MaxTid implements Backend.
-func (a *AuthBackend) MaxTid(ctx context.Context) (int64, error) { return a.inner.MaxTid(ctx) }
-
-// Count implements Backend.
-func (a *AuthBackend) Count(ctx context.Context) (int, error) { return a.inner.Count(ctx) }
-
-// Bytes implements Backend.
-func (a *AuthBackend) Bytes(ctx context.Context) (int64, error) { return a.inner.Bytes(ctx) }
+// Stat implements Backend.
+func (a *AuthBackend) Stat(ctx context.Context) (provstore.Stat, error) { return a.inner.Stat(ctx) }

@@ -14,7 +14,7 @@ import (
 //
 //	verified://?inner=DSN
 //
-// Opening over a populated store rebuilds the tree from its ScanAll
+// Opening over a populated store rebuilds the tree from its All() scan
 // stream, recomputing the same per-transaction roots the original process
 // published.
 func init() {

@@ -15,7 +15,7 @@
 //
 //   - Leaves are the canonical binary encoding of records
 //     (provstore.Record.AppendBinary), in (Tid, Loc) order — exactly the
-//     ScanAll order, which is what makes the tree deterministically
+//     All() scan order, which is what makes the tree deterministically
 //     rebuildable from any existing store at open time.
 //   - leaf hash = SHA-256(0x00 ‖ encoding), interior node =
 //     SHA-256(0x01 ‖ left ‖ right): the RFC 6962 domain separation, so a

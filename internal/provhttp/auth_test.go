@@ -99,7 +99,7 @@ func TestVerifiedScanTamper(t *testing.T) {
 	cli, _, tamper := serveAuth(t, filepath.Join(t.TempDir(), "root.pin"))
 	recs := ingest(t, cli)
 
-	got, err := provstore.CollectScan(cli.ScanAll(ctx))
+	got, err := provstore.CollectScan(cli.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatalf("honest ScanAll: %v", err)
 	}
@@ -108,14 +108,14 @@ func TestVerifiedScanTamper(t *testing.T) {
 	}
 
 	tamper.Arm(true)
-	if _, err := provstore.CollectScan(cli.ScanAll(ctx)); !errors.Is(err, provauth.ErrVerify) {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("tampered ScanAll: %v, want ErrVerify", err)
 	}
 	// The narrower scans are held to the same contract.
-	if _, err := provstore.CollectScan(cli.ScanTid(ctx, 1)); !errors.Is(err, provauth.ErrVerify) {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(1))); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("tampered ScanTid: %v, want ErrVerify", err)
 	}
-	if _, err := provstore.CollectScan(cli.ScanLocPrefix(ctx, path.MustParse("S"))); !errors.Is(err, provauth.ErrVerify) {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByPrefix(path.MustParse("S")))); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("tampered ScanLocPrefix: %v, want ErrVerify", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestPinLifecycle(t *testing.T) {
 	if err := cli.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if _, err := provstore.CollectScan(cli.ScanAll(ctx)); err != nil {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil {
 		t.Fatalf("ScanAll: %v", err)
 	}
 	pin2, _, err := provauth.LoadPin(pinFile)
@@ -223,7 +223,7 @@ func TestRollbackDetected(t *testing.T) {
 	pinFile := filepath.Join(t.TempDir(), "root.pin")
 	cli, _, _ := serveAuth(t, pinFile)
 	ingest(t, cli) // pins root(2) on first read below
-	if _, err := provstore.CollectScan(cli.ScanAll(ctx)); err != nil {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil {
 		t.Fatalf("ScanAll: %v", err)
 	}
 
@@ -239,7 +239,7 @@ func TestRollbackDetected(t *testing.T) {
 	if _, _, err := cli2.Lookup(ctx, 1, path.MustParse("S/a")); err == nil {
 		t.Fatal("Lookup against a rolled-back server succeeded")
 	}
-	if _, err := provstore.CollectScan(cli2.ScanAll(ctx)); err == nil {
+	if _, err := provstore.CollectScan(cli2.Scan(ctx, provstore.All())); err == nil {
 		t.Fatal("ScanAll against a rolled-back server succeeded")
 	}
 	// The pin itself must not have regressed.
@@ -257,7 +257,7 @@ func TestDivergedHistoryDetected(t *testing.T) {
 	pinFile := filepath.Join(t.TempDir(), "root.pin")
 	cli, _, _ := serveAuth(t, pinFile)
 	ingest(t, cli)
-	if _, err := provstore.CollectScan(cli.ScanAll(ctx)); err != nil {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil {
 		t.Fatalf("ScanAll: %v", err)
 	}
 
@@ -280,7 +280,7 @@ func TestDivergedHistoryDetected(t *testing.T) {
 	if err := cli2.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if _, err := provstore.CollectScan(cli2.ScanAll(ctx)); !errors.Is(err, provauth.ErrVerify) {
+	if _, err := provstore.CollectScan(cli2.Scan(ctx, provstore.All())); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("scan of diverged history: %v, want ErrVerify", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestVerifiedHorizon(t *testing.T) {
 		t.Fatalf("Append: %v", err)
 	}
 
-	got, err := provstore.CollectScan(cli.ScanAll(ctx))
+	got, err := provstore.CollectScan(cli.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatalf("ScanAll: %v", err)
 	}
@@ -306,7 +306,7 @@ func TestVerifiedHorizon(t *testing.T) {
 	if err := cli.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if got, err = provstore.CollectScan(cli.ScanAll(ctx)); err != nil || len(got) != 6 {
+	if got, err = provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil || len(got) != 6 {
 		t.Fatalf("after flush: %d records, %v, want 6", len(got), err)
 	}
 }
@@ -415,15 +415,23 @@ func TestPaddedFilteredStreamDetected(t *testing.T) {
 	ctx := context.Background()
 	var armed atomic.Bool
 	cli := serveAuthProxied(t, &armed, func(r *http.Request) {
-		// Serve the full proven table for a tid-filtered scan; the server
-		// ignores the stray tid parameter.
-		if r.URL.Path == "/v1/scan/tid" {
-			r.URL.Path = "/v1/scan-all"
+		// Serve the full proven table for a tid-filtered scan, and a
+		// resumed scan from its start.
+		if r.URL.Path != "/v1/scan" {
+			return
 		}
+		q := r.URL.Query()
+		if q.Get("kind") == "tid" {
+			q.Set("kind", "all")
+			q.Del("tid")
+		}
+		q.Del("after_tid")
+		q.Del("after_loc")
+		r.URL.RawQuery = q.Encode()
 	})
 	ingest(t, cli)
 
-	got, err := provstore.CollectScan(cli.ScanTid(ctx, 2))
+	got, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(2)))
 	if err != nil {
 		t.Fatalf("honest ScanTid: %v", err)
 	}
@@ -431,8 +439,18 @@ func TestPaddedFilteredStreamDetected(t *testing.T) {
 		t.Fatalf("honest ScanTid yielded %d records, want 2", len(got))
 	}
 	armed.Store(true)
-	if _, err := provstore.CollectScan(cli.ScanTid(ctx, 2)); !errors.Is(err, provauth.ErrVerify) {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(2))); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("padded ScanTid: %v, want ErrVerify", err)
+	}
+	// The resume key is part of the question too: records at or before it,
+	// each validly proven, do not belong in the answer.
+	resumed := provstore.All().After(1, path.MustParse("S/b"))
+	if _, err := provstore.CollectScan(cli.Scan(ctx, resumed)); !errors.Is(err, provauth.ErrVerify) {
+		t.Fatalf("padded resumed scan: %v, want ErrVerify", err)
+	}
+	armed.Store(false)
+	if got, err := provstore.CollectScan(cli.Scan(ctx, resumed)); err != nil || len(got) != 2 {
+		t.Fatalf("honest resumed scan: %d records, %v; want 2", len(got), err)
 	}
 }
 
@@ -458,7 +476,7 @@ func TestOpenRecordMidStreamDoesNotTruncate(t *testing.T) {
 		t.Fatalf("Append: %v", err)
 	}
 
-	got, err := provstore.CollectScan(cli.ScanLocPrefix(ctx, path.MustParse("S")))
+	got, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByPrefix(path.MustParse("S"))))
 	if err != nil {
 		t.Fatalf("ScanLocPrefix: %v", err)
 	}

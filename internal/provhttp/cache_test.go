@@ -130,7 +130,7 @@ func TestClientCacheInvalidatedByObservedMaxTid(t *testing.T) {
 	if _, ok, _ := cached.Lookup(ctx, 1, p); ok {
 		t.Fatal("cached client saw a foreign append without observing its horizon")
 	}
-	if _, err := cached.MaxTid(ctx); err != nil {
+	if _, err := cached.Stat(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := cached.Lookup(ctx, 1, p); err != nil || !ok {
@@ -322,7 +322,7 @@ func cacheEquivInners() map[string]func(t *testing.T) provstore.Backend {
 // cacheEquivProbes samples stored locations plus never-touched ones.
 func cacheEquivProbes(t *testing.T, b provstore.Backend) []path.Path {
 	t.Helper()
-	recs, err := provstore.CollectScan(b.ScanAll(context.Background()))
+	recs, err := provstore.CollectScan(b.Scan(context.Background(), provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,8 @@ func TestCacheEquivalenceInterleaved(t *testing.T) {
 				if err := cached.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				maxTid, err := plain.MaxTid(ctx)
+				st, err := plain.Stat(ctx)
+				maxTid := st.MaxTid
 				if err != nil {
 					t.Fatal(err)
 				}

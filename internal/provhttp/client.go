@@ -79,7 +79,7 @@ type Client struct {
 
 	// Result cache (cpdb://…?cache=SIZE; nil when off). Keys embed gen, the
 	// client's horizon generation: it advances when this client appends or
-	// observes a higher MaxTid, making every older entry unreachable — the
+	// observes a higher MaxTid (Stat), making every older entry unreachable — the
 	// coherence contract of DESIGN.md §10. Verified (verify=pin) clients
 	// never build a cache: a cached answer would bypass the per-read proof
 	// check, weakening the threat model for latency.
@@ -623,32 +623,39 @@ func (c *Client) provePoint(ctx context.Context, tid int64, loc path.Path, ances
 	return rec, true, nil
 }
 
-// scan issues one streaming scan round trip and decodes the NDJSON reply
-// as the consumer pulls: each record is yielded as its line is decoded, so
-// a scan holds one record in memory however large the result. Cancellation
-// takes effect mid-stream, a truncated stream (server died, connection cut)
-// is detected by the missing eof terminator rather than silently read as a
-// short result, and breaking out of the loop closes the response body —
-// which tears down the connection and cancels the server-side cursor.
+// Scan implements Backend: one GET /v1/scan round trip carrying the spec's
+// wire form, the NDJSON reply decoded as the consumer pulls — each record is
+// yielded as its line is decoded, so a scan holds one record in memory
+// however large the result (the whole (Tid, Loc)-ordered relation is one
+// round trip however many transactions it spans). Cancellation takes effect
+// mid-stream, a truncated stream (server died, connection cut) is detected by
+// the missing eof terminator rather than silently read as a short result —
+// resume it with spec.After from the last key that arrived intact — and
+// breaking out of the loop closes the response body, which tears down the
+// connection and cancels the server-side cursor.
 //
 // In verified mode every scan asks for proofs: the response root is checked
 // against the pin, and each record against that root, before it is yielded
-// — an unproven or wrongly proven record fails the stream. A non-nil match
-// is the request's own filter, re-checked client-side: an inclusion proof
-// shows a record is in the log, not that it belongs in *this* answer, so
-// without it a server could pad a filtered stream with arbitrary in-log
+// — an unproven or wrongly proven record fails the stream. Each record is
+// also re-checked against the spec itself, resume key included: an inclusion
+// proof shows a record is in the log, not that it belongs in *this* answer,
+// so without it a server could pad a filtered stream with arbitrary in-log
 // records. (Completeness is the dual gap and is not provable — the tree
 // has no range proofs — so a verified scan can still omit matching
 // records; it can never smuggle in non-matching or forged ones.)
-func (c *Client) scan(ctx context.Context, p string, q url.Values, match func(provstore.Record) bool) iter.Seq2[provstore.Record, error] {
-	return tracedStream(ctx, rpcName(p), func(ctx context.Context) iter.Seq2[provstore.Record, error] {
-		return c.scanRaw(ctx, p, q, match)
+func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
+	if !provtrace.Active(ctx) {
+		return c.scanRaw(ctx, spec) // untraced: not even the span's name is built
+	}
+	return tracedStream(ctx, "rpc:"+spec.String(), func(ctx context.Context) iter.Seq2[provstore.Record, error] {
+		return c.scanRaw(ctx, spec)
 	})
 }
 
-// scanRaw is the untraced transport under scan.
-func (c *Client) scanRaw(ctx context.Context, p string, q url.Values, match func(provstore.Record) bool) iter.Seq2[provstore.Record, error] {
+// scanRaw is the untraced transport under Scan.
+func (c *Client) scanRaw(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
+		q := spec.Values()
 		var since provauth.Root
 		if c.verify {
 			var err error
@@ -657,7 +664,7 @@ func (c *Client) scanRaw(ctx context.Context, p string, q url.Values, match func
 				return
 			}
 		}
-		resp, err := c.do(ctx, http.MethodGet, p, q, nil, http.StatusOK)
+		resp, err := c.do(ctx, http.MethodGet, "/v1/scan", q, nil, http.StatusOK)
 		if err != nil {
 			yield(provstore.Record{}, err)
 			return
@@ -680,10 +687,10 @@ func (c *Client) scanRaw(ctx context.Context, p string, q url.Values, match func
 					return
 				}
 				if err == io.EOF {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: stream truncated after %d records (missing eof terminator)", p, n))
+					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: stream truncated after %d records (missing eof terminator)", spec, n))
 					return
 				}
-				yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: %w", p, err))
+				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: %w", spec, err))
 				return
 			}
 			switch {
@@ -691,15 +698,15 @@ func (c *Client) scanRaw(ctx context.Context, p string, q url.Values, match func
 				// An in-band error line: the store failed after the 200
 				// header went out, so there is no HTTP status to carry —
 				// not a RemoteError, whose Status means a non-2xx reply.
-				yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: server error mid-stream: %s", p, line.Err))
+				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: server error mid-stream: %s", spec, line.Err))
 				return
 			case line.EOF:
 				if line.N != n {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: stream carried %d records, terminator says %d", p, n, line.N))
+					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: stream carried %d records, terminator says %d", spec, n, line.N))
 				}
 				return
 			case line.R == nil:
-				yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: blank stream line", p))
+				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: blank stream line", spec))
 				return
 			}
 			rec, err := line.R.record()
@@ -708,12 +715,12 @@ func (c *Client) scanRaw(ctx context.Context, p string, q url.Values, match func
 				return
 			}
 			if c.verify {
-				if match != nil && !match(rec) {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: record {%d, %s} is outside the requested filter: %w", p, rec.Tid, rec.Loc, provauth.ErrVerify))
+				if !spec.Match(rec) {
+					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: record {%d, %s} is outside the requested scan: %w", spec, rec.Tid, rec.Loc, provauth.ErrVerify))
 					return
 				}
 				if err := verifyLine(root, rec, line.P); err != nil {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: scan %s: %w", p, err))
+					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: %w", spec, err))
 					return
 				}
 			}
@@ -738,50 +745,6 @@ func verifyLine(root provauth.Root, rec provstore.Record, proofHex string) (err 
 		return fmt.Errorf("provhttp: streamed record %v failed verification: %w", rec, err)
 	}
 	return nil
-}
-
-// ScanTid implements Backend.
-func (c *Client) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
-	return c.scan(ctx, "/v1/scan/tid", url.Values{"tid": {strconv.FormatInt(tid, 10)}},
-		func(r provstore.Record) bool { return r.Tid == tid })
-}
-
-// ScanLoc implements Backend.
-func (c *Client) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return c.scan(ctx, "/v1/scan/loc", url.Values{"loc": {loc.String()}},
-		func(r provstore.Record) bool { return r.Loc.Equal(loc) })
-}
-
-// ScanLocPrefix implements Backend.
-func (c *Client) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return c.scan(ctx, "/v1/scan/prefix", url.Values{"prefix": {prefix.String()}},
-		func(r provstore.Record) bool { return prefix.IsPrefixOf(r.Loc) })
-}
-
-// ScanLocWithAncestors implements Backend.
-func (c *Client) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return c.scan(ctx, "/v1/scan/ancestors", url.Values{"loc": {loc.String()}},
-		func(r provstore.Record) bool { return r.Loc.IsPrefixOf(loc) })
-}
-
-// ScanAll implements Backend: the server-side whole-table cursor — one
-// GET /v1/scan-all round trip streaming the (Tid, Loc)-ordered relation,
-// however many transactions it spans (where the pre-cursor client issued
-// one scan round trip per transaction). ScanAllAfter resumes a cursor.
-func (c *Client) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return c.scan(ctx, "/v1/scan-all", nil, nil)
-}
-
-// ScanAllAfter resumes the whole-table cursor strictly after the keyset
-// position (tid, loc) — the recovery path when a previous ScanAll stream
-// was truncated: re-issue from the last key that arrived intact instead of
-// re-streaming the whole table.
-func (c *Client) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	after := provstore.Record{Tid: tid, Loc: loc}
-	return c.scan(ctx, "/v1/scan-all", url.Values{
-		"after_tid": {strconv.FormatInt(tid, 10)},
-		"after_loc": {loc.String()},
-	}, func(r provstore.Record) bool { return provstore.CompareTidLoc(r, after) > 0 })
 }
 
 // ExecPlan implements provplan.Executor: the whole declarative query ships
@@ -1070,12 +1033,9 @@ func (c *Client) ScanAllProven(ctx context.Context, afterTid int64, afterLoc pat
 // scanAllProvenRaw is the untraced transport under ScanAllProven.
 func (c *Client) scanAllProvenRaw(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provauth.ProvenRecord, error] {
 	return func(yield func(provauth.ProvenRecord, error) bool) {
-		q := url.Values{"proofs": {"1"}}
-		if afterTid != 0 || !afterLoc.IsRoot() {
-			q.Set("after_tid", strconv.FormatInt(afterTid, 10))
-			q.Set("after_loc", afterLoc.String())
-		}
-		resp, err := c.do(ctx, http.MethodGet, "/v1/scan-all", q, nil, http.StatusOK)
+		q := provstore.All().After(afterTid, afterLoc).Values()
+		q.Set("proofs", "1")
+		resp, err := c.do(ctx, http.MethodGet, "/v1/scan", q, nil, http.StatusOK)
 		if err != nil {
 			yield(provauth.ProvenRecord{}, err)
 			return
@@ -1136,51 +1096,16 @@ func (c *Client) scanAllProvenRaw(ctx context.Context, afterTid int64, afterLoc 
 	}
 }
 
-// Tids implements Backend.
-func (c *Client) Tids(ctx context.Context) ([]int64, error) {
-	var resp struct {
-		Tids []int64 `json:"tids"`
+// Stat implements Backend. The answer is never cached — its MaxTid *is* the
+// horizon observation: every call is a real round trip, and a MaxTid higher
+// than any seen before invalidates the result cache.
+func (c *Client) Stat(ctx context.Context) (provstore.Stat, error) {
+	var st provstore.Stat
+	if err := c.getJSON(ctx, "/v1/stat", nil, &st); err != nil {
+		return provstore.Stat{}, err
 	}
-	if err := c.getJSON(ctx, "/v1/tids", nil, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Tids, nil
-}
-
-// MaxTid implements Backend. The answer is never cached — it *is* the
-// horizon observation: every call is a real round trip, and an answer
-// higher than any seen before invalidates the result cache.
-func (c *Client) MaxTid(ctx context.Context) (int64, error) {
-	var resp struct {
-		MaxTid int64 `json:"maxTid"`
-	}
-	if err := c.getJSON(ctx, "/v1/maxtid", nil, &resp); err != nil {
-		return 0, err
-	}
-	c.observeMaxTid(resp.MaxTid)
-	return resp.MaxTid, nil
-}
-
-// Count implements Backend.
-func (c *Client) Count(ctx context.Context) (int, error) {
-	var resp struct {
-		Count int `json:"count"`
-	}
-	if err := c.getJSON(ctx, "/v1/count", nil, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
-}
-
-// Bytes implements Backend.
-func (c *Client) Bytes(ctx context.Context) (int64, error) {
-	var resp struct {
-		Bytes int64 `json:"bytes"`
-	}
-	if err := c.getJSON(ctx, "/v1/bytes", nil, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Bytes, nil
+	c.observeMaxTid(st.MaxTid)
+	return st, nil
 }
 
 // Ping reports whether the service answers — used by daemons and tests to

@@ -111,12 +111,19 @@ func TestTraceIDCorrelation(t *testing.T) {
 		t.Errorf("RemoteError.Trace = %q, message says %q", re.Trace, trace)
 	}
 
-	found := false
+	// A scan's log line says which scan: the endpoint label alone no longer
+	// does.
+	if _, err := provstore.CollectScan(cli.Scan(context.Background(), provstore.ByTid(7))); err != nil {
+		t.Fatal(err)
+	}
+
+	found, scanLogged := false, false
 	for _, line := range strings.Split(strings.TrimSpace(logBuf.String()), "\n") {
 		var entry map[string]any
 		if err := json.Unmarshal([]byte(line), &entry); err != nil {
 			t.Fatalf("bad log line %q: %v", line, err)
 		}
+		scanLogged = scanLogged || entry["endpoint"] == "scan" && entry["scan"] == "scan-tid(7)"
 		if entry["trace"] == trace {
 			found = true
 			if entry["msg"] != "request failed" {
@@ -126,6 +133,9 @@ func TestTraceIDCorrelation(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no server log line with trace %s in:\n%s", trace, logBuf.String())
+	}
+	if !scanLogged {
+		t.Errorf("no scan log line with scan=scan-tid(7) in:\n%s", logBuf.String())
 	}
 }
 
@@ -178,7 +188,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, err := provplan.Collect(ctx, cli, provplan.MustParse("select")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.MaxTid(ctx); err != nil {
+	if _, err := cli.Stat(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -203,7 +213,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`cpdb_http_requests_total `,
 		`cpdb_http_endpoint_requests_total{endpoint="query"} `,
 		`cpdb_http_request_duration_seconds_bucket{endpoint="query",le="`,
-		`cpdb_http_request_duration_seconds_bucket{endpoint="maxtid",le="`,
+		`cpdb_http_request_duration_seconds_bucket{endpoint="stat",le="`,
 		`cpdb_http_stream_records_bucket{endpoint="query",le="`,
 	} {
 		if !strings.Contains(text, want) {

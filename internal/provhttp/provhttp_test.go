@@ -67,17 +67,18 @@ func TestClientBackendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if n, err := cli.Count(ctx); err != nil || n != len(recs) {
-		t.Fatalf("Count = %d, %v; want %d", n, err, len(recs))
+	if st, err := cli.Stat(ctx); err != nil || st.Count != len(recs) {
+		t.Fatalf("Count = %d, %v; want %d", st.Count, err, len(recs))
 	}
-	wantBytes, _ := inner.Bytes(ctx)
-	if n, err := cli.Bytes(ctx); err != nil || n != wantBytes {
-		t.Fatalf("Bytes = %d, %v; want %d", n, err, wantBytes)
+	st, _ := inner.Stat(ctx)
+	wantBytes := st.Bytes
+	if st, err := cli.Stat(ctx); err != nil || st.Bytes != wantBytes {
+		t.Fatalf("Bytes = %d, %v; want %d", st.Bytes, err, wantBytes)
 	}
-	if m, err := cli.MaxTid(ctx); err != nil || m != 3 {
-		t.Fatalf("MaxTid = %d, %v", m, err)
+	if st, err := cli.Stat(ctx); err != nil || st.MaxTid != 3 {
+		t.Fatalf("MaxTid = %d, %v", st.MaxTid, err)
 	}
-	tids, err := cli.Tids(ctx)
+	tids, err := provstore.Tids(ctx, cli)
 	if err != nil || fmt.Sprint(tids) != "[1 2 3]" {
 		t.Fatalf("Tids = %v, %v", tids, err)
 	}
@@ -101,27 +102,27 @@ func TestClientBackendRoundTrip(t *testing.T) {
 		viaCli   func() ([]provstore.Record, error)
 		viaInner func() ([]provstore.Record, error)
 	}{
-		{"ScanTid", func() ([]provstore.Record, error) { return provstore.CollectScan(cli.ScanTid(ctx, 2)) },
-			func() ([]provstore.Record, error) { return provstore.CollectScan(inner.ScanTid(ctx, 2)) }},
+		{"ScanTid", func() ([]provstore.Record, error) { return provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(2))) },
+			func() ([]provstore.Record, error) { return provstore.CollectScan(inner.Scan(ctx, provstore.ByTid(2))) }},
 		{"ScanLoc", func() ([]provstore.Record, error) {
-			return provstore.CollectScan(cli.ScanLoc(ctx, path.MustParse("T/c2/x")))
+			return provstore.CollectScan(cli.Scan(ctx, provstore.ByLoc(path.MustParse("T/c2/x"))))
 		},
 			func() ([]provstore.Record, error) {
-				return provstore.CollectScan(inner.ScanLoc(ctx, path.MustParse("T/c2/x")))
+				return provstore.CollectScan(inner.Scan(ctx, provstore.ByLoc(path.MustParse("T/c2/x"))))
 			}},
 		{"ScanLocPrefix", func() ([]provstore.Record, error) {
-			return provstore.CollectScan(cli.ScanLocPrefix(ctx, path.MustParse("T/c2")))
+			return provstore.CollectScan(cli.Scan(ctx, provstore.ByPrefix(path.MustParse("T/c2"))))
 		},
 			func() ([]provstore.Record, error) {
-				return provstore.CollectScan(inner.ScanLocPrefix(ctx, path.MustParse("T/c2")))
+				return provstore.CollectScan(inner.Scan(ctx, provstore.ByPrefix(path.MustParse("T/c2"))))
 			}},
 		{"ScanLocWithAncestors", func() ([]provstore.Record, error) {
-			return provstore.CollectScan(cli.ScanLocWithAncestors(ctx, path.MustParse("T/c2/x/deep")))
+			return provstore.CollectScan(cli.Scan(ctx, provstore.WithAncestors(path.MustParse("T/c2/x/deep"))))
 		}, func() ([]provstore.Record, error) {
-			return provstore.CollectScan(inner.ScanLocWithAncestors(ctx, path.MustParse("T/c2/x/deep")))
+			return provstore.CollectScan(inner.Scan(ctx, provstore.WithAncestors(path.MustParse("T/c2/x/deep"))))
 		}},
-		{"ScanAll", func() ([]provstore.Record, error) { return provstore.CollectScan(cli.ScanAll(ctx)) },
-			func() ([]provstore.Record, error) { return provstore.CollectScan(inner.ScanAll(ctx)) }},
+		{"ScanAll", func() ([]provstore.Record, error) { return provstore.CollectScan(cli.Scan(ctx, provstore.All())) },
+			func() ([]provstore.Record, error) { return provstore.CollectScan(inner.Scan(ctx, provstore.All())) }},
 	}
 	for _, sc := range scans {
 		gotRecs, err := sc.viaCli()
@@ -214,7 +215,7 @@ type blockingBackend struct {
 	exited  chan struct{}
 }
 
-func (b *blockingBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
+func (b *blockingBackend) Scan(ctx context.Context, _ provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
 		b.entered <- struct{}{}
 		<-ctx.Done()
@@ -244,7 +245,7 @@ func TestCancelMidScanAbortsServerWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := provstore.CollectScan(cli.ScanLocPrefix(ctx, path.MustParse("T")))
+		_, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByPrefix(path.MustParse("T"))))
 		done <- err
 	}()
 
@@ -295,7 +296,7 @@ func TestTruncatedStreamDetected(t *testing.T) {
 	defer fake.Close()
 	cli := provhttp.NewClient(fake.Listener.Addr().String())
 	defer cli.Close()
-	_, err := provstore.CollectScan(cli.ScanTid(context.Background(), 1))
+	_, err := provstore.CollectScan(cli.Scan(context.Background(), provstore.ByTid(1)))
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Fatalf("truncated stream returned %v, want truncation error", err)
 	}
@@ -313,14 +314,14 @@ func TestRemoteFlushSemantics(t *testing.T) {
 	if err := cli.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := mem.Count(ctx); n != 0 {
-		t.Fatalf("append reached the store before flush (count=%d)", n)
+	if st, _ := mem.Stat(ctx); st.Count != 0 {
+		t.Fatalf("append reached the store before flush (count=%d)", st.Count)
 	}
 	if err := cli.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := mem.Count(ctx); n != 1 {
-		t.Fatalf("flush did not reach the store (count=%d)", n)
+	if st, _ := mem.Stat(ctx); st.Count != 1 {
+		t.Fatalf("flush did not reach the store (count=%d)", st.Count)
 	}
 
 	// Close flushes too, and leaves the server's store open for others.
@@ -330,8 +331,8 @@ func TestRemoteFlushSemantics(t *testing.T) {
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := mem.Count(ctx); n != 2 {
-		t.Fatalf("close did not flush (count=%d)", n)
+	if st, _ := mem.Stat(ctx); st.Count != 2 {
+		t.Fatalf("close did not flush (count=%d)", st.Count)
 	}
 	if err := buffered.Append(ctx, []provstore.Record{rec(3, provstore.OpInsert, "T/c", "")}); err != nil {
 		t.Fatalf("server store unusable after client close: %v", err)
@@ -356,7 +357,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				if _, err := provstore.CollectScan(cli.ScanLocPrefix(ctx, path.MustParse(fmt.Sprintf("T/w%d", i)))); err != nil {
+				if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByPrefix(path.MustParse(fmt.Sprintf("T/w%d", i))))); err != nil {
 					errs[i] = err
 					return
 				}
@@ -369,8 +370,8 @@ func TestConcurrentClients(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, err := cli.Count(ctx); err != nil || n != writers*perW {
-		t.Fatalf("Count = %d, %v; want %d", n, err, writers*perW)
+	if st, err := cli.Stat(ctx); err != nil || st.Count != writers*perW {
+		t.Fatalf("Count = %d, %v; want %d", st.Count, err, writers*perW)
 	}
 }
 
@@ -381,14 +382,14 @@ func TestServerStats(t *testing.T) {
 	if err := cli.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := provstore.CollectScan(cli.ScanTid(ctx, 1)); err != nil {
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(1))); err != nil {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
 	if st["endpoint.append"] != 1 || st["records_appended"] != 1 {
 		t.Errorf("append counters: %v", st)
 	}
-	if st["endpoint.scan/tid"] != 1 || st["records_streamed"] != 1 {
+	if st["endpoint.scan"] != 1 || st["records_streamed"] != 1 {
 		t.Errorf("scan counters: %v", st)
 	}
 	if st["requests"] < 2 {
@@ -417,7 +418,7 @@ func TestRemoteErrors(t *testing.T) {
 	cli, _ := serve(t, provstore.NewMemBackend())
 
 	// Bad tid parameter → 400.
-	_, err := provstore.CollectScan(cli.ScanTid(ctx, 1))
+	_, err := provstore.CollectScan(cli.Scan(ctx, provstore.ByTid(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +436,55 @@ func TestRemoteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("opening a DSN must not dial: %v", err)
 	}
-	if _, err := dead.Count(ctx); err == nil {
+	if _, err := dead.Stat(ctx); err == nil {
 		t.Error("Count against a dead server succeeded")
+	}
+}
+
+// TestScanEndpointSurface: /v1/scan takes exactly a ScanSpec's parameters
+// (plus its own limit, proofs and since) — anything else is a 400, never a
+// wider scan than the one asked for; /v1/scan-all is the same handler with
+// kind defaulting to all; and the per-kind and per-scalar endpoints it and
+// /v1/stat replaced are gone.
+func TestScanEndpointSurface(t *testing.T) {
+	cli, _ := serve(t, provstore.NewMemBackend())
+	if err := cli.Append(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
+		t.Fatal(err)
+	}
+	for pathAndQuery, want := range map[string]int{
+		"/v1/scan?kind=all":                    http.StatusOK,
+		"/v1/scan?kind=tid&tid=1&limit=5":      http.StatusOK,
+		"/v1/scan?kind=loc-prefix&loc=":        http.StatusOK,
+		"/v1/scan-all":                         http.StatusOK,
+		"/v1/scan-all?limit=256":               http.StatusOK,
+		"/v1/scan-all?after_tid=1&after_loc=T": http.StatusOK,
+		"/v1/scan-all?kind=tid&tid=1":          http.StatusOK,
+		"/v1/stat":                             http.StatusOK,
+		"/v1/scan":                             http.StatusBadRequest,
+		"/v1/scan?kind=everything":             http.StatusBadRequest,
+		"/v1/scan?kind=tid":                    http.StatusBadRequest,
+		"/v1/scan?kind=tid&tid=one":            http.StatusBadRequest,
+		"/v1/scan?kind=all&tid=1":              http.StatusBadRequest,
+		"/v1/scan?kind=loc&loc=T//a":           http.StatusBadRequest,
+		"/v1/scan?kind=all&after_loc=T":        http.StatusBadRequest,
+		"/v1/scan?kind=all&limit=0":            http.StatusBadRequest,
+		"/v1/scan-all?tid=1":                   http.StatusBadRequest,
+		"/v1/scan?kind=all&proofs=1":           http.StatusBadRequest, // not an authenticated store
+		"/v1/scan/tid?tid=1":                   http.StatusNotFound,
+		"/v1/scan/prefix?prefix=T":             http.StatusNotFound,
+		"/v1/tids":                             http.StatusNotFound,
+		"/v1/maxtid":                           http.StatusNotFound,
+		"/v1/count":                            http.StatusNotFound,
+		"/v1/bytes":                            http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + cli.Addr() + pathAndQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: HTTP %d, want %d", pathAndQuery, resp.StatusCode, want)
+		}
 	}
 }
 
@@ -486,11 +534,11 @@ func TestScanAllEndpointSingleRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := provstore.CollectScan(cli.ScanAll(ctx))
+	got, err := provstore.CollectScan(cli.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := provstore.CollectScan(inner.ScanAll(ctx))
+	want, err := provstore.CollectScan(inner.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,8 +546,8 @@ func TestScanAllEndpointSingleRoundTrip(t *testing.T) {
 		t.Errorf("ScanAll via cpdb://\n%v\nvs inner\n%v", got, want)
 	}
 	st := srv.Stats()
-	if st["endpoint.scan/all"] != 1 {
-		t.Errorf("scan/all counter = %d, want 1 (stats %v)", st["endpoint.scan/all"], st)
+	if st["endpoint.scan"] != 1 {
+		t.Errorf("scan counter = %d, want 1 (stats %v)", st["endpoint.scan"], st)
 	}
 	if st["cursors_open"] != 0 {
 		t.Errorf("cursors_open = %d after a drained scan", st["cursors_open"])
@@ -523,7 +571,7 @@ func TestScanAllKeysetPagination(t *testing.T) {
 			}
 		}
 	}
-	want, err := provstore.CollectScan(inner.ScanAll(ctx))
+	want, err := provstore.CollectScan(inner.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +655,7 @@ func TestScanAllTruncationDetected(t *testing.T) {
 	defer cli.Close()
 	n := 0
 	var got error
-	for _, err := range cli.ScanAll(context.Background()) {
+	for _, err := range cli.Scan(context.Background(), provstore.All()) {
 		if err != nil {
 			got = err
 			break
@@ -639,7 +687,7 @@ func TestClientEarlyBreakReleasesServerCursor(t *testing.T) {
 	}
 	base := runtime.NumGoroutine()
 	n := 0
-	for _, err := range cli.ScanAll(ctx) {
+	for _, err := range cli.Scan(ctx, provstore.All()) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -677,13 +725,13 @@ func TestScanAllAfterResumes(t *testing.T) {
 			}
 		}
 	}
-	want, err := provstore.CollectScan(inner.ScanAll(ctx))
+	want, err := provstore.CollectScan(inner.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var head []provstore.Record
-	for r, err := range cli.ScanAll(ctx) {
+	for r, err := range cli.Scan(ctx, provstore.All()) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -693,7 +741,7 @@ func TestScanAllAfterResumes(t *testing.T) {
 		}
 	}
 	last := head[len(head)-1]
-	tail, err := provstore.CollectScan(cli.ScanAllAfter(ctx, last.Tid, last.Loc))
+	tail, err := provstore.CollectScan(cli.Scan(ctx, provstore.All().After(last.Tid, last.Loc)))
 	if err != nil {
 		t.Fatal(err)
 	}

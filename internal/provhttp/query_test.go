@@ -93,7 +93,7 @@ func TestQuerySingleRoundTrip(t *testing.T) {
 	if d := after["endpoint.query"] - before["endpoint.query"]; d != 1 {
 		t.Errorf("endpoint.query delta = %d, want 1", d)
 	}
-	for _, e := range []string{"scan/loc", "scan/prefix", "scan/ancestors", "scan/all", "lookup", "ancestor", "maxtid"} {
+	for _, e := range []string{"scan", "lookup", "ancestor", "stat"} {
 		if d := after["endpoint."+e] - before["endpoint."+e]; d != 0 {
 			t.Errorf("endpoint.%s delta = %d, want 0", e, d)
 		}
@@ -136,7 +136,7 @@ func TestQueryStreamEarlyBreak(t *testing.T) {
 		t.Fatalf("pulled %d rows, want 2", n)
 	}
 	// The client stays usable on its pooled connections afterwards.
-	if _, err := cli.MaxTid(ctx); err != nil {
+	if _, err := cli.Stat(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,7 +48,7 @@ type Server struct {
 	log       *slog.Logger  // nil: no request log
 	slowQuery time.Duration // 0: no slow-query logging
 
-	// pageCache shares encoded, limit-bounded /v1/scan-all pages across
+	// pageCache shares encoded, limit-bounded /v1/scan pages across
 	// concurrent cursors at the same horizon and keyset position (nil: off).
 	// planCache shares compiled /v1/query plans by canonical query text
 	// (nil: off). Both register their cpdb_cache_* series on the server
@@ -79,9 +79,9 @@ func WithSlowQuery(d time.Duration) ServerOption {
 }
 
 // WithPageCache bounds a server-side scan page cache to maxBytes (≤ 0:
-// off) — the -cache-bytes daemon flag. Limit-bounded /v1/scan-all pages
-// are cached as their encoded NDJSON bytes, keyed by (current MaxTid,
-// keyset position, limit): concurrent paging cursors at the same horizon
+// off) — the -cache-bytes daemon flag. Limit-bounded /v1/scan pages are
+// cached as their encoded NDJSON bytes, keyed by (current MaxTid, scan with
+// its keyset position, limit): concurrent paging cursors at the same horizon
 // share one store scan and one encoding, and any append moves the horizon
 // so stale pages are simply never keyed again. Unbounded (no-limit)
 // drains and proofs=1 streams always bypass it.
@@ -134,6 +134,7 @@ type serverStats struct {
 	errors          *provobs.Counter
 	recordsAppended *provobs.Counter
 	recordsStreamed *provobs.Counter
+	rejected        *provobs.Counter
 	cursorsOpen     *provobs.Gauge
 	byEndpoint      map[string]*provobs.Counter
 	latency         map[string]*provobs.Histogram // request wall time, ns
@@ -142,19 +143,23 @@ type serverStats struct {
 
 // endpoints is the fixed counter key set (one per Backend method + control).
 var endpoints = []string{
-	"append", "lookup", "ancestor",
-	"scan/tid", "scan/loc", "scan/prefix", "scan/ancestors", "scan/all",
-	"query",
+	"append", "lookup", "ancestor", "scan", "query",
 	"root", "prove", "consistency",
-	"tids", "maxtid", "count", "bytes",
-	"flush", "ping", "stats",
+	"stat", "flush", "ping", "stats",
 }
 
 // streamEndpoints are the endpoints that answer with a record stream; each
 // gets a records-per-response size histogram on top of its latency one.
-var streamEndpoints = []string{
-	"scan/tid", "scan/loc", "scan/prefix", "scan/ancestors", "scan/all", "query",
-}
+var streamEndpoints = []string{"scan", "query"}
+
+// Request bodies are decoded into memory before the store sees them, so each
+// POST endpoint bounds what it will read; a larger body is refused whole
+// with 413. An append is one transaction's records (or one replication
+// chunk), a query one plan.
+const (
+	MaxAppendBytes = 32 << 20
+	MaxQueryBytes  = 1 << 20
+)
 
 // NewServer returns a handler publishing inner. Compose the inner backend
 // however the deployment needs it — provstore.OpenDSN("mem://?shards=8"),
@@ -177,6 +182,9 @@ func NewServer(inner provstore.Backend, opts ...ServerOption) *Server {
 				"Records accepted by /v1/append.", provobs.WithStatKey("records_appended")),
 			recordsStreamed: reg.Counter("cpdb_http_records_streamed_total",
 				"Records and rows streamed to clients.", provobs.WithStatKey("records_streamed")),
+			rejected: reg.Counter("cpdb_http_rejected_total",
+				"Requests refused for a body over the endpoint's size limit.",
+				provobs.WithStatKey("rejected")),
 			cursorsOpen: reg.Gauge("cpdb_http_cursors_open",
 				"Scan and query streams currently being written.",
 				provobs.WithStatKey("cursors_open")),
@@ -204,19 +212,13 @@ func NewServer(inner provstore.Backend, opts ...ServerOption) *Server {
 	s.handle("POST /v1/append", "append", s.handleAppend)
 	s.handle("GET /v1/lookup", "lookup", s.pointHandler(s.inner.Lookup))
 	s.handle("GET /v1/ancestor", "ancestor", s.pointHandler(s.inner.NearestAncestor))
-	s.handle("GET /v1/scan/tid", "scan/tid", s.handleScanTid)
-	s.handle("GET /v1/scan/loc", "scan/loc", s.scanHandler("loc", s.inner.ScanLoc))
-	s.handle("GET /v1/scan/prefix", "scan/prefix", s.scanHandler("prefix", s.inner.ScanLocPrefix))
-	s.handle("GET /v1/scan/ancestors", "scan/ancestors", s.scanHandler("loc", s.inner.ScanLocWithAncestors))
-	s.handle("GET /v1/scan-all", "scan/all", s.handleScanAll)
+	s.handle("GET /v1/scan", "scan", s.handleScan)
+	s.handle("GET /v1/scan-all", "scan", s.handleScan) // the same handler: kind defaults to all
 	s.handle("POST /v1/query", "query", s.handleQuery)
 	s.handle("GET /v1/root", "root", s.handleRoot)
 	s.handle("GET /v1/prove", "prove", s.handleProve)
 	s.handle("GET /v1/consistency", "consistency", s.handleConsistency)
-	s.handle("GET /v1/tids", "tids", s.handleTids)
-	s.handle("GET /v1/maxtid", "maxtid", s.handleMaxTid)
-	s.handle("GET /v1/count", "count", s.handleCount)
-	s.handle("GET /v1/bytes", "bytes", s.handleBytes)
+	s.handle("GET /v1/stat", "stat", s.handleStat)
 	s.handle("POST /v1/flush", "flush", s.handleFlush)
 	s.handle("GET /v1/ping", "ping", s.handlePing)
 	s.handle("GET /v1/stats", "stats", s.handleStats)
@@ -232,6 +234,21 @@ func NewServer(inner provstore.Backend, opts ...ServerOption) *Server {
 		s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
 	}
 	return s
+}
+
+// A daemon's connection timeouts: a client must finish sending its request
+// header within ReadHeaderTimeout, and a keep-alive connection with no
+// request in flight is closed after IdleTimeout.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server a daemon serves h with, so a peer
+// that opens connections and then says nothing cannot hold them forever.
+// There is deliberately no WriteTimeout: a drain is one long response.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
 // ServeHTTP implements http.Handler.
@@ -271,11 +288,13 @@ func (s *Server) Stats() map[string]int64 {
 
 // requestInfo is what a handler reports up to the instrumentation wrapper
 // through its obsWriter: how many records the response carried, the parsed
-// query text (for /v1/query slow-query logging), and the first error.
+// query text (for /v1/query slow-query logging), the scan a /v1/scan request
+// asked for, and the first error.
 type requestInfo struct {
 	records    int
 	hasRecords bool
 	query      string
+	scan       string
 	err        error
 }
 
@@ -323,6 +342,14 @@ func setRecords(w http.ResponseWriter, n int) {
 func setQueryText(w http.ResponseWriter, q string) {
 	if ow, ok := w.(*obsWriter); ok {
 		ow.info.query = q
+	}
+}
+
+// setScan reports which scan a /v1/scan request asked for: the kind the
+// endpoint label no longer carries, for the request log line.
+func setScan(w http.ResponseWriter, spec provstore.ScanSpec) {
+	if ow, ok := w.(*obsWriter); ok {
+		ow.info.scan = spec.String()
 	}
 }
 
@@ -416,6 +443,9 @@ func (s *Server) logRequest(endpoint, trace string, rec *provtrace.Recorder, ow 
 		slog.Int64("bytes", ow.bytes),
 		slog.Duration("dur", dur),
 	}
+	if ow.info.scan != "" {
+		attrs = append(attrs, slog.String("scan", ow.info.scan))
+	}
 	switch {
 	case ow.info.err != nil:
 		s.log.Warn("request failed", append(attrs, slog.String("err", ow.info.err.Error()))...)
@@ -449,8 +479,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// fail counts and writes an error response.
+// fail counts and writes an error response. A body over its endpoint's
+// limit is a 413 whatever status the caller had in mind for a decode error.
 func (s *Server) fail(w http.ResponseWriter, err error, status int) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.stats.rejected.Add(1)
+		status = http.StatusRequestEntityTooLarge
+	}
 	s.stats.errors.Add(1)
 	noteErr(w, err)
 	writeError(w, err, status)
@@ -484,7 +520,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // the wire protocol's batched write: one round trip per Append, however many
 // records it carries.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxAppendBytes))
 	var recs []provstore.Record
 	for {
 		var wr wireRecord
@@ -621,7 +657,7 @@ func (ps *proofStamper) prove(ctx context.Context, rec provstore.Record) (string
 // terminator's "more" flag (keyset pagination: the stream was cut by an
 // explicit limit, resume after the last key). A non-nil stamp adds the "p"
 // proof to every record line; records beyond the stamp root's horizon are
-// skipped — not a cut-off: cursors like ScanLocPrefix are (Loc, Tid)
+// skipped — not a cut-off: a ByPrefix cursor is (Loc, Tid)
 // ordered, so an open-transaction record can sit mid-stream with sealed,
 // provable records after it, and the stream stays complete-as-of-root.
 func (s *Server) streamScan(w http.ResponseWriter, r *http.Request, scan iter.Seq2[provstore.Record, error], more func() bool, stamp *proofStamper) {
@@ -691,64 +727,17 @@ func (s *Server) streamScan(w http.ResponseWriter, r *http.Request, scan iter.Se
 	setRecords(w, n)
 }
 
-// scanHandler serves the single-path scans (ScanLoc, ScanLocPrefix,
-// ScanLocWithAncestors) as NDJSON cursor streams.
-func (s *Server) scanHandler(param string, q func(context.Context, path.Path) iter.Seq2[provstore.Record, error]) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		p, err := pathParam(r, param)
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		stamp, ok := s.authStamp(w, r)
-		if !ok {
-			return
-		}
-		s.streamScan(w, r, q(r.Context(), p), nil, stamp)
-	}
-}
-
-// handleScanTid streams all records of one transaction.
-func (s *Server) handleScanTid(w http.ResponseWriter, r *http.Request) {
-	tid, err := tidParam(r)
-	if err != nil {
-		s.fail(w, err, http.StatusBadRequest)
-		return
-	}
-	stamp, ok := s.authStamp(w, r)
-	if !ok {
-		return
-	}
-	s.streamScan(w, r, s.inner.ScanTid(r.Context(), tid), nil, stamp)
-}
-
-// handleScanAll serves the whole-table server cursor: the (Tid, Loc)-ordered
-// provenance relation as one NDJSON stream. With no parameters it streams
-// the entire table — the single round trip under a remote Query.Records.
-// The keyset parameters make the cursor resumable: after_tid/after_loc skip
-// every record up to and including that key (the last key a previous,
-// possibly truncated, stream delivered), and limit ends the stream after N
-// records with a "more":true terminator when records remain.
-func (s *Server) handleScanAll(w http.ResponseWriter, r *http.Request) {
+// handleScan serves every scan as one NDJSON server cursor: the request's
+// parameters are a provstore.ScanSpec in wire form (kind= and its argument,
+// after_tid=/after_loc= to resume strictly after the last key a previous,
+// possibly truncated, stream delivered), and limit=N ends the stream after N
+// records with a "more":true terminator when records remain. /v1/scan-all,
+// the spelling older clients and the benchmark's page-cache probe use, is
+// this handler with kind defaulting to all.
+func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	afterTid := int64(0)
-	var afterLoc path.Path
-	hasAfter := false
-	if v := q.Get("after_tid"); v != "" {
-		t, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			s.fail(w, fmt.Errorf("provhttp: bad after_tid parameter %q", v), http.StatusBadRequest)
-			return
-		}
-		loc, err := pathParam(r, "after_loc")
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		afterTid, afterLoc, hasAfter = t, loc, true
-	} else if q.Get("after_loc") != "" {
-		s.fail(w, errors.New("provhttp: after_loc requires after_tid"), http.StatusBadRequest)
-		return
+	if r.URL.Path == "/v1/scan-all" && !q.Has("kind") {
+		q.Set("kind", "all")
 	}
 	limit := 0
 	if v := q.Get("limit"); v != "" {
@@ -759,36 +748,37 @@ func (s *Server) handleScanAll(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	proofs := q.Has("proofs")
+	for _, own := range []string{"limit", "proofs", "since"} {
+		q.Del(own) // the handler's own parameters; the rest must be exactly the spec's
+	}
+	spec, err := provstore.ParseScanSpec(q)
+	if err != nil {
+		s.fail(w, err, http.StatusBadRequest)
+		return
+	}
+	setScan(w, spec)
 
 	// A limit-bounded page with no proof stamping can be served from (and
 	// fill) the shared page cache. Unbounded drains stay streaming — their
-	// size is the whole relation — and proofs=1 responses are per-client
+	// size is the whole answer — and proofs=1 responses are per-client
 	// (the snapshot root is negotiated per request), so both bypass it.
-	if s.pageCache != nil && limit > 0 && r.URL.Query().Get("proofs") == "" {
-		s.servePage(w, r, afterTid, afterLoc, hasAfter, limit)
+	if s.pageCache != nil && limit > 0 && !proofs {
+		s.servePage(w, r, spec, limit)
 		return
 	}
 
-	// The keyset window over a seeked cursor: ScanAllAfter positions the
-	// store directly on the successor of the resume key (a B-tree descent,
-	// a binary search — not a walk over everything already streamed), and
-	// the window only has to cut at limit. Construct only the cursor that
-	// will be consumed: a composite store may do routing work (and count
-	// it) at construction time.
-	var inner iter.Seq2[provstore.Record, error]
-	if hasAfter {
-		inner = s.inner.ScanAllAfter(r.Context(), afterTid, afterLoc)
-	} else {
-		inner = s.inner.ScanAll(r.Context())
-	}
 	stamp, ok := s.authStamp(w, r)
 	if !ok {
 		return
 	}
+	// The store seeks straight to the successor of the resume key (a B-tree
+	// descent, a binary search — not a walk over everything already
+	// streamed), so the window only has to cut at limit.
 	cut := false
 	window := func(yield func(provstore.Record, error) bool) {
 		n := 0
-		for rec, err := range inner {
+		for rec, err := range s.inner.Scan(r.Context(), spec) {
 			if err == nil && limit > 0 && n == limit {
 				cut = true // this record exists beyond the page: more to come
 				return
@@ -802,7 +792,7 @@ func (s *Server) handleScanAll(w http.ResponseWriter, r *http.Request) {
 	s.streamScan(w, r, window, func() bool { return cut }, stamp)
 }
 
-// cachedPage is one encoded /v1/scan-all page: the exact NDJSON bytes the
+// cachedPage is one encoded /v1/scan page: the exact NDJSON bytes the
 // streaming path would have produced (records plus terminator), with the
 // record count for the stats the streaming path would have counted.
 type cachedPage struct {
@@ -812,23 +802,19 @@ type cachedPage struct {
 
 // servePage serves a limit-bounded scan page through the page cache. The
 // key embeds the backend's current MaxTid, so validity is purely
-// horizon-keyed: the relation is append-only, which means a page at a given
-// keyset position and horizon is immutable — and any append moves the
-// horizon, after which stale pages are never keyed again and age out of the
-// LRU. A miss materializes the page into a buffer (bounded by limit, unlike
-// a full drain), stores it only if the scan terminated cleanly, and replies
-// with the same bytes either way.
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, afterTid int64, afterLoc path.Path, hasAfter bool, limit int) {
-	curMax, err := s.inner.MaxTid(r.Context())
+// horizon-keyed: the relation is append-only, which means a page of a given
+// scan at a given keyset position and horizon is immutable — and any append
+// moves the horizon, after which stale pages are never keyed again and age
+// out of the LRU. A miss materializes the page into a buffer (bounded by
+// limit, unlike a full drain), stores it only if the scan terminated
+// cleanly, and replies with the same bytes either way.
+func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstore.ScanSpec, limit int) {
+	st, err := s.inner.Stat(r.Context())
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	key := strconv.FormatInt(curMax, 10) + "\x00" +
-		strconv.FormatBool(hasAfter) + "\x00" +
-		strconv.FormatInt(afterTid, 10) + "\x00" +
-		afterLoc.String() + "\x00" +
-		strconv.Itoa(limit)
+	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit)
 	if v, ok := s.pageCache.Get(key); ok {
 		pg := v.(*cachedPage)
 		provtrace.Mark(r.Context(), "cache:hit", provtrace.Attr{K: "cache", V: "page"})
@@ -840,19 +826,13 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, afterTid int6
 	}
 
 	provtrace.Mark(r.Context(), "cache:miss", provtrace.Attr{K: "cache", V: "page"})
-	var inner iter.Seq2[provstore.Record, error]
-	if hasAfter {
-		inner = s.inner.ScanAllAfter(r.Context(), afterTid, afterLoc)
-	} else {
-		inner = s.inner.ScanAll(r.Context())
-	}
 	var buf bytes.Buffer
 	buf.Grow(64 * limit)
 	enc := json.NewEncoder(&buf)
 	n := 0
 	cut := false
 	var scanErr error
-	for rec, err := range inner {
+	for rec, err := range s.inner.Scan(r.Context(), spec) {
 		if err != nil {
 			scanErr = err
 			break
@@ -894,7 +874,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, afterTid int6
 // stream.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q provplan.Query
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBytes)).Decode(&q); err != nil {
 		s.fail(w, fmt.Errorf("provhttp: bad query body: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -1162,40 +1142,13 @@ func (s *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, consistencyResponse{Audit: encodeAudit(audit)})
 }
 
-func (s *Server) handleTids(w http.ResponseWriter, r *http.Request) {
-	tids, err := s.inner.Tids(r.Context())
+func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
+	st, err := s.inner.Stat(r.Context())
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, map[string][]int64{"tids": tids})
-}
-
-func (s *Server) handleMaxTid(w http.ResponseWriter, r *http.Request) {
-	t, err := s.inner.MaxTid(r.Context())
-	if err != nil {
-		s.fail(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]int64{"maxTid": t})
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	n, err := s.inner.Count(r.Context())
-	if err != nil {
-		s.fail(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]int{"count": n})
-}
-
-func (s *Server) handleBytes(w http.ResponseWriter, r *http.Request) {
-	n, err := s.inner.Bytes(r.Context())
-	if err != nil {
-		s.fail(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, map[string]int64{"bytes": n})
+	writeJSON(w, st)
 }
 
 // handleFlush pushes the inner backend's buffered group commits down — the

@@ -194,7 +194,7 @@ func TestTraceEndpoints(t *testing.T) {
 
 	rec := provtrace.NewRecorder("", "")
 	ctx := provtrace.WithRecorder(context.Background(), rec)
-	if _, err := cli.Count(ctx); err != nil {
+	if _, err := cli.Stat(ctx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,7 +305,7 @@ func TestStatsAndMetricsGatedOnTracing(t *testing.T) {
 	tracedCli, _, addr := traceServe(t, provstore.NewMemBackend())
 	seedChain(t, tracedCli)
 	recd := provtrace.NewRecorder("", "")
-	if _, err := tracedCli.Count(provtrace.WithRecorder(context.Background(), recd)); err != nil {
+	if _, err := tracedCli.Stat(provtrace.WithRecorder(context.Background(), recd)); err != nil {
 		t.Fatal(err)
 	}
 

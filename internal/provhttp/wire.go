@@ -1,4 +1,4 @@
-// Package provhttp exposes the full provstore.Backend interface over HTTP:
+// Package provhttp exposes the provstore.Backend interface over HTTP:
 // a Server that publishes any inner backend (opened by DSN) as a network
 // provenance service, and a Client that implements provstore.Backend against
 // such a service, self-registering the cpdb:// DSN scheme.
@@ -13,19 +13,23 @@
 //
 // Protocol (version 1, all paths under /v1/):
 //
-//	POST /v1/append                  NDJSON records in, 204 out (batched)
+//	POST /v1/append                  NDJSON records in, 204 out (batched);
+//	                                 413 over MaxAppendBytes
 //	GET  /v1/lookup?tid=&loc=        {"found":bool,"r":record}
 //	GET  /v1/ancestor?tid=&loc=      {"found":bool,"r":record}
-//	GET  /v1/scan/tid?tid=           NDJSON stream: {"r":record}… then
-//	GET  /v1/scan/loc?loc=             {"eof":true,"n":count}; a stream
-//	GET  /v1/scan/prefix?prefix=       without the terminator line was
-//	GET  /v1/scan/ancestors?loc=       truncated and is an error
-//	GET  /v1/scan-all                NDJSON server cursor over the whole
-//	     [?after_tid=&after_loc=]      (Tid, Loc)-ordered table; the
-//	     [&limit=]                     optional keyset parameters resume
-//	                                   after a key / bound one page, and
-//	                                   the terminator carries "more":true
-//	                                   when a limit cut the stream short
+//	GET  /v1/scan?kind=              NDJSON server cursor over one ordered
+//	     [&tid= | &loc=]               scan, a provstore.ScanSpec in wire form
+//	     [&after_tid=&after_loc=]      (kind all, tid, loc, loc-prefix or
+//	     [&limit=]                     loc-ancestors; ScanSpec.Values):
+//	                                   {"r":record}… then {"eof":true,
+//	                                   "n":count}; a stream without the
+//	                                   terminator line was truncated and is
+//	                                   an error. The keyset parameters resume
+//	                                   after a key / bound one page, and the
+//	                                   terminator carries "more":true when a
+//	                                   limit cut the stream short. Anything
+//	                                   but the kind's own parameters is a 400
+//	GET  /v1/scan-all                the same handler, kind defaulting to all
 //	POST /v1/query                   declarative provplan.Query as the JSON
 //	                                 body; the whole plan executes
 //	                                 server-side, next to the data, and the
@@ -33,10 +37,7 @@
 //	                                 cursor of tagged rows (see queryLine) —
 //	                                 a multi-step trace or mod costs one
 //	                                 round trip instead of one per scan
-//	GET  /v1/tids                    {"tids":[…]}
-//	GET  /v1/maxtid                  {"maxTid":N}
-//	GET  /v1/count                   {"count":N}
-//	GET  /v1/bytes                   {"bytes":N}
+//	GET  /v1/stat                    {"maxTid":N,"count":N,"bytes":N}
 //	POST /v1/flush                   pushes the server backend's buffered
 //	                                 group commits down, 204
 //	GET  /v1/ping                    {"ok":true} (readiness)

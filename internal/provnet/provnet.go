@@ -84,15 +84,16 @@ func (b *ChargedBackend) NearestAncestor(ctx context.Context, tid int64, loc pat
 	return b.inner.NearestAncestor(ctx, tid, loc)
 }
 
-// chargedScan prices one scan round trip: the inner cursor is drained
-// first — the simulated wire ships the whole result set in one reply, and
-// its cost depends on how many records that is — then the round trip is
-// charged and the records replayed to the consumer. Materializing here is
-// deliberate: this wrapper exists to account simulated network cost, not to
-// bound memory, and pricing must match the paper's per-reply model.
-func (b *ChargedBackend) chargedScan(scan iter.Seq2[provstore.Record, error]) iter.Seq2[provstore.Record, error] {
+// Scan implements provstore.Backend: one read round trip shipping the result
+// set back. The inner cursor is drained first — the simulated wire ships the
+// whole result set in one reply, and its cost depends on how many records
+// that is — then the round trip is charged and the records replayed to the
+// consumer. Materializing here is deliberate: this wrapper exists to account
+// simulated network cost, not to bound memory, and pricing must match the
+// paper's per-reply model.
+func (b *ChargedBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
-		recs, err := provstore.CollectScan(scan)
+		recs, err := provstore.CollectScan(b.inner.Scan(ctx, spec))
 		if err != nil {
 			yield(provstore.Record{}, err)
 			return
@@ -109,71 +110,10 @@ func (b *ChargedBackend) chargedScan(scan iter.Seq2[provstore.Record, error]) it
 	}
 }
 
-// ScanTid implements provstore.Backend: one read round trip shipping the
-// result set back.
-func (b *ChargedBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanTid(ctx, tid))
-}
-
-// ScanLoc implements provstore.Backend.
-func (b *ChargedBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanLoc(ctx, loc))
-}
-
-// ScanLocPrefix implements provstore.Backend.
-func (b *ChargedBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanLocPrefix(ctx, prefix))
-}
-
-// ScanLocWithAncestors implements provstore.Backend: one read round trip.
-func (b *ChargedBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanLocWithAncestors(ctx, loc))
-}
-
-// ScanAll implements provstore.Backend: one read round trip shipping the
-// whole relation.
-func (b *ChargedBackend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanAll(ctx))
-}
-
-// ScanAllAfter implements provstore.Backend: one read round trip shipping
-// the relation's tail after the keyset position.
-func (b *ChargedBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.chargedScan(b.inner.ScanAllAfter(ctx, tid, loc))
-}
-
-// Tids implements provstore.Backend.
-func (b *ChargedBackend) Tids(ctx context.Context) ([]int64, error) {
-	tids, err := b.inner.Tids(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.read.Call(len(tids), 8*len(tids)); err != nil {
-		return nil, err
-	}
-	return tids, nil
-}
-
-// MaxTid implements provstore.Backend.
-func (b *ChargedBackend) MaxTid(ctx context.Context) (int64, error) {
+// Stat implements provstore.Backend: one read round trip.
+func (b *ChargedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
 	if err := b.read.Call(1, 8); err != nil {
-		return 0, err
+		return provstore.Stat{}, err
 	}
-	return b.inner.MaxTid(ctx)
-}
-
-// Count implements provstore.Backend.
-func (b *ChargedBackend) Count(ctx context.Context) (int, error) {
-	if err := b.read.Call(1, 8); err != nil {
-		return 0, err
-	}
-	return b.inner.Count(ctx)
-}
-
-// Bytes implements provstore.Backend.
-func (b *ChargedBackend) Bytes(ctx context.Context) (int64, error) {
-	if err := b.read.Call(1, 8); err != nil {
-		return 0, err
-	}
-	return b.inner.Bytes(ctx)
+	return b.inner.Stat(ctx)
 }

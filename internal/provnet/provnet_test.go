@@ -38,9 +38,8 @@ func TestChargesWritePerBatch(t *testing.T) {
 	if clock.Now() < 80*time.Millisecond {
 		t.Errorf("clock = %v", clock.Now())
 	}
-	n, _ := b.Inner().Count(context.Background())
-	if n != 3 {
-		t.Errorf("inner count = %d", n)
+	if inner, _ := b.Inner().Stat(context.Background()); inner.Count != 3 {
+		t.Errorf("inner count = %d", inner.Count)
 	}
 }
 
@@ -54,29 +53,20 @@ func TestChargesReads(t *testing.T) {
 	if _, _, err := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a/b")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := provstore.CollectScan(b.ScanTid(context.Background(), 1)); err != nil {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByTid(1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := provstore.CollectScan(b.ScanLoc(context.Background(), path.MustParse("T/a"))); err != nil {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByLoc(path.MustParse("T/a")))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := provstore.CollectScan(b.ScanLocPrefix(context.Background(), path.MustParse("T"))); err != nil {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByPrefix(path.MustParse("T")))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Tids(context.Background()); err != nil {
+	if _, err := b.Stat(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.MaxTid(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Count(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Bytes(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := read.Stats().Calls - before; got != 9 {
-		t.Errorf("read calls = %d, want 9", got)
+	if got := read.Stats().Calls - before; got != 6 {
+		t.Errorf("read calls = %d, want 6", got)
 	}
 }
 
@@ -93,8 +83,7 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	if !errors.Is(err, netsim.ErrNetwork) {
 		t.Fatalf("want ErrNetwork, got %v", err)
 	}
-	n, _ := b.Inner().Count(context.Background())
-	if n != 0 {
+	if st, _ := b.Inner().Stat(context.Background()); st.Count != 0 {
 		t.Error("failed round trip reached the store")
 	}
 	// Read faults propagate on every read surface.
@@ -105,29 +94,23 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	if _, _, err := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a/b")); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("ancestor fault: %v", err)
 	}
-	if _, err := provstore.CollectScan(b.ScanTid(context.Background(), 1)); !errors.Is(err, netsim.ErrNetwork) {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByTid(1))); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("scan fault: %v", err)
 	}
-	if _, err := provstore.CollectScan(b.ScanLoc(context.Background(), path.MustParse("T/a"))); !errors.Is(err, netsim.ErrNetwork) {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByLoc(path.MustParse("T/a")))); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("scanloc fault: %v", err)
 	}
-	if _, err := provstore.CollectScan(b.ScanLocPrefix(context.Background(), path.MustParse("T"))); !errors.Is(err, netsim.ErrNetwork) {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByPrefix(path.MustParse("T")))); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("scanprefix fault: %v", err)
 	}
-	if _, err := provstore.CollectScan(b.ScanLocWithAncestors(context.Background(), path.MustParse("T/a"))); !errors.Is(err, netsim.ErrNetwork) {
+	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.WithAncestors(path.MustParse("T/a")))); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("scanancestors fault: %v", err)
 	}
-	if _, err := b.Tids(context.Background()); !errors.Is(err, netsim.ErrNetwork) {
+	if _, err := provstore.Tids(context.Background(), b); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("tids fault: %v", err)
 	}
-	if _, err := b.MaxTid(context.Background()); !errors.Is(err, netsim.ErrNetwork) {
-		t.Errorf("maxtid fault: %v", err)
-	}
-	if _, err := b.Count(context.Background()); !errors.Is(err, netsim.ErrNetwork) {
-		t.Errorf("count fault: %v", err)
-	}
-	if _, err := b.Bytes(context.Background()); !errors.Is(err, netsim.ErrNetwork) {
-		t.Errorf("bytes fault: %v", err)
+	if _, err := b.Stat(context.Background()); !errors.Is(err, netsim.ErrNetwork) {
+		t.Errorf("stat fault: %v", err)
 	}
 }
 
@@ -136,7 +119,7 @@ func TestChargedScanWithAncestors(t *testing.T) {
 	b, _, read, _ := charged(t)
 	b.Append(context.Background(), []provstore.Record{rec(1, "T/a"), rec(2, "T/a")})
 	before := read.Stats()
-	recs, err := provstore.CollectScan(b.ScanLocWithAncestors(context.Background(), path.MustParse("T/a/deep")))
+	recs, err := provstore.CollectScan(b.Scan(context.Background(), provstore.WithAncestors(path.MustParse("T/a/deep"))))
 	if err != nil || len(recs) != 2 {
 		t.Fatalf("ScanLocWithAncestors = %v, %v", recs, err)
 	}

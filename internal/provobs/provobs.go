@@ -34,7 +34,7 @@ import (
 	"sync/atomic"
 )
 
-// A Label is one metric dimension ({Key="endpoint", Value="scan/all"}).
+// A Label is one metric dimension ({Key="endpoint", Value="scan"}).
 // Label values are rendered into the exposition escaped; keys must be valid
 // Prometheus label names ([a-zA-Z_][a-zA-Z0-9_]*), which every caller in
 // this module uses literals for.
@@ -235,8 +235,7 @@ func (r *Registry) StatsMap(extra ...map[string]int64) map[string]int64 {
 
 // DumpLines renders a stats snapshot as sorted "k=v" lines for a shutdown
 // dump. Zero values are elided, except the ones where zero is exactly the
-// interesting reading: cursors_open (the cursor-leak gauge), the
-// endpoint.scan/all counter (did clients use the streaming cursor), every
+// interesting reading: cursors_open (the cursor-leak gauge), every
 // repl.* / auth.* gauge (a zero lag or zero verify-failure count at
 // shutdown is the healthy sign-off being looked for), and every cache.*
 // counter (a cache that was enabled but never hit should say so, not
@@ -258,7 +257,7 @@ func DumpLines(stats map[string]int64) []string {
 
 // alwaysDumped reports whether a stats key prints even at zero.
 func alwaysDumped(k string) bool {
-	if k == "cursors_open" || k == "endpoint.scan/all" {
+	if k == "cursors_open" {
 		return true
 	}
 	if len(k) > 6 && k[:6] == "cache." {

@@ -171,7 +171,7 @@ func parseExposition(t *testing.T, text string) map[string]int {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cpdb_requests_total", "Requests served.")
-	r.Counter("cpdb_errors_total", "Errors.", WithLabel("endpoint", "scan/all"))
+	r.Counter("cpdb_errors_total", "Errors.", WithLabel("endpoint", "scan"))
 	g := r.Gauge("cpdb_cursors_open", "Open cursors.")
 	h := r.Histogram("cpdb_request_duration_seconds", "Latency.",
 		UnitSeconds, WithLabel("endpoint", "query"))
@@ -267,16 +267,15 @@ func TestStatsMapAndDumpLines(t *testing.T) {
 	}
 
 	lines := DumpLines(map[string]int64{
-		"requests":          0, // zero, elided
-		"errors":            2,
-		"cursors_open":      0, // zero but always dumped
-		"endpoint.scan/all": 0, // zero but always dumped
-		"endpoint.append":   0, // zero, elided
-		"repl.lag.0":        0, // repl.* always dumped
-		"auth.proofs":       0, // auth.* always dumped
+		"requests":        0, // zero, elided
+		"errors":          2,
+		"cursors_open":    0, // zero but always dumped
+		"endpoint.append": 0, // zero, elided
+		"repl.lag.0":      0, // repl.* always dumped
+		"auth.proofs":     0, // auth.* always dumped
 	})
 	got := strings.Join(lines, "\n")
-	wantLines := "auth.proofs=0\ncursors_open=0\nendpoint.scan/all=0\nerrors=2\nrepl.lag.0=0"
+	wantLines := "auth.proofs=0\ncursors_open=0\nerrors=2\nrepl.lag.0=0"
 	if got != wantLines {
 		t.Errorf("DumpLines =\n%s\nwant\n%s", got, wantLines)
 	}

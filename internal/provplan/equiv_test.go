@@ -125,7 +125,7 @@ func loadEquivWorkload(t *testing.T, b provstore.Backend, seq update.Sequence) *
 // a few locations that were never touched.
 func equivProbePaths(t *testing.T, b provstore.Backend) []path.Path {
 	t.Helper()
-	recs, err := provstore.CollectScan(b.ScanAll(context.Background()))
+	recs, err := provstore.CollectScan(b.Scan(context.Background(), provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}

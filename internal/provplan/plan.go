@@ -21,37 +21,6 @@ import (
 // provstore/scan.go. Execution is lazy; nothing touches the backend until
 // the plan's cursor is ranged.
 
-// An accessKind names the index access path a select compiles to.
-type accessKind int
-
-const (
-	accessAll          accessKind = iota // ScanAll: (Tid, Loc) order
-	accessAllAfter                       // ScanAllAfter keyset seek: (Tid, Loc) order
-	accessTid                            // ScanTid: (Loc, Tid) order at one tid
-	accessLoc                            // ScanLoc: Tid order at one loc (both orders hold)
-	accessLocPrefix                      // ScanLocPrefix: (Loc, Tid) order
-	accessLocAncestors                   // ScanLocWithAncestors: (Tid, Loc) order
-)
-
-func (a accessKind) String() string {
-	switch a {
-	case accessAll:
-		return "scan-all"
-	case accessAllAfter:
-		return "scan-all-after"
-	case accessTid:
-		return "scan-tid"
-	case accessLoc:
-		return "scan-loc"
-	case accessLocPrefix:
-		return "scan-loc-prefix"
-	case accessLocAncestors:
-		return "scan-loc-ancestors"
-	default:
-		return fmt.Sprintf("access(%d)", int(a))
-	}
-}
-
 // compiledPred is a Pred with its textual paths and patterns resolved.
 type compiledPred struct {
 	tidMin, tidMax int64
@@ -156,15 +125,13 @@ type Plan struct {
 	q *Query
 
 	// select compilation
-	pred      compiledPred
-	join      *compiledJoin
-	access    accessKind
-	accessLoc path.Path                 // argument of the loc-based access paths
-	accessTid int64                     // argument of accessTid / seek key of accessAllAfter
-	stopTid   int64                     // >0: cut a Tid-ascending stream after this tid
-	order     string                    // resolved result order
-	streamed  bool                      // access order satisfies the requested order
-	shards    *provstore.ShardedBackend // non-nil: scatter below the merge
+	pred     compiledPred
+	join     *compiledJoin
+	scan     provstore.ScanSpec        // the access path
+	stopTid  int64                     // >0: cut a Tid-ascending stream after this tid
+	order    string                    // resolved result order
+	streamed bool                      // access order satisfies the requested order
+	shards   *provstore.ShardedBackend // non-nil: scatter below the merge
 
 	// ancestry compilation
 	path path.Path
@@ -182,7 +149,7 @@ type compiledJoin struct {
 // Options tune compilation. The zero value is the default planner.
 type Options struct {
 	// NoPushdown disables access-path selection, early stopping and
-	// shard scatter: every select runs as a full ScanAll with a
+	// shard scatter: every select runs as a full All() scan with a
 	// client-side residual filter — the baseline the bench sweep
 	// compares the planner against.
 	NoPushdown bool
@@ -269,7 +236,6 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	}
 
 	if opts.NoPushdown {
-		pl.access = accessAll
 		pl.streamed = pl.order == OrderTidLoc && !q.Desc
 		pl.buildExplain("full-scan (pushdown disabled)")
 		return pl, nil
@@ -279,17 +245,17 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	// A Tid-ascending access stream can stop at the first record past the
 	// upper tid bound — the rest of the cursor is never pulled.
 	if pl.pred.tidMax > 0 {
-		switch pl.access {
-		case accessAll, accessAllAfter, accessLocAncestors, accessLoc:
+		switch pl.scan.Kind {
+		case provstore.KindAll, provstore.KindAncestors, provstore.KindLoc:
 			pl.stopTid = pl.pred.tidMax
 		}
 	}
-	switch pl.access {
-	case accessAll, accessAllAfter, accessLocAncestors:
+	switch pl.scan.Kind {
+	case provstore.KindAll, provstore.KindAncestors:
 		pl.streamed = pl.order == OrderTidLoc
-	case accessTid, accessLocPrefix:
+	case provstore.KindTid, provstore.KindPrefix:
 		pl.streamed = pl.order == OrderLocTid
-	case accessLoc:
+	case provstore.KindLoc:
 		pl.streamed = true // a single location satisfies both orders
 	}
 	if q.Desc {
@@ -299,8 +265,8 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	// Scatter paths on a sharded store push the residual filter (or the
 	// whole aggregate) below the k-way merge, one subplan per shard.
 	if sb, ok := b.(*provstore.ShardedBackend); ok && sb.NumShards() > 1 {
-		switch pl.access {
-		case accessAll, accessAllAfter, accessTid, accessLocPrefix:
+		switch pl.scan.Kind {
+		case provstore.KindAll, provstore.KindTid, provstore.KindPrefix:
 			pl.shards = sb
 		}
 	}
@@ -314,12 +280,12 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 func (pl *Plan) chooseAccess() {
 	p := &pl.pred
 	if p.locAbove != nil {
-		pl.access, pl.accessLoc = accessLocAncestors, *p.locAbove
+		pl.scan = provstore.WithAncestors(*p.locAbove)
 		return
 	}
 	if p.locPat != nil && p.locPat.IsExact() {
 		loc, _ := p.locPat.AsPath()
-		pl.access, pl.accessLoc = accessLoc, loc
+		pl.scan = provstore.ByLoc(loc)
 		return
 	}
 	// The deepest concrete location prefix the loc predicates agree on:
@@ -335,21 +301,19 @@ func (pl *Plan) chooseAccess() {
 		}
 	}
 	if prefix.Len() > 0 {
-		pl.access, pl.accessLoc = accessLocPrefix, prefix
+		pl.scan = provstore.ByPrefix(prefix)
 		return
 	}
 	if p.tidMin > 0 && p.tidMin == p.tidMax {
-		pl.access, pl.accessTid = accessTid, p.tidMin
+		pl.scan = provstore.ByTid(p.tidMin)
 		return
 	}
 	if p.tidMin > 0 {
 		// Every stored location is strictly greater than path.Root, so
 		// the keys strictly after (tidMin, Root) are exactly the records
 		// with Tid >= tidMin (pinned by TestSeekKeyForTidRange).
-		pl.access, pl.accessTid = accessAllAfter, p.tidMin
-		return
+		pl.scan = provstore.All().After(p.tidMin, path.Root)
 	}
-	pl.access = accessAll
 }
 
 // concretePrefix returns the longest leading run of non-wildcard components
@@ -372,17 +336,7 @@ func concretePrefix(pat path.Pattern) path.Path {
 }
 
 func (pl *Plan) buildExplain(note string) {
-	var parts []string
-	switch pl.access {
-	case accessAll:
-		parts = append(parts, "access=scan-all")
-	case accessAllAfter:
-		parts = append(parts, fmt.Sprintf("access=scan-all-after(%d, ε)", pl.accessTid))
-	case accessTid:
-		parts = append(parts, fmt.Sprintf("access=scan-tid(%d)", pl.accessTid))
-	default:
-		parts = append(parts, fmt.Sprintf("access=%s(%s)", pl.access, pl.accessLoc))
-	}
+	parts := []string{"access=" + pl.scan.String()}
 	if pl.stopTid > 0 {
 		parts = append(parts, fmt.Sprintf("stop=tid>%d", pl.stopTid))
 	}
@@ -426,25 +380,12 @@ func (pl *Plan) Explain() []string { return slices.Clone(pl.explain) }
 // counter and, in analyze mode, its access operator tap (shared across
 // shards: the tap totals what the whole scatter pulled).
 func (pl *Plan) accessScan(ctx context.Context, b provstore.Backend, ex *exec) iter.Seq2[provstore.Record, error] {
-	var scan iter.Seq2[provstore.Record, error]
-	switch pl.access {
-	case accessAll:
-		scan = b.ScanAll(ctx)
-	case accessAllAfter:
-		scan = b.ScanAllAfter(ctx, pl.accessTid, path.Root)
-	case accessTid:
-		scan = b.ScanTid(ctx, pl.accessTid)
-	case accessLoc:
-		scan = b.ScanLoc(ctx, pl.accessLoc)
-	case accessLocPrefix:
-		scan = b.ScanLocPrefix(ctx, pl.accessLoc)
-	case accessLocAncestors:
-		scan = b.ScanLocWithAncestors(ctx, pl.accessLoc)
-	default:
-		return provstore.ScanError(badQuery("unplanned access %v", pl.access))
-	}
-	return ex.op("access:" + pl.access.String()).tap(counted(scan, ex.counter()))
+	return ex.op(pl.accessOp()).tap(counted(b.Scan(ctx, pl.scan), ex.counter()))
 }
+
+// accessOp is the analyze name of the access operator: the scan's kind,
+// without its arguments, so the scans of one plan shape total in one row.
+func (pl *Plan) accessOp() string { return "access:scan-" + pl.scan.Kind.String() }
 
 // counted wraps a cursor to count records pulled from it.
 func counted(scan iter.Seq2[provstore.Record, error], scanned *atomic.Int64) iter.Seq2[provstore.Record, error] {
@@ -584,15 +525,11 @@ func (pl *Plan) matched(ctx context.Context, keys *joinKeys, ex *exec) iter.Seq2
 	// (below the merge), so the merge only ever sees matching records.
 	// All shards share the access and filter taps — the analysis reports
 	// scatter totals, not per-shard rows.
-	cmp := provstore.CompareTidLoc
-	if pl.access == accessTid || pl.access == accessLocPrefix {
-		cmp = provstore.CompareLocTid
-	}
 	cursors := make([]iter.Seq2[provstore.Record, error], pl.shards.NumShards())
 	for i := range cursors {
 		cursors[i] = pl.filtered(pl.accessScan(ctx, pl.shards.Shard(i), ex), keys, ft)
 	}
-	return ex.op("merge").tap(provstore.MergeScans(cmp, cursors...))
+	return ex.op("merge").tap(provstore.MergeScans(pl.scan.Order(), cursors...))
 }
 
 // records executes a select plan as a record cursor in the requested order,
@@ -714,7 +651,7 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 	if err != nil {
 		return 0, false, err
 	}
-	ex.op("access:" + pl.access.String())
+	ex.op(pl.accessOp())
 	ft := ex.op("filter")
 	at := ex.op("agg:" + pl.q.Agg)
 	var start time.Time

@@ -150,12 +150,12 @@ func backends(t *testing.T) map[string]provstore.Backend {
 func TestSeekKeyForTidRange(t *testing.T) {
 	for name, b := range backends(t) {
 		load(t, b)
-		all, err := provstore.CollectScan(b.ScanAll(context.Background()))
+		all, err := provstore.CollectScan(b.Scan(context.Background(), provstore.All()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for n := int64(1); n <= 8; n++ {
-			got, err := provstore.CollectScan(b.ScanAllAfter(context.Background(), n, path.Root))
+			got, err := provstore.CollectScan(b.Scan(context.Background(), provstore.All().After(n, path.Root)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -18,13 +18,13 @@
 // Compilation (see plan.go) picks the most selective index access path the
 // predicate admits and pushes work below the client:
 //
-//   - loc <= P (ancestor-or-self)  → ScanLocWithAncestors(P)
-//   - loc = P (exact)              → ScanLoc(P)
+//   - loc <= P (ancestor-or-self)  → WithAncestors(P)
+//   - loc = P (exact)              → ByLoc(P)
 //   - loc >= P, or a pattern with
-//     a concrete leading prefix    → ScanLocPrefix(P)
-//   - tid = N                      → ScanTid(N)
-//   - tid >= N                     → ScanAllAfter(N, Root) keyset seek
-//   - otherwise                    → ScanAll
+//     a concrete leading prefix    → ByPrefix(P)
+//   - tid = N                      → ByTid(N)
+//   - tid >= N                     → All().After(N, Root) keyset seek
+//   - otherwise                    → All()
 //
 // plus two stream cuts: a (Tid, Loc)-ordered stream stops as soon as
 // rec.Tid exceeds the predicate's upper tid bound, and a streaming-order

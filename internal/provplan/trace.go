@@ -93,7 +93,8 @@ func (pl *Plan) horizon(ctx context.Context) (int64, error) {
 	if pl.asOf > 0 {
 		return pl.asOf, nil
 	}
-	return pl.b.MaxTid(ctx)
+	st, err := pl.b.Stat(ctx)
+	return st.MaxTid, err
 }
 
 // effectiveAt resolves the effective record for loc in every transaction

@@ -22,15 +22,12 @@ type cancelOnScan struct {
 	scans  atomic.Int64
 }
 
-func (c *cancelOnScan) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
+func (c *cancelOnScan) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	c.scans.Add(1)
-	c.cancel()
-	return c.Backend.ScanLocPrefix(ctx, prefix)
-}
-
-func (c *cancelOnScan) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	c.scans.Add(1)
-	return c.Backend.ScanLocWithAncestors(ctx, loc)
+	if spec.Kind == provstore.KindPrefix {
+		c.cancel()
+	}
+	return c.Backend.Scan(ctx, spec)
 }
 
 // TestModCancelBetweenWaves: a Mod over an 8-shard store whose context is

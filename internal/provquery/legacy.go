@@ -20,13 +20,13 @@ import (
 // fan-out it used to carry.
 
 // effectiveAt resolves the effective record for loc in every transaction,
-// client-side, from one ScanLocWithAncestors round trip: for each
+// client-side, from one WithAncestors scan round trip: for each
 // transaction the record with the longest Loc (nearest ancestor-or-self)
 // governs. The cursor streams; only the winning record per transaction is
 // retained, so memory is O(transactions touching loc), not O(records).
 func (e *Engine) effectiveAt(ctx context.Context, loc path.Path) (map[int64]provstore.Record, error) {
 	out := make(map[int64]provstore.Record)
-	for r, err := range e.backend.ScanLocWithAncestors(ctx, loc) {
+	for r, err := range e.backend.Scan(ctx, provstore.WithAncestors(loc)) {
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +53,7 @@ func (e *Engine) effectiveAt(ctx context.Context, loc path.Path) (map[int64]prov
 	return out, nil
 }
 
-// LegacyTrace is the client-orchestrated Trace: one ScanLocWithAncestors
+// LegacyTrace is the client-orchestrated Trace: one WithAncestors scan
 // round trip per chain step, resolved client-side.
 func (e *Engine) LegacyTrace(ctx context.Context, p path.Path, tnow int64) (TraceResult, error) {
 	var res TraceResult

@@ -134,5 +134,6 @@ func (e *Engine) Mod(ctx context.Context, p path.Path, tnow int64) ([]int64, err
 
 // MaxTid returns the newest transaction id in the store (the paper's tnow).
 func (e *Engine) MaxTid(ctx context.Context) (int64, error) {
-	return e.backend.MaxTid(ctx)
+	st, err := e.backend.Stat(ctx)
+	return st.MaxTid, err
 }

@@ -65,7 +65,7 @@ func (r *replica) kick() {
 }
 
 // applier is the per-replica shipping loop: each pass drains the primary's
-// seeked ScanAllAfter cursor from the replica's high-water mark into the
+// seeked All().After cursor from the replica's high-water mark into the
 // replica, then the loop parks until an append kicks it, the poll interval
 // expires (records written to the primary outside this handle), or the
 // backend closes. An error marks the replica unhealthy, invalidates the
@@ -171,11 +171,11 @@ func (b *ReplicatedBackend) applyPass(r *replica) (err error) {
 		buf = buf[:0]
 		return nil
 	}
-	scan := b.primary.ScanAllAfter
+	scan := b.primary.Scan(ctx, provstore.All().After(fromTid, fromLoc))
 	if b.opts.Verify {
-		scan = b.verifiedScanAfter
+		scan = b.verifiedScanAfter(ctx, fromTid, fromLoc)
 	}
-	for rec, serr := range scan(ctx, fromTid, fromLoc) {
+	for rec, serr := range scan {
 		if serr != nil {
 			return serr
 		}
@@ -277,21 +277,21 @@ func (b *ReplicatedBackend) anchorShipRoot(ctx context.Context, auth provauth.Au
 
 // recoverHighWater computes the replica's high-water {Tid, Loc} mark from
 // the replica itself: its largest transaction id, and the largest location
-// within it (ScanTid streams in Loc order, so the last record carries it).
-// This is what makes restart resume O(log n + the last transaction): MaxTid
-// is one descent of the replica's index (mem:// keeps it sorted; rel://
-// reads the last primary key, relprov.Backend.MaxTid), ScanTid reads that
-// one transaction, and the next applyPass seeks the primary to this key
+// within it (a ByTid scan streams in Loc order, so the last record carries
+// it). This is what makes restart resume O(log n + the last transaction):
+// Stat's MaxTid is one descent of the replica's index (mem:// keeps it
+// sorted; rel:// reads the last primary key), the ByTid scan reads that one
+// transaction, and the next applyPass seeks the primary to this key
 // instead of re-reading (or re-shipping) the prefix the replica already
 // holds.
 func (b *ReplicatedBackend) recoverHighWater(r *replica) error {
-	maxTid, err := r.store.MaxTid(b.ctx)
+	st, err := r.store.Stat(b.ctx)
 	if err != nil {
 		return err
 	}
 	r.hwTid, r.hwLoc = 0, path.Path{}
-	if maxTid > 0 {
-		for rec, err := range r.store.ScanTid(b.ctx, maxTid) {
+	if st.MaxTid > 0 {
+		for rec, err := range r.store.Scan(b.ctx, provstore.ByTid(st.MaxTid)) {
 			if err != nil {
 				return err
 			}

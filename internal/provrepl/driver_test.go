@@ -36,7 +36,8 @@ func TestDriverOpen(t *testing.T) {
 	}
 	waitCaughtUp(t, rb)
 	for i := 0; i < rb.NumReplicas(); i++ {
-		n, err := rb.Replica(i).Count(ctx)
+		st, err := rb.Replica(i).Stat(ctx)
+		n := st.Count
 		if err != nil || n != 1 {
 			t.Errorf("replica %d count = %d, %v; want 1", i, n, err)
 		}

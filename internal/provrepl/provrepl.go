@@ -2,12 +2,12 @@
 // backend that writes synchronously to a primary and ships committed records
 // asynchronously to any number of replicas, each driven by its own applier
 // goroutine resuming from the replica's high-water {Tid, Loc} mark via the
-// seekable ScanAllAfter cursor.
+// seekable All().After cursor.
 //
 // The paper's provenance relation (Figure 5) is append-only and immutable,
 // keyed by {Tid, Loc} — which makes asynchronous log-shipping replication
 // unusually easy to reason about: a replica is always a prefix of the
-// primary's (Tid, Loc)-ordered ScanAll stream, and catching up after a crash
+// primary's (Tid, Loc)-ordered All() stream, and catching up after a crash
 // or a lag spike is one seeked cursor from the last key the replica holds.
 // There is no log to maintain beyond the relation itself.
 //
@@ -416,103 +416,34 @@ func (b *ReplicatedBackend) NearestAncestor(ctx context.Context, tid int64, loc 
 	return b.primary.NearestAncestor(ctx, tid, loc)
 }
 
-// routedScan serves a scan from an eligible replica, restarting on the
-// primary if the replica's cursor fails before yielding anything. A failure
-// after records have been yielded is terminal (the cursor contract), since
-// an unordered scan cannot be resumed without replaying what was delivered;
-// the (Tid, Loc)-ordered ScanAll family resumes instead (scanAllRouted).
-func (b *ReplicatedBackend) routedScan(ctx context.Context, scan func(provstore.Backend) iter.Seq2[provstore.Record, error]) iter.Seq2[provstore.Record, error] {
+// Scan implements Backend: the scan is served from an eligible replica with
+// full failover. Every kind strictly ascends in its own order and resumes
+// after a key, so a replica cursor failing mid-stream goes on on the primary
+// from the last key already delivered (spec.After): the consumer sees one
+// uninterrupted, duplicate-free ordered stream across the switch. Caller
+// cancellation is returned, not failed over.
+func (b *ReplicatedBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	r := b.pickReplica()
 	if r == nil {
-		return provtrace.Cursor(ctx, "repl:read", scan(b.primary),
-			provtrace.Attr{K: "source", V: "primary"})
-	}
-	return provtrace.Cursor(ctx, "repl:read", func(yield func(provstore.Record, error) bool) {
-		emitted := false
-		for rec, err := range scan(r.store) {
-			if err != nil {
-				if ctx.Err() != nil {
-					yield(provstore.Record{}, err)
-					return
-				}
-				b.demote(r)
-				if emitted {
-					yield(provstore.Record{}, err)
-					return
-				}
-				for rec2, err2 := range scan(b.primary) {
-					if !yield(rec2, err2) || err2 != nil {
-						return
-					}
-				}
-				return
-			}
-			emitted = true
-			if !yield(rec, nil) {
-				return
-			}
-		}
-	}, provtrace.Attr{K: "source", V: "replica"})
-}
-
-// ScanTid implements Backend.
-func (b *ReplicatedBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
-	return b.routedScan(ctx, func(s provstore.Backend) iter.Seq2[provstore.Record, error] { return s.ScanTid(ctx, tid) })
-}
-
-// ScanLoc implements Backend.
-func (b *ReplicatedBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.routedScan(ctx, func(s provstore.Backend) iter.Seq2[provstore.Record, error] { return s.ScanLoc(ctx, loc) })
-}
-
-// ScanLocPrefix implements Backend.
-func (b *ReplicatedBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return b.routedScan(ctx, func(s provstore.Backend) iter.Seq2[provstore.Record, error] { return s.ScanLocPrefix(ctx, prefix) })
-}
-
-// ScanLocWithAncestors implements Backend.
-func (b *ReplicatedBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.routedScan(ctx, func(s provstore.Backend) iter.Seq2[provstore.Record, error] { return s.ScanLocWithAncestors(ctx, loc) })
-}
-
-// scanAllRouted serves the (Tid, Loc)-ordered table from an eligible
-// replica with full failover: a replica cursor failing mid-stream resumes
-// on the primary via ScanAllAfter from the last key already delivered, so
-// the consumer sees one uninterrupted ordered stream across the switch.
-func (b *ReplicatedBackend) scanAllRouted(ctx context.Context, hasAfter bool, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	start := func(s provstore.Backend) iter.Seq2[provstore.Record, error] {
-		if hasAfter {
-			return s.ScanAllAfter(ctx, tid, loc)
-		}
-		return s.ScanAll(ctx)
-	}
-	r := b.pickReplica()
-	if r == nil {
-		return provtrace.Cursor(ctx, "repl:scan", start(b.primary),
+		return provtrace.Cursor(ctx, "repl:scan", b.primary.Scan(ctx, spec),
 			provtrace.Attr{K: "source", V: "primary"})
 	}
 	return provtrace.Cursor(ctx, "repl:scan", func(yield func(provstore.Record, error) bool) {
-		var last provstore.Record
-		emitted := false
-		for rec, err := range start(r.store) {
+		for rec, err := range r.store.Scan(ctx, spec) {
 			if err != nil {
 				if ctx.Err() != nil {
 					yield(provstore.Record{}, err)
 					return
 				}
 				b.demote(r)
-				resume := start(b.primary)
-				if emitted {
-					resume = b.primary.ScanAllAfter(ctx, last.Tid, last.Loc)
-				}
-				for rec2, err2 := range resume {
+				for rec2, err2 := range b.primary.Scan(ctx, spec) {
 					if !yield(rec2, err2) || err2 != nil {
 						return
 					}
 				}
 				return
 			}
-			last, emitted = rec, true
+			spec = spec.After(rec.Tid, rec.Loc)
 			if !yield(rec, nil) {
 				return
 			}
@@ -520,62 +451,16 @@ func (b *ReplicatedBackend) scanAllRouted(ctx context.Context, hasAfter bool, ti
 	}, provtrace.Attr{K: "source", V: "replica"})
 }
 
-// ScanAll implements Backend.
-func (b *ReplicatedBackend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return b.scanAllRouted(ctx, false, 0, path.Path{})
-}
-
-// ScanAllAfter implements Backend.
-func (b *ReplicatedBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.scanAllRouted(ctx, true, tid, loc)
-}
-
-// Tids implements Backend.
-func (b *ReplicatedBackend) Tids(ctx context.Context) ([]int64, error) {
+// Stat implements Backend.
+func (b *ReplicatedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
 	if r := b.pickReplica(); r != nil {
-		tids, err := r.store.Tids(ctx)
+		st, err := r.store.Stat(ctx)
 		if err == nil || ctx.Err() != nil {
-			return tids, err
+			return st, err
 		}
 		b.demote(r)
 	}
-	return b.primary.Tids(ctx)
-}
-
-// MaxTid implements Backend.
-func (b *ReplicatedBackend) MaxTid(ctx context.Context) (int64, error) {
-	if r := b.pickReplica(); r != nil {
-		t, err := r.store.MaxTid(ctx)
-		if err == nil || ctx.Err() != nil {
-			return t, err
-		}
-		b.demote(r)
-	}
-	return b.primary.MaxTid(ctx)
-}
-
-// Count implements Backend.
-func (b *ReplicatedBackend) Count(ctx context.Context) (int, error) {
-	if r := b.pickReplica(); r != nil {
-		n, err := r.store.Count(ctx)
-		if err == nil || ctx.Err() != nil {
-			return n, err
-		}
-		b.demote(r)
-	}
-	return b.primary.Count(ctx)
-}
-
-// Bytes implements Backend.
-func (b *ReplicatedBackend) Bytes(ctx context.Context) (int64, error) {
-	if r := b.pickReplica(); r != nil {
-		n, err := r.store.Bytes(ctx)
-		if err == nil || ctx.Err() != nil {
-			return n, err
-		}
-		b.demote(r)
-	}
-	return b.primary.Bytes(ctx)
+	return b.primary.Stat(ctx)
 }
 
 // --- lifecycle ---------------------------------------------------------------

@@ -48,7 +48,7 @@ func tidBatch(tid int64, n int) []provstore.Record {
 
 func collectAll(t *testing.T, b provstore.Backend) []provstore.Record {
 	t.Helper()
-	recs, err := provstore.CollectScan(b.ScanAll(context.Background()))
+	recs, err := provstore.CollectScan(b.Scan(context.Background(), provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func (g *gateStore) Lookup(ctx context.Context, tid int64, loc path.Path) (provs
 	return g.Backend.Lookup(ctx, tid, loc)
 }
 
-func (g *gateStore) Count(ctx context.Context) (int, error) {
+func (g *gateStore) Stat(ctx context.Context) (provstore.Stat, error) {
 	if g.failReads.Load() {
-		return 0, errGate
+		return provstore.Stat{}, errGate
 	}
-	return g.Backend.Count(ctx)
+	return g.Backend.Stat(ctx)
 }
 
 // TestReplicaRestartResumesFromHighWater is the crash/restart acceptance
@@ -173,7 +173,8 @@ func TestReplicaRestartResumesFromHighWater(t *testing.T) {
 	if err := b1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	behind, err := repMem.Count(ctx)
+	st, err := repMem.Stat(ctx)
+	behind := st.Count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestReadAnyLagZeroNeverTorn(t *testing.T) {
 				perSeen := make(map[int64]int)
 				var prev provstore.Record
 				n := 0
-				for rec, err := range b.ScanAll(ctx) {
+				for rec, err := range b.Scan(ctx, provstore.All()) {
 					if err != nil {
 						t.Errorf("ScanAll: %v", err)
 						return
@@ -307,7 +308,7 @@ func TestReadFailoverToPrimary(t *testing.T) {
 	if r := b.pickReplica(); r != nil {
 		t.Fatal("failed replica still in the read rotation")
 	}
-	if _, err := b.Count(ctx); err != nil {
+	if _, err := b.Stat(ctx); err != nil {
 		t.Fatalf("Count with demoted replica: %v", err)
 	}
 
@@ -409,37 +410,87 @@ func TestCloseMidApplyLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestScanAllMidStreamFailover: a replica cursor dying mid-ScanAll resumes
-// on the primary from the last delivered key — the consumer sees one
-// uninterrupted, complete, ordered stream.
+// TestScanAllMidStreamFailover: for all five scan kinds, a replica cursor
+// dying after k records resumes on the primary from the last delivered key —
+// the consumer sees one uninterrupted, duplicate-free stream in the scan's
+// own order, finished by the primary. Caller cancellation is returned, not
+// failed over.
 func TestScanAllMidStreamFailover(t *testing.T) {
 	ctx := context.Background()
-	primary := provstore.NewMemBackend()
-	rep := provstore.NewMemBackend()
-	gate := &cutAfterStore{Backend: rep, cutAfter: 10}
-	b := mustNew(t, primary, []provstore.Backend{gate}, Options{Read: ReadAny, LagBound: 0})
-	defer b.Close()
-	for tid := int64(1); tid <= 6; tid++ {
-		if err := b.Append(ctx, tidBatch(tid, 5)); err != nil {
-			t.Fatal(err)
+	hot := path.New("T", "hot")
+	open := func(t *testing.T, cutAfter int) (*ReplicatedBackend, *cutAfterStore, provstore.Backend) {
+		primary := provstore.NewMemBackend()
+		gate := &cutAfterStore{Backend: provstore.NewMemBackend(), cutAfter: cutAfter}
+		b := mustNew(t, primary, []provstore.Backend{gate}, Options{Read: ReadAny, LagBound: 0})
+		t.Cleanup(func() { b.Close() })
+		for tid := int64(1); tid <= 6; tid++ {
+			batch := append(tidBatch(tid, 5), provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: hot})
+			if tid%2 == 0 {
+				batch = append(batch, provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: hot.Child("x")})
+			}
+			if err := b.Append(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
 		}
+		waitCaughtUp(t, b)
+		return b, gate, primary
 	}
-	waitCaughtUp(t, b)
-	gate.arm.Store(true)
-	got, err := provstore.CollectScan(b.ScanAll(ctx))
-	if err != nil {
-		t.Fatalf("ScanAll with mid-stream replica failure: %v", err)
+	for _, c := range []struct {
+		spec     provstore.ScanSpec
+		cutAfter int
+	}{
+		{provstore.All(), 10},
+		{provstore.All().After(2, hot), 0},
+		{provstore.ByTid(3), 2},
+		{provstore.ByLoc(hot), 2},
+		{provstore.ByPrefix(path.New("T")), 17},
+		{provstore.WithAncestors(hot.Child("x")), 4},
+	} {
+		t.Run(c.spec.String(), func(t *testing.T) {
+			b, gate, primary := open(t, c.cutAfter)
+			want, err := provstore.CollectScan(primary.Scan(ctx, c.spec))
+			if err != nil || len(want) <= c.cutAfter {
+				t.Fatalf("primary holds %d records of the scan (%v), want more than %d", len(want), err, c.cutAfter)
+			}
+			gate.arm.Store(true)
+			got, err := provstore.CollectScan(b.Scan(ctx, c.spec))
+			if err != nil {
+				t.Fatalf("scan with mid-stream replica failure: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("failover stream returned %d records, want %d identical to primary:\n got  %v\nwant %v", len(got), len(want), got, want)
+			}
+			if gate.cuts.Load() == 0 {
+				t.Fatal("the replica cursor was never cut; the test exercised nothing")
+			}
+		})
 	}
-	want := collectAll(t, primary)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("failover stream returned %d records, want %d identical to primary", len(got), len(want))
-	}
-	if gate.cuts.Load() == 0 {
-		t.Fatal("the replica cursor was never cut; the test exercised nothing")
-	}
+	t.Run("cancellation", func(t *testing.T) {
+		b, gate, _ := open(t, 1<<30)
+		gate.arm.Store(true)
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		n := 0
+		var terminal error
+		for _, err := range b.Scan(cctx, provstore.All()) {
+			if err != nil {
+				terminal = err
+				break
+			}
+			if n++; n == 3 {
+				cancel()
+			}
+		}
+		if !errors.Is(terminal, context.Canceled) || n >= 30 {
+			t.Fatalf("cancelled scan ended after %d records with %v, want context.Canceled", n, terminal)
+		}
+		if g := b.Gauges(); g["repl.healthy.0"] != 1 {
+			t.Errorf("caller cancellation demoted the replica: %v", g)
+		}
+	})
 }
 
-// cutAfterStore yields cutAfter records of a ScanAll then fails the cursor
+// cutAfterStore yields cutAfter records of a scan then fails the cursor
 // in-stream, once armed.
 type cutAfterStore struct {
 	provstore.Backend
@@ -448,8 +499,8 @@ type cutAfterStore struct {
 	cutAfter int
 }
 
-func (c *cutAfterStore) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	inner := c.Backend.ScanAll(ctx)
+func (c *cutAfterStore) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
+	inner := c.Backend.Scan(ctx, spec)
 	if !c.arm.Load() {
 		return inner
 	}

@@ -29,12 +29,12 @@ import (
 // stored rows, enforcing the paper's constraint that "for each transaction,
 // each location has either been inserted, deleted, or copied".
 //
-// The Scan* methods return pull-based cursors rather than materialized
-// slices: records stream to the consumer one at a time, errors are yielded
-// in-stream as the final pair, and breaking out of the loop releases the
-// cursor's resources promptly (see the cursor contract in scan.go). A scan
-// still costs one logical round trip — the cursor is the stream of that one
-// round trip's reply, not a round trip per record.
+// Scan returns a pull-based cursor rather than a materialized slice:
+// records stream to the consumer one at a time, errors are yielded in-stream
+// as the final pair, and breaking out of the loop releases the cursor's
+// resources promptly (see the cursor contract in scan.go). A scan still costs
+// one logical round trip — the cursor is the stream of that one round trip's
+// reply, not a round trip per record.
 type Backend interface {
 	// Append stores a batch of records in one round trip.
 	Append(ctx context.Context, recs []Record) error
@@ -46,43 +46,24 @@ type Backend interface {
 	// insert record (paper §4.2: hierarchical inserts are slower because
 	// "we must first query the provenance database").
 	NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error)
-	// ScanTid streams all records of a transaction, ordered by Loc.
-	ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error]
-	// ScanLoc streams all records (any transaction) whose Loc equals loc,
-	// ordered by Tid.
-	ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error]
-	// ScanLocPrefix streams all records whose Loc has the given prefix,
-	// ordered by (Loc, Tid). Used by the Mod query.
-	ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error]
-	// ScanLocWithAncestors streams all records (any transaction) whose
-	// Loc equals loc or is a strict prefix of it, ordered by (Tid, Loc).
-	// This single round trip gives a query everything needed to resolve
-	// the effective provenance of loc in every transaction, including
-	// hierarchical inference.
-	ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error]
-	// ScanAll streams the entire provenance relation ordered by
-	// (Tid, Loc) — the paper's Figure 5 table as one cursor. It is the
-	// bounded-memory path under Query.Records: one round trip however
-	// large the store, never materializing the records (file-backed and
-	// remote stores hold a page/chunk; the in-memory store a chunk of
-	// record numbers copied out of its (Tid, Loc) index).
-	ScanAll(ctx context.Context) iter.Seq2[Record, error]
-	// ScanAllAfter streams the (Tid, Loc)-ordered relation strictly after
-	// the key (tid, loc) — the seekable form of ScanAll. It is the resume
-	// path of keyset cursors (a truncated /v1/scan-all stream, a replica
-	// applier catching up from its high-water mark): implementations seek —
-	// a B-tree positions on the successor key, the in-memory store
-	// binary-searches its (Tid, Loc) index — so resuming costs O(log n),
-	// not O(records skipped).
-	ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error]
-	// Tids returns all transaction identifiers in ascending order.
-	Tids(ctx context.Context) ([]int64, error)
-	// MaxTid returns the largest transaction identifier stored, or 0.
-	MaxTid(ctx context.Context) (int64, error)
-	// Count returns the total number of stored records.
-	Count(ctx context.Context) (int, error)
-	// Bytes returns the physical size of the stored records.
-	Bytes(ctx context.Context) (int64, error)
+	// Scan streams the records spec selects, strictly ascending in
+	// spec.Order(), from spec's resume key when it has one. It is the
+	// bounded-memory read path: one round trip however large the answer,
+	// never materializing it (file-backed and remote stores hold a
+	// page/chunk; the in-memory store a chunk of record numbers copied out
+	// of an index), and it costs what the answer costs — a seek, then the
+	// records yielded.
+	Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error]
+	// Stat returns the store's scalars in one round trip.
+	Stat(ctx context.Context) (Stat, error)
+}
+
+// A Stat is what a store knows about itself without reading a record (the
+// JSON form is the body of GET /v1/stat).
+type Stat struct {
+	MaxTid int64 `json:"maxTid"` // the largest transaction identifier stored, or 0
+	Count  int   `json:"count"`  // the number of stored records
+	Bytes  int64 `json:"bytes"`  // the physical size of the stored records
 }
 
 // MemBackend is the in-memory Backend: the default store of cpdbd, Session
@@ -194,17 +175,17 @@ func (x *memIndex) insert(recs []Record, id int32) bool {
 
 // collect appends to ids the record numbers below limit of the stretch of x
 // that starts at the first key at or after from — after it, when after is
-// set — and lasts while keep holds (nil: to the end), stopping once ids
-// holds want of them. It returns ids, the last number it passed (the place
-// to go on from) and whether the stretch may go on. The caller holds a lock.
-func (b *MemBackend) collect(ids []int32, x *memIndex, from Record, after bool, keep func(Record) bool, limit int32, want int) ([]int32, int32, bool) {
+// set — and lasts while spec matches, stopping once ids holds want of them.
+// It returns ids, the last number it passed (the place to go on from) and
+// whether the stretch may go on. The caller holds a lock.
+func (b *MemBackend) collect(ids []int32, x *memIndex, spec *ScanSpec, from Record, after bool, limit int32, want int) ([]int32, int32, bool) {
 	examined, last := 0, int32(-1)
 	defer func() { b.examined.Add(int64(examined)) }()
 	i, j := x.seek(b.recs, from, after, &examined)
 	for ; i < len(x.runs); i, j = i+1, 0 {
 		for _, id := range x.runs[i][j:] {
 			examined++
-			if keep != nil && !keep(b.recs[id]) {
+			if !spec.Match(b.recs[id]) {
 				return ids, last, false
 			}
 			if last = id; id < limit {
@@ -223,20 +204,31 @@ func (b *MemBackend) collect(ids []int32, x *memIndex, from Record, after bool, 
 // few pays for a few — then four times as many per visit.
 const memChunkFirst, memChunkMax = 16, 1024
 
-// scan streams the stretch of x that starts at the first key at or after
-// from — after it, when after is set — and lasts while keep holds. The cursor
-// visits the index under the read lock, copies a chunk of record numbers and
-// yields their records with no lock held, then resumes after the last key it
-// passed, so a drain of any size holds a chunk and never the lock while the
-// consumer runs. The records stored at the first visit are the cursor's
-// snapshot: a record appended later has a higher number wherever its key
-// falls, and is skipped — the store's equivalent of snapshot isolation.
-func (b *MemBackend) scan(ctx context.Context, x *memIndex, from Record, after bool, keep func(Record) bool) iter.Seq2[Record, error] {
+// Scan implements Backend: one stretch of one of the two orders — seek to
+// where the selection starts (path.Compare sorts a path immediately before
+// its descendants' region, so a subtree is one stretch too), stop at the
+// first key outside it. The cursor visits the index under the read lock,
+// copies a chunk of record numbers and yields their records with no lock
+// held, then resumes after the last key it passed, so a drain of any size
+// holds a chunk and never the lock while the consumer runs. The records
+// stored at the first visit are the cursor's snapshot: a record appended
+// later has a higher number wherever its key falls, and is skipped — the
+// store's equivalent of snapshot isolation.
+func (b *MemBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		if err := ctx.Err(); err != nil {
 			yield(Record{}, err)
 			return
 		}
+		if spec.Kind == KindAncestors {
+			b.scanAncestors(ctx, &spec, yield)
+			return
+		}
+		x := &b.tidLoc
+		if spec.byLoc() {
+			x = &b.locTid
+		}
+		from, after := spec.start()
 		var ids []int32
 		limit := int32(-1)
 		for want, more := memChunkFirst, true; more; want = min(4*want, memChunkMax) {
@@ -246,7 +238,7 @@ func (b *MemBackend) scan(ctx context.Context, x *memIndex, from Record, after b
 			if limit < 0 {
 				limit = int32(len(recs))
 			}
-			ids, last, more = b.collect(ids[:0], x, from, after, keep, limit, want)
+			ids, last, more = b.collect(ids[:0], x, &spec, from, after, limit, want)
 			b.mu.RUnlock()
 			if !yieldIDs(ctx, recs, ids, yield) {
 				return
@@ -256,6 +248,23 @@ func (b *MemBackend) scan(ctx context.Context, x *memIndex, from Record, after b
 			}
 		}
 	}
+}
+
+// scanAncestors is the WithAncestors scan: one equal range of the (Loc, Tid)
+// order per prefix of the location, gathered in one visit, then an
+// answer-sized sort into (Tid, Loc) order.
+func (b *MemBackend) scanAncestors(ctx context.Context, spec *ScanSpec, yield func(Record, error) bool) {
+	var ids []int32
+	b.mu.RLock()
+	recs := b.recs
+	for n := 1; n <= spec.Loc.Len(); n++ {
+		p := spec.Probe(n)
+		from, after := p.start()
+		ids, _, _ = b.collect(ids, &b.locTid, &p, from, after, math.MaxInt32, math.MaxInt)
+	}
+	b.mu.RUnlock()
+	slices.SortFunc(ids, func(x, y int32) int { return CompareTidLoc(recs[x], recs[y]) })
+	yieldIDs(ctx, recs, ids, yield)
 }
 
 // yieldIDs streams recs[ids[0]], recs[ids[1]], … observing ctx between
@@ -377,115 +386,21 @@ func (b *MemBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Pa
 	return Record{}, false, nil
 }
 
-// ScanTid implements Backend: the transaction's stretch of the (Tid, Loc)
-// order, which is sorted by Loc. No record is at the forest root, so
-// (tid, root) is below every key of tid.
-func (b *MemBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error] {
-	return b.scan(ctx, &b.tidLoc, Record{Tid: tid}, false, func(r Record) bool { return r.Tid == tid })
-}
-
-// ScanAll implements Backend: the (Tid, Loc) order from its first key.
-func (b *MemBackend) ScanAll(ctx context.Context) iter.Seq2[Record, error] {
-	return b.scan(ctx, &b.tidLoc, Record{Tid: math.MinInt64}, false, nil)
-}
-
-// ScanAllAfter implements Backend: a seek to the successor of the key — no
-// record before it is compared against a filter, let alone yielded.
-func (b *MemBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error] {
-	return b.scan(ctx, &b.tidLoc, Record{Tid: tid, Loc: loc}, true, nil)
-}
-
-// ScanLoc implements Backend: one equal range of the (Loc, Tid) order.
-func (b *MemBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.scan(ctx, &b.locTid, Record{Tid: math.MinInt64, Loc: loc}, false, func(r Record) bool { return r.Loc.Equal(loc) })
-}
-
-// ScanLocPrefix implements Backend: path.Compare sorts a path immediately
-// before its descendants' region, so the subtree is one stretch — seek to the
-// prefix, stop at the first key outside it.
-func (b *MemBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
-	return b.scan(ctx, &b.locTid, Record{Tid: math.MinInt64, Loc: prefix}, false, func(r Record) bool { return prefix.IsPrefixOf(r.Loc) })
-}
-
-// ScanLocWithAncestors implements Backend: one equal range of the (Loc, Tid)
-// order per prefix of loc, gathered in one visit, then an answer-sized sort
-// into (Tid, Loc) order.
-func (b *MemBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return func(yield func(Record, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return
-		}
-		var ids []int32
-		var p path.Path
-		at := func(r Record) bool { return r.Loc.Equal(p) }
-		b.mu.RLock()
-		recs := b.recs
-		for n := 1; n <= loc.Len(); n++ {
-			p = loc.Prefix(n)
-			ids, _, _ = b.collect(ids, &b.locTid, Record{Tid: math.MinInt64, Loc: p}, false, at, math.MaxInt32, math.MaxInt)
-		}
-		b.mu.RUnlock()
-		slices.SortFunc(ids, func(x, y int32) int { return CompareTidLoc(recs[x], recs[y]) })
-		yieldIDs(ctx, recs, ids, yield)
-	}
-}
-
-// Tids implements Backend: a skip-scan of the (Tid, Loc) order, one seek per
-// distinct transaction.
-func (b *MemBackend) Tids(ctx context.Context) ([]int64, error) {
+// Stat implements Backend. MaxTid is the transaction of the last (Tid, Loc)
+// key, or 0 for a store with no positive one.
+func (b *MemBackend) Stat(ctx context.Context) (Stat, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Stat{}, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	out := []int64{}
-	examined, x := 0, &b.tidLoc
-	for i, j := 0, 0; i < len(x.runs); i, j = x.seek(b.recs, Record{Tid: out[len(out)-1] + 1}, false, &examined) {
-		out = append(out, b.recs[x.runs[i][j]].Tid)
-		if examined++; out[len(out)-1] == math.MaxInt64 {
-			break
-		}
+	st := Stat{Count: len(b.recs), Bytes: b.bytes}
+	if n := len(b.tidLoc.runs); n > 0 {
+		b.examined.Add(1)
+		last := b.tidLoc.runs[n-1]
+		st.MaxTid = max(b.recs[last[len(last)-1]].Tid, 0)
 	}
-	b.examined.Add(int64(examined))
-	return out, nil
-}
-
-// MaxTid implements Backend: the transaction of the last (Tid, Loc) key, or
-// 0 for a store with no positive one.
-func (b *MemBackend) MaxTid(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := len(b.tidLoc.runs)
-	if n == 0 {
-		return 0, nil
-	}
-	b.examined.Add(1)
-	last := b.tidLoc.runs[n-1]
-	return max(b.recs[last[len(last)-1]].Tid, 0), nil
-}
-
-// Count implements Backend.
-func (b *MemBackend) Count(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.recs), nil
-}
-
-// Bytes implements Backend.
-func (b *MemBackend) Bytes(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.bytes, nil
+	return st, nil
 }
 
 // All returns every stored record in insertion order (a test/debug helper,

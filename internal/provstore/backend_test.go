@@ -32,14 +32,14 @@ func TestMemBackendAppendAndLookup(t *testing.T) {
 	if _, ok, _ := b.Lookup(context.Background(), 3, path.MustParse("T/a")); ok {
 		t.Error("lookup of absent key should miss")
 	}
-	if n, _ := b.Count(context.Background()); n != 3 {
-		t.Errorf("Count = %d", n)
+	if st, _ := b.Stat(context.Background()); st.Count != 3 {
+		t.Errorf("Count = %d", st.Count)
 	}
-	if bts, _ := b.Bytes(context.Background()); bts <= 0 {
+	if st, _ := b.Stat(context.Background()); st.Bytes <= 0 {
 		t.Error("Bytes should be positive")
 	}
-	if mt, _ := b.MaxTid(context.Background()); mt != 2 {
-		t.Errorf("MaxTid = %d", mt)
+	if st, _ := b.Stat(context.Background()); st.MaxTid != 2 {
+		t.Errorf("MaxTid = %d", st.MaxTid)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestMemBackendScans(t *testing.T) {
 		rec(3, OpDelete, "T/a/x/y", ""),
 		rec(1, OpInsert, "T/ab", ""),
 	})
-	recs, err := CollectScan(b.ScanTid(context.Background(), 1))
+	recs, err := CollectScan(b.Scan(context.Background(), ByTid(1)))
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("ScanTid(1) = %v, %v", recs, err)
 	}
@@ -111,11 +111,11 @@ func TestMemBackendScans(t *testing.T) {
 	if recs[0].Loc.String() != "T/a/x" || recs[1].Loc.String() != "T/ab" || recs[2].Loc.String() != "T/b" {
 		t.Errorf("ScanTid order: %v", recs)
 	}
-	byLoc, err := CollectScan(b.ScanLoc(context.Background(), path.MustParse("T/b")))
+	byLoc, err := CollectScan(b.Scan(context.Background(), ByLoc(path.MustParse("T/b"))))
 	if err != nil || len(byLoc) != 2 || byLoc[0].Tid != 1 || byLoc[1].Tid != 2 {
 		t.Fatalf("ScanLoc = %v, %v", byLoc, err)
 	}
-	pre, err := CollectScan(b.ScanLocPrefix(context.Background(), path.MustParse("T/a")))
+	pre, err := CollectScan(b.Scan(context.Background(), ByPrefix(path.MustParse("T/a"))))
 	if err != nil || len(pre) != 2 {
 		t.Fatalf("ScanLocPrefix = %v, %v", pre, err)
 	}
@@ -125,7 +125,7 @@ func TestMemBackendScans(t *testing.T) {
 			t.Error("T/ab wrongly included under prefix T/a")
 		}
 	}
-	tids, _ := b.Tids(context.Background())
+	tids, _ := Tids(context.Background(), b)
 	if len(tids) != 3 || tids[0] != 1 || tids[2] != 3 {
 		t.Errorf("Tids = %v", tids)
 	}

@@ -255,7 +255,7 @@ func (b *BatchingBackend) flushLocked() error {
 
 // --- read-through ----------------------------------------------------------
 //
-// Point reads and the whole-store accessors flush first, then delegate —
+// Point reads and Stat flush first, then delegate —
 // their single answer must reflect the buffer, and a flush is the cheapest
 // way to guarantee it. Scans do better: they stream a merge of a buffer
 // snapshot and the inner store's cursor, so a scan costs no durability
@@ -279,106 +279,39 @@ func (b *BatchingBackend) NearestAncestor(ctx context.Context, tid int64, loc pa
 	return b.inner.NearestAncestor(ctx, tid, loc)
 }
 
-// buffered snapshots the buffered records matching keep, sorted by cmp —
-// the buffer's half of a scan's read-through merge.
-func (b *BatchingBackend) buffered(keep func(Record) bool, cmp func(a, c Record) int) []Record {
+// buffered snapshots the buffered records spec selects, in its order — the
+// buffer's half of a scan's read-through merge.
+func (b *BatchingBackend) buffered(spec ScanSpec) []Record {
 	b.mu.Lock()
 	var out []Record
 	for _, batch := range b.batches {
 		for _, r := range batch {
-			if keep(r) {
+			if spec.Match(r) {
 				out = append(out, r)
 			}
 		}
 	}
 	b.mu.Unlock()
-	slices.SortFunc(out, cmp)
+	slices.SortFunc(out, spec.Order())
 	return out
 }
 
-// scanThrough merges the matching buffered records with the inner store's
-// cursor, both ordered by cmp. The buffer half of the merge cannot observe
-// ctx itself, so the merged cursor re-checks it per record.
-func (b *BatchingBackend) scanThrough(ctx context.Context, keep func(Record) bool, cmp func(a, c Record) int, inner iter.Seq2[Record, error]) iter.Seq2[Record, error] {
+// Scan implements Backend: the matching buffered records merge with the
+// inner store's cursor — a resumed scan never forces a flush either, and the
+// buffer half is filtered before it is sorted. The buffer half cannot
+// observe ctx itself, so the merged cursor re-checks it per record.
+func (b *BatchingBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
+	inner := b.inner.Scan(ctx, spec)
 	if b.size <= 1 {
 		return inner
 	}
-	return ctxChecked(ctx, MergeScans(cmp, ScanSlice(b.buffered(keep, cmp)), inner))
+	return ctxChecked(ctx, MergeScans(spec.Order(), ScanSlice(b.buffered(spec)), inner))
 }
 
-// ScanTid implements Backend.
-func (b *BatchingBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error] {
-	return b.scanThrough(ctx,
-		func(r Record) bool { return r.Tid == tid },
-		CompareLocTid, b.inner.ScanTid(ctx, tid))
-}
-
-// ScanLoc implements Backend.
-func (b *BatchingBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.scanThrough(ctx,
-		func(r Record) bool { return r.Loc.Equal(loc) },
-		CompareTidLoc, b.inner.ScanLoc(ctx, loc))
-}
-
-// ScanLocPrefix implements Backend.
-func (b *BatchingBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
-	return b.scanThrough(ctx,
-		func(r Record) bool { return prefix.IsPrefixOf(r.Loc) },
-		CompareLocTid, b.inner.ScanLocPrefix(ctx, prefix))
-}
-
-// ScanLocWithAncestors implements Backend.
-func (b *BatchingBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.scanThrough(ctx,
-		func(r Record) bool { return r.Loc.IsPrefixOf(loc) },
-		CompareTidLoc, b.inner.ScanLocWithAncestors(ctx, loc))
-}
-
-// ScanAll implements Backend.
-func (b *BatchingBackend) ScanAll(ctx context.Context) iter.Seq2[Record, error] {
-	return b.scanThrough(ctx,
-		func(Record) bool { return true },
-		CompareTidLoc, b.inner.ScanAll(ctx))
-}
-
-// ScanAllAfter implements Backend: the pending buffer's records after the
-// key merge with the inner store's seeked cursor — resume never forces a
-// flush, and the buffer half is filtered before it is sorted.
-func (b *BatchingBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error] {
-	after := Record{Tid: tid, Loc: loc}
-	return b.scanThrough(ctx,
-		func(r Record) bool { return CompareTidLoc(r, after) > 0 },
-		CompareTidLoc, b.inner.ScanAllAfter(ctx, tid, loc))
-}
-
-// Tids implements Backend.
-func (b *BatchingBackend) Tids(ctx context.Context) ([]int64, error) {
+// Stat implements Backend.
+func (b *BatchingBackend) Stat(ctx context.Context) (Stat, error) {
 	if err := b.flushCtx(ctx); err != nil {
-		return nil, err
+		return Stat{}, err
 	}
-	return b.inner.Tids(ctx)
-}
-
-// MaxTid implements Backend.
-func (b *BatchingBackend) MaxTid(ctx context.Context) (int64, error) {
-	if err := b.flushCtx(ctx); err != nil {
-		return 0, err
-	}
-	return b.inner.MaxTid(ctx)
-}
-
-// Count implements Backend.
-func (b *BatchingBackend) Count(ctx context.Context) (int, error) {
-	if err := b.flushCtx(ctx); err != nil {
-		return 0, err
-	}
-	return b.inner.Count(ctx)
-}
-
-// Bytes implements Backend.
-func (b *BatchingBackend) Bytes(ctx context.Context) (int64, error) {
-	if err := b.flushCtx(ctx); err != nil {
-		return 0, err
-	}
-	return b.inner.Bytes(ctx)
+	return b.inner.Stat(ctx)
 }

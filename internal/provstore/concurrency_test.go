@@ -42,19 +42,19 @@ func TestMemBackendConcurrent(t *testing.T) {
 				loc := path.New("T", fmt.Sprintf("w%d", r), fmt.Sprintf("n%d", i%perWriter))
 				b.Lookup(context.Background(), int64(i+1), loc)
 				b.NearestAncestor(context.Background(), int64(i+1), loc.Child("deep"))
-				CollectScan(b.ScanTid(context.Background(), int64(i+1)))
-				CollectScan(b.ScanLocWithAncestors(context.Background(), loc))
-				b.Count(context.Background())
-				b.MaxTid(context.Background())
+				CollectScan(b.Scan(context.Background(), ByTid(int64(i+1))))
+				CollectScan(b.Scan(context.Background(), WithAncestors(loc)))
+				b.Stat(context.Background())
 			}
 		}(r)
 	}
 	wg.Wait()
-	n, err := b.Count(context.Background())
+	st, err := b.Stat(context.Background())
+	n := st.Count
 	if err != nil || n != writers*perWriter {
 		t.Fatalf("Count = %d, %v; want %d", n, err, writers*perWriter)
 	}
-	tids, _ := b.Tids(context.Background())
+	tids, _ := Tids(context.Background(), b)
 	if len(tids) != writers*perWriter {
 		t.Errorf("Tids = %d", len(tids))
 	}
@@ -93,19 +93,17 @@ func TestShardedBackendConcurrent(t *testing.T) {
 				loc := path.New("T", fmt.Sprintf("w%d", r), fmt.Sprintf("n%d", i%perWriter))
 				b.Lookup(context.Background(), int64(i+1), loc)
 				b.NearestAncestor(context.Background(), int64(i+1), loc.Child("deep"))
-				CollectScan(b.ScanTid(context.Background(), int64(i+1)))
-				CollectScan(b.ScanLoc(context.Background(), loc))
-				CollectScan(b.ScanLocPrefix(context.Background(), path.New("T", fmt.Sprintf("w%d", r))))
-				CollectScan(b.ScanLocWithAncestors(context.Background(), loc))
-				b.Tids(context.Background())
-				b.Count(context.Background())
-				b.MaxTid(context.Background())
-				b.Bytes(context.Background())
+				CollectScan(b.Scan(context.Background(), ByTid(int64(i+1))))
+				CollectScan(b.Scan(context.Background(), ByLoc(loc)))
+				CollectScan(b.Scan(context.Background(), ByPrefix(path.New("T", fmt.Sprintf("w%d", r)))))
+				CollectScan(b.Scan(context.Background(), WithAncestors(loc)))
+				b.Stat(context.Background())
 			}
 		}(r)
 	}
 	wg.Wait()
-	n, err := b.Count(context.Background())
+	st, err := b.Stat(context.Background())
+	n := st.Count
 	if err != nil || n != 2*writers*perWriter {
 		t.Fatalf("Count = %d, %v; want %d", n, err, 2*writers*perWriter)
 	}
@@ -155,9 +153,8 @@ func TestShardedIngestConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 100; i++ {
-						backend.MaxTid(context.Background())
-						backend.Count(context.Background())
-						CollectScan(backend.ScanLocPrefix(context.Background(), path.New("T")))
+						backend.Stat(context.Background())
+						CollectScan(backend.Scan(context.Background(), ByPrefix(path.New("T"))))
 					}
 				}()
 			}
@@ -168,13 +165,14 @@ func TestShardedIngestConcurrent(t *testing.T) {
 			if err := Flush(backend); err != nil {
 				t.Fatal(err)
 			}
-			n, err := backend.Count(context.Background())
+			st, err := backend.Stat(context.Background())
+			n := st.Count
 			if err != nil || n != workers*perWorker {
 				t.Fatalf("Count = %d, %v; want %d", n, err, workers*perWorker)
 			}
 			// Every record must be findable at its own location.
 			for w := 0; w < workers; w++ {
-				recs, err := CollectScan(backend.ScanLocPrefix(context.Background(), path.New("T", fmt.Sprintf("w%d", w))))
+				recs, err := CollectScan(backend.Scan(context.Background(), ByPrefix(path.New("T", fmt.Sprintf("w%d", w)))))
 				if err != nil || len(recs) != perWorker {
 					t.Fatalf("worker %d subtree has %d records, %v; want %d", w, len(recs), err, perWorker)
 				}
@@ -208,7 +206,7 @@ func TestBatchingBackendConcurrent(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := b.Count(context.Background()); err != nil || n != writers*perWriter {
-		t.Fatalf("Count = %d, %v; want %d", n, err, writers*perWriter)
+	if st, err := b.Stat(context.Background()); err != nil || st.Count != writers*perWriter {
+		t.Fatalf("Count = %d, %v; want %d", st.Count, err, writers*perWriter)
 	}
 }

@@ -19,20 +19,12 @@ type blockingBackend struct {
 	entered chan struct{} // one send per blocked scan
 }
 
-func (b *blockingBackend) blockedScan(ctx context.Context) iter.Seq2[Record, error] {
+func (b *blockingBackend) Scan(ctx context.Context, _ ScanSpec) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		b.entered <- struct{}{}
 		<-ctx.Done()
 		yield(Record{}, ctx.Err())
 	}
-}
-
-func (b *blockingBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error] {
-	return b.blockedScan(ctx)
-}
-
-func (b *blockingBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
-	return b.blockedScan(ctx)
 }
 
 // waitGoroutines polls until the goroutine count drops back to at most
@@ -71,7 +63,7 @@ func TestShardedQueryCancelMidMerge(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CollectScan(sb.ScanTid(ctx, 1))
+		_, err := CollectScan(sb.Scan(ctx, ByTid(1)))
 		done <- err
 	}()
 	// The merge pulls shard cursors lazily; wait until the first one is
@@ -107,13 +99,13 @@ func TestCancelledContextShortCircuits(t *testing.T) {
 		if _, _, err := b.Lookup(ctx, 1, rec.Loc); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Lookup under cancelled ctx: %v", name, err)
 		}
-		if _, err := CollectScan(b.ScanLocPrefix(ctx, path.MustParse("T"))); !errors.Is(err, context.Canceled) {
+		if _, err := CollectScan(b.Scan(ctx, ByPrefix(path.MustParse("T")))); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: ScanLocPrefix under cancelled ctx: %v", name, err)
 		}
-		if _, err := CollectScan(b.ScanAll(ctx)); !errors.Is(err, context.Canceled) {
+		if _, err := CollectScan(b.Scan(ctx, All())); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: ScanAll under cancelled ctx: %v", name, err)
 		}
-		if _, err := b.MaxTid(ctx); !errors.Is(err, context.Canceled) {
+		if _, err := b.Stat(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: MaxTid under cancelled ctx: %v", name, err)
 		}
 	}
@@ -141,7 +133,7 @@ func TestBatchingFlushSurvivesCancelledAppendCtx(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatalf("flush after append-ctx cancel: %v", err)
 	}
-	if n, _ := inner.Count(context.Background()); n != 1 {
-		t.Fatalf("flushed %d records, want 1", n)
+	if st, _ := inner.Stat(context.Background()); st.Count != 1 {
+		t.Fatalf("flushed %d records, want 1", st.Count)
 	}
 }

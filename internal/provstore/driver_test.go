@@ -290,8 +290,8 @@ func TestOpenDSNShardedComposite(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := b.Count(ctx); n != 3 {
-		t.Fatalf("count = %d", n)
+	if st, _ := b.Stat(ctx); st.Count != 3 {
+		t.Fatalf("count = %d", st.Count)
 	}
 
 	// Explicit per-shard DSNs.

@@ -1,7 +1,12 @@
 package provstore
 
 import (
+	"context"
+	"net/url"
+	"reflect"
 	"testing"
+
+	"repro/internal/path"
 )
 
 // FuzzParseDSN hammers the shared DSN grammar behind every backend driver:
@@ -56,6 +61,77 @@ func FuzzParseDSN(f *testing.F) {
 		}
 		if d2.Path != s {
 			t.Fatalf("EscapeDSNPath round trip: %q -> %q -> path %q", s, embedded, d2.Path)
+		}
+	})
+}
+
+// FuzzScanSpec asserts ParseScanSpec — the decoder of GET /v1/scan's
+// parameters, which come from outside the program — never panics; that what
+// it accepts survives the round trip through Values unchanged; and that on a
+// fixed store every record Scan yields for an accepted spec satisfies
+// spec.Match, the stream strictly increasing under spec.Order.
+//
+// Run with: go test -fuzz FuzzScanSpec -fuzztime 10s ./internal/provstore
+func FuzzScanSpec(f *testing.F) {
+	for _, seed := range []string{
+		"kind=all",
+		"kind=all&after_tid=2&after_loc=",
+		"kind=tid&tid=3",
+		"kind=tid&tid=3&after_tid=3&after_loc=T/c1",
+		"kind=loc&loc=T/c1/x",
+		"kind=loc-prefix&loc=T",
+		"kind=loc-prefix&loc=",
+		"kind=loc-ancestors&loc=T/c1/x&after_tid=2&after_loc=T/c1",
+		"",
+		"kind=",
+		"kind=everything",
+		"kind=tid",
+		"kind=tid&tid=x",
+		"kind=all&tid=3",
+		"kind=all&kind=tid&tid=1",
+		"kind=loc&loc=T//x",
+		"kind=all&after_tid=1",
+		"kind=all&after_loc=T",
+		"kind=all&limit=5",
+		"kind=tid&tid=9223372036854775808",
+	} {
+		f.Add(seed)
+	}
+	ctx := context.Background()
+	b := NewMemBackend()
+	for tid := int64(1); tid <= 4; tid++ {
+		var recs []Record
+		for _, loc := range []string{"S/a", "T", "T/c1", "T/c1/x", "T/c2"} {
+			recs = append(recs, Record{Tid: tid, Op: OpInsert, Loc: path.MustParse(loc)})
+		}
+		if err := b.Append(ctx, recs); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		s, err := ParseScanSpec(q)
+		if err != nil {
+			return
+		}
+		if back, err := ParseScanSpec(s.Values()); err != nil || !reflect.DeepEqual(back, s) {
+			t.Fatalf("ParseScanSpec(%q) = %v; back through Values: %v, %v", raw, s, back, err)
+		}
+		var prev *Record
+		for r, err := range b.Scan(ctx, s) {
+			if err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			if !s.Match(r) {
+				t.Fatalf("%v yielded %v, which it does not match", s, r)
+			}
+			if prev != nil && s.Order()(*prev, r) >= 0 {
+				t.Fatalf("%v yielded %v then %v: not strictly increasing", s, *prev, r)
+			}
+			prev = &r
 		}
 	})
 }

@@ -147,7 +147,7 @@ func TestFigure5cExpandsTo5a(t *testing.T) {
 	tr, vs := runFigure3(t, provstore.Hierarchical, true)
 	var full []provstore.Record
 	for i := 1; i < len(vs); i++ {
-		recs, err := provstore.CollectScan(tr.Backend().ScanTid(context.Background(), vs[i].Tid))
+		recs, err := provstore.CollectScan(tr.Backend().Scan(context.Background(), provstore.ByTid(vs[i].Tid)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,8 @@ func TestFigure5RowCounts(t *testing.T) {
 	counts := map[provstore.Method]int{}
 	for _, m := range provstore.AllMethods {
 		tr, _ := runFigure3(t, m, !m.Deferred())
-		n, err := tr.Backend().Count(context.Background())
+		st, err := tr.Backend().Stat(context.Background())
+		n := st.Count
 		if err != nil {
 			t.Fatal(err)
 		}

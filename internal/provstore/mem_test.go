@@ -228,27 +228,27 @@ func checkMemAgainstRef(t *testing.T, b *MemBackend, ref *refMem, locs []path.Pa
 			t.Fatalf("%s over %d records:\n got %v (%v)\nwant %v", what, len(ref.recs), recs, err, want)
 		}
 	}
-	if n, _ := b.Count(ctx); n != len(ref.recs) {
-		t.Fatalf("Count = %d, want %d", n, len(ref.recs))
+	if st, _ := b.Stat(ctx); st.Count != len(ref.recs) {
+		t.Fatalf("Count = %d, want %d", st.Count, len(ref.recs))
 	}
-	if n, _ := b.Bytes(ctx); n != ref.bytes() {
-		t.Fatalf("Bytes = %d, want %d", n, ref.bytes())
+	if st, _ := b.Stat(ctx); st.Bytes != ref.bytes() {
+		t.Fatalf("Bytes = %d, want %d", st.Bytes, ref.bytes())
 	}
-	if got, _ := b.MaxTid(ctx); got != ref.maxTid() {
-		t.Fatalf("MaxTid = %d, want %d", got, ref.maxTid())
+	if st, _ := b.Stat(ctx); st.MaxTid != ref.maxTid() {
+		t.Fatalf("MaxTid = %d, want %d", st.MaxTid, ref.maxTid())
 	}
-	if got, err := b.Tids(ctx); err != nil || !slices.Equal(got, ref.tids()) {
+	if got, err := Tids(ctx, b); err != nil || !slices.Equal(got, ref.tids()) {
 		t.Fatalf("Tids = %v (%v), want %v", got, err, ref.tids())
 	}
 	all := ref.scanAll()
-	scan("ScanAll", b.ScanAll(ctx), all)
+	scan("ScanAll", b.Scan(ctx, All()), all)
 
 	tids = append(slices.Clone(tids), math.MinInt64, 0, math.MaxInt64)
 	for _, tid := range slices.Clone(tids) {
 		tids = append(tids, tid-1, tid+1)
 	}
 	for _, tid := range tids {
-		scan(fmt.Sprintf("ScanTid(%d)", tid), b.ScanTid(ctx, tid), ref.scanTid(tid))
+		scan(fmt.Sprintf("ScanTid(%d)", tid), b.Scan(ctx, ByTid(tid)), ref.scanTid(tid))
 	}
 	locs = append(slices.Clone(locs), path.Root, path.New("T"), path.New("TT"), path.New("S"), path.New("V"))
 	for _, loc := range slices.Clone(locs) {
@@ -258,9 +258,9 @@ func checkMemAgainstRef(t *testing.T, b *MemBackend, ref *refMem, locs []path.Pa
 		locs = append(locs, loc.Child("a"), loc.Child("b").Child("c"))
 	}
 	for _, loc := range locs {
-		scan(fmt.Sprintf("ScanLocPrefix(%q)", loc), b.ScanLocPrefix(ctx, loc), ref.scanLocPrefix(loc))
-		scan(fmt.Sprintf("ScanLoc(%q)", loc), b.ScanLoc(ctx, loc), ref.scanLoc(loc))
-		scan(fmt.Sprintf("ScanLocWithAncestors(%q)", loc), b.ScanLocWithAncestors(ctx, loc), ref.scanLocWithAncestors(loc))
+		scan(fmt.Sprintf("ScanLocPrefix(%q)", loc), b.Scan(ctx, ByPrefix(loc)), ref.scanLocPrefix(loc))
+		scan(fmt.Sprintf("ScanLoc(%q)", loc), b.Scan(ctx, ByLoc(loc)), ref.scanLoc(loc))
+		scan(fmt.Sprintf("ScanLocWithAncestors(%q)", loc), b.Scan(ctx, WithAncestors(loc)), ref.scanLocWithAncestors(loc))
 		for _, tid := range tids {
 			got, ok, err := b.Lookup(ctx, tid, loc)
 			if want, wantOK := ref.lookup(tid, loc); err != nil || ok != wantOK || !sameRecords([]Record{got}, []Record{want}) {
@@ -276,7 +276,7 @@ func checkMemAgainstRef(t *testing.T, b *MemBackend, ref *refMem, locs []path.Pa
 			for pos < len(all) && CompareTidLoc(all[pos], Record{Tid: tid, Loc: loc}) <= 0 {
 				pos++
 			}
-			scan(fmt.Sprintf("ScanAllAfter(%d, %q)", tid, loc), b.ScanAllAfter(ctx, tid, loc), all[pos:])
+			scan(fmt.Sprintf("ScanAllAfter(%d, %q)", tid, loc), b.Scan(ctx, All().After(tid, loc)), all[pos:])
 		}
 	}
 }
@@ -398,10 +398,10 @@ func TestMemCursorSurvivesSplits(t *testing.T) {
 			scan iter.Seq2[Record, error]
 			ref  func() []Record
 		}{
-			"ScanAll":       {b.ScanAll(ctx), ref.scanAll},
-			"ScanAllAfter":  {b.ScanAllAfter(ctx, 3, path.New("T", "b")), func() []Record { return ref.scanAllAfter(3, path.New("T", "b")) }},
-			"ScanLocPrefix": {b.ScanLocPrefix(ctx, path.New("T")), func() []Record { return ref.scanLocPrefix(path.New("T")) }},
-			"ScanLoc":       {b.ScanLoc(ctx, path.New("T", "a")), func() []Record { return ref.scanLoc(path.New("T", "a")) }},
+			"ScanAll":       {b.Scan(ctx, All()), ref.scanAll},
+			"ScanAllAfter":  {b.Scan(ctx, All().After(3, path.New("T", "b"))), func() []Record { return ref.scanAllAfter(3, path.New("T", "b")) }},
+			"ScanLocPrefix": {b.Scan(ctx, ByPrefix(path.New("T"))), func() []Record { return ref.scanLocPrefix(path.New("T")) }},
+			"ScanLoc":       {b.Scan(ctx, ByLoc(path.New("T", "a"))), func() []Record { return ref.scanLoc(path.New("T", "a")) }},
 		} {
 			want := c.ref() // the snapshot is taken at the first pull, not when the cursor is built
 			if len(want) < 2*memChunkFirst {
@@ -485,16 +485,15 @@ func TestMemConcurrentAppendScan(t *testing.T) {
 				}
 				w, i := rng.Intn(writers), rng.Intn(perWriter)
 				loc := path.New("T", memLabels[w], fmt.Sprint(i))
-				ordered("ScanAll", b.ScanAll(ctx), CompareTidLoc)
-				ordered("ScanAllAfter", b.ScanAllAfter(ctx, int64(w*perWriter+i), loc), CompareTidLoc)
-				ordered("ScanTid", b.ScanTid(ctx, int64(w*perWriter+i+1)), CompareLocTid)
-				ordered("ScanLoc", b.ScanLoc(ctx, loc), CompareTidLoc)
-				ordered("ScanLocPrefix", b.ScanLocPrefix(ctx, loc.Prefix(2)), CompareLocTid)
-				ordered("ScanLocWithAncestors", b.ScanLocWithAncestors(ctx, loc.Child("deep")), CompareTidLoc)
+				ordered("ScanAll", b.Scan(ctx, All()), CompareTidLoc)
+				ordered("ScanAllAfter", b.Scan(ctx, All().After(int64(w*perWriter+i), loc)), CompareTidLoc)
+				ordered("ScanTid", b.Scan(ctx, ByTid(int64(w*perWriter+i+1))), CompareLocTid)
+				ordered("ScanLoc", b.Scan(ctx, ByLoc(loc)), CompareTidLoc)
+				ordered("ScanLocPrefix", b.Scan(ctx, ByPrefix(loc.Prefix(2))), CompareLocTid)
+				ordered("ScanLocWithAncestors", b.Scan(ctx, WithAncestors(loc.Child("deep"))), CompareTidLoc)
 				b.Lookup(ctx, int64(w*perWriter+i+1), loc)                        //nolint:errcheck // raced, not asserted
 				b.NearestAncestor(ctx, int64(w*perWriter+i+1), loc.Child("deep")) //nolint:errcheck
-				b.Tids(ctx)                                                       //nolint:errcheck
-				b.MaxTid(ctx)                                                     //nolint:errcheck
+				b.Stat(ctx)                                                       //nolint:errcheck
 			}
 		}(r)
 	}
@@ -572,7 +571,7 @@ func TestMemScanCostIndependentOfStoreSize(t *testing.T) {
 			batch = batch[k:]
 		}
 		checkMemIndexes(t, b)
-		all, err := CollectScan(b.ScanAll(ctx))
+		all, err := CollectScan(b.Scan(ctx, All()))
 		if err != nil || len(all) != n {
 			t.Fatalf("ScanAll = %d records, %v; want %d", len(all), err, n)
 		}
@@ -596,11 +595,11 @@ func TestMemScanCostIndependentOfStoreSize(t *testing.T) {
 				return len(recs)
 			}
 		}
-		cost("ScanLoc", 3, drain(b.ScanLoc(ctx, path.New("T", "hot"))))
-		cost("ScanLocPrefix", 20, drain(b.ScanLocPrefix(ctx, path.New("T", "e000007"))))
+		cost("ScanLoc", 3, drain(b.Scan(ctx, ByLoc(path.New("T", "hot")))))
+		cost("ScanLocPrefix", 20, drain(b.Scan(ctx, ByPrefix(path.New("T", "e000007")))))
 		from := all[n-3]
-		cost("ScanAllAfter", 2, drain(b.ScanAllAfter(ctx, from.Tid, from.Loc)))
-		cost("MaxTid", 0, func() int { b.MaxTid(ctx); return 0 })                     //nolint:errcheck // cannot fail
+		cost("ScanAllAfter", 2, drain(b.Scan(ctx, All().After(from.Tid, from.Loc))))
+		cost("MaxTid", 0, func() int { b.Stat(ctx); return 0 })                       //nolint:errcheck // cannot fail
 		cost("Lookup", 1, func() int { b.Lookup(ctx, from.Tid, from.Loc); return 1 }) //nolint:errcheck
 	}
 }

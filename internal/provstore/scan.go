@@ -15,7 +15,7 @@ import (
 //
 // Cursor contract (shared by every Backend implementation):
 //
-//   - A scan method itself never fails; errors are yielded in-stream as the
+//   - Scan itself never fails; errors are yielded in-stream as the
 //     final (Record{}, err) pair, after which the cursor stops. Callers must
 //     treat a non-nil error as terminal.
 //   - Records are yielded in the documented ordering of the scan.
@@ -29,7 +29,7 @@ import (
 // wants a slice.
 
 // CompareTidLoc orders records by (Tid, Loc) — the display order of the
-// paper's Figure 5 and the ordering of ScanAll and ScanLocWithAncestors.
+// paper's Figure 5 and the ordering of the All, ByTid and WithAncestors scans.
 func CompareTidLoc(a, b Record) int {
 	if a.Tid != b.Tid {
 		if a.Tid < b.Tid {
@@ -40,8 +40,8 @@ func CompareTidLoc(a, b Record) int {
 	return a.Loc.Compare(b.Loc)
 }
 
-// CompareLocTid orders records by (Loc, Tid) — the ordering of ScanTid
-// (where Tid is constant) and ScanLocPrefix.
+// CompareLocTid orders records by (Loc, Tid) — the ordering of the ByLoc and
+// ByPrefix scans.
 func CompareLocTid(a, b Record) int {
 	if c := a.Loc.Compare(b.Loc); c != 0 {
 		return c

@@ -48,7 +48,7 @@ func TestScanAllOrderAndEquivalence(t *testing.T) {
 	var want []Record
 	for name, b := range scanStores() {
 		recs := scanFixture(t, b)
-		got, err := CollectScan(b.ScanAll(ctx))
+		got, err := CollectScan(b.Scan(ctx, All()))
 		if err != nil {
 			t.Fatalf("%s: ScanAll: %v", name, err)
 		}
@@ -106,10 +106,10 @@ func TestCursorEarlyBreakReleases(t *testing.T) {
 			scanFixture(t, b)
 			base := runtime.NumGoroutine()
 			scans := map[string]iter.Seq2[Record, error]{
-				"ScanAll":              b.ScanAll(ctx),
-				"ScanTid":              b.ScanTid(ctx, 2),
-				"ScanLocPrefix":        b.ScanLocPrefix(ctx, path.MustParse("T/s1")),
-				"ScanLocWithAncestors": b.ScanLocWithAncestors(ctx, path.MustParse("T/s1/n1-1")),
+				"ScanAll":              b.Scan(ctx, All()),
+				"ScanTid":              b.Scan(ctx, ByTid(2)),
+				"ScanLocPrefix":        b.Scan(ctx, ByPrefix(path.MustParse("T/s1"))),
+				"ScanLocWithAncestors": b.Scan(ctx, WithAncestors(path.MustParse("T/s1/n1-1"))),
 			}
 			for sname, scan := range scans {
 				n := 0
@@ -149,7 +149,7 @@ func TestBatchingScanReadsThroughWithoutFlush(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CollectScan(b.ScanAll(ctx))
+	got, err := CollectScan(b.Scan(ctx, All()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,13 @@ func TestBatchingScanReadsThroughWithoutFlush(t *testing.T) {
 	if b.Pending() != 2 {
 		t.Fatalf("scan flushed the buffer (pending=%d, want 2)", b.Pending())
 	}
-	if n, _ := inner.Count(ctx); n != 0 {
-		t.Fatalf("scan pushed %d records to the store", n)
+	if st, _ := inner.Stat(ctx); st.Count != 0 {
+		t.Fatalf("scan pushed %d records to the store", st.Count)
 	}
 
 	// A flush between cursor construction and consumption must not
 	// duplicate records: the merge collapses equal keys.
-	cur := b.ScanAll(ctx)
+	cur := b.Scan(ctx, All())
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestScanSnapshotIsolation(t *testing.T) {
 	ctx := context.Background()
 	hot := path.MustParse("T/s1/hot")
 	scans := map[string]func(b Backend) iter.Seq2[Record, error]{
-		"ScanAll":              func(b Backend) iter.Seq2[Record, error] { return b.ScanAll(ctx) },
-		"ScanAllAfter":         func(b Backend) iter.Seq2[Record, error] { return b.ScanAllAfter(ctx, 2, hot) },
-		"ScanTid":              func(b Backend) iter.Seq2[Record, error] { return b.ScanTid(ctx, 5) },
-		"ScanLoc":              func(b Backend) iter.Seq2[Record, error] { return b.ScanLoc(ctx, hot) },
-		"ScanLocPrefix":        func(b Backend) iter.Seq2[Record, error] { return b.ScanLocPrefix(ctx, hot.Prefix(2)) },
-		"ScanLocWithAncestors": func(b Backend) iter.Seq2[Record, error] { return b.ScanLocWithAncestors(ctx, hot.Child("x")) },
+		"ScanAll":              func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, All()) },
+		"ScanAllAfter":         func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, All().After(2, hot)) },
+		"ScanTid":              func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, ByTid(5)) },
+		"ScanLoc":              func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, ByLoc(hot)) },
+		"ScanLocPrefix":        func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, ByPrefix(hot.Prefix(2))) },
+		"ScanLocWithAncestors": func(b Backend) iter.Seq2[Record, error] { return b.Scan(ctx, WithAncestors(hot.Child("x"))) },
 	}
 	// Both batches hold a record every one of the scans would select.
 	appends := map[string][]Record{

@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"io"
 	"iter"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -30,7 +29,7 @@ import (
 // FNV-1a hash of the location's root-relative path (the path with the
 // database label stripped), so routing does not depend on what the curated
 // database happens to be called. All records at one location land on one
-// shard, which is what lets Lookup and ScanLoc stay single-shard.
+// shard, which is what lets Lookup and a ByLoc scan stay single-shard.
 func ShardFor(loc path.Path, n int) int {
 	if n <= 1 {
 		return 0
@@ -291,142 +290,59 @@ func (b *ShardedBackend) NearestAncestor(ctx context.Context, tid int64, loc pat
 	return Record{}, false, nil
 }
 
-// merged builds the streaming k-way ordered merge over one cursor per
-// shard: each shard's scan is pulled lazily, one record at a time, and the
-// merge restores the documented global ordering — no shard's result is ever
-// gathered wholesale, so a scan over a sharded store stays O(shards) in
+// Scan implements Backend. All records at one location live on one shard, so
+// a ByLoc scan is a single-shard read and a WithAncestors scan merges one
+// such read per prefix of its location. Every other kind can match on any
+// shard: one cursor per shard, each pulled lazily one record at a time, and
+// a streaming k-way merge restores the global order — no shard's result is
+// ever gathered wholesale, so a scan over a sharded store stays O(shards) in
 // memory. Construction is lazy; nothing runs until the cursor is ranged.
-// Under tracing, each shard's cursor drains inside its own "shard:<op>"
+// Under tracing, each shard's cursor drains inside its own "shard:<scan>"
 // span (the scatter half of the scatter-gather), ended from the merge's
 // puller goroutines — all into one shared recorder.
-func (b *ShardedBackend) merged(ctx context.Context, op string, cmp func(a, c Record) int, scan func(Backend) iter.Seq2[Record, error]) iter.Seq2[Record, error] {
-	if len(b.shards) == 1 {
-		return scan(b.shards[0])
-	}
-	traced := provtrace.Active(ctx)
-	cursors := make([]iter.Seq2[Record, error], len(b.shards))
-	for i, s := range b.shards {
-		cursors[i] = scan(s)
-		if traced {
-			cursors[i] = provtrace.Cursor(ctx, "shard:"+op, cursors[i],
-				provtrace.Attr{K: "shard", V: strconv.Itoa(i)})
+func (b *ShardedBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
+	var cursors []iter.Seq2[Record, error]
+	switch {
+	case len(b.shards) == 1:
+		return b.shards[0].Scan(ctx, spec)
+	case spec.Kind == KindLoc:
+		return b.shardFor(spec.Loc).Scan(ctx, spec)
+	case spec.Kind == KindAncestors:
+		cursors = make([]iter.Seq2[Record, error], spec.Loc.Len())
+		for i := range cursors {
+			p := spec.Probe(i + 1)
+			cursors[i] = b.shardFor(p.Loc).Scan(ctx, p)
+		}
+	default:
+		var span string
+		if provtrace.Active(ctx) {
+			span = "shard:" + spec.String()
+		}
+		cursors = make([]iter.Seq2[Record, error], len(b.shards))
+		for i, s := range b.shards {
+			cursors[i] = s.Scan(ctx, spec)
+			if span != "" {
+				cursors[i] = provtrace.Cursor(ctx, span, cursors[i],
+					provtrace.Attr{K: "shard", V: strconv.Itoa(i)})
+			}
 		}
 	}
-	return MergeScans(cmp, cursors...)
+	return MergeScans(spec.Order(), cursors...)
 }
 
-// ScanTid implements Backend: a streaming merge by Loc over per-shard
-// cursors.
-func (b *ShardedBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[Record, error] {
-	return b.merged(ctx, "scan-tid", CompareLocTid, func(s Backend) iter.Seq2[Record, error] { return s.ScanTid(ctx, tid) })
-}
-
-// ScanLoc implements Backend: a single-shard read (one location, one shard).
-func (b *ShardedBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	return b.shardFor(loc).ScanLoc(ctx, loc)
-}
-
-// ScanLocPrefix implements Backend: descendants of prefix hash anywhere, so
-// one cursor per shard merges back into (Loc, Tid) order.
-func (b *ShardedBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[Record, error] {
-	return b.merged(ctx, "scan-prefix", CompareLocTid, func(s Backend) iter.Seq2[Record, error] { return s.ScanLocPrefix(ctx, prefix) })
-}
-
-// ScanLocWithAncestors implements Backend: loc and each of its ancestors
-// route to single shards, so one ScanLoc cursor per ancestor merges into
-// (Tid, Loc) order (each probe's cursor is Tid-ordered at a single
-// location, so the merge's output is exactly the documented ordering).
-func (b *ShardedBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[Record, error] {
-	probes := append(loc.Ancestors(), loc)
-	cursors := make([]iter.Seq2[Record, error], len(probes))
-	for i, p := range probes {
-		cursors[i] = b.shardFor(p).ScanLoc(ctx, p)
-	}
-	return MergeScans(CompareTidLoc, cursors...)
-}
-
-// ScanAll implements Backend: the full (Tid, Loc)-ordered table as a
-// streaming merge of every shard's ScanAll cursor.
-func (b *ShardedBackend) ScanAll(ctx context.Context) iter.Seq2[Record, error] {
-	return b.merged(ctx, "scan-all", CompareTidLoc, func(s Backend) iter.Seq2[Record, error] { return s.ScanAll(ctx) })
-}
-
-// ScanAllAfter implements Backend: each shard seeks to its own successor of
-// the key, and the streaming merge restores the global (Tid, Loc) order.
-func (b *ShardedBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[Record, error] {
-	return b.merged(ctx, "scan-after", CompareTidLoc, func(s Backend) iter.Seq2[Record, error] { return s.ScanAllAfter(ctx, tid, loc) })
-}
-
-// Tids implements Backend: the sorted union of all shards' transactions.
-func (b *ShardedBackend) Tids(ctx context.Context) ([]int64, error) {
-	parts := make([][]int64, len(b.shards))
-	err := Fanout(ctx, len(b.shards), func(i int) error {
-		tids, serr := b.shards[i].Tids(ctx)
-		parts[i] = tids
+// Stat implements Backend: the shards' counts and sizes summed, the largest
+// of their transaction identifiers.
+func (b *ShardedBackend) Stat(ctx context.Context) (Stat, error) {
+	stats := make([]Stat, len(b.shards))
+	err := Fanout(ctx, len(b.shards), func(i int) (serr error) {
+		stats[i], serr = b.shards[i].Stat(ctx)
 		return serr
 	})
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[int64]struct{})
-	for _, p := range parts {
-		for _, t := range p {
-			set[t] = struct{}{}
-		}
-	}
-	out := make([]int64, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// MaxTid implements Backend.
-func (b *ShardedBackend) MaxTid(ctx context.Context) (int64, error) {
-	var mu sync.Mutex
-	var maxT int64
-	err := Fanout(ctx, len(b.shards), func(i int) error {
-		t, serr := b.shards[i].MaxTid(ctx)
-		if serr != nil {
-			return serr
-		}
-		mu.Lock()
-		if t > maxT {
-			maxT = t
-		}
-		mu.Unlock()
-		return nil
-	})
-	return maxT, err
-}
-
-// Count implements Backend.
-func (b *ShardedBackend) Count(ctx context.Context) (int, error) {
-	counts := make([]int, len(b.shards))
-	err := Fanout(ctx, len(b.shards), func(i int) error {
-		n, serr := b.shards[i].Count(ctx)
-		counts[i] = n
-		return serr
-	})
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, err
-}
-
-// Bytes implements Backend.
-func (b *ShardedBackend) Bytes(ctx context.Context) (int64, error) {
-	sizes := make([]int64, len(b.shards))
-	err := Fanout(ctx, len(b.shards), func(i int) error {
-		n, serr := b.shards[i].Bytes(ctx)
-		sizes[i] = n
-		return serr
-	})
-	var total int64
-	for _, n := range sizes {
-		total += n
+	var total Stat
+	for _, st := range stats {
+		total.MaxTid = max(total.MaxTid, st.MaxTid)
+		total.Count += st.Count
+		total.Bytes += st.Bytes
 	}
 	return total, err
 }

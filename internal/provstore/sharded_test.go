@@ -122,23 +122,23 @@ func TestShardedBackendQueryEquivalence(t *testing.T) {
 			}
 		}
 	}
-	tids, _ := mem.Tids(context.Background())
-	stids, err := sh.Tids(context.Background())
+	tids, _ := provstore.Tids(context.Background(), mem)
+	stids, err := provstore.Tids(context.Background(), sh)
 	if err != nil || len(stids) != len(tids) {
 		t.Fatalf("Tids = %v (err %v), want %v", stids, err, tids)
 	}
 	for _, tid := range tids {
-		got, err1 := provstore.CollectScan(sh.ScanTid(context.Background(), tid))
-		want, err2 := provstore.CollectScan(mem.ScanTid(context.Background(), tid))
+		got, err1 := provstore.CollectScan(sh.Scan(context.Background(), provstore.ByTid(tid)))
+		want, err2 := provstore.CollectScan(mem.Scan(context.Background(), provstore.ByTid(tid)))
 		check(fmt.Sprintf("ScanTid(%d)", tid), got, want, err1, err2)
 	}
 	for _, r := range recs {
-		got, err1 := provstore.CollectScan(sh.ScanLoc(context.Background(), r.Loc))
-		want, err2 := provstore.CollectScan(mem.ScanLoc(context.Background(), r.Loc))
+		got, err1 := provstore.CollectScan(sh.Scan(context.Background(), provstore.ByLoc(r.Loc)))
+		want, err2 := provstore.CollectScan(mem.Scan(context.Background(), provstore.ByLoc(r.Loc)))
 		check("ScanLoc "+r.Loc.String(), got, want, err1, err2)
 
-		got, err1 = provstore.CollectScan(sh.ScanLocWithAncestors(context.Background(), r.Loc))
-		want, err2 = provstore.CollectScan(mem.ScanLocWithAncestors(context.Background(), r.Loc))
+		got, err1 = provstore.CollectScan(sh.Scan(context.Background(), provstore.WithAncestors(r.Loc)))
+		want, err2 = provstore.CollectScan(mem.Scan(context.Background(), provstore.WithAncestors(r.Loc)))
 		check("ScanLocWithAncestors "+r.Loc.String(), got, want, err1, err2)
 
 		grec, gok, err1 := sh.Lookup(context.Background(), r.Tid, r.Loc)
@@ -155,24 +155,20 @@ func TestShardedBackendQueryEquivalence(t *testing.T) {
 		}
 	}
 	for _, prefix := range []path.Path{path.New("T"), path.New("T", "c2")} {
-		got, err1 := provstore.CollectScan(sh.ScanLocPrefix(context.Background(), prefix))
-		want, err2 := provstore.CollectScan(mem.ScanLocPrefix(context.Background(), prefix))
+		got, err1 := provstore.CollectScan(sh.Scan(context.Background(), provstore.ByPrefix(prefix)))
+		want, err2 := provstore.CollectScan(mem.Scan(context.Background(), provstore.ByPrefix(prefix)))
 		check("ScanLocPrefix "+prefix.String(), got, want, err1, err2)
 	}
-	gc, err1 := sh.Count(context.Background())
-	wc, err2 := mem.Count(context.Background())
-	if err1 != nil || err2 != nil || gc != wc {
-		t.Errorf("Count = %d, want %d", gc, wc)
+	got, err1 := sh.Stat(context.Background())
+	want, err2 := mem.Stat(context.Background())
+	if err1 != nil || err2 != nil || got.Count != want.Count {
+		t.Errorf("Count = %d, want %d", got.Count, want.Count)
 	}
-	gb, _ := sh.Bytes(context.Background())
-	wb, _ := mem.Bytes(context.Background())
-	if gb != wb {
-		t.Errorf("Bytes = %d, want %d", gb, wb)
+	if got.Bytes != want.Bytes {
+		t.Errorf("Bytes = %d, want %d", got.Bytes, want.Bytes)
 	}
-	gm, _ := sh.MaxTid(context.Background())
-	wm, _ := mem.MaxTid(context.Background())
-	if gm != wm {
-		t.Errorf("MaxTid = %d, want %d", gm, wm)
+	if got.MaxTid != want.MaxTid {
+		t.Errorf("MaxTid = %d, want %d", got.MaxTid, want.MaxTid)
 	}
 }
 
@@ -276,8 +272,7 @@ func TestShardedTrackerSemantics(t *testing.T) {
 	if err != nil || tidA == 0 {
 		t.Fatalf("CommitSubtree = %d, %v", tidA, err)
 	}
-	n, _ := backend.Count(context.Background())
-	if n == 0 {
+	if st, _ := backend.Stat(context.Background()); st.Count == 0 {
 		t.Error("CommitSubtree stored nothing")
 	}
 	if _, err := tr.Commit(); err != nil {
@@ -286,9 +281,8 @@ func TestShardedTrackerSemantics(t *testing.T) {
 	if tr.Pending() != 0 {
 		t.Errorf("Pending after Commit = %d", tr.Pending())
 	}
-	n, _ = backend.Count(context.Background())
-	if n != 2 {
-		t.Errorf("stored %d records, want 2", n)
+	if st, _ := backend.Stat(context.Background()); st.Count != 2 {
+		t.Errorf("stored %d records, want 2", st.Count)
 	}
 	if _, err := tr.Commit(); !errors.Is(err, provstore.ErrNoTxn) {
 		t.Fatalf("Commit without txn: %v, want ErrNoTxn", err)
@@ -309,8 +303,8 @@ func TestBatchingBackend(t *testing.T) {
 	if err := b.Append(context.Background(), []provstore.Record{rec(1, "a")}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := inner.Count(context.Background()); n != 0 {
-		t.Fatalf("flushed too early: inner has %d", n)
+	if st, _ := inner.Stat(context.Background()); st.Count != 0 {
+		t.Fatalf("flushed too early: inner has %d", st.Count)
 	}
 	if b.Pending() != 1 {
 		t.Fatalf("Pending = %d", b.Pending())
@@ -321,8 +315,8 @@ func TestBatchingBackend(t *testing.T) {
 		t.Fatalf("buffer dup: %v", err)
 	}
 	// Read-through: a query sees the buffered record.
-	if n, err := b.Count(context.Background()); err != nil || n != 1 {
-		t.Fatalf("read-through Count = %d, %v", n, err)
+	if st, err := b.Stat(context.Background()); err != nil || st.Count != 1 {
+		t.Fatalf("read-through Count = %d, %v", st.Count, err)
 	}
 	if b.Pending() != 0 {
 		t.Fatalf("read did not flush: Pending = %d", b.Pending())
@@ -335,8 +329,8 @@ func TestBatchingBackend(t *testing.T) {
 	if err := b.Append(context.Background(), []provstore.Record{rec(2, "a"), rec(2, "b"), rec(2, "c")}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := inner.Count(context.Background()); n != 4 {
-		t.Fatalf("threshold flush missing: inner has %d", n)
+	if st, _ := inner.Stat(context.Background()); st.Count != 4 {
+		t.Fatalf("threshold flush missing: inner has %d", st.Count)
 	}
 	// Explicit flush of a partial batch.
 	if err := b.Append(context.Background(), []provstore.Record{rec(3, "a")}); err != nil {
@@ -345,8 +339,8 @@ func TestBatchingBackend(t *testing.T) {
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := inner.Count(context.Background()); n != 5 {
-		t.Fatalf("explicit flush missing: inner has %d", n)
+	if st, _ := inner.Stat(context.Background()); st.Count != 5 {
+		t.Fatalf("explicit flush missing: inner has %d", st.Count)
 	}
 	// A rejected batch buffers nothing.
 	if err := b.Append(context.Background(), []provstore.Record{rec(4, "x"), rec(4, "x")}); !errors.As(err, &dup) {

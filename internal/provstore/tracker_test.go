@@ -92,7 +92,8 @@ func TestPendingCounts(t *testing.T) {
 	if tr.Pending() != 0 {
 		t.Error("Pending must reset after commit")
 	}
-	n, _ := tr.Backend().Count(context.Background())
+	st, _ := tr.Backend().Stat(context.Background())
+	n := st.Count
 	if n != 2 {
 		t.Errorf("stored %d records", n)
 	}
@@ -112,7 +113,7 @@ func TestEmptyCommit(t *testing.T) {
 	if err != nil || tid == 0 {
 		t.Fatalf("empty commit = %d, %v", tid, err)
 	}
-	if n, _ := tr.Backend().Count(context.Background()); n != 0 {
+	if st, _ := tr.Backend().Stat(context.Background()); st.Count != 0 {
 		t.Error("empty commit must store nothing")
 	}
 }
@@ -268,7 +269,8 @@ func TestHierarchicalImmediateCounts(t *testing.T) {
 	if _, err := provtest.RunPerOp(tr, f, seq); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := tr.Backend().Count(context.Background())
+	st, _ := tr.Backend().Stat(context.Background())
+	n := st.Count
 	if n > len(seq) {
 		t.Errorf("|HProv| = %d > |U| = %d", n, len(seq))
 	}
@@ -427,7 +429,7 @@ func TestNetEffectInvariants(t *testing.T) {
 			}
 			for i := 1; i < len(vs); i++ {
 				pre, post := locSet(vs[i-1].Forest), locSet(vs[i].Forest)
-				recs, err := provstore.CollectScan(tr.Backend().ScanTid(context.Background(), vs[i].Tid))
+				recs, err := provstore.CollectScan(tr.Backend().Scan(context.Background(), provstore.ByTid(vs[i].Tid)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -520,12 +522,12 @@ func TestHTExpandsToT(t *testing.T) {
 			t.Fatalf("seed %d: version count mismatch", seed)
 		}
 		for i := 1; i < len(vsH); i++ {
-			hrecs, _ := provstore.CollectScan(trH.Backend().ScanTid(context.Background(), vsH[i].Tid))
+			hrecs, _ := provstore.CollectScan(trH.Backend().Scan(context.Background(), provstore.ByTid(vsH[i].Tid)))
 			expanded, err := provstore.ExpandTxn(hrecs, vsH[i-1].Forest, vsH[i].Forest)
 			if err != nil {
 				t.Fatalf("seed %d txn %d: %v", seed, i, err)
 			}
-			trecs, _ := provstore.CollectScan(trT.Backend().ScanTid(context.Background(), vsT[i].Tid))
+			trecs, _ := provstore.CollectScan(trT.Backend().Scan(context.Background(), provstore.ByTid(vsT[i].Tid)))
 			if got, want := renderSet(expanded), renderSet(trecs); got != want {
 				t.Errorf("seed %d txn %d:\nHT expanded:\n%s\nT stored:\n%s", seed, i, got, want)
 			}
@@ -571,7 +573,7 @@ func TestHExpandsToN(t *testing.T) {
 		}
 		var expanded []provstore.Record
 		for i := 1; i < len(vsH); i++ {
-			hrecs, _ := provstore.CollectScan(trH.Backend().ScanTid(context.Background(), vsH[i].Tid))
+			hrecs, _ := provstore.CollectScan(trH.Backend().Scan(context.Background(), provstore.ByTid(vsH[i].Tid)))
 			ex, err := provstore.ExpandTxn(hrecs, vsH[i-1].Forest, vsH[i].Forest)
 			if err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, i, err)
@@ -608,8 +610,8 @@ func TestStorageBoundHT(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 1; i < len(vsHT); i++ {
-			ht, _ := provstore.CollectScan(trHT.Backend().ScanTid(context.Background(), vsHT[i].Tid))
-			tt, _ := provstore.CollectScan(trT.Backend().ScanTid(context.Background(), vsT[i].Tid))
+			ht, _ := provstore.CollectScan(trHT.Backend().Scan(context.Background(), provstore.ByTid(vsHT[i].Tid)))
+			tt, _ := provstore.CollectScan(trT.Backend().Scan(context.Background(), provstore.ByTid(vsT[i].Tid)))
 			opsInTxn := 5
 			if len(ht) > opsInTxn {
 				t.Errorf("seed %d txn %d: |HT|=%d > |U|=%d", seed, i, len(ht), opsInTxn)

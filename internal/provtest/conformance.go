@@ -1,6 +1,7 @@
 package provtest
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -14,8 +15,8 @@ import (
 // This file is the backend conformance suite: one set of cursor-contract
 // checks every Backend implementation runs instead of each package keeping
 // its own copy-pasted variants. A backend passes when every scan kind
-// streams the documented membership in the documented order, ScanAllAfter
-// is exactly a keyset seek into the ScanAll order, breaking out of a cursor
+// streams the documented membership in the documented order, After is
+// exactly a keyset seek into every kind's own order, breaking out of a cursor
 // releases its resources (proven by the store remaining fully usable), and
 // cancellation surfaces as the in-stream terminal error — before the first
 // record for a pre-cancelled context, between records otherwise.
@@ -88,141 +89,142 @@ func sameSeq(t *testing.T, what string, got, want []provstore.Record) {
 	}
 }
 
-// conformScanOrdering drains every scan kind and checks membership and
-// order against the documented contract, computed independently from the
-// fixture slice.
+// A scanCase is one row of the conformance table: a spec and, stated apart
+// from it, what it selects and in what order. keep and cmp are the oracle —
+// they never call spec.Match or spec.Order, which they are the check on.
+type scanCase struct {
+	spec provstore.ScanSpec
+	keep func(provstore.Record) bool
+	cmp  func(a, b provstore.Record) int
+}
+
+// scanCases is the table: every kind, over arguments that select many
+// records, one, and none (an absent tid, one past the end, an absent
+// location, an absent subtree).
+func scanCases() []scanCase {
+	tidLoc := func(a, b provstore.Record) int {
+		return cmp.Or(cmp.Compare(a.Tid, b.Tid), a.Loc.Compare(b.Loc))
+	}
+	locTid := func(a, b provstore.Record) int {
+		return cmp.Or(a.Loc.Compare(b.Loc), cmp.Compare(a.Tid, b.Tid))
+	}
+	cases := []scanCase{{provstore.All(), func(provstore.Record) bool { return true }, tidLoc}}
+	for _, tid := range []int64{1, 2, 3, 4, 5, 6, 99} {
+		cases = append(cases, scanCase{provstore.ByTid(tid),
+			func(r provstore.Record) bool { return r.Tid == tid }, tidLoc})
+	}
+	for _, loc := range []string{"T/c1/x", "S/b", "T/c1", "T/absent"} {
+		p := path.MustParse(loc)
+		cases = append(cases, scanCase{provstore.ByLoc(p),
+			func(r provstore.Record) bool { return r.Loc.Equal(p) }, locTid})
+	}
+	for _, prefix := range []string{"T/c1", "S", "U/m", "T/c2/y", "X"} {
+		p := path.MustParse(prefix)
+		cases = append(cases, scanCase{provstore.ByPrefix(p),
+			func(r provstore.Record) bool { return p.IsPrefixOf(r.Loc) }, locTid})
+	}
+	for _, loc := range []string{"T/c1/x", "S/a/x/deep", "T/c3/w", "U/m/y"} {
+		p := path.MustParse(loc)
+		cases = append(cases, scanCase{provstore.WithAncestors(p),
+			func(r provstore.Record) bool { return r.Loc.IsPrefixOf(p) }, tidLoc})
+	}
+	return cases
+}
+
+// conformScanOrdering drains every row of the table and checks membership
+// and order — strictly increasing, because {Tid, Loc} is a key — against the
+// oracle, computed from the fixture slice.
 func conformScanOrdering(t *testing.T, b provstore.Backend) {
 	ctx := context.Background()
 	recs := loadConformanceFixture(t, b)
-
-	filtered := func(keep func(provstore.Record) bool, cmp func(a, b provstore.Record) int) []provstore.Record {
-		var out []provstore.Record
+	for _, c := range scanCases() {
+		var want []provstore.Record
 		for _, r := range recs {
-			if keep(r) {
-				out = append(out, r)
+			if c.keep(r) {
+				want = append(want, r)
 			}
 		}
-		slices.SortFunc(out, cmp)
-		return out
-	}
-
-	// ScanAll: the whole relation in strictly increasing (Tid, Loc) order —
-	// strict, because {Tid, Loc} is a key.
-	all, err := provstore.CollectScan(b.ScanAll(ctx))
-	if err != nil {
-		t.Fatalf("ScanAll: %v", err)
-	}
-	sameSeq(t, "ScanAll", all, filtered(func(provstore.Record) bool { return true }, provstore.CompareTidLoc))
-	for i := 1; i < len(all); i++ {
-		if provstore.CompareTidLoc(all[i-1], all[i]) >= 0 {
-			t.Fatalf("ScanAll not strictly (Tid, Loc)-increasing at %d: %v !< %v", i, all[i-1], all[i])
-		}
-	}
-
-	// ScanTid: one transaction's records, ordered by Loc. Probe every tid
-	// plus one absent (5) and one past the end.
-	for _, tid := range []int64{1, 2, 3, 4, 5, 6, 99} {
-		got, err := provstore.CollectScan(b.ScanTid(ctx, tid))
+		slices.SortFunc(want, c.cmp)
+		got, err := provstore.CollectScan(b.Scan(ctx, c.spec))
 		if err != nil {
-			t.Fatalf("ScanTid(%d): %v", tid, err)
+			t.Fatalf("%v: %v", c.spec, err)
 		}
-		sameSeq(t, fmt.Sprintf("ScanTid(%d)", tid), got,
-			filtered(func(r provstore.Record) bool { return r.Tid == tid }, provstore.CompareLocTid))
-	}
-
-	// ScanLoc: every record at exactly loc, ordered by Tid.
-	for _, loc := range []string{"T/c1/x", "S/b", "T/c1", "T/absent"} {
-		p := path.MustParse(loc)
-		got, err := provstore.CollectScan(b.ScanLoc(ctx, p))
-		if err != nil {
-			t.Fatalf("ScanLoc(%s): %v", loc, err)
+		sameSeq(t, c.spec.String(), got, want)
+		for i := 1; i < len(got); i++ {
+			if c.cmp(got[i-1], got[i]) >= 0 {
+				t.Fatalf("%v not strictly increasing at %d: %v !< %v", c.spec, i, got[i-1], got[i])
+			}
 		}
-		sameSeq(t, fmt.Sprintf("ScanLoc(%s)", loc), got,
-			filtered(func(r provstore.Record) bool { return r.Loc.Equal(p) },
-				func(a, b provstore.Record) int { return int(a.Tid - b.Tid) }))
-	}
-
-	// ScanLocPrefix: the subtree at prefix (inclusive), ordered (Loc, Tid).
-	for _, prefix := range []string{"T/c1", "S", "U/m", "T/c2/y", "X"} {
-		p := path.MustParse(prefix)
-		got, err := provstore.CollectScan(b.ScanLocPrefix(ctx, p))
-		if err != nil {
-			t.Fatalf("ScanLocPrefix(%s): %v", prefix, err)
-		}
-		sameSeq(t, fmt.Sprintf("ScanLocPrefix(%s)", prefix), got,
-			filtered(func(r provstore.Record) bool { return p.IsPrefixOf(r.Loc) }, provstore.CompareLocTid))
-	}
-
-	// ScanLocWithAncestors: records at loc or any strict ancestor, ordered
-	// (Tid, Loc) — the one-round-trip feed of hierarchical inference.
-	for _, loc := range []string{"T/c1/x", "S/a/x/deep", "T/c3/w", "U/m/y"} {
-		p := path.MustParse(loc)
-		got, err := provstore.CollectScan(b.ScanLocWithAncestors(ctx, p))
-		if err != nil {
-			t.Fatalf("ScanLocWithAncestors(%s): %v", loc, err)
-		}
-		sameSeq(t, fmt.Sprintf("ScanLocWithAncestors(%s)", loc), got,
-			filtered(func(r provstore.Record) bool { return r.Loc.IsPrefixOf(p) }, provstore.CompareTidLoc))
 	}
 
 	// The scalar views agree with the drained relation.
-	tids, err := b.Tids(ctx)
+	tids, err := provstore.Tids(ctx, b)
 	if err != nil {
 		t.Fatalf("Tids: %v", err)
 	}
 	if want := []int64{1, 2, 3, 4, 6}; fmt.Sprint(tids) != fmt.Sprint(want) {
 		t.Errorf("Tids = %v, want %v", tids, want)
 	}
-	if maxT, err := b.MaxTid(ctx); err != nil || maxT != 6 {
-		t.Errorf("MaxTid = %d, %v; want 6", maxT, err)
-	}
-	if n, err := b.Count(ctx); err != nil || n != len(recs) {
-		t.Errorf("Count = %d, %v; want %d", n, err, len(recs))
+	if st, err := b.Stat(ctx); err != nil || st.MaxTid != 6 || st.Count != len(recs) {
+		t.Errorf("Stat = %+v, %v; want MaxTid 6, Count %d", st, err, len(recs))
 	}
 }
 
-// conformSeek pins ScanAllAfter as a pure keyset seek: at every stored key
-// it yields exactly the ScanAll suffix strictly after that key, and at
-// synthetic keys (before the start, between stored keys, past the end) it
-// lands on the successor.
+// conformSeek pins After as a pure keyset seek for every row of the table:
+// at every stored key — inside the row's selection or not — and at synthetic
+// keys (before the start, between stored keys, inside the transaction gap,
+// past the end), Scan(spec.After(k)) is exactly the suffix of Scan(spec)
+// strictly after k in the row's own order.
 func conformSeek(t *testing.T, b provstore.Backend) {
 	ctx := context.Background()
-	loadConformanceFixture(t, b)
-	full, err := provstore.CollectScan(b.ScanAll(ctx))
-	if err != nil {
-		t.Fatalf("ScanAll: %v", err)
-	}
-	for k, rec := range full {
-		got, err := provstore.CollectScan(b.ScanAllAfter(ctx, rec.Tid, rec.Loc))
-		if err != nil {
-			t.Fatalf("ScanAllAfter(%d, %s): %v", rec.Tid, rec.Loc, err)
-		}
-		sameSeq(t, fmt.Sprintf("ScanAllAfter(%d, %s)", rec.Tid, rec.Loc), got, full[k+1:])
-	}
-	synthetic := []struct {
+	keys := loadConformanceFixture(t, b)
+	for _, k := range []struct {
 		tid int64
 		loc string
 	}{
-		{0, ""},         // before the start: the full table
+		{0, ""},         // before every key in either order
 		{1, ""},         // the tid-range seek key: everything with Tid >= 1
 		{3, ""},         // everything with Tid >= 3 (root sorts below every stored loc)
 		{2, "T/c1/q"},   // between stored keys of one transaction
+		{3, "T/c1/x"},   // between the stored tids of one location
 		{5, "anything"}, // inside the transaction gap
-		{99, ""},        // past the end: empty
+		{99, ""},        // past the last tid
+		{99, "Z"},       // past the end in either order
+	} {
+		keys = append(keys, provstore.Record{Tid: k.tid, Loc: path.MustParse(k.loc)})
 	}
-	for _, s := range synthetic {
-		after := provstore.Record{Tid: s.tid, Loc: path.MustParse(s.loc)}
-		var want []provstore.Record
-		for _, r := range full {
-			if provstore.CompareTidLoc(r, after) > 0 {
-				want = append(want, r)
-			}
-		}
-		got, err := provstore.CollectScan(b.ScanAllAfter(ctx, after.Tid, after.Loc))
+	for _, c := range scanCases() {
+		full, err := provstore.CollectScan(b.Scan(ctx, c.spec))
 		if err != nil {
-			t.Fatalf("ScanAllAfter(%d, %q): %v", s.tid, s.loc, err)
+			t.Fatalf("%v: %v", c.spec, err)
 		}
-		sameSeq(t, fmt.Sprintf("ScanAllAfter(%d, %q)", s.tid, s.loc), got, want)
+		for _, k := range keys {
+			var want []provstore.Record
+			for _, r := range full {
+				if c.cmp(r, k) > 0 {
+					want = append(want, r)
+				}
+			}
+			spec := c.spec.After(k.Tid, k.Loc)
+			got, err := provstore.CollectScan(b.Scan(ctx, spec))
+			if err != nil {
+				t.Fatalf("%v: %v", spec, err)
+			}
+			sameSeq(t, spec.String(), got, want)
+		}
+	}
+}
+
+// probeSpecs is one scan of every kind, and a resumed one, each selecting at
+// least one fixture record.
+func probeSpecs() []provstore.ScanSpec {
+	return []provstore.ScanSpec{
+		provstore.All(),
+		provstore.All().After(2, path.Root),
+		provstore.ByTid(2),
+		provstore.ByLoc(path.MustParse("T/c1/x")),
+		provstore.ByPrefix(path.MustParse("T/c1")),
+		provstore.WithAncestors(path.MustParse("T/c1/x")),
 	}
 }
 
@@ -233,34 +235,24 @@ func conformSeek(t *testing.T, b provstore.Backend) {
 func conformEarlyBreak(t *testing.T, b provstore.Backend) {
 	ctx := context.Background()
 	loadConformanceFixture(t, b)
-	scans := map[string]func() func(func(provstore.Record, error) bool){
-		"ScanAll":       func() func(func(provstore.Record, error) bool) { return b.ScanAll(ctx) },
-		"ScanAllAfter":  func() func(func(provstore.Record, error) bool) { return b.ScanAllAfter(ctx, 2, path.Path{}) },
-		"ScanTid":       func() func(func(provstore.Record, error) bool) { return b.ScanTid(ctx, 2) },
-		"ScanLoc":       func() func(func(provstore.Record, error) bool) { return b.ScanLoc(ctx, path.MustParse("T/c1/x")) },
-		"ScanLocPrefix": func() func(func(provstore.Record, error) bool) { return b.ScanLocPrefix(ctx, path.MustParse("T/c1")) },
-		"ScanLocWithAncestors": func() func(func(provstore.Record, error) bool) {
-			return b.ScanLocWithAncestors(ctx, path.MustParse("T/c1/x"))
-		},
-	}
-	for name, mk := range scans {
+	for _, spec := range probeSpecs() {
 		n := 0
-		for _, err := range mk() {
+		for _, err := range b.Scan(ctx, spec) {
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%v: %v", spec, err)
 			}
 			n++
 			break
 		}
 		if n != 1 {
-			t.Fatalf("%s yielded %d records before break, want 1", name, n)
+			t.Fatalf("%v yielded %d records before break, want 1", spec, n)
 		}
 	}
 	// No broken cursor may still hold a lock or poison the store.
 	if err := b.Append(ctx, []provstore.Record{{Tid: 9, Op: provstore.OpInsert, Loc: path.MustParse("T/after-break")}}); err != nil {
 		t.Fatalf("append after broken cursors: %v", err)
 	}
-	got, err := provstore.CollectScan(b.ScanAll(ctx))
+	got, err := provstore.CollectScan(b.Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatalf("full drain after broken cursors: %v", err)
 	}
@@ -280,7 +272,7 @@ func conformCancelMidStream(t *testing.T, b provstore.Backend) {
 	defer cancel()
 	n := 0
 	var terminal error
-	for _, err := range b.ScanAll(ctx) {
+	for _, err := range b.Scan(ctx, provstore.All()) {
 		if err != nil {
 			terminal = err
 			break
@@ -307,25 +299,17 @@ func conformPreCancelled(t *testing.T, b provstore.Backend) {
 	loadConformanceFixture(t, b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	scans := map[string]func(func(provstore.Record, error) bool){
-		"ScanAll":              b.ScanAll(ctx),
-		"ScanAllAfter":         b.ScanAllAfter(ctx, 1, path.Path{}),
-		"ScanTid":              b.ScanTid(ctx, 2),
-		"ScanLoc":              b.ScanLoc(ctx, path.MustParse("T/c1/x")),
-		"ScanLocPrefix":        b.ScanLocPrefix(ctx, path.MustParse("T/c1")),
-		"ScanLocWithAncestors": b.ScanLocWithAncestors(ctx, path.MustParse("T/c1/x")),
-	}
-	for name, scan := range scans {
-		recs, err := provstore.CollectScan(scan)
+	for _, spec := range probeSpecs() {
+		recs, err := provstore.CollectScan(b.Scan(ctx, spec))
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s on cancelled ctx = %v, want context.Canceled", name, err)
+			t.Errorf("%v on cancelled ctx = %v, want context.Canceled", spec, err)
 		}
 		if len(recs) != 0 {
-			t.Errorf("%s on cancelled ctx yielded %d records", name, len(recs))
+			t.Errorf("%v on cancelled ctx yielded %d records", spec, len(recs))
 		}
 	}
-	if _, err := b.MaxTid(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("MaxTid on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := b.Stat(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stat on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, _, err := b.Lookup(ctx, 1, path.MustParse("S/a")); !errors.Is(err, context.Canceled) {
 		t.Errorf("Lookup on cancelled ctx = %v, want context.Canceled", err)

@@ -115,7 +115,7 @@ func applyOne(tr provstore.Tracker, f *tree.Forest, op update.Op) error {
 }
 
 // AllSorted returns every record in the backend ordered by (Tid, Loc), the
-// display order of the paper's Figure 5 — a drain of the ScanAll cursor.
+// display order of the paper's Figure 5 — a drain of the All() cursor.
 func AllSorted(b provstore.Backend) ([]provstore.Record, error) {
-	return provstore.CollectScan(b.ScanAll(context.Background()))
+	return provstore.CollectScan(b.Scan(context.Background(), provstore.All()))
 }

@@ -89,44 +89,10 @@ func (t *TamperBackend) NearestAncestor(ctx context.Context, tid int64, loc path
 	return rec, ok, err
 }
 
-// ScanTid implements Backend.
-func (t *TamperBackend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanTid(ctx, tid))
+// Scan implements Backend.
+func (t *TamperBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
+	return t.tampered(t.inner.Scan(ctx, spec))
 }
 
-// ScanLoc implements Backend.
-func (t *TamperBackend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanLoc(ctx, loc))
-}
-
-// ScanLocPrefix implements Backend.
-func (t *TamperBackend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanLocPrefix(ctx, prefix))
-}
-
-// ScanLocWithAncestors implements Backend.
-func (t *TamperBackend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanLocWithAncestors(ctx, loc))
-}
-
-// ScanAll implements Backend.
-func (t *TamperBackend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanAll(ctx))
-}
-
-// ScanAllAfter implements Backend.
-func (t *TamperBackend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return t.tampered(t.inner.ScanAllAfter(ctx, tid, loc))
-}
-
-// Tids implements Backend.
-func (t *TamperBackend) Tids(ctx context.Context) ([]int64, error) { return t.inner.Tids(ctx) }
-
-// MaxTid implements Backend.
-func (t *TamperBackend) MaxTid(ctx context.Context) (int64, error) { return t.inner.MaxTid(ctx) }
-
-// Count implements Backend.
-func (t *TamperBackend) Count(ctx context.Context) (int, error) { return t.inner.Count(ctx) }
-
-// Bytes implements Backend.
-func (t *TamperBackend) Bytes(ctx context.Context) (int64, error) { return t.inner.Bytes(ctx) }
+// Stat implements Backend.
+func (t *TamperBackend) Stat(ctx context.Context) (provstore.Stat, error) { return t.inner.Stat(ctx) }

@@ -52,22 +52,22 @@ func checkStoreOpened(t *testing.T, dir string, opts relprov.Options, want []pro
 	}
 	defer b.Close()
 	ctx := context.Background()
-	if n, err := b.Count(ctx); err != nil || n != len(want) {
-		t.Errorf("Count = %d, %v; want %d", n, err, len(want))
+	if st, err := b.Stat(ctx); err != nil || st.Count != len(want) {
+		t.Errorf("Count = %d, %v; want %d", st.Count, err, len(want))
 	}
-	if max, err := b.MaxTid(ctx); err != nil || max != want[len(want)-1].Tid {
-		t.Errorf("MaxTid = %d, %v; want %d", max, err, want[len(want)-1].Tid)
+	if st, err := b.Stat(ctx); err != nil || st.MaxTid != want[len(want)-1].Tid {
+		t.Errorf("MaxTid = %d, %v; want %d", st.MaxTid, err, want[len(want)-1].Tid)
 	}
 	for _, r := range want {
 		if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || !reflect.DeepEqual(got, r) {
 			t.Fatalf("acknowledged record %v: Lookup = %v, %v, %v", r, got, ok, err)
 		}
 	}
-	all, err := provstore.CollectScan(b.ScanAll(ctx))
+	all, err := provstore.CollectScan(b.Scan(ctx, provstore.All()))
 	if err != nil || len(all) != len(want) {
 		t.Errorf("primary walk: %d records, %v; want %d", len(all), err, len(want))
 	}
-	byLoc, err := provstore.CollectScan(b.ScanLocPrefix(ctx, path.MustParse("T")))
+	byLoc, err := provstore.CollectScan(b.Scan(ctx, provstore.ByPrefix(path.MustParse("T"))))
 	if err != nil || len(byLoc) != len(want) {
 		t.Errorf("by_loc walk: %d records, %v; want %d", len(byLoc), err, len(want))
 	}

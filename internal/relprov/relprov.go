@@ -6,11 +6,11 @@
 package relprov
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"sync"
 
 	"repro/internal/path"
@@ -339,20 +339,13 @@ const (
 // key outside the prefix without fetching its row.
 type scanFunc func(from, prefix []byte, fn func(key []byte, row relstore.Row) bool) error
 
-// chunkedScan drives one cursor over the keys beginning with prefix (nil =
-// whole tree); keep filters decoded records (nil = all); yield is the
-// consumer.
-func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
-	b.chunkedScanFrom(ctx, scan, prefix, prefix, keep, yield)
-}
-
-// chunkedScanFrom is chunkedScan with an independent start position: the
-// walk seeks to from (which may lie strictly inside the prefix range — the
-// keyset-resume case) while prefix still bounds where it ends. The first
-// window's buffer grows from empty, so a point probe allocates for the rows
-// it returns; full-size windows reuse one buffer and one resume key, so a
-// drain allocates per window, not per row.
-func (b *Backend) chunkedScanFrom(ctx context.Context, scan scanFunc, from, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
+// chunkedScan drives one cursor: the walk seeks to from — the prefix itself,
+// or a resume key inside or past its range — while prefix (nil = whole tree)
+// bounds where it ends; keep filters decoded records (nil = all); yield is
+// the consumer. The first window's buffer grows from empty, so a point probe
+// allocates for the rows it returns; full-size windows reuse one buffer and
+// one resume key, so a drain allocates per window, not per row.
+func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
 	if err := ctx.Err(); err != nil {
 		yield(provstore.Record{}, err)
 		return
@@ -414,173 +407,90 @@ func (b *Backend) indexFrom(from, prefix []byte, fn func(key []byte, row relstor
 	return b.tbl.ScanIndexFrom("by_loc", from, prefix, fn)
 }
 
-// ScanTid implements provstore.Backend: a primary-key prefix walk, already
-// in Loc order.
-func (b *Backend) ScanTid(ctx context.Context, tid int64) iter.Seq2[provstore.Record, error] {
+// Scan implements provstore.Backend: every kind is a prefix walk of one of
+// the two trees. The primary key is {tid, loc}, so the pager's own order is
+// the (Tid, Loc) order; a by_loc entry is the terminated encoding of loc
+// followed by the primary key, so its order is (Loc, Tid), the key prefix
+// alone selects exactly one loc (a probe that matches nothing ends on its
+// first index key), and — the path encoding being prefix-preserving —
+// dropping the terminator selects the subtree under it. A resume key is a
+// seek straight to its successor (the key codec is order-preserving, so
+// key‖0x00 is the next possible key): one B-tree descent, not a walk over
+// what came before.
+func (b *Backend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
+	if spec.Kind == provstore.KindAncestors {
+		// One Tid-ordered index cursor per prefix of the location (server-side
+		// this is one pass, i.e. one logical round trip); each acquires the
+		// read lock only per chunk, so the merge holds no lock between pulls.
+		cursors := make([]iter.Seq2[provstore.Record, error], spec.Loc.Len())
+		for i := range cursors {
+			cursors[i] = b.Scan(ctx, spec.Probe(i+1))
+		}
+		return provstore.MergeScans(spec.Order(), cursors...)
+	}
 	return func(yield func(provstore.Record, error) bool) {
-		prefix, err := b.tbl.KeyPrefix(tid)
+		scan, from, prefix, err := b.walk(spec)
 		if err != nil {
 			yield(provstore.Record{}, err)
 			return
 		}
-		b.chunkedScan(ctx, b.tbl.ScanKeyFrom, prefix, nil, yield)
+		var keep func(provstore.Record) bool
+		if spec.Kind == provstore.KindPrefix {
+			keep = spec.Match // the byte prefix is re-checked label-wise
+		}
+		b.chunkedScan(ctx, scan, from, prefix, keep, yield)
 	}
 }
 
-// scanLocCursor streams the records at exactly loc in Tid order via the
-// location index. The index key is the terminated encoding of loc followed
-// by the primary key, so the key prefix alone selects exactly loc: an
-// ancestor probe that matches nothing ends on its first index key.
-func (b *Backend) scanLocCursor(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		prefix, err := b.tbl.IndexPrefix("by_loc", loc.AppendBinary(nil))
-		if err != nil {
-			yield(provstore.Record{}, err)
-			return
-		}
-		b.chunkedScan(ctx, b.indexFrom, prefix, nil, yield)
-	}
-}
-
-// ScanLoc implements provstore.Backend.
-func (b *Backend) ScanLoc(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return b.scanLocCursor(ctx, loc)
-}
-
-// ScanLocPrefix implements provstore.Backend: records whose Loc lies at or
-// under prefix, in (Loc, Tid) order. The path binary encoding is
-// prefix-preserving, so a label-wise path prefix is a byte prefix of the
-// index key and the index walk already yields the documented order.
-func (b *Backend) ScanLocPrefix(ctx context.Context, prefix path.Path) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		// Escape the loc bytes exactly as the index key codec does, but
-		// without the terminator, so descendants (longer keys) match too.
-		full, err := b.tbl.IndexPrefix("by_loc", prefix.AppendBinary(nil))
-		if err != nil {
-			yield(provstore.Record{}, err)
-			return
-		}
-		raw := full[:len(full)-1] // strip the 0x00 terminator
-		b.chunkedScan(ctx, b.indexFrom, raw,
-			func(r provstore.Record) bool { return prefix.IsPrefixOf(r.Loc) }, yield)
-	}
-}
-
-// ScanLocWithAncestors implements provstore.Backend: records at loc or any
-// strict ancestor of it, across all transactions, via the location index
-// (server-side this is one pass, i.e. one logical round trip). One
-// Tid-ordered index cursor per ancestor merges into (Tid, Loc) order; each
-// probe acquires the read lock only per chunk, so the merge holds no lock
-// between pulls.
-func (b *Backend) ScanLocWithAncestors(ctx context.Context, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		probes := append(loc.Ancestors(), loc)
-		cursors := make([]iter.Seq2[provstore.Record, error], len(probes))
-		for i, p := range probes {
-			cursors[i] = b.scanLocCursor(ctx, p)
-		}
-		for r, err := range provstore.MergeScans(provstore.CompareTidLoc, cursors...) {
-			if !yield(r, err) || err != nil {
-				return
-			}
+// walk resolves a scan of one stretch to the tree walk that serves it: which
+// tree, the key prefix that bounds the stretch, and the key to seek to — the
+// prefix itself, or the successor of the resume key when that lies further on.
+func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []byte, err error) {
+	scan = b.tbl.ScanKeyFrom
+	byLoc := spec.Kind == provstore.KindLoc || spec.Kind == provstore.KindPrefix
+	switch {
+	case spec.Kind == provstore.KindTid:
+		prefix, err = b.tbl.KeyPrefix(spec.Tid)
+	case byLoc:
+		scan = b.indexFrom
+		prefix, err = b.tbl.IndexPrefix("by_loc", spec.Loc.AppendBinary(nil))
+		if err == nil && spec.Kind == provstore.KindPrefix {
+			prefix = prefix[:len(prefix)-1] // without the 0x00 terminator descendants (longer keys) match too
 		}
 	}
-}
-
-// ScanAll implements provstore.Backend: a full primary-key walk — the key
-// is {tid, loc}, so the pager's own order is exactly the (Tid, Loc) cursor
-// order, chunk by chunk.
-func (b *Backend) ScanAll(ctx context.Context) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		b.chunkedScan(ctx, b.tbl.ScanKeyFrom, nil, nil, yield)
+	after, resumed := spec.ResumeKey()
+	if err != nil || !resumed {
+		return scan, prefix, prefix, err
 	}
-}
-
-// ScanAllAfter implements provstore.Backend: the pager seeks straight to
-// the successor of the encoded {tid, loc} primary key (the key codec is
-// order-preserving, so key‖0x00 is the next possible key) and walks from
-// there — resume costs one B-tree descent, not a scan of what came before.
-func (b *Backend) ScanAllAfter(ctx context.Context, tid int64, loc path.Path) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		key, err := b.tbl.KeyPrefix(tid, loc.AppendBinary(nil))
-		if err != nil {
-			yield(provstore.Record{}, err)
-			return
-		}
-		b.chunkedScanFrom(ctx, b.tbl.ScanKeyFrom, append(key, 0), nil, nil, yield)
+	loc := after.Loc.AppendBinary(nil)
+	key, err := b.tbl.KeyPrefix(after.Tid, loc)
+	if err == nil && byLoc {
+		var entry []byte
+		entry, err = b.tbl.IndexPrefix("by_loc", loc)
+		key = append(entry, key...)
 	}
+	if key = append(key, 0); bytes.Compare(key, prefix) < 0 {
+		key = prefix
+	}
+	return scan, key, prefix, err
 }
 
-// Tids implements provstore.Backend as a skip-scan of the primary key: one
-// key-only seek per distinct tid (to the first key of tid+1), so the cost is
-// O(distinct tids × tree height) pages and no row is decoded.
-func (b *Backend) Tids(ctx context.Context) ([]int64, error) {
+// Stat implements provstore.Backend. MaxTid is the tid column of the last
+// primary key, one rightmost descent of the tree (O(height) pages, no row
+// decoded); the other two are maintained counters.
+func (b *Backend) Stat(ctx context.Context) (provstore.Stat, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return provstore.Stat{}, err
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	var out []int64
-	var from []byte
-	for {
-		key, ok, err := b.tbl.SeekKey(from)
-		if err != nil || !ok {
-			return out, err
-		}
-		tid, err := keyTid(key)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tid)
-		if tid == math.MaxInt64 {
-			return out, nil
-		}
-		if from, err = b.tbl.KeyPrefix(tid + 1); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// MaxTid implements provstore.Backend: the tid column of the last primary
-// key, one rightmost descent of the tree (O(height) pages, no row decoded).
-func (b *Backend) MaxTid(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	st := provstore.Stat{Count: int(b.tbl.RowCount()), Bytes: b.tbl.ByteSize()}
 	key, ok, err := b.tbl.LastKey()
 	if err != nil || !ok {
-		return 0, err
+		return st, err
 	}
-	return keyTid(key)
-}
-
-// keyTid decodes the tid, the leading column of an encoded primary key.
-func keyTid(key []byte) (int64, error) {
-	tid, _, err := relstore.DecodeKeyInt(key)
-	if err != nil {
-		return 0, fmt.Errorf("relprov: bad primary key: %w", err)
+	if st.MaxTid, _, err = relstore.DecodeKeyInt(key); err != nil {
+		return st, fmt.Errorf("relprov: bad primary key: %w", err)
 	}
-	return tid, nil
-}
-
-// Count implements provstore.Backend.
-func (b *Backend) Count(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return int(b.tbl.RowCount()), nil
-}
-
-// Bytes implements provstore.Backend.
-func (b *Backend) Bytes(ctx context.Context) (int64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.tbl.ByteSize(), nil
+	return st, nil
 }

@@ -336,7 +336,8 @@ func TestSessionClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := b2.Count(context.Background())
+	st, err := b2.Stat(context.Background())
+	n2 := st.Count
 	if err != nil || n2 != n {
 		t.Fatalf("reopened count = %d, %v; want %d", n2, err, n)
 	}

@@ -5,6 +5,7 @@ import (
 	"iter"
 
 	"repro/internal/provplan"
+	"repro/internal/provstore"
 )
 
 // A Query is a configured handle onto a session's provenance store: the
@@ -76,7 +77,8 @@ func (q *Query) horizon(ctx context.Context) (int64, error) {
 	if q.asOf > 0 {
 		return q.asOf, nil
 	}
-	return q.s.backend.MaxTid(ctx)
+	st, err := q.s.backend.Stat(ctx)
+	return st.MaxTid, err
 }
 
 // run executes one ancestry query kind through the plan layer. The pinned
@@ -211,8 +213,8 @@ func pinSelect(pq *PlanQuery, asOf int64) *PlanQuery {
 
 // Records streams every stored provenance record up to the query's horizon,
 // ordered by (Tid, Loc) — the session's Figure 5 table — through the
-// backend's ScanAll cursor: one scan round trip however many transactions
-// the store holds (on a cpdb:// store, a single GET /v1/scan-all where the
+// backend's All() cursor: one scan round trip however many transactions
+// the store holds (on a cpdb:// store, a single GET /v1/scan where the
 // pre-cursor implementation issued one scan per transaction), with memory
 // bounded by a page/chunk rather than the store. The horizon is pinned when
 // iteration starts — AsOf's transaction, or the store's MaxTid at that
@@ -241,13 +243,13 @@ func (q *Query) Records(ctx context.Context) iter.Seq2[Record, error] {
 			yield(Record{}, err)
 			return
 		}
-		for r, err := range q.s.backend.ScanAll(ctx) {
+		for r, err := range q.s.backend.Scan(ctx, provstore.All()) {
 			if err != nil {
 				yield(Record{}, err)
 				return
 			}
 			if r.Tid > tnow {
-				return // ScanAll is Tid-ascending: everything after is newer
+				return // the scan is Tid-ascending: everything after is newer
 			}
 			if !yield(r, nil) {
 				return

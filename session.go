@@ -220,7 +220,13 @@ func (s *Session) Records() ([]Record, error) {
 }
 
 // RecordCount returns the number of stored provenance records.
-func (s *Session) RecordCount() (int, error) { return s.backend.Count(context.Background()) }
+func (s *Session) RecordCount() (int, error) {
+	st, err := s.backend.Stat(context.Background())
+	return st.Count, err
+}
 
 // RecordBytes returns the physical size of the stored provenance records.
-func (s *Session) RecordBytes() (int64, error) { return s.backend.Bytes(context.Background()) }
+func (s *Session) RecordBytes() (int64, error) {
+	st, err := s.backend.Stat(context.Background())
+	return st.Bytes, err
+}

@@ -1,7 +1,7 @@
 package cpdb_test
 
 // Acceptance tests of the end-to-end streaming scan path: Query.Records
-// over a live cpdb:// service must cost exactly one /v1/scan-all round
+// over a live cpdb:// service must cost exactly one /v1/scan round
 // trip (the pre-cursor implementation issued one round trip per
 // transaction), and a full-store drain must allocate O(page), not O(store)
 // — measured by the benchmarks below against a reproduction of the old
@@ -40,8 +40,8 @@ func startStatService(t *testing.T, inner cpdb.Backend) (string, *provhttp.Serve
 }
 
 // TestRecordsSingleRoundTripOverNetwork: draining Query.Records against a
-// cpdb:// store must issue exactly one /v1/scan-all request and no
-// per-transaction scans, and the streamed table must equal the in-process
+// cpdb:// store must issue exactly one /v1/scan request — no
+// per-transaction scans — and the streamed table must equal the in-process
 // one.
 func TestRecordsSingleRoundTripOverNetwork(t *testing.T) {
 	inner := provstore.NewMemBackend()
@@ -63,18 +63,13 @@ func TestRecordsSingleRoundTripOverNetwork(t *testing.T) {
 	}
 	after := srv.Stats()
 
-	if n := after["endpoint.scan/all"] - before["endpoint.scan/all"]; n != 1 {
-		t.Errorf("Records issued %d /v1/scan-all round trips, want exactly 1", n)
+	if n := after["endpoint.scan"] - before["endpoint.scan"]; n != 1 {
+		t.Errorf("Records issued %d /v1/scan round trips, want exactly 1", n)
 	}
-	for _, ep := range []string{"endpoint.scan/tid", "endpoint.tids"} {
-		if n := after[ep] - before[ep]; n != 0 {
-			t.Errorf("Records issued %d extra %s round trips, want 0", n, ep)
-		}
-	}
-	// Pinning the horizon costs one MaxTid point round trip — cheap and
+	// Pinning the horizon costs one Stat point round trip — cheap and
 	// constant, unlike the per-transaction scans it replaced.
-	if n := after["endpoint.maxtid"] - before["endpoint.maxtid"]; n != 1 {
-		t.Errorf("Records issued %d maxtid round trips, want 1 (the pinned horizon)", n)
+	if n := after["endpoint.stat"] - before["endpoint.stat"]; n != 1 {
+		t.Errorf("Records issued %d stat round trips, want 1 (the pinned horizon)", n)
 	}
 	if after["cursors_open"] != 0 {
 		t.Errorf("cursors_open = %d after drain", after["cursors_open"])
@@ -96,13 +91,13 @@ func TestRecordsSingleRoundTripOverNetwork(t *testing.T) {
 // trip per transaction, the whole table materialized — as the benchmark
 // baseline the streamed path is measured against.
 func legacyRecords(ctx context.Context, b cpdb.Backend) ([]cpdb.Record, error) {
-	tids, err := b.Tids(ctx)
+	tids, err := provstore.Tids(ctx, b)
 	if err != nil {
 		return nil, err
 	}
 	var out []cpdb.Record
 	for _, tid := range tids {
-		recs, err := provstore.CollectScan(b.ScanTid(ctx, tid))
+		recs, err := provstore.CollectScan(b.Scan(ctx, provstore.ByTid(tid)))
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +148,7 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 	ctx := context.Background()
 	drain := func() {
 		n := 0
-		for _, err := range backend.ScanAll(ctx) {
+		for _, err := range backend.Scan(ctx, provstore.All()) {
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,7 +232,7 @@ func BenchmarkScanAllStreamed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for _, err := range backend.ScanAll(ctx) {
+		for _, err := range backend.Scan(ctx, provstore.All()) {
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -268,7 +263,7 @@ func benchDrainSharded(b *testing.B, traced bool) {
 			dctx = provtrace.WithRecorder(ctx, provtrace.NewRecorder("", ""))
 		}
 		n := 0
-		for _, err := range backend.ScanAll(dctx) {
+		for _, err := range backend.Scan(dctx, provstore.All()) {
 			if err != nil {
 				b.Fatal(err)
 			}
