@@ -2,7 +2,6 @@ package cpdb
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 
 	"repro/internal/netsim"
@@ -189,93 +188,21 @@ func RegisterDriver(scheme string, d Driver) { provstore.RegisterDriver(scheme, 
 // BackendSchemes returns the registered DSN schemes, sorted.
 func BackendSchemes() []string { return provstore.Drivers() }
 
-// mustOpen opens a DSN that cannot fail (the constructor wrappers below
-// build them from validated inputs).
-func mustOpen(dsn string) Backend {
-	b, err := provstore.OpenDSN(dsn)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// NewMemBackend returns an in-memory provenance store backend.
-//
-// Equivalent to OpenBackend("mem://"), kept stable for existing callers.
-func NewMemBackend() Backend { return mustOpen("mem://") }
-
-// NewShardedMemBackend returns a provenance backend partitioned across n
-// independently locked in-memory shards by hash of each record's
-// root-relative location. Appends touching different shards proceed in
-// parallel and queries scatter-gather. Sessions sharing one backend must
-// partition the transaction-id space via Config.StartTid — each session
-// numbers its own transactions, and colliding {Tid, Loc} keys are rejected
-// as duplicates.
-//
-// Equivalent to OpenBackend("mem://?shards=N"), kept stable for existing
-// callers.
-func NewShardedMemBackend(n int) Backend {
-	if n < 1 {
-		n = 1
-	}
-	return mustOpen(fmt.Sprintf("mem://?shards=%d", n))
-}
-
 // NewShardedBackend partitions provenance records across the given shard
-// stores (e.g. one relational store per shard). See NewShardedMemBackend;
-// for stores expressible as DSNs, prefer OpenBackend("sharded://?…").
+// stores (e.g. one relational store per shard) by hash of each record's
+// root-relative location; appends touching different shards proceed in
+// parallel and queries scatter-gather. It composes already-opened stores
+// that need not be DSN-expressible; for stores that are, prefer
+// OpenBackend("mem://?shards=N") or OpenBackend("sharded://?…"). Sessions
+// sharing one backend must partition the transaction-id space via
+// Config.StartTid — each session numbers its own transactions, and
+// colliding {Tid, Loc} keys are rejected as duplicates.
 func NewShardedBackend(shards ...Backend) (Backend, error) {
 	return provstore.NewSharded(shards...)
 }
 
-// relDSN builds the rel:// DSN for a store file, escaping the path.
-func relDSN(file, params string) string {
-	return "rel://" + provstore.EscapeDSNPath(file) + params
-}
-
-// CreateRelBackend creates a relational provenance store in a new database
-// file, as the paper stored its Prov table in MySQL.
-//
-// Equivalent to OpenBackend("rel://FILE?create=1"), kept stable for
-// existing callers.
-func CreateRelBackend(file string) (Backend, error) {
-	return OpenBackend(relDSN(file, "?create=1"))
-}
-
-// CreateDurableRelBackend creates a relational provenance store with a
-// write-ahead log (file + ".wal") and group commit: every append batch is
-// durable before it returns, for one log write and one log fsync — pair
-// with Config.BatchSize to amortize it over many transactions. Reopen with
-// OpenDurableRelBackend (which replays the log after a crash), and
-// release the files with Session.Close (or by closing the backend).
-//
-// Equivalent to OpenBackend("rel://FILE?create=1&durable=1"), kept stable
-// for existing callers.
-func CreateDurableRelBackend(file string) (Backend, error) {
-	return OpenBackend(relDSN(file, "?create=1&durable=1"))
-}
-
-// OpenRelBackend opens an existing relational provenance store.
-//
-// Equivalent to OpenBackend("rel://FILE"), kept stable for existing
-// callers.
-func OpenRelBackend(file string) (Backend, error) {
-	return OpenBackend(relDSN(file, ""))
-}
-
-// OpenDurableRelBackend reopens a store created by CreateDurableRelBackend:
-// it first replays the write-ahead log over the store file, repairing any
-// torn pages a crash left behind, then resumes group-commit operation on
-// the same log.
-//
-// Equivalent to OpenBackend("rel://FILE?durable=1"), kept stable for
-// existing callers.
-func OpenDurableRelBackend(file string) (Backend, error) {
-	return OpenBackend(relDSN(file, "?durable=1"))
-}
-
-// CloseBackend flushes and closes a backend opened with OpenBackend (or any
-// constructor) without going through a Session — sessions normally release
+// CloseBackend flushes and closes a backend opened with OpenBackend
+// without going through a Session — sessions normally release
 // their backend via Session.Close.
 func CloseBackend(b Backend) error { return provstore.Close(b) }
 

@@ -131,7 +131,7 @@ func TestShardedSessionEquivalence(t *testing.T) {
 		"sharded-batched": func(c *cpdb.Config) { c.Shards, c.BatchSize = 4, 16 },
 		"sharded-backend": func(c *cpdb.Config) {
 			c.Shards = 3
-			c.Backend = cpdb.NewShardedMemBackend(3)
+			c.Backend = openBackend(t, "mem://?shards=3")
 		},
 	}
 	for name, tweak := range cases {
@@ -144,18 +144,28 @@ func TestShardedSessionEquivalence(t *testing.T) {
 	_, err := cpdb.New(cpdb.Config{
 		Target:  cpdb.NewMemTarget("T", figures.T0()),
 		Shards:  2,
-		Backend: cpdb.NewMemBackend(),
+		Backend: openBackend(t, "mem://"),
 	})
 	if err == nil {
 		t.Error("Shards>1 over a plain backend should error")
 	}
 }
 
+// openBackend opens dsn, failing the test on error.
+func openBackend(t *testing.T, dsn string) cpdb.Backend {
+	t.Helper()
+	b, err := cpdb.OpenBackend(dsn)
+	if err != nil {
+		t.Fatalf("OpenBackend(%q): %v", dsn, err)
+	}
+	return b
+}
+
 // TestDurableRelBackend: the group-committing relational backend persists
 // and reopens.
 func TestDurableRelBackend(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "p.rel")
-	b, err := cpdb.CreateDurableRelBackend(file)
+	b, err := cpdb.OpenBackend("rel://" + file + "?create=1&durable=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestDurableRelBackend(t *testing.T) {
 	} else {
 		t.Fatal("durable backend should be closeable")
 	}
-	b2, err := cpdb.OpenDurableRelBackend(file)
+	b2, err := cpdb.OpenBackend("rel://" + file + "?durable=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +277,7 @@ func TestSessionQueries(t *testing.T) {
 
 func TestRelBackendSession(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "prov.rel")
-	backend, err := cpdb.CreateRelBackend(file)
+	backend, err := cpdb.OpenBackend("rel://" + file + "?create=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,15 +301,15 @@ func TestRelBackendSession(t *testing.T) {
 		t.Errorf("rel-backed records = %d", n)
 	}
 	// Reopen the store read path.
-	if _, err := cpdb.OpenRelBackend(file); err == nil {
+	if _, err := cpdb.OpenBackend("rel://" + file); err == nil {
 		// The first handle still owns the file; either outcome is
 		// acceptable as long as it does not panic. Creating over a bad
 		// path must fail though.
 	}
-	if _, err := cpdb.CreateRelBackend(filepath.Join(t.TempDir(), "no", "such", "dir", "x.rel")); err == nil {
+	if _, err := cpdb.OpenBackend("rel://" + filepath.Join(t.TempDir(), "no", "such", "dir", "x.rel") + "?create=1"); err == nil {
 		t.Error("create in missing dir should fail")
 	}
-	if _, err := cpdb.OpenRelBackend(filepath.Join(t.TempDir(), "missing.rel")); err == nil {
+	if _, err := cpdb.OpenBackend("rel://" + filepath.Join(t.TempDir(), "missing.rel")); err == nil {
 		t.Error("open missing should fail")
 	}
 }
@@ -360,7 +370,7 @@ func TestParseHelpers(t *testing.T) {
 	if cpdb.NewTree().Size() != 1 || cpdb.BuildTree(cpdb.M{"a": 1}).Size() != 2 {
 		t.Error("tree helpers wrong")
 	}
-	if cpdb.NewMemBackend() == nil {
+	if openBackend(t, "mem://") == nil {
 		t.Error("backend helper wrong")
 	}
 }

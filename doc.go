@@ -121,16 +121,6 @@
 // releasing locks, connections and server-side work — when the consumer
 // breaks out of the loop or cancels ctx.
 //
-// # Deprecated-but-stable constructors
-//
-// The original backend constructors — NewMemBackend, NewShardedMemBackend,
-// CreateRelBackend, OpenRelBackend, CreateDurableRelBackend,
-// OpenDurableRelBackend — predate the DSN opener. They remain supported
-// and are now thin wrappers over OpenBackend; new code should prefer
-// OpenBackend (each constructor's doc comment names its DSN equivalent).
-// NewShardedBackend stays primitive: it composes already-opened stores
-// that need not be DSN-expressible.
-//
 // See the examples/ directory for complete programs, DESIGN.md for the
 // system inventory (§2a covers the DSN grammar and query handle), and
 // EXPERIMENTS.md for the reproduction of the paper's evaluation.

@@ -2,7 +2,9 @@ package provhttp_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -502,6 +504,103 @@ func TestOpenRecordMidStreamDoesNotTruncate(t *testing.T) {
 		if r.Tid != 1 {
 			t.Fatalf("unsealed record %v leaked into the verified query", r)
 		}
+	}
+}
+
+// TestProvenPagingAcrossOpenTransaction: limit bounds the lines a proven
+// stream writes, not the records its cursor pulled — so a page over records
+// of the open transaction, which the stream skips, is still full of provable
+// records or is the end. Paging a (Loc, Tid)-ordered scan one record at a
+// time must terminate and yield exactly the unpaged proven stream; a page
+// that is empty yet says "more" would leave the pager no key to resume from.
+func TestProvenPagingAcrossOpenTransaction(t *testing.T) {
+	ctx := context.Background()
+	cli, _, _ := serveAuth(t, filepath.Join(t.TempDir(), "root.pin"))
+	// Sealed: tid 1. Open: tid 9, whose records sort between, after and
+	// among the sealed ones in (Loc, Tid) order.
+	if err := cli.Append(ctx, []provstore.Record{
+		rec(1, provstore.OpInsert, "S/a", ""),
+		rec(1, provstore.OpInsert, "S/b", ""),
+		rec(1, provstore.OpInsert, "S/c", ""),
+	}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := cli.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if err := cli.Append(ctx, []provstore.Record{
+		rec(9, provstore.OpInsert, "S/a/x", ""),
+		rec(9, provstore.OpInsert, "S/a/y", ""),
+		rec(9, provstore.OpInsert, "S/c/z", ""),
+	}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+
+	type line struct {
+		R *struct {
+			Tid int64  `json:"tid"`
+			Loc string `json:"loc"`
+		} `json:"r"`
+		P    string `json:"p"`
+		EOF  bool   `json:"eof"`
+		N    int    `json:"n"`
+		More bool   `json:"more"`
+	}
+	type proven struct {
+		tid    int64
+		loc, p string
+	}
+	get := func(params string) (lines []proven, more bool) {
+		t.Helper()
+		resp, err := http.Get("http://" + cli.Addr() + "/v1/scan?kind=loc-prefix&loc=S&proofs=1" + params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // test read
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d", params, resp.StatusCode)
+		}
+		dec := json.NewDecoder(resp.Body)
+		for {
+			var l line
+			if err := dec.Decode(&l); err != nil {
+				t.Fatalf("GET %s: %v", params, err)
+			}
+			if l.EOF {
+				if l.N != len(lines) {
+					t.Fatalf("GET %s: terminator n=%d for %d records", params, l.N, len(lines))
+				}
+				return lines, l.More
+			}
+			if l.R == nil || l.P == "" {
+				t.Fatalf("GET %s: line without record or proof: %+v", params, l)
+			}
+			lines = append(lines, proven{l.R.Tid, l.R.Loc, l.P})
+		}
+	}
+
+	want, more := get("")
+	if len(want) != 3 || more {
+		t.Fatalf("unpaged proven stream: %d records, more=%v; want the 3 sealed ones", len(want), more)
+	}
+	var got []proven
+	resume := ""
+	for pages := 0; ; pages++ {
+		if pages > len(want) {
+			t.Fatalf("paging did not terminate after %d pages: %v", pages, got)
+		}
+		page, more := get("&limit=1" + resume)
+		got = append(got, page...)
+		if !more {
+			break
+		}
+		if len(page) != 1 {
+			t.Fatalf("page %d says more but carries %d records: no key to resume from", pages, len(page))
+		}
+		resume = fmt.Sprintf("&after_tid=%d&after_loc=%s", page[0].tid, page[0].loc)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("paged proven stream differs from the unpaged one:\n got: %v\nwant: %v", got, want)
 	}
 }
 

@@ -324,31 +324,196 @@ func rpcName(p string) string {
 	return "rpc:" + strings.TrimPrefix(p, "/v1/")
 }
 
-// tracedStream wraps a streaming round trip in an rpc span covering the
-// whole drain: build receives the context carrying the open span, so the
-// request it issues stamps that span's id and the server's subtree parents
-// correctly. With no recorder installed the inner stream is returned
-// unwrapped.
-func tracedStream[T any](ctx context.Context, name string, build func(context.Context) iter.Seq2[T, error]) iter.Seq2[T, error] {
-	if !provtrace.Active(ctx) {
-		return build(ctx)
+// proofMode says what a stream request asks of the server's Merkle tree.
+type proofMode int
+
+const (
+	unproven proofMode = iota // a plain stream
+	proven                    // proofs=1: each record line carries its proof against the header root, taken as the server claims it
+	pinned                    // proven, with since=: the header root must also extend the pinned root
+)
+
+// A streamReader is the one decoder of the row stream (see the package
+// doc). The body is outside input: whatever arrives, next never panics,
+// returns false for good after the first error, and reports a clean end
+// only after a terminator whose count matches the data lines it returned.
+// Callers convert sr.line and run their per-line checks. Under tracing the
+// reader holds the round trip's rpc span, open from the request to close.
+type streamReader struct {
+	ctx   context.Context
+	label any // names the stream in errors and the span: a ScanSpec or an endpoint name
+	span  *provtrace.Span
+	body  io.Closer
+	dec   *json.Decoder
+	root  provauth.Root // proven streams: the header root the proofs are against
+	line  streamLine    // the data line next last returned
+	n     int           // data lines returned
+	done  bool
+	err   error
+}
+
+// stream issues one streaming round trip and returns the reader over its
+// body — already failed when the request did; the caller closes it either
+// way. The request is issued under the rpc span, so it stamps that span's id
+// and the server's subtree parents correctly; with no recorder installed not
+// even the span's name is built. For a proven stream the header root is
+// parsed, and in pinned mode verified against the pin, before any line is
+// read.
+func (c *Client) stream(ctx context.Context, label any, method, p string, q url.Values, body io.Reader, mode proofMode) *streamReader {
+	sr := &streamReader{ctx: ctx, label: label}
+	if provtrace.Active(ctx) {
+		sr.ctx, sr.span = provtrace.Start(ctx, fmt.Sprintf("rpc:%v", label))
 	}
-	return func(yield func(T, error) bool) {
-		sctx, sp := provtrace.Start(ctx, name)
-		n := 0
-		defer func() {
-			sp.SetAttr("records", strconv.Itoa(n))
-			sp.End()
-		}()
-		for v, err := range build(sctx) {
-			if err != nil {
-				sp.SetErr(err)
-			} else {
-				n++
+	if err := c.open(sr, method, p, q, body, mode); err != nil {
+		sr.fail(err)
+	}
+	return sr
+}
+
+// open is the request half of stream.
+func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.Reader, mode proofMode) error {
+	var since provauth.Root
+	if mode != unproven {
+		if q == nil {
+			q = url.Values{}
+		}
+		q.Set("proofs", "1")
+		if mode == pinned {
+			var err error
+			if since, err = c.ensurePin(sr.ctx); err != nil {
+				return err
 			}
-			if !yield(v, err) {
+			q.Set("since", strconv.FormatUint(since.Size, 10))
+		}
+	}
+	resp, err := c.do(sr.ctx, method, p, q, body, http.StatusOK)
+	if err != nil {
+		return err
+	}
+	sr.body, sr.dec = resp.Body, json.NewDecoder(resp.Body)
+	if mode == unproven {
+		return nil
+	}
+	if sr.root, err = provauth.ParseRoot(resp.Header.Get(headerAuthRoot)); err != nil {
+		return fmt.Errorf("provhttp: bad %s header: %w", headerAuthRoot, err)
+	}
+	if mode == pinned {
+		audit, err := decodeAudit(resp.Header.Get(headerAuthConsistency))
+		if err != nil {
+			return fmt.Errorf("provhttp: bad %s header: %w", headerAuthConsistency, err)
+		}
+		return c.adoptRoot(since, sr.root, audit)
+	}
+	return nil
+}
+
+// next decodes the next data line into sr.line. It returns false at the end
+// of the stream: sr.err is nil after a terminator whose count matches, and
+// otherwise says what went wrong — cancellation first (a cancelled context
+// is why the body died), then truncation, a line that is not JSON, the
+// server's in-band error, a miscounting terminator, a blank line.
+func (sr *streamReader) next() bool {
+	if sr.done {
+		return false
+	}
+	sr.line = streamLine{}
+	if err := sr.dec.Decode(&sr.line); err != nil {
+		switch {
+		case sr.ctx.Err() != nil:
+			sr.fail(sr.ctx.Err())
+		case err == io.EOF:
+			sr.fail(fmt.Errorf("provhttp: %v: stream truncated after %d lines (missing eof terminator)", sr.label, sr.n))
+		default:
+			sr.fail(fmt.Errorf("provhttp: %v: %w", sr.label, err))
+		}
+		return false
+	}
+	l := &sr.line
+	switch {
+	case l.Err != "":
+		// Not a RemoteError, whose Status means a non-2xx reply.
+		sr.fail(fmt.Errorf("provhttp: %v: server error mid-stream: %s", sr.label, l.Err))
+	case l.EOF:
+		sr.done = true
+		if l.N != sr.n {
+			sr.fail(fmt.Errorf("provhttp: %v: stream carried %d lines, terminator says %d", sr.label, sr.n, l.N))
+		}
+	case l.R == nil && l.Tid == 0 && l.V == nil && l.Ev == nil && l.End == nil && l.Az == nil:
+		sr.fail(fmt.Errorf("provhttp: %v: blank stream line", sr.label))
+	default:
+		sr.n++
+		return true
+	}
+	return false
+}
+
+// fail ends the stream with err — the reader's own, or the caller's for a
+// line that failed its check — and returns it.
+func (sr *streamReader) fail(err error) error {
+	sr.done, sr.err = true, err
+	return err
+}
+
+// record converts the current line of a scan stream.
+func (sr *streamReader) record() (provstore.Record, error) {
+	if sr.line.R == nil {
+		return provstore.Record{}, fmt.Errorf("provhttp: %v: stream line is not a record", sr.label)
+	}
+	return sr.line.R.record()
+}
+
+// proof decodes the current record line's inclusion proof; a record with
+// none has no place in a proven stream.
+func (sr *streamReader) proof() (provauth.Proof, error) {
+	if sr.line.P == "" {
+		return provauth.Proof{}, fmt.Errorf("provhttp: %v: unproven record in proven stream: %w", sr.label, provauth.ErrVerify)
+	}
+	return decodeProofHex(sr.line.P)
+}
+
+// close releases the response body — for a stream not read to its end that
+// tears down the connection, which cancels the server-side cursor — and
+// ends the rpc span.
+func (sr *streamReader) close() {
+	if sr.body != nil {
+		sr.body.Close() //nolint:errcheck // only read
+	}
+	if sr.span != nil {
+		sr.span.SetAttr("records", strconv.Itoa(sr.n))
+		sr.span.SetErr(sr.err)
+		sr.span.End()
+	}
+}
+
+// verify checks one proven record of the stream against its root.
+func (sr *streamReader) verify(rec provstore.Record, proof provauth.Proof) error {
+	if err := provauth.VerifyRecord(sr.root, rec, proof); err != nil {
+		return fmt.Errorf("provhttp: %v: streamed record %v failed verification: %w", sr.label, rec, err)
+	}
+	return nil
+}
+
+// rows is the consumer loop over one row stream: open issues the round
+// trip when the consumer starts ranging, convert turns each data line into
+// what the caller yields and runs its per-line check. A line that fails
+// fails the stream, and nothing is yielded after an error.
+func rows[T any](open func() *streamReader, convert func(*streamReader) (T, error)) iter.Seq2[T, error] {
+	return func(yield func(T, error) bool) {
+		sr := open()
+		defer sr.close()
+		var zero T
+		for sr.next() {
+			v, err := convert(sr)
+			if err != nil {
+				yield(zero, sr.fail(err))
 				return
 			}
+			if !yield(v, nil) {
+				return
+			}
+		}
+		if sr.err != nil {
+			yield(zero, sr.err)
 		}
 	}
 }
@@ -485,12 +650,8 @@ func (c *Client) ensurePin(ctx context.Context) (provauth.Root, error) {
 	if !have {
 		// Trust on first use: adopt and persist the server's current root.
 		// Every later answer must extend it.
-		var rr rootResponse
-		if err := c.getJSON(ctx, "/v1/root", nil, &rr); err != nil {
+		if _, pin, err = c.provenAnswer(ctx, "/v1/root", nil, false); err != nil {
 			return provauth.Root{}, err
-		}
-		if pin, err = provauth.ParseRoot(rr.Root); err != nil {
-			return provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
 		}
 		if err := provauth.SavePin(c.pinFile, pin); err != nil {
 			return provauth.Root{}, err
@@ -520,37 +681,42 @@ func (c *Client) adoptRoot(since, root provauth.Root, audit []provauth.Hash) err
 	return nil
 }
 
-// verifyParams adds the proofs=1 / since= parameters of a verified stream
-// request to q (allocating it if nil) and returns the pin snapshot they
-// were computed from.
-func (c *Client) verifyParams(ctx context.Context, q url.Values) (url.Values, provauth.Root, error) {
-	since, err := c.ensurePin(ctx)
+// provenAnswer issues a /v1/root or /v1/prove round trip and parses the
+// root it answers under (a /v1/root answer is a /v1/prove answer with only
+// the root and audit fields). With pin set the request carries since= and
+// the root must extend the pinned root, advancing it.
+func (c *Client) provenAnswer(ctx context.Context, p string, q url.Values, pin bool) (foundResponse, provauth.Root, error) {
+	var since provauth.Root
+	if pin {
+		var err error
+		if since, err = c.ensurePin(ctx); err != nil {
+			return foundResponse{}, provauth.Root{}, err
+		}
+		if q == nil {
+			q = url.Values{}
+		}
+		q.Set("since", strconv.FormatUint(since.Size, 10))
+	}
+	var fr foundResponse
+	if err := c.getJSON(ctx, p, q, &fr); err != nil {
+		return foundResponse{}, provauth.Root{}, err
+	}
+	root, err := provauth.ParseRoot(fr.Root)
 	if err != nil {
-		return nil, provauth.Root{}, err
+		return foundResponse{}, provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
 	}
-	if q == nil {
-		q = url.Values{}
+	if pin {
+		var audit []provauth.Hash
+		if fr.Audit != nil {
+			if audit, err = decodeAudit(*fr.Audit); err != nil {
+				return foundResponse{}, provauth.Root{}, err
+			}
+		}
+		if err := c.adoptRoot(since, root, audit); err != nil {
+			return foundResponse{}, provauth.Root{}, err
+		}
 	}
-	q.Set("proofs", "1")
-	q.Set("since", strconv.FormatUint(since.Size, 10))
-	return q, since, nil
-}
-
-// rootFromHeaders parses the authentication headers of a proven response
-// and verifies them against the since snapshot, advancing the pin.
-func (c *Client) rootFromHeaders(resp *http.Response, since provauth.Root) (provauth.Root, error) {
-	root, err := provauth.ParseRoot(resp.Header.Get(headerAuthRoot))
-	if err != nil {
-		return provauth.Root{}, fmt.Errorf("provhttp: bad %s header: %w", headerAuthRoot, err)
-	}
-	audit, err := decodeAudit(resp.Header.Get(headerAuthConsistency))
-	if err != nil {
-		return provauth.Root{}, fmt.Errorf("provhttp: bad %s header: %w", headerAuthConsistency, err)
-	}
-	if err := c.adoptRoot(since, root, audit); err != nil {
-		return provauth.Root{}, err
-	}
-	return root, nil
+	return fr, root, nil
 }
 
 // provePoint is the verified point lookup: one /v1/prove round trip whose
@@ -567,33 +733,12 @@ func (c *Client) rootFromHeaders(resp *http.Response, since provauth.Root) (prov
 // the proof shows the answer is *an* ancestor in the log, not that no
 // longer-prefix ancestor exists.
 func (c *Client) provePoint(ctx context.Context, tid int64, loc path.Path, ancestor bool) (provstore.Record, bool, error) {
-	since, err := c.ensurePin(ctx)
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	q := url.Values{
-		"tid":   {strconv.FormatInt(tid, 10)},
-		"loc":   {loc.String()},
-		"since": {strconv.FormatUint(since.Size, 10)},
-	}
+	q := url.Values{"tid": {strconv.FormatInt(tid, 10)}, "loc": {loc.String()}}
 	if ancestor {
 		q.Set("ancestor", "1")
 	}
-	var fr foundResponse
-	if err := c.getJSON(ctx, "/v1/prove", q, &fr); err != nil {
-		return provstore.Record{}, false, err
-	}
-	root, err := provauth.ParseRoot(fr.Root)
+	fr, root, err := c.provenAnswer(ctx, "/v1/prove", q, true)
 	if err != nil {
-		return provstore.Record{}, false, fmt.Errorf("provhttp: bad root from server: %w", err)
-	}
-	var audit []provauth.Hash
-	if fr.Audit != nil {
-		if audit, err = decodeAudit(*fr.Audit); err != nil {
-			return provstore.Record{}, false, err
-		}
-	}
-	if err := c.adoptRoot(since, root, audit); err != nil {
 		return provstore.Record{}, false, err
 	}
 	if !fr.Found {
@@ -624,15 +769,11 @@ func (c *Client) provePoint(ctx context.Context, tid int64, loc path.Path, ances
 }
 
 // Scan implements Backend: one GET /v1/scan round trip carrying the spec's
-// wire form, the NDJSON reply decoded as the consumer pulls — each record is
-// yielded as its line is decoded, so a scan holds one record in memory
-// however large the result (the whole (Tid, Loc)-ordered relation is one
-// round trip however many transactions it spans). Cancellation takes effect
-// mid-stream, a truncated stream (server died, connection cut) is detected by
-// the missing eof terminator rather than silently read as a short result —
-// resume it with spec.After from the last key that arrived intact — and
-// breaking out of the loop closes the response body, which tears down the
-// connection and cancels the server-side cursor.
+// wire form, answered as a row stream (see the package doc) — a scan holds
+// one record in memory however large the result, and the whole
+// (Tid, Loc)-ordered relation is one round trip however many transactions
+// it spans. Resume a truncated stream with spec.After from the last key
+// that arrived intact.
 //
 // In verified mode every scan asks for proofs: the response root is checked
 // against the pin, and each record against that root, before it is yielded
@@ -644,117 +785,48 @@ func (c *Client) provePoint(ctx context.Context, tid int64, loc path.Path, ances
 // has no range proofs — so a verified scan can still omit matching
 // records; it can never smuggle in non-matching or forged ones.)
 func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
-	if !provtrace.Active(ctx) {
-		return c.scanRaw(ctx, spec) // untraced: not even the span's name is built
+	if c.verify {
+		return func(yield func(provstore.Record, error) bool) {
+			for pr, err := range c.provenScan(ctx, spec, spec, pinned) {
+				if !yield(pr.Rec, err) {
+					return
+				}
+			}
+		}
 	}
-	return tracedStream(ctx, "rpc:"+spec.String(), func(ctx context.Context) iter.Seq2[provstore.Record, error] {
-		return c.scanRaw(ctx, spec)
+	return rows(func() *streamReader {
+		return c.stream(ctx, spec, http.MethodGet, "/v1/scan", spec.Values(), nil, unproven)
+	}, (*streamReader).record)
+}
+
+// provenScan is the proofs=1 transport under ScanAllProven and the verified
+// Scan: each line's record and proof yielded with the header root. In proven
+// mode that is all; in pinned mode the root has been checked against the
+// pin, and each record is checked against spec (resume key included) and
+// against that root before it is yielded.
+func (c *Client) provenScan(ctx context.Context, label any, spec provstore.ScanSpec, mode proofMode) iter.Seq2[provauth.ProvenRecord, error] {
+	return rows(func() *streamReader {
+		return c.stream(ctx, label, http.MethodGet, "/v1/scan", spec.Values(), nil, mode)
+	}, func(sr *streamReader) (pr provauth.ProvenRecord, err error) {
+		pr.Root = sr.root
+		if pr.Rec, err = sr.record(); err != nil {
+			return pr, err
+		}
+		if pr.Proof, err = sr.proof(); err != nil || mode != pinned {
+			return pr, err
+		}
+		if !spec.Match(pr.Rec) {
+			return pr, fmt.Errorf("provhttp: %v: record {%d, %s} is outside the requested scan: %w", spec, pr.Rec.Tid, pr.Rec.Loc, provauth.ErrVerify)
+		}
+		return pr, sr.verify(pr.Rec, pr.Proof)
 	})
-}
-
-// scanRaw is the untraced transport under Scan.
-func (c *Client) scanRaw(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		q := spec.Values()
-		var since provauth.Root
-		if c.verify {
-			var err error
-			if q, since, err = c.verifyParams(ctx, q); err != nil {
-				yield(provstore.Record{}, err)
-				return
-			}
-		}
-		resp, err := c.do(ctx, http.MethodGet, "/v1/scan", q, nil, http.StatusOK)
-		if err != nil {
-			yield(provstore.Record{}, err)
-			return
-		}
-		defer resp.Body.Close()
-		var root provauth.Root
-		if c.verify {
-			if root, err = c.rootFromHeaders(resp, since); err != nil {
-				yield(provstore.Record{}, err)
-				return
-			}
-		}
-		dec := json.NewDecoder(resp.Body)
-		n := 0
-		for {
-			var line scanLine
-			if err := dec.Decode(&line); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					yield(provstore.Record{}, cerr)
-					return
-				}
-				if err == io.EOF {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: stream truncated after %d records (missing eof terminator)", spec, n))
-					return
-				}
-				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: %w", spec, err))
-				return
-			}
-			switch {
-			case line.Err != "":
-				// An in-band error line: the store failed after the 200
-				// header went out, so there is no HTTP status to carry —
-				// not a RemoteError, whose Status means a non-2xx reply.
-				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: server error mid-stream: %s", spec, line.Err))
-				return
-			case line.EOF:
-				if line.N != n {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: stream carried %d records, terminator says %d", spec, n, line.N))
-				}
-				return
-			case line.R == nil:
-				yield(provstore.Record{}, fmt.Errorf("provhttp: %v: blank stream line", spec))
-				return
-			}
-			rec, err := line.R.record()
-			if err != nil {
-				yield(provstore.Record{}, err)
-				return
-			}
-			if c.verify {
-				if !spec.Match(rec) {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: record {%d, %s} is outside the requested scan: %w", spec, rec.Tid, rec.Loc, provauth.ErrVerify))
-					return
-				}
-				if err := verifyLine(root, rec, line.P); err != nil {
-					yield(provstore.Record{}, fmt.Errorf("provhttp: %v: %w", spec, err))
-					return
-				}
-			}
-			n++
-			if !yield(rec, nil) {
-				return
-			}
-		}
-	}
-}
-
-// verifyLine checks one proven stream record against the stream's root.
-func verifyLine(root provauth.Root, rec provstore.Record, proofHex string) (err error) {
-	if proofHex == "" {
-		return fmt.Errorf("provhttp: unproven record %v in verified stream: %w", rec, provauth.ErrVerify)
-	}
-	proof, err := decodeProofHex(proofHex)
-	if err != nil {
-		return err
-	}
-	if err := provauth.VerifyRecord(root, rec, proof); err != nil {
-		return fmt.Errorf("provhttp: streamed record %v failed verification: %w", rec, err)
-	}
-	return nil
 }
 
 // ExecPlan implements provplan.Executor: the whole declarative query ships
 // to the server's POST /v1/query as JSON and executes there, next to the
 // data — one round trip for an entire trace chain or mod BFS, where the
 // method-per-round-trip Backend surface would pay one per scan. The result
-// rows stream back under the same cursor contract as scans: decoded as the
-// consumer pulls, in-band mid-stream errors, truncation detected by the
-// missing terminator, and breaking out closes the body (cancelling the
-// server-side plan).
+// comes back as a row stream, like a scan's (see the package doc).
 // In verified mode the plan ships with proofs=1: record rows must verify
 // against the (pin-checked) response root; derived rows — tids,
 // aggregates, trace steps — are computed answers with no leaf to prove and
@@ -808,83 +880,26 @@ func (c *Client) ExecPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 
 // execPlan is the uncached /v1/query round trip under ExecPlan.
 func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[provplan.Row, error] {
-	return tracedStream(ctx, "rpc:query", func(ctx context.Context) iter.Seq2[provplan.Row, error] {
-		return c.execPlanRaw(ctx, q)
-	})
-}
-
-// execPlanRaw is the untraced transport under execPlan.
-func (c *Client) execPlanRaw(ctx context.Context, q *provplan.Query) iter.Seq2[provplan.Row, error] {
-	return func(yield func(provplan.Row, error) bool) {
+	mode := unproven
+	if c.verify {
+		mode = pinned
+	}
+	return rows(func() *streamReader {
 		body, err := json.Marshal(q)
 		if err != nil {
-			yield(provplan.Row{}, err)
-			return
+			return &streamReader{done: true, err: err}
 		}
-		var params url.Values
-		var since provauth.Root
-		if c.verify {
-			if params, since, err = c.verifyParams(ctx, nil); err != nil {
-				yield(provplan.Row{}, err)
-				return
-			}
-		}
-		resp, err := c.do(ctx, http.MethodPost, "/v1/query", params, bytes.NewReader(body), http.StatusOK)
-		if err != nil {
-			yield(provplan.Row{}, err)
-			return
-		}
-		defer resp.Body.Close()
-		var root provauth.Root
-		if c.verify {
-			if root, err = c.rootFromHeaders(resp, since); err != nil {
-				yield(provplan.Row{}, err)
-				return
+		return c.stream(ctx, "query", http.MethodPost, "/v1/query", nil, bytes.NewReader(body), mode)
+	}, func(sr *streamReader) (provplan.Row, error) {
+		row, err := sr.line.row()
+		if err == nil && mode == pinned && row.Kind == provplan.RowRecord {
+			var proof provauth.Proof
+			if proof, err = sr.proof(); err == nil {
+				err = sr.verify(row.Rec, proof)
 			}
 		}
-		dec := json.NewDecoder(resp.Body)
-		n := 0
-		for {
-			var line queryLine
-			if err := dec.Decode(&line); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					yield(provplan.Row{}, cerr)
-					return
-				}
-				if err == io.EOF {
-					yield(provplan.Row{}, fmt.Errorf("provhttp: query: stream truncated after %d rows (missing eof terminator)", n))
-					return
-				}
-				yield(provplan.Row{}, fmt.Errorf("provhttp: query: %w", err))
-				return
-			}
-			switch {
-			case line.Err != "":
-				yield(provplan.Row{}, fmt.Errorf("provhttp: query: server error mid-stream: %s", line.Err))
-				return
-			case line.EOF:
-				if line.N != n {
-					yield(provplan.Row{}, fmt.Errorf("provhttp: query: stream carried %d rows, terminator says %d", n, line.N))
-				}
-				return
-			}
-			row, err := line.row()
-			if err != nil {
-				yield(provplan.Row{}, err)
-				return
-			}
-			if c.verify && row.Kind == provplan.RowRecord {
-				if err := verifyLine(root, row.Rec, line.P); err != nil {
-					yield(provplan.Row{}, fmt.Errorf("provhttp: query: %w", err))
-					return
-				}
-			}
-			n++
-			if !yield(row, nil) {
-				return
-			}
-		}
-	}
+		return row, err
+	})
 }
 
 // --- the remote Authority surface ----------------------------------------------
@@ -893,61 +908,23 @@ func (c *Client) execPlanRaw(ctx context.Context, q *provplan.Query) iter.Seq2[p
 // reported. In verified mode the answer is additionally checked against
 // (and advances) the pin before being returned.
 func (c *Client) Root(ctx context.Context) (provauth.Root, error) {
-	q := url.Values{}
-	var since provauth.Root
-	if c.verify {
-		var err error
-		if since, err = c.ensurePin(ctx); err != nil {
-			return provauth.Root{}, err
-		}
-		q.Set("since", strconv.FormatUint(since.Size, 10))
-	}
-	var rr rootResponse
-	if err := c.getJSON(ctx, "/v1/root", q, &rr); err != nil {
-		return provauth.Root{}, err
-	}
-	root, err := provauth.ParseRoot(rr.Root)
-	if err != nil {
-		return provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
-	}
-	if c.verify {
-		var audit []provauth.Hash
-		if rr.Audit != nil {
-			if audit, err = decodeAudit(*rr.Audit); err != nil {
-				return provauth.Root{}, err
-			}
-		}
-		if err := c.adoptRoot(since, root, audit); err != nil {
-			return provauth.Root{}, err
-		}
-	}
-	return root, nil
+	_, root, err := c.provenAnswer(ctx, "/v1/root", nil, c.verify)
+	return root, err
 }
 
 // RootAt implements provauth.Authority (raw: a historical checkpoint
 // cannot advance the pin — connect it yourself via Consistency).
 func (c *Client) RootAt(ctx context.Context, tid int64) (provauth.Root, error) {
-	var rr rootResponse
-	if err := c.getJSON(ctx, "/v1/root", url.Values{"tid": {strconv.FormatInt(tid, 10)}}, &rr); err != nil {
-		return provauth.Root{}, err
-	}
-	root, err := provauth.ParseRoot(rr.Root)
-	if err != nil {
-		return provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
-	}
-	return root, nil
+	_, root, err := c.provenAnswer(ctx, "/v1/root", url.Values{"tid": {strconv.FormatInt(tid, 10)}}, false)
+	return root, err
 }
 
 // proveRaw fetches a proof from /v1/prove without interpreting it against
 // the pin — the transport under Prove and ProveAt.
 func (c *Client) proveRaw(ctx context.Context, q url.Values) (provauth.Proof, provauth.Root, error) {
-	var fr foundResponse
-	if err := c.getJSON(ctx, "/v1/prove", q, &fr); err != nil {
-		return provauth.Proof{}, provauth.Root{}, err
-	}
-	root, err := provauth.ParseRoot(fr.Root)
+	fr, root, err := c.provenAnswer(ctx, "/v1/prove", q, false)
 	if err != nil {
-		return provauth.Proof{}, provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
+		return provauth.Proof{}, provauth.Root{}, err
 	}
 	if !fr.Found {
 		return provauth.Proof{}, provauth.Root{}, fmt.Errorf("provhttp: no record to prove: %w", provauth.ErrNotInLog)
@@ -1025,75 +1002,7 @@ func (c *Client) ConsistencyTids(ctx context.Context, oldTid, newTid int64) (pro
 // require it to extend a previously accepted root over a consistency
 // proof, as provrepl's verified appliers do.
 func (c *Client) ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provauth.ProvenRecord, error] {
-	return tracedStream(ctx, "rpc:scan-proven", func(ctx context.Context) iter.Seq2[provauth.ProvenRecord, error] {
-		return c.scanAllProvenRaw(ctx, afterTid, afterLoc)
-	})
-}
-
-// scanAllProvenRaw is the untraced transport under ScanAllProven.
-func (c *Client) scanAllProvenRaw(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provauth.ProvenRecord, error] {
-	return func(yield func(provauth.ProvenRecord, error) bool) {
-		q := provstore.All().After(afterTid, afterLoc).Values()
-		q.Set("proofs", "1")
-		resp, err := c.do(ctx, http.MethodGet, "/v1/scan", q, nil, http.StatusOK)
-		if err != nil {
-			yield(provauth.ProvenRecord{}, err)
-			return
-		}
-		defer resp.Body.Close()
-		root, err := provauth.ParseRoot(resp.Header.Get(headerAuthRoot))
-		if err != nil {
-			yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: bad %s header: %w", headerAuthRoot, err))
-			return
-		}
-		dec := json.NewDecoder(resp.Body)
-		n := 0
-		for {
-			var line scanLine
-			if err := dec.Decode(&line); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					yield(provauth.ProvenRecord{}, cerr)
-					return
-				}
-				if err == io.EOF {
-					yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: proven scan: stream truncated after %d records (missing eof terminator)", n))
-					return
-				}
-				yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: proven scan: %w", err))
-				return
-			}
-			switch {
-			case line.Err != "":
-				yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: proven scan: server error mid-stream: %s", line.Err))
-				return
-			case line.EOF:
-				if line.N != n {
-					yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: proven scan: stream carried %d records, terminator says %d", n, line.N))
-				}
-				return
-			case line.R == nil:
-				yield(provauth.ProvenRecord{}, errors.New("provhttp: proven scan: blank stream line"))
-				return
-			case line.P == "":
-				yield(provauth.ProvenRecord{}, fmt.Errorf("provhttp: proven scan: unproven record: %w", provauth.ErrVerify))
-				return
-			}
-			rec, err := line.R.record()
-			if err != nil {
-				yield(provauth.ProvenRecord{}, err)
-				return
-			}
-			proof, err := decodeProofHex(line.P)
-			if err != nil {
-				yield(provauth.ProvenRecord{}, err)
-				return
-			}
-			n++
-			if !yield(provauth.ProvenRecord{Rec: rec, Proof: proof, Root: root}, nil) {
-				return
-			}
-		}
-	}
+	return c.provenScan(ctx, "scan-proven", provstore.All().After(afterTid, afterLoc), proven)
 }
 
 // Stat implements Backend. The answer is never cached — its MaxTid *is* the

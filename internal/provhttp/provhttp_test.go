@@ -443,48 +443,63 @@ func TestRemoteErrors(t *testing.T) {
 
 // TestScanEndpointSurface: /v1/scan takes exactly a ScanSpec's parameters
 // (plus its own limit, proofs and since) — anything else is a 400, never a
-// wider scan than the one asked for; /v1/scan-all is the same handler with
-// kind defaulting to all; and the per-kind and per-scalar endpoints it and
-// /v1/stat replaced are gone.
+// wider scan than the one asked for, whether or not the server has a page
+// cache to answer limit-bounded pages from; /v1/scan-all is the same handler
+// with kind defaulting to all; and the per-kind and per-scalar endpoints it
+// and /v1/stat replaced are gone.
 func TestScanEndpointSurface(t *testing.T) {
-	cli, _ := serve(t, provstore.NewMemBackend())
-	if err := cli.Append(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
-		t.Fatal(err)
-	}
-	for pathAndQuery, want := range map[string]int{
-		"/v1/scan?kind=all":                    http.StatusOK,
-		"/v1/scan?kind=tid&tid=1&limit=5":      http.StatusOK,
-		"/v1/scan?kind=loc-prefix&loc=":        http.StatusOK,
-		"/v1/scan-all":                         http.StatusOK,
-		"/v1/scan-all?limit=256":               http.StatusOK,
-		"/v1/scan-all?after_tid=1&after_loc=T": http.StatusOK,
-		"/v1/scan-all?kind=tid&tid=1":          http.StatusOK,
-		"/v1/stat":                             http.StatusOK,
-		"/v1/scan":                             http.StatusBadRequest,
-		"/v1/scan?kind=everything":             http.StatusBadRequest,
-		"/v1/scan?kind=tid":                    http.StatusBadRequest,
-		"/v1/scan?kind=tid&tid=one":            http.StatusBadRequest,
-		"/v1/scan?kind=all&tid=1":              http.StatusBadRequest,
-		"/v1/scan?kind=loc&loc=T//a":           http.StatusBadRequest,
-		"/v1/scan?kind=all&after_loc=T":        http.StatusBadRequest,
-		"/v1/scan?kind=all&limit=0":            http.StatusBadRequest,
-		"/v1/scan-all?tid=1":                   http.StatusBadRequest,
-		"/v1/scan?kind=all&proofs=1":           http.StatusBadRequest, // not an authenticated store
-		"/v1/scan/tid?tid=1":                   http.StatusNotFound,
-		"/v1/scan/prefix?prefix=T":             http.StatusNotFound,
-		"/v1/tids":                             http.StatusNotFound,
-		"/v1/maxtid":                           http.StatusNotFound,
-		"/v1/count":                            http.StatusNotFound,
-		"/v1/bytes":                            http.StatusNotFound,
+	for name, opts := range map[string][]provhttp.ServerOption{
+		"streaming":  nil,
+		"page-cache": {provhttp.WithPageCache(1 << 20)},
 	} {
-		resp, err := http.Get("http://" + cli.Addr() + pathAndQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("GET %s: HTTP %d, want %d", pathAndQuery, resp.StatusCode, want)
-		}
+		t.Run(name, func(t *testing.T) {
+			inner := provstore.NewMemBackend()
+			if err := inner.Append(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(provhttp.NewServer(inner, opts...))
+			defer hs.Close()
+			for pathAndQuery, want := range map[string]int{
+				"/v1/scan?kind=all":                    http.StatusOK,
+				"/v1/scan?kind=tid&tid=1&limit=5":      http.StatusOK,
+				"/v1/scan?kind=loc-prefix&loc=":        http.StatusOK,
+				"/v1/scan-all":                         http.StatusOK,
+				"/v1/scan-all?limit=256":               http.StatusOK,
+				"/v1/scan-all?after_tid=1&after_loc=T": http.StatusOK,
+				"/v1/scan-all?kind=tid&tid=1":          http.StatusOK,
+				"/v1/stat":                             http.StatusOK,
+				"/v1/scan":                             http.StatusBadRequest,
+				"/v1/scan?kind=everything":             http.StatusBadRequest,
+				"/v1/scan?kind=tid":                    http.StatusBadRequest,
+				"/v1/scan?kind=tid&tid=one":            http.StatusBadRequest,
+				"/v1/scan?kind=all&tid=1":              http.StatusBadRequest,
+				"/v1/scan?kind=loc&loc=T//a":           http.StatusBadRequest,
+				"/v1/scan?kind=all&after_loc=T":        http.StatusBadRequest,
+				"/v1/scan?kind=all&limit=0":            http.StatusBadRequest,
+				"/v1/scan?kind=all&limit=5&tid=1":      http.StatusBadRequest,
+				"/v1/scan-all?tid=1":                   http.StatusBadRequest,
+				"/v1/scan?kind=all&proofs=1":           http.StatusBadRequest, // not an authenticated store
+				"/v1/scan?kind=all&limit=5&proofs=1":   http.StatusBadRequest,
+				"/v1/scan?kind=all&limit=5&proofs=yes": http.StatusBadRequest,
+				"/v1/scan?kind=all&since=3":            http.StatusBadRequest, // since requires proofs=1
+				"/v1/scan?kind=all&limit=5&since=3":    http.StatusBadRequest,
+				"/v1/scan/tid?tid=1":                   http.StatusNotFound,
+				"/v1/scan/prefix?prefix=T":             http.StatusNotFound,
+				"/v1/tids":                             http.StatusNotFound,
+				"/v1/maxtid":                           http.StatusNotFound,
+				"/v1/count":                            http.StatusNotFound,
+				"/v1/bytes":                            http.StatusNotFound,
+			} {
+				resp, err := http.Get(hs.URL + pathAndQuery)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					t.Errorf("GET %s: HTTP %d, want %d", pathAndQuery, resp.StatusCode, want)
+				}
+			}
+		})
 	}
 }
 

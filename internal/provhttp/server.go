@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -22,9 +21,8 @@ import (
 	"repro/internal/provtrace"
 )
 
-// streamFlushEvery is the record interval at which scan streams flush the
-// response writer, so large results leave the server as chunks the client
-// can start decoding (and cancelling) before the stream ends.
+// streamFlushEvery is the line interval at which a row stream flushes the
+// response writer and checks for a client that has gone away.
 const streamFlushEvery = 256
 
 // A Server publishes a provstore.Backend over HTTP — the daemon side of the
@@ -574,23 +572,16 @@ func (s *Server) pointHandler(q func(context.Context, int64, path.Path) (provsto
 	}
 }
 
-// A proofStamper stamps each record of one stream with its inclusion proof
-// against the single root snapshotted when the stream began — the header
-// root every "p" field of the response verifies against.
-type proofStamper struct {
-	auth provauth.Authority
-	root provauth.Root
-}
-
 // authStamp interprets the proofs=1 / since=SIZE request parameters: it
-// snapshots the root and writes the authentication headers (including the
+// snapshots the root — the one root every "p" field of the response will
+// verify against — and writes the authentication headers (including the
 // consistency path from since) before any body byte goes out. It returns
 // (nil, true) for a request that wants no proofs, and (nil, false) — with
 // the error response already written — for one that asked for what the
 // store cannot do: proofs from an unauthenticated store are a 400, never a
 // silently unproven stream, and a since= beyond the current tree (a client
 // pinned ahead of this server — a rollback) is a 400 too.
-func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*proofStamper, bool) {
+func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*provauth.Root, bool) {
 	q := r.URL.Query()
 	switch q.Get("proofs") {
 	case "":
@@ -613,127 +604,202 @@ func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*proofStampe
 		s.fail(w, err, http.StatusInternalServerError)
 		return nil, false
 	}
-	if v := q.Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.fail(w, fmt.Errorf("provhttp: bad since parameter %q", v), http.StatusBadRequest)
-			return nil, false
-		}
-		audit, err := s.auth.Consistency(r.Context(), since, root.Size)
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return nil, false
-		}
-		w.Header().Set(headerAuthConsistency, encodeAudit(audit))
+	audit, ok := s.sinceAudit(w, r, root)
+	if !ok {
+		return nil, false
+	}
+	if audit != nil {
+		w.Header().Set(headerAuthConsistency, *audit)
 	}
 	w.Header().Set(headerAuthRoot, root.String())
-	return &proofStamper{auth: s.auth, root: root}, true
+	return &root, true
 }
 
-// prove stamps one record, answering (proof hex, beyond-horizon, error):
-// a record sealed after the stamper's root is not part of this stream's
-// answer (the stream is complete as of its root), and one the log never
-// admitted is a hard error.
-func (ps *proofStamper) prove(ctx context.Context, rec provstore.Record) (string, bool, error) {
-	p, err := ps.auth.ProveAt(ctx, rec.Tid, rec.Loc, ps.root.Size)
-	if err != nil {
-		if errors.Is(err, provauth.ErrUnsealed) {
-			return "", true, nil
-		}
-		return "", false, err
-	}
-	return encodeProof(p), false, nil
+// A streamWriter is the one encoder of the row stream (see the package
+// doc): the scan endpoint, the page-cache fill and the query endpoint hand
+// it records and rows, and it owns everything else — where an error goes,
+// proof stamping, what limit counts, the flush cadence, the terminator and
+// the stream accounting. Lines are encoded as the cursor yields them, so
+// the server never materializes a scan; one line value is reused throughout.
+type streamWriter struct {
+	s       *Server
+	w       http.ResponseWriter
+	ctx     context.Context
+	enc     *json.Encoder
+	flusher http.Flusher
+	stamp   *provauth.Root // nil: no proofs; else the root each record is proven under
+	limit   int            // 0: unbounded
+	line    streamLine
+	rec     wireRecord // what line.R points at
+	n       int        // lines written
+	more    bool       // limit cut the stream with a record still to come
+	paged   bool       // lines collect in a page buffer, not on the connection
+	started bool       // the 200 header is committed: errors go in band
+	dead    bool       // failed, or the client hung up: no terminator
 }
 
-// streamScan pipes a backend cursor to the client as an NDJSON stream with
-// the eof terminator: each record is encoded as the cursor yields it — the
-// server never materializes a scan — with periodic flushes so the client
-// can start decoding (and cancelling) long streams. Breaking out of the
-// cursor loop on client hang-up releases the backend cursor's resources;
-// the request context cancels any store work still pending. A store error
-// surfacing before the first record still gets a proper HTTP status; one
-// surfacing mid-stream is reported as an in-band error line (the 200 header
-// is already on the wire). A non-nil more is consulted for the
-// terminator's "more" flag (keyset pagination: the stream was cut by an
-// explicit limit, resume after the last key). A non-nil stamp adds the "p"
-// proof to every record line; records beyond the stamp root's horizon are
-// skipped — not a cut-off: a ByPrefix cursor is (Loc, Tid)
-// ordered, so an open-transaction record can sit mid-stream with sealed,
-// provable records after it, and the stream stays complete-as-of-root.
-func (s *Server) streamScan(w http.ResponseWriter, r *http.Request, scan iter.Seq2[provstore.Record, error], more func() bool, stamp *proofStamper) {
+// newStream opens a row stream answering r. With a nil page the lines go
+// straight to w; otherwise they collect in page and nothing reaches the
+// client until the caller sends the finished page, so a failure at any line
+// still gets a proper status.
+func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provauth.Root, limit int, page *bytes.Buffer) *streamWriter {
 	s.stats.cursorsOpen.Add(1)
-	defer s.stats.cursorsOpen.Add(-1)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	started := false
-	for rec, err := range scan {
+	sw := &streamWriter{s: s, w: w, ctx: r.Context(), stamp: stamp, limit: limit, paged: page != nil}
+	var out io.Writer = w
+	if sw.paged {
+		out = page
+	} else {
+		sw.flusher, _ = w.(http.Flusher)
+	}
+	sw.enc = json.NewEncoder(out)
+	return sw
+}
+
+// record writes one record line and reports whether the stream wants
+// another. On a proven stream the record is stamped first, and one not yet
+// sealed under the stream's root is skipped, not a cut-off: the stream is
+// complete as of its root, and cursor orders other than (Tid, Loc) put an
+// open transaction's records among sealed ones. (A record the log never
+// admitted is a hard error.) Only then does limit count it, so a page is
+// full of provable records or is the end.
+func (sw *streamWriter) record(rec provstore.Record) bool {
+	sw.line = streamLine{}
+	if sw.stamp != nil {
+		p, err := sw.s.auth.ProveAt(sw.ctx, rec.Tid, rec.Loc, sw.stamp.Size)
+		if errors.Is(err, provauth.ErrUnsealed) {
+			return true
+		}
 		if err != nil {
-			if !started {
-				s.fail(w, err, http.StatusInternalServerError)
-			} else {
-				s.stats.errors.Add(1)
-				noteErr(w, err)
-				enc.Encode(scanLine{Err: err.Error()}) //nolint:errcheck // stream end
-			}
-			return
+			sw.fail(err)
+			return false
 		}
-		line := scanLine{}
-		if stamp != nil {
-			p, beyond, perr := stamp.prove(r.Context(), rec)
-			if beyond {
-				continue // not sealed under the snapshot root: skip, later records may be
-			}
-			if perr != nil {
-				if !started {
-					s.fail(w, perr, http.StatusInternalServerError)
-				} else {
-					s.stats.errors.Add(1)
-					noteErr(w, perr)
-					enc.Encode(scanLine{Err: perr.Error()}) //nolint:errcheck // stream end
-				}
-				return
-			}
-			line.P = p
+		sw.line.P = encodeProof(p)
+	}
+	if sw.limit > 0 && sw.n == sw.limit {
+		sw.more = true // this record exists beyond the page
+		return false
+	}
+	sw.rec = toWire(rec)
+	sw.line.R = &sw.rec
+	return sw.write()
+}
+
+// row writes one result row of a plan. Record rows are record lines, proof
+// and all; derived rows (tids, aggregates, trace steps) are computed answers
+// with no leaf to prove — the root header still covers the relation they
+// were computed from.
+func (sw *streamWriter) row(row provplan.Row) bool {
+	switch row.Kind {
+	case provplan.RowRecord:
+		return sw.record(row.Rec)
+	case provplan.RowTid:
+		sw.line = streamLine{Tid: row.Tid}
+	case provplan.RowValue:
+		sw.line = streamLine{V: &wireValue{Val: row.Val, Found: row.Found}}
+	case provplan.RowEvent:
+		ev := toWire(provstore.Record(row.Event))
+		sw.line = streamLine{Ev: &ev}
+	case provplan.RowAnalyze:
+		sw.line = streamLine{Az: row.Analysis}
+	default: // provplan.RowEnd
+		end := wireEnd{Origin: row.Origin.String()}
+		if row.Origin == provplan.OriginExternal {
+			end.External = row.External.String()
 		}
-		if !started {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			started = true
+		sw.line = streamLine{End: &end}
+	}
+	return sw.write()
+}
+
+// write encodes sw.line, and every streamFlushEvery lines flushes and
+// stops for a client that has gone away.
+func (sw *streamWriter) write() bool {
+	sw.start()
+	if err := sw.enc.Encode(&sw.line); err != nil {
+		sw.dead = true // client hung up; the connection carries the truncation
+		return false
+	}
+	sw.n++
+	if sw.n%streamFlushEvery == 0 {
+		if sw.flusher != nil {
+			sw.flusher.Flush()
 		}
-		wr := toWire(rec)
-		line.R = &wr
-		if err := enc.Encode(line); err != nil {
-			return // client hung up; the connection carries the truncation
-		}
-		n++
-		if n%streamFlushEvery == 0 {
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if r.Context().Err() != nil {
-				return
-			}
+		if sw.ctx.Err() != nil {
+			sw.dead = true
+			return false
 		}
 	}
-	if !started {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+	return true
+}
+
+// start commits the 200 header of a stream that goes straight to the client.
+func (sw *streamWriter) start() {
+	if !sw.started && !sw.paged {
+		sw.w.Header().Set("Content-Type", "application/x-ndjson")
+		sw.started = true
 	}
-	line := scanLine{EOF: true, N: n}
-	if more != nil {
-		line.More = more()
+}
+
+// fail ends the stream with err: as an HTTP status while no line has
+// reached the client, as the in-band error line after.
+func (sw *streamWriter) fail(err error) {
+	sw.dead = true
+	if !sw.started {
+		sw.s.fail(sw.w, err, http.StatusInternalServerError)
+		return
 	}
-	enc.Encode(line) //nolint:errcheck // stream end
+	sw.s.stats.errors.Add(1)
+	noteErr(sw.w, err)
+	sw.line = streamLine{Err: err.Error()}
+	sw.enc.Encode(&sw.line) //nolint:errcheck // stream end
+}
+
+// end closes the stream: the terminator line and the stream accounting,
+// unless the stream already failed. It reports whether the stream is
+// complete.
+func (sw *streamWriter) end() bool {
+	sw.s.stats.cursorsOpen.Add(-1)
+	if sw.dead {
+		return false
+	}
+	sw.start()
+	sw.line = streamLine{EOF: true, N: sw.n, More: sw.more}
+	sw.enc.Encode(&sw.line) //nolint:errcheck // stream end
+	sw.s.streamed(sw.w, sw.n)
+	return true
+}
+
+// streamed books one answered stream of n lines.
+func (s *Server) streamed(w http.ResponseWriter, n int) {
 	s.stats.recordsStreamed.Add(int64(n))
 	setRecords(w, n)
 }
 
-// handleScan serves every scan as one NDJSON server cursor: the request's
-// parameters are a provstore.ScanSpec in wire form (kind= and its argument,
+// scanInto runs spec's cursor into sw and ends the stream, reporting
+// whether it completed. Leaving the loop releases the backend cursor's
+// resources; the request context cancels any store work still pending.
+func (s *Server) scanInto(sw *streamWriter, spec provstore.ScanSpec) bool {
+	for rec, err := range s.inner.Scan(sw.ctx, spec) {
+		if err != nil {
+			sw.fail(err)
+			break
+		}
+		if !sw.record(rec) {
+			break
+		}
+	}
+	return sw.end()
+}
+
+// handleScan serves every scan as one row stream: the request's parameters
+// are a provstore.ScanSpec in wire form (kind= and its argument,
 // after_tid=/after_loc= to resume strictly after the last key a previous,
-// possibly truncated, stream delivered), and limit=N ends the stream after N
-// records with a "more":true terminator when records remain. /v1/scan-all,
-// the spelling older clients and the benchmark's page-cache probe use, is
-// this handler with kind defaulting to all.
+// possibly truncated, stream delivered) plus the handler's own limit=,
+// proofs= and since=. The store seeks straight to the successor of the
+// resume key (a B-tree descent, a binary search — not a walk over
+// everything already streamed). /v1/scan-all, the spelling older clients
+// and the benchmark's page-cache probe use, is this handler with kind
+// defaulting to all.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if r.URL.Path == "/v1/scan-all" && !q.Has("kind") {
@@ -748,7 +814,6 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	proofs := q.Has("proofs")
 	for _, own := range []string{"limit", "proofs", "since"} {
 		q.Del(own) // the handler's own parameters; the rest must be exactly the spec's
 	}
@@ -758,43 +823,25 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	setScan(w, spec)
+	stamp, ok := s.authStamp(w, r)
+	if !ok {
+		return
+	}
 
 	// A limit-bounded page with no proof stamping can be served from (and
 	// fill) the shared page cache. Unbounded drains stay streaming — their
 	// size is the whole answer — and proofs=1 responses are per-client
 	// (the snapshot root is negotiated per request), so both bypass it.
-	if s.pageCache != nil && limit > 0 && !proofs {
+	if s.pageCache != nil && limit > 0 && stamp == nil {
 		s.servePage(w, r, spec, limit)
 		return
 	}
-
-	stamp, ok := s.authStamp(w, r)
-	if !ok {
-		return
-	}
-	// The store seeks straight to the successor of the resume key (a B-tree
-	// descent, a binary search — not a walk over everything already
-	// streamed), so the window only has to cut at limit.
-	cut := false
-	window := func(yield func(provstore.Record, error) bool) {
-		n := 0
-		for rec, err := range s.inner.Scan(r.Context(), spec) {
-			if err == nil && limit > 0 && n == limit {
-				cut = true // this record exists beyond the page: more to come
-				return
-			}
-			n++
-			if !yield(rec, err) || err != nil {
-				return
-			}
-		}
-	}
-	s.streamScan(w, r, window, func() bool { return cut }, stamp)
+	s.scanInto(s.newStream(w, r, stamp, limit, nil), spec)
 }
 
-// cachedPage is one encoded /v1/scan page: the exact NDJSON bytes the
-// streaming path would have produced (records plus terminator), with the
-// record count for the stats the streaming path would have counted.
+// cachedPage is one encoded /v1/scan page — the bytes the stream would
+// have produced, because the same streamWriter produced them — with the
+// line count for the stream accounting.
 type cachedPage struct {
 	body []byte
 	n    int
@@ -805,9 +852,8 @@ type cachedPage struct {
 // horizon-keyed: the relation is append-only, which means a page of a given
 // scan at a given keyset position and horizon is immutable — and any append
 // moves the horizon, after which stale pages are never keyed again and age
-// out of the LRU. A miss materializes the page into a buffer (bounded by
-// limit, unlike a full drain), stores it only if the scan terminated
-// cleanly, and replies with the same bytes either way.
+// out of the LRU. A miss runs the stream into a buffer (bounded by limit,
+// unlike a full drain) and stores it only if the scan terminated cleanly.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstore.ScanSpec, limit int) {
 	st, err := s.inner.Stat(r.Context())
 	if err != nil {
@@ -815,63 +861,33 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 		return
 	}
 	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit)
+	var pg *cachedPage
 	if v, ok := s.pageCache.Get(key); ok {
-		pg := v.(*cachedPage)
 		provtrace.Mark(r.Context(), "cache:hit", provtrace.Attr{K: "cache", V: "page"})
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Write(pg.body) //nolint:errcheck // stream end
-		s.stats.recordsStreamed.Add(int64(pg.n))
-		setRecords(w, pg.n)
-		return
-	}
-
-	provtrace.Mark(r.Context(), "cache:miss", provtrace.Attr{K: "cache", V: "page"})
-	var buf bytes.Buffer
-	buf.Grow(64 * limit)
-	enc := json.NewEncoder(&buf)
-	n := 0
-	cut := false
-	var scanErr error
-	for rec, err := range s.inner.Scan(r.Context(), spec) {
-		if err != nil {
-			scanErr = err
-			break
+		pg = v.(*cachedPage)
+		s.streamed(w, pg.n)
+	} else {
+		provtrace.Mark(r.Context(), "cache:miss", provtrace.Attr{K: "cache", V: "page"})
+		var buf bytes.Buffer
+		buf.Grow(64 * limit)
+		sw := s.newStream(w, r, nil, limit, &buf)
+		if !s.scanInto(sw, spec) {
+			return
 		}
-		if n == limit {
-			cut = true // this record exists beyond the page: more to come
-			break
-		}
-		wr := toWire(rec)
-		if err := enc.Encode(scanLine{R: &wr}); err != nil {
-			scanErr = err
-			break
-		}
-		n++
+		pg = &cachedPage{body: bytes.Clone(buf.Bytes()), n: sw.n}
+		s.pageCache.Put(key, pg, int64(len(key)+len(pg.body)))
 	}
-	if scanErr != nil {
-		// Nothing was written yet (the page buffers before the first byte),
-		// so a scan error still gets a proper status line.
-		s.fail(w, scanErr, http.StatusInternalServerError)
-		return
-	}
-	enc.Encode(scanLine{EOF: true, N: n, More: cut}) //nolint:errcheck // local buffer
-	pg := &cachedPage{body: bytes.Clone(buf.Bytes()), n: n}
-	s.pageCache.Put(key, pg, int64(len(key)+len(pg.body)))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Write(pg.body) //nolint:errcheck // stream end
-	s.stats.recordsStreamed.Add(int64(n))
-	setRecords(w, n)
 }
 
 // handleQuery executes a whole declarative plan server-side, next to the
 // data: the JSON body is a provplan.Query, compiled against the inner
 // backend (a sharded inner store scatter-gathers its subplans here, in the
-// daemon), and the result rows stream back as one NDJSON cursor. This is
-// what makes a remote trace or mod one round trip — the chain steps and
-// BFS waves that used to be client round trips run entirely in this
-// handler. Compile errors are 400s; execution errors surface before the
-// first row as a 500, after it as an in-band error line, like every other
-// stream.
+// daemon), and the result rows go back as one row stream. This is what
+// makes a remote trace or mod one round trip — the chain steps and BFS
+// waves that used to be client round trips run entirely in this handler.
+// Compile errors are 400s; execution errors are the stream's.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q provplan.Query
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBytes)).Decode(&q); err != nil {
@@ -906,69 +922,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	s.stats.cursorsOpen.Add(1)
-	defer s.stats.cursorsOpen.Add(-1)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	n := 0
-	started := false
+	sw := s.newStream(w, r, stamp, 0, nil)
+	defer sw.end()
 	for row, err := range pl.Rows(r.Context()) {
 		if err != nil {
-			if !started {
-				s.fail(w, err, http.StatusInternalServerError)
-			} else {
-				s.stats.errors.Add(1)
-				noteErr(w, err)
-				enc.Encode(queryLine{Err: err.Error()}) //nolint:errcheck // stream end
-			}
+			sw.fail(err)
 			return
 		}
-		line := toWireRow(row)
-		// Record rows of a proven stream carry their inclusion proof;
-		// derived rows (tids, aggregates, trace steps) are computed answers
-		// with no leaf to prove — the root header still covers the relation
-		// they were computed from.
-		if stamp != nil && line.R != nil {
-			p, beyond, perr := stamp.prove(r.Context(), row.Rec)
-			if beyond {
-				continue // not sealed under the snapshot root: skip, later rows may be (plans order rows arbitrarily)
-			}
-			if perr != nil {
-				if !started {
-					s.fail(w, perr, http.StatusInternalServerError)
-				} else {
-					s.stats.errors.Add(1)
-					noteErr(w, perr)
-					enc.Encode(queryLine{Err: perr.Error()}) //nolint:errcheck // stream end
-				}
-				return
-			}
-			line.P = p
-		}
-		if !started {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			started = true
-		}
-		if err := enc.Encode(line); err != nil {
-			return // client hung up; the connection carries the truncation
-		}
-		n++
-		if n%streamFlushEvery == 0 {
-			if flusher != nil {
-				flusher.Flush()
-			}
-			if r.Context().Err() != nil {
-				return
-			}
+		if !sw.row(row) {
+			return
 		}
 	}
-	if !started {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	enc.Encode(queryLine{EOF: true, N: n}) //nolint:errcheck // stream end
-	s.stats.recordsStreamed.Add(int64(n))
-	setRecords(w, n)
 }
 
 // requireAuth writes the standard 400 for authentication endpoints hit on

@@ -17,24 +17,18 @@
 //	                                 413 over MaxAppendBytes
 //	GET  /v1/lookup?tid=&loc=        {"found":bool,"r":record}
 //	GET  /v1/ancestor?tid=&loc=      {"found":bool,"r":record}
-//	GET  /v1/scan?kind=              NDJSON server cursor over one ordered
-//	     [&tid= | &loc=]               scan, a provstore.ScanSpec in wire form
-//	     [&after_tid=&after_loc=]      (kind all, tid, loc, loc-prefix or
-//	     [&limit=]                     loc-ancestors; ScanSpec.Values):
-//	                                   {"r":record}… then {"eof":true,
-//	                                   "n":count}; a stream without the
-//	                                   terminator line was truncated and is
-//	                                   an error. The keyset parameters resume
-//	                                   after a key / bound one page, and the
-//	                                   terminator carries "more":true when a
-//	                                   limit cut the stream short. Anything
+//	GET  /v1/scan?kind=              one ordered scan, answered as a row
+//	     [&tid= | &loc=]               stream: a provstore.ScanSpec in wire
+//	     [&after_tid=&after_loc=]      form (kind all, tid, loc, loc-prefix
+//	     [&limit=]                     or loc-ancestors; ScanSpec.Values),
+//	                                   resumed after a key and cut to a page
+//	                                   by the keyset parameters. Anything
 //	                                   but the kind's own parameters is a 400
 //	GET  /v1/scan-all                the same handler, kind defaulting to all
 //	POST /v1/query                   declarative provplan.Query as the JSON
 //	                                 body; the whole plan executes
 //	                                 server-side, next to the data, and the
-//	                                 result streams back as one NDJSON
-//	                                 cursor of tagged rows (see queryLine) —
+//	                                 result comes back as one row stream —
 //	                                 a multi-step trace or mod costs one
 //	                                 round trip instead of one per scan
 //	GET  /v1/stat                    {"maxTid":N,"count":N,"bytes":N}
@@ -73,13 +67,38 @@
 //	                                   returns {"old","new","audit"}
 //
 // and every scan or query accepts proofs=1 (400 on an unauthenticated
-// store): the response carries the snapshot root in the X-Cpdb-Auth-Root
-// header (plus X-Cpdb-Auth-Consistency when since=SIZE is given), and each
-// record line carries "p", its inclusion proof against that one root,
-// hex of the provauth.Proof binary encoding. A proven stream answers as of
-// its root: records of the still-open transaction are held back until a
-// flush seals them. The cpdb://?verify=pin&pin=FILE client drives all of
-// this automatically and fails closed on any mismatch.
+// store). The cpdb://?verify=pin&pin=FILE client drives all of this
+// automatically and fails closed on any mismatch.
+//
+// # The row stream
+//
+// /v1/scan and /v1/query answer with the same thing: NDJSON, one streamLine
+// per line — data lines (records, or a query's tagged rows), then exactly
+// one closing line. streamWriter is the only encoder, streamReader the only
+// decoder, and the rules live there and here, nowhere else:
+//
+//   - Terminator: {"eof":true,"n":N}, N the number of data lines before
+//     it. A body that ends without one was truncated — a dying server or
+//     connection — and is an error, never a short result; so is a count
+//     that does not match.
+//   - Errors: a failure before the first line is an HTTP status with a
+//     JSON error body. After it the 200 is already on the wire, so the
+//     failure is the closing line, {"err":msg}, instead of a terminator.
+//   - limit=N (scans) bounds the lines written; when a further record
+//     exists the terminator carries "more":true, and the next page resumes
+//     after the last key this one delivered (after_tid, after_loc).
+//   - proofs=1: the response carries the snapshot root in the
+//     X-Cpdb-Auth-Root header (plus X-Cpdb-Auth-Consistency when since=SIZE
+//     is given), and each record line carries "p", its inclusion proof
+//     against that one root, hex of the provauth.Proof binary encoding.
+//     The stream answers as of its root: records of the still-open
+//     transaction are skipped — they count towards neither n nor limit —
+//     until a flush seals them. Derived rows (tids, aggregates, trace
+//     steps) have no leaf to prove and carry none.
+//   - Cadence: every streamFlushEvery lines the writer flushes, so a long
+//     result leaves as chunks the client can start decoding, and checks
+//     that the client is still there; the reader decodes as the consumer
+//     pulls, and closing the body early cancels the server-side cursor.
 //
 // Records travel as JSON objects whose Loc/Src fields are canonical path
 // strings ("T/c1/y") — lossless, because labels cannot contain '/'. Errors
@@ -224,6 +243,19 @@ func toWire(r provstore.Record) wireRecord {
 
 // record parses and validates a received record.
 func (w wireRecord) record() (provstore.Record, error) {
+	r, err := w.parse()
+	if err == nil {
+		err = r.Validate()
+	}
+	if err != nil {
+		return provstore.Record{}, err
+	}
+	return r, nil
+}
+
+// parse parses the fields of a received record or trace step (a step has a
+// record's shape but is a computed answer, held to no store invariant).
+func (w wireRecord) parse() (provstore.Record, error) {
 	if len(w.Op) != 1 {
 		return provstore.Record{}, fmt.Errorf("provhttp: bad op %q", w.Op)
 	}
@@ -235,52 +267,36 @@ func (w wireRecord) record() (provstore.Record, error) {
 	if r.Src, err = parseWirePath(w.Src); err != nil {
 		return provstore.Record{}, fmt.Errorf("provhttp: bad src %q: %w", w.Src, err)
 	}
-	if err := r.Validate(); err != nil {
-		return provstore.Record{}, err
-	}
 	return r, nil
 }
 
-// scanLine is one NDJSON line of a scan stream: a record, the terminator
-// carrying the total count, or a mid-stream error. The terminator lets the
-// client distinguish a complete short result from a stream cut off by a
-// dying server or connection — without it, truncation would silently read
-// as "fewer rows". An error line reports a store failure discovered after
-// the 200 header already went out (a streaming cursor cannot retract its
-// status code); More marks a terminator produced by an explicit limit=,
-// telling a paging client to resume after the last key it saw.
-type scanLine struct {
-	R    *wireRecord `json:"r,omitempty"`
-	P    string      `json:"p,omitempty"` // inclusion proof (proofs=1 streams)
-	EOF  bool        `json:"eof,omitempty"`
-	N    int         `json:"n,omitempty"`
-	More bool        `json:"more,omitempty"`
-	Err  string      `json:"err,omitempty"`
-}
-
-// queryLine is one NDJSON line of a /v1/query result stream — the wire form
-// of one provplan.Row, plus the same terminator/error lines scan streams
-// carry. Exactly one of the variant fields is set per line:
+// streamLine is one NDJSON line of a row stream — the one response form
+// of /v1/scan and /v1/query (see "The row stream" in the package doc).
+// Exactly one variant is set per line:
 //
-//	{"r":record}                      select row
+//	{"r":record[,"p":proof]}          record (scan record, select row)
 //	{"tid":N}                         mod/hist row
 //	{"v":{"val":N,"found":bool}}      aggregate or src answer
 //	{"ev":{"tid":N,"op":"C","loc":…}} trace step
 //	{"end":{"origin":…,"external":…}} trace terminator row
 //	{"az":{"ops":[…],"scanned":N}}    analyze trailer (analyze queries only)
-//	{"eof":true,"n":N}                stream terminator (always last)
-//	{"err":…}                         server failed mid-stream
-type queryLine struct {
-	R   *wireRecord        `json:"r,omitempty"`
-	P   string             `json:"p,omitempty"`   // inclusion proof (record rows, proofs=1)
-	Tid int64              `json:"tid,omitempty"` // transaction ids are >= 1
-	V   *wireValue         `json:"v,omitempty"`
-	Ev  *wireEvent         `json:"ev,omitempty"`
-	End *wireEnd           `json:"end,omitempty"`
-	Az  *provplan.Analysis `json:"az,omitempty"`
-	EOF bool               `json:"eof,omitempty"`
-	N   int                `json:"n,omitempty"`
-	Err string             `json:"err,omitempty"`
+//	{"eof":true,"n":N[,"more":true]}  stream terminator (always last)
+//	{"err":…}                         server failed mid-stream (always last)
+//
+// The field order is the byte order on the wire; streamWriter is the only
+// encoder and streamReader the only decoder.
+type streamLine struct {
+	R    *wireRecord        `json:"r,omitempty"`
+	P    string             `json:"p,omitempty"`   // inclusion proof (record lines, proofs=1)
+	Tid  int64              `json:"tid,omitempty"` // transaction ids are >= 1
+	V    *wireValue         `json:"v,omitempty"`
+	Ev   *wireRecord        `json:"ev,omitempty"` // a trace step has a record's shape
+	End  *wireEnd           `json:"end,omitempty"`
+	Az   *provplan.Analysis `json:"az,omitempty"`
+	EOF  bool               `json:"eof,omitempty"`
+	N    int                `json:"n,omitempty"`
+	More bool               `json:"more,omitempty"`
+	Err  string             `json:"err,omitempty"`
 }
 
 // wireValue is a scalar answer with its existence bit (min/max of an empty
@@ -288,14 +304,6 @@ type queryLine struct {
 type wireValue struct {
 	Val   int64 `json:"val"`
 	Found bool  `json:"found"`
-}
-
-// wireEvent is one trace step on the wire.
-type wireEvent struct {
-	Tid int64  `json:"tid"`
-	Op  string `json:"op"`
-	Loc string `json:"loc"`
-	Src string `json:"src,omitempty"`
 }
 
 // wireEnd is the trace terminator row: the origin classification by name
@@ -313,37 +321,9 @@ var origins = map[string]provplan.Origin{
 	provplan.OriginPreexisting.String(): provplan.OriginPreexisting,
 }
 
-// toWireRow converts one result row for transmission.
-func toWireRow(row provplan.Row) queryLine {
-	switch row.Kind {
-	case provplan.RowRecord:
-		wr := toWire(row.Rec)
-		return queryLine{R: &wr}
-	case provplan.RowTid:
-		return queryLine{Tid: row.Tid}
-	case provplan.RowValue:
-		return queryLine{V: &wireValue{Val: row.Val, Found: row.Found}}
-	case provplan.RowEvent:
-		ev := wireEvent{Tid: row.Event.Tid, Op: row.Event.Op.String(), Loc: row.Event.Loc.String()}
-		if row.Event.Op == provstore.OpCopy {
-			ev.Src = row.Event.Src.String()
-		}
-		return queryLine{Ev: &ev}
-	case provplan.RowAnalyze:
-		return queryLine{Az: row.Analysis}
-	default: // provplan.RowEnd
-		end := wireEnd{Origin: row.Origin.String()}
-		if row.Origin == provplan.OriginExternal {
-			end.External = row.External.String()
-		}
-		return queryLine{End: &end}
-	}
-}
-
-// row parses a received result line back into a provplan.Row. The
-// terminator and error variants are handled by the caller; this sees only
-// data lines.
-func (l queryLine) row() (provplan.Row, error) {
+// row parses a received data line back into a provplan.Row (the
+// terminator and error lines never leave streamReader).
+func (l *streamLine) row() (provplan.Row, error) {
 	switch {
 	case l.R != nil:
 		rec, err := l.R.record()
@@ -356,18 +336,11 @@ func (l queryLine) row() (provplan.Row, error) {
 	case l.V != nil:
 		return provplan.Row{Kind: provplan.RowValue, Val: l.V.Val, Found: l.V.Found}, nil
 	case l.Ev != nil:
-		if len(l.Ev.Op) != 1 {
-			return provplan.Row{}, fmt.Errorf("provhttp: bad event op %q", l.Ev.Op)
+		ev, err := l.Ev.parse()
+		if err != nil {
+			return provplan.Row{}, err
 		}
-		ev := provplan.Event{Tid: l.Ev.Tid, Op: provstore.OpKind(l.Ev.Op[0])}
-		var err error
-		if ev.Loc, err = parseWirePath(l.Ev.Loc); err != nil {
-			return provplan.Row{}, fmt.Errorf("provhttp: bad event loc %q: %w", l.Ev.Loc, err)
-		}
-		if ev.Src, err = parseWirePath(l.Ev.Src); err != nil {
-			return provplan.Row{}, fmt.Errorf("provhttp: bad event src %q: %w", l.Ev.Src, err)
-		}
-		return provplan.Row{Kind: provplan.RowEvent, Event: ev}, nil
+		return provplan.Row{Kind: provplan.RowEvent, Event: provplan.Event(ev)}, nil
 	case l.Az != nil:
 		return provplan.Row{Kind: provplan.RowAnalyze, Analysis: l.Az}, nil
 	case l.End != nil:
@@ -381,7 +354,7 @@ func (l queryLine) row() (provplan.Row, error) {
 		}
 		return provplan.Row{Kind: provplan.RowEnd, Origin: origin, External: ext}, nil
 	default:
-		return provplan.Row{}, errors.New("provhttp: blank query stream line")
+		return provplan.Row{}, errors.New("provhttp: blank stream line")
 	}
 }
 

@@ -24,8 +24,8 @@
 // records become visible in (Tid, Loc) order — true for the session ingest
 // path, where transaction ids are allocated and committed monotonically.
 // Commits that arrive out of tid order *through this handle* (sessions with
-// partitioned tid ranges sharing one backend, racing tracker lanes) are
-// detected at acknowledgement time and repaired: the appliers rewind to the
+// partitioned tid ranges sharing one backend) are detected at
+// acknowledgement time and repaired: the appliers rewind to the
 // out-of-order tid and re-ship from there, skipping records the replica
 // already holds. What the handle cannot see it cannot repair: a writer
 // committing an old tid directly to the primary outside this handle, or a

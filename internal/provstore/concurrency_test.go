@@ -110,20 +110,14 @@ func TestShardedBackendConcurrent(t *testing.T) {
 }
 
 // TestShardedIngestConcurrent drives the full concurrent ingest pipeline
-// under -race: worker goroutines share one ShardedTracker over a batched,
-// sharded backend, each stream editing its own top-level subtree and
-// committing its lane periodically, with readers querying mid-flight.
+// under -race: worker goroutines write through one batched, sharded backend,
+// each with its own tracker (transaction ids from a disjoint range) editing
+// its own top-level subtree and committing periodically, with readers
+// querying mid-flight.
 func TestShardedIngestConcurrent(t *testing.T) {
 	for _, m := range []Method{Naive, HierTrans} {
 		t.Run(m.String(), func(t *testing.T) {
 			backend := NewBatching(NewShardedMem(4), 16)
-			tr, err := NewShardedTracker(m, Config{Backend: backend}, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Begin(); err != nil {
-				t.Fatal(err)
-			}
 			const workers = 8
 			const perWorker = 200
 			var wg sync.WaitGroup
@@ -131,19 +125,21 @@ func TestShardedIngestConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
+					tr, err := New(m, Config{Backend: backend, StartTid: int64(1 + w*10*perWorker)})
+					if err == nil {
+						err = tr.Begin()
+					}
 					root := path.New("T", fmt.Sprintf("w%d", w))
-					for i := 0; i < perWorker; i++ {
-						eff := update.Effect{Inserted: []path.Path{root.Child(fmt.Sprintf("n%d", i))}}
-						if err := tr.OnInsert(eff); err != nil {
-							t.Errorf("worker %d: %v", w, err)
-							return
-						}
-						if (i+1)%5 == 0 {
-							if _, err := tr.CommitSubtree(root); err != nil {
-								t.Errorf("worker %d commit: %v", w, err)
-								return
+					for i := 0; i < perWorker && err == nil; i++ {
+						err = tr.OnInsert(update.Effect{Inserted: []path.Path{root.Child(fmt.Sprintf("n%d", i))}})
+						if err == nil && (i+1)%5 == 0 {
+							if _, err = tr.Commit(); err == nil && i+1 < perWorker {
+								err = tr.Begin()
 							}
 						}
+					}
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
 					}
 				}(w)
 			}
@@ -159,9 +155,6 @@ func TestShardedIngestConcurrent(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if _, err := tr.Commit(); err != nil {
-				t.Fatal(err)
-			}
 			if err := Flush(backend); err != nil {
 				t.Fatal(err)
 			}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/path"
 	"repro/internal/provtrace"
-	"repro/internal/update"
 )
 
 // This file implements the sharded, concurrent provenance store: records
@@ -370,214 +369,4 @@ func (b *ShardedBackend) Close() error {
 		}
 		return nil
 	})
-}
-
-// --- sharded tracker --------------------------------------------------------
-
-// A ShardedTracker fans concurrent provenance ingest across per-lane
-// trackers: each lane wraps one of the existing immediate/deferred trackers
-// behind its own lock, so operations routed to different lanes are tracked
-// in parallel while the provlist semantics of the deferred methods hold
-// lane-locally. All lanes share one atomic transaction-id source and write
-// through one (normally sharded) backend.
-//
-// Operations route to lanes by the top-level label of the affected subtree
-// (the first root-relative label of the operation's root location), which
-// keeps every operation's whole effect region inside a single lane: nested
-// copy/delete interactions within one top-level subtree are seen by one
-// provlist, exactly as in the single-tracker store. Concurrent streams that
-// edit the *same* top-level subtree serialize on that lane's lock — the
-// same behavior a per-curator session gives today. Operations at the
-// database root itself (whole-database pastes) funnel to lane 0.
-//
-// With one lane and the same backend, a ShardedTracker is behaviorally
-// identical to the tracker it wraps.
-type ShardedTracker struct {
-	method  Method
-	backend Backend
-	lanes   []*trackerLane
-
-	mu   sync.Mutex
-	open bool
-}
-
-type trackerLane struct {
-	mu    sync.Mutex
-	tr    Tracker
-	began bool
-}
-
-var _ Tracker = (*ShardedTracker)(nil)
-
-// NewShardedTracker returns a thread-safe tracker for method m with n
-// concurrent lanes over cfg.Backend (normally a ShardedBackend). All lanes
-// allocate transaction ids from one shared source, so ids are unique but
-// interleave across lanes.
-func NewShardedTracker(m Method, cfg Config, n int) (*ShardedTracker, error) {
-	if n < 1 {
-		n = 1
-	}
-	if cfg.Backend == nil {
-		return nil, errors.New("provstore: Config.Backend is required")
-	}
-	shared := newTidSource(cfg.StartTid)
-	lanes := make([]*trackerLane, n)
-	for i := range lanes {
-		laneCfg := cfg
-		laneCfg.tids = shared
-		tr, err := New(m, laneCfg)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i] = &trackerLane{tr: tr}
-	}
-	return &ShardedTracker{method: m, backend: cfg.Backend, lanes: lanes}, nil
-}
-
-// Method implements Tracker.
-func (t *ShardedTracker) Method() Method { return t.method }
-
-// Backend implements Tracker.
-func (t *ShardedTracker) Backend() Backend { return t.backend }
-
-// Lanes returns the number of concurrent lanes.
-func (t *ShardedTracker) Lanes() int { return len(t.lanes) }
-
-// Begin implements Tracker: it opens the logical user transaction; lanes
-// begin lazily when the first operation routes to them.
-func (t *ShardedTracker) Begin() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.open {
-		return ErrOpenTxn
-	}
-	t.open = true
-	return nil
-}
-
-// Commit implements Tracker: every lane that saw operations commits (in
-// parallel — for deferred methods this is the per-shard batch flush), and
-// the largest committed transaction id is returned.
-func (t *ShardedTracker) Commit() (int64, error) {
-	t.mu.Lock()
-	if !t.open {
-		t.mu.Unlock()
-		return 0, ErrNoTxn
-	}
-	t.open = false
-	t.mu.Unlock()
-
-	var tmu sync.Mutex
-	var maxTid int64
-	err := Fanout(context.Background(), len(t.lanes), func(i int) error {
-		l := t.lanes[i]
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if !l.began {
-			return nil
-		}
-		l.began = false
-		tid, cerr := l.tr.Commit()
-		if cerr != nil {
-			return cerr
-		}
-		tmu.Lock()
-		if tid > maxTid {
-			maxTid = tid
-		}
-		tmu.Unlock()
-		return nil
-	})
-	return maxTid, err
-}
-
-// CommitSubtree commits only the lane owning the top-level subtree of root
-// — the per-stream transaction boundary of concurrent bulk ingest: each
-// worker stream commits its own subtree's lane without disturbing the open
-// transactions of other lanes. Streams whose subtrees share a lane share
-// its transaction. The session-level transaction stays open; the returned
-// id is the lane's committed transaction (0 if the lane had no operations).
-func (t *ShardedTracker) CommitSubtree(root path.Path) (int64, error) {
-	t.mu.Lock()
-	open := t.open
-	t.mu.Unlock()
-	if !open {
-		return 0, ErrNoTxn
-	}
-	l := t.laneFor(root)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.began {
-		return 0, nil
-	}
-	l.began = false
-	return l.tr.Commit()
-}
-
-// Pending implements Tracker: the total number of buffered records across
-// all lanes.
-func (t *ShardedTracker) Pending() int {
-	total := 0
-	for _, l := range t.lanes {
-		l.mu.Lock()
-		total += l.tr.Pending()
-		l.mu.Unlock()
-	}
-	return total
-}
-
-// laneFor routes an operation's root location to a lane by its first
-// root-relative label.
-func (t *ShardedTracker) laneFor(root path.Path) *trackerLane {
-	if len(t.lanes) == 1 || root.Len() < 2 {
-		return t.lanes[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(root.At(1)))
-	return t.lanes[h.Sum32()%uint32(len(t.lanes))]
-}
-
-// onLane runs fn against the lane for root, lazily beginning the lane's
-// inner transaction.
-func (t *ShardedTracker) onLane(root path.Path, fn func(Tracker) error) error {
-	t.mu.Lock()
-	open := t.open
-	t.mu.Unlock()
-	if !open {
-		return ErrNoTxn
-	}
-	l := t.laneFor(root)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.began {
-		if err := l.tr.Begin(); err != nil {
-			return err
-		}
-		l.began = true
-	}
-	return fn(l.tr)
-}
-
-// OnInsert implements Tracker.
-func (t *ShardedTracker) OnInsert(eff update.Effect) error {
-	if len(eff.Inserted) == 0 {
-		return fmt.Errorf("provstore: insert effect lists no nodes")
-	}
-	return t.onLane(eff.Inserted[0], func(tr Tracker) error { return tr.OnInsert(eff) })
-}
-
-// OnDelete implements Tracker.
-func (t *ShardedTracker) OnDelete(eff update.Effect) error {
-	if len(eff.Deleted) == 0 {
-		return fmt.Errorf("provstore: delete effect lists no nodes")
-	}
-	return t.onLane(eff.Deleted[0], func(tr Tracker) error { return tr.OnDelete(eff) })
-}
-
-// OnCopy implements Tracker.
-func (t *ShardedTracker) OnCopy(eff update.Effect) error {
-	if len(eff.Copied) == 0 {
-		return fmt.Errorf("provstore: copy effect lists no nodes")
-	}
-	return t.onLane(eff.Copied[0].Dst, func(tr Tracker) error { return tr.OnCopy(eff) })
 }

@@ -11,13 +11,7 @@ import (
 	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
-	"repro/internal/update"
 )
-
-// updateEffect builds a single-node insert effect.
-func updateEffect(loc path.Path) update.Effect {
-	return update.Effect{Inserted: []path.Path{loc}}
-}
 
 // TestShardForProperties: routing is deterministic, in range, and depends
 // only on the root-relative path, not the database name.
@@ -229,66 +223,6 @@ func TestCrossShardHistMergeOrdering(t *testing.T) {
 		if len(mod) != hops+1 {
 			t.Errorf("%s: Mod lists %d txns, want %d", name, len(mod), hops+1)
 		}
-	}
-}
-
-// TestShardedTrackerSemantics: lazy lanes, per-subtree commits, and the
-// transaction-state errors.
-func TestShardedTrackerSemantics(t *testing.T) {
-	backend := provstore.NewShardedMem(4)
-	tr, err := provstore.NewShardedTracker(provstore.Transactional, provstore.Config{Backend: backend}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Lanes() != 4 {
-		t.Fatalf("Lanes = %d", tr.Lanes())
-	}
-	locA := path.New("T", "a", "x")
-	locB := path.New("T", "b", "y")
-	ins := func(loc path.Path) error {
-		return tr.OnInsert(updateEffect(loc))
-	}
-	if err := ins(locA); !errors.Is(err, provstore.ErrNoTxn) {
-		t.Fatalf("op before Begin: %v, want ErrNoTxn", err)
-	}
-	if err := tr.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Begin(); !errors.Is(err, provstore.ErrOpenTxn) {
-		t.Fatalf("double Begin: %v, want ErrOpenTxn", err)
-	}
-	if err := ins(locA); err != nil {
-		t.Fatal(err)
-	}
-	if err := ins(locB); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", tr.Pending())
-	}
-	// Committing subtree a flushes only a's lane (if a and b share a lane,
-	// both flush — assert via remaining pending plus stored count).
-	tidA, err := tr.CommitSubtree(locA)
-	if err != nil || tidA == 0 {
-		t.Fatalf("CommitSubtree = %d, %v", tidA, err)
-	}
-	if st, _ := backend.Stat(context.Background()); st.Count == 0 {
-		t.Error("CommitSubtree stored nothing")
-	}
-	if _, err := tr.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Pending() != 0 {
-		t.Errorf("Pending after Commit = %d", tr.Pending())
-	}
-	if st, _ := backend.Stat(context.Background()); st.Count != 2 {
-		t.Errorf("stored %d records, want 2", st.Count)
-	}
-	if _, err := tr.Commit(); !errors.Is(err, provstore.ErrNoTxn) {
-		t.Fatalf("Commit without txn: %v, want ErrNoTxn", err)
-	}
-	if _, err := tr.CommitSubtree(locA); !errors.Is(err, provstore.ErrNoTxn) {
-		t.Fatalf("CommitSubtree without txn: %v, want ErrNoTxn", err)
 	}
 }
 

@@ -63,10 +63,6 @@ type Config struct {
 	// the check "not worthwhile"; it is off by default and measured by
 	// the A4 ablation benchmark.
 	EliminateRedundant bool
-
-	// tids, when set, is a shared transaction-id source — used by
-	// ShardedTracker so all its lanes draw unique ids from one sequence.
-	tids *tidSource
 }
 
 // New returns a tracker for the given method.
@@ -74,10 +70,7 @@ func New(m Method, cfg Config) (Tracker, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("provstore: Config.Backend is required")
 	}
-	tids := cfg.tids
-	if tids == nil {
-		tids = newTidSource(cfg.StartTid)
-	}
+	tids := newTidSource(cfg.StartTid)
 	switch m {
 	case Naive, Hierarchical:
 		return &immediateTracker{
@@ -107,9 +100,7 @@ func MustNew(m Method, cfg Config) Tracker {
 	return tr
 }
 
-// tidSource allocates monotonically increasing transaction identifiers. It
-// is safe for concurrent use, so one source can be shared by the lanes of a
-// ShardedTracker.
+// tidSource allocates monotonically increasing transaction identifiers.
 type tidSource struct {
 	next atomic.Int64
 }

@@ -94,7 +94,7 @@ func (d *thirdPartyDriver) Open(dsn cpdb.DSN) (cpdb.Backend, error) {
 	if dsn.Path != "" {
 		return nil, errors.New("thirdparty: no path supported")
 	}
-	return cpdb.NewMemBackend(), nil
+	return cpdb.OpenBackend("mem://")
 }
 
 // TestThirdPartyDriverSession registers a driver under a new scheme and
@@ -252,7 +252,7 @@ func TestVersionedQueryAt(t *testing.T) {
 // materializing Records, its AsOf horizon, early termination, and
 // mid-iteration cancellation.
 func TestQueryRecordsStreaming(t *testing.T) {
-	s := sessionOver(t, cpdb.NewShardedMemBackend(4), 1)
+	s := sessionOver(t, openBackend(t, "mem://?shards=4"), 1)
 	defer s.Close()
 
 	want, err := s.Records()

@@ -28,7 +28,7 @@ type Config struct {
 	// concurrent ingest and queries against the store use more than one
 	// core. The default (0 or 1) is today's single store. With a nil
 	// Backend, N in-memory shards are created; a non-nil Backend must
-	// already be sharded (NewShardedMemBackend or NewShardedBackend) when
+	// already be sharded ("mem://?shards=N" or NewShardedBackend) when
 	// Shards > 1. Sessions sharing one backend must partition the
 	// transaction-id space via StartTid.
 	Shards int
@@ -72,7 +72,7 @@ func New(cfg Config) (*Session, error) {
 		backend = provstore.NewMemBackend()
 	case cfg.Shards > 1:
 		if _, ok := backend.(*provstore.ShardedBackend); !ok {
-			return nil, errors.New("cpdb: Config.Shards > 1 needs a sharded backend (NewShardedMemBackend / NewShardedBackend) or a nil Backend")
+			return nil, errors.New("cpdb: Config.Shards > 1 needs a sharded backend (mem://?shards=N / NewShardedBackend) or a nil Backend")
 		}
 	}
 	if cfg.BatchSize > 1 {
