@@ -340,42 +340,93 @@ func (p Path) MarshalBinary() ([]byte, error) {
 
 // DecodeBinary decodes a path encoded by AppendBinary from the front of buf,
 // returning the path and the number of bytes consumed. A path encoding ends
-// at the end of buf.
+// at the end of buf. It is DecodeBinaryString over a copy of buf.
 func DecodeBinary(buf []byte) (Path, int, error) {
+	p, err := DecodeBinaryString(string(buf))
+	if err != nil {
+		return Root, 0, err
+	}
+	return p, len(buf), nil
+}
+
+// DecodeBinaryString decodes a path encoded by AppendBinary that makes up
+// all of s. The bytes may come from outside the program (a wire frame), so
+// a label ValidLabel rejects — empty, or holding the separator — is an
+// error here as it is in Parse: whatever decodes also round-trips through
+// String.
+//
+// The common encoding has no escapes and decodes in one pass with one
+// allocation, the slice of labels: the labels are substrings of s, so the
+// path keeps s alive. A caller decoding several paths out of one record
+// converts the record to a string once and pays no further copy.
+func DecodeBinaryString(s string) (Path, error) {
+	n, start := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case 0x00:
+			if i == start {
+				return Root, fmt.Errorf("%w: empty label in binary path", ErrBadLabel)
+			}
+			n++
+			start = i + 1
+		case 0x01:
+			return decodeBinaryEscaped(s)
+		case Separator:
+			return Root, fmt.Errorf("%w: separator inside a label of a binary path", ErrBadLabel)
+		}
+	}
+	if start != len(s) {
+		return Root, fmt.Errorf("path: unterminated label in binary path")
+	}
+	if n == 0 {
+		return Root, nil
+	}
+	elems := make([]string, n)
+	start = 0
+	for i := range elems {
+		end := start + strings.IndexByte(s[start:], 0x00)
+		elems[i] = s[start:end]
+		start = end + 1
+	}
+	return Path{elems: elems}, nil
+}
+
+// decodeBinaryEscaped is DecodeBinaryString for an encoding that holds an
+// escape: the labels are unescaped one by one.
+func decodeBinaryEscaped(s string) (Path, error) {
 	var elems []string
 	var cur []byte
-	i := 0
-	for i < len(buf) {
-		switch buf[i] {
+	for i := 0; i < len(s); {
+		switch s[i] {
 		case 0x00:
+			if !ValidLabel(string(cur)) {
+				return Root, fmt.Errorf("%w: %q in binary path", ErrBadLabel, cur)
+			}
 			elems = append(elems, string(cur))
 			cur = cur[:0]
 			i++
 		case 0x01:
-			if i+1 >= len(buf) {
-				return Root, 0, fmt.Errorf("path: truncated escape in binary path")
+			if i+1 >= len(s) {
+				return Root, fmt.Errorf("path: truncated escape in binary path")
 			}
-			switch buf[i+1] {
+			switch s[i+1] {
 			case 0x02:
 				cur = append(cur, 0x00)
 			case 0x03:
 				cur = append(cur, 0x01)
 			default:
-				return Root, 0, fmt.Errorf("path: bad escape 0x%02x in binary path", buf[i+1])
+				return Root, fmt.Errorf("path: bad escape 0x%02x in binary path", s[i+1])
 			}
 			i += 2
 		default:
-			cur = append(cur, buf[i])
+			cur = append(cur, s[i])
 			i++
 		}
 	}
 	if len(cur) != 0 {
-		return Root, 0, fmt.Errorf("path: unterminated label in binary path")
+		return Root, fmt.Errorf("path: unterminated label in binary path")
 	}
-	if len(elems) == 0 {
-		return Root, i, nil
-	}
-	return Path{elems: elems}, i, nil
+	return Path{elems: elems}, nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

@@ -2,6 +2,7 @@ package path
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -265,19 +266,55 @@ func TestBinaryEscaping(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryErrors: the decoder reads bytes from outside the program
+// (a wire frame), so it rejects every encoding of something Parse would
+// reject — whatever it accepts round-trips through String.
 func TestDecodeBinaryErrors(t *testing.T) {
-	if _, _, err := DecodeBinary([]byte{0x01}); err == nil {
-		t.Error("truncated escape should error")
-	}
-	if _, _, err := DecodeBinary([]byte{0x01, 0x7f}); err == nil {
-		t.Error("bad escape should error")
-	}
-	if _, _, err := DecodeBinary([]byte{'a'}); err == nil {
-		t.Error("unterminated label should error")
+	for _, c := range []struct {
+		name string
+		enc  string
+		want error // nil: any error
+	}{
+		{"empty label", "T\x00\x00", ErrBadLabel},
+		{"empty first label", "\x00T\x00", ErrBadLabel},
+		{"only an empty label", "\x00", ErrBadLabel},
+		{"empty label beside an escape", "a\x01\x02\x00\x00", ErrBadLabel},
+		{"embedded separator", "T\x00a/b\x00", ErrBadLabel},
+		{"embedded separator beside an escape", "a/b\x01\x03\x00", ErrBadLabel},
+		{"truncated escape", "T\x00a\x01", nil},
+		{"bad escape", "T\x00a\x01\x7f\x00", nil},
+		{"unterminated label", "T\x00a", nil},
+		{"unterminated label after an escape", "a\x01\x02b", nil},
+	} {
+		p, n, err := DecodeBinary([]byte(c.enc))
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) || n != 0 || !p.IsRoot() {
+			t.Errorf("%s: DecodeBinary(%q) = %q, %d, %v; want an error (%v)", c.name, c.enc, p, n, err, c.want)
+		}
+		if _, serr := DecodeBinaryString(c.enc); serr == nil {
+			t.Errorf("%s: DecodeBinaryString(%q) accepted it", c.name, c.enc)
+		}
 	}
 	var p Path
 	if err := p.UnmarshalBinary(append(MustParse("T/a").AppendBinary(nil), 'x')); err == nil {
 		t.Error("trailing garbage should error")
+	}
+}
+
+// TestDecodeBinaryStringSharesStorage: an encoding without escapes decodes
+// with one allocation, the label slice — the labels are substrings of the
+// input — and to the same path DecodeBinary gives.
+func TestDecodeBinaryStringSharesStorage(t *testing.T) {
+	want := MustParse("SwissProt/Release{20}/Q01780/Citation{3}/Title")
+	enc := string(want.AppendBinary(nil))
+	got, err := DecodeBinaryString(enc)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("DecodeBinaryString = %q, %v; want %q", got, err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { got, _ = DecodeBinaryString(enc) }); n != 1 {
+		t.Errorf("DecodeBinaryString allocates %v times per path, want 1", n)
+	}
+	if root, err := DecodeBinaryString(""); err != nil || !root.IsRoot() {
+		t.Errorf("the empty encoding decodes to %q, %v; want the root", root, err)
 	}
 }
 

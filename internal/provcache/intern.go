@@ -55,6 +55,19 @@ func (in *Intern[V]) Get(k string) (V, bool) {
 	return v, ok
 }
 
+// GetBytes is Get for a key built in a byte buffer. The snapshot — all of a
+// settled table — is indexed by the bytes in place, so a decode loop that
+// assembles its keys in scratch space allocates nothing on a hit or a miss
+// there; only while keys wait in the overflow does a snapshot miss go on to
+// Get, which may copy the key.
+func (in *Intern[V]) GetBytes(k []byte) (V, bool) {
+	v, ok := (*in.snap.Load())[string(k)]
+	if ok || in.pending.Load() == 0 {
+		return v, ok
+	}
+	return in.Get(string(k))
+}
+
 // Put publishes k→v if k is new and the table has room; otherwise it is a
 // no-op. The first value published for a key wins, so concurrent racers
 // converge on one shared value.

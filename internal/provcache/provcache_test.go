@@ -271,6 +271,38 @@ func TestInternOverflowIsVisible(t *testing.T) {
 	}
 }
 
+// TestInternGetBytes: a key built in a byte buffer finds what Get finds — a
+// settled entry, one still in the overflow, nothing — and on a settled
+// table neither a hit nor a miss allocates, however long the key.
+func TestInternGetBytes(t *testing.T) {
+	in := NewIntern[int](64)
+	long := "a-key-longer-than-the-runtime's-32-byte-stack-buffer-for-conversions"
+	in.Put(long, 7)
+	for i := 0; i < 4; i++ {
+		in.Put(fmt.Sprintf("k%d", i), i)
+	}
+	in.Put("fresh", 9) // 4 settled, k3 and fresh pending
+	if _, ok := (*in.snap.Load())["fresh"]; ok || in.pending.Load() == 0 {
+		t.Fatal("test premise: fresh should still be in the overflow map")
+	}
+	for _, c := range []struct {
+		key  string
+		want int
+		ok   bool
+	}{{long, 7, true}, {"k3", 3, true}, {"fresh", 9, true}, {"absent", 0, false}} {
+		if got, ok := in.GetBytes([]byte(c.key)); got != c.want || ok != c.ok {
+			t.Errorf("GetBytes(%q) = %d, %v; want %d, %v", c.key, got, ok, c.want, c.ok)
+		}
+	}
+	full := NewIntern[int](2)
+	full.Put(long, 7)
+	full.Put("k", 1)
+	hit, miss := []byte(long), []byte(long+"/and-more")
+	if n := testing.AllocsPerRun(100, func() { full.GetBytes(hit); full.GetBytes(miss) }); n != 0 {
+		t.Errorf("GetBytes on a settled table allocates %v times", n)
+	}
+}
+
 // TestInternFullTableIsSettled: reaching the cap promotes everything, so
 // misses on a full table never take the mutex.
 func TestInternFullTableIsSettled(t *testing.T) {

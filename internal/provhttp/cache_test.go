@@ -237,6 +237,64 @@ func TestServerPageCache(t *testing.T) {
 	}
 }
 
+// TestPageCacheKeyedByForm: a cached page is encoded bytes, so the form of
+// the stream is part of its key. The same page asked for in frames after
+// NDJSON (and the other way round) is a miss that fills its own entry, each
+// repeat is a hit in its own form, and each form's cached body is the body
+// an uncached server streams for that Accept header.
+func TestPageCacheKeyedByForm(t *testing.T) {
+	inner := provstore.NewMemBackend()
+	queryFixture(t, inner)
+	streaming := httptest.NewServer(provhttp.NewServer(inner))
+	defer streaming.Close()
+	caching := provhttp.NewServer(inner, provhttp.WithPageCache(1<<20))
+	cached := httptest.NewServer(caching)
+	defer cached.Close()
+
+	get := func(base, accept string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, base+"/v1/scan?kind=all&limit=3", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // test read
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d %s\n%s", resp.StatusCode, resp.Header.Get("Content-Type"), raw)
+	}
+	want := map[string]string{"": get(streaming.URL, ""), provhttp.ContentTypeFrames: get(streaming.URL, provhttp.ContentTypeFrames)}
+	if !strings.HasPrefix(want[""], "200 "+provhttp.ContentTypeNDJSON+"\n") ||
+		!strings.HasPrefix(want[provhttp.ContentTypeFrames], "200 "+provhttp.ContentTypeFrames+"\n") {
+		t.Fatalf("the uncached server does not answer each request in its form:\n%q\n%q", want[""], want[provhttp.ContentTypeFrames])
+	}
+	hits, misses := int64(0), int64(0)
+	for _, order := range [][]string{{"", provhttp.ContentTypeFrames}, {provhttp.ContentTypeFrames, ""}} {
+		for _, accept := range order {
+			if misses < 2 {
+				misses++ // each form's first request fills its entry
+			} else {
+				hits++
+			}
+			if got := get(cached.URL, accept); got != want[accept] {
+				t.Errorf("Accept %q: the page cache answered\n%q\nwant\n%q", accept, got, want[accept])
+			}
+			if st := caching.Stats(); st["cache.page.misses"] != misses || st["cache.page.hits"] != hits {
+				t.Fatalf("Accept %q: %d misses and %d hits, want %d and %d", accept,
+					st["cache.page.misses"], st["cache.page.hits"], misses, hits)
+			}
+		}
+	}
+}
+
 // TestServerPlanCache: the second identical /v1/query compiles nothing —
 // one plan serves both — and analyze queries never share cached plans.
 func TestServerPlanCache(t *testing.T) {

@@ -1,8 +1,11 @@
 package provhttp
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +32,7 @@ import (
 // A Client implements provstore.Backend against a provhttp.Server — the
 // driver side of the cpdb:// scheme. Each Backend method is exactly one HTTP
 // round trip (Append ships its whole batch in one POST; scans stream back as
-// NDJSON), so the paper's one-round-trip-per-call cost model survives the
+// a row stream), so the paper's one-round-trip-per-call cost model survives the
 // move from simulated to real networking, and provnet can wrap a Client to
 // meter it like any other backend.
 //
@@ -270,6 +273,9 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 		trace = provobs.NewTraceID()
 	}
 	req.Header.Set(headerTraceID, trace)
+	// Every request prefers the framed row stream; only /v1/scan and
+	// /v1/query have one to offer, and any answer is acceptable.
+	req.Header.Set("Accept", contentTypeFrames+", */*")
 	// When a span is open on this context, stamp its id so the server
 	// continues this trace — its root span parents under the caller's and
 	// the whole chain renders as one cross-process tree.
@@ -334,22 +340,40 @@ const (
 )
 
 // A streamReader is the one decoder of the row stream (see the package
-// doc). The body is outside input: whatever arrives, next never panics,
-// returns false for good after the first error, and reports a clean end
-// only after a terminator whose count matches the data lines it returned.
-// Callers convert sr.line and run their per-line checks. Under tracing the
-// reader holds the round trip's rpc span, open from the request to close.
+// doc), in whichever form the response's Content-Type says it is. The body
+// is outside input: whatever arrives, next never panics, returns false for
+// good after the first error, and reports a clean end only after a
+// terminator whose count matches the data lines it returned, with nothing
+// behind it. A record line is decoded and validated by next — sr.rec, with
+// its proof encoding in sr.proofRaw — whichever form it arrived in; any other
+// data line is left in sr.line for row to convert. Under tracing the reader
+// holds the round trip's rpc span, open from the request to close.
 type streamReader struct {
-	ctx   context.Context
-	label any // names the stream in errors and the span: a ScanSpec or an endpoint name
-	span  *provtrace.Span
-	body  io.Closer
-	dec   *json.Decoder
-	root  provauth.Root // proven streams: the header root the proofs are against
-	line  streamLine    // the data line next last returned
-	n     int           // data lines returned
-	done  bool
-	err   error
+	ctx      context.Context
+	label    any // names the stream in errors and the span: a ScanSpec or an endpoint name
+	span     *provtrace.Span
+	body     io.Closer
+	br       *bufio.Reader    // the body of a framed stream, else nil
+	frame    []byte           // the frame last read, kind byte and body (reused)
+	dec      *json.Decoder    // the body of an NDJSON stream
+	root     provauth.Root    // proven streams: the header root the proofs are against
+	line     streamLine       // the data line next last returned, unless it is a record
+	isRec    bool             // next last returned a record line
+	rec      provstore.Record // that record
+	proofRaw []byte           // and its proof's binary encoding: empty if it carries none, valid until the next line
+	n        int              // data lines returned
+	done     bool
+	err      error
+}
+
+// read attaches the reader to a response body in the form contentType names.
+func (sr *streamReader) read(body io.ReadCloser, contentType string) {
+	sr.body = body
+	if contentType == contentTypeFrames {
+		sr.br = bufio.NewReader(body)
+	} else {
+		sr.dec = json.NewDecoder(body)
+	}
 }
 
 // stream issues one streaming round trip and returns the reader over its
@@ -390,7 +414,7 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 	if err != nil {
 		return err
 	}
-	sr.body, sr.dec = resp.Body, json.NewDecoder(resp.Body)
+	sr.read(resp.Body, resp.Header.Get("Content-Type"))
 	if mode == unproven {
 		return nil
 	}
@@ -407,17 +431,18 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 	return nil
 }
 
-// next decodes the next data line into sr.line. It returns false at the end
-// of the stream: sr.err is nil after a terminator whose count matches, and
-// otherwise says what went wrong — cancellation first (a cancelled context
-// is why the body died), then truncation, a line that is not JSON, the
-// server's in-band error, a miscounting terminator, a blank line.
+// next decodes the next data line. It returns false at the end of the
+// stream: sr.err is nil after a terminator whose count matches and that
+// nothing follows, and otherwise says what went wrong — cancellation first
+// (a cancelled context is why the body died), then truncation, a line that
+// does not decode, the server's in-band error, a miscounting terminator, a
+// blank line.
 func (sr *streamReader) next() bool {
 	if sr.done {
 		return false
 	}
-	sr.line = streamLine{}
-	if err := sr.dec.Decode(&sr.line); err != nil {
+	sr.line, sr.isRec, sr.proofRaw = streamLine{}, false, nil
+	if err := sr.decode(); err != nil {
 		switch {
 		case sr.ctx.Err() != nil:
 			sr.fail(sr.ctx.Err())
@@ -430,6 +455,9 @@ func (sr *streamReader) next() bool {
 	}
 	l := &sr.line
 	switch {
+	case sr.isRec:
+		sr.n++
+		return true
 	case l.Err != "":
 		// Not a RemoteError, whose Status means a non-2xx reply.
 		sr.fail(fmt.Errorf("provhttp: %v: server error mid-stream: %s", sr.label, l.Err))
@@ -437,14 +465,84 @@ func (sr *streamReader) next() bool {
 		sr.done = true
 		if l.N != sr.n {
 			sr.fail(fmt.Errorf("provhttp: %v: stream carried %d lines, terminator says %d", sr.label, sr.n, l.N))
+		} else if !sr.atEnd() {
+			sr.fail(fmt.Errorf("provhttp: %v: bytes after the eof terminator", sr.label))
 		}
-	case l.R == nil && l.Tid == 0 && l.V == nil && l.Ev == nil && l.End == nil && l.Az == nil:
+	case l.Tid == 0 && l.V == nil && l.Ev == nil && l.End == nil && l.Az == nil:
 		sr.fail(fmt.Errorf("provhttp: %v: blank stream line", sr.label))
 	default:
 		sr.n++
 		return true
 	}
 	return false
+}
+
+// decode reads one line in the stream's form: a record line into sr.rec and
+// sr.proofRaw, any other into sr.line. io.EOF means the body ended between
+// lines.
+func (sr *streamReader) decode() error {
+	if sr.br == nil {
+		if err := sr.dec.Decode(&sr.line); err != nil {
+			return err
+		}
+	} else if err := sr.readFrame(); err != nil || sr.isRec {
+		return err
+	}
+	if sr.line.R == nil {
+		return nil
+	}
+	// A record as JSON: the form of every NDJSON record line.
+	var err error
+	if sr.rec, err = sr.line.R.record(); err != nil {
+		return err
+	}
+	if sr.proofRaw, err = hex.DecodeString(sr.line.P); err != nil {
+		return fmt.Errorf("bad proof hex: %w", err)
+	}
+	sr.isRec = true
+	return nil
+}
+
+// readFrame reads one frame into sr.frame and decodes it: a record frame
+// through the path intern table, a line frame into sr.line. The declared
+// length is checked against maxFrameBytes before the buffer grows to it.
+func (sr *streamReader) readFrame() error {
+	size, err := binary.ReadUvarint(sr.br)
+	if err != nil {
+		return err // io.EOF only if the body ended before the length
+	}
+	if size == 0 || size > maxFrameBytes {
+		return fmt.Errorf("frame of %d bytes (a frame holds 1 to %d)", size, maxFrameBytes)
+	}
+	if uint64(cap(sr.frame)) < size {
+		sr.frame = make([]byte, size)
+	}
+	sr.frame = sr.frame[:size]
+	if _, err := io.ReadFull(sr.br, sr.frame); err != nil {
+		return fmt.Errorf("stream truncated inside a frame: %w", err)
+	}
+	switch kind, body := sr.frame[0], sr.frame[1:]; kind {
+	case frameRecord:
+		rec, n, err := provstore.DecodeRecordWith(body, decodeWirePath)
+		if err != nil {
+			return err
+		}
+		sr.rec, sr.proofRaw, sr.isRec = rec, body[n:], true
+		return nil
+	case frameLine:
+		return json.Unmarshal(body, &sr.line)
+	default:
+		return fmt.Errorf("unknown frame kind 0x%02x", kind)
+	}
+}
+
+// atEnd reports whether the body holds nothing more.
+func (sr *streamReader) atEnd() bool {
+	if sr.br == nil {
+		return !sr.dec.More()
+	}
+	_, err := sr.br.ReadByte()
+	return err == io.EOF
 }
 
 // fail ends the stream with err — the reader's own, or the caller's for a
@@ -454,21 +552,29 @@ func (sr *streamReader) fail(err error) error {
 	return err
 }
 
-// record converts the current line of a scan stream.
+// record returns the current line of a scan stream.
 func (sr *streamReader) record() (provstore.Record, error) {
-	if sr.line.R == nil {
+	if !sr.isRec {
 		return provstore.Record{}, fmt.Errorf("provhttp: %v: stream line is not a record", sr.label)
 	}
-	return sr.line.R.record()
+	return sr.rec, nil
+}
+
+// row converts the current line of a query stream.
+func (sr *streamReader) row() (provplan.Row, error) {
+	if sr.isRec {
+		return provplan.Row{Kind: provplan.RowRecord, Rec: sr.rec}, nil
+	}
+	return sr.line.row()
 }
 
 // proof decodes the current record line's inclusion proof; a record with
 // none has no place in a proven stream.
 func (sr *streamReader) proof() (provauth.Proof, error) {
-	if sr.line.P == "" {
+	if len(sr.proofRaw) == 0 {
 		return provauth.Proof{}, fmt.Errorf("provhttp: %v: unproven record in proven stream: %w", sr.label, provauth.ErrVerify)
 	}
-	return decodeProofHex(sr.line.P)
+	return decodeProof(sr.proofRaw)
 }
 
 // close releases the response body — for a stream not read to its end that
@@ -891,7 +997,7 @@ func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 		}
 		return c.stream(ctx, "query", http.MethodPost, "/v1/query", nil, bytes.NewReader(body), mode)
 	}, func(sr *streamReader) (provplan.Row, error) {
-		row, err := sr.line.row()
+		row, err := sr.row()
 		if err == nil && mode == pinned && row.Kind == provplan.RowRecord {
 			var proof provauth.Proof
 			if proof, err = sr.proof(); err == nil {

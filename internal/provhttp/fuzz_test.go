@@ -3,6 +3,7 @@ package provhttp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,8 +22,17 @@ import (
 // FuzzWireRecord: wireRecord.record() takes a line from outside the
 // program. It must never panic, and whatever it accepts must be a valid
 // record whose wire form is the line it came from — the codec is lossless,
-// so a decoded record re-encodes to the same bytes.
+// so a decoded record re-encodes to the same bytes — and whose binary form
+// (the body of a record frame) decodes back to it, plainly and through the
+// intern table. The same bytes, read as a path's binary encoding: the frame
+// decoder's path decoder agrees with path.DecodeBinary, and what they accept
+// is canonical and survives the text form.
 func FuzzWireRecord(f *testing.F) {
+	f.Add([]byte("T\x00c1\x00y\x00"))
+	f.Add([]byte("T\x00\x00"))
+	f.Add([]byte("T/a\x00"))
+	f.Add([]byte("a\x01\x02b\x00"))
+	f.Add([]byte("\x00"))
 	for _, seed := range []string{
 		`{"tid":1,"op":"I","loc":"T/a"}`,
 		`{"tid":2,"op":"C","loc":"T/c1","src":"S/a"}`,
@@ -41,6 +51,7 @@ func FuzzWireRecord(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		binaryPath(t, line)
 		var w wireRecord
 		if json.Unmarshal(line, &w) != nil {
 			return
@@ -55,7 +66,36 @@ func FuzzWireRecord(f *testing.F) {
 		if back := toWire(rec); back != w {
 			t.Fatalf("accepted %+v re-encodes as %+v", w, back)
 		}
+		bin := rec.AppendBinary(nil)
+		for name, decode := range map[string]func([]byte) (path.Path, error){
+			"plain":    func(b []byte) (path.Path, error) { return path.DecodeBinaryString(string(b)) },
+			"interned": decodeWirePath,
+		} {
+			back, n, err := provstore.DecodeRecordWith(bin, decode)
+			if err != nil || n != len(bin) || toWire(back) != w {
+				t.Fatalf("%s: %+v in binary decodes as %+v (%d of %d bytes, err %v)", name, w, toWire(back), n, len(bin), err)
+			}
+		}
 	})
+}
+
+// binaryPath checks the two decoders of a path's binary encoding against
+// each other on arbitrary bytes.
+func binaryPath(t *testing.T, enc []byte) {
+	want, _, werr := path.DecodeBinary(enc)
+	got, gerr := decodeWirePath(enc)
+	if (werr == nil) != (gerr == nil) || !got.Equal(want) {
+		t.Fatalf("binary path %q: decodeWirePath says %q, %v; path.DecodeBinary says %q, %v", enc, got, gerr, want, werr)
+	}
+	if werr != nil {
+		return
+	}
+	if back := want.AppendBinary(nil); !bytes.Equal(back, enc) {
+		t.Fatalf("binary path %q decodes to %q, which encodes as %q", enc, want, back)
+	}
+	if text, err := path.Parse(want.String()); err != nil || !text.Equal(want) {
+		t.Fatalf("binary path %q decodes to %q, which does not survive its text form: %q, %v", enc, want, text, err)
+	}
 }
 
 // fuzzRows derives a small relation and a row of every derived kind from
@@ -132,23 +172,162 @@ func FuzzRowStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hostileBody(t, data)
 		for _, proofs := range []bool{false, true} {
-			roundTrip(t, data, proofs)
+			roundTrip(t, data, proofs, contentTypeNDJSON)
 		}
 	})
+}
+
+// frame is one frame of a framed stream.
+func frame(kind byte, body string) []byte {
+	return appendFrame(nil, append([]byte{kind}, body...))
+}
+
+// frames concatenates frames into a body.
+func frames(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
+
+var (
+	frameRecA = frame(frameRecord, string(provstore.Record{Tid: 1, Op: provstore.OpInsert, Loc: path.New("S", "a")}.AppendBinary(nil)))
+	frameRecB = frame(frameRecord, string(provstore.Record{Tid: 2, Op: provstore.OpCopy, Loc: path.New("T", "c1"), Src: path.New("S", "a")}.AppendBinary(nil)))
+)
+
+// FuzzFrameStream is FuzzRowStream for the framed form of the stream.
+// Arbitrary bytes as a framed body: the reader never panics, yields nothing
+// after its first error, never holds a frame buffer above maxFrameBytes,
+// and reports a clean end only when the body is exactly n data frames and a
+// terminator frame saying n. Row sets derived from the same bytes: what
+// streamWriter frames, streamReader decodes back to the same rows, proofs
+// included.
+func FuzzFrameStream(f *testing.F) {
+	for _, seed := range [][]byte{
+		frames(frameRecA, frameRecB, frame(frameLine, `{"eof":true,"n":2,"more":true}`+"\n")),
+		frames(frame(frameLine, `{"tid":5}`), frame(frameLine, `{"v":{"val":0,"found":false}}`), frame(frameLine, `{"eof":true,"n":2}`)),
+		frame(frameLine, `{"eof":true}`),
+		frames(frameRecA, frame(frameLine, `{"err":"disk on fire"}`)),
+		frames(frameRecA, frame(frameLine, `{"eof":true,"n":1}`), frameRecB),
+		frames(frameRecA, frame(frameLine, `{"eof":true,"n":2}`)),
+		frameRecA,
+		frameRecA[:len(frameRecA)-2],
+		frames(frame(frameLine, `{"r":{"tid":1,"op":"I","loc":"S/a"},"p":"00"}`), frame(frameLine, `{"eof":true,"n":1}`)),
+		frames(frame('?', "x"), frame(frameLine, `{"eof":true,"n":1}`)),
+		{0x00},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'r'},
+		binary.AppendUvarint(nil, maxFrameBytes+1),
+		binary.AppendUvarint(nil, maxFrameBytes),
+		nil,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hostileFrames(t, data)
+		for _, proofs := range []bool{false, true} {
+			roundTrip(t, data, proofs, contentTypeFrames)
+		}
+	})
+}
+
+// hostileFrames is hostileBody for a framed body.
+func hostileFrames(t *testing.T, data []byte) {
+	sr := &streamReader{ctx: context.Background(), label: "fuzz"}
+	sr.read(io.NopCloser(bytes.NewReader(data)), contentTypeFrames)
+	defer sr.close()
+	n := 0
+	for sr.next() {
+		n++
+		sr.record() //nolint:errcheck // must not panic
+		sr.proof()  //nolint:errcheck // must not panic
+		sr.row()    //nolint:errcheck // must not panic
+	}
+	for range 3 {
+		if sr.next() {
+			t.Fatalf("next() yielded a line after the stream ended (err %v)", sr.err)
+		}
+	}
+	if cap(sr.frame) > maxFrameBytes {
+		t.Fatalf("the reader grew its frame buffer to %d bytes, above the %d-byte limit", cap(sr.frame), maxFrameBytes)
+	}
+	if sr.err != nil {
+		return
+	}
+	// A clean end: the body is n frames, then a line frame holding a
+	// terminator that says n, then nothing.
+	rest := data
+	var last []byte
+	for i := 0; i <= n; i++ {
+		size, w := binary.Uvarint(rest)
+		if w <= 0 || size == 0 || size > uint64(len(rest)-w) {
+			t.Fatalf("clean end after %d lines, but the body's frame %d is not whole", n, i)
+		}
+		last, rest = rest[w:w+int(size)], rest[w+int(size):]
+	}
+	var term struct {
+		EOF bool `json:"eof"`
+		N   int  `json:"n"`
+	}
+	if last[0] != frameLine || json.Unmarshal(last[1:], &term) != nil || !term.EOF || term.N != n || len(rest) != 0 {
+		t.Fatalf("clean end after %d lines without a matching terminator frame at the end of the body (last frame %q, %d bytes behind it)", n, last, len(rest))
+	}
+}
+
+// TestFrameStreamRejects: the ways a framed body can be wrong, each an
+// error that says so, after exactly the whole lines before it — never a
+// short result, and never a buffer sized by a length the body only claims.
+func TestFrameStreamRejects(t *testing.T) {
+	eof := func(n int) []byte { return frame(frameLine, fmt.Sprintf(`{"eof":true,"n":%d}`, n)) }
+	for _, c := range []struct {
+		name  string
+		body  []byte
+		lines int
+		err   string // "" = a clean end
+	}{
+		{"whole", frames(frameRecA, frameRecB, eof(2)), 2, ""},
+		{"empty result", eof(0), 0, ""},
+		{"no terminator", frames(frameRecA, frameRecB), 2, "stream truncated after 2 lines (missing eof terminator)"},
+		{"empty body", nil, 0, "stream truncated after 0 lines"},
+		{"cut inside a frame", frames(frameRecA, frameRecB[:len(frameRecB)-3]), 1, "stream truncated inside a frame"},
+		{"cut inside a length", append(frames(frameRecA), 0x80), 1, "unexpected EOF"},
+		{"terminator counts more", frames(frameRecA, eof(2)), 1, "stream carried 1 lines, terminator says 2"},
+		{"terminator counts fewer", frames(frameRecA, frameRecB, eof(1)), 2, "stream carried 2 lines, terminator says 1"},
+		{"bytes after the terminator", frames(frameRecA, eof(1), frameRecB), 1, "bytes after the eof terminator"},
+		{"in-band error", frames(frameRecA, frame(frameLine, `{"err":"disk on fire"}`), eof(1)), 1, "server error mid-stream: disk on fire"},
+		{"empty frame", frames(frameRecA, []byte{0x00}, eof(1)), 1, "frame of 0 bytes"},
+		{"unknown kind", frames(frameRecA, frame('?', "x"), eof(2)), 1, "unknown frame kind 0x3f"},
+		{"blank line frame", frames(frame(frameLine, `{}`), eof(1)), 0, "blank stream line"},
+		{"line frame that is not JSON", frames(frame(frameLine, `{"tid":`), eof(1)), 0, "unexpected end of JSON input"},
+		{"record frame with a bad op", frames(frame(frameRecord, "\x01Q\x02S\x00\x00"), eof(1)), 0, "invalid op"},
+		{"record frame with an empty label", frames(frame(frameRecord, "\x01I\x03S\x00\x00\x00"), eof(1)), 0, "label must be non-empty"},
+		{"record frame cut short", frames(frame(frameRecord, "\x01I\x09S\x00"), eof(1)), 0, "truncated path"},
+		{"length above the limit", frames(frameRecA, binary.AppendUvarint(nil, maxFrameBytes+1)), 1, "frame of 1048577 bytes"},
+		{"length of 2^63", frames(frameRecA, binary.AppendUvarint(nil, 1<<63)), 1, "frame of 9223372036854775808 bytes"},
+		{"length that overflows", frames(frameRecA, bytes.Repeat([]byte{0xff}, 11)), 1, "overflows"},
+	} {
+		sr := &streamReader{ctx: context.Background(), label: "test"}
+		sr.read(io.NopCloser(bytes.NewReader(c.body)), contentTypeFrames)
+		n := 0
+		for sr.next() {
+			n++
+		}
+		if n != c.lines || (sr.err == nil) != (c.err == "") || (sr.err != nil && !strings.Contains(sr.err.Error(), c.err)) {
+			t.Errorf("%s: %d lines, then %v; want %d lines, then an error holding %q", c.name, n, sr.err, c.lines, c.err)
+		}
+		if strings.HasPrefix(c.name, "length") && cap(sr.frame) > len(frameRecA) {
+			t.Errorf("%s: the reader sized its buffer (%d bytes) by a length the body only claims", c.name, cap(sr.frame))
+		}
+	}
 }
 
 // hostileBody reads data as a response body and checks the reader's
 // guarantees against a second, independent reading of the same bytes.
 func hostileBody(t *testing.T, data []byte) {
-	sr := &streamReader{ctx: context.Background(), label: "fuzz", body: io.NopCloser(nil), dec: json.NewDecoder(bytes.NewReader(data))}
+	sr := &streamReader{ctx: context.Background(), label: "fuzz"}
+	sr.read(io.NopCloser(bytes.NewReader(data)), contentTypeNDJSON)
 	defer sr.close()
 	n := 0
 	for sr.next() {
 		n++
 		// The callers' conversions see the same outside input.
-		sr.record()   //nolint:errcheck // must not panic
-		sr.proof()    //nolint:errcheck // must not panic
-		sr.line.row() //nolint:errcheck // must not panic
+		sr.record() //nolint:errcheck // must not panic
+		sr.proof()  //nolint:errcheck // must not panic
+		sr.row()    //nolint:errcheck // must not panic
 	}
 	for range 3 {
 		if sr.next() {
@@ -176,9 +355,9 @@ func hostileBody(t *testing.T, data []byte) {
 	}
 }
 
-// roundTrip writes rows derived from data through a streamWriter and reads
-// them back through a streamReader.
-func roundTrip(t *testing.T, data []byte, proofs bool) {
+// roundTrip writes rows derived from data through a streamWriter answering
+// a request for the given form, and reads them back through a streamReader.
+func roundTrip(t *testing.T, data []byte, proofs bool, form string) {
 	recs, rows := fuzzRows(data)
 	auth, err := provauth.New(provstore.NewMemBackend())
 	if err != nil {
@@ -205,7 +384,9 @@ func roundTrip(t *testing.T, data []byte, proofs bool) {
 		stamp = &root
 	}
 	w := httptest.NewRecorder()
-	sw := srv.newStream(w, httptest.NewRequest("POST", "/v1/query", nil), stamp, 0, nil)
+	req := httptest.NewRequest("POST", "/v1/query", nil)
+	req.Header.Set("Accept", form)
+	sw := srv.newStream(w, req, stamp, 0, false)
 	for _, row := range rows {
 		if !sw.row(row) {
 			t.Fatalf("writer stopped at %s", rowText(row))
@@ -214,17 +395,21 @@ func roundTrip(t *testing.T, data []byte, proofs bool) {
 	if !sw.end() {
 		t.Fatal("writer did not complete the stream")
 	}
-	if got := strings.Count(w.Body.String(), "\n"); got != len(rows)+1 {
+	if got := w.Header().Get("Content-Type"); got != form {
+		t.Fatalf("a request accepting %s was answered as %s", form, got)
+	}
+	if got := strings.Count(w.Body.String(), "\n"); form == contentTypeNDJSON && got != len(rows)+1 {
 		t.Fatalf("%d rows encoded as %d lines:\n%s", len(rows), got, w.Body)
 	}
 
-	sr := &streamReader{ctx: ctx, label: "fuzz", body: io.NopCloser(nil), dec: json.NewDecoder(w.Body)}
+	sr := &streamReader{ctx: ctx, label: "fuzz"}
+	sr.read(io.NopCloser(w.Body), form)
 	defer sr.close()
 	for i := 0; sr.next(); i++ {
 		if i >= len(rows) {
 			t.Fatalf("reader yielded more than the %d rows written", len(rows))
 		}
-		got, err := sr.line.row()
+		got, err := sr.row()
 		if err != nil {
 			t.Fatalf("row %d (%s) does not decode: %v", i, rowText(rows[i]), err)
 		}
@@ -239,7 +424,7 @@ func roundTrip(t *testing.T, data []byte, proofs bool) {
 			if err := provauth.VerifyRecord(*stamp, got.Rec, proof); err != nil {
 				t.Fatalf("row %d: proof does not round-trip: %v", i, err)
 			}
-		} else if sr.line.P != "" {
+		} else if len(sr.proofRaw) != 0 {
 			t.Fatalf("row %d carries a proof nobody stamped", i)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -64,11 +65,40 @@ var goldenKinds = []string{
 	"kind=loc-ancestors&loc=T/c2/y",
 }
 
-// TestWireGolden pins the exact bytes of the row stream: one scan per kind
-// (plain, cut by a limit, proven), one query per row kind with an analyze
-// trailer, and both placements of a store error. A refactor of the encoder
-// must leave every one of them unchanged.
-func TestWireGolden(t *testing.T) {
+// A goldenExchange is one request of the golden set: which of the golden
+// servers it goes to and what it asks.
+type goldenExchange struct {
+	server, method, pathAndQuery, body string
+}
+
+// do issues the exchange, with extra header pairs.
+func (e goldenExchange) do(t *testing.T, servers map[string]*httptest.Server, header ...string) *http.Response {
+	t.Helper()
+	var rd io.Reader
+	if e.body != "" {
+		rd = strings.NewReader(e.body)
+	}
+	req, err := http.NewRequest(e.method, servers[e.server].URL+e.pathAndQuery, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// goldenSet starts the golden servers over queryFixture — a plain store, a
+// verified one, and one failing before and one after the 200 header — and
+// lists the exchanges the golden file pins: one scan per kind (plain, cut by
+// a limit, proven), one query per row kind with an analyze trailer, and both
+// placements of a store error.
+func goldenSet(t *testing.T) (map[string]*httptest.Server, []goldenExchange) {
+	t.Helper()
 	plain := provstore.NewMemBackend()
 	queryFixture(t, plain)
 	auth, err := provauth.New(provstore.NewMemBackend())
@@ -86,37 +116,12 @@ func TestWireGolden(t *testing.T) {
 		"fail2":    httptest.NewServer(provhttp.NewServer(failingBackend{plain, 2})),
 	}
 	for _, hs := range servers {
-		defer hs.Close()
+		t.Cleanup(hs.Close)
 	}
 
-	var got strings.Builder
+	var set []goldenExchange
 	exchange := func(server, method, pathAndQuery, body string) {
-		t.Helper()
-		var rd io.Reader
-		if body != "" {
-			rd = strings.NewReader(body)
-		}
-		req, err := http.NewRequest(method, servers[server].URL+pathAndQuery, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close() //nolint:errcheck // test read
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&got, "== %s %s %s %s\n%d %s\n", server, method, pathAndQuery, body,
-			resp.StatusCode, resp.Header.Get("Content-Type"))
-		for _, h := range []string{"X-Cpdb-Auth-Root", "X-Cpdb-Auth-Consistency"} {
-			if v, ok := resp.Header[h]; ok {
-				fmt.Fprintf(&got, "%s: %s\n", h, v[0])
-			}
-		}
-		got.Write(analyzeNS.ReplaceAll(raw, []byte(`"ns":0`)))
+		set = append(set, goldenExchange{server, method, pathAndQuery, body})
 	}
 	query := func(server, params, text string, analyze bool) {
 		t.Helper()
@@ -157,6 +162,34 @@ func TestWireGolden(t *testing.T) {
 		exchange(server, http.MethodGet, "/v1/scan?kind=all", "")
 		query(server, "", "select", false)
 	}
+	return servers, set
+}
+
+// authHeaders are the response headers of a proven stream.
+var authHeaders = []string{"X-Cpdb-Auth-Root", "X-Cpdb-Auth-Consistency"}
+
+// TestWireGolden pins the exact bytes of the NDJSON row stream — what a
+// request that does not ask for frames gets — over the golden set. A
+// refactor of the encoder must leave every one of them unchanged.
+func TestWireGolden(t *testing.T) {
+	servers, set := goldenSet(t)
+	var got strings.Builder
+	for _, e := range set {
+		resp := e.do(t, servers)
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck // test read
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "== %s %s %s %s\n%d %s\n", e.server, e.method, e.pathAndQuery, e.body,
+			resp.StatusCode, resp.Header.Get("Content-Type"))
+		for _, h := range authHeaders {
+			if v, ok := resp.Header[h]; ok {
+				fmt.Fprintf(&got, "%s: %s\n", h, v[0])
+			}
+		}
+		got.Write(analyzeNS.ReplaceAll(raw, []byte(`"ns":0`)))
+	}
 
 	const file = "testdata/wire_golden.txt"
 	if *updateGolden {
@@ -180,6 +213,63 @@ func TestWireGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("wire bytes differ from %s: golden file has %d more lines", file, len(wl)-len(gl))
+	}
+}
+
+// TestFramesMatchGolden: every exchange of the golden set, asked again with
+// Accept: application/x-cpdb-frames, decodes to the same rows, the same
+// proofs, the same terminator and the same error as its NDJSON answer, under
+// the same status and authentication headers — the frames are another
+// spelling of the stream the golden file pins, not another stream. A failure
+// before the first line is not a stream in either form: the same status and
+// JSON error body.
+func TestFramesMatchGolden(t *testing.T) {
+	servers, set := goldenSet(t)
+	streams, rows, failed := 0, 0, 0
+	for _, e := range set {
+		name := fmt.Sprintf("%s %s %s %s", e.server, e.method, e.pathAndQuery, e.body)
+		plain := e.do(t, servers)
+		framed := e.do(t, servers, "Accept", provhttp.ContentTypeFrames)
+		if framed.StatusCode != plain.StatusCode {
+			t.Fatalf("%s: status %d with frames accepted, %d without", name, framed.StatusCode, plain.StatusCode)
+		}
+		for _, h := range authHeaders {
+			if framed.Header.Get(h) != plain.Header.Get(h) {
+				t.Errorf("%s: %s is %q with frames accepted, %q without", name, h, framed.Header.Get(h), plain.Header.Get(h))
+			}
+		}
+		if plain.StatusCode != http.StatusOK {
+			a, _ := io.ReadAll(plain.Body)
+			b, _ := io.ReadAll(framed.Body)
+			plain.Body.Close()  //nolint:errcheck // test read
+			framed.Body.Close() //nolint:errcheck // test read
+			if string(a) != string(b) || framed.Header.Get("Content-Type") != plain.Header.Get("Content-Type") {
+				t.Errorf("%s: the error response changes with the Accept header:\n%s %q\n%s %q", name,
+					plain.Header.Get("Content-Type"), a, framed.Header.Get("Content-Type"), b)
+			}
+			continue
+		}
+		if ct := plain.Header.Get("Content-Type"); ct != provhttp.ContentTypeNDJSON {
+			t.Errorf("%s: a bare request was answered as %s", name, ct)
+		}
+		if ct := framed.Header.Get("Content-Type"); ct != provhttp.ContentTypeFrames {
+			t.Errorf("%s: a request accepting frames was answered as %s", name, ct)
+		}
+		wantLines, wantEnd := provhttp.ReadStream(plain.Body, plain.Header.Get("Content-Type"))
+		gotLines, gotEnd := provhttp.ReadStream(framed.Body, framed.Header.Get("Content-Type"))
+		if !slices.Equal(gotLines, wantLines) || gotEnd != wantEnd {
+			t.Errorf("%s: the framed stream decodes differently from the NDJSON one:\n got: %q, %s\nwant: %q, %s",
+				name, gotLines, gotEnd, wantLines, wantEnd)
+		}
+		streams++
+		rows += len(gotLines)
+		if strings.HasPrefix(gotEnd, "error: ") {
+			failed++
+		}
+	}
+	if streams+2 != len(set) || rows == 0 || failed != 2 {
+		t.Errorf("compared %d streams of %d exchanges, %d rows, %d ending in an in-band error: want all but fail0's two, rows, and fail2's two",
+			streams, len(set), rows, failed)
 	}
 }
 

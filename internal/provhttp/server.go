@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/path"
@@ -78,11 +79,11 @@ func WithSlowQuery(d time.Duration) ServerOption {
 
 // WithPageCache bounds a server-side scan page cache to maxBytes (≤ 0:
 // off) — the -cache-bytes daemon flag. Limit-bounded /v1/scan pages are
-// cached as their encoded NDJSON bytes, keyed by (current MaxTid, scan with
-// its keyset position, limit): concurrent paging cursors at the same horizon
-// share one store scan and one encoding, and any append moves the horizon
-// so stale pages are simply never keyed again. Unbounded (no-limit)
-// drains and proofs=1 streams always bypass it.
+// cached as their encoded bytes, keyed by (current MaxTid, scan with its
+// keyset position, limit, form of the stream): concurrent paging cursors at
+// the same horizon share one store scan and one encoding, and any append
+// moves the horizon so stale pages are simply never keyed again. Unbounded
+// (no-limit) drains and proofs=1 streams always bypass it.
 func WithPageCache(maxBytes int64) ServerOption {
 	return func(s *Server) {
 		if maxBytes > 0 {
@@ -617,41 +618,59 @@ func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*provauth.Ro
 
 // A streamWriter is the one encoder of the row stream (see the package
 // doc): the scan endpoint, the page-cache fill and the query endpoint hand
-// it records and rows, and it owns everything else — where an error goes,
-// proof stamping, what limit counts, the flush cadence, the terminator and
-// the stream accounting. Lines are encoded as the cursor yields them, so
-// the server never materializes a scan; one line value is reused throughout.
+// it records and rows, and it owns everything else — which form the lines
+// take, where an error goes, proof stamping, what limit counts, the flush
+// cadence, the terminator and the stream accounting. Lines are encoded as
+// the cursor yields them, so the server never materializes a scan; one line
+// value and one set of buffers are reused throughout.
 type streamWriter struct {
 	s       *Server
 	w       http.ResponseWriter
 	ctx     context.Context
-	enc     *json.Encoder
 	flusher http.Flusher
+	form    string         // contentTypeFrames or contentTypeNDJSON, as the request asked
+	out     bytes.Buffer   // lines encoded and not yet sent: a flush interval of them, or the whole page
+	enc     *json.Encoder  // of JSON lines: into out, or into body when framed
+	body    bytes.Buffer   // framed: the kind byte and body of the JSON frame being built
+	recBody []byte         // framed: the same for a record frame
 	stamp   *provauth.Root // nil: no proofs; else the root each record is proven under
 	limit   int            // 0: unbounded
 	line    streamLine
 	rec     wireRecord // what line.R points at
 	n       int        // lines written
 	more    bool       // limit cut the stream with a record still to come
-	paged   bool       // lines collect in a page buffer, not on the connection
+	paged   bool       // lines stay in out, not on the connection
 	started bool       // the 200 header is committed: errors go in band
 	dead    bool       // failed, or the client hung up: no terminator
 }
 
-// newStream opens a row stream answering r. With a nil page the lines go
-// straight to w; otherwise they collect in page and nothing reaches the
-// client until the caller sends the finished page, so a failure at any line
-// still gets a proper status.
-func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provauth.Root, limit int, page *bytes.Buffer) *streamWriter {
+// streamForm returns the form of the row stream r asks for, as its
+// Content-Type: frames when the Accept header names them, NDJSON otherwise.
+func streamForm(r *http.Request) string {
+	if strings.Contains(r.Header.Get("Accept"), contentTypeFrames) {
+		return contentTypeFrames
+	}
+	return contentTypeNDJSON
+}
+
+// framed reports whether the stream's lines go out as frames.
+func (sw *streamWriter) framed() bool { return sw.form == contentTypeFrames }
+
+// newStream opens a row stream answering r, in the form r asks for. Unpaged,
+// the lines go to w at the flush cadence; paged, they stay in sw.out and
+// nothing reaches the client until the caller sends the finished page, so a
+// failure at any line still gets a proper status.
+func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provauth.Root, limit int, paged bool) *streamWriter {
 	s.stats.cursorsOpen.Add(1)
-	sw := &streamWriter{s: s, w: w, ctx: r.Context(), stamp: stamp, limit: limit, paged: page != nil}
-	var out io.Writer = w
-	if sw.paged {
-		out = page
-	} else {
+	sw := &streamWriter{s: s, w: w, ctx: r.Context(), form: streamForm(r), stamp: stamp, limit: limit, paged: paged}
+	if !paged {
 		sw.flusher, _ = w.(http.Flusher)
 	}
-	sw.enc = json.NewEncoder(out)
+	if sw.framed() {
+		sw.enc = json.NewEncoder(&sw.body)
+	} else {
+		sw.enc = json.NewEncoder(&sw.out)
+	}
 	return sw
 }
 
@@ -663,9 +682,10 @@ func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provau
 // admitted is a hard error.) Only then does limit count it, so a page is
 // full of provable records or is the end.
 func (sw *streamWriter) record(rec provstore.Record) bool {
-	sw.line = streamLine{}
+	var proof provauth.Proof
 	if sw.stamp != nil {
-		p, err := sw.s.auth.ProveAt(sw.ctx, rec.Tid, rec.Loc, sw.stamp.Size)
+		var err error
+		proof, err = sw.s.auth.ProveAt(sw.ctx, rec.Tid, rec.Loc, sw.stamp.Size)
 		if errors.Is(err, provauth.ErrUnsealed) {
 			return true
 		}
@@ -673,15 +693,25 @@ func (sw *streamWriter) record(rec provstore.Record) bool {
 			sw.fail(err)
 			return false
 		}
-		sw.line.P = encodeProof(p)
 	}
 	if sw.limit > 0 && sw.n == sw.limit {
 		sw.more = true // this record exists beyond the page
 		return false
 	}
-	sw.rec = toWire(rec)
-	sw.line.R = &sw.rec
-	return sw.write()
+	if !sw.framed() {
+		sw.rec = toWire(rec)
+		sw.line = streamLine{R: &sw.rec}
+		if sw.stamp != nil {
+			sw.line.P = encodeProof(proof)
+		}
+		return sw.write()
+	}
+	sw.recBody = rec.AppendBinary(append(sw.recBody[:0], frameRecord))
+	if sw.stamp != nil {
+		sw.recBody = proof.AppendBinary(sw.recBody)
+	}
+	sw.frame(sw.recBody)
+	return sw.wrote()
 }
 
 // row writes one result row of a plan. Record rows are record lines, proof
@@ -711,37 +741,70 @@ func (sw *streamWriter) row(row provplan.Row) bool {
 	return sw.write()
 }
 
-// write encodes sw.line, and every streamFlushEvery lines flushes and
-// stops for a client that has gone away.
+// write appends sw.line to the stream as a data line.
 func (sw *streamWriter) write() bool {
-	sw.start()
-	if err := sw.enc.Encode(&sw.line); err != nil {
-		sw.dead = true // client hung up; the connection carries the truncation
-		return false
+	sw.encode()
+	return sw.wrote()
+}
+
+// encode appends sw.line to out as JSON: bare, or inside a frame.
+func (sw *streamWriter) encode() {
+	if !sw.framed() {
+		sw.enc.Encode(&sw.line) //nolint:errcheck // a streamLine into a buffer
+		return
 	}
+	sw.body.Reset()
+	sw.body.WriteByte(frameLine)
+	sw.enc.Encode(&sw.line) //nolint:errcheck // a streamLine into a buffer
+	sw.frame(sw.body.Bytes())
+}
+
+// frame appends one frame to out.
+func (sw *streamWriter) frame(kindAndBody []byte) {
+	sw.out.Write(appendFrame(sw.out.AvailableBuffer(), kindAndBody))
+}
+
+// wrote counts the data line just appended to out, and every
+// streamFlushEvery lines sends and flushes what has collected and stops for
+// a client that has gone away.
+func (sw *streamWriter) wrote() bool {
+	sw.start()
 	sw.n++
 	if sw.n%streamFlushEvery == 0 {
+		sent := sw.send()
 		if sw.flusher != nil {
 			sw.flusher.Flush()
 		}
-		if sw.ctx.Err() != nil {
-			sw.dead = true
+		if !sent || sw.ctx.Err() != nil {
+			sw.dead = true // client hung up; the connection carries the truncation
 			return false
 		}
 	}
 	return true
 }
 
-// start commits the 200 header of a stream that goes straight to the client.
+// send hands the lines collected in out to the response — unless they are
+// a page, which its caller sends — and reports whether it took them.
+func (sw *streamWriter) send() bool {
+	if sw.paged {
+		return true
+	}
+	_, err := sw.w.Write(sw.out.Bytes())
+	sw.out.Reset()
+	return err == nil
+}
+
+// start commits the stream to a 200 answer: from the first line on, an
+// error goes in band.
 func (sw *streamWriter) start() {
 	if !sw.started && !sw.paged {
-		sw.w.Header().Set("Content-Type", "application/x-ndjson")
+		sw.w.Header().Set("Content-Type", sw.form)
 		sw.started = true
 	}
 }
 
-// fail ends the stream with err: as an HTTP status while no line has
-// reached the client, as the in-band error line after.
+// fail ends the stream with err: as an HTTP status while no line has been
+// written, as the in-band error line after.
 func (sw *streamWriter) fail(err error) {
 	sw.dead = true
 	if !sw.started {
@@ -751,7 +814,8 @@ func (sw *streamWriter) fail(err error) {
 	sw.s.stats.errors.Add(1)
 	noteErr(sw.w, err)
 	sw.line = streamLine{Err: err.Error()}
-	sw.enc.Encode(&sw.line) //nolint:errcheck // stream end
+	sw.encode()
+	sw.send()
 }
 
 // end closes the stream: the terminator line and the stream accounting,
@@ -764,7 +828,8 @@ func (sw *streamWriter) end() bool {
 	}
 	sw.start()
 	sw.line = streamLine{EOF: true, N: sw.n, More: sw.more}
-	sw.enc.Encode(&sw.line) //nolint:errcheck // stream end
+	sw.encode()
+	sw.send()
 	sw.s.streamed(sw.w, sw.n)
 	return true
 }
@@ -836,7 +901,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		s.servePage(w, r, spec, limit)
 		return
 	}
-	s.scanInto(s.newStream(w, r, stamp, limit, nil), spec)
+	s.scanInto(s.newStream(w, r, stamp, limit, false), spec)
 }
 
 // cachedPage is one encoded /v1/scan page — the bytes the stream would
@@ -852,7 +917,9 @@ type cachedPage struct {
 // horizon-keyed: the relation is append-only, which means a page of a given
 // scan at a given keyset position and horizon is immutable — and any append
 // moves the horizon, after which stale pages are never keyed again and age
-// out of the LRU. A miss runs the stream into a buffer (bounded by limit,
+// out of the LRU. The key also names the form the request asks for: a page
+// is cached as encoded bytes, so the framed and the NDJSON page of one scan
+// are two entries. A miss runs the stream into its buffer (bounded by limit,
 // unlike a full drain) and stores it only if the scan terminated cleanly.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstore.ScanSpec, limit int) {
 	st, err := s.inner.Stat(r.Context())
@@ -860,7 +927,8 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 		s.fail(w, err, http.StatusInternalServerError)
 		return
 	}
-	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit)
+	form := streamForm(r)
+	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit) + "\x00" + form
 	var pg *cachedPage
 	if v, ok := s.pageCache.Get(key); ok {
 		provtrace.Mark(r.Context(), "cache:hit", provtrace.Attr{K: "cache", V: "page"})
@@ -868,16 +936,15 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 		s.streamed(w, pg.n)
 	} else {
 		provtrace.Mark(r.Context(), "cache:miss", provtrace.Attr{K: "cache", V: "page"})
-		var buf bytes.Buffer
-		buf.Grow(64 * limit)
-		sw := s.newStream(w, r, nil, limit, &buf)
+		sw := s.newStream(w, r, nil, limit, true)
+		sw.out.Grow(64 * limit)
 		if !s.scanInto(sw, spec) {
 			return
 		}
-		pg = &cachedPage{body: bytes.Clone(buf.Bytes()), n: sw.n}
+		pg = &cachedPage{body: bytes.Clone(sw.out.Bytes()), n: sw.n}
 		s.pageCache.Put(key, pg, int64(len(key)+len(pg.body)))
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Type", form)
 	w.Write(pg.body) //nolint:errcheck // stream end
 }
 
@@ -922,7 +989,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sw := s.newStream(w, r, stamp, 0, nil)
+	sw := s.newStream(w, r, stamp, 0, false)
 	defer sw.end()
 	for row, err := range pl.Rows(r.Context()) {
 		if err != nil {

@@ -72,15 +72,32 @@
 //
 // # The row stream
 //
-// /v1/scan and /v1/query answer with the same thing: NDJSON, one streamLine
-// per line — data lines (records, or a query's tagged rows), then exactly
-// one closing line. streamWriter is the only encoder, streamReader the only
+// /v1/scan and /v1/query answer with the same thing: lines, one streamLine
+// each — data lines (records, or a query's tagged rows), then exactly one
+// closing line. streamWriter is the only encoder, streamReader the only
 // decoder, and the rules live there and here, nowhere else:
 //
+//   - Form: a request whose Accept header names application/x-cpdb-frames
+//     is answered in frames under that Content-Type; any other request —
+//     curl, an older client — gets application/x-ndjson, one JSON line per
+//     streamLine. The Client always asks for frames and decodes whichever
+//     Content-Type comes back. That header pair is the whole negotiation:
+//     no flag, DSN parameter or endpoint selects a form, and everything
+//     below holds for both.
+//   - Frames: uvarint length | kind byte | body, the length counting the
+//     kind byte and the body. Kind 'r' is a record line: the body is
+//     provstore.Record.AppendBinary — the one binary form of a record, also
+//     the Merkle leaf preimage — followed on a proven stream by the
+//     provauth.Proof binary encoding. Kind 'j' is every other line (tid, v,
+//     ev, end, az, terminator, in-band error): the body is its NDJSON line.
+//     A length of zero or above maxFrameBytes (1 MiB) and an unknown kind
+//     are decode errors; the length is checked before anything is
+//     allocated for it.
 //   - Terminator: {"eof":true,"n":N}, N the number of data lines before
-//     it. A body that ends without one was truncated — a dying server or
-//     connection — and is an error, never a short result; so is a count
-//     that does not match.
+//     it, and nothing after it. A body that ends without one was truncated
+//     — a dying server or connection — and is an error, never a short
+//     result; so is a count that does not match, and so are bytes behind
+//     the terminator.
 //   - Errors: a failure before the first line is an HTTP status with a
 //     JSON error body. After it the 200 is already on the wire, so the
 //     failure is the closing line, {"err":msg}, instead of a terminator.
@@ -89,25 +106,29 @@
 //     after the last key this one delivered (after_tid, after_loc).
 //   - proofs=1: the response carries the snapshot root in the
 //     X-Cpdb-Auth-Root header (plus X-Cpdb-Auth-Consistency when since=SIZE
-//     is given), and each record line carries "p", its inclusion proof
-//     against that one root, hex of the provauth.Proof binary encoding.
+//     is given), and each record line carries its inclusion proof against
+//     that one root: the provauth.Proof binary encoding, raw behind the
+//     record in a frame, as hex in the "p" field of an NDJSON line.
 //     The stream answers as of its root: records of the still-open
 //     transaction are skipped — they count towards neither n nor limit —
 //     until a flush seals them. Derived rows (tids, aggregates, trace
 //     steps) have no leaf to prove and carry none.
-//   - Cadence: every streamFlushEvery lines the writer flushes, so a long
-//     result leaves as chunks the client can start decoding, and checks
-//     that the client is still there; the reader decodes as the consumer
-//     pulls, and closing the body early cancels the server-side cursor.
+//   - Cadence: lines collect in one reused buffer; every streamFlushEvery
+//     lines the writer sends and flushes it, so a long result leaves as
+//     chunks the client can start decoding, and checks that the client is
+//     still there; the reader decodes as the consumer pulls, and closing
+//     the body early cancels the server-side cursor.
 //
-// Records travel as JSON objects whose Loc/Src fields are canonical path
-// strings ("T/c1/y") — lossless, because labels cannot contain '/'. Errors
+// Outside a record frame, records travel as JSON objects whose Loc/Src
+// fields are canonical path strings ("T/c1/y") — lossless, because labels
+// cannot contain '/'. Errors
 // travel as JSON bodies with an HTTP status; the {Tid, Loc} key violation is
 // tagged so the client can rebuild the typed *provstore.DupKeyError the rest
 // of the system matches on.
 package provhttp
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -123,14 +144,17 @@ import (
 	"repro/internal/provstore"
 )
 
-// The decode hot path of a drain parses one Loc (and often one Src) per
-// NDJSON line. Real provenance streams repeat a small vocabulary of
-// locations and edge labels millions of times, so two intern layers sit
-// under the codec: whole canonical strings map to their already-parsed
-// Path (zero parsing, zero allocation on a hit), and on a whole-path miss
-// the individual labels are interned so distinct paths still share label
-// storage. Reads are lock-free (provcache.Intern); the tables are capped,
-// and an unseen path past the cap simply parses the ordinary way.
+// The decode hot path of a drain decodes one Loc (and often one Src) per
+// record. Real provenance streams repeat a small vocabulary of locations
+// and edge labels millions of times, so two intern layers sit under the
+// codec: whole canonical strings map to their already-parsed Path (zero
+// parsing, zero allocation on a hit), and on a whole-path miss the
+// individual labels are interned so distinct paths still share label
+// storage. Both forms of a path on the wire — the canonical text of a JSON
+// line and the binary encoding inside a record frame — look up the same
+// table under the same key, the text. Reads are lock-free
+// (provcache.Intern); the tables are capped, and an unseen path past the cap
+// simply parses the ordinary way.
 var (
 	wirePathIntern = provcache.NewIntern[path.Path](8192)
 	wireSegIntern  = provcache.NewIntern[string](4096)
@@ -152,6 +176,58 @@ func parseWirePath(s string) (path.Path, error) {
 	}
 	wirePathIntern.Put(s, p)
 	return p, nil
+}
+
+// decodeWirePath decodes a path's binary encoding out of a record frame
+// through the same intern layers: it accepts what path.DecodeBinary accepts
+// and returns the same path (the contract of provstore.DecodeRecordWith).
+// An encoding without escapes is its canonical text with 0x00 after each
+// label where the text has '/' between them, so the text key is built in a
+// stack buffer and a hit costs one pass over b and no allocation. Anything
+// else — an escape, a byte the text form cannot hold, a missing terminator,
+// a path longer than the buffer — takes the plain decoder, which also
+// reports what is wrong with it.
+func decodeWirePath(b []byte) (path.Path, error) {
+	var buf [128]byte
+	n := len(b) - 1
+	if n < 1 || n > len(buf) || b[n] != 0x00 {
+		return path.DecodeBinaryString(string(b)) // among them the empty encoding, the root
+	}
+	key := buf[:n]
+	for i, c := range b[:n] {
+		switch c {
+		case 0x00:
+			c = path.Separator
+		case 0x01, path.Separator:
+			return path.DecodeBinaryString(string(b))
+		}
+		key[i] = c
+	}
+	if p, ok := wirePathIntern.GetBytes(key); ok {
+		return p, nil
+	}
+	return parseWirePath(string(key))
+}
+
+// The two forms of the row stream, as Content-Type and Accept values (see
+// "The row stream" in the package doc).
+const (
+	contentTypeNDJSON = "application/x-ndjson"
+	contentTypeFrames = "application/x-cpdb-frames"
+)
+
+// The frame kinds, and the largest length a frame may declare: far above
+// any line the writer produces (a record with its proof is a few hundred
+// bytes), small enough that a hostile length prefix buys one bounded buffer.
+const (
+	frameRecord   byte = 'r'
+	frameLine     byte = 'j'
+	maxFrameBytes      = 1 << 20
+)
+
+// appendFrame appends one frame: kindAndBody behind its uvarint length.
+func appendFrame(buf, kindAndBody []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(kindAndBody))), kindAndBody...)
 }
 
 // Authentication headers on proven streams: the one root every "p" proof
@@ -186,6 +262,11 @@ func decodeProofHex(s string) (provauth.Proof, error) {
 	if err != nil {
 		return provauth.Proof{}, fmt.Errorf("provhttp: bad proof hex: %w", err)
 	}
+	return decodeProof(raw)
+}
+
+// decodeProof parses a proof's binary encoding, all of raw.
+func decodeProof(raw []byte) (provauth.Proof, error) {
 	p, n, err := provauth.DecodeProof(raw)
 	if err != nil {
 		return provauth.Proof{}, err
@@ -270,9 +351,11 @@ func (w wireRecord) parse() (provstore.Record, error) {
 	return r, nil
 }
 
-// streamLine is one NDJSON line of a row stream — the one response form
-// of /v1/scan and /v1/query (see "The row stream" in the package doc).
-// Exactly one variant is set per line:
+// streamLine is one line of a row stream — the one response form of
+// /v1/scan and /v1/query (see "The row stream" in the package doc) — as its
+// JSON: an NDJSON line, or the body of a 'j' frame (a framed stream carries
+// its record lines as 'r' frames instead). Exactly one variant is set per
+// line:
 //
 //	{"r":record[,"p":proof]}          record (scan record, select row)
 //	{"tid":N}                         mod/hist row
@@ -321,16 +404,10 @@ var origins = map[string]provplan.Origin{
 	provplan.OriginPreexisting.String(): provplan.OriginPreexisting,
 }
 
-// row parses a received data line back into a provplan.Row (the
-// terminator and error lines never leave streamReader).
+// row parses a received derived data line back into a provplan.Row (record
+// lines, the terminator and error lines never leave streamReader as lines).
 func (l *streamLine) row() (provplan.Row, error) {
 	switch {
-	case l.R != nil:
-		rec, err := l.R.record()
-		if err != nil {
-			return provplan.Row{}, err
-		}
-		return provplan.Row{Kind: provplan.RowRecord, Rec: rec}, nil
 	case l.Tid != 0:
 		return provplan.Row{Kind: provplan.RowTid, Tid: l.Tid}, nil
 	case l.V != nil:

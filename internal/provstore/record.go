@@ -83,22 +83,52 @@ func (r Record) Validate() error {
 }
 
 // AppendBinary appends a self-contained binary encoding of the record:
-// tid uvarint, op byte, loc (length-prefixed), src (length-prefixed).
+// tid uvarint, op byte, loc (length-prefixed), src (length-prefixed). These
+// bytes are the Merkle leaf preimage (provauth) and the body of a record
+// frame on the wire (provhttp), so the form is fixed; the paths are encoded
+// in place, with no temporary slice.
 func (r Record) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.Tid))
 	buf = append(buf, byte(r.Op))
-	loc := r.Loc.AppendBinary(nil)
-	buf = binary.AppendUvarint(buf, uint64(len(loc)))
-	buf = append(buf, loc...)
-	src := r.Src.AppendBinary(nil)
-	buf = binary.AppendUvarint(buf, uint64(len(src)))
-	buf = append(buf, src...)
+	buf = appendPath(buf, r.Loc)
+	return appendPath(buf, r.Src)
+}
+
+// appendPath appends p's binary encoding behind its uvarint length. The
+// length is known only once the path is encoded, so one byte is reserved
+// for it — enough below 128 bytes, nearly every path — and a longer
+// encoding is moved up to make room for the rest of the varint.
+func appendPath(buf []byte, p path.Path) []byte {
+	at := len(buf)
+	buf = p.AppendBinary(append(buf, 0))
+	n := len(buf) - at - 1
+	if n < 0x80 {
+		buf[at] = byte(n)
+		return buf
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(n))
+	buf = append(buf, prefix[:w-1]...)
+	copy(buf[at+w:], buf[at+1:at+1+n])
+	copy(buf[at:], prefix[:w])
 	return buf
 }
 
 // DecodeRecord decodes a record encoded by AppendBinary from the front of
-// buf, returning the record and bytes consumed.
+// buf, returning the record and bytes consumed. The bytes may come from
+// outside the program: what decodes is a valid record.
 func DecodeRecord(buf []byte) (Record, int, error) {
+	return DecodeRecordWith(buf, decodePath)
+}
+
+func decodePath(b []byte) (path.Path, error) { return path.DecodeBinaryString(string(b)) }
+
+// DecodeRecordWith is DecodeRecord with each path's encoding handed to
+// decode, which must accept exactly what path.DecodeBinary accepts, with
+// the same result. A decode hot path uses it to answer repeated locations
+// from an intern table instead of building a new Path per record (compare
+// path.ParseWith); decode must not keep b.
+func DecodeRecordWith(buf []byte, decode func(b []byte) (path.Path, error)) (Record, int, error) {
 	var r Record
 	tid, n := binary.Uvarint(buf)
 	if n <= 0 {
@@ -111,33 +141,32 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 	r.Tid = int64(tid)
 	r.Op = OpKind(buf[off])
 	off++
-	for i := 0; i < 2; i++ {
-		l, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return r, 0, errors.New("provstore: bad path length varint")
-		}
-		off += n
-		if uint64(len(buf)-off) < l {
-			return r, 0, errors.New("provstore: truncated path")
-		}
-		p, used, err := path.DecodeBinary(buf[off : off+int(l)])
-		if err != nil {
-			return r, 0, err
-		}
-		if used != int(l) {
-			return r, 0, errors.New("provstore: path length mismatch")
-		}
-		off += int(l)
-		if i == 0 {
-			r.Loc = p
-		} else {
-			r.Src = p
-		}
+	var err error
+	if r.Loc, off, err = decodePathAt(buf, off, decode); err != nil {
+		return r, 0, err
+	}
+	if r.Src, off, err = decodePathAt(buf, off, decode); err != nil {
+		return r, 0, err
 	}
 	if err := r.Validate(); err != nil {
 		return r, 0, err
 	}
 	return r, off, nil
+}
+
+// decodePathAt decodes the length-prefixed path at buf[off:] and returns the
+// offset behind it.
+func decodePathAt(buf []byte, off int, decode func(b []byte) (path.Path, error)) (path.Path, int, error) {
+	l, n := binary.Uvarint(buf[off:])
+	if n <= 0 {
+		return path.Root, 0, errors.New("provstore: bad path length varint")
+	}
+	off += n
+	if uint64(len(buf)-off) < l {
+		return path.Root, 0, errors.New("provstore: truncated path")
+	}
+	p, err := decode(buf[off : off+int(l)])
+	return p, off + int(l), err
 }
 
 // EncodedSize returns the size in bytes of the binary encoding of r, which

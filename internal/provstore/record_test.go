@@ -1,8 +1,12 @@
 package provstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -120,6 +124,45 @@ func TestQuickRecordCodec(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordBinaryLongPaths: AppendBinary reserves one byte for a path's
+// length and moves the path up when the varint needs more. The bytes must be
+// the ones the two-slice encoder produced — they are the Merkle leaf
+// preimage — at every length around the one- and two-byte varint boundaries,
+// appended behind existing bytes.
+func TestRecordBinaryLongPaths(t *testing.T) {
+	reference := func(r Record) []byte {
+		buf := binary.AppendUvarint(nil, uint64(r.Tid))
+		buf = append(buf, byte(r.Op))
+		for _, p := range []path.Path{r.Loc, r.Src} {
+			enc := p.AppendBinary(nil)
+			buf = append(binary.AppendUvarint(buf, uint64(len(enc))), enc...)
+		}
+		return buf
+	}
+	for _, n := range []int{1, 125, 126, 127, 128, 129, 300, 16382, 16383, 16384, 20000} {
+		label := strings.Repeat("x", n)
+		for _, rec := range []Record{
+			{Tid: 7, Op: OpInsert, Loc: path.New("T", label)},
+			{Tid: 1 << 40, Op: OpCopy, Loc: path.New(label), Src: path.New("S", label, "y")},
+		} {
+			want := reference(rec)
+			got := rec.AppendBinary([]byte("prefix"))
+			if !bytes.Equal(got, append([]byte("prefix"), want...)) {
+				t.Fatalf("label of %d bytes: AppendBinary differs from the reference encoding", n)
+			}
+			dec, used, err := DecodeRecord(want)
+			if err != nil || used != len(want) || !reflect.DeepEqual(dec, rec) {
+				t.Fatalf("label of %d bytes: decodes to %v (%d of %d bytes, err %v)", n, dec, used, len(want), err)
+			}
+		}
+	}
+	rec := Record{Tid: 3, Op: OpCopy, Loc: path.New("T", "c1", "y"), Src: path.New("S", "a")}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = rec.AppendBinary(buf[:0]) }); n != 0 {
+		t.Errorf("AppendBinary into a buffer with room allocates %v times, want 0", n)
 	}
 }
 

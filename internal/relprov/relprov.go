@@ -8,6 +8,7 @@ package relprov
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
@@ -164,28 +165,44 @@ func toRow(r provstore.Record) (relstore.Row, error) {
 	}, nil
 }
 
-func fromRow(row relstore.Row) (provstore.Record, error) {
+// decodeRow decodes a stored row (relstore's row codec over Schema: tid as a
+// zigzag varint, then loc, op and src each behind a uvarint length) straight
+// into a record, with no relstore.Row of boxed values in between. It keeps
+// none of enc, so it runs inside a scan callback on the leaf's own bytes:
+// the row is copied once, as a string, and both paths' labels are
+// substrings of that copy.
+func decodeRow(enc []byte) (provstore.Record, error) {
 	var rec provstore.Record
-	tid, ok := row[0].(int64)
-	if !ok {
-		return rec, fmt.Errorf("relprov: bad tid column %T", row[0])
+	tid, off := binary.Varint(enc)
+	if off <= 0 {
+		return rec, errors.New("relprov: bad tid column")
 	}
 	rec.Tid = tid
-	loc, _, err := path.DecodeBinary(row[1].([]byte))
-	if err != nil {
+	row := string(enc)
+	var col [3]string // loc, op, src
+	for i := range col {
+		l, n := binary.Uvarint(enc[off:])
+		if n <= 0 || uint64(len(enc)-off-n) < l {
+			return rec, fmt.Errorf("relprov: bad length of column %d", i+1)
+		}
+		off += n
+		col[i] = row[off : off+int(l)]
+		off += int(l)
+	}
+	if off != len(enc) {
+		return rec, fmt.Errorf("relprov: %d trailing bytes after row", len(enc)-off)
+	}
+	if len(col[1]) != 1 {
+		return rec, fmt.Errorf("relprov: bad op %q", col[1])
+	}
+	rec.Op = provstore.OpKind(col[1][0])
+	var err error
+	if rec.Loc, err = path.DecodeBinaryString(col[0]); err != nil {
 		return rec, fmt.Errorf("relprov: bad loc: %w", err)
 	}
-	rec.Loc = loc
-	ops := row[2].(string)
-	if len(ops) != 1 {
-		return rec, fmt.Errorf("relprov: bad op %q", ops)
-	}
-	rec.Op = provstore.OpKind(ops[0])
-	src, _, err := path.DecodeBinary(row[3].([]byte))
-	if err != nil {
+	if rec.Src, err = path.DecodeBinaryString(col[2]); err != nil {
 		return rec, fmt.Errorf("relprov: bad src: %w", err)
 	}
-	rec.Src = src
 	return rec, rec.Validate()
 }
 
@@ -269,22 +286,20 @@ func (b *Backend) Lookup(ctx context.Context, tid int64, loc path.Path) (provsto
 }
 
 func (b *Backend) lookupLocked(tid int64, loc path.Path) (provstore.Record, bool, error) {
-	row, err := b.tbl.Get(tid, loc.AppendBinary(nil))
+	pk, err := b.tbl.KeyPrefix(tid, loc.AppendBinary(nil))
 	if err != nil {
-		if isNotFound(err) {
-			return provstore.Record{}, false, nil
-		}
 		return provstore.Record{}, false, err
 	}
-	rec, err := fromRow(row)
-	if err != nil {
+	var rec provstore.Record
+	var derr error
+	found, err := b.tbl.View(pk, func(enc []byte) { rec, derr = decodeRow(enc) })
+	if err == nil {
+		err = derr
+	}
+	if err != nil || !found {
 		return provstore.Record{}, false, err
 	}
 	return rec, true, nil
-}
-
-func isNotFound(err error) bool {
-	return errors.Is(err, relstore.ErrRowNotFound) || errors.Is(err, relstore.ErrKeyNotFound)
 }
 
 // NearestAncestor implements provstore.Backend: it probes the ancestors of
@@ -333,11 +348,12 @@ const (
 	scanChunk   = 256
 )
 
-// A scanFunc is a resumable relstore walk (Table.ScanKeyFrom, or
-// ScanIndexFrom on by_loc): it invokes fn with the rows whose encoded key
-// is ≥ from and begins with prefix, in key order, and stops on the first
-// key outside the prefix without fetching its row.
-type scanFunc func(from, prefix []byte, fn func(key []byte, row relstore.Row) bool) error
+// A scanFunc is a resumable relstore walk (Table.ScanEncodedFrom, or
+// ScanIndexEncodedFrom on by_loc): it invokes fn with the key and the stored
+// encoding of the rows whose encoded key is ≥ from and begins with prefix,
+// in key order, and stops on the first key outside the prefix without
+// fetching its row.
+type scanFunc func(from, prefix []byte, fn func(key, enc []byte) bool) error
 
 // chunkedScan drives one cursor: the walk seeks to from — the prefix itself,
 // or a resume key inside or past its range — while prefix (nil = whole tree)
@@ -356,8 +372,8 @@ func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix [
 	for {
 		var derr error
 		b.mu.RLock()
-		err := scan(from, prefix, func(key []byte, row relstore.Row) bool {
-			rec, e := fromRow(row)
+		err := scan(from, prefix, func(key, enc []byte) bool {
+			rec, e := decodeRow(enc)
 			if e != nil {
 				derr = e
 				return false
@@ -403,8 +419,8 @@ func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix [
 }
 
 // indexFrom adapts the by_loc index to a scanFunc.
-func (b *Backend) indexFrom(from, prefix []byte, fn func(key []byte, row relstore.Row) bool) error {
-	return b.tbl.ScanIndexFrom("by_loc", from, prefix, fn)
+func (b *Backend) indexFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
+	return b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, fn)
 }
 
 // Scan implements provstore.Backend: every kind is a prefix walk of one of
@@ -446,7 +462,7 @@ func (b *Backend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[p
 // tree, the key prefix that bounds the stretch, and the key to seek to — the
 // prefix itself, or the successor of the resume key when that lies further on.
 func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []byte, err error) {
-	scan = b.tbl.ScanKeyFrom
+	scan = b.tbl.ScanEncodedFrom
 	byLoc := spec.Kind == provstore.KindLoc || spec.Kind == provstore.KindPrefix
 	switch {
 	case spec.Kind == provstore.KindTid:

@@ -95,6 +95,54 @@ func TestRelProvBasics(t *testing.T) {
 // duplicate keys anywhere across the group abort it before insertion, and
 // with group commit enabled the rows survive reopening after an unclean
 // stop (durability came from the WAL, not Close).
+// TestRelProvCorruptRows: the backend decodes stored rows itself, off the
+// leaf's bytes. A row that is not a record — written here through the table,
+// behind the backend's back — is an error from every read that meets it, by
+// scan, by index and by key: never a panic, never a record.
+func TestRelProvCorruptRows(t *testing.T) {
+	ctx := context.Background()
+	good := path.MustParse("T/a").AppendBinary(nil)
+	for name, row := range map[string]relstore.Row{
+		"op of two bytes":       {int64(1), good, "IC", []byte{}},
+		"op outside I, C, D":    {int64(1), good, "Q", []byte{}},
+		"empty label in loc":    {int64(1), []byte("T\x00\x00"), "I", []byte{}},
+		"unterminated loc":      {int64(1), []byte("T\x00a"), "I", []byte{}},
+		"separator in src":      {int64(1), good, "C", []byte("S/a\x00")},
+		"copy without a source": {int64(1), good, "C", []byte{}},
+		"insert with a source":  {int64(1), good, "I", good},
+		"root location":         {int64(1), []byte{}, "I", []byte{}},
+	} {
+		b := newBackend(t)
+		tbl, err := b.DB().Table(relprov.TableName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		loc, _, _ := path.DecodeBinary(row[1].([]byte)) // the root when loc is the corrupt column
+		for _, spec := range []provstore.ScanSpec{provstore.All(), provstore.ByTid(1), provstore.ByPrefix(path.Root)} {
+			n := 0
+			var serr error
+			for _, err := range b.Scan(ctx, spec) {
+				if err != nil {
+					serr = err
+					break
+				}
+				n++
+			}
+			if serr == nil || n != 0 {
+				t.Errorf("%s: %v yielded %d records, then %v; want an error and no record", name, spec, n, serr)
+			}
+		}
+		if !loc.IsRoot() {
+			if got, found, err := b.Lookup(ctx, 1, loc); err == nil {
+				t.Errorf("%s: Lookup answered %v, %v; want an error", name, got, found)
+			}
+		}
+	}
+}
+
 func TestRelProvAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.rel")

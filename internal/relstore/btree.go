@@ -138,10 +138,8 @@ const nodeCapacity = PageSize - headerSize
 
 // Get returns a copy of the value stored under key.
 func (t *BTree) Get(key []byte) ([]byte, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var out []byte
-	found, err := t.find(key, func(val []byte) { out = bytes.Clone(val) })
+	found, err := t.View(key, func(val []byte) { out = bytes.Clone(val) })
 	if err != nil {
 		return nil, err
 	}
@@ -149,6 +147,15 @@ func (t *BTree) Get(key []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
 	return out, nil
+}
+
+// View reports whether key is present and, if it is, hands visit the stored
+// value in place, while its leaf is pinned: visit must copy what it keeps
+// and must not call into the tree.
+func (t *BTree) View(key []byte, visit func(val []byte)) (bool, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.find(key, visit)
 }
 
 // Has reports whether key is present. It compares keys only: the value is

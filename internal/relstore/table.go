@@ -297,6 +297,20 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	return t.decodeRow(enc)
 }
 
+// View hands visit the stored encoding of the row with the encoded primary
+// key pk (as built by KeyPrefix with every key column) and reports whether
+// there is one. The encoding is the row codec's (see EncodeRow): columns in
+// order, an int as a zigzag varint, a string or bytes behind a uvarint
+// length. visit sees the bytes in place, while the leaf is pinned, and must
+// copy what it keeps: a caller that decodes them itself pays for no Row and
+// no copy of the value. The row counts in RowsDecoded.
+func (t *Table) View(pk []byte, visit func(enc []byte)) (bool, error) {
+	return t.primary.View(pk, func(enc []byte) {
+		t.decoded.Add(1)
+		visit(enc)
+	})
+}
+
 // Delete removes the row with the given primary key values.
 func (t *Table) Delete(keyVals ...Value) error {
 	if len(keyVals) != len(t.keyIdx) {
@@ -389,9 +403,26 @@ func (t *Table) ScanKeyPrefix(prefix []byte, fn func(Row) bool) error {
 // can record where a chunk ended and resume strictly after it (key‖0x00 is
 // the immediate successor of key in bytewise order).
 func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
+	return t.decoding(fn, func(fn func(key, enc []byte) bool) error {
+		return t.ScanEncodedFrom(from, prefix, fn)
+	})
+}
+
+// ScanEncodedFrom is ScanKeyFrom handing fn each row's stored encoding (see
+// View) instead of a decoded Row. key and enc are valid until fn returns.
+// Every row handed out counts in RowsDecoded.
+func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
+	return t.primary.ScanFrom(from, prefix, func(key, enc []byte) bool {
+		t.decoded.Add(1)
+		return fn(key, enc)
+	})
+}
+
+// decoding runs an encoded walk with fn behind the row codec.
+func (t *Table) decoding(fn func(key []byte, row Row) bool, walk func(func(key, enc []byte) bool) error) error {
 	var derr error
-	err := t.primary.ScanFrom(from, prefix, func(key, val []byte) bool {
-		row, err := t.decodeRow(val)
+	err := walk(func(key, enc []byte) bool {
+		row, err := DecodeRow(t.types, enc)
 		if err != nil {
 			derr = err
 			return false
@@ -417,23 +448,27 @@ func (t *Table) ScanIndexPrefix(index string, prefix []byte, fn func(Row) bool) 
 // alone, so the entry that ends the walk — and a walk whose range is empty
 // — costs no primary-tree fetch.
 func (t *Table) ScanIndexFrom(index string, from, prefix []byte, fn func(key []byte, row Row) bool) error {
+	return t.decoding(fn, func(fn func(key, enc []byte) bool) error {
+		return t.ScanIndexEncodedFrom(index, from, prefix, fn)
+	})
+}
+
+// ScanIndexEncodedFrom is ScanIndexFrom handing fn each row's stored
+// encoding, in place in its primary leaf (see View).
+func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, enc []byte) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
 	}
 	var derr error
 	err := t.seconds[ixi].ScanFrom(from, prefix, func(key, pk []byte) bool {
-		enc, err := t.primary.Get(pk)
-		if err != nil {
-			derr = err
-			return false
+		more := false
+		found, err := t.View(pk, func(enc []byte) { more = fn(key, enc) })
+		if err == nil && !found {
+			err = fmt.Errorf("%w: %q", ErrKeyNotFound, pk)
 		}
-		row, err := t.decodeRow(enc)
-		if err != nil {
-			derr = err
-			return false
-		}
-		return fn(key, row)
+		derr = err
+		return more && err == nil
 	})
 	if derr != nil {
 		return derr

@@ -129,22 +129,11 @@ func benchStore(b testing.TB, backend cpdb.Backend) int {
 	return total
 }
 
-// TestRemoteDrainAllocBound bounds the decode cost of the remote drain hot
-// path: draining the 4000-record bench store over a live cpdb:// connection
-// must stay under a loose per-record allocation budget. The NDJSON decoder
-// interns path strings and segments, so a warm drain re-uses one shared
-// Path per distinct location instead of reallocating labels per record; the
-// bound has generous headroom (JSON tokenizing allocates) and exists to
-// catch order-of-magnitude regressions, not to pin an exact count.
-func TestRemoteDrainAllocBound(t *testing.T) {
-	inner := provstore.NewMemBackend()
-	total := benchStore(t, inner)
-	dsn, _ := startStatService(t, inner)
-	backend, err := cpdb.OpenBackend(dsn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer provstore.Close(backend) //nolint:errcheck // loopback teardown
+// drainAllocsPerRecord drains backend once to warm it (connection, intern
+// tables, buffer pool) and returns what a further full Scan(All()) allocates
+// per record.
+func drainAllocsPerRecord(t *testing.T, backend cpdb.Backend, total int) float64 {
+	t.Helper()
 	ctx := context.Background()
 	drain := func() {
 		n := 0
@@ -158,13 +147,47 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 			t.Fatalf("drained %d of %d", n, total)
 		}
 	}
-	drain() // warm the connection and the intern tables
-	perRecord := testing.AllocsPerRun(3, drain) / float64(total)
-	const maxAllocsPerRecord = 12
+	drain()
+	return testing.AllocsPerRun(3, drain) / float64(total)
+}
+
+// TestRemoteDrainAllocBound bounds the codec cost of the remote drain hot
+// path: draining the 4000-record bench store over a live cpdb:// connection
+// (the client and the in-process server together, over mem://) must stay
+// within 3 allocations per record. A record frame is appended into a reused
+// buffer on one side and decoded through the path intern table on the
+// other, so a warm drain allocates per flush and per unseen path, not per
+// record; the JSON stream it replaced cost 12.
+func TestRemoteDrainAllocBound(t *testing.T) {
+	inner := provstore.NewMemBackend()
+	total := benchStore(t, inner)
+	dsn, _ := startStatService(t, inner)
+	backend, err := cpdb.OpenBackend(dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer provstore.Close(backend) //nolint:errcheck // loopback teardown
+	perRecord := drainAllocsPerRecord(t, backend, total)
+	const maxAllocsPerRecord = 3
 	if perRecord > maxAllocsPerRecord {
 		t.Errorf("remote drain allocates %.1f objects/record, budget %d", perRecord, maxAllocsPerRecord)
 	}
 	t.Logf("remote drain: %.2f allocs/record over %d records", perRecord, total)
+}
+
+// TestRelDrainAllocBound is the store-side twin: a full in-process
+// Scan(All()) of a 10k-record rel:// store must stay within 3 allocations
+// per record — one copy of the stored row and a label slice per path.
+// Decoding through relstore.Row (a boxed value per column) and a label at a
+// time cost 18.
+func TestRelDrainAllocBound(t *testing.T) {
+	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500)
+	perRecord := drainAllocsPerRecord(t, backend, len(locs))
+	const maxAllocsPerRecord = 3
+	if perRecord > maxAllocsPerRecord {
+		t.Errorf("rel:// drain allocates %.1f objects/record, budget %d", perRecord, maxAllocsPerRecord)
+	}
+	t.Logf("rel:// drain: %.2f allocs/record over %d records", perRecord, len(locs))
 }
 
 // TestRelTraceAllocBound bounds what a small answer costs over the
