@@ -49,8 +49,6 @@ type CLIConfig struct {
 	// "rel://prov.db?create=1&durable=1", "sharded://?…"); empty means the
 	// in-memory default.
 	Backend string
-	// Shards partitions the provenance store (see Config.Shards).
-	Shards int
 	// BatchSize groups provenance appends (see Config.BatchSize).
 	BatchSize int
 	// Queries are provenance queries: "src|hist|mod|trace PATH", or
@@ -137,7 +135,6 @@ func RunCLI(cfg CLIConfig, w io.Writer) error {
 		Method:          method,
 		Backend:         backend,
 		AutoCommitEvery: cfg.CommitEvery,
-		Shards:          cfg.Shards,
 		BatchSize:       cfg.BatchSize,
 	})
 	if err != nil {
@@ -367,12 +364,8 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 	// The session's Flush drains the batching layer into the authority;
 	// this one makes the authority seal the transaction those writes
 	// opened.
-	if f, ok := auth.(provstore.ContextFlusher); ok {
-		if err := f.FlushContext(ctx); err != nil {
-			return err
-		}
-	} else if f, ok := auth.(provstore.Flusher); ok {
-		if err := f.Flush(); err != nil {
+	if f, ok := auth.(provstore.Flusher); ok {
+		if err := f.Flush(ctx); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,6 @@ func main() {
 	flag.StringVar(&cfg.Method, "method", "HT", "provenance method: N, H, T, HT")
 	flag.StringVar(&cfg.Backend, "backend", "", `provenance store DSN, e.g. "mem://?shards=8" or "rel://prov.db?create=1&durable=1"`)
 	flag.IntVar(&cfg.CommitEvery, "commit-every", 5, "auto-commit every N operations (0 = manual)")
-	flag.IntVar(&cfg.Shards, "shards", 1, "partition the provenance store across N shards")
 	flag.IntVar(&cfg.BatchSize, "batch", 1, "group-commit provenance appends in batches of N records")
 	flag.Var(&cfg.Queries, "query", `provenance query, e.g. "hist T/c2/y" (repeatable)`)
 	flag.BoolVar(&cfg.Analyze, "analyze", false, `EXPLAIN ANALYZE every "plan" query: print per-operator rows and timings`)

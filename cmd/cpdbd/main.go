@@ -86,9 +86,11 @@
 //
 // A rel:// store reports the work its engine has done since open —
 // rel.bufpool.hits, rel.bufpool.misses (pages fetched) and
-// rel.rows_decoded — in /v1/stats and as cpdb_backend_gauge on /metrics;
+// rel.rows_decoded — in /v1/stats and as cpdb_rel_*_total on /metrics;
 // the difference of two readings is what the requests in between cost
-// below the Backend interface.
+// below the Backend interface. Every layer reports this way: /v1/stats, the
+// shutdown dump and /metrics are three renderings of the registries the
+// served chain exposes (internal/provobs).
 package main
 
 import (

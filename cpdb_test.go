@@ -83,9 +83,10 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedSessionEquivalence: any Shards/BatchSize configuration stores
-// exactly the provenance table of the default single-store write-through
-// session — the paper's semantics are invariant under the scaling knobs.
+// TestShardedSessionEquivalence: any sharded-backend/BatchSize configuration
+// stores exactly the provenance table of the default single-store
+// write-through session — the paper's semantics are invariant under the
+// scaling knobs.
 func TestShardedSessionEquivalence(t *testing.T) {
 	table := func(cfgTweak func(*cpdb.Config)) []string {
 		t.Helper()
@@ -125,13 +126,14 @@ func TestShardedSessionEquivalence(t *testing.T) {
 	}
 	want := table(func(*cpdb.Config) {})
 	cases := map[string]func(*cpdb.Config){
-		"explicit-1-1":    func(c *cpdb.Config) { c.Shards, c.BatchSize = 1, 1 },
-		"sharded":         func(c *cpdb.Config) { c.Shards = 4 },
-		"batched":         func(c *cpdb.Config) { c.BatchSize = 16 },
-		"sharded-batched": func(c *cpdb.Config) { c.Shards, c.BatchSize = 4, 16 },
-		"sharded-backend": func(c *cpdb.Config) {
-			c.Shards = 3
-			c.Backend = openBackend(t, "mem://?shards=3")
+		"explicit-1-1": func(c *cpdb.Config) { c.Backend, c.BatchSize = openBackend(t, "mem://?shards=1"), 1 },
+		"sharded":      func(c *cpdb.Config) { c.Backend = openBackend(t, "mem://?shards=4") },
+		"batched":      func(c *cpdb.Config) { c.BatchSize = 16 },
+		"sharded-batched": func(c *cpdb.Config) {
+			c.Backend, c.BatchSize = openBackend(t, "mem://?shards=4"), 16
+		},
+		"sharded-dsn": func(c *cpdb.Config) {
+			c.Backend = openBackend(t, "sharded://?shard=mem://&shard=mem://&shard=mem://")
 		},
 	}
 	for name, tweak := range cases {
@@ -139,15 +141,6 @@ func TestShardedSessionEquivalence(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%s: records diverge:\n got %v\nwant %v", name, got, want)
 		}
-	}
-	// Shards > 1 with a non-sharded explicit backend is a config error.
-	_, err := cpdb.New(cpdb.Config{
-		Target:  cpdb.NewMemTarget("T", figures.T0()),
-		Shards:  2,
-		Backend: openBackend(t, "mem://"),
-	})
-	if err == nil {
-		t.Error("Shards>1 over a plain backend should error")
 	}
 }
 

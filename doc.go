@@ -15,9 +15,10 @@
 // in-memory store, a from-scratch relational storage engine, or a networked
 // provenance service (cmd/cpdbd) reached through the cpdb:// scheme.
 //
-// Beyond the paper, the store scales out: Config.Shards partitions the
-// provenance store across independently locked shards (queries
-// scatter-gather and merge), and Config.BatchSize group-commits appends —
+// Beyond the paper, the store scales out: a "mem://?shards=N" or
+// "sharded://" backend partitions the provenance store across independently
+// locked shards (queries scatter-gather and merge), and Config.BatchSize
+// group-commits appends —
 // one store round trip, and for the WAL-backed relational store a constant
 // fsync cost, per batch instead of per record. The defaults reproduce the
 // paper's single-store behavior exactly.

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/path"
@@ -76,18 +75,17 @@ type AuthBackend struct {
 	open    []provstore.Record
 	openTid int64 // 0 when no transaction is open
 
-	proofsServed   atomic.Int64
-	verifyFailures atomic.Int64
-
-	obs      *provobs.Registry
-	proveDur *provobs.Histogram
+	obs            *provobs.Registry
+	proofsServed   *provobs.Counter // auth.proofs_served
+	verifyFailures *provobs.Counter // auth.verify_failures
+	proveDur       *provobs.Histogram
 }
 
 var (
 	_ provstore.Backend        = (*AuthBackend)(nil)
 	_ provstore.GroupCommitter = (*AuthBackend)(nil)
 	_ provstore.Flusher        = (*AuthBackend)(nil)
-	_ provstore.Gauger         = (*AuthBackend)(nil)
+	_ provobs.Source           = (*AuthBackend)(nil)
 	_ io.Closer                = (*AuthBackend)(nil)
 	_ Authority                = (*AuthBackend)(nil)
 )
@@ -98,8 +96,7 @@ var (
 // transaction. Everything already in the store is sealed.
 func New(inner provstore.Backend) (*AuthBackend, error) {
 	a := &AuthBackend{inner: inner, leaf: make(map[string]uint64), obs: provobs.NewRegistry()}
-	a.proveDur = a.obs.Histogram("cpdb_auth_prove_duration_seconds",
-		"Time to build one inclusion proof (lock wait included).", provobs.UnitSeconds)
+	a.register()
 	for rec, err := range inner.Scan(context.Background(), provstore.All()) {
 		if err != nil {
 			return nil, fmt.Errorf("provauth: rebuilding tree from store: %w", err)
@@ -253,18 +250,13 @@ func (a *AuthBackend) rootLocked() Root {
 // Flush implements Flusher: the open transaction seals (its records become
 // provable), then the inner store's buffers push down. A session's
 // Close/Flush is what publishes the root of its final transaction.
-func (a *AuthBackend) Flush() error {
-	return a.FlushContext(context.Background())
-}
-
-// FlushContext implements provstore.ContextFlusher.
-func (a *AuthBackend) FlushContext(ctx context.Context) error {
+func (a *AuthBackend) Flush(ctx context.Context) error {
 	a.mu.Lock()
 	if a.openTid != 0 {
 		a.seal()
 	}
 	a.mu.Unlock()
-	return provstore.FlushContext(ctx, a.inner)
+	return provstore.Flush(ctx, a.inner)
 }
 
 // Close implements io.Closer: seal, then flush and close the inner store.
@@ -277,36 +269,35 @@ func (a *AuthBackend) Close() error {
 	return provstore.Close(a.inner)
 }
 
-// Gauges implements provstore.Gauger, surfaced through /v1/stats and the
-// cpdbd shutdown dump:
+// register names this layer's series, surfaced through /v1/stats, /metrics
+// and the cpdbd shutdown dump:
 //
 //	auth.root_tid         last sealed transaction id
 //	auth.root_size        leaves under the published root
 //	auth.proofs_served    inclusion + consistency proofs generated
 //	auth.verify_failures  fail-closed events this layer raised (a record
 //	                      served by the store that the log never admitted)
-//
-// Inner gauges (a replicated store's repl.*, say) merge through.
-func (a *AuthBackend) Gauges() map[string]int64 {
-	a.mu.RLock()
-	root := a.rootLocked()
-	a.mu.RUnlock()
-	out := map[string]int64{
-		"auth.root_tid":        root.Tid,
-		"auth.root_size":       int64(root.Size),
-		"auth.proofs_served":   a.proofsServed.Load(),
-		"auth.verify_failures": a.verifyFailures.Load(),
+func (a *AuthBackend) register() {
+	root := func() Root {
+		a.mu.RLock()
+		defer a.mu.RUnlock()
+		return a.rootLocked()
 	}
-	if g, ok := a.inner.(provstore.Gauger); ok {
-		for k, v := range g.Gauges() {
-			out[k] = v
-		}
-	}
-	return out
+	a.obs.GaugeFunc("cpdb_auth_root_tid", "Last sealed transaction id.",
+		func() int64 { return root().Tid }, provobs.WithStatKey("auth.root_tid"))
+	a.obs.GaugeFunc("cpdb_auth_root_size", "Leaves under the published root.",
+		func() int64 { return int64(root().Size) }, provobs.WithStatKey("auth.root_size"))
+	a.proofsServed = a.obs.Counter("cpdb_auth_proofs_served_total",
+		"Inclusion and consistency proofs generated.", provobs.WithStatKey("auth.proofs_served"))
+	a.verifyFailures = a.obs.Counter("cpdb_auth_verify_failures_total",
+		"Records served by the store that the log never admitted (fail-closed events).",
+		provobs.WithStatKey("auth.verify_failures"))
+	a.proveDur = a.obs.Histogram("cpdb_auth_prove_duration_seconds",
+		"Time to build one inclusion proof (lock wait included).", provobs.UnitSeconds)
 }
 
-// ObsRegistries implements provobs.Source: this layer's metrics (prove
-// latency) plus whatever the wrapped store exposes.
+// ObsRegistries implements provobs.Source: this layer's registry, then
+// whatever the wrapped store exposes.
 func (a *AuthBackend) ObsRegistries() []*provobs.Registry {
 	return append([]*provobs.Registry{a.obs}, provobs.SourceRegistries(a.inner)...)
 }

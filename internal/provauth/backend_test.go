@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/path"
 	"repro/internal/provauth"
+	"repro/internal/provobs"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 )
@@ -54,7 +55,7 @@ func load(t *testing.T, a *provauth.AuthBackend) {
 			t.Fatalf("Append tid %d: %v", txn[0].Tid, err)
 		}
 	}
-	if err := a.Flush(); err != nil {
+	if err := a.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 }
@@ -119,7 +120,7 @@ func TestProveAndVerify(t *testing.T) {
 	if _, _, err := a.Prove(ctx, 9, path.MustParse("S/a")); !errors.Is(err, provauth.ErrNotInLog) {
 		t.Fatalf("Prove of absent record: %v, want ErrNotInLog", err)
 	}
-	g := a.Gauges()
+	g := provobs.Stats(provobs.SourceRegistries(a)...)
 	if g["auth.verify_failures"] == 0 {
 		t.Fatal("auth.verify_failures not bumped by ErrNotInLog")
 	}

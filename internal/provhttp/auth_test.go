@@ -67,7 +67,7 @@ func ingest(t *testing.T, cli *provhttp.Client) []provstore.Record {
 	if err := cli.Append(ctx, recs[3:]); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	return recs
@@ -155,7 +155,7 @@ func TestPinLifecycle(t *testing.T) {
 	if err := cli.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "S/a", "")}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if _, ok, err := cli.Lookup(ctx, 1, path.MustParse("S/a")); err != nil || !ok {
@@ -174,7 +174,7 @@ func TestPinLifecycle(t *testing.T) {
 	if err := cli.Append(ctx, []provstore.Record{rec(2, provstore.OpInsert, "T/b", "")}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil {
@@ -235,7 +235,7 @@ func TestRollbackDetected(t *testing.T) {
 	if err := cli2.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "S/a", "")}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli2.Flush(); err != nil {
+	if err := cli2.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if _, _, err := cli2.Lookup(ctx, 1, path.MustParse("S/a")); err == nil {
@@ -279,7 +279,7 @@ func TestDivergedHistoryDetected(t *testing.T) {
 	if err := cli2.Append(ctx, recs[3:]); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli2.Flush(); err != nil {
+	if err := cli2.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if _, err := provstore.CollectScan(cli2.Scan(ctx, provstore.All())); !errors.Is(err, provauth.ErrVerify) {
@@ -305,7 +305,7 @@ func TestVerifiedHorizon(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("verified scan yielded %d records, want the 5 sealed ones", len(got))
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if got, err = provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil || len(got) != 6 {
@@ -471,7 +471,7 @@ func TestOpenRecordMidStreamDoesNotTruncate(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if err := cli.Append(ctx, []provstore.Record{rec(9, provstore.OpInsert, "S/a/x", "")}); err != nil {
@@ -525,7 +525,7 @@ func TestProvenPagingAcrossOpenTransaction(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if err := cli.Append(ctx, []provstore.Record{

@@ -480,7 +480,7 @@ func TestCacheEquivalenceInterleaved(t *testing.T) {
 				if _, err := ed.Commit(); err != nil && !errors.Is(err, provstore.ErrNoTxn) {
 					t.Fatal(err)
 				}
-				if err := cached.Flush(); err != nil {
+				if err := cached.Flush(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 				st, err := plain.Stat(ctx)

@@ -94,15 +94,14 @@ type Client struct {
 	obsTid     atomic.Int64
 }
 
-// flushTimeout bounds the Flush/Close round trips, which take no caller
-// context (they implement the context-free Flusher/Closer interfaces):
-// a shutdown path must not hang forever on a dead or black-holed service.
+// flushTimeout bounds the Flush/Close round trips, which a shutdown path
+// runs with no deadline of its own: it must not hang forever on a dead or
+// black-holed service.
 const flushTimeout = 30 * time.Second
 
 var (
 	_ provstore.Backend  = (*Client)(nil)
 	_ provstore.Flusher  = (*Client)(nil)
-	_ provstore.Gauger   = (*Client)(nil)
 	_ provplan.Executor  = (*Client)(nil)
 	_ io.Closer          = (*Client)(nil)
 	_ provauth.Authority = (*Client)(nil)
@@ -232,22 +231,13 @@ func (c *Client) CacheStats() (hits, misses int64) {
 }
 
 // ObsRegistries implements provobs.Source: the result cache's registry,
-// so a daemon chaining a cached client (or any /metrics exposition over
-// this backend) carries the cpdb_cache_*{cache="client"} series.
+// so a daemon chaining a cached client carries the cpdb_cache_*{cache="client"}
+// series on /metrics and the flat cache.client.* keys in /v1/stats.
 func (c *Client) ObsRegistries() []*provobs.Registry {
 	if c.cacheReg == nil {
 		return nil
 	}
 	return []*provobs.Registry{c.cacheReg}
-}
-
-// Gauges implements provstore.Gauger with the cache's flat
-// cache.client.* keys, so a chaining daemon's /v1/stats shows them.
-func (c *Client) Gauges() map[string]int64 {
-	if c.cacheReg == nil {
-		return nil
-	}
-	return c.cacheReg.StatsMap()
 }
 
 // --- one round trip per Backend method --------------------------------------
@@ -1139,18 +1129,14 @@ func (c *Client) Ping(ctx context.Context) error {
 }
 
 // Flush implements provstore.Flusher across the network: one round trip that
-// pushes the server backend's buffered group commits down to its store. The
-// interface takes no context, so the round trip is bounded by an internal
-// deadline instead of hanging a shutdown on an unreachable service.
-func (c *Client) Flush() error {
-	return c.FlushContext(context.Background())
-}
-
-// FlushContext is Flush carrying the caller's context, so a flush issued
-// while serving a request propagates that request's trace and span ids —
-// a chained daemon's flush round trip joins the caller's trace instead of
-// minting a fresh id. The round trip still carries the internal deadline.
-func (c *Client) FlushContext(ctx context.Context) (err error) {
+// pushes the server backend's buffered group commits down to its store. It
+// carries the caller's context, so a flush issued while serving a request
+// propagates that request's trace and span ids — a chained daemon's flush
+// round trip joins the caller's trace instead of minting a fresh id. A
+// shutdown path flushes under context.Background, so the round trip is also
+// bounded by an internal deadline instead of hanging on an unreachable
+// service.
+func (c *Client) Flush(ctx context.Context) (err error) {
 	ctx, sp := provtrace.Start(ctx, "rpc:flush")
 	if sp != nil {
 		defer func() {
@@ -1208,7 +1194,7 @@ func (c *Client) Traces(ctx context.Context, minDur time.Duration, limit int) ([
 // the client's pooled connections. The server's store stays open — the
 // daemon owns its lifecycle.
 func (c *Client) Close() error {
-	err := c.Flush()
+	err := c.Flush(context.Background())
 	c.hc.CloseIdleConnections()
 	return err
 }

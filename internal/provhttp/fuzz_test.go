@@ -367,7 +367,7 @@ func roundTrip(t *testing.T, data []byte, proofs bool, form string) {
 	if err := auth.Append(ctx, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := auth.Flush(); err != nil {
+	if err := auth.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {

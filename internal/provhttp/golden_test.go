@@ -106,7 +106,7 @@ func goldenSet(t *testing.T) (map[string]*httptest.Server, []goldenExchange) {
 		t.Fatal(err)
 	}
 	queryFixture(t, auth)
-	if err := auth.Flush(); err != nil {
+	if err := auth.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	servers := map[string]*httptest.Server{

@@ -9,7 +9,10 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -225,5 +228,104 @@ func TestMetricsEndpoint(t *testing.T) {
 	// would grow /v1/stats a new key and break byte-compatibility.
 	if strings.Contains(text, `endpoint="metrics"`) {
 		t.Error("/metrics instrumented itself")
+	}
+}
+
+// scrape reads a daemon's /metrics and /v1/stats back to back and returns
+// the exposition's samples by series (name plus label set) — failing the
+// test on a series that appears twice — and the flat stats.
+func scrape(t *testing.T, addr string) (samples map[string]string, stats map[string]int64) {
+	t.Helper()
+	get := func(p string) []byte {
+		resp, err := http.Get("http://" + addr + p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close() //nolint:errcheck // test read
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	samples = make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(get("/metrics"))), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		if _, dup := samples[series]; dup {
+			t.Errorf("/metrics carries %s twice", series)
+		}
+		samples[series] = value
+	}
+	if err := json.Unmarshal(get("/v1/stats"), &stats); err != nil {
+		t.Fatal(err)
+	}
+	return samples, stats
+}
+
+// TestShardedChainExposesInnerRegistries: a sharded store forwards what its
+// shards report — the verified:// shards' prove histogram reaches /metrics,
+// like-named series of the shards are one sample each, and the typed
+// counter is the number /v1/stats shows under its flat key.
+func TestShardedChainExposesInnerRegistries(t *testing.T) {
+	shard := url.QueryEscape("verified://?inner=mem://")
+	inner, err := provstore.OpenDSN("sharded://?shard=" + shard + "&shard=" + shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer provstore.Close(inner) //nolint:errcheck // in-memory teardown
+	cli, _ := serve(t, inner)
+	queryFixture(t, cli)
+	if _, err := provplan.Collect(context.Background(), cli, provplan.MustParse("trace T/c3")); err != nil {
+		t.Fatal(err)
+	}
+
+	samples, stats := scrape(t, cli.Addr())
+	if _, ok := samples["cpdb_auth_prove_duration_seconds_count"]; !ok {
+		t.Error("/metrics lacks the shards' cpdb_auth_prove_duration_seconds")
+	}
+	if stats["mem.recs_examined"] == 0 || stats["auth.root_size"] == 0 {
+		t.Errorf("/v1/stats lacks the shards' keys: %v", stats)
+	}
+	for series, key := range map[string]string{
+		"cpdb_mem_recs_examined_total": "mem.recs_examined",
+		"cpdb_auth_root_size":          "auth.root_size",
+	} {
+		if got, want := samples[series], strconv.FormatInt(stats[key], 10); got != want {
+			t.Errorf("/metrics %s = %q, /v1/stats %s = %s", series, got, key, want)
+		}
+	}
+}
+
+// TestBatchingChainExposesInnerRegistries is the same for the batching
+// layer, which used to forward nothing: a rel:// store behind it still
+// reports its engine's work on both surfaces.
+func TestBatchingChainExposesInnerRegistries(t *testing.T) {
+	rel, err := provstore.OpenDSN("rel://" + filepath.ToSlash(t.TempDir()) + "/prov.db?create=1&durable=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := provstore.NewBatching(rel, 4)
+	defer provstore.Close(inner) //nolint:errcheck // teardown
+	cli, _ := serve(t, inner)
+	queryFixture(t, cli)
+	if _, err := provplan.Collect(context.Background(), cli, provplan.MustParse("select")); err != nil {
+		t.Fatal(err)
+	}
+
+	samples, stats := scrape(t, cli.Addr())
+	if stats["rel.rows_decoded"] == 0 || stats["rel.wal.fsyncs"] == 0 {
+		t.Errorf("/v1/stats lacks the store's keys: %v", stats)
+	}
+	for series, key := range map[string]string{
+		"cpdb_rel_rows_decoded_total": "rel.rows_decoded",
+		"cpdb_rel_wal_fsyncs_total":   "rel.wal.fsyncs",
+		"cpdb_rel_bufpool_hits_total": "rel.bufpool.hits",
+	} {
+		if got, want := samples[series], strconv.FormatInt(stats[key], 10); got != want {
+			t.Errorf("/metrics %s = %q, /v1/stats %s = %s", series, got, key, want)
+		}
 	}
 }

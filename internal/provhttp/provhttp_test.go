@@ -317,7 +317,7 @@ func TestRemoteFlushSemantics(t *testing.T) {
 	if st, _ := mem.Stat(ctx); st.Count != 0 {
 		t.Fatalf("append reached the store before flush (count=%d)", st.Count)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := mem.Stat(ctx); st.Count != 1 {

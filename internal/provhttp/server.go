@@ -259,31 +259,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Inner returns the published backend (the daemon closes it at shutdown).
 func (s *Server) Inner() provstore.Backend { return s.inner }
 
-// Stats returns a snapshot of the server's counters — total requests,
-// errors, records appended/streamed, per-endpoint request counts — merged
-// with the inner backend's own gauges when it exposes any (a replicated
-// store's per-replica repl.lag.<i> / repl.applied_tid.<i>, say), so a
-// daemon's /v1/stats is the one place to watch a composite store's health.
-// The same snapshot feeds the daemon's shutdown dump.
-func (s *Server) Stats() map[string]int64 {
-	var extra map[string]int64
-	if g, ok := s.inner.(provstore.Gauger); ok {
-		extra = g.Gauges()
-	}
+// registries lists every registry this daemon reports from: the server's
+// own, the trace store's when tracing is on (so the tracing-off surface
+// stays byte-identical), and whatever the backend chain exposes.
+func (s *Server) registries() []*provobs.Registry {
+	regs := []*provobs.Registry{s.stats.reg}
 	if s.traces != nil {
-		// trace.* keys join /v1/stats only when tracing is on, so the
-		// tracing-off response stays byte-identical.
-		merged := make(map[string]int64, len(extra)+4)
-		for k, v := range extra {
-			merged[k] = v
-		}
-		for k, v := range s.traces.Registry().StatsMap(nil) {
-			merged[k] = v
-		}
-		extra = merged
+		regs = append(regs, s.traces.Registry())
 	}
-	return s.stats.reg.StatsMap(extra)
+	return append(regs, provobs.SourceRegistries(s.inner)...)
 }
+
+// Stats returns a snapshot of the server's counters — total requests,
+// errors, records appended/streamed, per-endpoint request counts — and the
+// backend chain's own (a replicated store's per-replica repl.lag.<i> /
+// repl.applied_tid.<i>, say), so a daemon's /v1/stats is the one place to
+// watch a composite store's health. The same snapshot feeds the daemon's
+// shutdown dump.
+func (s *Server) Stats() map[string]int64 { return provobs.Stats(s.registries()...) }
 
 // requestInfo is what a handler reports up to the instrumentation wrapper
 // through its obsWriter: how many records the response carried, the parsed
@@ -461,21 +454,11 @@ func (s *Server) logRequest(endpoint, trace string, rec *provtrace.Recorder, ow 
 	}
 }
 
-// handleMetrics serves the Prometheus text exposition: the server's own
-// registry, every registry the backend chain exposes (provobs.Source), and
-// the legacy flat Gauger gauges as one labeled family.
+// handleMetrics serves the Prometheus text exposition of the registries
+// Stats reads.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", provobs.ContentType)
-	regs := []*provobs.Registry{s.stats.reg}
-	if s.traces != nil {
-		regs = append(regs, s.traces.Registry())
-	}
-	regs = append(regs, provobs.SourceRegistries(s.inner)...)
-	provobs.WritePrometheus(w, regs...)
-	if g, ok := s.inner.(provstore.Gauger); ok {
-		provobs.WriteGaugeFamily(w, "cpdb_backend_gauge",
-			"Backend chain gauges keyed by their flat /v1/stats name.", g.Gauges())
-	}
+	provobs.WritePrometheus(w, s.registries()...)
 }
 
 // fail counts and writes an error response. A body over its endpoint's
@@ -1186,7 +1169,7 @@ func (s *Server) handleStat(w http.ResponseWriter, r *http.Request) {
 // durability half of a remote Session.Close. It is a no-op for write-through
 // backends.
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if err := provstore.FlushContext(r.Context(), s.inner); err != nil {
+	if err := provstore.Flush(r.Context(), s.inner); err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
 	}

@@ -51,7 +51,7 @@ func seedChain(t *testing.T, cli *provhttp.Client) {
 	if err := cli.Append(ctx, recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Flush(); err != nil {
+	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,15 +160,15 @@ func names(spans []provtrace.Span) []string {
 
 // TestFlushContinuity is the satellite regression: a flush issued under a
 // traced context must reach a chained daemon under the SAME trace id —
-// before FlushContext, Client.Flush minted a fresh background context and
-// the inner daemon's flush was an unrelated trace.
+// when Client.Flush took no context it minted a fresh background one and the
+// inner daemon's flush was an unrelated trace.
 func TestFlushContinuity(t *testing.T) {
 	innerCli, innerStore, _ := traceServe(t, provstore.NewMemBackend())
 	outerCli, _, _ := traceServe(t, innerCli)
 
 	rec := provtrace.NewRecorder("", "")
 	ctx := provtrace.WithRecorder(context.Background(), rec)
-	if err := outerCli.FlushContext(ctx); err != nil {
+	if err := outerCli.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
 	tr := innerStore.Get(rec.TraceID())

@@ -139,6 +139,19 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
+// add folds another series' snapshot into s: counts, sums and buckets add;
+// the exemplars are those of the first series that has any.
+func (s *HistSnapshot) add(o HistSnapshot) {
+	s.Count += o.Count
+	s.Sum += o.Sum
+	for i, c := range o.Bucket {
+		s.Bucket[i] += c
+	}
+	if s.Exemplars == nil {
+		s.Exemplars = o.Exemplars
+	}
+}
+
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
 // observed distribution, in raw units: the upper bound of the first bucket
 // whose cumulative count reaches ceil(q * total). The estimate is within a

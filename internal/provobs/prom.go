@@ -81,24 +81,23 @@ func joinLabels(base, extra string) string {
 
 // WritePrometheus renders every family of every registry, families sorted
 // by name across registries and series sorted by label set within each
-// family. Families that appear in several registries with identical
-// help/kind merge into one block (HELP/TYPE emitted once).
+// family. A family that appears in several registries is one block (HELP and
+// TYPE emitted once), and series of it with the same label set — one per
+// shard of a sharded store — are one sample: scalars add, histograms add
+// bucket by bucket.
 func WritePrometheus(w io.Writer, regs ...*Registry) {
 	merged := make(map[string]*family)
 	for _, r := range regs {
 		if r == nil {
 			continue
 		}
-		r.mu.Lock()
-		for name, f := range r.fams {
-			m := merged[name]
-			if m == nil {
-				m = &family{name: f.name, help: f.help, kind: f.kind, unit: f.unit}
-				merged[name] = m
+		for _, f := range r.families() {
+			if m := merged[f.name]; m != nil {
+				m.ser = append(m.ser, f.ser...)
+			} else {
+				merged[f.name] = f
 			}
-			m.ser = append(m.ser, f.ser...)
 		}
-		r.mu.Unlock()
 	}
 	names := make([]string, 0, len(merged))
 	for name := range merged {
@@ -114,18 +113,30 @@ func WritePrometheus(w io.Writer, regs ...*Registry) {
 func writeFamily(w io.Writer, f *family) {
 	fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-	ser := make([]*series, len(f.ser))
-	copy(ser, f.ser)
-	sort.Slice(ser, func(i, j int) bool {
-		return labelString(ser[i].meta.labels) < labelString(ser[j].meta.labels)
-	})
-	for _, s := range ser {
+	byLabels := make(map[string][]*series)
+	for _, s := range f.ser {
 		labels := labelString(s.meta.labels)
+		byLabels[labels] = append(byLabels[labels], s)
+	}
+	keys := make([]string, 0, len(byLabels))
+	for labels := range byLabels {
+		keys = append(keys, labels)
+	}
+	sort.Strings(keys)
+	for _, labels := range keys {
 		if f.kind != kindHistogram {
-			sample(w, f.name, labels, strconv.FormatInt(s.load(), 10))
+			var v int64
+			for _, s := range byLabels[labels] {
+				v += s.load()
+			}
+			sample(w, f.name, labels, strconv.FormatInt(v, 10))
 			continue
 		}
-		writeHistogram(w, f, labels, s.h.Snapshot())
+		var sum HistSnapshot
+		for _, s := range byLabels[labels] {
+			sum.add(s.h.Snapshot())
+		}
+		writeHistogram(w, f, labels, sum)
 	}
 }
 
@@ -160,24 +171,4 @@ func writeHistogram(w io.Writer, f *family, labels string, s HistSnapshot) {
 	sample(w, f.name+"_bucket", joinLabels(labels, `le="+Inf"`), strconv.FormatInt(s.Count, 10))
 	sample(w, f.name+"_sum", labels, formatFloat(float64(s.Sum)*scale))
 	sample(w, f.name+"_count", labels, strconv.FormatInt(s.Count, 10))
-}
-
-// WriteGaugeFamily renders one gauge family from a flat name→value map,
-// each key becoming a name="…" label — how a backend chain's legacy
-// Gauger gauges (repl.lag.0, auth.proofs_served) join the /metrics
-// exposition without each layer registering typed series.
-func WriteGaugeFamily(w io.Writer, name, help string, values map[string]int64) {
-	if len(values) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		sample(w, name, fmt.Sprintf("name=%q", escapeLabel(k)), strconv.FormatInt(values[k], 10))
-	}
 }

@@ -4,31 +4,36 @@
 // text exposition over any set of registries, and the request trace-id
 // plumbing the HTTP layer threads through context.Context.
 //
-// The package subsumes the ad-hoc map[string]int64 plumbing that grew
-// around /v1/stats: a metric registered with a stats key (WithStatKey)
-// still appears under its legacy flat name in Registry.StatsMap, so the
-// /v1/stats JSON a fleet of dashboards may already scrape stays
-// byte-compatible, while the same metric additionally serves its typed
-// Prometheus family — with latency distributions, not just totals — at
-// GET /metrics.
+// The registry is the only way a component reports numbers. A series
+// registered with a stat key (WithStatKey) appears under that flat name in
+// Stats — the /v1/stats JSON and the daemon's shutdown dump — and under its
+// typed Prometheus family, with latency distributions and not just totals,
+// at GET /metrics. A value that is computed rather than counted (replica
+// lag, the published root's size, the relational engine's I/O counters)
+// registers as a function read at snapshot time (CounterFunc, GaugeFunc).
 //
 // Design constraints, in order:
 //
 //   - Hot-path cost: Counter.Add, Gauge.Add/Set and Histogram.Observe are
 //     one or two atomic adds, no locks, no allocation — cheap enough to sit
 //     on every request and inside every plan operator.
-//   - One registry per component: the provhttp server, an authenticated
-//     store, a replicated store each own a Registry; anything that wraps a
-//     backend forwards the inner registries via the Source interface, so a
-//     composed chain (verified over sharded over rel) exposes every layer's
-//     metrics through the one daemon endpoint.
-//   - Exposition is a pure function of snapshots: WritePrometheus takes any
-//     number of registries and renders deterministic, lint-clean text — the
-//     CI scrape parses every line and rejects duplicates.
+//   - One registry per component: the provhttp server and every store or
+//     decorator that counts something (mem, rel, verified, replicated, the
+//     client cache) own a Registry; anything that wraps a backend forwards
+//     the inner registries via the Source interface, so a composed chain
+//     (verified over sharded over rel) exposes every layer's metrics through
+//     the one daemon endpoint.
+//   - Exposition is a pure function of snapshots: Stats and WritePrometheus
+//     take any number of registries and follow one rule — the same flat key,
+//     or the same family and label set, seen in several registries adds, so
+//     N shards read as the one store they stand for. The text is
+//     deterministic and lint-clean: the CI scrape parses every line and
+//     rejects duplicates.
 package provobs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -112,17 +117,22 @@ func WithStatKey(key string) MetricOpt {
 	return func(m *metricMeta) { m.statKey = key }
 }
 
-// series is one registered metric with its identity.
+// series is one registered metric with its identity: a counter, a gauge, a
+// histogram, or a function read at snapshot time.
 type series struct {
 	meta metricMeta
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
+	f    func() int64
 }
 
 // load returns the scalar value of a counter/gauge series.
 func (s *series) load() int64 {
-	if s.c != nil {
+	switch {
+	case s.f != nil:
+		return s.f()
+	case s.c != nil:
 		return s.c.Load()
 	}
 	return s.g.Load()
@@ -177,21 +187,37 @@ func (r *Registry) register(name, help string, kind metricKind, unit Unit, s *se
 // convention the family name should end in _total.
 func (r *Registry) Counter(name, help string, opts ...MetricOpt) *Counter {
 	s := &series{c: &Counter{}}
-	for _, o := range opts {
-		o(&s.meta)
-	}
-	r.register(name, help, kindCounter, UnitCount, s)
+	r.scalar(name, help, kindCounter, s, opts)
 	return s.c
 }
 
 // Gauge registers (and returns) a gauge series.
 func (r *Registry) Gauge(name, help string, opts ...MetricOpt) *Gauge {
 	s := &series{g: &Gauge{}}
+	r.scalar(name, help, kindGauge, s, opts)
+	return s.g
+}
+
+// CounterFunc registers a counter series whose value is f(), called at every
+// snapshot — for a monotonic count some other component already keeps (the
+// relational engine's fsyncs). f must be safe for concurrent use.
+func (r *Registry) CounterFunc(name, help string, f func() int64, opts ...MetricOpt) {
+	r.scalar(name, help, kindCounter, &series{f: f}, opts)
+}
+
+// GaugeFunc registers a gauge series whose value is f(), called at every
+// snapshot — for a value derived from state rather than counted (replica
+// lag, the published root's size). f must be safe for concurrent use.
+func (r *Registry) GaugeFunc(name, help string, f func() int64, opts ...MetricOpt) {
+	r.scalar(name, help, kindGauge, &series{f: f}, opts)
+}
+
+// scalar registers one counter or gauge series.
+func (r *Registry) scalar(name, help string, kind metricKind, s *series, opts []MetricOpt) {
 	for _, o := range opts {
 		o(&s.meta)
 	}
-	r.register(name, help, kindGauge, UnitCount, s)
-	return s.g
+	r.register(name, help, kind, UnitCount, s)
 }
 
 // Histogram registers (and returns) a histogram series. unit says how
@@ -207,31 +233,58 @@ func (r *Registry) Histogram(name, help string, unit Unit, opts ...MetricOpt) *H
 	return s.h
 }
 
-// StatsMap snapshots every counter and gauge registered with a stat key
-// into the legacy flat map, merging any extra maps (a backend's Gauger
-// gauges) over it. This is the one snapshot function behind both the
-// /v1/stats endpoint and the daemon's shutdown dump.
-func (r *Registry) StatsMap(extra ...map[string]int64) map[string]int64 {
-	out := make(map[string]int64)
+// families copies the registry's family list, so a snapshot evaluates
+// function-backed series (which may take their component's locks) outside
+// the registration lock.
+func (r *Registry) families() []*family {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
-		if f.kind == kindHistogram {
-			continue
-		}
-		for _, s := range f.ser {
-			if s.meta.statKey != "" {
-				out[s.meta.statKey] = s.load()
-			}
-		}
+		fams = append(fams, &family{name: f.name, help: f.help, kind: f.kind, unit: f.unit, ser: slices.Clone(f.ser)})
 	}
-	r.mu.Unlock()
-	for _, m := range extra {
-		for k, v := range m {
-			out[k] = v
+	return fams
+}
+
+// Unkeyed returns a view of r holding the series registered so far — live:
+// the view shares their handles — without their stat keys, so they reach
+// /metrics but not Stats.
+func (r *Registry) Unkeyed() *Registry {
+	v := NewRegistry()
+	for _, f := range r.families() {
+		for i, s := range f.ser {
+			c := *s
+			c.meta.statKey = ""
+			f.ser[i] = &c
+		}
+		v.fams[f.name] = f
+	}
+	return v
+}
+
+// Stats snapshots every counter and gauge registered with a stat key into
+// one flat map; a key registered in several registries (one per shard) reads
+// as the sum. This is the one snapshot function behind both the /v1/stats
+// endpoint and the daemon's shutdown dump.
+func Stats(regs ...*Registry) map[string]int64 {
+	out := make(map[string]int64)
+	for _, r := range regs {
+		for _, f := range r.families() {
+			if f.kind == kindHistogram {
+				continue
+			}
+			for _, s := range f.ser {
+				if s.meta.statKey != "" {
+					out[s.meta.statKey] += s.load()
+				}
+			}
 		}
 	}
 	return out
 }
+
+// StatsMap is Stats of this registry alone.
+func (r *Registry) StatsMap() map[string]int64 { return Stats(r) }
 
 // DumpLines renders a stats snapshot as sorted "k=v" lines for a shutdown
 // dump. Zero values are elided, except the ones where zero is exactly the

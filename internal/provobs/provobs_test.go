@@ -225,28 +225,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestWriteGaugeFamily(t *testing.T) {
-	var b strings.Builder
-	WriteGaugeFamily(&b, "cpdb_backend_gauge", "Backend gauges.", map[string]int64{
-		"repl.lag.0": 3,
-		"auth.root":  1,
-	})
-	out := b.String()
-	parseExposition(t, out)
-	if !strings.Contains(out, `cpdb_backend_gauge{name="repl.lag.0"} 3`) {
-		t.Errorf("missing labeled gauge:\n%s", out)
-	}
-	// Keys render sorted.
-	if strings.Index(out, `auth.root`) > strings.Index(out, `repl.lag.0`) {
-		t.Errorf("gauge keys not sorted:\n%s", out)
-	}
-	b.Reset()
-	WriteGaugeFamily(&b, "cpdb_backend_gauge", "Backend gauges.", nil)
-	if b.Len() != 0 {
-		t.Errorf("empty family rendered: %q", b.String())
-	}
-}
-
 func TestStatsMapAndDumpLines(t *testing.T) {
 	r := NewRegistry()
 	req := r.Counter("cpdb_requests_total", "Requests.", WithStatKey("requests"))
@@ -255,7 +233,10 @@ func TestStatsMapAndDumpLines(t *testing.T) {
 	r.Histogram("cpdb_latency_seconds", "Latency.", UnitSeconds, WithStatKey("ignored"))
 	req.Add(5)
 
-	m := r.StatsMap(map[string]int64{"repl.lag.0": 0, "extra": 9})
+	extra := NewRegistry()
+	extra.GaugeFunc("cpdb_repl_lag_tids", "Lag.", func() int64 { return 0 }, WithStatKey("repl.lag.0"))
+	extra.CounterFunc("cpdb_extra_total", "Extra.", func() int64 { return 9 }, WithStatKey("extra"))
+	m := Stats(r, extra)
 	want := map[string]int64{"requests": 5, "cursors_open": 0, "repl.lag.0": 0, "extra": 9}
 	if len(m) != len(want) {
 		t.Fatalf("StatsMap = %v, want %v", m, want)
@@ -278,6 +259,41 @@ func TestStatsMapAndDumpLines(t *testing.T) {
 	wantLines := "auth.proofs=0\ncursors_open=0\nerrors=2\nrepl.lag.0=0"
 	if got != wantLines {
 		t.Errorf("DumpLines =\n%s\nwant\n%s", got, wantLines)
+	}
+}
+
+// TestSnapshotsAddAcrossRegistries pins the one merge rule: the same flat
+// key, or the same family and label set, registered in several registries
+// (one per shard) is one number — scalars and histograms alike — and an
+// Unkeyed view keeps a series on the exposition but off the flat map.
+func TestSnapshotsAddAcrossRegistries(t *testing.T) {
+	var regs []*Registry
+	for shard := int64(1); shard <= 3; shard++ {
+		r := NewRegistry()
+		r.Counter("cpdb_reads_total", "Reads.", WithStatKey("reads")).Add(shard)
+		r.GaugeFunc("cpdb_size", "Size.", func() int64 { return 10 * shard }, WithStatKey("size"))
+		r.Histogram("cpdb_wait_seconds", "Wait.", UnitSeconds).Observe(shard * 1_000_000_000)
+		regs = append(regs, r)
+	}
+	if m := Stats(regs...); m["reads"] != 6 || m["size"] != 60 || len(m) != 2 {
+		t.Errorf("Stats over three shards = %v, want reads=6 size=60", m)
+	}
+	regs[2] = regs[2].Unkeyed()
+	if m := Stats(regs...); m["reads"] != 3 || m["size"] != 30 {
+		t.Errorf("Stats with one shard unkeyed = %v, want reads=3 size=30", m)
+	}
+	var b strings.Builder
+	WritePrometheus(&b, regs...)
+	out := b.String()
+	parseExposition(t, out) // fails on a duplicate series
+	for _, want := range []string{
+		"cpdb_reads_total 6\n", "cpdb_size 60\n",
+		"cpdb_wait_seconds_count 3\n", "cpdb_wait_seconds_sum 6\n",
+		`cpdb_wait_seconds_bucket{le="+Inf"} 3` + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
 	}
 }
 

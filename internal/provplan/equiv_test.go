@@ -198,25 +198,25 @@ func TestPlanLegacyEquivalence(t *testing.T) {
 			for _, horizon := range []int64{maxTid, maxTid / 2} {
 				for _, p := range probes {
 					gotTr, err1 := e.Trace(ctx, p, horizon)
-					wantTr, err2 := e.LegacyTrace(ctx, p, horizon)
+					wantTr, err2 := legacyTrace(ctx, e.Backend(), p, horizon)
 					if sameErr("Trace", p, horizon, err1, err2) && !reflect.DeepEqual(gotTr, wantTr) {
 						t.Errorf("Trace(%s, %d):\nplan   %+v\nlegacy %+v", p, horizon, gotTr, wantTr)
 					}
 
 					gotTid, gotOK, err1 := e.Src(ctx, p, horizon)
-					wantTid, wantOK, err2 := e.LegacySrc(ctx, p, horizon)
+					wantTid, wantOK, err2 := legacySrc(ctx, e.Backend(), p, horizon)
 					if sameErr("Src", p, horizon, err1, err2) && (gotTid != wantTid || gotOK != wantOK) {
 						t.Errorf("Src(%s, %d): plan (%d, %v), legacy (%d, %v)", p, horizon, gotTid, gotOK, wantTid, wantOK)
 					}
 
 					gotHist, err1 := e.Hist(ctx, p, horizon)
-					wantHist, err2 := e.LegacyHist(ctx, p, horizon)
+					wantHist, err2 := legacyHist(ctx, e.Backend(), p, horizon)
 					if sameErr("Hist", p, horizon, err1, err2) && fmt.Sprint(gotHist) != fmt.Sprint(wantHist) {
 						t.Errorf("Hist(%s, %d): plan %v, legacy %v", p, horizon, gotHist, wantHist)
 					}
 
 					gotMod, err1 := e.Mod(ctx, p, horizon)
-					wantMod, err2 := e.LegacyMod(ctx, p, horizon)
+					wantMod, err2 := legacyMod(ctx, e.Backend(), p, horizon)
 					if sameErr("Mod", p, horizon, err1, err2) && fmt.Sprint(gotMod) != fmt.Sprint(wantMod) {
 						t.Errorf("Mod(%s, %d): plan %v, legacy %v", p, horizon, gotMod, wantMod)
 					}

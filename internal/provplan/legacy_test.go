@@ -1,4 +1,4 @@
-package provquery
+package provplan_test
 
 import (
 	"context"
@@ -12,21 +12,21 @@ import (
 
 // This file preserves the pre-planner, client-orchestrated query
 // implementations: each chain step or BFS wave issues its own backend
-// scans from the client. They are the reference the plan-compiled Engine
-// methods are held equivalent to by the property tests, and the
-// N-round-trip baseline of the bench sweep's remote comparison. The one
-// modernization is the Mod wave scatter, which goes through the planner's
-// parallel subplan path (provplan.RunAll) instead of the bespoke goroutine
-// fan-out it used to carry.
+// scans from the client. They are the reference oracle the plan-compiled
+// Engine methods are held equivalent to by TestPlanLegacyEquivalence, and
+// nothing else: test code, moved here from package provquery unchanged in
+// behaviour. The one modernization is the Mod wave scatter, which goes
+// through the planner's parallel subplan path (provplan.RunAll) instead of
+// the bespoke goroutine fan-out it used to carry.
 
 // effectiveAt resolves the effective record for loc in every transaction,
 // client-side, from one WithAncestors scan round trip: for each
 // transaction the record with the longest Loc (nearest ancestor-or-self)
 // governs. The cursor streams; only the winning record per transaction is
 // retained, so memory is O(transactions touching loc), not O(records).
-func (e *Engine) effectiveAt(ctx context.Context, loc path.Path) (map[int64]provstore.Record, error) {
+func effectiveAt(ctx context.Context, b provstore.Backend, loc path.Path) (map[int64]provstore.Record, error) {
 	out := make(map[int64]provstore.Record)
-	for r, err := range e.backend.Scan(ctx, provstore.WithAncestors(loc)) {
+	for r, err := range b.Scan(ctx, provstore.WithAncestors(loc)) {
 		if err != nil {
 			return nil, err
 		}
@@ -53,12 +53,12 @@ func (e *Engine) effectiveAt(ctx context.Context, loc path.Path) (map[int64]prov
 	return out, nil
 }
 
-// LegacyTrace is the client-orchestrated Trace: one WithAncestors scan
+// legacyTrace is the client-orchestrated Trace: one WithAncestors scan
 // round trip per chain step, resolved client-side.
-func (e *Engine) LegacyTrace(ctx context.Context, p path.Path, tnow int64) (TraceResult, error) {
-	var res TraceResult
+func legacyTrace(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) (provplan.TraceResult, error) {
+	var res provplan.TraceResult
 	cur := p
-	eff, err := e.effectiveAt(ctx, cur)
+	eff, err := effectiveAt(ctx, b, cur)
 	if err != nil {
 		return res, err
 	}
@@ -69,44 +69,44 @@ func (e *Engine) LegacyTrace(ctx context.Context, p path.Path, tnow int64) (Trac
 		}
 		switch rec.Op {
 		case provstore.OpInsert:
-			res.Events = append(res.Events, Event{Tid: t, Op: provstore.OpInsert, Loc: cur})
-			res.Origin = OriginInserted
+			res.Events = append(res.Events, provplan.Event{Tid: t, Op: provstore.OpInsert, Loc: cur})
+			res.Origin = provplan.OriginInserted
 			return res, nil
 		case provstore.OpCopy:
-			res.Events = append(res.Events, Event{Tid: t, Op: provstore.OpCopy, Loc: cur, Src: rec.Src})
+			res.Events = append(res.Events, provplan.Event{Tid: t, Op: provstore.OpCopy, Loc: cur, Src: rec.Src})
 			cur = rec.Src
 			if cur.DB() != p.DB() {
 				// The chain leaves this database; without the source's
 				// own provenance store the answer is necessarily
 				// partial (§2.2).
-				res.Origin = OriginExternal
+				res.Origin = provplan.OriginExternal
 				res.External = cur
 				return res, nil
 			}
-			if eff, err = e.effectiveAt(ctx, cur); err != nil {
+			if eff, err = effectiveAt(ctx, b, cur); err != nil {
 				return res, err
 			}
 		case provstore.OpDelete:
 			// Live data cannot trace through its own deletion.
-			return res, fmt.Errorf("%w: %s deleted in txn %d", ErrBadTrace, cur, t)
+			return res, fmt.Errorf("%w: %s deleted in txn %d", provplan.ErrBadTrace, cur, t)
 		}
 	}
-	res.Origin = OriginPreexisting
+	res.Origin = provplan.OriginPreexisting
 	return res, nil
 }
 
-// LegacySrc is the client-orchestrated Src: LegacyTrace plus the paper's
+// legacySrc is the client-orchestrated Src: legacyTrace plus the paper's
 // getSrc verification probe (two more round trips on a remote store).
-func (e *Engine) LegacySrc(ctx context.Context, p path.Path, tnow int64) (int64, bool, error) {
-	tr, err := e.LegacyTrace(ctx, p, tnow)
+func legacySrc(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) (int64, bool, error) {
+	tr, err := legacyTrace(ctx, b, p, tnow)
 	if err != nil {
 		return 0, false, err
 	}
-	if tr.Origin != OriginInserted {
+	if tr.Origin != provplan.OriginInserted {
 		return 0, false, nil
 	}
 	last := tr.Events[len(tr.Events)-1]
-	rec, ok, err := provstore.Effective(ctx, e.backend, last.Tid, last.Loc)
+	rec, ok, err := provstore.Effective(ctx, b, last.Tid, last.Loc)
 	if err != nil {
 		return 0, false, err
 	}
@@ -116,10 +116,10 @@ func (e *Engine) LegacySrc(ctx context.Context, p path.Path, tnow int64) (int64,
 	return last.Tid, true, nil
 }
 
-// LegacyHist is the client-orchestrated Hist: the copy steps of
-// LegacyTrace.
-func (e *Engine) LegacyHist(ctx context.Context, p path.Path, tnow int64) ([]int64, error) {
-	tr, err := e.LegacyTrace(ctx, p, tnow)
+// legacyHist is the client-orchestrated Hist: the copy steps of
+// legacyTrace.
+func legacyHist(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) ([]int64, error) {
+	tr, err := legacyTrace(ctx, b, p, tnow)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func newRegion(prefix path.Path, bound int64) region {
 	return region{prefix: prefix, bound: bound, key: string(prefix.AppendBinary(nil))}
 }
 
-// LegacyMod is the client-orchestrated Mod: records are walked backwards
+// legacyMod is the client-orchestrated Mod: records are walked backwards
 // per traced region with per-location shadowing — the newest record at a
 // location breaks the Unch chain through it, making older records at the
 // same location unreachable (so, e.g., a placeholder inserted and
@@ -163,7 +163,7 @@ func newRegion(prefix path.Path, bound int64) region {
 // the wave's results merge sequentially in queue order, so the answer is
 // identical to the sequential walk while the wave's scans overlap in
 // flight.
-func (e *Engine) LegacyMod(ctx context.Context, p path.Path, tnow int64) ([]int64, error) {
+func legacyMod(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) ([]int64, error) {
 	result := make(map[int64]struct{})
 	seen := make(map[string]int64) // region prefix -> highest bound processed
 	queue := []region{newRegion(p, tnow)}
@@ -205,7 +205,7 @@ func (e *Engine) LegacyMod(ctx context.Context, p path.Path, tnow int64) ([]int6
 				&provplan.Query{Op: provplan.OpSelect, Where: provplan.Pred{LocUnder: prefix.String()}, Order: provplan.OrderLocTid},
 				&provplan.Query{Op: provplan.OpSelect, Where: provplan.Pred{LocAbove: prefix.String()}})
 		}
-		scans, err := provplan.RunAll(ctx, e.backend, qs...)
+		scans, err := provplan.RunAll(ctx, b, qs...)
 		if err != nil {
 			return nil, err
 		}

@@ -14,10 +14,9 @@
 // Since the declarative query layer landed, the Engine methods compile to
 // provplan plans: each query ships whole to wherever plans execute — the
 // local planner, or one POST /v1/query round trip when the backend is a
-// cpdb:// client. The pre-planner client-orchestrated implementations are
-// preserved as the Legacy* methods; the equivalence property tests hold the
-// two answer-identical on every backend, and the bench sweep uses Legacy*
-// as the N-round-trip baseline.
+// cpdb:// client. The pre-planner client-orchestrated implementations
+// survive as test code beside provplan's equivalence property test, which
+// holds the two answer-identical on every backend.
 package provquery
 
 import (

@@ -149,11 +149,7 @@ type ReplicatedBackend struct {
 	shippedTid atomic.Int64 // max acknowledged transaction id
 	shipMu     sync.Mutex   // serializes noteShipped's read-then-update
 
-	laggedReads atomic.Int64 // ReadAny reads served by a stale replica
-	rr          atomic.Uint64
-
-	verifiedRecs   atomic.Int64 // records shipped with a verified proof (Verify mode)
-	verifyFailures atomic.Int64 // proof/root checks that failed during shipping (Verify mode)
+	rr atomic.Uint64
 
 	// shipRoot is the last primary root a verified pass shipped under,
 	// trusted on first use and advanced only over verified consistency
@@ -165,8 +161,11 @@ type ReplicatedBackend struct {
 	shipRoot   provauth.Root
 	shipRootOk bool
 
-	obs      *provobs.Registry
-	applyDur *provobs.Histogram
+	obs            *provobs.Registry
+	laggedReads    *provobs.Counter // ReadAny reads served by a stale replica
+	verifiedRecs   *provobs.Counter // records shipped with a verified proof (Verify mode only)
+	verifyFailures *provobs.Counter // proof/root checks that failed during shipping (Verify mode only)
+	applyDur       *provobs.Histogram
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -178,7 +177,7 @@ var (
 	_ provstore.Backend        = (*ReplicatedBackend)(nil)
 	_ provstore.GroupCommitter = (*ReplicatedBackend)(nil)
 	_ provstore.Flusher        = (*ReplicatedBackend)(nil)
-	_ provstore.Gauger         = (*ReplicatedBackend)(nil)
+	_ provobs.Source           = (*ReplicatedBackend)(nil)
 	_ io.Closer                = (*ReplicatedBackend)(nil)
 )
 
@@ -213,22 +212,30 @@ func New(primary provstore.Backend, replicas []provstore.Backend, opts Options) 
 		ctx:     ctx,
 		cancel:  cancel,
 	}
-	b.applyDur = b.obs.Histogram("cpdb_repl_apply_batch_duration_seconds",
-		"Time to apply one shipped record batch on a replica.", provobs.UnitSeconds)
 	for i, store := range replicas {
 		r := &replica{idx: i, store: store, wake: make(chan struct{}, 1)}
 		r.synced.Store(-1) // behind until the first full drain
 		b.replicas = append(b.replicas, r)
+	}
+	b.register()
+	for _, r := range b.replicas {
 		b.wg.Add(1)
 		go b.applier(r)
 	}
 	return b, nil
 }
 
-// ObsRegistries implements provobs.Source: this layer's metrics (apply
-// batch latency) plus whatever the primary exposes.
+// ObsRegistries implements provobs.Source: this layer's registry, then the
+// primary's series without their stat keys — a replicated store's /v1/stats
+// is its repl.* keys, as it has always been (the work counters of one member
+// store are not the composite's: reads may be served by the replicas), while
+// /metrics carries the primary's typed families too.
 func (b *ReplicatedBackend) ObsRegistries() []*provobs.Registry {
-	return append([]*provobs.Registry{b.obs}, provobs.SourceRegistries(b.primary)...)
+	regs := []*provobs.Registry{b.obs}
+	for _, r := range provobs.SourceRegistries(b.primary) {
+		regs = append(regs, r.Unkeyed())
+	}
+	return regs
 }
 
 // Primary exposes the primary store (for tests and size accounting).
@@ -468,13 +475,8 @@ func (b *ReplicatedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
 // Flush implements Flusher: it pushes the primary's buffered writes down
 // and nudges the appliers. It does not wait for the replicas — shipping
 // stays asynchronous; use WaitForReplicas for a barrier.
-func (b *ReplicatedBackend) Flush() error {
-	return b.FlushContext(context.Background())
-}
-
-// FlushContext implements provstore.ContextFlusher.
-func (b *ReplicatedBackend) FlushContext(ctx context.Context) error {
-	err := provstore.FlushContext(ctx, b.primary)
+func (b *ReplicatedBackend) Flush(ctx context.Context) error {
+	err := provstore.Flush(ctx, b.primary)
 	b.wakeAll()
 	return err
 }
@@ -515,7 +517,7 @@ func (b *ReplicatedBackend) Close() error {
 	if !b.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	err := provstore.Flush(b.primary)
+	err := provstore.Flush(context.Background(), b.primary)
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), b.opts.CloseTimeout)
 	b.WaitForReplicas(drainCtx) //nolint:errcheck // best effort: a dead replica must not wedge shutdown
 	cancelDrain()
@@ -534,8 +536,9 @@ func (b *ReplicatedBackend) Close() error {
 	return err
 }
 
-// Gauges implements provstore.Gauger: per-replica staleness and progress,
-// surfaced through /v1/stats when a replicated backend sits behind cpdbd.
+// register names this layer's series: per-replica staleness and progress,
+// surfaced through /v1/stats and /metrics when a replicated backend sits
+// behind cpdbd.
 //
 //	repl.replicas          configured replica count
 //	repl.shipped_tid       max transaction id acknowledged on the primary
@@ -544,36 +547,41 @@ func (b *ReplicatedBackend) Close() error {
 //	repl.lag.<i>           repl.shipped_tid - repl.applied_tid.<i>, floored at 0
 //	repl.healthy.<i>       1 while replica i's applier is caught up and erroring-free
 //
-// With Options.Verify on, two more gauges track the authenticated stream:
+// With Options.Verify on, two more track the authenticated stream:
 //
 //	repl.verified_recs     records shipped after their inclusion proof checked out
 //	repl.verify_failures   proof or root-anchor checks that failed (shipping
 //	                       stalls while non-zero)
-func (b *ReplicatedBackend) Gauges() map[string]int64 {
-	shippedTid := b.shippedTid.Load()
-	out := map[string]int64{
-		"repl.replicas":     int64(len(b.replicas)),
-		"repl.shipped_tid":  shippedTid,
-		"repl.lagged_reads": b.laggedReads.Load(),
-	}
+func (b *ReplicatedBackend) register() {
+	key := provobs.WithStatKey
+	b.obs.GaugeFunc("cpdb_repl_replicas", "Configured replica count.",
+		func() int64 { return int64(len(b.replicas)) }, key("repl.replicas"))
+	b.obs.GaugeFunc("cpdb_repl_shipped_tid", "Max transaction id acknowledged on the primary.",
+		b.shippedTid.Load, key("repl.shipped_tid"))
+	b.laggedReads = b.obs.Counter("cpdb_repl_lagged_reads_total",
+		"ReadAny reads served by a stale replica.", key("repl.lagged_reads"))
 	if b.opts.Verify {
-		out["repl.verified_recs"] = b.verifiedRecs.Load()
-		out["repl.verify_failures"] = b.verifyFailures.Load()
+		b.verifiedRecs = b.obs.Counter("cpdb_repl_verified_records_total",
+			"Records shipped after their inclusion proof checked out.", key("repl.verified_recs"))
+		b.verifyFailures = b.obs.Counter("cpdb_repl_verify_failures_total",
+			"Proof or root-anchor checks that failed during shipping.", key("repl.verify_failures"))
 	}
+	b.applyDur = b.obs.Histogram("cpdb_repl_apply_batch_duration_seconds",
+		"Time to apply one shipped record batch on a replica.", provobs.UnitSeconds)
 	for _, r := range b.replicas {
-		applied := r.appliedTid.Load()
-		lag := shippedTid - applied
-		if lag < 0 {
-			lag = 0
-		}
-		i := fmt.Sprint(r.idx)
-		out["repl.applied_tid."+i] = applied
-		out["repl.lag."+i] = lag
-		healthy := int64(0)
-		if r.healthy.Load() {
-			healthy = 1
-		}
-		out["repl.healthy."+i] = healthy
+		i := strconv.Itoa(r.idx)
+		replica := provobs.WithLabel("replica", i)
+		b.obs.GaugeFunc("cpdb_repl_applied_tid", "A replica's high-water transaction id.",
+			r.appliedTid.Load, replica, key("repl.applied_tid."+i))
+		b.obs.GaugeFunc("cpdb_repl_lag_tids", "Transaction ids a replica trails the primary by.",
+			func() int64 { return max(b.shippedTid.Load()-r.appliedTid.Load(), 0) },
+			replica, key("repl.lag."+i))
+		b.obs.GaugeFunc("cpdb_repl_replica_healthy", "1 while a replica's applier is caught up and erroring-free.",
+			func() int64 {
+				if r.healthy.Load() {
+					return 1
+				}
+				return 0
+			}, replica, key("repl.healthy."+i))
 	}
-	return out
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/path"
 	"repro/internal/provauth"
+	"repro/internal/provobs"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 )
@@ -70,7 +71,7 @@ func TestVerifiedShipping(t *testing.T) {
 	// Seal the last transaction: the proven stream carries only sealed
 	// transactions, so without this the replica would (correctly) trail by
 	// tid 5 forever.
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	waitRecs(t, rep, 20)
@@ -79,7 +80,7 @@ func TestVerifiedShipping(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica diverged from primary:\n got %+v\nwant %+v", got, want)
 	}
-	g := b.Gauges()
+	g := provobs.Stats(provobs.SourceRegistries(b)...)
 	if g["repl.verified_recs"] < 20 {
 		t.Errorf("repl.verified_recs = %d, want >= 20", g["repl.verified_recs"])
 	}
@@ -109,7 +110,7 @@ func TestVerifiedShippingHorizon(t *testing.T) {
 	if n := len(collectAll(t, rep)); n != 3 {
 		t.Fatalf("replica holds %d records with tid 2 still open, want 3", n)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	waitRecs(t, rep, 6)
@@ -128,7 +129,7 @@ func TestVerifiedShippingBlocksTamper(t *testing.T) {
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	waitRecs(t, rep, 3)
@@ -137,11 +138,11 @@ func TestVerifiedShippingBlocksTamper(t *testing.T) {
 	if err := b.Append(ctx, tidBatch(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Gauges()["repl.verify_failures"] == 0 {
+	for provobs.Stats(provobs.SourceRegistries(b)...)["repl.verify_failures"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("repl.verify_failures never rose with an armed tamper layer")
 		}
@@ -179,7 +180,7 @@ func newSwapAuth(a *provauth.AuthBackend) *swapAuth {
 
 // Flush must forward explicitly: the embedded Backend interface hides the
 // optional Flusher surface.
-func (s *swapAuth) Flush() error { return s.cur.Load().Flush() }
+func (s *swapAuth) Flush(ctx context.Context) error { return s.cur.Load().Flush(ctx) }
 
 func (s *swapAuth) Root(ctx context.Context) (provauth.Root, error) {
 	return s.cur.Load().Root(ctx)
@@ -225,7 +226,7 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	waitRecs(t, rep, 3) // the first verified pass anchors honest's root
@@ -242,13 +243,13 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	if err := rewritten.Append(ctx, tidBatch(2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := rewritten.Flush(); err != nil {
+	if err := rewritten.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	primary.cur.Store(rewritten)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for b.Gauges()["repl.verify_failures"] == 0 {
+	for provobs.Stats(provobs.SourceRegistries(b)...)["repl.verify_failures"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("repl.verify_failures never rose against a rewritten primary")
 		}
@@ -276,7 +277,7 @@ func TestVerifyDSN(t *testing.T) {
 	if !rb.opts.Verify {
 		t.Error("verify=1 did not set Options.Verify")
 	}
-	if _, ok := rb.Gauges()["repl.verify_failures"]; !ok {
+	if _, ok := provobs.Stats(provobs.SourceRegistries(rb)...)["repl.verify_failures"]; !ok {
 		t.Error("verified backend does not surface repl.verify_failures")
 	}
 	if err := rb.Close(); err != nil {

@@ -8,9 +8,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 )
 
 // A Backend persists provenance records — it plays the role of the
@@ -81,16 +81,30 @@ type MemBackend struct {
 	locTid memIndex // the index on Loc: (Loc, Tid) order
 	bytes  int64
 
-	examined   atomic.Int64 // records compared or yielded by reads
-	outOfOrder atomic.Int64 // records appended below the last (Tid, Loc) key
+	obs        *provobs.Registry
+	examined   *provobs.Counter // mem.recs_examined
+	outOfOrder *provobs.Counter // mem.appends_out_of_order
 }
 
-var _ Gauger = (*MemBackend)(nil)
+var _ provobs.Source = (*MemBackend)(nil)
 
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend {
-	return &MemBackend{tidLoc: memIndex{cmp: CompareTidLoc}, locTid: memIndex{cmp: CompareLocTid}}
+	obs := provobs.NewRegistry()
+	return &MemBackend{
+		tidLoc: memIndex{cmp: CompareTidLoc}, locTid: memIndex{cmp: CompareLocTid},
+		obs: obs,
+		examined: obs.Counter("cpdb_mem_recs_examined_total",
+			"Records compared or yielded by reads since open.",
+			provobs.WithStatKey("mem.recs_examined")),
+		outOfOrder: obs.Counter("cpdb_mem_appends_out_of_order_total",
+			"Records appended below the last (Tid, Loc) key (two binary searches more than one in order).",
+			provobs.WithStatKey("mem.appends_out_of_order")),
+	}
 }
+
+// ObsRegistries implements provobs.Source.
+func (b *MemBackend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{b.obs} }
 
 func memKey(tid int64, loc path.Path) string {
 	buf := make([]byte, 0, 16+loc.Len()*8)
@@ -280,18 +294,6 @@ func yieldIDs(ctx context.Context, recs []Record, ids []int32, yield func(Record
 		}
 	}
 	return true
-}
-
-// Gauges implements Gauger:
-//
-//	mem.recs_examined         records compared or yielded by reads since open
-//	mem.appends_out_of_order  records appended below the last (Tid, Loc) key
-//	                          (two binary searches more than one in order)
-func (b *MemBackend) Gauges() map[string]int64 {
-	return map[string]int64{
-		"mem.recs_examined":        b.examined.Load(),
-		"mem.appends_out_of_order": b.outOfOrder.Load(),
-	}
 }
 
 // Append implements Backend.

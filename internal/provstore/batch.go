@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
 
@@ -20,9 +21,13 @@ import (
 // for throughput.
 
 // A Flusher is a backend (or backend wrapper) holding buffered writes that
-// can be pushed down on demand.
+// can be pushed down on demand. The context changes no durability semantics
+// — it exists so a flush issued while serving a request keeps that request's
+// identity: a remote client's flush round trip propagates the caller's trace
+// and span ids instead of minting fresh ones, and local buffers attach their
+// flush spans to the in-flight trace.
 type Flusher interface {
-	Flush() error
+	Flush(ctx context.Context) error
 }
 
 // A GroupCommitter persists several append batches with a single durability
@@ -33,39 +38,13 @@ type GroupCommitter interface {
 	AppendBatch(ctx context.Context, batches ...[]Record) error
 }
 
-// A Gauger is a backend exposing point-in-time operational gauges (replica
-// lag, applied transaction ids, …) keyed by dotted metric names. The
-// provhttp server merges a Gauger backend's gauges into /v1/stats, so a
-// composite store's health is visible wherever its daemon's counters are.
-type Gauger interface {
-	Gauges() map[string]int64
-}
-
 // Flush pushes buffered writes down if b buffers any; it is a no-op for
 // write-through backends.
-func Flush(b Backend) error {
+func Flush(ctx context.Context, b Backend) error {
 	if f, ok := b.(Flusher); ok {
-		return f.Flush()
+		return f.Flush(ctx)
 	}
 	return nil
-}
-
-// A ContextFlusher is a Flusher that can carry the caller's context through
-// the flush. The context changes no durability semantics — it exists so a
-// flush issued while serving a request keeps that request's identity: a
-// remote client's flush round trip propagates the caller's trace and span
-// ids instead of minting fresh ones, and local buffers attach their flush
-// spans to the in-flight trace.
-type ContextFlusher interface {
-	FlushContext(ctx context.Context) error
-}
-
-// FlushContext is Flush carrying ctx when b supports it.
-func FlushContext(ctx context.Context, b Backend) error {
-	if f, ok := b.(ContextFlusher); ok {
-		return f.FlushContext(ctx)
-	}
-	return Flush(b)
 }
 
 // Close flushes b if it buffers writes and closes it if it holds external
@@ -73,7 +52,7 @@ func FlushContext(ctx context.Context, b Backend) error {
 // backend. The flush error wins over the close error (acknowledged records
 // that could not be persisted matter more than a failed file release).
 func Close(b Backend) error {
-	err := Flush(b)
+	err := Flush(context.Background(), b)
 	if c, ok := b.(io.Closer); ok {
 		if cerr := c.Close(); err == nil {
 			err = cerr
@@ -106,8 +85,9 @@ type BatchingBackend struct {
 }
 
 var (
-	_ Backend = (*BatchingBackend)(nil)
-	_ Flusher = (*BatchingBackend)(nil)
+	_ Backend        = (*BatchingBackend)(nil)
+	_ Flusher        = (*BatchingBackend)(nil)
+	_ provobs.Source = (*BatchingBackend)(nil)
 )
 
 // NewBatching wraps inner with a group-commit buffer of the given batch
@@ -129,6 +109,12 @@ func (b *BatchingBackend) BatchSize() int { return b.size }
 
 // Inner returns the wrapped store.
 func (b *BatchingBackend) Inner() Backend { return b.inner }
+
+// ObsRegistries implements provobs.Source: the layer counts nothing itself,
+// so it exposes what the wrapped store does.
+func (b *BatchingBackend) ObsRegistries() []*provobs.Registry {
+	return provobs.SourceRegistries(b.inner)
+}
 
 // Append implements Backend: the batch is validated and enqueued, and the
 // buffer is flushed once it holds at least BatchSize records.
@@ -182,20 +168,11 @@ func (b *BatchingBackend) Pending() int {
 	return b.pending
 }
 
-// Flush pushes every buffered batch down as one group commit.
-func (b *BatchingBackend) Flush() error {
-	return b.flushCtx(context.Background())
-}
-
-// FlushContext implements ContextFlusher.
-func (b *BatchingBackend) FlushContext(ctx context.Context) error {
-	return b.flushCtx(ctx)
-}
-
-// flushCtx is Flush under a caller context — the context is used only to
-// attach the flush span to an in-flight trace; the group commit itself
-// still runs under context.Background (see flushLocked).
-func (b *BatchingBackend) flushCtx(ctx context.Context) error {
+// Flush implements Flusher: every buffered batch goes down as one group
+// commit. The context is used only to attach the flush span to an in-flight
+// trace; the group commit itself still runs under context.Background (see
+// flushLocked).
+func (b *BatchingBackend) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.flushLockedTraced(ctx)
@@ -220,7 +197,7 @@ func (b *BatchingBackend) flushLockedTraced(ctx context.Context) error {
 // Close flushes the buffer and closes the wrapped store if it holds
 // external resources; the flush error wins.
 func (b *BatchingBackend) Close() error {
-	err := b.Flush()
+	err := b.Flush(context.Background())
 	if c, ok := b.inner.(io.Closer); ok {
 		if cerr := c.Close(); err == nil {
 			err = cerr
@@ -265,7 +242,7 @@ func (b *BatchingBackend) flushLocked() error {
 
 // Lookup implements Backend.
 func (b *BatchingBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := b.flushCtx(ctx); err != nil {
+	if err := b.Flush(ctx); err != nil {
 		return Record{}, false, err
 	}
 	return b.inner.Lookup(ctx, tid, loc)
@@ -273,7 +250,7 @@ func (b *BatchingBackend) Lookup(ctx context.Context, tid int64, loc path.Path) 
 
 // NearestAncestor implements Backend.
 func (b *BatchingBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := b.flushCtx(ctx); err != nil {
+	if err := b.Flush(ctx); err != nil {
 		return Record{}, false, err
 	}
 	return b.inner.NearestAncestor(ctx, tid, loc)
@@ -310,7 +287,7 @@ func (b *BatchingBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Rec
 
 // Stat implements Backend.
 func (b *BatchingBackend) Stat(ctx context.Context) (Stat, error) {
-	if err := b.flushCtx(ctx); err != nil {
+	if err := b.Flush(ctx); err != nil {
 		return Stat{}, err
 	}
 	return b.inner.Stat(ctx)

@@ -155,7 +155,7 @@ func TestShardedIngestConcurrent(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if err := Flush(backend); err != nil {
+			if err := Flush(context.Background(), backend); err != nil {
 				t.Fatal(err)
 			}
 			st, err := backend.Stat(context.Background())
@@ -196,7 +196,7 @@ func TestBatchingBackendConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := b.Stat(context.Background()); err != nil || st.Count != writers*perWriter {

@@ -130,7 +130,7 @@ func TestBatchingFlushSurvivesCancelledAppendCtx(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatalf("flush after append-ctx cancel: %v", err)
 	}
 	if st, _ := inner.Stat(context.Background()); st.Count != 1 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 )
 
 // scanFixture loads a deterministic record set spanning several
@@ -166,7 +167,7 @@ func TestBatchingScanReadsThroughWithoutFlush(t *testing.T) {
 	// A flush between cursor construction and consumption must not
 	// duplicate records: the merge collapses equal keys.
 	cur := b.Scan(ctx, All())
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got, err = CollectScan(cur)
@@ -231,11 +232,11 @@ func TestScanSnapshotIsolation(t *testing.T) {
 					}
 					got = append(got, r)
 					if len(got) == 1 {
-						before := b.Gauges()["mem.appends_out_of_order"]
+						before := provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"]
 						if err := b.Append(ctx, late); err != nil {
 							t.Fatal(err)
 						}
-						if ooo := b.Gauges()["mem.appends_out_of_order"] > before; ooo != (aname == "out-of-order") {
+						if ooo := provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"] > before; ooo != (aname == "out-of-order") {
 							t.Fatalf("the %s append landed out of order: %v", aname, ooo)
 						}
 					}

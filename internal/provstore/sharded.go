@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
 
@@ -91,23 +92,20 @@ type ShardedBackend struct {
 }
 
 var (
-	_ Backend = (*ShardedBackend)(nil)
-	_ Gauger  = (*ShardedBackend)(nil)
+	_ Backend        = (*ShardedBackend)(nil)
+	_ provobs.Source = (*ShardedBackend)(nil)
 )
 
-// Gauges implements Gauger: the shards' gauges summed name by name, so a
-// sharded store reports the work of its reads (mem.recs_examined,
-// rel.rows_decoded, …) as the one store it stands for.
-func (b *ShardedBackend) Gauges() map[string]int64 {
-	out := map[string]int64{}
+// ObsRegistries implements provobs.Source with every shard's registries, in
+// shard order. The layer counts nothing itself; a snapshot adds the shards'
+// like-named series, so a sharded store reports the work of its reads
+// (mem.recs_examined, rel.rows_decoded, …) as the one store it stands for.
+func (b *ShardedBackend) ObsRegistries() []*provobs.Registry {
+	var regs []*provobs.Registry
 	for _, s := range b.shards {
-		if g, ok := s.(Gauger); ok {
-			for k, v := range g.Gauges() {
-				out[k] += v
-			}
-		}
+		regs = append(regs, provobs.SourceRegistries(s)...)
 	}
-	return out
+	return regs
 }
 
 // NewSharded builds a sharded backend over the given shard stores. At least
@@ -346,16 +344,11 @@ func (b *ShardedBackend) Stat(ctx context.Context) (Stat, error) {
 	return total, err
 }
 
-// Flush implements Flusher by flushing every shard that supports it.
-func (b *ShardedBackend) Flush() error {
-	return b.FlushContext(context.Background())
-}
-
-// FlushContext implements ContextFlusher, handing ctx to every shard that
-// takes one — remote shards propagate the caller's trace.
-func (b *ShardedBackend) FlushContext(ctx context.Context) error {
+// Flush implements Flusher by flushing every shard that supports it —
+// remote shards propagate the caller's trace.
+func (b *ShardedBackend) Flush(ctx context.Context) error {
 	return Fanout(ctx, len(b.shards), func(i int) error {
-		return FlushContext(ctx, b.shards[i])
+		return Flush(ctx, b.shards[i])
 	})
 }
 

@@ -50,7 +50,7 @@ func runMethod(t *testing.T, m provstore.Method, b provstore.Backend, commitEver
 	if _, err := provtest.Run(tr, figures.Forest(), figures.Sequence(), commitEvery); err != nil {
 		t.Fatal(err)
 	}
-	if err := provstore.Flush(b); err != nil {
+	if err := provstore.Flush(context.Background(), b); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := provtest.AllSorted(b)
@@ -270,7 +270,7 @@ func TestBatchingBackend(t *testing.T) {
 	if err := b.Append(context.Background(), []provstore.Record{rec(3, "a")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Flush(); err != nil {
+	if err := b.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := inner.Stat(context.Background()); st.Count != 5 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 	"repro/internal/provstore"
 	"repro/internal/relprov"
 	"repro/internal/relstore"
@@ -119,7 +120,7 @@ func TestCrashMatrix(t *testing.T) {
 	acked = append(acked, commitTxns(t, b, 41, 60)...)
 	// The crash: no Close. Everything above was acknowledged.
 	log, now := readFile(t, file+".wal"), readFile(t, file)
-	if b.Gauges()["rel.checkpoints"] != 0 || len(log) == 0 {
+	if provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] != 0 || len(log) == 0 {
 		t.Fatal("test premise: the commits must stay below the checkpoint threshold")
 	}
 	if len(now) <= len(old) {
@@ -208,10 +209,10 @@ func TestGroupCommitOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	before := b.Gauges()
+	before := provobs.Stats(provobs.SourceRegistries(b)...)
 	const n = 25
 	acked := commitTxns(t, b, 1, n)
-	after := b.Gauges()
+	after := provobs.Stats(provobs.SourceRegistries(b)...)
 	delta := func(name string) int64 { return after[name] - before[name] }
 	if delta("rel.wal.fsyncs") != n || delta("rel.data.fsyncs") != 0 || delta("rel.checkpoints") != 0 {
 		t.Fatalf("%d appends cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 0, 0",
@@ -223,14 +224,14 @@ func TestGroupCommitOneFsync(t *testing.T) {
 
 	// Keep committing until the log is checkpointed once.
 	appends := int64(n)
-	for b.Gauges()["rel.checkpoints"] == 0 {
+	for provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] == 0 {
 		if appends > 2000 {
 			t.Fatal("no checkpoint after 2000 commits")
 		}
 		acked = append(acked, commitTxns(t, b, appends+1, 10)...)
 		appends += 10
 	}
-	after = b.Gauges()
+	after = provobs.Stats(provobs.SourceRegistries(b)...)
 	if delta("rel.wal.fsyncs") != appends || delta("rel.data.fsyncs") != 1 || delta("rel.checkpoints") != 1 {
 		t.Errorf("%d appends and a checkpoint cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 1, 1",
 			appends, delta("rel.wal.fsyncs"), delta("rel.data.fsyncs"), delta("rel.checkpoints"), appends)

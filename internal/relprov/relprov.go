@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
 	"repro/internal/provstore"
 	"repro/internal/relstore"
 )
@@ -35,12 +36,13 @@ type Backend struct {
 	// durable makes every Append/AppendBatch end in one GroupCommit,
 	// instead of durability only at Flush/Close. See EnableGroupCommit.
 	durable bool
+	obs     *provobs.Registry
 }
 
 var (
 	_ provstore.Backend        = (*Backend)(nil)
 	_ provstore.GroupCommitter = (*Backend)(nil)
-	_ provstore.Gauger         = (*Backend)(nil)
+	_ provobs.Source           = (*Backend)(nil)
 )
 
 // Schema returns the provenance table schema.
@@ -67,7 +69,7 @@ func Create(db *relstore.DB) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Backend{db: db, tbl: tbl}, nil
+	return newBackend(db, tbl), nil
 }
 
 // Open attaches to an existing provenance table.
@@ -76,7 +78,7 @@ func Open(db *relstore.DB) (*Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Backend{db: db, tbl: tbl}, nil
+	return newBackend(db, tbl), nil
 }
 
 // DB exposes the underlying database (for size accounting).
@@ -106,9 +108,10 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 	b.durable = true
 }
 
-// Gauges implements provstore.Gauger with the work the engine has done
-// since the store was opened, so a daemon's /v1/stats and /metrics show what
-// a request cost below the Backend interface (diff two readings):
+// newBackend registers the work the engine has done since the store was
+// opened, so a daemon's /v1/stats and /metrics show what a request cost below
+// the Backend interface (diff two readings). Every series is read from the
+// engine's own counters at snapshot time:
 //
 //	rel.bufpool.hits    page fetches served from the buffer pool
 //	rel.bufpool.misses  page fetches that read the file
@@ -124,19 +127,33 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 // append costs exactly one log fsync and no data fsync: rel.wal.fsyncs
 // rises by one per Append/AppendBatch, rel.data.fsyncs only with
 // rel.checkpoints.
-func (b *Backend) Gauges() map[string]int64 {
-	hits, misses := b.db.CacheStats()
-	st := b.db.IOStats()
-	return map[string]int64{
-		"rel.bufpool.hits":   hits,
-		"rel.bufpool.misses": misses,
-		"rel.rows_decoded":   b.tbl.RowsDecoded(),
-		"rel.wal.fsyncs":     st.WALFsyncs,
-		"rel.wal.bytes":      st.WALBytes,
-		"rel.data.fsyncs":    st.DataFsyncs,
-		"rel.checkpoints":    st.Checkpoints,
+func newBackend(db *relstore.DB, tbl *relstore.Table) *Backend {
+	b := &Backend{db: db, tbl: tbl, obs: provobs.NewRegistry()}
+	for _, m := range []struct {
+		name, key, help string
+		read            func() int64
+	}{
+		{"cpdb_rel_bufpool_hits_total", "rel.bufpool.hits", "Page fetches served from the buffer pool.",
+			func() int64 { hits, _ := db.CacheStats(); return hits }},
+		{"cpdb_rel_bufpool_misses_total", "rel.bufpool.misses", "Page fetches that read the file.",
+			func() int64 { _, misses := db.CacheStats(); return misses }},
+		{"cpdb_rel_rows_decoded_total", "rel.rows_decoded", "Stored rows decoded.", tbl.RowsDecoded},
+		{"cpdb_rel_wal_fsyncs_total", "rel.wal.fsyncs", "Fsyncs of the write-ahead log.",
+			func() int64 { return db.IOStats().WALFsyncs }},
+		{"cpdb_rel_wal_bytes_total", "rel.wal.bytes", "Bytes appended to the write-ahead log.",
+			func() int64 { return db.IOStats().WALBytes }},
+		{"cpdb_rel_data_fsyncs_total", "rel.data.fsyncs", "Fsyncs of the data file.",
+			func() int64 { return db.IOStats().DataFsyncs }},
+		{"cpdb_rel_checkpoints_total", "rel.checkpoints", "Log truncations (each after one data fsync).",
+			func() int64 { return db.IOStats().Checkpoints }},
+	} {
+		b.obs.CounterFunc(m.name, m.help, m.read, provobs.WithStatKey(m.key))
 	}
+	return b
 }
+
+// ObsRegistries implements provobs.Source.
+func (b *Backend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{b.obs} }
 
 // Close releases the underlying database — whose Close syncs the data file
 // and then empties the log, so a cleanly closed store carries no log to

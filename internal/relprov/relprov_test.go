@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/path"
+	"repro/internal/provobs"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/relprov"
@@ -539,9 +540,9 @@ func TestRelCursorReadInLoopWithConcurrentWriter(t *testing.T) {
 // pagesAndRows reports what f cost the engine below b: buffer-pool fetches
 // (hits + misses) and rows decoded, as deltas of the backend's gauges.
 func pagesAndRows(b *relprov.Backend, f func()) (pages, rows int64) {
-	g0 := b.Gauges()
+	g0 := provobs.Stats(provobs.SourceRegistries(b)...)
 	f()
-	g1 := b.Gauges()
+	g1 := provobs.Stats(provobs.SourceRegistries(b)...)
 	pages = g1["rel.bufpool.hits"] + g1["rel.bufpool.misses"] - g0["rel.bufpool.hits"] - g0["rel.bufpool.misses"]
 	return pages, g1["rel.rows_decoded"] - g0["rel.rows_decoded"]
 }

@@ -640,12 +640,6 @@ func (it *Iter) Next() {
 	it.load()
 }
 
-// ScanPrefix calls fn for every entry whose key begins with prefix, in key
-// order, stopping early if fn returns false.
-func (t *BTree) ScanPrefix(prefix []byte, fn func(key, val []byte) bool) error {
-	return t.ScanFrom(prefix, prefix, fn)
-}
-
 // ScanFrom calls fn for every entry whose key is ≥ from and begins with
 // prefix (nil = every key), in key order, stopping early if fn returns
 // false. The walk ends on the first key outside the prefix, so the entry
@@ -654,21 +648,6 @@ func (t *BTree) ScanFrom(from, prefix []byte, fn func(key, val []byte) bool) err
 	it := t.Seek(from)
 	for ; it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
-			break
-		}
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-	}
-	return it.Err()
-}
-
-// ScanRange calls fn for every entry with lo ≤ key < hi (hi nil = no upper
-// bound), stopping early if fn returns false.
-func (t *BTree) ScanRange(lo, hi []byte, fn func(key, val []byte) bool) error {
-	it := t.Seek(lo)
-	for ; it.Valid(); it.Next() {
-		if hi != nil && bytes.Compare(it.Key(), hi) >= 0 {
 			break
 		}
 		if !fn(it.Key(), it.Value()) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -124,38 +123,22 @@ func TestBTreeSeekAndRange(t *testing.T) {
 		t.Fatalf("Seek(c) = %q", it.Key())
 	}
 	var got []string
-	bt.ScanRange([]byte("banana"), []byte("elder"), func(k, _ []byte) bool {
+	bt.ScanFrom([]byte("banana"), nil, func(k, _ []byte) bool {
+		if string(k) >= "elder" {
+			return false
+		}
 		got = append(got, string(k))
 		return true
 	})
 	want := []string{"banana", "cherry", "damson"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("ScanRange = %v, want %v", got, want)
+		t.Errorf("ScanFrom = %v, want %v", got, want)
 	}
 	// Early stop.
 	calls := 0
-	bt.ScanRange(nil, nil, func(_, _ []byte) bool { calls++; return false })
+	bt.ScanFrom(nil, nil, func(_, _ []byte) bool { calls++; return false })
 	if calls != 1 {
 		t.Errorf("early stop did not stop: %d calls", calls)
-	}
-}
-
-func TestBTreeScanPrefix(t *testing.T) {
-	bp := testPool(t, 64)
-	bt, _ := NewBTree(bp)
-	keys := []string{"prov/1/a", "prov/1/b", "prov/2/a", "other/1", "prov/1/a/x"}
-	for _, k := range keys {
-		bt.Insert([]byte(k), []byte("v"))
-	}
-	var got []string
-	bt.ScanPrefix([]byte("prov/1/"), func(k, _ []byte) bool {
-		got = append(got, string(k))
-		return true
-	})
-	sort.Strings(got)
-	want := []string{"prov/1/a", "prov/1/a/x", "prov/1/b"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("ScanPrefix = %v, want %v", got, want)
 	}
 }
 
@@ -252,6 +235,16 @@ func TestBTreeTinyCache(t *testing.T) {
 	_ = hits
 }
 
+// heapRecords scans h into a map of its live records by RID.
+func heapRecords(t *testing.T, h *Heap) map[RID]string {
+	t.Helper()
+	out := make(map[RID]string)
+	if err := h.Scan(func(rid RID, data []byte) bool { out[rid] = string(data); return true }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestHeapBasic(t *testing.T) {
 	bp := testPool(t, 64)
 	h, err := NewHeap(bp)
@@ -262,15 +255,14 @@ func TestHeapBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.Get(rid)
-	if err != nil || string(got) != "record" {
-		t.Fatalf("Get = %q, %v", got, err)
+	if got := heapRecords(t, h); len(got) != 1 || got[rid] != "record" {
+		t.Fatalf("Scan after insert = %q", got)
 	}
 	if err := h.Delete(rid); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(rid); err == nil {
-		t.Error("deleted record readable")
+	if got := heapRecords(t, h); len(got) != 0 {
+		t.Errorf("deleted record readable: %q", got)
 	}
 	if _, err := h.Insert(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
 		t.Errorf("oversized record: %v", err)
@@ -290,9 +282,8 @@ func TestHeapGrowsAndScans(t *testing.T) {
 		}
 		rids[i] = rid
 	}
-	cnt, err := h.Len()
-	if err != nil || cnt != n {
-		t.Fatalf("Len = %d, %v", cnt, err)
+	if cnt := len(heapRecords(t, h)); cnt != n {
+		t.Fatalf("scanned %d records, want %d", cnt, n)
 	}
 	// Records span multiple pages.
 	if rids[0].Page == rids[n-1].Page {
@@ -303,27 +294,12 @@ func TestHeapGrowsAndScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt2, _ := h2.Len()
-	if cnt2 != n {
-		t.Errorf("reopened Len = %d", cnt2)
+	if cnt2 := len(heapRecords(t, h2)); cnt2 != n {
+		t.Errorf("reopened heap scanned %d records", cnt2)
 	}
 	// Insert after reopen lands on the last page.
 	if _, err := h2.Insert([]byte("tail")); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRIDCodec(t *testing.T) {
-	rid := RID{Page: 77, Slot: 12}
-	got, err := DecodeRID(EncodeRID(rid))
-	if err != nil || got != rid {
-		t.Fatalf("RID codec: %v, %v", got, err)
-	}
-	if _, err := DecodeRID([]byte{1, 2}); err == nil {
-		t.Error("short RID should error")
-	}
-	if rid.String() != "77:12" {
-		t.Errorf("RID.String = %q", rid.String())
 	}
 }
 

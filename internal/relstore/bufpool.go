@@ -131,22 +131,6 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 }
 
-// Free evicts (without write-back) and frees a page. The page must be
-// pinned exactly once by the caller.
-func (bp *BufferPool) Free(id PageID) error {
-	bp.mu.Lock()
-	f, ok := bp.frames[id]
-	if !ok || f.pins != 1 {
-		bp.mu.Unlock()
-		return fmt.Errorf("relstore: freeing page %d requires exactly one pin", id)
-	}
-	bp.lru.Remove(f.elem)
-	delete(bp.frames, id)
-	pg := f.page
-	bp.mu.Unlock()
-	return bp.pager.Free(pg)
-}
-
 // FlushGroup writes back every dirty page as one group commit
 // (Pager.WriteGroup). With a log attached the group — pages and pager
 // header — is durable behind one log write and one log fsync, however many

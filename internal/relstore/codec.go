@@ -64,35 +64,6 @@ func AppendKeyBytes(buf, v []byte) []byte {
 	return append(buf, 0x00)
 }
 
-// DecodeKeyBytes decodes an escaped byte string from the front of buf.
-func DecodeKeyBytes(buf []byte) ([]byte, []byte, error) {
-	var out []byte
-	i := 0
-	for i < len(buf) {
-		switch buf[i] {
-		case 0x00:
-			return out, buf[i+1:], nil
-		case 0x01:
-			if i+1 >= len(buf) {
-				return nil, nil, errors.New("relstore: truncated key escape")
-			}
-			switch buf[i+1] {
-			case 0x02:
-				out = append(out, 0x00)
-			case 0x03:
-				out = append(out, 0x01)
-			default:
-				return nil, nil, errors.New("relstore: bad key escape")
-			}
-			i += 2
-		default:
-			out = append(out, buf[i])
-			i++
-		}
-	}
-	return nil, nil, errors.New("relstore: unterminated key string")
-}
-
 // EncodeKey encodes a sequence of typed values as an order-preserving
 // composite key.
 func EncodeKey(types []ColType, vals []Value) ([]byte, error) {

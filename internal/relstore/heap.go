@@ -1,14 +1,15 @@
 package relstore
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
 
 // A Heap is an unordered file of variable-length records chained across
 // pages. Records are addressed by RID (page, slot). The heap remembers its
-// last page for O(1) appends; full scans follow the page chain.
+// last page for O(1) appends; full scans follow the page chain. Tables are
+// index-organised (rows live in their primary B-tree's leaves); the one heap
+// in a store file holds the catalog.
 type Heap struct {
 	bp    *BufferPool
 	first PageID
@@ -19,28 +20,6 @@ type Heap struct {
 type RID struct {
 	Page PageID
 	Slot uint16
-}
-
-// String renders the RID as "page:slot".
-func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
-
-// EncodeRID returns the 6-byte encoding of the RID.
-func EncodeRID(r RID) []byte {
-	var b [6]byte
-	binary.BigEndian.PutUint32(b[0:], uint32(r.Page))
-	binary.BigEndian.PutUint16(b[4:], r.Slot)
-	return b[:]
-}
-
-// DecodeRID parses a 6-byte RID.
-func DecodeRID(b []byte) (RID, error) {
-	if len(b) != 6 {
-		return RID{}, errors.New("relstore: bad RID encoding")
-	}
-	return RID{
-		Page: PageID(binary.BigEndian.Uint32(b[0:])),
-		Slot: binary.BigEndian.Uint16(b[4:]),
-	}, nil
 }
 
 // NewHeap creates an empty heap, allocating its first page.
@@ -110,22 +89,6 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 	return RID{Page: npg.ID, Slot: uint16(slot)}, nil
 }
 
-// Get returns a copy of the record at rid.
-func (h *Heap) Get(rid RID) ([]byte, error) {
-	pg, err := h.bp.Fetch(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer h.bp.Unpin(rid.Page, false)
-	cell, err := pg.Cell(int(rid.Slot))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(cell))
-	copy(out, cell)
-	return out, nil
-}
-
 // Delete removes the record at rid.
 func (h *Heap) Delete(rid RID) error {
 	pg, err := h.bp.Fetch(rid.Page)
@@ -164,11 +127,4 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
 		id = next
 	}
 	return nil
-}
-
-// Len counts live records (a full scan).
-func (h *Heap) Len() (int, error) {
-	n := 0
-	err := h.Scan(func(RID, []byte) bool { n++; return true })
-	return n, err
 }

@@ -115,10 +115,6 @@ func (p *Page) setSlotCount(n int) {
 	binary.BigEndian.PutUint16(p.buf[offSlotCount:], uint16(n))
 }
 
-func (p *Page) freeOff() int {
-	return int(binary.BigEndian.Uint16(p.buf[offFreeOff:]))
-}
-
 func (p *Page) setFreeOff(off int) {
 	if off == PageSize {
 		// PageSize does not fit in uint16; store 0xFFFF sentinel.

@@ -362,18 +362,6 @@ func (t *Table) LastKey() (key []byte, ok bool, err error) {
 	return t.primary.Last()
 }
 
-// SeekKey returns the smallest encoded primary key ≥ from, ok=false when
-// there is none: one descent, keys only. Decoding a leading key column
-// (DecodeKeyInt) and seeking past it walks the distinct values of that
-// column without visiting the rows in between.
-func (t *Table) SeekKey(from []byte) (key []byte, ok bool, err error) {
-	it := t.primary.Seek(from)
-	if !it.Valid() {
-		return nil, false, it.Err()
-	}
-	return it.Key(), true, nil
-}
-
 // RowsDecoded returns the number of rows this table has decoded since it
 // was opened, by any method — with DB.CacheStats, the work a read did.
 func (t *Table) RowsDecoded() int64 { return t.decoded.Load() }
@@ -403,25 +391,8 @@ func (t *Table) ScanKeyPrefix(prefix []byte, fn func(Row) bool) error {
 // can record where a chunk ended and resume strictly after it (key‖0x00 is
 // the immediate successor of key in bytewise order).
 func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
-	return t.decoding(fn, func(fn func(key, enc []byte) bool) error {
-		return t.ScanEncodedFrom(from, prefix, fn)
-	})
-}
-
-// ScanEncodedFrom is ScanKeyFrom handing fn each row's stored encoding (see
-// View) instead of a decoded Row. key and enc are valid until fn returns.
-// Every row handed out counts in RowsDecoded.
-func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
-	return t.primary.ScanFrom(from, prefix, func(key, enc []byte) bool {
-		t.decoded.Add(1)
-		return fn(key, enc)
-	})
-}
-
-// decoding runs an encoded walk with fn behind the row codec.
-func (t *Table) decoding(fn func(key []byte, row Row) bool, walk func(func(key, enc []byte) bool) error) error {
 	var derr error
-	err := walk(func(key, enc []byte) bool {
+	err := t.ScanEncodedFrom(from, prefix, func(key, enc []byte) bool {
 		row, err := DecodeRow(t.types, enc)
 		if err != nil {
 			derr = err
@@ -435,26 +406,22 @@ func (t *Table) decoding(fn func(key []byte, row Row) bool, walk func(func(key, 
 	return err
 }
 
-// ScanIndexPrefix calls fn for every row matching a secondary-index prefix
-// (as built by IndexPrefix), in index order, fetching each row through the
-// primary tree.
-func (t *Table) ScanIndexPrefix(index string, prefix []byte, fn func(Row) bool) error {
-	return t.ScanIndexFrom(index, prefix, prefix, func(_ []byte, row Row) bool { return fn(row) })
-}
-
-// ScanIndexFrom is ScanKeyFrom over a secondary index: fn sees the encoded
-// index entry key (index columns followed by the primary key) and the row
-// fetched through the primary tree. The prefix is checked on the index key
-// alone, so the entry that ends the walk — and a walk whose range is empty
-// — costs no primary-tree fetch.
-func (t *Table) ScanIndexFrom(index string, from, prefix []byte, fn func(key []byte, row Row) bool) error {
-	return t.decoding(fn, func(fn func(key, enc []byte) bool) error {
-		return t.ScanIndexEncodedFrom(index, from, prefix, fn)
+// ScanEncodedFrom is ScanKeyFrom handing fn each row's stored encoding (see
+// View) instead of a decoded Row. key and enc are valid until fn returns.
+// Every row handed out counts in RowsDecoded.
+func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
+	return t.primary.ScanFrom(from, prefix, func(key, enc []byte) bool {
+		t.decoded.Add(1)
+		return fn(key, enc)
 	})
 }
 
-// ScanIndexEncodedFrom is ScanIndexFrom handing fn each row's stored
-// encoding, in place in its primary leaf (see View).
+// ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (a prefix
+// as built by IndexPrefix): fn sees the encoded index entry key (index
+// columns followed by the primary key) and the row's stored encoding, in
+// place in its primary leaf (see View). The prefix is checked on the index
+// key alone, so the entry that ends the walk — and a walk whose range is
+// empty — costs no primary-tree fetch.
 func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, enc []byte) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {

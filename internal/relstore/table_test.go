@@ -74,11 +74,7 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 		buf := AppendKeyInt(nil, v)
 		buf = AppendKeyBytes(buf, []byte(s))
 		got, rest, err := DecodeKeyInt(buf)
-		if err != nil || got != v {
-			return false
-		}
-		bs, rest2, err := DecodeKeyBytes(rest)
-		return err == nil && string(bs) == s && len(rest2) == 0
+		return err == nil && got == v && bytes.Equal(rest, AppendKeyBytes(nil, []byte(s)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -88,15 +84,6 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 func TestKeyCodecErrors(t *testing.T) {
 	if _, _, err := DecodeKeyInt([]byte{1, 2}); err == nil {
 		t.Error("short int key should error")
-	}
-	if _, _, err := DecodeKeyBytes([]byte{'a'}); err == nil {
-		t.Error("unterminated string key should error")
-	}
-	if _, _, err := DecodeKeyBytes([]byte{0x01}); err == nil {
-		t.Error("truncated escape should error")
-	}
-	if _, _, err := DecodeKeyBytes([]byte{0x01, 0x7F, 0x00}); err == nil {
-		t.Error("bad escape should error")
 	}
 	if _, err := EncodeKey([]ColType{TInt}, []Value{"notint"}); err == nil {
 		t.Error("type mismatch should error")
@@ -219,7 +206,11 @@ func TestTableScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tids []int64
-	tbl.ScanIndexPrefix("by_loc", iprefix, func(r Row) bool {
+	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, enc []byte) bool {
+		r, err := DecodeRow(tbl.types, enc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tids = append(tids, r[0].(int64))
 		return true
 	})
@@ -236,7 +227,7 @@ func TestTableScans(t *testing.T) {
 	if _, err := tbl.IndexPrefix("nope"); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index: %v", err)
 	}
-	if err := tbl.ScanIndexPrefix("nope", nil, func(Row) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
+	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index scan: %v", err)
 	}
 }
@@ -309,7 +300,7 @@ func TestDBPersistence(t *testing.T) {
 	// Secondary index still works.
 	iprefix, _ := tbl2.IndexPrefix("by_loc", []byte("T/c0/x35"))
 	found := 0
-	tbl2.ScanIndexPrefix("by_loc", iprefix, func(Row) bool { found++; return true })
+	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _ []byte) bool { found++; return true })
 	if found != 1 {
 		t.Errorf("index after reopen found %d", found)
 	}
@@ -393,7 +384,7 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 
 // TestScanDecidesOnKeys checks that scans and probes settle on keys before
 // touching rows: the entry that ends a bounded walk, a walk whose range is
-// empty, Has, LastKey and SeekKey decode no row at all.
+// empty, Has and LastKey decode no row at all.
 func TestScanDecidesOnKeys(t *testing.T) {
 	db := testDB(t)
 	tbl, _ := db.CreateTable(provSchema())
@@ -414,7 +405,7 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.ScanIndexFrom("by_loc", prefix, prefix, func([]byte, Row) bool { rows++; return true }); err != nil {
+		if err := tbl.ScanIndexEncodedFrom("by_loc", prefix, prefix, func(_, _ []byte) bool { rows++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return rows
@@ -462,15 +453,6 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		want, _ := tbl.KeyPrefix(int64(30), []byte("T/c3"))
 		if err != nil || !ok || !bytes.Equal(last, want) {
 			t.Errorf("LastKey = %x, %v, %v; want %x", last, ok, err, want)
-		}
-		seek, _ := tbl.KeyPrefix(int64(11))
-		first, _ := tbl.KeyPrefix(int64(20), []byte("T/c0"))
-		if key, ok, err := tbl.SeekKey(seek); err != nil || !ok || !bytes.Equal(key, first) {
-			t.Errorf("SeekKey(11) = %x, %v, %v; want %x", key, ok, err, first)
-		}
-		past, _ := tbl.KeyPrefix(int64(31))
-		if _, ok, err := tbl.SeekKey(past); err != nil || ok {
-			t.Errorf("SeekKey past the end = %v, %v", ok, err)
 		}
 	}); n != 0 {
 		t.Errorf("key-only probes decoded %d rows", n)

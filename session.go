@@ -23,15 +23,6 @@ type Config struct {
 	// "rel://prov.db?create=1&durable=1") to pick a store by
 	// configuration.
 	Backend Backend
-	// Shards partitions the provenance store across N independently
-	// locked shards by hash of each record's root-relative location, so
-	// concurrent ingest and queries against the store use more than one
-	// core. The default (0 or 1) is today's single store. With a nil
-	// Backend, N in-memory shards are created; a non-nil Backend must
-	// already be sharded ("mem://?shards=N" or NewShardedBackend) when
-	// Shards > 1. Sessions sharing one backend must partition the
-	// transaction-id space via StartTid.
-	Shards int
 	// BatchSize groups provenance appends into batches of at least N
 	// records flushed together as one group commit — one store round trip
 	// (and, for a WAL-backed store, one log fsync) per batch
@@ -65,15 +56,8 @@ func New(cfg Config) (*Session, error) {
 		return nil, errors.New("cpdb: Config.Target is required")
 	}
 	backend := cfg.Backend
-	switch {
-	case backend == nil && cfg.Shards > 1:
-		backend = provstore.NewShardedMem(cfg.Shards)
-	case backend == nil:
+	if backend == nil {
 		backend = provstore.NewMemBackend()
-	case cfg.Shards > 1:
-		if _, ok := backend.(*provstore.ShardedBackend); !ok {
-			return nil, errors.New("cpdb: Config.Shards > 1 needs a sharded backend (mem://?shards=N / NewShardedBackend) or a nil Backend")
-		}
 	}
 	if cfg.BatchSize > 1 {
 		backend = provstore.NewBatching(backend, cfg.BatchSize)
@@ -122,7 +106,7 @@ func (s *Session) View() *Node { return s.editor.TargetView() }
 // the store as one group commit. Queries flush implicitly; call Flush to
 // bound the un-persisted tail explicitly (e.g. before process exit). It is
 // a no-op for write-through configurations.
-func (s *Session) Flush() error { return provstore.Flush(s.backend) }
+func (s *Session) Flush() error { return provstore.Flush(context.Background(), s.backend) }
 
 // Begin opens a provenance transaction explicitly (operations auto-begin).
 func (s *Session) Begin() error { return s.editor.Begin() }
