@@ -23,7 +23,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/path"
 	"repro/internal/provplan"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/relstore"
@@ -345,8 +344,7 @@ func BenchmarkQueries(b *testing.B) {
 	if _, err := provtest.Run(tr, f, seq, 7); err != nil {
 		b.Fatal(err)
 	}
-	eng := provquery.New(tr.Backend())
-	tnow, _ := eng.MaxTid(context.Background())
+	st, _ := tr.Backend().Stat(context.Background())
 	var locs []path.Path
 	// Collect probe locations from stored records (guaranteed touched).
 	recs, _ := provtest.AllSorted(tr.Backend())
@@ -356,28 +354,17 @@ func BenchmarkQueries(b *testing.B) {
 	if len(locs) == 0 {
 		b.Fatal("no locations")
 	}
-	b.Run("src", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			eng.Src(context.Background(), locs[i%len(locs)], tnow)
-		}
-	})
-	b.Run("hist", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Hist(context.Background(), locs[i%len(locs)], tnow); err != nil {
-				b.Fatal(err)
+	for _, op := range []string{provplan.OpSrc, provplan.OpHist, provplan.OpMod} {
+		b.Run(op, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				q := &provplan.Query{Op: op, Path: locs[i%len(locs)].String(), AsOf: st.MaxTid}
+				if _, err := provplan.Collect(context.Background(), tr.Backend(), q); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("mod", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Mod(context.Background(), locs[i%len(locs)], tnow); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // queryStore opens dsn, fills it with tids transactions of 20 records each

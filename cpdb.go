@@ -4,11 +4,9 @@ import (
 	"errors"
 	"io/fs"
 
-	"repro/internal/netsim"
 	"repro/internal/path"
 	_ "repro/internal/provhttp" // registers the cpdb:// network driver
 	"repro/internal/provplan"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	_ "repro/internal/relprov" // registers the rel:// backend driver
 	"repro/internal/relstore"
@@ -48,15 +46,13 @@ type (
 	// Target is a wrapped, editable database (Figure 6 TargetDB).
 	Target = wrapper.Target
 	// TraceResult is the backward history of one location.
-	TraceResult = provquery.TraceResult
+	TraceResult = provplan.TraceResult
 	// Event is one step of a trace.
-	Event = provquery.Event
+	Event = provplan.Event
 	// Origin classifies how a trace ended.
-	Origin = provquery.Origin
+	Origin = provplan.Origin
 	// Federation joins several databases' provenance stores.
-	Federation = provquery.Federation
-	// Meter accumulates virtual time per operation category.
-	Meter = netsim.Meter
+	Federation = provplan.Federation
 	// PlanQuery is one declarative provenance query — the AST Session.Plan
 	// compiles, and the JSON body of the daemon's POST /v1/query.
 	PlanQuery = provplan.Query
@@ -76,9 +72,9 @@ const (
 
 // Trace origins.
 const (
-	OriginInserted    = provquery.OriginInserted
-	OriginExternal    = provquery.OriginExternal
-	OriginPreexisting = provquery.OriginPreexisting
+	OriginInserted    = provplan.OriginInserted
+	OriginExternal    = provplan.OriginExternal
+	OriginPreexisting = provplan.OriginPreexisting
 )
 
 // ParsePath parses the textual form of a path.
@@ -207,12 +203,12 @@ func NewShardedBackend(shards ...Backend) (Backend, error) {
 func CloseBackend(b Backend) error { return provstore.Close(b) }
 
 // NewFederation returns an empty provenance federation for Own queries.
-func NewFederation() *Federation { return provquery.NewFederation() }
+func NewFederation() *Federation { return provplan.NewFederation() }
 
 // RegisterProvenance attaches a session's provenance store to a federation
 // under the session's target database name.
 func RegisterProvenance(f *Federation, s *Session) {
-	f.Register(s.TargetName(), provquery.New(s.BackendStore()))
+	f.Register(s.TargetName(), s.BackendStore())
 }
 
 // ParseScript parses an update script in the paper's Figure 3 syntax.

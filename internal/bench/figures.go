@@ -11,7 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/netsim"
 	"repro/internal/path"
-	"repro/internal/provquery"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/tree"
 	"repro/internal/update"
@@ -471,7 +471,7 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 			RTT:       rc.Costs.QueryRTT,
 			PerRecord: rc.Costs.QueryPerRow,
 		})
-		engine := provquery.New(&queryPriced{Backend: env.Inner, conn: qconn, rows: rows})
+		priced := &queryPriced{Backend: env.Inner, conn: qconn, rows: rows}
 
 		// Random live locations from the final target state.
 		rng := rand.New(rand.NewSource(rc.Seed + int64(m)))
@@ -490,19 +490,15 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 
 		meter := netsim.NewMeter(env.Clock)
 		for i := 0; i < probes; i++ {
-			loc := locs[rng.Intn(len(locs))]
-			meter.Measure("getSrc", func() error {
-				_, _, err := engine.Src(context.Background(), loc, tnow)
-				return err
-			})
-			meter.Measure("getMod", func() error {
-				_, err := engine.Mod(context.Background(), loc, tnow)
-				return err
-			})
-			meter.Measure("getHist", func() error {
-				_, err := engine.Hist(context.Background(), loc, tnow)
-				return err
-			})
+			loc := locs[rng.Intn(len(locs))].String()
+			for _, q := range []struct{ name, op string }{
+				{"getSrc", provplan.OpSrc}, {"getMod", provplan.OpMod}, {"getHist", provplan.OpHist},
+			} {
+				meter.Measure(q.name, func() error {
+					_, err := provplan.Collect(context.Background(), priced, &provplan.Query{Op: q.op, Path: loc, AsOf: tnow})
+					return err
+				})
+			}
 		}
 		t.AddRow(m.String(), fmt.Sprint(txnLen), fmt.Sprint(rows),
 			ms(meter.Bucket("getSrc").Avg()),

@@ -9,7 +9,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/netsim"
 	"repro/internal/provnet"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/tree"
@@ -270,10 +269,6 @@ func rowCount(b provstore.Backend) int {
 	st, _ := b.Stat(context.Background())
 	return st.Count
 }
-
-// QueryEngineFor builds a query engine over a provenance backend (used by
-// cmd/cpdb and tests).
-func QueryEngineFor(b provstore.Backend) *provquery.Engine { return provquery.New(b) }
 
 // VirtualMS formats a duration as the benchmarks do (exported for cmd use).
 func VirtualMS(d time.Duration) string { return ms(d) }

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/netsim"
 	"repro/internal/path"
 	"repro/internal/provstore"
 	"repro/internal/tree"
@@ -57,8 +56,10 @@ type Config struct {
 	// Tracker records provenance. Required.
 	Tracker provstore.Tracker
 	// Meter, when set, attributes virtual time to per-operation
-	// categories (see the Meter* constants).
-	Meter *netsim.Meter
+	// categories (see the Meter* constants); *netsim.Meter is one.
+	Meter interface {
+		Measure(category string, fn func() error) error
+	}
 	// AutoCommitEvery, when positive, commits the provenance transaction
 	// after every N operations — the experiments commit every five
 	// updates (Table 1).
@@ -71,7 +72,6 @@ type Editor struct {
 	target  wrapper.Target
 	sources map[string]wrapper.Source
 	tracker provstore.Tracker
-	meter   *netsim.Meter
 
 	mirror   *tree.Forest
 	inTxn    bool
@@ -94,7 +94,6 @@ func NewEditor(cfg Config) (*Editor, error) {
 		target:  cfg.Target,
 		sources: make(map[string]wrapper.Source, len(cfg.Sources)),
 		tracker: cfg.Tracker,
-		meter:   cfg.Meter,
 		mirror:  tree.NewForest(),
 	}
 	t, err := cfg.Target.Tree()
@@ -139,10 +138,10 @@ func (e *Editor) TotalOps() int { return e.totalOps }
 
 // measure runs fn under the meter category when a meter is configured.
 func (e *Editor) measure(cat string, fn func() error) error {
-	if e.meter == nil {
+	if e.cfg.Meter == nil {
 		return fn()
 	}
-	return e.meter.Measure(cat, fn)
+	return e.cfg.Meter.Measure(cat, fn)
 }
 
 // Begin opens a provenance transaction. Operations auto-begin, so calling

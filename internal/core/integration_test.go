@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/path"
-	"repro/internal/provquery"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/relprov"
 	"repro/internal/relstore"
@@ -129,10 +129,8 @@ func TestFullStackDiskBacked(t *testing.T) {
 	}
 	defer target2.Close()
 
-	eng := provquery.New(backend2)
-	tnow, err := eng.MaxTid(context.Background())
-	if err != nil || tnow == 0 {
-		t.Fatalf("MaxTid = %d, %v", tnow, err)
+	if st2.MaxTid == 0 {
+		t.Fatalf("MaxTid = %d", st2.MaxTid)
 	}
 	// Every copied location present in the final target must trace to the
 	// source database.
@@ -148,11 +146,11 @@ func TestFullStackDiskBacked(t *testing.T) {
 			if err != nil || !target2.Snapshot().Has(rel) {
 				continue // since deleted or overwritten
 			}
-			tr, err := eng.Trace(context.Background(), r.Loc, tnow)
+			res, err := provplan.Collect(context.Background(), backend2, &provplan.Query{Op: provplan.OpTrace, Path: r.Loc.String()})
 			if err != nil {
 				t.Fatalf("trace %v: %v", r.Loc, err)
 			}
-			if tr.Origin == provquery.OriginExternal && tr.External.DB() == "OrganelleDB" {
+			if tr := res.Trace; tr.Origin == provplan.OriginExternal && tr.External.DB() == "OrganelleDB" {
 				traced++
 			}
 		}

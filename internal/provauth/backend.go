@@ -82,12 +82,11 @@ type AuthBackend struct {
 }
 
 var (
-	_ provstore.Backend        = (*AuthBackend)(nil)
-	_ provstore.GroupCommitter = (*AuthBackend)(nil)
-	_ provstore.Flusher        = (*AuthBackend)(nil)
-	_ provobs.Source           = (*AuthBackend)(nil)
-	_ io.Closer                = (*AuthBackend)(nil)
-	_ Authority                = (*AuthBackend)(nil)
+	_ provstore.Backend = (*AuthBackend)(nil)
+	_ provstore.Flusher = (*AuthBackend)(nil)
+	_ provobs.Source    = (*AuthBackend)(nil)
+	_ io.Closer         = (*AuthBackend)(nil)
+	_ Authority         = (*AuthBackend)(nil)
 )
 
 // New wraps inner with a history tree, rebuilding it from the store's
@@ -141,33 +140,6 @@ func (a *AuthBackend) Append(ctx context.Context, recs []provstore.Record) error
 		return err
 	}
 	a.ingest(recs)
-	return nil
-}
-
-// AppendBatch implements GroupCommitter: the whole group keeps its one
-// durability round trip on stores that support it.
-func (a *AuthBackend) AppendBatch(ctx context.Context, batches ...[]provstore.Record) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, recs := range batches {
-		if err := a.admit(recs); err != nil {
-			return err
-		}
-	}
-	if gc, ok := a.inner.(provstore.GroupCommitter); ok {
-		if err := gc.AppendBatch(ctx, batches...); err != nil {
-			return err
-		}
-	} else {
-		for _, recs := range batches {
-			if err := a.inner.Append(ctx, recs); err != nil {
-				return err
-			}
-		}
-	}
-	for _, recs := range batches {
-		a.ingest(recs)
-	}
 	return nil
 }
 

@@ -258,9 +258,9 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 	if err != nil {
 		return nil, err
 	}
-	trace := provobs.TraceID(ctx)
+	trace, spanID := provtrace.IDs(ctx)
 	if trace == "" {
-		trace = provobs.NewTraceID()
+		trace = provtrace.NewTraceID()
 	}
 	req.Header.Set(headerTraceID, trace)
 	// Every request prefers the framed row stream; only /v1/scan and
@@ -269,7 +269,7 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 	// When a span is open on this context, stamp its id so the server
 	// continues this trace — its root span parents under the caller's and
 	// the whole chain renders as one cross-process tree.
-	if _, spanID := provtrace.IDs(ctx); spanID != "" {
+	if spanID != "" {
 		req.Header.Set(headerSpanID, spanID)
 	}
 	if body != nil {

@@ -411,6 +411,28 @@ func TestServerStats(t *testing.T) {
 	}
 }
 
+// TestBatchingOverRemoteFlushesInOneRoundTrip: a client-side batching layer
+// over cpdb:// sends one POST /v1/append per flush, not one per buffered
+// transaction — Config.BatchSize's "one store round trip per batch".
+func TestBatchingOverRemoteFlushesInOneRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	cli, srv := serve(t, provstore.NewMemBackend())
+	b := provstore.NewBatching(cli, 64)
+	for tid := int64(1); tid <= 5; tid++ {
+		if err := b.Append(ctx, []provstore.Record{rec(tid, provstore.OpInsert, "T/a", ""), rec(tid, provstore.OpInsert, "T/b", "")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := srv.Stats()["endpoint.append"]
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	if got := st["endpoint.append"] - before; got != 1 || st["records_appended"] != 10 {
+		t.Errorf("flushing five transactions cost %d appends carrying %d records, want 1 carrying 10", got, st["records_appended"])
+	}
+}
+
 // TestRemoteErrors: unknown endpoints and malformed parameters come back as
 // typed RemoteErrors carrying the HTTP status.
 func TestRemoteErrors(t *testing.T) {

@@ -366,7 +366,7 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		ctr.Add(1)
 		trace := r.Header.Get(headerTraceID)
 		if trace == "" {
-			trace = provobs.NewTraceID()
+			trace = provtrace.NewTraceID()
 		}
 		var rec *provtrace.Recorder
 		var rootSp *provtrace.Span
@@ -383,7 +383,7 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 			ctx, rootSp = provtrace.Start(ctx, "server:"+endpoint)
 			r = r.WithContext(ctx)
 		} else {
-			r = r.WithContext(provobs.WithTraceID(r.Context(), trace))
+			r = r.WithContext(provtrace.WithTraceID(r.Context(), trace))
 		}
 		ow := &obsWriter{ResponseWriter: w}
 		start := time.Now()

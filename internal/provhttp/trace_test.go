@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/path"
 	"repro/internal/provhttp"
-	"repro/internal/provobs"
 	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/provtrace"
@@ -260,7 +259,7 @@ func TestTracedResponsesByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if traced {
-					req.Header.Set("X-Cpdb-Trace-Id", provobs.NewTraceID())
+					req.Header.Set("X-Cpdb-Trace-Id", provtrace.NewTraceID())
 					req.Header.Set("X-Cpdb-Span-Id", "deadbeefdeadbeef")
 				}
 				resp, err := http.DefaultClient.Do(req)

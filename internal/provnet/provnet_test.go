@@ -25,6 +25,9 @@ func rec(tid int64, loc string) provstore.Record {
 	return provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.MustParse(loc)}
 }
 
+// TestChargesWritePerBatch: one write round trip per Append whatever it
+// carries — hence one per flush of a batching layer above, however many
+// transactions that flush spans.
 func TestChargesWritePerBatch(t *testing.T) {
 	b, write, _, clock := charged(t)
 	if err := b.Append(context.Background(), []provstore.Record{rec(1, "T/a"), rec(1, "T/b"), rec(1, "T/c")}); err != nil {
@@ -40,6 +43,19 @@ func TestChargesWritePerBatch(t *testing.T) {
 	}
 	if inner, _ := b.Inner().Stat(context.Background()); inner.Count != 3 {
 		t.Errorf("inner count = %d", inner.Count)
+	}
+
+	batching := provstore.NewBatching(b, 64)
+	for tid := int64(2); tid <= 6; tid++ {
+		if err := batching.Append(context.Background(), []provstore.Record{rec(tid, "T/a"), rec(tid, "T/b")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := batching.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := write.Stats(); st.Calls != 2 || st.Records != 13 {
+		t.Errorf("write stats after one flush of five transactions = %+v, want 2 calls, 13 records", st)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package provobs is the observability layer under every other cpdb
 // component: a typed metrics registry (monotonic counters, gauges, and
-// lock-cheap log-bucketed histograms with quantile snapshots), Prometheus
-// text exposition over any set of registries, and the request trace-id
-// plumbing the HTTP layer threads through context.Context.
+// lock-cheap log-bucketed histograms with quantile snapshots) and
+// Prometheus text exposition over any set of registries. (A request's trace
+// id rides provtrace's context value.)
 //
 // The registry is the only way a component reports numbers. A series
 // registered with a stat key (WithStatKey) appears under that flat name in

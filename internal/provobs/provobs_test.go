@@ -1,7 +1,6 @@
 package provobs
 
 import (
-	"context"
 	"math"
 	"regexp"
 	"sort"
@@ -317,25 +316,4 @@ func TestRegistrationPanics(t *testing.T) {
 	mustPanic("duplicate labeled series", func() {
 		r.Counter("cpdb_a_total", "A.", WithLabel("endpoint", "query"))
 	})
-}
-
-func TestTraceID(t *testing.T) {
-	a, b := NewTraceID(), NewTraceID()
-	if len(a) != 16 || len(b) != 16 {
-		t.Fatalf("trace id lengths %d/%d, want 16", len(a), len(b))
-	}
-	if a == b {
-		t.Errorf("two trace ids collided: %s", a)
-	}
-	if _, err := strconv.ParseUint(a, 16, 64); err != nil {
-		t.Errorf("trace id %q is not hex: %v", a, err)
-	}
-	ctx := context.Background()
-	if got := TraceID(ctx); got != "" {
-		t.Errorf("TraceID(background) = %q, want empty", got)
-	}
-	ctx = WithTraceID(ctx, a)
-	if got := TraceID(ctx); got != a {
-		t.Errorf("TraceID round trip = %q, want %q", got, a)
-	}
 }

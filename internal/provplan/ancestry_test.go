@@ -1,4 +1,4 @@
-package provquery_test
+package provplan_test
 
 import (
 	"context"
@@ -9,17 +9,41 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/path"
-	"repro/internal/provquery"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/tree"
 	"repro/internal/update"
 )
 
+// An ancestry is the tests' shell over Collect with the horizon pinned by the
+// caller: a non-positive tnow is an empty history, answered without the store.
+type ancestry struct{ b provstore.Backend }
+
+func (e ancestry) run(ctx context.Context, op string, p path.Path, tnow int64) (provplan.Result, error) {
+	if tnow <= 0 {
+		return provplan.Result{Trace: provplan.TraceResult{Origin: provplan.OriginPreexisting}}, nil
+	}
+	res, err := provplan.Collect(ctx, e.b, &provplan.Query{Op: op, Path: p.String(), AsOf: tnow})
+	if err != nil {
+		return provplan.Result{}, err
+	}
+	return *res, nil
+}
+
+func (e ancestry) maxTid(t *testing.T) int64 {
+	t.Helper()
+	st, err := e.b.Stat(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.MaxTid
+}
+
 // figureEngine runs the Figure 3 script under the given method (per-op
 // transactions for immediate methods, single transaction otherwise) and
 // returns a query engine plus the final transaction number.
-func figureEngine(t *testing.T, m provstore.Method) (*provquery.Engine, int64) {
+func figureEngine(t *testing.T, m provstore.Method) (ancestry, int64) {
 	t.Helper()
 	tr := provstore.MustNew(m, provstore.Config{
 		Backend:  provstore.NewMemBackend(),
@@ -35,12 +59,8 @@ func figureEngine(t *testing.T, m provstore.Method) (*provquery.Engine, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := provquery.New(tr.Backend())
-	tnow, err := eng.MaxTid(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, tnow
+	eng := ancestry{tr.Backend()}
+	return eng, eng.maxTid(t)
 }
 
 // TestSrcFigure3: only T/c4/y was genuinely inserted (op 10, txn 130);
@@ -48,17 +68,17 @@ func figureEngine(t *testing.T, m provstore.Method) (*provquery.Engine, int64) {
 func TestSrcFigure3(t *testing.T) {
 	for _, m := range []provstore.Method{provstore.Naive, provstore.Hierarchical} {
 		eng, tnow := figureEngine(t, m)
-		tid, ok, err := eng.Src(context.Background(), path.MustParse("T/c4/y"), tnow)
-		if err != nil || !ok || tid != 130 {
-			t.Errorf("%v: Src(T/c4/y) = %d, %v, %v; want 130", m, tid, ok, err)
+		src, err := eng.run(context.Background(), provplan.OpSrc, path.MustParse("T/c4/y"), tnow)
+		if err != nil || !src.Found || src.Value != 130 {
+			t.Errorf("%v: Src(T/c4/y) = %d, %v, %v; want 130", m, src.Value, src.Found, err)
 		}
 		// Copied data: origin is external, no Src answer (the paper's
 		// "partial answer" case).
-		if _, ok, _ := eng.Src(context.Background(), path.MustParse("T/c2/y"), tnow); ok {
+		if src, _ := eng.run(context.Background(), provplan.OpSrc, path.MustParse("T/c2/y"), tnow); src.Found {
 			t.Errorf("%v: Src of externally copied data should be unknown", m)
 		}
 		// Pre-existing data: also no answer.
-		if _, ok, _ := eng.Src(context.Background(), path.MustParse("T/c1/x"), tnow); ok {
+		if src, _ := eng.run(context.Background(), provplan.OpSrc, path.MustParse("T/c1/x"), tnow); src.Found {
 			t.Errorf("%v: Src of pre-existing data should be unknown", m)
 		}
 	}
@@ -83,12 +103,12 @@ func TestHistFigure3(t *testing.T) {
 	for _, m := range []provstore.Method{provstore.Naive, provstore.Hierarchical} {
 		eng, tnow := figureEngine(t, m)
 		for _, c := range cases {
-			got, err := eng.Hist(context.Background(), path.MustParse(c.loc), tnow)
+			got, err := eng.run(context.Background(), provplan.OpHist, path.MustParse(c.loc), tnow)
 			if err != nil {
 				t.Fatalf("%v: Hist(%s): %v", m, c.loc, err)
 			}
-			if fmt.Sprint(got) != fmt.Sprint(c.want) {
-				t.Errorf("%v: Hist(%s) = %v, want %v", m, c.loc, got, c.want)
+			if fmt.Sprint(got.Tids) != fmt.Sprint(c.want) {
+				t.Errorf("%v: Hist(%s) = %v, want %v", m, c.loc, got.Tids, c.want)
 			}
 		}
 	}
@@ -97,22 +117,22 @@ func TestHistFigure3(t *testing.T) {
 // TestTraceOrigins distinguishes the three chain endings.
 func TestTraceOrigins(t *testing.T) {
 	eng, tnow := figureEngine(t, provstore.Naive)
-	tr, err := eng.Trace(context.Background(), path.MustParse("T/c4/y"), tnow)
-	if err != nil || tr.Origin != provquery.OriginInserted {
+	res, err := eng.run(context.Background(), provplan.OpTrace, path.MustParse("T/c4/y"), tnow)
+	if tr := res.Trace; err != nil || tr.Origin != provplan.OriginInserted {
 		t.Errorf("inserted origin: %+v, %v", tr, err)
 	}
-	tr, err = eng.Trace(context.Background(), path.MustParse("T/c2/x"), tnow)
-	if err != nil || tr.Origin != provquery.OriginExternal || tr.External.String() != "S1/a2/x" {
+	res, err = eng.run(context.Background(), provplan.OpTrace, path.MustParse("T/c2/x"), tnow)
+	if tr := res.Trace; err != nil || tr.Origin != provplan.OriginExternal || tr.External.String() != "S1/a2/x" {
 		t.Errorf("external origin: %+v, %v", tr, err)
 	}
-	tr, err = eng.Trace(context.Background(), path.MustParse("T/c1/x"), tnow)
-	if err != nil || tr.Origin != provquery.OriginPreexisting {
+	res, err = eng.run(context.Background(), provplan.OpTrace, path.MustParse("T/c1/x"), tnow)
+	if tr := res.Trace; err != nil || tr.Origin != provplan.OriginPreexisting {
 		t.Errorf("preexisting origin: %+v, %v", tr, err)
 	}
-	if tr := (provquery.Event{Tid: 5, Op: provstore.OpCopy, Loc: path.MustParse("T/a"), Src: path.MustParse("S/b")}); tr.String() == "" {
+	if tr := (provplan.Event{Tid: 5, Op: provstore.OpCopy, Loc: path.MustParse("T/a"), Src: path.MustParse("S/b")}); tr.String() == "" {
 		t.Error("Event.String empty")
 	}
-	for _, o := range []provquery.Origin{provquery.OriginInserted, provquery.OriginExternal, provquery.OriginPreexisting, provquery.Origin(9)} {
+	for _, o := range []provplan.Origin{provplan.OriginInserted, provplan.OriginExternal, provplan.OriginPreexisting, provplan.Origin(9)} {
 		if o.String() == "" {
 			t.Error("Origin.String empty")
 		}
@@ -125,27 +145,31 @@ func TestTraceOrigins(t *testing.T) {
 func TestModFigure3(t *testing.T) {
 	for _, m := range []provstore.Method{provstore.Naive, provstore.Hierarchical} {
 		eng, tnow := figureEngine(t, m)
-		got, err := eng.Mod(context.Background(), path.MustParse("T"), tnow)
-		if err != nil {
-			t.Fatal(err)
+		mod := func(loc string) []int64 {
+			res, err := eng.run(context.Background(), provplan.OpMod, path.MustParse(loc), tnow)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Tids
 		}
+		got := mod("T")
 		want := []int64{121, 122, 124, 126, 127, 129, 130}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("%v: Mod(T) = %v, want %v", m, got, want)
 		}
-		got, _ = eng.Mod(context.Background(), path.MustParse("T/c2"), tnow)
+		got = mod("T/c2")
 		if fmt.Sprint(got) != fmt.Sprint([]int64{124, 126}) {
 			t.Errorf("%v: Mod(T/c2) = %v", m, got)
 		}
-		got, _ = eng.Mod(context.Background(), path.MustParse("T/c4/x"), tnow)
+		got = mod("T/c4/x")
 		if fmt.Sprint(got) != fmt.Sprint([]int64{129}) {
 			t.Errorf("%v: Mod(T/c4/x) = %v", m, got)
 		}
-		got, _ = eng.Mod(context.Background(), path.MustParse("T/c5"), tnow)
+		got = mod("T/c5")
 		if fmt.Sprint(got) != fmt.Sprint([]int64{121}) {
 			t.Errorf("%v: Mod(T/c5) = %v (the delete)", m, got)
 		}
-		got, _ = eng.Mod(context.Background(), path.MustParse("T/untouched"), tnow)
+		got = mod("T/untouched")
 		if len(got) != 0 {
 			t.Errorf("%v: Mod of untouched = %v", m, got)
 		}
@@ -165,12 +189,13 @@ func TestModCountsDeletes(t *testing.T) {
 		if _, err := provtest.RunPerOp(tr, f, seq); err != nil {
 			t.Fatal(err)
 		}
-		eng := provquery.New(tr.Backend())
-		tnow, _ := eng.MaxTid(context.Background())
-		got, err := eng.Mod(context.Background(), path.MustParse("T/c1"), tnow)
+		eng := ancestry{tr.Backend()}
+		tnow := eng.maxTid(t)
+		res, err := eng.run(context.Background(), provplan.OpMod, path.MustParse("T/c1"), tnow)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := res.Tids
 		// The delete (txn 2) modified T/c1. The insert (txn 1) does NOT
 		// appear: per the formal Trace semantics, the delete record at
 		// T/c1/k breaks the Unch chain through that location, so the
@@ -195,15 +220,15 @@ func TestChainThroughTargetCopies(t *testing.T) {
 		if _, err := provtest.RunPerOp(tr, f, seq); err != nil {
 			t.Fatal(err)
 		}
-		eng := provquery.New(tr.Backend())
-		tnow, _ := eng.MaxTid(context.Background())
-		tid, ok, err := eng.Src(context.Background(), path.MustParse("T/c5/hop2"), tnow)
-		if err != nil || !ok || tid != 1 {
-			t.Errorf("%v: Src through hops = %d, %v, %v", m, tid, ok, err)
+		eng := ancestry{tr.Backend()}
+		tnow := eng.maxTid(t)
+		src, err := eng.run(context.Background(), provplan.OpSrc, path.MustParse("T/c5/hop2"), tnow)
+		if err != nil || !src.Found || src.Value != 1 {
+			t.Errorf("%v: Src through hops = %d, %v, %v", m, src.Value, src.Found, err)
 		}
-		hist, _ := eng.Hist(context.Background(), path.MustParse("T/c5/hop2"), tnow)
-		if fmt.Sprint(hist) != fmt.Sprint([]int64{3, 2}) {
-			t.Errorf("%v: Hist through hops = %v, want [3 2]", m, hist)
+		hist, _ := eng.run(context.Background(), provplan.OpHist, path.MustParse("T/c5/hop2"), tnow)
+		if fmt.Sprint(hist.Tids) != fmt.Sprint([]int64{3, 2}) {
+			t.Errorf("%v: Hist through hops = %v, want [3 2]", m, hist.Tids)
 		}
 	}
 }
@@ -219,7 +244,7 @@ func TestCrossMethodAgreement(t *testing.T) {
 		seqF := figures.Forest()
 		seq := randomOps(rand.New(rand.NewSource(seed)), seqF, 30)
 
-		engines := map[provstore.Method]*provquery.Engine{}
+		engines := map[provstore.Method]ancestry{}
 		var tnow int64
 		var locs []path.Path
 		for _, m := range provstore.AllMethods {
@@ -228,8 +253,8 @@ func TestCrossMethodAgreement(t *testing.T) {
 			if _, err := provtest.RunPerOp(tr, f, seq); err != nil {
 				t.Fatal(err)
 			}
-			engines[m] = provquery.New(tr.Backend())
-			tnow, _ = engines[m].MaxTid(context.Background())
+			engines[m] = ancestry{tr.Backend()}
+			tnow = engines[m].maxTid(t)
 			if locs == nil {
 				f.DB("T").Walk(func(rel path.Path, _ *tree.Node) error {
 					if !rel.IsRoot() {
@@ -257,23 +282,23 @@ func TestCrossMethodAgreement(t *testing.T) {
 		for _, loc := range locs {
 			for _, pair := range pairs {
 				a, b := engines[pair.a], engines[pair.b]
-				sa, oka, erra := a.Src(context.Background(), loc, tnow)
-				sb, okb, errb := b.Src(context.Background(), loc, tnow)
-				if erra != nil || errb != nil || oka != okb || sa != sb {
-					t.Errorf("seed %d: Src(%s) %v=%d/%v vs %v=%d/%v", seed, loc, pair.a, sa, oka, pair.b, sb, okb)
+				sa, erra := a.run(context.Background(), provplan.OpSrc, loc, tnow)
+				sb, errb := b.run(context.Background(), provplan.OpSrc, loc, tnow)
+				if erra != nil || errb != nil || sa.Found != sb.Found || sa.Value != sb.Value {
+					t.Errorf("seed %d: Src(%s) %v=%d/%v vs %v=%d/%v", seed, loc, pair.a, sa.Value, sa.Found, pair.b, sb.Value, sb.Found)
 				}
-				ha, _ := a.Hist(context.Background(), loc, tnow)
-				hb, _ := b.Hist(context.Background(), loc, tnow)
-				if fmt.Sprint(ha) != fmt.Sprint(hb) {
-					t.Errorf("seed %d: Hist(%s) %v=%v vs %v=%v", seed, loc, pair.a, ha, pair.b, hb)
+				ha, _ := a.run(context.Background(), provplan.OpHist, loc, tnow)
+				hb, _ := b.run(context.Background(), provplan.OpHist, loc, tnow)
+				if fmt.Sprint(ha.Tids) != fmt.Sprint(hb.Tids) {
+					t.Errorf("seed %d: Hist(%s) %v=%v vs %v=%v", seed, loc, pair.a, ha.Tids, pair.b, hb.Tids)
 				}
 				if !pair.mod {
 					continue
 				}
-				ma, _ := a.Mod(context.Background(), loc, tnow)
-				mb, _ := b.Mod(context.Background(), loc, tnow)
-				if fmt.Sprint(ma) != fmt.Sprint(mb) {
-					t.Errorf("seed %d: Mod(%s) %v=%v vs %v=%v", seed, loc, pair.a, ma, pair.b, mb)
+				ma, _ := a.run(context.Background(), provplan.OpMod, loc, tnow)
+				mb, _ := b.run(context.Background(), provplan.OpMod, loc, tnow)
+				if fmt.Sprint(ma.Tids) != fmt.Sprint(mb.Tids) {
+					t.Errorf("seed %d: Mod(%s) %v=%v vs %v=%v", seed, loc, pair.a, ma.Tids, pair.b, mb.Tids)
 				}
 			}
 		}
@@ -353,7 +378,7 @@ func randomOps(r *rand.Rand, f *tree.Forest, n int) update.Sequence {
 // with its own provenance store, and asks for the ownership history.
 func TestFederationOwn(t *testing.T) {
 	// T1 copies from S (no provenance store), then T2 copies from T1.
-	fed := provquery.NewFederation()
+	fed := provplan.NewFederation()
 
 	// T1's session.
 	tr1 := provstore.MustNew(provstore.Naive, provstore.Config{Backend: provstore.NewMemBackend()})
@@ -363,7 +388,7 @@ func TestFederationOwn(t *testing.T) {
 	if _, err := provtest.RunPerOp(tr1, f1, update.MustParseScript(`copy S/item into T1/item`)); err != nil {
 		t.Fatal(err)
 	}
-	fed.Register("T1", provquery.New(tr1.Backend()))
+	fed.Register("T1", tr1.Backend())
 
 	// T2's session: T1 as a source.
 	tr2 := provstore.MustNew(provstore.Naive, provstore.Config{Backend: provstore.NewMemBackend()})
@@ -373,7 +398,7 @@ func TestFederationOwn(t *testing.T) {
 	if _, err := provtest.RunPerOp(tr2, f2, update.MustParseScript(`copy T1/item into T2/got`)); err != nil {
 		t.Fatal(err)
 	}
-	fed.Register("T2", provquery.New(tr2.Backend()))
+	fed.Register("T2", tr2.Backend())
 
 	steps, err := fed.Own(context.Background(), path.MustParse("T2/got/v"))
 	if err != nil {
@@ -385,16 +410,16 @@ func TestFederationOwn(t *testing.T) {
 	if steps[0].DB != "T2" || steps[1].DB != "T1" || steps[2].DB != "S" {
 		t.Errorf("ownership chain: %s → %s → %s", steps[0].DB, steps[1].DB, steps[2].DB)
 	}
-	if steps[2].Origin != provquery.OriginExternal {
+	if steps[2].Origin != provplan.OriginExternal {
 		t.Errorf("chain should end partial at S (no store): %v", steps[2].Origin)
 	}
 	// Unknown starting database is immediately partial.
 	steps, err = fed.Own(context.Background(), path.MustParse("Nowhere/x"))
-	if err != nil || len(steps) != 1 || steps[0].Origin != provquery.OriginExternal {
+	if err != nil || len(steps) != 1 || steps[0].Origin != provplan.OriginExternal {
 		t.Errorf("unknown db: %+v, %v", steps, err)
 	}
-	if fed.Engine("T1") == nil || fed.Engine("zz") != nil {
-		t.Error("Engine accessor wrong")
+	if fed.Store("T1") == nil || fed.Store("zz") != nil {
+		t.Error("Store accessor wrong")
 	}
 }
 
@@ -406,9 +431,9 @@ func TestBadTrace(t *testing.T) {
 	if _, err := provtest.RunPerOp(tr, f, update.MustParseScript(`delete c5 from T`)); err != nil {
 		t.Fatal(err)
 	}
-	eng := provquery.New(tr.Backend())
-	_, err := eng.Trace(context.Background(), path.MustParse("T/c5"), 1)
-	if !errors.Is(err, provquery.ErrBadTrace) {
+	eng := ancestry{tr.Backend()}
+	_, err := eng.run(context.Background(), provplan.OpTrace, path.MustParse("T/c5"), 1)
+	if !errors.Is(err, provplan.ErrBadTrace) {
 		t.Errorf("trace through deletion: %v", err)
 	}
 }

@@ -1,4 +1,4 @@
-package provquery
+package provplan
 
 import (
 	"context"
@@ -47,20 +47,19 @@ func TestModCancelBetweenWaves(t *testing.T) {
 	}
 
 	// Sanity: uncancelled, the walk reaches the insert through the copy.
-	eng := New(sharded)
-	mods, err := eng.Mod(ctxBg, path.MustParse("T/b"), 2)
+	mods, err := Collect(ctxBg, sharded, &Query{Op: OpMod, Path: "T/b", AsOf: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mods) != 2 {
-		t.Fatalf("full Mod = %v, want [1 2]", mods)
+	if len(mods.Tids) != 2 {
+		t.Fatalf("full Mod = %v, want [1 2]", mods.Tids)
 	}
 
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(ctxBg)
 	defer cancel()
 	wrapped := &cancelOnScan{Backend: sharded, cancel: cancel}
-	_, err = New(wrapped).Mod(ctx, path.MustParse("T/b"), 2)
+	_, err = Collect(ctx, wrapped, &Query{Op: OpMod, Path: "T/b", AsOf: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Mod returned %v, want context.Canceled", err)
 	}
@@ -88,16 +87,15 @@ func TestTraceCancelled(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(b)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.Trace(ctx, path.MustParse("T/a"), 1); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(ctx, b, &Query{Op: OpTrace, Path: "T/a", AsOf: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Trace: %v", err)
 	}
-	if _, _, err := eng.Src(ctx, path.MustParse("T/a"), 1); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(ctx, b, &Query{Op: OpSrc, Path: "T/a", AsOf: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Src: %v", err)
 	}
-	if _, err := eng.Mod(ctx, path.MustParse("T"), 1); !errors.Is(err, context.Canceled) {
+	if _, err := Collect(ctx, b, &Query{Op: OpMod, Path: "T", AsOf: 1}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Mod: %v", err)
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"repro/internal/path"
 	"repro/internal/provhttp"
 	"repro/internal/provplan"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 	"repro/internal/tree"
 	"repro/internal/update"
@@ -100,7 +99,7 @@ func equivBackendOpeners() map[string]func(t *testing.T) provstore.Backend {
 // loadEquivWorkload replays the seeded workload into the backend through a
 // real provenance-tracked editor (HierTrans, auto-commit every 5 ops, as in
 // the experiments) and returns the query engine over the store.
-func loadEquivWorkload(t *testing.T, b provstore.Backend, seq update.Sequence) *provquery.Engine {
+func loadEquivWorkload(t *testing.T, b provstore.Backend, seq update.Sequence) ancestry {
 	t.Helper()
 	ed, err := core.NewEditor(core.Config{
 		Target:          wrapper.NewXMLTarget(xmlstore.NewMem("MiMI", equivTarget())),
@@ -117,7 +116,7 @@ func loadEquivWorkload(t *testing.T, b provstore.Backend, seq update.Sequence) *
 	if _, err := ed.Commit(); err != nil && !errors.Is(err, provstore.ErrNoTxn) {
 		t.Fatal(err)
 	}
-	return provquery.New(b)
+	return ancestry{b}
 }
 
 // equivProbePaths derives the query targets from the store itself: a
@@ -167,14 +166,11 @@ func TestPlanLegacyEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			e := loadEquivWorkload(t, open(t), seq)
-			maxTid, err := e.MaxTid(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
+			maxTid := e.maxTid(t)
 			if maxTid < 4 {
 				t.Fatalf("workload produced only %d transactions", maxTid)
 			}
-			probes := equivProbePaths(t, e.Backend())
+			probes := equivProbePaths(t, e.b)
 			if len(probes) < 10 {
 				t.Fatalf("only %d probe paths", len(probes))
 			}
@@ -197,28 +193,28 @@ func TestPlanLegacyEquivalence(t *testing.T) {
 			}
 			for _, horizon := range []int64{maxTid, maxTid / 2} {
 				for _, p := range probes {
-					gotTr, err1 := e.Trace(ctx, p, horizon)
-					wantTr, err2 := legacyTrace(ctx, e.Backend(), p, horizon)
-					if sameErr("Trace", p, horizon, err1, err2) && !reflect.DeepEqual(gotTr, wantTr) {
-						t.Errorf("Trace(%s, %d):\nplan   %+v\nlegacy %+v", p, horizon, gotTr, wantTr)
+					got, err1 := e.run(ctx, provplan.OpTrace, p, horizon)
+					wantTr, err2 := legacyTrace(ctx, e.b, p, horizon)
+					if sameErr("Trace", p, horizon, err1, err2) && !reflect.DeepEqual(got.Trace, wantTr) {
+						t.Errorf("Trace(%s, %d):\nplan   %+v\nlegacy %+v", p, horizon, got.Trace, wantTr)
 					}
 
-					gotTid, gotOK, err1 := e.Src(ctx, p, horizon)
-					wantTid, wantOK, err2 := legacySrc(ctx, e.Backend(), p, horizon)
-					if sameErr("Src", p, horizon, err1, err2) && (gotTid != wantTid || gotOK != wantOK) {
-						t.Errorf("Src(%s, %d): plan (%d, %v), legacy (%d, %v)", p, horizon, gotTid, gotOK, wantTid, wantOK)
+					got, err1 = e.run(ctx, provplan.OpSrc, p, horizon)
+					wantTid, wantOK, err2 := legacySrc(ctx, e.b, p, horizon)
+					if sameErr("Src", p, horizon, err1, err2) && (got.Value != wantTid || got.Found != wantOK) {
+						t.Errorf("Src(%s, %d): plan (%d, %v), legacy (%d, %v)", p, horizon, got.Value, got.Found, wantTid, wantOK)
 					}
 
-					gotHist, err1 := e.Hist(ctx, p, horizon)
-					wantHist, err2 := legacyHist(ctx, e.Backend(), p, horizon)
-					if sameErr("Hist", p, horizon, err1, err2) && fmt.Sprint(gotHist) != fmt.Sprint(wantHist) {
-						t.Errorf("Hist(%s, %d): plan %v, legacy %v", p, horizon, gotHist, wantHist)
+					got, err1 = e.run(ctx, provplan.OpHist, p, horizon)
+					wantHist, err2 := legacyHist(ctx, e.b, p, horizon)
+					if sameErr("Hist", p, horizon, err1, err2) && fmt.Sprint(got.Tids) != fmt.Sprint(wantHist) {
+						t.Errorf("Hist(%s, %d): plan %v, legacy %v", p, horizon, got.Tids, wantHist)
 					}
 
-					gotMod, err1 := e.Mod(ctx, p, horizon)
-					wantMod, err2 := legacyMod(ctx, e.Backend(), p, horizon)
-					if sameErr("Mod", p, horizon, err1, err2) && fmt.Sprint(gotMod) != fmt.Sprint(wantMod) {
-						t.Errorf("Mod(%s, %d): plan %v, legacy %v", p, horizon, gotMod, wantMod)
+					got, err1 = e.run(ctx, provplan.OpMod, p, horizon)
+					wantMod, err2 := legacyMod(ctx, e.b, p, horizon)
+					if sameErr("Mod", p, horizon, err1, err2) && fmt.Sprint(got.Tids) != fmt.Sprint(wantMod) {
+						t.Errorf("Mod(%s, %d): plan %v, legacy %v", p, horizon, got.Tids, wantMod)
 					}
 				}
 			}
@@ -249,7 +245,7 @@ func TestSelectPlansAgreeAcrossBackends(t *testing.T) {
 	openers := equivBackendOpeners()
 	refEngine := loadEquivWorkload(t, openers["mem"](t), seq)
 	for _, text := range queries {
-		res, err := provplan.Collect(ctx, refEngine.Backend(), provplan.MustParse(text))
+		res, err := provplan.Collect(ctx, refEngine.b, provplan.MustParse(text))
 		if err != nil {
 			t.Fatalf("mem: %s: %v", text, err)
 		}
@@ -264,7 +260,7 @@ func TestSelectPlansAgreeAcrossBackends(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			e := loadEquivWorkload(t, open(t), seq)
 			for _, text := range queries {
-				res, err := provplan.Collect(ctx, e.Backend(), provplan.MustParse(text))
+				res, err := provplan.Collect(ctx, e.b, provplan.MustParse(text))
 				if err != nil {
 					t.Fatalf("%s: %v", text, err)
 				}

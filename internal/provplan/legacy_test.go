@@ -13,9 +13,8 @@ import (
 // This file preserves the pre-planner, client-orchestrated query
 // implementations: each chain step or BFS wave issues its own backend
 // scans from the client. They are the reference oracle the plan-compiled
-// Engine methods are held equivalent to by TestPlanLegacyEquivalence, and
-// nothing else: test code, moved here from package provquery unchanged in
-// behaviour. The one modernization is the Mod wave scatter, which goes
+// queries are held equivalent to by TestPlanLegacyEquivalence, and nothing
+// else: test code, unchanged in behaviour from the query engine they were. The one modernization is the Mod wave scatter, which goes
 // through the planner's parallel subplan path (provplan.RunAll) instead of
 // the bespoke goroutine fan-out it used to carry.
 
@@ -111,7 +110,7 @@ func legacySrc(ctx context.Context, b provstore.Backend, p path.Path, tnow int64
 		return 0, false, err
 	}
 	if !ok || rec.Op != provstore.OpInsert {
-		return 0, false, fmt.Errorf("provquery: Src verification failed for %s at txn %d", last.Loc, last.Tid)
+		return 0, false, fmt.Errorf("provplan: Src verification failed for %s at txn %d", last.Loc, last.Tid)
 	}
 	return last.Tid, true, nil
 }

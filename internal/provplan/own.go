@@ -1,10 +1,11 @@
-package provquery
+package provplan
 
 import (
 	"context"
 	"fmt"
 
 	"repro/internal/path"
+	"repro/internal/provstore"
 )
 
 // A Federation joins the provenance stores of several databases, enabling
@@ -12,21 +13,21 @@ import (
 // provenance, we can provide more complete answers by combining the
 // provenance information of all of the databases."
 type Federation struct {
-	engines map[string]*Engine
+	stores map[string]provstore.Backend
 }
 
 // NewFederation returns an empty federation.
 func NewFederation() *Federation {
-	return &Federation{engines: make(map[string]*Engine)}
+	return &Federation{stores: make(map[string]provstore.Backend)}
 }
 
-// Register attaches a database's provenance engine under its name.
-func (f *Federation) Register(db string, e *Engine) {
-	f.engines[db] = e
+// Register attaches a database's provenance store under its name.
+func (f *Federation) Register(db string, b provstore.Backend) {
+	f.stores[db] = b
 }
 
-// Engine returns the engine for a database, or nil.
-func (f *Federation) Engine(db string) *Engine { return f.engines[db] }
+// Store returns the provenance store of a database, or nil.
+func (f *Federation) Store(db string) provstore.Backend { return f.stores[db] }
 
 // An OwnershipStep is one database in the ownership history of a piece of
 // data: the data lived at Loc in database DB, entering it at transaction
@@ -49,26 +50,25 @@ func (f *Federation) Own(ctx context.Context, p path.Path) ([]OwnershipStep, err
 	cur := p
 	const maxHops = 64 // defensive bound against cyclic provenance
 	for hop := 0; hop < maxHops; hop++ {
-		eng, ok := f.engines[cur.DB()]
+		b, ok := f.stores[cur.DB()]
 		if !ok {
 			// No provenance store for this database: the history is
 			// partial from here on.
 			steps = append(steps, OwnershipStep{DB: cur.DB(), Loc: cur, Origin: OriginExternal})
 			return steps, nil
 		}
-		tnow, err := eng.MaxTid(ctx)
+		// One trace as of the store's newest transaction, resolved where the
+		// plan executes: one round trip per hop on a remote store.
+		res, err := Collect(ctx, b, &Query{Op: OpTrace, Path: cur.String()})
 		if err != nil {
 			return nil, err
 		}
-		tr, err := eng.Trace(ctx, cur, tnow)
-		if err != nil {
-			return nil, err
-		}
+		tr := res.Trace
 		steps = append(steps, OwnershipStep{DB: cur.DB(), Loc: cur, Events: tr.Events, Origin: tr.Origin})
 		if tr.Origin != OriginExternal {
 			return steps, nil
 		}
 		cur = tr.External
 	}
-	return nil, fmt.Errorf("provquery: ownership chain exceeds %d databases (cycle?)", maxHops)
+	return nil, fmt.Errorf("provplan: ownership chain exceeds %d databases (cycle?)", maxHops)
 }

@@ -702,7 +702,7 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 // RunAll compiles and executes several select queries against b
 // concurrently, materializing each result — the planner's parallel subplan
 // primitive. It powers the shard scatter internally and replaces the
-// bespoke goroutine fan-out provquery's Mod wave scatter used to carry:
+// bespoke goroutine fan-out the Mod wave scatter used to carry:
 // callers hand the wave's region queries to the planner and get the
 // region record sets back, each fetched through whatever access path its
 // predicate admits. Results are positional; a compile error on any query

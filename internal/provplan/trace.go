@@ -14,9 +14,9 @@ import (
 // chain of one select per step (loc <= cur, tid <= tnow, the hierarchical
 // resolution access path), Mod is a BFS whose every wave is a batch of
 // region selects run through the planner's parallel subplan path, and Hist
-// and Src derive from Trace. The result types live here — provquery
-// re-exports them — because the engine that computes a TraceResult is the
-// plan layer, whichever side of a network connection it runs on.
+// and Src derive from Trace. The result types live here because the engine
+// that computes a TraceResult is the plan layer, whichever side of a network
+// connection it runs on.
 
 // ErrBadTrace reports an inconsistent provenance store (a trace reached a
 // location a transaction deleted).
@@ -237,9 +237,9 @@ func newRegion(prefix path.Path, bound int64) region {
 
 // runMod answers every transaction that created, modified or deleted data
 // in the subtree at the plan's path, as of its horizon. The walk is the
-// same BFS with per-location shadowing the paper's semantics dictate (see
-// provquery's documentation of the algorithm); what the plan layer changes
-// is the scatter: each wave's region scans are declarative selects — the
+// same BFS with per-location shadowing the paper's semantics dictate (§2.2;
+// legacy_test.go keeps the client-orchestrated original); what the plan
+// layer changes is the scatter: each wave's region scans are declarative selects — the
 // subtree scan and the ancestor scan of each unique region prefix, with
 // the region's tid bound pushed into the plan — executed through the
 // planner's parallel subplan path (runAll), so a wave over a sharded or

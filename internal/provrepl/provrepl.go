@@ -174,11 +174,10 @@ type ReplicatedBackend struct {
 }
 
 var (
-	_ provstore.Backend        = (*ReplicatedBackend)(nil)
-	_ provstore.GroupCommitter = (*ReplicatedBackend)(nil)
-	_ provstore.Flusher        = (*ReplicatedBackend)(nil)
-	_ provobs.Source           = (*ReplicatedBackend)(nil)
-	_ io.Closer                = (*ReplicatedBackend)(nil)
+	_ provstore.Backend = (*ReplicatedBackend)(nil)
+	_ provstore.Flusher = (*ReplicatedBackend)(nil)
+	_ provobs.Source    = (*ReplicatedBackend)(nil)
+	_ io.Closer         = (*ReplicatedBackend)(nil)
 )
 
 // errClosed reports use of a closed replicated backend.
@@ -278,37 +277,6 @@ func (b *ReplicatedBackend) Append(ctx context.Context, recs []provstore.Record)
 		return err
 	}
 	b.noteShipped(tidRangeOf(recs))
-	return nil
-}
-
-// AppendBatch implements GroupCommitter: the whole group reaches the
-// primary with one durability round trip when it supports that.
-func (b *ReplicatedBackend) AppendBatch(ctx context.Context, batches ...[]provstore.Record) error {
-	if b.closed.Load() {
-		return errClosed
-	}
-	if gc, ok := b.primary.(provstore.GroupCommitter); ok {
-		if err := gc.AppendBatch(ctx, batches...); err != nil {
-			return err
-		}
-	} else {
-		for _, batch := range batches {
-			if err := b.primary.Append(ctx, batch); err != nil {
-				return err
-			}
-		}
-	}
-	var minTid, maxTid int64
-	for _, batch := range batches {
-		lo, hi := tidRangeOf(batch)
-		if lo > 0 && (minTid == 0 || lo < minTid) {
-			minTid = lo
-		}
-		if hi > maxTid {
-			maxTid = hi
-		}
-	}
-	b.noteShipped(minTid, maxTid)
 	return nil
 }
 

@@ -25,9 +25,18 @@ import (
 // cancellation path, exactly as a database/sql driver does. Implementations
 // that never block may simply check the context on entry.
 //
-// {Tid, Loc} is a key; Append rejects duplicates within a batch or against
-// stored rows, enforcing the paper's constraint that "for each transaction,
-// each location has either been inserted, deleted, or copied".
+// Append is the only write method, and its contract is the same at every
+// depth of a decorator stack. A batch may span transactions — a batching
+// layer's flush and a replica's shipped buffer are both one Append. It is
+// validated wholesale before anything is stored: every record well formed
+// (ValidateBatch) and {Tid, Loc} — a key, enforcing the paper's constraint
+// that "for each transaction, each location has either been inserted,
+// deleted, or copied" — unique within the batch and against the store, so a
+// rejected Append (*DupKeyError for a key violation) stores nothing. A
+// durable store makes the batch durable with one commit, however many
+// transactions it carries; that is all group commit is. Like an io.Writer,
+// Append neither modifies recs nor keeps a reference to it: the caller may
+// reuse the slice once the call returns.
 //
 // Scan returns a pull-based cursor rather than a materialized slice:
 // records stream to the consumer one at a time, errors are yielded in-stream
@@ -36,7 +45,7 @@ import (
 // one logical round trip — the cursor is the stream of that one round trip's
 // reply, not a round trip per record.
 type Backend interface {
-	// Append stores a batch of records in one round trip.
+	// Append stores a batch of records in one round trip and one commit.
 	Append(ctx context.Context, recs []Record) error
 	// Lookup returns the record with exactly this (tid, loc) key, if any.
 	Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error)
@@ -307,25 +316,13 @@ func (b *MemBackend) Append(ctx context.Context, recs []Record) error {
 	if base+len(recs) > math.MaxInt32 {
 		return errors.New("provstore: in-memory store is full (2^31 records)")
 	}
-	// Validate the whole batch first so a failed Append stores nothing. A
-	// batch that ascends strictly — all a deferred tracker ever appends —
-	// cannot repeat a key of its own; any other is sorted to find out.
-	ascending := true
-	for i, r := range recs {
-		if err := r.Validate(); err != nil {
-			return err
-		}
+	// Validate the whole batch first so a failed Append stores nothing.
+	if err := ValidateBatch(recs); err != nil {
+		return err
+	}
+	for _, r := range recs {
 		if _, dup, _ := b.find(r.Tid, r.Loc); dup {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-		}
-		ascending = ascending && (i == 0 || CompareTidLoc(recs[i-1], r) < 0)
-	}
-	if !ascending {
-		sorted := slices.SortedFunc(slices.Values(recs), CompareTidLoc)
-		for i := 1; i < len(sorted); i++ {
-			if r := sorted[i]; CompareTidLoc(sorted[i-1], r) == 0 {
-				return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-			}
 		}
 	}
 	b.recs = append(b.recs, recs...)
@@ -335,6 +332,31 @@ func (b *MemBackend) Append(ctx context.Context, recs []Record) error {
 			b.outOfOrder.Add(1)
 		}
 		b.locTid.insert(b.recs, int32(base+i))
+	}
+	return nil
+}
+
+// ValidateBatch is the half of Append's contract that needs no store: every
+// record is well formed and no {Tid, Loc} key repeats within recs. A batch
+// that ascends strictly — all a deferred tracker, or a flush of several,
+// ever appends — cannot repeat a key; any other is sorted (a copy) to find
+// out. No key is built per record.
+func ValidateBatch(recs []Record) error {
+	ascending := true
+	for i, r := range recs {
+		if err := r.Validate(); err != nil {
+			return err
+		}
+		ascending = ascending && (i == 0 || CompareTidLoc(recs[i-1], r) < 0)
+	}
+	if ascending {
+		return nil
+	}
+	sorted := slices.SortedFunc(slices.Values(recs), CompareTidLoc)
+	for i := 1; i < len(sorted); i++ {
+		if r := sorted[i]; CompareTidLoc(sorted[i-1], r) == 0 {
+			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
+		}
 	}
 	return nil
 }

@@ -14,11 +14,11 @@ import (
 )
 
 // This file implements the group-commit batching layer of the ingest
-// pipeline: appends from any number of writers are buffered and flushed to
-// the underlying store in multi-batch groups, so a store that pays a
-// durability round trip per append (an fsync, a network round trip) pays it
-// once per group instead — the classic group-commit trade of tail latency
-// for throughput.
+// pipeline: appends from any number of writers are buffered, and a flush is
+// one Append of everything buffered to the underlying store — so a store
+// that pays a durability round trip per append (an fsync, a network round
+// trip) pays it once per group instead, the classic group-commit trade of
+// tail latency for throughput.
 
 // A Flusher is a backend (or backend wrapper) holding buffered writes that
 // can be pushed down on demand. The context changes no durability semantics
@@ -28,14 +28,6 @@ import (
 // flush spans to the in-flight trace.
 type Flusher interface {
 	Flush(ctx context.Context) error
-}
-
-// A GroupCommitter persists several append batches with a single durability
-// round trip. Each batch keeps its own all-or-nothing validation; the group
-// shares one commit. Implemented by relprov.Backend (one WAL fsync per
-// group) and ShardedBackend (per-shard groups in parallel).
-type GroupCommitter interface {
-	AppendBatch(ctx context.Context, batches ...[]Record) error
 }
 
 // Flush pushes buffered writes down if b buffers any; it is a no-op for
@@ -61,8 +53,8 @@ func Close(b Backend) error {
 	return err
 }
 
-// A BatchingBackend wraps a Backend and buffers appended batches until
-// BatchSize records accumulate, then flushes them as one group commit.
+// A BatchingBackend wraps a Backend and buffers appended records until
+// BatchSize accumulate, then flushes them with one Append — one group commit.
 // Reads are read-through, so queries always see every acknowledged append:
 // point reads and whole-store accessors flush first and delegate, while
 // scans stream an ordered merge of the pending buffer and the inner store's
@@ -76,12 +68,11 @@ func Close(b Backend) error {
 // lock, and the flusher holds it for the duration of the group commit (the
 // group-commit leader pattern: followers queue behind the leader's fsync).
 type BatchingBackend struct {
-	mu      sync.Mutex
-	inner   Backend
-	size    int
-	batches [][]Record
-	pending int
-	keys    map[string]struct{} // {Tid, Loc} keys buffered and not yet flushed
+	mu    sync.Mutex
+	inner Backend
+	size  int
+	buf   []Record            // acknowledged and not yet flushed, in arrival order
+	keys  map[string]struct{} // the {Tid, Loc} keys of buf
 }
 
 var (
@@ -129,16 +120,13 @@ func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
 	defer b.mu.Unlock()
 	// Validate against the batch itself, the pending buffer, and the store
 	// before enqueueing anything.
-	seen := make(map[string]struct{}, len(recs))
-	for _, r := range recs {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		k := memKey(r.Tid, r.Loc)
-		if _, dup := seen[k]; dup {
-			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-		}
-		if _, dup := b.keys[k]; dup {
+	if err := ValidateBatch(recs); err != nil {
+		return err
+	}
+	keys := make([]string, len(recs))
+	for i, r := range recs {
+		keys[i] = memKey(r.Tid, r.Loc)
+		if _, dup := b.keys[keys[i]]; dup {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
 		if _, ok, err := b.inner.Lookup(ctx, r.Tid, r.Loc); err != nil {
@@ -146,17 +134,13 @@ func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
 		} else if ok {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
-		seen[k] = struct{}{}
 	}
-	batch := make([]Record, len(recs))
-	copy(batch, recs)
-	b.batches = append(b.batches, batch)
-	b.pending += len(batch)
-	for k := range seen {
+	b.buf = append(b.buf, recs...)
+	for _, k := range keys {
 		b.keys[k] = struct{}{}
 	}
-	if b.pending >= b.size {
-		return b.flushLockedTraced(ctx)
+	if len(b.buf) >= b.size {
+		return b.flushLocked(ctx)
 	}
 	return nil
 }
@@ -165,33 +149,14 @@ func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
 func (b *BatchingBackend) Pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.pending
+	return len(b.buf)
 }
 
-// Flush implements Flusher: every buffered batch goes down as one group
-// commit. The context is used only to attach the flush span to an in-flight
-// trace; the group commit itself still runs under context.Background (see
-// flushLocked).
+// Flush implements Flusher: everything buffered goes down as one Append.
 func (b *BatchingBackend) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.flushLockedTraced(ctx)
-}
-
-// flushLockedTraced wraps a non-empty flush in a "batch:flush" span.
-func (b *BatchingBackend) flushLockedTraced(ctx context.Context) error {
-	if b.pending == 0 {
-		return nil
-	}
-	_, sp := provtrace.Start(ctx, "batch:flush")
-	if sp != nil {
-		sp.SetAttr("records", strconv.Itoa(b.pending))
-		sp.SetAttr("batches", strconv.Itoa(len(b.batches)))
-	}
-	err := b.flushLocked()
-	sp.SetErr(err)
-	sp.End()
-	return err
+	return b.flushLocked(ctx)
 }
 
 // Close flushes the buffer and closes the wrapped store if it holds
@@ -206,28 +171,35 @@ func (b *BatchingBackend) Close() error {
 	return err
 }
 
-// flushLocked drains the buffer. On error the buffered batches are KEPT so
+// flushLocked drains the buffer inside a "batch:flush" span. On error the buffered records are KEPT so
 // the acknowledged records are not lost and a later Flush (or read) can
 // retry; eager validation at enqueue time makes this path exceptional (a
-// racing writer on the same key, or a failing store). If the store applied
-// part of the group before failing, a retry reports DupKeyError for the
-// already-applied batches — loud, and recoverable by inspection, where
-// silently dropping acknowledged provenance would not be.
+// racing writer on the same key, or a failing store). A store whose Append
+// is not atomic (shards racing another writer) may have applied part of the
+// group before failing; a retry then reports DupKeyError — loud, and
+// recoverable by inspection, where silently dropping acknowledged
+// provenance would not be.
 //
-// The flush deliberately runs under context.Background(): the records were
+// The append deliberately runs under context.Background(): the records were
 // acknowledged under the context of the Append that buffered them, so a
-// later caller's cancellation must not be able to strand them.
-func (b *BatchingBackend) flushLocked() error {
-	if b.pending == 0 {
+// later caller's cancellation must not be able to strand them. ctx only
+// attaches the span to an in-flight trace.
+func (b *BatchingBackend) flushLocked(ctx context.Context) error {
+	if len(b.buf) == 0 {
 		return nil
 	}
-	if err := appendBatches(context.Background(), b.inner, b.batches); err != nil {
-		return err
+	_, sp := provtrace.Start(ctx, "batch:flush")
+	if sp != nil {
+		sp.SetAttr("records", strconv.Itoa(len(b.buf)))
 	}
-	b.batches = nil
-	b.pending = 0
-	b.keys = make(map[string]struct{})
-	return nil
+	err := b.inner.Append(context.Background(), b.buf)
+	sp.SetErr(err)
+	sp.End()
+	if err == nil {
+		b.buf = b.buf[:0] // Append keeps no reference to it
+		clear(b.keys)
+	}
+	return err
 }
 
 // --- read-through ----------------------------------------------------------
@@ -261,11 +233,9 @@ func (b *BatchingBackend) NearestAncestor(ctx context.Context, tid int64, loc pa
 func (b *BatchingBackend) buffered(spec ScanSpec) []Record {
 	b.mu.Lock()
 	var out []Record
-	for _, batch := range b.batches {
-		for _, r := range batch {
-			if spec.Match(r) {
-				out = append(out, r)
-			}
+	for _, r := range b.buf {
+		if spec.Match(r) {
+			out = append(out, r)
 		}
 	}
 	b.mu.Unlock()

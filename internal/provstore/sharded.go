@@ -162,21 +162,13 @@ func (b *ShardedBackend) partition(recs []Record) [][]Record {
 // checks and intra-batch duplicates inline, then per-shard store probes in
 // parallel — so the common single-writer case stores nothing on failure
 // (matching MemBackend). Only then do the per-shard sub-batches append, in
-// parallel.
+// parallel, each shard's share as one Append — one commit per shard touched.
 func (b *ShardedBackend) Append(ctx context.Context, recs []Record) error {
 	if len(b.shards) == 1 {
 		return b.shards[0].Append(ctx, recs)
 	}
-	seen := make(map[string]struct{}, len(recs))
-	for _, r := range recs {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-		k := memKey(r.Tid, r.Loc)
-		if _, dup := seen[k]; dup {
-			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-		}
-		seen[k] = struct{}{}
+	if err := ValidateBatch(recs); err != nil {
+		return err
 	}
 	parts := b.partition(recs)
 	err := b.fanParts(ctx, parts, func(i int) error {
@@ -222,51 +214,6 @@ func (b *ShardedBackend) fanParts(ctx context.Context, parts [][]Record, f func(
 		return f(touched[0])
 	}
 	return Fanout(ctx, len(touched), func(j int) error { return f(touched[j]) })
-}
-
-// AppendBatch implements GroupCommitter: every batch is partitioned, and
-// each shard persists its share of all batches with a single group commit
-// when the shard store supports it.
-func (b *ShardedBackend) AppendBatch(ctx context.Context, batches ...[]Record) error {
-	if len(b.shards) == 1 {
-		return appendBatches(ctx, b.shards[0], batches)
-	}
-	parts := make([][][]Record, len(b.shards))
-	touched := make([]int, 0, len(b.shards))
-	for _, batch := range batches {
-		split := b.partition(batch)
-		for i, p := range split {
-			if len(p) > 0 {
-				if len(parts[i]) == 0 {
-					touched = append(touched, i)
-				}
-				parts[i] = append(parts[i], p)
-			}
-		}
-	}
-	if len(touched) == 0 {
-		return nil
-	}
-	if len(touched) == 1 {
-		return appendBatches(ctx, b.shards[touched[0]], parts[touched[0]])
-	}
-	return Fanout(ctx, len(touched), func(j int) error {
-		return appendBatches(ctx, b.shards[touched[j]], parts[touched[j]])
-	})
-}
-
-// appendBatches hands a group of batches to a store in one group commit if
-// it supports that, falling back to sequential appends.
-func appendBatches(ctx context.Context, s Backend, batches [][]Record) error {
-	if gc, ok := s.(GroupCommitter); ok {
-		return gc.AppendBatch(ctx, batches...)
-	}
-	for _, batch := range batches {
-		if err := s.Append(ctx, batch); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Lookup implements Backend: a single-shard read.

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/figures"
 	"repro/internal/path"
-	"repro/internal/provquery"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 )
@@ -203,24 +203,20 @@ func TestCrossShardHistMergeOrdering(t *testing.T) {
 		wantHist = append(wantHist, int64(k))
 	}
 	for name, b := range map[string]provstore.Backend{"mem": mem, "sharded": sh} {
-		eng := provquery.New(b)
-		tnow, _ := eng.MaxTid(context.Background())
-		hist, err := eng.Hist(context.Background(), locs[hops], tnow)
-		if err != nil {
-			t.Fatal(err)
+		run := func(op string, p path.Path) *provplan.Result {
+			res, err := provplan.Collect(context.Background(), b, &provplan.Query{Op: op, Path: p.String()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		if fmt.Sprint(hist) != fmt.Sprint(wantHist) {
+		if hist := run(provplan.OpHist, locs[hops]).Tids; fmt.Sprint(hist) != fmt.Sprint(wantHist) {
 			t.Errorf("%s: Hist = %v, want %v (most recent first)", name, hist, wantHist)
 		}
-		tid, ok, err := eng.Src(context.Background(), locs[hops], tnow)
-		if err != nil || !ok || tid != 1 {
-			t.Errorf("%s: Src = %d/%v/%v, want 1", name, tid, ok, err)
+		if src := run(provplan.OpSrc, locs[hops]); !src.Found || src.Value != 1 {
+			t.Errorf("%s: Src = %d/%v, want 1", name, src.Value, src.Found)
 		}
-		mod, err := eng.Mod(context.Background(), path.New("T"), tnow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(mod) != hops+1 {
+		if mod := run(provplan.OpMod, path.New("T")).Tids; len(mod) != hops+1 {
 			t.Errorf("%s: Mod lists %d txns, want %d", name, len(mod), hops+1)
 		}
 	}

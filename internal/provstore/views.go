@@ -1,10 +1,9 @@
-package provquery
+package provstore
 
 import (
 	"context"
 
 	"repro/internal/path"
-	"repro/internal/provstore"
 )
 
 // This file exposes the paper's §2.2 datalog views as direct predicates
@@ -16,32 +15,32 @@ import (
 //	Copy(t, p, q) ← Prov(t, C, p, q)
 //	From(t, p, q) ← Copy(t, p, q);  From(t, p, p) ← Unch(t, p)
 //
-// They are convenience wrappers over provstore.Effective; the Engine's
-// Trace/Src/Hist/Mod batch the same resolutions for efficiency.
+// They are convenience wrappers over Effective; provplan's trace/src/hist/mod
+// batch the same resolutions for efficiency.
 
 // Unch reports that location p was untouched by transaction t.
-func (e *Engine) Unch(ctx context.Context, t int64, p path.Path) (bool, error) {
-	_, ok, err := provstore.Effective(ctx, e.backend, t, p)
+func Unch(ctx context.Context, b Backend, t int64, p path.Path) (bool, error) {
+	_, ok, err := Effective(ctx, b, t, p)
 	return !ok && err == nil, err
 }
 
 // Ins reports that location p was inserted by transaction t.
-func (e *Engine) Ins(ctx context.Context, t int64, p path.Path) (bool, error) {
-	rec, ok, err := provstore.Effective(ctx, e.backend, t, p)
-	return ok && rec.Op == provstore.OpInsert, err
+func Ins(ctx context.Context, b Backend, t int64, p path.Path) (bool, error) {
+	rec, ok, err := Effective(ctx, b, t, p)
+	return ok && rec.Op == OpInsert, err
 }
 
 // Del reports that location p was deleted by transaction t.
-func (e *Engine) Del(ctx context.Context, t int64, p path.Path) (bool, error) {
-	rec, ok, err := provstore.Effective(ctx, e.backend, t, p)
-	return ok && rec.Op == provstore.OpDelete, err
+func Del(ctx context.Context, b Backend, t int64, p path.Path) (bool, error) {
+	rec, ok, err := Effective(ctx, b, t, p)
+	return ok && rec.Op == OpDelete, err
 }
 
 // Copy returns the source location p was copied from in transaction t, if
 // it was copied.
-func (e *Engine) Copy(ctx context.Context, t int64, p path.Path) (path.Path, bool, error) {
-	rec, ok, err := provstore.Effective(ctx, e.backend, t, p)
-	if err != nil || !ok || rec.Op != provstore.OpCopy {
+func Copy(ctx context.Context, b Backend, t int64, p path.Path) (path.Path, bool, error) {
+	rec, ok, err := Effective(ctx, b, t, p)
+	if err != nil || !ok || rec.Op != OpCopy {
 		return path.Root, false, err
 	}
 	return rec.Src, true, nil
@@ -51,15 +50,15 @@ func (e *Engine) Copy(ctx context.Context, t int64, p path.Path) (path.Path, boo
 // at the end of transaction t−1: the copy source if p was copied, p itself
 // if p was unchanged, and ok=false if p was created or deleted by t (no
 // predecessor).
-func (e *Engine) From(ctx context.Context, t int64, p path.Path) (path.Path, bool, error) {
-	rec, ok, err := provstore.Effective(ctx, e.backend, t, p)
+func From(ctx context.Context, b Backend, t int64, p path.Path) (path.Path, bool, error) {
+	rec, ok, err := Effective(ctx, b, t, p)
 	if err != nil {
 		return path.Root, false, err
 	}
 	if !ok {
 		return p, true, nil // Unch
 	}
-	if rec.Op == provstore.OpCopy {
+	if rec.Op == OpCopy {
 		return rec.Src, true, nil
 	}
 	return path.Root, false, nil // inserted or deleted: no predecessor

@@ -1,15 +1,14 @@
-package provquery_test
+package provstore_test
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/path"
-	"repro/internal/provquery"
 	"repro/internal/provstore"
 )
 
-func viewEngine(t *testing.T) *provquery.Engine {
+func viewStore(t *testing.T) provstore.Backend {
 	t.Helper()
 	b := provstore.NewMemBackend()
 	err := b.Append(context.Background(), []provstore.Record{
@@ -20,66 +19,66 @@ func viewEngine(t *testing.T) *provquery.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return provquery.New(b)
+	return b
 }
 
 func TestViewPredicates(t *testing.T) {
-	e := viewEngine(t)
+	b := viewStore(t)
 	p := path.MustParse
 
-	if ok, _ := e.Ins(context.Background(), 1, p("T/a")); !ok {
+	if ok, _ := provstore.Ins(context.Background(), b, 1, p("T/a")); !ok {
 		t.Error("Ins(1, T/a)")
 	}
-	if ok, _ := e.Ins(context.Background(), 2, p("T/a")); ok {
+	if ok, _ := provstore.Ins(context.Background(), b, 2, p("T/a")); ok {
 		t.Error("¬Ins(2, T/a)")
 	}
-	if ok, _ := e.Del(context.Background(), 3, p("T/a")); !ok {
+	if ok, _ := provstore.Del(context.Background(), b, 3, p("T/a")); !ok {
 		t.Error("Del(3, T/a)")
 	}
-	if ok, _ := e.Unch(context.Background(), 2, p("T/a")); !ok {
+	if ok, _ := provstore.Unch(context.Background(), b, 2, p("T/a")); !ok {
 		t.Error("Unch(2, T/a)")
 	}
-	if ok, _ := e.Unch(context.Background(), 2, p("T/b")); ok {
+	if ok, _ := provstore.Unch(context.Background(), b, 2, p("T/b")); ok {
 		t.Error("¬Unch(2, T/b)")
 	}
-	src, ok, _ := e.Copy(context.Background(), 2, p("T/b"))
+	src, ok, _ := provstore.Copy(context.Background(), b, 2, p("T/b"))
 	if !ok || src.String() != "S/x" {
 		t.Errorf("Copy(2, T/b) = %v, %v", src, ok)
 	}
-	if _, ok, _ := e.Copy(context.Background(), 1, p("T/a")); ok {
+	if _, ok, _ := provstore.Copy(context.Background(), b, 1, p("T/a")); ok {
 		t.Error("¬Copy(1, T/a)")
 	}
 	// Hierarchical inference flows through the views: children of the
 	// copied node are copied from rebased sources.
-	src, ok, _ = e.Copy(context.Background(), 2, p("T/b/k"))
+	src, ok, _ = provstore.Copy(context.Background(), b, 2, p("T/b/k"))
 	if !ok || src.String() != "S/x/k" {
 		t.Errorf("inferred Copy(2, T/b/k) = %v, %v", src, ok)
 	}
-	if ok, _ := e.Ins(context.Background(), 1, p("T/a/child")); !ok {
+	if ok, _ := provstore.Ins(context.Background(), b, 1, p("T/a/child")); !ok {
 		t.Error("children of inserted nodes are inserted")
 	}
 }
 
 func TestFromPredicate(t *testing.T) {
-	e := viewEngine(t)
+	b := viewStore(t)
 	p := path.MustParse
 
 	// Unchanged: comes from itself.
-	q, ok, err := e.From(context.Background(), 2, p("T/other"))
+	q, ok, err := provstore.From(context.Background(), b, 2, p("T/other"))
 	if err != nil || !ok || !q.Equal(p("T/other")) {
 		t.Errorf("From(unch) = %v, %v, %v", q, ok, err)
 	}
 	// Copied: comes from the source.
-	q, ok, _ = e.From(context.Background(), 2, p("T/b"))
+	q, ok, _ = provstore.From(context.Background(), b, 2, p("T/b"))
 	if !ok || q.String() != "S/x" {
 		t.Errorf("From(copy) = %v, %v", q, ok)
 	}
 	// Inserted: no predecessor.
-	if _, ok, _ := e.From(context.Background(), 1, p("T/a")); ok {
+	if _, ok, _ := provstore.From(context.Background(), b, 1, p("T/a")); ok {
 		t.Error("From(inserted) should have no predecessor")
 	}
 	// Deleted: no predecessor either.
-	if _, ok, _ := e.From(context.Background(), 3, p("T/a")); ok {
+	if _, ok, _ := provstore.From(context.Background(), b, 3, p("T/a")); ok {
 		t.Error("From(deleted) should have no predecessor")
 	}
 }

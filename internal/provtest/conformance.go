@@ -69,6 +69,7 @@ func Conformance(t *testing.T, open func(t *testing.T) provstore.Backend) {
 	t.Run("EarlyBreakReleases", func(t *testing.T) { conformEarlyBreak(t, open(t)) })
 	t.Run("CancelMidStream", func(t *testing.T) { conformCancelMidStream(t, open(t)) })
 	t.Run("PreCancelledContext", func(t *testing.T) { conformPreCancelled(t, open(t)) })
+	t.Run("GroupAppend", func(t *testing.T) { conformGroupAppend(t, open(t)) })
 }
 
 func loadConformanceFixture(t *testing.T, b provstore.Backend) []provstore.Record {
@@ -313,5 +314,44 @@ func conformPreCancelled(t *testing.T, b provstore.Backend) {
 	}
 	if _, _, err := b.Lookup(ctx, 1, path.MustParse("S/a")); !errors.Is(err, context.Canceled) {
 		t.Errorf("Lookup on cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// conformGroupAppend pins the write contract: one Append may span
+// transactions and is stored whole, and a batch with a {Tid, Loc} repeated
+// within it — in its last record, after two clean transactions — or already
+// stored is rejected with *DupKeyError before any of it is stored.
+func conformGroupAppend(t *testing.T, b provstore.Backend) {
+	ctx := context.Background()
+	group := func(base int64) []provstore.Record {
+		var recs []provstore.Record
+		for tid := base; tid < base+3; tid++ {
+			for _, loc := range []string{"T/g", "T/g/a", "T/h"} {
+				recs = append(recs, provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.MustParse(loc)})
+			}
+		}
+		return recs
+	}
+	stored := group(1)
+	if err := b.Append(ctx, stored); err != nil {
+		t.Fatalf("three-transaction batch: %v", err)
+	}
+	got, err := provstore.CollectScan(b.Scan(ctx, provstore.All()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSeq(t, "three-transaction batch", got, stored)
+
+	repeated := group(4)
+	repeated = append(repeated, repeated[0])
+	overlapping := append(group(4), stored[len(stored)-1])
+	for what, recs := range map[string][]provstore.Record{"repeated in batch": repeated, "already stored": overlapping} {
+		var dup *provstore.DupKeyError
+		if err := b.Append(ctx, recs); !errors.As(err, &dup) {
+			t.Errorf("%s: Append = %v, want *DupKeyError", what, err)
+		}
+		if st, err := b.Stat(ctx); err != nil || st.Count != len(stored) {
+			t.Errorf("%s: Stat = %+v, %v; want Count %d (a rejected batch stores nothing)", what, st, err, len(stored))
+		}
 	}
 }

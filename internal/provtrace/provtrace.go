@@ -29,13 +29,12 @@ package provtrace
 
 import (
 	"context"
+	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"math/rand/v2"
 	"sync"
 	"time"
-
-	"repro/internal/provobs"
 )
 
 // An Attr is one key=value annotation on a span. Values are strings so
@@ -64,15 +63,24 @@ type Span struct {
 	sink *Store    // root spans opened by Store.StartRoot flush here on End
 }
 
-// scope is the single context value: the trace's recorder plus the id of
-// the currently active span (the parent of the next Start). One Value
-// lookup answers both "is tracing on" and "who is my parent".
+// scope is the single context value for a request's identity: the trace id,
+// the id of the currently active span (the parent of the next Start), and
+// the trace's recorder — nil means "correlate, don't record": the id still
+// flows down a backend chain, into request logs and error messages, but
+// Start is a no-op. One Value lookup answers "which trace", "is tracing on"
+// and "who is my parent".
 type scope struct {
-	rec    *Recorder
-	spanID string
+	traceID string
+	spanID  string
+	rec     *Recorder
 }
 
 type ctxKey struct{}
+
+func scopeOf(ctx context.Context) *scope {
+	sc, _ := ctx.Value(ctxKey{}).(*scope)
+	return sc
+}
 
 // A Recorder collects the finished spans of one trace. It is safe for
 // concurrent use: a sharded scatter-gather ends one span per shard from
@@ -91,7 +99,7 @@ type Recorder struct {
 // stitches a chained daemon's subtree under the caller's rpc span.
 func NewRecorder(traceID, parentID string) *Recorder {
 	if traceID == "" {
-		traceID = provobs.NewTraceID()
+		traceID = NewTraceID()
 	}
 	return &Recorder{traceID: traceID, parent: parentID}
 }
@@ -114,31 +122,37 @@ func (r *Recorder) add(s Span) {
 	r.mu.Unlock()
 }
 
-// WithRecorder installs rec on the context, making Start record spans. It
-// also stamps the recorder's trace id as the flat provobs trace id, so the
-// request log, error wrapping and span tree all agree on one id.
+// WithRecorder installs rec on the context, making Start record spans under
+// the recorder's trace id — the one id the request log, error wrapping and
+// span tree all report.
 func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
-	ctx = provobs.WithTraceID(ctx, rec.traceID)
-	return context.WithValue(ctx, ctxKey{}, &scope{rec: rec, spanID: rec.parent})
+	return context.WithValue(ctx, ctxKey{}, &scope{traceID: rec.traceID, spanID: rec.parent, rec: rec})
+}
+
+// WithTraceID returns ctx carrying the trace id and no recorder: the
+// request is correlated across hops but no span is recorded.
+func WithTraceID(ctx context.Context, traceID string) context.Context {
+	return context.WithValue(ctx, ctxKey{}, &scope{traceID: traceID})
 }
 
 // Active reports whether a recorder is installed on ctx — the guard for
 // instrumentation that would otherwise allocate (attribute formatting,
 // cursor wrapping) even when tracing is off.
 func Active(ctx context.Context) bool {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
-	return sc != nil
+	sc := scopeOf(ctx)
+	return sc != nil && sc.rec != nil
 }
 
-// IDs returns the trace id and currently active span id on ctx, or empty
-// strings when no recorder is installed. The client uses the pair to stamp
-// X-Cpdb-Trace-Id and X-Cpdb-Span-Id on outgoing requests.
+// IDs returns the trace id on ctx — whether or not a recorder is installed
+// — and the currently active span id, or empty strings when there is none.
+// The client uses the pair to stamp X-Cpdb-Trace-Id and X-Cpdb-Span-Id on
+// outgoing requests.
 func IDs(ctx context.Context) (traceID, spanID string) {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
+	sc := scopeOf(ctx)
 	if sc == nil {
 		return "", ""
 	}
-	return sc.rec.traceID, sc.spanID
+	return sc.traceID, sc.spanID
 }
 
 // Start opens a span named name under the currently active span. When no
@@ -146,19 +160,19 @@ func IDs(ctx context.Context) (traceID, spanID string) {
 // lookup — the near-zero off path. The returned context carries the new
 // span as the active parent; End records the span into the trace.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
-	if sc == nil {
+	sc := scopeOf(ctx)
+	if sc == nil || sc.rec == nil {
 		return ctx, nil
 	}
 	sp := &Span{
-		TraceID:  sc.rec.traceID,
+		TraceID:  sc.traceID,
 		SpanID:   newSpanID(),
 		ParentID: sc.spanID,
 		Name:     name,
 		Start:    time.Now(),
 		rec:      sc.rec,
 	}
-	return context.WithValue(ctx, ctxKey{}, &scope{rec: sc.rec, spanID: sp.SpanID}), sp
+	return context.WithValue(ctx, ctxKey{}, &scope{traceID: sc.traceID, spanID: sp.SpanID, rec: sc.rec}), sp
 }
 
 // Emit records an already-measured span — the bridge from the plan layer's
@@ -166,12 +180,12 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 // it when the plan finishes. The span parents under ctx's active span. No
 // recorder installed means no-op.
 func Emit(ctx context.Context, name string, start time.Time, dur time.Duration, attrs ...Attr) {
-	sc, _ := ctx.Value(ctxKey{}).(*scope)
-	if sc == nil {
+	sc := scopeOf(ctx)
+	if sc == nil || sc.rec == nil {
 		return
 	}
 	sc.rec.add(Span{
-		TraceID:  sc.rec.traceID,
+		TraceID:  sc.traceID,
 		SpanID:   newSpanID(),
 		ParentID: sc.spanID,
 		Name:     name,
@@ -221,6 +235,20 @@ func (s *Span) End() {
 	if s.sink != nil {
 		s.sink.Finish(rec, false)
 	}
+}
+
+// NewTraceID returns a fresh 16-hex-character trace id: random, unordered,
+// carrying no information beyond identity. The cpdb:// client stamps every
+// round trip with one (X-Cpdb-Trace-Id) unless its context already carries
+// a trace, so a chained daemon's outgoing client reuses the caller's.
+func NewTraceID() string {
+	var b [8]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		// crypto/rand failing is a broken platform; a constant id keeps
+		// requests flowing (correlation degrades, nothing else does).
+		return "0000000000000000"
+	}
+	return hex.EncodeToString(b[:])
 }
 
 // newSpanID returns 8 random bytes as 16 hex characters. Span ids only

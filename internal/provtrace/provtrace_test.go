@@ -271,3 +271,32 @@ func TestStartRootFilesOnEnd(t *testing.T) {
 		t.Fatalf("nil store StartRoot not free")
 	}
 }
+
+// TestTraceID: ids are 16 hex characters, and the trace id rides the one
+// context value with or without a recorder.
+func TestTraceID(t *testing.T) {
+	a, b := NewTraceID(), NewTraceID()
+	if len(a) != 16 || len(b) != 16 {
+		t.Fatalf("trace id lengths %d/%d, want 16", len(a), len(b))
+	}
+	if a == b {
+		t.Errorf("two trace ids collided: %s", a)
+	}
+	if _, err := strconv.ParseUint(a, 16, 64); err != nil {
+		t.Errorf("trace id %q is not hex: %v", a, err)
+	}
+	ctx := context.Background()
+	if got, _ := IDs(ctx); got != "" {
+		t.Errorf("IDs(background) = %q, want empty", got)
+	}
+	ctx = WithTraceID(ctx, a)
+	if got, span := IDs(ctx); got != a || span != "" || Active(ctx) {
+		t.Errorf("IDs round trip = %q, %q (active %v), want %q, no span, not recording", got, span, Active(ctx), a)
+	}
+	if _, sp := Start(ctx, "x"); sp != nil {
+		t.Error("Start recorded a span under a correlate-only context")
+	}
+	if got, _ := IDs(WithRecorder(context.Background(), NewRecorder(a, ""))); got != a {
+		t.Errorf("IDs under a recorder = %q, want %q", got, a)
+	}
+}

@@ -12,12 +12,13 @@ import (
 	"repro/internal/path"
 	"repro/internal/provobs"
 	"repro/internal/provstore"
+	"repro/internal/provtest"
 	"repro/internal/relprov"
 	"repro/internal/relstore"
 )
 
 // commitTxns appends txns transactions of five records each, one durable
-// AppendBatch per transaction, and returns the acknowledged records. Locs
+// Append per transaction, and returns the acknowledged records. Locs
 // spread over many subtrees so both indexes split leaves all over.
 func commitTxns(t *testing.T, b *relprov.Backend, firstTid int64, txns int) []provstore.Record {
 	t.Helper()
@@ -29,7 +30,7 @@ func commitTxns(t *testing.T, b *relprov.Backend, firstTid int64, txns int) []pr
 			loc := fmt.Sprintf("T/c%d/entry-%d/field-%d-with-a-long-label", (int(tid)*7+j)%23, tid, j)
 			recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/src%d/x%d", j, tid)))
 		}
-		if err := b.AppendBatch(context.Background(), recs); err != nil {
+		if err := b.Append(context.Background(), recs); err != nil {
 			t.Fatal(err)
 		}
 		acked = append(acked, recs...)
@@ -241,4 +242,40 @@ func TestGroupCommitOneFsync(t *testing.T) {
 	}
 	// A crash right here finds the checkpointed data file and a short log.
 	checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), acked)
+}
+
+// TestBatchingThroughDecoratorIsOneCommit: a decorator between the batching
+// layer and a durable store needs no write method of its own for group commit
+// to reach the store — one flush is one inner Append, hence one log fsync
+// however many transactions it carries.
+func TestBatchingThroughDecoratorIsOneCommit(t *testing.T) {
+	store, err := relprov.OpenFile(filepath.Join(t.TempDir(), "prov.db"), relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	fsyncs := func() int64 { return provobs.Stats(provobs.SourceRegistries(store)...)["rel.wal.fsyncs"] }
+	b := provstore.NewBatching(provtest.NewTamper(store, nil), 64)
+	before := fsyncs()
+	for tid := int64(1); tid <= 5; tid++ {
+		recs := []provstore.Record{
+			rec(tid, provstore.OpInsert, fmt.Sprintf("T/e%d", tid), ""),
+			rec(tid, provstore.OpCopy, fmt.Sprintf("T/e%d/x", tid), "S/x"),
+		}
+		if err := b.Append(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fsyncs() - before; got != 0 {
+		t.Fatalf("%d log fsyncs before the flush, want 0", got)
+	}
+	if err := b.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fsyncs() - before; got != 1 {
+		t.Errorf("flushing five transactions through a decorator cost %d log fsyncs, want 1", got)
+	}
+	if st, err := store.Stat(context.Background()); err != nil || st.Count != 10 {
+		t.Errorf("Stat = %+v, %v; want Count 10", st, err)
+	}
 }

@@ -33,16 +33,15 @@ type Backend struct {
 	db  *relstore.DB
 	tbl *relstore.Table
 	wal *relstore.WAL // non-nil after EnableGroupCommit; closed by Close
-	// durable makes every Append/AppendBatch end in one GroupCommit,
+	// durable makes every Append end in one GroupCommit,
 	// instead of durability only at Flush/Close. See EnableGroupCommit.
 	durable bool
 	obs     *provobs.Registry
 }
 
 var (
-	_ provstore.Backend        = (*Backend)(nil)
-	_ provstore.GroupCommitter = (*Backend)(nil)
-	_ provobs.Source           = (*Backend)(nil)
+	_ provstore.Backend = (*Backend)(nil)
+	_ provobs.Source    = (*Backend)(nil)
 )
 
 // Schema returns the provenance table schema.
@@ -85,9 +84,9 @@ func Open(db *relstore.DB) (*Backend, error) {
 func (b *Backend) DB() *relstore.DB { return b.db }
 
 // EnableGroupCommit attaches a write-ahead log to the underlying database
-// and makes every Append and AppendBatch durable before returning — at the
-// cost of one log write and one log fsync per call, however many records
-// (Append) or whole batches (AppendBatch) it carries. The data file is
+// and makes every Append durable before returning — at the cost of one log
+// write and one log fsync per call, however many records or whole
+// transactions it carries. The data file is
 // written at every commit but fsynced only when the log is checkpointed
 // (truncated, every few megabytes logged) and at Close, which leaves the
 // log empty. This is the group-commit write path of the sharded ingest
@@ -125,7 +124,7 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 // and decodes the rows it returns; a reading that grows with the relation
 // on a small answer means a scan is hiding in the read path. A durable
 // append costs exactly one log fsync and no data fsync: rel.wal.fsyncs
-// rises by one per Append/AppendBatch, rel.data.fsyncs only with
+// rises by one per Append, rel.data.fsyncs only with
 // rel.checkpoints.
 func newBackend(db *relstore.DB, tbl *relstore.Table) *Backend {
 	b := &Backend{db: db, tbl: tbl, obs: provobs.NewRegistry()}
@@ -170,16 +169,13 @@ func (b *Backend) Close() error {
 	return err
 }
 
-func toRow(r provstore.Record) (relstore.Row, error) {
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
+func toRow(r provstore.Record) relstore.Row {
 	return relstore.Row{
 		r.Tid,
 		r.Loc.AppendBinary(nil),
 		r.Op.String(),
 		r.Src.AppendBinary(nil),
-	}, nil
+	}
 }
 
 // decodeRow decodes a stored row (relstore's row codec over Schema: tid as a
@@ -223,60 +219,38 @@ func decodeRow(enc []byte) (provstore.Record, error) {
 	return rec, rec.Validate()
 }
 
-// Append implements provstore.Backend. The batch maps to one logical round
-// trip; a duplicate {Tid, Loc} anywhere in the batch aborts it wholesale
-// (the table's primary key enforces the constraint).
+// Append implements provstore.Backend: the records — one transaction's, or
+// the several committed transactions a batching layer accumulated — are
+// inserted in the order given and then made durable together with a single
+// GroupCommit (one WAL write and fsync). The whole batch is validated before
+// any row is inserted, so a duplicate {Tid, Loc} anywhere in it, or against
+// the table, aborts it wholesale.
 func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
-	return b.AppendBatch(ctx, recs)
-}
-
-// AppendBatch implements provstore.GroupCommitter: several record batches
-// — typically several committed transactions accumulated by the batching
-// ingest layer — are inserted and then made durable together with a single
-// GroupCommit (one WAL write and fsync), instead of one durability round
-// trip per batch. The whole group is validated before any row is inserted,
-// so a duplicate {Tid, Loc} anywhere across the group aborts it wholesale.
-func (b *Backend) AppendBatch(ctx context.Context, batches ...[]provstore.Record) error {
 	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	if err := provstore.ValidateBatch(recs); err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	total := 0
-	for _, recs := range batches {
-		total += len(recs)
-	}
-	if total == 0 {
-		return nil
-	}
-	// Validate every batch of the group before touching the table so a
-	// failed append stores nothing (matching MemBackend).
-	rows := make([]relstore.Row, 0, total)
-	seen := make(map[string]struct{}, total)
-	for _, recs := range batches {
-		for _, r := range recs {
-			row, err := toRow(r)
-			if err != nil {
-				return err
-			}
-			// The encoded primary key identifies the record both within
-			// the group and against the store; the probe is key-only.
-			pk, err := b.tbl.KeyPrefix(r.Tid, row[1])
-			if err != nil {
-				return err
-			}
-			if _, dup := seen[string(pk)]; dup {
-				return &provstore.DupKeyError{Tid: r.Tid, Loc: r.Loc}
-			}
-			seen[string(pk)] = struct{}{}
-			stored, err := b.tbl.Has(pk)
-			if err != nil {
-				return err
-			}
-			if stored {
-				return &provstore.DupKeyError{Tid: r.Tid, Loc: r.Loc}
-			}
-			rows = append(rows, row)
+	rows := make([]relstore.Row, len(recs))
+	for i, r := range recs {
+		rows[i] = toRow(r)
+		// The probe for a stored duplicate is key-only.
+		pk, err := b.tbl.KeyPrefix(r.Tid, rows[i][1])
+		if err != nil {
+			return err
+		}
+		stored, err := b.tbl.Has(pk)
+		if err != nil {
+			return err
+		}
+		if stored {
+			return &provstore.DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
 	}
 	for i, row := range rows {

@@ -92,10 +92,6 @@ func TestRelProvBasics(t *testing.T) {
 	}
 }
 
-// TestRelProvAppendBatch: a group of batches lands atomically per batch,
-// duplicate keys anywhere across the group abort it before insertion, and
-// with group commit enabled the rows survive reopening after an unclean
-// stop (durability came from the WAL, not Close).
 // TestRelProvCorruptRows: the backend decodes stored rows itself, off the
 // leaf's bytes. A row that is not a record — written here through the table,
 // behind the backend's back — is an error from every read that meets it, by
@@ -144,6 +140,11 @@ func TestRelProvCorruptRows(t *testing.T) {
 	}
 }
 
+// TestRelProvAppendBatch (the name predates the single write path, when a
+// group was a second method): an Append spanning transactions lands whole,
+// duplicate keys anywhere across it abort it before insertion, and with group
+// commit enabled the rows survive reopening after an unclean stop (durability
+// came from the WAL, not Close).
 func TestRelProvAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.rel")
@@ -161,38 +162,39 @@ func TestRelProvAppendBatch(t *testing.T) {
 	}
 	b.EnableGroupCommit(w)
 
-	if err := b.AppendBatch(context.Background()); err != nil {
+	if err := b.Append(context.Background(), nil); err != nil {
 		t.Fatalf("empty group: %v", err)
 	}
-	batches := [][]provstore.Record{
-		{rec(1, provstore.OpInsert, "T/a", ""), rec(1, provstore.OpCopy, "T/b", "S/x")},
-		{rec(2, provstore.OpDelete, "T/a", "")},
-		{rec(3, provstore.OpInsert, "T/c", "")},
+	group := []provstore.Record{
+		rec(1, provstore.OpInsert, "T/a", ""), rec(1, provstore.OpCopy, "T/b", "S/x"),
+		rec(2, provstore.OpDelete, "T/a", ""),
+		rec(3, provstore.OpInsert, "T/c", ""),
 	}
-	if err := b.AppendBatch(context.Background(), batches...); err != nil {
+	if err := b.Append(context.Background(), group); err != nil {
 		t.Fatal(err)
 	}
 	if st, err := b.Stat(context.Background()); err != nil || st.Count != 4 {
 		t.Fatalf("Count = %d, %v", st.Count, err)
 	}
-	// Cross-batch duplicate within one group.
+	// A duplicate across transactions of one group.
 	var dup *provstore.DupKeyError
-	err = b.AppendBatch(context.Background(),
-		[]provstore.Record{rec(9, provstore.OpInsert, "T/x", "")},
-		[]provstore.Record{rec(9, provstore.OpInsert, "T/x", "")},
-	)
+	err = b.Append(context.Background(), []provstore.Record{
+		rec(9, provstore.OpInsert, "T/x", ""),
+		rec(10, provstore.OpInsert, "T/y", ""),
+		rec(9, provstore.OpInsert, "T/x", ""),
+	})
 	if !errors.As(err, &dup) {
-		t.Fatalf("cross-batch dup: %v", err)
+		t.Fatalf("cross-transaction dup: %v", err)
 	}
 	// The failed group inserted nothing: no partial batches.
 	if st, err := b.Stat(context.Background()); err != nil || st.Count != 4 {
 		t.Fatalf("failed group left partial rows: Count = %d, %v", st.Count, err)
 	}
 	if _, ok, _ := b.Lookup(context.Background(), 9, path.MustParse("T/x")); ok {
-		t.Fatal("failed group's first batch was stored")
+		t.Fatal("failed group's first transaction was stored")
 	}
 	// Duplicate against stored rows.
-	if err := b.AppendBatch(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); !errors.As(err, &dup) {
+	if err := b.Append(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); !errors.As(err, &dup) {
 		t.Fatalf("stored dup: %v", err)
 	}
 

@@ -220,7 +220,7 @@ func (db *DB) AttachWAL(w *WAL) {
 // however many records it carries — and then to the data file, which is
 // fsynced only by the checkpoint that truncates the log and by Close
 // (without a log: here, every time). This is the commit primitive behind
-// relprov's AppendBatch; when it returns, the committed state survives a
+// relprov's Append; when it returns, the committed state survives a
 // crash (RecoverPager replays it on reopen; an in-flight group that never
 // returned is replayed whole or not at all).
 func (db *DB) GroupCommit() error {

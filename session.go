@@ -38,8 +38,6 @@ type Config struct {
 	// EliminateRedundant enables §3.2.4's redundant-link elimination at
 	// HT commit.
 	EliminateRedundant bool
-	// Meter, when set, attributes simulated time per operation category.
-	Meter *Meter
 }
 
 // A Session is one provenance-tracked editing session: the paper's
@@ -74,7 +72,6 @@ func New(cfg Config) (*Session, error) {
 		Target:          cfg.Target,
 		Sources:         cfg.Sources,
 		Tracker:         tracker,
-		Meter:           cfg.Meter,
 		AutoCommitEvery: cfg.AutoCommitEvery,
 	})
 	if err != nil {
