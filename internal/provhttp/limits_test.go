@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -97,6 +98,33 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	}
 	if n := count(); n != 1 {
 		t.Errorf("store holds %d records after the refused client append, want 1", n)
+	}
+}
+
+// TestOversizedRecordRefused: a record the store has no room for is the
+// client's error like an oversized body — 413, with the store's bound in the
+// message — and the batch it came in stores nothing.
+func TestOversizedRecordRefused(t *testing.T) {
+	ctx := context.Background()
+	inner, err := provstore.OpenDSN("rel://" + provstore.EscapeDSNPath(filepath.Join(t.TempDir(), "prov.db")) + "?create=1&durable=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { provstore.Close(inner) }) //nolint:errcheck // test teardown
+	cli, _ := serve(t, inner)
+	var re *provhttp.RemoteError
+	err = cli.Append(ctx, []provstore.Record{
+		rec(1, provstore.OpInsert, "T/a", ""),
+		rec(1, provstore.OpInsert, "T/"+strings.Repeat("x", 2000), ""),
+	})
+	if !errors.As(err, &re) || re.Status != http.StatusRequestEntityTooLarge || !strings.Contains(re.Msg, "at most") {
+		t.Fatalf("Append of a 2000-byte label: %v; want HTTP 413 naming the bound", err)
+	}
+	if st, err := inner.Stat(ctx); err != nil || st.Count != 0 {
+		t.Errorf("store after the refused append: %+v, %v; want it empty", st, err)
+	}
+	if err := cli.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "T/a", "")}); err != nil {
+		t.Errorf("the append after the refused one: %v", err)
 	}
 }
 

@@ -14,7 +14,8 @@
 // Protocol (version 1, all paths under /v1/):
 //
 //	POST /v1/append                  NDJSON records in, 204 out (batched);
-//	                                 413 over MaxAppendBytes
+//	                                 413 over MaxAppendBytes, or for a
+//	                                 record over the store's size bound
 //	GET  /v1/lookup?tid=&loc=        {"found":bool,"r":record}
 //	GET  /v1/ancestor?tid=&loc=      {"found":bool,"r":record}
 //	GET  /v1/scan?kind=              one ordered scan, answered as a row
@@ -480,6 +481,12 @@ func writeError(w http.ResponseWriter, err error, status int) {
 		we.Kind = kindDupKey
 		we.Tid = dup.Tid
 		we.Loc = dup.Loc.String()
+	}
+	// A record the store has no room for is the client's, like a body over
+	// the endpoint's limit.
+	var tooLarge *provstore.RecordTooLargeError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

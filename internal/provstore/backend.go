@@ -32,7 +32,8 @@ import (
 // (ValidateBatch) and {Tid, Loc} — a key, enforcing the paper's constraint
 // that "for each transaction, each location has either been inserted,
 // deleted, or copied" — unique within the batch and against the store, so a
-// rejected Append (*DupKeyError for a key violation) stores nothing. A
+// rejected Append (*DupKeyError for a key violation, *RecordTooLargeError
+// for a record over the store's size bound) stores nothing. A
 // durable store makes the batch durable with one commit, however many
 // transactions it carries; that is all group commit is. Like an io.Writer,
 // Append neither modifies recs nor keeps a reference to it: the caller may
@@ -72,7 +73,11 @@ type Backend interface {
 type Stat struct {
 	MaxTid int64 `json:"maxTid"` // the largest transaction identifier stored, or 0
 	Count  int   `json:"count"`  // the number of stored records
-	Bytes  int64 `json:"bytes"`  // the physical size of the stored records
+	// Bytes is the size of the stored records as the store encodes them,
+	// each field counted once: neither indexes, page overhead nor
+	// compression enter it (over rel:// it is relstore.Table.ByteSize; the
+	// size of the file is rel.data.pages).
+	Bytes int64 `json:"bytes"`
 }
 
 // MemBackend is the in-memory Backend: the default store of cpdbd, Session
@@ -445,6 +450,19 @@ type DupKeyError struct {
 
 func (e *DupKeyError) Error() string {
 	return "provstore: duplicate (tid, loc) key: (" + itoa(e.Tid) + ", " + e.Loc.String() + ")"
+}
+
+// RecordTooLargeError reports a record a store cannot hold: stored, it would
+// take more than Limit bytes, the store's bound on one entry. Like a key
+// violation it rejects the whole Append before anything is stored.
+type RecordTooLargeError struct {
+	Tid   int64
+	Loc   path.Path
+	Limit int
+}
+
+func (e *RecordTooLargeError) Error() string {
+	return "provstore: record (" + itoa(e.Tid) + ", " + e.Loc.String() + ") too large: a stored record is at most " + itoa(int64(e.Limit)) + " bytes"
 }
 
 func itoa(v int64) string {

@@ -242,6 +242,20 @@ func TestGroupCommitOneFsync(t *testing.T) {
 	}
 	// A crash right here finds the checkpointed data file and a short log.
 	checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), acked)
+
+	// Close is one write-back and one checkpoint: a store opened, appended to
+	// once and closed has fsynced its data file once.
+	small, err := relprov.OpenFile(filepath.Join(dir, "small.db"), relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitTxns(t, small, 1, 1)
+	if err := small.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := small.DB().IOStats(); st.DataFsyncs != 1 || st.Checkpoints != 1 {
+		t.Errorf("open, one Append, Close cost %d data fsyncs and %d checkpoints; want 1 and 1", st.DataFsyncs, st.Checkpoints)
+	}
 }
 
 // TestBatchingThroughDecoratorIsOneCommit: a decorator between the batching

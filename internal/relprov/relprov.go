@@ -3,6 +3,16 @@
 // Prov(Tid, Op, Loc, Src) with primary key {Tid, Loc} (the paper notes "Tid
 // and Loc are natural candidates for indexing") and a secondary index on Loc
 // for location-oriented queries.
+//
+// A record is stored once: its primary-tree entry is the key (tid, loc) and
+// the value (op, src), and its by_loc entry the key (loc, tid) with no
+// value. One entry is at most relstore.MaxEntrySize (1014) bytes, which
+// bounds a record: with n the labels of Loc, l their total length and s the
+// same sum l+n over Src, it is stored if l + 2n + s ≤ 996 — a Loc of 994
+// bytes under one label, or of 83 ten-byte labels, with an empty Src; about
+// three times what fitted while by_loc held Loc three times over. A record
+// over the bound rejects its whole Append with a
+// *provstore.RecordTooLargeError before anything is stored.
 package relprov
 
 import (
@@ -12,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"strings"
 	"sync"
 
 	"repro/internal/path"
@@ -119,13 +130,15 @@ func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
 //	rel.wal.bytes       bytes appended to the write-ahead log
 //	rel.data.fsyncs     fsyncs of the data file
 //	rel.checkpoints     log truncations (each after one data fsync)
+//	rel.data.pages      pages of the data file, its header page included
 //
 // hits+misses is pages touched. A point read costs about tree-height pages
 // and decodes the rows it returns; a reading that grows with the relation
 // on a small answer means a scan is hiding in the read path. A durable
 // append costs exactly one log fsync and no data fsync: rel.wal.fsyncs
 // rises by one per Append, rel.data.fsyncs only with
-// rel.checkpoints.
+// rel.checkpoints. rel.data.pages × 4096 is the size of the data file, so
+// divided by the records appended it is the store's bytes per record.
 func newBackend(db *relstore.DB, tbl *relstore.Table) *Backend {
 	b := &Backend{db: db, tbl: tbl, obs: provobs.NewRegistry()}
 	for _, m := range []struct {
@@ -148,6 +161,8 @@ func newBackend(db *relstore.DB, tbl *relstore.Table) *Backend {
 	} {
 		b.obs.CounterFunc(m.name, m.help, m.read, provobs.WithStatKey(m.key))
 	}
+	b.obs.GaugeFunc("cpdb_rel_data_pages", "Pages of the data file, its header page included.",
+		db.NumPages, provobs.WithStatKey("rel.data.pages"))
 	return b
 }
 
@@ -178,42 +193,47 @@ func toRow(r provstore.Record) relstore.Row {
 	}
 }
 
-// decodeRow decodes a stored row (relstore's row codec over Schema: tid as a
-// zigzag varint, then loc, op and src each behind a uvarint length) straight
-// into a record, with no relstore.Row of boxed values in between. It keeps
-// none of enc, so it runs inside a scan callback on the leaf's own bytes:
-// the row is copied once, as a string, and both paths' labels are
-// substrings of that copy.
-func decodeRow(enc []byte) (provstore.Record, error) {
+// decodeRow decodes a stored row — its primary-tree entry, as relstore lays
+// Schema out: the key is tid (8 bytes) then loc in the key codec's escaped,
+// terminated form; the value is op and src, each behind a uvarint length —
+// straight into a record, with no relstore.Row of boxed values in between.
+// It keeps none of key or val, so it runs inside a scan callback on the
+// leaf's own bytes: loc and src are copied once, into one string, and both
+// paths' labels are substrings of it. What comes out of the key is checked
+// like what comes out of the value: a key or a path that is not one is an
+// error.
+func decodeRow(key, val []byte) (provstore.Record, error) {
 	var rec provstore.Record
-	tid, off := binary.Varint(enc)
-	if off <= 0 {
-		return rec, errors.New("relprov: bad tid column")
+	tid, rest, err := relstore.DecodeKeyInt(key)
+	if err != nil {
+		return rec, errors.New("relprov: bad tid in key")
 	}
 	rec.Tid = tid
-	row := string(enc)
-	var col [3]string // loc, op, src
-	for i := range col {
-		l, n := binary.Uvarint(enc[off:])
-		if n <= 0 || uint64(len(enc)-off-n) < l {
-			return rec, fmt.Errorf("relprov: bad length of column %d", i+1)
-		}
-		off += n
-		col[i] = row[off : off+int(l)]
-		off += int(l)
+	var locBuf [128]byte
+	loc, rest, err := relstore.DecodeKeyBytes(locBuf[:0], rest)
+	if err != nil {
+		return rec, fmt.Errorf("relprov: bad loc in key: %w", err)
 	}
-	if off != len(enc) {
-		return rec, fmt.Errorf("relprov: %d trailing bytes after row", len(enc)-off)
+	if len(rest) != 0 {
+		return rec, fmt.Errorf("relprov: %d trailing bytes after key", len(rest))
 	}
-	if len(col[1]) != 1 {
-		return rec, fmt.Errorf("relprov: bad op %q", col[1])
+	if len(val) < 2 || val[0] != 1 {
+		return rec, fmt.Errorf("relprov: bad op %q", val)
 	}
-	rec.Op = provstore.OpKind(col[1][0])
-	var err error
-	if rec.Loc, err = path.DecodeBinaryString(col[0]); err != nil {
+	rec.Op = provstore.OpKind(val[1])
+	srcLen, n := binary.Uvarint(val[2:])
+	if n <= 0 || uint64(len(val)-2-n) != srcLen {
+		return rec, errors.New("relprov: bad length of src")
+	}
+	var row strings.Builder
+	row.Grow(len(loc) + int(srcLen))
+	row.Write(loc)
+	row.Write(val[2+n:])
+	paths := row.String()
+	if rec.Loc, err = path.DecodeBinaryString(paths[:len(loc)]); err != nil {
 		return rec, fmt.Errorf("relprov: bad loc: %w", err)
 	}
-	if rec.Src, err = path.DecodeBinaryString(col[2]); err != nil {
+	if rec.Src, err = path.DecodeBinaryString(paths[len(loc):]); err != nil {
 		return rec, fmt.Errorf("relprov: bad src: %w", err)
 	}
 	return rec, rec.Validate()
@@ -223,8 +243,8 @@ func decodeRow(enc []byte) (provstore.Record, error) {
 // the several committed transactions a batching layer accumulated — are
 // inserted in the order given and then made durable together with a single
 // GroupCommit (one WAL write and fsync). The whole batch is validated before
-// any row is inserted, so a duplicate {Tid, Loc} anywhere in it, or against
-// the table, aborts it wholesale.
+// any row is inserted, so a duplicate {Tid, Loc} anywhere in it or against
+// the table, or a record too large to store, aborts it wholesale.
 func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -240,11 +260,14 @@ func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 	rows := make([]relstore.Row, len(recs))
 	for i, r := range recs {
 		rows[i] = toRow(r)
-		// The probe for a stored duplicate is key-only.
-		pk, err := b.tbl.KeyPrefix(r.Tid, rows[i][1])
+		pk, err := b.tbl.Key(rows[i])
+		if errors.Is(err, relstore.ErrKeyTooBig) {
+			return &provstore.RecordTooLargeError{Tid: r.Tid, Loc: r.Loc, Limit: relstore.MaxEntrySize}
+		}
 		if err != nil {
 			return err
 		}
+		// The probe for a stored duplicate is key-only.
 		stored, err := b.tbl.Has(pk)
 		if err != nil {
 			return err
@@ -283,7 +306,7 @@ func (b *Backend) lookupLocked(tid int64, loc path.Path) (provstore.Record, bool
 	}
 	var rec provstore.Record
 	var derr error
-	found, err := b.tbl.View(pk, func(enc []byte) { rec, derr = decodeRow(enc) })
+	found, err := b.tbl.View(pk, func(val []byte) { rec, derr = decodeRow(pk, val) })
 	if err == nil {
 		err = derr
 	}
@@ -339,12 +362,12 @@ const (
 	scanChunk   = 256
 )
 
-// A scanFunc is a resumable relstore walk (Table.ScanEncodedFrom, or
-// ScanIndexEncodedFrom on by_loc): it invokes fn with the key and the stored
-// encoding of the rows whose encoded key is ≥ from and begins with prefix,
-// in key order, and stops on the first key outside the prefix without
-// fetching its row.
-type scanFunc func(from, prefix []byte, fn func(key, enc []byte) bool) error
+// A scanFunc is a resumable relstore walk of one tree (Table.ScanEncodedFrom,
+// or ScanIndexEncodedFrom on by_loc): it invokes fn with the rows whose
+// encoded key in that tree is ≥ from and begins with prefix, in key order —
+// that key, and the row as stored, its primary key and value — and stops on
+// the first key outside the prefix without fetching its row.
+type scanFunc func(from, prefix []byte, fn func(key, pk, val []byte) bool) error
 
 // chunkedScan drives one cursor: the walk seeks to from — the prefix itself,
 // or a resume key inside or past its range — while prefix (nil = whole tree)
@@ -363,8 +386,8 @@ func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix [
 	for {
 		var derr error
 		b.mu.RLock()
-		err := scan(from, prefix, func(key, enc []byte) bool {
-			rec, e := decodeRow(enc)
+		err := scan(from, prefix, func(key, pk, val []byte) bool {
+			rec, e := decodeRow(pk, val)
 			if e != nil {
 				derr = e
 				return false
@@ -409,15 +432,21 @@ func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix [
 	}
 }
 
+// primaryFrom adapts the primary tree to a scanFunc: its key is the primary
+// key.
+func (b *Backend) primaryFrom(from, prefix []byte, fn func(key, pk, val []byte) bool) error {
+	return b.tbl.ScanEncodedFrom(from, prefix, func(pk, val []byte) bool { return fn(pk, pk, val) })
+}
+
 // indexFrom adapts the by_loc index to a scanFunc.
-func (b *Backend) indexFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
+func (b *Backend) indexFrom(from, prefix []byte, fn func(key, pk, val []byte) bool) error {
 	return b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, fn)
 }
 
 // Scan implements provstore.Backend: every kind is a prefix walk of one of
 // the two trees. The primary key is {tid, loc}, so the pager's own order is
-// the (Tid, Loc) order; a by_loc entry is the terminated encoding of loc
-// followed by the primary key, so its order is (Loc, Tid), the key prefix
+// the (Tid, Loc) order; a by_loc key is the terminated encoding of loc
+// followed by tid, so its order is (Loc, Tid), the key prefix
 // alone selects exactly one loc (a probe that matches nothing ends on its
 // first index key), and — the path encoding being prefix-preserving —
 // dropping the terminator selects the subtree under it. A resume key is a
@@ -453,7 +482,7 @@ func (b *Backend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[p
 // tree, the key prefix that bounds the stretch, and the key to seek to — the
 // prefix itself, or the successor of the resume key when that lies further on.
 func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []byte, err error) {
-	scan = b.tbl.ScanEncodedFrom
+	scan = b.primaryFrom
 	byLoc := spec.Kind == provstore.KindLoc || spec.Kind == provstore.KindPrefix
 	switch {
 	case spec.Kind == provstore.KindTid:
@@ -469,12 +498,11 @@ func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []b
 	if err != nil || !resumed {
 		return scan, prefix, prefix, err
 	}
-	loc := after.Loc.AppendBinary(nil)
-	key, err := b.tbl.KeyPrefix(after.Tid, loc)
-	if err == nil && byLoc {
-		var entry []byte
-		entry, err = b.tbl.IndexPrefix("by_loc", loc)
-		key = append(entry, key...)
+	var key []byte
+	if loc := after.Loc.AppendBinary(nil); byLoc {
+		key, err = b.tbl.IndexPrefix("by_loc", loc, after.Tid)
+	} else {
+		key, err = b.tbl.KeyPrefix(after.Tid, loc)
 	}
 	if key = append(key, 0); bytes.Compare(key, prefix) < 0 {
 		key = prefix
@@ -484,7 +512,9 @@ func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []b
 
 // Stat implements provstore.Backend. MaxTid is the tid column of the last
 // primary key, one rightmost descent of the tree (O(height) pages, no row
-// decoded); the other two are maintained counters.
+// decoded); the other two are maintained counters. Bytes is
+// relstore.Table.ByteSize: each record's key and value as encoded, Tid and
+// Loc counted once and front coding not at all.
 func (b *Backend) Stat(ctx context.Context) (provstore.Stat, error) {
 	if err := ctx.Err(); err != nil {
 		return provstore.Stat{}, err

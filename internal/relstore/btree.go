@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -20,6 +21,7 @@ type BTree struct {
 	mu   sync.RWMutex
 	bp   *BufferPool
 	root PageID
+	w    leafWriter // the writer's scratch space; mu held for writing
 }
 
 // Errors returned by B+tree operations.
@@ -52,28 +54,142 @@ func (t *BTree) Root() PageID {
 	return t.root
 }
 
-// --- cell encoding -------------------------------------------------------
+// --- leaf runs -----------------------------------------------------------
+//
+// A leaf page's cell is a run of up to maxRunEntries entries in key order,
+// front-coded: each entry is
+//
+//	uvarint shared | uvarint suffix-len | suffix | uvarint value-len | value
+//
+// where shared is the length of the prefix its key has in common with the
+// previous key of the run (0 for the first, whose suffix is its whole key).
+// The slots of a leaf are in order of their runs' first keys, so a search is
+// a binary search over first keys and then a walk of one run, and an insert
+// or delete re-encodes one run. Runs are short because a walk is linear and
+// every change rewrites one: at 16 entries a run already stores 15 of 16
+// keys as a suffix, and a longer one would save at most the last sixteenth.
 
-func leafCell(key, val []byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(key)))
-	buf = append(buf, key...)
-	buf = binary.AppendUvarint(buf, uint64(len(val)))
-	return append(buf, val...)
+const maxRunEntries = 16
+
+// MaxEntrySize is the largest entry a tree accepts, as EntrySize measures it:
+// every entry must fit a run, hence a cell, of its own, and its key an inner
+// cell as a separator — whose child link takes four bytes where an entry
+// spends at least two besides its key.
+const MaxEntrySize = MaxCellSize - 2
+
+// EntrySize returns the bytes an entry with a key and value of the given
+// lengths takes as the only entry of a run.
+func EntrySize(keyLen, valLen int) int {
+	return 1 + uvarintLen(keyLen) + keyLen + uvarintLen(valLen) + valLen
 }
 
-func decodeLeafCell(cell []byte) (key, val []byte, err error) {
-	kl, n := binary.Uvarint(cell)
-	if n <= 0 || uint64(len(cell)-n) < kl {
-		return nil, nil, fmt.Errorf("relstore: corrupt leaf cell")
+func uvarintLen(n int) int {
+	l := 1
+	for ; n >= 0x80; n >>= 7 {
+		l++
 	}
-	key = cell[n : n+int(kl)]
-	rest := cell[n+int(kl):]
-	vl, m := binary.Uvarint(rest)
-	if m <= 0 || uint64(len(rest)-m) < vl {
-		return nil, nil, fmt.Errorf("relstore: corrupt leaf cell value")
-	}
-	return key, rest[m : m+int(vl)], nil
+	return l
 }
+
+// appendRunEntry appends the entry key→val to a run whose last key is prev
+// (nil for the first entry).
+func appendRunEntry(run, prev, key, val []byte) []byte {
+	shared := 0
+	for shared < len(prev) && shared < len(key) && prev[shared] == key[shared] {
+		shared++
+	}
+	run = binary.AppendUvarint(run, uint64(shared))
+	run = binary.AppendUvarint(run, uint64(len(key)-shared))
+	run = append(run, key[shared:]...)
+	run = binary.AppendUvarint(run, uint64(len(val)))
+	return append(run, val...)
+}
+
+// What a run that is not one can get wrong; all are ErrCorrupt.
+var (
+	errRunEmpty   = fmt.Errorf("%w: leaf run with no entry", ErrCorrupt)
+	errRunLong    = fmt.Errorf("%w: leaf run of more than %d entries", ErrCorrupt, maxRunEntries)
+	errRunShared  = fmt.Errorf("%w: leaf run entry shares more than the previous key", ErrCorrupt)
+	errRunBounds  = fmt.Errorf("%w: leaf run entry runs past its cell", ErrCorrupt)
+	errRunOrder   = fmt.Errorf("%w: leaf run keys not ascending", ErrCorrupt)
+	errRunNoFirst = fmt.Errorf("%w: leaf run's first entry shares a prefix with nothing", ErrCorrupt)
+)
+
+// A runReader decodes the entries of one run in order. key is rebuilt in
+// place from entry to entry, so it is valid until the next call of next; val
+// aliases the cell.
+type runReader struct {
+	rest []byte // the cell's bytes not yet decoded
+	n    int    // entries decoded
+	key  []byte
+	val  []byte
+}
+
+// reset starts r over cell, keeping its key buffer.
+func (r *runReader) reset(cell []byte) {
+	r.rest, r.n, r.key, r.val = cell, 0, r.key[:0], nil
+}
+
+// next decodes the next entry into r.key and r.val; ok=false at the end of
+// the run. It never reads outside the cell, whatever the cell holds.
+func (r *runReader) next() (ok bool, err error) {
+	if len(r.rest) == 0 {
+		if r.n == 0 {
+			return false, errRunEmpty
+		}
+		return false, nil
+	}
+	if r.n == maxRunEntries {
+		return false, errRunLong
+	}
+	if r.n == 0 && r.rest[0] != 0 {
+		return false, errRunNoFirst // as runFirstKey reads it
+	}
+	shared, a := binary.Uvarint(r.rest)
+	if a <= 0 {
+		return false, errRunBounds
+	}
+	if shared > uint64(len(r.key)) {
+		return false, errRunShared
+	}
+	suffixLen, b := binary.Uvarint(r.rest[a:])
+	if b <= 0 || suffixLen > uint64(len(r.rest)-a-b) {
+		return false, errRunBounds
+	}
+	suffix := r.rest[a+b : a+b+int(suffixLen)]
+	tail := r.rest[a+b+int(suffixLen):]
+	valLen, c := binary.Uvarint(tail)
+	if c <= 0 || valLen > uint64(len(tail)-c) {
+		return false, errRunBounds
+	}
+	// The key must sort after its predecessor: past the shared prefix it
+	// either continues where that one ended or differs upwards.
+	if r.n > 0 && (len(suffix) == 0 || int(shared) < len(r.key) && suffix[0] <= r.key[shared]) {
+		return false, errRunOrder
+	}
+	r.key = append(r.key[:shared], suffix...)
+	r.val = tail[c : c+int(valLen)]
+	r.rest = tail[c+int(valLen):]
+	r.n++
+	return true, nil
+}
+
+// runFirstKey returns the first key of a run, aliasing the cell.
+func runFirstKey(cell []byte) ([]byte, error) {
+	if len(cell) == 0 {
+		return nil, errRunEmpty
+	}
+	if cell[0] != 0 {
+		return nil, errRunNoFirst
+	}
+	keyLen, n := binary.Uvarint(cell[1:])
+	if n <= 0 || keyLen > uint64(len(cell)-1-n) {
+		return nil, errRunBounds
+	}
+	return cell[1+n : 1+n+int(keyLen)], nil
+}
+
+// --- inner cells ---------------------------------------------------------
 
 func innerCell(key []byte, child PageID) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(key)))
@@ -95,8 +211,8 @@ func decodeInnerCell(cell []byte) (key []byte, child PageID, err error) {
 
 // --- node in-memory form -------------------------------------------------
 
-// nodeCells reads all live cells of a node in slot order (which the tree
-// maintains as key order), copying them out of the page buffer.
+// nodeCells reads all live cells of an inner node in slot order (which the
+// tree maintains as key order), copying them out of the page buffer.
 func nodeCells(pg *Page) ([][]byte, error) {
 	out := make([][]byte, 0, pg.NumSlots())
 	for i := 0; i < pg.NumSlots(); i++ {
@@ -179,21 +295,22 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 		return false, err
 	}
 	defer t.bp.Unpin(leafID, false)
-	idx, exact, err := leafSearch(pg, key)
+	r := findReaders.Get().(*runReader)
+	defer func() {
+		r.reset(nil) // keeps the key buffer, lets go of the page
+		findReaders.Put(r)
+	}()
+	_, _, exact, err := leafSearch(pg, key, r)
 	if err != nil || !exact || visit == nil {
 		return exact, err
 	}
-	cell, err := pg.Cell(idx)
-	if err != nil {
-		return false, err
-	}
-	_, val, err := decodeLeafCell(cell)
-	if err != nil {
-		return false, err
-	}
-	visit(val)
+	visit(r.val)
 	return true, nil
 }
+
+// findReaders lends point reads the buffer a run's keys are decoded into:
+// they hold only the tree's read lock, so the buffer cannot be the tree's.
+var findReaders = sync.Pool{New: func() any { return new(runReader) }}
 
 // Last returns a copy of the largest key, ok=false on an empty tree. It is
 // a rightmost descent — O(height) pages — whenever the rightmost leaf holds
@@ -224,11 +341,14 @@ func (t *BTree) lastUnder(id PageID) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		k, _, err := decodeLeafCell(cell)
-		if err != nil {
-			return nil, false, err
+		var r runReader
+		r.reset(cell)
+		for more := true; more; {
+			if more, err = r.next(); err != nil {
+				return nil, false, err
+			}
 		}
-		return bytes.Clone(k), true, nil
+		return r.key, true, nil
 	}
 	// Children right to left: cell i-1 links child i, the header link is
 	// child 0.
@@ -308,34 +428,159 @@ func innerChild(pg *Page, key []byte) (PageID, error) {
 	return child, err
 }
 
-// leafSearch finds the slot of key in a leaf, or the slot where it would be
-// inserted; exact reports a hit.
-func leafSearch(pg *Page, key []byte) (int, bool, error) {
-	n := pg.NumSlots()
-	lo, hi := 0, n
+// leafSearch finds where key is, or would be inserted, in a leaf: the slot of
+// its run and its index among that run's entries; exact reports a hit. It
+// leaves r on the first entry of the run that is not below key, so on a hit
+// r.val is the stored value; at == r.n means every entry of the run is
+// below key (which then sorts before the next run's first key). An empty
+// leaf answers 0, 0.
+func leafSearch(pg *Page, key []byte, r *runReader) (slot, at int, exact bool, err error) {
+	// Runs whose first key is ≤ key: the last of them is key's.
+	lo, hi := 0, pg.NumSlots()
 	for lo < hi {
 		mid := (lo + hi) / 2
 		cell, err := pg.Cell(mid)
 		if err != nil {
-			return 0, false, err
+			return 0, 0, false, err
 		}
-		k, _, err := decodeLeafCell(cell)
+		first, err := runFirstKey(cell)
 		if err != nil {
-			return 0, false, err
+			return 0, 0, false, err
 		}
-		switch bytes.Compare(k, key) {
-		case -1:
+		if bytes.Compare(first, key) <= 0 {
 			lo = mid + 1
-		case 0:
-			return mid, true, nil
-		default:
+		} else {
 			hi = mid
 		}
 	}
-	return lo, false, nil
+	if pg.NumSlots() == 0 {
+		return 0, 0, false, nil
+	}
+	slot = max(lo-1, 0)
+	cell, err := pg.Cell(slot)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	r.reset(cell)
+	for {
+		more, err := r.next()
+		if err != nil || !more {
+			return slot, r.n, false, err
+		}
+		if c := bytes.Compare(r.key, key); c >= 0 {
+			return slot, r.n - 1, c == 0, nil
+		}
+	}
 }
 
 // --- mutation ------------------------------------------------------------
+
+// A leafWriter is the scratch space in which the tree's one writer changes a
+// leaf: the entries of the run the change falls in are decoded, changed and
+// re-encoded, and the page is rebuilt from its other cells, which are copied
+// nowhere but with the page. Everything is reused from change to change.
+type leafWriter struct {
+	old   Page       // the leaf as it was, while its page is rebuilt
+	rd    runReader  // over cells of old
+	ents  []runEntry // the entries of the run being changed
+	keys  []byte     // backs their keys
+	enc   []byte     // the run re-encoded, as one run or several
+	ends  []int      // where each of those ends in enc
+	cells [][]byte   // the leaf's cells after the change, aliasing old and enc
+}
+
+// A runEntry is one decoded entry of a run.
+type runEntry struct{ key, val []byte }
+
+// load copies pg aside and finds key in it (see leafSearch), decoding the
+// entries of its run into w.ents.
+func (w *leafWriter) load(pg *Page, key []byte) (slot, at int, exact bool, err error) {
+	w.old = *pg
+	w.ents, w.keys, w.ends = w.ents[:0], w.keys[:0], w.ends[:0]
+	slot, at, exact, err = leafSearch(&w.old, key, &w.rd)
+	if err != nil || w.old.NumSlots() == 0 {
+		return slot, at, exact, err
+	}
+	cell, err := w.old.Cell(slot)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	w.rd.reset(cell)
+	for {
+		more, err := w.rd.next()
+		if err != nil {
+			return 0, 0, false, err
+		}
+		if !more {
+			break
+		}
+		w.keys = append(w.keys, w.rd.key...)
+		w.ends = append(w.ends, len(w.keys))
+		w.ents = append(w.ents, runEntry{val: w.rd.val})
+	}
+	start := 0
+	for i, end := range w.ends {
+		w.ents[i].key = w.keys[start:end:end]
+		start = end
+	}
+	return slot, at, exact, nil
+}
+
+// pack re-encodes w.ents into w.enc, as one run or with a new run starting at
+// each index in cuts. It reports whether every run keeps within a run's
+// bounds, maxRunEntries entries and MaxCellSize bytes.
+func (w *leafWriter) pack(cuts ...int) bool {
+	w.enc, w.ends = w.enc[:0], w.ends[:0]
+	start := 0
+	for i := 0; i <= len(cuts); i++ {
+		end := len(w.ents)
+		if i < len(cuts) {
+			end = cuts[i]
+		}
+		if end == start {
+			continue
+		}
+		if end-start > maxRunEntries {
+			return false
+		}
+		from := len(w.enc)
+		var prev []byte
+		for _, e := range w.ents[start:end] {
+			w.enc = appendRunEntry(w.enc, prev, e.key, e.val)
+			prev = e.key
+		}
+		if len(w.enc)-from > MaxCellSize {
+			return false
+		}
+		w.ends = append(w.ends, len(w.enc))
+		start = end
+	}
+	return true
+}
+
+// splice lists in w.cells the cells of the old leaf with the del cells from
+// slot on replaced by the packed runs, and returns their size on a page.
+func (w *leafWriter) splice(slot, del int) (int, error) {
+	w.cells = w.cells[:0]
+	for i, n := 0, w.old.NumSlots(); i <= n; i++ {
+		if i == slot {
+			start := 0
+			for _, end := range w.ends {
+				w.cells = append(w.cells, w.enc[start:end])
+				start = end
+			}
+		}
+		if i == n || i >= slot && i < slot+del {
+			continue
+		}
+		cell, err := w.old.Cell(i)
+		if err != nil {
+			return 0, err
+		}
+		w.cells = append(w.cells, cell)
+	}
+	return cellsSize(w.cells), nil
+}
 
 // Put stores key→val, overwriting any existing value.
 func (t *BTree) Put(key, val []byte) error { return t.put(key, val, true) }
@@ -344,7 +589,7 @@ func (t *BTree) Put(key, val []byte) error { return t.put(key, val, true) }
 func (t *BTree) Insert(key, val []byte) error { return t.put(key, val, false) }
 
 func (t *BTree) put(key, val []byte, overwrite bool) error {
-	if len(leafCell(key, val)) > MaxCellSize {
+	if EntrySize(len(key), len(val)) > MaxEntrySize {
 		return fmt.Errorf("%w: key %d val %d bytes", ErrKeyTooBig, len(key), len(val))
 	}
 	t.mu.Lock()
@@ -358,93 +603,121 @@ func (t *BTree) put(key, val []byte, overwrite bool) error {
 	if err != nil {
 		return err
 	}
-	cells, err := nodeCells(pg)
-	if err != nil {
-		t.bp.Unpin(leafID, false)
+	right, sep, dirty, err := t.putLeaf(pg, key, val, overwrite)
+	t.bp.Unpin(leafID, dirty)
+	if err != nil || right == InvalidPage {
 		return err
 	}
-	idx, exact, err := leafSearch(pg, key)
-	if err != nil {
-		t.bp.Unpin(leafID, false)
-		return err
-	}
-	if exact && !overwrite {
-		t.bp.Unpin(leafID, false)
-		return fmt.Errorf("%w: %q", ErrDupKey, key)
-	}
-	newCell := leafCell(key, val)
-	if exact {
-		cells[idx] = newCell
-	} else {
-		cells = append(cells, nil)
-		copy(cells[idx+1:], cells[idx:])
-		cells[idx] = newCell
-	}
-	if cellsSize(cells) <= nodeCapacity {
-		err := rewriteNode(pg, cells)
-		t.bp.Unpin(leafID, true)
-		return err
-	}
-	// Split the leaf.
-	left, right, sep, err := t.splitNode(pg, cells)
-	t.bp.Unpin(leafID, true)
-	if err != nil {
-		return err
-	}
-	return t.insertSeparator(path, sep, left, right)
+	return t.insertSeparator(path, sep, leafID, right)
 }
 
-// splitNode distributes cells between pg (left) and a fresh right sibling,
-// returning the separator (first key of the right node).
+// putLeaf stores key→val in the leaf pg by re-encoding the one run it falls
+// in. If the leaf cannot hold the result it is split: right is then the new
+// sibling and sep its first key, for the parent.
+func (t *BTree) putLeaf(pg *Page, key, val []byte, overwrite bool) (right PageID, sep []byte, dirty bool, err error) {
+	w := &t.w
+	slot, at, exact, err := w.load(pg, key)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	if exact && !overwrite {
+		return 0, nil, false, fmt.Errorf("%w: %q", ErrDupKey, key)
+	}
+	if exact {
+		w.ents[at] = runEntry{key, val}
+	} else {
+		w.ents = slices.Insert(w.ents, at, runEntry{key, val})
+	}
+	// A run that has outgrown its bounds is cut: after the old entries if
+	// the new one follows them all (keys that arrive in order leave full
+	// runs behind), else in half, and — when a half is still too large,
+	// which takes entries of hundreds of bytes — around the new entry:
+	// what comes before and after it fitted one run and so fits two, and
+	// any entry fits a run of its own.
+	n := len(w.ents)
+	appended := at == n-1 && !exact
+	if !w.pack() && !(appended && w.pack(n-1)) && !w.pack(n/2) {
+		w.pack(at, at+1)
+	}
+	del := min(1, w.old.NumSlots())
+	size, err := w.splice(slot, del)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	if size <= nodeCapacity {
+		return 0, nil, true, rewriteNode(pg, w.cells)
+	}
+
+	rightPg, err := t.bp.Alloc(KindBTreeLeaf)
+	if err != nil {
+		return 0, nil, false, err
+	}
+	defer t.bp.Unpin(rightPg.ID, true)
+	rightPg.SetNext(pg.Next())
+	if appended && pg.Next() == InvalidPage && slot+del == w.old.NumSlots() {
+		// The new entry is the last of the tree: the split falls where the
+		// insert is. The full leaf stays as it is and the entry opens the
+		// next, so keys that arrive in order fill every leaf.
+		w.ents = w.ents[at:]
+		w.pack()
+		if _, err := rightPg.InsertCell(w.enc); err != nil {
+			return 0, nil, false, err
+		}
+		pg.SetNext(rightPg.ID)
+		return rightPg.ID, bytes.Clone(key), true, nil
+	}
+	// Otherwise in half by bytes, between two runs. No cell is larger than a
+	// quarter page, so the left half is within that of the middle; the cells
+	// are at most the page's own and three runs for one, so the right half
+	// fits a page too.
+	k, left := 0, 0
+	for ; k < len(w.cells)-1; k++ {
+		c := len(w.cells[k]) + slotSize
+		if k > 0 && left+c > size/2 {
+			break
+		}
+		left += c
+	}
+	if left > nodeCapacity || size-left > nodeCapacity {
+		return 0, nil, false, fmt.Errorf("relstore: leaf %d of %d bytes does not split in two", pg.ID, size)
+	}
+	first, err := runFirstKey(w.cells[k])
+	if err != nil {
+		return 0, nil, false, err
+	}
+	if err := rewriteNode(rightPg, w.cells[k:]); err != nil {
+		return 0, nil, false, err
+	}
+	if err := rewriteNode(pg, w.cells[:k]); err != nil {
+		return 0, nil, false, err
+	}
+	pg.SetNext(rightPg.ID)
+	return rightPg.ID, bytes.Clone(first), true, nil
+}
+
+// splitNode distributes the cells of an inner node between pg (left) and a
+// fresh right sibling. The separator — the first key of the right half — is
+// moved up, not copied: the child it led to becomes the right node's
+// leftmost.
 func (t *BTree) splitNode(pg *Page, cells [][]byte) (left, right PageID, sep []byte, err error) {
 	half := len(cells) / 2
-	rightPg, err := t.bp.Alloc(pg.Kind())
+	rightPg, err := t.bp.Alloc(KindBTreeInner)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	defer t.bp.Unpin(rightPg.ID, true)
-	// Leaf chain: right takes left's old successor; left points to right.
-	if pg.Kind() == KindBTreeLeaf {
-		rightPg.SetNext(pg.Next())
+	k, child, err := decodeInnerCell(cells[half])
+	if err != nil {
+		return 0, 0, nil, err
 	}
-	if err := rewriteNode(rightPg, cells[half:]); err != nil {
+	rightPg.SetNext(child)
+	if err := rewriteNode(rightPg, cells[half+1:]); err != nil {
 		return 0, 0, nil, err
 	}
 	if err := rewriteNode(pg, cells[:half]); err != nil {
 		return 0, 0, nil, err
 	}
-	if pg.Kind() == KindBTreeLeaf {
-		pg.SetNext(rightPg.ID)
-	}
-	var firstKey []byte
-	cell0, err := rightPg.Cell(0)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if pg.Kind() == KindBTreeLeaf {
-		k, _, derr := decodeLeafCell(cell0)
-		if derr != nil {
-			return 0, 0, nil, derr
-		}
-		firstKey = append([]byte(nil), k...)
-	} else {
-		// Inner split: the separator is *moved up*, and the right node's
-		// leftmost child link becomes that cell's child.
-		k, child, derr := decodeInnerCell(cell0)
-		if derr != nil {
-			return 0, 0, nil, derr
-		}
-		firstKey = append([]byte(nil), k...)
-		rightPg.SetNext(child)
-		rest, derr := nodeCells(rightPg)
-		if derr != nil {
-			return 0, 0, nil, derr
-		}
-		if err := rewriteNode(rightPg, rest[1:]); err != nil {
-			return 0, 0, nil, err
-		}
-	}
-	return pg.ID, rightPg.ID, firstKey, nil
+	return pg.ID, rightPg.ID, k, nil
 }
 
 // insertSeparator inserts (sep → right) into the parent chain after a split
@@ -505,7 +778,7 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 }
 
 // Delete removes key. It returns ErrKeyNotFound if absent. Underfull nodes
-// are not rebalanced.
+// are not rebalanced; a run that loses its last entry goes with it.
 func (t *BTree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -517,36 +790,42 @@ func (t *BTree) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	idx, exact, err := leafSearch(pg, key)
+	err = t.deleteLeaf(pg, key)
+	t.bp.Unpin(leafID, err == nil)
+	return err
+}
+
+func (t *BTree) deleteLeaf(pg *Page, key []byte) error {
+	w := &t.w
+	slot, at, exact, err := w.load(pg, key)
 	if err != nil {
-		t.bp.Unpin(leafID, false)
 		return err
 	}
 	if !exact {
-		t.bp.Unpin(leafID, false)
 		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
 	}
-	cells, err := nodeCells(pg)
-	if err != nil {
-		t.bp.Unpin(leafID, false)
+	// The run only shrinks: what the next entry no longer shares with the
+	// deleted one, the deleted one held.
+	w.ents = slices.Delete(w.ents, at, at+1)
+	w.pack()
+	if _, err := w.splice(slot, 1); err != nil {
 		return err
 	}
-	cells = append(cells[:idx], cells[idx+1:]...)
-	err = rewriteNode(pg, cells)
-	t.bp.Unpin(leafID, true)
-	return err
+	return rewriteNode(pg, w.cells)
 }
 
 // --- iteration -----------------------------------------------------------
 
 // An Iter is a forward iterator over leaf entries. Use Seek/First then Next;
-// Valid reports whether Key/Value may be called.
+// Valid reports whether Key/Value may be called. It walks a copy of one run
+// at a time, taken under one pin of the leaf: within a run Next touches
+// neither the tree's lock nor the buffer pool.
 type Iter struct {
 	t     *BTree
 	leaf  PageID
-	idx   int
-	key   []byte
-	val   []byte
+	slot  int       // of the run being walked
+	run   []byte    // that run, copied off its page
+	rd    runReader // over run; rd.key is rebuilt in place entry by entry
 	valid bool
 	err   error
 }
@@ -556,32 +835,35 @@ func (t *BTree) Seek(start []byte) *Iter {
 	it := &Iter{t: t}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	leafID, err := t.descend(start, nil)
+	if it.leaf, it.err = t.descend(start, nil); it.err != nil {
+		return it
+	}
+	pg, err := t.bp.Fetch(it.leaf)
 	if err != nil {
 		it.err = err
 		return it
 	}
-	pg, err := t.bp.Fetch(leafID)
-	if err != nil {
-		it.err = err
+	var at int
+	it.slot, at, _, it.err = leafSearch(pg, start, &it.rd)
+	t.bp.Unpin(it.leaf, false)
+	if it.err != nil {
 		return it
 	}
-	idx, _, err := leafSearch(pg, start)
-	t.bp.Unpin(leafID, false)
-	if err != nil {
-		it.err = err
-		return it
+	// Walk the copy up to where the search ended on the page.
+	for it.loadRun(); it.valid && at > 0; at-- {
+		it.valid, it.err = it.rd.next()
 	}
-	it.leaf, it.idx = leafID, idx
-	it.load()
+	it.step()
 	return it
 }
 
 // First positions the iterator at the smallest key.
 func (t *BTree) First() *Iter { return t.Seek(nil) }
 
-// load reads the current entry, advancing across leaf boundaries.
-func (it *Iter) load() {
+// loadRun copies the run at it.slot off its leaf, moving on through the leaf
+// chain while there is none there; it.valid reports whether it found one.
+// Caller holds t.mu.
+func (it *Iter) loadRun() {
 	it.valid = false
 	for {
 		pg, err := it.t.bp.Fetch(it.leaf)
@@ -589,23 +871,12 @@ func (it *Iter) load() {
 			it.err = err
 			return
 		}
-		if it.idx < pg.NumSlots() {
-			cell, err := pg.Cell(it.idx)
-			if err != nil {
-				it.t.bp.Unpin(it.leaf, false)
-				it.err = err
-				return
-			}
-			k, v, err := decodeLeafCell(cell)
-			if err != nil {
-				it.t.bp.Unpin(it.leaf, false)
-				it.err = err
-				return
-			}
-			it.key = append(it.key[:0], k...)
-			it.val = append(it.val[:0], v...)
+		if it.slot < pg.NumSlots() {
+			cell, err := pg.Cell(it.slot)
+			it.run = append(it.run[:0], cell...)
 			it.t.bp.Unpin(it.leaf, false)
-			it.valid = true
+			it.rd.reset(it.run)
+			it.valid, it.err = err == nil, err
 			return
 		}
 		next := pg.Next()
@@ -613,7 +884,19 @@ func (it *Iter) load() {
 		if next == InvalidPage {
 			return
 		}
-		it.leaf, it.idx = next, 0
+		it.leaf, it.slot = next, 0
+	}
+}
+
+// step moves to the next entry of the loaded run, or of the runs after it.
+// Caller holds t.mu.
+func (it *Iter) step() {
+	for it.valid {
+		if it.valid, it.err = it.rd.next(); it.valid || it.err != nil {
+			return
+		}
+		it.slot++
+		it.loadRun()
 	}
 }
 
@@ -624,20 +907,24 @@ func (it *Iter) Valid() bool { return it.valid && it.err == nil }
 func (it *Iter) Err() error { return it.err }
 
 // Key returns the current key (valid until the next call to Next).
-func (it *Iter) Key() []byte { return it.key }
+func (it *Iter) Key() []byte { return it.rd.key }
 
 // Value returns the current value (valid until the next call to Next).
-func (it *Iter) Value() []byte { return it.val }
+func (it *Iter) Value() []byte { return it.rd.val }
 
 // Next advances to the following entry.
 func (it *Iter) Next() {
 	if !it.Valid() {
 		return
 	}
+	if it.valid, it.err = it.rd.next(); it.valid || it.err != nil {
+		return
+	}
 	it.t.mu.RLock()
 	defer it.t.mu.RUnlock()
-	it.idx++
-	it.load()
+	it.slot++
+	it.loadRun()
+	it.step()
 }
 
 // ScanFrom calls fn for every entry whose key is ≥ from and begins with

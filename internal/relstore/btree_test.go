@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -69,6 +71,30 @@ func TestBTreeKeyTooBig(t *testing.T) {
 	bt, _ := NewBTree(bp)
 	if err := bt.Put(make([]byte, MaxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
 		t.Errorf("huge key: %v", err)
+	}
+	// The largest entries the tree accepts: each is a run and a cell of its
+	// own, and its key fits the inner nodes as a separator however they split.
+	const keyLen = MaxEntrySize - 4
+	if EntrySize(keyLen, 0) != MaxEntrySize {
+		t.Fatalf("EntrySize(%d, 0) = %d, want MaxEntrySize %d", keyLen, EntrySize(keyLen, 0), MaxEntrySize)
+	}
+	key := func(i int) []byte { return append([]byte(fmt.Sprintf("%03d", i)), make([]byte, keyLen-3)...) }
+	const n = 200
+	for _, i := range rand.New(rand.NewSource(9)).Perm(n) {
+		if err := bt.Insert(key(i), nil); err != nil {
+			t.Fatalf("insert of a key of %d bytes: %v", keyLen, err)
+		}
+	}
+	if err := bt.Insert(append(key(0), 0), nil); !errors.Is(err, ErrKeyTooBig) {
+		t.Errorf("a key one byte longer: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if ok, err := bt.Has(key(i)); err != nil || !ok {
+			t.Fatalf("Has(key %d) = %v, %v", i, ok, err)
+		}
+	}
+	if cnt, err := bt.Len(); err != nil || cnt != n {
+		t.Errorf("Len = %d, %v; want %d", cnt, err, n)
 	}
 }
 
@@ -154,11 +180,29 @@ func TestBTreeAgainstMap(t *testing.T) {
 	bt, _ := NewBTree(bp)
 	model := map[string]string{}
 	r := rand.New(rand.NewSource(42))
+	// Keys of four shapes — short, behind a long shared prefix, and pairs of
+	// which one is a prefix of the other — and values from none to about as
+	// much as an entry holds.
+	deep := strings.Repeat("shared/prefix/", 12)
 	for i := 0; i < 8000; i++ {
 		k := fmt.Sprintf("k%04d", r.Intn(2000))
+		switch r.Intn(4) {
+		case 1:
+			k = deep + k
+		case 2:
+			k = k[:2+r.Intn(3)]
+		case 3:
+			k += "/" + strings.Repeat("x", r.Intn(3))
+		}
 		switch r.Intn(3) {
 		case 0, 1:
 			v := fmt.Sprintf("v%d", i)
+			switch r.Intn(8) {
+			case 0:
+				v = ""
+			case 1:
+				v = strings.Repeat("v", MaxEntrySize-8-len(k))
+			}
 			if err := bt.Put([]byte(k), []byte(v)); err != nil {
 				t.Fatal(err)
 			}
@@ -224,8 +268,23 @@ func TestBTreeTinyCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Out of order behind one long prefix, values of nothing or of hundreds of
+	// bytes: every insert re-encodes a run that shares the prefix, in a leaf
+	// that was evicted since the last.
+	deep := func(i int) []byte { return []byte(fmt.Sprintf("%s%06d", strings.Repeat("shared/prefix/", 12), i)) }
+	valLen := func(i int) int { return (i % 2) * (i % 800) }
+	for _, i := range rand.New(rand.NewSource(3)).Perm(n) {
+		if err := bt.Insert(deep(i), bytes.Repeat([]byte("v"), valLen(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i += 7 {
+		if v, err := bt.Get(deep(i)); err != nil || len(v) != valLen(i) {
+			t.Fatalf("Get(…%06d) = %d bytes, %v; want %d", i, len(v), err, valLen(i))
+		}
+	}
 	cnt, err := bt.Len()
-	if err != nil || cnt != n {
+	if err != nil || cnt != 2*n {
 		t.Fatalf("Len = %d, %v", cnt, err)
 	}
 	hits, misses := bp.Stats()
@@ -258,11 +317,11 @@ func TestHeapBasic(t *testing.T) {
 	if got := heapRecords(t, h); len(got) != 1 || got[rid] != "record" {
 		t.Fatalf("Scan after insert = %q", got)
 	}
-	if err := h.Delete(rid); err != nil {
+	if err := h.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	if got := heapRecords(t, h); len(got) != 0 {
-		t.Errorf("deleted record readable: %q", got)
+		t.Errorf("record readable after Reset: %q", got)
 	}
 	if _, err := h.Insert(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
 		t.Errorf("oversized record: %v", err)
@@ -301,6 +360,25 @@ func TestHeapGrowsAndScans(t *testing.T) {
 	if _, err := h2.Insert([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
+	// Reset keeps the chain and the same records fill it again: rewriting a
+	// heap wholesale, as the catalog is at every commit, allocates nothing.
+	pages := bp.Pager().NumPages()
+	for round := 0; round < 3; round++ {
+		if err := h.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		for range rids {
+			if _, err := h.Insert(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cnt := len(heapRecords(t, h)); cnt != n {
+			t.Fatalf("round %d: scanned %d records after Reset and refill, want %d", round, cnt, n)
+		}
+	}
+	if got := bp.Pager().NumPages(); got != pages {
+		t.Errorf("rewriting the heap in place grew the file from %d to %d pages", pages, got)
+	}
 }
 
 // TestBTreeLast checks the rightmost descent on every tree shape it must
@@ -327,6 +405,27 @@ func TestBTreeLast(t *testing.T) {
 	bt.Delete([]byte("m"))
 	wantLast("c", true)
 	bt.Delete([]byte("c"))
+	wantLast("", false)
+
+	// Keys that are prefixes of each other, and of the last: the longest is
+	// the largest.
+	for _, k := range []string{"a/b", "a", "a/b/", "a/"} {
+		bt.Insert([]byte(k), nil)
+	}
+	for _, k := range []string{"a/b/", "a/b", "a/", "a"} {
+		wantLast(k, true)
+		bt.Delete([]byte(k))
+	}
+	wantLast("", false)
+	// One leaf of several full runs, emptied run by run from the right: the
+	// last key is the last of the run before, then of none.
+	for i := 0; i < 3*maxRunEntries; i++ {
+		bt.Insert(key(i), nil)
+	}
+	for i := 3*maxRunEntries - 1; i >= 0; i-- {
+		wantLast(string(key(i)), true)
+		bt.Delete(key(i))
+	}
 	wantLast("", false)
 
 	// ~12 entries a leaf and ~200 leaves an inner node: three levels, so the
@@ -381,5 +480,47 @@ func TestBTreeScanFrom(t *testing.T) {
 	bt.ScanFrom([]byte("a/4"), []byte("a/"), func(_, _ []byte) bool { calls += 100; return true })
 	if calls != 2 {
 		t.Errorf("ScanFrom calls = %d, want 2", calls)
+	}
+
+	// Several runs behind one long prefix, among them keys that are prefixes
+	// of each other: a walk may start inside a run, on a key that is absent,
+	// and ends on the first key outside its prefix wherever in a run that is.
+	deep := strings.Repeat("shared/prefix/", 12)
+	var keys []string
+	for i := 0; i < 5*maxRunEntries; i++ {
+		k := fmt.Sprintf("%sn%03d", deep, i)
+		keys = append(keys, k, k+"/", k+"/x")
+	}
+	for _, i := range rand.New(rand.NewSource(5)).Perm(len(keys)) {
+		if err := bt.Insert([]byte(keys[i]), []byte(keys[i][len(deep):])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		from, prefix string
+		want         []string
+	}{
+		{deep, deep, keys},
+		{deep + "n040", deep + "n04", keys[3*40 : 3*50]},
+		{deep + "n040/", deep + "n040", keys[3*40+1 : 3*41]},
+		{deep + "n0409", deep + "n04", keys[3*41 : 3*50]}, // absent: between n040/x and n041
+		{deep + "n079/x", deep + "n079/", keys[3*79+2:]},
+		{deep + "n079/y", deep, nil},
+		{deep + "n02", deep + "n03", nil}, // from sorts before the prefix: the first key is outside it
+	} {
+		got = got[:0]
+		if err := bt.ScanFrom([]byte(c.from), []byte(c.prefix), func(k, v []byte) bool {
+			if string(v) != string(k[len(deep):]) {
+				t.Errorf("key …%s has value %q", k[len(deep):], v)
+			}
+			got = append(got, string(k))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("ScanFrom(…%s, …%s) = %d keys %q, want %d %q", c.from[len(deep):], c.prefix[len(deep):],
+				len(got), strings.ReplaceAll(strings.Join(got, " "), deep, ""), len(c.want), strings.ReplaceAll(strings.Join(c.want, " "), deep, ""))
+		}
 	}
 }

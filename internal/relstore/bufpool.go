@@ -166,19 +166,27 @@ func (bp *BufferPool) FlushGroup() error {
 	return bp.pager.checkpointIfLarge()
 }
 
-// FlushAll writes back every dirty page and syncs the file.
-func (bp *BufferPool) FlushAll() error {
+// writeBack writes every dirty page to the pager, each on its own: through
+// the log first if one is attached, and with no fsync of either file.
+func (bp *BufferPool) writeBack() error {
 	bp.mu.Lock()
+	defer bp.mu.Unlock()
 	for _, f := range bp.frames {
 		if f.dirty {
 			if err := bp.pager.Write(f.page); err != nil {
-				bp.mu.Unlock()
 				return err
 			}
 			f.dirty = false
 		}
 	}
-	bp.mu.Unlock()
+	return nil
+}
+
+// FlushAll writes back every dirty page and syncs the file.
+func (bp *BufferPool) FlushAll() error {
+	if err := bp.writeBack(); err != nil {
+		return err
+	}
 	return bp.pager.Sync()
 }
 
@@ -189,10 +197,11 @@ func (bp *BufferPool) Stats() (hits, misses int64) {
 	return bp.hits, bp.misses
 }
 
-// Close flushes and closes the underlying pager, which empties the attached
-// log.
+// Close writes back every dirty page and closes the underlying pager, whose
+// checkpoint is the one fsync of the data file a close costs and empties the
+// attached log.
 func (bp *BufferPool) Close() error {
-	if err := bp.FlushAll(); err != nil {
+	if err := bp.writeBack(); err != nil {
 		bp.pager.Close()
 		return err
 	}

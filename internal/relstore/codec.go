@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // ColType is the type of a column.
@@ -106,6 +108,93 @@ func appendKeyValue(buf []byte, t ColType, v Value) ([]byte, error) {
 	}
 }
 
+// keyFieldLen returns the length of the encoded field of type t at the front
+// of key: 8 bytes for an int, up to and including the first 0x00 (escaping
+// leaves the terminator the only one) for a string or bytes.
+func keyFieldLen(t ColType, key []byte) (int, error) {
+	switch t {
+	case TInt:
+		if len(key) < 8 {
+			return 0, errors.New("relstore: short int key")
+		}
+		return 8, nil
+	case TStr, TBytes:
+		i := bytes.IndexByte(key, 0x00)
+		if i < 0 {
+			return 0, errors.New("relstore: unterminated key field")
+		}
+		return i + 1, nil
+	default:
+		return 0, fmt.Errorf("relstore: unknown column type %c", t)
+	}
+}
+
+// DecodeKeyBytes undoes AppendKeyBytes: it appends the byte string encoded at
+// the front of key to dst and returns the bytes after its terminator.
+func DecodeKeyBytes(dst, key []byte) (val, rest []byte, err error) {
+	for i := 0; i < len(key); i++ {
+		switch c := key[i]; c {
+		case 0x00:
+			return dst, key[i+1:], nil
+		case 0x01:
+			if i++; i == len(key) || key[i] != 0x02 && key[i] != 0x03 {
+				return nil, nil, errors.New("relstore: bad escape in key field")
+			}
+			dst = append(dst, key[i]-0x02)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return nil, nil, errors.New("relstore: unterminated key field")
+}
+
+// DecodeKey undoes EncodeKey for a key that holds every column of types and
+// nothing after them.
+func DecodeKey(types []ColType, key []byte) ([]Value, error) {
+	vals := make([]Value, len(types))
+	for i, t := range types {
+		switch t {
+		case TInt:
+			v, rest, err := DecodeKeyInt(key)
+			if err != nil {
+				return nil, err
+			}
+			vals[i], key = v, rest
+		case TStr, TBytes:
+			b, rest, err := DecodeKeyBytes([]byte{}, key)
+			if err != nil {
+				return nil, err
+			}
+			if key = rest; t == TStr {
+				vals[i] = string(b)
+			} else {
+				vals[i] = b
+			}
+		default:
+			return nil, fmt.Errorf("relstore: unknown column type %c", t)
+		}
+	}
+	if len(key) != 0 {
+		return nil, fmt.Errorf("relstore: %d trailing bytes after key", len(key))
+	}
+	return vals, nil
+}
+
+// keyValueLen returns the length appendKeyValue encodes v in, v being of its
+// column's type.
+func keyValueLen(v Value) int {
+	var n int
+	switch v := v.(type) {
+	case string:
+		n = len(v) + strings.Count(v, "\x00") + strings.Count(v, "\x01")
+	case []byte:
+		n = len(v) + bytes.Count(v, []byte{0x00}) + bytes.Count(v, []byte{0x01})
+	default:
+		return 8
+	}
+	return n + 1
+}
+
 func asInt(v Value) (int64, bool) {
 	switch v := v.(type) {
 	case int64:
@@ -120,10 +209,11 @@ func asInt(v Value) (int64, bool) {
 
 // --- row encoding ----------------------------------------------------------
 //
-// Rows are stored (in leaf values) with a compact non-ordered encoding:
-// int64 as zigzag varint, strings/bytes length-prefixed.
+// A row's non-key columns are stored (in primary leaf values) with a compact
+// non-ordered encoding: int64 as zigzag varint, strings/bytes
+// length-prefixed. Its key columns are stored once, in the key.
 
-// EncodeRow encodes a full row per the column types.
+// EncodeRow encodes a sequence of values per the column types.
 func EncodeRow(types []ColType, row Row) ([]byte, error) {
 	if len(row) != len(types) {
 		return nil, fmt.Errorf("relstore: row has %d values, table has %d columns", len(row), len(types))
@@ -158,7 +248,7 @@ func EncodeRow(types []ColType, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRow decodes a row per the column types.
+// DecodeRow undoes EncodeRow.
 func DecodeRow(types []ColType, buf []byte) (Row, error) {
 	row := make(Row, 0, len(types))
 	for i, t := range types {

@@ -166,18 +166,9 @@ func (db *DB) flushCatalogLocked() error {
 	if !db.dirty {
 		return nil
 	}
-	// Rewrite wholesale: delete all catalog records, re-insert.
-	var rids []RID
-	if err := db.catalog.Scan(func(rid RID, _ []byte) bool {
-		rids = append(rids, rid)
-		return true
-	}); err != nil {
+	// Rewrite wholesale, in the pages the catalog already has.
+	if err := db.catalog.Reset(); err != nil {
 		return err
-	}
-	for _, rid := range rids {
-		if err := db.catalog.Delete(rid); err != nil {
-			return err
-		}
 	}
 	for _, name := range db.tableNamesLocked() {
 		t := db.tables[name]
@@ -251,6 +242,12 @@ func (db *DB) Size() (int64, error) {
 		return 0, err
 	}
 	return db.bp.Pager().FileSize()
+}
+
+// NumPages returns the number of pages in the store file, its header page
+// included: the file's size in pages once everything is written back.
+func (db *DB) NumPages() int64 {
+	return int64(db.bp.Pager().NumPages())
 }
 
 // IOStats exposes the pager's fsync, log-byte and checkpoint counters.

@@ -1,0 +1,163 @@
+package relstore
+
+import (
+	"bytes"
+	"errors"
+	"reflect"
+	"testing"
+)
+
+// encodeRun front-codes ascending entries as one run, as a leaf stores them.
+func encodeRun(ents []runEntry) []byte {
+	var run, prev []byte
+	for _, e := range ents {
+		run = appendRunEntry(run, prev, e.key, e.val)
+		prev = e.key
+	}
+	return run
+}
+
+// decodeRun decodes a whole run into copies of its entries.
+func decodeRun(cell []byte) ([]runEntry, error) {
+	var r runReader
+	var ents []runEntry
+	for r.reset(cell); ; {
+		more, err := r.next()
+		if err != nil || !more {
+			return ents, err
+		}
+		ents = append(ents, runEntry{bytes.Clone(r.key), bytes.Clone(r.val)})
+	}
+}
+
+// FuzzLeafRun: whatever bytes a leaf cell holds, decoding it as a run never
+// panics and never reads outside the cell, what is not a run is ErrCorrupt,
+// and what is one holds at most maxRunEntries strictly ascending keys and
+// survives encoding and decoding again.
+func FuzzLeafRun(f *testing.F) {
+	long := bytes.Repeat([]byte("shared/prefix/"), 20)
+	for _, ents := range [][]runEntry{
+		{{[]byte("a"), nil}},
+		{{[]byte{}, []byte("the empty key")}, {[]byte{0}, nil}},
+		{{[]byte("T/c1"), []byte("v")}, {[]byte("T/c1/x"), nil}, {[]byte("T/c1/y"), bytes.Repeat([]byte("v"), 300)}, {[]byte("T/c2"), nil}},
+		{{long, nil}, {append(bytes.Clone(long), 'a'), []byte("1")}, {append(bytes.Clone(long), 'b'), []byte("2")}},
+		{{AppendKeyBytes(AppendKeyInt(nil, -42), []byte("T\x00a\x00")), []byte("\x01I\x00")}, {AppendKeyBytes(AppendKeyInt(nil, 7), []byte("T\x00")), nil}},
+	} {
+		f.Add(encodeRun(ents))
+	}
+	seventeen := make([]runEntry, maxRunEntries+1)
+	for i := range seventeen {
+		seventeen[i].key = []byte{'k', byte('a' + i)}
+	}
+	f.Add(encodeRun(seventeen))               // a run of more than maxRunEntries entries
+	f.Add([]byte{0, 1, 'a', 0, 2, 1, 'b', 0}) // shares more than the previous key has
+	f.Add([]byte{0, 9, 'a', 0})               // a suffix past the cell
+	f.Add([]byte{0, 1, 'a', 7, 'v'})          // a value past the cell
+	f.Add([]byte{0, 1, 'b', 0, 0, 1, 'a', 0}) // descending
+	f.Add([]byte{0, 1, 'a', 0, 1, 0, 0})      // the same key twice
+	f.Add([]byte{1, 1, 'a', 0})               // a first entry that shares a prefix
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The cell sits in the middle of a larger buffer, cut to its length
+		// and capacity: a read past it panics instead of seeing what follows.
+		buf := append(append(bytes.Repeat([]byte{0xEE}, 8), data...), bytes.Repeat([]byte{0xEE}, 8)...)
+		cell := buf[8 : 8+len(data) : 8+len(data)]
+
+		ents, err := decodeRun(cell)
+		first, ferr := runFirstKey(cell)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decoding %x: %v is not ErrCorrupt", data, err)
+			}
+			if ferr != nil && !errors.Is(ferr, ErrCorrupt) {
+				t.Fatalf("first key of %x: %v is not ErrCorrupt", data, ferr)
+			}
+			return
+		}
+		if len(ents) == 0 || len(ents) > maxRunEntries {
+			t.Fatalf("a run of %d entries decoded without error", len(ents))
+		}
+		if ferr != nil || !bytes.Equal(first, ents[0].key) {
+			t.Fatalf("runFirstKey = %x, %v; the run starts with %x", first, ferr, ents[0].key)
+		}
+		for i := 1; i < len(ents); i++ {
+			if bytes.Compare(ents[i-1].key, ents[i].key) >= 0 {
+				t.Fatalf("keys %x then %x decoded without error", ents[i-1].key, ents[i].key)
+			}
+		}
+		again, err := decodeRun(encodeRun(ents))
+		if err != nil || !reflect.DeepEqual(again, ents) {
+			t.Fatalf("run %x: encoded and decoded again it is %v, %v; want %v", data, again, err, ents)
+		}
+		if !bytes.Equal(buf[:8], bytes.Repeat([]byte{0xEE}, 8)) || !bytes.Equal(buf[8+len(data):], bytes.Repeat([]byte{0xEE}, 8)) {
+			t.Fatal("decoding wrote outside the cell")
+		}
+	})
+}
+
+// FuzzDecodeKey: DecodeKey undoes EncodeKey, a key cut short anywhere is an
+// error, and arbitrary bytes either are a key — then exactly the one their
+// values encode to, field lengths and all — or an error, never a panic.
+func FuzzDecodeKey(f *testing.F) {
+	// The inputs TestKeyCodecRoundTrip's generator reaches by chance, by hand.
+	for _, seed := range []struct {
+		v int64
+		s string
+	}{
+		{0, ""}, {-1, "T/c1/x"}, {1 << 62, "a\x00b"}, {-1 << 63, "\x01\x00\x01"}, {2006, "\x00"}, {7, "\x01\x02\x03"},
+	} {
+		key, _ := EncodeKey([]ColType{TInt, TBytes, TStr}, []Value{seed.v, []byte(seed.s), seed.s})
+		f.Add(seed.v, seed.s, key)
+	}
+	f.Add(int64(0), "", []byte{0x80, 0, 0, 0, 0, 0, 0, 1, 'a'})        // unterminated
+	f.Add(int64(0), "", []byte{0x80, 0, 0, 0, 0, 0, 0, 1, 1, 4, 0, 0}) // bad escape
+	f.Add(int64(0), "", []byte{0x80, 0, 0})                            // short int
+
+	types := []ColType{TInt, TBytes, TStr}
+	f.Fuzz(func(t *testing.T, v int64, s string, raw []byte) {
+		if len(s) > 512 {
+			s = s[:512] // every cut of the key is tried below
+		}
+		want := []Value{v, []byte(s), s}
+		key, err := EncodeKey(types, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeKey(types, key)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeKey(EncodeKey(%v)) = %v, %v", want, got, err)
+		}
+		if n := keyValueLen(v) + keyValueLen([]byte(s)) + keyValueLen(s); n != len(key) {
+			t.Fatalf("keyValueLen sums to %d for a key of %d bytes", n, len(key))
+		}
+		for cut := 0; cut < len(key); cut++ {
+			if vals, err := DecodeKey(types, key[:cut]); err == nil {
+				t.Fatalf("key %x cut to %d bytes decodes as %v", key, cut, vals)
+			}
+		}
+		if vals, err := DecodeKey(types, append(bytes.Clone(key), 0)); err == nil {
+			t.Fatalf("key %x with a trailing byte decodes as %v", key, vals)
+		}
+
+		vals, err := DecodeKey(types, raw)
+		if err != nil {
+			return
+		}
+		again, err := EncodeKey(types, vals)
+		if err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("%x decodes as %v, which encodes as %x, %v", raw, vals, again, err)
+		}
+		off := 0
+		for _, typ := range types {
+			n, err := keyFieldLen(typ, raw[off:])
+			if err != nil {
+				t.Fatalf("%x is a key, but its field at %d has no length: %v", raw, off, err)
+			}
+			off += n
+		}
+		if off != len(raw) {
+			t.Fatalf("the fields of %x end at %d", raw, off)
+		}
+	})
+}

@@ -71,6 +71,12 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 		h.bp.Unpin(pg.ID, false)
 		return RID{}, err
 	}
+	if next := pg.Next(); next != InvalidPage {
+		// A page kept by Reset: fill it before growing the chain.
+		h.bp.Unpin(pg.ID, false)
+		h.last = next
+		return h.Insert(data)
+	}
 	// Grow the chain.
 	npg, aerr := h.bp.Alloc(KindHeap)
 	if aerr != nil {
@@ -89,15 +95,23 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 	return RID{Page: npg.ID, Slot: uint16(slot)}, nil
 }
 
-// Delete removes the record at rid.
-func (h *Heap) Delete(rid RID) error {
-	pg, err := h.bp.Fetch(rid.Page)
-	if err != nil {
-		return err
+// Reset empties the heap and keeps its pages: the next Insert fills them
+// again from the first. A heap rewritten wholesale — the catalog, at every
+// commit — so takes the room of its records, not of every version of them.
+func (h *Heap) Reset() error {
+	for id := h.first; id != InvalidPage; {
+		pg, err := h.bp.Fetch(id)
+		if err != nil {
+			return err
+		}
+		next := pg.Next()
+		pg.Init(KindHeap)
+		pg.SetNext(next)
+		h.bp.Unpin(id, true)
+		id = next
 	}
-	err = pg.DeleteCell(int(rid.Slot))
-	h.bp.Unpin(rid.Page, err == nil)
-	return err
+	h.last = h.first
+	return nil
 }
 
 // Scan calls fn for every live record in the heap, in chain order, stopping

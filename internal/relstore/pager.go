@@ -12,12 +12,18 @@ import (
 // storeMagic identifies a relstore file.
 const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 
+// formatVersion is the on-disk format this build writes and the only one it
+// reads: front-coded leaf runs, every column of a row stored once. It sits
+// in the store header, in bytes that were reserved — and zero — before it
+// existed, so a store that predates it reads as version 0.
+const formatVersion uint32 = 2
+
 // A Pager reads and writes fixed-size pages of a store file and manages the
 // free list. Page 0 holds the store header: magic, page count, free-list
-// head, and the catalog root page id. Header changes are kept in memory and
-// written out with the next page group, Sync or Close — after the attached
-// write-ahead log, if any, has them (see WriteGroup): like every page, the
-// header never reaches the data file ahead of the log.
+// head, the catalog root page id and the format version. Header changes are
+// kept in memory and written out with the next page group, Sync or Close —
+// after the attached write-ahead log, if any, has them (see WriteGroup): like
+// every page, the header never reaches the data file ahead of the log.
 //
 // The Pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
@@ -37,13 +43,16 @@ type Pager struct {
 }
 
 // storeHeaderSize is the used prefix of page 0.
-const storeHeaderSize = 16
+const storeHeaderSize = 20
 
 // Errors returned by the pager.
 var (
-	ErrBadMagic   = errors.New("relstore: not a relstore file")
-	ErrOutOfRange = errors.New("relstore: page id out of range")
-	ErrReadOnly   = errors.New("relstore: store is read-only")
+	ErrBadMagic = errors.New("relstore: not a relstore file")
+	// ErrFormatVersion refuses a store file another format version wrote. No
+	// second decoder is kept: a store does not outlive the build that wrote it.
+	ErrFormatVersion = errors.New("relstore: store format version not supported")
+	ErrOutOfRange    = errors.New("relstore: page id out of range")
+	ErrReadOnly      = errors.New("relstore: store is read-only")
 )
 
 // CreatePager creates a new store file (truncating any existing one).
@@ -88,7 +97,20 @@ func (p *Pager) header() (buf [storeHeaderSize]byte) {
 	binary.BigEndian.PutUint32(buf[4:], uint32(p.pages))
 	binary.BigEndian.PutUint32(buf[8:], uint32(p.freeHead))
 	binary.BigEndian.PutUint32(buf[12:], uint32(p.catalog))
+	binary.BigEndian.PutUint32(buf[16:], formatVersion)
 	return buf
+}
+
+// checkFormat judges the front of page 0: ErrBadMagic for a file that is not
+// a store, ErrFormatVersion for a store of another format.
+func checkFormat(hdr []byte) error {
+	if len(hdr) < storeHeaderSize || binary.BigEndian.Uint32(hdr[0:]) != storeMagic {
+		return ErrBadMagic
+	}
+	if v := binary.BigEndian.Uint32(hdr[16:]); v != formatVersion {
+		return fmt.Errorf("%w: file is version %d, this build reads and writes %d", ErrFormatVersion, v, formatVersion)
+	}
+	return nil
 }
 
 // writeHeader writes the header to the data file if it may have changed.
@@ -110,8 +132,8 @@ func (p *Pager) readHeader() error {
 	if _, err := io.ReadFull(io.NewSectionReader(p.f, 0, PageSize), buf[:]); err != nil {
 		return fmt.Errorf("relstore: reading header: %w", err)
 	}
-	if binary.BigEndian.Uint32(buf[0:]) != storeMagic {
-		return ErrBadMagic
+	if err := checkFormat(buf[:]); err != nil {
+		return err
 	}
 	p.pages = PageID(binary.BigEndian.Uint32(buf[4:]))
 	p.freeHead = PageID(binary.BigEndian.Uint32(buf[8:]))

@@ -1,7 +1,10 @@
 package relstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -164,4 +167,119 @@ func TestPagerFileSize(t *testing.T) {
 	if sz != 6*PageSize {
 		t.Errorf("FileSize = %d, want %d", sz, 6*PageSize)
 	}
+}
+
+// TestFormatVersionRefusesParent: a store written before the format version
+// existed — page 0 and a committed log, byte for byte as that code wrote them
+// — is refused with ErrFormatVersion by recovery and by open, with neither
+// file touched; a store this build writes carries its version through
+// Close/Open and, in every logged header, through recovery.
+func TestFormatVersionRefusesParent(t *testing.T) {
+	dir := t.TempDir()
+	store, log := filepath.Join(dir, "parent.db"), filepath.Join(dir, "parent.db.wal")
+	// The parent's Pager.header(): four big-endian words, the rest of page 0
+	// zero; then its one page, the catalog heap.
+	hdr := binary.BigEndian.AppendUint32(nil, 0xC9DB2006)
+	hdr = binary.BigEndian.AppendUint32(hdr, 2) // pages
+	hdr = binary.BigEndian.AppendUint32(hdr, 0) // free list
+	hdr = binary.BigEndian.AppendUint32(hdr, 1) // catalog
+	cat := NewPage(1, KindHeap)
+	cat.InsertCell([]byte(`{"schema":{"name":"prov"}}`))
+	cat.seal()
+	data := append(append(hdr, make([]byte, PageSize-len(hdr))...), cat.buf[:]...)
+	// Its log: one group — that header and a page count of one — and the image.
+	body := binary.BigEndian.AppendUint32(bytes.Clone(hdr), 1)
+	group := binary.BigEndian.AppendUint32(nil, 0xCA11B0C6)
+	group = binary.BigEndian.AppendUint64(group, 1)
+	group = binary.BigEndian.AppendUint32(group, 0)
+	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(body))
+	group = append(group, body...)
+	group = binary.BigEndian.AppendUint32(group, 0xCA11B0C5)
+	group = binary.BigEndian.AppendUint64(group, 2)
+	group = binary.BigEndian.AppendUint32(group, 1)
+	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(cat.buf[:]))
+	group = append(group, cat.buf[:]...)
+	for name, content := range map[string][]byte{store: data, log: group} {
+		if err := os.WriteFile(name, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n, err := RecoverPager(store, log); !errors.Is(err, ErrFormatVersion) || n != 0 {
+		t.Errorf("RecoverPager on the parent's store = %d, %v; want ErrFormatVersion", n, err)
+	}
+	if _, err := OpenPager(store, false); !errors.Is(err, ErrFormatVersion) {
+		t.Errorf("OpenPager on the parent's store: %v; want ErrFormatVersion", err)
+	}
+	if _, err := Open(store); !errors.Is(err, ErrFormatVersion) {
+		t.Errorf("Open on the parent's store: %v; want ErrFormatVersion", err)
+	}
+	for name, content := range map[string][]byte{store: data, log: group} {
+		if now, err := os.ReadFile(name); err != nil || !bytes.Equal(now, content) {
+			t.Errorf("%s was modified by the refused opens (%v)", filepath.Base(name), err)
+		}
+	}
+
+	// A fresh store: the version is on page 0 after Close...
+	fresh := filepath.Join(dir, "fresh.db")
+	p, err := CreatePager(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := CreateWAL(fresh + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AttachWAL(w)
+	pg, err := p.Alloc(KindHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteGroup([]*Page{pg}); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile(fresh + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	page0 := make([]byte, storeHeaderSize)
+	if f, err := os.Open(fresh); err != nil {
+		t.Fatal(err)
+	} else if _, err := f.ReadAt(page0, 0); err != nil {
+		t.Fatal(err)
+	} else {
+		f.Close()
+	}
+	if v := binary.BigEndian.Uint32(page0[16:]); v != formatVersion || formatVersion == 0 {
+		t.Errorf("page 0 of a fresh store holds version %d, want %d", v, formatVersion)
+	}
+	reopen := func(path string, wantPages PageID) {
+		t.Helper()
+		q, err := OpenPager(path, true)
+		if err != nil {
+			t.Fatalf("a store this build wrote does not open: %v", err)
+		}
+		defer q.Close()
+		if q.NumPages() != wantPages {
+			t.Errorf("NumPages = %d, want %d", q.NumPages(), wantPages)
+		}
+	}
+	reopen(fresh, 2)
+	// ...and in the log: a data file that kept nothing of its first commit,
+	// not even its header, is whole again after recovery.
+	lost := filepath.Join(dir, "lost.db")
+	if err := os.WriteFile(lost, make([]byte, PageSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(lost+".wal", committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := RecoverPager(lost, lost+".wal"); err != nil || n != 1 {
+		t.Fatalf("RecoverPager = %d, %v; want 1 page", n, err)
+	}
+	reopen(lost, 2)
 }

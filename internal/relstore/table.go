@@ -3,6 +3,7 @@ package relstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -38,9 +39,13 @@ type tableMeta struct {
 	ByteSize int64       `json:"bytes"`
 }
 
-// A Table is a typed relation stored index-organized in a primary B+tree
-// (key = encoded primary-key columns, value = encoded row), with optional
-// secondary B+trees mapping secondary keys to primary keys.
+// A Table is a typed relation stored index-organized in a primary B+tree,
+// with optional secondary B+trees, and every column of a row stored once:
+// the primary key is the encoded primary-key columns and its value the
+// encoded other columns; a secondary key is the encoded index columns
+// followed by the primary-key columns not among them (which makes every
+// entry unique), and its value is empty — the primary key is that key's
+// fields in another order.
 type Table struct {
 	db      *DB
 	meta    tableMeta
@@ -48,11 +53,21 @@ type Table struct {
 	seconds []*BTree // parallel to meta.Schema.Indexes
 
 	colIdx  map[string]int
-	keyIdx  []int
-	keyType []ColType
 	types   []ColType
+	keyIdx  []int // the primary-key columns
+	keyType []ColType
+	valIdx  []int // the other columns, in column order
+	valType []ColType
+	indexes []indexPlan // parallel to meta.Schema.Indexes
 
 	decoded atomic.Int64 // rows decoded since open; see RowsDecoded
+}
+
+// An indexPlan is the layout of one secondary index's keys.
+type indexPlan struct {
+	cols    []int     // the column of each field: the index columns, then the primary-key columns not among them
+	types   []ColType // parallel to cols
+	pkField []int     // for each primary-key column, the field that holds it
 }
 
 // Errors returned by table operations.
@@ -113,13 +128,28 @@ func (t *Table) buildPlan() error {
 	if t.keyIdx, t.keyType, err = resolve(s.Key); err != nil {
 		return err
 	}
+	for j, typ := range t.types {
+		if !slices.Contains(t.keyIdx, j) {
+			t.valIdx, t.valType = append(t.valIdx, j), append(t.valType, typ)
+		}
+	}
 	for _, ix := range s.Indexes {
 		if ix.Name == "" {
 			return fmt.Errorf("%w: unnamed index", ErrBadSchema)
 		}
-		if _, _, err := resolve(ix.Columns); err != nil {
+		var plan indexPlan
+		if plan.cols, plan.types, err = resolve(ix.Columns); err != nil {
 			return err
 		}
+		for i, j := range t.keyIdx {
+			f := slices.Index(plan.cols, j)
+			if f < 0 {
+				f = len(plan.cols)
+				plan.cols, plan.types = append(plan.cols, j), append(plan.types, t.keyType[i])
+			}
+			plan.pkField = append(plan.pkField, f)
+		}
+		t.indexes = append(t.indexes, plan)
 	}
 	return nil
 }
@@ -133,35 +163,84 @@ func (t *Table) Schema() TableSchema { return t.meta.Schema }
 // RowCount returns the number of stored rows (O(1), maintained).
 func (t *Table) RowCount() int64 { return t.meta.RowCount }
 
-// ByteSize returns the total encoded size of stored rows in bytes (O(1),
-// maintained). Page overhead is excluded; see DB.Size for the file size.
+// ByteSize returns the total size of stored rows in bytes (O(1),
+// maintained): each row's encoded primary key and value as the codec writes
+// them, before front coding. Every column counts once — the key columns are
+// not repeated in the value. Page overhead is excluded; see DB.Size for the
+// file size.
 func (t *Table) ByteSize() int64 { return t.meta.ByteSize }
 
-// primaryKey extracts and encodes the primary key of a row.
-func (t *Table) primaryKey(row Row) ([]byte, error) {
-	vals := make([]Value, len(t.keyIdx))
-	for i, j := range t.keyIdx {
-		if j >= len(row) {
-			return nil, fmt.Errorf("relstore: row too short for key")
+// encodeRow encodes a row as its primary-tree entry, refusing with
+// ErrKeyTooBig a row whose entry in the primary tree or in any index would
+// pass MaxEntrySize — before anything of it is stored.
+func (t *Table) encodeRow(row Row) (pk, val []byte, err error) {
+	if len(row) != len(t.types) {
+		return nil, nil, fmt.Errorf("relstore: row has %d values, table has %d columns", len(row), len(t.types))
+	}
+	for _, j := range t.keyIdx {
+		if pk, err = appendKeyValue(pk, t.types[j], row[j]); err != nil {
+			return nil, nil, err
 		}
+	}
+	vals := make(Row, len(t.valIdx))
+	for i, j := range t.valIdx {
 		vals[i] = row[j]
 	}
-	return EncodeKey(t.keyType, vals)
+	if val, err = EncodeRow(t.valType, vals); err != nil {
+		return nil, nil, err
+	}
+	size := EntrySize(len(pk), len(val))
+	for _, plan := range t.indexes {
+		n := 0
+		for _, j := range plan.cols {
+			n += keyValueLen(row[j])
+		}
+		size = max(size, EntrySize(n, 0))
+	}
+	if size > MaxEntrySize {
+		return nil, nil, fmt.Errorf("%w: a row of %d bytes in one tree, of at most %d", ErrKeyTooBig, size, MaxEntrySize)
+	}
+	return pk, val, nil
 }
 
-// indexKey encodes a secondary-index key for a row: the index columns
-// followed by the primary key (which makes every index entry unique).
-func (t *Table) indexKey(ix IndexDef, row Row, pk []byte) ([]byte, error) {
+// Key returns the encoded primary key of row, having checked everything
+// Insert would refuse the row for on its own account: a value of the wrong
+// type, or — ErrKeyTooBig — an entry too large for one of the trees.
+func (t *Table) Key(row Row) ([]byte, error) {
+	pk, _, err := t.encodeRow(row)
+	return pk, err
+}
+
+// indexKey encodes the key of row in a secondary index. The row has passed
+// encodeRow.
+func (t *Table) indexKey(plan indexPlan, row Row) []byte {
 	var buf []byte
-	for _, name := range ix.Columns {
-		j := t.colIdx[name]
-		var err error
-		buf, err = appendKeyValue(buf, t.types[j], row[j])
+	for f, j := range plan.cols {
+		buf, _ = appendKeyValue(buf, plan.types[f], row[j])
+	}
+	return buf
+}
+
+// primaryKey rebuilds in buf the primary key an index key carries, by
+// slicing the index key into its fields; offs is scratch for len(plan.cols)+1
+// offsets.
+func (t *Table) primaryKey(plan indexPlan, ikey, buf []byte, offs []int) ([]byte, error) {
+	offs[0] = 0
+	for f, typ := range plan.types {
+		n, err := keyFieldLen(typ, ikey[offs[f]:])
 		if err != nil {
 			return nil, err
 		}
+		offs[f+1] = offs[f] + n
 	}
-	return append(buf, pk...), nil
+	if offs[len(plan.types)] != len(ikey) {
+		return nil, fmt.Errorf("relstore: %d trailing bytes after index key", len(ikey)-offs[len(plan.types)])
+	}
+	buf = buf[:0]
+	for _, f := range plan.pkField {
+		buf = append(buf, ikey[offs[f]:offs[f+1]]...)
+	}
+	return buf, nil
 }
 
 // KeyPrefix encodes a partial primary key (the first len(vals) key columns)
@@ -170,26 +249,18 @@ func (t *Table) KeyPrefix(vals ...Value) ([]byte, error) {
 	return EncodeKey(t.keyType, vals)
 }
 
-// IndexPrefix encodes a partial secondary-index key for prefix scans.
+// IndexPrefix encodes a partial secondary-index key — values for its first
+// len(vals) fields, which are the index columns and then the primary-key
+// columns not among them — for prefix scans and seeks.
 func (t *Table) IndexPrefix(index string, vals ...Value) ([]byte, error) {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
 	}
-	ix := t.meta.Schema.Indexes[ixi]
-	if len(vals) > len(ix.Columns) {
-		return nil, fmt.Errorf("relstore: %d values for %d index columns", len(vals), len(ix.Columns))
+	if fields := t.indexes[ixi].types; len(vals) > len(fields) {
+		return nil, fmt.Errorf("relstore: %d values for %d index key fields", len(vals), len(fields))
 	}
-	var buf []byte
-	for i, v := range vals {
-		j := t.colIdx[ix.Columns[i]]
-		var err error
-		buf, err = appendKeyValue(buf, t.types[j], v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return EncodeKey(t.indexes[ixi].types, vals)
 }
 
 func (t *Table) findIndex(name string) int {
@@ -204,78 +275,63 @@ func (t *Table) findIndex(name string) int {
 // Insert stores a new row; it fails with ErrDupKey if the primary key
 // exists.
 func (t *Table) Insert(row Row) error {
-	pk, err := t.primaryKey(row)
+	pk, val, err := t.encodeRow(row)
 	if err != nil {
 		return err
 	}
-	enc, err := EncodeRow(t.types, row)
-	if err != nil {
+	if err := t.primary.Insert(pk, val); err != nil {
 		return err
 	}
-	if err := t.primary.Insert(pk, enc); err != nil {
-		return err
-	}
-	for i, ix := range t.meta.Schema.Indexes {
-		ikey, err := t.indexKey(ix, row, pk)
-		if err != nil {
-			return err
-		}
-		if err := t.seconds[i].Put(ikey, pk); err != nil {
+	return t.indexRow(row, pk, val)
+}
+
+// indexRow adds the index entries and the counters of a row just stored.
+func (t *Table) indexRow(row Row, pk, val []byte) error {
+	for i, plan := range t.indexes {
+		if err := t.seconds[i].Put(t.indexKey(plan, row), nil); err != nil {
 			return err
 		}
 	}
 	t.meta.RowCount++
-	t.meta.ByteSize += int64(len(enc) + len(pk))
+	t.meta.ByteSize += int64(len(pk) + len(val))
 	return t.db.persistTable(t)
+}
+
+// unindexRow removes the index entries and the counters of the stored row
+// pk→val, which is about to be deleted or replaced.
+func (t *Table) unindexRow(pk, val []byte) error {
+	row, err := t.decodeRow(pk, val)
+	if err != nil {
+		return err
+	}
+	for i, plan := range t.indexes {
+		if err := t.seconds[i].Delete(t.indexKey(plan, row)); err != nil && !errors.Is(err, ErrKeyNotFound) {
+			return err
+		}
+	}
+	t.meta.RowCount--
+	t.meta.ByteSize -= int64(len(pk) + len(val))
+	return nil
 }
 
 // Put stores a row, replacing any existing row with the same primary key
 // and keeping secondary indexes consistent.
 func (t *Table) Put(row Row) error {
-	pk, err := t.primaryKey(row)
+	pk, val, err := t.encodeRow(row)
 	if err != nil {
 		return err
 	}
-	old, errGet := t.primary.Get(pk)
-	if errGet != nil && !errors.Is(errGet, ErrKeyNotFound) {
-		return errGet
+	old, err := t.primary.Get(pk)
+	if err == nil {
+		err = t.unindexRow(pk, old)
 	}
-	if old != nil {
-		oldRow, err := t.decodeRow(old)
-		if err != nil {
-			return err
-		}
-		for i, ix := range t.meta.Schema.Indexes {
-			ikey, err := t.indexKey(ix, oldRow, pk)
-			if err != nil {
-				return err
-			}
-			if err := t.seconds[i].Delete(ikey); err != nil && !errors.Is(err, ErrKeyNotFound) {
-				return err
-			}
-		}
-		t.meta.RowCount--
-		t.meta.ByteSize -= int64(len(old) + len(pk))
-	}
-	enc, err := EncodeRow(t.types, row)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrKeyNotFound) {
 		return err
 	}
-	if err := t.primary.Put(pk, enc); err != nil {
+	if err := t.primary.Put(pk, val); err != nil {
 		return err
 	}
-	for i, ix := range t.meta.Schema.Indexes {
-		ikey, err := t.indexKey(ix, row, pk)
-		if err != nil {
-			return err
-		}
-		if err := t.seconds[i].Put(ikey, pk); err != nil {
-			return err
-		}
-	}
-	t.meta.RowCount++
-	t.meta.ByteSize += int64(len(enc) + len(pk))
-	return t.db.persistTable(t)
+	return t.indexRow(row, pk, val)
 }
 
 // Get fetches the row with the given primary key values.
@@ -287,27 +343,28 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := t.primary.Get(pk)
+	val, err := t.primary.Get(pk)
 	if errors.Is(err, ErrKeyNotFound) {
 		return nil, fmt.Errorf("%w: %v", ErrRowNotFound, keyVals)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return t.decodeRow(enc)
+	return t.decodeRow(pk, val)
 }
 
-// View hands visit the stored encoding of the row with the encoded primary
-// key pk (as built by KeyPrefix with every key column) and reports whether
-// there is one. The encoding is the row codec's (see EncodeRow): columns in
-// order, an int as a zigzag varint, a string or bytes behind a uvarint
-// length. visit sees the bytes in place, while the leaf is pinned, and must
-// copy what it keeps: a caller that decodes them itself pays for no Row and
-// no copy of the value. The row counts in RowsDecoded.
-func (t *Table) View(pk []byte, visit func(enc []byte)) (bool, error) {
-	return t.primary.View(pk, func(enc []byte) {
+// View hands visit the stored value of the row with the encoded primary key
+// pk (as built by KeyPrefix with every key column) and reports whether there
+// is one. The value is the row codec's encoding (see EncodeRow) of the
+// columns outside the primary key, in column order: an int as a zigzag
+// varint, a string or bytes behind a uvarint length; the key columns are in
+// pk, in the key codec's. visit sees the bytes in place, while the leaf is
+// pinned, and must copy what it keeps: a caller that decodes them itself pays
+// for no Row and no copy of the value. The row counts in RowsDecoded.
+func (t *Table) View(pk []byte, visit func(val []byte)) (bool, error) {
+	return t.primary.View(pk, func(val []byte) {
 		t.decoded.Add(1)
-		visit(enc)
+		visit(val)
 	})
 }
 
@@ -320,31 +377,19 @@ func (t *Table) Delete(keyVals ...Value) error {
 	if err != nil {
 		return err
 	}
-	enc, err := t.primary.Get(pk)
+	val, err := t.primary.Get(pk)
 	if errors.Is(err, ErrKeyNotFound) {
 		return fmt.Errorf("%w: %v", ErrRowNotFound, keyVals)
 	}
 	if err != nil {
 		return err
 	}
-	row, err := t.decodeRow(enc)
-	if err != nil {
+	if err := t.unindexRow(pk, val); err != nil {
 		return err
-	}
-	for i, ix := range t.meta.Schema.Indexes {
-		ikey, err := t.indexKey(ix, row, pk)
-		if err != nil {
-			return err
-		}
-		if err := t.seconds[i].Delete(ikey); err != nil && !errors.Is(err, ErrKeyNotFound) {
-			return err
-		}
 	}
 	if err := t.primary.Delete(pk); err != nil {
 		return err
 	}
-	t.meta.RowCount--
-	t.meta.ByteSize -= int64(len(enc) + len(pk))
 	return t.db.persistTable(t)
 }
 
@@ -366,9 +411,26 @@ func (t *Table) LastKey() (key []byte, ok bool, err error) {
 // was opened, by any method — with DB.CacheStats, the work a read did.
 func (t *Table) RowsDecoded() int64 { return t.decoded.Load() }
 
-func (t *Table) decodeRow(enc []byte) (Row, error) {
+// decodeRow reassembles a row from its primary-tree entry: the key columns
+// from the key, the others from the value.
+func (t *Table) decodeRow(pk, val []byte) (Row, error) {
 	t.decoded.Add(1)
-	return DecodeRow(t.types, enc)
+	keyVals, err := DecodeKey(t.keyType, pk)
+	if err != nil {
+		return nil, err
+	}
+	vals, err := DecodeRow(t.valType, val)
+	if err != nil {
+		return nil, err
+	}
+	row := make(Row, len(t.types))
+	for i, j := range t.keyIdx {
+		row[j] = keyVals[i]
+	}
+	for i, j := range t.valIdx {
+		row[j] = vals[i]
+	}
+	return row, nil
 }
 
 // Scan calls fn for every row in primary-key order, stopping early if fn
@@ -392,13 +454,13 @@ func (t *Table) ScanKeyPrefix(prefix []byte, fn func(Row) bool) error {
 // the immediate successor of key in bytewise order).
 func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
 	var derr error
-	err := t.ScanEncodedFrom(from, prefix, func(key, enc []byte) bool {
-		row, err := DecodeRow(t.types, enc)
+	err := t.primary.ScanFrom(from, prefix, func(pk, val []byte) bool {
+		row, err := t.decodeRow(pk, val)
 		if err != nil {
 			derr = err
 			return false
 		}
-		return fn(key, row)
+		return fn(pk, row)
 	})
 	if derr != nil {
 		return derr
@@ -406,31 +468,44 @@ func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bo
 	return err
 }
 
-// ScanEncodedFrom is ScanKeyFrom handing fn each row's stored encoding (see
-// View) instead of a decoded Row. key and enc are valid until fn returns.
-// Every row handed out counts in RowsDecoded.
-func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(key, enc []byte) bool) error {
-	return t.primary.ScanFrom(from, prefix, func(key, enc []byte) bool {
+// ScanEncodedFrom is ScanKeyFrom handing fn each row as stored — its encoded
+// primary key and its value (see View) — instead of a decoded Row. pk and
+// val are valid until fn returns. Every row handed out counts in
+// RowsDecoded.
+func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) bool) error {
+	return t.primary.ScanFrom(from, prefix, func(pk, val []byte) bool {
 		t.decoded.Add(1)
-		return fn(key, enc)
+		return fn(pk, val)
 	})
 }
 
-// ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (a prefix
-// as built by IndexPrefix): fn sees the encoded index entry key (index
-// columns followed by the primary key) and the row's stored encoding, in
-// place in its primary leaf (see View). The prefix is checked on the index
-// key alone, so the entry that ends the walk — and a walk whose range is
-// empty — costs no primary-tree fetch.
-func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, enc []byte) bool) error {
+// ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (from and
+// prefix as built by IndexPrefix): fn sees the encoded index key, the
+// primary key rebuilt from it, and the row's stored value, in place in its
+// primary leaf (see View). The prefix is checked on the index key alone, so
+// the entry that ends the walk — and a walk whose range is empty — costs no
+// primary-tree fetch.
+func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, pk, val []byte) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
 	}
-	var derr error
-	err := t.seconds[ixi].ScanFrom(from, prefix, func(key, pk []byte) bool {
+	plan := t.indexes[ixi]
+	var (
+		derr    error
+		pk      []byte // rebuilt in place from entry to entry
+		offsBuf [8]int // on this stack for any index of up to seven fields
+		offs    = offsBuf[:]
+	)
+	if n := len(plan.cols) + 1; n > len(offs) {
+		offs = make([]int, n)
+	}
+	err := t.seconds[ixi].ScanFrom(from, prefix, func(key, _ []byte) bool {
 		more := false
-		found, err := t.View(pk, func(enc []byte) { more = fn(key, enc) })
+		if pk, derr = t.primaryKey(plan, key, pk, offs); derr != nil {
+			return false
+		}
+		found, err := t.View(pk, func(val []byte) { more = fn(key, pk, val) })
 		if err == nil && !found {
 			err = fmt.Errorf("%w: %q", ErrKeyNotFound, pk)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -206,12 +207,12 @@ func TestTableScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tids []int64
-	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, enc []byte) bool {
-		r, err := DecodeRow(tbl.types, enc)
+	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, pk, _ []byte) bool {
+		tid, _, err := DecodeKeyInt(pk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tids = append(tids, r[0].(int64))
+		tids = append(tids, tid)
 		return true
 	})
 	if len(tids) != 3 {
@@ -227,7 +228,7 @@ func TestTableScans(t *testing.T) {
 	if _, err := tbl.IndexPrefix("nope"); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index: %v", err)
 	}
-	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
+	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index scan: %v", err)
 	}
 }
@@ -300,7 +301,7 @@ func TestDBPersistence(t *testing.T) {
 	// Secondary index still works.
 	iprefix, _ := tbl2.IndexPrefix("by_loc", []byte("T/c0/x35"))
 	found := 0
-	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _ []byte) bool { found++; return true })
+	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _, _ []byte) bool { found++; return true })
 	if found != 1 {
 		t.Errorf("index after reopen found %d", found)
 	}
@@ -339,11 +340,28 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	}
 	model := map[pk]Row{}
 	r := rand.New(rand.NewSource(99))
+	// Locs of three shapes — short, behind a long shared prefix, and nested so
+	// that one is a prefix of another — and sources from empty to most of an
+	// entry.
+	deep := strings.Repeat("shared/prefix/", 12)
 	for i := 0; i < 3000; i++ {
 		k := pk{int64(r.Intn(40)), fmt.Sprintf("T/c%d", r.Intn(60))}
 		switch r.Intn(3) {
+		case 1:
+			k.loc = deep + k.loc
+		case 2:
+			k.loc += strings.Repeat("/x", r.Intn(3))
+		}
+		switch r.Intn(3) {
 		case 0, 1:
-			row := Row{k.tid, []byte(k.loc), "C", []byte(fmt.Sprintf("S/%d", i))}
+			src := fmt.Sprintf("S/%d", i)
+			switch r.Intn(8) {
+			case 0:
+				src = ""
+			case 1:
+				src = strings.Repeat("s", 700)
+			}
+			row := Row{k.tid, []byte(k.loc), "C", []byte(src)}
 			if err := tbl.Put(row); err != nil {
 				t.Fatal(err)
 			}
@@ -363,22 +381,56 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	if int(tbl.RowCount()) != len(model) {
 		t.Fatalf("RowCount = %d, model %d", tbl.RowCount(), len(model))
 	}
-	seen := 0
-	tbl.Scan(func(row Row) bool {
-		seen++
+	check := func(where string, row Row) {
+		t.Helper()
 		k := pk{row[0].(int64), string(row[1].([]byte))}
 		want, ok := model[k]
 		if !ok {
-			t.Errorf("phantom row %v", row)
-			return true
+			t.Errorf("%s: phantom row %v", where, row)
+			return
 		}
-		if string(row[3].([]byte)) != string(want[3].([]byte)) {
-			t.Errorf("row %v: src %q, want %q", k, row[3], want[3])
+		if row[2].(string) != "C" || string(row[3].([]byte)) != string(want[3].([]byte)) {
+			t.Errorf("%s: row %v: op %q src %q, want src %q", where, k, row[2], row[3], want[3])
 		}
+	}
+	seen := 0
+	tbl.Scan(func(row Row) bool {
+		seen++
+		check("scan", row)
 		return true
 	})
 	if seen != len(model) {
 		t.Errorf("scan saw %d, model %d", seen, len(model))
+	}
+	for k := range model {
+		row, err := tbl.Get(k.tid, []byte(k.loc))
+		if err != nil {
+			t.Fatalf("Get(%v): %v", k, err)
+		}
+		check("get", row)
+	}
+	// The index holds one entry per row, in (loc, tid) order, and each leads
+	// to its row: the primary key is rebuilt from the index key alone.
+	seen = 0
+	var last pk
+	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(_, key, val []byte) bool {
+		row, err := tbl.decodeRow(key, val)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("index", row)
+		k := pk{row[0].(int64), string(row[1].([]byte))}
+		if seen > 0 && (k.loc < last.loc || k.loc == last.loc && k.tid <= last.tid) {
+			t.Errorf("index yields %v after %v", k, last)
+		}
+		last = k
+		seen++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(model) {
+		t.Errorf("index scan saw %d, model %d", seen, len(model))
 	}
 }
 
@@ -388,7 +440,10 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 func TestScanDecidesOnKeys(t *testing.T) {
 	db := testDB(t)
 	tbl, _ := db.CreateTable(provSchema())
-	for tid := int64(1); tid <= 3; tid++ {
+	// Forty transactions over the same four locs: a loc's index entries fill
+	// runs of their own, so a walk begins and ends inside runs and between them.
+	const tids = 40
+	for tid := int64(1); tid <= tids; tid++ {
 		for j := 0; j < 4; j++ {
 			if err := tbl.Insert(Row{tid * 10, []byte(fmt.Sprintf("T/c%d", j)), "I", []byte{}}); err != nil {
 				t.Fatal(err)
@@ -405,18 +460,19 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.ScanIndexEncodedFrom("by_loc", prefix, prefix, func(_, _ []byte) bool { rows++; return true }); err != nil {
+		if err := tbl.ScanIndexEncodedFrom("by_loc", prefix, prefix, func(_, _, _ []byte) bool { rows++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return rows
 	}
-	// T/c1 is followed in the index by T/c2: three rows, three decodes.
+	// T/c1 is followed in the index by T/c2: a row per transaction, and as
+	// many decodes.
 	if n := decoded(func() {
-		if rows := indexRows("T/c1"); rows != 3 {
+		if rows := indexRows("T/c1"); rows != tids {
 			t.Errorf("index scan of T/c1 saw %d rows", rows)
 		}
-	}); n != 3 {
-		t.Errorf("index scan of 3 rows decoded %d", n)
+	}); n != tids {
+		t.Errorf("index scan of %d rows decoded %d", tids, n)
 	}
 	// Empty ranges: between two stored locs, and past the last one.
 	for _, loc := range []string{"T/c", "T/c1x", "T/zz"} {
@@ -450,7 +506,7 @@ func TestScanDecidesOnKeys(t *testing.T) {
 			t.Errorf("Has(absent) = %v, %v", ok, err)
 		}
 		last, ok, err := tbl.LastKey()
-		want, _ := tbl.KeyPrefix(int64(30), []byte("T/c3"))
+		want, _ := tbl.KeyPrefix(int64(tids*10), []byte("T/c3"))
 		if err != nil || !ok || !bytes.Equal(last, want) {
 			t.Errorf("LastKey = %x, %v, %v; want %x", last, ok, err, want)
 		}

@@ -382,17 +382,28 @@ func (p *Pager) IOStats() IOStats {
 // every write since the data file was last fsynced, in order, so it does
 // not matter which of them the file already has, or has torn. Use before
 // OpenPager on any store that commits through a log.
+//
+// A store of another format version is refused with ErrFormatVersion before
+// either file is touched: its log is not this build's to replay. A page 0
+// that holds no header at all is left to the log, which has every header
+// since the last checkpoint.
 func RecoverPager(storePath, walPath string) (int, error) {
-	w, err := OpenWAL(walPath)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
 	f, err := os.OpenFile(storePath, os.O_RDWR, 0o644)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
+	var hdr [storeHeaderSize]byte
+	if _, err := f.ReadAt(hdr[:], 0); err == nil {
+		if err := checkFormat(hdr[:]); errors.Is(err, ErrFormatVersion) {
+			return 0, err
+		}
+	}
+	w, err := OpenWAL(walPath)
+	if err != nil {
+		return 0, err
+	}
+	defer w.Close()
 	n, err := w.Replay(func(id PageID, image []byte) error {
 		_, werr := f.WriteAt(image, int64(id)*PageSize)
 		return werr
