@@ -24,18 +24,23 @@ func commitTxns(t *testing.T, b *relprov.Backend, firstTid int64, txns int) []pr
 	t.Helper()
 	var acked []provstore.Record
 	for i := 0; i < txns; i++ {
-		tid := firstTid + int64(i)
-		var recs []provstore.Record
-		for j := 0; j < 5; j++ {
-			loc := fmt.Sprintf("T/c%d/entry-%d/field-%d-with-a-long-label", (int(tid)*7+j)%23, tid, j)
-			recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/src%d/x%d", j, tid)))
-		}
+		recs := txnRecs(firstTid + int64(i))
 		if err := b.Append(context.Background(), recs); err != nil {
 			t.Fatal(err)
 		}
 		acked = append(acked, recs...)
 	}
 	return acked
+}
+
+// txnRecs returns the five records of transaction tid.
+func txnRecs(tid int64) []provstore.Record {
+	var recs []provstore.Record
+	for j := 0; j < 5; j++ {
+		loc := fmt.Sprintf("T/c%d/entry-%d/field-%d-with-a-long-label", (int(tid)*7+j)%23, tid, j)
+		recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/src%d/x%d", j, tid)))
+	}
+	return recs
 }
 
 // checkStore opens the durable store in dir — which recovers it — and
@@ -172,6 +177,72 @@ func TestCrashMatrix(t *testing.T) {
 		// The last group lost its tail: it was never acknowledged, so its
 		// transaction is gone whole and the store still opens clean.
 		checkStore(t, crashedDir(t, old, log[:len(log)-relstore.PageSize/2]), acked[:len(acked)-5])
+	})
+
+	// A group larger than the pool: a store of several pools' worth of
+	// pages, then one group whose records scatter over by_loc, so the pages
+	// it dirties outnumber the frames. The group is inserted with the log
+	// attached and committed by hand, which is where a kill lands between
+	// the two.
+	const bigTxns = 6000
+	file = filepath.Join(t.TempDir(), "prov.db")
+	big, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked = nil
+	for first := int64(1); first <= bigTxns; first += bigTxns / 5 {
+		var recs []provstore.Record
+		for tid := first; tid < first+bigTxns/5; tid++ {
+			recs = append(recs, txnRecs(tid)...)
+		}
+		if err := big.Append(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, recs...)
+	}
+	if pages := big.DB().NumPages(); pages < 4*relstore.DefaultCachePages {
+		t.Fatalf("test premise: the store has %d pages, want at least four pools (%d)", pages, 4*relstore.DefaultCachePages)
+	}
+	if err := big.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err := relstore.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	w, err := relstore.OpenWAL(file + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	db.AttachWAL(w)
+	open, err := relprov.Open(db) // no EnableGroupCommit: Append inserts and does not commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	var group []provstore.Record
+	for i := 0; i < 600; i++ {
+		under := int64(i*10 + 1)
+		loc := fmt.Sprintf("T/c%d/entry-%d/added-%d", (int(under)*7+i%5)%23, under, i)
+		group = append(group, rec(bigTxns+1, provstore.OpInsert, loc, ""))
+	}
+	_, missesBefore := db.CacheStats()
+	if err := open.Append(context.Background(), group); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := db.CacheStats(); misses-missesBefore <= relstore.DefaultCachePages {
+		t.Fatalf("test premise: the group read %d pages, want more than the pool's %d", misses-missesBefore, relstore.DefaultCachePages)
+	}
+	t.Run("a group larger than the pool, killed before its commit", func(t *testing.T) {
+		checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), acked)
+	})
+	if err := db.GroupCommit(); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("a group larger than the pool, killed after its commit", func(t *testing.T) {
+		checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), append(acked, group...))
 	})
 }
 

@@ -44,8 +44,8 @@ type Backend struct {
 	db  *relstore.DB
 	tbl *relstore.Table
 	wal *relstore.WAL // non-nil after EnableGroupCommit; closed by Close
-	// durable makes every Append end in one GroupCommit,
-	// instead of durability only at Flush/Close. See EnableGroupCommit.
+	// durable makes every Append end in one GroupCommit, instead of
+	// durability only at Close. See EnableGroupCommit.
 	durable bool
 	obs     *provobs.Registry
 }
@@ -97,22 +97,17 @@ func (b *Backend) DB() *relstore.DB { return b.db }
 // EnableGroupCommit attaches a write-ahead log to the underlying database
 // and makes every Append durable before returning — at the cost of one log
 // write and one log fsync per call, however many records or whole
-// transactions it carries. The data file is
+// transactions it carries, and nothing of an Append reaches either file
+// before that: a crash keeps the call whole or not at all. The data file is
 // written at every commit but fsynced only when the log is checkpointed
 // (truncated, every few megabytes logged) and at Close, which leaves the
 // log empty. This is the group-commit write path of the sharded ingest
-// pipeline; without it the store is durable only at Flush/Close, as the
-// paper's MySQL deployment was at transaction boundaries. The log is closed
-// by Close. After a crash, run relstore.RecoverPager before reopening
+// pipeline; without it the store is durable only at Close, as the paper's
+// MySQL deployment was at transaction boundaries. The log is closed by
+// Close. After a crash, run relstore.RecoverPager before reopening
 // (OpenFile does): the data file alone may lack anything committed since
 // the last checkpoint.
 func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
-	// Log appends from buffer-pool evictions between commits stay
-	// unsynced — otherwise every eviction beyond the cache size would pay
-	// a per-page fsync, collapsing group commit back to per-record cost.
-	// GroupCommit's AppendGroup syncs the whole log (including those
-	// earlier appends), so every acknowledged group is still crash-safe.
-	w.SetSyncEvery(1 << 30)
 	b.db.AttachWAL(w)
 	b.wal = w
 	b.durable = true

@@ -198,7 +198,7 @@ func TestRelProvAppendBatch(t *testing.T) {
 		t.Fatalf("stored dup: %v", err)
 	}
 
-	// The group commit made rows durable without Flush/Close: recover the
+	// The group commit made rows durable without a Close: recover the
 	// store file from the WAL and reopen.
 	w.Close()
 	if _, err := relstore.RecoverPager(file, file+".wal"); err != nil {

@@ -242,7 +242,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 
 	// Persist, reopen, re-verify.
 	root := bt.Root()
-	if err := bp.FlushAll(); err != nil {
+	if err := bp.FlushGroup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Close(); err != nil {

@@ -2,13 +2,24 @@ package relstore
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"sync"
 )
 
-// A BufferPool caches pages above the Pager with LRU eviction and
-// write-back of dirty pages. Pages are pinned while in use; only unpinned
-// pages are evictable.
+// A BufferPool caches pages above the Pager with LRU eviction. Pages are
+// pinned while in use; only unpinned pages are evictable.
+//
+// The pool alone decides when a page image may leave memory. With a
+// write-ahead log attached to the pager, only inside a committed group
+// (FlushGroup): a dirty frame is never a victim, so neither file ever holds
+// a page of a group that has not committed, and a crash loses the open group
+// whole. A frame dirtied under a log leaves the LRU list until its commit,
+// and the capacity bounds the list: the pool is over its capacity by at most
+// the pages the open commit dirties, whose batch is in memory already, and
+// back under it on the first admit after the commit. Without a log nothing
+// is promised across a crash and bulk loads do not commit, so there, and
+// only there, a dirty frame stays listed and evicting it writes it.
 type BufferPool struct {
 	mu     sync.Mutex
 	pager  *Pager
@@ -23,8 +34,12 @@ type frame struct {
 	page  *Page
 	pins  int
 	dirty bool
-	elem  *list.Element
+	elem  *list.Element // nil while the frame is held for the open commit
 }
+
+// ErrPoolExhausted reports a page that cannot be admitted: the pool is full
+// and every frame that could make room is pinned.
+var ErrPoolExhausted = errors.New("relstore: buffer pool exhausted, every frame pinned")
 
 // NewBufferPool wraps the pager with a pool of the given capacity (pages).
 // A capacity below 8 is raised to 8.
@@ -51,7 +66,9 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 	if f, ok := bp.frames[id]; ok {
 		bp.hits++
 		f.pins++
-		bp.lru.MoveToFront(f.elem)
+		if f.elem != nil {
+			bp.lru.MoveToFront(f.elem)
+		}
 		return f.page, nil
 	}
 	bp.misses++
@@ -77,14 +94,25 @@ func (bp *BufferPool) Alloc(kind byte) (*Page, error) {
 	if err := bp.admit(pg); err != nil {
 		return nil, err
 	}
-	bp.frames[pg.ID].dirty = true
+	bp.markDirty(bp.frames[pg.ID])
 	return pg, nil
 }
 
-// admit inserts a page pinned once, evicting if needed. Caller holds mu.
+// admit inserts a page pinned once, evicting while the list is full. Caller
+// holds mu.
 func (bp *BufferPool) admit(pg *Page) error {
-	if err := bp.evictIfFull(); err != nil {
-		return err
+	for bp.lru.Len() >= bp.cap {
+		victim, err := bp.victim()
+		if err != nil {
+			return err
+		}
+		if victim.dirty {
+			if err := bp.pager.WriteGroup([]*Page{victim.page}); err != nil {
+				return err
+			}
+		}
+		bp.lru.Remove(victim.elem)
+		delete(bp.frames, victim.page.ID)
 	}
 	f := &frame{page: pg, pins: 1}
 	f.elem = bp.lru.PushFront(pg.ID)
@@ -92,29 +120,30 @@ func (bp *BufferPool) admit(pg *Page) error {
 	return nil
 }
 
-func (bp *BufferPool) evictIfFull() error {
-	for len(bp.frames) >= bp.cap {
-		// Find the least recently used unpinned frame.
-		var victim *frame
-		for e := bp.lru.Back(); e != nil; e = e.Prev() {
-			f := bp.frames[e.Value.(PageID)]
-			if f.pins == 0 {
-				victim = f
-				break
-			}
+// victim picks the least recently used frame that may leave the pool:
+// unpinned and, with a log attached, clean (a frame dirtied before the log
+// was attached is still listed).
+func (bp *BufferPool) victim() (*frame, error) {
+	noSteal := bp.pager.HasWAL()
+	for e := bp.lru.Back(); e != nil; e = e.Prev() {
+		if f := bp.frames[e.Value.(PageID)]; f.pins == 0 && !(f.dirty && noSteal) {
+			return f, nil
 		}
-		if victim == nil {
-			return fmt.Errorf("relstore: buffer pool exhausted (%d pages, all pinned)", bp.cap)
-		}
-		if victim.dirty {
-			if err := bp.pager.Write(victim.page); err != nil {
-				return err
-			}
-		}
-		bp.lru.Remove(victim.elem)
-		delete(bp.frames, victim.page.ID)
 	}
-	return nil
+	return nil, fmt.Errorf("%w (%d pages)", ErrPoolExhausted, bp.cap)
+}
+
+// markDirty records that the frame's page was modified and, with a log
+// attached, takes it off the list until FlushGroup commits it.
+func (bp *BufferPool) markDirty(f *frame) {
+	if f.dirty {
+		return
+	}
+	f.dirty = true
+	if bp.pager.HasWAL() {
+		bp.lru.Remove(f.elem)
+		f.elem = nil
+	}
 }
 
 // Unpin releases a pin; dirty marks the page modified.
@@ -127,7 +156,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 	f.pins--
 	if dirty {
-		f.dirty = true
+		bp.markDirty(f)
 	}
 }
 
@@ -139,55 +168,37 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 // and Close, are the only data-file fsyncs. With no log the data file is
 // the only copy and is fsynced here, every time.
 func (bp *BufferPool) FlushGroup() error {
-	bp.mu.Lock()
-	var dirty []*Page
-	var frames []*frame
-	for _, f := range bp.frames {
-		if f.dirty {
-			dirty = append(dirty, f.page)
-			frames = append(frames, f)
-		}
-	}
-	if len(dirty) == 0 {
-		bp.mu.Unlock()
-		return nil
-	}
-	if err := bp.pager.WriteGroup(dirty); err != nil {
-		bp.mu.Unlock()
+	if wrote, err := bp.writeGroup(); err != nil || !wrote {
 		return err
 	}
-	for _, f := range frames {
-		f.dirty = false
-	}
-	bp.mu.Unlock()
 	if !bp.pager.HasWAL() {
 		return bp.pager.Sync()
 	}
 	return bp.pager.checkpointIfLarge()
 }
 
-// writeBack writes every dirty page to the pager, each on its own: through
-// the log first if one is attached, and with no fsync of either file.
-func (bp *BufferPool) writeBack() error {
+// writeGroup hands every dirty page to the pager as one group and reports
+// whether there was any.
+func (bp *BufferPool) writeGroup() (bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	var dirty []*Page
 	for _, f := range bp.frames {
 		if f.dirty {
-			if err := bp.pager.Write(f.page); err != nil {
-				return err
-			}
-			f.dirty = false
+			dirty = append(dirty, f.page)
 		}
 	}
-	return nil
-}
-
-// FlushAll writes back every dirty page and syncs the file.
-func (bp *BufferPool) FlushAll() error {
-	if err := bp.writeBack(); err != nil {
-		return err
+	if err := bp.pager.WriteGroup(dirty); err != nil {
+		return false, err
 	}
-	return bp.pager.Sync()
+	for _, pg := range dirty {
+		f := bp.frames[pg.ID]
+		f.dirty = false
+		if f.elem == nil {
+			f.elem = bp.lru.PushFront(pg.ID)
+		}
+	}
+	return len(dirty) > 0, nil
 }
 
 // Stats returns cache hit/miss counters.
@@ -197,11 +208,11 @@ func (bp *BufferPool) Stats() (hits, misses int64) {
 	return bp.hits, bp.misses
 }
 
-// Close writes back every dirty page and closes the underlying pager, whose
-// checkpoint is the one fsync of the data file a close costs and empties the
-// attached log.
+// Close writes back every dirty page as one last group and closes the
+// underlying pager, whose checkpoint is the one fsync of the data file a
+// close costs and empties the attached log.
 func (bp *BufferPool) Close() error {
-	if err := bp.writeBack(); err != nil {
+	if _, err := bp.writeGroup(); err != nil {
 		bp.pager.Close()
 		return err
 	}

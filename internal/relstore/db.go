@@ -10,7 +10,7 @@ import (
 // A DB is a collection of tables in one store file, with a JSON catalog
 // persisted in a heap whose first page is recorded in the store header.
 // Catalog changes (new tables, moved index roots, row counters) are kept in
-// memory and written back by Flush/Close.
+// memory and written back by GroupCommit/Close.
 type DB struct {
 	mu      sync.Mutex
 	bp      *BufferPool
@@ -19,21 +19,16 @@ type DB struct {
 	dirty   bool
 }
 
-// DefaultCachePages is the default buffer-pool capacity.
+// DefaultCachePages is the buffer-pool capacity of a DB.
 const DefaultCachePages = 256
 
 // Create creates a new database file, truncating any existing file.
 func Create(path string) (*DB, error) {
-	return CreateWithCache(path, DefaultCachePages)
-}
-
-// CreateWithCache creates a new database with an explicit buffer-pool size.
-func CreateWithCache(path string, cachePages int) (*DB, error) {
 	pager, err := CreatePager(path)
 	if err != nil {
 		return nil, err
 	}
-	bp := NewBufferPool(pager, cachePages)
+	bp := NewBufferPool(pager, DefaultCachePages)
 	cat, err := NewHeap(bp)
 	if err != nil {
 		bp.Close()
@@ -48,17 +43,11 @@ func CreateWithCache(path string, cachePages int) (*DB, error) {
 
 // Open opens an existing database file.
 func Open(path string) (*DB, error) {
-	return OpenWithCache(path, DefaultCachePages)
-}
-
-// OpenWithCache opens an existing database with an explicit buffer-pool
-// size.
-func OpenWithCache(path string, cachePages int) (*DB, error) {
 	pager, err := OpenPager(path, false)
 	if err != nil {
 		return nil, err
 	}
-	bp := NewBufferPool(pager, cachePages)
+	bp := NewBufferPool(pager, DefaultCachePages)
 	cat, err := OpenHeap(bp, pager.Catalog())
 	if err != nil {
 		bp.Close()
@@ -147,7 +136,7 @@ func (db *DB) TableNames() []string {
 }
 
 // persistTable records that a table's metadata (root pages, counters)
-// changed; the catalog is written back on Flush/Close.
+// changed; the catalog is written back on GroupCommit/Close.
 func (db *DB) persistTable(t *Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -197,10 +186,10 @@ func (db *DB) tableNamesLocked() []string {
 	return out
 }
 
-// AttachWAL write-ahead-logs every subsequent page write of this database.
-// With a log attached, GroupCommit makes a batch of logical writes durable
-// with a single fsync. Close the log after the database, whose Close
-// truncates it.
+// AttachWAL write-ahead-logs every subsequent page write of this database:
+// from here on a page leaves memory only inside a GroupCommit, which makes a
+// batch of logical writes durable with a single fsync. Close the log after
+// the database, whose Close truncates it.
 func (db *DB) AttachWAL(w *WAL) {
 	db.bp.Pager().AttachWAL(w)
 }
@@ -224,21 +213,10 @@ func (db *DB) GroupCommit() error {
 	return db.bp.FlushGroup()
 }
 
-// Flush persists the catalog and all dirty pages.
-func (db *DB) Flush() error {
-	db.mu.Lock()
-	if err := db.flushCatalogLocked(); err != nil {
-		db.mu.Unlock()
-		return err
-	}
-	db.mu.Unlock()
-	return db.bp.FlushAll()
-}
-
-// Size returns the store file size in bytes after flushing, the "physical
-// size" the paper reports at the top of Figure 8's bars.
+// Size returns the store file size in bytes after a GroupCommit, the
+// "physical size" the paper reports at the top of Figure 8's bars.
 func (db *DB) Size() (int64, error) {
-	if err := db.Flush(); err != nil {
+	if err := db.GroupCommit(); err != nil {
 		return 0, err
 	}
 	return db.bp.Pager().FileSize()

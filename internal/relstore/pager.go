@@ -18,12 +18,13 @@ const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 // existed, so a store that predates it reads as version 0.
 const formatVersion uint32 = 2
 
-// A Pager reads and writes fixed-size pages of a store file and manages the
-// free list. Page 0 holds the store header: magic, page count, free-list
-// head, the catalog root page id and the format version. Header changes are
-// kept in memory and written out with the next page group, Sync or Close —
-// after the attached write-ahead log, if any, has them (see WriteGroup): like
-// every page, the header never reaches the data file ahead of the log.
+// A Pager reads and writes fixed-size pages of a store file. Page 0 holds
+// the store header: magic, page count, four reserved bytes (zero), the
+// catalog root page id and the format version. Pages are written in groups
+// (WriteGroup), the only way to the data file. Header changes are kept in
+// memory and written out with the next page group, Sync or Close — after the
+// attached write-ahead log, if any, has them: like every page, the header
+// never reaches the data file ahead of the log.
 //
 // The Pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
@@ -31,13 +32,12 @@ type Pager struct {
 	mu       sync.Mutex
 	f        *os.File
 	pages    PageID // total pages allocated, including page 0
-	freeHead PageID
 	catalog  PageID
 	readOnly bool
-	// loose: since the last page group or Sync, the header changed or a
-	// page was written on its own; the next one logs and writes the header.
-	loose bool
-	wal   *WAL // optional write-ahead log (see AttachWAL)
+	// hdrDirty: the header changed since it was last written; the next page
+	// group or Sync logs and writes it.
+	hdrDirty bool
+	wal      *WAL // optional write-ahead log (see AttachWAL)
 
 	dataSyncs, checkpoints int64 // see IOStats
 }
@@ -61,7 +61,7 @@ func CreatePager(path string) (*Pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f, pages: 1, loose: true}
+	p := &Pager{f: f, pages: 1, hdrDirty: true}
 	// Page 0 is all zeroes but for its header.
 	if err = f.Truncate(PageSize); err == nil {
 		err = p.writeHeader()
@@ -95,7 +95,7 @@ func OpenPager(path string, readOnly bool) (*Pager, error) {
 func (p *Pager) header() (buf [storeHeaderSize]byte) {
 	binary.BigEndian.PutUint32(buf[0:], storeMagic)
 	binary.BigEndian.PutUint32(buf[4:], uint32(p.pages))
-	binary.BigEndian.PutUint32(buf[8:], uint32(p.freeHead))
+	// Bytes 8–11 are reserved and zero.
 	binary.BigEndian.PutUint32(buf[12:], uint32(p.catalog))
 	binary.BigEndian.PutUint32(buf[16:], formatVersion)
 	return buf
@@ -116,14 +116,14 @@ func checkFormat(hdr []byte) error {
 // writeHeader writes the header to the data file if it may have changed.
 // With a log attached the caller has logged it first. Caller holds mu.
 func (p *Pager) writeHeader() error {
-	if !p.loose {
+	if !p.hdrDirty {
 		return nil
 	}
 	hdr := p.header()
 	if _, err := p.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("relstore: writing header: %w", err)
 	}
-	p.loose = false
+	p.hdrDirty = false
 	return nil
 }
 
@@ -136,7 +136,6 @@ func (p *Pager) readHeader() error {
 		return err
 	}
 	p.pages = PageID(binary.BigEndian.Uint32(buf[4:]))
-	p.freeHead = PageID(binary.BigEndian.Uint32(buf[8:]))
 	p.catalog = PageID(binary.BigEndian.Uint32(buf[12:]))
 	return nil
 }
@@ -156,7 +155,7 @@ func (p *Pager) SetCatalog(id PageID) error {
 		return ErrReadOnly
 	}
 	p.catalog = id
-	p.loose = true
+	p.hdrDirty = true
 	return nil
 }
 
@@ -167,44 +166,19 @@ func (p *Pager) NumPages() PageID {
 	return p.pages
 }
 
-// Alloc allocates a page, reusing the free list when possible. The returned
-// page is initialized to the given kind and exists only in memory until
-// Write.
+// Alloc allocates a page at the end of the file. The returned page is
+// initialized to the given kind and exists only in memory until a WriteGroup
+// carries it.
 func (p *Pager) Alloc(kind byte) (*Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.readOnly {
 		return nil, ErrReadOnly
 	}
-	if p.freeHead != InvalidPage {
-		id := p.freeHead
-		pg, err := p.readLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		p.freeHead = pg.Next()
-		p.loose = true
-		pg.Init(kind)
-		return pg, nil
-	}
 	id := p.pages
 	p.pages++
-	p.loose = true
+	p.hdrDirty = true
 	return NewPage(id, kind), nil
-}
-
-// Free returns a page to the free list.
-func (p *Pager) Free(pg *Page) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.readOnly {
-		return ErrReadOnly
-	}
-	pg.Init(KindFree)
-	pg.SetNext(p.freeHead)
-	p.freeHead = pg.ID
-	p.loose = true
-	return p.writeLocked(pg)
 }
 
 // Read fetches a page from disk, verifying its checksum.
@@ -228,38 +202,9 @@ func (p *Pager) readLocked(id PageID) (*Page, error) {
 	return pg, nil
 }
 
-// Write seals (checksums) and persists a page.
-func (p *Pager) Write(pg *Page) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.writeLocked(pg)
-}
-
-func (p *Pager) writeLocked(pg *Page) error {
-	if p.readOnly {
-		return ErrReadOnly
-	}
-	if pg.ID == InvalidPage || pg.ID >= p.pages {
-		return fmt.Errorf("%w: %d (have %d)", ErrOutOfRange, pg.ID, p.pages)
-	}
-	if p.wal != nil {
-		// Write-ahead: the image reaches the log before the data file.
-		if err := p.wal.Append(pg); err != nil {
-			return fmt.Errorf("relstore: logging page %d: %w", pg.ID, err)
-		}
-		p.loose = true
-	}
-	pg.seal()
-	if _, err := p.f.WriteAt(pg.buf[:], int64(pg.ID)*PageSize); err != nil {
-		return fmt.Errorf("relstore: writing page %d: %w", pg.ID, err)
-	}
-	return nil
-}
-
 // Sync writes out a changed header and fsyncs the data file. With a log
-// attached, a group of no pages first makes the header and every page
-// logged on its own durable there: the data file on disk is never newer
-// than the log.
+// attached, a group of no pages first makes the header durable there: the
+// data file on disk is never newer than the log.
 func (p *Pager) Sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -267,7 +212,7 @@ func (p *Pager) Sync() error {
 }
 
 func (p *Pager) syncLocked() error {
-	if p.wal != nil && p.loose {
+	if p.wal != nil && p.hdrDirty {
 		if err := p.wal.AppendGroup(nil, p.header()); err != nil {
 			return fmt.Errorf("relstore: syncing log: %w", err)
 		}

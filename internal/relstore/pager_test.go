@@ -26,7 +26,7 @@ func TestPagerCreateOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	pg.InsertCell([]byte("persisted"))
-	if err := p.Write(pg); err != nil {
+	if err := p.WriteGroup([]*Page{pg}); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.SetCatalog(pg.ID); err != nil {
@@ -53,7 +53,7 @@ func TestPagerCreateOpen(t *testing.T) {
 		t.Errorf("cell = %q, %v", c, err)
 	}
 	// Read-only pager rejects writes.
-	if err := q.Write(got); !errors.Is(err, ErrReadOnly) {
+	if err := q.WriteGroup([]*Page{got}); !errors.Is(err, ErrReadOnly) {
 		t.Errorf("read-only write: %v", err)
 	}
 	if _, err := q.Alloc(KindHeap); !errors.Is(err, ErrReadOnly) {
@@ -85,35 +85,6 @@ func TestPagerOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPagerFreeList(t *testing.T) {
-	p, err := CreatePager(tempStore(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	a, _ := p.Alloc(KindHeap)
-	b, _ := p.Alloc(KindHeap)
-	p.Write(a)
-	p.Write(b)
-	if err := p.Free(a); err != nil {
-		t.Fatal(err)
-	}
-	// Next alloc reuses the freed page.
-	c, err := p.Alloc(KindBTreeLeaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.ID != a.ID {
-		t.Errorf("freed page not reused: got %d want %d", c.ID, a.ID)
-	}
-	if c.Kind() != KindBTreeLeaf {
-		t.Error("reused page not reinitialized")
-	}
-	if p.NumPages() != 3 { // header + 2 allocated
-		t.Errorf("NumPages = %d", p.NumPages())
-	}
-}
-
 // TestPagerCorruptionDetection flips a byte on disk and verifies the read
 // fails the checksum — the paper's provenance data is "potentially
 // priceless", so silent corruption is unacceptable.
@@ -125,7 +96,7 @@ func TestPagerCorruptionDetection(t *testing.T) {
 	}
 	pg, _ := p.Alloc(KindHeap)
 	pg.InsertCell([]byte("precious provenance"))
-	p.Write(pg)
+	p.WriteGroup([]*Page{pg})
 	p.Close()
 
 	// Flip one byte in the page body on disk.
@@ -158,7 +129,7 @@ func TestPagerFileSize(t *testing.T) {
 	defer p.Close()
 	for i := 0; i < 5; i++ {
 		pg, _ := p.Alloc(KindHeap)
-		p.Write(pg)
+		p.WriteGroup([]*Page{pg})
 	}
 	sz, err := p.FileSize()
 	if err != nil {

@@ -12,10 +12,11 @@ import (
 	"sync"
 )
 
-// A WAL is a write-ahead log of full page images and pager headers. Every
-// write to the store file is logged first, so a crash between or during
-// data-file writes (torn or missing pages) is repairable by replay. The log
-// is truncated at checkpoints, once the data file has been fsynced.
+// A WAL is a write-ahead log of committed page groups: full page images
+// under the pager header they were committed with. Every write to the store
+// file is logged first, so a crash between or during data-file writes (torn
+// or missing pages) is repairable by replay. The log is truncated at
+// checkpoints, once the data file has been fsynced.
 //
 // The paper's related work (§5) discusses transaction logging as a
 // neighbouring mechanism and argues provenance must not be bolted onto it:
@@ -32,21 +33,18 @@ import (
 //	crc32   uint32  of the body
 //	body            PageSize-byte image  pager header ‖ uint32 page count
 //
-// A page record on its own (Append) is replayed unconditionally; a log
-// written before group records existed holds nothing else and still
-// replays. A group record opens a commit (AppendGroup): the pager header as
-// of the commit and the number of page records that follow and belong to
-// it. A group missing any of its records is not replayed at all.
+// A group record opens a commit (AppendGroup), the only thing the log holds
+// at top level: the pager header as of the commit and the number of page
+// records that follow and belong to it. A group missing any of its records
+// is not replayed at all, and a page record outside a group ends the usable
+// log like any other damage.
 type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
 	lsn  uint64
-	size int64 // bytes in the log; the next append goes here
-	// syncEvery syncs the log after every N Appends (1 = always).
-	syncEvery int
-	sinceSync int
-	buf       []byte // encode buffer, reused from append to append
+	size int64  // bytes in the log; the next append goes here
+	buf  []byte // encode buffer, reused from append to append
 	// fsyncs and bytes count log fsyncs and bytes appended since open.
 	fsyncs, bytes int64
 }
@@ -73,7 +71,7 @@ func CreateWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{f: f, path: path, syncEvery: 1}, nil
+	return &WAL{f: f, path: path}, nil
 }
 
 // OpenWAL opens an existing log file (creating an empty one if absent),
@@ -83,7 +81,7 @@ func OpenWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{f: f, path: path, syncEvery: 1}
+	w := &WAL{f: f, path: path}
 	// Find the end of the intact prefix and the newest LSN.
 	end, maxLSN, err := w.scan(math.MaxInt64, nil)
 	if err != nil && !errors.Is(err, ErrTornLog) {
@@ -98,29 +96,9 @@ func OpenWAL(path string) (*WAL, error) {
 	return w, nil
 }
 
-// SetSyncEvery makes the log sync only every n Appends (trading durability
-// of the tail for throughput); n < 1 is treated as 1.
-func (w *WAL) SetSyncEvery(n int) {
-	if n < 1 {
-		n = 1
-	}
-	w.mu.Lock()
-	w.syncEvery = n
-	w.mu.Unlock()
-}
-
-// Append logs one page image (the page is sealed — checksummed — first).
-func (w *WAL) Append(pg *Page) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.sinceSync++
-	return w.write(w.appendPage(w.buf[:0], pg), w.sinceSync >= w.syncEvery)
-}
-
 // AppendGroup logs a commit — the pager header and a batch of page images —
 // with one write and one fsync: however many records (or whole
-// transactions) dirtied these pages, that is all the log pays. The fsync
-// also covers every earlier unsynced Append.
+// transactions) dirtied these pages, that is all the log pays.
 func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -128,15 +106,19 @@ func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
 	binary.BigEndian.PutUint32(count[:], uint32(len(pgs)))
 	buf := w.appendRecord(w.buf[:0], walGroupMagic, 0, header[:], count[:])
 	for _, pg := range pgs {
-		buf = w.appendPage(buf, pg)
+		pg.seal()
+		buf = w.appendRecord(buf, walMagic, pg.ID, pg.buf[:])
 	}
-	return w.write(buf, true)
-}
-
-// appendPage seals pg and encodes its page record.
-func (w *WAL) appendPage(buf []byte, pg *Page) []byte {
-	pg.seal()
-	return w.appendRecord(buf, walMagic, pg.ID, pg.buf[:])
+	if cap(buf) <= walKeepBuf {
+		w.buf = buf[:0]
+	}
+	if _, err := w.f.WriteAt(buf, w.size); err != nil {
+		return err
+	}
+	w.size += int64(len(buf))
+	w.bytes += int64(len(buf))
+	w.fsyncs++
+	return w.f.Sync()
 }
 
 // appendRecord encodes one record, its body given in pieces, under the next
@@ -155,32 +137,13 @@ func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) 
 	return buf
 }
 
-// write appends the encoded records to the log in one write and fsyncs it
-// if asked. Caller holds mu.
-func (w *WAL) write(buf []byte, sync bool) error {
-	if cap(buf) <= walKeepBuf {
-		w.buf = buf[:0]
-	}
-	if _, err := w.f.WriteAt(buf, w.size); err != nil {
-		return err
-	}
-	w.size += int64(len(buf))
-	w.bytes += int64(len(buf))
-	if !sync {
-		return nil
-	}
-	w.sinceSync = 0
-	w.fsyncs++
-	return w.f.Sync()
-}
-
 // scan reads the first limit bytes of the log, calling apply (if non-nil)
 // for every intact page image and, as page 0, for the pager header of every
-// group. It returns the offset after the last intact record or whole group
-// and the newest LSN seen. A torn tail, which includes a group missing any
-// of its records, yields ErrTornLog with the prefix results intact. Records
-// are applied as they are read, so a caller that must not see part of a
-// group passes a limit some earlier scan returned.
+// group. It returns the offset after the last whole group and the newest LSN
+// seen. A torn tail, which includes a group missing any of its records and a
+// page record no group counts, yields ErrTornLog with the prefix results
+// intact. Records are applied as they are read, so a caller that must not
+// see part of a group passes a limit some earlier scan returned.
 func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end int64, maxLSN uint64, err error) {
 	var (
 		r       = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, limit), 1<<16)
@@ -199,7 +162,7 @@ func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end 
 		magic, b := binary.BigEndian.Uint32(prefix[0:]), body
 		if magic == walGroupMagic && pending == 0 {
 			b = body[:storeHeaderSize+4]
-		} else if magic != walMagic {
+		} else if magic != walMagic || pending == 0 {
 			return end, maxLSN, ErrTornLog
 		}
 		if _, err := io.ReadFull(r, b); err != nil || crc32.ChecksumIEEE(b) != binary.BigEndian.Uint32(prefix[16:]) {
@@ -209,7 +172,7 @@ func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end 
 		pos += walHeaderSize + int64(len(b))
 		if magic == walGroupMagic {
 			pending, b = binary.BigEndian.Uint32(b[storeHeaderSize:]), b[:storeHeaderSize]
-		} else if pending > 0 {
+		} else {
 			pending--
 		}
 		if apply != nil {
@@ -253,7 +216,7 @@ func (w *WAL) Truncate() error {
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
-	w.size, w.sinceSync = 0, 0
+	w.size = 0
 	return nil
 }
 
@@ -278,8 +241,9 @@ func (w *WAL) Close() error {
 
 // --- pager integration ------------------------------------------------------
 
-// AttachWAL makes every subsequent page write log its image first
-// (write-ahead). Call before handing the pager to a buffer pool.
+// AttachWAL makes every subsequent page group reach the log before the data
+// file (write-ahead), and a buffer pool over this pager hold its dirty pages
+// back until they commit as one.
 func (p *Pager) AttachWAL(w *WAL) {
 	p.mu.Lock()
 	p.wal = w
@@ -316,8 +280,8 @@ func (p *Pager) checkpointIfLarge() error {
 // write and one fsync (AppendGroup) — the group is durable from then on —
 // and are then written to the data file, which is not fsynced: until the
 // next checkpoint the log is what a crash recovers the group from. With no
-// log attached it degrades to plain writes; the caller is then responsible
-// for syncing the data file.
+// log attached these are plain writes, a single evicted page included; the
+// caller is then responsible for syncing the data file.
 func (p *Pager) WriteGroup(pgs []*Page) error {
 	if len(pgs) == 0 {
 		return nil

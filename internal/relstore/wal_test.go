@@ -11,6 +11,38 @@ import (
 	"testing"
 )
 
+// logGroup appends one group of fresh heap pages with the given ids, each
+// holding its id as a cell, under a header whose first byte is the first id.
+func logGroup(t *testing.T, w *WAL, ids ...PageID) {
+	t.Helper()
+	var pgs []*Page
+	for _, id := range ids {
+		pg := NewPage(id, KindHeap)
+		pg.InsertCell([]byte(fmt.Sprintf("payload-%d", id)))
+		pgs = append(pgs, pg)
+	}
+	if err := w.AppendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replayedIDs replays the log and returns the page ids applied, headers (0)
+// included.
+func replayedIDs(t *testing.T, w *WAL) (ids []PageID, pages int) {
+	t.Helper()
+	pages, err := w.Replay(func(id PageID, image []byte) error {
+		ids = append(ids, id)
+		if id != InvalidPage && len(image) != PageSize {
+			t.Errorf("page %d replayed with an image of %d bytes", id, len(image))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	return ids, pages
+}
+
 func TestWALAppendReplay(t *testing.T) {
 	dir := t.TempDir()
 	w, err := CreateWAL(filepath.Join(dir, "log"))
@@ -18,43 +50,22 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	for i := 1; i <= 3; i++ {
-		pg := NewPage(PageID(i), KindHeap)
-		pg.InsertCell([]byte(fmt.Sprintf("payload-%d", i)))
-		if err := w.Append(pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []PageID
-	n, err := w.Replay(func(id PageID, image []byte) error {
-		got = append(got, id)
-		if len(image) != PageSize {
-			t.Errorf("image size %d", len(image))
-		}
-		return nil
-	})
-	if err != nil || n != 3 {
-		t.Fatalf("Replay = %d, %v", n, err)
-	}
-	if fmt.Sprint(got) != "[1 2 3]" {
-		t.Errorf("replay order = %v", got)
+	logGroup(t, w, 1)
+	logGroup(t, w, 3, 2)
+	if got, n := replayedIDs(t, w); n != 3 || fmt.Sprint(got) != "[0 1 0 3 2]" {
+		t.Errorf("replay order = %v (%d pages), want [0 1 0 3 2]", got, n)
 	}
 	// Appends continue after replay.
-	pg := NewPage(4, KindHeap)
-	if err := w.Append(pg); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = w.Replay(func(PageID, []byte) error { return nil })
-	if n != 4 {
-		t.Errorf("after append: %d records", n)
+	logGroup(t, w, 4)
+	if _, n := replayedIDs(t, w); n != 4 {
+		t.Errorf("after append: %d page records", n)
 	}
 	// Truncate checkpoints.
 	if err := w.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	n, _ = w.Replay(func(PageID, []byte) error { return nil })
-	if n != 0 {
-		t.Errorf("after truncate: %d records", n)
+	if _, n := replayedIDs(t, w); n != 0 {
+		t.Errorf("after truncate: %d page records", n)
 	}
 	if sz := w.Size(); sz != 0 {
 		t.Errorf("size after truncate: %d", sz)
@@ -68,15 +79,11 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 2; i++ {
-		pg := NewPage(PageID(i), KindHeap)
-		if err := w.Append(pg); err != nil {
-			t.Fatal(err)
-		}
-	}
+	logGroup(t, w, 1)
+	logGroup(t, w, 2)
 	w.Close()
 
-	// Tear the second record: chop off its last 100 bytes.
+	// Tear the second group: chop off its last 100 bytes.
 	fi, _ := os.Stat(logPath)
 	if err := os.Truncate(logPath, fi.Size()-100); err != nil {
 		t.Fatal(err)
@@ -86,19 +93,13 @@ func TestWALTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	n, err := w2.Replay(func(PageID, []byte) error { return nil })
-	if err != nil || n != 1 {
-		t.Fatalf("torn replay = %d, %v (only the intact prefix)", n, err)
+	if got, n := replayedIDs(t, w2); n != 1 || fmt.Sprint(got) != "[0 1]" {
+		t.Fatalf("torn replay = %v (%d pages); want only the intact prefix [0 1]", got, n)
 	}
-	// New appends land after the intact prefix and are readable.
-	pg := NewPage(9, KindHeap)
-	if err := w2.Append(pg); err != nil {
-		t.Fatal(err)
-	}
-	var ids []PageID
-	w2.Replay(func(id PageID, _ []byte) error { ids = append(ids, id); return nil })
-	if fmt.Sprint(ids) != "[1 9]" {
-		t.Errorf("ids after torn recovery = %v", ids)
+	// New groups land after the intact prefix and are readable.
+	logGroup(t, w2, 9)
+	if got, _ := replayedIDs(t, w2); fmt.Sprint(got) != "[0 1 0 9]" {
+		t.Errorf("ids after torn recovery = %v", got)
 	}
 }
 
@@ -106,21 +107,60 @@ func TestWALCorruptImage(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
 	w, _ := CreateWAL(logPath)
-	pg := NewPage(1, KindHeap)
-	w.Append(pg)
+	logGroup(t, w, 1)
 	w.Close()
 	// Flip a byte inside the image.
 	f, _ := os.OpenFile(logPath, os.O_RDWR, 0)
-	f.WriteAt([]byte{0xFF}, walHeaderSize+500)
+	f.WriteAt([]byte{0xFF}, walGroupSize+walHeaderSize+500)
 	f.Close()
 	w2, err := OpenWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	n, err := w2.Replay(func(PageID, []byte) error { return nil })
-	if err != nil || n != 0 {
-		t.Fatalf("corrupt image replay = %d, %v", n, err)
+	if got, n := replayedIDs(t, w2); n != 0 || len(got) != 0 {
+		t.Fatalf("corrupt image replay = %v (%d pages); want nothing, not even its header", got, n)
+	}
+}
+
+// TestWALPageRecordOutsideGroup: the log holds groups and nothing else. An
+// intact page record that no group counts — what an evicted dirty page used
+// to leave there, ahead of its commit — is not replayed; it ends the usable
+// log like a torn record, and so does everything behind it.
+func TestWALPageRecordOutsideGroup(t *testing.T) {
+	logPath := filepath.Join(t.TempDir(), "log")
+	w, err := CreateWAL(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logGroup(t, w, 1)
+	first := w.Size()
+	w.Close()
+	stolen := NewPage(7, KindHeap)
+	stolen.seal()
+	rec := binary.BigEndian.AppendUint32(nil, walMagic)
+	rec = binary.BigEndian.AppendUint64(rec, 3)
+	rec = binary.BigEndian.AppendUint32(rec, uint32(stolen.ID))
+	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(stolen.buf[:]))
+	rec = append(rec, stolen.buf[:]...)
+	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	w, err = OpenWAL(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got, _ := replayedIDs(t, w); fmt.Sprint(got) != "[0 1]" {
+		t.Errorf("replayed %v, want only the group [0 1]", got)
+	}
+	if w.Size() != first {
+		t.Errorf("appends resume at %d, want %d (after the group)", w.Size(), first)
 	}
 }
 
@@ -146,16 +186,20 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Five commits, so the log holds several images of the same pages and
+	// the order of replay decides which one the data file ends with.
 	const n = 500
 	for i := 0; i < n; i++ {
 		if err := bt.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+		if i%100 == 99 {
+			if err := bp.FlushGroup(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	root := bt.Root()
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
 	// The crash comes here: a clean Close would checkpoint and empty the log.
 	crashedLog, err := os.ReadFile(walPath)
 	if err != nil {
@@ -357,11 +401,7 @@ func TestPagerWriteGroup(t *testing.T) {
 
 func copyFile(t *testing.T, from, to string) {
 	t.Helper()
-	data, err := os.ReadFile(from)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(to, data, 0o644); err != nil {
+	if err := os.WriteFile(to, readAll(t, from), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -414,6 +454,152 @@ func TestBufferPoolFlushGroup(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBufferPoolNoStealUnderLog: with a log attached a dirty page leaves the
+// pool only inside a committed group. Dirtying ten times the pool's capacity
+// between two commits changes neither file; the pool holds the open commit
+// over its capacity instead, and a crash there recovers the store as of the
+// last commit. The commit logs the pages as one group, and the first admit
+// after it brings the pool back under its capacity. Every frame pinned is
+// ErrPoolExhausted, with a log or without.
+func TestBufferPoolNoStealUnderLog(t *testing.T) {
+	const capacity = 16
+	dir := t.TempDir()
+	storePath, walPath := filepath.Join(dir, "s.db"), filepath.Join(dir, "s.db.wal")
+	pager, err := CreatePager(storePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := CreateWAL(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	pager.AttachWAL(w)
+	bp := NewBufferPool(pager, capacity)
+	defer bp.Close()
+	bt, err := NewBTree(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i*7919%100003)) }
+	put := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := bt.Put(key(i), bytes.Repeat([]byte("v"), 400)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resident := func() int {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		return len(bp.frames)
+	}
+	const committed, total = 200, 2200
+	put(0, committed)
+	if err := bp.FlushGroup(); err != nil {
+		t.Fatal(err)
+	}
+	root, pagesBefore := bt.Root(), pager.NumPages()
+	dataBefore, logBefore := readAll(t, storePath), readAll(t, walPath)
+
+	put(committed, total)
+	dirtied := int(pager.NumPages() - pagesBefore)
+	if dirtied < 10*capacity {
+		t.Fatalf("test premise: the open commit allocated %d pages, want at least %d", dirtied, 10*capacity)
+	}
+	if !bytes.Equal(readAll(t, storePath), dataBefore) {
+		t.Error("the data file changed before the commit")
+	}
+	if !bytes.Equal(readAll(t, walPath), logBefore) {
+		t.Error("the log changed before the commit")
+	}
+	if got := resident(); got < dirtied {
+		t.Errorf("%d frames resident with %d pages dirty: a dirty page left the pool", got, dirtied)
+	}
+
+	// A crash here: both files as they stand recover to the first commit.
+	crashed := filepath.Join(dir, "crashed.db")
+	copyFile(t, storePath, crashed)
+	copyFile(t, walPath, crashed+".wal")
+	if _, err := RecoverPager(crashed, crashed+".wal"); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := OpenPager(crashed, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cbp := NewBufferPool(cp, capacity)
+	defer cbp.Close()
+	if n, err := OpenBTree(cbp, root).Len(); err != nil || n != committed {
+		t.Errorf("recovered tree holds %d keys, %v; want the %d committed", n, err, committed)
+	}
+
+	before := pager.IOStats()
+	if err := bp.FlushGroup(); err != nil {
+		t.Fatal(err)
+	}
+	after := pager.IOStats()
+	if after.WALFsyncs-before.WALFsyncs != 1 || after.WALBytes-before.WALBytes < int64(walGroupSize+dirtied*walPageSize) {
+		t.Errorf("the commit cost %d log fsyncs and %d log bytes; want 1 and at least %d",
+			after.WALFsyncs-before.WALFsyncs, after.WALBytes-before.WALBytes, walGroupSize+dirtied*walPageSize)
+	}
+	for i := 0; i < total; i++ {
+		if _, err := bt.Get(key(i)); err != nil {
+			t.Fatalf("key %d after the commit: %v", i, err)
+		}
+	}
+	// Every page is still resident, so no read misses; the first admit is an
+	// allocation.
+	pg, err := bp.Alloc(KindHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Unpin(pg.ID, true)
+	if got := resident(); got > capacity {
+		t.Errorf("%d frames resident after the commit and one admit, want at most %d", got, capacity)
+	}
+
+	for _, logged := range []bool{true, false} {
+		p, err := CreatePager(filepath.Join(t.TempDir(), "pinned.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if logged {
+			p.AttachWAL(w)
+		}
+		pinned := NewBufferPool(p, 8)
+		for i := 0; i < 9; i++ {
+			pg, err := pinned.Alloc(KindHeap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned.Unpin(pg.ID, true)
+		}
+		if err := pinned.FlushGroup(); err != nil {
+			t.Fatal(err)
+		}
+		for id := PageID(1); id <= 8; id++ {
+			if _, err := pinned.Fetch(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := pinned.Alloc(KindHeap); !errors.Is(err, ErrPoolExhausted) {
+			t.Errorf("logged=%v: ninth pin in a pool of eight: %v, want ErrPoolExhausted", logged, err)
+		}
+	}
+}
+
+func readAll(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestWALGroupIsAtomic: a group that lost any of its records — its tail, or
@@ -473,59 +659,6 @@ func TestWALGroupIsAtomic(t *testing.T) {
 	}
 }
 
-// TestWALParentFormat: a page record is, byte for byte, the record the log
-// held before group records existed, and a log of only such records — what
-// a store last written by that code leaves behind — replays in full.
-func TestWALParentFormat(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "log")
-	var old []byte
-	var pages []*Page
-	for i := 1; i <= 3; i++ {
-		pg := NewPage(PageID(i), KindHeap)
-		pg.InsertCell([]byte(fmt.Sprintf("parent-%d", i)))
-		pg.seal()
-		pages = append(pages, pg)
-		old = binary.BigEndian.AppendUint32(old, 0xCA11B0C5)
-		old = binary.BigEndian.AppendUint64(old, uint64(i))
-		old = binary.BigEndian.AppendUint32(old, uint32(i))
-		old = binary.BigEndian.AppendUint32(old, crc32.ChecksumIEEE(pg.buf[:]))
-		old = append(old, pg.buf[:]...)
-	}
-	if err := os.WriteFile(logPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []PageID
-	n, err := w.Replay(func(id PageID, image []byte) error {
-		got = append(got, id)
-		if !bytes.Equal(image, pages[id-1].buf[:]) {
-			t.Errorf("page %d replayed with a different image", id)
-		}
-		return nil
-	})
-	if err != nil || n != 3 || fmt.Sprint(got) != "[1 2 3]" {
-		t.Fatalf("parent-format replay = %d %v, %v", n, got, err)
-	}
-	w.Close()
-
-	w, err = CreateWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, pg := range pages {
-		if err := w.Append(pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if now, _ := os.ReadFile(logPath); !bytes.Equal(now, old) {
-		t.Error("Append no longer writes the parent's page-record format")
-	}
-}
-
 // TestWALAppendGroupAllocFree: a commit is encoded in the log's own buffer.
 func TestWALAppendGroupAllocFree(t *testing.T) {
 	w, err := CreateWAL(filepath.Join(t.TempDir(), "log"))
@@ -563,7 +696,7 @@ func TestPagerCheckpoint(t *testing.T) {
 	pager.AttachWAL(w)
 	pg, _ := pager.Alloc(KindHeap)
 	pg.InsertCell([]byte("x"))
-	if err := pager.Write(pg); err != nil {
+	if err := pager.WriteGroup([]*Page{pg}); err != nil {
 		t.Fatal(err)
 	}
 	if sz := w.Size(); sz == 0 {
@@ -574,26 +707,6 @@ func TestPagerCheckpoint(t *testing.T) {
 	}
 	if sz := w.Size(); sz != 0 {
 		t.Errorf("log size after checkpoint: %d", sz)
-	}
-}
-
-func TestWALSyncEvery(t *testing.T) {
-	w, err := CreateWAL(filepath.Join(t.TempDir(), "log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	w.SetSyncEvery(0) // clamps to 1
-	w.SetSyncEvery(10)
-	for i := 0; i < 25; i++ {
-		pg := NewPage(PageID(i+1), KindHeap)
-		if err := w.Append(pg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n, err := w.Replay(func(PageID, []byte) error { return nil })
-	if err != nil || n != 25 {
-		t.Fatalf("Replay = %d, %v", n, err)
 	}
 }
 
