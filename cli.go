@@ -331,20 +331,34 @@ func runPlan(ctx context.Context, s *Session, text string, w io.Writer, analyze 
 	return nil
 }
 
-// sessionAuthority unwraps the session's backend chain (batching layers,
-// size-charging wrappers) to the first store that serves Merkle proofs: a
-// local verified:// AuthBackend, or a cpdb:// client whose daemon does.
-func sessionAuthority(s *Session) (provauth.Authority, error) {
-	var b Backend = s.BackendStore()
+// chainFind walks a backend chain from the outside in — through the Inner()
+// of every decorator (batching layers, size-charging wrappers) and the
+// Primary() of a replicated store, which answers for it: its authority and
+// its daemon are its primary's — to the first layer that is a T.
+func chainFind[T any](b Backend) (T, bool) {
 	for b != nil {
-		if a, ok := b.(provauth.Authority); ok {
-			return a, nil
+		if t, ok := b.(T); ok {
+			return t, true
 		}
-		u, ok := b.(interface{ Inner() provstore.Backend })
-		if !ok {
-			break
+		switch u := b.(type) {
+		case interface{ Inner() provstore.Backend }:
+			b = u.Inner()
+		case interface{ Primary() provstore.Backend }:
+			b = u.Primary()
+		default:
+			b = nil
 		}
-		b = u.Inner()
+	}
+	var none T
+	return none, false
+}
+
+// sessionAuthority finds the first store of the session's backend chain that
+// serves Merkle proofs: a local verified:// AuthBackend, or a cpdb:// client
+// whose daemon does.
+func sessionAuthority(s *Session) (provauth.Authority, error) {
+	if a, ok := chainFind[provauth.Authority](s.BackendStore()); ok {
+		return a, nil
 	}
 	return nil, errors.New("cpdb: this store serves no proofs; open it via -backend 'verified://?inner=DSN' (or cpdb:// to a daemon that does)")
 }
@@ -435,20 +449,12 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 	return nil
 }
 
-// sessionTraces unwraps the session's backend chain to the first cpdb://
-// client — traces live in a daemon's ring buffer, so the verb only works
-// against a remote backend.
+// sessionTraces finds the first cpdb:// client of the session's backend chain
+// — traces live in a daemon's ring buffer, so the verb only works against a
+// remote backend.
 func sessionTraces(s *Session) (*provhttp.Client, error) {
-	var b Backend = s.BackendStore()
-	for b != nil {
-		if c, ok := b.(*provhttp.Client); ok {
-			return c, nil
-		}
-		u, ok := b.(interface{ Inner() provstore.Backend })
-		if !ok {
-			break
-		}
-		b = u.Inner()
+	if c, ok := chainFind[*provhttp.Client](s.BackendStore()); ok {
+		return c, nil
 	}
 	return nil, errors.New("cpdb: traces live in a daemon's buffer; open the store via -backend cpdb://HOST:PORT (daemon started with -trace-buffer)")
 }

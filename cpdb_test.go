@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -474,28 +475,43 @@ func TestCLIErrors(t *testing.T) {
 }
 
 // TestCLIAuthVerbs: root / prove / verify against a verified:// store —
-// the end-to-end CLI path for the authenticated-store surface.
+// the end-to-end CLI path for the authenticated-store surface — and against
+// a replicated:// store whose primary is one: its authority is its
+// primary's, so the same verbs print the same root.
 func TestCLIAuthVerbs(t *testing.T) {
 	dir := t.TempDir()
 	script := filepath.Join(dir, "s.cpdb")
 	writeFile(t, script, figures.Script)
 	var out strings.Builder
-	cfg := cpdb.CLIConfig{
-		Demo:        true,
-		Script:      script,
-		Method:      "HT",
-		CommitEvery: 1,
-		Backend:     "verified://?inner=mem://",
-		Queries:     cpdb.StringList{"root", "prove 6 T/c2/y", "verify"},
-	}
-	if err := cpdb.RunCLI(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"root ", "prove 6 T/c2/y: ok", "verify: ok"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("CLI auth output missing %q:\n%s", want, s)
+	var roots []string
+	for _, backend := range []string{
+		"verified://?inner=mem://",
+		"replicated://?primary=" + url.QueryEscape("verified://?inner=mem://") + "&replica=mem://",
+	} {
+		out.Reset()
+		cfg := cpdb.CLIConfig{
+			Demo:        true,
+			Script:      script,
+			Method:      "HT",
+			CommitEvery: 1,
+			Backend:     backend,
+			Queries:     cpdb.StringList{"root", "prove 6 T/c2/y", "verify"},
 		}
+		if err := cpdb.RunCLI(cfg, &out); err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		s := out.String()
+		for _, want := range []string{"root ", "prove 6 T/c2/y: ok", "verify: ok"} {
+			if !strings.Contains(s, want) {
+				t.Errorf("CLI auth output over %s missing %q:\n%s", backend, want, s)
+			}
+		}
+		_, root, _ := strings.Cut(s, "root ")
+		root, _, _ = strings.Cut(root, "\n")
+		roots = append(roots, root)
+	}
+	if roots[0] != roots[1] {
+		t.Errorf("root over replicated:// is %q, its primary's is %q", roots[1], roots[0])
 	}
 
 	// Errors: proofs from an unauthenticated store, malformed verbs.

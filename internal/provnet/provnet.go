@@ -112,6 +112,9 @@ func (b *ChargedBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter
 
 // Stat implements provstore.Backend: one read round trip.
 func (b *ChargedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
+	if err := ctx.Err(); err != nil {
+		return provstore.Stat{}, err
+	}
 	if err := b.read.Call(1, 8); err != nil {
 		return provstore.Stat{}, err
 	}

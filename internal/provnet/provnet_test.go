@@ -130,6 +130,34 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	}
 }
 
+// TestCancelledCallerIsNotCharged: a caller that hung up before dialing pays
+// for no round trip, on any of the five methods — Stat included, which used
+// to charge first.
+func TestCancelledCallerIsNotCharged(t *testing.T) {
+	b, write, read, _ := charged(t)
+	if err := b.Append(context.Background(), []provstore.Record{rec(1, "T/a")}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	writes, reads := write.Stats().Calls, read.Stats().Calls
+	appendErr := b.Append(ctx, []provstore.Record{rec(2, "T/a")})
+	_, _, lookupErr := b.Lookup(ctx, 1, path.MustParse("T/a"))
+	_, _, ancestorErr := b.NearestAncestor(ctx, 1, path.MustParse("T/a/b"))
+	_, scanErr := provstore.CollectScan(b.Scan(ctx, provstore.All()))
+	_, statErr := b.Stat(ctx)
+	for what, err := range map[string]error{
+		"Append": appendErr, "Lookup": lookupErr, "NearestAncestor": ancestorErr, "Scan": scanErr, "Stat": statErr,
+	} {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: %v, want context.Canceled", what, err)
+		}
+	}
+	if w, r := write.Stats().Calls, read.Stats().Calls; w != writes || r != reads {
+		t.Errorf("cancelled calls were charged: write calls %d → %d, read calls %d → %d", writes, w, reads, r)
+	}
+}
+
 // TestChargedScanWithAncestors covers the combined scan's charging.
 func TestChargedScanWithAncestors(t *testing.T) {
 	b, _, read, _ := charged(t)

@@ -201,113 +201,73 @@ func (x *memIndex) insert(recs []Record, id int32) bool {
 	return last
 }
 
-// collect appends to ids the record numbers below limit of the stretch of x
-// that starts at the first key at or after from — after it, when after is
-// set — and lasts while spec matches, stopping once ids holds want of them.
-// It returns ids, the last number it passed (the place to go on from) and
-// whether the stretch may go on. The caller holds a lock.
-func (b *MemBackend) collect(ids []int32, x *memIndex, spec *ScanSpec, from Record, after bool, limit int32, want int) ([]int32, int32, bool) {
-	examined, last := 0, int32(-1)
-	defer func() { b.examined.Add(int64(examined)) }()
-	i, j := x.seek(b.recs, from, after, &examined)
+// A memCursor is one cursor's state between its visits: the log as the last
+// visit saw it — append-only, its records immutable, so a visit hands out
+// record numbers, read off log with no lock held — and the cursor's
+// snapshot, the records stored at its first visit: one appended later has a
+// higher number wherever its key falls, and is passed over. The probes of a
+// WithAncestors scan share one memCursor, so one snapshot.
+type memCursor struct {
+	*MemBackend
+	log   []Record
+	limit int32 // -1 before the first visit
+}
+
+func (c *memCursor) record(id *int32) *Record { return &c.log[*id] }
+
+// visit is the store's Visit.
+func (c *memCursor) visit(spec ScanSpec, ids []int32, want int) ([]int32, Record, bool, error) {
+	x := &c.tidLoc
+	if spec.byLoc() {
+		x = &c.locTid
+	}
+	from, after := spec.start()
+	spec.after = false // the seek lands past the resume key: no need to compare every record with it
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.log = c.recs; c.limit < 0 {
+		c.limit = int32(len(c.log))
+	}
+	examined, had := 0, len(ids)
+	defer func() { c.examined.Add(int64(examined)) }()
+	i, j := x.seek(c.log, from, after, &examined)
 	for ; i < len(x.runs); i, j = i+1, 0 {
 		for _, id := range x.runs[i][j:] {
 			examined++
-			if !spec.Match(b.recs[id]) {
-				return ids, last, false
+			if !spec.Match(c.log[id]) {
+				return ids, Record{}, false, nil
 			}
-			if last = id; id < limit {
+			if id < c.limit {
 				ids = append(ids, id)
 			}
-			if len(ids) >= want {
-				return ids, last, true
+			if len(ids)-had >= want {
+				return ids, c.log[id], true, nil
 			}
 		}
 	}
-	return ids, last, false
+	return ids, Record{}, false, nil
 }
 
-// The record numbers a cursor copies per visit to the index: few at first —
-// most answers are a handful of records, and a consumer that stops after a
-// few pays for a few — then four times as many per visit.
-const memChunkFirst, memChunkMax = 16, 1024
+// The most record numbers a cursor copies out of an index in one visit.
+const memWindowMax = 1024
 
 // Scan implements Backend: one stretch of one of the two orders — seek to
 // where the selection starts (path.Compare sorts a path immediately before
 // its descendants' region, so a subtree is one stretch too), stop at the
-// first key outside it. The cursor visits the index under the read lock,
-// copies a chunk of record numbers and yields their records with no lock
-// held, then resumes after the last key it passed, so a drain of any size
-// holds a chunk and never the lock while the consumer runs. The records
-// stored at the first visit are the cursor's snapshot: a record appended
-// later has a higher number wherever its key falls, and is skipped — the
-// store's equivalent of snapshot isolation.
+// first key outside it — streamed by ScanStretch; for WithAncestors, one such
+// stretch of (Loc, Tid) per prefix, each gathered in one visit (ScanAncestors).
 func (b *MemBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
+		c := &memCursor{MemBackend: b, limit: -1}
+		if spec.Kind != KindAncestors {
+			ScanStretch(ctx, spec, memWindowMax, c.visit, c.record)(yield)
 			return
 		}
-		if spec.Kind == KindAncestors {
-			b.scanAncestors(ctx, &spec, yield)
-			return
-		}
-		x := &b.tidLoc
-		if spec.byLoc() {
-			x = &b.locTid
-		}
-		from, after := spec.start()
-		var ids []int32
-		limit := int32(-1)
-		for want, more := memChunkFirst, true; more; want = min(4*want, memChunkMax) {
-			var last int32
-			b.mu.RLock()
-			recs := b.recs
-			if limit < 0 {
-				limit = int32(len(recs))
-			}
-			ids, last, more = b.collect(ids[:0], x, &spec, from, after, limit, want)
-			b.mu.RUnlock()
-			if !yieldIDs(ctx, recs, ids, yield) {
-				return
-			}
-			if more {
-				from, after = recs[last], true
-			}
-		}
+		ScanAncestors(ctx, spec, func(p ScanSpec, ids []int32) ([]int32, error) {
+			ids, _, _, err := c.visit(p, ids, math.MaxInt)
+			return ids, err
+		}, c.record)(yield)
 	}
-}
-
-// scanAncestors is the WithAncestors scan: one equal range of the (Loc, Tid)
-// order per prefix of the location, gathered in one visit, then an
-// answer-sized sort into (Tid, Loc) order.
-func (b *MemBackend) scanAncestors(ctx context.Context, spec *ScanSpec, yield func(Record, error) bool) {
-	var ids []int32
-	b.mu.RLock()
-	recs := b.recs
-	for n := 1; n <= spec.Loc.Len(); n++ {
-		p := spec.Probe(n)
-		from, after := p.start()
-		ids, _, _ = b.collect(ids, &b.locTid, &p, from, after, math.MaxInt32, math.MaxInt)
-	}
-	b.mu.RUnlock()
-	slices.SortFunc(ids, func(x, y int32) int { return CompareTidLoc(recs[x], recs[y]) })
-	yieldIDs(ctx, recs, ids, yield)
-}
-
-// yieldIDs streams recs[ids[0]], recs[ids[1]], … observing ctx between
-// records, and reports whether the consumer wants more.
-func yieldIDs(ctx context.Context, recs []Record, ids []int32, yield func(Record, error) bool) bool {
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			yield(Record{}, err)
-			return false
-		}
-		if !yield(recs[id], nil) {
-			return false
-		}
-	}
-	return true
 }
 
 // Append implements Backend.

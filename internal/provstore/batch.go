@@ -208,9 +208,7 @@ func (b *BatchingBackend) flushLocked(ctx context.Context) error {
 // their single answer must reflect the buffer, and a flush is the cheapest
 // way to guarantee it. Scans do better: they stream a merge of a buffer
 // snapshot and the inner store's cursor, so a scan costs no durability
-// round trip and the buffer keeps accumulating toward a full group. The
-// merge collapses {Tid, Loc} duplicates, so a scan racing the buffer's own
-// flush never sees a record twice.
+// round trip and the buffer keeps accumulating toward a full group.
 
 // Lookup implements Backend.
 func (b *BatchingBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
@@ -228,31 +226,65 @@ func (b *BatchingBackend) NearestAncestor(ctx context.Context, tid int64, loc pa
 	return b.inner.NearestAncestor(ctx, tid, loc)
 }
 
-// buffered snapshots the buffered records spec selects, in its order — the
-// buffer's half of a scan's read-through merge.
-func (b *BatchingBackend) buffered(spec ScanSpec) []Record {
+// Scan implements Backend: the buffered records spec selects, filtered before
+// they are sorted, merge with the inner store's cursor — a resumed scan never
+// forces a flush either. The buffer is snapshotted here, before the inner
+// cursor's own snapshot at its first pull: a record flushed in between is on
+// both sides, never on neither.
+func (b *BatchingBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
+	if b.size <= 1 {
+		return b.inner.Scan(ctx, spec)
+	}
+	var buf []Record
 	b.mu.Lock()
-	var out []Record
 	for _, r := range b.buf {
 		if spec.Match(r) {
-			out = append(out, r)
+			buf = append(buf, r)
 		}
 	}
 	b.mu.Unlock()
-	slices.SortFunc(out, spec.Order())
-	return out
+	slices.SortFunc(buf, spec.Order())
+	return mergeBuffered(ctx, spec.Order(), buf, b.inner.Scan(ctx, spec))
 }
 
-// Scan implements Backend: the matching buffered records merge with the
-// inner store's cursor — a resumed scan never forces a flush either, and the
-// buffer half is filtered before it is sorted. The buffer half cannot
-// observe ctx itself, so the merged cursor re-checks it per record.
-func (b *BatchingBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
-	inner := b.inner.Scan(ctx, spec)
-	if b.size <= 1 {
-		return inner
+// mergeBuffered merges buf, sorted by cmp, into a cursor ordered by cmp: one
+// side is a slice, so a loop over the cursor does it — no pull iterator. A
+// {Tid, Loc} key on both sides (the buffer racing its own flush) is yielded
+// once, an error from the cursor ends the stream there, and ctx, which the
+// slice cannot observe, is checked before every record.
+func mergeBuffered(ctx context.Context, cmp func(a, b Record) int, buf []Record, inner iter.Seq2[Record, error]) iter.Seq2[Record, error] {
+	return func(yield func(Record, error) bool) {
+		emit := func(r Record) bool {
+			if err := ctx.Err(); err != nil {
+				yield(Record{}, err)
+				return false
+			}
+			return yield(r, nil)
+		}
+		rest := buf
+		for r, err := range inner {
+			if err != nil {
+				yield(Record{}, err)
+				return
+			}
+			for ; len(rest) > 0 && cmp(rest[0], r) < 0; rest = rest[1:] {
+				if !emit(rest[0]) {
+					return
+				}
+			}
+			if len(rest) > 0 && cmp(rest[0], r) == 0 {
+				rest = rest[1:]
+			}
+			if !emit(r) {
+				return
+			}
+		}
+		for _, r := range rest {
+			if !emit(r) {
+				return
+			}
+		}
 	}
-	return ctxChecked(ctx, MergeScans(spec.Order(), ScanSlice(b.buffered(spec)), inner))
 }
 
 // Stat implements Backend.

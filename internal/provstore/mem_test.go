@@ -384,7 +384,7 @@ func TestMemAppendAtomicOnDupKey(t *testing.T) {
 // splitting runs in both indexes between two of its visits.
 func TestMemCursorSurvivesSplits(t *testing.T) {
 	ctx := context.Background()
-	for _, pause := range []int{1, memChunkFirst, 5 * memChunkFirst, memRunMax + 7} {
+	for _, pause := range []int{1, scanWindowFirst, 5 * scanWindowFirst, memRunMax + 7} {
 		rng := rand.New(rand.NewSource(int64(pause)))
 		b, ref := NewMemBackend(), &refMem{}
 		fill := func(n int) {
@@ -405,7 +405,7 @@ func TestMemCursorSurvivesSplits(t *testing.T) {
 			"ScanLoc":       {b.Scan(ctx, ByLoc(path.New("T", "a"))), func() []Record { return ref.scanLoc(path.New("T", "a")) }},
 		} {
 			want := c.ref() // the snapshot is taken at the first pull, not when the cursor is built
-			if len(want) < 2*memChunkFirst {
+			if len(want) < 2*scanWindowFirst {
 				t.Fatalf("%s answers %d records: too few to pause in", name, len(want))
 			}
 			pause := min(pause, len(want)-1)

@@ -75,57 +75,137 @@ func ScanError(err error) iter.Seq2[Record, error] {
 	}
 }
 
-// ctxChecked enforces the contract's cancellation clause on a composite
-// cursor whose parts may not all observe ctx themselves (a batching
-// backend's buffer snapshot, say): ctx is re-checked before every record,
-// and cancellation ends the stream with ctx.Err().
-func ctxChecked(ctx context.Context, scan iter.Seq2[Record, error]) iter.Seq2[Record, error] {
+// A cursor's first visit gathers few records — most answers are a handful,
+// and a consumer that stops after a few pays for a few — and each later one
+// four times as many, up to the ceiling the store passes.
+const scanWindowFirst = 16
+
+// A Visit is all a store supplies of its scans: under its read lock, seek to
+// where spec (never a WithAncestors scan) starts, resume key included, walk
+// at most want records of that one stretch and append the selected ones to
+// buf. T is what the store keeps of a record while a window is out — the
+// record, or its number in a log. It returns buf, the last record it passed,
+// selected or not (the place to resume after) and whether the stretch may go
+// on; what it appended before an error counts.
+type Visit[T any] func(spec ScanSpec, buf []T, want int) (window []T, last Record, more bool, err error)
+
+// ScanStretch is the cursor loop of every store: one stretch of one order,
+// streamed in windows of scanWindowFirst records, then four times as many up
+// to maxWindow — what the store will gather under one hold of its lock. No
+// lock is held while the consumer runs: a window is yielded (record finds a
+// T's record, by reference: the one copy is the yield's) after the visit
+// returns, ctx observed before each record, the visit's error after the
+// records it gathered, and the next visit resumes strictly after the last
+// key this one passed.
+func ScanStretch[T any](ctx context.Context, spec ScanSpec, maxWindow int, visit Visit[T], record func(*T) *Record) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
-		for r, err := range scan {
-			if err == nil {
+		if err := ctx.Err(); err != nil {
+			yield(Record{}, err)
+			return
+		}
+		var buf []T
+		for want := scanWindowFirst; ; {
+			window, last, more, err := visit(spec, buf[:0], want)
+			for i := range window {
 				if cerr := ctx.Err(); cerr != nil {
 					yield(Record{}, cerr)
 					return
 				}
+				if !yield(*record(&window[i]), nil) {
+					return
+				}
 			}
-			if !yield(r, err) || err != nil {
+			if err != nil {
+				yield(Record{}, err)
+			}
+			if err != nil || !more {
 				return
+			}
+			spec = spec.After(last.Tid, last.Loc)
+			if buf = window; want < maxWindow {
+				want = min(4*want, maxWindow)
+				buf = make([]T, 0, want)
 			}
 		}
 	}
+}
+
+// ScanAncestors is the WithAncestors scan of every store: the answers of the
+// ByLoc scans spec splits into (ScanSpec.Probe) — probe appends one to buf: a
+// scan of the shard or tree the location lives in, or a Visit — are gathered,
+// then yielded in (Tid, Loc) order. The answer is the records at depth-of-loc
+// locations, so it is gathered whole: a consumer that stops early has paid
+// for all of it. ctx is observed before each probe and each record.
+func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanSpec, buf []T) ([]T, error), record func(*T) *Record) iter.Seq2[Record, error] {
+	return func(yield func(Record, error) bool) {
+		var all []T
+		ends := make([]int, 1, spec.Loc.Len()+1) // the n-th probe answered all[ends[n-1]:ends[n]]
+		for n := 1; n <= spec.Loc.Len(); n++ {
+			err := ctx.Err()
+			if err == nil {
+				all, err = probe(spec.Probe(n), all)
+			}
+			if err != nil {
+				yield(Record{}, err)
+				return
+			}
+			ends = append(ends, len(all))
+		}
+		// Each answer ascends in Tid and a probe's location sorts before the
+		// next one's: the lowest Tid at a head is next, the earlier on a tie.
+		heads := slices.Clone(ends[:len(ends)-1])
+		for range all {
+			next := -1
+			for n, h := range heads {
+				if h < ends[n+1] && (next < 0 || record(&all[h]).Tid < record(&all[heads[next]]).Tid) {
+					next = n
+				}
+			}
+			if err := ctx.Err(); err != nil {
+				yield(Record{}, err)
+				return
+			}
+			if !yield(*record(&all[heads[next]]), nil) {
+				return
+			}
+			heads[next]++
+		}
+	}
+}
+
+// Itself is the record function of windows that hold the records themselves.
+func Itself(r *Record) *Record { return r }
+
+// AppendScan drains a cursor onto buf; after an error buf holds the records
+// that came before it.
+func AppendScan(buf []Record, scan iter.Seq2[Record, error]) ([]Record, error) {
+	for r, err := range scan {
+		if err != nil {
+			return buf, err
+		}
+		buf = append(buf, r)
+	}
+	return buf, nil
 }
 
 // CollectScan drains a cursor into a slice — the materialized form of a
-// scan, for callers (tests, small stores, simulation wrappers) that want
-// the whole result at once.
+// scan, for callers (tests, small stores, simulation wrappers) that want it.
 func CollectScan(scan iter.Seq2[Record, error]) ([]Record, error) {
-	var out []Record
-	for r, err := range scan {
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return AppendScan(nil, scan)
 }
 
 // MergeScans merges cursors that are each ordered by cmp into one cursor
-// ordered by cmp — the streaming k-way merge under the sharded backend's
-// scatter reads and the batching backend's buffer+store read-through. Inputs
-// are pulled lazily, one record at a time, so the merge holds O(k) records
-// however large the underlying scans are.
+// ordered by cmp — the streaming k-way merge of the one place k unbounded
+// streams meet, a scatter over shards (ShardedBackend.Scan, the planner's
+// per-shard subplans). Inputs are pulled lazily, one record at a time — a
+// coroutine each, iter.Pull2 — so the merge holds O(k) records however large
+// the underlying scans are.
 //
 // Records carrying the same {Tid, Loc} key are emitted once: the key is
 // unique store-wide, so two cursors can only disagree about transport (a
-// batching buffer racing its own flush), never content. An error on any
-// input ends the merge with that error.
+// batching shard's buffer racing its own flush), never content. An error on
+// any input ends the merge with that error.
 func MergeScans(cmp func(a, b Record) int, scans ...iter.Seq2[Record, error]) iter.Seq2[Record, error] {
-	switch len(scans) {
-	case 0:
-		return ScanSlice(nil)
-	case 1:
-		return scans[0]
-	}
 	return func(yield func(Record, error) bool) {
 		type cursor struct {
 			rec  Record

@@ -96,6 +96,113 @@ func TestMergeScansDedupAndErrors(t *testing.T) {
 	}
 }
 
+// TestMergeBuffered covers the batching layer's read-through merge, a loop
+// over the inner cursor with a sorted slice on the other side: each side
+// alone, the two interleaved, a key on both sides, an inner error, per-record
+// cancellation and an early break.
+func TestMergeBuffered(t *testing.T) {
+	r := func(tid int64, loc string) Record {
+		return Record{Tid: tid, Op: OpInsert, Loc: path.MustParse(loc)}
+	}
+	boom := errors.New("boom")
+	// failing yields recs, then boom, and would go on to T/never.
+	failing := func(recs ...Record) iter.Seq2[Record, error] {
+		return func(yield func(Record, error) bool) {
+			for _, rec := range recs {
+				if !yield(rec, nil) {
+					return
+				}
+			}
+			if yield(Record{}, boom) {
+				yield(r(99, "T/never"), nil)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		buf     []Record
+		inner   iter.Seq2[Record, error]
+		want    []Record
+		wantErr error
+	}{
+		{"both empty", nil, ScanSlice(nil), nil, nil},
+		{"buffer only", []Record{r(1, "T/a"), r(2, "T/b")}, ScanSlice(nil), []Record{r(1, "T/a"), r(2, "T/b")}, nil},
+		{"cursor only", nil, ScanSlice([]Record{r(1, "T/a"), r(2, "T/b")}), []Record{r(1, "T/a"), r(2, "T/b")}, nil},
+		{"interleaved",
+			[]Record{r(1, "T/b"), r(3, "T/a"), r(9, "T/z")},
+			ScanSlice([]Record{r(1, "T/a"), r(2, "T/a"), r(4, "T/a")}),
+			[]Record{r(1, "T/a"), r(1, "T/b"), r(2, "T/a"), r(3, "T/a"), r(4, "T/a"), r(9, "T/z")}, nil},
+		{"a key on both sides is yielded once",
+			[]Record{r(2, "T/b"), r(3, "T/c")},
+			ScanSlice([]Record{r(1, "T/a"), r(2, "T/b"), r(4, "T/d")}),
+			[]Record{r(1, "T/a"), r(2, "T/b"), r(3, "T/c"), r(4, "T/d")}, nil},
+		{"an inner error ends the stream, buffered records or not",
+			[]Record{r(1, "T/b"), r(5, "T/e"), r(6, "T/f")},
+			failing(r(1, "T/a"), r(2, "T/a")),
+			[]Record{r(1, "T/a"), r(1, "T/b"), r(2, "T/a")}, boom},
+		{"an inner error before the first record", []Record{r(1, "T/b")}, ScanError(boom), nil, boom},
+	} {
+		var got []Record
+		var gotErr error
+		for rec, err := range mergeBuffered(context.Background(), CompareTidLoc, tc.buf, tc.inner) {
+			if gotErr != nil {
+				t.Errorf("%s: yielded %v, %v after the error", tc.name, rec, err)
+			}
+			if gotErr = err; err == nil {
+				got = append(got, rec)
+			}
+		}
+		if !sameRecords(got, tc.want) || !errors.Is(gotErr, tc.wantErr) {
+			t.Errorf("%s: merged to %v, %v; want %v, %v", tc.name, got, gotErr, tc.want, tc.wantErr)
+		}
+	}
+
+	// Cancellation is observed before every record, whichever side it is on.
+	buf := []Record{r(1, "T/b"), r(2, "T/b"), r(3, "T/b")}
+	inner := []Record{r(1, "T/a"), r(2, "T/a"), r(3, "T/a")}
+	for stopAt := 0; stopAt <= len(buf)+len(inner); stopAt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		n, ended := 0, error(nil)
+		if stopAt == 0 {
+			cancel()
+		}
+		for _, err := range mergeBuffered(ctx, CompareTidLoc, buf, ScanSlice(inner)) {
+			if ended = err; err != nil {
+				continue
+			}
+			if n++; n == stopAt {
+				cancel()
+			}
+		}
+		cancel()
+		if want := min(stopAt, len(buf)+len(inner)); n != want || (stopAt < len(buf)+len(inner)) != errors.Is(ended, context.Canceled) {
+			t.Errorf("cancelled after record %d: %d records, then %v", stopAt, n, ended)
+		}
+	}
+
+	// An early break releases the inner cursor then and there, and there was
+	// never a goroutine behind the merge to release.
+	base := runtime.NumGoroutine()
+	released := false
+	held := func(yield func(Record, error) bool) {
+		defer func() { released = true }()
+		for _, rec := range inner {
+			if !yield(rec, nil) {
+				return
+			}
+		}
+	}
+	for range mergeBuffered(context.Background(), CompareTidLoc, buf, held) {
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%d goroutines while the merge is mid-stream, %d before it", n, base)
+		}
+		break
+	}
+	if !released {
+		t.Error("breaking out of the merge left the inner cursor open")
+	}
+}
+
 // TestCursorEarlyBreakReleases: breaking out of a scan loop after one
 // record must release everything the cursor holds — the Pull2 coroutines
 // behind sharded/batching merges, and any lock, proven by a write

@@ -235,40 +235,36 @@ func (b *ShardedBackend) NearestAncestor(ctx context.Context, tid int64, loc pat
 }
 
 // Scan implements Backend. All records at one location live on one shard, so
-// a ByLoc scan is a single-shard read and a WithAncestors scan merges one
-// such read per prefix of its location. Every other kind can match on any
-// shard: one cursor per shard, each pulled lazily one record at a time, and
-// a streaming k-way merge restores the global order — no shard's result is
-// ever gathered wholesale, so a scan over a sharded store stays O(shards) in
+// a ByLoc scan is a single-shard read and a WithAncestors scan gathers one
+// such read per prefix of its location (ScanAncestors). Every other kind can
+// match on any shard: one cursor per shard, each pulled lazily one record at
+// a time, and a streaming k-way merge restores the global order — no shard's
+// result is ever gathered wholesale, so such a scan stays O(shards) in
 // memory. Construction is lazy; nothing runs until the cursor is ranged.
 // Under tracing, each shard's cursor drains inside its own "shard:<scan>"
 // span (the scatter half of the scatter-gather), ended from the merge's
 // puller goroutines — all into one shared recorder.
 func (b *ShardedBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
-	var cursors []iter.Seq2[Record, error]
 	switch {
 	case len(b.shards) == 1:
 		return b.shards[0].Scan(ctx, spec)
 	case spec.Kind == KindLoc:
 		return b.shardFor(spec.Loc).Scan(ctx, spec)
 	case spec.Kind == KindAncestors:
-		cursors = make([]iter.Seq2[Record, error], spec.Loc.Len())
-		for i := range cursors {
-			p := spec.Probe(i + 1)
-			cursors[i] = b.shardFor(p.Loc).Scan(ctx, p)
-		}
-	default:
-		var span string
-		if provtrace.Active(ctx) {
-			span = "shard:" + spec.String()
-		}
-		cursors = make([]iter.Seq2[Record, error], len(b.shards))
-		for i, s := range b.shards {
-			cursors[i] = s.Scan(ctx, spec)
-			if span != "" {
-				cursors[i] = provtrace.Cursor(ctx, span, cursors[i],
-					provtrace.Attr{K: "shard", V: strconv.Itoa(i)})
-			}
+		return ScanAncestors(ctx, spec, func(p ScanSpec, buf []Record) ([]Record, error) {
+			return AppendScan(buf, b.shardFor(p.Loc).Scan(ctx, p))
+		}, Itself)
+	}
+	var span string
+	if provtrace.Active(ctx) {
+		span = "shard:" + spec.String()
+	}
+	cursors := make([]iter.Seq2[Record, error], len(b.shards))
+	for i, s := range b.shards {
+		cursors[i] = s.Scan(ctx, spec)
+		if span != "" {
+			cursors[i] = provtrace.Cursor(ctx, span, cursors[i],
+				provtrace.Attr{K: "shard", V: strconv.Itoa(i)})
 		}
 	}
 	return MergeScans(spec.Order(), cursors...)

@@ -332,110 +332,54 @@ func (b *Backend) NearestAncestor(ctx context.Context, tid int64, loc path.Path)
 
 // --- cursors ----------------------------------------------------------------
 //
-// Scans stream off the relational engine's pager in bounded chunks: the
-// read lock is held only while one chunk of rows is gathered off the
-// B-tree, then released before the chunk's records are yielded. The next
-// chunk resumes strictly after the last key of the previous one (the key
-// codec is order-preserving, so key‖0x00 seeks the successor). A scan
-// therefore holds O(chunk) rows in memory, never the relation, and —
-// crucially — no lock while the consumer runs: a consumer may issue point
-// reads (or even appends) from inside its own scan loop, and a slow
-// consumer never blocks writers, where holding the RLock across yields
-// would deadlock against Go's writer-preferring RWMutex.
-//
-// Consistency: records are immutable and append-only, so a chunked cursor
-// yields every row present when it was opened, each exactly once, in key
-// order; rows appended concurrently appear iff they sort after the
-// cursor's current position.
+// Scans stream off the pager through the one cursor loop,
+// provstore.ScanStretch: the read lock is held only while visit gathers one
+// window of rows off the B-tree, never while the consumer runs — a consumer
+// may issue point reads (or even appends) from inside its own scan loop, and
+// a slow one never blocks writers, where holding the RLock across yields
+// would deadlock against Go's writer-preferring RWMutex. Records are immutable
+// and append-only, so a cursor yields every row present when it was opened,
+// once, in key order, and a row appended since iff it sorts after its position.
 
-// A cursor gathers firstWindow rows in its first lock window and four times
-// as many in each later one, up to scanChunk: a probe that matches a few
-// rows, or a consumer that stops after a few dozen, pays for about what it
-// uses; a drain reaches full windows by its third.
-const (
-	firstWindow = 16
-	scanChunk   = 256
-)
+// The most rows a cursor gathers under one hold of the read lock.
+const windowMax = 256
 
-// A scanFunc is a resumable relstore walk of one tree (Table.ScanEncodedFrom,
-// or ScanIndexEncodedFrom on by_loc): it invokes fn with the rows whose
-// encoded key in that tree is ≥ from and begins with prefix, in key order —
-// that key, and the row as stored, its primary key and value — and stops on
-// the first key outside the prefix without fetching its row.
-type scanFunc func(from, prefix []byte, fn func(key, pk, val []byte) bool) error
-
-// chunkedScan drives one cursor: the walk seeks to from — the prefix itself,
-// or a resume key inside or past its range — while prefix (nil = whole tree)
-// bounds where it ends; keep filters decoded records (nil = all); yield is
-// the consumer. The first window's buffer grows from empty, so a point probe
-// allocates for the rows it returns; full-size windows reuse one buffer and
-// one resume key, so a drain allocates per window, not per row.
-func (b *Backend) chunkedScan(ctx context.Context, scan scanFunc, from, prefix []byte, keep func(provstore.Record) bool, yield func(provstore.Record, error) bool) {
-	if err := ctx.Err(); err != nil {
-		yield(provstore.Record{}, err)
-		return
+// visit is the store's provstore.Visit: one walk of at most want rows, each
+// decoded where it lies. Every row walked counts toward want and is the place
+// to resume after, selected or not.
+func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want int) ([]provstore.Record, provstore.Record, bool, error) {
+	var last provstore.Record
+	byLoc, from, prefix, err := b.walk(spec)
+	if err != nil {
+		return buf, last, false, err
 	}
-	var chunk []provstore.Record
-	var lastKey []byte
-	window := firstWindow
-	for {
-		var derr error
-		b.mu.RLock()
-		err := scan(from, prefix, func(key, pk, val []byte) bool {
-			rec, e := decodeRow(pk, val)
-			if e != nil {
-				derr = e
-				return false
-			}
-			lastKey = append(lastKey[:0], key...)
-			chunk = append(chunk, rec)
-			return len(chunk) < window
-		})
-		b.mu.RUnlock()
-		if derr == nil {
-			derr = err
+	var derr error
+	walked := 0
+	row := func(pk, val []byte) bool {
+		if last, derr = decodeRow(pk, val); derr != nil {
+			return false
 		}
-		for _, rec := range chunk {
-			if cerr := ctx.Err(); cerr != nil {
-				yield(provstore.Record{}, cerr)
-				return
-			}
-			if keep != nil && !keep(rec) {
-				continue
-			}
-			if !yield(rec, nil) {
-				return
-			}
+		// The byte prefix of a subtree is re-checked label-wise.
+		if spec.Kind != provstore.KindPrefix || spec.Match(last) {
+			buf = append(buf, last)
 		}
-		if derr != nil {
-			yield(provstore.Record{}, derr)
-			return
-		}
-		if len(chunk) < window {
-			return // the walk ended inside this window
-		}
-		if window < scanChunk {
-			window *= 4
-			chunk = make([]provstore.Record, 0, window)
-		} else {
-			chunk = chunk[:0]
-		}
-		// Resume strictly after the last key of the window: key‖0x00 is its
-		// immediate successor in bytewise order. Copied, so the reused
-		// lastKey buffer cannot alias the seek key of the next window.
-		from = append(append(make([]byte, 0, len(lastKey)+1), lastKey...), 0)
+		walked++
+		return walked < want
 	}
-}
-
-// primaryFrom adapts the primary tree to a scanFunc: its key is the primary
-// key.
-func (b *Backend) primaryFrom(from, prefix []byte, fn func(key, pk, val []byte) bool) error {
-	return b.tbl.ScanEncodedFrom(from, prefix, func(pk, val []byte) bool { return fn(pk, pk, val) })
-}
-
-// indexFrom adapts the by_loc index to a scanFunc.
-func (b *Backend) indexFrom(from, prefix []byte, fn func(key, pk, val []byte) bool) error {
-	return b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, fn)
+	// Either walk hands over, in key order and as stored, the rows whose key
+	// in that tree is ≥ from and begins with prefix; the first key outside the
+	// prefix ends it, its row not fetched.
+	b.mu.RLock()
+	if byLoc {
+		err = b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, func(_, pk, val []byte) bool { return row(pk, val) })
+	} else {
+		err = b.tbl.ScanEncodedFrom(from, prefix, row)
+	}
+	b.mu.RUnlock()
+	if derr != nil {
+		err = derr
+	}
+	return buf, last, walked >= want, err
 }
 
 // Scan implements provstore.Backend: every kind is a prefix walk of one of
@@ -447,43 +391,27 @@ func (b *Backend) indexFrom(from, prefix []byte, fn func(key, pk, val []byte) bo
 // dropping the terminator selects the subtree under it. A resume key is a
 // seek straight to its successor (the key codec is order-preserving, so
 // key‖0x00 is the next possible key): one B-tree descent, not a walk over
-// what came before.
+// what came before. A WithAncestors scan gathers one Tid-ordered by_loc walk
+// per prefix of the location — server-side, one logical round trip.
 func (b *Backend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	if spec.Kind == provstore.KindAncestors {
-		// One Tid-ordered index cursor per prefix of the location (server-side
-		// this is one pass, i.e. one logical round trip); each acquires the
-		// read lock only per chunk, so the merge holds no lock between pulls.
-		cursors := make([]iter.Seq2[provstore.Record, error], spec.Loc.Len())
-		for i := range cursors {
-			cursors[i] = b.Scan(ctx, spec.Probe(i+1))
-		}
-		return provstore.MergeScans(spec.Order(), cursors...)
+		return provstore.ScanAncestors(ctx, spec, func(p provstore.ScanSpec, buf []provstore.Record) ([]provstore.Record, error) {
+			return provstore.AppendScan(buf, b.Scan(ctx, p))
+		}, provstore.Itself)
 	}
-	return func(yield func(provstore.Record, error) bool) {
-		scan, from, prefix, err := b.walk(spec)
-		if err != nil {
-			yield(provstore.Record{}, err)
-			return
-		}
-		var keep func(provstore.Record) bool
-		if spec.Kind == provstore.KindPrefix {
-			keep = spec.Match // the byte prefix is re-checked label-wise
-		}
-		b.chunkedScan(ctx, scan, from, prefix, keep, yield)
-	}
+	return provstore.ScanStretch(ctx, spec, windowMax, b.visit, provstore.Itself)
 }
 
 // walk resolves a scan of one stretch to the tree walk that serves it: which
-// tree, the key prefix that bounds the stretch, and the key to seek to — the
-// prefix itself, or the successor of the resume key when that lies further on.
-func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []byte, err error) {
-	scan = b.primaryFrom
-	byLoc := spec.Kind == provstore.KindLoc || spec.Kind == provstore.KindPrefix
+// tree — by_loc, or the primary — the key prefix that bounds the stretch, and
+// the key to seek to: the prefix itself, or the successor of the resume key
+// when that lies further on.
+func (b *Backend) walk(spec provstore.ScanSpec) (byLoc bool, from, prefix []byte, err error) {
+	byLoc = spec.Kind == provstore.KindLoc || spec.Kind == provstore.KindPrefix
 	switch {
 	case spec.Kind == provstore.KindTid:
 		prefix, err = b.tbl.KeyPrefix(spec.Tid)
 	case byLoc:
-		scan = b.indexFrom
 		prefix, err = b.tbl.IndexPrefix("by_loc", spec.Loc.AppendBinary(nil))
 		if err == nil && spec.Kind == provstore.KindPrefix {
 			prefix = prefix[:len(prefix)-1] // without the 0x00 terminator descendants (longer keys) match too
@@ -491,7 +419,7 @@ func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []b
 	}
 	after, resumed := spec.ResumeKey()
 	if err != nil || !resumed {
-		return scan, prefix, prefix, err
+		return byLoc, prefix, prefix, err
 	}
 	var key []byte
 	if loc := after.Loc.AppendBinary(nil); byLoc {
@@ -502,7 +430,7 @@ func (b *Backend) walk(spec provstore.ScanSpec) (scan scanFunc, from, prefix []b
 	if key = append(key, 0); bytes.Compare(key, prefix) < 0 {
 		key = prefix
 	}
-	return scan, key, prefix, err
+	return byLoc, key, prefix, err
 }
 
 // Stat implements provstore.Backend. MaxTid is the tid column of the last
