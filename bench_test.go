@@ -372,8 +372,11 @@ func BenchmarkQueries(b *testing.B) {
 // T/e<t>/n<i>, copied from transaction t-1's entry except every eighth, which
 // inserts — so a trace walks a chain of up to eight steps — and every other
 // question is about a child of a stored location, which only hierarchical
-// inference can answer.
-func queryStore(tb testing.TB, dsn string, tids int) (cpdb.Backend, []path.Path) {
+// inference can answer. With a source database named, every entry is
+// instead copied from the same place under it, and the store holds nothing
+// of that database — the shape of the benchmark's histories, where a mod's
+// source regions lie outside the store.
+func queryStore(tb testing.TB, dsn string, tids int, source string) (cpdb.Backend, []path.Path) {
 	tb.Helper()
 	backend, err := cpdb.OpenBackend(dsn)
 	if err != nil {
@@ -386,7 +389,10 @@ func queryStore(tb testing.TB, dsn string, tids int) (cpdb.Backend, []path.Path)
 		recs := make([]provstore.Record, 0, 20)
 		for i := 0; i < 20; i++ {
 			r := provstore.Record{Tid: int64(tid), Op: provstore.OpInsert, Loc: entry(tid).Child("n" + strconv.Itoa(i))}
-			if tid%8 != 1 {
+			switch {
+			case source != "":
+				r.Op, r.Src = provstore.OpCopy, path.MustParse(source).Child("e"+strconv.Itoa(tid)).Child("n"+strconv.Itoa(i))
+			case tid%8 != 1:
 				r.Op, r.Src = provstore.OpCopy, entry(tid-1).Child("n"+strconv.Itoa(i))
 			}
 			recs = append(recs, r)
@@ -420,15 +426,21 @@ func relQuery(kind string, locs []path.Path, i int) *provplan.Query {
 // BenchmarkRelQueries is BenchmarkQueries over the relational engine: the
 // small-answer read path (horizon, index cursors, row decode) of a rel://
 // store holding 10k records. allocs/op and B/op must track the answer, not
-// the relation; TestRelTraceAllocBound pins that.
+// the relation; TestRelTraceAllocBound pins that. mod-foreign asks mod of a
+// store whose every entry was copied from a database it holds nothing of.
 func BenchmarkRelQueries(b *testing.B) {
-	backend, locs := queryStore(b, "rel://"+b.TempDir()+"/prov.db?create=1", 500)
+	backend, locs := queryStore(b, "rel://"+b.TempDir()+"/prov.db?create=1", 500, "")
+	foreign, foreignLocs := queryStore(b, "rel://"+b.TempDir()+"/foreign.db?create=1", 500, "S")
 	ctx := context.Background()
-	for _, kind := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpMod, "select"} {
+	for _, kind := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpMod, "select", "mod-foreign"} {
+		store, at, ask := backend, locs, kind
+		if kind == "mod-foreign" {
+			store, at, ask = foreign, foreignLocs, provplan.OpMod
+		}
 		b.Run(kind, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := provplan.Collect(ctx, backend, relQuery(kind, locs, i)); err != nil {
+				if _, err := provplan.Collect(ctx, store, relQuery(ask, at, i)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -444,7 +456,7 @@ func BenchmarkMemQueries(b *testing.B) {
 	ctx := context.Background()
 	for _, dsn := range []string{"mem://", "mem://?shards=4"} {
 		for _, tids := range []int{50, 500, 5000} {
-			backend, locs := queryStore(b, dsn, tids)
+			backend, locs := queryStore(b, dsn, tids, "")
 			// The same 320 questions at every size: the newest 16
 			// transactions, whose chains are as long in every store.
 			locs = locs[len(locs)-320:]

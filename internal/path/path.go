@@ -333,6 +333,21 @@ func (p Path) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
+// BinaryLen returns the number of bytes AppendBinary appends for p,
+// escapes included, without encoding it.
+func (p Path) BinaryLen() int {
+	n := 0
+	for _, l := range p.elems {
+		n += len(l) + 1
+		for i := 0; i < len(l); i++ {
+			if l[i] <= 0x01 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // MarshalBinary implements encoding.BinaryMarshaler using AppendBinary.
 func (p Path) MarshalBinary() ([]byte, error) {
 	return p.AppendBinary(nil), nil

@@ -13,8 +13,8 @@ import (
 // of the plan pipeline — access scans, the residual filter, the shard
 // merge, sort, the output cut, join key building, aggregation — and counts
 // rows in, rows out and wall time per operator. The taps are atomic adds on
-// the hot path (shard streams and BFS waves share one tap per operator
-// name), and the collected Analysis rides out of Rows as one final
+// the hot path (shard streams and the selects of a BFS wave share one tap
+// per operator name), and the collected Analysis rides out of Rows as one final
 // RowAnalyze row — which is how a remote analyze stays a single /v1/query
 // round trip: the server streams its result rows and appends the tagged
 // analysis trailer.

@@ -14,9 +14,11 @@ import (
 // implementations: each chain step or BFS wave issues its own backend
 // scans from the client. They are the reference oracle the plan-compiled
 // queries are held equivalent to by TestPlanLegacyEquivalence, and nothing
-// else: test code, unchanged in behaviour from the query engine they were. The one modernization is the Mod wave scatter, which goes
-// through the planner's parallel subplan path (provplan.RunAll) instead of
-// the bespoke goroutine fan-out it used to carry.
+// else: test code, unchanged in behaviour from the query engine they were.
+// The one modernization is that a Mod wave's region scans go through
+// provplan.RunAll instead of the bespoke goroutine fan-out they used to
+// carry. legacyMod visits every region, including those of a source
+// database the store holds nothing of, which the planner's Mod skips.
 
 // effectiveAt resolves the effective record for loc in every transaction,
 // client-side, from one WithAncestors scan round trip: for each
@@ -158,18 +160,15 @@ func newRegion(prefix path.Path, bound int64) region {
 //
 // Regions are processed in BFS waves: every region of the current wave
 // fetches its two scans — the subtree scan and the ancestor scan, as two
-// declarative selects handed to the planner's parallel subplan path — then
-// the wave's results merge sequentially in queue order, so the answer is
-// identical to the sequential walk while the wave's scans overlap in
-// flight.
+// declarative selects handed to provplan.RunAll — then the wave's results
+// merge sequentially in queue order.
 func legacyMod(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) ([]int64, error) {
 	result := make(map[int64]struct{})
 	seen := make(map[string]int64) // region prefix -> highest bound processed
 	queue := []region{newRegion(p, tnow)}
 	for len(queue) > 0 {
-		// Cancellation is observed between BFS waves: an in-flight wave
-		// completes (its goroutines are joined by the scatter), then the
-		// walk stops before the next one launches.
+		// Cancellation is observed between BFS waves: the walk stops
+		// before the next one starts.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -137,7 +137,7 @@ type Plan struct {
 	path path.Path
 	asOf int64
 
-	explain []string
+	noPushdown bool // compiled under Options.NoPushdown
 }
 
 // compiledJoin is a Join with its subquery compiled.
@@ -176,9 +176,7 @@ func CompileWith(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl := &Plan{b: b, q: q, path: p, asOf: q.AsOf}
-		pl.explain = []string{fmt.Sprintf("%s(%s) via iterated selects", q.Op, p)}
-		return pl, nil
+		return &Plan{b: b, q: q, path: p, asOf: q.AsOf}, nil
 	default:
 		return nil, badQuery("unknown query kind %q", q.Op)
 	}
@@ -237,7 +235,7 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 
 	if opts.NoPushdown {
 		pl.streamed = pl.order == OrderTidLoc && !q.Desc
-		pl.buildExplain("full-scan (pushdown disabled)")
+		pl.noPushdown = true
 		return pl, nil
 	}
 	pl.chooseAccess()
@@ -270,7 +268,6 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 			pl.shards = sb
 		}
 	}
-	pl.buildExplain("")
 	return pl, nil
 }
 
@@ -335,7 +332,13 @@ func concretePrefix(pat path.Pattern) path.Path {
 	return p
 }
 
-func (pl *Plan) buildExplain(note string) {
+// Explain describes the chosen access path, stream cuts and parallelism,
+// one line per plan node. The lines are built on each call; compiling a
+// plan formats nothing.
+func (pl *Plan) Explain() []string {
+	if pl.q.Op != OpSelect {
+		return []string{fmt.Sprintf("%s(%s) via iterated selects", pl.q.Op, pl.path)}
+	}
 	parts := []string{"access=" + pl.scan.String()}
 	if pl.stopTid > 0 {
 		parts = append(parts, fmt.Sprintf("stop=tid>%d", pl.stopTid))
@@ -358,20 +361,17 @@ func (pl *Plan) buildExplain(note string) {
 	if pl.join != nil {
 		parts = append(parts, "semi-join="+pl.join.on)
 	}
-	if note != "" {
-		parts = append(parts, note)
+	if pl.noPushdown {
+		parts = append(parts, "full-scan (pushdown disabled)")
 	}
-	pl.explain = []string{strings.Join(parts, " ")}
+	lines := []string{strings.Join(parts, " ")}
 	if pl.join != nil {
 		for _, line := range pl.join.sub.Explain() {
-			pl.explain = append(pl.explain, "  sub: "+line)
+			lines = append(lines, "  sub: "+line)
 		}
 	}
+	return lines
 }
-
-// Explain describes the chosen access path, stream cuts and parallelism,
-// one line per plan node.
-func (pl *Plan) Explain() []string { return slices.Clone(pl.explain) }
 
 // --- execution --------------------------------------------------------------
 
@@ -699,14 +699,12 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 	}
 }
 
-// RunAll compiles and executes several select queries against b
-// concurrently, materializing each result — the planner's parallel subplan
-// primitive. It powers the shard scatter internally and replaces the
-// bespoke goroutine fan-out the Mod wave scatter used to carry:
-// callers hand the wave's region queries to the planner and get the
-// region record sets back, each fetched through whatever access path its
-// predicate admits. Results are positional; a compile error on any query
-// fails the whole call before anything runs.
+// RunAll compiles several select queries against b and executes them one
+// after another on the caller's goroutine, materializing each result. Each
+// runs through whatever access path its predicate admits; a sharded store
+// still scatters every one of them across its shards below the plan.
+// Results are positional; a compile error on any query fails the whole call
+// before anything runs.
 func RunAll(ctx context.Context, b provstore.Backend, qs ...*Query) ([][]provstore.Record, error) {
 	return runAll(ctx, b, qs, nil)
 }
@@ -721,13 +719,12 @@ func runAll(ctx context.Context, b provstore.Backend, qs []*Query, ex *exec) ([]
 		plans[i] = pl
 	}
 	out := make([][]provstore.Record, len(qs))
-	err := provstore.Fanout(ctx, len(plans), func(i int) error {
-		recs, rerr := provstore.CollectScan(plans[i].records(ctx, ex))
+	for i, pl := range plans {
+		recs, err := provstore.CollectScan(pl.records(ctx, ex))
+		if err != nil {
+			return nil, err
+		}
 		out[i] = recs
-		return rerr
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -14,9 +14,9 @@ import (
 // each measured operator is emitted as one span under the plan's span —
 // EXPLAIN ANALYZE and tracing share a single instrumentation point, so
 // their numbers can never disagree. Operator spans carry the tap's
-// cumulative producer time; concurrent branches (shard streams, BFS waves)
-// share one tap, so sibling spans may overlap the plan span rather than
-// partition it — self-time math clamps accordingly (see provtrace.Node).
+// cumulative producer time; concurrent branches (shard streams) share one
+// tap, so sibling spans may overlap the plan span rather than partition it —
+// self-time math clamps accordingly (see provtrace.Node).
 
 // planSpan opens the plan-level span (nil when tracing is off) and hands
 // back the context operators should run under.

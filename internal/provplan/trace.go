@@ -13,10 +13,9 @@ import (
 // This file executes the paper's ancestry queries as plans: Trace is a
 // chain of one select per step (loc <= cur, tid <= tnow, the hierarchical
 // resolution access path), Mod is a BFS whose every wave is a batch of
-// region selects run through the planner's parallel subplan path, and Hist
-// and Src derive from Trace. The result types live here because the engine
-// that computes a TraceResult is the plan layer, whichever side of a network
-// connection it runs on.
+// region selects run one after another, and Hist and Src derive from Trace.
+// The result types live here because the engine that computes a TraceResult
+// is the plan layer, whichever side of a network connection it runs on.
 
 // ErrBadTrace reports an inconsistent provenance store (a trace reached a
 // location a transaction deleted).
@@ -238,12 +237,19 @@ func newRegion(prefix path.Path, bound int64) region {
 // runMod answers every transaction that created, modified or deleted data
 // in the subtree at the plan's path, as of its horizon. The walk is the
 // same BFS with per-location shadowing the paper's semantics dictate (§2.2;
-// legacy_test.go keeps the client-orchestrated original); what the plan
-// layer changes is the scatter: each wave's region scans are declarative selects — the
-// subtree scan and the ancestor scan of each unique region prefix, with
-// the region's tid bound pushed into the plan — executed through the
-// planner's parallel subplan path (runAll), so a wave over a sharded or
-// remote store overlaps all its scans without bespoke goroutine plumbing.
+// legacy_test.go keeps the client-orchestrated original). Each wave's region
+// scans are declarative selects — the subtree scan and the ancestor scan of
+// each unique region prefix, with the region's tid bound pushed into the
+// plan — run one after another through runAll.
+//
+// A region in another database than the queried path's is dropped when
+// the store holds no record of that database at all: both of its selects
+// read only locations under the region's first label, so they would return
+// nothing. One ByPrefix probe per source database decides it, broken off at
+// its first record and kept for the rest of the query. Copies from an
+// external source are the common case, and this is where trace stops with
+// OriginExternal; a store that does hold the source's provenance still
+// scans its regions.
 func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 	tnow, err := pl.horizon(ctx)
 	if err != nil {
@@ -251,22 +257,33 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 	}
 	result := make(map[int64]struct{})
 	seen := make(map[string]int64) // region prefix -> highest bound processed
+	held := make(map[string]bool)  // source database -> the store holds a record of it
 	queue := []region{newRegion(pl.path, tnow)}
 	for len(queue) > 0 {
-		// Cancellation is observed between BFS waves: an in-flight wave
-		// completes (runAll joins its goroutines), then the walk stops
-		// before the next one launches.
+		// Cancellation is observed between BFS waves: the walk stops
+		// before the next wave's first scan.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Drop regions an earlier wave already covered with a bound at
-		// least as high, then plan one select pair per unique prefix.
+		// least as high, and regions of a database the store holds
+		// nothing of, then plan one select pair per unique prefix.
 		// Several bounds for one prefix share the scans of the highest
 		// bound — the per-region filter below re-applies each bound.
 		wave := queue[:0:0]
 		for _, g := range queue {
 			if prev, ok := seen[g.key]; ok && prev >= g.bound {
 				continue
+			}
+			if db := g.prefix.DB(); db != pl.path.DB() {
+				if _, probed := held[db]; !probed {
+					if held[db], err = pl.holds(ctx, g.prefix.Prefix(1), ex); err != nil {
+						return nil, err
+					}
+				}
+				if !held[db] {
+					continue
+				}
 			}
 			wave = append(wave, g)
 		}
@@ -286,9 +303,9 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 			bounds = append(bounds, g.bound)
 		}
 
-		// Scatter: two selects per unique prefix — records inside the
-		// region and records at or above its prefix — bounded at the
-		// prefix's highest wave bound.
+		// Two selects per unique prefix — records inside the region and
+		// records at or above its prefix — bounded at the prefix's
+		// highest wave bound.
 		qs := make([]*Query, 0, 2*len(prefixes))
 		for i, prefix := range prefixes {
 			qs = append(qs,
@@ -360,4 +377,13 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
+}
+
+// holds reports whether the store has any record under db: one ByPrefix
+// probe, broken off at its first record, and analyzed as its own operator.
+func (pl *Plan) holds(ctx context.Context, db path.Path, ex *exec) (bool, error) {
+	for _, err := range ex.op("probe:scan-loc-prefix").tap(counted(pl.b.Scan(ctx, provstore.ByPrefix(db)), ex.counter())) {
+		return err == nil, err
+	}
+	return false, nil
 }

@@ -170,9 +170,20 @@ func decodePathAt(buf []byte, off int, decode func(b []byte) (path.Path, error))
 }
 
 // EncodedSize returns the size in bytes of the binary encoding of r, which
-// the storage-size experiments report alongside row counts.
+// the storage-size experiments report alongside row counts. It counts what
+// AppendBinary would append, encoding nothing.
 func (r Record) EncodedSize() int {
-	return len(r.AppendBinary(nil))
+	loc, src := r.Loc.BinaryLen(), r.Src.BinaryLen()
+	return uvarintLen(uint64(r.Tid)) + 1 + uvarintLen(uint64(loc)) + loc + uvarintLen(uint64(src)) + src
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // Method identifies one of the four provenance storage strategies.

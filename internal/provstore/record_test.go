@@ -153,6 +153,9 @@ func TestRecordBinaryLongPaths(t *testing.T) {
 			if !bytes.Equal(got, append([]byte("prefix"), want...)) {
 				t.Fatalf("label of %d bytes: AppendBinary differs from the reference encoding", n)
 			}
+			if rec.EncodedSize() != len(want) {
+				t.Fatalf("label of %d bytes: EncodedSize = %d, encoding is %d bytes", n, rec.EncodedSize(), len(want))
+			}
 			dec, used, err := DecodeRecord(want)
 			if err != nil || used != len(want) || !reflect.DeepEqual(dec, rec) {
 				t.Fatalf("label of %d bytes: decodes to %v (%d of %d bytes, err %v)", n, dec, used, len(want), err)
@@ -163,6 +166,40 @@ func TestRecordBinaryLongPaths(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() { buf = rec.AppendBinary(buf[:0]) }); n != 0 {
 		t.Errorf("AppendBinary into a buffer with room allocates %v times, want 0", n)
+	}
+}
+
+// TestRecordEncodedSizeEscapes: EncodedSize counts AppendBinary's bytes
+// without encoding, so each 0x00 or 0x01 in a label, escaped to two bytes,
+// must count twice — also where the escapes carry a path's length across a
+// varint boundary — and counting must not allocate.
+func TestRecordEncodedSizeEscapes(t *testing.T) {
+	for _, label := range []string{
+		"\x00", "\x01", "a\x00b\x01c", "\x00\x01\x00\x01",
+		strings.Repeat("\x00", 63),   // 126 bytes + terminator: 127
+		strings.Repeat("\x01", 64),   // 128 + 1: a two-byte length
+		strings.Repeat("\x00", 8191), // 16382 + 1: 16383
+		strings.Repeat("\x01", 8192), // 16384 + 1: a three-byte length
+	} {
+		for _, rec := range []Record{
+			{Tid: 127, Op: OpInsert, Loc: path.New(label)},
+			{Tid: 128, Op: OpCopy, Loc: path.New("T", label), Src: path.New(label, "y")},
+		} {
+			enc := rec.AppendBinary(nil)
+			if rec.EncodedSize() != len(enc) {
+				t.Errorf("label %q: EncodedSize = %d, encoding is %d bytes", label[:min(len(label), 8)], rec.EncodedSize(), len(enc))
+			}
+			if rec.Loc.BinaryLen() != len(rec.Loc.AppendBinary(nil)) {
+				t.Errorf("label %q: BinaryLen disagrees with AppendBinary", label[:min(len(label), 8)])
+			}
+			if dec, _, err := DecodeRecord(enc); err != nil || !reflect.DeepEqual(dec, rec) {
+				t.Errorf("label %q: decodes to %v, err %v", label[:min(len(label), 8)], dec, err)
+			}
+		}
+	}
+	rec := Record{Tid: 3, Op: OpCopy, Loc: path.New("T", "c1", "y"), Src: path.New("S", "a")}
+	if n := testing.AllocsPerRun(100, func() { _ = rec.EncodedSize() }); n != 0 {
+		t.Errorf("EncodedSize allocates %v times, want 0", n)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 // Decoding through relstore.Row (a boxed value per column) and a label at a
 // time cost 18.
 func TestRelDrainAllocBound(t *testing.T) {
-	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500)
+	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500, "")
 	perRecord := drainAllocsPerRecord(t, backend, len(locs))
 	const maxAllocsPerRecord = 3
 	if perRecord > maxAllocsPerRecord {
@@ -199,7 +199,7 @@ func TestRelDrainAllocBound(t *testing.T) {
 // probes; a scan of the relation hiding in the read path costs ≈ 36k
 // allocations and 3 MB (when MaxTid walked the table).
 func TestRelTraceAllocBound(t *testing.T) {
-	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500)
+	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500, "")
 	checkTraceAllocBound(t, "rel://", backend, locs, 1070, 256<<10)
 }
 
@@ -211,7 +211,7 @@ func TestRelTraceAllocBound(t *testing.T) {
 // per scan, several scans per trace — would come to.
 func TestMemTraceAllocBound(t *testing.T) {
 	for _, dsn := range []string{"mem://", "mem://?shards=4"} {
-		backend, locs := queryStore(t, dsn, 500)
+		backend, locs := queryStore(t, dsn, 500, "")
 		checkTraceAllocBound(t, dsn, backend, locs, 2500, 128<<10)
 	}
 }
