@@ -428,6 +428,8 @@ func relQuery(kind string, locs []path.Path, i int) *provplan.Query {
 // store holding 10k records. allocs/op and B/op must track the answer, not
 // the relation; TestRelTraceAllocBound pins that. mod-foreign asks mod of a
 // store whose every entry was copied from a database it holds nothing of.
+// drain is one full Scan(All()) of the 10k records: its allocs/op counts
+// windows and cursors, not rows (TestRelDrainAllocBound).
 func BenchmarkRelQueries(b *testing.B) {
 	backend, locs := queryStore(b, "rel://"+b.TempDir()+"/prov.db?create=1", 500, "")
 	foreign, foreignLocs := queryStore(b, "rel://"+b.TempDir()+"/foreign.db?create=1", 500, "S")
@@ -446,6 +448,16 @@ func BenchmarkRelQueries(b *testing.B) {
 			}
 		})
 	}
+	b.Run("drain", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, err := range backend.Scan(ctx, provstore.All()) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkMemQueries is BenchmarkRelQueries over the in-memory store and its

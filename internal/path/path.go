@@ -12,6 +12,7 @@
 package path
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -375,41 +376,104 @@ func DecodeBinary(buf []byte) (Path, int, error) {
 // path keeps s alive. A caller decoding several paths out of one record
 // converts the record to a string once and pays no further copy.
 func DecodeBinaryString(s string) (Path, error) {
-	n, start := 0, 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case 0x00:
-			if i == start {
-				return Root, fmt.Errorf("%w: empty label in binary path", ErrBadLabel)
-			}
-			n++
-			start = i + 1
-		case 0x01:
-			return decodeBinaryEscaped(s)
-		case Separator:
-			return Root, fmt.Errorf("%w: separator inside a label of a binary path", ErrBadLabel)
-		}
+	p, _, err := DecodeBinaryStringIn(nil, s)
+	return p, err
+}
+
+// DecodeBinaryStringIn is DecodeBinaryString with the labels stored in slab
+// instead of a slice of their own. An encoding holds one 0x00 byte per
+// label, so a caller decoding many paths counts those bytes, makes one slab
+// of that length and hands each decode the rest the previous one returned.
+// The path is the first n elements of slab, capped at n (n its labels), so
+// nothing done with it writes over the next path's labels; it keeps the
+// whole slab alive. A slab shorter than n is left alone and the labels get a
+// slice of their own.
+func DecodeBinaryStringIn(slab []string, s string) (Path, []string, error) {
+	n, escaped, err := binaryLabels(s)
+	if err != nil || n == 0 && !escaped {
+		return Root, slab, err
 	}
-	if start != len(s) {
-		return Root, fmt.Errorf("path: unterminated label in binary path")
+	if escaped {
+		n = strings.Count(s, "\x00")
 	}
-	if n == 0 {
-		return Root, nil
+	var elems []string
+	if len(slab) >= n {
+		elems, slab = slab[:0:n], slab[n:]
+	} else {
+		elems = make([]string, 0, n)
+	}
+	if escaped {
+		p, err := decodeBinaryEscaped(s, elems)
+		return p, slab, err
+	}
+	for start := 0; start < len(s); {
+		end := start + strings.IndexByte(s[start:], 0x00)
+		elems = append(elems, s[start:end])
+		start = end + 1
+	}
+	return Path{elems: elems}, slab, nil
+}
+
+// DecodeBinaryWith is DecodeBinaryString for an encoding held in bytes, its
+// labels looked up through shared, which returns a canonical shared copy of
+// a label, or false if it has none. The labels it has none of are substrings
+// of one string copy of b, made at the first of them; so a decode costs one
+// allocation, the slice of labels, when every label is shared, and two
+// otherwise. An encoding with an escape is decoded by DecodeBinaryString
+// over a copy of b.
+func DecodeBinaryWith(b []byte, shared func([]byte) (string, bool)) (Path, error) {
+	n, escaped, err := binaryLabels(b)
+	if escaped {
+		return DecodeBinaryString(string(b))
+	}
+	if err != nil || n == 0 {
+		return Root, err
 	}
 	elems := make([]string, n)
-	start = 0
+	var s string // the copy of b
+	start := 0
 	for i := range elems {
-		end := start + strings.IndexByte(s[start:], 0x00)
-		elems[i] = s[start:end]
-		start = end + 1
+		end := start + bytes.IndexByte(b[start:], 0x00)
+		l, ok := shared(b[start:end])
+		if !ok {
+			if s == "" {
+				s = string(b)
+			}
+			l = s[start:end]
+		}
+		elems[i], start = l, end+1
 	}
 	return Path{elems: elems}, nil
 }
 
+// binaryLabels checks the binary encoding s up to its first escape, if it has
+// one (escaped; the rest is decodeBinaryEscaped's), and otherwise counts its
+// labels.
+func binaryLabels[S ~string | ~[]byte](s S) (n int, escaped bool, err error) {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case 0x00:
+			if i == start {
+				return 0, false, fmt.Errorf("%w: empty label in binary path", ErrBadLabel)
+			}
+			n++
+			start = i + 1
+		case 0x01:
+			return 0, true, nil
+		case Separator:
+			return 0, false, fmt.Errorf("%w: separator inside a label of a binary path", ErrBadLabel)
+		}
+	}
+	if start != len(s) {
+		return 0, false, fmt.Errorf("path: unterminated label in binary path")
+	}
+	return n, false, nil
+}
+
 // decodeBinaryEscaped is DecodeBinaryString for an encoding that holds an
-// escape: the labels are unescaped one by one.
-func decodeBinaryEscaped(s string) (Path, error) {
-	var elems []string
+// escape: the labels are unescaped one by one and appended to elems.
+func decodeBinaryEscaped(s string, elems []string) (Path, error) {
 	var cur []byte
 	for i := 0; i < len(s); {
 		switch s[i] {

@@ -318,6 +318,70 @@ func TestDecodeBinaryStringSharesStorage(t *testing.T) {
 	}
 }
 
+// TestDecodeBinaryStringIn: paths decoded into one slab take exactly their
+// labels from it, in turn, and each is capped at its own labels — an append
+// to one never writes over the next — while an encoding the slab has no room
+// for, or one that is not a path, leaves the slab as it was.
+func TestDecodeBinaryStringIn(t *testing.T) {
+	paths := []Path{MustParse("T/a/b"), Root, MustParse("S/x"), {elems: []string{"a\x00b", "c"}}}
+	var encs []string
+	labels := 0
+	for _, p := range paths {
+		enc := string(p.AppendBinary(nil))
+		encs = append(encs, enc)
+		labels += strings.Count(enc, "\x00")
+	}
+	slab := make([]string, labels)
+	rest := slab
+	var got []Path
+	for i, enc := range encs {
+		p, r, err := DecodeBinaryStringIn(rest, enc)
+		if err != nil || !p.Equal(paths[i]) || len(r) != len(rest)-paths[i].Len() {
+			t.Fatalf("DecodeBinaryStringIn(%q) = %q, %d left, %v; want %q, %d left", enc, p, len(r), err, paths[i], len(rest)-paths[i].Len())
+		}
+		if cap(p.elems) != p.Len() {
+			t.Errorf("%q: capacity %d, want its %d labels", p, cap(p.elems), p.Len())
+		}
+		got, rest = append(got, p), r
+	}
+	_ = append(got[0].elems, "overwrite")
+	for i, p := range got {
+		if !p.Equal(paths[i]) {
+			t.Errorf("after an append to the first path, path %d is %q, want %q", i, p, paths[i])
+		}
+	}
+	short := make([]string, 1)
+	if p, r, err := DecodeBinaryStringIn(short, encs[0]); err != nil || !p.Equal(paths[0]) || len(r) != 1 {
+		t.Errorf("a slab too short: %q, %d left, %v", p, len(r), err)
+	}
+	if _, r, err := DecodeBinaryStringIn(slab, "T\x00\x00"); err == nil || len(r) != len(slab) {
+		t.Errorf("an empty label: %d of %d left, %v; want an error and the slab untouched", len(r), len(slab), err)
+	}
+}
+
+// TestDecodeBinaryWith: the byte decoder accepts what DecodeBinaryString
+// accepts and returns the same path; labels shared is given come from it,
+// the others share one copy of the input.
+func TestDecodeBinaryWith(t *testing.T) {
+	shared := map[string]string{"T": "T", "a": "a"}
+	lookup := func(b []byte) (string, bool) { l, ok := shared[string(b)]; return l, ok }
+	for _, enc := range []string{"", "T\x00a\x00", "T\x00b\x00c\x00", "a\x01\x02b\x00", "T\x00\x00", "\x00", "T/a\x00", "T\x00a", "a\x01\x7f\x00"} {
+		want, werr := DecodeBinaryString(enc)
+		got, gerr := DecodeBinaryWith([]byte(enc), lookup)
+		if (werr == nil) != (gerr == nil) || !got.Equal(want) {
+			t.Errorf("%q: DecodeBinaryWith = %q, %v; DecodeBinaryString = %q, %v", enc, got, gerr, want, werr)
+		}
+	}
+	enc := []byte("T\x00b\x00c\x00")
+	if n := testing.AllocsPerRun(100, func() { DecodeBinaryWith(enc, lookup) }); n != 2 {
+		t.Errorf("two labels not shared cost %v allocations, want 2: the labels and one copy", n)
+	}
+	enc = []byte("T\x00a\x00")
+	if n := testing.AllocsPerRun(100, func() { DecodeBinaryWith(enc, lookup) }); n != 1 {
+		t.Errorf("shared labels cost %v allocations, want 1", n)
+	}
+}
+
 func TestLabelsCopy(t *testing.T) {
 	p := MustParse("T/a/b")
 	ls := p.Labels()

@@ -114,6 +114,13 @@ func (in *Intern[V]) Len() int {
 	return len(*in.snap.Load()) + len(in.over)
 }
 
+// Full reports whether the table holds max entries, so that every further
+// Put is dropped. It takes no lock: a caller past the cap can skip building
+// the key it would have put.
+func (in *Intern[V]) Full() bool {
+	return len(*in.snap.Load())+int(in.pending.Load()) >= in.max
+}
+
 // InternString returns a canonical shared copy of s from the table,
 // interning it on first sight. The returned string is equal to s; using
 // it in decoded structures lets repeated vocabulary share one backing

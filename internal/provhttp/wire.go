@@ -154,8 +154,8 @@ import (
 // storage. Both forms of a path on the wire — the canonical text of a JSON
 // line and the binary encoding inside a record frame — look up the same
 // table under the same key, the text. Reads are lock-free
-// (provcache.Intern); the tables are capped, and an unseen path past the cap
-// simply parses the ordinary way.
+// (provcache.Intern); the tables are capped, and an unseen path past the
+// path table's cap is decoded label by label through the label table.
 var (
 	wirePathIntern = provcache.NewIntern[path.Path](8192)
 	wireSegIntern  = provcache.NewIntern[string](4096)
@@ -163,6 +163,16 @@ var (
 
 // internSegment returns the canonical shared copy of one edge label.
 func internSegment(l string) string { return provcache.InternString(wireSegIntern, l) }
+
+// sharedLabel is internSegment for a label held in bytes, for
+// path.DecodeBinaryWith: a label already in the table costs no copy, and
+// once the table is full a new one is not copied alone.
+func sharedLabel(b []byte) (string, bool) {
+	if l, ok := wireSegIntern.GetBytes(b); ok || wireSegIntern.Full() {
+		return l, ok
+	}
+	return internSegment(string(b)), true
+}
 
 // parseWirePath parses a canonical path string from the wire through the
 // intern layers. Parsed paths are immutable, so sharing one Path value
@@ -184,10 +194,12 @@ func parseWirePath(s string) (path.Path, error) {
 // and returns the same path (the contract of provstore.DecodeRecordWith).
 // An encoding without escapes is its canonical text with 0x00 after each
 // label where the text has '/' between them, so the text key is built in a
-// stack buffer and a hit costs one pass over b and no allocation. Anything
-// else — an escape, a byte the text form cannot hold, a missing terminator,
-// a path longer than the buffer — takes the plain decoder, which also
-// reports what is wrong with it.
+// stack buffer and a hit costs one pass over b and no allocation. A miss
+// once the path table is full keeps nothing of the key: b is decoded
+// straight into labels through the label table, for one allocation, or two
+// if a label is not in it. Anything else — an escape, a byte the text form
+// cannot hold, a missing terminator, a path longer than the buffer — takes
+// the plain decoder, which also reports what is wrong with it.
 func decodeWirePath(b []byte) (path.Path, error) {
 	var buf [128]byte
 	n := len(b) - 1
@@ -206,6 +218,9 @@ func decodeWirePath(b []byte) (path.Path, error) {
 	}
 	if p, ok := wirePathIntern.GetBytes(key); ok {
 		return p, nil
+	}
+	if wirePathIntern.Full() {
+		return path.DecodeBinaryWith(b, sharedLabel)
 	}
 	return parseWirePath(string(key))
 }

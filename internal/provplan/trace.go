@@ -259,6 +259,7 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 	seen := make(map[string]int64) // region prefix -> highest bound processed
 	held := make(map[string]bool)  // source database -> the store holds a record of it
 	queue := []region{newRegion(pl.path, tnow)}
+	var lk []byte // a shadow key
 	for len(queue) > 0 {
 		// Cancellation is observed between BFS waves: the walk stops
 		// before the next wave's first scan.
@@ -339,16 +340,18 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 			}
 			// Newest first; shadowed locations drop older records.
 			sort.Slice(recs, func(i, j int) bool { return recs[i].Tid > recs[j].Tid })
+			// A location is keyed by its encoding, built in lk; only a new
+			// one costs a key string.
 			shadow := make(map[string]struct{})
 			for _, r := range recs {
 				if r.Tid > g.bound {
 					continue
 				}
-				lk := string(r.Loc.AppendBinary(nil))
-				if _, dead := shadow[lk]; dead {
+				lk = r.Loc.AppendBinary(lk[:0])
+				if _, dead := shadow[string(lk)]; dead {
 					continue
 				}
-				shadow[lk] = struct{}{}
+				shadow[string(lk)] = struct{}{}
 				ancestor := r.Loc.IsStrictPrefixOf(g.prefix)
 				if ancestor && r.Op == provstore.OpInsert {
 					// An insert at an ancestor creates an empty node: no

@@ -95,6 +95,8 @@ type MemBackend struct {
 	locTid memIndex // the index on Loc: (Loc, Tid) order
 	bytes  int64
 
+	windows *Windows[int32] // the record numbers of a cursor's windows
+
 	obs        *provobs.Registry
 	examined   *provobs.Counter // mem.recs_examined
 	outOfOrder *provobs.Counter // mem.appends_out_of_order
@@ -107,7 +109,8 @@ func NewMemBackend() *MemBackend {
 	obs := provobs.NewRegistry()
 	return &MemBackend{
 		tidLoc: memIndex{cmp: CompareTidLoc}, locTid: memIndex{cmp: CompareLocTid},
-		obs: obs,
+		windows: NewWindows[int32](memWindowMax),
+		obs:     obs,
 		examined: obs.Counter("cpdb_mem_recs_examined_total",
 			"Records compared or yielded by reads since open.",
 			provobs.WithStatKey("mem.recs_examined")),
@@ -260,7 +263,7 @@ func (b *MemBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, 
 	return func(yield func(Record, error) bool) {
 		c := &memCursor{MemBackend: b, limit: -1}
 		if spec.Kind != KindAncestors {
-			ScanStretch(ctx, spec, memWindowMax, c.visit, c.record)(yield)
+			ScanStretch(ctx, spec, b.windows, c.visit, c.record)(yield)
 			return
 		}
 		ScanAncestors(ctx, spec, func(p ScanSpec, ids []int32) ([]int32, error) {

@@ -89,23 +89,88 @@ const scanWindowFirst = 16
 // on; what it appended before an error counts.
 type Visit[T any] func(spec ScanSpec, buf []T, want int) (window []T, last Record, more bool, err error)
 
+// Idle keeps values reads are done with — window buffers, decoders — for
+// the next reads: as many as ran at once, up to IdleMax, the rest dropped.
+// Unlike a sync.Pool's, what it keeps does not depend on when the collector
+// last ran, so neither does what a read allocates.
+type Idle[T any] chan T
+
+// IdleMax is the most values an Idle keeps: more than the reads a store
+// serves at once on a few cores, so a steady load takes every value from
+// it, and few enough that what a burst of readers leaves behind stays small
+// (8 × 256 records of rel://, 16 KB each).
+const IdleMax = 8
+
+// NewIdle returns an empty Idle.
+func NewIdle[T any]() Idle[T] { return make(Idle[T], IdleMax) }
+
+// Get takes an idle value, or the zero T if there is none.
+func (l Idle[T]) Get() (v T) {
+	select {
+	case v = <-l:
+	default:
+	}
+	return v
+}
+
+// Put keeps v if fewer than IdleMax values are idle.
+func (l Idle[T]) Put(v T) {
+	select {
+	case l <- v:
+	default:
+	}
+}
+
+// Windows is a store's pool of window buffers, each with room for the most
+// records the store gathers under one hold of its lock. A cursor takes one
+// at its first visit, gathers every window of its stretch into it, and gives
+// it back cleared when it ends — so a buffer keeps nothing a consumer was
+// handed alive, and a scan allocates no buffer of its own.
+type Windows[T any] struct {
+	max  int
+	idle Idle[*[]T]
+}
+
+// NewWindows returns a pool of window buffers of max records.
+func NewWindows[T any](max int) *Windows[T] {
+	return &Windows[T]{max: max, idle: NewIdle[*[]T]()}
+}
+
+func (w *Windows[T]) get() *[]T {
+	if buf := w.idle.Get(); buf != nil {
+		return buf
+	}
+	buf := make([]T, 0, w.max)
+	return &buf
+}
+
+// put clears the first used elements of *buf, all a cursor wrote, and keeps
+// it if the pool has room.
+func (w *Windows[T]) put(buf *[]T, used int) {
+	clear((*buf)[:used])
+	w.idle.Put(buf)
+}
+
 // ScanStretch is the cursor loop of every store: one stretch of one order,
 // streamed in windows of scanWindowFirst records, then four times as many up
-// to maxWindow — what the store will gather under one hold of its lock. No
-// lock is held while the consumer runs: a window is yielded (record finds a
-// T's record, by reference: the one copy is the yield's) after the visit
-// returns, ctx observed before each record, the visit's error after the
-// records it gathered, and the next visit resumes strictly after the last
-// key this one passed.
-func ScanStretch[T any](ctx context.Context, spec ScanSpec, maxWindow int, visit Visit[T], record func(*T) *Record) iter.Seq2[Record, error] {
+// to the size of windows' buffers — what the store will gather under one
+// hold of its lock. No lock is held while the consumer runs: a window is
+// yielded (record finds a T's record, by reference: the one copy is the
+// yield's) after the visit returns, ctx observed before each record, the
+// visit's error after the records it gathered, and the next visit resumes
+// strictly after the last key this one passed. Every window is gathered into
+// the one buffer the cursor takes from windows.
+func ScanStretch[T any](ctx context.Context, spec ScanSpec, windows *Windows[T], visit Visit[T], record func(*T) *Record) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		if err := ctx.Err(); err != nil {
 			yield(Record{}, err)
 			return
 		}
-		var buf []T
-		for want := scanWindowFirst; ; {
-			window, last, more, err := visit(spec, buf[:0], want)
+		buf, used := windows.get(), 0
+		defer func() { windows.put(buf, used) }()
+		for want := scanWindowFirst; ; want = min(4*want, windows.max) {
+			window, last, more, err := visit(spec, (*buf)[:0], want)
+			*buf, used = window[:0], max(used, len(window))
 			for i := range window {
 				if cerr := ctx.Err(); cerr != nil {
 					yield(Record{}, cerr)
@@ -122,10 +187,6 @@ func ScanStretch[T any](ctx context.Context, spec ScanSpec, maxWindow int, visit
 				return
 			}
 			spec = spec.After(last.Tid, last.Loc)
-			if buf = window; want < maxWindow {
-				want = min(4*want, maxWindow)
-				buf = make([]T, 0, want)
-			}
 		}
 	}
 }

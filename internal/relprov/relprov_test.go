@@ -7,6 +7,7 @@ import (
 	"iter"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -693,4 +694,139 @@ func TestRelCursorEmptyRangeFetchesNoRows(t *testing.T) {
 			t.Errorf("%s: yielded %d records and decoded %d rows, want %d of each", name, yielded, rows, c.want)
 		}
 	}
+}
+
+// TestRelProvCorruptRowMidWindow: a corrupt row in the middle of a cursor's
+// largest window — its 128th row of 256 — ends the cursor after the rows
+// before it, intact, whether the row is caught while it is copied out of its
+// leaf (an op of two bytes) or when the window's paths are decoded (an empty
+// label in loc), by either tree.
+func TestRelProvCorruptRowMidWindow(t *testing.T) {
+	ctx := context.Background()
+	for name, row := range map[string]relstore.Row{
+		"op of two bytes":    {int64(1), path.MustParse("T/a00207z").AppendBinary(nil), "IC", []byte{}},
+		"empty label in loc": {int64(1), []byte("T\x00a00207z\x00\x00"), "I", []byte{}},
+	} {
+		b := newBackend(t)
+		var recs []provstore.Record
+		for i := 0; i < 400; i++ {
+			r := rec(1, provstore.OpInsert, fmt.Sprintf("T/a%05d", i), "")
+			if i%2 == 1 {
+				r = rec(1, provstore.OpCopy, r.Loc.String(), fmt.Sprintf("S/x/b%05d", i))
+			}
+			recs = append(recs, r)
+		}
+		if err := b.Append(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := b.DB().Table(relprov.TableName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		// Windows of 16 and 64 rows, then 256 from row 80: the corrupt row,
+		// sorting after T/a00207, is row 208, the 128th of that window.
+		const before = 208
+		for _, spec := range []provstore.ScanSpec{provstore.All(), provstore.ByTid(1), provstore.ByPrefix(path.MustParse("T"))} {
+			var got []provstore.Record
+			var serr error
+			for r, err := range b.Scan(ctx, spec) {
+				if err != nil {
+					serr = err
+					break
+				}
+				got = append(got, r)
+			}
+			if serr == nil || len(got) != before {
+				t.Errorf("%s: %v yielded %d records, then %v; want %d, then an error", name, spec, len(got), serr, before)
+				continue
+			}
+			for i, r := range got {
+				if !r.Loc.Equal(recs[i].Loc) || !r.Src.Equal(recs[i].Src) || r.Op != recs[i].Op || r.Tid != recs[i].Tid {
+					t.Errorf("%s: %v: record %d is %v, want %v", name, spec, i, r, recs[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// TestRelWindowAliasing: the records of a window share label slabs, one per
+// eight rows, each path a capped stretch of one. Deriving paths from them — Child, Join and
+// Rebase of a record's Loc, of its parent, and of what those return —
+// changes no record of the window. Four goroutines at once scan, look up and
+// derive over a 2 000-record store, sharing the store's idle window
+// buffers, decoders, iterators and key buffers (run it under -race).
+func TestRelWindowAliasing(t *testing.T) {
+	ctx := context.Background()
+	b := newBackend(t)
+	for tid := int64(1); tid <= 100; tid++ {
+		recs := make([]provstore.Record, 0, 20)
+		for i := 0; i < 20; i++ {
+			loc := fmt.Sprintf("T/e%03d/n%02d", tid, i)
+			if i%2 == 1 {
+				recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/x/n%02d", i)))
+			} else {
+				recs = append(recs, rec(tid, provstore.OpInsert, loc, ""))
+			}
+		}
+		if err := b.Append(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(r provstore.Record) string { return fmt.Sprint(r.Tid, r.Op, r.Loc, r.Src) }
+	var want []string
+	for r, err := range b.Scan(ctx, provstore.All()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, key(r))
+	}
+	if len(want) != 2000 {
+		t.Fatalf("scan: %d records", len(want))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, spec := range []provstore.ScanSpec{provstore.All(), provstore.ByPrefix(path.MustParse("T"))} {
+				recs, err := provstore.CollectScan(b.Scan(ctx, spec))
+				if err != nil || len(recs) != len(want) {
+					t.Errorf("%v: %d records, %v", spec, len(recs), err)
+					return
+				}
+				for _, r := range recs {
+					parent := r.Loc.MustParent()
+					derived := []path.Path{
+						r.Loc.Child("x"), parent.Child("y").Child("z"),
+						r.Loc.Join(r.Src), parent.Join(path.MustParse("j/k")),
+					}
+					if rb, err := r.Loc.Rebase(parent, path.MustParse("R")); err != nil || rb.String() != "R/"+r.Loc.Base() {
+						t.Errorf("Rebase of %q = %q, %v", r.Loc, rb, err)
+						return
+					}
+					for _, d := range derived {
+						_ = d.Child("w").Join(d)
+					}
+					if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || key(got) != key(r) {
+						t.Errorf("Lookup(%d, %q) = %v, %v, %v", r.Tid, r.Loc, got, ok, err)
+						return
+					}
+				}
+				if spec.Kind != provstore.KindAll {
+					continue
+				}
+				for i, r := range recs {
+					if key(r) != want[i] {
+						t.Errorf("record %d is %q after the derivations, want %q", i, key(r), want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -22,6 +22,37 @@ type BTree struct {
 	bp   *BufferPool
 	root PageID
 	w    leafWriter // the writer's scratch space; mu held for writing
+	// Iterators ScanFrom is done with, and the readers of point reads, kept
+	// with their buffers: a read then allocates nothing of its own.
+	iters   idle[*Iter]
+	readers idle[*runReader]
+}
+
+// An idle list keeps values a read is done with — iterators, readers,
+// buffers — for the next read: as many as reads ran at once, up to
+// idleMax. A sync.Pool would keep what the collector last left it.
+type idle[T any] chan T
+
+// idleMax bounds an idle list: more than the reads a tree serves at once on
+// a few cores, few enough that a burst leaves little behind (an iterator
+// keeps a run of at most a page and a key).
+const idleMax = 8
+
+// get takes an idle value, or the zero T if there is none.
+func (l idle[T]) get() (v T) {
+	select {
+	case v = <-l:
+	default:
+	}
+	return v
+}
+
+// put keeps v if fewer than idleMax values are idle.
+func (l idle[T]) put(v T) {
+	select {
+	case l <- v:
+	default:
+	}
 }
 
 // Errors returned by B+tree operations.
@@ -38,12 +69,12 @@ func NewBTree(bp *BufferPool) (*BTree, error) {
 		return nil, err
 	}
 	bp.Unpin(root.ID, true)
-	return &BTree{bp: bp, root: root.ID}, nil
+	return OpenBTree(bp, root.ID), nil
 }
 
 // OpenBTree attaches to an existing tree by root page id.
 func OpenBTree(bp *BufferPool, root PageID) *BTree {
-	return &BTree{bp: bp, root: root}
+	return &BTree{bp: bp, root: root, iters: make(idle[*Iter], idleMax), readers: make(idle[*runReader], idleMax)}
 }
 
 // Root returns the current root page id (it changes when the root splits;
@@ -295,10 +326,13 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 		return false, err
 	}
 	defer t.bp.Unpin(leafID, false)
-	r := findReaders.Get().(*runReader)
+	r := t.readers.get()
+	if r == nil {
+		r = new(runReader)
+	}
 	defer func() {
 		r.reset(nil) // keeps the key buffer, lets go of the page
-		findReaders.Put(r)
+		t.readers.put(r)
 	}()
 	_, _, exact, err := leafSearch(pg, key, r)
 	if err != nil || !exact || visit == nil {
@@ -307,10 +341,6 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 	visit(r.val)
 	return true, nil
 }
-
-// findReaders lends point reads the buffer a run's keys are decoded into:
-// they hold only the tree's read lock, so the buffer cannot be the tree's.
-var findReaders = sync.Pool{New: func() any { return new(runReader) }}
 
 // Last returns a copy of the largest key, ok=false on an empty tree. It is
 // a rightmost descent — O(height) pages — whenever the rightmost leaf holds
@@ -833,28 +863,36 @@ type Iter struct {
 // Seek positions the iterator at the first entry with key ≥ start.
 func (t *BTree) Seek(start []byte) *Iter {
 	it := &Iter{t: t}
+	it.seek(start)
+	return it
+}
+
+// seek positions it, whatever it held, at the first entry with key ≥ start,
+// keeping its buffers.
+func (it *Iter) seek(start []byte) {
+	t := it.t
+	it.slot, it.valid, it.err = 0, false, nil
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if it.leaf, it.err = t.descend(start, nil); it.err != nil {
-		return it
+		return
 	}
 	pg, err := t.bp.Fetch(it.leaf)
 	if err != nil {
 		it.err = err
-		return it
+		return
 	}
 	var at int
 	it.slot, at, _, it.err = leafSearch(pg, start, &it.rd)
 	t.bp.Unpin(it.leaf, false)
 	if it.err != nil {
-		return it
+		return
 	}
 	// Walk the copy up to where the search ended on the page.
 	for it.loadRun(); it.valid && at > 0; at-- {
 		it.valid, it.err = it.rd.next()
 	}
 	it.step()
-	return it
 }
 
 // First positions the iterator at the smallest key.
@@ -932,7 +970,12 @@ func (it *Iter) Next() {
 // false. The walk ends on the first key outside the prefix, so the entry
 // that ends it is never handed to fn.
 func (t *BTree) ScanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
-	it := t.Seek(from)
+	it := t.iters.get()
+	if it == nil {
+		it = &Iter{t: t}
+	}
+	defer t.iters.put(it)
+	it.seek(from)
 	for ; it.Valid(); it.Next() {
 		if !bytes.HasPrefix(it.Key(), prefix) {
 			break

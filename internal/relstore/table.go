@@ -61,6 +61,8 @@ type Table struct {
 	indexes []indexPlan // parallel to meta.Schema.Indexes
 
 	decoded atomic.Int64 // rows decoded since open; see RowsDecoded
+	// Buffers ScanIndexEncodedFrom rebuilt primary keys in.
+	pks idle[[]byte]
 }
 
 // An indexPlan is the layout of one secondary index's keys.
@@ -80,7 +82,7 @@ var (
 )
 
 func newTable(db *DB, meta tableMeta) (*Table, error) {
-	t := &Table{db: db, meta: meta}
+	t := &Table{db: db, meta: meta, pks: make(idle[[]byte], idleMax)}
 	if err := t.buildPlan(); err != nil {
 		return nil, err
 	}
@@ -493,10 +495,11 @@ func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(
 	plan := t.indexes[ixi]
 	var (
 		derr    error
-		pk      []byte // rebuilt in place from entry to entry
-		offsBuf [8]int // on this stack for any index of up to seven fields
+		pk      = t.pks.get() // rebuilt in place from entry to entry
+		offsBuf [8]int        // on this stack for any index of up to seven fields
 		offs    = offsBuf[:]
 	)
+	defer func() { t.pks.put(pk) }()
 	if n := len(plan.cols) + 1; n > len(offs) {
 		offs = make([]int, n)
 	}
