@@ -4,15 +4,18 @@
 // and Loc are natural candidates for indexing") and a secondary index on Loc
 // for location-oriented queries.
 //
-// A record is stored once: its primary-tree entry is the key (tid, loc) and
-// the value (op, src), and its by_loc entry the key (loc, tid) with no
-// value. One entry is at most relstore.MaxEntrySize (1014) bytes, which
-// bounds a record: with n the labels of Loc, l their total length and s the
-// same sum l+n over Src, it is stored if l + 2n + s ≤ 996 — a Loc of 994
-// bytes under one label, or of 83 ten-byte labels, with an empty Src; about
-// three times what fitted while by_loc held Loc three times over. A record
-// over the bound rejects its whole Append with a
-// *provstore.RecordTooLargeError before anything is stored.
+// A record is stored in two entries of the same bytes: its primary-tree
+// entry is the key (tid, loc) and the value (op, src), and its by_loc entry
+// the key (loc, tid) and the same value, so a read by location never
+// descends the primary tree. A tid's key field is one header byte and the
+// tid's significant bytes: t = 3 bytes for a tid from 256 to 65 535, at most
+// 9. One entry is at most relstore.MaxEntrySize (1014) bytes, which bounds a
+// record: with n the labels of Loc, l their total length and s the same sum
+// l+n over Src, it is stored if l + 2n + s ≤ 1004 − t — 1001 at a tid of a
+// few thousand, 995 for any tid; a Loc of 993 bytes under one label, or of
+// 83 ten-byte labels, with an empty Src. A record over the bound rejects
+// its whole Append with a *provstore.RecordTooLargeError before anything is
+// stored.
 //
 // A read decodes the rows of one lock window — up to 256 — eight at a time:
 // the paths of eight rows are substrings of one string and their labels
@@ -202,8 +205,10 @@ func toRow(r provstore.Record) relstore.Row {
 }
 
 // primaryKey appends to buf the primary key of the record (tid, loc), as
-// relstore lays Schema out: tid (8 bytes), then loc's binary encoding in the
-// key codec's escaped, terminated form.
+// relstore lays Schema out: tid in the key codec's int form (a header byte
+// and its significant bytes), then loc's binary encoding in the key codec's
+// escaped, terminated form. A by_loc key is the same two fields the other
+// way round.
 func primaryKey(buf []byte, tid int64, loc path.Path) []byte {
 	var enc [128]byte
 	return relstore.AppendKeyBytes(relstore.AppendKeyInt(buf, tid), loc.AppendBinary(enc[:0]))
@@ -242,18 +247,30 @@ type rawRow struct {
 	labels   int
 }
 
-// add takes the stored row key→val — its primary-tree entry: the key is tid
-// then loc, the value op and then src behind a uvarint length — keeping none
-// of either. A key or value that is not one is an error.
-func (d *decoder) add(key, val []byte) error {
-	tid, rest, err := relstore.DecodeKeyInt(key)
-	if err != nil {
-		return errors.New("relprov: bad tid in key")
+// add takes the stored row key→val — its primary-tree entry, whose key is
+// tid then loc, or with byLoc its by_loc entry, whose key is loc then tid;
+// either value is op and then src behind a uvarint length — keeping none of
+// either. A key or value that is not one is an error.
+func (d *decoder) add(key, val []byte, byLoc bool) error {
+	var (
+		tid int64
+		err error
+	)
+	rest := key
+	if !byLoc {
+		if tid, rest, err = relstore.DecodeKeyInt(rest); err != nil {
+			return errors.New("relprov: bad tid in key")
+		}
 	}
 	from := len(d.raw)
 	raw, rest, err := relstore.DecodeKeyBytes(d.raw, rest)
 	if err != nil {
 		return fmt.Errorf("relprov: bad loc in key: %w", err)
+	}
+	if byLoc {
+		if tid, rest, err = relstore.DecodeKeyInt(rest); err != nil {
+			return errors.New("relprov: bad tid in key")
+		}
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("relprov: %d trailing bytes after key", len(rest))
@@ -389,7 +406,7 @@ func (b *Backend) lookupLocked(tid int64, loc path.Path) (provstore.Record, bool
 	d := b.getDecoder()
 	defer b.putDecoder(d)
 	var derr error
-	found, err := b.tbl.View(pk, func(val []byte) { derr = d.add(pk, val) })
+	found, err := b.tbl.View(pk, func(val []byte) { derr = d.add(pk, val, false) })
 	if err == nil {
 		err = derr
 	}
@@ -447,19 +464,19 @@ func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want in
 	d := b.getDecoder()
 	defer b.putDecoder(d)
 	var derr error
-	row := func(pk, val []byte) bool {
-		if derr = d.add(pk, val); derr != nil {
+	row := func(key, val []byte) bool {
+		if derr = d.add(key, val, byLoc); derr != nil {
 			return false
 		}
 		return len(d.rows) < want
 	}
 	// Either walk hands over, in key order and as stored, the rows whose key
 	// in that tree is ≥ from and begins with prefix; the first key outside the
-	// prefix ends it, its row not fetched.
+	// prefix ends it, its row not decoded. A by_loc entry carries its row.
 	var err error
 	b.mu.RLock()
 	if byLoc {
-		err = b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, func(_, pk, val []byte) bool { return row(pk, val) })
+		err = b.tbl.ScanIndexEncodedFrom("by_loc", from, prefix, row)
 	} else {
 		err = b.tbl.ScanEncodedFrom(from, prefix, row)
 	}

@@ -118,6 +118,7 @@ func TestRelProvCorruptRows(t *testing.T) {
 		if err := tbl.Insert(row); err != nil {
 			t.Fatal(err)
 		}
+		checkCovering(t, tbl)
 		loc, _, _ := path.DecodeBinary(row[1].([]byte)) // the root when loc is the corrupt column
 		for _, spec := range []provstore.ScanSpec{provstore.All(), provstore.ByTid(1), provstore.ByPrefix(path.Root)} {
 			n := 0

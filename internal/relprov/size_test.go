@@ -99,15 +99,21 @@ func TestRelProvOversizedRecordStoresNothing(t *testing.T) {
 			t.Errorf("durable=%v: %d batches rejected, %d stored; the table must reach both", durable, rejected, stored)
 		}
 
-		// The documented bound, l + 2n + s ≤ 996, at its worst case (every
-		// length prefix two bytes): met it is stored, one byte over refused.
+		// The documented bound, l + 2n + s ≤ 1004 − t, at its worst case
+		// (every length prefix two bytes): met it is stored, one byte over
+		// refused — at a tid of t = 3 key bytes and at one of 9, the most.
 		src := "S/" + strings.Repeat("y", 200) // s = 201 + 2
-		tid++
-		if err := b.Append(ctx, []provstore.Record{rec(tid, provstore.OpCopy, "T/"+strings.Repeat("x", 789), src)}); err == nil {
-			t.Error("a record one byte over the documented bound was stored")
-		}
-		if err := b.Append(ctx, []provstore.Record{rec(tid, provstore.OpCopy, "T/"+strings.Repeat("x", 788), src)}); err != nil {
-			t.Errorf("a record at the documented bound: %v", err)
+		for _, c := range []struct {
+			tid    int64
+			tBytes int
+		}{{2006, 3}, {1 << 60, 9}} {
+			x := 1004 - c.tBytes - 203 - 5 // the label that meets it: l + 2n = x + 1 + 2·2
+			if err := b.Append(ctx, []provstore.Record{rec(c.tid, provstore.OpCopy, "T/"+strings.Repeat("x", x+1), src)}); err == nil {
+				t.Errorf("tid %d: a record one byte over the documented bound was stored", c.tid)
+			}
+			if err := b.Append(ctx, []provstore.Record{rec(c.tid, provstore.OpCopy, "T/"+strings.Repeat("x", x), src)}); err != nil {
+				t.Errorf("tid %d: a record at the documented bound: %v", c.tid, err)
+			}
 		}
 	}
 }

@@ -465,28 +465,12 @@ func innerChild(pg *Page, key []byte) (PageID, error) {
 // below key (which then sorts before the next run's first key). An empty
 // leaf answers 0, 0.
 func leafSearch(pg *Page, key []byte, r *runReader) (slot, at int, exact bool, err error) {
-	// Runs whose first key is ≤ key: the last of them is key's.
-	lo, hi := 0, pg.NumSlots()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		cell, err := pg.Cell(mid)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		first, err := runFirstKey(cell)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		if bytes.Compare(first, key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	if pg.NumSlots() == 0 {
 		return 0, 0, false, nil
 	}
-	slot = max(lo-1, 0)
+	if slot, err = runOf(pg, key); err != nil {
+		return 0, 0, false, err
+	}
 	cell, err := pg.Cell(slot)
 	if err != nil {
 		return 0, 0, false, err
@@ -501,6 +485,30 @@ func leafSearch(pg *Page, key []byte, r *runReader) (slot, at int, exact bool, e
 			return slot, r.n - 1, c == 0, nil
 		}
 	}
+}
+
+// runOf returns the slot of the run key falls in, in a leaf: the last run
+// whose first key is ≤ key, or the first run if there is none (0 for an
+// empty leaf). Every key of the runs after it sorts after key.
+func runOf(pg *Page, key []byte) (int, error) {
+	lo, hi := 0, pg.NumSlots() // count of runs whose first key is ≤ key
+	for lo < hi {
+		mid := (lo + hi) / 2
+		cell, err := pg.Cell(mid)
+		if err != nil {
+			return 0, err
+		}
+		first, err := runFirstKey(cell)
+		if err != nil {
+			return 0, err
+		}
+		if bytes.Compare(first, key) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return max(lo-1, 0), nil
 }
 
 // --- mutation ------------------------------------------------------------
@@ -868,7 +876,8 @@ func (t *BTree) Seek(start []byte) *Iter {
 }
 
 // seek positions it, whatever it held, at the first entry with key ≥ start,
-// keeping its buffers.
+// keeping its buffers. The run start falls in is chosen by the first keys
+// on the pinned leaf and copied off it once; only the copy is walked.
 func (it *Iter) seek(start []byte) {
 	t := it.t
 	it.slot, it.valid, it.err = 0, false, nil
@@ -882,17 +891,20 @@ func (it *Iter) seek(start []byte) {
 		it.err = err
 		return
 	}
-	var at int
-	it.slot, at, _, it.err = leafSearch(pg, start, &it.rd)
+	if it.slot, it.err = runOf(pg, start); it.err == nil {
+		it.copyRun(pg)
+	}
 	t.bp.Unpin(it.leaf, false)
 	if it.err != nil {
 		return
 	}
-	// Walk the copy up to where the search ended on the page.
-	for it.loadRun(); it.valid && at > 0; at-- {
-		it.valid, it.err = it.rd.next()
+	if !it.valid { // an empty leaf: on along the chain
+		it.loadRun()
 	}
-	it.step()
+	// The runs after this one begin above start, so the walk ends in this
+	// run or on the first entry after it.
+	for it.step(); it.Valid() && bytes.Compare(it.rd.key, start) < 0; it.step() {
+	}
 }
 
 // First positions the iterator at the smallest key.
@@ -909,12 +921,8 @@ func (it *Iter) loadRun() {
 			it.err = err
 			return
 		}
-		if it.slot < pg.NumSlots() {
-			cell, err := pg.Cell(it.slot)
-			it.run = append(it.run[:0], cell...)
+		if it.copyRun(pg) {
 			it.t.bp.Unpin(it.leaf, false)
-			it.rd.reset(it.run)
-			it.valid, it.err = err == nil, err
 			return
 		}
 		next := pg.Next()
@@ -924,6 +932,19 @@ func (it *Iter) loadRun() {
 		}
 		it.leaf, it.slot = next, 0
 	}
+}
+
+// copyRun copies the run at it.slot off pg, the pinned leaf it.leaf, and
+// starts it.rd over the copy; false if the leaf has no run there.
+func (it *Iter) copyRun(pg *Page) bool {
+	if it.slot >= pg.NumSlots() {
+		return false
+	}
+	cell, err := pg.Cell(it.slot)
+	it.run = append(it.run[:0], cell...)
+	it.rd.reset(it.run)
+	it.valid, it.err = err == nil, err
+	return true
 }
 
 // step moves to the next entry of the loaded run, or of the runs after it.

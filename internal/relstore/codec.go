@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -28,27 +29,82 @@ type Row []Value
 //
 // Keys must compare correctly under bytes.Compare:
 //
-//	int64  → 8 bytes big-endian with the sign bit flipped
+//	int64  → a header byte, then the value's significant bytes big-endian:
+//	         0x80+n and n bytes for v ≥ 0 (0 is 0x80 alone), 0x7f−n and
+//	         the n low bytes of v for v < 0 (−1 is 0x7f alone), n the
+//	         fewest bytes that hold v — at most 8, so a field is 1 to 9
+//	         bytes. A longer value has a header further from 0x80 on its
+//	         side, so the headers order the lengths and the bytes order
+//	         the values of one length; only the minimal form decodes.
 //	string/[]byte → 0x00 escaped as 0x01 0x02, 0x01 as 0x01 0x03, then a
 //	               0x00 terminator (so shorter strings sort first)
 
+// intKeyBytes returns the number of significant bytes of v in the key
+// encoding: those of v for v ≥ 0, those of ^v (the bytes that are not all
+// ones in v) for v < 0.
+func intKeyBytes(v int64) int {
+	u := uint64(v)
+	if v < 0 {
+		u = ^u
+	}
+	return (bits.Len64(u) + 7) / 8
+}
+
 // AppendKeyInt appends the order-preserving encoding of an int64.
 func AppendKeyInt(buf []byte, v int64) []byte {
-	u := uint64(v) ^ (1 << 63)
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], u)
-	return append(buf, b[:]...)
+	n := intKeyBytes(v)
+	h := byte(0x80 + n)
+	if v < 0 {
+		h = byte(0x7f - n)
+	}
+	buf = append(buf, h)
+	for i := n - 1; i >= 0; i-- {
+		buf = append(buf, byte(uint64(v)>>(8*i)))
+	}
+	return buf
 }
 
 // DecodeKeyInt decodes an int64 from the front of buf, returning the value
-// and remaining bytes.
+// and remaining bytes. It accepts the minimal encoding of a value only, so
+// every int has one encoding and a key one decoding.
 func DecodeKeyInt(buf []byte) (int64, []byte, error) {
-	if len(buf) < 8 {
-		return 0, nil, errors.New("relstore: short int key")
+	if len(buf) == 0 {
+		return 0, nil, errShortInt
 	}
-	u := binary.BigEndian.Uint64(buf) ^ (1 << 63)
-	return int64(u), buf[8:], nil
+	h := int(buf[0])
+	n, neg := h-0x80, h < 0x80
+	if neg {
+		n = 0x7f - h
+	}
+	if n > 8 {
+		return 0, nil, errIntForm
+	}
+	if len(buf) <= n {
+		return 0, nil, errShortInt
+	}
+	var u uint64
+	if len(buf) > 8 { // one load; a shift of 64 leaves 0
+		u = binary.BigEndian.Uint64(buf[1:]) >> (64 - 8*n)
+	} else {
+		for _, c := range buf[1 : 1+n] {
+			u = u<<8 | uint64(c)
+		}
+	}
+	if neg && n < 8 {
+		u |= ^uint64(0) << (8 * n) // the bytes above the n stored are all ones
+	}
+	// Minimal: the value has the header's sign and needs all n bytes.
+	if v := int64(u); v < 0 != neg || intKeyBytes(v) != n {
+		return 0, nil, errIntForm
+	}
+	return int64(u), buf[1+n:], nil
 }
+
+// What an int key field that is not one can get wrong.
+var (
+	errShortInt = errors.New("relstore: short int key")
+	errIntForm  = errors.New("relstore: malformed int key")
+)
 
 // AppendKeyBytes appends the order-preserving escaped encoding of a byte
 // string.
@@ -105,27 +161,6 @@ func appendKeyValue(buf []byte, t ColType, v Value) ([]byte, error) {
 		return AppendKeyBytes(buf, bv), nil
 	default:
 		return nil, fmt.Errorf("relstore: unknown column type %c", t)
-	}
-}
-
-// keyFieldLen returns the length of the encoded field of type t at the front
-// of key: 8 bytes for an int, up to and including the first 0x00 (escaping
-// leaves the terminator the only one) for a string or bytes.
-func keyFieldLen(t ColType, key []byte) (int, error) {
-	switch t {
-	case TInt:
-		if len(key) < 8 {
-			return 0, errors.New("relstore: short int key")
-		}
-		return 8, nil
-	case TStr, TBytes:
-		i := bytes.IndexByte(key, 0x00)
-		if i < 0 {
-			return 0, errors.New("relstore: unterminated key field")
-		}
-		return i + 1, nil
-	default:
-		return 0, fmt.Errorf("relstore: unknown column type %c", t)
 	}
 }
 
@@ -190,7 +225,8 @@ func keyValueLen(v Value) int {
 	case []byte:
 		n = len(v) + bytes.Count(v, []byte{0x00}) + bytes.Count(v, []byte{0x01})
 	default:
-		return 8
+		iv, _ := asInt(v)
+		return 1 + intKeyBytes(iv)
 	}
 	return n + 1
 }

@@ -2,7 +2,9 @@ package relstore
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -97,25 +99,32 @@ func FuzzLeafRun(f *testing.F) {
 }
 
 // FuzzDecodeKey: DecodeKey undoes EncodeKey, a key cut short anywhere is an
-// error, and arbitrary bytes either are a key — then exactly the one their
-// values encode to, field lengths and all — or an error, never a panic.
+// error, keyValueLen measures what EncodeKey writes, and two ints' encodings
+// compare as the ints do. Arbitrary bytes either are a key — then exactly
+// the one their values encode to: only the minimal form of an int decodes —
+// or an error, never a panic.
 func FuzzDecodeKey(f *testing.F) {
-	// The inputs TestKeyCodecRoundTrip's generator reaches by chance, by hand.
+	// The inputs TestKeyCodecRoundTrip's generator reaches by chance, by hand,
+	// and the ends of the int range.
 	for _, seed := range []struct {
-		v int64
-		s string
+		v, w int64
+		s    string
 	}{
-		{0, ""}, {-1, "T/c1/x"}, {1 << 62, "a\x00b"}, {-1 << 63, "\x01\x00\x01"}, {2006, "\x00"}, {7, "\x01\x02\x03"},
+		{0, -1, ""}, {-1, 0, "T/c1/x"}, {1 << 62, 255, "a\x00b"}, {math.MinInt64, -256, "\x01\x00\x01"}, {2006, 2005, "\x00"}, {7, 256, "\x01\x02\x03"},
+		{math.MaxInt64, math.MinInt64, "z"},
 	} {
 		key, _ := EncodeKey([]ColType{TInt, TBytes, TStr}, []Value{seed.v, []byte(seed.s), seed.s})
-		f.Add(seed.v, seed.s, key)
+		f.Add(seed.v, seed.w, seed.s, key)
 	}
-	f.Add(int64(0), "", []byte{0x80, 0, 0, 0, 0, 0, 0, 1, 'a'})        // unterminated
-	f.Add(int64(0), "", []byte{0x80, 0, 0, 0, 0, 0, 0, 1, 1, 4, 0, 0}) // bad escape
-	f.Add(int64(0), "", []byte{0x80, 0, 0})                            // short int
+	f.Add(int64(0), int64(1), "", []byte{0x80, 'a'})                         // unterminated
+	f.Add(int64(0), int64(1), "", []byte{0x80, 1, 4, 0, 0})                  // bad escape
+	f.Add(int64(0), int64(1), "", []byte{0x82, 0x07})                        // short int
+	f.Add(int64(5), int64(1), "", []byte{0x82, 0x00, 0x05, 0, 0})            // 5, not minimal
+	f.Add(int64(-2), int64(1), "", []byte{0x7e, 0xff, 0, 0})                 // -1, not minimal
+	f.Add(int64(0), int64(1), "", append([]byte{0x89}, make([]byte, 11)...)) // over-long header
 
 	types := []ColType{TInt, TBytes, TStr}
-	f.Fuzz(func(t *testing.T, v int64, s string, raw []byte) {
+	f.Fuzz(func(t *testing.T, v, w int64, s string, raw []byte) {
 		if len(s) > 512 {
 			s = s[:512] // every cut of the key is tried below
 		}
@@ -139,7 +148,16 @@ func FuzzDecodeKey(f *testing.F) {
 		if vals, err := DecodeKey(types, append(bytes.Clone(key), 0)); err == nil {
 			t.Fatalf("key %x with a trailing byte decodes as %v", key, vals)
 		}
+		kv, kw := AppendKeyInt(nil, v), AppendKeyInt(nil, w)
+		if c := bytes.Compare(kv, kw); c != cmp.Compare(v, w) {
+			t.Fatalf("%d encodes as %x and %d as %x, which compare %d", v, kv, w, kw, c)
+		}
 
+		if x, rest, err := DecodeKeyInt(raw); err == nil {
+			if again := AppendKeyInt(nil, x); !bytes.Equal(again, raw[:len(raw)-len(rest)]) {
+				t.Fatalf("%x decodes as %d, which encodes as %x", raw[:len(raw)-len(rest)], x, again)
+			}
+		}
 		vals, err := DecodeKey(types, raw)
 		if err != nil {
 			return
@@ -147,17 +165,6 @@ func FuzzDecodeKey(f *testing.F) {
 		again, err := EncodeKey(types, vals)
 		if err != nil || !bytes.Equal(again, raw) {
 			t.Fatalf("%x decodes as %v, which encodes as %x, %v", raw, vals, again, err)
-		}
-		off := 0
-		for _, typ := range types {
-			n, err := keyFieldLen(typ, raw[off:])
-			if err != nil {
-				t.Fatalf("%x is a key, but its field at %d has no length: %v", raw, off, err)
-			}
-			off += n
-		}
-		if off != len(raw) {
-			t.Fatalf("the fields of %x end at %d", raw, off)
 		}
 	})
 }

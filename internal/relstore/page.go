@@ -6,11 +6,13 @@
 // files, B+tree indexes, and typed tables with primary and secondary
 // indexes. It is deliberately conventional: the paper's results depend on
 // row counts, physical bytes and round-trip counts, all of which this
-// engine reproduces faithfully. The physical bytes of a row are its columns,
-// each stored once: the key columns as the primary tree's key, the others as
-// its value, and per secondary index one key — the index columns, then the
-// key columns not among them — with no value; leaves hold keys front-coded
-// in runs of up to 16 (btree.go), so consecutive keys cost their difference.
+// engine reproduces faithfully. The physical bytes of a row are its columns:
+// the key columns as the primary tree's key, the others as its value, and
+// per secondary index one key — the index columns, then the key columns not
+// among them — carrying the same value, so an index covers every read
+// through it; an int key field is as long as its value's significant bytes
+// (codec.go), and leaves hold keys front-coded in runs of up to 16
+// (btree.go), so consecutive keys cost their difference.
 package relstore
 
 import (

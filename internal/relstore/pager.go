@@ -13,10 +13,11 @@ import (
 const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 
 // formatVersion is the on-disk format this build writes and the only one it
-// reads: front-coded leaf runs, every column of a row stored once. It sits
-// in the store header, in bytes that were reserved — and zero — before it
-// existed, so a store that predates it reads as version 0.
-const formatVersion uint32 = 2
+// reads: front-coded leaf runs, int key fields as long as their significant
+// bytes, and index entries that carry their row's value. It sits in the
+// store header, in bytes that were reserved — and zero — before it existed,
+// so a store that predates it reads as version 0.
+const formatVersion uint32 = 3
 
 // A Pager reads and writes fixed-size pages of a store file. Page 0 holds
 // the store header: magic, page count, four reserved bytes (zero), the

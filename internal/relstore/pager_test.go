@@ -140,20 +140,22 @@ func TestPagerFileSize(t *testing.T) {
 	}
 }
 
-// TestFormatVersionRefusesParent: a store written before the format version
-// existed — page 0 and a committed log, byte for byte as that code wrote them
-// — is refused with ErrFormatVersion by recovery and by open, with neither
-// file touched; a store this build writes carries its version through
-// Close/Open and, in every logged header, through recovery.
+// TestFormatVersionRefusesParent: a store the previous format wrote —
+// version 2: int key fields of eight bytes, index entries with no value —
+// page 0 and a committed log, byte for byte as that code wrote them, is
+// refused with ErrFormatVersion by recovery and by open, with neither file
+// touched; a store this build writes carries its version through Close/Open
+// and, in every logged header, through recovery.
 func TestFormatVersionRefusesParent(t *testing.T) {
 	dir := t.TempDir()
 	store, log := filepath.Join(dir, "parent.db"), filepath.Join(dir, "parent.db.wal")
-	// The parent's Pager.header(): four big-endian words, the rest of page 0
+	// The parent's Pager.header(): five big-endian words, the rest of page 0
 	// zero; then its one page, the catalog heap.
 	hdr := binary.BigEndian.AppendUint32(nil, 0xC9DB2006)
 	hdr = binary.BigEndian.AppendUint32(hdr, 2) // pages
-	hdr = binary.BigEndian.AppendUint32(hdr, 0) // free list
+	hdr = binary.BigEndian.AppendUint32(hdr, 0) // reserved
 	hdr = binary.BigEndian.AppendUint32(hdr, 1) // catalog
+	hdr = binary.BigEndian.AppendUint32(hdr, 2) // format version
 	cat := NewPage(1, KindHeap)
 	cat.InsertCell([]byte(`{"schema":{"name":"prov"}}`))
 	cat.seal()

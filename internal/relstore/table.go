@@ -40,12 +40,13 @@ type tableMeta struct {
 }
 
 // A Table is a typed relation stored index-organized in a primary B+tree,
-// with optional secondary B+trees, and every column of a row stored once:
-// the primary key is the encoded primary-key columns and its value the
-// encoded other columns; a secondary key is the encoded index columns
-// followed by the primary-key columns not among them (which makes every
-// entry unique), and its value is empty — the primary key is that key's
-// fields in another order.
+// with optional covering secondary B+trees: the primary key is the encoded
+// primary-key columns and its value the encoded other columns; a secondary
+// key is the encoded index columns followed by the primary-key columns not
+// among them (which makes every entry unique), and its value is the primary
+// value, byte for byte. An index entry thus holds the whole row — the
+// primary key is its key's fields in another order — and a read through an
+// index never descends the primary tree.
 type Table struct {
 	db      *DB
 	meta    tableMeta
@@ -61,15 +62,12 @@ type Table struct {
 	indexes []indexPlan // parallel to meta.Schema.Indexes
 
 	decoded atomic.Int64 // rows decoded since open; see RowsDecoded
-	// Buffers ScanIndexEncodedFrom rebuilt primary keys in.
-	pks idle[[]byte]
 }
 
 // An indexPlan is the layout of one secondary index's keys.
 type indexPlan struct {
-	cols    []int     // the column of each field: the index columns, then the primary-key columns not among them
-	types   []ColType // parallel to cols
-	pkField []int     // for each primary-key column, the field that holds it
+	cols  []int     // the column of each field: the index columns, then the primary-key columns not among them
+	types []ColType // parallel to cols
 }
 
 // Errors returned by table operations.
@@ -82,7 +80,7 @@ var (
 )
 
 func newTable(db *DB, meta tableMeta) (*Table, error) {
-	t := &Table{db: db, meta: meta, pks: make(idle[[]byte], idleMax)}
+	t := &Table{db: db, meta: meta}
 	if err := t.buildPlan(); err != nil {
 		return nil, err
 	}
@@ -144,12 +142,9 @@ func (t *Table) buildPlan() error {
 			return err
 		}
 		for i, j := range t.keyIdx {
-			f := slices.Index(plan.cols, j)
-			if f < 0 {
-				f = len(plan.cols)
+			if !slices.Contains(plan.cols, j) {
 				plan.cols, plan.types = append(plan.cols, j), append(plan.types, t.keyType[i])
 			}
-			plan.pkField = append(plan.pkField, f)
 		}
 		t.indexes = append(t.indexes, plan)
 	}
@@ -197,7 +192,7 @@ func (t *Table) encodeRow(row Row) (pk, val []byte, err error) {
 		for _, j := range plan.cols {
 			n += keyValueLen(row[j])
 		}
-		size = max(size, EntrySize(n, 0))
+		size = max(size, EntrySize(n, len(val)))
 	}
 	if size > MaxEntrySize {
 		return nil, nil, fmt.Errorf("%w: a row of %d bytes in one tree, of at most %d", ErrKeyTooBig, size, MaxEntrySize)
@@ -221,28 +216,6 @@ func (t *Table) indexKey(plan indexPlan, row Row) []byte {
 		buf, _ = appendKeyValue(buf, plan.types[f], row[j])
 	}
 	return buf
-}
-
-// primaryKey rebuilds in buf the primary key an index key carries, by
-// slicing the index key into its fields; offs is scratch for len(plan.cols)+1
-// offsets.
-func (t *Table) primaryKey(plan indexPlan, ikey, buf []byte, offs []int) ([]byte, error) {
-	offs[0] = 0
-	for f, typ := range plan.types {
-		n, err := keyFieldLen(typ, ikey[offs[f]:])
-		if err != nil {
-			return nil, err
-		}
-		offs[f+1] = offs[f] + n
-	}
-	if offs[len(plan.types)] != len(ikey) {
-		return nil, fmt.Errorf("relstore: %d trailing bytes after index key", len(ikey)-offs[len(plan.types)])
-	}
-	buf = buf[:0]
-	for _, f := range plan.pkField {
-		buf = append(buf, ikey[offs[f]:offs[f+1]]...)
-	}
-	return buf, nil
 }
 
 // KeyPrefix encodes a partial primary key (the first len(vals) key columns)
@@ -287,10 +260,11 @@ func (t *Table) Insert(row Row) error {
 	return t.indexRow(row, pk, val)
 }
 
-// indexRow adds the index entries and the counters of a row just stored.
+// indexRow adds the index entries — each carrying the row's stored value —
+// and the counters of a row just stored.
 func (t *Table) indexRow(row Row, pk, val []byte) error {
 	for i, plan := range t.indexes {
-		if err := t.seconds[i].Put(t.indexKey(plan, row), nil); err != nil {
+		if err := t.seconds[i].Put(t.indexKey(plan, row), val); err != nil {
 			return err
 		}
 	}
@@ -482,41 +456,19 @@ func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) boo
 }
 
 // ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (from and
-// prefix as built by IndexPrefix): fn sees the encoded index key, the
-// primary key rebuilt from it, and the row's stored value, in place in its
-// primary leaf (see View). The prefix is checked on the index key alone, so
-// the entry that ends the walk — and a walk whose range is empty — costs no
-// primary-tree fetch.
-func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, pk, val []byte) bool) error {
+// prefix as built by IndexPrefix): fn sees each entry as stored — the
+// encoded index key, whose fields are the index columns and then the
+// primary-key columns not among them, and the row's stored value (see View),
+// which the entry carries. The primary tree is not read. key and val are
+// valid until fn returns; the entry that ends the walk is not handed out.
+// Every entry handed out counts in RowsDecoded.
+func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, val []byte) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
 		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
 	}
-	plan := t.indexes[ixi]
-	var (
-		derr    error
-		pk      = t.pks.get() // rebuilt in place from entry to entry
-		offsBuf [8]int        // on this stack for any index of up to seven fields
-		offs    = offsBuf[:]
-	)
-	defer func() { t.pks.put(pk) }()
-	if n := len(plan.cols) + 1; n > len(offs) {
-		offs = make([]int, n)
-	}
-	err := t.seconds[ixi].ScanFrom(from, prefix, func(key, _ []byte) bool {
-		more := false
-		if pk, derr = t.primaryKey(plan, key, pk, offs); derr != nil {
-			return false
-		}
-		found, err := t.View(pk, func(val []byte) { more = fn(key, pk, val) })
-		if err == nil && !found {
-			err = fmt.Errorf("%w: %q", ErrKeyNotFound, pk)
-		}
-		derr = err
-		return more && err == nil
+	return t.seconds[ixi].ScanFrom(from, prefix, func(key, val []byte) bool {
+		t.decoded.Add(1)
+		return fn(key, val)
 	})
-	if derr != nil {
-		return derr
-	}
-	return err
 }

@@ -207,12 +207,12 @@ func TestTableScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tids []int64
-	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, pk, _ []byte) bool {
-		tid, _, err := DecodeKeyInt(pk)
+	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(key, _ []byte) bool {
+		vals, err := DecodeKey([]ColType{TBytes, TInt}, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tids = append(tids, tid)
+		tids = append(tids, vals[1].(int64))
 		return true
 	})
 	if len(tids) != 3 {
@@ -228,7 +228,7 @@ func TestTableScans(t *testing.T) {
 	if _, err := tbl.IndexPrefix("nope"); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index: %v", err)
 	}
-	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
+	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
 		t.Errorf("unknown index scan: %v", err)
 	}
 }
@@ -301,7 +301,7 @@ func TestDBPersistence(t *testing.T) {
 	// Secondary index still works.
 	iprefix, _ := tbl2.IndexPrefix("by_loc", []byte("T/c0/x35"))
 	found := 0
-	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _, _ []byte) bool { found++; return true })
+	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _ []byte) bool { found++; return true })
 	if found != 1 {
 		t.Errorf("index after reopen found %d", found)
 	}
@@ -409,12 +409,17 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 		}
 		check("get", row)
 	}
-	// The index holds one entry per row, in (loc, tid) order, and each leads
-	// to its row: the primary key is rebuilt from the index key alone.
+	// The index holds one entry per row, in (loc, tid) order, and each holds
+	// its row: the index key's fields are the primary key's in another order,
+	// and its value is the row's stored value.
 	seen = 0
 	var last pk
-	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(_, key, val []byte) bool {
-		row, err := tbl.decodeRow(key, val)
+	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(key, val []byte) bool {
+		kv, err := DecodeKey([]ColType{TBytes, TInt}, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := tbl.decodeRow(AppendKeyBytes(AppendKeyInt(nil, kv[1].(int64)), kv[0].([]byte)), val)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,7 +465,7 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.ScanIndexEncodedFrom("by_loc", prefix, prefix, func(_, _, _ []byte) bool { rows++; return true }); err != nil {
+		if err := tbl.ScanIndexEncodedFrom("by_loc", prefix, prefix, func(_, _ []byte) bool { rows++; return true }); err != nil {
 			t.Fatal(err)
 		}
 		return rows
