@@ -410,7 +410,7 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 		if err != nil {
 			return err
 		}
-		rec, found, err := s.BackendStore().Lookup(ctx, tid, loc)
+		rec, found, err := provstore.Lookup(ctx, s.BackendStore(), tid, loc)
 		if err != nil {
 			return err
 		}

@@ -7,11 +7,14 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	cpdb "repro"
 
 	"repro/internal/path"
+	"repro/internal/provobs"
+	"repro/internal/provplan"
 	"repro/internal/provstore"
 )
 
@@ -211,6 +214,56 @@ func TestAncestorsAndBatchingScansStartNoGoroutine(t *testing.T) {
 		}
 		if n < 300 {
 			t.Fatalf("%s: %v answered %d records, too few to be mid-stream in", name, spec, n)
+		}
+	}
+}
+
+// TestTraceAsofStopsAtHorizon: a trace as of an early transaction reads the
+// records at its location's ancestors up to that transaction, not every
+// record written there since. The store holds 5 000 records: T written by
+// each of 2 000 transactions, T/hot by every second one, and one elsewhere
+// per transaction; trace T/hot/x asof 100 has 1 900 + 950 later records at
+// its ancestors. Counted in records read, not time.
+func TestTraceAsofStopsAtHorizon(t *testing.T) {
+	ctx := context.Background()
+	var recs []provstore.Record
+	for tid := int64(1); tid <= 2000; tid++ {
+		recs = append(recs,
+			provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.New("T")},
+			provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.New("S", "n"+strconv.FormatInt(tid, 10))})
+		if tid%2 == 0 {
+			recs = append(recs, provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.New("T", "hot")})
+		}
+	}
+	for _, c := range []struct {
+		dsn, counter string
+		most         int64
+	}{
+		{"rel://" + t.TempDir() + "/prov.db?create=1", "rel.rows_decoded", 450},
+		{"mem://?shards=4", "mem.recs_examined", 500},
+		{"mem://", "mem.recs_examined", 500},
+	} {
+		b, err := cpdb.OpenBackend(c.dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Append(ctx, recs); err != nil {
+			t.Fatal(err)
+		}
+		before := provobs.Stats(provobs.SourceRegistries(b)...)[c.counter]
+		res, err := provplan.Collect(ctx, b, provplan.MustParse("trace T/hot/x asof 100"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := provobs.Stats(provobs.SourceRegistries(b)...)[c.counter] - before
+		if len(res.Trace.Events) != 1 || res.Trace.Events[0].Tid != 100 {
+			t.Fatalf("%s: trace T/hot/x asof 100 = %+v, want the insert of transaction 100", c.dsn, res.Trace)
+		}
+		if read > c.most {
+			t.Errorf("%s: trace T/hot/x asof 100 read %d records (%s), want at most %d", c.dsn, read, c.counter, c.most)
+		}
+		if err := provstore.Close(b); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

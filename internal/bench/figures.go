@@ -414,16 +414,6 @@ type queryPriced struct {
 
 func (q *queryPriced) charge() { q.conn.Call(q.rows, 0) }
 
-func (q *queryPriced) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	q.charge()
-	return q.Backend.Lookup(ctx, tid, loc)
-}
-
-func (q *queryPriced) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	q.charge()
-	return q.Backend.NearestAncestor(ctx, tid, loc)
-}
-
 func (q *queryPriced) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	q.charge()
 	return q.Backend.Scan(ctx, spec)

@@ -2,7 +2,6 @@ package provauth
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"iter"
@@ -381,9 +380,10 @@ func (a *AuthBackend) ConsistencyTids(ctx context.Context, oldTid, newTid int64)
 
 // ScanAllProven implements Authority: the inner store's seeked cursor,
 // each record stamped with its proof against the root snapshotted when the
-// cursor started. Records sealed after that root end the stream (the scan
-// answers as of its root); a record the log never admitted is an in-stream
-// ErrNotInLog — the consumer must treat the stream as compromised.
+// cursor started, and bounded at that root's transaction (the scan answers
+// as of its root: records sealed later are not read); a record the log
+// never admitted is an in-stream ErrNotInLog — the consumer must treat the
+// stream as compromised.
 func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[ProvenRecord, error] {
 	return func(yield func(ProvenRecord, error) bool) {
 		// One span covers the whole proof-stamped stream (per-record spans
@@ -399,7 +399,8 @@ func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLo
 		a.mu.RLock()
 		root := a.rootLocked()
 		a.mu.RUnlock()
-		for rec, err := range a.inner.Scan(ctx, provstore.All().After(afterTid, afterLoc)) {
+		// Every record up to the root's transaction is sealed under it.
+		for rec, err := range a.inner.Scan(ctx, provstore.All().After(afterTid, afterLoc).Until(root.Tid)) {
 			if err != nil {
 				sp.SetErr(err)
 				yield(ProvenRecord{}, err)
@@ -407,9 +408,6 @@ func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLo
 			}
 			proof, err := a.ProveAt(ctx, rec.Tid, rec.Loc, root.Size)
 			if err != nil {
-				if errors.Is(err, ErrUnsealed) {
-					return // beyond the proven horizon; complete as of root
-				}
 				sp.SetErr(err)
 				yield(ProvenRecord{}, err)
 				return
@@ -423,16 +421,6 @@ func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLo
 }
 
 // --- delegated reads -----------------------------------------------------------
-
-// Lookup implements Backend.
-func (a *AuthBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	return a.inner.Lookup(ctx, tid, loc)
-}
-
-// NearestAncestor implements Backend.
-func (a *AuthBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	return a.inner.NearestAncestor(ctx, tid, loc)
-}
 
 // Scan implements Backend.
 func (a *AuthBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {

@@ -173,7 +173,7 @@ func TestErrSealed(t *testing.T) {
 		t.Fatalf("append into sealed transaction: %v, want ErrSealed", err)
 	}
 	// The rejected record must not be in the store either.
-	if _, ok, _ := a.Lookup(ctx, 2, path.MustParse("S/late")); ok {
+	if _, ok, _ := provstore.Lookup(ctx, a, 2, path.MustParse("S/late")); ok {
 		t.Fatal("rejected append reached the inner store")
 	}
 	// The log itself still extends.
@@ -300,7 +300,7 @@ func TestTamperedStore(t *testing.T) {
 	// Point lookup: the store serves a mutated record; its proof is for the
 	// honest bytes, so verification fails.
 	loc := path.MustParse("S/a")
-	served, ok, err := a.Lookup(ctx, 1, loc)
+	served, ok, err := provstore.Lookup(ctx, a, 1, loc)
 	if err != nil || !ok {
 		t.Fatalf("Lookup: %v, %v", ok, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,15 +82,15 @@ func TestVerifiedLookupTamper(t *testing.T) {
 	ingest(t, cli)
 
 	loc := path.MustParse("S/a")
-	if _, ok, err := cli.Lookup(ctx, 1, loc); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, cli, 1, loc); err != nil || !ok {
 		t.Fatalf("honest Lookup: %v, %v", ok, err)
 	}
 	tamper.Arm(true)
-	if _, _, err := cli.Lookup(ctx, 1, loc); !errors.Is(err, provauth.ErrVerify) {
+	if _, _, err := provstore.Lookup(ctx, cli, 1, loc); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("tampered Lookup: %v, want ErrVerify", err)
 	}
 	// NearestAncestor goes through the same proving path.
-	if _, _, err := cli.NearestAncestor(ctx, 1, path.MustParse("S/a/x/deep")); !errors.Is(err, provauth.ErrVerify) {
+	if _, _, err := provstore.NearestAncestor(ctx, cli, 1, path.MustParse("S/a/x/deep")); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("tampered NearestAncestor: %v, want ErrVerify", err)
 	}
 }
@@ -158,7 +159,7 @@ func TestPinLifecycle(t *testing.T) {
 	if err := cli.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if _, ok, err := cli.Lookup(ctx, 1, path.MustParse("S/a")); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, cli, 1, path.MustParse("S/a")); err != nil || !ok {
 		t.Fatalf("Lookup: %v, %v", ok, err)
 	}
 	pin1, have, err := provauth.LoadPin(pinFile)
@@ -238,7 +239,7 @@ func TestRollbackDetected(t *testing.T) {
 	if err := cli2.Flush(context.Background()); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if _, _, err := cli2.Lookup(ctx, 1, path.MustParse("S/a")); err == nil {
+	if _, _, err := provstore.Lookup(ctx, cli2, 1, path.MustParse("S/a")); err == nil {
 		t.Fatal("Lookup against a rolled-back server succeeded")
 	}
 	if _, err := provstore.CollectScan(cli2.Scan(ctx, provstore.All())); err == nil {
@@ -371,40 +372,42 @@ func serveAuthProxied(t *testing.T, armed *atomic.Bool, rewrite func(*http.Reque
 }
 
 // TestSubstitutedPointAnswerDetected: a lying server that answers a point
-// lookup with a different record — one genuinely in the log, with a valid
-// inclusion proof — is caught because the client binds the proven record
-// to the key it asked about, not just to the tree.
+// read — a scan bounded to one key, or to one transaction's ancestors —
+// with a different record, one genuinely in the log with a valid inclusion
+// proof, is caught because the client binds the proven record to the scan
+// it asked for (ScanSpec.Match), not just to the tree.
 func TestSubstitutedPointAnswerDetected(t *testing.T) {
 	ctx := context.Background()
 	var armed atomic.Bool
 	cli := serveAuthProxied(t, &armed, func(r *http.Request) {
-		if r.URL.Path != "/v1/prove" {
+		q := r.URL.Query()
+		if r.URL.Path != "/v1/scan" || q.Get("kind") != "loc" && q.Get("kind") != "loc-ancestors" {
 			return
 		}
 		// Answer every question with the validly provable {1, S/b}.
-		q := r.URL.Query()
-		q.Set("tid", "1")
 		q.Set("loc", "S/b")
-		q.Del("ancestor")
+		if q.Get("kind") == "loc" {
+			q.Set("after_loc", "S/b")
+		}
 		r.URL.RawQuery = q.Encode()
 	})
 	ingest(t, cli)
 
 	loc := path.MustParse("S/a")
-	if _, ok, err := cli.Lookup(ctx, 1, loc); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, cli, 1, loc); err != nil || !ok {
 		t.Fatalf("honest Lookup: %v, %v", ok, err)
 	}
 	armed.Store(true)
-	if _, _, err := cli.Lookup(ctx, 1, loc); !errors.Is(err, provauth.ErrVerify) {
+	if _, _, err := provstore.Lookup(ctx, cli, 1, loc); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("substituted Lookup: %v, want ErrVerify", err)
 	}
 	// {1, S/b} is in the log but is no ancestor of S/a/x/deep: the
 	// ancestor binding (exact tid, strict prefix of the query) rejects it.
-	if _, _, err := cli.NearestAncestor(ctx, 1, path.MustParse("S/a/x/deep")); !errors.Is(err, provauth.ErrVerify) {
+	if _, _, err := provstore.NearestAncestor(ctx, cli, 1, path.MustParse("S/a/x/deep")); !errors.Is(err, provauth.ErrVerify) {
 		t.Fatalf("substituted NearestAncestor: %v, want ErrVerify", err)
 	}
 	armed.Store(false)
-	if _, ok, err := cli.Lookup(ctx, 1, loc); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, cli, 1, loc); err != nil || !ok {
 		t.Fatalf("Lookup after disarm: %v, %v", ok, err)
 	}
 }
@@ -618,7 +621,7 @@ func TestProofsFromUnauthenticatedStore(t *testing.T) {
 	defer b.(*provhttp.Client).Close() //nolint:errcheck // loopback teardown
 
 	var re *provhttp.RemoteError
-	if _, _, err := b.Lookup(ctx, 1, path.MustParse("S/a")); !errors.As(err, &re) || re.Status != 400 {
+	if _, _, err := provstore.Lookup(ctx, b, 1, path.MustParse("S/a")); !errors.As(err, &re) || re.Status != 400 {
 		t.Fatalf("verified Lookup against plain store: %v, want HTTP 400", err)
 	}
 }
@@ -644,7 +647,7 @@ func TestPinFileFormat(t *testing.T) {
 	pinFile := filepath.Join(t.TempDir(), "root.pin")
 	cli, auth, _ := serveAuth(t, pinFile)
 	ingest(t, cli)
-	if _, _, err := cli.Lookup(ctx, 1, path.MustParse("S/a")); err != nil {
+	if _, _, err := provstore.Lookup(ctx, cli, 1, path.MustParse("S/a")); err != nil {
 		t.Fatalf("Lookup: %v", err)
 	}
 	data, err := os.ReadFile(pinFile)
@@ -654,5 +657,81 @@ func TestPinFileFormat(t *testing.T) {
 	root, _ := auth.Root(ctx)
 	if strings.TrimSpace(string(data)) != root.String() {
 		t.Fatalf("pin file %q, want %q", data, root.String())
+	}
+}
+
+// TestVerifiedPointReadOfOpenTransaction: a pinned client asked for a record
+// of the still-open transaction — which has no proof until a flush seals it
+// — fails closed with the server's 409, for the record itself and for it as
+// the nearest ancestor; it never answers "not found". A key the open
+// transaction does not hold is not found, and once a flush seals the record
+// it verifies.
+func TestVerifiedPointReadOfOpenTransaction(t *testing.T) {
+	ctx := context.Background()
+	cli, _, _ := serveAuth(t, filepath.Join(t.TempDir(), "root.pin"))
+	ingest(t, cli)
+	open := path.MustParse("S/open")
+	if err := cli.Append(ctx, []provstore.Record{rec(9, provstore.OpInsert, "S/open", "")}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	var re *provhttp.RemoteError
+	if r, ok, err := provstore.Lookup(ctx, cli, 9, open); !errors.As(err, &re) || re.Status != http.StatusConflict || ok {
+		t.Fatalf("Lookup of an open record = %v, %v, %v; want HTTP 409", r, ok, err)
+	}
+	if r, ok, err := provstore.NearestAncestor(ctx, cli, 9, open.Child("x")); !errors.As(err, &re) || re.Status != http.StatusConflict || ok {
+		t.Fatalf("NearestAncestor of an open record = %v, %v, %v; want HTTP 409", r, ok, err)
+	}
+	if r, ok, err := provstore.Lookup(ctx, cli, 9, path.MustParse("S/never")); err != nil || ok {
+		t.Fatalf("Lookup of a key the open transaction lacks = %v, %v, %v; want not found", r, ok, err)
+	}
+	if err := cli.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if r, ok, err := provstore.Lookup(ctx, cli, 9, open); err != nil || !ok || !r.Loc.Equal(open) {
+		t.Fatalf("Lookup after the flush sealed it = %v, %v, %v; want the record", r, ok, err)
+	}
+}
+
+// TestVerifiedRangeReadsSkipOpenTransaction: a range read over a pinned
+// client answers as of the server's root however far its bound reaches —
+// the open transaction's records are passed over, not a failure. Records'
+// horizon (the store's MaxTid, which is the open transaction) and a
+// client-side plan over a batching layer, asof that transaction, both
+// return the sealed answer; only a read confined to the open transaction
+// fails closed (TestVerifiedPointReadOfOpenTransaction).
+func TestVerifiedRangeReadsSkipOpenTransaction(t *testing.T) {
+	ctx := context.Background()
+	cli, _, _ := serveAuth(t, filepath.Join(t.TempDir(), "root.pin"))
+	sealed := ingest(t, cli)
+	if err := cli.Append(ctx, []provstore.Record{rec(9, provstore.OpInsert, "S/a/open", "")}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	st, err := cli.Stat(ctx)
+	if err != nil || st.MaxTid != 9 {
+		t.Fatalf("Stat = %+v, %v; want MaxTid 9", st, err)
+	}
+	for _, spec := range []provstore.ScanSpec{
+		provstore.All().Until(st.MaxTid),
+		provstore.All().After(1, path.MustParse("S/b")).Until(st.MaxTid),
+		provstore.ByPrefix(path.MustParse("S/a")).Until(st.MaxTid),
+	} {
+		got, err := provstore.CollectScan(cli.Scan(ctx, spec))
+		var want []provstore.Record
+		for _, r := range sealed {
+			if spec.Match(r) {
+				want = append(want, r)
+			}
+		}
+		slices.SortFunc(want, spec.Order())
+		if err != nil || !slices.EqualFunc(got, want, func(a, b provstore.Record) bool { return a.String() == b.String() }) {
+			t.Errorf("%v = %v, %v; want the sealed records %v", spec, got, err, want)
+		}
+	}
+	batched := provstore.NewBatching(cli, 100)
+	for _, asof := range []int64{9, 20} {
+		res, err := provplan.Collect(ctx, batched, &provplan.Query{Op: provplan.OpMod, Path: "S/a", AsOf: asof})
+		if err != nil || !slices.Equal(res.Tids, []int64{1}) {
+			t.Errorf("client-side mod S/a asof %d = %v, %v; want [1]", asof, res, err)
+		}
 	}
 }

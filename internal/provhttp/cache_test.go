@@ -57,7 +57,7 @@ func cachedPair(t *testing.T) (*provhttp.Server, *provhttp.Client, *provhttp.Cli
 	return srv, open("?cache=1mb"), open("")
 }
 
-// TestClientCacheSkipsRoundTrips: the second identical read is served
+// TestClientCacheSkipsRoundTrips: the second identical query is served
 // locally — the endpoint counter on the server does not move.
 func TestClientCacheSkipsRoundTrips(t *testing.T) {
 	srv, cached, _ := cachedPair(t)
@@ -70,14 +70,10 @@ func TestClientCacheSkipsRoundTrips(t *testing.T) {
 	}
 
 	read := func() {
-		if _, ok, err := cached.Lookup(ctx, 1, path.MustParse("T/a")); err != nil || !ok {
-			t.Fatalf("Lookup = %v, %v", ok, err)
-		}
-		if _, ok, err := cached.NearestAncestor(ctx, 1, path.MustParse("T/a/x/deep")); err != nil || !ok {
-			t.Fatalf("NearestAncestor = %v, %v", ok, err)
-		}
-		if _, err := provplan.Collect(ctx, cached, provplan.MustParse("select where loc>=T")); err != nil {
-			t.Fatal(err)
+		for _, text := range []string{"select where loc>=T", "trace T/a/x/deep"} {
+			if _, err := provplan.Collect(ctx, cached, provplan.MustParse(text)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	read()
@@ -85,30 +81,39 @@ func TestClientCacheSkipsRoundTrips(t *testing.T) {
 	read()
 	read()
 	after := srv.Stats()
-	for _, ep := range []string{"endpoint.lookup", "endpoint.ancestor", "endpoint.query"} {
+	for _, ep := range []string{"endpoint.scan", "endpoint.query"} {
 		if d := after[ep] - before[ep]; d != 0 {
 			t.Errorf("%s moved by %d on repeated reads; want 0 (served from cache)", ep, d)
 		}
 	}
-	if hits, _ := cached.CacheStats(); hits < 6 {
-		t.Errorf("cache hits = %d, want >= 6", hits)
+	if hits, _ := cached.CacheStats(); hits < 4 {
+		t.Errorf("cache hits = %d, want >= 4", hits)
 	}
+}
+
+// found runs "select where loc=P" through cli and reports whether it
+// answered a record.
+func found(t *testing.T, cli *provhttp.Client, p string) bool {
+	t.Helper()
+	res, err := provplan.Collect(context.Background(), cli, provplan.MustParse("select where loc="+p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(res.Records) > 0
 }
 
 // TestClientCacheInvalidatedByOwnAppend: a client's own append bumps its
 // generation, so the next read refetches and sees the new state.
 func TestClientCacheInvalidatedByOwnAppend(t *testing.T) {
 	_, cached, _ := cachedPair(t)
-	ctx := context.Background()
-	p := path.MustParse("T/late")
-	if _, ok, err := cached.Lookup(ctx, 1, p); err != nil || ok {
-		t.Fatalf("Lookup before append = %v, %v; want absent", ok, err)
+	if found(t, cached, "T/late") {
+		t.Fatal("select before append found a record")
 	}
-	if err := cached.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "T/late", "")}); err != nil {
+	if err := cached.Append(context.Background(), []provstore.Record{rec(1, provstore.OpInsert, "T/late", "")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := cached.Lookup(ctx, 1, p); err != nil || !ok {
-		t.Fatalf("Lookup after own append = %v, %v; want found (generation bumped)", ok, err)
+	if !found(t, cached, "T/late") {
+		t.Fatal("select after own append found nothing; want the record (generation bumped)")
 	}
 }
 
@@ -118,23 +123,22 @@ func TestClientCacheInvalidatedByOwnAppend(t *testing.T) {
 func TestClientCacheInvalidatedByObservedMaxTid(t *testing.T) {
 	_, cached, plain := cachedPair(t)
 	ctx := context.Background()
-	p := path.MustParse("T/foreign")
-	if _, ok, _ := cached.Lookup(ctx, 1, p); ok {
-		t.Fatal("Lookup on empty store found a record")
+	if found(t, cached, "T/foreign") {
+		t.Fatal("select on empty store found a record")
 	}
 	if err := plain.Append(ctx, []provstore.Record{rec(1, provstore.OpInsert, "T/foreign", "")}); err != nil {
 		t.Fatal(err)
 	}
 	// The cached client has not observed the new horizon: the stale
 	// negative answer is, by contract, still served locally.
-	if _, ok, _ := cached.Lookup(ctx, 1, p); ok {
+	if found(t, cached, "T/foreign") {
 		t.Fatal("cached client saw a foreign append without observing its horizon")
 	}
 	if _, err := cached.Stat(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := cached.Lookup(ctx, 1, p); err != nil || !ok {
-		t.Fatalf("Lookup after observing MaxTid = %v, %v; want found", ok, err)
+	if !found(t, cached, "T/foreign") {
+		t.Fatal("select after observing MaxTid found nothing; want the record")
 	}
 }
 
@@ -227,6 +231,20 @@ func TestServerPageCache(t *testing.T) {
 		// Same first four records in (Tid, Loc) order; the page content is
 		// identical even though it was re-scanned under the new horizon.
 		t.Fatalf("first page changed across an append that lands after it:\n%q\n%q", fresh, first)
+	}
+
+	// A page bounded below MaxTid is keyed by MaxTid too: one batch may add
+	// a record at or below the bound along with a newer transaction, and
+	// the bounded page must then be read again.
+	bounded := get("?until=2&limit=10")
+	if err := cli.Append(ctx, []provstore.Record{
+		rec(2, provstore.OpInsert, "T/t2/c", ""),
+		rec(5, provstore.OpInsert, "T/t5/a", ""),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if again := get("?until=2&limit=10"); again == bounded || !strings.Contains(again, "T/t2/c") || strings.Contains(again, "T/t5/a") {
+		t.Fatalf("bounded page after an append at its bound:\n%q\nbefore:\n%q", again, bounded)
 	}
 
 	// Unbounded drains stream past the cache: no new entries.
@@ -524,14 +542,14 @@ func TestCacheEquivalenceInterleaved(t *testing.T) {
 
 				for _, p := range probes {
 					for _, tid := range []int64{1, maxTid} {
-						gr, gok, gerr := cached.Lookup(ctx, tid, p)
-						wr, wok, werr := plain.Lookup(ctx, tid, p)
+						gr, gok, gerr := provstore.Lookup(ctx, cached, tid, p)
+						wr, wok, werr := provstore.Lookup(ctx, plain, tid, p)
 						if (gerr == nil) != (werr == nil) || gok != wok || fmt.Sprint(gr) != fmt.Sprint(wr) {
 							t.Fatalf("round %d: Lookup(%d, %s): cached (%v,%v,%v) plain (%v,%v,%v)",
 								round, tid, p, gr, gok, gerr, wr, wok, werr)
 						}
-						gr, gok, gerr = cached.NearestAncestor(ctx, tid, p)
-						wr, wok, werr = plain.NearestAncestor(ctx, tid, p)
+						gr, gok, gerr = provstore.NearestAncestor(ctx, cached, tid, p)
+						wr, wok, werr = provstore.NearestAncestor(ctx, plain, tid, p)
 						if (gerr == nil) != (werr == nil) || gok != wok || fmt.Sprint(gr) != fmt.Sprint(wr) {
 							t.Fatalf("round %d: NearestAncestor(%d, %s): cached (%v,%v,%v) plain (%v,%v,%v)",
 								round, tid, p, gr, gok, gerr, wr, wok, werr)

@@ -51,18 +51,19 @@ import (
 // store). The pin file holds the last root this client accepted: trusted on
 // first use, then advanced only over verified consistency proofs — a server
 // that rewrites or rolls back history can never satisfy the pin again. In
-// this mode Lookup and NearestAncestor travel as /v1/prove round trips and
-// every scan and query asks for proofs=1; each answered record is checked
-// against the response's root, the root against the pin, and the record
-// against the question that was asked (a point answer must carry the
-// requested key, a filtered scan's records must satisfy its filter — an
-// inclusion proof alone would let a server substitute any other record
-// legitimately in the log) before it reaches the caller. Any mismatch
-// fails the call — there is no unverified fallback. Two caveats: absence
-// and completeness are not authenticated (a not-found answer or an omitted
-// record carries no proof — the tree has no range proofs), and records of
-// the still-open transaction are invisible to verified reads until a Flush
-// seals them.
+// this mode every scan and query asks for proofs=1; each answered record is
+// checked against the response's root, the root against the pin, and the
+// record against the question that was asked (ScanSpec.Match: a point read
+// is a scan bounded to its key, so its answer must carry that key, and a
+// filtered scan's records must satisfy its filter — an inclusion proof
+// alone would let a server substitute any other record legitimately in the
+// log) before it reaches the caller. Any mismatch fails the call — there is
+// no unverified fallback. Two caveats: absence and completeness are not
+// authenticated (a not-found answer or an omitted record carries no proof —
+// the tree has no range proofs), and records of the still-open transaction
+// are invisible to verified reads until a Flush seals them — a scan bounded
+// at a transaction the root does not cover, a point read of the open
+// transaction included, fails with the server's 409 if it selects one.
 //
 // The Client also implements provauth.Authority by forwarding to the
 // /v1/root, /v1/prove and /v1/consistency endpoints, so a local process —
@@ -125,9 +126,9 @@ func WithVerifyPin(file string) ClientOption {
 }
 
 // WithResultCache bounds a client-side result cache to maxBytes — the
-// ?cache=SIZE DSN form. Repeated Lookup/NearestAncestor calls and repeated
-// declarative queries (Trace, Mod, …, via ExecPlan) answer locally with
-// zero round trips until this client appends or observes a higher MaxTid.
+// ?cache=SIZE DSN form. Repeated declarative queries (Trace, Mod, …, via
+// ExecPlan) answer locally with zero round trips until this client appends
+// or observes a higher MaxTid.
 // Ignored (≤ 0, or combined with verified mode, whose reads must stay
 // individually proof-checked). MaxTid itself is never cached — it *is* the
 // horizon observation.
@@ -161,14 +162,6 @@ func (c *Client) Addr() string { return c.base[len("http://"):] }
 
 // --- the client result cache -------------------------------------------------
 
-// pointResult is a cached point answer (found=false entries cache misses
-// too: a not-found at this horizon generation stays not-found until the
-// client's view of the store moves).
-type pointResult struct {
-	rec   provstore.Record
-	found bool
-}
-
 // bumpGen advances the cache generation, making every cached entry
 // unreachable (they age out of the LRU).
 func (c *Client) bumpGen() {
@@ -197,22 +190,17 @@ func (c *Client) observeMaxTid(t int64) {
 	}
 }
 
-// cacheKey builds a cache key: method tag, current generation, canonical
-// arguments.
-func (c *Client) cacheKey(kind byte, args string) string {
-	return string(kind) + "\x00" + strconv.FormatInt(c.gen.Load(), 10) + "\x00" + args
-}
-
-// recordFootprint approximates a cached record's resident bytes.
-func recordFootprint(r provstore.Record) int64 {
-	return 32 + 16*int64(r.Loc.Len()+r.Src.Len())
+// cacheKey builds the cache key of a query: the current generation, then
+// the query's canonical text.
+func (c *Client) cacheKey(query string) string {
+	return strconv.FormatInt(c.gen.Load(), 10) + "\x00" + query
 }
 
 // rowFootprint approximates a cached query row's resident bytes.
 func rowFootprint(row provplan.Row) int64 {
 	switch row.Kind {
 	case provplan.RowRecord:
-		return 32 + recordFootprint(row.Rec)
+		return 64 + 16*int64(row.Rec.Loc.Len()+row.Rec.Src.Len())
 	case provplan.RowEvent:
 		return 64 + 16*int64(row.Event.Loc.Len()+row.Event.Src.Len())
 	default:
@@ -666,68 +654,6 @@ func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error
 	return resp.Body.Close()
 }
 
-// point issues a Lookup/NearestAncestor round trip.
-func (c *Client) point(ctx context.Context, p string, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	q := url.Values{"tid": {strconv.FormatInt(tid, 10)}, "loc": {loc.String()}}
-	var fr foundResponse
-	if err := c.getJSON(ctx, p, q, &fr); err != nil {
-		return provstore.Record{}, false, err
-	}
-	if !fr.Found {
-		return provstore.Record{}, false, nil
-	}
-	if fr.R == nil {
-		return provstore.Record{}, false, fmt.Errorf("provhttp: %s: found without record", p)
-	}
-	rec, err := fr.R.record()
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	return rec, true, nil
-}
-
-// cachedPoint answers a point read from the result cache when possible,
-// filling it from one round trip otherwise. Not-found answers are cached
-// too — at an unchanged generation a miss stays a miss.
-func (c *Client) cachedPoint(ctx context.Context, kind byte, p string, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	key := c.cacheKey(kind, strconv.FormatInt(tid, 10)+"\x00"+loc.String())
-	if v, ok := c.cache.Get(key); ok {
-		pr := v.(pointResult)
-		provtrace.Mark(ctx, "cache:hit", provtrace.Attr{K: "cache", V: "client"}, provtrace.Attr{K: "wire", V: p})
-		return pr.rec, pr.found, nil
-	}
-	provtrace.Mark(ctx, "cache:miss", provtrace.Attr{K: "cache", V: "client"}, provtrace.Attr{K: "wire", V: p})
-	rec, found, err := c.point(ctx, p, tid, loc)
-	if err == nil {
-		c.cache.Put(key, pointResult{rec, found}, int64(len(key))+recordFootprint(rec))
-	}
-	return rec, found, err
-}
-
-// Lookup implements Backend. In verified mode it travels as /v1/prove and
-// the answer is checked against the pinned root before being returned.
-func (c *Client) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if c.verify {
-		return c.provePoint(ctx, tid, loc, false)
-	}
-	if c.cache != nil {
-		return c.cachedPoint(ctx, 'l', "/v1/lookup", tid, loc)
-	}
-	return c.point(ctx, "/v1/lookup", tid, loc)
-}
-
-// NearestAncestor implements Backend (verified via /v1/prove?ancestor=1 in
-// verified mode — the resolved ancestor record carries its own proof).
-func (c *Client) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if c.verify {
-		return c.provePoint(ctx, tid, loc, true)
-	}
-	if c.cache != nil {
-		return c.cachedPoint(ctx, 'a', "/v1/ancestor", tid, loc)
-	}
-	return c.point(ctx, "/v1/ancestor", tid, loc)
-}
-
 // --- the pinned root ----------------------------------------------------------
 
 // ensurePin loads (or trust-on-first-use initializes) the pinned root and
@@ -815,55 +741,6 @@ func (c *Client) provenAnswer(ctx context.Context, p string, q url.Values, pin b
 	return fr, root, nil
 }
 
-// provePoint is the verified point lookup: one /v1/prove round trip whose
-// answered record must verify against the (pin-checked) response root AND
-// answer the question that was asked — an inclusion proof only shows the
-// record is somewhere in the log, so without the key check a malicious
-// server could answer any lookup with a different legitimately-logged
-// record and its valid proof. In lookup mode the answer must carry exactly
-// the requested {tid, loc}; in ancestor mode it must be a record of the
-// requested transaction at a strict prefix of loc (the NearestAncestor
-// contract). Absence is not authenticated — a not-found answer still
-// verifies the root (so a rolled-back server cannot even say "not found"
-// convincingly) but carries no proof of absence; likewise nearest-ness:
-// the proof shows the answer is *an* ancestor in the log, not that no
-// longer-prefix ancestor exists.
-func (c *Client) provePoint(ctx context.Context, tid int64, loc path.Path, ancestor bool) (provstore.Record, bool, error) {
-	q := url.Values{"tid": {strconv.FormatInt(tid, 10)}, "loc": {loc.String()}}
-	if ancestor {
-		q.Set("ancestor", "1")
-	}
-	fr, root, err := c.provenAnswer(ctx, "/v1/prove", q, true)
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	if !fr.Found {
-		return provstore.Record{}, false, nil
-	}
-	if fr.R == nil || fr.P == "" {
-		return provstore.Record{}, false, errors.New("provhttp: prove answer without record or proof")
-	}
-	rec, err := fr.R.record()
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	if ancestor {
-		if rec.Tid != tid || !rec.Loc.IsStrictPrefixOf(loc) {
-			return provstore.Record{}, false, fmt.Errorf("provhttp: prove answered {%d, %s}, not an ancestor of the requested {%d, %s}: %w", rec.Tid, rec.Loc, tid, loc, provauth.ErrVerify)
-		}
-	} else if rec.Tid != tid || !rec.Loc.Equal(loc) {
-		return provstore.Record{}, false, fmt.Errorf("provhttp: prove answered {%d, %s} for the requested {%d, %s}: %w", rec.Tid, rec.Loc, tid, loc, provauth.ErrVerify)
-	}
-	proof, err := decodeProofHex(fr.P)
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	if err := provauth.VerifyRecord(root, rec, proof); err != nil {
-		return provstore.Record{}, false, fmt.Errorf("provhttp: served record {%d, %s} failed verification: %w", tid, loc, err)
-	}
-	return rec, true, nil
-}
-
 // Scan implements Backend: one GET /v1/scan round trip carrying the spec's
 // wire form, answered as a row stream (see the package doc) — a scan holds
 // one record in memory however large the result, and the whole
@@ -937,7 +814,7 @@ func (c *Client) ExecPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 	if c.cache == nil || c.verify || q.Analyze {
 		return c.execPlan(ctx, q)
 	}
-	key := c.cacheKey('q', q.String())
+	key := c.cacheKey(q.String())
 	if v, ok := c.cache.Get(key); ok {
 		rows := v.([]provplan.Row)
 		provtrace.Mark(ctx, "cache:hit", provtrace.Attr{K: "cache", V: "client"}, provtrace.Attr{K: "wire", V: "/v1/query"})

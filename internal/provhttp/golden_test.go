@@ -95,7 +95,7 @@ func (e goldenExchange) do(t *testing.T, servers map[string]*httptest.Server, he
 // goldenSet starts the golden servers over queryFixture — a plain store, a
 // verified one, and one failing before and one after the 200 header — and
 // lists the exchanges the golden file pins: one scan per kind (plain, cut by
-// a limit, proven), one query per row kind with an analyze trailer, and both
+// a limit, bounded by until, proven), one query per row kind with an analyze trailer, and both
 // placements of a store error.
 func goldenSet(t *testing.T) (map[string]*httptest.Server, []goldenExchange) {
 	t.Helper()
@@ -137,6 +137,7 @@ func goldenSet(t *testing.T) (map[string]*httptest.Server, []goldenExchange) {
 	for _, kind := range goldenKinds {
 		exchange("plain", http.MethodGet, "/v1/scan?"+kind, "")
 		exchange("plain", http.MethodGet, "/v1/scan?"+kind+"&limit=1", "")
+		exchange("plain", http.MethodGet, "/v1/scan?"+kind+"&until=3", "")
 		exchange("verified", http.MethodGet, "/v1/scan?"+kind+"&proofs=1", "")
 	}
 	exchange("plain", http.MethodGet, "/v1/scan-all?limit=256", "")

@@ -84,14 +84,14 @@ func TestClientBackendRoundTrip(t *testing.T) {
 	}
 
 	// Point queries: hit, miss, and hierarchical ancestor.
-	got, ok, err := cli.Lookup(ctx, 1, path.MustParse("T/c1/y"))
+	got, ok, err := provstore.Lookup(ctx, cli, 1, path.MustParse("T/c1/y"))
 	if err != nil || !ok || got.String() != recs[1].String() {
 		t.Fatalf("Lookup hit = %v %v %v", got, ok, err)
 	}
-	if _, ok, err := cli.Lookup(ctx, 9, path.MustParse("T/c1/y")); err != nil || ok {
+	if _, ok, err := provstore.Lookup(ctx, cli, 9, path.MustParse("T/c1/y")); err != nil || ok {
 		t.Fatalf("Lookup miss: found=%v err=%v", ok, err)
 	}
-	anc, ok, err := cli.NearestAncestor(ctx, 2, path.MustParse("T/c2/x/deep/leaf"))
+	anc, ok, err := provstore.NearestAncestor(ctx, cli, 2, path.MustParse("T/c2/x/deep/leaf"))
 	if err != nil || !ok || anc.Loc.String() != "T/c2/x" {
 		t.Fatalf("NearestAncestor = %v %v %v", anc, ok, err)
 	}
@@ -444,7 +444,7 @@ func TestRemoteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + cli.Addr() + "/v1/lookup?tid=notanumber&loc=T/a")
+	resp, err := http.Get("http://" + cli.Addr() + "/v1/scan?kind=tid&tid=notanumber")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +467,8 @@ func TestRemoteErrors(t *testing.T) {
 // (plus its own limit, proofs and since) — anything else is a 400, never a
 // wider scan than the one asked for, whether or not the server has a page
 // cache to answer limit-bounded pages from; /v1/scan-all is the same handler
-// with kind defaulting to all; and the per-kind and per-scalar endpoints it
-// and /v1/stat replaced are gone.
+// with kind defaulting to all; and the per-kind, per-scalar and point
+// endpoints it and /v1/stat replaced are gone.
 func TestScanEndpointSurface(t *testing.T) {
 	for name, opts := range map[string][]provhttp.ServerOption{
 		"streaming":  nil,
@@ -505,6 +505,13 @@ func TestScanEndpointSurface(t *testing.T) {
 				"/v1/scan?kind=all&limit=5&proofs=yes": http.StatusBadRequest,
 				"/v1/scan?kind=all&since=3":            http.StatusBadRequest, // since requires proofs=1
 				"/v1/scan?kind=all&limit=5&since=3":    http.StatusBadRequest,
+				"/v1/scan?kind=all&until=3":            http.StatusOK,
+				"/v1/scan?kind=loc&loc=T/a&until=1":    http.StatusOK,
+				"/v1/scan?kind=all&limit=5&until=0":    http.StatusOK,
+				"/v1/scan?kind=all&until=soon":         http.StatusBadRequest,
+				"/v1/scan?kind=all&until=1&until=2":    http.StatusBadRequest,
+				"/v1/lookup?tid=1&loc=T/a":             http.StatusNotFound,
+				"/v1/ancestor?tid=1&loc=T/a/x":         http.StatusNotFound,
 				"/v1/scan/tid?tid=1":                   http.StatusNotFound,
 				"/v1/scan/prefix?prefix=T":             http.StatusNotFound,
 				"/v1/tids":                             http.StatusNotFound,

@@ -142,7 +142,7 @@ type serverStats struct {
 
 // endpoints is the fixed counter key set (one per Backend method + control).
 var endpoints = []string{
-	"append", "lookup", "ancestor", "scan", "query",
+	"append", "scan", "query",
 	"root", "prove", "consistency",
 	"stat", "flush", "ping", "stats",
 }
@@ -209,8 +209,6 @@ func NewServer(inner provstore.Backend, opts ...ServerOption) *Server {
 		o(s)
 	}
 	s.handle("POST /v1/append", "append", s.handleAppend)
-	s.handle("GET /v1/lookup", "lookup", s.pointHandler(s.inner.Lookup))
-	s.handle("GET /v1/ancestor", "ancestor", s.pointHandler(s.inner.NearestAncestor))
 	s.handle("GET /v1/scan", "scan", s.handleScan)
 	s.handle("GET /v1/scan-all", "scan", s.handleScan) // the same handler: kind defaults to all
 	s.handle("POST /v1/query", "query", s.handleQuery)
@@ -462,12 +460,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // fail counts and writes an error response. A body over its endpoint's
-// limit is a 413 whatever status the caller had in mind for a decode error.
+// limit is a 413 whatever status the caller had in mind for a decode error,
+// and a proof asked of a record not yet sealed is a 409 (flush to seal it).
 func (s *Server) fail(w http.ResponseWriter, err error, status int) {
 	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
+	switch {
+	case errors.As(err, &tooLarge):
 		s.stats.rejected.Add(1)
 		status = http.StatusRequestEntityTooLarge
+	case errors.Is(err, provauth.ErrUnsealed):
+		status = http.StatusConflict
 	}
 	s.stats.errors.Add(1)
 	noteErr(w, err)
@@ -526,34 +528,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.stats.recordsAppended.Add(int64(len(recs)))
 	setRecords(w, len(recs))
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// pointHandler serves Lookup and NearestAncestor: both take (tid, loc) and
-// answer with at most one record.
-func (s *Server) pointHandler(q func(context.Context, int64, path.Path) (provstore.Record, bool, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tid, err := tidParam(r)
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		loc, err := pathParam(r, "loc")
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		rec, found, err := q(r.Context(), tid, loc)
-		if err != nil {
-			s.fail(w, err, http.StatusInternalServerError)
-			return
-		}
-		resp := foundResponse{Found: found}
-		if found {
-			wr := toWire(rec)
-			resp.R = &wr
-		}
-		writeJSON(w, resp)
-	}
 }
 
 // authStamp interprets the proofs=1 / since=SIZE request parameters: it
@@ -617,6 +591,7 @@ type streamWriter struct {
 	body    bytes.Buffer   // framed: the kind byte and body of the JSON frame being built
 	recBody []byte         // framed: the same for a record frame
 	stamp   *provauth.Root // nil: no proofs; else the root each record is proven under
+	skip    bool           // proven: a record sealed after the root is passed over, not a failure
 	limit   int            // 0: unbounded
 	line    streamLine
 	rec     wireRecord // what line.R points at
@@ -658,18 +633,19 @@ func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provau
 }
 
 // record writes one record line and reports whether the stream wants
-// another. On a proven stream the record is stamped first, and one not yet
-// sealed under the stream's root is skipped, not a cut-off: the stream is
-// complete as of its root, and cursor orders other than (Tid, Loc) put an
-// open transaction's records among sealed ones. (A record the log never
-// admitted is a hard error.) Only then does limit count it, so a page is
-// full of provable records or is the end.
+// another. On a proven stream the record is stamped first. One not yet
+// sealed under the stream's root is skipped where the stream is complete as
+// of its root — a plan's rows, whose orders put an open transaction's
+// records among sealed ones — and fails a scan, whose bound would otherwise
+// claim it absent. (A record the log never admitted is a hard error.) Only
+// then does limit count it, so a page is full of provable records or is the
+// end.
 func (sw *streamWriter) record(rec provstore.Record) bool {
 	var proof provauth.Proof
 	if sw.stamp != nil {
 		var err error
 		proof, err = sw.s.auth.ProveAt(sw.ctx, rec.Tid, rec.Loc, sw.stamp.Size)
-		if errors.Is(err, provauth.ErrUnsealed) {
+		if sw.skip && errors.Is(err, provauth.ErrUnsealed) {
 			return true
 		}
 		if err != nil {
@@ -875,6 +851,14 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	// A proven scan answers as of its root: unbounded, or bounded beyond
+	// it, it is bounded at the root's transaction, so no record sealed
+	// later is even read. A bounded scan with nothing at or below the root
+	// to answer — a point read of the open transaction — keeps its bound,
+	// and a record it selects fails it rather than be claimed absent.
+	if until, bounded := spec.Bound(); stamp != nil && (!bounded || until > stamp.Tid && spec.Floor() <= stamp.Tid) {
+		spec = spec.Until(stamp.Tid)
+	}
 
 	// A limit-bounded page with no proof stamping can be served from (and
 	// fill) the shared page cache. Unbounded drains stay streaming — their
@@ -896,11 +880,14 @@ type cachedPage struct {
 }
 
 // servePage serves a limit-bounded scan page through the page cache. The
-// key embeds the backend's current MaxTid, so validity is purely
+// scan is bounded at the backend's current MaxTid (or its own earlier
+// bound), and the key is MaxTid and the bounded scan, so validity is purely
 // horizon-keyed: the relation is append-only, which means a page of a given
 // scan at a given keyset position and horizon is immutable — and any append
 // moves the horizon, after which stale pages are never keyed again and age
-// out of the LRU. The key also names the form the request asks for: a page
+// out of the LRU. MaxTid stays in the key of a page bounded below it: a
+// store may take a batch that adds records at or below that bound along
+// with a newer transaction. The key also names the form the request asks for: a page
 // is cached as encoded bytes, so the framed and the NDJSON page of one scan
 // are two entries. A miss runs the stream into its buffer (bounded by limit,
 // unlike a full drain) and stores it only if the scan terminated cleanly.
@@ -909,6 +896,9 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
+	}
+	if until, bounded := spec.Bound(); !bounded || until > st.MaxTid {
+		spec = spec.Until(st.MaxTid)
 	}
 	form := streamForm(r)
 	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit) + "\x00" + form
@@ -973,6 +963,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw := s.newStream(w, r, stamp, 0, false)
+	sw.skip = true
 	defer sw.end()
 	for row, err := range pl.Rows(r.Context()) {
 		if err != nil {
@@ -1048,13 +1039,13 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleProve answers the authenticated point query: the record (Lookup,
-// or NearestAncestor under ancestor=1) together with its inclusion proof
-// and the root it verifies against — one round trip for a verifying
-// client's Lookup. A found record of the still-open transaction has no
-// proof yet and is a 409 (flush to seal it); a not-found answer carries
-// the root but no proof — absence is not authenticated (the tree has no
-// range proofs), which verifying callers must treat accordingly.
+// handleProve answers the authenticated point query: the record with the
+// key (tid, loc) together with its inclusion proof and the root it verifies
+// against — what cpdb prove fetches. A found record of the still-open
+// transaction has no proof yet and is a 409 (flush to seal it); a not-found
+// answer carries the root but no proof — absence is not authenticated (the
+// tree has no range proofs), which verifying callers must treat
+// accordingly.
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.requireAuth(w) {
 		return
@@ -1069,11 +1060,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err, http.StatusBadRequest)
 		return
 	}
-	point := s.inner.Lookup
-	if r.URL.Query().Get("ancestor") == "1" {
-		point = s.inner.NearestAncestor
-	}
-	rec, found, err := point(r.Context(), tid, loc)
+	rec, found, err := provstore.Lookup(r.Context(), s.inner, tid, loc)
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
@@ -1096,11 +1083,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		} else {
 			p, root, err = s.auth.Prove(r.Context(), rec.Tid, rec.Loc)
 		}
-		switch {
-		case errors.Is(err, provauth.ErrUnsealed):
-			s.fail(w, err, http.StatusConflict)
-			return
-		case err != nil:
+		if err != nil {
 			s.fail(w, err, http.StatusInternalServerError)
 			return
 		}

@@ -104,10 +104,10 @@ func statsScript(t *testing.T, chain statsChain, srv *provhttp.Server, cli *prov
 		tid int64
 		loc string
 	}{{2, "T/c1"}, {2, "T/c1"}, {9, "T/nope"}} {
-		_, _, err := cli.Lookup(ctx, at.tid, path.MustParse(at.loc))
+		_, _, err := provstore.Lookup(ctx, cli, at.tid, path.MustParse(at.loc))
 		must(err)
 	}
-	_, _, err = cli.NearestAncestor(ctx, 3, path.MustParse("T/c3/deep/er"))
+	_, _, err = provstore.NearestAncestor(ctx, cli, 3, path.MustParse("T/c3/deep/er"))
 	must(err)
 	for _, spec := range []provstore.ScanSpec{
 		provstore.ByTid(1), provstore.ByPrefix(path.MustParse("T/c2")), provstore.All(),

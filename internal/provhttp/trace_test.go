@@ -280,7 +280,7 @@ func TestTracedResponsesByteIdentical(t *testing.T) {
 			}
 			for _, probe := range []struct{ method, p, body string }{
 				{http.MethodGet, "/v1/scan-all", ""},
-				{http.MethodGet, "/v1/lookup?tid=1&loc=" + url.QueryEscape("T/c1"), ""},
+				{http.MethodGet, "/v1/scan?" + provstore.ByLoc(path.MustParse("T/c1")).After(0, path.MustParse("T/c1")).Until(1).Values().Encode(), ""},
 				{http.MethodPost, "/v1/query", string(qbody)},
 			} {
 				sc1, plain := fetch(probe.method, probe.p, probe.body, false)

@@ -16,15 +16,16 @@
 //	POST /v1/append                  NDJSON records in, 204 out (batched);
 //	                                 413 over MaxAppendBytes, or for a
 //	                                 record over the store's size bound
-//	GET  /v1/lookup?tid=&loc=        {"found":bool,"r":record}
-//	GET  /v1/ancestor?tid=&loc=      {"found":bool,"r":record}
 //	GET  /v1/scan?kind=              one ordered scan, answered as a row
 //	     [&tid= | &loc=]               stream: a provstore.ScanSpec in wire
 //	     [&after_tid=&after_loc=]      form (kind all, tid, loc, loc-prefix
-//	     [&limit=]                     or loc-ancestors; ScanSpec.Values),
-//	                                   resumed after a key and cut to a page
-//	                                   by the keyset parameters. Anything
-//	                                   but the kind's own parameters is a 400
+//	     [&until=] [&limit=]           or loc-ancestors; ScanSpec.Values),
+//	                                   resumed after a key, bounded at a
+//	                                   transaction and cut to a page by the
+//	                                   keyset parameters. Anything but the
+//	                                   kind's own parameters is a 400. A
+//	                                   point read (provstore.Lookup,
+//	                                   NearestAncestor) is one such scan
 //	GET  /v1/scan-all                the same handler, kind defaulting to all
 //	POST /v1/query                   declarative provplan.Query as the JSON
 //	                                 body; the whole plan executes
@@ -58,11 +59,10 @@
 //	GET  /v1/root                    {"root":"size:tid:hex"}; ?tid=N answers
 //	                                 RootAt, ?since=SIZE adds "audit", the
 //	                                 consistency path from that tree size
-//	GET  /v1/prove?tid=&loc=         the point lookup plus its inclusion
-//	     [&ancestor=1][&at=SIZE]       proof: {"found","r","p","root",
-//	     [&since=SIZE]                 "audit"}; ancestor=1 resolves
-//	                                   NearestAncestor first, at= proves
-//	                                   against a historical root
+//	GET  /v1/prove?tid=&loc=         the record with the key plus its
+//	     [&at=SIZE][&since=SIZE]       inclusion proof: {"found","r","p",
+//	                                   "root","audit"}; at= proves against a
+//	                                   historical root
 //	GET  /v1/consistency?old=&new=   {"audit":[hex,…]} between tree sizes;
 //	     | ?old_tid=&new_tid=          the tid form resolves checkpoints and
 //	                                   returns {"old","new","audit"}
@@ -451,10 +451,9 @@ func (l *streamLine) row() (provplan.Row, error) {
 	}
 }
 
-// foundResponse answers the point queries (Lookup, NearestAncestor) and,
-// with the authentication fields set, /v1/prove: the record, its inclusion
-// proof, the root it verifies against, and optionally the consistency path
-// from the client's since= tree size to that root.
+// foundResponse answers /v1/prove: whether the record is stored, the record,
+// its inclusion proof, the root it verifies against, and optionally the
+// consistency path from the client's since= tree size to that root.
 type foundResponse struct {
 	Found bool        `json:"found"`
 	R     *wireRecord `json:"r,omitempty"`

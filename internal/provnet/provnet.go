@@ -9,7 +9,6 @@ import (
 	"context"
 	"iter"
 
-	"repro/internal/path"
 	"repro/internal/provstore"
 )
 
@@ -58,30 +57,6 @@ func (b *ChargedBackend) Append(ctx context.Context, recs []provstore.Record) er
 		return err
 	}
 	return b.inner.Append(ctx, recs)
-}
-
-// Lookup implements provstore.Backend: one read round trip.
-func (b *ChargedBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return provstore.Record{}, false, err
-	}
-	if err := b.read.Call(1, 0); err != nil {
-		return provstore.Record{}, false, err
-	}
-	return b.inner.Lookup(ctx, tid, loc)
-}
-
-// NearestAncestor implements provstore.Backend: one read round trip (the
-// ancestor probing happens server-side, as in the paper's stored
-// procedures).
-func (b *ChargedBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return provstore.Record{}, false, err
-	}
-	if err := b.read.Call(1, 0); err != nil {
-		return provstore.Record{}, false, err
-	}
-	return b.inner.NearestAncestor(ctx, tid, loc)
 }
 
 // Scan implements provstore.Backend: one read round trip shipping the result

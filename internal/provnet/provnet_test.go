@@ -63,10 +63,10 @@ func TestChargesReads(t *testing.T) {
 	b, _, read, _ := charged(t)
 	b.Append(context.Background(), []provstore.Record{rec(1, "T/a"), rec(2, "T/a")})
 	before := read.Stats().Calls
-	if _, _, err := b.Lookup(context.Background(), 1, path.MustParse("T/a")); err != nil {
+	if _, _, err := provstore.Lookup(context.Background(), b, 1, path.MustParse("T/a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a/b")); err != nil {
+	if _, _, err := provstore.NearestAncestor(context.Background(), b, 1, path.MustParse("T/a/b")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByTid(1))); err != nil {
@@ -104,10 +104,10 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	}
 	// Read faults propagate on every read surface.
 	read.InjectFaults(1.0, 7)
-	if _, _, err := b.Lookup(context.Background(), 1, path.MustParse("T/a")); !errors.Is(err, netsim.ErrNetwork) {
+	if _, _, err := provstore.Lookup(context.Background(), b, 1, path.MustParse("T/a")); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("read fault: %v", err)
 	}
-	if _, _, err := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a/b")); !errors.Is(err, netsim.ErrNetwork) {
+	if _, _, err := provstore.NearestAncestor(context.Background(), b, 1, path.MustParse("T/a/b")); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("ancestor fault: %v", err)
 	}
 	if _, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByTid(1))); !errors.Is(err, netsim.ErrNetwork) {
@@ -142,8 +142,8 @@ func TestCancelledCallerIsNotCharged(t *testing.T) {
 	cancel()
 	writes, reads := write.Stats().Calls, read.Stats().Calls
 	appendErr := b.Append(ctx, []provstore.Record{rec(2, "T/a")})
-	_, _, lookupErr := b.Lookup(ctx, 1, path.MustParse("T/a"))
-	_, _, ancestorErr := b.NearestAncestor(ctx, 1, path.MustParse("T/a/b"))
+	_, _, lookupErr := provstore.Lookup(ctx, b, 1, path.MustParse("T/a"))
+	_, _, ancestorErr := provstore.NearestAncestor(ctx, b, 1, path.MustParse("T/a/b"))
 	_, scanErr := provstore.CollectScan(b.Scan(ctx, provstore.All()))
 	_, statErr := b.Stat(ctx)
 	for what, err := range map[string]error{

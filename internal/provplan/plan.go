@@ -127,8 +127,7 @@ type Plan struct {
 	// select compilation
 	pred     compiledPred
 	join     *compiledJoin
-	scan     provstore.ScanSpec        // the access path
-	stopTid  int64                     // >0: cut a Tid-ascending stream after this tid
+	scan     provstore.ScanSpec        // the access path, bounded at the upper tid bound
 	order    string                    // resolved result order
 	streamed bool                      // access order satisfies the requested order
 	shards   *provstore.ShardedBackend // non-nil: scatter below the merge
@@ -240,13 +239,10 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	}
 	pl.chooseAccess()
 
-	// A Tid-ascending access stream can stop at the first record past the
-	// upper tid bound — the rest of the cursor is never pulled.
+	// The upper tid bound travels in the access scan: the store stops at the
+	// first record past it — the rest of the cursor is never read.
 	if pl.pred.tidMax > 0 {
-		switch pl.scan.Kind {
-		case provstore.KindAll, provstore.KindAncestors, provstore.KindLoc:
-			pl.stopTid = pl.pred.tidMax
-		}
+		pl.scan = pl.scan.Until(pl.pred.tidMax)
 	}
 	switch pl.scan.Kind {
 	case provstore.KindAll, provstore.KindAncestors:
@@ -340,9 +336,6 @@ func (pl *Plan) Explain() []string {
 		return []string{fmt.Sprintf("%s(%s) via iterated selects", pl.q.Op, pl.path)}
 	}
 	parts := []string{"access=" + pl.scan.String()}
-	if pl.stopTid > 0 {
-		parts = append(parts, fmt.Sprintf("stop=tid>%d", pl.stopTid))
-	}
 	if pl.q.Agg != "" {
 		parts = append(parts, "agg="+pl.q.Agg)
 	} else {
@@ -404,10 +397,9 @@ func counted(scan iter.Seq2[provstore.Record, error], scanned *atomic.Int64) ite
 	}
 }
 
-// filtered applies the residual predicate, the optional join key filter and
-// the early tid stop on one access stream. The analyze tap t (nil outside
-// analyze mode) counts records in/out and the time spent waiting on the
-// upstream access cursor.
+// filtered applies the residual predicate and the optional join key filter
+// on one access stream. The analyze tap t (nil outside analyze mode) counts
+// records in/out and the time spent waiting on the upstream access cursor.
 func (pl *Plan) filtered(scan iter.Seq2[provstore.Record, error], keys *joinKeys, t *opStat) iter.Seq2[provstore.Record, error] {
 	return func(yield func(provstore.Record, error) bool) {
 		var start time.Time
@@ -424,9 +416,6 @@ func (pl *Plan) filtered(scan iter.Seq2[provstore.Record, error], keys *joinKeys
 			if err != nil {
 				yield(provstore.Record{}, err)
 				return
-			}
-			if pl.stopTid > 0 && r.Tid > pl.stopTid {
-				return // Tid-ascending stream: nothing later matches
 			}
 			if pl.pred.match(r) && (keys == nil || keys.match(r)) {
 				t.addOut()

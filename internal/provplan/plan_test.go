@@ -186,7 +186,7 @@ func TestAccessSelection(t *testing.T) {
 		{"select where loc=T/c2/*", "access=scan-loc-prefix(T/c2)"},
 		{"select where loc=*/c2", "access=scan-all "},
 		{"select where loc<=T/c2/x", "access=scan-loc-ancestors(T/c2/x)"},
-		{"select where tid<=4", "stop=tid>4"},
+		{"select where tid<=4", "access=scan-all-until(4)"},
 		{"select count where tid>=2 and tid<=5", "agg=count"},
 	}
 	b := provstore.NewMemBackend()

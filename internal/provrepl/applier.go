@@ -181,7 +181,7 @@ func (b *ReplicatedBackend) applyPass(r *replica) (err error) {
 		}
 		if dedupUpTo != nil {
 			if provstore.CompareTidLoc(rec, *dedupUpTo) <= 0 {
-				if _, ok, lerr := r.store.Lookup(ctx, rec.Tid, rec.Loc); lerr != nil {
+				if _, ok, lerr := provstore.Lookup(ctx, r.store, rec.Tid, rec.Loc); lerr != nil {
 					return lerr
 				} else if ok {
 					continue // the replica already holds it
@@ -241,9 +241,11 @@ func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int6
 
 // anchorShipRoot admits one pass's claimed root: the first root seen is
 // trusted (the handle-lifetime analogue of a pinned client's
-// trust-on-first-use), and every later root must extend the last accepted
-// one over a consistency proof fetched from — but verified against — the
-// primary. Without this, verified shipping from a remote primary would only
+// trust-on-first-use), and every later root must be consistent with the last
+// accepted one over a consistency proof fetched from — but verified against
+// — the primary: extend it, and become the anchor, or be a prefix the anchor
+// extends, as a root another applier's pass snapshotted before this one's
+// is. Without this, verified shipping from a remote primary would only
 // check each pass's self-consistency: a primary that rewrote history and
 // honestly re-proved everything against its regenerated tree would still
 // ship cleanly. The consistency proof is what a rewritten tree cannot
@@ -255,23 +257,24 @@ func (b *ReplicatedBackend) anchorShipRoot(ctx context.Context, auth provauth.Au
 		b.shipRoot, b.shipRootOk = root, true
 		return nil
 	}
-	last := b.shipRoot
-	if root == last {
+	older, newer := b.shipRoot, root
+	if root.Size < older.Size {
+		older, newer = root, older
+	}
+	if older == newer {
 		return nil
 	}
 	var audit []provauth.Hash
-	if root.Size > last.Size {
+	if newer.Size > older.Size {
 		var err error
-		if audit, err = auth.Consistency(ctx, last.Size, root.Size); err != nil {
-			return fmt.Errorf("provrepl: fetching consistency %d -> %d for the ship-root anchor: %w", last.Size, root.Size, err)
+		if audit, err = auth.Consistency(ctx, older.Size, newer.Size); err != nil {
+			return fmt.Errorf("provrepl: fetching consistency %d -> %d for the ship-root anchor: %w", older.Size, newer.Size, err)
 		}
 	}
-	if err := provauth.VerifyConsistency(last, root, audit); err != nil {
-		return fmt.Errorf("provrepl: primary root %v does not extend the last shipped root %v: %w", root, last, err)
+	if err := provauth.VerifyConsistency(older, newer, audit); err != nil {
+		return fmt.Errorf("provrepl: primary root %v is not consistent with the last shipped root %v: %w", root, b.shipRoot, err)
 	}
-	if root.Size > last.Size {
-		b.shipRoot = root
-	}
+	b.shipRoot = newer
 	return nil
 }
 

@@ -46,7 +46,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/path"
 	"repro/internal/provauth"
 	"repro/internal/provobs"
 	"repro/internal/provstore"
@@ -364,31 +363,6 @@ func (b *ReplicatedBackend) demote(r *replica) {
 	r.healthy.Store(false)
 	r.demotedUntil.Store(time.Now().Add(b.opts.Poll).UnixNano())
 	r.kick()
-}
-
-// Lookup implements Backend, failing over to the primary when the chosen
-// replica errors (caller cancellation is returned, not failed over).
-func (b *ReplicatedBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if r := b.pickReplica(); r != nil {
-		rec, ok, err := r.store.Lookup(ctx, tid, loc)
-		if err == nil || ctx.Err() != nil {
-			return rec, ok, err
-		}
-		b.demote(r)
-	}
-	return b.primary.Lookup(ctx, tid, loc)
-}
-
-// NearestAncestor implements Backend.
-func (b *ReplicatedBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if r := b.pickReplica(); r != nil {
-		rec, ok, err := r.store.NearestAncestor(ctx, tid, loc)
-		if err == nil || ctx.Err() != nil {
-			return rec, ok, err
-		}
-		b.demote(r)
-	}
-	return b.primary.NearestAncestor(ctx, tid, loc)
 }
 
 // Scan implements Backend: the scan is served from an eligible replica with

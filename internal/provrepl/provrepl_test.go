@@ -126,11 +126,11 @@ func (g *gateStore) Append(ctx context.Context, recs []provstore.Record) error {
 	return nil
 }
 
-func (g *gateStore) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
+func (g *gateStore) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	if g.failReads.Load() {
-		return provstore.Record{}, false, errGate
+		return provstore.ScanError(errGate)
 	}
-	return g.Backend.Lookup(ctx, tid, loc)
+	return g.Backend.Scan(ctx, spec)
 }
 
 func (g *gateStore) Stat(ctx context.Context) (provstore.Stat, error) {
@@ -296,14 +296,14 @@ func TestReadFailoverToPrimary(t *testing.T) {
 
 	// Healthy: the replica serves the read.
 	loc := path.New("T", "c1", "n00")
-	if _, ok, err := b.Lookup(ctx, 1, loc); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, b, 1, loc); err != nil || !ok {
 		t.Fatalf("Lookup via replica = %v, %v", ok, err)
 	}
 
 	// Break the replica's reads: the same lookup must still succeed (via
 	// the primary) and the replica must leave the rotation.
 	gate.failReads.Store(true)
-	if _, ok, err := b.Lookup(ctx, 1, loc); err != nil || !ok {
+	if _, ok, err := provstore.Lookup(ctx, b, 1, loc); err != nil || !ok {
 		t.Fatalf("Lookup with failing replica = %v, %v (want primary failover)", ok, err)
 	}
 	if r := b.pickReplica(); r != nil {
@@ -373,7 +373,7 @@ func TestLagBoundRouting(t *testing.T) {
 	if r := b.pickReplica(); r == nil {
 		t.Error("replica within the bound not in the rotation")
 	}
-	if _, _, err := b.Lookup(ctx, 1, path.New("T", "c1", "n00")); err != nil {
+	if _, _, err := provstore.Lookup(ctx, b, 1, path.New("T", "c1", "n00")); err != nil {
 		t.Errorf("Lookup via lagging replica: %v", err)
 	}
 	if b.LaggedReads() == 0 {

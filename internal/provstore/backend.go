@@ -39,23 +39,18 @@ import (
 // Append neither modifies recs nor keeps a reference to it: the caller may
 // reuse the slice once the call returns.
 //
-// Scan returns a pull-based cursor rather than a materialized slice:
-// records stream to the consumer one at a time, errors are yielded in-stream
-// as the final pair, and breaking out of the loop releases the cursor's
-// resources promptly (see the cursor contract in scan.go). A scan still costs
-// one logical round trip — the cursor is the stream of that one round trip's
-// reply, not a round trip per record.
+// Scan is the only read. It returns a pull-based cursor rather than a
+// materialized slice: records stream to the consumer one at a time, errors
+// are yielded in-stream as the final pair, and breaking out of the loop
+// releases the cursor's resources promptly (see the cursor contract in
+// scan.go). A scan still costs one logical round trip — the cursor is the
+// stream of that one round trip's reply, not a round trip per record. A
+// point read is a scan too: Lookup and NearestAncestor are one bounded scan
+// each (ScanSpec.Until), so every decorator serves them as it serves any
+// scan.
 type Backend interface {
 	// Append stores a batch of records in one round trip and one commit.
 	Append(ctx context.Context, recs []Record) error
-	// Lookup returns the record with exactly this (tid, loc) key, if any.
-	Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error)
-	// NearestAncestor returns the record of transaction tid whose Loc is
-	// the longest strict prefix of loc, if any. This single-round-trip
-	// query is what the hierarchical tracker issues before storing an
-	// insert record (paper §4.2: hierarchical inserts are slower because
-	// "we must first query the provenance database").
-	NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error)
 	// Scan streams the records spec selects, strictly ascending in
 	// spec.Order(), from spec's resume key when it has one. It is the
 	// bounded-memory read path: one round trip however large the answer,
@@ -237,10 +232,10 @@ func (c *memCursor) visit(spec ScanSpec, ids []int32, want int) ([]int32, Record
 	for ; i < len(x.runs); i, j = i+1, 0 {
 		for _, id := range x.runs[i][j:] {
 			examined++
-			if !spec.Match(c.log[id]) {
+			if spec.ends(c.log[id]) {
 				return ids, Record{}, false, nil
 			}
-			if id < c.limit {
+			if id < c.limit && !spec.Beyond(c.log[id].Tid) {
 				ids = append(ids, id)
 			}
 			if len(ids)-had >= want {
@@ -289,7 +284,7 @@ func (b *MemBackend) Append(ctx context.Context, recs []Record) error {
 		return err
 	}
 	for _, r := range recs {
-		if _, dup, _ := b.find(r.Tid, r.Loc); dup {
+		if b.has(r) {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
 	}
@@ -329,53 +324,21 @@ func ValidateBatch(recs []Record) error {
 	return nil
 }
 
-// find looks the key up in the (Tid, Loc) order and reports the number of
-// records it compared: one for a key above the last — every duplicate probe
-// of an in-order writer. The caller holds a lock.
-func (b *MemBackend) find(tid int64, loc path.Path) (id int32, ok bool, examined int) {
-	x, key := &b.tidLoc, Record{Tid: tid, Loc: loc}
+// has reports whether the store holds r's key. A key above the last — every
+// duplicate probe of an in-order writer — costs one comparison. The caller
+// holds a lock.
+func (b *MemBackend) has(r Record) bool {
+	x := &b.tidLoc
 	n := len(x.runs)
 	if n == 0 {
-		return 0, false, 0
+		return false
 	}
-	if last := x.runs[n-1]; CompareTidLoc(b.recs[last[len(last)-1]], key) < 0 {
-		return 0, false, 1
+	if last := x.runs[n-1]; CompareTidLoc(b.recs[last[len(last)-1]], r) < 0 {
+		return false
 	}
-	i, j := x.seek(b.recs, key, false, &examined)
-	id = x.runs[i][j]
-	return id, CompareTidLoc(b.recs[id], key) == 0, examined + 2
-}
-
-// Lookup implements Backend.
-func (b *MemBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Record{}, false, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	id, ok, examined := b.find(tid, loc)
-	b.examined.Add(int64(examined))
-	if !ok {
-		return Record{}, false, nil
-	}
-	return b.recs[id], true, nil
-}
-
-// NearestAncestor implements Backend.
-func (b *MemBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Record{}, false, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for n := loc.Len() - 1; n >= 1; n-- {
-		id, ok, examined := b.find(tid, loc.Prefix(n))
-		b.examined.Add(int64(examined))
-		if ok {
-			return b.recs[id], true, nil
-		}
-	}
-	return Record{}, false, nil
+	var examined int
+	i, j := x.seek(b.recs, r, false, &examined)
+	return CompareTidLoc(b.recs[x.runs[i][j]], r) == 0
 }
 
 // Stat implements Backend. MaxTid is the transaction of the last (Tid, Loc)

@@ -25,11 +25,11 @@ func TestMemBackendAppendAndLookup(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, ok, err := b.Lookup(context.Background(), 1, path.MustParse("T/b"))
+	r, ok, err := Lookup(context.Background(), b, 1, path.MustParse("T/b"))
 	if err != nil || !ok || r.Src.String() != "S/x" {
 		t.Fatalf("Lookup = %v, %v, %v", r, ok, err)
 	}
-	if _, ok, _ := b.Lookup(context.Background(), 3, path.MustParse("T/a")); ok {
+	if _, ok, _ := Lookup(context.Background(), b, 3, path.MustParse("T/a")); ok {
 		t.Error("lookup of absent key should miss")
 	}
 	if st, _ := b.Stat(context.Background()); st.Count != 3 {
@@ -59,7 +59,7 @@ func TestMemBackendDupKey(t *testing.T) {
 		t.Fatalf("want DupKeyError for in-batch dup, got %v", err)
 	}
 	// A failed batch must store nothing.
-	if _, ok, _ := b.Lookup(context.Background(), 5, path.MustParse("T/z")); ok {
+	if _, ok, _ := Lookup(context.Background(), b, 5, path.MustParse("T/z")); ok {
 		t.Error("failed batch leaked records")
 	}
 	// Invalid record rejected.
@@ -75,21 +75,21 @@ func TestMemBackendNearestAncestor(t *testing.T) {
 		rec(7, OpInsert, "T/a/b/c", ""),
 	})
 	// Nearest ancestor of T/a/b/c/d/e within tid 7 is the insert at T/a/b/c.
-	r, ok, err := b.NearestAncestor(context.Background(), 7, path.MustParse("T/a/b/c/d/e"))
+	r, ok, err := NearestAncestor(context.Background(), b, 7, path.MustParse("T/a/b/c/d/e"))
 	if err != nil || !ok || r.Loc.String() != "T/a/b/c" {
 		t.Fatalf("NearestAncestor = %v, %v, %v", r, ok, err)
 	}
 	// Nearest ancestor of T/a/b is the copy at T/a.
-	r, ok, _ = b.NearestAncestor(context.Background(), 7, path.MustParse("T/a/b"))
+	r, ok, _ = NearestAncestor(context.Background(), b, 7, path.MustParse("T/a/b"))
 	if !ok || r.Loc.String() != "T/a" {
 		t.Fatalf("NearestAncestor = %v, %v", r, ok)
 	}
 	// Self never matches (strict ancestors only).
-	if _, ok, _ := b.NearestAncestor(context.Background(), 7, path.MustParse("T/a")); ok {
+	if _, ok, _ := NearestAncestor(context.Background(), b, 7, path.MustParse("T/a")); ok {
 		t.Error("NearestAncestor must exclude self")
 	}
 	// Different transaction sees nothing.
-	if _, ok, _ := b.NearestAncestor(context.Background(), 8, path.MustParse("T/a/b")); ok {
+	if _, ok, _ := NearestAncestor(context.Background(), b, 8, path.MustParse("T/a/b")); ok {
 		t.Error("other tid should miss")
 	}
 }

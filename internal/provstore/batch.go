@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/path"
 	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
@@ -56,10 +55,10 @@ func Close(b Backend) error {
 // A BatchingBackend wraps a Backend and buffers appended records until
 // BatchSize accumulate, then flushes them with one Append — one group commit.
 // Reads are read-through, so queries always see every acknowledged append:
-// point reads and whole-store accessors flush first and delegate, while
-// scans stream an ordered merge of the pending buffer and the inner store's
-// cursor without forcing a flush. What batching defers is only the store
-// round trip and its durability cost.
+// Stat flushes first and delegates, while scans stream an ordered merge of
+// the pending buffer and the inner store's cursor without forcing a flush.
+// What batching defers is only the store round trip and its durability
+// cost.
 //
 // Records are validated when enqueued — structural checks plus the
 // {Tid, Loc} key constraint against both the pending buffer and the store —
@@ -129,11 +128,9 @@ func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
 		if _, dup := b.keys[keys[i]]; dup {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
-		if _, ok, err := b.inner.Lookup(ctx, r.Tid, r.Loc); err != nil {
-			return err
-		} else if ok {
-			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-		}
+	}
+	if err := checkStored(ctx, b.inner, recs); err != nil {
+		return err
 	}
 	b.buf = append(b.buf, recs...)
 	for _, k := range keys {
@@ -202,29 +199,34 @@ func (b *BatchingBackend) flushLocked(ctx context.Context) error {
 	return err
 }
 
+// checkStored refuses recs if b already holds one of their keys: one Stat,
+// then a Lookup of each record at or below b's MaxTid — a record of a later
+// transaction cannot be stored, and an in-order writer's every record is one.
+func checkStored(ctx context.Context, b Backend, recs []Record) error {
+	st, err := b.Stat(ctx)
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if r.Tid > st.MaxTid {
+			continue
+		}
+		if _, ok, err := Lookup(ctx, b, r.Tid, r.Loc); err != nil {
+			return err
+		} else if ok {
+			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
+		}
+	}
+	return nil
+}
+
 // --- read-through ----------------------------------------------------------
 //
-// Point reads and Stat flush first, then delegate —
-// their single answer must reflect the buffer, and a flush is the cheapest
-// way to guarantee it. Scans do better: they stream a merge of a buffer
-// snapshot and the inner store's cursor, so a scan costs no durability
-// round trip and the buffer keeps accumulating toward a full group.
-
-// Lookup implements Backend.
-func (b *BatchingBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := b.Flush(ctx); err != nil {
-		return Record{}, false, err
-	}
-	return b.inner.Lookup(ctx, tid, loc)
-}
-
-// NearestAncestor implements Backend.
-func (b *BatchingBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	if err := b.Flush(ctx); err != nil {
-		return Record{}, false, err
-	}
-	return b.inner.NearestAncestor(ctx, tid, loc)
-}
+// Stat flushes first, then delegates — its single answer must reflect the
+// buffer, and a flush is the cheapest way to guarantee it. Scans do better:
+// they stream a merge of a buffer snapshot and the inner store's cursor, so
+// a scan — a point read included — costs no durability round trip and the
+// buffer keeps accumulating toward a full group.
 
 // Scan implements Backend: the buffered records spec selects, filtered before
 // they are sorted, merge with the inner store's cursor — a resumed scan never

@@ -40,8 +40,8 @@ func TestMemBackendConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				loc := path.New("T", fmt.Sprintf("w%d", r), fmt.Sprintf("n%d", i%perWriter))
-				b.Lookup(context.Background(), int64(i+1), loc)
-				b.NearestAncestor(context.Background(), int64(i+1), loc.Child("deep"))
+				Lookup(context.Background(), b, int64(i+1), loc)
+				NearestAncestor(context.Background(), b, int64(i+1), loc.Child("deep"))
 				CollectScan(b.Scan(context.Background(), ByTid(int64(i+1))))
 				CollectScan(b.Scan(context.Background(), WithAncestors(loc)))
 				b.Stat(context.Background())
@@ -91,8 +91,8 @@ func TestShardedBackendConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				loc := path.New("T", fmt.Sprintf("w%d", r), fmt.Sprintf("n%d", i%perWriter))
-				b.Lookup(context.Background(), int64(i+1), loc)
-				b.NearestAncestor(context.Background(), int64(i+1), loc.Child("deep"))
+				Lookup(context.Background(), b, int64(i+1), loc)
+				NearestAncestor(context.Background(), b, int64(i+1), loc.Child("deep"))
 				CollectScan(b.Scan(context.Background(), ByTid(int64(i+1))))
 				CollectScan(b.Scan(context.Background(), ByLoc(loc)))
 				CollectScan(b.Scan(context.Background(), ByPrefix(path.New("T", fmt.Sprintf("w%d", r)))))

@@ -96,7 +96,7 @@ func TestCancelledContextShortCircuits(t *testing.T) {
 		if err := b.Append(ctx, []Record{rec}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Append under cancelled ctx: %v", name, err)
 		}
-		if _, _, err := b.Lookup(ctx, 1, rec.Loc); !errors.Is(err, context.Canceled) {
+		if _, _, err := Lookup(ctx, b, 1, rec.Loc); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: Lookup under cancelled ctx: %v", name, err)
 		}
 		if _, err := CollectScan(b.Scan(ctx, ByPrefix(path.MustParse("T")))); !errors.Is(err, context.Canceled) {

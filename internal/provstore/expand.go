@@ -94,17 +94,18 @@ func sortRecords(recs []Record) {
 // location, an inserted (deleted) ancestor means loc was inserted (deleted).
 //
 // ok == false means loc was untouched by transaction tid — the Unch(t, p)
-// view of §2.2.
+// view of §2.2. It is two reads, the key and then its nearest ancestor, so
+// two round trips: the price of the paper's getSrc probe.
 //
 // Effective is sound for all four storage methods when loc is reached by
 // backward tracing from a location that exists at the end of transaction
 // tid: for the non-hierarchical methods every touched node has an explicit
 // row, so the inference never fires spuriously.
 func Effective(ctx context.Context, b Backend, tid int64, loc path.Path) (Record, bool, error) {
-	if r, ok, err := b.Lookup(ctx, tid, loc); err != nil || ok {
+	if r, ok, err := Lookup(ctx, b, tid, loc); err != nil || ok {
 		return r, ok, err
 	}
-	anc, ok, err := b.NearestAncestor(ctx, tid, loc)
+	anc, ok, err := NearestAncestor(ctx, b, tid, loc)
 	if err != nil || !ok {
 		return Record{}, false, err
 	}

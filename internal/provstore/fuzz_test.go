@@ -94,6 +94,18 @@ func FuzzScanSpec(f *testing.F) {
 		"kind=all&after_loc=T",
 		"kind=all&limit=5",
 		"kind=tid&tid=9223372036854775808",
+		"kind=all&until=2",
+		"kind=tid&tid=3&until=2",
+		"kind=loc&loc=T/c1/x&after_tid=1&after_loc=T/c1/x&until=3",
+		"kind=loc-prefix&loc=T&until=2",
+		"kind=loc-ancestors&loc=T/c1/x&after_tid=2&after_loc=&until=3",
+		"kind=all&until=-1",
+		"kind=all&until=x",
+		"kind=all&until=1&until=2",
+		"kind=loc&loc=T/c1&after_tid=2&after_loc=T/c1&until=3",
+		"kind=loc&loc=T/c1&after_tid=2&after_loc=T&until=3",
+		"kind=loc-ancestors&loc=T/c1&after_tid=3&after_loc=&until=3",
+		"kind=loc-prefix&loc=T&after_tid=3&after_loc=T/c1",
 	} {
 		f.Add(seed)
 	}
@@ -127,6 +139,9 @@ func FuzzScanSpec(f *testing.F) {
 			}
 			if !s.Match(r) {
 				t.Fatalf("%v yielded %v, which it does not match", s, r)
+			}
+			if r.Tid < s.Floor() {
+				t.Fatalf("%v yielded %v, older than its floor %d", s, r, s.Floor())
 			}
 			if prev != nil && s.Order()(*prev, r) >= 0 {
 				t.Fatalf("%v yielded %v then %v: not strictly increasing", s, *prev, r)

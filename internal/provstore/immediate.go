@@ -70,7 +70,7 @@ func (t *immediateTracker) OnInsert(eff update.Effect) error {
 		// One round trip to check whether the insert is inferable: if
 		// the nearest ancestor record of this transaction is an insert,
 		// this node is assumed inserted and needs no explicit record.
-		anc, ok, err := t.backend.NearestAncestor(context.Background(), tid, loc)
+		anc, ok, err := NearestAncestor(context.Background(), t.backend, tid, loc)
 		if err != nil {
 			return err
 		}

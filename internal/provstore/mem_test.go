@@ -263,11 +263,11 @@ func checkMemAgainstRef(t *testing.T, b *MemBackend, ref *refMem, locs []path.Pa
 		scan(fmt.Sprintf("ScanLoc(%q)", loc), b.Scan(ctx, ByLoc(loc)), ref.scanLoc(loc))
 		scan(fmt.Sprintf("ScanLocWithAncestors(%q)", loc), b.Scan(ctx, WithAncestors(loc)), ref.scanLocWithAncestors(loc))
 		for _, tid := range tids {
-			got, ok, err := b.Lookup(ctx, tid, loc)
+			got, ok, err := Lookup(ctx, b, tid, loc)
 			if want, wantOK := ref.lookup(tid, loc); err != nil || ok != wantOK || !sameRecords([]Record{got}, []Record{want}) {
 				t.Fatalf("Lookup(%d, %q) = %v, %v, %v; want %v, %v", tid, loc, got, ok, err, want, wantOK)
 			}
-			got, ok, err = b.NearestAncestor(ctx, tid, loc)
+			got, ok, err = NearestAncestor(ctx, b, tid, loc)
 			if want, wantOK := ref.nearestAncestor(tid, loc); err != nil || ok != wantOK || !sameRecords([]Record{got}, []Record{want}) {
 				t.Fatalf("NearestAncestor(%d, %q) = %v, %v, %v; want %v, %v", tid, loc, got, ok, err, want, wantOK)
 			}
@@ -492,9 +492,9 @@ func TestMemConcurrentAppendScan(t *testing.T) {
 				ordered("ScanLoc", b.Scan(ctx, ByLoc(loc)), CompareTidLoc)
 				ordered("ScanLocPrefix", b.Scan(ctx, ByPrefix(loc.Prefix(2))), CompareLocTid)
 				ordered("ScanLocWithAncestors", b.Scan(ctx, WithAncestors(loc.Child("deep"))), CompareTidLoc)
-				b.Lookup(ctx, int64(w*perWriter+i+1), loc)                        //nolint:errcheck // raced, not asserted
-				b.NearestAncestor(ctx, int64(w*perWriter+i+1), loc.Child("deep")) //nolint:errcheck
-				b.Stat(ctx)                                                       //nolint:errcheck
+				Lookup(ctx, b, int64(w*perWriter+i+1), loc)                        //nolint:errcheck // raced, not asserted
+				NearestAncestor(ctx, b, int64(w*perWriter+i+1), loc.Child("deep")) //nolint:errcheck
+				b.Stat(ctx)                                                        //nolint:errcheck
 			}
 		}(r)
 	}
@@ -600,7 +600,7 @@ func TestMemScanCostIndependentOfStoreSize(t *testing.T) {
 		cost("ScanLocPrefix", 20, drain(b.Scan(ctx, ByPrefix(path.New("T", "e000007")))))
 		from := all[n-3]
 		cost("ScanAllAfter", 2, drain(b.Scan(ctx, All().After(from.Tid, from.Loc))))
-		cost("MaxTid", 0, func() int { b.Stat(ctx); return 0 })                       //nolint:errcheck // cannot fail
-		cost("Lookup", 1, func() int { b.Lookup(ctx, from.Tid, from.Loc); return 1 }) //nolint:errcheck
+		cost("MaxTid", 0, func() int { b.Stat(ctx); return 0 })                        //nolint:errcheck // cannot fail
+		cost("Lookup", 1, func() int { Lookup(ctx, b, from.Tid, from.Loc); return 1 }) //nolint:errcheck
 	}
 }

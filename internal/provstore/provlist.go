@@ -55,7 +55,7 @@ func (l *provlist) at(loc path.Path) *listEntry {
 
 // nearest returns the entry at the longest prefix of loc that has one — loc
 // itself counting unless strict — or nil. This is the in-memory analogue of
-// Backend.NearestAncestor and implements the hierarchical inference rule
+// NearestAncestor and implements the hierarchical inference rule
 // against the active list. AppendBinary ends every label in 0x00 and escapes
 // that byte inside one, so loc is encoded once and the key of each ancestor
 // is the encoding cut after an earlier 0x00: the probes allocate nothing.

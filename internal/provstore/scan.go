@@ -82,8 +82,9 @@ const scanWindowFirst = 16
 
 // A Visit is all a store supplies of its scans: under its read lock, seek to
 // where spec (never a WithAncestors scan) starts, resume key included, walk
-// at most want records of that one stretch and append the selected ones to
-// buf. T is what the store keeps of a record while a window is out — the
+// at most want records of that one stretch — past spec's bound it ends, or
+// in a subtree passes over records (ScanSpec.Beyond) — and append the
+// selected ones to buf. T is what the store keeps of a record while a window is out — the
 // record, or its number in a log. It returns buf, the last record it passed,
 // selected or not (the place to resume after) and whether the stretch may go
 // on; what it appended before an error counts.
@@ -192,9 +193,10 @@ func ScanStretch[T any](ctx context.Context, spec ScanSpec, windows *Windows[T],
 }
 
 // ScanAncestors is the WithAncestors scan of every store: the answers of the
-// ByLoc scans spec splits into (ScanSpec.Probe) — probe appends one to buf: a
-// scan of the shard or tree the location lives in, or a Visit — are gathered,
-// then yielded in (Tid, Loc) order. The answer is the records at depth-of-loc
+// ByLoc scans spec splits into (ScanSpec.Probe, each stopping at spec's
+// bound) — probe appends one to buf: a scan of the shard or tree the
+// location lives in, or a Visit — are gathered, then yielded in (Tid, Loc)
+// order. The answer is the records at depth-of-loc
 // locations, so it is gathered whole: a consumer that stops early has paid
 // for all of it. ctx is observed before each probe and each record.
 func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanSpec, buf []T) ([]T, error), record func(*T) *Record) iter.Seq2[Record, error] {

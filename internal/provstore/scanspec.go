@@ -38,9 +38,10 @@ func (k ScanKind) String() string {
 }
 
 // A ScanSpec is one ordered scan as a value: which records (Kind and its
-// argument), and from where (the resume key). Every layer that used to
-// restate a scan's predicate, order, label or wire form derives it from the
-// spec instead: Match, Order, String and Values.
+// argument), from where (the resume key) and up to which transaction (the
+// bound). Every layer that used to restate a scan's predicate, order,
+// horizon, label or wire form derives it from the spec instead: Match,
+// Order, String and Values.
 type ScanSpec struct {
 	Kind ScanKind
 	Tid  int64     // the transaction of KindTid
@@ -51,6 +52,10 @@ type ScanSpec struct {
 	after    bool
 	afterTid int64
 	afterLoc path.Path
+
+	// With bounded set, only the records of transactions up to until are.
+	bounded bool
+	until   int64
 }
 
 // All selects the whole relation in (Tid, Loc) order — the paper's Figure 5
@@ -90,6 +95,46 @@ func (s ScanSpec) ResumeKey() (Record, bool) {
 	return Record{Tid: s.afterTid, Loc: s.afterLoc}, s.after
 }
 
+// Until returns s selecting only the records of transactions up to and
+// including t — the horizon of "as of t": an ancestry query's, a pinned
+// client's, a page's. Stores stop at it: in every order but a subtree's,
+// the first record past t ends the scan, so the records written since are
+// never read; a subtree's (Loc, Tid) order passes over them location by
+// location.
+func (s ScanSpec) Until(t int64) ScanSpec {
+	s.bounded, s.until = true, t
+	return s
+}
+
+// Bound returns the transaction Until set, and whether one is set.
+func (s ScanSpec) Bound() (int64, bool) { return s.until, s.bounded }
+
+// Beyond reports whether a record of transaction tid lies past the bound.
+func (s ScanSpec) Beyond(tid int64) bool { return s.bounded && tid > s.until }
+
+// Floor returns a transaction no record the scan selects is older than: the
+// resume key's, or the transaction after it at one location, in the orders
+// where the key bounds Tid from below; MinInt64 in a subtree's. A point
+// read — ByLoc(l).After(t−1, l), or a WithAncestors scan after (t, ε) —
+// has floor t.
+func (s ScanSpec) Floor() int64 {
+	from, strict := s.start()
+	switch {
+	case s.Kind == KindPrefix:
+		return math.MinInt64
+	case s.Kind == KindLoc && strict && from.Tid < math.MaxInt64:
+		return from.Tid + 1
+	}
+	return from.Tid
+}
+
+// ends reports whether a walk of the scan's stretch that reached r, in
+// Order, is over: r lies outside the kind's stretch, or past the bound in
+// an order where every later record does too — all but a subtree's.
+func (s ScanSpec) ends(r Record) bool {
+	return !s.within(r) || s.Beyond(r.Tid) && s.Kind != KindPrefix
+}
+
 // Order returns the comparison the scan's records strictly ascend under:
 // CompareTidLoc or CompareLocTid.
 func (s ScanSpec) Order() func(a, b Record) int {
@@ -106,26 +151,26 @@ func (s ScanSpec) byLoc() bool { return s.Kind == KindLoc || s.Kind == KindPrefi
 // filters its pending records with, and the re-check a verifying client
 // applies to every record a server claims belongs to the answer.
 func (s ScanSpec) Match(r Record) bool {
-	switch s.Kind {
-	case KindTid:
-		if r.Tid != s.Tid {
-			return false
-		}
-	case KindLoc:
-		if !r.Loc.Equal(s.Loc) {
-			return false
-		}
-	case KindPrefix:
-		if !s.Loc.IsPrefixOf(r.Loc) {
-			return false
-		}
-	case KindAncestors:
-		if !r.Loc.IsPrefixOf(s.Loc) {
-			return false
-		}
+	if !s.within(r) || s.Beyond(r.Tid) {
+		return false
 	}
 	after, ok := s.ResumeKey()
 	return !ok || s.Order()(r, after) > 0
+}
+
+// within reports whether the kind selects r, resume key and bound aside.
+func (s ScanSpec) within(r Record) bool {
+	switch s.Kind {
+	case KindTid:
+		return r.Tid == s.Tid
+	case KindLoc:
+		return r.Loc.Equal(s.Loc)
+	case KindPrefix:
+		return s.Loc.IsPrefixOf(r.Loc)
+	case KindAncestors:
+		return r.Loc.IsPrefixOf(s.Loc)
+	}
+	return true
 }
 
 // start returns the key the selection begins at in Order — no record is at
@@ -149,9 +194,10 @@ func (s ScanSpec) start() (Record, bool) {
 // splits into, the one at the first n labels of Loc: each location lives in
 // one stretch of the Loc index (and on one shard), and the merge of the
 // probes in (Tid, Loc) order is the scan's answer. A probe resumes where s
-// does.
+// does, and stops at its bound.
 func (s ScanSpec) Probe(n int) ScanSpec {
 	p := ByLoc(s.Loc.Prefix(n))
+	p.bounded, p.until = s.bounded, s.until
 	// (t, p) is after (afterTid, afterLoc) for t > afterTid, and for
 	// t = afterTid too when p sorts after afterLoc.
 	switch {
@@ -165,8 +211,8 @@ func (s ScanSpec) Probe(n int) ScanSpec {
 }
 
 // String labels the scan for spans, EXPLAIN and logs: "scan-all",
-// "scan-tid(3)", "scan-loc-prefix(T/c1)", and with a resume key
-// "scan-all-after(3, ε)".
+// "scan-tid(3)", "scan-loc-prefix(T/c1)", with a resume key
+// "scan-all-after(3, ε)" and with a bound "scan-loc(T/a)-until(5)".
 func (s ScanSpec) String() string {
 	var out string
 	switch s.Kind {
@@ -177,19 +223,23 @@ func (s ScanSpec) String() string {
 	default:
 		out = "scan-" + s.Kind.String() + "(" + s.Loc.String() + ")"
 	}
-	if !s.after {
-		return out
+	if s.after {
+		loc := "ε"
+		if !s.afterLoc.IsRoot() {
+			loc = s.afterLoc.String()
+		}
+		out += "-after(" + itoa(s.afterTid) + ", " + loc + ")"
 	}
-	loc := "ε"
-	if !s.afterLoc.IsRoot() {
-		loc = s.afterLoc.String()
+	if s.bounded {
+		out += "-until(" + itoa(s.until) + ")"
 	}
-	return out + "-after(" + itoa(s.afterTid) + ", " + loc + ")"
+	return out
 }
 
 // Values returns the wire form of the scan, the query parameters of
 // GET /v1/scan: kind, then tid or loc as the kind takes one, then after_tid
-// and after_loc together when there is a resume key.
+// and after_loc together when there is a resume key, then until when there
+// is a bound.
 func (s ScanSpec) Values() url.Values {
 	q := url.Values{"kind": {s.Kind.String()}}
 	switch s.Kind {
@@ -202,6 +252,9 @@ func (s ScanSpec) Values() url.Values {
 	if s.after {
 		q.Set("after_tid", itoa(s.afterTid))
 		q.Set("after_loc", s.afterLoc.String())
+	}
+	if s.bounded {
+		q.Set("until", itoa(s.until))
 	}
 	return q
 }
@@ -236,6 +289,12 @@ func ParseScanSpec(q url.Values) (ScanSpec, error) {
 		}
 		if s.afterLoc, err = pathParam(q, "after_loc"); err != nil {
 			return s, err
+		}
+	}
+	if q.Has("until") {
+		s.bounded = true
+		if s.until, err = strconv.ParseInt(q.Get("until"), 10, 64); err != nil {
+			return s, fmt.Errorf("provstore: bad until parameter %q", q.Get("until"))
 		}
 	}
 	want := s.Values()
@@ -279,4 +338,41 @@ func Tids(ctx context.Context, b Backend) ([]int64, error) {
 			return out, nil
 		}
 	}
+}
+
+// Lookup returns the record with exactly the key (tid, loc), if b holds one:
+// the one record ByLoc(loc) selects from just before tid until tid — a
+// single scan, so a single round trip on any store, over any decorator.
+func Lookup(ctx context.Context, b Backend, tid int64, loc path.Path) (Record, bool, error) {
+	spec := ByLoc(loc).Until(tid)
+	if tid > math.MinInt64 {
+		spec = spec.After(tid-1, loc)
+	}
+	for r, err := range b.Scan(ctx, spec) {
+		return r, err == nil, err
+	}
+	return Record{}, false, nil
+}
+
+// NearestAncestor returns the record of transaction tid whose Loc is the
+// longest strict prefix of loc, if any: the last record the WithAncestors
+// scan of loc's parent selects after (tid, ε) until tid — one ByLoc probe
+// per strict prefix, each bounded to the one transaction. This single round
+// trip is what the hierarchical tracker issues before storing an insert
+// record (paper §4.2: hierarchical inserts are slower because "we must
+// first query the provenance database").
+func NearestAncestor(ctx context.Context, b Backend, tid int64, loc path.Path) (Record, bool, error) {
+	parent := path.Root
+	if loc.Len() > 1 {
+		parent = loc.Prefix(loc.Len() - 1)
+	}
+	var last Record
+	found := false
+	for r, err := range b.Scan(ctx, WithAncestors(parent).After(tid, path.Root).Until(tid)) {
+		if err != nil {
+			return Record{}, false, err
+		}
+		last, found = r, true
+	}
+	return last, found, nil
 }

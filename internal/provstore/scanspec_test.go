@@ -1,6 +1,7 @@
 package provstore
 
 import (
+	"math"
 	"net/url"
 	"testing"
 
@@ -27,6 +28,23 @@ func TestScanSpecWire(t *testing.T) {
 		}
 		if got := c.spec.String(); got != c.label {
 			t.Errorf("label %q, want %q", got, c.label)
+		}
+	}
+	// A point read's floor is its transaction; a subtree's order bounds
+	// no Tid from below.
+	for _, c := range []struct {
+		spec  ScanSpec
+		floor int64
+	}{
+		{ByLoc(loc).After(4, loc).Until(5), 5},
+		{ByLoc(loc).After(4, path.MustParse("T")), math.MinInt64},
+		{WithAncestors(loc).After(5, path.Root).Until(5), 5},
+		{ByTid(3), 3},
+		{All(), math.MinInt64},
+		{ByPrefix(loc).After(4, loc), math.MinInt64},
+	} {
+		if got := c.spec.Floor(); got != c.floor {
+			t.Errorf("%v: floor %d, want %d", c.spec, got, c.floor)
 		}
 	}
 	for _, bad := range []string{

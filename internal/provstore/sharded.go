@@ -29,7 +29,7 @@ import (
 // FNV-1a hash of the location's root-relative path (the path with the
 // database label stripped), so routing does not depend on what the curated
 // database happens to be called. All records at one location land on one
-// shard, which is what lets Lookup and a ByLoc scan stay single-shard.
+// shard, which is what lets a ByLoc scan — a Lookup — stay single-shard.
 func ShardFor(loc path.Path, n int) int {
 	if n <= 1 {
 		return 0
@@ -171,16 +171,7 @@ func (b *ShardedBackend) Append(ctx context.Context, recs []Record) error {
 		return err
 	}
 	parts := b.partition(recs)
-	err := b.fanParts(ctx, parts, func(i int) error {
-		for _, r := range parts[i] {
-			if _, ok, lerr := b.shards[i].Lookup(ctx, r.Tid, r.Loc); lerr != nil {
-				return lerr
-			} else if ok {
-				return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
-			}
-		}
-		return nil
-	})
+	err := b.fanParts(ctx, parts, func(i int) error { return checkStored(ctx, b.shards[i], parts[i]) })
 	if err != nil {
 		return err
 	}
@@ -214,24 +205,6 @@ func (b *ShardedBackend) fanParts(ctx context.Context, parts [][]Record, f func(
 		return f(touched[0])
 	}
 	return Fanout(ctx, len(touched), func(j int) error { return f(touched[j]) })
-}
-
-// Lookup implements Backend: a single-shard read.
-func (b *ShardedBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	return b.shardFor(loc).Lookup(ctx, tid, loc)
-}
-
-// NearestAncestor implements Backend: each ancestor lives on its own shard,
-// so the probes scatter, deepest ancestor winning.
-func (b *ShardedBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (Record, bool, error) {
-	anc := loc.Ancestors()
-	for i := len(anc) - 1; i >= 0; i-- {
-		rec, ok, err := b.shardFor(anc[i]).Lookup(ctx, tid, anc[i])
-		if err != nil || ok {
-			return rec, ok, err
-		}
-	}
-	return Record{}, false, nil
 }
 
 // Scan implements Backend. All records at one location live on one shard, so

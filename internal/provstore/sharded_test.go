@@ -135,15 +135,15 @@ func TestShardedBackendQueryEquivalence(t *testing.T) {
 		want, err2 = provstore.CollectScan(mem.Scan(context.Background(), provstore.WithAncestors(r.Loc)))
 		check("ScanLocWithAncestors "+r.Loc.String(), got, want, err1, err2)
 
-		grec, gok, err1 := sh.Lookup(context.Background(), r.Tid, r.Loc)
-		wrec, wok, err2 := mem.Lookup(context.Background(), r.Tid, r.Loc)
+		grec, gok, err1 := provstore.Lookup(context.Background(), sh, r.Tid, r.Loc)
+		wrec, wok, err2 := provstore.Lookup(context.Background(), mem, r.Tid, r.Loc)
 		if err1 != nil || err2 != nil || gok != wok || grec.String() != wrec.String() {
 			t.Errorf("Lookup(%d, %s) = %v/%v, want %v/%v", r.Tid, r.Loc, grec, gok, wrec, wok)
 		}
 
 		deep := r.Loc.Child("deep").Child("deeper")
-		grec, gok, err1 = sh.NearestAncestor(context.Background(), r.Tid, deep)
-		wrec, wok, err2 = mem.NearestAncestor(context.Background(), r.Tid, deep)
+		grec, gok, err1 = provstore.NearestAncestor(context.Background(), sh, r.Tid, deep)
+		wrec, wok, err2 = provstore.NearestAncestor(context.Background(), mem, r.Tid, deep)
 		if err1 != nil || err2 != nil || gok != wok || grec.String() != wrec.String() {
 			t.Errorf("NearestAncestor(%d, %s) mismatch", r.Tid, deep)
 		}

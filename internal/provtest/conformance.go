@@ -66,6 +66,7 @@ func conformanceFixture() []provstore.Record {
 func Conformance(t *testing.T, open func(t *testing.T) provstore.Backend) {
 	t.Run("ScanOrdering", func(t *testing.T) { conformScanOrdering(t, open(t)) })
 	t.Run("SeekEquivalence", func(t *testing.T) { conformSeek(t, open(t)) })
+	t.Run("Until", func(t *testing.T) { conformUntil(t, open(t)) })
 	t.Run("EarlyBreakReleases", func(t *testing.T) { conformEarlyBreak(t, open(t)) })
 	t.Run("CancelMidStream", func(t *testing.T) { conformCancelMidStream(t, open(t)) })
 	t.Run("PreCancelledContext", func(t *testing.T) { conformPreCancelled(t, open(t)) })
@@ -178,22 +179,7 @@ func conformScanOrdering(t *testing.T, b provstore.Backend) {
 // strictly after k in the row's own order.
 func conformSeek(t *testing.T, b provstore.Backend) {
 	ctx := context.Background()
-	keys := loadConformanceFixture(t, b)
-	for _, k := range []struct {
-		tid int64
-		loc string
-	}{
-		{0, ""},         // before every key in either order
-		{1, ""},         // the tid-range seek key: everything with Tid >= 1
-		{3, ""},         // everything with Tid >= 3 (root sorts below every stored loc)
-		{2, "T/c1/q"},   // between stored keys of one transaction
-		{3, "T/c1/x"},   // between the stored tids of one location
-		{5, "anything"}, // inside the transaction gap
-		{99, ""},        // past the last tid
-		{99, "Z"},       // past the end in either order
-	} {
-		keys = append(keys, provstore.Record{Tid: k.tid, Loc: path.MustParse(k.loc)})
-	}
+	keys := seekKeys(loadConformanceFixture(t, b))
 	for _, c := range scanCases() {
 		full, err := provstore.CollectScan(b.Scan(ctx, c.spec))
 		if err != nil {
@@ -212,6 +198,64 @@ func conformSeek(t *testing.T, b provstore.Backend) {
 				t.Fatalf("%v: %v", spec, err)
 			}
 			sameSeq(t, spec.String(), got, want)
+		}
+	}
+}
+
+// seekKeys returns the resume keys the suite seeks to: every stored key and
+// synthetic ones — before the start, between stored keys, inside the
+// transaction gap, past the end.
+func seekKeys(recs []provstore.Record) []provstore.Record {
+	keys := slices.Clone(recs)
+	for _, k := range []struct {
+		tid int64
+		loc string
+	}{
+		{0, ""},         // before every key in either order
+		{1, ""},         // the tid-range seek key: everything with Tid >= 1
+		{3, ""},         // everything with Tid >= 3 (root sorts below every stored loc)
+		{2, "T/c1/q"},   // between stored keys of one transaction
+		{3, "T/c1/x"},   // between the stored tids of one location
+		{5, "anything"}, // inside the transaction gap
+		{99, ""},        // past the last tid
+		{99, "Z"},       // past the end in either order
+	} {
+		keys = append(keys, provstore.Record{Tid: k.tid, Loc: path.MustParse(k.loc)})
+	}
+	return keys
+}
+
+// conformUntil pins the bound: for every row of the table, from its start
+// and resumed at every key seekKeys lists, Scan(spec.Until(t)) at a tid in
+// the middle of the history and at one in its gap is exactly Scan(spec)
+// without the records of later transactions.
+func conformUntil(t *testing.T, b provstore.Backend) {
+	ctx := context.Background()
+	keys := seekKeys(loadConformanceFixture(t, b))
+	for _, c := range scanCases() {
+		specs := []provstore.ScanSpec{c.spec}
+		for _, k := range keys {
+			specs = append(specs, c.spec.After(k.Tid, k.Loc))
+		}
+		for _, spec := range specs {
+			full, err := provstore.CollectScan(b.Scan(ctx, spec))
+			if err != nil {
+				t.Fatalf("%v: %v", spec, err)
+			}
+			for _, until := range []int64{3, 5} {
+				var want []provstore.Record
+				for _, r := range full {
+					if r.Tid <= until {
+						want = append(want, r)
+					}
+				}
+				bounded := spec.Until(until)
+				got, err := provstore.CollectScan(b.Scan(ctx, bounded))
+				if err != nil {
+					t.Fatalf("%v: %v", bounded, err)
+				}
+				sameSeq(t, bounded.String(), got, want)
+			}
 		}
 	}
 }
@@ -312,8 +356,11 @@ func conformPreCancelled(t *testing.T, b provstore.Backend) {
 	if _, err := b.Stat(ctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("Stat on cancelled ctx = %v, want context.Canceled", err)
 	}
-	if _, _, err := b.Lookup(ctx, 1, path.MustParse("S/a")); !errors.Is(err, context.Canceled) {
-		t.Errorf("Lookup on cancelled ctx = %v, want context.Canceled", err)
+	if r, ok, err := provstore.Lookup(ctx, b, 1, path.MustParse("S/a")); !errors.Is(err, context.Canceled) || ok {
+		t.Errorf("Lookup on cancelled ctx = %v, %v, %v; want context.Canceled", r, ok, err)
+	}
+	if r, ok, err := provstore.NearestAncestor(ctx, b, 1, path.MustParse("S/a/x/deep")); !errors.Is(err, context.Canceled) || ok {
+		t.Errorf("NearestAncestor on cancelled ctx = %v, %v, %v; want context.Canceled", r, ok, err)
 	}
 }
 

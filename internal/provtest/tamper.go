@@ -71,24 +71,6 @@ func (t *TamperBackend) Append(ctx context.Context, recs []provstore.Record) err
 	return t.inner.Append(ctx, recs)
 }
 
-// Lookup implements Backend.
-func (t *TamperBackend) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	rec, ok, err := t.inner.Lookup(ctx, tid, loc)
-	if ok && err == nil {
-		rec = t.out(rec)
-	}
-	return rec, ok, err
-}
-
-// NearestAncestor implements Backend.
-func (t *TamperBackend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	rec, ok, err := t.inner.NearestAncestor(ctx, tid, loc)
-	if ok && err == nil {
-		rec = t.out(rec)
-	}
-	return rec, ok, err
-}
-
 // Scan implements Backend.
 func (t *TamperBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	return t.tampered(t.inner.Scan(ctx, spec))

@@ -66,7 +66,7 @@ func checkStoreOpened(t *testing.T, dir string, opts relprov.Options, want []pro
 		t.Errorf("MaxTid = %d, %v; want %d", st.MaxTid, err, want[len(want)-1].Tid)
 	}
 	for _, r := range want {
-		if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || !reflect.DeepEqual(got, r) {
+		if got, ok, err := provstore.Lookup(ctx, b, r.Tid, r.Loc); err != nil || !ok || !reflect.DeepEqual(got, r) {
 			t.Fatalf("acknowledged record %v: Lookup = %v, %v, %v", r, got, ok, err)
 		}
 	}

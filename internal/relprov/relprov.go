@@ -214,11 +214,11 @@ func primaryKey(buf []byte, tid int64, loc path.Path) []byte {
 	return relstore.AppendKeyBytes(relstore.AppendKeyInt(buf, tid), loc.AppendBinary(enc[:0]))
 }
 
-// A decoder decodes the rows one read walks — a cursor's window, or the one
-// row of a point read — in two passes. add runs on each row where it lies in
-// its leaf, under the read lock: it copies the row's loc and src encodings
-// into raw, back to back, and checks everything but the paths. decode, which
-// needs no lock, then takes the rows slabRows at a time: one string of their
+// A decoder decodes the rows one cursor window walks in two passes. add runs
+// on each row where it lies in its leaf, under the read lock: it copies the
+// row's loc and src encodings into raw, back to back, and checks everything
+// but the paths. decode, which needs no lock, then takes the rows slabRows
+// at a time: one string of their
 // encodings and one slab of exactly their labels (an encoding has one 0x00
 // byte per label), every record's Loc and Src a capped stretch of the slab
 // whose labels are substrings of the string. So a window of n rows costs
@@ -390,56 +390,6 @@ func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 	return nil
 }
 
-// Lookup implements provstore.Backend.
-func (b *Backend) Lookup(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return provstore.Record{}, false, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.lookupLocked(tid, loc)
-}
-
-func (b *Backend) lookupLocked(tid int64, loc path.Path) (provstore.Record, bool, error) {
-	var key [256]byte
-	pk := primaryKey(key[:0], tid, loc)
-	d := b.getDecoder()
-	defer b.putDecoder(d)
-	var derr error
-	found, err := b.tbl.View(pk, func(val []byte) { derr = d.add(pk, val, false) })
-	if err == nil {
-		err = derr
-	}
-	if err != nil || !found {
-		return provstore.Record{}, false, err
-	}
-	var one [1]provstore.Record
-	_, rec, err := d.decode(one[:0], nil)
-	if err != nil {
-		return provstore.Record{}, false, err
-	}
-	return rec, true, nil
-}
-
-// NearestAncestor implements provstore.Backend: it probes the ancestors of
-// loc from deepest to shallowest within transaction tid. Like the stored
-// procedure of the paper's implementation, this is one logical round trip.
-func (b *Backend) NearestAncestor(ctx context.Context, tid int64, loc path.Path) (provstore.Record, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return provstore.Record{}, false, err
-	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	anc := loc.Ancestors()
-	for i := len(anc) - 1; i >= 0; i-- {
-		rec, ok, err := b.lookupLocked(tid, anc[i])
-		if err != nil || ok {
-			return rec, ok, err
-		}
-	}
-	return provstore.Record{}, false, nil
-}
-
 // --- cursors ----------------------------------------------------------------
 //
 // Scans stream off the pager through the one cursor loop,
@@ -456,8 +406,8 @@ const windowMax = 256
 
 // visit is the store's provstore.Visit: one walk of at most want rows, each
 // copied out of its leaf under the read lock and the window decoded after it
-// (see decoder). Every row walked counts toward want and is the place to
-// resume after, selected or not.
+// (see decoder). Every row kept counts toward want and is the place to
+// resume after, selected or not; a row past the bound is not kept.
 func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want int) ([]provstore.Record, provstore.Record, bool, error) {
 	var keys [512]byte
 	byLoc, from, prefix := walk(spec, keys[:0])
@@ -465,14 +415,21 @@ func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want in
 	defer b.putDecoder(d)
 	var derr error
 	row := func(key, val []byte) bool {
+		n, end := len(d.rows), len(d.raw)
 		if derr = d.add(key, val, byLoc); derr != nil {
 			return false
+		}
+		if spec.Beyond(d.rows[n].tid) { // not decoded: the end of the walk, or in a subtree a row passed over
+			d.rows, d.raw = d.rows[:n], d.raw[:end]
+			return spec.Kind == provstore.KindPrefix
 		}
 		return len(d.rows) < want
 	}
 	// Either walk hands over, in key order and as stored, the rows whose key
 	// in that tree is ≥ from and begins with prefix; the first key outside the
-	// prefix ends it, its row not decoded. A by_loc entry carries its row.
+	// prefix ends it, its row not decoded, and so does the first row past the
+	// bound but in a subtree, whose later locations start their tids over. A
+	// by_loc entry carries its row.
 	var err error
 	b.mu.RLock()
 	if byLoc {

@@ -51,18 +51,18 @@ func TestRelProvBasics(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	r, ok, err := b.Lookup(context.Background(), 1, path.MustParse("T/a"))
+	r, ok, err := provstore.Lookup(context.Background(), b, 1, path.MustParse("T/a"))
 	if err != nil || !ok || r.Src.String() != "S/x" {
 		t.Fatalf("Lookup = %v %v %v", r, ok, err)
 	}
-	if _, ok, _ := b.Lookup(context.Background(), 9, path.MustParse("T/a")); ok {
+	if _, ok, _ := provstore.Lookup(context.Background(), b, 9, path.MustParse("T/a")); ok {
 		t.Error("phantom lookup")
 	}
-	anc, ok, err := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a/b/c/d"))
+	anc, ok, err := provstore.NearestAncestor(context.Background(), b, 1, path.MustParse("T/a/b/c/d"))
 	if err != nil || !ok || anc.Loc.String() != "T/a/b/c" {
 		t.Fatalf("NearestAncestor = %v %v %v", anc, ok, err)
 	}
-	if _, ok, _ := b.NearestAncestor(context.Background(), 1, path.MustParse("T/a")); ok {
+	if _, ok, _ := provstore.NearestAncestor(context.Background(), b, 1, path.MustParse("T/a")); ok {
 		t.Error("self must not be its own ancestor")
 	}
 	recs, err := provstore.CollectScan(b.Scan(context.Background(), provstore.ByTid(1)))
@@ -135,7 +135,7 @@ func TestRelProvCorruptRows(t *testing.T) {
 			}
 		}
 		if !loc.IsRoot() {
-			if got, found, err := b.Lookup(ctx, 1, loc); err == nil {
+			if got, found, err := provstore.Lookup(ctx, b, 1, loc); err == nil {
 				t.Errorf("%s: Lookup answered %v, %v; want an error", name, got, found)
 			}
 		}
@@ -192,7 +192,7 @@ func TestRelProvAppendBatch(t *testing.T) {
 	if st, err := b.Stat(context.Background()); err != nil || st.Count != 4 {
 		t.Fatalf("failed group left partial rows: Count = %d, %v", st.Count, err)
 	}
-	if _, ok, _ := b.Lookup(context.Background(), 9, path.MustParse("T/x")); ok {
+	if _, ok, _ := provstore.Lookup(context.Background(), b, 9, path.MustParse("T/x")); ok {
 		t.Fatal("failed group's first transaction was stored")
 	}
 	// Duplicate against stored rows.
@@ -218,7 +218,7 @@ func TestRelProvAppendBatch(t *testing.T) {
 	if st, err := b2.Stat(context.Background()); err != nil || st.Count != 4 {
 		t.Fatalf("reopened Count = %d, %v", st.Count, err)
 	}
-	if r, ok, err := b2.Lookup(context.Background(), 3, path.MustParse("T/c")); err != nil || !ok || r.Op != provstore.OpInsert {
+	if r, ok, err := provstore.Lookup(context.Background(), b2, 3, path.MustParse("T/c")); err != nil || !ok || r.Op != provstore.OpInsert {
 		t.Fatalf("reopened Lookup = %v/%v/%v", r, ok, err)
 	}
 	db.Close()
@@ -241,7 +241,7 @@ func TestRelProvDupKey(t *testing.T) {
 	if !errors.As(err, &dke) {
 		t.Errorf("in-batch dup: %v", err)
 	}
-	if _, ok, _ := b.Lookup(context.Background(), 3, path.MustParse("T/x")); ok {
+	if _, ok, _ := provstore.Lookup(context.Background(), b, 3, path.MustParse("T/x")); ok {
 		t.Error("aborted batch leaked")
 	}
 	// Invalid record rejected.
@@ -307,7 +307,7 @@ func TestRelProvPersistence(t *testing.T) {
 	if n != 500 {
 		t.Errorf("Count after reopen = %d", n)
 	}
-	r, ok, err := b2.Lookup(context.Background(), 250, path.MustParse("T/c250"))
+	r, ok, err := provstore.Lookup(context.Background(), b2, 250, path.MustParse("T/c250"))
 	if err != nil || !ok || r.Op != provstore.OpCopy {
 		t.Errorf("Lookup after reopen = %v %v %v", r, ok, err)
 	}
@@ -362,13 +362,13 @@ func TestRelProvMatchesMemBackend(t *testing.T) {
 		}
 		for _, loc := range locs {
 			p := path.MustParse(loc)
-			r1, ok1, _ := rb.Lookup(context.Background(), tid, p)
-			r2, ok2, _ := mb.Lookup(context.Background(), tid, p)
+			r1, ok1, _ := provstore.Lookup(context.Background(), rb, tid, p)
+			r2, ok2, _ := provstore.Lookup(context.Background(), mb, tid, p)
 			if ok1 != ok2 || (ok1 && r1.String() != r2.String()) {
 				t.Errorf("Lookup(%d,%s): rel=%v/%v mem=%v/%v", tid, loc, r1, ok1, r2, ok2)
 			}
-			a1, k1, _ := rb.NearestAncestor(context.Background(), tid, p)
-			a2, k2, _ := mb.NearestAncestor(context.Background(), tid, p)
+			a1, k1, _ := provstore.NearestAncestor(context.Background(), rb, tid, p)
+			a2, k2, _ := provstore.NearestAncestor(context.Background(), mb, tid, p)
 			if k1 != k2 || (k1 && a1.String() != a2.String()) {
 				t.Errorf("NearestAncestor(%d,%s): rel=%v/%v mem=%v/%v", tid, loc, a1, k1, a2, k2)
 			}
@@ -520,7 +520,7 @@ func TestRelCursorReadInLoopWithConcurrentWriter(t *testing.T) {
 				break
 			}
 			if r.Tid == 1 {
-				if _, ok, err := b.Lookup(context.Background(), r.Tid, r.Loc); err != nil || !ok {
+				if _, ok, err := provstore.Lookup(context.Background(), b, r.Tid, r.Loc); err != nil || !ok {
 					t.Errorf("in-loop Lookup(%v) = %v %v", r.Loc, ok, err)
 					break
 				}
@@ -552,11 +552,12 @@ func pagesAndRows(b *relprov.Backend, f func()) (pages, rows int64) {
 }
 
 // TestMaxTidPagesIndependentOfStoreSize pins the shape of the horizon probe,
-// not its speed: MaxTid is one rightmost descent, so it fetches fewer pages
-// than a point Lookup (one per level; the Lookup fetches its leaf twice) at
-// 1k records and at 20k — its cost grows with the tree's height, never with
-// the relation — and decodes no row. Tids, the skip-scan over Scan, costs a
-// seek and one cursor window per transaction.
+// not its speed: MaxTid is one rightmost descent of the primary tree, so it
+// fetches exactly one page fewer than a point probe of that tree (a descent
+// that fetches its leaf twice) at 1k records and at 20k — its cost grows
+// with the tree's height, never with the relation — and decodes no row.
+// Tids, the skip-scan over Scan, costs a seek and one cursor window per
+// transaction.
 func TestMaxTidPagesIndependentOfStoreSize(t *testing.T) {
 	ctx := context.Background()
 	b := newBackend(t)
@@ -577,9 +578,9 @@ func TestMaxTidPagesIndependentOfStoreSize(t *testing.T) {
 	for i, size := range []int{1000, 20000} {
 		grow(size)
 		wantTid := int64(size / 10)
-		lookupPages, _ := pagesAndRows(b, func() {
-			if _, ok, err := b.Lookup(ctx, wantTid, path.MustParse("T/nope")); ok || err != nil {
-				t.Fatalf("Lookup of an absent loc = %v, %v", ok, err)
+		probePages, _ := pagesAndRows(b, func() {
+			if ok, err := relprov.HasPrimary(b, wantTid, path.MustParse("T/nope")); ok || err != nil {
+				t.Fatalf("primary probe of an absent key = %v, %v", ok, err)
 			}
 		})
 		var rows int64
@@ -588,9 +589,9 @@ func TestMaxTidPagesIndependentOfStoreSize(t *testing.T) {
 				t.Fatalf("MaxTid at %d records = %d, %v; want %d", size, st.MaxTid, err, wantTid)
 			}
 		})
-		if maxTidPages[i] != lookupPages-1 || rows != 0 {
-			t.Errorf("%d records: MaxTid fetched %d pages and decoded %d rows; a point lookup fetches %d pages",
-				size, maxTidPages[i], rows, lookupPages)
+		if maxTidPages[i] != probePages-1 || rows != 0 {
+			t.Errorf("%d records: MaxTid fetched %d pages and decoded %d rows; a primary-tree point probe fetches %d pages",
+				size, maxTidPages[i], rows, probePages)
 		}
 		_, rows = pagesAndRows(b, func() {
 			if tids, err := provstore.Tids(ctx, b); err != nil || len(tids) != size/10 || tids[len(tids)-1] != wantTid {
@@ -812,7 +813,7 @@ func TestRelWindowAliasing(t *testing.T) {
 					for _, d := range derived {
 						_ = d.Child("w").Join(d)
 					}
-					if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || key(got) != key(r) {
+					if got, ok, err := provstore.Lookup(ctx, b, r.Tid, r.Loc); err != nil || !ok || key(got) != key(r) {
 						t.Errorf("Lookup(%d, %q) = %v, %v, %v", r.Tid, r.Loc, got, ok, err)
 						return
 					}

@@ -70,7 +70,7 @@ func TestRelProvOversizedRecordStoresNothing(t *testing.T) {
 				if err == nil {
 					stored++
 					for _, r := range batch {
-						if got, ok, err := b.Lookup(ctx, r.Tid, r.Loc); err != nil || !ok || got.String() != r.String() {
+						if got, ok, err := provstore.Lookup(ctx, b, r.Tid, r.Loc); err != nil || !ok || got.String() != r.String() {
 							t.Errorf("%s: accepted, but Lookup = %v, %v, %v", name, got, ok, err)
 						}
 					}

@@ -329,21 +329,6 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	return t.decodeRow(pk, val)
 }
 
-// View hands visit the stored value of the row with the encoded primary key
-// pk (as built by KeyPrefix with every key column) and reports whether there
-// is one. The value is the row codec's encoding (see EncodeRow) of the
-// columns outside the primary key, in column order: an int as a zigzag
-// varint, a string or bytes behind a uvarint length; the key columns are in
-// pk, in the key codec's. visit sees the bytes in place, while the leaf is
-// pinned, and must copy what it keeps: a caller that decodes them itself pays
-// for no Row and no copy of the value. The row counts in RowsDecoded.
-func (t *Table) View(pk []byte, visit func(val []byte)) (bool, error) {
-	return t.primary.View(pk, func(val []byte) {
-		t.decoded.Add(1)
-		visit(val)
-	})
-}
-
 // Delete removes the row with the given primary key values.
 func (t *Table) Delete(keyVals ...Value) error {
 	if len(keyVals) != len(t.keyIdx) {
@@ -445,9 +430,12 @@ func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bo
 }
 
 // ScanEncodedFrom is ScanKeyFrom handing fn each row as stored — its encoded
-// primary key and its value (see View) — instead of a decoded Row. pk and
-// val are valid until fn returns. Every row handed out counts in
-// RowsDecoded.
+// primary key and its value — instead of a decoded Row. The value is the row
+// codec's encoding (see EncodeRow) of the columns outside the primary key,
+// in column order: an int as a zigzag varint, a string or bytes behind a
+// uvarint length; the key columns are in pk, in the key codec's. pk and val
+// are valid until fn returns: a caller that decodes them itself pays for no
+// Row and no copy. Every row handed out counts in RowsDecoded.
 func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) bool) error {
 	return t.primary.ScanFrom(from, prefix, func(pk, val []byte) bool {
 		t.decoded.Add(1)
@@ -458,8 +446,8 @@ func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) boo
 // ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (from and
 // prefix as built by IndexPrefix): fn sees each entry as stored — the
 // encoded index key, whose fields are the index columns and then the
-// primary-key columns not among them, and the row's stored value (see View),
-// which the entry carries. The primary tree is not read. key and val are
+// primary-key columns not among them, and the row's stored value (see
+// ScanEncodedFrom), which the entry carries. The primary tree is not read. key and val are
 // valid until fn returns; the entry that ends the walk is not handed out.
 // Every entry handed out counts in RowsDecoded.
 func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, val []byte) bool) error {

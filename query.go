@@ -218,9 +218,9 @@ func pinSelect(pq *PlanQuery, asOf int64) *PlanQuery {
 // pre-cursor implementation issued one scan per transaction), with memory
 // bounded by a page/chunk rather than the store. The horizon is pinned when
 // iteration starts — AsOf's transaction, or the store's MaxTid at that
-// moment — and ends the stream at the first newer transaction; the cursor
-// is (Tid, Loc)-ordered, so nothing past the horizon is even pulled off
-// the wire, and a transaction committing mid-drain cannot appear torn. The
+// moment — and bounds the scan (ScanSpec.Until): the store ends the stream
+// at the first newer transaction, so nothing past the horizon is even read,
+// and a transaction committing mid-drain cannot appear torn. The
 // context is taken per call (not from WithContext) because iteration can
 // long outlive the Query's construction; cancellation (or any store error)
 // is yielded as the final pair's error, after which iteration stops.
@@ -243,15 +243,8 @@ func (q *Query) Records(ctx context.Context) iter.Seq2[Record, error] {
 			yield(Record{}, err)
 			return
 		}
-		for r, err := range q.s.backend.Scan(ctx, provstore.All()) {
-			if err != nil {
-				yield(Record{}, err)
-				return
-			}
-			if r.Tid > tnow {
-				return // the scan is Tid-ascending: everything after is newer
-			}
-			if !yield(r, nil) {
+		for r, err := range q.s.backend.Scan(ctx, provstore.All().Until(tnow)) {
+			if !yield(r, err) || err != nil {
 				return
 			}
 		}

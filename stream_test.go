@@ -11,6 +11,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -18,6 +19,7 @@ import (
 
 	cpdb "repro"
 	"repro/internal/path"
+	"repro/internal/provauth"
 	"repro/internal/provhttp"
 	"repro/internal/provplan"
 	"repro/internal/provstore"
@@ -84,6 +86,61 @@ func TestRecordsSingleRoundTripOverNetwork(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("streamed table over cpdb:// differs from mem://:\n%v\nwant\n%v", got, want)
+	}
+}
+
+// TestRecordsOverPinnedClientSkipsOpenTransaction: over a verify=pin
+// client, Query.Records' horizon is the store's MaxTid, which an unflushed
+// append puts in the still-open transaction. The drain answers as of the
+// server's root: every sealed record, and none of the open transaction's,
+// with no error — the open transaction is invisible to a verified reader
+// until a flush seals it, and then it is read.
+func TestRecordsOverPinnedClientSkipsOpenTransaction(t *testing.T) {
+	ctx := context.Background()
+	auth, err := provauth.New(provstore.NewMemBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsn, _ := startStatService(t, auth)
+	backend, err := cpdb.OpenBackend(dsn + "?verify=pin&pin=" + provstore.EscapeDSNPath(filepath.Join(t.TempDir(), "root.pin")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cpdb.New(cpdb.Config{Target: cpdb.NewMemTarget("T", cpdb.NewTree()), Backend: backend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ins := func(tid int64, loc string) cpdb.Record {
+		return cpdb.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.MustParse(loc)}
+	}
+	sealed := []cpdb.Record{ins(1, "T/a"), ins(1, "T/b"), ins(2, "T/a/x")}
+	for _, batch := range [][]cpdb.Record{sealed[:2], sealed[2:], {ins(3, "T/a/y")}} {
+		if err := backend.Append(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain := func() ([]cpdb.Record, error) {
+		var got []cpdb.Record
+		for rec, err := range s.Query().Records(ctx) {
+			if err != nil {
+				return got, err
+			}
+			got = append(got, rec)
+		}
+		return got, nil
+	}
+	if got, err := drain(); err != nil || !reflect.DeepEqual(got, sealed) {
+		t.Fatalf("Records with transaction 3 open = %v, %v; want the sealed %v", got, err, sealed)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := provstore.Flush(ctx, backend); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := drain(); err != nil || len(got) != 4 {
+		t.Fatalf("Records after the flush = %v, %v; want all four records", got, err)
 	}
 }
 
