@@ -406,21 +406,19 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 		if err != nil {
 			return err
 		}
-		proof, root, err := auth.Prove(ctx, tid, loc)
-		if err != nil {
-			return err
+		// One record's proof is the first record of a proven point scan:
+		// over a pinned client, a pinned read like every other.
+		for pr, err := range auth.ScanProven(ctx, provstore.ByLoc(loc).After(tid-1, loc).Until(tid)) {
+			if err == nil {
+				err = pr.Verify()
+			}
+			if err != nil {
+				return fmt.Errorf("cpdb: prove %d %s: %w", tid, loc, err)
+			}
+			fmt.Fprintf(w, "prove %d %s: ok — leaf %d of %d under root %s\n", tid, loc, pr.Proof.LeafIndex, pr.Proof.TreeSize, pr.Root)
+			return nil
 		}
-		rec, found, err := provstore.Lookup(ctx, s.BackendStore(), tid, loc)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("cpdb: prove %d %s: the store proved a record it will not return", tid, loc)
-		}
-		if err := provauth.VerifyRecord(root, rec, proof); err != nil {
-			return fmt.Errorf("cpdb: prove %d %s: %w", tid, loc, err)
-		}
-		fmt.Fprintf(w, "prove %d %s: ok — leaf %d of %d under root %s\n", tid, loc, proof.LeafIndex, proof.TreeSize, root)
+		return fmt.Errorf("cpdb: prove %d %s: no such record under the store's root", tid, loc)
 	case "verify":
 		if rest != "" {
 			return fmt.Errorf("cpdb: verify takes no argument (got %q)", rest)
@@ -430,17 +428,19 @@ func runAuthQuery(ctx context.Context, s *Session, kind, rest string, w io.Write
 			return err
 		}
 		var n uint64
-		for pr, err := range auth.ScanAllProven(ctx, 0, Path{}) {
+		for pr, err := range auth.ScanProven(ctx, provstore.All()) {
 			if err != nil {
 				return fmt.Errorf("cpdb: verify: after %d record(s): %w", n, err)
 			}
 			if verr := pr.Verify(); verr != nil {
 				return fmt.Errorf("cpdb: verify: record %d %s: %w", pr.Rec.Tid, pr.Rec.Loc, verr)
 			}
+			root = pr.Root
 			n++
 		}
 		// Every yielded record checked out; now the count must match the
-		// root, or the store withheld records the log committed.
+		// root the stream answered under, or the store withheld records the
+		// log committed.
 		if n != root.Size {
 			return fmt.Errorf("cpdb: verify: store returned %d record(s) but the root covers %d", n, root.Size)
 		}

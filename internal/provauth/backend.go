@@ -6,7 +6,6 @@ import (
 	"io"
 	"iter"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -19,36 +18,41 @@ import (
 
 // Authority is the proof-serving surface an authenticated store exposes on
 // top of provstore.Backend. *AuthBackend implements it locally; the
-// provhttp.Client implements it over /v1/root, /v1/prove and
-// /v1/consistency, so a daemon chained onto another daemon still serves
-// proofs.
+// provhttp.Client implements it over /v1/root, /v1/prove, /v1/consistency
+// and proven /v1/scan streams, so a daemon chained onto another daemon
+// still serves proofs.
 type Authority interface {
 	// Root returns the current sealed tree head.
 	Root(ctx context.Context) (Root, error)
-	// RootAt returns the head as of transaction tid: the checkpoint of
-	// the largest sealed transaction <= tid (the empty root if none).
-	RootAt(ctx context.Context, tid int64) (Root, error)
-	// Prove returns an inclusion proof for the sealed record keyed
-	// {tid, loc} together with the root it is against, atomically — the
-	// tree may grow between calls, never between the pair.
-	Prove(ctx context.Context, tid int64, loc path.Path) (Proof, Root, error)
-	// ProveAt proves the record against the historical head at atSize
-	// leaves — what stamps every record of one stream against the single
-	// root in its header.
+	// ProveAt proves the record keyed {tid, loc} against the historical
+	// head at atSize leaves — what stamps every record of one stream
+	// against the single root in its header.
 	ProveAt(ctx context.Context, tid int64, loc path.Path, atSize uint64) (Proof, error)
 	// Consistency returns the audit hashes proving the head at oldSize
 	// leaves is a prefix of the head at newSize leaves.
 	Consistency(ctx context.Context, oldSize, newSize uint64) ([]Hash, error)
-	// ConsistencyTids resolves two transaction checkpoints and connects
-	// them: the proof that newTid's root extends oldTid's.
-	ConsistencyTids(ctx context.Context, oldTid, newTid int64) (ConsistencyProof, error)
-	// ScanAllProven streams the (Tid, Loc)-ordered relation strictly
-	// after the given key, each record carrying an inclusion proof
-	// against one root snapshotted at cursor construction. The stream
-	// answers "as of that root": records sealed later are not yielded
-	// (re-scan to pick them up), and a record the store returns that the
-	// log never admitted is an in-stream ErrNotInLog.
-	ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[ProvenRecord, error]
+	// ScanProven streams the records spec selects, each carrying an
+	// inclusion proof against one root snapshotted when the stream starts.
+	// The stream answers as of that root (AsOf): records sealed later are
+	// not yielded (re-scan to pick them up), a record the scan selects that
+	// the root does not cover is an in-stream ErrUnsealed, and a record the
+	// store returns that the log never admitted is an in-stream
+	// ErrNotInLog. One record's proof is the first record of a point scan,
+	// ByLoc(loc).After(tid-1, loc).Until(tid).
+	ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[ProvenRecord, error]
+}
+
+// AsOf bounds a proven scan at its root: a scan with no bound, or one bounded
+// past the root, is bounded at the root's transaction, so no record sealed
+// later is even read. A scan whose Floor also lies past the root — a point
+// read of the open transaction — has nothing at or below the root to answer,
+// so it keeps its bound, and a record it selects fails the scan
+// (ErrUnsealed) rather than be claimed absent.
+func AsOf(spec provstore.ScanSpec, root Root) provstore.ScanSpec {
+	if until, bounded := spec.Bound(); !bounded || until > root.Tid && spec.Floor() <= root.Tid {
+		return spec.Until(root.Tid)
+	}
+	return spec
 }
 
 // An AuthBackend wraps any provstore.Backend with the Merkle history tree:
@@ -58,7 +62,7 @@ type Authority interface {
 //
 // Sealing: records of the highest (open) transaction buffer until a
 // higher-tid append arrives or Flush/Close runs; sealing appends them to
-// the tree in Loc order and records the per-transaction checkpoint. The
+// the tree in Loc order and publishes the new root. The
 // leaf sequence is therefore exactly the store's (Tid, Loc) scan order,
 // which is what lets New rebuild the tree from an existing store. The
 // price of an ordered log: appending at or below the last sealed
@@ -70,7 +74,7 @@ type AuthBackend struct {
 	mu      sync.RWMutex // guards everything below; held across inner writes
 	tree    merkle
 	leaf    map[string]uint64 // recordKey -> leaf index
-	cps     []Root            // one checkpoint per sealed transaction, ascending
+	root    Root              // the head as of the last sealed transaction
 	open    []provstore.Record
 	openTid int64 // 0 when no transaction is open
 
@@ -90,10 +94,10 @@ var (
 
 // New wraps inner with a history tree, rebuilding it from the store's
 // All() scan — reopening verified:// over a populated rel:// file
-// recomputes the same roots the original process published, checkpoint per
-// transaction. Everything already in the store is sealed.
+// recomputes the same root the original process published. Everything
+// already in the store is sealed.
 func New(inner provstore.Backend) (*AuthBackend, error) {
-	a := &AuthBackend{inner: inner, leaf: make(map[string]uint64), obs: provobs.NewRegistry()}
+	a := &AuthBackend{inner: inner, leaf: make(map[string]uint64), root: Root{Hash: emptyRoot()}, obs: provobs.NewRegistry()}
 	a.register()
 	for rec, err := range inner.Scan(context.Background(), provstore.All()) {
 		if err != nil {
@@ -146,7 +150,7 @@ func (a *AuthBackend) Append(ctx context.Context, recs []provstore.Record) error
 // would land at or below a sealed transaction, or behind the open one —
 // the authenticated log cannot insert into the past.
 func (a *AuthBackend) admit(recs []provstore.Record) error {
-	sealed := a.sealedTidLocked()
+	sealed := a.root.Tid
 	for i := range recs {
 		t := recs[i].Tid
 		if t <= sealed {
@@ -189,31 +193,17 @@ func (a *AuthBackend) ingest(recs []provstore.Record) {
 }
 
 // seal closes the open transaction: its records enter the tree in Loc
-// order (matching the All() scan) and the checkpoint is published. Caller holds
-// the write lock; openTid != 0.
+// order (matching the All() scan) and the new root is published. Caller
+// holds the write lock; openTid != 0.
 func (a *AuthBackend) seal() {
 	slices.SortFunc(a.open, func(x, y provstore.Record) int { return x.Loc.Compare(y.Loc) })
 	for i := range a.open {
 		a.leaf[recordKey(a.open[i].Tid, a.open[i].Loc)] = a.tree.size()
 		a.tree.appendLeaf(RecordLeafHash(a.open[i]))
 	}
-	a.cps = append(a.cps, Root{Size: a.tree.size(), Tid: a.openTid, Hash: a.tree.rootAt(a.tree.size())})
+	a.root = Root{Size: a.tree.size(), Tid: a.openTid, Hash: a.tree.rootAt(a.tree.size())}
 	a.open = nil
 	a.openTid = 0
-}
-
-func (a *AuthBackend) sealedTidLocked() int64 {
-	if len(a.cps) == 0 {
-		return 0
-	}
-	return a.cps[len(a.cps)-1].Tid
-}
-
-func (a *AuthBackend) rootLocked() Root {
-	if len(a.cps) == 0 {
-		return Root{Hash: emptyRoot()}
-	}
-	return a.cps[len(a.cps)-1]
 }
 
 // --- lifecycle ---------------------------------------------------------------
@@ -252,7 +242,7 @@ func (a *AuthBackend) register() {
 	root := func() Root {
 		a.mu.RLock()
 		defer a.mu.RUnlock()
-		return a.rootLocked()
+		return a.root
 	}
 	a.obs.GaugeFunc("cpdb_auth_root_tid", "Last sealed transaction id.",
 		func() int64 { return root().Tid }, provobs.WithStatKey("auth.root_tid"))
@@ -279,26 +269,18 @@ func (a *AuthBackend) ObsRegistries() []*provobs.Registry {
 func (a *AuthBackend) Root(ctx context.Context) (Root, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.rootLocked(), nil
+	return a.root, nil
 }
 
-// RootAt implements Authority.
-func (a *AuthBackend) RootAt(ctx context.Context, tid int64) (Root, error) {
-	if tid < 0 {
-		return Root{}, fmt.Errorf("provauth: RootAt of negative tid %d", tid)
-	}
+// ProveAt implements Authority.
+func (a *AuthBackend) ProveAt(ctx context.Context, tid int64, loc path.Path, atSize uint64) (Proof, error) {
+	start := time.Now()
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	i := sort.Search(len(a.cps), func(i int) bool { return a.cps[i].Tid > tid })
-	if i == 0 {
-		return Root{Hash: emptyRoot()}, nil
+	if atSize > a.tree.size() {
+		return Proof{}, fmt.Errorf("provauth: no root at %d leaves (tree holds %d)", atSize, a.tree.size())
 	}
-	return a.cps[i-1], nil
-}
-
-// proveLocked builds the inclusion proof for key {tid, loc} against the
-// head at atSize leaves. Caller holds at least the read lock.
-func (a *AuthBackend) proveLocked(tid int64, loc path.Path, atSize uint64) (Proof, error) {
+	defer func() { a.proveDur.Observe(time.Since(start).Nanoseconds()) }()
 	idx, ok := a.leaf[recordKey(tid, loc)]
 	if !ok {
 		if tid == a.openTid {
@@ -312,33 +294,6 @@ func (a *AuthBackend) proveLocked(tid int64, loc path.Path, atSize uint64) (Proo
 	}
 	a.proofsServed.Add(1)
 	return Proof{LeafIndex: idx, TreeSize: atSize, Audit: a.tree.inclusion(idx, atSize)}, nil
-}
-
-// Prove implements Authority.
-func (a *AuthBackend) Prove(ctx context.Context, tid int64, loc path.Path) (Proof, Root, error) {
-	_, sp := provtrace.Start(ctx, "auth:prove")
-	start := time.Now()
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	root := a.rootLocked()
-	p, err := a.proveLocked(tid, loc, root.Size)
-	a.proveDur.Observe(time.Since(start).Nanoseconds())
-	sp.SetErr(err)
-	sp.End()
-	return p, root, err
-}
-
-// ProveAt implements Authority.
-func (a *AuthBackend) ProveAt(ctx context.Context, tid int64, loc path.Path, atSize uint64) (Proof, error) {
-	start := time.Now()
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if atSize > a.tree.size() {
-		return Proof{}, fmt.Errorf("provauth: no root at %d leaves (tree holds %d)", atSize, a.tree.size())
-	}
-	p, err := a.proveLocked(tid, loc, atSize)
-	a.proveDur.Observe(time.Since(start).Nanoseconds())
-	return p, err
 }
 
 // Consistency implements Authority.
@@ -357,34 +312,12 @@ func (a *AuthBackend) Consistency(ctx context.Context, oldSize, newSize uint64) 
 	return a.tree.consistency(oldSize, newSize), nil
 }
 
-// ConsistencyTids implements Authority: the proof that newTid's checkpoint
-// extends oldTid's.
-func (a *AuthBackend) ConsistencyTids(ctx context.Context, oldTid, newTid int64) (ConsistencyProof, error) {
-	oldRoot, err := a.RootAt(ctx, oldTid)
-	if err != nil {
-		return ConsistencyProof{}, err
-	}
-	newRoot, err := a.RootAt(ctx, newTid)
-	if err != nil {
-		return ConsistencyProof{}, err
-	}
-	if oldRoot.Size > newRoot.Size {
-		return ConsistencyProof{}, fmt.Errorf("provauth: consistency from tid %d to earlier tid %d", oldTid, newTid)
-	}
-	audit, err := a.Consistency(ctx, oldRoot.Size, newRoot.Size)
-	if err != nil {
-		return ConsistencyProof{}, err
-	}
-	return ConsistencyProof{Old: oldRoot, New: newRoot, Audit: audit}, nil
-}
-
-// ScanAllProven implements Authority: the inner store's seeked cursor,
-// each record stamped with its proof against the root snapshotted when the
-// cursor started, and bounded at that root's transaction (the scan answers
-// as of its root: records sealed later are not read); a record the log
-// never admitted is an in-stream ErrNotInLog — the consumer must treat the
-// stream as compromised.
-func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[ProvenRecord, error] {
+// ScanProven implements Authority: the inner store's seeked cursor over the
+// scan as of the root snapshotted when the cursor started (AsOf), each
+// record stamped with its proof against that root; a record the log never
+// admitted is an in-stream ErrNotInLog — the consumer must treat the stream
+// as compromised.
+func (a *AuthBackend) ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[ProvenRecord, error] {
 	return func(yield func(ProvenRecord, error) bool) {
 		// One span covers the whole proof-stamped stream (per-record spans
 		// would dwarf the trace); "proofs" counts the stamps built.
@@ -397,10 +330,9 @@ func (a *AuthBackend) ScanAllProven(ctx context.Context, afterTid int64, afterLo
 			}()
 		}
 		a.mu.RLock()
-		root := a.rootLocked()
+		root := a.root
 		a.mu.RUnlock()
-		// Every record up to the root's transaction is sealed under it.
-		for rec, err := range a.inner.Scan(ctx, provstore.All().After(afterTid, afterLoc).Until(root.Tid)) {
+		for rec, err := range a.inner.Scan(ctx, AsOf(spec, root)) {
 			if err != nil {
 				sp.SetErr(err)
 				yield(ProvenRecord{}, err)

@@ -38,6 +38,15 @@ func fixture() [][]provstore.Record {
 	}
 }
 
+// point is the proven point scan of the record keyed {tid, loc}: its first
+// record, if it yields one.
+func point(ctx context.Context, a provauth.Authority, tid int64, loc path.Path) (provauth.ProvenRecord, bool, error) {
+	for pr, err := range a.ScanProven(ctx, provstore.ByLoc(loc).After(tid-1, loc).Until(tid)) {
+		return pr, err == nil, err
+	}
+	return provauth.ProvenRecord{}, false, nil
+}
+
 func newAuth(t *testing.T) *provauth.AuthBackend {
 	t.Helper()
 	a, err := provauth.New(provstore.NewMemBackend())
@@ -60,35 +69,6 @@ func load(t *testing.T, a *provauth.AuthBackend) {
 	}
 }
 
-// TestSealAndRoots: one checkpoint per transaction, RootAt resolves the
-// largest sealed tid at or below the argument.
-func TestSealAndRoots(t *testing.T) {
-	ctx := context.Background()
-	a := newAuth(t)
-	load(t, a)
-
-	head, err := a.Root(ctx)
-	if err != nil {
-		t.Fatalf("Root: %v", err)
-	}
-	if head.Tid != 3 || head.Size != 6 {
-		t.Fatalf("head = %+v, want tid 3 over 6 leaves", head)
-	}
-	wantSizes := map[int64]uint64{0: 0, 1: 3, 2: 5, 3: 6, 99: 6}
-	for tid, size := range wantSizes {
-		r, err := a.RootAt(ctx, tid)
-		if err != nil {
-			t.Fatalf("RootAt(%d): %v", tid, err)
-		}
-		if r.Size != size {
-			t.Fatalf("RootAt(%d).Size = %d, want %d", tid, r.Size, size)
-		}
-	}
-	if _, err := a.RootAt(ctx, -1); err == nil {
-		t.Fatal("RootAt(-1) succeeded")
-	}
-}
-
 // TestProveAndVerify: every sealed record proves against the head and
 // verifies; a mutated record, wrong proof, or absent key fails loudly.
 func TestProveAndVerify(t *testing.T) {
@@ -98,10 +78,11 @@ func TestProveAndVerify(t *testing.T) {
 
 	for _, txn := range fixture() {
 		for _, r := range txn {
-			p, root, err := a.Prove(ctx, r.Tid, r.Loc)
-			if err != nil {
-				t.Fatalf("Prove(%v): %v", r, err)
+			pr, ok, err := point(ctx, a, r.Tid, r.Loc)
+			if err != nil || !ok {
+				t.Fatalf("proven point scan of %v: %v, %v", r, ok, err)
 			}
+			root, p := pr.Root, pr.Proof
 			if err := provauth.VerifyRecord(root, r, p); err != nil {
 				t.Fatalf("VerifyRecord(%v): %v", r, err)
 			}
@@ -117,8 +98,11 @@ func TestProveAndVerify(t *testing.T) {
 		}
 	}
 
-	if _, _, err := a.Prove(ctx, 9, path.MustParse("S/a")); !errors.Is(err, provauth.ErrNotInLog) {
-		t.Fatalf("Prove of absent record: %v, want ErrNotInLog", err)
+	if pr, ok, err := point(ctx, a, 9, path.MustParse("S/a")); ok || err != nil {
+		t.Fatalf("proven point scan of absent record = %v, %v, %v; want nothing", pr, ok, err)
+	}
+	if _, err := a.ProveAt(ctx, 9, path.MustParse("S/a"), 6); !errors.Is(err, provauth.ErrNotInLog) {
+		t.Fatalf("ProveAt of absent record: %v, want ErrNotInLog", err)
 	}
 	g := provobs.Stats(provobs.SourceRegistries(a)...)
 	if g["auth.verify_failures"] == 0 {
@@ -138,8 +122,8 @@ func TestOpenTransaction(t *testing.T) {
 		t.Fatalf("Append: %v", err)
 	}
 
-	if _, _, err := a.Prove(ctx, 1, path.MustParse("S/a")); !errors.Is(err, provauth.ErrUnsealed) {
-		t.Fatalf("Prove of open record: %v, want ErrUnsealed", err)
+	if _, _, err := point(ctx, a, 1, path.MustParse("S/a")); !errors.Is(err, provauth.ErrUnsealed) {
+		t.Fatalf("proven point scan of open record: %v, want ErrUnsealed", err)
 	}
 	if root, _ := a.Root(ctx); root.Size != 0 {
 		t.Fatalf("root advanced before seal: %+v", root)
@@ -153,8 +137,8 @@ func TestOpenTransaction(t *testing.T) {
 	if err := a.Append(ctx, []provstore.Record{rec(2, provstore.OpInsert, "T/c", "")}); err != nil {
 		t.Fatalf("Append tid 2: %v", err)
 	}
-	if _, _, err := a.Prove(ctx, 1, path.MustParse("S/a")); err != nil {
-		t.Fatalf("Prove of sealed record: %v", err)
+	if _, ok, err := point(ctx, a, 1, path.MustParse("S/a")); err != nil || !ok {
+		t.Fatalf("proven point scan of sealed record: %v, %v", ok, err)
 	}
 	if root, _ := a.Root(ctx); root.Tid != 1 || root.Size != 2 {
 		t.Fatalf("root after sealing tid 1 = %+v", root)
@@ -182,38 +166,8 @@ func TestErrSealed(t *testing.T) {
 	}
 }
 
-// TestConsistencyAcrossTransactions: the ISSUE acceptance clause — a
-// consistency proof connecting two committed transactions verifies, and no
-// proof connects a forged pair.
-func TestConsistencyAcrossTransactions(t *testing.T) {
-	ctx := context.Background()
-	a := newAuth(t)
-	load(t, a)
-
-	for _, pair := range [][2]int64{{1, 2}, {1, 3}, {2, 3}, {3, 3}} {
-		cp, err := a.ConsistencyTids(ctx, pair[0], pair[1])
-		if err != nil {
-			t.Fatalf("ConsistencyTids(%d, %d): %v", pair[0], pair[1], err)
-		}
-		if err := cp.Verify(); err != nil {
-			t.Fatalf("ConsistencyTids(%d, %d).Verify: %v", pair[0], pair[1], err)
-		}
-	}
-	cp, err := a.ConsistencyTids(ctx, 1, 3)
-	if err != nil {
-		t.Fatalf("ConsistencyTids: %v", err)
-	}
-	cp.New.Hash[0] ^= 0x40
-	if err := cp.Verify(); !errors.Is(err, provauth.ErrVerify) {
-		t.Fatalf("forged consistency verified: %v", err)
-	}
-	if _, err := a.ConsistencyTids(ctx, 3, 1); err == nil {
-		t.Fatal("ConsistencyTids backwards succeeded")
-	}
-}
-
 // TestRebuild: reopening the tree over the populated store recomputes the
-// same roots, checkpoint for checkpoint — what makes verified:// over a
+// same roots, transaction for transaction — what makes verified:// over a
 // durable rel:// file restart-stable.
 func TestRebuild(t *testing.T) {
 	ctx := context.Background()
@@ -222,20 +176,21 @@ func TestRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	load(t, a)
-
-	b, err := provauth.New(inner)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	for _, tid := range []int64{0, 1, 2, 3} {
-		ra, _ := a.RootAt(ctx, tid)
-		rb, err := b.RootAt(ctx, tid)
-		if err != nil {
-			t.Fatalf("RootAt(%d) after rebuild: %v", tid, err)
+	for _, txn := range fixture() {
+		if err := a.Append(ctx, txn); err != nil {
+			t.Fatalf("Append tid %d: %v", txn[0].Tid, err)
 		}
-		if ra != rb {
-			t.Fatalf("rebuild diverged at tid %d: %+v != %+v", tid, ra, rb)
+		if err := a.Flush(ctx); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		b, err := provauth.New(inner)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		ra, _ := a.Root(ctx)
+		rb, _ := b.Root(ctx)
+		if ra != rb || ra.Tid != txn[0].Tid {
+			t.Fatalf("rebuild after tid %d diverged: %+v != %+v", txn[0].Tid, rb, ra)
 		}
 	}
 }
@@ -254,9 +209,9 @@ func TestScanAllProven(t *testing.T) {
 
 	var got []provstore.Record
 	var root provauth.Root
-	for pr, err := range a.ScanAllProven(ctx, 0, path.Path{}) {
+	for pr, err := range a.ScanProven(ctx, provstore.All().After(0, path.Path{})) {
 		if err != nil {
-			t.Fatalf("ScanAllProven: %v", err)
+			t.Fatalf("ScanProven: %v", err)
 		}
 		if err := pr.Verify(); err != nil {
 			t.Fatalf("proven record %v: %v", pr.Rec, err)
@@ -270,9 +225,9 @@ func TestScanAllProven(t *testing.T) {
 
 	// Seek: resume strictly after the third record.
 	var tail int
-	for pr, err := range a.ScanAllProven(ctx, got[2].Tid, got[2].Loc) {
+	for pr, err := range a.ScanProven(ctx, provstore.All().After(got[2].Tid, got[2].Loc)) {
 		if err != nil {
-			t.Fatalf("seeked ScanAllProven: %v", err)
+			t.Fatalf("seeked ScanProven: %v", err)
 		}
 		if err := pr.Verify(); err != nil {
 			t.Fatalf("seeked proven record: %v", err)
@@ -285,8 +240,8 @@ func TestScanAllProven(t *testing.T) {
 }
 
 // TestTamperedStore: the headline threat — a store whose tree was built
-// over honest data but whose reads lie. Point proofs and the proven stream
-// must both fail closed.
+// over honest data but whose reads lie. A proven point scan and the proven
+// stream must both fail closed.
 func TestTamperedStore(t *testing.T) {
 	ctx := context.Background()
 	tamper := provtest.NewTamper(provstore.NewMemBackend(), nil)
@@ -297,24 +252,19 @@ func TestTamperedStore(t *testing.T) {
 	load(t, a)
 	tamper.Arm(true)
 
-	// Point lookup: the store serves a mutated record; its proof is for the
+	// Point read: the store serves a mutated record; its proof is for the
 	// honest bytes, so verification fails.
-	loc := path.MustParse("S/a")
-	served, ok, err := provstore.Lookup(ctx, a, 1, loc)
+	served, ok, err := point(ctx, a, 1, path.MustParse("S/a"))
 	if err != nil || !ok {
-		t.Fatalf("Lookup: %v, %v", ok, err)
+		t.Fatalf("proven point scan: %v, %v", ok, err)
 	}
-	p, root, err := a.Prove(ctx, 1, loc)
-	if err != nil {
-		t.Fatalf("Prove: %v", err)
-	}
-	if err := provauth.VerifyRecord(root, served, p); !errors.Is(err, provauth.ErrVerify) {
-		t.Fatalf("tampered lookup verified: %v", err)
+	if err := served.Verify(); !errors.Is(err, provauth.ErrVerify) {
+		t.Fatalf("tampered point read verified: %v", err)
 	}
 
 	// Streamed: at least one proven record must fail verification.
 	var failures int
-	for pr, err := range a.ScanAllProven(ctx, 0, path.Path{}) {
+	for pr, err := range a.ScanProven(ctx, provstore.All().After(0, path.Path{})) {
 		if err != nil {
 			// Mutation may also move the record out of the log's key set;
 			// that surfaces as an in-stream error — equally fail-closed.

@@ -22,8 +22,15 @@
 //     leaf can never be confused with a node.
 //   - A transaction seals when a higher-tid append arrives, or on
 //     Flush/Close. Sealing appends the transaction's records to the tree
-//     in Loc order and records a checkpoint (tid, size, root) — the
-//     RootAt(tid) answer. Incremental maintenance is O(log n) per leaf.
+//     in Loc order and publishes the new root (size, tid, hash).
+//     Incremental maintenance is O(log n) per leaf.
+//
+// The Authority surface is four calls: Root (the current head), ProveAt
+// (one record against a historical head), Consistency (one head extends
+// another) and ScanProven (any scan, every record stamped with its proof
+// against one root). There is no separate point proof: one record's proof
+// is the first record of a proven point scan, the shape of a urkel-style
+// Prove(key) — the value together with its proof.
 //
 // The AuthBackend wrapper (composable via the verified://?inner=DSN
 // driver) carries the tree next to any inner backend; provhttp publishes
@@ -114,8 +121,8 @@ func emptyRoot() Hash { return sha256.Sum256(nil) }
 //
 // Only Size and Hash are authenticated: inclusion and consistency proofs
 // bind a root's hash to its leaf count and nothing else. Tid is advisory —
-// a convenience label an honest server stamps from its checkpoint table,
-// which a dishonest one could set to anything. Verifiers must never let a
+// a convenience label an honest server stamps from its last sealed
+// transaction, which a dishonest one could set to anything. Verifiers must never let a
 // decision rest on Tid alone; the record tids that matter are inside the
 // leaves, covered by Hash. (Binding Tid would take a second commitment
 // over the (tid, size) checkpoint mapping — noted in DESIGN.md §8.)
@@ -351,18 +358,6 @@ func VerifyConsistency(oldRoot, newRoot Root, audit []Hash) error {
 		return fmt.Errorf("%w: consistency proof reconstructs new root %s, server says %s", ErrVerify, sr, newRoot.Hash)
 	}
 	return nil
-}
-
-// A ConsistencyProof connects two published roots: Audit proves Old's tree
-// is a prefix of New's.
-type ConsistencyProof struct {
-	Old, New Root
-	Audit    []Hash
-}
-
-// Verify checks the proof.
-func (cp ConsistencyProof) Verify() error {
-	return VerifyConsistency(cp.Old, cp.New, cp.Audit)
 }
 
 // A ProvenRecord is one record with its inclusion proof and the root the

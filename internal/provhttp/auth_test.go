@@ -191,22 +191,19 @@ func TestPinLifecycle(t *testing.T) {
 
 	// The remote Authority surface proves the two committed transactions
 	// are one history.
-	cp, err := cli.ConsistencyTids(ctx, 1, 2)
+	audit, err := cli.Consistency(ctx, pin1.Size, pin2.Size)
 	if err != nil {
-		t.Fatalf("ConsistencyTids: %v", err)
+		t.Fatalf("Consistency: %v", err)
 	}
-	if err := cp.Verify(); err != nil {
+	if err := provauth.VerifyConsistency(pin1, pin2, audit); err != nil {
 		t.Fatalf("consistency across transactions: %v", err)
-	}
-	if cp.Old != pin1 || cp.New != pin2 {
-		t.Fatalf("checkpoints %+v -> %+v, want %+v -> %+v", cp.Old, cp.New, pin1, pin2)
 	}
 
 	// And the proven stream verifies record by record against its root.
 	n := 0
-	for pr, err := range cli.ScanAllProven(ctx, 0, path.Path{}) {
+	for pr, err := range cli.ScanProven(ctx, provstore.All().After(0, path.Path{})) {
 		if err != nil {
-			t.Fatalf("ScanAllProven: %v", err)
+			t.Fatalf("ScanProven: %v", err)
 		}
 		if err := pr.Verify(); err != nil {
 			t.Fatalf("proven record %v: %v", pr.Rec, err)

@@ -65,12 +65,17 @@ import (
 // at a transaction the root does not cover, a point read of the open
 // transaction included, fails with the server's 409 if it selects one.
 //
-// The Client also implements provauth.Authority by forwarding to the
-// /v1/root, /v1/prove and /v1/consistency endpoints, so a local process —
-// or another daemon — can treat a remote authenticated store as its proof
-// source. The Authority methods are raw forwarders: they return what the
-// server said (the transport for a verifier), while the Backend read
-// methods above are the verifying consumers.
+// The Client also implements provauth.Authority, so a local process — or
+// another daemon — can treat a remote authenticated store as its proof
+// source. Root (/v1/root) and ScanProven (a proofs=1 /v1/scan) are reads
+// like any other: on a verify=pin client both are pinned — the root must
+// extend the pin and advances it, and every proven record is checked
+// against that root and against its scan. Only ProveAt (/v1/prove) is a raw
+// forwarder, returning the proof the server built against the tree size
+// the caller names: the transport a chained daemon stamps its own streams
+// with, leaving the check to the reader of those streams. Consistency
+// returns audit hashes that only verify against two roots the caller
+// already holds.
 type Client struct {
 	base string // "http://host:port"
 	hc   *http.Client
@@ -672,7 +677,7 @@ func (c *Client) ensurePin(ctx context.Context) (provauth.Root, error) {
 	if !have {
 		// Trust on first use: adopt and persist the server's current root.
 		// Every later answer must extend it.
-		if _, pin, err = c.provenAnswer(ctx, "/v1/root", nil, false); err != nil {
+		if pin, err = c.root(ctx, false); err != nil {
 			return provauth.Root{}, err
 		}
 		if err := provauth.SavePin(c.pinFile, pin); err != nil {
@@ -703,42 +708,39 @@ func (c *Client) adoptRoot(since, root provauth.Root, audit []provauth.Hash) err
 	return nil
 }
 
-// provenAnswer issues a /v1/root or /v1/prove round trip and parses the
-// root it answers under (a /v1/root answer is a /v1/prove answer with only
-// the root and audit fields). With pin set the request carries since= and
-// the root must extend the pinned root, advancing it.
-func (c *Client) provenAnswer(ctx context.Context, p string, q url.Values, pin bool) (foundResponse, provauth.Root, error) {
+// root issues a /v1/root round trip and parses the root it answers. With
+// pin set the request carries since= and the root must extend the pinned
+// root, advancing it.
+func (c *Client) root(ctx context.Context, pin bool) (provauth.Root, error) {
 	var since provauth.Root
+	q := url.Values{}
 	if pin {
 		var err error
 		if since, err = c.ensurePin(ctx); err != nil {
-			return foundResponse{}, provauth.Root{}, err
-		}
-		if q == nil {
-			q = url.Values{}
+			return provauth.Root{}, err
 		}
 		q.Set("since", strconv.FormatUint(since.Size, 10))
 	}
-	var fr foundResponse
-	if err := c.getJSON(ctx, p, q, &fr); err != nil {
-		return foundResponse{}, provauth.Root{}, err
+	var rr rootResponse
+	if err := c.getJSON(ctx, "/v1/root", q, &rr); err != nil {
+		return provauth.Root{}, err
 	}
-	root, err := provauth.ParseRoot(fr.Root)
+	root, err := provauth.ParseRoot(rr.Root)
 	if err != nil {
-		return foundResponse{}, provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
+		return provauth.Root{}, fmt.Errorf("provhttp: bad root from server: %w", err)
 	}
 	if pin {
 		var audit []provauth.Hash
-		if fr.Audit != nil {
-			if audit, err = decodeAudit(*fr.Audit); err != nil {
-				return foundResponse{}, provauth.Root{}, err
+		if rr.Audit != nil {
+			if audit, err = decodeAudit(*rr.Audit); err != nil {
+				return provauth.Root{}, err
 			}
 		}
 		if err := c.adoptRoot(since, root, audit); err != nil {
-			return foundResponse{}, provauth.Root{}, err
+			return provauth.Root{}, err
 		}
 	}
-	return fr, root, nil
+	return root, nil
 }
 
 // Scan implements Backend: one GET /v1/scan round trip carrying the spec's
@@ -760,7 +762,7 @@ func (c *Client) provenAnswer(ctx context.Context, p string, q url.Values, pin b
 func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	if c.verify {
 		return func(yield func(provstore.Record, error) bool) {
-			for pr, err := range c.provenScan(ctx, spec, spec, pinned) {
+			for pr, err := range c.ScanProven(ctx, spec) {
 				if !yield(pr.Rec, err) {
 					return
 				}
@@ -772,14 +774,24 @@ func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[pr
 	}, (*streamReader).record)
 }
 
-// provenScan is the proofs=1 transport under ScanAllProven and the verified
-// Scan: each line's record and proof yielded with the header root. In proven
-// mode that is all; in pinned mode the root has been checked against the
-// pin, and each record is checked against spec (resume key included) and
-// against that root before it is yielded.
-func (c *Client) provenScan(ctx context.Context, label any, spec provstore.ScanSpec, mode proofMode) iter.Seq2[provauth.ProvenRecord, error] {
+// ScanProven implements provauth.Authority: one proofs=1 server cursor,
+// each line's record and proof yielded with the header root — the form a
+// verifying consumer (a replica applier, the CLI's prove and verify verbs)
+// checks record by record. On a verify=pin client the stream is pinned, as
+// every verified read is: the header root must extend the pin and advances
+// it, and each record is checked against spec (resume key included) and
+// against that root before it is yielded. Otherwise it is raw: the root
+// arrives exactly as the server claimed it, so a consumer that wants more
+// than self-consistency must anchor it — require it to extend a previously
+// accepted root over a consistency proof, as provrepl's verified appliers
+// do.
+func (c *Client) ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provauth.ProvenRecord, error] {
+	mode := proven
+	if c.verify {
+		mode = pinned
+	}
 	return rows(func() *streamReader {
-		return c.stream(ctx, label, http.MethodGet, "/v1/scan", spec.Values(), nil, mode)
+		return c.stream(ctx, spec, http.MethodGet, "/v1/scan", spec.Values(), nil, mode)
 	}, func(sr *streamReader) (pr provauth.ProvenRecord, err error) {
 		pr.Root = sr.root
 		if pr.Rec, err = sr.record(); err != nil {
@@ -877,54 +889,25 @@ func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 
 // --- the remote Authority surface ----------------------------------------------
 
-// Root implements provauth.Authority: the server's current tree head, as
-// reported. In verified mode the answer is additionally checked against
-// (and advances) the pin before being returned.
+// Root implements provauth.Authority: the server's current tree head. On a
+// verify=pin client the answer is checked against (and advances) the pin
+// before it is returned.
 func (c *Client) Root(ctx context.Context) (provauth.Root, error) {
-	_, root, err := c.provenAnswer(ctx, "/v1/root", nil, c.verify)
-	return root, err
+	return c.root(ctx, c.verify)
 }
 
-// RootAt implements provauth.Authority (raw: a historical checkpoint
-// cannot advance the pin — connect it yourself via Consistency).
-func (c *Client) RootAt(ctx context.Context, tid int64) (provauth.Root, error) {
-	_, root, err := c.provenAnswer(ctx, "/v1/root", url.Values{"tid": {strconv.FormatInt(tid, 10)}}, false)
-	return root, err
-}
-
-// proveRaw fetches a proof from /v1/prove without interpreting it against
-// the pin — the transport under Prove and ProveAt.
-func (c *Client) proveRaw(ctx context.Context, q url.Values) (provauth.Proof, provauth.Root, error) {
-	fr, root, err := c.provenAnswer(ctx, "/v1/prove", q, false)
-	if err != nil {
-		return provauth.Proof{}, provauth.Root{}, err
-	}
-	if !fr.Found {
-		return provauth.Proof{}, provauth.Root{}, fmt.Errorf("provhttp: no record to prove: %w", provauth.ErrNotInLog)
-	}
-	if fr.P == "" {
-		return provauth.Proof{}, provauth.Root{}, errors.New("provhttp: prove answer without proof")
-	}
-	p, err := decodeProofHex(fr.P)
-	if err != nil {
-		return provauth.Proof{}, provauth.Root{}, err
-	}
-	return p, root, nil
-}
-
-// Prove implements provauth.Authority.
-func (c *Client) Prove(ctx context.Context, tid int64, loc path.Path) (provauth.Proof, provauth.Root, error) {
-	return c.proveRaw(ctx, url.Values{"tid": {strconv.FormatInt(tid, 10)}, "loc": {loc.String()}})
-}
-
-// ProveAt implements provauth.Authority.
+// ProveAt implements provauth.Authority: the raw /v1/prove transport.
 func (c *Client) ProveAt(ctx context.Context, tid int64, loc path.Path, atSize uint64) (provauth.Proof, error) {
-	p, _, err := c.proveRaw(ctx, url.Values{
+	var pr proveResponse
+	q := url.Values{
 		"tid": {strconv.FormatInt(tid, 10)},
 		"loc": {loc.String()},
 		"at":  {strconv.FormatUint(atSize, 10)},
-	})
-	return p, err
+	}
+	if err := c.getJSON(ctx, "/v1/prove", q, &pr); err != nil {
+		return provauth.Proof{}, err
+	}
+	return decodeProofHex(pr.P)
 }
 
 // Consistency implements provauth.Authority.
@@ -938,44 +921,6 @@ func (c *Client) Consistency(ctx context.Context, oldSize, newSize uint64) ([]pr
 		return nil, err
 	}
 	return decodeAudit(cr.Audit)
-}
-
-// ConsistencyTids implements provauth.Authority.
-func (c *Client) ConsistencyTids(ctx context.Context, oldTid, newTid int64) (provauth.ConsistencyProof, error) {
-	var cr consistencyResponse
-	q := url.Values{
-		"old_tid": {strconv.FormatInt(oldTid, 10)},
-		"new_tid": {strconv.FormatInt(newTid, 10)},
-	}
-	if err := c.getJSON(ctx, "/v1/consistency", q, &cr); err != nil {
-		return provauth.ConsistencyProof{}, err
-	}
-	var cp provauth.ConsistencyProof
-	var err error
-	if cp.Old, err = provauth.ParseRoot(cr.Old); err != nil {
-		return provauth.ConsistencyProof{}, fmt.Errorf("provhttp: bad old root from server: %w", err)
-	}
-	if cp.New, err = provauth.ParseRoot(cr.New); err != nil {
-		return provauth.ConsistencyProof{}, fmt.Errorf("provhttp: bad new root from server: %w", err)
-	}
-	if cp.Audit, err = decodeAudit(cr.Audit); err != nil {
-		return provauth.ConsistencyProof{}, err
-	}
-	return cp, nil
-}
-
-// ScanAllProven implements provauth.Authority: one proofs=1 server cursor,
-// each line's record and proof yielded with the header root — the shipped
-// form a verifying consumer (a replica applier, the CLI's verify verb)
-// checks record by record. The transport is raw: verification belongs to
-// the consumer, which is exactly what makes a chained daemon work — proofs
-// generated here pass through unreinterpreted. That includes the header
-// root itself: it arrives exactly as the server claimed it, so a consumer
-// that wants more than self-consistency must anchor it — pin it, or
-// require it to extend a previously accepted root over a consistency
-// proof, as provrepl's verified appliers do.
-func (c *Client) ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provauth.ProvenRecord, error] {
-	return c.provenScan(ctx, "scan-proven", provstore.All().After(afterTid, afterLoc), proven)
 }
 
 // Stat implements Backend. The answer is never cached — its MaxTid *is* the

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -851,13 +852,8 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// A proven scan answers as of its root: unbounded, or bounded beyond
-	// it, it is bounded at the root's transaction, so no record sealed
-	// later is even read. A bounded scan with nothing at or below the root
-	// to answer — a point read of the open transaction — keeps its bound,
-	// and a record it selects fails it rather than be claimed absent.
-	if until, bounded := spec.Bound(); stamp != nil && (!bounded || until > stamp.Tid && spec.Floor() <= stamp.Tid) {
-		spec = spec.Until(stamp.Tid)
+	if stamp != nil {
+		spec = provauth.AsOf(spec, *stamp)
 	}
 
 	// A limit-bounded page with no proof stamping can be served from (and
@@ -976,12 +972,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// requireAuth writes the standard 400 for authentication endpoints hit on
-// an unauthenticated store.
-func (s *Server) requireAuth(w http.ResponseWriter) bool {
+// authRequest admits a request to an authentication endpoint: the store
+// must be authenticated, and the request may carry only the parameters the
+// endpoint takes — a leftover or misspelt one is a 400, as on /v1/scan,
+// never an answer to a question that was not asked.
+func (s *Server) authRequest(w http.ResponseWriter, r *http.Request, params ...string) bool {
 	if s.auth == nil {
 		s.fail(w, errors.New("provhttp: not an authenticated store (serve a verified:// DSN)"), http.StatusBadRequest)
 		return false
+	}
+	for k := range r.URL.Query() {
+		if !slices.Contains(params, k) {
+			s.fail(w, fmt.Errorf("provhttp: %s takes no %q parameter", r.URL.Path, k), http.StatusBadRequest)
+			return false
+		}
 	}
 	return true
 }
@@ -1008,25 +1012,13 @@ func (s *Server) sinceAudit(w http.ResponseWriter, r *http.Request, root provaut
 	return &enc, true
 }
 
-// handleRoot serves the tree head: current by default, the checkpoint as
-// of ?tid=N, with ?since=SIZE adding the consistency path a pinned client
-// advances over.
+// handleRoot serves the current tree head, with ?since=SIZE adding the
+// consistency path a pinned client advances over.
 func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
-	if !s.requireAuth(w) {
+	if !s.authRequest(w, r, "since") {
 		return
 	}
-	var root provauth.Root
-	var err error
-	if v := r.URL.Query().Get("tid"); v != "" {
-		tid, perr := strconv.ParseInt(v, 10, 64)
-		if perr != nil {
-			s.fail(w, fmt.Errorf("provhttp: bad tid parameter %q", v), http.StatusBadRequest)
-			return
-		}
-		root, err = s.auth.RootAt(r.Context(), tid)
-	} else {
-		root, err = s.auth.Root(r.Context())
-	}
+	root, err := s.auth.Root(r.Context())
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
@@ -1039,15 +1031,14 @@ func (s *Server) handleRoot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleProve answers the authenticated point query: the record with the
-// key (tid, loc) together with its inclusion proof and the root it verifies
-// against — what cpdb prove fetches. A found record of the still-open
-// transaction has no proof yet and is a 409 (flush to seal it); a not-found
-// answer carries the root but no proof — absence is not authenticated (the
-// tree has no range proofs), which verifying callers must treat
-// accordingly.
+// handleProve is the transport of Authority.ProveAt: the inclusion proof of
+// the record keyed (tid, loc) against the head at at=SIZE leaves. It looks
+// no record up and names no root — the caller already holds the root it
+// asks about — so its user is a daemon chained onto this one, stamping its
+// own proven streams; a reader's proof of one record is a proven point scan.
+// A record of the still-open transaction is a 409 (flush to seal it).
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
-	if !s.requireAuth(w) {
+	if !s.authRequest(w, r, "tid", "loc", "at") {
 		return
 	}
 	tid, err := tidParam(r)
@@ -1060,71 +1051,31 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err, http.StatusBadRequest)
 		return
 	}
-	rec, found, err := provstore.Lookup(r.Context(), s.inner, tid, loc)
+	at, err := strconv.ParseUint(r.URL.Query().Get("at"), 10, 64)
+	if err != nil {
+		s.fail(w, fmt.Errorf("provhttp: bad at parameter %q", r.URL.Query().Get("at")), http.StatusBadRequest)
+		return
+	}
+	// One span per proof this endpoint serves: a chained daemon stamping a
+	// stream costs one round trip, and one span, per record.
+	_, sp := provtrace.Start(r.Context(), "auth:prove")
+	p, err := s.auth.ProveAt(r.Context(), tid, loc, at)
+	sp.SetErr(err)
+	sp.End()
 	if err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
 		return
 	}
-
-	resp := foundResponse{Found: found}
-	var root provauth.Root
-	if found {
-		var p provauth.Proof
-		if v := r.URL.Query().Get("at"); v != "" {
-			atSize, perr := strconv.ParseUint(v, 10, 64)
-			if perr != nil {
-				s.fail(w, fmt.Errorf("provhttp: bad at parameter %q", v), http.StatusBadRequest)
-				return
-			}
-			p, err = s.auth.ProveAt(r.Context(), rec.Tid, rec.Loc, atSize)
-			if err == nil {
-				root, err = s.auth.Root(r.Context())
-			}
-		} else {
-			p, root, err = s.auth.Prove(r.Context(), rec.Tid, rec.Loc)
-		}
-		if err != nil {
-			s.fail(w, err, http.StatusInternalServerError)
-			return
-		}
-		wr := toWire(rec)
-		resp.R = &wr
-		resp.P = encodeProof(p)
-	} else if root, err = s.auth.Root(r.Context()); err != nil {
-		s.fail(w, err, http.StatusInternalServerError)
-		return
-	}
-	resp.Root = root.String()
-	var ok bool
-	if resp.Audit, ok = s.sinceAudit(w, r, root); !ok {
-		return
-	}
-	writeJSON(w, resp)
+	writeJSON(w, proveResponse{P: encodeProof(p)})
 }
 
-// handleConsistency serves the proof that one tree head extends another:
-// by leaf counts (?old=&new=, the pin-advance path) or by transaction ids
-// (?old_tid=&new_tid=, which resolves both checkpoints and returns them).
+// handleConsistency serves the proof that the tree head at old=SIZE leaves
+// is a prefix of the head at new=SIZE leaves.
 func (s *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {
-	if !s.requireAuth(w) {
+	if !s.authRequest(w, r, "old", "new") {
 		return
 	}
 	q := r.URL.Query()
-	if q.Get("old_tid") != "" || q.Get("new_tid") != "" {
-		oldTid, err1 := strconv.ParseInt(q.Get("old_tid"), 10, 64)
-		newTid, err2 := strconv.ParseInt(q.Get("new_tid"), 10, 64)
-		if err1 != nil || err2 != nil {
-			s.fail(w, fmt.Errorf("provhttp: bad old_tid/new_tid parameters %q, %q", q.Get("old_tid"), q.Get("new_tid")), http.StatusBadRequest)
-			return
-		}
-		cp, err := s.auth.ConsistencyTids(r.Context(), oldTid, newTid)
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, consistencyResponse{Old: cp.Old.String(), New: cp.New.String(), Audit: encodeAudit(cp.Audit)})
-		return
-	}
 	oldSize, err1 := strconv.ParseUint(q.Get("old"), 10, 64)
 	newSize, err2 := strconv.ParseUint(q.Get("new"), 10, 64)
 	if err1 != nil || err2 != nil {

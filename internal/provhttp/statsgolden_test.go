@@ -124,8 +124,10 @@ func statsScript(t *testing.T, chain statsChain, srv *provhttp.Server, cli *prov
 	if _, ok := srv.Inner().(*provauth.AuthBackend); ok {
 		_, err := cli.Root(ctx)
 		must(err)
-		_, _, err = cli.Prove(ctx, 2, path.MustParse("T/c2"))
-		must(err)
+		c2 := path.MustParse("T/c2")
+		for _, err := range cli.ScanProven(ctx, provstore.ByLoc(c2).After(1, c2).Until(2)) {
+			must(err)
+		}
 	}
 
 	resp, err = http.Get("http://" + addr + "/v1/stats")

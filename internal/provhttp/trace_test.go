@@ -82,8 +82,16 @@ func TestTwoDaemonChainTrace(t *testing.T) {
 	if _, err := provplan.Collect(ctx, outerCli, &cq); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := outerCli.Prove(ctx, 1, path.MustParse("T/c1")); err != nil {
-		t.Fatal(err)
+	c1 := path.MustParse("T/c1")
+	proven := 0
+	for _, err := range outerCli.ScanProven(ctx, provstore.ByLoc(c1).After(0, c1).Until(1)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		proven++
+	}
+	if proven != 1 {
+		t.Fatalf("proven point scan through the chain yielded %d records, want 1", proven)
 	}
 
 	id := rec.TraceID()

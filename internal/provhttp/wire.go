@@ -56,20 +56,19 @@
 // When the published backend is authenticated (a provauth.AuthBackend, i.e.
 // a verified:// DSN), three more endpoints serve the Merkle tree:
 //
-//	GET  /v1/root                    {"root":"size:tid:hex"}; ?tid=N answers
-//	                                 RootAt, ?since=SIZE adds "audit", the
-//	                                 consistency path from that tree size
-//	GET  /v1/prove?tid=&loc=         the record with the key plus its
-//	     [&at=SIZE][&since=SIZE]       inclusion proof: {"found","r","p",
-//	                                   "root","audit"}; at= proves against a
-//	                                   historical root
-//	GET  /v1/consistency?old=&new=   {"audit":[hex,…]} between tree sizes;
-//	     | ?old_tid=&new_tid=          the tid form resolves checkpoints and
-//	                                   returns {"old","new","audit"}
+//	GET  /v1/root[?since=SIZE]       {"root":"size:tid:hex"}; since= adds
+//	                                 "audit", the consistency path from
+//	                                 that tree size
+//	GET  /v1/prove?tid=&loc=&at=     {"p":hex}: the record's inclusion proof
+//	                                 against the head at SIZE leaves — the
+//	                                 transport of Authority.ProveAt, which
+//	                                 a chained daemon stamps its streams with
+//	GET  /v1/consistency?old=&new=   {"audit":"hex,…"} between tree sizes
 //
-// and every scan or query accepts proofs=1 (400 on an unauthenticated
-// store). The cpdb://?verify=pin&pin=FILE client drives all of this
-// automatically and fails closed on any mismatch.
+// Each answers 400 on a parameter it does not take. Every scan or query
+// accepts proofs=1 (400 on an unauthenticated store); a reader's proof of
+// one record is a proven point scan. The cpdb://?verify=pin&pin=FILE client
+// drives all of this automatically and fails closed on any mismatch.
 //
 // # The row stream
 //
@@ -451,28 +450,19 @@ func (l *streamLine) row() (provplan.Row, error) {
 	}
 }
 
-// foundResponse answers /v1/prove: whether the record is stored, the record,
-// its inclusion proof, the root it verifies against, and optionally the
-// consistency path from the client's since= tree size to that root.
-type foundResponse struct {
-	Found bool        `json:"found"`
-	R     *wireRecord `json:"r,omitempty"`
-	P     string      `json:"p,omitempty"`
-	Root  string      `json:"root,omitempty"`
-	Audit *string     `json:"audit,omitempty"` // pointer: "" is a valid (empty) path
-}
-
 // rootResponse answers /v1/root.
 type rootResponse struct {
 	Root  string  `json:"root"`
-	Audit *string `json:"audit,omitempty"` // set iff the request carried since=
+	Audit *string `json:"audit,omitempty"` // pointer, set iff the request carried since=: "" is a valid (empty) path
 }
 
-// consistencyResponse answers /v1/consistency. Old/New are set by the
-// old_tid/new_tid form, which resolves the transaction checkpoints.
+// proveResponse answers /v1/prove: the inclusion proof, hex.
+type proveResponse struct {
+	P string `json:"p"`
+}
+
+// consistencyResponse answers /v1/consistency.
 type consistencyResponse struct {
-	Old   string `json:"old,omitempty"`
-	New   string `json:"new,omitempty"`
 	Audit string `json:"audit"`
 }
 
@@ -523,6 +513,17 @@ func (e *RemoteError) Error() string {
 		return fmt.Sprintf("provhttp: server error (HTTP %d) [trace %s]: %s", e.Status, e.Trace, e.Msg)
 	}
 	return fmt.Sprintf("provhttp: server error (HTTP %d): %s", e.Status, e.Msg)
+}
+
+// Unwrap makes a 409 match provauth.ErrUnsealed: it is the status the
+// server answers a proof of a record the root does not yet cover with (a
+// duplicate key, the other 409, decodes to *provstore.DupKeyError), so the
+// sentinel survives a hop — a chained daemon's stamping, a pinned read.
+func (e *RemoteError) Unwrap() error {
+	if e.Status == http.StatusConflict {
+		return provauth.ErrUnsealed
+	}
+	return nil
 }
 
 // decodeError rebuilds the error of a non-2xx response, restoring the typed

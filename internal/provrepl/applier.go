@@ -213,7 +213,7 @@ func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int6
 	return func(yield func(provstore.Record, error) bool) {
 		var root provauth.Root
 		anchored := false
-		for pr, err := range auth.ScanAllProven(ctx, afterTid, afterLoc) {
+		for pr, err := range auth.ScanProven(ctx, provstore.All().After(afterTid, afterLoc)) {
 			if err != nil {
 				yield(provstore.Record{}, err)
 				return

@@ -187,14 +187,6 @@ func (s *swapAuth) Root(ctx context.Context) (provauth.Root, error) {
 	return s.cur.Load().Root(ctx)
 }
 
-func (s *swapAuth) RootAt(ctx context.Context, tid int64) (provauth.Root, error) {
-	return s.cur.Load().RootAt(ctx, tid)
-}
-
-func (s *swapAuth) Prove(ctx context.Context, tid int64, loc path.Path) (provauth.Proof, provauth.Root, error) {
-	return s.cur.Load().Prove(ctx, tid, loc)
-}
-
 func (s *swapAuth) ProveAt(ctx context.Context, tid int64, loc path.Path, atSize uint64) (provauth.Proof, error) {
 	return s.cur.Load().ProveAt(ctx, tid, loc, atSize)
 }
@@ -203,12 +195,8 @@ func (s *swapAuth) Consistency(ctx context.Context, oldSize, newSize uint64) ([]
 	return s.cur.Load().Consistency(ctx, oldSize, newSize)
 }
 
-func (s *swapAuth) ConsistencyTids(ctx context.Context, oldTid, newTid int64) (provauth.ConsistencyProof, error) {
-	return s.cur.Load().ConsistencyTids(ctx, oldTid, newTid)
-}
-
-func (s *swapAuth) ScanAllProven(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provauth.ProvenRecord, error] {
-	return s.cur.Load().ScanAllProven(ctx, afterTid, afterLoc)
+func (s *swapAuth) ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provauth.ProvenRecord, error] {
+	return s.cur.Load().ScanProven(ctx, spec)
 }
 
 // TestRewrittenPrimaryBlocksShipping: a primary that rewrote history and
@@ -302,21 +290,22 @@ func TestVerifyDSN(t *testing.T) {
 func TestAnchorAcceptsOlderPrefixRoot(t *testing.T) {
 	ctx := context.Background()
 	primary := mustAuth(t, provstore.NewMemBackend())
+	var older, newer provauth.Root
 	for tid := int64(1); tid <= 3; tid++ {
 		if err := primary.Append(ctx, tidBatch(tid, 3)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := primary.Flush(ctx); err != nil {
-		t.Fatal(err)
-	}
-	older, err := primary.RootAt(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newer, err := primary.RootAt(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
+		if err := primary.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		root, err := primary.Root(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tid == 1 {
+			older = root
+		}
+		newer = root
 	}
 	b := &ReplicatedBackend{}
 	for _, root := range []provauth.Root{newer, older, newer} {
