@@ -66,13 +66,14 @@ func bindAndRebase(srcPat path.Pattern, p path.Path, dstPat path.Pattern) (path.
 	if !srcPat.MatchesPrefixOf(p) {
 		return path.Pattern{}, false
 	}
+	labels := p.Labels()
 	var binds []string
 	for i, c := range splitPattern(srcPat) {
 		if c == path.Wildcard {
-			binds = append(binds, p.At(i))
+			binds = append(binds, labels[i])
 		}
 	}
-	out := make([]string, 0, dstPat.Len()+p.Len()-srcPat.Len())
+	out := make([]string, 0, dstPat.Len()+len(labels)-srcPat.Len())
 	k := 0
 	for _, c := range splitPattern(dstPat) {
 		if c == path.Wildcard && k < len(binds) {
@@ -82,9 +83,7 @@ func bindAndRebase(srcPat path.Pattern, p path.Path, dstPat path.Pattern) (path.
 		}
 		out = append(out, c)
 	}
-	for i := srcPat.Len(); i < p.Len(); i++ {
-		out = append(out, p.At(i))
-	}
+	out = append(out, labels[srcPat.Len():]...)
 	pat, err := path.ParsePattern(joinComponents(out))
 	if err != nil {
 		return path.Pattern{}, false
@@ -202,8 +201,8 @@ func patternUnder(pat path.Pattern, prefix path.Path) bool {
 		return false
 	}
 	comps := splitPattern(pat)
-	for i := 0; i < prefix.Len(); i++ {
-		if comps[i] != path.Wildcard && comps[i] != prefix.At(i) {
+	for i, l := range prefix.All() {
+		if comps[i] != path.Wildcard && comps[i] != l {
 			return false
 		}
 	}

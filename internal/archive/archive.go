@@ -236,8 +236,7 @@ func Reconstruct(ctx context.Context, lost string, witnesses []Witness) (*Recons
 func place(res *Reconstructed, conflict map[string]bool, srcRel path.Path, node *tree.Node, witness string) error {
 	// Ensure the ancestor chain exists.
 	cur := res.Tree
-	for i := 0; i < srcRel.Len()-1; i++ {
-		label := srcRel.At(i)
+	for _, label := range srcRel.MustParent().All() {
 		next := cur.Child(label)
 		if next == nil {
 			next = tree.NewTree()

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -255,14 +254,14 @@ func sign(x int) int {
 
 func TestBinaryEscaping(t *testing.T) {
 	// Labels containing NUL/SOH bytes must round-trip through escaping.
-	p := Path{elems: []string{"a\x00b", "c\x01d", "plain"}}
+	p := New("a\x00b", "c\x01d", "plain")
 	enc := p.AppendBinary(nil)
 	q, n, err := DecodeBinary(enc)
 	if err != nil || n != len(enc) {
 		t.Fatalf("DecodeBinary: n=%d err=%v", n, err)
 	}
 	if !q.Equal(p) {
-		t.Errorf("escaped round trip: got %v want %v", q.elems, p.elems)
+		t.Errorf("escaped round trip: got %q want %q", q.Labels(), p.Labels())
 	}
 }
 
@@ -300,9 +299,8 @@ func TestDecodeBinaryErrors(t *testing.T) {
 	}
 }
 
-// TestDecodeBinaryStringSharesStorage: an encoding without escapes decodes
-// with one allocation, the label slice — the labels are substrings of the
-// input — and to the same path DecodeBinary gives.
+// TestDecodeBinaryStringSharesStorage: a decode allocates nothing — the
+// path is its input — and gives the same path DecodeBinary gives.
 func TestDecodeBinaryStringSharesStorage(t *testing.T) {
 	want := MustParse("SwissProt/Release{20}/Q01780/Citation{3}/Title")
 	enc := string(want.AppendBinary(nil))
@@ -310,75 +308,11 @@ func TestDecodeBinaryStringSharesStorage(t *testing.T) {
 	if err != nil || !got.Equal(want) {
 		t.Fatalf("DecodeBinaryString = %q, %v; want %q", got, err, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { got, _ = DecodeBinaryString(enc) }); n != 1 {
-		t.Errorf("DecodeBinaryString allocates %v times per path, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { got, _ = DecodeBinaryString(enc) }); n != 0 {
+		t.Errorf("DecodeBinaryString allocates %v times per path, want 0", n)
 	}
 	if root, err := DecodeBinaryString(""); err != nil || !root.IsRoot() {
 		t.Errorf("the empty encoding decodes to %q, %v; want the root", root, err)
-	}
-}
-
-// TestDecodeBinaryStringIn: paths decoded into one slab take exactly their
-// labels from it, in turn, and each is capped at its own labels — an append
-// to one never writes over the next — while an encoding the slab has no room
-// for, or one that is not a path, leaves the slab as it was.
-func TestDecodeBinaryStringIn(t *testing.T) {
-	paths := []Path{MustParse("T/a/b"), Root, MustParse("S/x"), {elems: []string{"a\x00b", "c"}}}
-	var encs []string
-	labels := 0
-	for _, p := range paths {
-		enc := string(p.AppendBinary(nil))
-		encs = append(encs, enc)
-		labels += strings.Count(enc, "\x00")
-	}
-	slab := make([]string, labels)
-	rest := slab
-	var got []Path
-	for i, enc := range encs {
-		p, r, err := DecodeBinaryStringIn(rest, enc)
-		if err != nil || !p.Equal(paths[i]) || len(r) != len(rest)-paths[i].Len() {
-			t.Fatalf("DecodeBinaryStringIn(%q) = %q, %d left, %v; want %q, %d left", enc, p, len(r), err, paths[i], len(rest)-paths[i].Len())
-		}
-		if cap(p.elems) != p.Len() {
-			t.Errorf("%q: capacity %d, want its %d labels", p, cap(p.elems), p.Len())
-		}
-		got, rest = append(got, p), r
-	}
-	_ = append(got[0].elems, "overwrite")
-	for i, p := range got {
-		if !p.Equal(paths[i]) {
-			t.Errorf("after an append to the first path, path %d is %q, want %q", i, p, paths[i])
-		}
-	}
-	short := make([]string, 1)
-	if p, r, err := DecodeBinaryStringIn(short, encs[0]); err != nil || !p.Equal(paths[0]) || len(r) != 1 {
-		t.Errorf("a slab too short: %q, %d left, %v", p, len(r), err)
-	}
-	if _, r, err := DecodeBinaryStringIn(slab, "T\x00\x00"); err == nil || len(r) != len(slab) {
-		t.Errorf("an empty label: %d of %d left, %v; want an error and the slab untouched", len(r), len(slab), err)
-	}
-}
-
-// TestDecodeBinaryWith: the byte decoder accepts what DecodeBinaryString
-// accepts and returns the same path; labels shared is given come from it,
-// the others share one copy of the input.
-func TestDecodeBinaryWith(t *testing.T) {
-	shared := map[string]string{"T": "T", "a": "a"}
-	lookup := func(b []byte) (string, bool) { l, ok := shared[string(b)]; return l, ok }
-	for _, enc := range []string{"", "T\x00a\x00", "T\x00b\x00c\x00", "a\x01\x02b\x00", "T\x00\x00", "\x00", "T/a\x00", "T\x00a", "a\x01\x7f\x00"} {
-		want, werr := DecodeBinaryString(enc)
-		got, gerr := DecodeBinaryWith([]byte(enc), lookup)
-		if (werr == nil) != (gerr == nil) || !got.Equal(want) {
-			t.Errorf("%q: DecodeBinaryWith = %q, %v; DecodeBinaryString = %q, %v", enc, got, gerr, want, werr)
-		}
-	}
-	enc := []byte("T\x00b\x00c\x00")
-	if n := testing.AllocsPerRun(100, func() { DecodeBinaryWith(enc, lookup) }); n != 2 {
-		t.Errorf("two labels not shared cost %v allocations, want 2: the labels and one copy", n)
-	}
-	enc = []byte("T\x00a\x00")
-	if n := testing.AllocsPerRun(100, func() { DecodeBinaryWith(enc, lookup) }); n != 1 {
-		t.Errorf("shared labels cost %v allocations, want 1", n)
 	}
 }
 
@@ -404,13 +338,37 @@ func TestPrefixMethod(t *testing.T) {
 	p.Prefix(5)
 }
 
+// TestStringAllocFree: String costs at most its one result string, escaped
+// labels or not, and the operations that only look at the encoding or cut
+// it — Compare, Equal, IsPrefixOf, Prefix, Parent, AppendBinary into a
+// buffer with room, a walk of the labels — cost nothing.
 func TestStringAllocFree(t *testing.T) {
-	// String of a parsed path should just re-join; sanity check content only.
-	s := "A/b{2}/c"
-	if MustParse(s).String() != s {
-		t.Error("round trip failed")
+	p, q := MustParse("A/b{2}/c"), New("A", "b\x00", "c\x01d")
+	for _, x := range []Path{p, q} {
+		if n := testing.AllocsPerRun(100, func() { _ = x.String() }); n > 1 {
+			t.Errorf("%q: String allocates %v times, want at most 1", x, n)
+		}
 	}
-	if !strings.Contains(MustParse(s).String(), "{2}") {
-		t.Error("label content lost")
+	if p.String() != "A/b{2}/c" || q.String() != "A/b\x00/c\x01d" {
+		t.Errorf("String: %q, %q", p, q)
+	}
+	buf := make([]byte, 0, 64)
+	r := p.MustParent()
+	for name, f := range map[string]func(){
+		"Compare":      func() { _ = p.Compare(q) },
+		"Equal":        func() { _ = p.Equal(r) },
+		"IsPrefixOf":   func() { _ = r.IsPrefixOf(p) },
+		"Prefix":       func() { _ = p.Prefix(2) },
+		"Parent":       func() { _, _ = p.Parent() },
+		"AppendBinary": func() { buf = q.AppendBinary(buf[:0]) },
+		"All": func() {
+			for _, l := range p.All() {
+				_ = l
+			}
+		},
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times, want 0", name, n)
+		}
 	}
 }

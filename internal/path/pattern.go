@@ -76,23 +76,13 @@ func (pat Pattern) AsPath() (Path, bool) {
 	if !pat.IsExact() {
 		return Root, false
 	}
-	elems := make([]string, len(pat.elems))
-	copy(elems, pat.elems)
-	return Path{elems: elems}, true
+	return New(pat.elems...), true
 }
 
 // Matches reports whether the pattern matches the path exactly (same length,
 // each non-wildcard component equal).
 func (pat Pattern) Matches(p Path) bool {
-	if len(pat.elems) != len(p.elems) {
-		return false
-	}
-	for i, e := range pat.elems {
-		if e != Wildcard && e != p.elems[i] {
-			return false
-		}
-	}
-	return true
+	return len(pat.elems) == p.Len() && pat.MatchesPrefixOf(p)
 }
 
 // MatchesPrefixOf reports whether the pattern matches some prefix of p; that
@@ -100,15 +90,17 @@ func (pat Pattern) Matches(p Path) bool {
 // the test used when deciding whether an approximate provenance record *may*
 // cover a given location.
 func (pat Pattern) MatchesPrefixOf(p Path) bool {
-	if len(pat.elems) > len(p.elems) {
-		return false
-	}
-	for i, e := range pat.elems {
-		if e != Wildcard && e != p.elems[i] {
+	n := 0
+	for i, l := range p.All() {
+		if i == len(pat.elems) {
+			break
+		}
+		if e := pat.elems[i]; e != Wildcard && e != l {
 			return false
 		}
+		n++
 	}
-	return true
+	return n == len(pat.elems)
 }
 
 // Rebase rewrites a path p matched-by-prefix by this (source-side) pattern
@@ -124,15 +116,12 @@ func (pat Pattern) Rebase(p Path, dst Pattern) (Pattern, bool) {
 	if len(pat.elems) != len(dst.elems) || !pat.MatchesPrefixOf(p) {
 		return Pattern{}, false
 	}
-	out := make([]string, len(p.elems))
-	for i := range pat.elems {
-		if dst.elems[i] == Wildcard {
-			out[i] = p.elems[i]
-		} else {
-			out[i] = dst.elems[i]
+	out := p.Labels()
+	for i, e := range dst.elems {
+		if e != Wildcard {
+			out[i] = e
 		}
 	}
-	copy(out[len(pat.elems):], p.elems[len(pat.elems):])
 	return Pattern{elems: out}, true
 }
 

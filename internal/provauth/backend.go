@@ -73,8 +73,8 @@ type AuthBackend struct {
 
 	mu      sync.RWMutex // guards everything below; held across inner writes
 	tree    merkle
-	leaf    map[string]uint64 // recordKey -> leaf index
-	root    Root              // the head as of the last sealed transaction
+	leaf    map[recordKey]uint64 // leaf index of each record
+	root    Root                 // the head as of the last sealed transaction
 	open    []provstore.Record
 	openTid int64 // 0 when no transaction is open
 
@@ -97,7 +97,7 @@ var (
 // recomputes the same root the original process published. Everything
 // already in the store is sealed.
 func New(inner provstore.Backend) (*AuthBackend, error) {
-	a := &AuthBackend{inner: inner, leaf: make(map[string]uint64), root: Root{Hash: emptyRoot()}, obs: provobs.NewRegistry()}
+	a := &AuthBackend{inner: inner, leaf: make(map[recordKey]uint64), root: Root{Hash: emptyRoot()}, obs: provobs.NewRegistry()}
 	a.register()
 	for rec, err := range inner.Scan(context.Background(), provstore.All()) {
 		if err != nil {
@@ -198,7 +198,7 @@ func (a *AuthBackend) ingest(recs []provstore.Record) {
 func (a *AuthBackend) seal() {
 	slices.SortFunc(a.open, func(x, y provstore.Record) int { return x.Loc.Compare(y.Loc) })
 	for i := range a.open {
-		a.leaf[recordKey(a.open[i].Tid, a.open[i].Loc)] = a.tree.size()
+		a.leaf[recordKey{a.open[i].Tid, a.open[i].Loc}] = a.tree.size()
 		a.tree.appendLeaf(RecordLeafHash(a.open[i]))
 	}
 	a.root = Root{Size: a.tree.size(), Tid: a.openTid, Hash: a.tree.rootAt(a.tree.size())}
@@ -281,7 +281,7 @@ func (a *AuthBackend) ProveAt(ctx context.Context, tid int64, loc path.Path, atS
 		return Proof{}, fmt.Errorf("provauth: no root at %d leaves (tree holds %d)", atSize, a.tree.size())
 	}
 	defer func() { a.proveDur.Observe(time.Since(start).Nanoseconds()) }()
-	idx, ok := a.leaf[recordKey(tid, loc)]
+	idx, ok := a.leaf[recordKey{tid, loc}]
 	if !ok {
 		if tid == a.openTid {
 			return Proof{}, fmt.Errorf("provauth: record {%d, %s} is in the open transaction: %w", tid, loc, ErrUnsealed)

@@ -376,10 +376,8 @@ func (pr ProvenRecord) Verify() error {
 	return VerifyRecord(pr.Root, pr.Rec, pr.Proof)
 }
 
-// recordKey is the tree's lookup key for a record: big-endian tid then the
-// canonical binary location — the same total order the leaves are in.
-func recordKey(tid int64, loc path.Path) string {
-	buf := make([]byte, 8, 24)
-	binary.BigEndian.PutUint64(buf, uint64(tid))
-	return string(loc.AppendBinary(buf))
+// recordKey is the tree's lookup key for a record, its {Tid, Loc} key.
+type recordKey struct {
+	tid int64
+	loc path.Path
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -265,7 +264,11 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 	if spanID != "" {
 		req.Header.Set(headerSpanID, spanID)
 	}
-	if body != nil {
+	switch body.(type) {
+	case nil:
+	case *pooledBody: // an Append's record frames
+		req.Header.Set("Content-Type", contentTypeFrames)
+	default:
 		req.Header.Set("Content-Type", "application/x-ndjson")
 	}
 	resp, err := c.hc.Do(req)
@@ -487,22 +490,10 @@ func (sr *streamReader) decode() error {
 }
 
 // readFrame reads one frame into sr.frame and decodes it: a record frame
-// through the path intern table, a line frame into sr.line. The declared
-// length is checked against maxFrameBytes before the buffer grows to it.
-func (sr *streamReader) readFrame() error {
-	size, err := binary.ReadUvarint(sr.br)
-	if err != nil {
-		return err // io.EOF only if the body ended before the length
-	}
-	if size == 0 || size > maxFrameBytes {
-		return fmt.Errorf("frame of %d bytes (a frame holds 1 to %d)", size, maxFrameBytes)
-	}
-	if uint64(cap(sr.frame)) < size {
-		sr.frame = make([]byte, size)
-	}
-	sr.frame = sr.frame[:size]
-	if _, err := io.ReadFull(sr.br, sr.frame); err != nil {
-		return fmt.Errorf("stream truncated inside a frame: %w", err)
+// through the path intern table, a line frame into sr.line.
+func (sr *streamReader) readFrame() (err error) {
+	if sr.frame, err = readFrame(sr.br, sr.frame); err != nil {
+		return err
 	}
 	switch kind, body := sr.frame[0], sr.frame[1:]; kind {
 	case frameRecord:
@@ -607,7 +598,7 @@ func rows[T any](open func() *streamReader, convert func(*streamReader) (T, erro
 	}
 }
 
-// appendBufPool recycles the NDJSON encode buffers of Append round trips.
+// appendBufPool recycles the encode buffers of Append round trips.
 // A buffer returns to the pool from pooledBody.Close — called by the
 // transport exactly when it is done reading the request body — never
 // earlier, so reuse cannot race a still-sending request.
@@ -628,9 +619,10 @@ func (b *pooledBody) Close() error {
 	return nil
 }
 
-// Append implements Backend: the whole batch travels as one NDJSON POST,
-// encoded into a pooled, pre-sized buffer. A successful append moves this
-// client's view of the store, so it invalidates the result cache.
+// Append implements Backend: the whole batch travels as one POST of record
+// frames — the binary form, which carries any label byte for byte —
+// encoded into a pooled buffer. A successful append moves this client's
+// view of the store, so it invalidates the result cache.
 func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error) {
 	ctx, sp := provtrace.Start(ctx, "rpc:append")
 	if sp != nil {
@@ -641,14 +633,8 @@ func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error
 		}()
 	}
 	buf := appendBufPool.Get().(*bytes.Buffer)
-	buf.Grow(64 * len(recs))
-	enc := json.NewEncoder(buf)
 	for i := range recs {
-		if err := enc.Encode(toWire(recs[i])); err != nil {
-			buf.Reset()
-			appendBufPool.Put(buf)
-			return err
-		}
+		buf.Write(appendRecordFrame(buf.AvailableBuffer(), recs[i]))
 	}
 	body := &pooledBody{Reader: bytes.NewReader(buf.Bytes()), buf: buf}
 	resp, err := c.do(ctx, http.MethodPost, "/v1/append", nil, body, http.StatusNoContent)

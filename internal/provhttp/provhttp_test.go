@@ -8,7 +8,9 @@ import (
 	"iter"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -840,5 +842,58 @@ func TestStatsMergeReplicationGauges(t *testing.T) {
 	}
 	if served["repl.replicas"] != 2 {
 		t.Errorf("served stats lack replication gauges: %v", served)
+	}
+}
+
+// TestNonUTF8PathsRoundTrip: a label need not be UTF-8. Over cpdb:// such a
+// path travels in record frames, so an append stores the bytes sent and a
+// read by the sent location finds them; an NDJSON scan, whose lines are
+// JSON, ends with an error line naming the path where encoding/json would
+// have written another one.
+func TestNonUTF8PathsRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	recs := []provstore.Record{
+		rec(1, provstore.OpInsert, "T/a", ""),
+		{Tid: 2, Op: provstore.OpInsert, Loc: path.New("T", "a\xffb")},
+		{Tid: 3, Op: provstore.OpCopy, Loc: path.New("T", "c"), Src: path.New("S", "\xfe", "x")},
+	}
+	same := func(a, b provstore.Record) bool {
+		return a.Tid == b.Tid && a.Op == b.Op && a.Loc.Equal(b.Loc) && a.Src.Equal(b.Src)
+	}
+	for name, inner := range map[string]func(t *testing.T) provstore.Backend{
+		"mem": func(*testing.T) provstore.Backend { return provstore.NewMemBackend() },
+		"rel": func(t *testing.T) provstore.Backend {
+			b, err := provstore.OpenDSN("rel://" + provstore.EscapeDSNPath(filepath.Join(t.TempDir(), "prov.db")) + "?create=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { provstore.Close(b) }) //nolint:errcheck // test teardown
+			return b
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := inner(t)
+			cli, _ := serve(t, store)
+			if err := cli.Append(ctx, recs); err != nil {
+				t.Fatal(err)
+			}
+			stored, err := provstore.CollectScan(store.Scan(ctx, provstore.All()))
+			if err != nil || !slices.EqualFunc(stored, recs, same) {
+				t.Fatalf("the store holds %v, %v; want %v", stored, err, recs)
+			}
+			for _, r := range recs {
+				if got, ok, err := provstore.Lookup(ctx, cli, r.Tid, r.Loc); err != nil || !ok || !same(got, r) {
+					t.Errorf("Lookup(%d, %q) = %v, %v, %v", r.Tid, r.Loc, got, ok, err)
+				}
+			}
+			resp, err := http.Get("http://" + cli.Addr() + "/v1/scan-all")
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines, end := provhttp.ReadStream(resp.Body, resp.Header.Get("Content-Type"))
+			if len(lines) != 1 || !strings.Contains(end, `"T/a\xffb" is not valid UTF-8`) {
+				t.Errorf("NDJSON scan: %d lines, then %s; want one line, then the error naming T/a\\xffb", len(lines), end)
+			}
+		})
 	}
 }

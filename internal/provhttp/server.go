@@ -1,6 +1,7 @@
 package provhttp
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -501,26 +502,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing to do
 }
 
-// handleAppend decodes one NDJSON batch and appends it in one store call —
-// the wire protocol's batched write: one round trip per Append, however many
-// records it carries.
+// handleAppend decodes one batch — record frames under their Content-Type,
+// NDJSON records otherwise — and appends it in one store call: the wire
+// protocol's batched write, one round trip per Append, however many records
+// it carries.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxAppendBytes))
-	var recs []provstore.Record
-	for {
-		var wr wireRecord
-		if err := dec.Decode(&wr); err == io.EOF {
-			break
-		} else if err != nil {
-			s.fail(w, fmt.Errorf("provhttp: bad append body: %w", err), http.StatusBadRequest)
-			return
-		}
-		rec, err := wr.record()
-		if err != nil {
-			s.fail(w, err, http.StatusBadRequest)
-			return
-		}
-		recs = append(recs, rec)
+	body := http.MaxBytesReader(w, r.Body, MaxAppendBytes)
+	decode := appendNDJSON
+	if r.Header.Get("Content-Type") == contentTypeFrames {
+		decode = appendFrames
+	}
+	recs, err := decode(body)
+	if err != nil {
+		s.fail(w, err, http.StatusBadRequest)
+		return
 	}
 	if err := s.inner.Append(r.Context(), recs); err != nil {
 		s.fail(w, err, http.StatusInternalServerError)
@@ -529,6 +524,54 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.stats.recordsAppended.Add(int64(len(recs)))
 	setRecords(w, len(recs))
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// appendNDJSON decodes an append body of NDJSON records.
+func appendNDJSON(body io.Reader) ([]provstore.Record, error) {
+	dec := json.NewDecoder(body)
+	var recs []provstore.Record
+	for {
+		var wr wireRecord
+		if err := dec.Decode(&wr); err == io.EOF {
+			return recs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("provhttp: bad append body: %w", err)
+		}
+		rec, err := wr.record()
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// appendFrames decodes an append body of record frames, each a record and
+// nothing more.
+func appendFrames(body io.Reader) ([]provstore.Record, error) {
+	br := bufio.NewReader(body)
+	var (
+		recs  []provstore.Record
+		frame []byte
+		err   error
+	)
+	for {
+		if frame, err = readFrame(br, frame); err == io.EOF {
+			return recs, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("provhttp: bad append body: %w", err)
+		}
+		if frame[0] != frameRecord {
+			return nil, fmt.Errorf("provhttp: bad append body: a frame of kind 0x%02x", frame[0])
+		}
+		rec, n, err := provstore.DecodeRecord(frame[1:])
+		if err == nil && n != len(frame)-1 {
+			err = fmt.Errorf("%d bytes after the record", len(frame)-1-n)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("provhttp: bad append body: %w", err)
+		}
+		recs = append(recs, rec)
+	}
 }
 
 // authStamp interprets the proofs=1 / since=SIZE request parameters: it
@@ -659,6 +702,10 @@ func (sw *streamWriter) record(rec provstore.Record) bool {
 		return false
 	}
 	if !sw.framed() {
+		if err := checkUTF8(rec.Loc, rec.Src); err != nil {
+			sw.fail(err)
+			return false
+		}
 		sw.rec = toWire(rec)
 		sw.line = streamLine{R: &sw.rec}
 		if sw.stamp != nil {
@@ -687,11 +734,19 @@ func (sw *streamWriter) row(row provplan.Row) bool {
 	case provplan.RowValue:
 		sw.line = streamLine{V: &wireValue{Val: row.Val, Found: row.Found}}
 	case provplan.RowEvent:
+		if err := checkUTF8(row.Event.Loc, row.Event.Src); err != nil {
+			sw.fail(err)
+			return false
+		}
 		ev := toWire(provstore.Record(row.Event))
 		sw.line = streamLine{Ev: &ev}
 	case provplan.RowAnalyze:
 		sw.line = streamLine{Az: row.Analysis}
 	default: // provplan.RowEnd
+		if err := checkUTF8(row.External); err != nil {
+			sw.fail(err)
+			return false
+		}
 		end := wireEnd{Origin: row.Origin.String()}
 		if row.Origin == provplan.OriginExternal {
 			end.External = row.External.String()

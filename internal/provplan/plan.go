@@ -437,7 +437,7 @@ func (pl *Plan) filtered(scan iter.Seq2[provstore.Record, error], keys *joinKeys
 type joinKeys struct {
 	on   string
 	tids map[int64]struct{}
-	locs map[string]struct{} // binary-encoded paths
+	locs map[path.Path]struct{}
 }
 
 func (k *joinKeys) match(r provstore.Record) bool {
@@ -449,10 +449,10 @@ func (k *joinKeys) match(r provstore.Record) bool {
 		if r.Src.IsRoot() {
 			return false
 		}
-		_, ok := k.locs[string(r.Src.AppendBinary(nil))]
+		_, ok := k.locs[r.Src]
 		return ok
 	default: // JoinLocSrc
-		_, ok := k.locs[string(r.Loc.AppendBinary(nil))]
+		_, ok := k.locs[r.Loc]
 		return ok
 	}
 }
@@ -474,7 +474,7 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 	case JoinTid:
 		keys.tids = make(map[int64]struct{})
 	default:
-		keys.locs = make(map[string]struct{})
+		keys.locs = make(map[path.Path]struct{})
 	}
 	for r, err := range pl.join.sub.records(ctx, ex.sub("sub:")) {
 		if err != nil {
@@ -487,10 +487,10 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 		case JoinTid:
 			keys.tids[r.Tid] = struct{}{}
 		case JoinSrcLoc:
-			keys.locs[string(r.Loc.AppendBinary(nil))] = struct{}{}
+			keys.locs[r.Loc] = struct{}{}
 		default: // JoinLocSrc
 			if !r.Src.IsRoot() {
-				keys.locs[string(r.Src.AppendBinary(nil))] = struct{}{}
+				keys.locs[r.Src] = struct{}{}
 			}
 		}
 	}

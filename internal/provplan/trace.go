@@ -227,11 +227,6 @@ func (pl *Plan) runHist(ctx context.Context, ex *exec) ([]int64, error) {
 type region struct {
 	prefix path.Path
 	bound  int64
-	key    string // binary encoding of prefix, computed once on enqueue
-}
-
-func newRegion(prefix path.Path, bound int64) region {
-	return region{prefix: prefix, bound: bound, key: string(prefix.AppendBinary(nil))}
 }
 
 // runMod answers every transaction that created, modified or deleted data
@@ -256,10 +251,9 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 		return nil, err
 	}
 	result := make(map[int64]struct{})
-	seen := make(map[string]int64) // region prefix -> highest bound processed
-	held := make(map[string]bool)  // source database -> the store holds a record of it
-	queue := []region{newRegion(pl.path, tnow)}
-	var lk []byte // a shadow key
+	seen := make(map[path.Path]int64) // region prefix -> highest bound processed
+	held := make(map[string]bool)     // source database -> the store holds a record of it
+	queue := []region{{pl.path, tnow}}
 	for len(queue) > 0 {
 		// Cancellation is observed between BFS waves: the walk stops
 		// before the next wave's first scan.
@@ -273,7 +267,7 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 		// bound — the per-region filter below re-applies each bound.
 		wave := queue[:0:0]
 		for _, g := range queue {
-			if prev, ok := seen[g.key]; ok && prev >= g.bound {
+			if prev, ok := seen[g.prefix]; ok && prev >= g.bound {
 				continue
 			}
 			if db := g.prefix.DB(); db != pl.path.DB() {
@@ -290,16 +284,16 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 		}
 		queue = nil
 		prefixes := make([]path.Path, 0, len(wave))
-		scanIdx := make(map[string]int, len(wave))
+		scanIdx := make(map[path.Path]int, len(wave))
 		bounds := make([]int64, 0, len(wave))
 		for _, g := range wave {
-			if i, ok := scanIdx[g.key]; ok {
+			if i, ok := scanIdx[g.prefix]; ok {
 				if g.bound > bounds[i] {
 					bounds[i] = g.bound
 				}
 				continue
 			}
-			scanIdx[g.key] = len(prefixes)
+			scanIdx[g.prefix] = len(prefixes)
 			prefixes = append(prefixes, g.prefix)
 			bounds = append(bounds, g.bound)
 		}
@@ -324,12 +318,12 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 		// Gather: merge sequentially in queue order (the shadow and seen
 		// bookkeeping is order-sensitive).
 		for _, g := range wave {
-			if prev, ok := seen[g.key]; ok && prev >= g.bound {
+			if prev, ok := seen[g.prefix]; ok && prev >= g.bound {
 				continue
 			}
-			seen[g.key] = g.bound
+			seen[g.prefix] = g.bound
 
-			i := scanIdx[g.key]
+			i := scanIdx[g.prefix]
 			inside, above := scans[2*i], scans[2*i+1]
 			recs := make([]provstore.Record, 0, len(inside)+len(above))
 			recs = append(recs, inside...)
@@ -340,18 +334,15 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 			}
 			// Newest first; shadowed locations drop older records.
 			sort.Slice(recs, func(i, j int) bool { return recs[i].Tid > recs[j].Tid })
-			// A location is keyed by its encoding, built in lk; only a new
-			// one costs a key string.
-			shadow := make(map[string]struct{})
+			shadow := make(map[path.Path]struct{})
 			for _, r := range recs {
 				if r.Tid > g.bound {
 					continue
 				}
-				lk = r.Loc.AppendBinary(lk[:0])
-				if _, dead := shadow[string(lk)]; dead {
+				if _, dead := shadow[r.Loc]; dead {
 					continue
 				}
-				shadow[string(lk)] = struct{}{}
+				shadow[r.Loc] = struct{}{}
 				ancestor := r.Loc.IsStrictPrefixOf(g.prefix)
 				if ancestor && r.Op == provstore.OpInsert {
 					// An insert at an ancestor creates an empty node: no
@@ -367,9 +358,9 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 					if rerr != nil {
 						return nil, rerr
 					}
-					queue = append(queue, newRegion(src, r.Tid-1))
+					queue = append(queue, region{src, r.Tid - 1})
 				} else {
-					queue = append(queue, newRegion(r.Src, r.Tid-1))
+					queue = append(queue, region{r.Src, r.Tid - 1})
 				}
 			}
 		}

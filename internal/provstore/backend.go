@@ -118,14 +118,6 @@ func NewMemBackend() *MemBackend {
 // ObsRegistries implements provobs.Source.
 func (b *MemBackend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{b.obs} }
 
-func memKey(tid int64, loc path.Path) string {
-	buf := make([]byte, 0, 16+loc.Len()*8)
-	for i := 0; i < 8; i++ {
-		buf = append(buf, byte(tid>>(56-8*i)))
-	}
-	return string(loc.AppendBinary(buf))
-}
-
 // A memIndex is one order over a record log: the record numbers in sorted
 // runs of at most memRunMax, every key of a run below every key of the next,
 // so a run's first entry is its key in the directory the runs form — a

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/path"
 	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
@@ -71,7 +72,13 @@ type BatchingBackend struct {
 	inner Backend
 	size  int
 	buf   []Record            // acknowledged and not yet flushed, in arrival order
-	keys  map[string]struct{} // the {Tid, Loc} keys of buf
+	keys  map[recKey]struct{} // the {Tid, Loc} keys of buf
+}
+
+// recKey is a record's {Tid, Loc} key.
+type recKey struct {
+	tid int64
+	loc path.Path
 }
 
 var (
@@ -90,7 +97,7 @@ func NewBatching(inner Backend, size int) *BatchingBackend {
 	return &BatchingBackend{
 		inner: inner,
 		size:  size,
-		keys:  make(map[string]struct{}),
+		keys:  make(map[recKey]struct{}),
 	}
 }
 
@@ -122,9 +129,9 @@ func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
 	if err := ValidateBatch(recs); err != nil {
 		return err
 	}
-	keys := make([]string, len(recs))
+	keys := make([]recKey, len(recs))
 	for i, r := range recs {
-		keys[i] = memKey(r.Tid, r.Loc)
+		keys[i] = recKey{r.Tid, r.Loc}
 		if _, dup := b.keys[keys[i]]; dup {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}

@@ -125,15 +125,15 @@ func (t *deferredTracker) OnDelete(eff update.Effect) error {
 	// Transactional (non-hierarchical): restore every shadowed net
 	// deletion explicitly, then add one delete link per deleted node that
 	// pre-existed the transaction (i.e. was not created by it).
-	removedCreated := make(map[string]*listEntry, len(removed))
+	removedCreated := make(map[path.Path]*listEntry, len(removed))
 	for _, e := range removed {
-		removedCreated[listKey(e.loc)] = e
+		removedCreated[e.loc] = e
 		for _, sl := range e.shadow {
 			t.list.setDelete(sl)
 		}
 	}
 	for _, loc := range eff.Deleted {
-		if _, created := removedCreated[listKey(loc)]; created {
+		if _, created := removedCreated[loc]; created {
 			continue
 		}
 		t.list.setDelete(loc)
@@ -156,24 +156,24 @@ func (t *deferredTracker) OnCopy(eff update.Effect) error {
 	// overwrite — the copy link supersedes it — but the information must
 	// survive within the open transaction in case the copied data is
 	// itself deleted before commit.
-	shadowSet := make(map[string]path.Path)
+	shadowSet := make(map[path.Path]struct{})
 	if eff.Overwritten {
 		for _, loc := range eff.Deleted {
 			if !t.list.createdAt(loc) {
-				shadowSet[listKey(loc)] = loc
+				shadowSet[loc] = struct{}{}
 			}
 		}
 	}
 	for _, e := range t.list.removeRegion(dst) {
 		if e.op == OpDelete {
-			shadowSet[listKey(e.loc)] = e.loc
+			shadowSet[e.loc] = struct{}{}
 		}
 		for _, sl := range e.shadow {
-			shadowSet[listKey(sl)] = sl
+			shadowSet[sl] = struct{}{}
 		}
 	}
 	var shadow []path.Path
-	for _, p := range shadowSet {
+	for p := range shadowSet {
 		shadow = append(shadow, p)
 	}
 

@@ -31,9 +31,9 @@ import (
 // Records of non-hierarchical trackers expand to themselves: every row is
 // explicit, so the walks stop immediately at explicit descendants.
 func ExpandTxn(recs []Record, pre, post *tree.Forest) ([]Record, error) {
-	explicit := make(map[string]Record, len(recs))
+	explicit := make(map[path.Path]Record, len(recs))
 	for _, r := range recs {
-		explicit[listKey(r.Loc)] = r
+		explicit[r.Loc] = r
 	}
 	var out []Record
 	for _, r := range recs {
@@ -54,7 +54,7 @@ func ExpandTxn(recs []Record, pre, post *tree.Forest) ([]Record, error) {
 		descend = func(loc path.Path, n *tree.Node) {
 			for _, l := range n.Labels() {
 				child := loc.Child(l)
-				if _, ok := explicit[listKey(child)]; ok {
+				if _, ok := explicit[child]; ok {
 					continue
 				}
 				inf := Record{Tid: r.Tid, Op: r.Op, Loc: child}

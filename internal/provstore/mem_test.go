@@ -22,26 +22,26 @@ import (
 // compared against.
 type refMem struct {
 	recs  []Record
-	byKey map[string]Record
+	byKey map[recKey]Record
 }
 
 func (m *refMem) append(recs []Record) error {
-	seen := map[string]bool{}
+	seen := map[recKey]bool{}
 	for _, r := range recs {
 		if err := r.Validate(); err != nil {
 			return err
 		}
-		k := memKey(r.Tid, r.Loc)
+		k := recKey{r.Tid, r.Loc}
 		if _, stored := m.byKey[k]; stored || seen[k] {
 			return &DupKeyError{Tid: r.Tid, Loc: r.Loc}
 		}
 		seen[k] = true
 	}
 	if m.byKey == nil {
-		m.byKey = map[string]Record{}
+		m.byKey = map[recKey]Record{}
 	}
 	for _, r := range recs {
-		m.byKey[memKey(r.Tid, r.Loc)] = r
+		m.byKey[recKey{r.Tid, r.Loc}] = r
 	}
 	m.recs = append(m.recs, recs...)
 	return nil
@@ -59,7 +59,7 @@ func (m *refMem) scanFiltered(keep func(Record) bool, cmp func(a, c Record) int)
 }
 
 func (m *refMem) lookup(tid int64, loc path.Path) (Record, bool) {
-	r, ok := m.byKey[memKey(tid, loc)]
+	r, ok := m.byKey[recKey{tid, loc}]
 	return r, ok
 }
 

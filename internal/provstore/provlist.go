@@ -19,7 +19,7 @@ import (
 // itself deleted before commit, so the transaction's records always describe
 // its net change.
 type provlist struct {
-	entries map[string]*listEntry
+	entries map[path.Path]*listEntry
 }
 
 type listEntry struct {
@@ -34,53 +34,29 @@ type listEntry struct {
 }
 
 func newProvlist() *provlist {
-	return &provlist{entries: make(map[string]*listEntry)}
-}
-
-func listKey(loc path.Path) string {
-	return string(loc.AppendBinary(nil))
+	return &provlist{entries: make(map[path.Path]*listEntry)}
 }
 
 func (l *provlist) len() int { return len(l.entries) }
 
-// listKeyStack is the room the probes below keep on the stack for a
-// location's key; a longer key costs them one allocation.
-const listKeyStack = 128
-
 // at returns the entry exactly at loc, or nil.
-func (l *provlist) at(loc path.Path) *listEntry {
-	var stack [listKeyStack]byte
-	return l.entries[string(loc.AppendBinary(stack[:0]))]
-}
+func (l *provlist) at(loc path.Path) *listEntry { return l.entries[loc] }
 
 // nearest returns the entry at the longest prefix of loc that has one — loc
 // itself counting unless strict — or nil. This is the in-memory analogue of
 // NearestAncestor and implements the hierarchical inference rule
-// against the active list. AppendBinary ends every label in 0x00 and escapes
-// that byte inside one, so loc is encoded once and the key of each ancestor
-// is the encoding cut after an earlier 0x00: the probes allocate nothing.
+// against the active list. An ancestor of loc is a prefix of its encoding,
+// so the probes allocate nothing.
 func (l *provlist) nearest(loc path.Path, strict bool) *listEntry {
-	var stack [listKeyStack]byte
-	key := loc.AppendBinary(stack[:0])
 	if strict {
-		key = dropLabel(key)
+		loc, _ = loc.Parent()
 	}
-	for ; len(key) > 0; key = dropLabel(key) {
-		if e := l.entries[string(key)]; e != nil {
+	for ; !loc.IsRoot(); loc = loc.MustParent() {
+		if e := l.entries[loc]; e != nil {
 			return e
 		}
 	}
 	return nil
-}
-
-// dropLabel cuts the last label off a location's key: its 0x00 terminator,
-// then its bytes.
-func dropLabel(key []byte) []byte {
-	n := len(key) - 1
-	for n > 0 && key[n-1] != 0x00 {
-		n--
-	}
-	return key[:max(n, 0)]
 }
 
 // nearestAncestorOrSelf returns the entry at loc or at its longest prefix
@@ -100,7 +76,7 @@ func (l *provlist) createdAt(loc path.Path) bool {
 
 // set inserts or replaces the entry at loc.
 func (l *provlist) set(e *listEntry) {
-	l.entries[listKey(e.loc)] = e
+	l.entries[e.loc] = e
 }
 
 // setDelete adds a delete link at loc unless the location already carries an
@@ -150,7 +126,7 @@ func (l *provlist) flush(tid int64) []Record {
 		recs = append(recs, r)
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Loc.Compare(recs[j].Loc) < 0 })
-	l.entries = make(map[string]*listEntry)
+	l.entries = make(map[path.Path]*listEntry)
 	return recs
 }
 
@@ -161,7 +137,7 @@ func (l *provlist) flush(tid int64) []Record {
 // notes such redundancy "is unusual, so this extra processing appears not to
 // be worthwhile in most cases"; it is exercised by the A4 ablation.
 func (l *provlist) eliminateRedundant() int {
-	var drop []string
+	var drop []path.Path
 	for k, e := range l.entries {
 		anc := l.nearestStrictAncestor(e.loc)
 		if anc == nil {

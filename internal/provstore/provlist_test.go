@@ -9,11 +9,11 @@ import (
 
 // TestProvlistNearest: the ancestor probes find what a key-per-prefix search
 // finds — through labels that are byte-prefixes of one another, labels
-// holding the bytes the key encoding escapes, and keys too long for the
-// stack buffer — without allocating a key per ancestor.
+// holding the bytes the path encoding escapes, and long labels — without
+// allocating a key per ancestor.
 func TestProvlistNearest(t *testing.T) {
 	l := newProvlist()
-	long := strings.Repeat("x", 2*listKeyStack)
+	long := strings.Repeat("x", 256)
 	for _, s := range []string{"T/a", "T/ab/c", "T/a/b/c/d", "T/\x00/\x01", "T/" + long + "/y"} {
 		l.set(&listEntry{loc: path.MustParse(s), op: OpInsert})
 	}
@@ -23,7 +23,7 @@ func TestProvlistNearest(t *testing.T) {
 			n--
 		}
 		for ; n >= 1; n-- {
-			if e := l.entries[listKey(loc.Prefix(n))]; e != nil {
+			if e := l.entries[loc.Prefix(n)]; e != nil {
 				return e
 			}
 		}
@@ -40,7 +40,7 @@ func TestProvlistNearest(t *testing.T) {
 		if got, want := l.nearestStrictAncestor(loc), ref(loc, true); got != want {
 			t.Errorf("nearestStrictAncestor(%q) = %v, want %v", s, got, want)
 		}
-		if got, want := l.at(loc), l.entries[listKey(loc)]; got != want {
+		if got, want := l.at(loc), l.entries[loc]; got != want {
 			t.Errorf("at(%q) = %v, want %v", s, got, want)
 		}
 	}

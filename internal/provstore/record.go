@@ -85,8 +85,7 @@ func (r Record) Validate() error {
 // AppendBinary appends a self-contained binary encoding of the record:
 // tid uvarint, op byte, loc (length-prefixed), src (length-prefixed). These
 // bytes are the Merkle leaf preimage (provauth) and the body of a record
-// frame on the wire (provhttp), so the form is fixed; the paths are encoded
-// in place, with no temporary slice.
+// frame on the wire (provhttp), so the form is fixed.
 func (r Record) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.Tid))
 	buf = append(buf, byte(r.Op))
@@ -94,24 +93,9 @@ func (r Record) AppendBinary(buf []byte) []byte {
 	return appendPath(buf, r.Src)
 }
 
-// appendPath appends p's binary encoding behind its uvarint length. The
-// length is known only once the path is encoded, so one byte is reserved
-// for it — enough below 128 bytes, nearly every path — and a longer
-// encoding is moved up to make room for the rest of the varint.
+// appendPath appends p's binary encoding behind its uvarint length.
 func appendPath(buf []byte, p path.Path) []byte {
-	at := len(buf)
-	buf = p.AppendBinary(append(buf, 0))
-	n := len(buf) - at - 1
-	if n < 0x80 {
-		buf[at] = byte(n)
-		return buf
-	}
-	var prefix [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(prefix[:], uint64(n))
-	buf = append(buf, prefix[:w-1]...)
-	copy(buf[at+w:], buf[at+1:at+1+n])
-	copy(buf[at:], prefix[:w])
-	return buf
+	return p.AppendBinary(binary.AppendUvarint(buf, uint64(p.BinaryLen())))
 }
 
 // DecodeRecord decodes a record encoded by AppendBinary from the front of
@@ -126,8 +110,8 @@ func decodePath(b []byte) (path.Path, error) { return path.DecodeBinaryString(st
 // DecodeRecordWith is DecodeRecord with each path's encoding handed to
 // decode, which must accept exactly what path.DecodeBinary accepts, with
 // the same result. A decode hot path uses it to answer repeated locations
-// from an intern table instead of building a new Path per record (compare
-// path.ParseWith); decode must not keep b.
+// from an intern table instead of making a new string per path; decode must
+// not keep b.
 func DecodeRecordWith(buf []byte, decode func(b []byte) (path.Path, error)) (Record, int, error) {
 	var r Record
 	tid, n := binary.Uvarint(buf)

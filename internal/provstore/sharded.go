@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"iter"
 	"strconv"
@@ -34,14 +33,19 @@ func ShardFor(loc path.Path, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	// Hash labels 1..len-1 (label 0 names the database), each terminated so
-	// ["ab","c"] and ["a","bc"] hash differently.
-	for i := 1; i < loc.Len(); i++ {
-		h.Write([]byte(loc.At(i)))
-		h.Write([]byte{0})
+	// FNV-1a over labels 1..len-1 (label 0 names the database), each
+	// terminated by 0 so ["ab","c"] and ["a","bc"] hash differently.
+	h := uint32(2166136261)
+	for i, l := range loc.All() {
+		if i == 0 {
+			continue
+		}
+		for j := 0; j < len(l); j++ {
+			h = (h ^ uint32(l[j])) * 16777619
+		}
+		h *= 16777619 // the terminator: h ^ 0 is h
 	}
-	return int(h.Sum32() % uint32(n))
+	return int(h % uint32(n))
 }
 
 // Fanout runs f(0), …, f(n-1) concurrently — an errgroup-style helper — and

@@ -218,33 +218,31 @@ func primaryKey(buf []byte, tid int64, loc path.Path) []byte {
 // on each row where it lies in its leaf, under the read lock: it copies the
 // row's loc and src encodings into raw, back to back, and checks everything
 // but the paths. decode, which needs no lock, then takes the rows slabRows
-// at a time: one string of their
-// encodings and one slab of exactly their labels (an encoding has one 0x00
-// byte per label), every record's Loc and Src a capped stretch of the slab
-// whose labels are substrings of the string. So a window of n rows costs
-// 2·⌈n/slabRows⌉ allocations, and a record a caller keeps keeps slabRows
-// rows' paths alive. Decoders are pooled per store.
+// at a time: one string of their encodings, every record's Loc and Src a
+// substring of it (a path is its encoding, so decoding one only checks it).
+// So a window of n rows costs ⌈n/slabRows⌉ allocations, and a record a
+// caller keeps keeps slabRows rows' paths alive. Decoders are pooled per
+// store.
 type decoder struct {
 	raw  []byte
 	rows []rawRow
 }
 
-// The most rows whose paths share one string and one label slab. A slab of
-// a whole 256-row window would cost two allocations a window, but a caller
-// that keeps a few records of large scans — the benchmark's query workload
-// keeps its question locations and reference answers — would keep their
-// windows alive: 17 % more live heap there. Eight rows cost 0.25
-// allocations a row and 2 % of live heap.
+// The most rows whose paths share one string. A string of a whole 256-row
+// window would cost one allocation a window, but a caller that keeps a few
+// records of large scans — the benchmark's query workload keeps its
+// question locations and reference answers — would keep their windows
+// alive: 17 % more live heap there. Eight rows cost 0.125 allocations a row
+// and 2 % of live heap.
 const slabRows = 8
 
 // A rawRow is what add kept of a row: its tid and op, where its paths end in
 // raw — loc's encoding runs from the end of the previous row's src to loc,
-// src's from loc to src — and how many labels they hold.
+// src's from loc to src.
 type rawRow struct {
 	tid      int64
 	op       provstore.OpKind
 	loc, src int
-	labels   int
 }
 
 // add takes the stored row key→val — its primary-tree entry, whose key is
@@ -262,7 +260,6 @@ func (d *decoder) add(key, val []byte, byLoc bool) error {
 			return errors.New("relprov: bad tid in key")
 		}
 	}
-	from := len(d.raw)
 	raw, rest, err := relstore.DecodeKeyBytes(d.raw, rest)
 	if err != nil {
 		return fmt.Errorf("relprov: bad loc in key: %w", err)
@@ -284,10 +281,7 @@ func (d *decoder) add(key, val []byte, byLoc bool) error {
 	}
 	loc := len(raw)
 	d.raw = append(raw, val[2+n:]...)
-	d.rows = append(d.rows, rawRow{
-		tid: tid, op: provstore.OpKind(val[1]), loc: loc, src: len(d.raw),
-		labels: bytes.Count(d.raw[from:], []byte{0}),
-	})
+	d.rows = append(d.rows, rawRow{tid: tid, op: provstore.OpKind(val[1]), loc: loc, src: len(d.raw)})
 	return nil
 }
 
@@ -300,19 +294,15 @@ func (d *decoder) decode(buf []provstore.Record, match func(provstore.Record) bo
 	start := 0 // of the next row's loc in raw
 	for g := 0; g < len(d.rows); g += slabRows {
 		rows := d.rows[g:min(g+slabRows, len(d.rows))]
-		labels := 0
-		for _, r := range rows {
-			labels += r.labels
-		}
 		base := start // of s in raw
-		s, slab := string(d.raw[base:rows[len(rows)-1].src]), make([]string, labels)
+		s := string(d.raw[base:rows[len(rows)-1].src])
 		for _, r := range rows {
 			rec := provstore.Record{Tid: r.tid, Op: r.op}
 			var err error
-			if rec.Loc, slab, err = path.DecodeBinaryStringIn(slab, s[start-base:r.loc-base]); err != nil {
+			if rec.Loc, err = path.DecodeBinaryString(s[start-base : r.loc-base]); err != nil {
 				return buf, last, fmt.Errorf("relprov: bad loc: %w", err)
 			}
-			if rec.Src, slab, err = path.DecodeBinaryStringIn(slab, s[r.loc-base:r.src-base]); err != nil {
+			if rec.Src, err = path.DecodeBinaryString(s[r.loc-base : r.src-base]); err != nil {
 				return buf, last, fmt.Errorf("relprov: bad src: %w", err)
 			}
 			if err := rec.Validate(); err != nil {

@@ -163,13 +163,15 @@ func (e *NoSuchPathError) Unwrap() error { return ErrNoSuchPath }
 // descend follows the labels p[from:] down from n and returns the node reached,
 // or nil and the index of the first label with no edge.
 func (n *Node) descend(p path.Path, from int) (*Node, int) {
-	cur := n
-	for i := from; i < p.Len(); i++ {
-		if cur = cur.Child(p.At(i)); cur == nil {
+	for i, l := range p.All() {
+		if i < from {
+			continue
+		}
+		if n = n.Child(l); n == nil {
 			return nil, i
 		}
 	}
-	return cur, p.Len()
+	return n, 0
 }
 
 // Get returns the node at the relative path p under n (t.p in the paper),

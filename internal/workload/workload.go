@@ -407,42 +407,38 @@ func (g *Generator) genReal() update.Op {
 // uniform random pick (swap-delete keeps the backing slice dense).
 type pathSet struct {
 	items []path.Path
-	index map[string]int
+	index map[path.Path]int
 }
 
 func newPathSet() *pathSet {
-	return &pathSet{index: make(map[string]int)}
+	return &pathSet{index: make(map[path.Path]int)}
 }
 
 func (s *pathSet) len() int { return len(s.items) }
 
-func (s *pathSet) key(p path.Path) string { return string(p.AppendBinary(nil)) }
-
 func (s *pathSet) add(p path.Path) {
-	k := s.key(p)
-	if _, ok := s.index[k]; ok {
+	if _, ok := s.index[p]; ok {
 		return
 	}
-	s.index[k] = len(s.items)
+	s.index[p] = len(s.items)
 	s.items = append(s.items, p)
 }
 
 func (s *pathSet) has(p path.Path) bool {
-	_, ok := s.index[s.key(p)]
+	_, ok := s.index[p]
 	return ok
 }
 
 func (s *pathSet) remove(p path.Path) {
-	k := s.key(p)
-	i, ok := s.index[k]
+	i, ok := s.index[p]
 	if !ok {
 		return
 	}
 	last := len(s.items) - 1
 	s.items[i] = s.items[last]
-	s.index[s.key(s.items[i])] = i
+	s.index[s.items[i]] = i
 	s.items = s.items[:last]
-	delete(s.index, k)
+	delete(s.index, p)
 }
 
 func (s *pathSet) random(r *rand.Rand) (path.Path, bool) {
