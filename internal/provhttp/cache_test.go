@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -562,5 +563,52 @@ func TestCacheEquivalenceInterleaved(t *testing.T) {
 				t.Fatalf("cache hits=%d misses=%d: the property test never exercised the cache", hits, misses)
 			}
 		})
+	}
+}
+
+// TestParseSizeBytes pins the sizes cpdbd's -cache-bytes and the cpdb://
+// DSN's cache= option accept, and that a size past int64 is refused rather
+// than wrapped round to a negative one.
+func TestParseSizeBytes(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64 // 0: refused
+	}{
+		{"1", 1},
+		{"4096", 4096},
+		{"64kb", 64 << 10},
+		{"64KB", 64 << 10},
+		{"3mb", 3 << 20},
+		{"3Mb", 3 << 20},
+		{"2gb", 2 << 30},
+		{"2GB", 2 << 30},
+		{"0", 0},
+		{"0kb", 0},
+		{"-1", 0},
+		{"-5mb", 0},
+		{"", 0},
+		{"kb", 0},
+		{"1.5mb", 0},
+		{"12tb", 0},
+		{"9000000000gb", 0},
+		{"8589934592gb", 0},
+		{"9223372036854775808", 0},
+		{"8796093022208mb", 0},
+		{"9007199254740992kb", 0},
+		{"8589934591gb", 8589934591 << 30},
+		{"8796093022207mb", 8796093022207 << 20},
+		{"9007199254740991kb", 9007199254740991 << 10},
+		{"9223372036854775807", math.MaxInt64},
+	} {
+		got, err := provhttp.ParseSizeBytes(c.in)
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("ParseSizeBytes(%q) = %d, want an error", c.in, got)
+			}
+			continue
+		}
+		if err != nil || got != c.want {
+			t.Errorf("ParseSizeBytes(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
 	}
 }

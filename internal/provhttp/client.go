@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -1014,7 +1015,8 @@ func init() {
 }
 
 // ParseSizeBytes parses a human byte size: a plain integer byte count or
-// one with a kb/mb/gb suffix (powers of 1024, case-insensitive).
+// one with a kb/mb/gb suffix (powers of 1024, case-insensitive). A size
+// past math.MaxInt64 bytes is refused.
 func ParseSizeBytes(s string) (int64, error) {
 	mult := int64(1)
 	lower := strings.ToLower(s)
@@ -1030,6 +1032,9 @@ func ParseSizeBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(lower, 10, 64)
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("provhttp: %q is not a positive byte size (want N, Nkb, Nmb or Ngb)", s)
+	}
+	if n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("provhttp: byte size %q overflows int64", s)
 	}
 	return n * mult, nil
 }

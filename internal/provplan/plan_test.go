@@ -2,6 +2,7 @@ package provplan
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -454,6 +455,63 @@ func TestCancellation(t *testing.T) {
 		}
 		if _, err := Collect(ctx, b, MustParse("mod T/c1")); err == nil {
 			t.Errorf("%s: expected error from cancelled mod", name)
+		}
+	}
+}
+
+// opaqueBackend hides a store's type from the planner, which then reads a
+// sharded store through its merged Scan like any other backend.
+type opaqueBackend struct{ provstore.Backend }
+
+// BenchmarkShardScatter prices the planner's shard scatter: the same 4-shard
+// store of 10 000 records queried directly, where each shard runs its own
+// subplan (the residual filter or the whole aggregate below the merge), and
+// behind opaqueBackend, where every record crosses the k-way merge first.
+func BenchmarkShardScatter(b *testing.B) {
+	ctx := context.Background()
+	sb := provstore.NewShardedMem(4)
+	const n = 10_000
+	recs := make([]provstore.Record, 0, n)
+	for i := 0; i < n; i++ {
+		tid, loc := int64(i/10+1), fmt.Sprintf("T/c%d/n%d", i%10, i/10)
+		switch {
+		case i%10 == 3:
+			recs = append(recs, rec(tid, provstore.OpDelete, loc, ""))
+		case i%2 == 0:
+			recs = append(recs, rec(tid, provstore.OpCopy, loc, fmt.Sprintf("S/a%d", i)))
+		default:
+			recs = append(recs, rec(tid, provstore.OpInsert, loc, ""))
+		}
+	}
+	if err := sb.Append(ctx, recs); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, query string }{
+		{"count", "select count"},
+		{"op=D", "select where op=D"},
+		{"loc>=T.c7", "select where loc>=T/c7"},
+	} {
+		q := MustParse(c.query)
+		want, err := Collect(ctx, sb, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range []struct {
+			name  string
+			store provstore.Backend
+		}{{"scattered", sb}, {"merged", opaqueBackend{sb}}} {
+			b.Run(c.name+"/"+s.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := Collect(ctx, s.store, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Value != want.Value || len(res.Records) != len(want.Records) {
+						b.Fatalf("%q: %d records, value %d; scattered: %d, %d", c.query, len(res.Records), res.Value, len(want.Records), want.Value)
+					}
+				}
+			})
 		}
 	}
 }

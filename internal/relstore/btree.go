@@ -12,8 +12,9 @@ import (
 // A BTree is a B+tree over byte-string keys and values, stored in pages.
 // Inner nodes hold separator keys and child links; all values live in the
 // leaf level, which is chained left-to-right for range scans. Keys are
-// unique. Deletion is lazy (no rebalancing), the conventional choice for
-// write-once provenance data.
+// unique and the tree only grows: an entry, once inserted, is never changed
+// or removed — the provenance relation it stores is append-only — so every
+// leaf holds at least one entry, but the root leaf of an empty tree.
 //
 // The tree is safe for concurrent readers with a single writer, serialized
 // internally.
@@ -96,8 +97,8 @@ func (t *BTree) Root() PageID {
 // previous key of the run (0 for the first, whose suffix is its whole key).
 // The slots of a leaf are in order of their runs' first keys, so a search is
 // a binary search over first keys and then a walk of one run, and an insert
-// or delete re-encodes one run. Runs are short because a walk is linear and
-// every change rewrites one: at 16 entries a run already stores 15 of 16
+// re-encodes one run. Runs are short because a walk is linear and every
+// insert rewrites one: at 16 entries a run already stores 15 of 16
 // keys as a suffix, and a longer one would save at most the last sixteenth.
 
 const maxRunEntries = 16
@@ -242,7 +243,7 @@ func decodeInnerCell(cell []byte) (key []byte, child PageID, err error) {
 
 // --- node in-memory form -------------------------------------------------
 
-// nodeCells reads all live cells of an inner node in slot order (which the
+// nodeCells reads all cells of an inner node in slot order (which the
 // tree maintains as key order), copying them out of the page buffer.
 func nodeCells(pg *Page) ([][]byte, error) {
 	out := make([][]byte, 0, pg.NumSlots())
@@ -342,62 +343,58 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 	return true, nil
 }
 
-// Last returns a copy of the largest key, ok=false on an empty tree. It is
-// a rightmost descent — O(height) pages — whenever the rightmost leaf holds
-// an entry. Deletes never rebalance, so that leaf (or a whole rightmost
-// subtree) may have been emptied; the descent then backs up to the next
-// child to the left, and only in that case touches more than one path.
+// Last returns a copy of the largest key, ok=false on an empty tree: one
+// rightmost descent, O(height) pages. Nothing is ever deleted, so the
+// rightmost leaf is empty only when it is the root of an empty tree.
 func (t *BTree) Last() (key []byte, ok bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.lastUnder(t.root)
-}
-
-// lastUnder returns the largest key in the subtree rooted at id. The node
-// stays pinned while its children are tried, so at most height pages are
-// pinned at once.
-func (t *BTree) lastUnder(id PageID) ([]byte, bool, error) {
-	pg, err := t.bp.Fetch(id)
-	if err != nil {
-		return nil, false, err
-	}
-	defer t.bp.Unpin(id, false)
-	n := pg.NumSlots()
-	if pg.Kind() == KindBTreeLeaf {
-		if n == 0 {
-			return nil, false, nil
-		}
-		cell, err := pg.Cell(n - 1)
+	id := t.root
+	for {
+		pg, err := t.bp.Fetch(id)
 		if err != nil {
 			return nil, false, err
 		}
-		var r runReader
-		r.reset(cell)
-		for more := true; more; {
-			if more, err = r.next(); err != nil {
-				return nil, false, err
-			}
-		}
-		return r.key, true, nil
-	}
-	// Children right to left: cell i-1 links child i, the header link is
-	// child 0.
-	for i := n; i >= 0; i-- {
-		child := pg.Next()
-		if i > 0 {
-			cell, err := pg.Cell(i - 1)
-			if err != nil {
-				return nil, false, err
-			}
-			if _, child, err = decodeInnerCell(cell); err != nil {
-				return nil, false, err
-			}
-		}
-		if key, ok, err := t.lastUnder(child); err != nil || ok {
+		if pg.Kind() == KindBTreeLeaf {
+			key, ok, err := lastInLeaf(pg, id == t.root)
+			t.bp.Unpin(id, false)
 			return key, ok, err
 		}
+		// An inner node has a cell for every split below it, and its last
+		// links the rightmost child.
+		cell, err := pg.Cell(pg.NumSlots() - 1)
+		if err == nil {
+			_, id, err = decodeInnerCell(cell)
+		}
+		t.bp.Unpin(pg.ID, false)
+		if err != nil {
+			return nil, false, err
+		}
 	}
-	return nil, false, nil
+}
+
+// lastInLeaf returns a copy of the last key of the pinned leaf pg, ok=false
+// if it is empty, which only the root may be.
+func lastInLeaf(pg *Page, root bool) ([]byte, bool, error) {
+	n := pg.NumSlots()
+	if n == 0 {
+		if !root {
+			return nil, false, fmt.Errorf("%w: empty leaf %d below the root", ErrCorrupt, pg.ID)
+		}
+		return nil, false, nil
+	}
+	cell, err := pg.Cell(n - 1)
+	if err != nil {
+		return nil, false, err
+	}
+	var r runReader
+	r.reset(cell)
+	for more := true; more; {
+		if more, err = r.next(); err != nil {
+			return nil, false, err
+		}
+	}
+	return r.key, true, nil
 }
 
 // descend walks from the root to the leaf that should contain key. If path
@@ -513,18 +510,19 @@ func runOf(pg *Page, key []byte) (int, error) {
 
 // --- mutation ------------------------------------------------------------
 
-// A leafWriter is the scratch space in which the tree's one writer changes a
-// leaf: the entries of the run the change falls in are decoded, changed and
-// re-encoded, and the page is rebuilt from its other cells, which are copied
-// nowhere but with the page. Everything is reused from change to change.
+// A leafWriter is the scratch space in which the tree's one writer inserts
+// into a leaf: the entries of the run the new one falls in are decoded,
+// extended and re-encoded, and the page is rebuilt from its other cells,
+// which are copied nowhere but with the page. Everything is reused from
+// insert to insert.
 type leafWriter struct {
 	old   Page       // the leaf as it was, while its page is rebuilt
 	rd    runReader  // over cells of old
-	ents  []runEntry // the entries of the run being changed
+	ents  []runEntry // the entries of the run being extended
 	keys  []byte     // backs their keys
 	enc   []byte     // the run re-encoded, as one run or several
 	ends  []int      // where each of those ends in enc
-	cells [][]byte   // the leaf's cells after the change, aliasing old and enc
+	cells [][]byte   // the leaf's cells after the insert, aliasing old and enc
 }
 
 // A runEntry is one decoded entry of a run.
@@ -620,13 +618,8 @@ func (w *leafWriter) splice(slot, del int) (int, error) {
 	return cellsSize(w.cells), nil
 }
 
-// Put stores key→val, overwriting any existing value.
-func (t *BTree) Put(key, val []byte) error { return t.put(key, val, true) }
-
 // Insert stores key→val, failing with ErrDupKey if the key exists.
-func (t *BTree) Insert(key, val []byte) error { return t.put(key, val, false) }
-
-func (t *BTree) put(key, val []byte, overwrite bool) error {
+func (t *BTree) Insert(key, val []byte) error {
 	if EntrySize(len(key), len(val)) > MaxEntrySize {
 		return fmt.Errorf("%w: key %d val %d bytes", ErrKeyTooBig, len(key), len(val))
 	}
@@ -641,7 +634,7 @@ func (t *BTree) put(key, val []byte, overwrite bool) error {
 	if err != nil {
 		return err
 	}
-	right, sep, dirty, err := t.putLeaf(pg, key, val, overwrite)
+	right, sep, dirty, err := t.insertLeaf(pg, key, val)
 	t.bp.Unpin(leafID, dirty)
 	if err != nil || right == InvalidPage {
 		return err
@@ -649,23 +642,19 @@ func (t *BTree) put(key, val []byte, overwrite bool) error {
 	return t.insertSeparator(path, sep, leafID, right)
 }
 
-// putLeaf stores key→val in the leaf pg by re-encoding the one run it falls
-// in. If the leaf cannot hold the result it is split: right is then the new
-// sibling and sep its first key, for the parent.
-func (t *BTree) putLeaf(pg *Page, key, val []byte, overwrite bool) (right PageID, sep []byte, dirty bool, err error) {
+// insertLeaf stores key→val in the leaf pg by re-encoding the one run it
+// falls in. If the leaf cannot hold the result it is split: right is then the
+// new sibling and sep its first key, for the parent.
+func (t *BTree) insertLeaf(pg *Page, key, val []byte) (right PageID, sep []byte, dirty bool, err error) {
 	w := &t.w
 	slot, at, exact, err := w.load(pg, key)
 	if err != nil {
 		return 0, nil, false, err
 	}
-	if exact && !overwrite {
+	if exact {
 		return 0, nil, false, fmt.Errorf("%w: %q", ErrDupKey, key)
 	}
-	if exact {
-		w.ents[at] = runEntry{key, val}
-	} else {
-		w.ents = slices.Insert(w.ents, at, runEntry{key, val})
-	}
+	w.ents = slices.Insert(w.ents, at, runEntry{key, val})
 	// A run that has outgrown its bounds is cut: after the old entries if
 	// the new one follows them all (keys that arrive in order leave full
 	// runs behind), else in half, and — when a half is still too large,
@@ -673,7 +662,7 @@ func (t *BTree) putLeaf(pg *Page, key, val []byte, overwrite bool) (right PageID
 	// what comes before and after it fitted one run and so fits two, and
 	// any entry fits a run of its own.
 	n := len(w.ents)
-	appended := at == n-1 && !exact
+	appended := at == n-1
 	if !w.pack() && !(appended && w.pack(n-1)) && !w.pack(n/2) {
 		w.pack(at, at+1)
 	}
@@ -815,43 +804,6 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 	return t.insertSeparator(path[:len(path)-1], upSep, l, r)
 }
 
-// Delete removes key. It returns ErrKeyNotFound if absent. Underfull nodes
-// are not rebalanced; a run that loses its last entry goes with it.
-func (t *BTree) Delete(key []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	leafID, err := t.descend(key, nil)
-	if err != nil {
-		return err
-	}
-	pg, err := t.bp.Fetch(leafID)
-	if err != nil {
-		return err
-	}
-	err = t.deleteLeaf(pg, key)
-	t.bp.Unpin(leafID, err == nil)
-	return err
-}
-
-func (t *BTree) deleteLeaf(pg *Page, key []byte) error {
-	w := &t.w
-	slot, at, exact, err := w.load(pg, key)
-	if err != nil {
-		return err
-	}
-	if !exact {
-		return fmt.Errorf("%w: %q", ErrKeyNotFound, key)
-	}
-	// The run only shrinks: what the next entry no longer shares with the
-	// deleted one, the deleted one held.
-	w.ents = slices.Delete(w.ents, at, at+1)
-	w.pack()
-	if _, err := w.splice(slot, 1); err != nil {
-		return err
-	}
-	return rewriteNode(pg, w.cells)
-}
-
 // --- iteration -----------------------------------------------------------
 
 // An Iter is a forward iterator over leaf entries. Use Seek/First then Next;
@@ -898,11 +850,9 @@ func (it *Iter) seek(start []byte) {
 	if it.err != nil {
 		return
 	}
-	if !it.valid { // an empty leaf: on along the chain
-		it.loadRun()
-	}
 	// The runs after this one begin above start, so the walk ends in this
-	// run or on the first entry after it.
+	// run or on the first entry after it. A leaf with no run is the root of
+	// an empty tree, which leaves it invalid.
 	for it.step(); it.Valid() && bytes.Compare(it.rd.key, start) < 0; it.step() {
 	}
 }

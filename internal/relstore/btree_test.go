@@ -47,21 +47,8 @@ func TestBTreeBasic(t *testing.T) {
 	if err != nil || !ok {
 		t.Error("Has(b) should be true")
 	}
-	if err := bt.Put([]byte("a"), []byte("overwritten")); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = bt.Get([]byte("a"))
-	if string(v) != "overwritten" {
-		t.Error("Put did not overwrite")
-	}
-	if err := bt.Delete([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if err := bt.Delete([]byte("a")); !errors.Is(err, ErrKeyNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
 	n, err := bt.Len()
-	if err != nil || n != 1 {
+	if err != nil || n != 2 {
 		t.Errorf("Len = %d, %v", n, err)
 	}
 }
@@ -69,7 +56,7 @@ func TestBTreeBasic(t *testing.T) {
 func TestBTreeKeyTooBig(t *testing.T) {
 	bp := testPool(t, 64)
 	bt, _ := NewBTree(bp)
-	if err := bt.Put(make([]byte, MaxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
+	if err := bt.Insert(make([]byte, MaxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
 		t.Errorf("huge key: %v", err)
 	}
 	// The largest entries the tree accepts: each is a run and a cell of its
@@ -168,8 +155,9 @@ func TestBTreeSeekAndRange(t *testing.T) {
 	}
 }
 
-// TestBTreeAgainstMap runs a randomized workload mirrored in a Go map and
-// compares the full contents afterwards, including across reopen.
+// TestBTreeAgainstMap runs a randomized insert workload mirrored in a Go map
+// and compares the full contents afterwards, including across reopen. A key
+// drawn again must be refused with ErrDupKey and keep its first value.
 func TestBTreeAgainstMap(t *testing.T) {
 	path := tempStore(t)
 	pager, err := CreatePager(path)
@@ -194,30 +182,31 @@ func TestBTreeAgainstMap(t *testing.T) {
 		case 3:
 			k += "/" + strings.Repeat("x", r.Intn(3))
 		}
-		switch r.Intn(3) {
-		case 0, 1:
-			v := fmt.Sprintf("v%d", i)
-			switch r.Intn(8) {
-			case 0:
-				v = ""
-			case 1:
-				v = strings.Repeat("v", MaxEntrySize-8-len(k))
-			}
-			if err := bt.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
+		v := fmt.Sprintf("v%d", i)
+		switch r.Intn(8) {
+		case 0:
+			v = ""
+		case 1:
+			v = strings.Repeat("v", MaxEntrySize-8-len(k))
+		}
+		err := bt.Insert([]byte(k), []byte(v))
+		old, dup := model[k]
+		if !dup {
+			if err != nil {
+				t.Fatalf("insert %q: %v", k, err)
 			}
 			model[k] = v
-		case 2:
-			err := bt.Delete([]byte(k))
-			if _, ok := model[k]; ok {
-				if err != nil {
-					t.Fatalf("delete existing %q: %v", k, err)
-				}
-				delete(model, k)
-			} else if !errors.Is(err, ErrKeyNotFound) {
-				t.Fatalf("delete missing %q: %v", k, err)
-			}
+			continue
 		}
+		if !errors.Is(err, ErrDupKey) {
+			t.Fatalf("insert of existing %q: %v", k, err)
+		}
+		if got, err := bt.Get([]byte(k)); err != nil || string(got) != old {
+			t.Fatalf("refused insert of %q changed its value: %d bytes, %v; want %d", k, len(got), err, len(old))
+		}
+	}
+	if len(model) < 1000 {
+		t.Fatalf("test premise: only %d distinct keys", len(model))
 	}
 	checkMatchesModel := func(bt *BTree) {
 		t.Helper()
@@ -294,11 +283,11 @@ func TestBTreeTinyCache(t *testing.T) {
 	_ = hits
 }
 
-// heapRecords scans h into a map of its live records by RID.
-func heapRecords(t *testing.T, h *Heap) map[RID]string {
+// heapRecords scans h into a list of its records in chain order.
+func heapRecords(t *testing.T, h *Heap) []string {
 	t.Helper()
-	out := make(map[RID]string)
-	if err := h.Scan(func(rid RID, data []byte) bool { out[rid] = string(data); return true }); err != nil {
+	var out []string
+	if err := h.Scan(func(data []byte) bool { out = append(out, string(data)); return true }); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -310,11 +299,10 @@ func TestHeapBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := h.Insert([]byte("record"))
-	if err != nil {
+	if err := h.Insert([]byte("record")); err != nil {
 		t.Fatal(err)
 	}
-	if got := heapRecords(t, h); len(got) != 1 || got[rid] != "record" {
+	if got := heapRecords(t, h); len(got) != 1 || got[0] != "record" {
 		t.Fatalf("Scan after insert = %q", got)
 	}
 	if err := h.Reset(); err != nil {
@@ -323,7 +311,7 @@ func TestHeapBasic(t *testing.T) {
 	if got := heapRecords(t, h); len(got) != 0 {
 		t.Errorf("record readable after Reset: %q", got)
 	}
-	if _, err := h.Insert(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
+	if err := h.Insert(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
 		t.Errorf("oversized record: %v", err)
 	}
 }
@@ -333,19 +321,16 @@ func TestHeapGrowsAndScans(t *testing.T) {
 	h, _ := NewHeap(bp)
 	const n = 500
 	payload := bytes.Repeat([]byte("z"), 100)
-	rids := make([]RID, n)
-	for i := range rids {
-		rid, err := h.Insert(payload)
-		if err != nil {
+	for i := 0; i < n; i++ {
+		if err := h.Insert(payload); err != nil {
 			t.Fatal(err)
 		}
-		rids[i] = rid
 	}
 	if cnt := len(heapRecords(t, h)); cnt != n {
 		t.Fatalf("scanned %d records, want %d", cnt, n)
 	}
 	// Records span multiple pages.
-	if rids[0].Page == rids[n-1].Page {
+	if h.last == h.First() {
 		t.Error("heap did not grow")
 	}
 	// Reopen and rescan.
@@ -357,7 +342,7 @@ func TestHeapGrowsAndScans(t *testing.T) {
 		t.Errorf("reopened heap scanned %d records", cnt2)
 	}
 	// Insert after reopen lands on the last page.
-	if _, err := h2.Insert([]byte("tail")); err != nil {
+	if err := h2.Insert([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
 	// Reset keeps the chain and the same records fill it again: rewriting a
@@ -367,8 +352,8 @@ func TestHeapGrowsAndScans(t *testing.T) {
 		if err := h.Reset(); err != nil {
 			t.Fatal(err)
 		}
-		for range rids {
-			if _, err := h.Insert(payload); err != nil {
+		for i := 0; i < n; i++ {
+			if err := h.Insert(payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -381,13 +366,12 @@ func TestHeapGrowsAndScans(t *testing.T) {
 	}
 }
 
-// TestBTreeLast checks the rightmost descent on every tree shape it must
-// survive: empty, a single leaf, many levels, and — deletes never rebalance
-// — a rightmost leaf (then a whole rightmost subtree, then everything)
-// emptied behind it.
+// TestBTreeLast checks the rightmost descent on every tree shape it meets:
+// empty, a single leaf, keys that are prefixes of each other, and many
+// levels grown in random order.
 func TestBTreeLast(t *testing.T) {
 	bp := testPool(t, 128)
-	bt, _ := NewBTree(bp)
+	var bt *BTree
 	wantLast := func(want string, wantOK bool) {
 		t.Helper()
 		got, ok, err := bt.Last()
@@ -395,69 +379,72 @@ func TestBTreeLast(t *testing.T) {
 			t.Fatalf("Last = %q, %v, %v; want %q, %v", got, ok, err, want, wantOK)
 		}
 	}
+	newTree := func() {
+		t.Helper()
+		var err error
+		if bt, err = NewBTree(bp); err != nil {
+			t.Fatal(err)
+		}
+	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
 
+	newTree()
 	wantLast("", false)
 	bt.Insert([]byte("m"), []byte("v"))
 	wantLast("m", true)
 	bt.Insert([]byte("c"), []byte("v"))
 	wantLast("m", true)
-	bt.Delete([]byte("m"))
-	wantLast("c", true)
-	bt.Delete([]byte("c"))
-	wantLast("", false)
 
 	// Keys that are prefixes of each other, and of the last: the longest is
 	// the largest.
-	for _, k := range []string{"a/b", "a", "a/b/", "a/"} {
-		bt.Insert([]byte(k), nil)
+	newTree()
+	for _, c := range []struct{ insert, last string }{{"a/b", "a/b"}, {"a", "a/b"}, {"a/b/", "a/b/"}, {"a/", "a/b/"}} {
+		bt.Insert([]byte(c.insert), nil)
+		wantLast(c.last, true)
 	}
-	for _, k := range []string{"a/b/", "a/b", "a/", "a"} {
-		wantLast(k, true)
-		bt.Delete([]byte(k))
-	}
-	wantLast("", false)
-	// One leaf of several full runs, emptied run by run from the right: the
-	// last key is the last of the run before, then of none.
+	// One leaf of several full runs: the last key is the last of the last run.
+	newTree()
 	for i := 0; i < 3*maxRunEntries; i++ {
 		bt.Insert(key(i), nil)
-	}
-	for i := 3*maxRunEntries - 1; i >= 0; i-- {
 		wantLast(string(key(i)), true)
-		bt.Delete(key(i))
 	}
-	wantLast("", false)
 
-	// ~12 entries a leaf and ~200 leaves an inner node: three levels, so the
-	// deletes below empty whole inner subtrees, not just leaves.
+	// ~12 entries a leaf and ~200 leaves an inner node: three levels, grown
+	// in random order, so the rightmost path changes under every kind of
+	// split.
+	newTree()
 	const n = 5000
 	bulk := bytes.Repeat([]byte("v"), 300)
-	for _, i := range rand.New(rand.NewSource(11)).Perm(n) {
+	top := -1
+	for j, i := range rand.New(rand.NewSource(11)).Perm(n) {
 		if err := bt.Insert(key(i), bulk); err != nil {
 			t.Fatal(err)
 		}
+		top = max(top, i)
+		if j%25 == 0 {
+			wantLast(string(key(top)), true)
+		}
+	}
+	for id, level := bt.Root(), 1; ; level++ {
+		pg, err := bp.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind, next := pg.Kind(), pg.Next()
+		bp.Unpin(id, false)
+		if kind == KindBTreeLeaf {
+			if level < 3 {
+				t.Fatalf("test premise: the tree has %d levels, want 3", level)
+			}
+			break
+		}
+		id = next
 	}
 	wantLast(string(key(n-1)), true)
 	// The returned key is a copy: scribbling on it must not reach the page.
 	got, _, _ := bt.Last()
 	got[0] = 'X'
 	wantLast(string(key(n-1)), true)
-
-	// Delete from the top down: the rightmost leaves empty one after
-	// another, then every one of them.
-	for i := n - 1; i >= 0; i-- {
-		if err := bt.Delete(key(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			wantLast("", false)
-		} else if i%25 == 0 || i > n-300 {
-			wantLast(string(key(i-1)), true)
-		}
-	}
-	// The emptied tree still takes inserts and finds them.
-	bt.Insert(key(42), []byte("v"))
-	wantLast(string(key(42)), true)
 }
 
 func TestBTreeScanFrom(t *testing.T) {

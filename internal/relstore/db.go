@@ -63,15 +63,20 @@ func Open(path string) (*DB, error) {
 
 func (db *DB) loadCatalog() error {
 	var metas []tableMeta
-	err := db.catalog.Scan(func(_ RID, data []byte) bool {
+	var jerr error
+	err := db.catalog.Scan(func(data []byte) bool {
 		var m tableMeta
-		if jerr := json.Unmarshal(data, &m); jerr == nil {
-			metas = append(metas, m)
+		if jerr = json.Unmarshal(data, &m); jerr != nil {
+			return false
 		}
+		metas = append(metas, m)
 		return true
 	})
 	if err != nil {
 		return err
+	}
+	if jerr != nil {
+		return fmt.Errorf("relstore: reading catalog record %d: %w", len(metas), jerr)
 	}
 	for _, m := range metas {
 		t, err := newTable(db, m)
@@ -169,7 +174,7 @@ func (db *DB) flushCatalogLocked() error {
 		if err != nil {
 			return err
 		}
-		if _, err := db.catalog.Insert(data); err != nil {
+		if err := db.catalog.Insert(data); err != nil {
 			return err
 		}
 	}

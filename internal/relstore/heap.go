@@ -1,25 +1,19 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
 
-// A Heap is an unordered file of variable-length records chained across
-// pages. Records are addressed by RID (page, slot). The heap remembers its
-// last page for O(1) appends; full scans follow the page chain. Tables are
-// index-organised (rows live in their primary B-tree's leaves); the one heap
-// in a store file holds the catalog.
+// A Heap is an append-only file of variable-length records chained across
+// pages. The heap remembers its last page for O(1) appends; scans follow the
+// page chain. Tables are index-organised (rows live in their primary
+// B-tree's leaves); the one heap in a store file holds the catalog.
 type Heap struct {
 	bp    *BufferPool
 	first PageID
 	last  PageID
-}
-
-// An RID addresses one heap record.
-type RID struct {
-	Page PageID
-	Slot uint16
 }
 
 // NewHeap creates an empty heap, allocating its first page.
@@ -53,23 +47,23 @@ func OpenHeap(bp *BufferPool, first PageID) (*Heap, error) {
 // First returns the first page id (the heap's persistent identity).
 func (h *Heap) First() PageID { return h.first }
 
-// Insert appends a record and returns its RID.
-func (h *Heap) Insert(data []byte) (RID, error) {
+// Insert appends a record.
+func (h *Heap) Insert(data []byte) error {
 	if len(data) > MaxCellSize {
-		return RID{}, fmt.Errorf("%w: %d bytes", ErrCellTooBig, len(data))
+		return fmt.Errorf("%w: %d bytes", ErrCellTooBig, len(data))
 	}
 	pg, err := h.bp.Fetch(h.last)
 	if err != nil {
-		return RID{}, err
+		return err
 	}
-	slot, err := pg.InsertCell(data)
+	_, err = pg.InsertCell(data)
 	if err == nil {
 		h.bp.Unpin(pg.ID, true)
-		return RID{Page: pg.ID, Slot: uint16(slot)}, nil
+		return nil
 	}
 	if !errors.Is(err, ErrPageFull) {
 		h.bp.Unpin(pg.ID, false)
-		return RID{}, err
+		return err
 	}
 	if next := pg.Next(); next != InvalidPage {
 		// A page kept by Reset: fill it before growing the chain.
@@ -78,21 +72,17 @@ func (h *Heap) Insert(data []byte) (RID, error) {
 		return h.Insert(data)
 	}
 	// Grow the chain.
-	npg, aerr := h.bp.Alloc(KindHeap)
-	if aerr != nil {
+	npg, err := h.bp.Alloc(KindHeap)
+	if err != nil {
 		h.bp.Unpin(pg.ID, false)
-		return RID{}, aerr
+		return err
 	}
 	pg.SetNext(npg.ID)
 	h.bp.Unpin(pg.ID, true)
 	h.last = npg.ID
-	slot, err = npg.InsertCell(data)
-	if err != nil {
-		h.bp.Unpin(npg.ID, true)
-		return RID{}, err
-	}
+	_, err = npg.InsertCell(data)
 	h.bp.Unpin(npg.ID, true)
-	return RID{Page: npg.ID, Slot: uint16(slot)}, nil
+	return err
 }
 
 // Reset empties the heap and keeps its pages: the next Insert fills them
@@ -114,9 +104,9 @@ func (h *Heap) Reset() error {
 	return nil
 }
 
-// Scan calls fn for every live record in the heap, in chain order, stopping
+// Scan calls fn for every record in the heap, in chain order, stopping
 // early if fn returns false.
-func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
+func (h *Heap) Scan(fn func(data []byte) bool) error {
 	id := h.first
 	for id != InvalidPage {
 		pg, err := h.bp.Fetch(id)
@@ -127,11 +117,10 @@ func (h *Heap) Scan(fn func(rid RID, data []byte) bool) error {
 		for i := 0; i < n; i++ {
 			cell, err := pg.Cell(i)
 			if err != nil {
-				continue // deleted slot
+				h.bp.Unpin(id, false)
+				return fmt.Errorf("relstore: heap page %d: %w", id, err)
 			}
-			data := make([]byte, len(cell))
-			copy(data, cell)
-			if !fn(RID{Page: id, Slot: uint16(i)}, data) {
+			if !fn(bytes.Clone(cell)) {
 				h.bp.Unpin(id, false)
 				return nil
 			}

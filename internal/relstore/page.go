@@ -51,8 +51,10 @@ const (
 //	13..15 reserved
 //
 // Slot directory entries of 4 bytes each ((offset uint16, length uint16))
-// grow up from headerSize; cells grow down from PageSize. A deleted slot has
-// offset 0 (cells never start at 0, which is inside the header).
+// grow up from headerSize; cells grow down from PageSize. Cells are only
+// ever appended: slot i holds the i-th cell written since the page was last
+// initialised. A slot whose cell would overlap the header or run past the
+// page end (offset 0 among them) is corrupt.
 const (
 	headerSize   = 16
 	slotSize     = 4
@@ -112,7 +114,7 @@ func (p *Page) SetNext(id PageID) {
 	binary.BigEndian.PutUint32(p.buf[offNext:], uint32(id))
 }
 
-// NumSlots returns the number of slots, including deleted ones.
+// NumSlots returns the number of slots, one per cell.
 func (p *Page) NumSlots() int {
 	return int(binary.BigEndian.Uint16(p.buf[offSlotCount:]))
 }
@@ -157,36 +159,19 @@ func (p *Page) FreeSpace() int {
 	return p.freeOffVal() - (headerSize + p.NumSlots()*slotSize) - slotSize
 }
 
-// InsertCell appends a cell and returns its slot number. It reuses a deleted
-// slot entry if one exists (the cell space itself is reclaimed only by
-// Compact).
+// InsertCell appends a cell in slot NumSlots() and returns that slot.
 func (p *Page) InsertCell(data []byte) (int, error) {
 	if len(data) > MaxCellSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrCellTooBig, len(data), MaxCellSize)
 	}
-	n := p.NumSlots()
-	// Reuse a dead slot if available.
-	slot := -1
-	for i := 0; i < n; i++ {
-		if off, _ := p.slot(i); off == 0 {
-			slot = i
-			break
-		}
-	}
-	need := len(data)
-	if slot < 0 {
-		need += slotSize
-	}
-	if p.freeOffVal()-(headerSize+n*slotSize)-need < 0 {
+	if p.FreeSpace() < len(data) {
 		return 0, ErrPageFull
 	}
+	slot := p.NumSlots()
 	newOff := p.freeOffVal() - len(data)
 	copy(p.buf[newOff:], data)
 	p.setFreeOff(newOff)
-	if slot < 0 {
-		slot = n
-		p.setSlotCount(n + 1)
-	}
+	p.setSlotCount(slot + 1)
 	p.setSlot(slot, newOff, len(data))
 	return slot, nil
 }
@@ -197,72 +182,13 @@ func (p *Page) Cell(i int) ([]byte, error) {
 	if i < 0 || i >= p.NumSlots() {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.NumSlots())
 	}
+	// The slot came from disk: a cell inside the header or past the page
+	// end is a corrupt slot, not a cell.
 	off, length := p.slot(i)
-	if off == 0 {
-		return nil, fmt.Errorf("%w: slot %d deleted", ErrBadSlot, i)
+	if off < headerSize || off+length > PageSize {
+		return nil, fmt.Errorf("%w: slot %d corrupt (cell at %d, %d bytes)", ErrBadSlot, i, off, length)
 	}
 	return p.buf[off : off+length], nil
-}
-
-// DeleteCell marks the slot deleted. Space is reclaimed by Compact.
-func (p *Page) DeleteCell(i int) error {
-	if i < 0 || i >= p.NumSlots() {
-		return fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.NumSlots())
-	}
-	if off, _ := p.slot(i); off == 0 {
-		return fmt.Errorf("%w: slot %d already deleted", ErrBadSlot, i)
-	}
-	p.setSlot(i, 0, 0)
-	return nil
-}
-
-// Live returns the number of live (non-deleted) cells.
-func (p *Page) Live() int {
-	live := 0
-	for i := 0; i < p.NumSlots(); i++ {
-		if off, _ := p.slot(i); off != 0 {
-			live++
-		}
-	}
-	return live
-}
-
-// Compact rewrites all live cells contiguously at the end of the page,
-// dropping trailing dead slots, and returns the bytes reclaimed.
-func (p *Page) Compact() int {
-	before := p.FreeSpace()
-	type cell struct {
-		slot int
-		data []byte
-	}
-	var cells []cell
-	for i := 0; i < p.NumSlots(); i++ {
-		if off, length := p.slot(i); off != 0 {
-			d := make([]byte, length)
-			copy(d, p.buf[off:off+length])
-			cells = append(cells, cell{i, d})
-		}
-	}
-	// Zero the cell area, rewrite.
-	p.setFreeOff(PageSize)
-	off := PageSize
-	for _, c := range cells {
-		off -= len(c.data)
-		copy(p.buf[off:], c.data)
-		p.setSlot(c.slot, off, len(c.data))
-	}
-	p.setFreeOff(off)
-	// Drop trailing dead slots.
-	n := p.NumSlots()
-	for n > 0 {
-		if o, _ := p.slot(n - 1); o == 0 {
-			n--
-		} else {
-			break
-		}
-	}
-	p.setSlotCount(n)
-	return p.FreeSpace() - before
 }
 
 // seal computes and stores the checksum prior to write-out.

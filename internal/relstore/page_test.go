@@ -6,88 +6,67 @@ import (
 	"testing"
 )
 
-func TestPageInsertGetDelete(t *testing.T) {
+func TestPageInsertGet(t *testing.T) {
 	p := NewPage(1, KindHeap)
-	s1, err := p.InsertCell([]byte("hello"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p.InsertCell([]byte("world!"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1 == s2 {
-		t.Fatal("slots must differ")
-	}
-	c, err := p.Cell(s1)
-	if err != nil || string(c) != "hello" {
-		t.Fatalf("Cell = %q, %v", c, err)
-	}
-	if err := p.DeleteCell(s1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Cell(s1); !errors.Is(err, ErrBadSlot) {
-		t.Errorf("deleted cell read: %v", err)
-	}
-	if err := p.DeleteCell(s1); !errors.Is(err, ErrBadSlot) {
-		t.Errorf("double delete: %v", err)
-	}
-	if _, err := p.Cell(99); !errors.Is(err, ErrBadSlot) {
-		t.Errorf("out of range cell: %v", err)
-	}
-	if err := p.DeleteCell(-1); !errors.Is(err, ErrBadSlot) {
-		t.Errorf("negative slot: %v", err)
-	}
-	if p.Live() != 1 {
-		t.Errorf("Live = %d", p.Live())
-	}
-	// Deleted slot is reused.
-	s3, err := p.InsertCell([]byte("again"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 != s1 {
-		t.Errorf("slot not reused: %d vs %d", s3, s1)
-	}
-}
-
-func TestPageFullAndCompact(t *testing.T) {
-	p := NewPage(1, KindHeap)
-	payload := bytes.Repeat([]byte("x"), 100)
-	var slots []int
-	for {
-		s, err := p.InsertCell(payload)
-		if errors.Is(err, ErrPageFull) {
-			break
-		}
+	for i, cell := range []string{"hello", "world!"} {
+		slot, err := p.InsertCell([]byte(cell))
 		if err != nil {
 			t.Fatal(err)
 		}
-		slots = append(slots, s)
-	}
-	if len(slots) < 30 {
-		t.Fatalf("only %d cells fit in a page", len(slots))
-	}
-	// Delete every other cell; compaction reclaims their space.
-	for i := 0; i < len(slots); i += 2 {
-		if err := p.DeleteCell(slots[i]); err != nil {
-			t.Fatal(err)
+		if slot != i {
+			t.Errorf("cell %d went into slot %d", i, slot)
 		}
 	}
-	reclaimed := p.Compact()
-	if reclaimed <= 0 {
-		t.Errorf("Compact reclaimed %d", reclaimed)
+	c, err := p.Cell(0)
+	if err != nil || string(c) != "hello" {
+		t.Fatalf("Cell = %q, %v", c, err)
 	}
-	// Surviving cells still readable.
-	for i := 1; i < len(slots); i += 2 {
-		c, err := p.Cell(slots[i])
-		if err != nil || !bytes.Equal(c, payload) {
-			t.Fatalf("cell %d after compact: %v", slots[i], err)
+	for _, slot := range []int{-1, 2, 99} {
+		if _, err := p.Cell(slot); !errors.Is(err, ErrBadSlot) {
+			t.Errorf("Cell(%d) of 2: %v", slot, err)
 		}
 	}
-	// New inserts fit again.
-	if _, err := p.InsertCell(payload); err != nil {
-		t.Errorf("insert after compact: %v", err)
+	// A slot as a corrupt file may hold it: a cell inside the header, or
+	// past the page end.
+	for _, bad := range [][2]int{{0, 0}, {headerSize - 1, 1}, {PageSize - 4, 5}} {
+		p.setSlot(1, bad[0], bad[1])
+		if _, err := p.Cell(1); !errors.Is(err, ErrBadSlot) {
+			t.Errorf("slot of a cell at %d, %d bytes: %v", bad[0], bad[1], err)
+		}
+	}
+}
+
+func TestPageFull(t *testing.T) {
+	p := NewPage(1, KindHeap)
+	payload := bytes.Repeat([]byte("x"), 100)
+	fill := func() int {
+		n := 0
+		for ; ; n++ {
+			s, err := p.InsertCell(payload)
+			if errors.Is(err, ErrPageFull) {
+				return n
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s != n {
+				t.Fatalf("cell %d went into slot %d", n, s)
+			}
+		}
+	}
+	n := fill()
+	if want := (PageSize - headerSize) / (len(payload) + slotSize); n != want {
+		t.Fatalf("%d cells of %d bytes fit in a page, want %d", n, len(payload), want)
+	}
+	for i := 0; i < n; i++ {
+		if c, err := p.Cell(i); err != nil || !bytes.Equal(c, payload) {
+			t.Fatalf("cell %d of a full page: %v", i, err)
+		}
+	}
+	// Init is the only way back to an empty page, and it takes as many again.
+	p.Init(KindHeap)
+	if again := fill(); again != n {
+		t.Errorf("%d cells fit after Init, %d before", again, n)
 	}
 }
 

@@ -261,53 +261,18 @@ func (t *Table) Insert(row Row) error {
 }
 
 // indexRow adds the index entries — each carrying the row's stored value —
-// and the counters of a row just stored.
+// and the counters of a row just stored. An index key ends with the
+// primary-key columns not already in it, so once the primary insert has
+// succeeded no index holds the key yet.
 func (t *Table) indexRow(row Row, pk, val []byte) error {
 	for i, plan := range t.indexes {
-		if err := t.seconds[i].Put(t.indexKey(plan, row), val); err != nil {
+		if err := t.seconds[i].Insert(t.indexKey(plan, row), val); err != nil {
 			return err
 		}
 	}
 	t.meta.RowCount++
 	t.meta.ByteSize += int64(len(pk) + len(val))
 	return t.db.persistTable(t)
-}
-
-// unindexRow removes the index entries and the counters of the stored row
-// pk→val, which is about to be deleted or replaced.
-func (t *Table) unindexRow(pk, val []byte) error {
-	row, err := t.decodeRow(pk, val)
-	if err != nil {
-		return err
-	}
-	for i, plan := range t.indexes {
-		if err := t.seconds[i].Delete(t.indexKey(plan, row)); err != nil && !errors.Is(err, ErrKeyNotFound) {
-			return err
-		}
-	}
-	t.meta.RowCount--
-	t.meta.ByteSize -= int64(len(pk) + len(val))
-	return nil
-}
-
-// Put stores a row, replacing any existing row with the same primary key
-// and keeping secondary indexes consistent.
-func (t *Table) Put(row Row) error {
-	pk, val, err := t.encodeRow(row)
-	if err != nil {
-		return err
-	}
-	old, err := t.primary.Get(pk)
-	if err == nil {
-		err = t.unindexRow(pk, old)
-	}
-	if err != nil && !errors.Is(err, ErrKeyNotFound) {
-		return err
-	}
-	if err := t.primary.Put(pk, val); err != nil {
-		return err
-	}
-	return t.indexRow(row, pk, val)
 }
 
 // Get fetches the row with the given primary key values.
@@ -329,31 +294,6 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	return t.decodeRow(pk, val)
 }
 
-// Delete removes the row with the given primary key values.
-func (t *Table) Delete(keyVals ...Value) error {
-	if len(keyVals) != len(t.keyIdx) {
-		return fmt.Errorf("relstore: %d key values for %d key columns", len(keyVals), len(t.keyIdx))
-	}
-	pk, err := EncodeKey(t.keyType, keyVals)
-	if err != nil {
-		return err
-	}
-	val, err := t.primary.Get(pk)
-	if errors.Is(err, ErrKeyNotFound) {
-		return fmt.Errorf("%w: %v", ErrRowNotFound, keyVals)
-	}
-	if err != nil {
-		return err
-	}
-	if err := t.unindexRow(pk, val); err != nil {
-		return err
-	}
-	if err := t.primary.Delete(pk); err != nil {
-		return err
-	}
-	return t.db.persistTable(t)
-}
-
 // Has reports whether a row with the encoded primary key pk (as built by
 // KeyPrefix with every key column) exists. It compares keys only: no row is
 // fetched or decoded.
@@ -362,8 +302,8 @@ func (t *Table) Has(pk []byte) (bool, error) {
 }
 
 // LastKey returns the largest encoded primary key, ok=false on an empty
-// table, in O(tree height) pages and without decoding a row (see
-// BTree.Last for the cost after deletes).
+// table: one rightmost descent of the primary tree, O(height) pages, and no
+// row decoded.
 func (t *Table) LastKey() (key []byte, ok bool, err error) {
 	return t.primary.Last()
 }

@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -135,7 +136,7 @@ func TestTableCRUD(t *testing.T) {
 	if err := tbl.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(row); !errors.Is(err, ErrDupKey) {
+	if err := tbl.Insert(Row{int64(121), []byte("T/c5"), "C", []byte("S1/a1")}); !errors.Is(err, ErrDupKey) {
 		t.Errorf("duplicate pk: %v", err)
 	}
 	got, err := tbl.Get(int64(121), []byte("T/c5"))
@@ -150,27 +151,6 @@ func TestTableCRUD(t *testing.T) {
 	}
 	if tbl.RowCount() != 1 || tbl.ByteSize() <= 0 {
 		t.Errorf("counters: rows=%d bytes=%d", tbl.RowCount(), tbl.ByteSize())
-	}
-	// Put overwrites and fixes indexes.
-	row2 := Row{int64(121), []byte("T/c5"), "C", []byte("S1/a1")}
-	if err := tbl.Put(row2); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = tbl.Get(int64(121), []byte("T/c5"))
-	if got[2].(string) != "C" {
-		t.Error("Put did not replace")
-	}
-	if tbl.RowCount() != 1 {
-		t.Errorf("RowCount after Put = %d", tbl.RowCount())
-	}
-	if err := tbl.Delete(int64(121), []byte("T/c5")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Delete(int64(121), []byte("T/c5")); !errors.Is(err, ErrRowNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-	if tbl.RowCount() != 0 || tbl.ByteSize() != 0 {
-		t.Errorf("counters after delete: rows=%d bytes=%d", tbl.RowCount(), tbl.ByteSize())
 	}
 }
 
@@ -310,6 +290,50 @@ func TestDBPersistence(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesUnreadableCatalog writes a catalog record that is not JSON
+// behind a valid one, on a page whose checksum holds: Open must fail on it
+// rather than open the store without the table it describes.
+func TestOpenRefusesUnreadableCatalog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.rel")
+	db, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateTable(provSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pager, err := OpenPager(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := NewBufferPool(pager, 8)
+	cat, err := OpenHeap(bp, pager.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Insert([]byte("{not json")); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.FlushGroup(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var syntax *json.SyntaxError
+	if db, err := Open(path); !errors.As(err, &syntax) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open of a store whose catalog holds a record that is not JSON: %v, want a JSON syntax error", err)
+	}
+}
+
 func TestDBSizeGrows(t *testing.T) {
 	db := testDB(t)
 	tbl, _ := db.CreateTable(provSchema())
@@ -329,8 +353,10 @@ func TestDBSizeGrows(t *testing.T) {
 	}
 }
 
-// TestTableRandomizedAgainstModel mirrors a randomized workload in a map
-// keyed by the primary key and verifies contents and secondary consistency.
+// TestTableRandomizedAgainstModel mirrors a randomized insert workload in a
+// map keyed by the primary key and verifies contents and secondary
+// consistency. A primary key drawn again must be refused with ErrDupKey and
+// leave the stored row, the index and the counters as they were.
 func TestTableRandomizedAgainstModel(t *testing.T) {
 	db := testDB(t)
 	tbl, _ := db.CreateTable(provSchema())
@@ -352,34 +378,45 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 		case 2:
 			k.loc += strings.Repeat("/x", r.Intn(3))
 		}
-		switch r.Intn(3) {
-		case 0, 1:
-			src := fmt.Sprintf("S/%d", i)
-			switch r.Intn(8) {
-			case 0:
-				src = ""
-			case 1:
-				src = strings.Repeat("s", 700)
-			}
-			row := Row{k.tid, []byte(k.loc), "C", []byte(src)}
-			if err := tbl.Put(row); err != nil {
+		src := fmt.Sprintf("S/%d", i)
+		switch r.Intn(8) {
+		case 0:
+			src = ""
+		case 1:
+			src = strings.Repeat("s", 700)
+		}
+		err := tbl.Insert(Row{k.tid, []byte(k.loc), "C", []byte(src)})
+		old, dup := model[k]
+		if !dup {
+			if err != nil {
 				t.Fatal(err)
 			}
-			model[k] = row
-		case 2:
-			err := tbl.Delete(k.tid, []byte(k.loc))
-			if _, ok := model[k]; ok {
-				if err != nil {
-					t.Fatalf("delete: %v", err)
-				}
-				delete(model, k)
-			} else if !errors.Is(err, ErrRowNotFound) {
-				t.Fatalf("phantom delete: %v", err)
-			}
+			model[k] = Row{k.tid, []byte(k.loc), "C", []byte(src)}
+			continue
 		}
+		if !errors.Is(err, ErrDupKey) {
+			t.Fatalf("insert of existing %v: %v", k, err)
+		}
+		if got, err := tbl.Get(k.tid, []byte(k.loc)); err != nil || string(got[3].([]byte)) != string(old[3].([]byte)) {
+			t.Fatalf("refused insert of %v changed its row: %v, %v", k, got, err)
+		}
+	}
+	if dups := 3000 - len(model); dups < 100 {
+		t.Fatalf("test premise: only %d keys drawn twice", dups)
 	}
 	if int(tbl.RowCount()) != len(model) {
 		t.Fatalf("RowCount = %d, model %d", tbl.RowCount(), len(model))
+	}
+	var size int64
+	for _, row := range model {
+		pk, val, err := tbl.encodeRow(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += int64(len(pk) + len(val))
+	}
+	if tbl.ByteSize() != size {
+		t.Errorf("ByteSize = %d, model %d", tbl.ByteSize(), size)
 	}
 	check := func(where string, row Row) {
 		t.Helper()

@@ -190,7 +190,7 @@ func TestCrashRecovery(t *testing.T) {
 	// the order of replay decides which one the data file ends with.
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := bt.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+		if err := bt.Insert([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 		if i%100 == 99 {
@@ -432,7 +432,7 @@ func TestBufferPoolFlushGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			if err := bt.Put([]byte(fmt.Sprintf("g%03d", i)), []byte("v")); err != nil {
+			if err := bt.Insert([]byte(fmt.Sprintf("g%03d", i)), []byte("v")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -487,7 +487,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	put := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
-			if err := bt.Put(key(i), bytes.Repeat([]byte("v"), 400)); err != nil {
+			if err := bt.Insert(key(i), bytes.Repeat([]byte("v"), 400)); err != nil {
 				t.Fatal(err)
 			}
 		}
