@@ -486,7 +486,6 @@ func TestCacheEquivalenceInterleaved(t *testing.T) {
 					}
 					return "err: " + msg
 				}
-				res.Scanned = 0
 				return fmt.Sprintf("%+v", res)
 			}
 

@@ -270,7 +270,7 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 	case *pooledBody: // an Append's record frames
 		req.Header.Set("Content-Type", contentTypeFrames)
 	default:
-		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("Content-Type", "application/json") // a /v1/query body
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {

@@ -2,9 +2,13 @@ package provhttp_test
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
+	"repro/internal/provhttp"
 	"repro/internal/provplan"
 	"repro/internal/provstore"
 )
@@ -62,7 +66,6 @@ func TestQueryEndpointEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("remote %q: %v", text, err)
 		}
-		want.Scanned = 0 // local work metric; not part of the answer
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%q:\nremote %+v\nlocal  %+v", text, got, want)
 		}
@@ -138,5 +141,49 @@ func TestQueryStreamEarlyBreak(t *testing.T) {
 	// The client stays usable on its pooled connections afterwards.
 	if _, err := cli.Stat(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRequestContentTypes: the client labels each request body by what it
+// is — an append's record frames as frames, a query as the one JSON
+// document it is — and a request without a body carries no Content-Type.
+func TestRequestContentTypes(t *testing.T) {
+	ctx := context.Background()
+	srv := provhttp.NewServer(provstore.NewMemBackend())
+	var mu sync.Mutex
+	got := map[string]string{}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got[r.Method+" "+r.URL.Path] = r.Header.Get("Content-Type")
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	cli, err := provstore.OpenDSN("cpdb://" + hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { provstore.Close(cli) })
+
+	queryFixture(t, cli)
+	if _, err := provplan.Collect(ctx, cli, provplan.MustParse("trace T/c3")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := provstore.CollectScan(cli.Scan(ctx, provstore.All())); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"POST /v1/append": "application/x-cpdb-frames",
+		"POST /v1/query":  "application/json",
+		"GET /v1/scan":    "",
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for req, ct := range want {
+		if seen, ok := got[req]; !ok {
+			t.Errorf("no %s request in %v", req, got)
+		} else if seen != ct {
+			t.Errorf("%s: Content-Type %q, want %q", req, seen, ct)
+		}
 	}
 }

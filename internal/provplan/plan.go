@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/path"
 	"repro/internal/provstore"
@@ -369,68 +367,22 @@ func (pl *Plan) Explain() []string {
 // --- execution --------------------------------------------------------------
 
 // accessScan opens the plan's access cursor on one backend (a shard, or the
-// whole store), counting pulled records into the execution's Scanned
-// counter and, in analyze mode, its access operator tap (shared across
-// shards: the tap totals what the whole scatter pulled).
+// whole store) under the access operator's tap, shared across shards: the
+// tap totals what the whole scatter pulled.
 func (pl *Plan) accessScan(ctx context.Context, b provstore.Backend, ex *exec) iter.Seq2[provstore.Record, error] {
-	return ex.op(pl.accessOp()).tap(counted(b.Scan(ctx, pl.scan), ex.counter()))
+	return ex.op(pl.accessOp()).stream(b.Scan(ctx, pl.scan), nil)
 }
 
 // accessOp is the analyze name of the access operator: the scan's kind,
 // without its arguments, so the scans of one plan shape total in one row.
 func (pl *Plan) accessOp() string { return "access:scan-" + pl.scan.Kind.String() }
 
-// counted wraps a cursor to count records pulled from it.
-func counted(scan iter.Seq2[provstore.Record, error], scanned *atomic.Int64) iter.Seq2[provstore.Record, error] {
-	if scanned == nil {
-		return scan
-	}
-	return func(yield func(provstore.Record, error) bool) {
-		for r, err := range scan {
-			if err == nil {
-				scanned.Add(1)
-			}
-			if !yield(r, err) {
-				return
-			}
-		}
-	}
-}
-
 // filtered applies the residual predicate and the optional join key filter
-// on one access stream. The analyze tap t (nil outside analyze mode) counts
-// records in/out and the time spent waiting on the upstream access cursor.
+// on one access stream, under the filter tap t.
 func (pl *Plan) filtered(scan iter.Seq2[provstore.Record, error], keys *joinKeys, t *opStat) iter.Seq2[provstore.Record, error] {
-	return func(yield func(provstore.Record, error) bool) {
-		var start time.Time
-		if t != nil {
-			start = time.Now()
-		}
-		for r, err := range scan {
-			if t != nil {
-				t.ns.Add(time.Since(start).Nanoseconds())
-				if err == nil {
-					t.in.Add(1)
-				}
-			}
-			if err != nil {
-				yield(provstore.Record{}, err)
-				return
-			}
-			if pl.pred.match(r) && (keys == nil || keys.match(r)) {
-				t.addOut()
-				if !yield(r, nil) {
-					return
-				}
-			}
-			if t != nil {
-				start = time.Now()
-			}
-		}
-		if t != nil {
-			t.ns.Add(time.Since(start).Nanoseconds())
-		}
-	}
+	return t.stream(scan, func(r provstore.Record) bool {
+		return pl.pred.match(r) && (keys == nil || keys.match(r))
+	})
 }
 
 // joinKeys is a materialized semi-join key set.
@@ -465,10 +417,7 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 		return nil, nil
 	}
 	t := ex.op("join-build")
-	var start time.Time
-	if t != nil {
-		start = time.Now()
-	}
+	start := t.start()
 	keys := &joinKeys{on: pl.join.on}
 	switch pl.join.on {
 	case JoinTid:
@@ -476,13 +425,12 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 	default:
 		keys.locs = make(map[path.Path]struct{})
 	}
+	var in int64
 	for r, err := range pl.join.sub.records(ctx, ex.sub("sub:")) {
 		if err != nil {
 			return nil, fmt.Errorf("join subquery: %w", err)
 		}
-		if t != nil {
-			t.in.Add(1)
-		}
+		in++
 		switch pl.join.on {
 		case JoinTid:
 			keys.tids[r.Tid] = struct{}{}
@@ -494,10 +442,7 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 			}
 		}
 	}
-	if t != nil {
-		t.out.Add(int64(len(keys.tids) + len(keys.locs)))
-		t.ns.Add(time.Since(start).Nanoseconds())
-	}
+	t.done(start, in, int64(len(keys.tids)+len(keys.locs)))
 	return keys, nil
 }
 
@@ -518,7 +463,7 @@ func (pl *Plan) matched(ctx context.Context, keys *joinKeys, ex *exec) iter.Seq2
 	for i := range cursors {
 		cursors[i] = pl.filtered(pl.accessScan(ctx, pl.shards.Shard(i), ex), keys, ft)
 	}
-	return ex.op("merge").tap(provstore.MergeScans(pl.scan.Order(), cursors...))
+	return ex.op("merge").stream(provstore.MergeScans(pl.scan.Order(), cursors...), nil)
 }
 
 // records executes a select plan as a record cursor in the requested order,
@@ -536,10 +481,7 @@ func (pl *Plan) records(ctx context.Context, ex *exec) iter.Seq2[provstore.Recor
 		stream := pl.matched(ctx, keys, ex)
 		if !pl.streamed {
 			t := ex.op("sort")
-			var start time.Time
-			if t != nil {
-				start = time.Now()
-			}
+			start := t.start()
 			recs, err := provstore.CollectScan(stream)
 			if err != nil {
 				yield(provstore.Record{}, err)
@@ -553,42 +495,22 @@ func (pl *Plan) records(ctx context.Context, ex *exec) iter.Seq2[provstore.Recor
 			if pl.q.Desc {
 				slices.Reverse(recs)
 			}
-			if t != nil {
-				t.in.Add(int64(len(recs)))
-				t.out.Add(int64(len(recs)))
-				t.ns.Add(time.Since(start).Nanoseconds())
-			}
+			t.done(start, int64(len(recs)), int64(len(recs)))
 			stream = provstore.ScanSlice(recs)
 		}
-		out := ex.op("output")
-		var start time.Time
-		if out != nil {
-			start = time.Now()
-		}
 		n := 0
-		for r, err := range stream {
+		for r, err := range ex.op("output").stream(stream, nil) {
 			if err != nil {
 				yield(provstore.Record{}, err)
 				return
 			}
-			if out != nil {
-				out.ns.Add(time.Since(start).Nanoseconds())
-				out.in.Add(1)
-				out.out.Add(1)
-			}
 			if !yield(r, nil) {
 				return
-			}
-			if out != nil {
-				start = time.Now()
 			}
 			n++
 			if pl.q.Limit > 0 && n >= pl.q.Limit {
 				return
 			}
-		}
-		if out != nil {
-			out.ns.Add(time.Since(start).Nanoseconds())
 		}
 	}
 }
@@ -643,10 +565,7 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 	ex.op(pl.accessOp())
 	ft := ex.op("filter")
 	at := ex.op("agg:" + pl.q.Agg)
-	var start time.Time
-	if at != nil {
-		start = time.Now()
-	}
+	start := at.start()
 	var total aggPartial
 	if pl.shards != nil {
 		partials := make([]aggPartial, pl.shards.NumShards())
@@ -673,11 +592,7 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 			total.add(r)
 		}
 	}
-	if at != nil {
-		at.in.Add(total.count)
-		at.out.Add(1)
-		at.ns.Add(time.Since(start).Nanoseconds())
-	}
+	at.done(start, total.count, 1)
 	switch pl.q.Agg {
 	case AggCount:
 		return total.count, true, nil

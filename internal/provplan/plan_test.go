@@ -379,6 +379,7 @@ func TestPushdownScansLess(t *testing.T) {
 	b := provstore.NewMemBackend()
 	load(t, b)
 	q := MustParse("select where loc>=T/c2 and tid<=3")
+	q.Analyze = true
 	down, err := Collect(context.Background(), b, q)
 	if err != nil {
 		t.Fatal(err)
@@ -394,8 +395,8 @@ func TestPushdownScansLess(t *testing.T) {
 	if !sameRecords(down.Records, full) {
 		t.Fatalf("pushdown changed results: %v vs %v", down.Records, full)
 	}
-	if down.Scanned >= int64(len(fixture())) {
-		t.Errorf("pushdown scanned %d of %d records; expected fewer", down.Scanned, len(fixture()))
+	if down.Analysis.Scanned >= int64(len(fixture())) {
+		t.Errorf("pushdown scanned %d of %d records; expected fewer", down.Analysis.Scanned, len(fixture()))
 	}
 }
 
@@ -405,14 +406,16 @@ func TestPushdownScansLess(t *testing.T) {
 func TestEarlyStopReleasesCursor(t *testing.T) {
 	b := provstore.NewMemBackend()
 	load(t, b)
-	res, err := Collect(context.Background(), b, MustParse("select where tid<=1"))
+	q := MustParse("select where tid<=1")
+	q.Analyze = true
+	res, err := Collect(context.Background(), b, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// tid<=1 matches 2 records; the early stop sees one record past the
 	// bound (tid 2) and cuts. Without the stop it would scan all 10.
-	if res.Scanned > 3 {
-		t.Errorf("early stop pulled %d records, want <= 3", res.Scanned)
+	if res.Analysis.Scanned > 3 {
+		t.Errorf("early stop pulled %d records, want <= 3", res.Analysis.Scanned)
 	}
 	if len(res.Records) != 2 {
 		t.Errorf("got %d records, want 2", len(res.Records))

@@ -3,7 +3,6 @@ package provplan
 import (
 	"context"
 	"iter"
-	"sync/atomic"
 
 	"repro/internal/path"
 	"repro/internal/provstore"
@@ -67,10 +66,6 @@ type Result struct {
 	Found bool
 	// Trace holds a trace answer.
 	Trace TraceResult
-	// Scanned counts records pulled from backend cursors during local
-	// execution — the work metric pushdown minimizes. It is 0 when the
-	// plan was delegated to a remote executor.
-	Scanned int64
 	// Analysis holds the per-operator execution measurements of an
 	// analyze-mode query (local or delegated); nil otherwise.
 	Analysis *Analysis
@@ -103,14 +98,7 @@ func Run(ctx context.Context, b provstore.Backend, q *Query) iter.Seq2[Row, erro
 // Collect executes q against b (delegating like Run) and drains the row
 // stream into a Result.
 func Collect(ctx context.Context, b provstore.Backend, q *Query) (*Result, error) {
-	if ex, ok := b.(Executor); ok {
-		return CollectRows(ex.ExecPlan(ctx, q))
-	}
-	pl, err := Compile(b, q)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Collect(ctx)
+	return CollectRows(Run(ctx, b, q))
 }
 
 // CollectRows drains a row stream into a Result.
@@ -133,9 +121,6 @@ func CollectRows(rows iter.Seq2[Row, error]) (*Result, error) {
 			res.Trace.Origin, res.Trace.External = row.Origin, row.External
 		case RowAnalyze:
 			res.Analysis = row.Analysis
-			if row.Analysis != nil {
-				res.Scanned = row.Analysis.Scanned
-			}
 		}
 	}
 	return res, nil
@@ -160,11 +145,10 @@ func (pl *Plan) Rows(ctx context.Context) iter.Seq2[Row, error] {
 	// Analyze mode and tracing share the analyzer taps; a traced
 	// non-analyze query measures operators but emits no RowAnalyze
 	// trailer, so its row stream is byte-identical to an untraced run.
-	var scanned atomic.Int64
-	ex := &exec{scanned: &scanned, az: newAnalyzer()}
+	ex := &exec{az: newAnalyzer()}
 	return func(yield func(Row, error) bool) {
 		spanCtx, sp := planSpan(ctx, string(pl.q.Op))
-		defer func() { finishPlanSpan(spanCtx, sp, ex.az, scanned.Load()) }()
+		defer func() { finishPlanSpan(spanCtx, sp, ex.az) }()
 		for row, err := range pl.rows(spanCtx, ex) {
 			if err != nil {
 				sp.SetErr(err)
@@ -174,34 +158,9 @@ func (pl *Plan) Rows(ctx context.Context) iter.Seq2[Row, error] {
 			}
 		}
 		if pl.q.Analyze {
-			yield(Row{Kind: RowAnalyze, Analysis: ex.az.analysis(scanned.Load())}, nil)
+			yield(Row{Kind: RowAnalyze, Analysis: ex.az.analysis()}, nil)
 		}
 	}
-}
-
-// Collect executes the plan and drains its rows into a Result, including
-// the Scanned work counter — the instrumented form of Rows, and the way to
-// measure what a plan compiled with explicit Options (say, NoPushdown)
-// actually pulled from the store.
-func (pl *Plan) Collect(ctx context.Context) (*Result, error) {
-	var scanned atomic.Int64
-	ex := &exec{scanned: &scanned}
-	spanCtx, sp := planSpan(ctx, string(pl.q.Op))
-	if pl.q.Analyze || sp != nil {
-		ex.az = newAnalyzer()
-	}
-	res, err := CollectRows(pl.rows(spanCtx, ex))
-	if err != nil {
-		sp.SetErr(err)
-		finishPlanSpan(spanCtx, sp, ex.az, scanned.Load())
-		return nil, err
-	}
-	finishPlanSpan(spanCtx, sp, ex.az, scanned.Load())
-	res.Scanned = scanned.Load()
-	if pl.q.Analyze && ex.az != nil {
-		res.Analysis = ex.az.analysis(res.Scanned)
-	}
-	return res, nil
 }
 
 func (pl *Plan) rows(ctx context.Context, ex *exec) iter.Seq2[Row, error] {

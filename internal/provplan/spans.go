@@ -9,8 +9,8 @@ import (
 )
 
 // Distributed tracing of plan execution reuses the Analyze taps: when a
-// trace recorder is installed on the context, Rows/Collect run with the
-// analyzer enabled even outside analyze mode, and when the plan finishes
+// trace recorder is installed on the context, Rows runs with the analyzer
+// enabled even outside analyze mode, and when the plan finishes
 // each measured operator is emitted as one span under the plan's span —
 // EXPLAIN ANALYZE and tracing share a single instrumentation point, so
 // their numbers can never disagree. Operator spans carry the tap's
@@ -30,17 +30,16 @@ func planSpan(ctx context.Context, op string) (context.Context, *provtrace.Span)
 // finishPlanSpan emits one span per measured operator and closes the plan
 // span. Operator spans start at the plan span's start: the taps measure
 // duration, not placement.
-func finishPlanSpan(ctx context.Context, sp *provtrace.Span, az *analyzer, scanned int64) {
+func finishPlanSpan(ctx context.Context, sp *provtrace.Span, az *analyzer) {
 	if sp == nil {
 		return
 	}
-	if az != nil {
-		for _, op := range az.analysis(0).Ops {
-			provtrace.Emit(ctx, "op:"+op.Op, sp.Start, time.Duration(op.NS),
-				provtrace.Attr{K: "in", V: strconv.FormatInt(op.In, 10)},
-				provtrace.Attr{K: "out", V: strconv.FormatInt(op.Out, 10)})
-		}
+	an := az.analysis()
+	for _, op := range an.Ops {
+		provtrace.Emit(ctx, "op:"+op.Op, sp.Start, time.Duration(op.NS),
+			provtrace.Attr{K: "in", V: strconv.FormatInt(op.In, 10)},
+			provtrace.Attr{K: "out", V: strconv.FormatInt(op.Out, 10)})
 	}
-	sp.SetAttr("scanned", strconv.FormatInt(scanned, 10))
+	sp.SetAttr("scanned", strconv.FormatInt(an.Scanned, 10))
 	sp.End()
 }

@@ -376,7 +376,7 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 // holds reports whether the store has any record under db: one ByPrefix
 // probe, broken off at its first record, and analyzed as its own operator.
 func (pl *Plan) holds(ctx context.Context, db path.Path, ex *exec) (bool, error) {
-	for _, err := range ex.op("probe:scan-loc-prefix").tap(counted(pl.b.Scan(ctx, provstore.ByPrefix(db)), ex.counter())) {
+	for _, err := range ex.op("probe:scan-loc-prefix").stream(pl.b.Scan(ctx, provstore.ByPrefix(db)), nil) {
 		return err == nil, err
 	}
 	return false, nil

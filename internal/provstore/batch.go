@@ -88,8 +88,7 @@ var (
 )
 
 // NewBatching wraps inner with a group-commit buffer of the given batch
-// size (records). size < 2 returns a write-through wrapper that never
-// buffers.
+// size (records). A size of 1 or less flushes on every append.
 func NewBatching(inner Backend, size int) *BatchingBackend {
 	if size < 1 {
 		size = 1
@@ -116,9 +115,6 @@ func (b *BatchingBackend) ObsRegistries() []*provobs.Registry {
 // Append implements Backend: the batch is validated and enqueued, and the
 // buffer is flushed once it holds at least BatchSize records.
 func (b *BatchingBackend) Append(ctx context.Context, recs []Record) error {
-	if b.size <= 1 {
-		return b.inner.Append(ctx, recs)
-	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -241,9 +237,6 @@ func checkStored(ctx context.Context, b Backend, recs []Record) error {
 // cursor's own snapshot at its first pull: a record flushed in between is on
 // both sides, never on neither.
 func (b *BatchingBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Record, error] {
-	if b.size <= 1 {
-		return b.inner.Scan(ctx, spec)
-	}
 	var buf []Record
 	b.mu.Lock()
 	for _, r := range b.buf {

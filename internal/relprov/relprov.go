@@ -18,11 +18,10 @@
 // stored.
 //
 // A read decodes the rows of one lock window — up to 256 — eight at a time:
-// the paths of eight rows are substrings of one string and their labels
-// stretches of one slice, so eight rows cost two allocations. A record a
-// caller keeps therefore keeps its slab's string and labels alive, the
-// paths of at most eight rows; copy a record's paths (path.Parse of their
-// String) to keep them alone.
+// the paths of eight rows are substrings of one string, so eight rows cost
+// one allocation. A record a caller keeps therefore keeps its slab's string
+// alive, the paths of at most eight rows; copy a record's paths (path.Parse
+// of their String) to keep them alone.
 package relprov
 
 import (

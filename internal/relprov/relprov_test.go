@@ -755,10 +755,10 @@ func TestRelProvCorruptRowMidWindow(t *testing.T) {
 	}
 }
 
-// TestRelWindowAliasing: the records of a window share label slabs, one per
-// eight rows, each path a capped stretch of one. Deriving paths from them — Child, Join and
-// Rebase of a record's Loc, of its parent, and of what those return —
-// changes no record of the window. Four goroutines at once scan, look up and
+// TestRelWindowAliasing: the records of a window share strings, one per
+// eight rows, each path a substring of one. Deriving paths from them —
+// Child, Join and Rebase of a record's Loc, of its parent, and of what those
+// return — changes no record of the window. Four goroutines at once scan, look up and
 // derive over a 2 000-record store, sharing the store's idle window
 // buffers, decoders, iterators and key buffers (run it under -race).
 func TestRelWindowAliasing(t *testing.T) {

@@ -40,12 +40,12 @@ func windowStore(t *testing.T) *Backend {
 	return b
 }
 
-// TestRelWindowSlabs: a visit decodes its window eight rows at a time, each
-// eight into one string and one label slab, so what it allocates is two
-// objects per eight rows whatever the paths hold — 4, 16 and 64 for windows
-// of 16, 64 and 256 rows — in either tree, from the start of a stretch or
-// resumed inside it. Decoded a row at a time, each record's paths cost a
-// copy of the row and a label slice per path: 2 to 3 objects a row.
+// TestRelWindowSlabs: a visit decodes its window eight rows at a time, the
+// paths of each eight substrings of one string, so what it allocates is one
+// object per eight rows whatever the paths hold — 2, 8 and 32 for windows of
+// 16, 64 and 256 rows — in either tree, from the start of a stretch or
+// resumed inside it. The budget is exactly that: one more object per eight
+// rows (a label slab, or a copy of a row) fails it.
 func TestRelWindowSlabs(t *testing.T) {
 	b := windowStore(t)
 	resume := path.New("T", "e1", "n0")
@@ -63,7 +63,7 @@ func TestRelWindowSlabs(t *testing.T) {
 					t.Fatalf("%v: visit of %d returned %d records, more=%v, %v", spec, want, len(window), more, err)
 				}
 			})
-			if budget := 2 * want / slabRows; allocs > float64(budget) {
+			if budget := want / slabRows; allocs > float64(budget) {
 				t.Errorf("%v: a visit of %d rows allocates %.1f objects, want at most %d", spec, want, allocs, budget)
 			}
 		}

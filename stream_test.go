@@ -233,18 +233,18 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 }
 
 // TestRelDrainAllocBound is the store-side twin: a full in-process
-// Scan(All()) of a 10k-record rel:// store must stay within 0.31
-// allocations per record — today's 0.2506 plus a quarter. A window is
-// decoded eight rows at a time into one string and one label slab, and the
-// cursor's buffer, the tree's iterator and the decoder's scratch are the
-// store's, kept from scan to scan, so a drain allocates two objects per
-// eight rows and a few per cursor. A copy of every row and a label slice per
-// path cost 2.99; decoding through relstore.Row (a boxed value per column)
-// cost 18.
+// Scan(All()) of a 10k-record rel:// store must stay within 0.16
+// allocations per record — today's 0.1256 plus a quarter. A window is
+// decoded eight rows at a time, the paths of each eight substrings of one
+// string, and the cursor's buffer, the tree's iterator and the decoder's
+// scratch are the store's, kept from scan to scan, so a drain allocates one
+// object per eight rows and a few per cursor. A label slab per eight rows
+// besides cost 0.2506; a copy of every row and a label slice per path cost
+// 2.99; decoding through relstore.Row (a boxed value per column) cost 18.
 func TestRelDrainAllocBound(t *testing.T) {
 	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500, "")
 	perRecord := drainAllocsPerRecord(t, backend, len(locs))
-	const maxAllocsPerRecord = 0.31
+	const maxAllocsPerRecord = 0.16
 	if perRecord > maxAllocsPerRecord {
 		t.Errorf("rel:// drain allocates %.4f objects/record, budget %.2f", perRecord, maxAllocsPerRecord)
 	}
