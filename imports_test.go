@@ -18,7 +18,7 @@ import (
 // repro/... package from the three roots.
 func TestServingPathImports(t *testing.T) {
 	banned := map[string]bool{}
-	for _, name := range []string{"netsim", "provnet", "bench", "dataset", "workload", "provtest"} {
+	for _, name := range []string{"netsim", "bench", "dataset", "workload", "provtest"} {
 		banned["repro/internal/"+name] = true
 	}
 	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -377,5 +378,34 @@ func TestMakeSequenceDeterministic(t *testing.T) {
 	b := MakeSequence(rc, workload.Mix, workload.DelRandom, 100)
 	if a.String() != b.String() {
 		t.Error("sequence generation not deterministic")
+	}
+}
+
+// TestEnvCloseLeavesNothing: an Env built with no Dir keeps its stores in a
+// scratch directory of its own, which Close removes with both stores
+// closed — and so does a NewEnv that fails after opening them.
+func TestEnvCloseLeavesNothing(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	rc := Quick()
+	cfg := rc.envConfig(provstore.HierTrans, workload.Mix)
+	cfg.Backend = RelProv
+	env, err := NewEnv(cfg, rc.Costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Method = provstore.Method(99) // no tracker: fails after both stores open
+	if _, err := NewEnv(cfg, rc.Costs); err == nil {
+		t.Fatal("NewEnv with an unknown method succeeded")
+	}
+	entries, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("left behind in TMPDIR: %s", e.Name())
 	}
 }

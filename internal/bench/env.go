@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/netsim"
-	"repro/internal/provnet"
 	"repro/internal/provstore"
 	"repro/internal/relprov"
 	"repro/internal/relstore"
@@ -73,121 +72,91 @@ type EnvConfig struct {
 	TxnLen      int // commit every N operations (deferred methods)
 	Seed        int64
 	Backend     BackendKind
-	Dir         string // scratch directory for RelProv (required then)
+	Dir         string // scratch directory for the stores ("" = one NewEnv makes and Close removes)
 	TargetScale dataset.MiMIConfig
 	SourceScale dataset.OrganelleConfig
 }
 
-// DefaultEnvConfig mirrors the paper's setup: commit every five updates,
-// MiMI-like target, OrganelleDB-like source.
-func DefaultEnvConfig(m provstore.Method, p workload.Pattern) EnvConfig {
-	return EnvConfig{
-		Method:      m,
-		Pattern:     p,
-		TxnLen:      5,
-		Seed:        2006,
-		TargetScale: dataset.DefaultMiMI,
-		SourceScale: dataset.DefaultOrganelle,
-	}
-}
-
-// An Env is one assembled deployment: clock, connections, stores, editor
-// and workload generator.
+// An Env is one assembled deployment: clock, meter, stores, editor and
+// workload generator.
 type Env struct {
-	Cfg     EnvConfig
-	Clock   *netsim.Clock
-	Meter   *netsim.Meter
-	Target  *netsim.Conn
-	SrcConn *netsim.Conn
-	PWrite  *netsim.Conn
-	PRead   *netsim.Conn
+	Clock  *netsim.Clock
+	Meter  *netsim.Meter
+	Editor *core.Editor
+	Inner  provstore.Backend // uncharged store (for counts/bytes)
+	Gen    *workload.Generator
 
-	Editor  *core.Editor
-	Backend provstore.Backend // charged backend the tracker writes through
-	Inner   provstore.Backend // uncharged store (for counts/bytes)
-	Gen     *workload.Generator
-
-	relDB *relstore.DB // non-nil for RelProv
+	srcDB  *relstore.DB // the OrganelleDB source
+	relDB  *relstore.DB // non-nil for RelProv
+	tmpDir string       // created by NewEnv when cfg.Dir is empty
 }
 
-// NewEnv assembles a deployment.
-func NewEnv(cfg EnvConfig, costs Costs) (*Env, error) {
+// NewEnv assembles a deployment. On error it releases whatever it opened.
+func NewEnv(cfg EnvConfig, costs Costs) (_ *Env, err error) {
 	clock := netsim.NewClock()
-	env := &Env{
-		Cfg:     cfg,
-		Clock:   clock,
-		Meter:   netsim.NewMeter(clock),
-		Target:  netsim.NewConn("target", clock, costs.Target),
-		SrcConn: netsim.NewConn("source", clock, costs.Source),
-		PWrite:  netsim.NewConn("prov-write", clock, costs.ProvWrite),
-		PRead:   netsim.NewConn("prov-read", clock, costs.ProvRead),
-	}
+	env := &Env{Clock: clock, Meter: netsim.NewMeter(clock)}
+	defer func() {
+		if err != nil {
+			env.Close()
+		}
+	}()
 
 	// Target: MiMI-like tree database (Timber stand-in).
 	targetTree := dataset.GenMiMI(cfg.TargetScale)
-	target := wrapper.ChargeTarget(
-		wrapper.NewXMLTarget(xmlstore.NewMem("MiMI", targetTree)), env.Target)
+	target := netsim.ChargeTarget(wrapper.NewXMLTarget(xmlstore.NewMem("MiMI", targetTree)),
+		netsim.NewConn("target", clock, costs.Target))
 
 	// Source: OrganelleDB-like relation in the relational engine,
 	// wrapped as the four-level tree view, as in the paper's deployment.
-	srcDir := cfg.Dir
-	if srcDir == "" {
-		var err error
-		srcDir, err = os.MkdirTemp("", "cpdb-bench-")
-		if err != nil {
+	dir := cfg.Dir
+	if dir == "" {
+		if env.tmpDir, err = os.MkdirTemp("", "cpdb-bench-"); err != nil {
 			return nil, err
 		}
+		dir = env.tmpDir
 	}
-	srcDB, err := relstore.Create(filepath.Join(srcDir, fmt.Sprintf("organelle-%s-%s.rel", cfg.Method, cfg.Pattern)))
-	if err != nil {
+	if env.srcDB, err = relstore.Create(filepath.Join(dir, fmt.Sprintf("organelle-%s-%s.rel", cfg.Method, cfg.Pattern))); err != nil {
 		return nil, err
 	}
-	if err := dataset.LoadOrganelleDB(srcDB, cfg.SourceScale); err != nil {
-		srcDB.Close()
+	if err = dataset.LoadOrganelleDB(env.srcDB, cfg.SourceScale); err != nil {
 		return nil, err
 	}
-	relSrc := wrapper.NewRelSource("OrganelleDB", srcDB)
-	source := wrapper.ChargeSource(relSrc, env.SrcConn)
+	relSrc := wrapper.NewRelSource("OrganelleDB", env.srcDB)
+	source := netsim.ChargeSource(relSrc, netsim.NewConn("source", clock, costs.Source))
 
 	// Provenance store.
 	switch cfg.Backend {
 	case RelProv:
-		provDB, err := relstore.Create(filepath.Join(srcDir, fmt.Sprintf("prov-%s-%s.rel", cfg.Method, cfg.Pattern)))
-		if err != nil {
-			srcDB.Close()
+		if env.relDB, err = relstore.Create(filepath.Join(dir, fmt.Sprintf("prov-%s-%s.rel", cfg.Method, cfg.Pattern))); err != nil {
 			return nil, err
 		}
-		rb, err := relprov.Create(provDB)
-		if err != nil {
-			provDB.Close()
-			srcDB.Close()
+		if env.Inner, err = relprov.Create(env.relDB); err != nil {
 			return nil, err
 		}
-		env.Inner = rb
-		env.relDB = provDB
 	default:
 		env.Inner = provstore.NewMemBackend()
 	}
-	env.Backend = provnet.New(env.Inner, env.PWrite, env.PRead)
+	backend := netsim.ChargeBackend(env.Inner,
+		netsim.NewConn("prov-write", clock, costs.ProvWrite),
+		netsim.NewConn("prov-read", clock, costs.ProvRead))
 
-	tracker, err := provstore.New(cfg.Method, provstore.Config{Backend: env.Backend})
+	tracker, err := provstore.New(cfg.Method, provstore.Config{Backend: backend})
 	if err != nil {
 		return nil, err
 	}
 
-	// Editor with auto-commit. Session setup (loading the tree views) is
-	// excluded from the measured clock by resetting it afterwards.
-	ed, err := core.NewEditor(core.Config{
+	// Editor with auto-commit. Session setup (loading the tree views)
+	// advances the clock outside every meter category, so no figure counts
+	// it.
+	if env.Editor, err = core.NewEditor(core.Config{
 		Target:          target,
 		Sources:         []wrapper.Source{source},
 		Tracker:         tracker,
 		Meter:           env.Meter,
 		AutoCommitEvery: cfg.TxnLen,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	env.Editor = ed
 
 	// Workload generator over the same initial views.
 	srcTree, err := relSrc.Tree()
@@ -204,39 +173,41 @@ func NewEnv(cfg EnvConfig, costs Costs) (*Env, error) {
 	return env, nil
 }
 
-// Close releases the deployment's disk resources.
+// Close releases what NewEnv opened: both stores and the scratch directory
+// it made.
 func (e *Env) Close() error {
-	if e.relDB != nil {
-		return e.relDB.Close()
-	}
-	return nil
-}
-
-// RunOps drives n workload operations through the editor and commits the
-// tail transaction.
-func (e *Env) RunOps(n int) error {
-	for i := 0; i < n; i++ {
-		if err := e.Editor.Apply(e.Gen.Next()); err != nil {
-			return fmt.Errorf("bench: op %d: %w", i+1, err)
+	var errs []error
+	for _, db := range []*relstore.DB{e.relDB, e.srcDB} {
+		if db != nil {
+			errs = append(errs, db.Close())
 		}
 	}
-	return e.flushTail()
-}
-
-// RunSequence drives a pre-generated sequence through the editor.
-func (e *Env) RunSequence(seq update.Sequence) error {
-	for i, op := range seq {
-		if err := e.Editor.Apply(op); err != nil {
-			return fmt.Errorf("bench: op %d: %w", i+1, err)
-		}
+	if e.tmpDir != "" {
+		errs = append(errs, os.RemoveAll(e.tmpDir))
 	}
-	return e.flushTail()
+	return errors.Join(errs...)
 }
 
-// flushTail commits a partially filled final transaction, if any.
-func (e *Env) flushTail() error {
-	if _, err := e.Editor.Commit(); err != nil && !errors.Is(err, provstore.ErrNoTxn) {
+// withEnv assembles the deployment cfg describes, applies seq through its
+// editor — or, when seq is nil, the next steps operations of its own
+// workload — commits the tail transaction, hands the deployment to read and
+// closes it.
+func withEnv(cfg EnvConfig, costs Costs, steps int, seq update.Sequence, read func(*Env) error) (err error) {
+	env, err := NewEnv(cfg, costs)
+	if err != nil {
 		return err
 	}
-	return nil
+	defer func() { err = errors.Join(err, env.Close()) }()
+	if seq == nil {
+		seq = env.Gen.Sequence(steps)
+	}
+	for i, op := range seq {
+		if err := env.Editor.Apply(op); err != nil {
+			return fmt.Errorf("bench: op %d: %w", i+1, err)
+		}
+	}
+	if _, err := env.Editor.Commit(); err != nil && !errors.Is(err, provstore.ErrNoTxn) {
+		return err
+	}
+	return read(env)
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"iter"
 	"math/rand"
 	"time"
 
@@ -127,20 +126,13 @@ func Fig7(rc RunConfig) ([]*Table, error) {
 	for _, p := range patterns {
 		row := []string{p.String()}
 		for _, m := range provstore.AllMethods {
-			env, err := NewEnv(rc.envConfig(m, p), rc.Costs)
-			if err != nil {
+			if err := withEnv(rc.envConfig(m, p), rc.Costs, rc.StepsShort, nil, func(env *Env) error {
+				st, err := env.Inner.Stat(context.Background())
+				row = append(row, fmt.Sprint(st.Count))
+				return err
+			}); err != nil {
 				return nil, err
 			}
-			if err := env.RunOps(rc.StepsShort); err != nil {
-				env.Close()
-				return nil, err
-			}
-			st, err := env.Inner.Stat(context.Background())
-			env.Close()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprint(st.Count))
 		}
 		t.AddRow(row...)
 	}
@@ -164,26 +156,17 @@ func Fig8(rc RunConfig) ([]*Table, error) {
 		for _, m := range provstore.AllMethods {
 			cfg := rc.envConfig(m, p)
 			cfg.Backend = RelProv
-			env, err := NewEnv(cfg, rc.Costs)
-			if err != nil {
+			if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+				st, err := env.Inner.Stat(context.Background())
+				if err != nil {
+					return err
+				}
+				size, err := env.relDB.Size()
+				row = append(row, fmt.Sprint(st.Count), fmt.Sprintf("%.2fMB", float64(size)/(1<<20)))
+				return err
+			}); err != nil {
 				return nil, err
 			}
-			if err := env.RunOps(rc.StepsLong); err != nil {
-				env.Close()
-				return nil, err
-			}
-			st, err := env.Inner.Stat(context.Background())
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			n := st.Count
-			size, err := env.relDB.Size()
-			env.Close()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprint(n), fmt.Sprintf("%.2fMB", float64(size)/(1<<20)))
 		}
 		t.AddRow(row...)
 	}
@@ -192,20 +175,6 @@ func Fig8(rc RunConfig) ([]*Table, error) {
 }
 
 // --- Figures 9 and 10 --------------------------------------------------------
-
-// runMixTimed runs the StepsLong mix workload for one method and returns
-// its environment (with populated meter).
-func runMixTimed(rc RunConfig, m provstore.Method) (*Env, error) {
-	env, err := NewEnv(rc.envConfig(m, workload.Mix), rc.Costs)
-	if err != nil {
-		return nil, err
-	}
-	if err := env.RunOps(rc.StepsLong); err != nil {
-		env.Close()
-		return nil, err
-	}
-	return env, nil
-}
 
 // datasetAvg combines the per-kind dataset buckets into the paper's single
 // "Dataset Update" average.
@@ -229,18 +198,19 @@ func Fig9(rc RunConfig) ([]*Table, error) {
 	t := &Table{ID: "fig9", Title: fmt.Sprintf("Average time per operation, %d-mix (virtual ms)", rc.StepsLong)}
 	t.Header = []string{"method", "dataset", "add prov", "delete prov", "paste prov", "commit prov"}
 	for _, m := range provstore.AllMethods {
-		env, err := runMixTimed(rc, m)
-		if err != nil {
+		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+			meter := env.Meter
+			t.AddRow(m.String(),
+				ms(datasetAvg(meter)),
+				ms(meter.Bucket(core.MeterAdd).Avg()),
+				ms(meter.Bucket(core.MeterDelete).Avg()),
+				ms(meter.Bucket(core.MeterPaste).Avg()),
+				ms(meter.Bucket(core.MeterCommit).Avg()),
+			)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		t.AddRow(m.String(),
-			ms(datasetAvg(env.Meter)),
-			ms(env.Meter.Bucket(core.MeterAdd).Avg()),
-			ms(env.Meter.Bucket(core.MeterDelete).Avg()),
-			ms(env.Meter.Bucket(core.MeterPaste).Avg()),
-			ms(env.Meter.Bucket(core.MeterCommit).Avg()),
-		)
-		env.Close()
 	}
 	t.Note("expected shape: T/HT ops ≈ 0 (active list in memory); commits ≈ 25%% of a dataset interaction; H inserts pay an extra query round trip")
 	return []*Table{t}, nil
@@ -251,25 +221,25 @@ func Fig9(rc RunConfig) ([]*Table, error) {
 func Fig10(rc RunConfig) ([]*Table, error) {
 	t := &Table{ID: "fig10", Title: "Provenance manipulation overhead (% of basic operation time)"}
 	t.Header = []string{"method", "add", "delete", "copy"}
+	pct := func(prov, base time.Duration) string {
+		if base == 0 {
+			return "n/a"
+		}
+		return fmt.Sprintf("%.1f%%", 100*float64(prov)/float64(base))
+	}
 	for _, m := range provstore.AllMethods {
-		env, err := runMixTimed(rc, m)
-		if err != nil {
+		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+			meter := env.Meter
+			copyBase := meter.Bucket(core.MeterDatasetPaste).Avg() + meter.Bucket(core.MeterSource).Avg()
+			t.AddRow(m.String(),
+				pct(meter.Bucket(core.MeterAdd).Avg(), meter.Bucket(core.MeterDatasetAdd).Avg()),
+				pct(meter.Bucket(core.MeterDelete).Avg(), meter.Bucket(core.MeterDatasetDelete).Avg()),
+				pct(meter.Bucket(core.MeterPaste).Avg(), copyBase),
+			)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		meter := env.Meter
-		pct := func(prov, base time.Duration) string {
-			if base == 0 {
-				return "n/a"
-			}
-			return fmt.Sprintf("%.1f%%", 100*float64(prov)/float64(base))
-		}
-		copyBase := meter.Bucket(core.MeterDatasetPaste).Avg() + meter.Bucket(core.MeterSource).Avg()
-		t.AddRow(m.String(),
-			pct(meter.Bucket(core.MeterAdd).Avg(), meter.Bucket(core.MeterDatasetAdd).Avg()),
-			pct(meter.Bucket(core.MeterDelete).Avg(), meter.Bucket(core.MeterDatasetDelete).Avg()),
-			pct(meter.Bucket(core.MeterPaste).Avg(), copyBase),
-		)
-		env.Close()
 	}
 	t.Note("paper: naive ≤ 30%% per op; hierarchical slower on adds (extra query) but much faster on copies; T/HT at most a few %%")
 	return []*Table{t}, nil
@@ -334,26 +304,17 @@ func Fig11(rc RunConfig) ([]*Table, error) {
 		}
 		row := []string{d.String()}
 		for _, m := range provstore.AllMethods {
-			var counts []int
 			for _, seq := range []update.Sequence{ac, full} {
 				cfg := rc.envConfig(m, workload.Mix)
 				cfg.Deletion = d
-				env, err := NewEnv(cfg, rc.Costs)
-				if err != nil {
+				if err := withEnv(cfg, rc.Costs, 0, seq, func(env *Env) error {
+					st, err := env.Inner.Stat(context.Background())
+					row = append(row, fmt.Sprint(st.Count))
+					return err
+				}); err != nil {
 					return nil, err
 				}
-				if err := env.RunSequence(seq); err != nil {
-					env.Close()
-					return nil, err
-				}
-				st, err := env.Inner.Stat(context.Background())
-				env.Close()
-				if err != nil {
-					return nil, err
-				}
-				counts = append(counts, st.Count)
 			}
-			row = append(row, fmt.Sprint(counts[0]), fmt.Sprint(counts[1]))
 		}
 		t.AddRow(row...)
 	}
@@ -374,50 +335,30 @@ func Fig12(rc RunConfig) ([]*Table, error) {
 		}
 		cfg := rc.envConfig(provstore.HierTrans, workload.Real)
 		cfg.TxnLen = txnLen
-		env, err := NewEnv(cfg, rc.Costs)
-		if err != nil {
+		if err := withEnv(cfg, rc.Costs, rc.StepsShort, nil, func(env *Env) error {
+			meter := env.Meter
+			provTotal := meter.Bucket(core.MeterAdd).Total +
+				meter.Bucket(core.MeterDelete).Total +
+				meter.Bucket(core.MeterPaste).Total +
+				meter.Bucket(core.MeterCommit).Total
+			amortized := provTotal / time.Duration(rc.StepsShort)
+			t.AddRow(fmt.Sprint(txnLen),
+				ms(meter.Bucket(core.MeterAdd).Avg()),
+				ms(meter.Bucket(core.MeterDelete).Avg()),
+				ms(meter.Bucket(core.MeterPaste).Avg()),
+				ms(meter.Bucket(core.MeterCommit).Avg()),
+				ms(amortized),
+			)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		if err := env.RunOps(rc.StepsShort); err != nil {
-			env.Close()
-			return nil, err
-		}
-		meter := env.Meter
-		provTotal := meter.Bucket(core.MeterAdd).Total +
-			meter.Bucket(core.MeterDelete).Total +
-			meter.Bucket(core.MeterPaste).Total +
-			meter.Bucket(core.MeterCommit).Total
-		amortized := provTotal / time.Duration(rc.StepsShort)
-		t.AddRow(fmt.Sprint(txnLen),
-			ms(meter.Bucket(core.MeterAdd).Avg()),
-			ms(meter.Bucket(core.MeterDelete).Avg()),
-			ms(meter.Bucket(core.MeterPaste).Avg()),
-			ms(meter.Bucket(core.MeterCommit).Avg()),
-			ms(amortized),
-		)
-		env.Close()
 	}
 	t.Note("paper: per-op time flat; commit grows ~linearly with transaction length; amortized per-op time stays about the same")
 	return []*Table{t}, nil
 }
 
 // --- Figure 13 ---------------------------------------------------------------
-
-// queryPriced charges every backend read as a worst-case unindexed scan of
-// the whole provenance relation, per §4.1 ("No indexing was performed on
-// the provenance relation").
-type queryPriced struct {
-	provstore.Backend
-	conn *netsim.Conn
-	rows int
-}
-
-func (q *queryPriced) charge() { q.conn.Call(q.rows, 0) }
-
-func (q *queryPriced) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
-	q.charge()
-	return q.Backend.Scan(ctx, spec)
-}
 
 // Fig13 reruns the query experiment: average getSrc/getMod/getHist times on
 // random locations after a StepsLong real run, per method.
@@ -443,59 +384,53 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 	for _, m := range provstore.AllMethods {
 		cfg := rc.envConfig(m, workload.Real)
 		cfg.TxnLen = txnLen
-		env, err := NewEnv(cfg, rc.Costs)
-		if err != nil {
-			return err
-		}
-		if err := env.RunOps(rc.StepsLong); err != nil {
-			env.Close()
-			return err
-		}
-		st, err := env.Inner.Stat(context.Background())
-		if err != nil {
-			env.Close()
-			return err
-		}
-		rows, tnow := st.Count, st.MaxTid
-		qconn := netsim.NewConn("prov-query", env.Clock, netsim.CostModel{
-			RTT:       rc.Costs.QueryRTT,
-			PerRecord: rc.Costs.QueryPerRow,
-		})
-		priced := &queryPriced{Backend: env.Inner, conn: qconn, rows: rows}
-
-		// Random live locations from the final target state.
-		rng := rand.New(rand.NewSource(rc.Seed + int64(m)))
-		var locs []path.Path
-		view := env.Editor.TargetView()
-		view.Walk(func(rel path.Path, _ *tree.Node) error {
-			if !rel.IsRoot() {
-				locs = append(locs, path.New("MiMI").Join(rel))
+		if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+			st, err := env.Inner.Stat(context.Background())
+			if err != nil {
+				return err
 			}
+			// Every query round trip is a worst-case unindexed scan of the
+			// whole provenance relation, per §4.1 ("No indexing was
+			// performed on the provenance relation").
+			rows, tnow := st.Count, st.MaxTid
+			qconn := netsim.NewConn("prov-query", env.Clock, netsim.CostModel{
+				RTT: rc.Costs.QueryRTT + time.Duration(rows)*rc.Costs.QueryPerRow,
+			})
+			priced := netsim.ChargeBackend(env.Inner, qconn, qconn)
+
+			// Random live locations from the final target state.
+			rng := rand.New(rand.NewSource(rc.Seed + int64(m)))
+			var locs []path.Path
+			view := env.Editor.TargetView()
+			view.Walk(func(rel path.Path, _ *tree.Node) error {
+				if !rel.IsRoot() {
+					locs = append(locs, path.New("MiMI").Join(rel))
+				}
+				return nil
+			})
+			probes := min(rc.QueryProbes, len(locs))
+
+			meter := netsim.NewMeter(env.Clock)
+			for i := 0; i < probes; i++ {
+				loc := locs[rng.Intn(len(locs))].String()
+				for _, q := range []struct{ name, op string }{
+					{"getSrc", provplan.OpSrc}, {"getMod", provplan.OpMod}, {"getHist", provplan.OpHist},
+				} {
+					meter.Measure(q.name, func() error {
+						_, err := provplan.Collect(context.Background(), priced, &provplan.Query{Op: q.op, Path: loc, AsOf: tnow})
+						return err
+					})
+				}
+			}
+			t.AddRow(m.String(), fmt.Sprint(txnLen), fmt.Sprint(rows),
+				ms(meter.Bucket("getSrc").Avg()),
+				ms(meter.Bucket("getMod").Avg()),
+				ms(meter.Bucket("getHist").Avg()),
+			)
 			return nil
-		})
-		probes := rc.QueryProbes
-		if probes > len(locs) {
-			probes = len(locs)
+		}); err != nil {
+			return err
 		}
-
-		meter := netsim.NewMeter(env.Clock)
-		for i := 0; i < probes; i++ {
-			loc := locs[rng.Intn(len(locs))].String()
-			for _, q := range []struct{ name, op string }{
-				{"getSrc", provplan.OpSrc}, {"getMod", provplan.OpMod}, {"getHist", provplan.OpHist},
-			} {
-				meter.Measure(q.name, func() error {
-					_, err := provplan.Collect(context.Background(), priced, &provplan.Query{Op: q.op, Path: loc, AsOf: tnow})
-					return err
-				})
-			}
-		}
-		t.AddRow(m.String(), fmt.Sprint(txnLen), fmt.Sprint(rows),
-			ms(meter.Bucket("getSrc").Avg()),
-			ms(meter.Bucket("getMod").Avg()),
-			ms(meter.Bucket("getHist").Avg()),
-		)
-		env.Close()
 	}
 	return nil
 }

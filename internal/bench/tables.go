@@ -3,12 +3,10 @@ package bench
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/figures"
 	"repro/internal/netsim"
-	"repro/internal/provnet"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/tree"
@@ -166,7 +164,7 @@ func Ablations(rc RunConfig) ([]*Table, error) {
 		clock := netsim.NewClock()
 		write := netsim.NewConn("w", clock, rc.Costs.ProvWrite)
 		read := netsim.NewConn("r", clock, rc.Costs.ProvRead)
-		backend := provnet.New(provstore.NewMemBackend(), write, read)
+		backend := netsim.ChargeBackend(provstore.NewMemBackend(), write, read)
 		tr := provstore.MustNew(provstore.HierTrans, provstore.Config{
 			Backend:            backend,
 			EliminateRedundant: elim,
@@ -269,6 +267,3 @@ func rowCount(b provstore.Backend) int {
 	st, _ := b.Stat(context.Background())
 	return st.Count
 }
-
-// VirtualMS formats a duration as the benchmarks do (exported for cmd use).
-func VirtualMS(d time.Duration) string { return ms(d) }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/netsim"
 	"repro/internal/path"
-	"repro/internal/provnet"
 	"repro/internal/provstore"
 	"repro/internal/provtest"
 	"repro/internal/update"
@@ -200,11 +199,11 @@ func TestMeterCategories(t *testing.T) {
 	targetConn := netsim.NewConn("target", clock, netsim.CostModel{RTT: 100 * time.Millisecond})
 	provConn := netsim.NewConn("prov", clock, netsim.CostModel{RTT: 50 * time.Millisecond})
 
-	backend := provnet.New(provstore.NewMemBackend(), provConn, provConn)
+	backend := netsim.ChargeBackend(provstore.NewMemBackend(), provConn, provConn)
 	ed, err := core.NewEditor(core.Config{
-		Target: wrapper.ChargeTarget(wrapper.NewXMLTarget(xmlstore.NewMem("T", figures.T0())), targetConn),
+		Target: netsim.ChargeTarget(wrapper.NewXMLTarget(xmlstore.NewMem("T", figures.T0())), targetConn),
 		Sources: []wrapper.Source{
-			wrapper.ChargeSource(wrapper.NewXMLTarget(xmlstore.NewMem("S1", figures.S1())), targetConn),
+			netsim.ChargeSource(wrapper.NewXMLTarget(xmlstore.NewMem("S1", figures.S1())), targetConn),
 		},
 		Tracker: provstore.MustNew(provstore.Naive, provstore.Config{Backend: backend}),
 		Meter:   meter,
@@ -245,7 +244,7 @@ func TestMeterCategories(t *testing.T) {
 func TestConsistencyUnderFaults(t *testing.T) {
 	clock := netsim.NewClock()
 	provConn := netsim.NewConn("prov", clock, netsim.CostModel{RTT: time.Millisecond})
-	backend := provnet.New(provstore.NewMemBackend(), provConn, provConn)
+	backend := netsim.ChargeBackend(provstore.NewMemBackend(), provConn, provConn)
 	store := xmlstore.NewMem("T", figures.T0())
 	ed, err := core.NewEditor(core.Config{
 		Target: wrapper.NewXMLTarget(store),

@@ -1,4 +1,4 @@
-package provnet_test
+package netsim_test
 
 import (
 	"context"
@@ -8,17 +8,16 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/path"
-	"repro/internal/provnet"
 	"repro/internal/provstore"
 	"repro/internal/update"
 )
 
-func charged(t *testing.T) (*provnet.ChargedBackend, *netsim.Conn, *netsim.Conn, *netsim.Clock) {
+func charged(t *testing.T) (*netsim.ChargedBackend, *netsim.Conn, *netsim.Conn, *netsim.Clock) {
 	t.Helper()
 	clock := netsim.NewClock()
 	write := netsim.NewConn("prov-write", clock, netsim.CostModel{RTT: 50 * time.Millisecond, PerRecord: 10 * time.Millisecond})
 	read := netsim.NewConn("prov-read", clock, netsim.CostModel{RTT: 30 * time.Millisecond, PerRecord: time.Millisecond})
-	return provnet.New(provstore.NewMemBackend(), write, read), write, read, clock
+	return netsim.ChargeBackend(provstore.NewMemBackend(), write, read), write, read, clock
 }
 
 func rec(tid int64, loc string) provstore.Record {
@@ -93,7 +92,7 @@ func TestFaultAbortsBeforeWrite(t *testing.T) {
 	clock := netsim.NewClock()
 	write := netsim.NewConn("w", clock, netsim.CostModel{RTT: time.Millisecond})
 	read := netsim.NewConn("r", clock, netsim.CostModel{RTT: time.Millisecond})
-	b := provnet.New(provstore.NewMemBackend(), write, read)
+	b := netsim.ChargeBackend(provstore.NewMemBackend(), write, read)
 	write.InjectFaults(1.0, 7)
 	err := b.Append(context.Background(), []provstore.Record{rec(1, "T/a")})
 	if !errors.Is(err, netsim.ErrNetwork) {

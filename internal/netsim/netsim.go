@@ -7,6 +7,13 @@
 // latency plus per-record and per-byte service time, so experiments are
 // exactly repeatable and machine-independent.
 //
+// ChargeTarget, ChargeSource and ChargeBackend are the only code that
+// charges a Conn: each bills one Call per logical round trip of the paper's
+// architecture — a wrapper method is a call to the wrapped database (SOAP to
+// Timber, JDBC to MySQL), a backend method a call to the provenance
+// database — and a failed round trip aborts the operation before it reaches
+// the wrapped store, as a dropped network call would.
+//
 // The package also supports deterministic fault injection, used by failure
 // tests to verify that a lost round trip cannot corrupt the provenance
 // store.

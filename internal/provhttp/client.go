@@ -33,8 +33,8 @@ import (
 // driver side of the cpdb:// scheme. Each Backend method is exactly one HTTP
 // round trip (Append ships its whole batch in one POST; scans stream back as
 // a row stream), so the paper's one-round-trip-per-call cost model survives the
-// move from simulated to real networking, and provnet can wrap a Client to
-// meter it like any other backend.
+// move from simulated to real networking, and netsim.ChargeBackend can wrap
+// a Client to meter it like any other backend.
 //
 // The Client owns its transport and reuses connections across calls. It is
 // safe for concurrent use.

@@ -6,10 +6,10 @@
 // The paper's architecture (Figure 2) treats the provenance database P as a
 // service reached over the network — the original deployment spoke JDBC to
 // MySQL and SOAP to Timber. This package is the real-network counterpart of
-// internal/provnet's simulated connections: the wire protocol maps each
+// internal/netsim's simulated connections: the wire protocol maps each
 // Backend method to exactly one HTTP round trip, so the paper's cost model
-// (and provnet's per-call accounting, when it wraps a Client) carries over
-// unchanged to a deployed service.
+// (and netsim.ChargeBackend's per-call charging, when it wraps a Client)
+// carries over unchanged to a deployed service.
 //
 // Protocol (version 1, all paths under /v1/):
 //

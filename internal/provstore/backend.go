@@ -16,8 +16,7 @@ import (
 // A Backend persists provenance records — it plays the role of the
 // provenance database P in the paper's architecture (Figure 2). Each method
 // call corresponds to one logical round trip to the provenance database;
-// wrappers (see provnet.ChargedBackend) charge simulated network cost per
-// call.
+// the simulator's netsim.ChargeBackend charges network cost per call.
 //
 // Every method takes a context.Context as its first parameter, and a backend
 // must return promptly with ctx.Err() once the context is cancelled — a

@@ -295,7 +295,7 @@ func TestMemMatchesReference(t *testing.T) {
 		refused := 0
 		size := 3 * memRunMax
 		if testing.Short() {
-			size = memRunMax + 100
+			size = 2*memRunMax + 100
 		}
 		history := memHistory(rng, size)
 		for i, batch := range history {

@@ -156,7 +156,7 @@ func TestRelSourceTableFilter(t *testing.T) {
 func TestChargedWrappers(t *testing.T) {
 	clock := netsim.NewClock()
 	conn := netsim.NewConn("tgt", clock, netsim.CostModel{RTT: 100 * time.Millisecond, PerRecord: 10 * time.Millisecond})
-	w := wrapper.ChargeTarget(wrapper.NewXMLTarget(xmlstore.NewMem("T", figures.T0())), conn)
+	w := netsim.ChargeTarget(wrapper.NewXMLTarget(xmlstore.NewMem("T", figures.T0())), conn)
 
 	if _, err := w.CopyNode(path.MustParse("T/c1")); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestChargedWrappers(t *testing.T) {
 func TestChargedSourceFaults(t *testing.T) {
 	clock := netsim.NewClock()
 	conn := netsim.NewConn("src", clock, netsim.CostModel{RTT: time.Millisecond})
-	s := wrapper.ChargeSource(wrapper.NewXMLTarget(xmlstore.NewMem("S", figures.S1())), conn)
+	s := netsim.ChargeSource(wrapper.NewXMLTarget(xmlstore.NewMem("S", figures.S1())), conn)
 	conn.InjectFaults(1.0, 2)
 	if _, err := s.Tree(); !errors.Is(err, netsim.ErrNetwork) {
 		t.Errorf("Tree fault: %v", err)
