@@ -145,6 +145,44 @@ func TestShardedSessionEquivalence(t *testing.T) {
 	}
 }
 
+// TestNewShardedBackendOverRel: NewShardedBackend composes two opened rel://
+// stores, which no DSN names, into a store that answers the Figure 3
+// script's trace and mod queries exactly like mem://?shards=2.
+func TestNewShardedBackendOverRel(t *testing.T) {
+	dir := t.TempDir()
+	composed, err := cpdb.NewShardedBackend(
+		openBackend(t, "rel://"+filepath.Join(dir, "a.rel")+"?create=1"),
+		openBackend(t, "rel://"+filepath.Join(dir, "b.rel")+"?create=1"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := sessionOver(t, composed, 0), sessionOver(t, openBackend(t, "mem://?shards=2"), 0)
+	defer got.Close()
+	defer want.Close()
+	for _, loc := range []string{"T", "T/c1", "T/c1/y", "T/c2", "T/c2/y", "T/c3/x", "T/c4/y"} {
+		p := cpdb.MustParsePath(loc)
+		for _, verb := range []string{"trace", "mod"} {
+			answer := func(s *cpdb.Session) string {
+				var v any
+				var err error
+				if verb == "trace" {
+					v, err = s.Trace(p)
+				} else {
+					v, err = s.Mod(p)
+				}
+				if err != nil {
+					t.Fatalf("%s %s: %v", verb, loc, err)
+				}
+				return fmt.Sprintf("%+v", v)
+			}
+			if g, w := answer(got), answer(want); g != w {
+				t.Errorf("%s %s over two rel:// shards = %s, mem://?shards=2 = %s", verb, loc, g, w)
+			}
+		}
+	}
+}
+
 // openBackend opens dsn, failing the test on error.
 func openBackend(t *testing.T, dsn string) cpdb.Backend {
 	t.Helper()

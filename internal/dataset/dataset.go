@@ -140,9 +140,3 @@ func LoadOrganelleDB(db *relstore.DB, cfg OrganelleConfig) error {
 	}
 	return nil
 }
-
-// SourceSubtreeRoots lists the copyable size-four subtree roots of a source
-// tree generated by GenOrganelleTree (its top-level children), as labels.
-func SourceSubtreeRoots(src *tree.Node) []string {
-	return src.Labels()
-}

@@ -49,9 +49,6 @@ func TestGenOrganelleShape(t *testing.T) {
 			t.Fatalf("protein %s has size %d (%d children)", l, p.Size(), p.NumChildren())
 		}
 	}
-	if roots := dataset.SourceSubtreeRoots(root); len(roots) != 30 {
-		t.Errorf("SourceSubtreeRoots = %d", len(roots))
-	}
 	if !root.Equal(dataset.GenOrganelleTree(cfg)) {
 		t.Error("GenOrganelleTree not deterministic")
 	}

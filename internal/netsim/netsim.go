@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -102,9 +101,6 @@ func NewConn(name string, clock *Clock, model CostModel) *Conn {
 
 // Name returns the connection's diagnostic name.
 func (c *Conn) Name() string { return c.name }
-
-// Model returns the connection's cost model.
-func (c *Conn) Model() CostModel { return c.model }
 
 // InjectFaults makes a fraction rate of subsequent calls fail
 // deterministically (given the seed) with ErrNetwork. A rate of 0 disables
@@ -210,18 +206,6 @@ func (m *Meter) Bucket(category string) Bucket {
 		return *b
 	}
 	return Bucket{}
-}
-
-// Categories returns the measured category names, sorted.
-func (m *Meter) Categories() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.cats))
-	for k := range m.cats {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Reset clears all buckets.

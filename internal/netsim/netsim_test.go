@@ -50,7 +50,7 @@ func TestConnChargesClock(t *testing.T) {
 	if st.Calls != 2 || st.Records != 4 || st.Busy != 240*time.Millisecond {
 		t.Errorf("stats = %+v", st)
 	}
-	if conn.Name() != "prov" || conn.Model().RTT != 100*time.Millisecond {
+	if conn.Name() != "prov" {
 		t.Error("accessors wrong")
 	}
 }
@@ -114,10 +114,6 @@ func TestMeter(t *testing.T) {
 		t.Error("empty bucket avg must be 0")
 	}
 	m.Add("commit", 5*time.Millisecond)
-	cats := m.Categories()
-	if len(cats) != 2 || cats[0] != "add" || cats[1] != "commit" {
-		t.Errorf("Categories = %v", cats)
-	}
 	// Errors pass through and still get measured.
 	sentinel := errors.New("boom")
 	if err := m.Measure("fail", func() error { return sentinel }); !errors.Is(err, sentinel) {
@@ -127,7 +123,7 @@ func TestMeter(t *testing.T) {
 		t.Error("failed op must be counted")
 	}
 	m.Reset()
-	if len(m.Categories()) != 0 {
+	if m.Bucket("add").Count != 0 || m.Bucket("commit").Count != 0 {
 		t.Error("Reset must clear")
 	}
 	if m.Bucket("gone").Count != 0 {

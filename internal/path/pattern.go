@@ -46,11 +46,6 @@ func MustParsePattern(s string) Pattern {
 	return pat
 }
 
-// PatternFromPath returns the exact pattern matching only p.
-func PatternFromPath(p Path) Pattern {
-	return Pattern{elems: p.Labels()}
-}
-
 // String returns the canonical textual form of the pattern.
 func (pat Pattern) String() string {
 	return strings.Join(pat.elems, string(Separator))
@@ -120,41 +115,6 @@ func (pat Pattern) Rebase(p Path, dst Pattern) (Pattern, bool) {
 	for i, e := range dst.elems {
 		if e != Wildcard {
 			out[i] = e
-		}
-	}
-	return Pattern{elems: out}, true
-}
-
-// Overlaps reports whether the two patterns can match a common path. Two
-// patterns overlap iff they have equal length and at every position at least
-// one side is a wildcard or the labels agree.
-func (pat Pattern) Overlaps(other Pattern) bool {
-	if len(pat.elems) != len(other.elems) {
-		return false
-	}
-	for i := range pat.elems {
-		a, b := pat.elems[i], other.elems[i]
-		if a != Wildcard && b != Wildcard && a != b {
-			return false
-		}
-	}
-	return true
-}
-
-// Generalize returns the most specific pattern (of the same length) matching
-// every path matched by either input, replacing disagreeing components with
-// wildcards. It returns false when the lengths differ — such patterns have
-// no common-length generalization.
-func (pat Pattern) Generalize(other Pattern) (Pattern, bool) {
-	if len(pat.elems) != len(other.elems) {
-		return Pattern{}, false
-	}
-	out := make([]string, len(pat.elems))
-	for i := range pat.elems {
-		if pat.elems[i] == other.elems[i] {
-			out[i] = pat.elems[i]
-		} else {
-			out[i] = Wildcard
 		}
 	}
 	return Pattern{elems: out}, true

@@ -61,9 +61,6 @@ func TestPatternExactAsPath(t *testing.T) {
 	if _, ok := MustParsePattern("T/*").AsPath(); ok {
 		t.Error("wildcard pattern must not convert to path")
 	}
-	if !PatternFromPath(MustParse("T/x")).IsExact() {
-		t.Error("PatternFromPath must be exact")
-	}
 }
 
 func TestPatternRebase(t *testing.T) {
@@ -78,39 +75,5 @@ func TestPatternRebase(t *testing.T) {
 	}
 	if _, ok := src.Rebase(MustParse("S/a/k/b"), MustParsePattern("T/short")); ok {
 		t.Error("length mismatch must not rebase")
-	}
-}
-
-func TestPatternOverlaps(t *testing.T) {
-	a := MustParsePattern("T/a/*/b")
-	b := MustParsePattern("T/*/x/b")
-	c := MustParsePattern("T/a/x/c")
-	d := MustParsePattern("T/a/x")
-	if !a.Overlaps(b) {
-		t.Error("a and b overlap at T/a/x/b")
-	}
-	if a.Overlaps(c) {
-		t.Error("a and c differ at final label")
-	}
-	if a.Overlaps(d) {
-		t.Error("different lengths never overlap")
-	}
-	if !a.Overlaps(a) {
-		t.Error("pattern overlaps itself")
-	}
-}
-
-func TestPatternGeneralize(t *testing.T) {
-	a := MustParsePattern("T/a/x/b")
-	b := MustParsePattern("T/a/y/b")
-	g, ok := a.Generalize(b)
-	if !ok || g.String() != "T/a/*/b" {
-		t.Errorf("Generalize: %q, %v", g, ok)
-	}
-	if !g.Matches(MustParse("T/a/x/b")) || !g.Matches(MustParse("T/a/y/b")) {
-		t.Error("generalization must match both inputs")
-	}
-	if _, ok := a.Generalize(MustParsePattern("T/a")); ok {
-		t.Error("length mismatch cannot generalize")
 	}
 }

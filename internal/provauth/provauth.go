@@ -37,7 +37,9 @@
 // its roots and proofs over /v1/root, /v1/prove and /v1/consistency and
 // stamps streamed answers; the cpdb:// client's ?verify=pin mode checks
 // every answer against a persisted pinned root, failing closed on
-// mismatch; provrepl appliers verify shipped chunks before applying.
+// mismatch; provrepl appliers verify shipped chunks before applying. Both
+// verifiers admit roots by one rule, an Anchor: trust on first use, then
+// only roots a consistency proof connects to the anchored one.
 //
 // Failure semantics are deliberately loud: appending to a sealed
 // transaction is ErrSealed (the tree cannot insert into the past), proving

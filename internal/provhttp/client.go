@@ -48,11 +48,13 @@ import (
 //
 // cpdb://host:port?verify=pin&pin=FILE turns on answer verification against
 // the server's Merkle history tree (the server must publish a verified://
-// store). The pin file holds the last root this client accepted: trusted on
-// first use, then advanced only over verified consistency proofs — a server
-// that rewrites or rolls back history can never satisfy the pin again. In
+// store). The pin is a provauth.Anchor persisted in the pin file: the first
+// root is trusted on first use, and every later root must connect to the
+// anchor's current root over a verified consistency proof — a server that
+// rewrites or rolls back history can never satisfy it again, and of two
+// concurrent reads answered from forked histories only one is admitted. In
 // this mode every scan and query asks for proofs=1; each answered record is
-// checked against the response's root, the root against the pin, and the
+// checked against the response's root, the root against the anchor, and the
 // record against the question that was asked (ScanSpec.Match: a point read
 // is a scan bounded to its key, so its answer must carry that key, and a
 // filtered scan's records must satisfy its filter — an inclusion proof
@@ -68,8 +70,8 @@ import (
 // The Client also implements provauth.Authority, so a local process — or
 // another daemon — can treat a remote authenticated store as its proof
 // source. Root (/v1/root) and ScanProven (a proofs=1 /v1/scan) are reads
-// like any other: on a verify=pin client both are pinned — the root must
-// extend the pin and advances it, and every proven record is checked
+// like any other: on a verify=pin client both are pinned — the anchor must
+// admit the root, and every proven record is checked
 // against that root and against its scan. Only ProveAt (/v1/prove) is a raw
 // forwarder, returning the proof the server built against the tree size
 // the caller names: the transport a chained daemon stamps its own streams
@@ -80,11 +82,7 @@ type Client struct {
 	base string // "http://host:port"
 	hc   *http.Client
 
-	verify  bool
-	pinFile string
-	pinMu   sync.Mutex
-	pin     provauth.Root
-	pinSet  bool
+	anchor *provauth.Anchor // verify=pin: admits every root the server answers with; nil otherwise
 
 	// Result cache (cpdb://…?cache=SIZE; nil when off). Keys embed gen, the
 	// client's horizon generation: it advances when this client appends or
@@ -127,7 +125,7 @@ func WithTimeout(d time.Duration) ClientOption {
 // WithVerifyPin turns on verified mode (see the Client doc) with the pinned
 // root persisted at file — the ?verify=pin&pin=FILE DSN form.
 func WithVerifyPin(file string) ClientOption {
-	return func(c *Client) { c.verify, c.pinFile = true, file }
+	return func(c *Client) { c.anchor = provauth.NewAnchor(file) }
 }
 
 // WithResultCache bounds a client-side result cache to maxBytes — the
@@ -154,7 +152,7 @@ func NewClient(hostport string, opts ...ClientOption) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.cacheBytes > 0 && !c.verify {
+	if c.cacheBytes > 0 && c.anchor == nil {
 		c.cacheReg = provobs.NewRegistry()
 		c.cacheMet = provcache.NewMetrics(c.cacheReg, "client")
 		c.cache = provcache.New(c.cacheBytes, c.cacheMet)
@@ -323,7 +321,7 @@ type proofMode int
 const (
 	unproven proofMode = iota // a plain stream
 	proven                    // proofs=1: each record line carries its proof against the header root, taken as the server claims it
-	pinned                    // proven, with since=: the header root must also extend the pinned root
+	pinned                    // proven, with since=: the anchor must also admit the header root
 )
 
 // A streamReader is the one decoder of the row stream (see the package
@@ -368,7 +366,7 @@ func (sr *streamReader) read(body io.ReadCloser, contentType string) {
 // way. The request is issued under the rpc span, so it stamps that span's id
 // and the server's subtree parents correctly; with no recorder installed not
 // even the span's name is built. For a proven stream the header root is
-// parsed, and in pinned mode verified against the pin, before any line is
+// parsed, and in pinned mode admitted by the anchor, before any line is
 // read.
 func (c *Client) stream(ctx context.Context, label any, method, p string, q url.Values, body io.Reader, mode proofMode) *streamReader {
 	sr := &streamReader{ctx: ctx, label: label}
@@ -391,7 +389,7 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 		q.Set("proofs", "1")
 		if mode == pinned {
 			var err error
-			if since, err = c.ensurePin(sr.ctx); err != nil {
+			if since, err = c.since(sr.ctx); err != nil {
 				return err
 			}
 			q.Set("since", strconv.FormatUint(since.Size, 10))
@@ -413,7 +411,7 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 		if err != nil {
 			return fmt.Errorf("provhttp: bad %s header: %w", headerAuthConsistency, err)
 		}
-		return c.adoptRoot(since, sr.root, audit)
+		return c.anchor.Admit(sr.ctx, c, sr.root, since, audit)
 	}
 	return nil
 }
@@ -648,62 +646,32 @@ func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error
 
 // --- the pinned root ----------------------------------------------------------
 
-// ensurePin loads (or trust-on-first-use initializes) the pinned root and
-// returns a snapshot of it — the "since" tree size this request resolves
-// its consistency path from.
-func (c *Client) ensurePin(ctx context.Context) (provauth.Root, error) {
-	c.pinMu.Lock()
-	defer c.pinMu.Unlock()
-	if c.pinSet {
-		return c.pin, nil
+// since returns the pinned root a pinned request resolves its consistency
+// path from: the anchor's root, which on first use is the server's current
+// root, trusted as it is.
+func (c *Client) since(ctx context.Context) (provauth.Root, error) {
+	if pin, ok, err := c.anchor.Root(); err != nil || ok {
+		return pin, err
 	}
-	pin, have, err := provauth.LoadPin(c.pinFile)
+	root, err := c.root(ctx, false)
 	if err != nil {
 		return provauth.Root{}, err
 	}
-	if !have {
-		// Trust on first use: adopt and persist the server's current root.
-		// Every later answer must extend it.
-		if pin, err = c.root(ctx, false); err != nil {
-			return provauth.Root{}, err
-		}
-		if err := provauth.SavePin(c.pinFile, pin); err != nil {
-			return provauth.Root{}, err
-		}
+	if err := c.anchor.Admit(ctx, c, root, provauth.Root{}, nil); err != nil {
+		return provauth.Root{}, err
 	}
-	c.pin, c.pinSet = pin, true
-	return pin, nil
-}
-
-// adoptRoot verifies that root extends the since snapshot over audit and,
-// when the pin has not moved since that snapshot, advances and persists the
-// pin. Every verified read funnels through here; a root that does not
-// extend the pin — wrong hash, shrunk log, rewritten history — fails the
-// read (wrapping provauth.ErrVerify) and the data it covered is rejected.
-func (c *Client) adoptRoot(since, root provauth.Root, audit []provauth.Hash) error {
-	if err := provauth.VerifyConsistency(since, root, audit); err != nil {
-		return fmt.Errorf("provhttp: server root %v does not extend pinned root %v: %w", root, since, err)
-	}
-	c.pinMu.Lock()
-	defer c.pinMu.Unlock()
-	if c.pin == since && root.Size > c.pin.Size {
-		c.pin = root
-		if err := provauth.SavePin(c.pinFile, root); err != nil {
-			return err
-		}
-	}
-	return nil
+	pin, _, err := c.anchor.Root()
+	return pin, err
 }
 
 // root issues a /v1/root round trip and parses the root it answers. With
-// pin set the request carries since= and the root must extend the pinned
-// root, advancing it.
+// pin set the request carries since= and the anchor must admit the root.
 func (c *Client) root(ctx context.Context, pin bool) (provauth.Root, error) {
 	var since provauth.Root
 	q := url.Values{}
 	if pin {
 		var err error
-		if since, err = c.ensurePin(ctx); err != nil {
+		if since, err = c.since(ctx); err != nil {
 			return provauth.Root{}, err
 		}
 		q.Set("since", strconv.FormatUint(since.Size, 10))
@@ -723,7 +691,7 @@ func (c *Client) root(ctx context.Context, pin bool) (provauth.Root, error) {
 				return provauth.Root{}, err
 			}
 		}
-		if err := c.adoptRoot(since, root, audit); err != nil {
+		if err := c.anchor.Admit(ctx, c, root, since, audit); err != nil {
 			return provauth.Root{}, err
 		}
 	}
@@ -738,7 +706,7 @@ func (c *Client) root(ctx context.Context, pin bool) (provauth.Root, error) {
 // that arrived intact.
 //
 // In verified mode every scan asks for proofs: the response root is checked
-// against the pin, and each record against that root, before it is yielded
+// against the anchor, and each record against that root, before it is yielded
 // — an unproven or wrongly proven record fails the stream. Each record is
 // also re-checked against the spec itself, resume key included: an inclusion
 // proof shows a record is in the log, not that it belongs in *this* answer,
@@ -747,7 +715,7 @@ func (c *Client) root(ctx context.Context, pin bool) (provauth.Root, error) {
 // has no range proofs — so a verified scan can still omit matching
 // records; it can never smuggle in non-matching or forged ones.)
 func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
-	if c.verify {
+	if c.anchor != nil {
 		return func(yield func(provstore.Record, error) bool) {
 			for pr, err := range c.ScanProven(ctx, spec) {
 				if !yield(pr.Rec, err) {
@@ -765,16 +733,15 @@ func (c *Client) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[pr
 // each line's record and proof yielded with the header root — the form a
 // verifying consumer (a replica applier, the CLI's prove and verify verbs)
 // checks record by record. On a verify=pin client the stream is pinned, as
-// every verified read is: the header root must extend the pin and advances
-// it, and each record is checked against spec (resume key included) and
-// against that root before it is yielded. Otherwise it is raw: the root
-// arrives exactly as the server claimed it, so a consumer that wants more
-// than self-consistency must anchor it — require it to extend a previously
-// accepted root over a consistency proof, as provrepl's verified appliers
-// do.
+// every verified read is: the anchor must admit the header root, and each
+// record is checked against spec (resume key included) and against that
+// root before it is yielded. Otherwise it is raw: the root arrives exactly
+// as the server claimed it, so a consumer that wants more than
+// self-consistency must admit it through a provauth.Anchor of its own, as
+// provrepl's verified appliers do.
 func (c *Client) ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provauth.ProvenRecord, error] {
 	mode := proven
-	if c.verify {
+	if c.anchor != nil {
 		mode = pinned
 	}
 	return rows(func() *streamReader {
@@ -810,7 +777,7 @@ func (c *Client) ScanProven(ctx context.Context, spec provstore.ScanSpec) iter.S
 // saw the tail, so there is nothing complete to keep); analyze queries
 // carry per-execution timings and bypass the cache, as does verified mode.
 func (c *Client) ExecPlan(ctx context.Context, q *provplan.Query) iter.Seq2[provplan.Row, error] {
-	if c.cache == nil || c.verify || q.Analyze {
+	if c.cache == nil || c.anchor != nil || q.Analyze {
 		return c.execPlan(ctx, q)
 	}
 	key := c.cacheKey(q.String())
@@ -853,7 +820,7 @@ func (c *Client) ExecPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 // execPlan is the uncached /v1/query round trip under ExecPlan.
 func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[provplan.Row, error] {
 	mode := unproven
-	if c.verify {
+	if c.anchor != nil {
 		mode = pinned
 	}
 	return rows(func() *streamReader {
@@ -877,10 +844,9 @@ func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 // --- the remote Authority surface ----------------------------------------------
 
 // Root implements provauth.Authority: the server's current tree head. On a
-// verify=pin client the answer is checked against (and advances) the pin
-// before it is returned.
+// verify=pin client the anchor must admit the answer before it is returned.
 func (c *Client) Root(ctx context.Context) (provauth.Root, error) {
-	return c.root(ctx, c.verify)
+	return c.root(ctx, c.anchor != nil)
 }
 
 // ProveAt implements provauth.Authority: the raw /v1/prove transport.

@@ -201,9 +201,13 @@ func (b *ReplicatedBackend) applyPass(r *replica) (err error) {
 }
 
 // verifiedScanAfter adapts the primary's proven stream to the plain record
-// stream applyPass consumes: the stream's root is anchored against the last
-// root a pass shipped under (anchorShipRoot), then each record's inclusion
-// proof is checked against it before the record crosses to a replica. A bad
+// stream applyPass consumes: the stream's root must be admitted by the
+// shared anchor, over a consistency proof fetched from — but verified
+// against — the primary, then each record's inclusion proof is checked
+// against it before the record crosses to a replica. Without the anchor,
+// verified shipping from a remote primary would only check each pass's
+// self-consistency: a primary that rewrote history and honestly re-proved
+// everything against its regenerated tree would still ship cleanly. A bad
 // proof or an unanchorable root fails the pass, so a tampered primary
 // blocks shipping rather than propagating. Only sealed transactions appear
 // in the proven stream, so a verified replica trails the primary by any
@@ -219,7 +223,7 @@ func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int6
 				return
 			}
 			if !anchored || pr.Root != root {
-				if aerr := b.anchorShipRoot(ctx, auth, pr.Root); aerr != nil {
+				if aerr := b.anchor.Admit(ctx, auth, pr.Root, provauth.Root{}, nil); aerr != nil {
 					b.verifyFailures.Add(1)
 					yield(provstore.Record{}, aerr)
 					return
@@ -237,45 +241,6 @@ func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int6
 			}
 		}
 	}
-}
-
-// anchorShipRoot admits one pass's claimed root: the first root seen is
-// trusted (the handle-lifetime analogue of a pinned client's
-// trust-on-first-use), and every later root must be consistent with the last
-// accepted one over a consistency proof fetched from — but verified against
-// — the primary: extend it, and become the anchor, or be a prefix the anchor
-// extends, as a root another applier's pass snapshotted before this one's
-// is. Without this, verified shipping from a remote primary would only
-// check each pass's self-consistency: a primary that rewrote history and
-// honestly re-proved everything against its regenerated tree would still
-// ship cleanly. The consistency proof is what a rewritten tree cannot
-// produce.
-func (b *ReplicatedBackend) anchorShipRoot(ctx context.Context, auth provauth.Authority, root provauth.Root) error {
-	b.shipRootMu.Lock()
-	defer b.shipRootMu.Unlock()
-	if !b.shipRootOk {
-		b.shipRoot, b.shipRootOk = root, true
-		return nil
-	}
-	older, newer := b.shipRoot, root
-	if root.Size < older.Size {
-		older, newer = root, older
-	}
-	if older == newer {
-		return nil
-	}
-	var audit []provauth.Hash
-	if newer.Size > older.Size {
-		var err error
-		if audit, err = auth.Consistency(ctx, older.Size, newer.Size); err != nil {
-			return fmt.Errorf("provrepl: fetching consistency %d -> %d for the ship-root anchor: %w", older.Size, newer.Size, err)
-		}
-	}
-	if err := provauth.VerifyConsistency(older, newer, audit); err != nil {
-		return fmt.Errorf("provrepl: primary root %v is not consistent with the last shipped root %v: %w", root, b.shipRoot, err)
-	}
-	b.shipRoot = newer
-	return nil
 }
 
 // recoverHighWater computes the replica's high-water {Tid, Loc} mark from

@@ -150,15 +150,12 @@ type ReplicatedBackend struct {
 
 	rr atomic.Uint64
 
-	// shipRoot is the last primary root a verified pass shipped under,
-	// trusted on first use and advanced only over verified consistency
-	// proofs — the anchor that stops a primary (in particular a remote
-	// cpdb:// one, whose roots arrive as unauthenticated claims) from
-	// rewriting history between passes and re-proving everything against
-	// the rewritten tree. Guarded by shipRootMu; shared by all appliers.
-	shipRootMu sync.Mutex
-	shipRoot   provauth.Root
-	shipRootOk bool
+	// anchor admits the primary root each verified pass ships under. It
+	// stops a primary (in particular a remote cpdb:// one, whose roots
+	// arrive as unauthenticated claims) from rewriting history between
+	// passes and re-proving everything against the rewritten tree. Shared
+	// by all appliers; used only under Options.Verify.
+	anchor *provauth.Anchor
 
 	obs            *provobs.Registry
 	laggedReads    *provobs.Counter // ReadAny reads served by a stale replica
@@ -206,6 +203,7 @@ func New(primary provstore.Backend, replicas []provstore.Backend, opts Options) 
 	b := &ReplicatedBackend{
 		primary: primary,
 		opts:    opts.withDefaults(),
+		anchor:  provauth.NewAnchor(""),
 		obs:     provobs.NewRegistry(),
 		ctx:     ctx,
 		cancel:  cancel,

@@ -2,7 +2,6 @@ package provrepl
 
 import (
 	"context"
-	"errors"
 	"iter"
 	"net/url"
 	"reflect"
@@ -280,48 +279,5 @@ func TestVerifyDSN(t *testing.T) {
 		if _, err := provstore.OpenDSN(bad); err == nil {
 			t.Errorf("OpenDSN(%s) succeeded, want error", bad)
 		}
-	}
-}
-
-// TestAnchorAcceptsOlderPrefixRoot: two appliers share the ship-root anchor,
-// and one may present a root it snapshotted before the other advanced the
-// anchor. A root the anchor extends is accepted and leaves the anchor where
-// it is; an older root the anchor does not extend fails verification.
-func TestAnchorAcceptsOlderPrefixRoot(t *testing.T) {
-	ctx := context.Background()
-	primary := mustAuth(t, provstore.NewMemBackend())
-	var older, newer provauth.Root
-	for tid := int64(1); tid <= 3; tid++ {
-		if err := primary.Append(ctx, tidBatch(tid, 3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := primary.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		root, err := primary.Root(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tid == 1 {
-			older = root
-		}
-		newer = root
-	}
-	b := &ReplicatedBackend{}
-	for _, root := range []provauth.Root{newer, older, newer} {
-		if err := b.anchorShipRoot(ctx, primary, root); err != nil {
-			t.Fatalf("anchoring %v after %v: %v", root, b.shipRoot, err)
-		}
-		if b.shipRoot != newer {
-			t.Fatalf("anchor is %v after %v, want %v", b.shipRoot, root, newer)
-		}
-	}
-	forged := older
-	forged.Hash[0] ^= 1
-	if err := b.anchorShipRoot(ctx, primary, forged); !errors.Is(err, provauth.ErrVerify) {
-		t.Fatalf("anchoring an older root the anchor does not extend: %v, want ErrVerify", err)
-	}
-	if b.shipRoot != newer {
-		t.Fatalf("a rejected root moved the anchor to %v", b.shipRoot)
 	}
 }

@@ -217,10 +217,6 @@ func (m Method) LongName() string {
 	}
 }
 
-// Hierarchic reports whether the method stores hierarchical (per-operation)
-// records whose descendants are inferred, i.e. H or HT.
-func (m Method) Hierarchic() bool { return m == Hierarchical || m == HierTrans }
-
 // Deferred reports whether the method buffers records until commit, i.e.
 // T or HT.
 func (m Method) Deferred() bool { return m == Transactional || m == HierTrans }

@@ -53,9 +53,6 @@ func TestMethodStrings(t *testing.T) {
 	if Method(99).String() == "" || Method(99).LongName() == "" {
 		t.Error("unknown method should still render")
 	}
-	if !Hierarchical.Hierarchic() || !HierTrans.Hierarchic() || Naive.Hierarchic() || Transactional.Hierarchic() {
-		t.Error("Hierarchic wrong")
-	}
 	if !Transactional.Deferred() || !HierTrans.Deferred() || Naive.Deferred() || Hierarchical.Deferred() {
 		t.Error("Deferred wrong")
 	}

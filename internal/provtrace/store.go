@@ -85,9 +85,6 @@ func NewStore(capacity int, ratio float64, slow time.Duration) *Store {
 // byte-identity of both endpoints.
 func (st *Store) Registry() *provobs.Registry { return st.reg }
 
-// SlowThreshold returns the always-keep slow cutoff (0 = disabled).
-func (st *Store) SlowThreshold() time.Duration { return st.slow }
-
 // sample is the head-sampling coin flip.
 func (st *Store) sample() bool {
 	if st.ratio >= 1 {

@@ -6,7 +6,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // This file implements two interchange encodings for trees:
@@ -214,14 +213,4 @@ func ReadBinary(r io.Reader) (*Node, error) {
 		return nil, fmt.Errorf("tree: %d trailing bytes after node", len(data)-used)
 	}
 	return n, nil
-}
-
-// sortedKeys is a tiny helper shared by the codec tests.
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

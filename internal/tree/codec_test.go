@@ -149,14 +149,6 @@ func TestQuickXMLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortedKeysHelper(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := sortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[2] != "c" {
-		t.Errorf("sortedKeys = %v", ks)
-	}
-}
-
 func TestTryBuildErrors(t *testing.T) {
 	if _, err := TryBuild(M{"a": 3.14}); err == nil {
 		t.Error("unsupported literal type should error")

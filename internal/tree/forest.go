@@ -2,7 +2,6 @@ package tree
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/path"
 )
@@ -35,16 +34,6 @@ func (f *Forest) AddDB(name string, root *Node) error {
 
 // DB returns the root of the named database, or nil.
 func (f *Forest) DB(name string) *Node { return f.dbs[name] }
-
-// Names returns the database names in sorted order.
-func (f *Forest) Names() []string {
-	out := make([]string, 0, len(f.dbs))
-	for n := range f.dbs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Get resolves an absolute path (first component = database name) to a node.
 func (f *Forest) Get(p path.Path) (*Node, error) {

@@ -299,23 +299,3 @@ func (n *Node) render(b *strings.Builder) {
 	}
 	b.WriteByte('}')
 }
-
-// Union merges the edges of other into n (t ⊎ t'); it fails with ErrDupEdge
-// on any shared top-level label, per the paper's semantics. Children are
-// cloned, never aliased.
-func (n *Node) Union(other *Node) error {
-	if n.leaf || other.leaf {
-		return ErrLeafChild
-	}
-	for l := range other.children {
-		if _, ok := n.children[l]; ok {
-			return fmt.Errorf("%w: %q", ErrDupEdge, l)
-		}
-	}
-	for l, ch := range other.children {
-		if err := n.AddChild(l, ch.Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
-}

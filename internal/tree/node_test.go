@@ -167,33 +167,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := Build(M{"x": 1})
-	b := Build(M{"y": 2})
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.HasChild("x") || !a.HasChild("y") {
-		t.Error("union missing edges")
-	}
-	if err := a.Union(Build(M{"y": 3})); !errors.Is(err, ErrDupEdge) {
-		t.Errorf("union with shared label: got %v", err)
-	}
-	if err := a.Union(NewLeaf("v")); !errors.Is(err, ErrLeafChild) {
-		t.Errorf("union with leaf: got %v", err)
-	}
-	// Union must clone: mutating b afterwards must not affect a.
-	c := Build(M{"z": M{"w": 1}})
-	d := NewTree()
-	if err := d.Union(c); err != nil {
-		t.Fatal(err)
-	}
-	c.Child("z").RemoveChild("w")
-	if !d.Child("z").HasChild("w") {
-		t.Error("union aliased subtree")
-	}
-}
-
 // randomTree generates a bounded random tree for property tests.
 func randomTree(r *rand.Rand, depth int) *Node {
 	if depth == 0 || r.Intn(3) == 0 {
@@ -258,9 +231,6 @@ func TestForest(t *testing.T) {
 	}
 	if !f.Has(path.MustParse("S1/a2")) || f.Has(path.MustParse("S1/zz")) {
 		t.Error("Has wrong")
-	}
-	if got := f.Names(); len(got) != 1 || got[0] != "S1" {
-		t.Errorf("Names = %v", got)
 	}
 }
 

@@ -98,16 +98,6 @@ func (d Deletion) String() string {
 	}
 }
 
-// ParseDeletion parses a Table 3 deletion-pattern name.
-func ParseDeletion(s string) (Deletion, error) {
-	for _, d := range AllDeletions {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown deletion pattern %q", s)
-}
-
 // Config configures a Generator.
 type Config struct {
 	Pattern    Pattern
@@ -137,8 +127,7 @@ type Generator struct {
 	realVictims  []path.Path
 	lastCopyKids []path.Path
 
-	fresh   int
-	emitted int
+	fresh int
 }
 
 // New builds a generator over snapshots of the target and source trees.
@@ -193,9 +182,6 @@ func New(cfg Config, target, source *tree.Node) *Generator {
 	return g
 }
 
-// Emitted returns the number of operations generated so far.
-func (g *Generator) Emitted() int { return g.emitted }
-
 // TargetMirror returns a copy of the generator's view of the target.
 func (g *Generator) TargetMirror() *tree.Node {
 	return g.forest.DB(g.cfg.TargetName).Clone()
@@ -204,7 +190,6 @@ func (g *Generator) TargetMirror() *tree.Node {
 // Next returns the next operation of the configured pattern. The operation
 // has already been validated (and applied) against the generator's mirror.
 func (g *Generator) Next() update.Op {
-	g.emitted++
 	switch g.cfg.Pattern {
 	case Add:
 		return g.genAdd()

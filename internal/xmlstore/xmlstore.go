@@ -263,30 +263,3 @@ func (s *Store) Paste(p path.Path, subtree *tree.Node) error {
 	s.revision++
 	return nil
 }
-
-// ImportXML replaces the store contents with the tree decoded from an XML
-// document produced by ExportXML.
-func (s *Store) ImportXML(data []byte) error {
-	_, root, err := tree.UnmarshalXML(data)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.root = root
-	s.revision++
-	return nil
-}
-
-// ExportXML renders the database as an XML document.
-func (s *Store) ExportXML() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return tree.MarshalXML(s.name, s.root)
-}

@@ -138,24 +138,6 @@ func TestStorePersistence(t *testing.T) {
 	}
 }
 
-func TestStoreXMLRoundTrip(t *testing.T) {
-	s := NewMem("T", figures.T0())
-	data, err := s.ExportXML()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewMem("T", nil)
-	if err := s2.ImportXML(data); err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Snapshot().Equal(figures.T0()) {
-		t.Error("XML round trip mismatch")
-	}
-	if err := s2.ImportXML([]byte("<bad")); err == nil {
-		t.Error("bad XML should error")
-	}
-}
-
 // TestStoreRunsFigure3 drives the Figure 3 script through the store's
 // update surface and checks the result equals T'.
 func TestStoreRunsFigure3(t *testing.T) {

@@ -3,12 +3,15 @@ package cpdb_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	cpdb "repro"
 	"repro/internal/figures"
+	"repro/internal/provplan"
 )
 
 func planSession(t *testing.T) *cpdb.Session {
@@ -120,6 +123,87 @@ func TestQueryPlanAsOfPinning(t *testing.T) {
 		if len(viaPlan.Tids) != len(viaMethod) {
 			t.Errorf("asof %d: plan hist %v != method hist %v", asOf, viaPlan.Tids, viaMethod)
 		}
+	}
+}
+
+// TestQueryPlanRowsMatchesPlan: PlanRows streams exactly the rows Plan
+// collects, over an in-process and a remote store, with and without an AsOf
+// horizon. The script ends with a copy out of T/c1/y, so under a horizon
+// before it a loc-src join must bound its sub-select too (pinSelect) and
+// leave T/c1/y's own record out. A parse error is the stream's first and
+// only element.
+func TestQueryPlanRowsMatchesPlan(t *testing.T) {
+	const lastTid = figures.FirstTid + 10 // the copy out of T/c1/y
+	queries := []string{
+		"select",
+		"select where loc>=T/c2 and op=C order loc-tid",
+		"select join loc-src (select where op=C)",
+		"select count",
+		"trace T/c1/y",
+		"hist T/c1/y",
+		"mod T",
+		"src T/c4/y",
+	}
+	for _, dsn := range []string{"mem://", startService(t)} {
+		t.Run(strings.SplitN(dsn, ":", 2)[0], func(t *testing.T) {
+			s, err := cpdb.New(cpdb.Config{
+				Target:          cpdb.NewMemTarget("T", figures.T0()),
+				Sources:         []cpdb.Source{cpdb.NewMemSource("S1", figures.S1()), cpdb.NewMemSource("S2", figures.S2())},
+				Method:          cpdb.Naive,
+				Backend:         openBackend(t, dsn),
+				StartTid:        figures.FirstTid,
+				AutoCommitEvery: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Run(figures.Script + "(11) copy T/c1/y into T/c9;"); err != nil {
+				t.Fatal(err)
+			}
+			for _, asOf := range []int64{0, lastTid - 1} {
+				q := s.Query(cpdb.AsOf(asOf))
+				for _, text := range queries {
+					want, err := q.Plan(text)
+					if err != nil {
+						t.Fatalf("asof %d: Plan(%q): %v", asOf, text, err)
+					}
+					got, err := provplan.CollectRows(q.PlanRows(text))
+					if err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("asof %d: PlanRows(%q) = %+v, %v; Plan = %+v", asOf, text, got, err, want)
+					}
+				}
+			}
+
+			pinned, err := provplan.CollectRows(s.Query(cpdb.AsOf(lastTid - 1)).PlanRows("select join loc-src (select where op=C)"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounded := func(sub string) []cpdb.Record {
+				res, err := s.Plan(fmt.Sprintf("select where tid<=%d join loc-src (select where %sop=C)", lastTid-1, sub))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Records
+			}
+			want := bounded(fmt.Sprintf("tid<=%d and ", lastTid-1))
+			if unpinnedSub := bounded(""); len(unpinnedSub) <= len(want) {
+				t.Fatalf("the join's sub-select bound changes nothing (%v): the case does not exercise it", unpinnedSub)
+			}
+			if !reflect.DeepEqual(pinned.Records, want) {
+				t.Errorf("AsOf(%d) join = %v, want the sub-select bounded too: %v", lastTid-1, pinned.Records, want)
+			}
+
+			n := 0
+			for _, err := range s.Query().PlanRows("select where bogus") {
+				if n++; err == nil || n > 1 {
+					t.Fatalf("parse error stream: element %d has error %v, want one element carrying the parse error", n, err)
+				}
+			}
+			if n != 1 {
+				t.Fatalf("parse error stream yielded %d elements, want 1", n)
+			}
+		})
 	}
 }
 
