@@ -355,7 +355,7 @@ type streamReader struct {
 func (sr *streamReader) read(body io.ReadCloser, contentType string) {
 	sr.body = body
 	if contentType == contentTypeFrames {
-		sr.br = bufio.NewReader(body)
+		sr.br = getFrameReader(body)
 	} else {
 		sr.dec = json.NewDecoder(body)
 	}
@@ -551,11 +551,15 @@ func (sr *streamReader) proof() (provauth.Proof, error) {
 }
 
 // close releases the response body — for a stream not read to its end that
-// tears down the connection, which cancels the server-side cursor — and
-// ends the rpc span.
+// tears down the connection, which cancels the server-side cursor — and its
+// pooled reader, and ends the rpc span.
 func (sr *streamReader) close() {
 	if sr.body != nil {
 		sr.body.Close() //nolint:errcheck // only read
+	}
+	if sr.br != nil {
+		putFrameReader(sr.br)
+		sr.br = nil
 	}
 	if sr.span != nil {
 		sr.span.SetAttr("records", strconv.Itoa(sr.n))

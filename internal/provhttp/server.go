@@ -1,7 +1,6 @@
 package provhttp
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -548,7 +547,8 @@ func appendNDJSON(body io.Reader) ([]provstore.Record, error) {
 // appendFrames decodes an append body of record frames, each a record and
 // nothing more.
 func appendFrames(body io.Reader) ([]provstore.Record, error) {
-	br := bufio.NewReader(body)
+	br := getFrameReader(body)
+	defer putFrameReader(br)
 	var (
 		recs  []provstore.Record
 		frame []byte

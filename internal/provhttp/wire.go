@@ -143,6 +143,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/path"
@@ -161,10 +162,14 @@ var wirePaths = provcache.NewIntern[path.Path](8192)
 
 // decodeWirePath decodes a path's binary encoding out of a record frame
 // through wirePaths: it accepts what path.DecodeBinary accepts and returns
-// the same path (the contract of provstore.DecodeRecordWith). A path the
-// table holds costs no allocation, any other one string, which the table
-// keeps while it has room.
+// the same path (the contract of provstore.DecodeRecordWith). The empty
+// encoding — the Src of every record but a copy — is the root without a
+// lookup. A path the table holds costs no allocation, any other one string,
+// which the table keeps while it has room.
 func decodeWirePath(b []byte) (path.Path, error) {
+	if len(b) == 0 {
+		return path.Root, nil
+	}
 	if p, ok := wirePaths.GetBytes(b); ok {
 		return p, nil
 	}
@@ -225,6 +230,23 @@ func appendFrame(buf, kindAndBody []byte) []byte {
 func appendRecordFrame(buf []byte, r provstore.Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(1+r.EncodedSize()))
 	return r.AppendBinary(append(buf, frameRecord))
+}
+
+// frameReaders recycles the buffered readers frame streams are read through,
+// on both ends: a client's response stream and a server's append body. A
+// reader goes back once its body is done with, reset to hold nothing of it.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// getFrameReader returns a pooled reader over r; putFrameReader gives it back.
+func getFrameReader(r io.Reader) *bufio.Reader {
+	br := frameReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+func putFrameReader(br *bufio.Reader) {
+	br.Reset(nil)
+	frameReaders.Put(br)
 }
 
 // readFrame reads one frame from br into buf, grown as needed, and returns

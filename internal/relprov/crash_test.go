@@ -98,7 +98,7 @@ func checkCovering(t *testing.T, tbl *relstore.Table) {
 	}
 	primary := map[key]string{}
 	if err := tbl.ScanEncodedFrom(nil, nil, func(pk, val []byte) bool {
-		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TInt, relstore.TBytes}, pk)
+		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TInt, relstore.TPath}, pk)
 		if err != nil {
 			t.Fatalf("primary key %x: %v", pk, err)
 		}
@@ -109,7 +109,7 @@ func checkCovering(t *testing.T, tbl *relstore.Table) {
 	}
 	n := 0
 	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(ik, val []byte) bool {
-		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TBytes, relstore.TInt}, ik)
+		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TPath, relstore.TInt}, ik)
 		if err != nil {
 			t.Fatalf("by_loc key %x: %v", ik, err)
 		}

@@ -9,13 +9,14 @@
 // the key (loc, tid) and the same value, so a read by location never
 // descends the primary tree. A tid's key field is one header byte and the
 // tid's significant bytes: t = 3 bytes for a tid from 256 to 65 535, at most
-// 9. One entry is at most relstore.MaxEntrySize (1014) bytes, which bounds a
-// record: with n the labels of Loc, l their total length and s the same sum
-// l+n over Src, it is stored if l + 2n + s ≤ 1004 − t — 1001 at a tid of a
-// few thousand, 995 for any tid; a Loc of 993 bytes under one label, or of
-// 83 ten-byte labels, with an empty Src. A record over the bound rejects
-// its whole Append with a *provstore.RecordTooLargeError before anything is
-// stored.
+// 9. A loc's key field is its path encoding and one 0x00 (relstore.TPath),
+// so reading it back is one copy. One entry is at most
+// relstore.MaxEntrySize (1014) bytes, which bounds a record: with n the
+// labels of Loc, l their total length and s the same sum l+n over Src, it is
+// stored if l + n + s ≤ 1004 − t — 1001 at a tid of a few thousand, 995 for
+// any tid; a Loc of 994 bytes under one label, or of 90 ten-byte labels,
+// with an empty Src. A record over the bound rejects its whole Append with a
+// *provstore.RecordTooLargeError before anything is stored.
 //
 // A read decodes the rows of one lock window — up to 256 — eight at a time:
 // the paths of eight rows are substrings of one string, so eight rows cost
@@ -72,7 +73,7 @@ func Schema() relstore.TableSchema {
 		Name: TableName,
 		Columns: []relstore.Column{
 			{Name: "tid", Type: relstore.TInt},
-			{Name: "loc", Type: relstore.TBytes},
+			{Name: "loc", Type: relstore.TPath},
 			{Name: "op", Type: relstore.TStr},
 			{Name: "src", Type: relstore.TBytes},
 		},
@@ -205,19 +206,20 @@ func toRow(r provstore.Record) relstore.Row {
 
 // primaryKey appends to buf the primary key of the record (tid, loc), as
 // relstore lays Schema out: tid in the key codec's int form (a header byte
-// and its significant bytes), then loc's binary encoding in the key codec's
-// escaped, terminated form. A by_loc key is the same two fields the other
-// way round.
+// and its significant bytes), then loc's binary encoding as a path field (its
+// bytes and one 0x00). A by_loc key is the same two fields the other way
+// round.
 func primaryKey(buf []byte, tid int64, loc path.Path) []byte {
 	var enc [128]byte
-	return relstore.AppendKeyBytes(relstore.AppendKeyInt(buf, tid), loc.AppendBinary(enc[:0]))
+	return relstore.AppendKeyPath(relstore.AppendKeyInt(buf, tid), loc.AppendBinary(enc[:0]))
 }
 
 // A decoder decodes the rows one cursor window walks in two passes. add runs
 // on each row where it lies in its leaf, under the read lock: it copies the
-// row's loc and src encodings into raw, back to back, and checks everything
-// but the paths. decode, which needs no lock, then takes the rows slabRows
-// at a time: one string of their encodings, every record's Loc and Src a
+// row's loc and src encodings into raw, back to back — each with one append,
+// a stored loc being its path encoding — and checks everything but the
+// paths. decode, which needs no lock, then takes the rows slabRows at a
+// time: one string of their encodings, every record's Loc and Src a
 // substring of it (a path is its encoding, so decoding one only checks it).
 // So a window of n rows costs ⌈n/slabRows⌉ allocations, and a record a
 // caller keeps keeps slabRows rows' paths alive. Decoders are pooled per
@@ -259,7 +261,7 @@ func (d *decoder) add(key, val []byte, byLoc bool) error {
 			return errors.New("relprov: bad tid in key")
 		}
 	}
-	raw, rest, err := relstore.DecodeKeyBytes(d.raw, rest)
+	enc, rest, err := relstore.DecodeKeyPath(rest)
 	if err != nil {
 		return fmt.Errorf("relprov: bad loc in key: %w", err)
 	}
@@ -278,8 +280,9 @@ func (d *decoder) add(key, val []byte, byLoc bool) error {
 	if n <= 0 || uint64(len(val)-2-n) != srcLen {
 		return errors.New("relprov: bad length of src")
 	}
-	loc := len(raw)
-	d.raw = append(raw, val[2+n:]...)
+	d.raw = append(d.raw, enc...)
+	loc := len(d.raw)
+	d.raw = append(d.raw, val[2+n:]...)
 	d.rows = append(d.rows, rawRow{tid: tid, op: provstore.OpKind(val[1]), loc: loc, src: len(d.raw)})
 	return nil
 }
@@ -444,12 +447,12 @@ func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want in
 
 // Scan implements provstore.Backend: every kind is a prefix walk of one of
 // the two trees. The primary key is {tid, loc}, so the pager's own order is
-// the (Tid, Loc) order; a by_loc key is the terminated encoding of loc
-// followed by tid, so its order is (Loc, Tid), the key prefix
+// the (Tid, Loc) order; a by_loc key is the encoding of loc and a closing
+// 0x00 followed by tid, so its order is (Loc, Tid), the key prefix
 // alone selects exactly one loc (a probe that matches nothing ends on its
-// first index key), and — the path encoding being prefix-preserving —
-// dropping the terminator selects the subtree under it. A resume key is a
-// seek straight to its successor (the key codec is order-preserving, so
+// first index key), and — the path encoding being prefix-preserving — the
+// encoding without the closing 0x00 selects the subtree under it. A resume
+// key is a seek straight to its successor (the key codec is order-preserving, so
 // key‖0x00 is the next possible key): one B-tree descent, not a walk over
 // what came before. A WithAncestors scan gathers one Tid-ordered by_loc walk
 // per prefix of the location — server-side, one logical round trip.
@@ -476,9 +479,9 @@ func walk(spec provstore.ScanSpec, buf []byte) (byLoc bool, from, prefix []byte)
 	case spec.Kind == provstore.KindTid:
 		prefix = relstore.AppendKeyInt(buf, spec.Tid)
 	case byLoc:
-		prefix = relstore.AppendKeyBytes(buf, spec.Loc.AppendBinary(enc[:0]))
+		prefix = relstore.AppendKeyPath(buf, spec.Loc.AppendBinary(enc[:0]))
 		if spec.Kind == provstore.KindPrefix {
-			prefix = prefix[:len(prefix)-1] // without the 0x00 terminator descendants (longer keys) match too
+			prefix = prefix[:len(prefix)-1] // the encoding alone: descendants (longer keys) match too
 		}
 	}
 	after, resumed := spec.ResumeKey()
@@ -487,7 +490,7 @@ func walk(spec provstore.ScanSpec, buf []byte) (byLoc bool, from, prefix []byte)
 	}
 	key := prefix[len(prefix):] // the rest of buf
 	if byLoc {
-		key = relstore.AppendKeyInt(relstore.AppendKeyBytes(key, after.Loc.AppendBinary(enc[:0])), after.Tid)
+		key = relstore.AppendKeyInt(relstore.AppendKeyPath(key, after.Loc.AppendBinary(enc[:0])), after.Tid)
 	} else {
 		key = primaryKey(key, after.Tid, after.Loc)
 	}

@@ -2,6 +2,7 @@ package relprov_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"iter"
@@ -93,8 +94,82 @@ func TestRelProvBasics(t *testing.T) {
 	}
 }
 
+// plantedBackend returns a store that holds recs, appended as usual, and
+// then rows planted below the table codec: written into both trees as raw
+// entries, keyed as the codec keys a row — tid, then loc as a path field
+// (its bytes and one 0x00), or the other way round — so a loc the codec
+// refuses reaches the trees as a damaged page would hold it.
+func plantedBackend(t *testing.T, recs []provstore.Record, rows ...relstore.Row) *relprov.Backend {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "prov.rel")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Append(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	plant(t, file, rows)
+	if b, err = relprov.OpenFile(file, relprov.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
+// plant inserts rows into the closed store file's provenance trees, found
+// through the catalog, with the engine's exported page-level API only.
+func plant(t *testing.T, file string, rows []relstore.Row) {
+	t.Helper()
+	pager, err := relstore.OpenPager(file, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := relstore.NewBufferPool(pager, relstore.DefaultCachePages)
+	defer func() {
+		if err := bp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	cat, err := relstore.OpenHeap(bp, pager.Catalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct {
+		Schema relstore.TableSchema `json:"schema"`
+		Root   relstore.PageID      `json:"root"`
+	}
+	var jerr error
+	if err := cat.Scan(func(data []byte) bool {
+		jerr = json.Unmarshal(data, &meta)
+		return jerr == nil && meta.Schema.Name != relprov.TableName
+	}); err != nil || jerr != nil || meta.Schema.Name != relprov.TableName {
+		t.Fatalf("no %s table in the catalog: %v, %v", relprov.TableName, err, jerr)
+	}
+	primary, byLoc := relstore.OpenBTree(bp, meta.Root), relstore.OpenBTree(bp, meta.Schema.Indexes[0].Root)
+	for _, row := range rows {
+		tid, loc := row[0].(int64), row[1].([]byte)
+		val, err := relstore.EncodeRow([]relstore.ColType{relstore.TStr, relstore.TBytes}, row[2:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := primary.Insert(relstore.AppendKeyPath(relstore.AppendKeyInt(nil, tid), loc), val); err != nil {
+			t.Fatal(err)
+		}
+		if err := byLoc.Insert(relstore.AppendKeyInt(relstore.AppendKeyPath(nil, loc), tid), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if primary.Root() != meta.Root || byLoc.Root() != meta.Schema.Indexes[0].Root {
+		t.Fatal("a planted row split a tree's root, which the catalog does not know")
+	}
+}
+
 // TestRelProvCorruptRows: the backend decodes stored rows itself, off the
-// leaf's bytes. A row that is not a record — written here through the table,
+// leaf's bytes. A row that is not a record — planted below the table codec,
 // behind the backend's back — is an error from every read that meets it, by
 // scan, by index and by key: never a panic, never a record.
 func TestRelProvCorruptRows(t *testing.T) {
@@ -105,20 +180,23 @@ func TestRelProvCorruptRows(t *testing.T) {
 		"op outside I, C, D":    {int64(1), good, "Q", []byte{}},
 		"empty label in loc":    {int64(1), []byte("T\x00\x00"), "I", []byte{}},
 		"unterminated loc":      {int64(1), []byte("T\x00a"), "I", []byte{}},
+		"separator in loc":      {int64(1), []byte("T\x00a/b\x00"), "I", []byte{}},
+		"bad escape in loc":     {int64(1), []byte("T\x00a\x01\x7f\x00"), "I", []byte{}},
 		"separator in src":      {int64(1), good, "C", []byte("S/a\x00")},
 		"copy without a source": {int64(1), good, "C", []byte{}},
 		"insert with a source":  {int64(1), good, "I", good},
 		"root location":         {int64(1), []byte{}, "I", []byte{}},
 	} {
-		b := newBackend(t)
+		b := plantedBackend(t, nil, row)
 		tbl, err := b.DB().Table(relprov.TableName)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
+		// A loc the codec cannot key has no key it decodes either, which
+		// checkCovering needs; every other planted row is in both trees.
+		if _, err := relstore.EncodeKey([]relstore.ColType{relstore.TPath}, row[1:2]); err == nil {
+			checkCovering(t, tbl)
 		}
-		checkCovering(t, tbl)
 		loc, _, _ := path.DecodeBinary(row[1].([]byte)) // the root when loc is the corrupt column
 		for _, spec := range []provstore.ScanSpec{provstore.All(), provstore.ByTid(1), provstore.ByPrefix(path.Root)} {
 			n := 0
@@ -701,15 +779,16 @@ func TestRelCursorEmptyRangeFetchesNoRows(t *testing.T) {
 // TestRelProvCorruptRowMidWindow: a corrupt row in the middle of a cursor's
 // largest window — its 128th row of 256 — ends the cursor after the rows
 // before it, intact, whether the row is caught while it is copied out of its
-// leaf (an op of two bytes) or when the window's paths are decoded (an empty
-// label in loc), by either tree.
+// leaf (an op of two bytes, or an empty label in loc, whose key field ends
+// early) or when the window's paths are decoded (a separator in loc), by
+// either tree.
 func TestRelProvCorruptRowMidWindow(t *testing.T) {
 	ctx := context.Background()
 	for name, row := range map[string]relstore.Row{
 		"op of two bytes":    {int64(1), path.MustParse("T/a00207z").AppendBinary(nil), "IC", []byte{}},
 		"empty label in loc": {int64(1), []byte("T\x00a00207z\x00\x00"), "I", []byte{}},
+		"separator in loc":   {int64(1), []byte("T\x00a00207z/\x00"), "I", []byte{}},
 	} {
-		b := newBackend(t)
 		var recs []provstore.Record
 		for i := 0; i < 400; i++ {
 			r := rec(1, provstore.OpInsert, fmt.Sprintf("T/a%05d", i), "")
@@ -718,16 +797,7 @@ func TestRelProvCorruptRowMidWindow(t *testing.T) {
 			}
 			recs = append(recs, r)
 		}
-		if err := b.Append(ctx, recs); err != nil {
-			t.Fatal(err)
-		}
-		tbl, err := b.DB().Table(relprov.TableName)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tbl.Insert(row); err != nil {
-			t.Fatal(err)
-		}
+		b := plantedBackend(t, recs, row)
 		// Windows of 16 and 64 rows, then 256 from row 80: the corrupt row,
 		// sorting after T/a00207, is row 208, the 128th of that window.
 		const before = 208

@@ -17,6 +17,7 @@ const (
 	TInt   ColType = 'i' // int64
 	TStr   ColType = 's' // string
 	TBytes ColType = 'b' // []byte
+	TPath  ColType = 'p' // []byte: a path encoding, empty or non-empty labels each ended by 0x00
 )
 
 // A Value is one typed cell of a row: int64, string, or []byte.
@@ -38,6 +39,7 @@ type Row []Value
 //	         the values of one length; only the minimal form decodes.
 //	string/[]byte → 0x00 escaped as 0x01 0x02, 0x01 as 0x01 0x03, then a
 //	               0x00 terminator (so shorter strings sort first)
+//	path   → the bytes as they are, then one 0x00 (see validPathField)
 
 // intKeyBytes returns the number of significant bytes of v in the key
 // encoding: those of v for v ≥ 0, those of ^v (the bytes that are not all
@@ -106,9 +108,9 @@ var (
 	errIntForm  = errors.New("relstore: malformed int key")
 )
 
-// AppendKeyBytes appends the order-preserving escaped encoding of a byte
+// appendKeyBytes appends the order-preserving escaped encoding of a byte
 // string.
-func AppendKeyBytes(buf, v []byte) []byte {
+func appendKeyBytes(buf, v []byte) []byte {
 	for _, c := range v {
 		switch c {
 		case 0x00:
@@ -152,21 +154,27 @@ func appendKeyValue(buf []byte, t ColType, v Value) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("relstore: value %v (%T) is not a string", v, v)
 		}
-		return AppendKeyBytes(buf, []byte(sv)), nil
+		return appendKeyBytes(buf, []byte(sv)), nil
 	case TBytes:
 		bv, ok := v.([]byte)
 		if !ok {
 			return nil, fmt.Errorf("relstore: value %v (%T) is not bytes", v, v)
 		}
-		return AppendKeyBytes(buf, bv), nil
+		return appendKeyBytes(buf, bv), nil
+	case TPath:
+		pv, ok := v.([]byte)
+		if !ok || !validPathField(pv) {
+			return nil, fmt.Errorf("relstore: value %q (%T) is not a path encoding", v, v)
+		}
+		return AppendKeyPath(buf, pv), nil
 	default:
 		return nil, fmt.Errorf("relstore: unknown column type %c", t)
 	}
 }
 
-// DecodeKeyBytes undoes AppendKeyBytes: it appends the byte string encoded at
+// decodeKeyBytes undoes appendKeyBytes: it appends the byte string encoded at
 // the front of key to dst and returns the bytes after its terminator.
-func DecodeKeyBytes(dst, key []byte) (val, rest []byte, err error) {
+func decodeKeyBytes(dst, key []byte) (val, rest []byte, err error) {
 	for i := 0; i < len(key); i++ {
 		switch c := key[i]; c {
 		case 0x00:
@@ -183,6 +191,49 @@ func DecodeKeyBytes(dst, key []byte) (val, rest []byte, err error) {
 	return nil, nil, errors.New("relstore: unterminated key field")
 }
 
+// validPathField reports whether v can be stored in a TPath column: it is
+// empty, or a run of non-empty fields each ended by one 0x00 — it does not
+// start with 0x00, ends with 0x00 and never holds two 0x00s in a row. A
+// path's binary encoding is one (labels are non-empty and escape their
+// 0x00s), the empty encoding the root's.
+//
+// Such a field delimits itself in a key, where it is stored as its bytes and
+// one more 0x00: it ends at the first 0x00 that opens it or follows another
+// 0x00. A field sorts before every longer field it is a prefix of — its
+// closing 0x00 meets a byte that opens a label, never 0x00 — so a parent
+// path sorts before its descendants, and whatever key fields follow do not
+// change the order of two different fields.
+func validPathField(v []byte) bool {
+	return len(v) == 0 || v[0] != 0x00 && v[len(v)-1] == 0x00 && !bytes.Contains(v, pathFieldEnd)
+}
+
+// pathFieldEnd is the two bytes that end a non-empty path field in a key:
+// its last label's terminator and the field's closing 0x00.
+var pathFieldEnd = []byte{0x00, 0x00}
+
+// AppendKeyPath appends the key form of a TPath field: enc, which must be
+// empty or a path encoding (no leading 0x00, no two 0x00s in a row, a 0x00
+// last), and one 0x00. The table codec checks enc; a caller that builds keys itself
+// out of a path's encoding need not.
+func AppendKeyPath(buf, enc []byte) []byte {
+	return append(append(buf, enc...), 0x00)
+}
+
+// DecodeKeyPath splits the TPath field at the front of key: enc is the field
+// without its closing 0x00, a subslice of key that is a path encoding as
+// AppendKeyPath requires, and rest the bytes after it. No byte is copied or
+// unescaped.
+func DecodeKeyPath(key []byte) (enc, rest []byte, err error) {
+	if len(key) > 0 && key[0] == 0x00 {
+		return key[:0], key[1:], nil
+	}
+	i := bytes.Index(key, pathFieldEnd)
+	if i < 0 {
+		return nil, nil, errors.New("relstore: unterminated path key field")
+	}
+	return key[:i+1], key[i+2:], nil
+}
+
 // DecodeKey undoes EncodeKey for a key that holds every column of types and
 // nothing after them.
 func DecodeKey(types []ColType, key []byte) ([]Value, error) {
@@ -196,7 +247,7 @@ func DecodeKey(types []ColType, key []byte) ([]Value, error) {
 			}
 			vals[i], key = v, rest
 		case TStr, TBytes:
-			b, rest, err := DecodeKeyBytes([]byte{}, key)
+			b, rest, err := decodeKeyBytes([]byte{}, key)
 			if err != nil {
 				return nil, err
 			}
@@ -205,6 +256,12 @@ func DecodeKey(types []ColType, key []byte) ([]Value, error) {
 			} else {
 				vals[i] = b
 			}
+		case TPath:
+			enc, rest, err := DecodeKeyPath(key)
+			if err != nil {
+				return nil, err
+			}
+			vals[i], key = bytes.Clone(enc), rest
 		default:
 			return nil, fmt.Errorf("relstore: unknown column type %c", t)
 		}
@@ -215,15 +272,17 @@ func DecodeKey(types []ColType, key []byte) ([]Value, error) {
 	return vals, nil
 }
 
-// keyValueLen returns the length appendKeyValue encodes v in, v being of its
-// column's type.
-func keyValueLen(v Value) int {
+// keyValueLen returns the length appendKeyValue encodes v in, v being of type
+// t.
+func keyValueLen(t ColType, v Value) int {
 	var n int
 	switch v := v.(type) {
 	case string:
 		n = len(v) + strings.Count(v, "\x00") + strings.Count(v, "\x01")
 	case []byte:
-		n = len(v) + bytes.Count(v, []byte{0x00}) + bytes.Count(v, []byte{0x01})
+		if n = len(v); t != TPath {
+			n += bytes.Count(v, []byte{0x00}) + bytes.Count(v, []byte{0x01})
+		}
 	default:
 		iv, _ := asInt(v)
 		return 1 + intKeyBytes(iv)
@@ -270,10 +329,13 @@ func EncodeRow(types []ColType, row Row) ([]byte, error) {
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(sv)))
 			buf = append(buf, sv...)
-		case TBytes:
+		case TBytes, TPath:
 			bv, ok := v.([]byte)
 			if !ok {
 				return nil, fmt.Errorf("relstore: column %d: %v (%T) is not bytes", i, v, v)
+			}
+			if types[i] == TPath && !validPathField(bv) {
+				return nil, fmt.Errorf("relstore: column %d: %q is not a path encoding", i, bv)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(bv)))
 			buf = append(buf, bv...)
@@ -296,12 +358,15 @@ func DecodeRow(types []ColType, buf []byte) (Row, error) {
 			}
 			buf = buf[n:]
 			row = append(row, v)
-		case TStr, TBytes:
+		case TStr, TBytes, TPath:
 			l, n := binary.Uvarint(buf)
 			if n <= 0 || uint64(len(buf)-n) < l {
 				return nil, fmt.Errorf("relstore: column %d: bad length", i)
 			}
 			data := buf[n : n+int(l)]
+			if t == TPath && !validPathField(data) {
+				return nil, fmt.Errorf("relstore: column %d: %q is not a path encoding", i, data)
+			}
 			if t == TStr {
 				row = append(row, string(data))
 			} else {

@@ -14,10 +14,11 @@ const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 
 // formatVersion is the on-disk format this build writes and the only one it
 // reads: front-coded leaf runs, int key fields as long as their significant
-// bytes, and index entries that carry their row's value. It sits in the
-// store header, in bytes that were reserved — and zero — before it existed,
-// so a store that predates it reads as version 0.
-const formatVersion uint32 = 3
+// bytes, index entries that carry their row's value, and path key fields
+// stored as their bytes and one 0x00 (TPath; version 3 escaped them as
+// bytes). It sits in the store header, in bytes that were reserved — and
+// zero — before it existed, so a store that predates it reads as version 0.
+const formatVersion uint32 = 4
 
 // A Pager reads and writes fixed-size pages of a store file. Page 0 holds
 // the store header: magic, page count, four reserved bytes (zero), the

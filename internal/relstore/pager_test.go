@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -140,57 +141,17 @@ func TestPagerFileSize(t *testing.T) {
 	}
 }
 
-// TestFormatVersionRefusesParent: a store the previous format wrote —
-// version 2: int key fields of eight bytes, index entries with no value —
-// page 0 and a committed log, byte for byte as that code wrote them, is
-// refused with ErrFormatVersion by recovery and by open, with neither file
-// touched; a store this build writes carries its version through Close/Open
-// and, in every logged header, through recovery.
+// TestFormatVersionRefusesParent: a store an earlier format wrote — version
+// 2: int key fields of eight bytes, index entries with no value; version 3:
+// path key fields escaped as bytes — page 0 and a committed log, byte for
+// byte as that code wrote them, is refused with ErrFormatVersion by recovery
+// and by open, with neither file touched; a store this build writes carries
+// its version through Close/Open and, in every logged header, through
+// recovery.
 func TestFormatVersionRefusesParent(t *testing.T) {
 	dir := t.TempDir()
-	store, log := filepath.Join(dir, "parent.db"), filepath.Join(dir, "parent.db.wal")
-	// The parent's Pager.header(): five big-endian words, the rest of page 0
-	// zero; then its one page, the catalog heap.
-	hdr := binary.BigEndian.AppendUint32(nil, 0xC9DB2006)
-	hdr = binary.BigEndian.AppendUint32(hdr, 2) // pages
-	hdr = binary.BigEndian.AppendUint32(hdr, 0) // reserved
-	hdr = binary.BigEndian.AppendUint32(hdr, 1) // catalog
-	hdr = binary.BigEndian.AppendUint32(hdr, 2) // format version
-	cat := NewPage(1, KindHeap)
-	cat.InsertCell([]byte(`{"schema":{"name":"prov"}}`))
-	cat.seal()
-	data := append(append(hdr, make([]byte, PageSize-len(hdr))...), cat.buf[:]...)
-	// Its log: one group — that header and a page count of one — and the image.
-	body := binary.BigEndian.AppendUint32(bytes.Clone(hdr), 1)
-	group := binary.BigEndian.AppendUint32(nil, 0xCA11B0C6)
-	group = binary.BigEndian.AppendUint64(group, 1)
-	group = binary.BigEndian.AppendUint32(group, 0)
-	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(body))
-	group = append(group, body...)
-	group = binary.BigEndian.AppendUint32(group, 0xCA11B0C5)
-	group = binary.BigEndian.AppendUint64(group, 2)
-	group = binary.BigEndian.AppendUint32(group, 1)
-	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(cat.buf[:]))
-	group = append(group, cat.buf[:]...)
-	for name, content := range map[string][]byte{store: data, log: group} {
-		if err := os.WriteFile(name, content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if n, err := RecoverPager(store, log); !errors.Is(err, ErrFormatVersion) || n != 0 {
-		t.Errorf("RecoverPager on the parent's store = %d, %v; want ErrFormatVersion", n, err)
-	}
-	if _, err := OpenPager(store, false); !errors.Is(err, ErrFormatVersion) {
-		t.Errorf("OpenPager on the parent's store: %v; want ErrFormatVersion", err)
-	}
-	if _, err := Open(store); !errors.Is(err, ErrFormatVersion) {
-		t.Errorf("Open on the parent's store: %v; want ErrFormatVersion", err)
-	}
-	for name, content := range map[string][]byte{store: data, log: group} {
-		if now, err := os.ReadFile(name); err != nil || !bytes.Equal(now, content) {
-			t.Errorf("%s was modified by the refused opens (%v)", filepath.Base(name), err)
-		}
+	for _, version := range []uint32{2, 3} {
+		refuseVersion(t, dir, version)
 	}
 
 	// A fresh store: the version is on page 0 after Close...
@@ -255,4 +216,56 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 		t.Fatalf("RecoverPager = %d, %v; want 1 page", n, err)
 	}
 	reopen(lost, 2)
+}
+
+// refuseVersion writes, in dir, the one-page store and committed log the
+// given format version's code wrote, and requires recovery and open to
+// refuse them with ErrFormatVersion, touching neither file.
+func refuseVersion(t *testing.T, dir string, version uint32) {
+	t.Helper()
+	store := filepath.Join(dir, fmt.Sprintf("v%d.db", version))
+	log := store + ".wal"
+	// That version's Pager.header(): five big-endian words, the rest of
+	// page 0 zero; then its one page, the catalog heap.
+	hdr := binary.BigEndian.AppendUint32(nil, 0xC9DB2006)
+	hdr = binary.BigEndian.AppendUint32(hdr, 2)       // pages
+	hdr = binary.BigEndian.AppendUint32(hdr, 0)       // reserved
+	hdr = binary.BigEndian.AppendUint32(hdr, 1)       // catalog
+	hdr = binary.BigEndian.AppendUint32(hdr, version) // format version
+	cat := NewPage(1, KindHeap)
+	cat.InsertCell([]byte(`{"schema":{"name":"prov"}}`))
+	cat.seal()
+	data := append(append(hdr, make([]byte, PageSize-len(hdr))...), cat.buf[:]...)
+	// Its log: one group — that header and a page count of one — and the image.
+	body := binary.BigEndian.AppendUint32(bytes.Clone(hdr), 1)
+	group := binary.BigEndian.AppendUint32(nil, 0xCA11B0C6)
+	group = binary.BigEndian.AppendUint64(group, 1)
+	group = binary.BigEndian.AppendUint32(group, 0)
+	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(body))
+	group = append(group, body...)
+	group = binary.BigEndian.AppendUint32(group, 0xCA11B0C5)
+	group = binary.BigEndian.AppendUint64(group, 2)
+	group = binary.BigEndian.AppendUint32(group, 1)
+	group = binary.BigEndian.AppendUint32(group, crc32.ChecksumIEEE(cat.buf[:]))
+	group = append(group, cat.buf[:]...)
+	for name, content := range map[string][]byte{store: data, log: group} {
+		if err := os.WriteFile(name, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if n, err := RecoverPager(store, log); !errors.Is(err, ErrFormatVersion) || n != 0 {
+		t.Errorf("RecoverPager on a version %d store = %d, %v; want ErrFormatVersion", version, n, err)
+	}
+	if _, err := OpenPager(store, false); !errors.Is(err, ErrFormatVersion) {
+		t.Errorf("OpenPager on a version %d store: %v; want ErrFormatVersion", version, err)
+	}
+	if _, err := Open(store); !errors.Is(err, ErrFormatVersion) {
+		t.Errorf("Open on a version %d store: %v; want ErrFormatVersion", version, err)
+	}
+	for name, content := range map[string][]byte{store: data, log: group} {
+		if now, err := os.ReadFile(name); err != nil || !bytes.Equal(now, content) {
+			t.Errorf("version %d: %s was modified by the refused opens (%v)", version, filepath.Base(name), err)
+		}
+	}
 }

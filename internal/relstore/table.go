@@ -104,7 +104,7 @@ func (t *Table) buildPlan() error {
 			return fmt.Errorf("%w: duplicate column %q", ErrBadSchema, c.Name)
 		}
 		switch c.Type {
-		case TInt, TStr, TBytes:
+		case TInt, TStr, TBytes, TPath:
 		default:
 			return fmt.Errorf("%w: column %q has unknown type", ErrBadSchema, c.Name)
 		}
@@ -189,8 +189,8 @@ func (t *Table) encodeRow(row Row) (pk, val []byte, err error) {
 	size := EntrySize(len(pk), len(val))
 	for _, plan := range t.indexes {
 		n := 0
-		for _, j := range plan.cols {
-			n += keyValueLen(row[j])
+		for f, j := range plan.cols {
+			n += keyValueLen(plan.types[f], row[j])
 		}
 		size = max(size, EntrySize(n, len(val)))
 	}

@@ -55,8 +55,8 @@ func TestKeyCodecOrderPreserving(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(a, b string) bool {
-		ka := AppendKeyBytes(nil, []byte(a))
-		kb := AppendKeyBytes(nil, []byte(b))
+		ka := appendKeyBytes(nil, []byte(a))
+		kb := appendKeyBytes(nil, []byte(b))
 		switch {
 		case a < b:
 			return bytes.Compare(ka, kb) < 0
@@ -74,12 +74,40 @@ func TestKeyCodecOrderPreserving(t *testing.T) {
 func TestKeyCodecRoundTrip(t *testing.T) {
 	f := func(v int64, s string) bool {
 		buf := AppendKeyInt(nil, v)
-		buf = AppendKeyBytes(buf, []byte(s))
+		buf = appendKeyBytes(buf, []byte(s))
 		got, rest, err := DecodeKeyInt(buf)
-		return err == nil && got == v && bytes.Equal(rest, AppendKeyBytes(nil, []byte(s)))
+		return err == nil && got == v && bytes.Equal(rest, appendKeyBytes(nil, []byte(s)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPathField: a path field is empty or a run of non-empty labels each
+// ended by 0x00, and only such a value is stored in a TPath column, as a key
+// field or in a row's value.
+func TestPathField(t *testing.T) {
+	for _, c := range []struct {
+		v     string
+		valid bool
+	}{
+		{"", true}, {"T\x00", true}, {"T\x00c1\x00", true}, {"a\x01\x02\x00", true},
+		{"\x00", false}, {"T", false}, {"T\x00a", false}, {"T\x00\x00", false},
+		{"\x00T\x00", false}, {"T\x00\x00a\x00", false},
+	} {
+		v := []byte(c.v)
+		if validPathField(v) != c.valid {
+			t.Errorf("validPathField(%q) = %v", c.v, !c.valid)
+		}
+		if _, err := EncodeKey([]ColType{TPath}, []Value{v}); (err == nil) != c.valid {
+			t.Errorf("EncodeKey of the path field %q: %v", c.v, err)
+		}
+		if _, err := EncodeRow([]ColType{TPath}, Row{v}); (err == nil) != c.valid {
+			t.Errorf("EncodeRow of the path field %q: %v", c.v, err)
+		}
+		if _, err := DecodeRow([]ColType{TPath}, append([]byte{byte(len(v))}, v...)); (err == nil) != c.valid {
+			t.Errorf("DecodeRow of the path field %q: %v", c.v, err)
+		}
 	}
 }
 
@@ -456,7 +484,7 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := tbl.decodeRow(AppendKeyBytes(AppendKeyInt(nil, kv[1].(int64)), kv[0].([]byte)), val)
+		row, err := tbl.decodeRow(appendKeyBytes(AppendKeyInt(nil, kv[1].(int64)), kv[0].([]byte)), val)
 		if err != nil {
 			t.Fatal(err)
 		}
