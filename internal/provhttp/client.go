@@ -329,10 +329,10 @@ const (
 // is outside input: whatever arrives, next never panics, returns false for
 // good after the first error, and reports a clean end only after a
 // terminator whose count matches the data lines it returned, with nothing
-// behind it. A record line is decoded and validated by next — sr.rec, with
-// its proof encoding in sr.proofRaw — whichever form it arrived in; any other
-// data line is left in sr.line for row to convert. Under tracing the reader
-// holds the round trip's rpc span, open from the request to close.
+// behind it. next decodes each data line, whichever form or frame kind it
+// arrived in: a record line, validated, into sr.rec with its proof encoding
+// in sr.proofRaw, any other into sr.derived. Under tracing the reader holds
+// the round trip's rpc span, open from the request to close.
 type streamReader struct {
 	ctx      context.Context
 	label    any // names the stream in errors and the span: a ScanSpec or an endpoint name
@@ -342,10 +342,11 @@ type streamReader struct {
 	frame    []byte           // the frame last read, kind byte and body (reused)
 	dec      *json.Decoder    // the body of an NDJSON stream
 	root     provauth.Root    // proven streams: the header root the proofs are against
-	line     streamLine       // the data line next last returned, unless it is a record
+	line     streamLine       // the last line as JSON, or the terminator however it came
 	isRec    bool             // next last returned a record line
 	rec      provstore.Record // that record
 	proofRaw []byte           // and its proof's binary encoding: empty if it carries none, valid until the next line
+	derived  provplan.Row     // the data line next last returned, unless it is a record
 	n        int              // data lines returned
 	done     bool
 	err      error
@@ -420,14 +421,14 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 // stream: sr.err is nil after a terminator whose count matches and that
 // nothing follows, and otherwise says what went wrong — cancellation first
 // (a cancelled context is why the body died), then truncation, a line that
-// does not decode, the server's in-band error, a miscounting terminator, a
-// blank line.
+// does not decode, the server's in-band error, a miscounting terminator.
 func (sr *streamReader) next() bool {
 	if sr.done {
 		return false
 	}
 	sr.line, sr.isRec, sr.proofRaw = streamLine{}, false, nil
-	if err := sr.decode(); err != nil {
+	data, err := sr.decode()
+	if err != nil {
 		switch {
 		case sr.ctx.Err() != nil:
 			sr.fail(sr.ctx.Err())
@@ -440,73 +441,80 @@ func (sr *streamReader) next() bool {
 	}
 	l := &sr.line
 	switch {
-	case sr.isRec:
+	case data:
 		sr.n++
 		return true
 	case l.Err != "":
 		// Not a RemoteError, whose Status means a non-2xx reply.
 		sr.fail(fmt.Errorf("provhttp: %v: server error mid-stream: %s", sr.label, l.Err))
-	case l.EOF:
+	default: // the terminator
 		sr.done = true
 		if l.N != sr.n {
 			sr.fail(fmt.Errorf("provhttp: %v: stream carried %d lines, terminator says %d", sr.label, sr.n, l.N))
 		} else if !sr.atEnd() {
 			sr.fail(fmt.Errorf("provhttp: %v: bytes after the eof terminator", sr.label))
 		}
-	case l.Tid == 0 && l.V == nil && l.Ev == nil && l.End == nil && l.Az == nil:
-		sr.fail(fmt.Errorf("provhttp: %v: blank stream line", sr.label))
-	default:
-		sr.n++
-		return true
 	}
 	return false
 }
 
-// decode reads one line in the stream's form: a record line into sr.rec and
-// sr.proofRaw, any other into sr.line. io.EOF means the body ended between
+// decode reads one line in the stream's form and reports whether it is a
+// data line, decoded into sr.rec and sr.proofRaw or sr.derived; a terminator
+// or an error line is left in sr.line. io.EOF means the body ended between
 // lines.
-func (sr *streamReader) decode() error {
+func (sr *streamReader) decode() (data bool, err error) {
 	if sr.br == nil {
 		if err := sr.dec.Decode(&sr.line); err != nil {
-			return err
+			return false, err
 		}
-	} else if err := sr.readFrame(); err != nil || sr.isRec {
-		return err
+		return sr.jsonLine()
 	}
-	if sr.line.R == nil {
-		return nil
-	}
-	// A record as JSON: the form of every NDJSON record line.
-	var err error
-	if sr.rec, err = sr.line.R.record(); err != nil {
-		return err
-	}
-	if sr.proofRaw, err = hex.DecodeString(sr.line.P); err != nil {
-		return fmt.Errorf("bad proof hex: %w", err)
-	}
-	sr.isRec = true
-	return nil
-}
-
-// readFrame reads one frame into sr.frame and decodes it: a record frame
-// through the path intern table, a line frame into sr.line.
-func (sr *streamReader) readFrame() (err error) {
 	if sr.frame, err = readFrame(sr.br, sr.frame); err != nil {
-		return err
+		return false, err
 	}
 	switch kind, body := sr.frame[0], sr.frame[1:]; kind {
 	case frameRecord:
 		rec, n, err := provstore.DecodeRecordWith(body, decodeWirePath)
 		if err != nil {
-			return err
+			return false, err
 		}
 		sr.rec, sr.proofRaw, sr.isRec = rec, body[n:], true
-		return nil
+		return true, nil
+	case frameEOF:
+		sr.line.EOF = true
+		sr.line.N, sr.line.More, err = decodeEOFBody(body)
+		return false, err
 	case frameLine:
-		return json.Unmarshal(body, &sr.line)
+		if err := json.Unmarshal(body, &sr.line); err != nil {
+			return false, err
+		}
+		return sr.jsonLine()
 	default:
-		return fmt.Errorf("unknown frame kind 0x%02x", kind)
+		sr.derived, err = decodeRowBody(kind, body)
+		return err == nil, err
 	}
+}
+
+// jsonLine decodes the line in sr.line, when it is a data line, into sr.rec
+// and sr.proofRaw or sr.derived.
+func (sr *streamReader) jsonLine() (data bool, err error) {
+	l := &sr.line
+	switch {
+	case l.R != nil:
+		rec, err := l.R.record()
+		if err != nil {
+			return false, err
+		}
+		if sr.proofRaw, err = hex.DecodeString(l.P); err != nil {
+			return false, fmt.Errorf("bad proof hex: %w", err)
+		}
+		sr.rec, sr.isRec = rec, true
+		return true, nil
+	case l.Err != "" || l.EOF:
+		return false, nil
+	}
+	sr.derived, err = l.row()
+	return err == nil, err
 }
 
 // atEnd reports whether the body holds nothing more.
@@ -533,12 +541,12 @@ func (sr *streamReader) record() (provstore.Record, error) {
 	return sr.rec, nil
 }
 
-// row converts the current line of a query stream.
+// row returns the current line of a query stream.
 func (sr *streamReader) row() (provplan.Row, error) {
 	if sr.isRec {
 		return provplan.Row{Kind: provplan.RowRecord, Rec: sr.rec}, nil
 	}
-	return sr.line.row()
+	return sr.derived, nil
 }
 
 // proof decodes the current record line's inclusion proof; a record with

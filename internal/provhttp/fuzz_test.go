@@ -126,6 +126,7 @@ func fuzzRows(data []byte) (recs []provstore.Record, derived []provplan.Row) {
 			provplan.Row{Kind: provplan.RowEvent, Event: provplan.Event(rec)},
 			provplan.Row{Kind: provplan.RowEnd, Origin: provplan.OriginInserted},
 			provplan.Row{Kind: provplan.RowEnd, Origin: provplan.OriginExternal, External: pathOf(data[3])},
+			provplan.Row{Kind: provplan.RowEnd, Origin: provplan.OriginPreexisting},
 			provplan.Row{Kind: provplan.RowAnalyze, Analysis: &provplan.Analysis{
 				Ops:     []provplan.OpStat{{Op: "access:scan-all", In: int64(data[0]), Out: int64(data[1]), NS: int64(data[2])}},
 				Scanned: int64(data[3]),
@@ -172,7 +173,7 @@ func FuzzRowStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hostileBody(t, data)
 		for _, proofs := range []bool{false, true} {
-			roundTrip(t, data, proofs, contentTypeNDJSON)
+			roundTrip(t, data, proofs)
 		}
 	})
 }
@@ -186,9 +187,33 @@ func frame(kind byte, body string) []byte {
 func frames(fs ...[]byte) []byte { return bytes.Join(fs, nil) }
 
 var (
+	recB      = provstore.Record{Tid: 2, Op: provstore.OpCopy, Loc: path.New("T", "c1"), Src: path.New("S", "a")}
 	frameRecA = frame(frameRecord, string(provstore.Record{Tid: 1, Op: provstore.OpInsert, Loc: path.New("S", "a")}.AppendBinary(nil)))
-	frameRecB = frame(frameRecord, string(provstore.Record{Tid: 2, Op: provstore.OpCopy, Loc: path.New("T", "c1"), Src: path.New("S", "a")}.AppendBinary(nil)))
+	frameRecB = frame(frameRecord, string(recB.AppendBinary(nil)))
 )
+
+// The body of a well-formed frame of each binary kind but the record's,
+// as written for a row (or the terminator).
+var (
+	bodyTid   = string(appendRowBody(nil, provplan.Row{Kind: provplan.RowTid, Tid: 300})[1:])
+	bodyValue = string(appendRowBody(nil, provplan.Row{Kind: provplan.RowValue, Val: -300, Found: true})[1:])
+	bodyEvent = string(appendRowBody(nil, provplan.Row{Kind: provplan.RowEvent, Event: provplan.Event(recB)})[1:])
+	bodyEnd   = string(appendRowBody(nil, provplan.Row{Kind: provplan.RowEnd, Origin: provplan.OriginExternal, External: path.New("S", "a")})[1:])
+	bodyEOF   = string(appendEOFBody(nil, 300, true)[1:])
+)
+
+// binaryBodies lists each binary kind with a well-formed body.
+var binaryBodies = []struct {
+	kind byte
+	body string
+}{
+	{frameRecord, string(recB.AppendBinary(nil))},
+	{frameTid, bodyTid},
+	{frameValue, bodyValue},
+	{frameEvent, bodyEvent},
+	{frameEnd, bodyEnd},
+	{frameEOF, bodyEOF},
+}
 
 // FuzzFrameStream is FuzzRowStream for the framed form of the stream.
 // Arbitrary bytes as a framed body: the reader never panics, yields nothing
@@ -214,13 +239,25 @@ func FuzzFrameStream(f *testing.F) {
 		binary.AppendUvarint(nil, maxFrameBytes+1),
 		binary.AppendUvarint(nil, maxFrameBytes),
 		nil,
+		frames(frame(frameTid, "\x05"), frame(frameValue, "\x05\x01"), frame(frameEOF, "\x02\x00")),
+		frames(frame(frameEvent, bodyEvent), frame(frameEnd, bodyEnd), frame(frameEOF, "\x02\x01")),
+		frames(frame(frameEnd, "i"), frame(frameEnd, "p"), frame(frameEOF, "\x02\x00")),
+		frames(frameRecA, frame(frameEOF, "\x01\x00"), frameRecB),
+		frames(frame(frameTid, "\x05"), frame(frameLine, `{"eof":true,"n":1}`)),
+		frames(frame(frameLine, `{"tid":5}`), frame(frameEOF, "\x01\x00")),
+		frames(frame(frameEnd, "x"), frame(frameEOF, "\x01\x00")),
 	} {
 		f.Add(seed)
+	}
+	// Each binary kind cut by a byte, and grown by one.
+	for _, k := range binaryBodies {
+		f.Add(frames(frame(k.kind, k.body[:len(k.body)-1]), frame(frameEOF, "\x01\x00")))
+		f.Add(frames(frame(k.kind, k.body+"\x00"), frame(frameEOF, "\x01\x00")))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hostileFrames(t, data)
 		for _, proofs := range []bool{false, true} {
-			roundTrip(t, data, proofs, contentTypeFrames)
+			roundTrip(t, data, proofs)
 		}
 	})
 }
@@ -248,8 +285,8 @@ func hostileFrames(t *testing.T, data []byte) {
 	if sr.err != nil {
 		return
 	}
-	// A clean end: the body is n frames, then a line frame holding a
-	// terminator that says n, then nothing.
+	// A clean end: the body is n frames, then a terminator frame — binary,
+	// or a line frame — that says n, then nothing.
 	rest := data
 	var last []byte
 	for i := 0; i <= n; i++ {
@@ -263,7 +300,16 @@ func hostileFrames(t *testing.T, data []byte) {
 		EOF bool `json:"eof"`
 		N   int  `json:"n"`
 	}
-	if last[0] != frameLine || json.Unmarshal(last[1:], &term) != nil || !term.EOF || term.N != n || len(rest) != 0 {
+	switch last[0] {
+	case frameEOF:
+		got, _, err := decodeEOFBody(last[1:])
+		term.EOF, term.N = err == nil, got
+	case frameLine:
+		if json.Unmarshal(last[1:], &term) != nil {
+			term.EOF = false
+		}
+	}
+	if !term.EOF || term.N != n || len(rest) != 0 {
 		t.Fatalf("clean end after %d lines without a matching terminator frame at the end of the body (last frame %q, %d bytes behind it)", n, last, len(rest))
 	}
 }
@@ -299,6 +345,25 @@ func TestFrameStreamRejects(t *testing.T) {
 		{"length above the limit", frames(frameRecA, binary.AppendUvarint(nil, maxFrameBytes+1)), 1, "frame of 1048577 bytes"},
 		{"length of 2^63", frames(frameRecA, binary.AppendUvarint(nil, 1<<63)), 1, "frame of 9223372036854775808 bytes"},
 		{"length that overflows", frames(frameRecA, bytes.Repeat([]byte{0xff}, 11)), 1, "overflows"},
+		{"binary rows", frames(frame(frameTid, bodyTid), frame(frameValue, bodyValue), frame(frameEvent, bodyEvent), frame(frameEnd, bodyEnd), frame(frameEnd, "i"), frame(frameEOF, "\x05\x00")), 5, ""},
+		{"binary terminator", frames(frameRecA, frameRecB, frame(frameEOF, "\x02\x01")), 2, ""},
+		{"binary terminator counts more", frames(frameRecA, frame(frameEOF, "\x02\x00")), 1, "stream carried 1 lines, terminator says 2"},
+		{"binary terminator cut short", frames(frameRecA, frame(frameEOF, "\x01")), 1, "bad terminator frame"},
+		{"binary terminator too long", frames(frameRecA, frame(frameEOF, "\x01\x00\x00")), 1, "bad terminator frame"},
+		{"binary terminator with a bad more byte", frames(frameRecA, frame(frameEOF, "\x01\x02")), 1, "bad terminator frame"},
+		{"bytes after a binary terminator", frames(frameRecA, frame(frameEOF, "\x01\x00"), frameRecB), 1, "bytes after the eof terminator"},
+		{"empty tid frame", frames(frame(frameTid, ""), eof(1)), 0, "bad tid frame"},
+		{"tid frame cut short", frames(frame(frameTid, bodyTid[:1]), eof(1)), 0, "bad tid frame"},
+		{"tid frame too long", frames(frame(frameTid, bodyTid+"\x00"), eof(1)), 0, "bad tid frame"},
+		{"value frame cut short", frames(frame(frameValue, bodyValue[:len(bodyValue)-1]), eof(1)), 0, "bad value frame"},
+		{"value frame too long", frames(frame(frameValue, bodyValue+"\x00"), eof(1)), 0, "bad value frame"},
+		{"value frame with a bad found byte", frames(frame(frameValue, "\x05\x02"), eof(1)), 0, "bad value frame"},
+		{"trace step frame cut short", frames(frame(frameEvent, bodyEvent[:len(bodyEvent)-1]), eof(1)), 0, "truncated path"},
+		{"trace step frame too long", frames(frame(frameEvent, bodyEvent+"\x00"), eof(1)), 0, "bad trace step frame"},
+		{"trace step frame with a bad op", frames(frame(frameEvent, "\x01Q\x02S\x00\x00"), eof(1)), 0, "invalid op"},
+		{"empty trace end frame", frames(frame(frameEnd, ""), eof(1)), 0, "bad trace end frame"},
+		{"trace end frame with an unknown origin", frames(frame(frameEnd, "x"), eof(1)), 0, "unknown trace origin byte 0x78"},
+		{"trace end frame with a bad path", frames(frame(frameEnd, bodyEnd[:len(bodyEnd)-1]), eof(1)), 0, "bad external path"},
 	} {
 		sr := &streamReader{ctx: context.Background(), label: "test"}
 		sr.read(io.NopCloser(bytes.NewReader(c.body)), contentTypeFrames)
@@ -355,9 +420,11 @@ func hostileBody(t *testing.T, data []byte) {
 	}
 }
 
-// roundTrip writes rows derived from data through a streamWriter answering
-// a request for the given form, and reads them back through a streamReader.
-func roundTrip(t *testing.T, data []byte, proofs bool, form string) {
+// roundTrip writes rows derived from data through a streamWriter in each
+// form of the stream, and reads each back through a streamReader: both
+// decode to the rows written, proofs included, and the frames to the same
+// lines, proofs and terminator as the NDJSON.
+func roundTrip(t *testing.T, data []byte, proofs bool) {
 	recs, rows := fuzzRows(data)
 	auth, err := provauth.New(provstore.NewMemBackend())
 	if err != nil {
@@ -383,52 +450,64 @@ func roundTrip(t *testing.T, data []byte, proofs bool, form string) {
 		}
 		stamp = &root
 	}
-	w := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/v1/query", nil)
-	req.Header.Set("Accept", form)
-	sw := srv.newStream(w, req, stamp, 0, false)
-	for _, row := range rows {
-		if !sw.row(row) {
-			t.Fatalf("writer stopped at %s", rowText(row))
+	var decoded [2]struct {
+		lines []string
+		end   string
+	}
+	for f, form := range []string{contentTypeNDJSON, contentTypeFrames} {
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/query", nil)
+		req.Header.Set("Accept", form)
+		sw := srv.newStream(w, req, stamp, 0, false)
+		for _, row := range rows {
+			if !sw.row(row) {
+				t.Fatalf("%s: writer stopped at %s", form, rowText(row))
+			}
 		}
-	}
-	if !sw.end() {
-		t.Fatal("writer did not complete the stream")
-	}
-	if got := w.Header().Get("Content-Type"); got != form {
-		t.Fatalf("a request accepting %s was answered as %s", form, got)
-	}
-	if got := strings.Count(w.Body.String(), "\n"); form == contentTypeNDJSON && got != len(rows)+1 {
-		t.Fatalf("%d rows encoded as %d lines:\n%s", len(rows), got, w.Body)
-	}
+		if !sw.end() {
+			t.Fatalf("%s: writer did not complete the stream", form)
+		}
+		if got := w.Header().Get("Content-Type"); got != form {
+			t.Fatalf("a request accepting %s was answered as %s", form, got)
+		}
+		if got := strings.Count(w.Body.String(), "\n"); form == contentTypeNDJSON && got != len(rows)+1 {
+			t.Fatalf("%d rows encoded as %d lines:\n%s", len(rows), got, w.Body)
+		}
+		body := bytes.Clone(w.Body.Bytes())
+		decoded[f].lines, decoded[f].end = ReadStream(io.NopCloser(bytes.NewReader(body)), form)
 
-	sr := &streamReader{ctx: ctx, label: "fuzz"}
-	sr.read(io.NopCloser(w.Body), form)
-	defer sr.close()
-	for i := 0; sr.next(); i++ {
-		if i >= len(rows) {
-			t.Fatalf("reader yielded more than the %d rows written", len(rows))
-		}
-		got, err := sr.row()
-		if err != nil {
-			t.Fatalf("row %d (%s) does not decode: %v", i, rowText(rows[i]), err)
-		}
-		if rowText(got) != rowText(rows[i]) || !reflect.DeepEqual(got.Analysis, rows[i].Analysis) {
-			t.Fatalf("row %d round-trips as\n%s\nwant\n%s", i, rowText(got), rowText(rows[i]))
-		}
-		if proofs && got.Kind == provplan.RowRecord {
-			proof, err := sr.proof()
+		sr := &streamReader{ctx: ctx, label: "fuzz"}
+		sr.read(io.NopCloser(bytes.NewReader(body)), form)
+		for i := 0; sr.next(); i++ {
+			if i >= len(rows) {
+				t.Fatalf("%s: reader yielded more than the %d rows written", form, len(rows))
+			}
+			got, err := sr.row()
 			if err != nil {
-				t.Fatalf("row %d: %v", i, err)
+				t.Fatalf("%s: row %d (%s) does not decode: %v", form, i, rowText(rows[i]), err)
 			}
-			if err := provauth.VerifyRecord(*stamp, got.Rec, proof); err != nil {
-				t.Fatalf("row %d: proof does not round-trip: %v", i, err)
+			if rowText(got) != rowText(rows[i]) || !reflect.DeepEqual(got.Analysis, rows[i].Analysis) {
+				t.Fatalf("%s: row %d round-trips as\n%s\nwant\n%s", form, i, rowText(got), rowText(rows[i]))
 			}
-		} else if len(sr.proofRaw) != 0 {
-			t.Fatalf("row %d carries a proof nobody stamped", i)
+			if proofs && got.Kind == provplan.RowRecord {
+				proof, err := sr.proof()
+				if err != nil {
+					t.Fatalf("%s: row %d: %v", form, i, err)
+				}
+				if err := provauth.VerifyRecord(*stamp, got.Rec, proof); err != nil {
+					t.Fatalf("%s: row %d: proof does not round-trip: %v", form, i, err)
+				}
+			} else if len(sr.proofRaw) != 0 {
+				t.Fatalf("%s: row %d carries a proof nobody stamped", form, i)
+			}
+		}
+		sr.close()
+		if sr.err != nil || sr.n != len(rows) {
+			t.Fatalf("%s: reader ended after %d of %d rows: %v", form, sr.n, len(rows), sr.err)
 		}
 	}
-	if sr.err != nil || sr.n != len(rows) {
-		t.Fatalf("reader ended after %d of %d rows: %v", sr.n, len(rows), sr.err)
+	if !slices.Equal(decoded[1].lines, decoded[0].lines) || decoded[1].end != decoded[0].end {
+		t.Fatalf("the frames decode differently from the NDJSON:\n got: %q, %s\nwant: %q, %s",
+			decoded[1].lines, decoded[1].end, decoded[0].lines, decoded[0].end)
 	}
 }

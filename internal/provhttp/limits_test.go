@@ -82,6 +82,9 @@ func TestOversizedBodiesRefused(t *testing.T) {
 	if _, err := provplan.Collect(ctx, cli, provplan.MustParse("select")); err != nil {
 		t.Errorf("a query after the refused one: %v", err)
 	}
+	if got := post("/v1/query", strings.NewReader(`{"op":"select"}{"op":"hist","path":"T"}`)); got != http.StatusBadRequest {
+		t.Errorf("a query body of two JSON values: HTTP %d, want 400", got)
+	}
 	if got := srv.Stats()["rejected"]; got != 2 {
 		t.Errorf("rejected = %d, want 2", got)
 	}

@@ -3,6 +3,7 @@ package provhttp
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/path"
@@ -625,25 +627,25 @@ func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*provauth.Ro
 // the cursor yields them, so the server never materializes a scan; one line
 // value and one set of buffers are reused throughout.
 type streamWriter struct {
-	s       *Server
-	w       http.ResponseWriter
-	ctx     context.Context
-	flusher http.Flusher
-	form    string         // contentTypeFrames or contentTypeNDJSON, as the request asked
-	out     bytes.Buffer   // lines encoded and not yet sent: a flush interval of them, or the whole page
-	enc     *json.Encoder  // of JSON lines: into out, or into body when framed
-	body    bytes.Buffer   // framed: the kind byte and body of the JSON frame being built
-	recBody []byte         // framed: the same for a record frame
-	stamp   *provauth.Root // nil: no proofs; else the root each record is proven under
-	skip    bool           // proven: a record sealed after the root is passed over, not a failure
-	limit   int            // 0: unbounded
-	line    streamLine
-	rec     wireRecord // what line.R points at
-	n       int        // lines written
-	more    bool       // limit cut the stream with a record still to come
-	paged   bool       // lines stay in out, not on the connection
-	started bool       // the 200 header is committed: errors go in band
-	dead    bool       // failed, or the client hung up: no terminator
+	s        *Server
+	w        http.ResponseWriter
+	ctx      context.Context
+	flusher  http.Flusher
+	form     string         // contentTypeFrames or contentTypeNDJSON, as the request asked
+	out      bytes.Buffer   // lines encoded and not yet sent: a flush interval of them, or the whole page
+	enc      *json.Encoder  // of JSON lines, built for the first: into out, or into jsonBody when framed
+	jsonBody bytes.Buffer   // framed: the kind byte and body of the 'j' frame being built
+	body     []byte         // framed: the same for a frame of any other kind
+	stamp    *provauth.Root // nil: no proofs; else the root each record is proven under
+	skip     bool           // proven: a record sealed after the root is passed over, not a failure
+	limit    int            // 0: unbounded
+	line     streamLine
+	rec      wireRecord // what line.R points at
+	n        int        // lines written
+	more     bool       // limit cut the stream with a record still to come
+	paged    bool       // lines stay in out, not on the connection
+	started  bool       // the 200 header is committed: errors go in band
+	dead     bool       // failed, or the client hung up: no terminator
 }
 
 // streamForm returns the form of the row stream r asks for, as its
@@ -667,11 +669,6 @@ func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provau
 	sw := &streamWriter{s: s, w: w, ctx: r.Context(), form: streamForm(r), stamp: stamp, limit: limit, paged: paged}
 	if !paged {
 		sw.flusher, _ = w.(http.Flusher)
-	}
-	if sw.framed() {
-		sw.enc = json.NewEncoder(&sw.body)
-	} else {
-		sw.enc = json.NewEncoder(&sw.out)
 	}
 	return sw
 }
@@ -713,22 +710,29 @@ func (sw *streamWriter) record(rec provstore.Record) bool {
 		}
 		return sw.write()
 	}
-	sw.recBody = rec.AppendBinary(append(sw.recBody[:0], frameRecord))
+	sw.body = rec.AppendBinary(append(sw.body[:0], frameRecord))
 	if sw.stamp != nil {
-		sw.recBody = proof.AppendBinary(sw.recBody)
+		sw.body = proof.AppendBinary(sw.body)
 	}
-	sw.frame(sw.recBody)
+	sw.frame(sw.body)
 	return sw.wrote()
 }
 
 // row writes one result row of a plan. Record rows are record lines, proof
 // and all; derived rows (tids, aggregates, trace steps) are computed answers
 // with no leaf to prove — the root header still covers the relation they
-// were computed from.
+// were computed from. A framed stream carries each derived row but the
+// analyze trailer in a binary frame, which carries any path.
 func (sw *streamWriter) row(row provplan.Row) bool {
-	switch row.Kind {
-	case provplan.RowRecord:
+	switch {
+	case row.Kind == provplan.RowRecord:
 		return sw.record(row.Rec)
+	case sw.framed() && row.Kind != provplan.RowAnalyze:
+		sw.body = appendRowBody(sw.body[:0], row)
+		sw.frame(sw.body)
+		return sw.wrote()
+	}
+	switch row.Kind {
 	case provplan.RowTid:
 		sw.line = streamLine{Tid: row.Tid}
 	case provplan.RowValue:
@@ -762,20 +766,28 @@ func (sw *streamWriter) write() bool {
 	return sw.wrote()
 }
 
-// encode appends sw.line to out as JSON: bare, or inside a frame.
+// encode appends sw.line to out as JSON: bare, or inside a 'j' frame. The
+// encoder is built for the stream's first JSON line, which on a framed
+// stream is an analyze trailer or an in-band error.
 func (sw *streamWriter) encode() {
-	if !sw.framed() {
-		sw.enc.Encode(&sw.line) //nolint:errcheck // a streamLine into a buffer
-		return
+	dst := &sw.out
+	if sw.framed() {
+		dst = &sw.jsonBody
+		dst.Reset()
+		dst.WriteByte(frameLine)
 	}
-	sw.body.Reset()
-	sw.body.WriteByte(frameLine)
+	if sw.enc == nil {
+		sw.enc = json.NewEncoder(dst)
+	}
 	sw.enc.Encode(&sw.line) //nolint:errcheck // a streamLine into a buffer
-	sw.frame(sw.body.Bytes())
+	if sw.framed() {
+		sw.frame(sw.jsonBody.Bytes())
+	}
 }
 
 // frame appends one frame to out.
 func (sw *streamWriter) frame(kindAndBody []byte) {
+	sw.out.Grow(binary.MaxVarintLen64 + len(kindAndBody))
 	sw.out.Write(appendFrame(sw.out.AvailableBuffer(), kindAndBody))
 }
 
@@ -842,8 +854,13 @@ func (sw *streamWriter) end() bool {
 		return false
 	}
 	sw.start()
-	sw.line = streamLine{EOF: true, N: sw.n, More: sw.more}
-	sw.encode()
+	if sw.framed() {
+		sw.body = appendEOFBody(sw.body[:0], sw.n, sw.more)
+		sw.frame(sw.body)
+	} else {
+		sw.line = streamLine{EOF: true, N: sw.n, More: sw.more}
+		sw.encode()
+	}
 	sw.send()
 	sw.s.streamed(sw.w, sw.n)
 	return true
@@ -981,7 +998,7 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 // Compile errors are 400s; execution errors are the stream's.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q provplan.Query
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBytes)).Decode(&q); err != nil {
+	if err := readQuery(http.MaxBytesReader(w, r.Body, MaxQueryBytes), &q); err != nil {
 		s.fail(w, fmt.Errorf("provhttp: bad query body: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -1025,6 +1042,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// queryBodies recycles the buffers /v1/query bodies are read into.
+var queryBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readQuery reads a query body, bounded by its caller, into a pooled buffer
+// and decodes it: one JSON value, nothing behind it.
+func readQuery(body io.Reader, q *provplan.Query) error {
+	buf := queryBodies.Get().(*bytes.Buffer)
+	defer queryBodies.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(body); err != nil {
+		return err
+	}
+	return json.Unmarshal(buf.Bytes(), q)
 }
 
 // authRequest admits a request to an authentication endpoint: the store

@@ -88,19 +88,32 @@
 //     no flag, DSN parameter or endpoint selects a form, and everything
 //     below holds for both.
 //   - Frames: uvarint length | kind byte | body, the length counting the
-//     kind byte and the body. Kind 'r' is a record line: the body is
+//     kind byte and the body. Every line a scan or a plan answers with on
+//     its happy path has a binary kind, so none passes through
+//     encoding/json at either end. 'r' is a record: the body is
 //     provstore.Record.AppendBinary — the one binary form of a record, also
 //     the Merkle leaf preimage — followed on a proven stream by the
-//     provauth.Proof binary encoding. Kind 'j' is every other line (tid, v,
-//     ev, end, az, terminator, in-band error): the body is its NDJSON line.
-//     A length of zero or above maxFrameBytes (1 MiB) and an unknown kind
-//     are decode errors; the length is checked before anything is
-//     allocated for it.
-//   - Terminator: {"eof":true,"n":N}, N the number of data lines before
-//     it, and nothing after it. A body that ends without one was truncated
-//     — a dying server or connection — and is an error, never a short
-//     result; so is a count that does not match, and so are bytes behind
-//     the terminator.
+//     provauth.Proof binary encoding. 't' is a tid (mod, hist): its uvarint.
+//     'v' is a value (count, min, max, src): its varint, then a found byte,
+//     0 or 1. 'e' is a trace step, which has a record's shape:
+//     Record.AppendBinary with no proof. 'o' is a trace end: an origin byte
+//     ('i'nserted, 'e'xternal or 'p'reexisting), then the external path's
+//     binary encoding, empty unless the origin is external. 'n' is the
+//     terminator: the uvarint of n, then a more byte, 0 or 1. 'j' is
+//     everything else — an analyze trailer or an in-band error — and its
+//     body is the NDJSON line. A body holds exactly its fields, and bytes
+//     behind them are a decode error, as are a length of zero or above
+//     maxFrameBytes (1 MiB) and an unknown kind; the length is checked
+//     before anything is allocated for it. The reader also takes a 'j'
+//     frame for any line, which is how daemons before the binary kinds
+//     sent tids, values, steps, ends and terminators. A reader from before
+//     them knows only 'r' and 'j', so upgrade clients — and in a chain the
+//     outer daemon — before the daemons they read.
+//   - Terminator: {"eof":true,"n":N} (an 'n' frame), N the number of data
+//     lines before it, and nothing after it. A body that ends without one
+//     was truncated — a dying server or connection — and is an error, never
+//     a short result; so is a count that does not match, and so are bytes
+//     behind the terminator.
 //   - Errors: a failure before the first line is an HTTP status with a
 //     JSON error body. After it the 200 is already on the wire, so the
 //     failure is the closing line, {"err":msg}, instead of a terminator.
@@ -135,6 +148,7 @@ package provhttp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -212,14 +226,110 @@ const (
 	contentTypeFrames = "application/x-cpdb-frames"
 )
 
-// The frame kinds, and the largest length a frame may declare: far above
-// any line the writer produces (a record with its proof is a few hundred
-// bytes), small enough that a hostile length prefix buys one bounded buffer.
+// The frame kinds (see "The row stream" in the package doc), and the
+// largest length a frame may declare: far above any line the writer
+// produces (a record with its proof is a few hundred bytes), small enough
+// that a hostile length prefix buys one bounded buffer.
 const (
 	frameRecord   byte = 'r'
+	frameTid      byte = 't'
+	frameValue    byte = 'v'
+	frameEvent    byte = 'e'
+	frameEnd      byte = 'o'
+	frameEOF      byte = 'n'
 	frameLine     byte = 'j'
 	maxFrameBytes      = 1 << 20
 )
+
+// originBytes spells each trace origin as the byte an end frame carries.
+var originBytes = [...]byte{
+	provplan.OriginInserted:    'i',
+	provplan.OriginExternal:    'e',
+	provplan.OriginPreexisting: 'p',
+}
+
+// appendRowBody appends the kind byte and body of the frame carrying a
+// derived row: a tid, a value, a trace step or a trace end.
+func appendRowBody(buf []byte, row provplan.Row) []byte {
+	switch row.Kind {
+	case provplan.RowTid:
+		return binary.AppendUvarint(append(buf, frameTid), uint64(row.Tid))
+	case provplan.RowValue:
+		return append(binary.AppendVarint(append(buf, frameValue), row.Val), flagByte(row.Found))
+	case provplan.RowEvent:
+		return provstore.Record(row.Event).AppendBinary(append(buf, frameEvent))
+	default: // provplan.RowEnd
+		buf = append(buf, frameEnd, originBytes[row.Origin])
+		if row.Origin == provplan.OriginExternal {
+			buf = row.External.AppendBinary(buf)
+		}
+		return buf
+	}
+}
+
+// appendEOFBody appends the kind byte and body of a terminator frame.
+func appendEOFBody(buf []byte, n int, more bool) []byte {
+	return append(binary.AppendUvarint(append(buf, frameEOF), uint64(n)), flagByte(more))
+}
+
+func flagByte(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// decodeRowBody decodes the body of a derived row's frame of the given kind
+// (appendRowBody's), all of it.
+func decodeRowBody(kind byte, body []byte) (provplan.Row, error) {
+	switch kind {
+	case frameTid:
+		tid, n := binary.Uvarint(body)
+		if n <= 0 || n != len(body) {
+			return provplan.Row{}, errors.New("bad tid frame")
+		}
+		return provplan.Row{Kind: provplan.RowTid, Tid: int64(tid)}, nil
+	case frameValue:
+		val, n := binary.Varint(body)
+		if n <= 0 || n != len(body)-1 || body[n] > 1 {
+			return provplan.Row{}, errors.New("bad value frame")
+		}
+		return provplan.Row{Kind: provplan.RowValue, Val: val, Found: body[n] == 1}, nil
+	case frameEvent:
+		rec, n, err := provstore.DecodeRecordWith(body, decodeWirePath)
+		if err == nil && n != len(body) {
+			err = errors.New("bad trace step frame")
+		}
+		if err != nil {
+			return provplan.Row{}, err
+		}
+		return provplan.Row{Kind: provplan.RowEvent, Event: provplan.Event(rec)}, nil
+	case frameEnd:
+		if len(body) == 0 {
+			return provplan.Row{}, errors.New("bad trace end frame")
+		}
+		origin := bytes.IndexByte(originBytes[:], body[0])
+		if origin < 0 {
+			return provplan.Row{}, fmt.Errorf("unknown trace origin byte 0x%02x", body[0])
+		}
+		ext, err := decodeWirePath(body[1:])
+		if err != nil {
+			return provplan.Row{}, fmt.Errorf("bad external path: %w", err)
+		}
+		return provplan.Row{Kind: provplan.RowEnd, Origin: provplan.Origin(origin), External: ext}, nil
+	default:
+		return provplan.Row{}, fmt.Errorf("unknown frame kind 0x%02x", kind)
+	}
+}
+
+// decodeEOFBody decodes the body of a terminator frame, all of it.
+func decodeEOFBody(body []byte) (n int, more bool, err error) {
+	v, w := binary.Uvarint(body)
+	if w <= 0 || w != len(body)-1 || body[w] > 1 {
+		return 0, false, errors.New("bad terminator frame")
+	}
+	return int(v), body[w] == 1, nil
+}
 
 // appendFrame appends one frame: kindAndBody behind its uvarint length.
 func appendFrame(buf, kindAndBody []byte) []byte {
@@ -419,8 +529,8 @@ func (w wireRecord) parse() (provstore.Record, error) {
 // streamLine is one line of a row stream — the one response form of
 // /v1/scan and /v1/query (see "The row stream" in the package doc) — as its
 // JSON: an NDJSON line, or the body of a 'j' frame (a framed stream carries
-// its record lines as 'r' frames instead). Exactly one variant is set per
-// line:
+// every line but an analyze trailer and an in-band error in a frame of its
+// own kind instead). Exactly one variant is set per line:
 //
 //	{"r":record[,"p":proof]}          record (scan record, select row)
 //	{"tid":N}                         mod/hist row
@@ -488,15 +598,15 @@ func (l *streamLine) row() (provplan.Row, error) {
 	case l.End != nil:
 		origin, ok := origins[l.End.Origin]
 		if !ok {
-			return provplan.Row{}, fmt.Errorf("provhttp: unknown trace origin %q", l.End.Origin)
+			return provplan.Row{}, fmt.Errorf("unknown trace origin %q", l.End.Origin)
 		}
 		ext, err := path.Parse(l.End.External)
 		if err != nil {
-			return provplan.Row{}, fmt.Errorf("provhttp: bad external path %q: %w", l.End.External, err)
+			return provplan.Row{}, fmt.Errorf("bad external path %q: %w", l.End.External, err)
 		}
 		return provplan.Row{Kind: provplan.RowEnd, Origin: origin, External: ext}, nil
 	default:
-		return provplan.Row{}, errors.New("provhttp: blank stream line")
+		return provplan.Row{}, errors.New("blank stream line")
 	}
 }
 

@@ -40,6 +40,10 @@ type replica struct {
 	hwTid   int64
 	hwLoc   path.Path
 	hwValid bool
+
+	// applyBuf is the applier's batch buffer, kept from pass to pass and
+	// cleared after each so it pins no record's paths while idle.
+	applyBuf []provstore.Record
 }
 
 // setRewind requests a rewind to tid, keeping the smallest pending target.
@@ -152,7 +156,14 @@ func (b *ReplicatedBackend) applyPass(r *replica) (err error) {
 			}
 		}()
 	}
-	buf := make([]provstore.Record, 0, b.opts.ApplyBatch)
+	buf := r.applyBuf[:0]
+	if buf == nil {
+		buf = make([]provstore.Record, 0, b.opts.ApplyBatch)
+	}
+	defer func() {
+		clear(buf[:cap(buf)])
+		r.applyBuf = buf[:0]
+	}()
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil

@@ -28,7 +28,7 @@ import (
 
 // startStatService is startService, but keeps the Server handle so tests
 // can assert on its per-endpoint counters.
-func startStatService(t *testing.T, inner cpdb.Backend) (string, *provhttp.Server) {
+func startStatService(t testing.TB, inner cpdb.Backend) (string, *provhttp.Server) {
 	t.Helper()
 	srv := provhttp.NewServer(inner)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -230,6 +230,49 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 		t.Errorf("remote drain allocates %.1f objects/record, budget %d", perRecord, maxAllocsPerRecord)
 	}
 	t.Logf("remote drain: %.2f allocs/record over %d records", perRecord, total)
+}
+
+// TestRemoteQueryAllocBound bounds what one small question costs over a
+// live cpdb:// connection, the client and the in-process server together:
+// a trace, a hist, a mod and a bounded select over the 4000-record bench
+// store (mem://), each asked 20 times after a warm-up. Each budget is the
+// same in all of 20 runs of the test — 163, 160, 208 and 179 — plus 5 %.
+// Every line of a framed answer is a binary frame, decoded through the path
+// intern table; with a JSON line per tid, step, end and terminator, a
+// json.Decoder per request and a json.Encoder per stream, the same questions
+// cost 194, 171, 223 and 194. A -race build allocates 7 to 14 more per
+// question (20 runs: 170–174, 167–170, 216–218 and 190–193), because its
+// sync.Pool drops some of what the frame readers and buffers put back; its
+// budgets are 12 higher.
+func TestRemoteQueryAllocBound(t *testing.T) {
+	_, backend, _ := queryService(t)
+	ctx := context.Background()
+	for _, c := range []struct {
+		text      string
+		maxAllocs float64
+	}{
+		{"trace T/t50/n3", 171},
+		{"hist T/t50/n3", 168},
+		{"mod T/t50", 218},
+		{roundTripQuery, 188},
+	} {
+		q := provplan.MustParse(c.text)
+		ask := func() {
+			if _, err := provplan.Collect(ctx, backend, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ask()
+		allocs := testing.AllocsPerRun(20, ask)
+		budget := c.maxAllocs
+		if raceEnabled {
+			budget += 12
+		}
+		if allocs > budget {
+			t.Errorf("%q over cpdb:// allocates %.0f objects, budget %.0f", c.text, allocs, budget)
+		}
+		t.Logf("%q over cpdb://: %.0f allocs", c.text, allocs)
+	}
 }
 
 // TestRelDrainAllocBound is the store-side twin: a full in-process
