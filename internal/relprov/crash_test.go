@@ -1,6 +1,7 @@
 package relprov_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -150,10 +151,12 @@ func crashedDir(t *testing.T, data, log []byte) string {
 	return dir
 }
 
-// TestCrashMatrix: the data file is written at commit but fsynced only at a
-// checkpoint, so after a crash it may hold any subset of the page writes
-// since the last one. Whatever subset that is, the log — page images and
-// the pager header — brings back every acknowledged record.
+// TestCrashMatrix: a commit logs its rows and leaves its pages in memory;
+// pages reach the data file only inside a logged group, and the data file is
+// fsynced only at a checkpoint, so after a crash it may hold any subset of
+// the page writes since the last one. Whatever subset that is, the log — page
+// groups with their pager headers, and the rows records behind the last
+// group — brings back every acknowledged record.
 func TestCrashMatrix(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.db")
@@ -172,11 +175,26 @@ func TestCrashMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	acked = append(acked, commitTxns(t, b, 41, 60)...)
+	acked = append(acked, commitTxns(t, b, 41, 59)...)
+	last := len(readFile(t, file+".wal")) // where the last commit's rows record starts
+	acked = append(acked, commitTxns(t, b, 100, 1)...)
 	// The crash: no Close. Everything above was acknowledged.
-	log, now := readFile(t, file+".wal"), readFile(t, file)
+	log := readFile(t, file+".wal")
 	if provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] != 0 || len(log) == 0 {
 		t.Fatal("test premise: the commits must stay below the checkpoint threshold")
+	}
+	if !bytes.Equal(readFile(t, file), old) {
+		t.Fatal("test premise: the commits must log their rows and write no page")
+	}
+	// Then the commits' pages go out as one group behind their rows records
+	// (Size writes every page back): the log has it, and the data file has
+	// it unsynced.
+	if _, err := b.DB().Size(); err != nil {
+		t.Fatal(err)
+	}
+	grouped, now := readFile(t, file+".wal"), readFile(t, file)
+	if !bytes.HasPrefix(grouped, log) || len(grouped) == len(log) {
+		t.Fatal("test premise: the group must follow the rows records in the log")
 	}
 	if len(now) <= len(old) {
 		t.Fatal("test premise: the commits must allocate pages")
@@ -186,6 +204,7 @@ func TestCrashMatrix(t *testing.T) {
 		checkStore(t, crashedDir(t, old, log), acked)
 	})
 	t.Run("half the pages reached it, one torn", func(t *testing.T) {
+		// The group was killed midway through its data-file writes.
 		rng := rand.New(rand.NewSource(2006))
 		data := append([]byte(nil), old...)
 		var written []int
@@ -202,13 +221,18 @@ func TestCrashMatrix(t *testing.T) {
 		}
 		torn := written[len(written)/2] * relstore.PageSize
 		copy(data[torn+relstore.PageSize/2:torn+relstore.PageSize], make([]byte, relstore.PageSize/2))
-		checkStore(t, crashedDir(t, data, log), acked)
+		checkStore(t, crashedDir(t, data, grouped), acked)
+	})
+	t.Run("a torn image group behind rows records", func(t *testing.T) {
+		// The group was killed in its log write, before any page of it
+		// reached the data file: the rows records before it are redone.
+		checkStore(t, crashedDir(t, old, grouped[:len(log)+(len(grouped)-len(log))/2]), acked)
 	})
 	t.Run("reopened without durable=1", func(t *testing.T) {
 		checkStoreOpened(t, crashedDir(t, old, log), relprov.Options{}, acked)
 	})
 	t.Run("between the data sync and the truncate", func(t *testing.T) {
-		checkStore(t, crashedDir(t, now, log), acked)
+		checkStore(t, crashedDir(t, now, grouped), acked)
 	})
 	t.Run("during recovery", func(t *testing.T) {
 		// Recovery rewrote and fsynced the data file but died before it
@@ -223,9 +247,12 @@ func TestCrashMatrix(t *testing.T) {
 		checkStore(t, crashed, acked)
 	})
 	t.Run("an unfinished group", func(t *testing.T) {
-		// The last group lost its tail: it was never acknowledged, so its
-		// transaction is gone whole and the store still opens clean.
-		checkStore(t, crashedDir(t, old, log[:len(log)-relstore.PageSize/2]), acked[:len(acked)-5])
+		// The last commit's record lost its tail: it was never acknowledged,
+		// so its transaction is gone whole and the store still opens clean.
+		checkStore(t, crashedDir(t, old, log[:last+(len(log)-last)/2]), acked[:len(acked)-5])
+	})
+	t.Run("a rows record torn in its last byte", func(t *testing.T) {
+		checkStore(t, crashedDir(t, old, log[:len(log)-1]), acked[:len(acked)-5])
 	})
 
 	// A group larger than the pool: a store of several pools' worth of
@@ -320,8 +347,9 @@ func TestCloseLeavesEmptyLog(t *testing.T) {
 }
 
 // TestGroupCommitOneFsync: a durable append costs one log fsync and no data
-// fsync; the data file is fsynced once per checkpoint, when the log has
-// grown past its threshold and is truncated.
+// fsync, and a five-record transaction logs its rows, not its pages; the
+// data file is fsynced once per checkpoint, when the log has grown past its
+// threshold and is truncated.
 func TestGroupCommitOneFsync(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.db")
@@ -339,18 +367,29 @@ func TestGroupCommitOneFsync(t *testing.T) {
 		t.Fatalf("%d appends cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 0, 0",
 			n, delta("rel.wal.fsyncs"), delta("rel.data.fsyncs"), delta("rel.checkpoints"), n)
 	}
-	if perTxn := delta("rel.wal.bytes") / n; perTxn < relstore.PageSize || perTxn > 24*relstore.PageSize {
-		t.Errorf("a five-record transaction logs %d bytes", perTxn)
+	if perTxn := delta("rel.wal.bytes") / n; perTxn > 1024 {
+		t.Errorf("a five-record transaction logs %d bytes, want at most 1 KB", perTxn)
 	}
 
-	// Keep committing until the log is checkpointed once.
-	appends := int64(n)
+	// Keep committing, forty transactions an Append, until the log is
+	// checkpointed once. Every few Appends one leaves more than half the
+	// pool dirty and logs its pages as a group, so the log grows by groups
+	// as well as rows.
+	appends, tid := int64(n), int64(n)
 	for provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] == 0 {
-		if appends > 2000 {
-			t.Fatal("no checkpoint after 2000 commits")
+		if appends > n+500 {
+			t.Fatal("no checkpoint after 500 appends of forty transactions")
 		}
-		acked = append(acked, commitTxns(t, b, appends+1, 10)...)
-		appends += 10
+		var recs []provstore.Record
+		for i := 0; i < 40; i++ {
+			tid++
+			recs = append(recs, txnRecs(tid)...)
+		}
+		if err := b.Append(context.Background(), recs); err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, recs...)
+		appends++
 	}
 	after = provobs.Stats(provobs.SourceRegistries(b)...)
 	if delta("rel.wal.fsyncs") != appends || delta("rel.data.fsyncs") != 1 || delta("rel.checkpoints") != 1 {

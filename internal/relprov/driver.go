@@ -57,8 +57,9 @@ type Options struct {
 // store in the given database file. With opts.Durable the store group-
 // commits through a write-ahead log at file + ".wal"; opening an existing
 // durable store replays that log first, restoring whatever a crash kept
-// from the data file (which is fsynced only at checkpoints). A clean Close
-// leaves the log empty. Close the returned backend to release the files.
+// from the data file (which is written only when pages must leave memory
+// and fsynced only at checkpoints). A clean Close leaves the log empty.
+// Close the returned backend to release the files.
 func OpenFile(file string, opts Options) (*Backend, error) {
 	walFile := file + ".wal"
 	if !opts.Create {
@@ -104,7 +105,10 @@ func OpenFile(file string, opts Options) (*Backend, error) {
 			db.Close()
 			return nil, err
 		}
-		b.EnableGroupCommit(w)
+		if err := b.EnableGroupCommit(w); err != nil {
+			b.Close()
+			return nil, err
+		}
 	}
 	return b, nil
 }

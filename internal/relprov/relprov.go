@@ -110,19 +110,22 @@ func (b *Backend) DB() *relstore.DB { return b.db }
 // and makes every Append durable before returning — at the cost of one log
 // write and one log fsync per call, however many records or whole
 // transactions it carries, and nothing of an Append reaches either file
-// before that: a crash keeps the call whole or not at all. The data file is
-// written at every commit but fsynced only when the log is checkpointed
-// (truncated, every few megabytes logged) and at Close, which leaves the
-// log empty. This is the group-commit write path of the sharded ingest
-// pipeline; without it the store is durable only at Close, as the paper's
-// MySQL deployment was at transaction boundaries. The log is closed by
-// Close. After a crash, run relstore.RecoverPager before reopening
-// (OpenFile does): the data file alone may lack anything committed since
-// the last checkpoint.
-func (b *Backend) EnableGroupCommit(w *relstore.WAL) {
-	b.db.AttachWAL(w)
-	b.wal = w
-	b.durable = true
+// before that: a crash keeps the call whole or not at all. A commit logs the
+// rows it stored and leaves its pages in memory; the data file is written
+// only when pages must leave memory — after a commit that leaves more than
+// half the buffer pool dirty, when the log is checkpointed (truncated, every
+// few megabytes logged) and at Close, which leaves the log empty — and
+// fsynced only at the last two. Pages the store dirtied before the call are
+// written here, as one logged group. This is the group-commit write path of
+// the sharded ingest pipeline; without it the store is durable only at
+// Close, as the paper's MySQL deployment was at transaction boundaries. The
+// log is closed by Close. After a crash, run relstore.RecoverPager before
+// reopening (OpenFile does): the data file alone may lack anything committed
+// since the last checkpoint. If the write fails, the backend is still
+// Close's to release, log included.
+func (b *Backend) EnableGroupCommit(w *relstore.WAL) error {
+	b.wal, b.durable = w, true
+	return b.db.AttachWAL(w)
 }
 
 // newBackend registers the work the engine has done since the store was

@@ -11,15 +11,18 @@ import (
 // pinned while in use; only unpinned pages are evictable.
 //
 // The pool alone decides when a page image may leave memory. With a
-// write-ahead log attached to the pager, only inside a committed group
+// write-ahead log attached to the pager, only inside a logged page group
 // (FlushGroup): a dirty frame is never a victim, so neither file ever holds
-// a page of a group that has not committed, and a crash loses the open group
-// whole. A frame dirtied under a log leaves the LRU list until its commit,
-// and the capacity bounds the list: the pool is over its capacity by at most
-// the pages the open commit dirties, whose batch is in memory already, and
-// back under it on the first admit after the commit. Without a log nothing
-// is promised across a crash and bulk loads do not commit, so there, and
-// only there, a dirty frame stays listed and evicting it writes it.
+// a page the log does not, and a crash loses the open commit whole. A frame
+// dirtied under a log leaves the LRU list until it is written. A commit
+// logged as its rows (DB.GroupCommit) leaves its frames dirty — held — and
+// those count against the capacity, so the list holds at most the capacity
+// less the held frames; the pool is over its capacity by at most the pages
+// the open commit dirties, whose batch is in memory already, and back under
+// it on the first admit after the next page group. DB keeps the held frames
+// to half the pool. Without a log nothing is promised across a crash and
+// bulk loads do not commit, so there, and only there, a dirty frame stays
+// listed and evicting it writes it.
 type BufferPool struct {
 	mu     sync.Mutex
 	pager  *Pager
@@ -28,6 +31,9 @@ type BufferPool struct {
 	lru    *list.List // of PageID; front = most recently used
 	hits   int64
 	misses int64
+	// dirty counts the dirty frames; held, those of them a commit logged as
+	// rows left behind (see hold).
+	dirty, held int
 }
 
 type frame struct {
@@ -101,7 +107,7 @@ func (bp *BufferPool) Alloc(kind byte) (*Page, error) {
 // admit inserts a page pinned once, evicting while the list is full. Caller
 // holds mu.
 func (bp *BufferPool) admit(pg *Page) error {
-	for bp.lru.Len() >= bp.cap {
+	for bp.lru.Len()+bp.held >= bp.cap {
 		victim, err := bp.victim()
 		if err != nil {
 			return err
@@ -140,6 +146,7 @@ func (bp *BufferPool) markDirty(f *frame) {
 		return
 	}
 	f.dirty = true
+	bp.dirty++
 	if bp.pager.HasWAL() {
 		bp.lru.Remove(f.elem)
 		f.elem = nil
@@ -163,18 +170,14 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 // FlushGroup writes back every dirty page as one group commit
 // (Pager.WriteGroup). With a log attached the group — pages and pager
 // header — is durable behind one log write and one log fsync, however many
-// records dirtied the pages; the data file is written but not fsynced
-// until the log has grown past walCheckpointBytes and is checkpointed. That,
-// and Close, are the only data-file fsyncs. With no log the data file is
-// the only copy and is fsynced here, every time.
+// records dirtied the pages; the data file is written but not fsynced until
+// the log is checkpointed (DB.GroupCommit decides when). With no log the
+// data file is the only copy and is fsynced here, every time.
 func (bp *BufferPool) FlushGroup() error {
-	if wrote, err := bp.writeGroup(); err != nil || !wrote {
+	if wrote, err := bp.writeGroup(); err != nil || !wrote || bp.pager.HasWAL() {
 		return err
 	}
-	if !bp.pager.HasWAL() {
-		return bp.pager.Sync()
-	}
-	return bp.pager.checkpointIfLarge()
+	return bp.pager.Sync()
 }
 
 // writeGroup hands every dirty page to the pager as one group and reports
@@ -182,7 +185,7 @@ func (bp *BufferPool) FlushGroup() error {
 func (bp *BufferPool) writeGroup() (bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	var dirty []*Page
+	dirty := make([]*Page, 0, bp.dirty)
 	for _, f := range bp.frames {
 		if f.dirty {
 			dirty = append(dirty, f.page)
@@ -198,7 +201,24 @@ func (bp *BufferPool) writeGroup() (bool, error) {
 			f.elem = bp.lru.PushFront(pg.ID)
 		}
 	}
+	bp.dirty, bp.held = 0, 0
 	return len(dirty) > 0, nil
+}
+
+// dirtyPages returns the number of dirty frames.
+func (bp *BufferPool) dirtyPages() int {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	return bp.dirty
+}
+
+// hold keeps every dirty frame in the pool, unwritten, as a commit whose
+// rows the log has: from here until the next group they count against the
+// capacity.
+func (bp *BufferPool) hold() {
+	bp.mu.Lock()
+	bp.held = bp.dirty
+	bp.mu.Unlock()
 }
 
 // Stats returns cache hit/miss counters.

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -10,13 +11,21 @@ import (
 // A DB is a collection of tables in one store file, with a JSON catalog
 // persisted in a heap whose first page is recorded in the store header.
 // Catalog changes (new tables, moved index roots, row counters) are kept in
-// memory and written back by GroupCommit/Close.
+// memory and written back with the pages: by a GroupCommit that writes them,
+// and by Close.
 type DB struct {
 	mu      sync.Mutex
 	bp      *BufferPool
 	catalog *Heap
 	tables  map[string]*Table
 	dirty   bool
+	wal     *WAL // see AttachWAL
+	// rows is the body of the open commit's rows record: every row Insert
+	// stored since the last commit, while the commit may still be logged as
+	// its rows. writePages says it may not: it dirtied more than half the
+	// pool or created a table, so GroupCommit writes its pages.
+	rows       []byte
+	writePages bool
 }
 
 // DefaultCachePages is the buffer-pool capacity of a DB.
@@ -113,7 +122,7 @@ func (db *DB) CreateTable(schema TableSchema) (*Table, error) {
 		return nil, err
 	}
 	db.tables[schema.Name] = t
-	db.dirty = true
+	db.dirty, db.writePages = true, true
 	return t, db.flushCatalogLocked()
 }
 
@@ -140,9 +149,11 @@ func (db *DB) TableNames() []string {
 	return out
 }
 
-// persistTable records that a table's metadata (root pages, counters)
-// changed; the catalog is written back on GroupCommit/Close.
-func (db *DB) persistTable(t *Table) error {
+// rowStored records a row Insert just stored in t — its encoded primary key
+// and value — for the open commit: t's metadata (root pages, counters)
+// changed, and with a log attached the row goes into the commit's rows
+// record until the commit has dirtied more than half the pool.
+func (db *DB) rowStored(t *Table, pk, val []byte) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// Index roots move on splits; refresh them in the metadata.
@@ -151,7 +162,63 @@ func (db *DB) persistTable(t *Table) error {
 		t.meta.Schema.Indexes[i].Root = t.seconds[i].Root()
 	}
 	db.dirty = true
-	return nil
+	if db.wal == nil || db.writePages {
+		return
+	}
+	if db.bp.dirtyPages() > db.bp.cap/2 {
+		db.writePages = true
+		return
+	}
+	db.rows = appendLoggedRow(db.rows, t.meta.Schema.Name, pk, val)
+}
+
+// appendLoggedRow appends a row to a rows record body: the table's name, the
+// encoded primary key and the encoded value, each behind a uvarint length.
+func appendLoggedRow(body []byte, table string, pk, val []byte) []byte {
+	body = append(binary.AppendUvarint(body, uint64(len(table))), table...)
+	body = append(binary.AppendUvarint(body, uint64(len(pk))), pk...)
+	return append(binary.AppendUvarint(body, uint64(len(val))), val...)
+}
+
+// nextLoggedRow splits the first row off a rows record body; a body that is
+// not rows is ErrCorrupt.
+func nextLoggedRow(body []byte) (table, pk, val, rest []byte, err error) {
+	var fields [3][]byte
+	for i := range fields {
+		size, n := binary.Uvarint(body)
+		if n <= 0 || size > uint64(len(body)-n) {
+			return nil, nil, nil, nil, fmt.Errorf("%w: rows record field runs past its record", ErrCorrupt)
+		}
+		fields[i], body = body[n:n+int(size)], body[n+int(size):]
+	}
+	return fields[0], fields[1], fields[2], body, nil
+}
+
+// redo inserts the rows of rows record bodies, in order, that are not
+// stored yet (see Table.redo) and returns how many it inserted.
+func (db *DB) redo(bodies [][]byte) (n int, err error) {
+	for _, body := range bodies {
+		for len(body) > 0 {
+			var table, pk, val []byte
+			if table, pk, val, body, err = nextLoggedRow(body); err != nil {
+				return n, err
+			}
+			db.mu.Lock()
+			t, ok := db.tables[string(table)]
+			db.mu.Unlock()
+			if !ok {
+				return n, fmt.Errorf("%w: logged row of %w %q", ErrCorrupt, ErrNoSuchTable, table)
+			}
+			inserted, err := t.redo(pk, val)
+			if err != nil {
+				return n, err
+			}
+			if inserted {
+				n++
+			}
+		}
+	}
+	return n, nil
 }
 
 // flushCatalogLocked rewrites the catalog heap from current table metadata.
@@ -191,37 +258,74 @@ func (db *DB) tableNamesLocked() []string {
 	return out
 }
 
-// AttachWAL write-ahead-logs every subsequent page write of this database:
-// from here on a page leaves memory only inside a GroupCommit, which makes a
-// batch of logical writes durable with a single fsync. Close the log after
-// the database, whose Close truncates it.
-func (db *DB) AttachWAL(w *WAL) {
+// AttachWAL write-ahead-logs every subsequent commit of this database: from
+// here on a page leaves memory only inside a logged group, and a
+// GroupCommit makes a batch of logical writes durable with a single fsync.
+// Pages dirtied before the log was attached are logged and written here, as
+// one group, so every commit after it is logged over a store the log
+// covers. Close the log after the database, whose Close truncates it.
+func (db *DB) AttachWAL(w *WAL) error {
 	db.bp.Pager().AttachWAL(w)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.wal = w
+	return db.writePagesLocked()
 }
 
-// GroupCommit makes everything written so far durable at the cost of its
-// pages: the catalog is refreshed and every dirty page, with the pager
-// header, goes to the attached log as one group — one write, one fsync,
-// however many records it carries — and then to the data file, which is
-// fsynced only by the checkpoint that truncates the log and by Close
-// (without a log: here, every time). This is the commit primitive behind
-// relprov's Append; when it returns, the committed state survives a
-// crash (RecoverPager replays it on reopen; an in-flight group that never
-// returned is replayed whole or not at all).
+// GroupCommit makes everything written so far durable with one log write
+// and one log fsync, however many records it carries. Under a log a commit
+// is logged as its rows (WAL.AppendRows) and its pages stay dirty in the
+// pool. Its pages are written — the catalog refreshed and every dirty page,
+// with the pager header, logged as one group and written to the data file
+// — only when they must leave memory: when the commit leaves more than half
+// the pool dirty, when it created a table, or when the log has grown past
+// walCheckpointBytes; that last one also checkpoints, fsyncing the data file
+// and truncating the log. Without a log GroupCommit writes the pages and
+// fsyncs the data file, every time. This is the commit primitive behind
+// relprov's Append; when it returns, the committed state survives a crash
+// (RecoverPager replays and redoes it on reopen; an in-flight commit that
+// never returned is replayed whole or not at all).
 func (db *DB) GroupCommit() error {
 	db.mu.Lock()
-	if err := db.flushCatalogLocked(); err != nil {
-		db.mu.Unlock()
+	defer db.mu.Unlock()
+	if db.wal == nil || db.writePages || db.wal.Size()+int64(len(db.rows)) >= walCheckpointBytes {
+		return db.writePagesLocked()
+	}
+	if len(db.rows) == 0 {
+		return nil
+	}
+	if err := db.wal.AppendRows(db.rows); err != nil {
 		return err
 	}
-	db.mu.Unlock()
-	return db.bp.FlushGroup()
+	db.rows = db.rows[:0]
+	db.bp.hold()
+	return nil
 }
 
-// Size returns the store file size in bytes after a GroupCommit, the
-// "physical size" the paper reports at the top of Figure 8's bars.
+// writePagesLocked commits by writing the pages: the catalog is refreshed
+// and every dirty page goes out as one group (BufferPool.FlushGroup), and a
+// log past walCheckpointBytes is checkpointed. Caller holds db.mu.
+func (db *DB) writePagesLocked() error {
+	db.rows, db.writePages = db.rows[:0], false
+	if err := db.flushCatalogLocked(); err != nil {
+		return err
+	}
+	if err := db.bp.FlushGroup(); err != nil {
+		return err
+	}
+	if db.wal != nil && db.wal.Size() >= walCheckpointBytes {
+		return db.bp.Pager().Checkpoint()
+	}
+	return nil
+}
+
+// Size returns the store file size in bytes after writing back every page,
+// the "physical size" the paper reports at the top of Figure 8's bars.
 func (db *DB) Size() (int64, error) {
-	if err := db.GroupCommit(); err != nil {
+	db.mu.Lock()
+	err := db.writePagesLocked()
+	db.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
 	return db.bp.Pager().FileSize()

@@ -34,7 +34,6 @@ const InvalidPage PageID = 0
 
 // Page kinds.
 const (
-	KindFree       byte = 0
 	KindHeap       byte = 1
 	KindBTreeLeaf  byte = 2
 	KindBTreeInner byte = 3

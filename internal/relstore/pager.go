@@ -14,11 +14,13 @@ const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 
 // formatVersion is the on-disk format this build writes and the only one it
 // reads: front-coded leaf runs, int key fields as long as their significant
-// bytes, index entries that carry their row's value, and path key fields
-// stored as their bytes and one 0x00 (TPath; version 3 escaped them as
-// bytes). It sits in the store header, in bytes that were reserved — and
-// zero — before it existed, so a store that predates it reads as version 0.
-const formatVersion uint32 = 4
+// bytes, index entries that carry their row's value, path key fields stored
+// as their bytes and one 0x00 (TPath; version 3 escaped them as bytes), and a
+// log that holds rows records beside page groups (version 4 logged page
+// groups only, and would read a rows record as a torn tail). It sits in the
+// store header, in bytes that were reserved — and zero — before it existed,
+// so a store that predates it reads as version 0.
+const formatVersion uint32 = 5
 
 // A Pager reads and writes fixed-size pages of a store file. Page 0 holds
 // the store header: magic, page count, four reserved bytes (zero), the

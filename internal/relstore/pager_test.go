@@ -143,14 +143,15 @@ func TestPagerFileSize(t *testing.T) {
 
 // TestFormatVersionRefusesParent: a store an earlier format wrote — version
 // 2: int key fields of eight bytes, index entries with no value; version 3:
-// path key fields escaped as bytes — page 0 and a committed log, byte for
+// path key fields escaped as bytes; version 4: a log of page groups alone,
+// which would read a rows record as a torn tail — page 0 and a committed log, byte for
 // byte as that code wrote them, is refused with ErrFormatVersion by recovery
 // and by open, with neither file touched; a store this build writes carries
 // its version through Close/Open and, in every logged header, through
 // recovery.
 func TestFormatVersionRefusesParent(t *testing.T) {
 	dir := t.TempDir()
-	for _, version := range []uint32{2, 3} {
+	for _, version := range []uint32{2, 3, 4} {
 		refuseVersion(t, dir, version)
 	}
 

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -272,7 +273,30 @@ func (t *Table) indexRow(row Row, pk, val []byte) error {
 	}
 	t.meta.RowCount++
 	t.meta.ByteSize += int64(len(pk) + len(val))
-	return t.db.persistTable(t)
+	t.db.rowStored(t, pk, val)
+	return nil
+}
+
+// redo stores the row pk→val that a rows record logged, as Insert stored
+// it, unless it is stored already: then it must be with the same bytes, or
+// the store and its log disagree (ErrCorrupt). It reports whether it
+// inserted the row.
+func (t *Table) redo(pk, val []byte) (bool, error) {
+	stored, err := t.primary.Get(pk)
+	if err == nil {
+		if !bytes.Equal(stored, val) {
+			return false, fmt.Errorf("%w: logged row %x of %q is stored with other bytes", ErrCorrupt, pk, t.Name())
+		}
+		return false, nil
+	}
+	if !errors.Is(err, ErrKeyNotFound) {
+		return false, err
+	}
+	row, err := t.decodeRow(pk, val)
+	if err != nil {
+		return false, err
+	}
+	return true, t.Insert(row)
 }
 
 // Get fetches the row with the given primary key values.

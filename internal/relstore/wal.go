@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,11 +13,17 @@ import (
 	"sync"
 )
 
-// A WAL is a write-ahead log of committed page groups: full page images
-// under the pager header they were committed with. Every write to the store
-// file is logged first, so a crash between or during data-file writes (torn
-// or missing pages) is repairable by replay. The log is truncated at
-// checkpoints, once the data file has been fsynced.
+// A WAL is a write-ahead log of commits. A commit is logged one of two
+// ways. A rows record holds the rows it stored, as encoded keys and values:
+// its pages stay dirty in the buffer pool, and after a crash recovery redoes
+// the rows through Table.Insert. A page group holds full page images under
+// the pager header they were committed with; it is written when pages must
+// leave memory (DB.GroupCommit has the policy), and only its pages ever
+// reach the data file, after the log has them, so a crash between or during
+// data-file writes (torn or missing pages) is repairable by replay. A group
+// holds every page dirtied since the group before it, so it makes every rows
+// record before it redundant. The log is truncated at checkpoints, once the
+// data file has been fsynced.
 //
 // The paper's related work (§5) discusses transaction logging as a
 // neighbouring mechanism and argues provenance must not be bolted onto it:
@@ -25,19 +32,21 @@ import (
 // nothing about provenance; provenance records are ordinary table rows
 // above it.
 //
-// Two record kinds share one layout:
+// Three record kinds share one layout:
 //
-//	magic   uint32  walMagic             walGroupMagic
+//	magic   uint32  walMagic             walGroupMagic                   walRowsMagic
 //	lsn     uint64
-//	pageID  uint32  the image's page     0
+//	pageID  uint32  the image's page     0                               the body's length
 //	crc32   uint32  of the body
-//	body            PageSize-byte image  pager header ‖ uint32 page count
+//	body            PageSize-byte image  pager header ‖ uint32 page count rows
 //
-// A group record opens a commit (AppendGroup), the only thing the log holds
-// at top level: the pager header as of the commit and the number of page
-// records that follow and belong to it. A group missing any of its records
-// is not replayed at all, and a page record outside a group ends the usable
-// log like any other damage.
+// A group record opens a page group (AppendGroup): the pager header as of
+// the commit and the number of page records that follow and belong to it.
+// A group missing any of its records is not replayed at all, and a page
+// record outside a group ends the usable log like any other damage. A rows
+// record (AppendRows) stands alone at top level; its body is each row in
+// turn as three uvarint-length-prefixed byte strings: the table's name, the
+// row's encoded primary key and its encoded value.
 type WAL struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -52,6 +61,7 @@ type WAL struct {
 const (
 	walMagic      uint32 = 0xCA11B0C5
 	walGroupMagic uint32 = 0xCA11B0C6
+	walRowsMagic  uint32 = 0xCA11B0C7
 
 	walHeaderSize = 4 + 8 + 4 + 4
 	walPageSize   = walHeaderSize + PageSize
@@ -109,6 +119,21 @@ func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
 		pg.seal()
 		buf = w.appendRecord(buf, walMagic, pg.ID, pg.buf[:])
 	}
+	return w.commit(buf)
+}
+
+// AppendRows logs a commit as the rows it stored — body is the rows record's
+// body, see WAL — with one write and one fsync.
+func (w *WAL) AppendRows(body []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.commit(w.appendRecord(w.buf[:0], walRowsMagic, PageID(len(body)), body))
+}
+
+// commit appends the encoded records of one commit to the log with one write
+// and one fsync, keeping buf to encode the next commit in unless it grew past
+// walKeepBuf. Caller holds mu.
+func (w *WAL) commit(buf []byte) error {
 	if cap(buf) <= walKeepBuf {
 		w.buf = buf[:0]
 	}
@@ -137,14 +162,21 @@ func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) 
 	return buf
 }
 
-// scan reads the first limit bytes of the log, calling apply (if non-nil)
-// for every intact page image and, as page 0, for the pager header of every
-// group. It returns the offset after the last whole group and the newest LSN
-// seen. A torn tail, which includes a group missing any of its records and a
-// page record no group counts, yields ErrTornLog with the prefix results
-// intact. Records are applied as they are read, so a caller that must not
-// see part of a group passes a limit some earlier scan returned.
-func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end int64, maxLSN uint64, err error) {
+// scan reads the first limit bytes of the log, calling visit (if non-nil)
+// for every intact record: a page image with its page, a group's pager
+// header as page 0 and a rows record's body with magic walRowsMagic. body is
+// valid until visit returns. scan returns the offset after the last whole
+// record or group and the newest LSN seen. A torn tail, which includes a
+// group missing any of its records and a page record no group counts, yields
+// ErrTornLog with the prefix results intact. Records are visited as they are
+// read, so a caller that must not see part of a group passes a limit some
+// earlier scan returned.
+func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte) error) (end int64, maxLSN uint64, err error) {
+	if fi, err := w.f.Stat(); err != nil {
+		return 0, 0, err
+	} else if fi.Size() < limit {
+		limit = fi.Size()
+	}
 	var (
 		r       = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, limit), 1<<16)
 		prefix  [walHeaderSize]byte
@@ -159,10 +191,17 @@ func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end 
 			}
 			return end, maxLSN, ErrTornLog
 		}
-		magic, b := binary.BigEndian.Uint32(prefix[0:]), body
-		if magic == walGroupMagic && pending == 0 {
+		magic, id, b := binary.BigEndian.Uint32(prefix[0:]), PageID(binary.BigEndian.Uint32(prefix[12:])), body[:PageSize]
+		switch {
+		case magic == walMagic && pending > 0:
+		case magic == walGroupMagic && pending == 0:
 			b = body[:storeHeaderSize+4]
-		} else if magic != walMagic || pending == 0 {
+		case magic == walRowsMagic && pending == 0 && int64(id) <= limit-pos-walHeaderSize:
+			if int(id) > cap(body) {
+				body = make([]byte, id)
+			}
+			b = body[:id]
+		default:
 			return end, maxLSN, ErrTornLog
 		}
 		if _, err := io.ReadFull(r, b); err != nil || crc32.ChecksumIEEE(b) != binary.BigEndian.Uint32(prefix[16:]) {
@@ -170,13 +209,14 @@ func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end 
 		}
 		maxLSN = max(maxLSN, binary.BigEndian.Uint64(prefix[4:]))
 		pos += walHeaderSize + int64(len(b))
-		if magic == walGroupMagic {
+		switch magic {
+		case walGroupMagic:
 			pending, b = binary.BigEndian.Uint32(b[storeHeaderSize:]), b[:storeHeaderSize]
-		} else {
+		case walMagic:
 			pending--
 		}
-		if apply != nil {
-			if err := apply(PageID(binary.BigEndian.Uint32(prefix[12:])), b); err != nil {
+		if visit != nil {
+			if err := visit(magic, id, b); err != nil {
 				return end, maxLSN, err
 			}
 		}
@@ -190,20 +230,33 @@ func (w *WAL) scan(limit int64, apply func(id PageID, image []byte) error) (end 
 // header as a storeHeaderSize-byte image of page 0. It reads the extent
 // OpenWAL found intact plus what has been appended since, so it never
 // applies part of a group. It returns the number of page images applied.
+// Rows records are not Replay's: RecoverPager redoes them.
 func (w *WAL) Replay(apply func(id PageID, image []byte) error) (int, error) {
+	n, _, err := w.replay(apply)
+	return n, err
+}
+
+// replay is Replay that also returns, in log order, the bodies of the rows
+// records logged after the last group — the commits no page image holds.
+func (w *WAL) replay(apply func(id PageID, image []byte) error) (n int, rows [][]byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	n := 0
-	_, _, err := w.scan(w.size, func(id PageID, image []byte) error {
-		if id != InvalidPage {
+	_, _, err = w.scan(w.size, func(magic uint32, id PageID, body []byte) error {
+		switch magic {
+		case walRowsMagic:
+			rows = append(rows, bytes.Clone(body))
+			return nil
+		case walGroupMagic:
+			rows = rows[:0]
+		default:
 			n++
 		}
-		return apply(id, image)
+		return apply(id, body)
 	})
 	if err != nil && !errors.Is(err, ErrTornLog) {
-		return n, err
+		return n, rows, err
 	}
-	return n, nil
+	return n, rows, nil
 }
 
 // Truncate empties the log (a checkpoint: every logged write is in the
@@ -257,23 +310,10 @@ func (p *Pager) HasWAL() bool {
 	return p.wal != nil
 }
 
-// walCheckpointBytes bounds the attached log's growth: once the log exceeds
-// this size the data file is fsynced (making every logged image redundant)
-// and the log truncated.
+// walCheckpointBytes bounds the attached log's growth: a commit that finds
+// the log past this size writes its pages as a group, fsyncs the data file
+// (making every logged record redundant) and truncates the log.
 const walCheckpointBytes = 4 << 20
-
-// checkpointIfLarge checkpoints if the attached log has grown past the
-// checkpoint threshold. This is the only data-file fsync of a store that
-// commits through a log, besides Close: one per walCheckpointBytes logged.
-func (p *Pager) checkpointIfLarge() error {
-	p.mu.Lock()
-	w := p.wal
-	p.mu.Unlock()
-	if w == nil || w.Size() < walCheckpointBytes {
-		return nil
-	}
-	return p.Checkpoint()
-}
 
 // WriteGroup seals and persists a batch of pages as one group commit. With
 // a log attached, the images and the pager header reach the log with one
@@ -340,12 +380,21 @@ func (p *Pager) IOStats() IOStats {
 	return st
 }
 
-// RecoverPager repairs a store file from its write-ahead log by rewriting
-// every logged page image and pager header, fsyncing the file, then
-// truncating the log. It returns the number of pages repaired. The log holds
-// every write since the data file was last fsynced, in order, so it does
-// not matter which of them the file already has, or has torn. Use before
-// OpenPager on any store that commits through a log.
+// RecoverPager repairs a store file from its write-ahead log: it rewrites
+// every logged page image and pager header and fsyncs the file; then, if rows
+// records follow the last group, it opens the store, redoes their rows
+// through Table.Insert and commits the redo as one group, whose checkpoint
+// fsyncs the file again. Last it truncates the log. It returns the number of
+// page images rewritten and rows redone. The log holds every page write
+// since the data file was last fsynced, in order, so it does not matter which
+// of them the file already has, or has torn; and it holds every row stored
+// since the last group. Use before OpenPager on any store that commits
+// through a log.
+//
+// Redo is idempotent: a logged row that is stored with the same bytes is
+// skipped, so a log that comes back after a finished recovery changes
+// nothing. A row stored with other bytes fails recovery with ErrCorrupt, and
+// nothing of the redo is written.
 //
 // A store of another format version is refused with ErrFormatVersion before
 // either file is touched: its log is not this build's to replay. A page 0
@@ -368,7 +417,7 @@ func RecoverPager(storePath, walPath string) (int, error) {
 		return 0, err
 	}
 	defer w.Close()
-	n, err := w.Replay(func(id PageID, image []byte) error {
+	n, rows, err := w.replay(func(id PageID, image []byte) error {
 		_, werr := f.WriteAt(image, int64(id)*PageSize)
 		return werr
 	})
@@ -378,5 +427,32 @@ func RecoverPager(storePath, walPath string) (int, error) {
 	if err := f.Sync(); err != nil {
 		return n, err
 	}
-	return n, w.Truncate()
+	if len(rows) == 0 {
+		return n, w.Truncate()
+	}
+	redone, err := redo(storePath, w, rows)
+	if err != nil {
+		return n, fmt.Errorf("relstore: recovery redo: %w", err)
+	}
+	return n + redone, nil
+}
+
+// redo opens the store, inserts the rows of the given rows record bodies that
+// it does not hold yet and closes it, which writes them as one logged group
+// and checkpoints. It returns the number of rows inserted. On an error
+// nothing is written.
+func redo(storePath string, w *WAL, bodies [][]byte) (int, error) {
+	db, err := Open(storePath)
+	if err != nil {
+		return 0, err
+	}
+	n, err := 0, db.AttachWAL(w)
+	if err == nil {
+		n, err = db.redo(bodies)
+	}
+	if err != nil {
+		db.bp.pager.f.Close()
+		return n, err
+	}
+	return n, db.Close()
 }
