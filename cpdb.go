@@ -144,12 +144,10 @@ func NewRelSource(name string, db *relstore.DB, tables ...string) Source {
 //	rel://prov.db?create=1              relational store in prov.db
 //	rel://prov.db?create=1&durable=1    … with WAL-backed group commit
 //	rel://prov.db?durable=1             reopen after a crash (log replay)
-//	sharded://?shards=4&each=rel%3A%2F%2Fs%25d.db%3Fcreate%3D1
-//	                                    4 relational shards s0.db … s3.db
-//	                                    (each is a URL-escaped DSN template,
-//	                                    %d = shard index)
 //	sharded://?shard=mem://&shard=mem://
-//	                                    explicit per-shard DSNs
+//	                                    a sharded store over the shard DSNs
+//	                                    named, in order (URL-escaped when
+//	                                    they carry their own ?params)
 //	cpdb://10.0.0.5:7070                a cpdbd provenance service over the
 //	                                    network (one HTTP round trip per
 //	                                    store call; see cmd/cpdbd)

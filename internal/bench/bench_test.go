@@ -53,8 +53,8 @@ func TestRegistry(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "x", Title: "demo", Header: []string{"a", "bb"}}
-	tb.AddRow("1", "2")
-	tb.Note("n%d", 1)
+	tb.addRow("1", "2")
+	tb.note("n%d", 1)
 	s := tb.String()
 	for _, want := range []string{"demo", "bb", "note: n1"} {
 		if !strings.Contains(s, want) {
@@ -347,7 +347,7 @@ func TestFig5Experiment(t *testing.T) {
 func TestAblations(t *testing.T) {
 	rc := quick(t)
 	rc.StepsShort = 120
-	tabs, err := Ablations(rc)
+	tabs, err := ablations(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,16 +381,16 @@ func TestMakeSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestEnvCloseLeavesNothing: an Env built with no Dir keeps its stores in a
+// TestEnvCloseLeavesNothing: a simEnv built with no Dir keeps its stores in a
 // scratch directory of its own, which Close removes with both stores
-// closed — and so does a NewEnv that fails after opening them.
+// closed — and so does a newSimEnv that fails after opening them.
 func TestEnvCloseLeavesNothing(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	rc := Quick()
 	cfg := rc.envConfig(provstore.HierTrans, workload.Mix)
-	cfg.Backend = RelProv
-	env, err := NewEnv(cfg, rc.Costs)
+	cfg.Backend = relProv
+	env, err := newSimEnv(cfg, rc.Costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +398,8 @@ func TestEnvCloseLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Method = provstore.Method(99) // no tracker: fails after both stores open
-	if _, err := NewEnv(cfg, rc.Costs); err == nil {
-		t.Fatal("NewEnv with an unknown method succeeded")
+	if _, err := newSimEnv(cfg, rc.Costs); err == nil {
+		t.Fatal("newSimEnv with an unknown method succeeded")
 	}
 	entries, err := os.ReadDir(tmp)
 	if err != nil {

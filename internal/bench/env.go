@@ -43,8 +43,8 @@ type Costs struct {
 	QueryPerRow time.Duration
 }
 
-// DefaultCosts is the calibrated model used by all experiments.
-func DefaultCosts() Costs {
+// defaultCosts is the calibrated model used by all experiments.
+func defaultCosts() Costs {
 	return Costs{
 		Target:      netsim.CostModel{RTT: 380 * time.Millisecond, PerRecord: 8 * time.Millisecond},
 		Source:      netsim.CostModel{RTT: 60 * time.Millisecond, PerRecord: 2 * time.Millisecond},
@@ -55,31 +55,31 @@ func DefaultCosts() Costs {
 	}
 }
 
-// BackendKind selects where provenance rows are persisted.
-type BackendKind int
+// backendKind selects where provenance rows are persisted.
+type backendKind int
 
 // Backend kinds.
 const (
-	MemProv BackendKind = iota // in-memory store (fast; counts and bytes)
-	RelProv                    // relational engine on disk (file sizes)
+	memProv backendKind = iota // in-memory store (fast; counts and bytes)
+	relProv                    // relational engine on disk (file sizes)
 )
 
-// EnvConfig sizes one simulated deployment.
-type EnvConfig struct {
+// simConfig sizes one simulated deployment.
+type simConfig struct {
 	Method      provstore.Method
 	Pattern     workload.Pattern
 	Deletion    workload.Deletion
 	TxnLen      int // commit every N operations (deferred methods)
 	Seed        int64
-	Backend     BackendKind
-	Dir         string // scratch directory for the stores ("" = one NewEnv makes and Close removes)
+	Backend     backendKind
+	Dir         string // scratch directory for the stores ("" = one newSimEnv makes and Close removes)
 	TargetScale dataset.MiMIConfig
 	SourceScale dataset.OrganelleConfig
 }
 
-// An Env is one assembled deployment: clock, meter, stores, editor and
+// A simEnv is one assembled deployment: clock, meter, stores, editor and
 // workload generator.
-type Env struct {
+type simEnv struct {
 	Clock  *netsim.Clock
 	Meter  *netsim.Meter
 	Editor *core.Editor
@@ -87,14 +87,14 @@ type Env struct {
 	Gen    *workload.Generator
 
 	srcDB  *relstore.DB // the OrganelleDB source
-	relDB  *relstore.DB // non-nil for RelProv
-	tmpDir string       // created by NewEnv when cfg.Dir is empty
+	relDB  *relstore.DB // non-nil for relProv
+	tmpDir string       // created by newSimEnv when cfg.Dir is empty
 }
 
-// NewEnv assembles a deployment. On error it releases whatever it opened.
-func NewEnv(cfg EnvConfig, costs Costs) (_ *Env, err error) {
+// newSimEnv assembles a deployment. On error it releases whatever it opened.
+func newSimEnv(cfg simConfig, costs Costs) (_ *simEnv, err error) {
 	clock := netsim.NewClock()
-	env := &Env{Clock: clock, Meter: netsim.NewMeter(clock)}
+	env := &simEnv{Clock: clock, Meter: netsim.NewMeter(clock)}
 	defer func() {
 		if err != nil {
 			env.Close()
@@ -126,7 +126,7 @@ func NewEnv(cfg EnvConfig, costs Costs) (_ *Env, err error) {
 
 	// Provenance store.
 	switch cfg.Backend {
-	case RelProv:
+	case relProv:
 		if env.relDB, err = relstore.Create(filepath.Join(dir, fmt.Sprintf("prov-%s-%s.rel", cfg.Method, cfg.Pattern))); err != nil {
 			return nil, err
 		}
@@ -173,9 +173,9 @@ func NewEnv(cfg EnvConfig, costs Costs) (_ *Env, err error) {
 	return env, nil
 }
 
-// Close releases what NewEnv opened: both stores and the scratch directory
+// Close releases what newSimEnv opened: both stores and the scratch directory
 // it made.
-func (e *Env) Close() error {
+func (e *simEnv) Close() error {
 	var errs []error
 	for _, db := range []*relstore.DB{e.relDB, e.srcDB} {
 		if db != nil {
@@ -192,8 +192,8 @@ func (e *Env) Close() error {
 // editor — or, when seq is nil, the next steps operations of its own
 // workload — commits the tail transaction, hands the deployment to read and
 // closes it.
-func withEnv(cfg EnvConfig, costs Costs, steps int, seq update.Sequence, read func(*Env) error) (err error) {
-	env, err := NewEnv(cfg, costs)
+func withEnv(cfg simConfig, costs Costs, steps int, seq update.Sequence, read func(*simEnv) error) (err error) {
+	env, err := newSimEnv(cfg, costs)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func Full() RunConfig {
 		StepsLong:   14000,
 		TxnLen:      5,
 		Seed:        2006,
-		Costs:       DefaultCosts(),
+		Costs:       defaultCosts(),
 		Target:      dataset.MiMIConfig{Entries: 2000, MaxPTMs: 3, MaxCitations: 3, MaxInteracts: 4, Seed: 1},
 		Source:      dataset.OrganelleConfig{Proteins: 2000, Seed: 2},
 		QueryProbes: 40,
@@ -54,15 +54,15 @@ func Quick() RunConfig {
 		StepsLong:   1400,
 		TxnLen:      5,
 		Seed:        2006,
-		Costs:       DefaultCosts(),
+		Costs:       defaultCosts(),
 		Target:      dataset.MiMIConfig{Entries: 120, MaxPTMs: 2, MaxCitations: 2, MaxInteracts: 2, Seed: 1},
 		Source:      dataset.OrganelleConfig{Proteins: 150, Seed: 2},
 		QueryProbes: 10,
 	}
 }
 
-func (rc RunConfig) envConfig(m provstore.Method, p workload.Pattern) EnvConfig {
-	return EnvConfig{
+func (rc RunConfig) envConfig(m provstore.Method, p workload.Pattern) simConfig {
+	return simConfig{
 		Method:      m,
 		Pattern:     p,
 		TxnLen:      rc.TxnLen,
@@ -94,7 +94,7 @@ func All() []Experiment {
 		{"fig11", "Effect of deletion patterns on storage (Figure 11)", Fig11},
 		{"fig12", "Transaction length vs processing time (Figure 12)", Fig12},
 		{"fig13", "Provenance query times (Figure 13)", Fig13},
-		{"ablation", "Design-choice ablations (A1–A4)", Ablations},
+		{"ablation", "Design-choice ablations (A1–A4)", ablations},
 	}
 }
 
@@ -126,7 +126,7 @@ func Fig7(rc RunConfig) ([]*Table, error) {
 	for _, p := range patterns {
 		row := []string{p.String()}
 		for _, m := range provstore.AllMethods {
-			if err := withEnv(rc.envConfig(m, p), rc.Costs, rc.StepsShort, nil, func(env *Env) error {
+			if err := withEnv(rc.envConfig(m, p), rc.Costs, rc.StepsShort, nil, func(env *simEnv) error {
 				st, err := env.Inner.Stat(context.Background())
 				row = append(row, fmt.Sprint(st.Count))
 				return err
@@ -134,9 +134,9 @@ func Fig7(rc RunConfig) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note("expected shape: N stores 4 records per size-4 copy, H/HT one; N ≥ T ≥ HT and N ≥ H ≥ HT on copy-heavy patterns")
+	t.note("expected shape: N stores 4 records per size-4 copy, H/HT one; N ≥ T ≥ HT and N ≥ H ≥ HT on copy-heavy patterns")
 	return []*Table{t}, nil
 }
 
@@ -155,8 +155,8 @@ func Fig8(rc RunConfig) ([]*Table, error) {
 		row := []string{p.String()}
 		for _, m := range provstore.AllMethods {
 			cfg := rc.envConfig(m, p)
-			cfg.Backend = RelProv
-			if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+			cfg.Backend = relProv
+			if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *simEnv) error {
 				st, err := env.Inner.Stat(context.Background())
 				if err != nil {
 					return err
@@ -168,9 +168,9 @@ func Fig8(rc RunConfig) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note("physical size is the relational store file (pages + indexes), the analogue of the MB labels in Figure 8")
+	t.note("physical size is the relational store file (pages + indexes), the analogue of the MB labels in Figure 8")
 	return []*Table{t}, nil
 }
 
@@ -198,9 +198,9 @@ func Fig9(rc RunConfig) ([]*Table, error) {
 	t := &Table{ID: "fig9", Title: fmt.Sprintf("Average time per operation, %d-mix (virtual ms)", rc.StepsLong)}
 	t.Header = []string{"method", "dataset", "add prov", "delete prov", "paste prov", "commit prov"}
 	for _, m := range provstore.AllMethods {
-		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *simEnv) error {
 			meter := env.Meter
-			t.AddRow(m.String(),
+			t.addRow(m.String(),
 				ms(datasetAvg(meter)),
 				ms(meter.Bucket(core.MeterAdd).Avg()),
 				ms(meter.Bucket(core.MeterDelete).Avg()),
@@ -212,7 +212,7 @@ func Fig9(rc RunConfig) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	t.Note("expected shape: T/HT ops ≈ 0 (active list in memory); commits ≈ 25%% of a dataset interaction; H inserts pay an extra query round trip")
+	t.note("expected shape: T/HT ops ≈ 0 (active list in memory); commits ≈ 25%% of a dataset interaction; H inserts pay an extra query round trip")
 	return []*Table{t}, nil
 }
 
@@ -228,10 +228,10 @@ func Fig10(rc RunConfig) ([]*Table, error) {
 		return fmt.Sprintf("%.1f%%", 100*float64(prov)/float64(base))
 	}
 	for _, m := range provstore.AllMethods {
-		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+		if err := withEnv(rc.envConfig(m, workload.Mix), rc.Costs, rc.StepsLong, nil, func(env *simEnv) error {
 			meter := env.Meter
 			copyBase := meter.Bucket(core.MeterDatasetPaste).Avg() + meter.Bucket(core.MeterSource).Avg()
-			t.AddRow(m.String(),
+			t.addRow(m.String(),
 				pct(meter.Bucket(core.MeterAdd).Avg(), meter.Bucket(core.MeterDatasetAdd).Avg()),
 				pct(meter.Bucket(core.MeterDelete).Avg(), meter.Bucket(core.MeterDatasetDelete).Avg()),
 				pct(meter.Bucket(core.MeterPaste).Avg(), copyBase),
@@ -241,7 +241,7 @@ func Fig10(rc RunConfig) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	t.Note("paper: naive ≤ 30%% per op; hierarchical slower on adds (extra query) but much faster on copies; T/HT at most a few %%")
+	t.note("paper: naive ≤ 30%% per op; hierarchical slower on adds (extra query) but much faster on copies; T/HT at most a few %%")
 	return []*Table{t}, nil
 }
 
@@ -307,7 +307,7 @@ func Fig11(rc RunConfig) ([]*Table, error) {
 			for _, seq := range []update.Sequence{ac, full} {
 				cfg := rc.envConfig(m, workload.Mix)
 				cfg.Deletion = d
-				if err := withEnv(cfg, rc.Costs, 0, seq, func(env *Env) error {
+				if err := withEnv(cfg, rc.Costs, 0, seq, func(env *simEnv) error {
 					st, err := env.Inner.Stat(context.Background())
 					row = append(row, fmt.Sprint(st.Count))
 					return err
@@ -316,9 +316,9 @@ func Fig11(rc RunConfig) ([]*Table, error) {
 				}
 			}
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note("paper: N/H deletes only add records; T can shrink when data dies within its transaction; HT is the most stable and smallest")
+	t.note("paper: N/H deletes only add records; T can shrink when data dies within its transaction; HT is the most stable and smallest")
 	return []*Table{t}, nil
 }
 
@@ -335,14 +335,14 @@ func Fig12(rc RunConfig) ([]*Table, error) {
 		}
 		cfg := rc.envConfig(provstore.HierTrans, workload.Real)
 		cfg.TxnLen = txnLen
-		if err := withEnv(cfg, rc.Costs, rc.StepsShort, nil, func(env *Env) error {
+		if err := withEnv(cfg, rc.Costs, rc.StepsShort, nil, func(env *simEnv) error {
 			meter := env.Meter
 			provTotal := meter.Bucket(core.MeterAdd).Total +
 				meter.Bucket(core.MeterDelete).Total +
 				meter.Bucket(core.MeterPaste).Total +
 				meter.Bucket(core.MeterCommit).Total
 			amortized := provTotal / time.Duration(rc.StepsShort)
-			t.AddRow(fmt.Sprint(txnLen),
+			t.addRow(fmt.Sprint(txnLen),
 				ms(meter.Bucket(core.MeterAdd).Avg()),
 				ms(meter.Bucket(core.MeterDelete).Avg()),
 				ms(meter.Bucket(core.MeterPaste).Avg()),
@@ -354,7 +354,7 @@ func Fig12(rc RunConfig) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	t.Note("paper: per-op time flat; commit grows ~linearly with transaction length; amortized per-op time stays about the same")
+	t.note("paper: per-op time flat; commit grows ~linearly with transaction length; amortized per-op time stays about the same")
 	return []*Table{t}, nil
 }
 
@@ -376,7 +376,7 @@ func Fig13(rc RunConfig) ([]*Table, error) {
 			return nil, err
 		}
 	}
-	t.Note("paper: getHist ≤ getSrc ≤ getMod; transactional methods ~2.5× faster than naive (fewer rows to scan)")
+	t.note("paper: getHist ≤ getSrc ≤ getMod; transactional methods ~2.5× faster than naive (fewer rows to scan)")
 	return []*Table{t}, nil
 }
 
@@ -384,7 +384,7 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 	for _, m := range provstore.AllMethods {
 		cfg := rc.envConfig(m, workload.Real)
 		cfg.TxnLen = txnLen
-		if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *Env) error {
+		if err := withEnv(cfg, rc.Costs, rc.StepsLong, nil, func(env *simEnv) error {
 			st, err := env.Inner.Stat(context.Background())
 			if err != nil {
 				return err
@@ -422,7 +422,7 @@ func fig13Row(rc RunConfig, txnLen int, t *Table) error {
 					})
 				}
 			}
-			t.AddRow(m.String(), fmt.Sprint(txnLen), fmt.Sprint(rows),
+			t.addRow(m.String(), fmt.Sprint(txnLen), fmt.Sprint(rows),
 				ms(meter.Bucket("getSrc").Avg()),
 				ms(meter.Bucket("getMod").Avg()),
 				ms(meter.Bucket("getHist").Avg()),

@@ -15,13 +15,13 @@ type Table struct {
 	Notes  []string
 }
 
-// AddRow appends one formatted row.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends one formatted row.
+func (t *Table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// Note appends a free-form note printed under the table.
-func (t *Table) Note(format string, args ...any) {
+// note appends a free-form note printed under the table.
+func (t *Table) note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 

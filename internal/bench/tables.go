@@ -19,11 +19,11 @@ func Table1(rc RunConfig) ([]*Table, error) {
 	t := &Table{ID: "table1", Title: "Summary of experiments"}
 	t.Header = []string{"#", "upd. length", "trans. length", "update pattern", "prov. method", "measured", "figures"}
 	short, long := fmt.Sprint(rc.StepsShort), fmt.Sprint(rc.StepsLong)
-	t.AddRow("1", short, fmt.Sprint(rc.TxnLen), "add, delete, copy, ac-mix, mix", "N, H, T, HT", "space", "7")
-	t.AddRow("2", long, fmt.Sprint(rc.TxnLen), "mix, real", "N, H, T, HT", "space, time", "8, 9, 10")
-	t.AddRow("3", long, fmt.Sprint(rc.TxnLen), "del-random, del-add, del-mix, del-copy, del-real", "N, H, T, HT", "space", "11")
-	t.AddRow("4", short, "7, 100, 500, 1000", "real", "HT", "time", "12")
-	t.AddRow("5", long, fmt.Sprint(rc.TxnLen), "real", "N, H, T, HT", "query time", "13")
+	t.addRow("1", short, fmt.Sprint(rc.TxnLen), "add, delete, copy, ac-mix, mix", "N, H, T, HT", "space", "7")
+	t.addRow("2", long, fmt.Sprint(rc.TxnLen), "mix, real", "N, H, T, HT", "space, time", "8, 9, 10")
+	t.addRow("3", long, fmt.Sprint(rc.TxnLen), "del-random, del-add, del-mix, del-copy, del-real", "N, H, T, HT", "space", "11")
+	t.addRow("4", short, "7, 100, 500, 1000", "real", "HT", "time", "12")
+	t.addRow("5", long, fmt.Sprint(rc.TxnLen), "real", "N, H, T, HT", "query time", "13")
 	return []*Table{t}, nil
 }
 
@@ -48,7 +48,7 @@ func patternMixTable(rc RunConfig, id, title string, gen func(workload.Pattern, 
 				cop++
 			}
 		}
-		t.AddRow(r.name, fmt.Sprint(ins), fmt.Sprint(del), fmt.Sprint(cop), fmt.Sprint(len(seq)))
+		t.addRow(r.name, fmt.Sprint(ins), fmt.Sprint(del), fmt.Sprint(cop), fmt.Sprint(len(seq)))
 	}
 	return t
 }
@@ -73,8 +73,8 @@ func Table2(rc RunConfig) ([]*Table, error) {
 		{"real", workload.Real, workload.DelRandom},
 	}
 	t := patternMixTable(rc, "table2", fmt.Sprintf("Update patterns (%d-op sequences)", n), gen, rows)
-	t.Note("'delete' sequences fall back to adds when the target runs out of deletable nodes, keeping sequence length exact")
-	t.Note("'real' repeats: copy one size-4 subtree, add 3 nodes under it, delete 3 of its original elements")
+	t.note("'delete' sequences fall back to adds when the target runs out of deletable nodes, keeping sequence length exact")
+	t.note("'real' repeats: copy one size-4 subtree, add 3 nodes under it, delete 3 of its original elements")
 	return []*Table{t}, nil
 }
 
@@ -138,20 +138,20 @@ func Fig5(RunConfig) ([]*Table, error) {
 			if r.Op == provstore.OpCopy {
 				src = r.Src.String()
 			}
-			t.AddRow(fmt.Sprint(r.Tid), r.Op.String(), r.Loc.String(), src)
+			t.addRow(fmt.Sprint(r.Tid), r.Op.String(), r.Loc.String(), src)
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-// Ablations measures the design choices called out in DESIGN.md:
+// ablations measures the design choices called out in DESIGN.md:
 //
 //	A1 on-the-fly hierarchical inference vs materializing the full view
 //	A2 provlist pruning vs append-only logging of deferred records
 //	A3 indexed point lookups vs heap scans in the relational store
 //	A4 HT redundant-link elimination on vs off
-func Ablations(rc RunConfig) ([]*Table, error) {
+func ablations(rc RunConfig) ([]*Table, error) {
 	var out []*Table
 
 	// A4: redundant-link elimination. The paper's verdict: "such
@@ -201,9 +201,9 @@ func Ablations(rc RunConfig) ([]*Table, error) {
 			return nil, err
 		}
 		rows := rowCount(backend.Inner())
-		a4.AddRow(fmt.Sprint(elim), fmt.Sprint(rows), ms(meter.Bucket("commit").Avg()))
+		a4.addRow(fmt.Sprint(elim), fmt.Sprint(rows), ms(meter.Bucket("commit").Avg()))
 	}
-	a4.Note("elimination trades client CPU for smaller commits; on realistic workloads redundancy is rare (paper §3.2.4)")
+	a4.note("elimination trades client CPU for smaller commits; on realistic workloads redundancy is rare (paper §3.2.4)")
 	out = append(out, a4)
 
 	// A1: answering queries via on-the-fly inference vs expanding HProv
@@ -226,9 +226,9 @@ func Ablations(rc RunConfig) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	a1.AddRow("HProv (stored, inferred on the fly)", fmt.Sprint(hrows))
-	a1.AddRow("Prov (materialized view)", fmt.Sprint(len(full)))
-	a1.Note("queries over HProv resolve the nearest ancestor per lookup instead of storing the expansion")
+	a1.addRow("HProv (stored, inferred on the fly)", fmt.Sprint(hrows))
+	a1.addRow("Prov (materialized view)", fmt.Sprint(len(full)))
+	a1.note("queries over HProv resolve the nearest ancestor per lookup instead of storing the expansion")
 	out = append(out, a1)
 
 	// A2: provlist pruning vs an append-only log of deferred records.
@@ -254,8 +254,8 @@ func Ablations(rc RunConfig) ([]*Table, error) {
 		return nil, err
 	}
 	naiveRows := rowCount(trN.Backend())
-	a2.AddRow("provlist pruning (T)", fmt.Sprint(prunedRows))
-	a2.AddRow("append-only deferral (≈ N rows)", fmt.Sprint(naiveRows))
+	a2.addRow("provlist pruning (T)", fmt.Sprint(prunedRows))
+	a2.addRow("append-only deferral (≈ N rows)", fmt.Sprint(naiveRows))
 	out = append(out, a2)
 
 	return out, nil

@@ -125,9 +125,6 @@ func (e *Editor) Tracker() provstore.Tracker { return e.tracker }
 // TargetName returns the target database's name.
 func (e *Editor) TargetName() string { return e.target.Name() }
 
-// Mirror returns a deep copy of the editor's view of all databases.
-func (e *Editor) Mirror() *tree.Forest { return e.mirror.Clone() }
-
 // TargetView returns a deep copy of the editor's view of the target.
 func (e *Editor) TargetView() *tree.Node {
 	return e.mirror.DB(e.target.Name()).Clone()

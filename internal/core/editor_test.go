@@ -316,8 +316,4 @@ func TestApplyDispatch(t *testing.T) {
 	if err := ed.Apply(b); err == nil {
 		t.Error("unknown op type should error")
 	}
-	mirror := ed.Mirror()
-	if mirror.DB("S1") == nil || mirror.DB("T") == nil {
-		t.Error("Mirror should include all databases")
-	}
 }

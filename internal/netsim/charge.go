@@ -10,88 +10,88 @@ import (
 	"repro/internal/wrapper"
 )
 
-// ChargedSource wraps a wrapper.Source so every call pays a simulated round
+// chargedSource wraps a wrapper.Source so every call pays a simulated round
 // trip priced by the subtree size it ships.
-type ChargedSource struct {
+type chargedSource struct {
 	inner wrapper.Source
 	conn  *Conn
 }
 
-var _ wrapper.Source = (*ChargedSource)(nil)
+var _ wrapper.Source = (*chargedSource)(nil)
 
 // ChargeSource wraps src, billing conn.
-func ChargeSource(src wrapper.Source, conn *Conn) *ChargedSource {
-	return &ChargedSource{inner: src, conn: conn}
+func ChargeSource(src wrapper.Source, conn *Conn) wrapper.Source {
+	return &chargedSource{inner: src, conn: conn}
 }
 
 // Name implements wrapper.Source.
-func (w *ChargedSource) Name() string { return w.inner.Name() }
+func (w *chargedSource) Name() string { return w.inner.Name() }
 
 // Tree implements wrapper.Source.
-func (w *ChargedSource) Tree() (*tree.Node, error) {
+func (w *chargedSource) Tree() (*tree.Node, error) {
 	t, err := w.inner.Tree()
 	if err != nil {
 		return nil, err
 	}
-	if err := w.conn.Call(t.Size(), t.EncodedSize()); err != nil {
+	if err := w.conn.call(t.Size(), t.EncodedSize()); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // CopyNode implements wrapper.Source.
-func (w *ChargedSource) CopyNode(p path.Path) (*tree.Node, error) {
+func (w *chargedSource) CopyNode(p path.Path) (*tree.Node, error) {
 	n, err := w.inner.CopyNode(p)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.conn.Call(n.Size(), n.EncodedSize()); err != nil {
+	if err := w.conn.call(n.Size(), n.EncodedSize()); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
 // Has implements wrapper.Source.
-func (w *ChargedSource) Has(p path.Path) bool {
-	if err := w.conn.Call(1, 0); err != nil {
+func (w *chargedSource) Has(p path.Path) bool {
+	if err := w.conn.call(1, 0); err != nil {
 		return false
 	}
 	return w.inner.Has(p)
 }
 
-// ChargedTarget wraps a wrapper.Target, billing each read and update round
+// chargedTarget wraps a wrapper.Target, billing each read and update round
 // trip. Its costs are the "Dataset Update" bar of the paper's Figure 9.
-type ChargedTarget struct {
-	ChargedSource
+type chargedTarget struct {
+	chargedSource
 	inner wrapper.Target
 }
 
-var _ wrapper.Target = (*ChargedTarget)(nil)
+var _ wrapper.Target = (*chargedTarget)(nil)
 
 // ChargeTarget wraps tgt, billing conn.
-func ChargeTarget(tgt wrapper.Target, conn *Conn) *ChargedTarget {
-	return &ChargedTarget{ChargedSource: ChargedSource{inner: tgt, conn: conn}, inner: tgt}
+func ChargeTarget(tgt wrapper.Target, conn *Conn) wrapper.Target {
+	return &chargedTarget{chargedSource: chargedSource{inner: tgt, conn: conn}, inner: tgt}
 }
 
 // AddNode implements wrapper.Target.
-func (w *ChargedTarget) AddNode(parent path.Path, name string, value *tree.Node) error {
-	if err := w.conn.Call(1, 16+len(name)); err != nil {
+func (w *chargedTarget) AddNode(parent path.Path, name string, value *tree.Node) error {
+	if err := w.conn.call(1, 16+len(name)); err != nil {
 		return err
 	}
 	return w.inner.AddNode(parent, name, value)
 }
 
 // DeleteNode implements wrapper.Target.
-func (w *ChargedTarget) DeleteNode(p path.Path) error {
-	if err := w.conn.Call(1, 16); err != nil {
+func (w *chargedTarget) DeleteNode(p path.Path) error {
+	if err := w.conn.call(1, 16); err != nil {
 		return err
 	}
 	return w.inner.DeleteNode(p)
 }
 
 // PasteNode implements wrapper.Target: the round trip ships the subtree.
-func (w *ChargedTarget) PasteNode(p path.Path, n *tree.Node) error {
-	if err := w.conn.Call(n.Size(), n.EncodedSize()); err != nil {
+func (w *chargedTarget) PasteNode(p path.Path, n *tree.Node) error {
+	if err := w.conn.call(n.Size(), n.EncodedSize()); err != nil {
 		return err
 	}
 	return w.inner.PasteNode(p, n)
@@ -130,7 +130,7 @@ func (b *ChargedBackend) Append(ctx context.Context, recs []provstore.Record) er
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := b.write.Call(len(recs), recordsBytes(recs)); err != nil {
+	if err := b.write.call(len(recs), recordsBytes(recs)); err != nil {
 		return err
 	}
 	return b.inner.Append(ctx, recs)
@@ -150,7 +150,7 @@ func (b *ChargedBackend) Scan(ctx context.Context, spec provstore.ScanSpec) iter
 			yield(provstore.Record{}, err)
 			return
 		}
-		if err := b.read.Call(len(recs), recordsBytes(recs)); err != nil {
+		if err := b.read.call(len(recs), recordsBytes(recs)); err != nil {
 			yield(provstore.Record{}, err)
 			return
 		}
@@ -167,7 +167,7 @@ func (b *ChargedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
 	if err := ctx.Err(); err != nil {
 		return provstore.Stat{}, err
 	}
-	if err := b.read.Call(1, 8); err != nil {
+	if err := b.read.call(1, 8); err != nil {
 		return provstore.Stat{}, err
 	}
 	return b.inner.Stat(ctx)

@@ -48,7 +48,7 @@ func (c *Clock) Now() time.Duration {
 }
 
 // Advance moves the clock forward by d (negative d panics).
-func (c *Clock) Advance(d time.Duration) {
+func (c *Clock) advance(d time.Duration) {
 	if d < 0 {
 		panic("netsim: clock cannot run backwards")
 	}
@@ -66,7 +66,7 @@ type CostModel struct {
 }
 
 // Cost returns the virtual duration of a call carrying the given payload.
-func (m CostModel) Cost(records, bytes int) time.Duration {
+func (m CostModel) cost(records, bytes int) time.Duration {
 	return m.RTT + time.Duration(records)*m.PerRecord + time.Duration(bytes)*m.PerByte
 }
 
@@ -118,9 +118,9 @@ func (c *Conn) InjectFaults(rate float64, seed int64) {
 // Call simulates one round trip carrying the given payload, advancing the
 // clock. It returns ErrNetwork when fault injection drops the call (the
 // latency is still paid — the caller waited for the timeout).
-func (c *Conn) Call(records, bytes int) error {
-	cost := c.model.Cost(records, bytes)
-	c.clock.Advance(cost)
+func (c *Conn) call(records, bytes int) error {
+	cost := c.model.cost(records, bytes)
+	c.clock.advance(cost)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Calls++
@@ -185,19 +185,6 @@ func (m *Meter) Measure(category string, fn func() error) error {
 	return err
 }
 
-// Add attributes a pre-measured duration to a category.
-func (m *Meter) Add(category string, d time.Duration) {
-	m.mu.Lock()
-	b, ok := m.cats[category]
-	if !ok {
-		b = &Bucket{}
-		m.cats[category] = b
-	}
-	b.Count++
-	b.Total += d
-	m.mu.Unlock()
-}
-
 // Bucket returns a copy of one category's accumulation.
 func (m *Meter) Bucket(category string) Bucket {
 	m.mu.Lock()
@@ -206,11 +193,4 @@ func (m *Meter) Bucket(category string) Bucket {
 		return *b
 	}
 	return Bucket{}
-}
-
-// Reset clears all buckets.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cats = make(map[string]*Bucket)
 }

@@ -11,8 +11,8 @@ func TestClock(t *testing.T) {
 	if c.Now() != 0 {
 		t.Error("clock must start at 0")
 	}
-	c.Advance(5 * time.Millisecond)
-	c.Advance(7 * time.Millisecond)
+	c.advance(5 * time.Millisecond)
+	c.advance(7 * time.Millisecond)
 	if c.Now() != 12*time.Millisecond {
 		t.Errorf("Now = %v", c.Now())
 	}
@@ -21,17 +21,17 @@ func TestClock(t *testing.T) {
 			t.Error("negative advance must panic")
 		}
 	}()
-	c.Advance(-time.Second)
+	c.advance(-time.Second)
 }
 
 func TestCostModel(t *testing.T) {
 	m := CostModel{RTT: 50 * time.Millisecond, PerRecord: 10 * time.Millisecond, PerByte: time.Microsecond}
-	got := m.Cost(4, 1000)
+	got := m.cost(4, 1000)
 	want := 50*time.Millisecond + 40*time.Millisecond + 1000*time.Microsecond
 	if got != want {
 		t.Errorf("Cost = %v, want %v", got, want)
 	}
-	if (CostModel{}).Cost(100, 100) != 0 {
+	if (CostModel{}).cost(100, 100) != 0 {
 		t.Error("zero model must cost nothing")
 	}
 }
@@ -39,13 +39,13 @@ func TestCostModel(t *testing.T) {
 func TestConnChargesClock(t *testing.T) {
 	clock := NewClock()
 	conn := NewConn("prov", clock, CostModel{RTT: 100 * time.Millisecond, PerRecord: 10 * time.Millisecond})
-	if err := conn.Call(4, 0); err != nil {
+	if err := conn.call(4, 0); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Now() != 140*time.Millisecond {
 		t.Errorf("clock = %v", clock.Now())
 	}
-	conn.Call(0, 0)
+	conn.call(0, 0)
 	st := conn.Stats()
 	if st.Calls != 2 || st.Records != 4 || st.Busy != 240*time.Millisecond {
 		t.Errorf("stats = %+v", st)
@@ -61,7 +61,7 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 		conn := NewConn("x", clock, CostModel{RTT: time.Millisecond})
 		conn.InjectFaults(0.3, 42)
 		for i := 0; i < 1000; i++ {
-			err := conn.Call(1, 0)
+			err := conn.call(1, 0)
 			if err != nil && !errors.Is(err, ErrNetwork) {
 				t.Fatalf("wrong error: %v", err)
 			}
@@ -81,13 +81,13 @@ func TestFaultInjectionDeterministic(t *testing.T) {
 	clock := NewClock()
 	conn := NewConn("y", clock, CostModel{RTT: time.Millisecond})
 	conn.InjectFaults(1.0, 1)
-	conn.Call(1, 0)
+	conn.call(1, 0)
 	if clock.Now() == 0 {
 		t.Error("fault must still cost time")
 	}
 	// Disabling works.
 	conn.InjectFaults(0, 0)
-	if err := conn.Call(1, 0); err != nil {
+	if err := conn.call(1, 0); err != nil {
 		t.Errorf("after disable: %v", err)
 	}
 }
@@ -96,14 +96,14 @@ func TestMeter(t *testing.T) {
 	clock := NewClock()
 	m := NewMeter(clock)
 	err := m.Measure("add", func() error {
-		clock.Advance(10 * time.Millisecond)
+		clock.advance(10 * time.Millisecond)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Measure("add", func() error {
-		clock.Advance(30 * time.Millisecond)
+		clock.advance(30 * time.Millisecond)
 		return nil
 	})
 	b := m.Bucket("add")
@@ -113,7 +113,6 @@ func TestMeter(t *testing.T) {
 	if (Bucket{}).Avg() != 0 {
 		t.Error("empty bucket avg must be 0")
 	}
-	m.Add("commit", 5*time.Millisecond)
 	// Errors pass through and still get measured.
 	sentinel := errors.New("boom")
 	if err := m.Measure("fail", func() error { return sentinel }); !errors.Is(err, sentinel) {
@@ -121,10 +120,6 @@ func TestMeter(t *testing.T) {
 	}
 	if m.Bucket("fail").Count != 1 {
 		t.Error("failed op must be counted")
-	}
-	m.Reset()
-	if m.Bucket("add").Count != 0 || m.Bucket("commit").Count != 0 {
-		t.Error("Reset must clear")
 	}
 	if m.Bucket("gone").Count != 0 {
 		t.Error("unknown bucket must be zero")

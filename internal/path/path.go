@@ -31,11 +31,10 @@ const Separator = '/'
 
 // Errors returned by path parsing and manipulation.
 var (
-	ErrEmpty      = errors.New("path: empty path")
-	ErrBadLabel   = errors.New("path: label must be non-empty and must not contain '/'")
-	ErrNotPrefix  = errors.New("path: not a prefix")
-	ErrNoParent   = errors.New("path: root path has no parent")
-	ErrBadPattern = errors.New("path: malformed pattern")
+	errBadLabel   = errors.New("path: label must be non-empty and must not contain '/'")
+	errNotPrefix  = errors.New("path: not a prefix")
+	errNoParent   = errors.New("path: root path has no parent")
+	errBadPattern = errors.New("path: malformed pattern")
 )
 
 // A Path is an immutable sequence of edge labels addressing at most one node
@@ -65,7 +64,7 @@ func TryNew(labels ...string) (Path, error) {
 	n := 0
 	for _, l := range labels {
 		if !ValidLabel(l) {
-			return Root, fmt.Errorf("%w: %q", ErrBadLabel, l)
+			return Root, fmt.Errorf("%w: %q", errBadLabel, l)
 		}
 		n += encodedLen(l)
 	}
@@ -138,7 +137,7 @@ func Parse(s string) (Path, error) {
 		return Root, nil
 	}
 	if s[0] == Separator || s[len(s)-1] == Separator || strings.Contains(s, "//") {
-		return Root, fmt.Errorf("%w: %q", ErrBadLabel, "")
+		return Root, fmt.Errorf("%w: %q", errBadLabel, "")
 	}
 	n := encodedLen(s) // the separators become the terminators
 	plain := n == len(s)+1
@@ -255,11 +254,11 @@ func (p Path) DB() string {
 	return unescape(e)
 }
 
-// Parent returns the path with the final label removed. It returns ErrNoParent
+// Parent returns the path with the final label removed. It returns errNoParent
 // for the forest root.
 func (p Path) Parent() (Path, error) {
 	if p.enc == "" {
-		return Root, ErrNoParent
+		return Root, errNoParent
 	}
 	return Path{p.enc[:p.parentLen()]}, nil
 }
@@ -287,7 +286,7 @@ func (p Path) Child(label string) Path {
 // TryChild returns p extended with one more label, validating it.
 func (p Path) TryChild(label string) (Path, error) {
 	if !ValidLabel(label) {
-		return Root, fmt.Errorf("%w: %q", ErrBadLabel, label)
+		return Root, fmt.Errorf("%w: %q", errBadLabel, label)
 	}
 	n := encodedLen(label)
 	if n == len(label)+1 {
@@ -325,10 +324,10 @@ func (p Path) IsStrictPrefixOf(q Path) bool {
 }
 
 // TrimPrefix returns the remainder of p after removing the prefix q, so that
-// q.Join(rest) == p. It returns ErrNotPrefix if q is not a prefix of p.
+// q.Join(rest) == p. It returns errNotPrefix if q is not a prefix of p.
 func (p Path) TrimPrefix(q Path) (Path, error) {
 	if !q.IsPrefixOf(p) {
-		return Root, fmt.Errorf("%w: %q is not a prefix of %q", ErrNotPrefix, q, p)
+		return Root, fmt.Errorf("%w: %q is not a prefix of %q", errNotPrefix, q, p)
 	}
 	return Path{p.enc[len(q.enc):]}, nil
 }
@@ -336,29 +335,13 @@ func (p Path) TrimPrefix(q Path) (Path, error) {
 // Rebase rewrites p from the subtree rooted at from into the subtree rooted
 // at to: Rebase(from→to) of from.Join(rest) is to.Join(rest). This is the
 // core operation of hierarchical provenance inference (if p was copied from
-// q, then p/a came from q/a). It returns ErrNotPrefix if p is not under from.
+// q, then p/a came from q/a). It returns errNotPrefix if p is not under from.
 func (p Path) Rebase(from, to Path) (Path, error) {
 	rest, err := p.TrimPrefix(from)
 	if err != nil {
 		return Root, err
 	}
 	return to.Join(rest), nil
-}
-
-// Ancestors returns all strict ancestors of p from the root database
-// downwards, excluding p itself and excluding the forest root. For "T/a/b"
-// it returns ["T", "T/a"].
-func (p Path) Ancestors() []Path {
-	n := p.Len()
-	if n <= 1 {
-		return nil
-	}
-	out := make([]Path, 0, n-1)
-	for end := 0; len(out) < n-1; {
-		end += strings.IndexByte(p.enc[end:], 0x00) + 1
-		out = append(out, Path{p.enc[:end]})
-	}
-	return out
 }
 
 // Prefix returns the first n labels of p as a path. It panics if n is out of
@@ -421,11 +404,11 @@ func DecodeBinaryString(s string) (Path, error) {
 	// in one and no two are adjacent or lead; each check is one scan of s.
 	switch {
 	case strings.IndexByte(s, Separator) >= 0:
-		return Root, fmt.Errorf("%w: separator inside a label of a binary path", ErrBadLabel)
+		return Root, fmt.Errorf("%w: separator inside a label of a binary path", errBadLabel)
 	case s != "" && s[len(s)-1] != 0x00:
 		return Root, fmt.Errorf("path: unterminated label in binary path")
 	case s != "" && s[0] == 0x00 || strings.Contains(s, "\x00\x00"):
-		return Root, fmt.Errorf("%w: empty label in binary path", ErrBadLabel)
+		return Root, fmt.Errorf("%w: empty label in binary path", errBadLabel)
 	}
 	for i := strings.IndexByte(s, 0x01); i >= 0 && i < len(s); i++ {
 		if s[i] != 0x01 {

@@ -145,23 +145,6 @@ func TestRebase(t *testing.T) {
 	}
 }
 
-func TestAncestors(t *testing.T) {
-	p := MustParse("T/a/b/c")
-	anc := p.Ancestors()
-	want := []string{"T", "T/a", "T/a/b"}
-	if len(anc) != len(want) {
-		t.Fatalf("Ancestors: got %v", anc)
-	}
-	for i, w := range want {
-		if anc[i].String() != w {
-			t.Errorf("Ancestors[%d] = %q, want %q", i, anc[i], w)
-		}
-	}
-	if Root.Ancestors() != nil || MustParse("T").Ancestors() != nil {
-		t.Error("shallow paths should have no ancestors")
-	}
-}
-
 func TestCompareOrdering(t *testing.T) {
 	paths := []string{"T", "T/a", "T/a/b", "T/ab", "T/b", "S1", "S1/a2/x"}
 	var ps []Path
@@ -274,12 +257,12 @@ func TestDecodeBinaryErrors(t *testing.T) {
 		enc  string
 		want error // nil: any error
 	}{
-		{"empty label", "T\x00\x00", ErrBadLabel},
-		{"empty first label", "\x00T\x00", ErrBadLabel},
-		{"only an empty label", "\x00", ErrBadLabel},
-		{"empty label beside an escape", "a\x01\x02\x00\x00", ErrBadLabel},
-		{"embedded separator", "T\x00a/b\x00", ErrBadLabel},
-		{"embedded separator beside an escape", "a/b\x01\x03\x00", ErrBadLabel},
+		{"empty label", "T\x00\x00", errBadLabel},
+		{"empty first label", "\x00T\x00", errBadLabel},
+		{"only an empty label", "\x00", errBadLabel},
+		{"empty label beside an escape", "a\x01\x02\x00\x00", errBadLabel},
+		{"embedded separator", "T\x00a/b\x00", errBadLabel},
+		{"embedded separator beside an escape", "a/b\x01\x03\x00", errBadLabel},
 		{"truncated escape", "T\x00a\x01", nil},
 		{"bad escape", "T\x00a\x01\x7f\x00", nil},
 		{"unterminated label", "T\x00a", nil},

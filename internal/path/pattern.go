@@ -29,7 +29,7 @@ func ParsePattern(s string) (Pattern, error) {
 	elems := make([]string, len(parts))
 	for i, part := range parts {
 		if part != Wildcard && !ValidLabel(part) {
-			return Pattern{}, fmt.Errorf("%w: component %q", ErrBadPattern, part)
+			return Pattern{}, fmt.Errorf("%w: component %q", errBadPattern, part)
 		}
 		elems[i] = part
 	}

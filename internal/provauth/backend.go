@@ -199,7 +199,7 @@ func (a *AuthBackend) seal() {
 	slices.SortFunc(a.open, func(x, y provstore.Record) int { return x.Loc.Compare(y.Loc) })
 	for i := range a.open {
 		a.leaf[recordKey{a.open[i].Tid, a.open[i].Loc}] = a.tree.size()
-		a.tree.appendLeaf(RecordLeafHash(a.open[i]))
+		a.tree.appendLeaf(recordLeafHash(a.open[i]))
 	}
 	a.root = Root{Size: a.tree.size(), Tid: a.openTid, Hash: a.tree.rootAt(a.tree.size())}
 	a.open = nil

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzProof hammers the proof decode/verify path with attacker-controlled
-// bytes: DecodeProof then VerifyInclusion must never panic or allocate
+// bytes: DecodeProof then verifyInclusion must never panic or allocate
 // absurdly, anything that decodes must re-encode to the bytes consumed, and
 // a genuine proof must stop verifying under any single bit flip of the
 // proof bytes, the root hash, or the leaf data — the fail-closed guarantee
@@ -31,24 +31,24 @@ func FuzzProof(f *testing.F) {
 			if got := p.AppendBinary(nil); !bytes.Equal(got, raw[:n]) {
 				t.Fatalf("DecodeProof/AppendBinary round trip: %x -> %x", raw[:n], got)
 			}
-			_ = VerifyInclusion(root, leaf, p) // must not panic either way
+			_ = verifyInclusion(root, leaf, p) // must not panic either way
 		}
 
 		// A genuine proof with one bit flipped anywhere must stop verifying.
-		if err := VerifyInclusion(root, []byte("leaf-5"), genuine); err != nil {
+		if err := verifyInclusion(root, []byte("leaf-5"), genuine); err != nil {
 			t.Fatalf("genuine proof failed: %v", err)
 		}
 		mut := append([]byte(nil), genuineBytes...)
 		bit := int(flip) % (len(mut) * 8)
 		mut[bit/8] ^= 1 << (bit % 8)
 		if p, _, err := DecodeProof(mut); err == nil {
-			if VerifyInclusion(root, []byte("leaf-5"), p) == nil && !bytes.Equal(mut, genuineBytes) {
+			if verifyInclusion(root, []byte("leaf-5"), p) == nil && !bytes.Equal(mut, genuineBytes) {
 				t.Fatalf("bit-flipped proof (bit %d) still verified", bit)
 			}
 		}
 		badRoot := root
 		badRoot.Hash[int(flip)%len(badRoot.Hash)] ^= 1 << (flip % 8)
-		if VerifyInclusion(badRoot, []byte("leaf-5"), genuine) == nil {
+		if verifyInclusion(badRoot, []byte("leaf-5"), genuine) == nil {
 			t.Fatalf("flipped root (byte %d) still verified", int(flip)%len(badRoot.Hash))
 		}
 	})

@@ -60,22 +60,22 @@ func TestInclusionProofs(t *testing.T) {
 		root := Root{Size: uint64(n), Hash: tree.rootAt(uint64(n))}
 		for m := 0; m < n; m++ {
 			p := Proof{LeafIndex: uint64(m), TreeSize: uint64(n), Audit: tree.inclusion(uint64(m), uint64(n))}
-			if err := VerifyInclusion(root, leaves[m], p); err != nil {
+			if err := verifyInclusion(root, leaves[m], p); err != nil {
 				t.Fatalf("inclusion(%d of %d): %v", m, n, err)
 			}
-			if err := VerifyInclusion(root, []byte("evil"), p); err == nil {
+			if err := verifyInclusion(root, []byte("evil"), p); err == nil {
 				t.Fatalf("inclusion(%d of %d) verified altered leaf data", m, n)
 			}
 			if n > 1 {
 				wrong := p
 				wrong.LeafIndex = (p.LeafIndex + 1) % uint64(n)
-				if err := VerifyInclusion(root, leaves[m], wrong); err == nil {
+				if err := verifyInclusion(root, leaves[m], wrong); err == nil {
 					t.Fatalf("inclusion(%d of %d) verified at wrong index", m, n)
 				}
 			}
 			badRoot := root
 			badRoot.Hash[0] ^= 0x01
-			if err := VerifyInclusion(badRoot, leaves[m], p); err == nil {
+			if err := verifyInclusion(badRoot, leaves[m], p); err == nil {
 				t.Fatalf("inclusion(%d of %d) verified against corrupted root", m, n)
 			}
 		}

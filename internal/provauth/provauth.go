@@ -94,11 +94,11 @@ func leafHash(encoded []byte) Hash {
 	return out
 }
 
-// RecordLeafHash returns the leaf hash of a record: SHA-256 over 0x00
+// recordLeafHash returns the leaf hash of a record: SHA-256 over 0x00
 // followed by the record's canonical binary encoding. Exposed so verifiers
 // (clients, appliers, the CLI) recompute it from the record they received,
 // never from anything the server sent.
-func RecordLeafHash(r provstore.Record) Hash {
+func recordLeafHash(r provstore.Record) Hash {
 	return leafHash(r.AppendBinary(nil))
 }
 
@@ -248,11 +248,11 @@ var (
 	ErrNotInLog = errors.New("provauth: record is not in the authenticated log")
 )
 
-// VerifyInclusion checks that leafData is the LeafIndex-th leaf of the
+// verifyInclusion checks that leafData is the LeafIndex-th leaf of the
 // tree whose head is root, per the proof's audit path (RFC 9162 §2.1.3.2).
 // The caller supplies the leaf bytes it trusts (the record it received),
 // never a hash the prover computed.
-func VerifyInclusion(root Root, leafData []byte, p Proof) error {
+func verifyInclusion(root Root, leafData []byte, p Proof) error {
 	if p.TreeSize != root.Size {
 		return fmt.Errorf("%w: proof is against tree size %d, root covers %d", ErrVerify, p.TreeSize, root.Size)
 	}
@@ -292,7 +292,7 @@ func VerifyInclusion(root Root, leafData []byte, p Proof) error {
 // recomputed from the record's canonical encoding, so a record altered in
 // storage or on the wire cannot verify against an honest root.
 func VerifyRecord(root Root, rec provstore.Record, p Proof) error {
-	return VerifyInclusion(root, rec.AppendBinary(nil), p)
+	return verifyInclusion(root, rec.AppendBinary(nil), p)
 }
 
 // VerifyConsistency checks that the tree headed by newRoot is an

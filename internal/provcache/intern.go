@@ -120,15 +120,3 @@ func (in *Intern[V]) Len() int {
 func (in *Intern[V]) Full() bool {
 	return len(*in.snap.Load())+int(in.pending.Load()) >= in.max
 }
-
-// InternString returns a canonical shared copy of s from the table,
-// interning it on first sight. The returned string is equal to s; using
-// it in decoded structures lets repeated vocabulary share one backing
-// allocation instead of one per occurrence.
-func InternString(in *Intern[string], s string) string {
-	if v, ok := in.Get(s); ok {
-		return v
-	}
-	in.Put(s, s)
-	return s
-}

@@ -55,9 +55,6 @@ func (m *Metrics) Hits() int64 { return m.hits.Load() }
 // Misses returns the number of cache misses so far.
 func (m *Metrics) Misses() int64 { return m.misses.Load() }
 
-// Evictions returns the number of evicted entries so far.
-func (m *Metrics) Evictions() int64 { return m.evictions.Load() }
-
 // entry is one cached value with the bookkeeping the LRU needs.
 type entry struct {
 	key  string
@@ -138,18 +135,6 @@ func (c *Cache) Put(key string, v any, size int64) {
 	}
 	c.met.bytes.Set(c.bytes)
 	c.met.entries.Set(int64(c.lru.Len()))
-	c.mu.Unlock()
-}
-
-// Clear drops every entry (without counting evictions — clearing is a
-// coherence action, not budget pressure).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	c.m = make(map[string]*list.Element)
-	c.lru.Init()
-	c.bytes = 0
-	c.met.bytes.Set(0)
-	c.met.entries.Set(0)
 	c.mu.Unlock()
 }
 

@@ -47,8 +47,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
-	if met.Evictions() != 1 {
-		t.Fatalf("evictions=%d, want 1", met.Evictions())
+	if met.evictions.Load() != 1 {
+		t.Fatalf("evictions=%d, want 1", met.evictions.Load())
 	}
 	if c.Bytes() != 30 || c.Len() != 3 {
 		t.Fatalf("bytes=%d len=%d, want 30/3", c.Bytes(), c.Len())
@@ -78,28 +78,12 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
-func TestCacheClear(t *testing.T) {
-	c, met, _ := newTestCache(100)
-	c.Put("a", 1, 10)
-	c.Put("b", 2, 10)
-	c.Clear()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("len=%d bytes=%d after Clear, want 0/0", c.Len(), c.Bytes())
-	}
-	if met.Evictions() != 0 {
-		t.Fatal("Clear must not count as eviction")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("entry survived Clear")
-	}
-}
-
 func TestCacheStatsExposition(t *testing.T) {
 	c, _, reg := newTestCache(100)
 	c.Put("a", 1, 10)
 	c.Get("a")
 	c.Get("nope")
-	stats := reg.StatsMap()
+	stats := provobs.Stats(reg)
 	want := map[string]int64{
 		"cache.test.hits":      1,
 		"cache.test.misses":    1,
@@ -136,10 +120,10 @@ func TestCacheConcurrent(t *testing.T) {
 
 func TestInternSharesValues(t *testing.T) {
 	in := NewIntern[string](8)
-	a := InternString(in, "hello")
-	b := InternString(in, "hel"+"lo")
-	if a != b {
-		t.Fatal("interned strings differ")
+	in.Put("hello", "hello")
+	in.Put("hel"+"lo", "other")
+	if v, ok := in.Get("hello"); !ok || v != "hello" {
+		t.Fatalf("Get(hello) = %q, %v; want the first value put", v, ok)
 	}
 	if in.Len() != 1 {
 		t.Fatalf("len=%d, want 1", in.Len())
@@ -251,20 +235,22 @@ func TestInternGetSettledKeyAllocFree(t *testing.T) {
 	}
 }
 
-// TestInternOverflowIsVisible: an entry is found, and InternString returns
-// the table's copy, while the entry still sits in the overflow map.
+// TestInternOverflowIsVisible: an entry is found, and Get returns the
+// table's copy, while the entry still sits in the overflow map.
 func TestInternOverflowIsVisible(t *testing.T) {
 	in := NewIntern[string](64)
 	for i := 0; i < 4; i++ {
-		InternString(in, fmt.Sprintf("seg%d", i))
+		s := fmt.Sprintf("seg%d", i)
+		in.Put(s, s)
 	}
-	first := InternString(in, string([]byte("fresh"))) // 4 settled + 1 pending
+	first := string([]byte("fresh"))
+	in.Put(first, first) // 4 settled + 1 pending
 	if _, ok := (*in.snap.Load())["fresh"]; ok {
 		t.Fatal("test premise: fresh should still be in the overflow map")
 	}
-	second := InternString(in, string([]byte("fresh")))
-	if unsafe.StringData(first) != unsafe.StringData(second) {
-		t.Fatal("InternString returned the caller's copy, not the table's")
+	second, ok := in.Get(string([]byte("fresh")))
+	if !ok || unsafe.StringData(first) != unsafe.StringData(second) {
+		t.Fatal("Get did not return the table's copy")
 	}
 	if in.Len() != 5 {
 		t.Fatalf("len=%d, want 5", in.Len())

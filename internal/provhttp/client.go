@@ -112,37 +112,37 @@ var (
 	_ provobs.Source     = (*Client)(nil)
 )
 
-// A ClientOption configures a Client.
-type ClientOption func(*Client)
+// A clientOption configures a Client.
+type clientOption func(*Client)
 
-// WithTimeout bounds every round trip (including reading a scan stream to
+// withTimeout bounds every round trip (including reading a scan stream to
 // its end). The default is no timeout: per-call contexts are the intended
 // cancellation mechanism.
-func WithTimeout(d time.Duration) ClientOption {
+func withTimeout(d time.Duration) clientOption {
 	return func(c *Client) { c.hc.Timeout = d }
 }
 
-// WithVerifyPin turns on verified mode (see the Client doc) with the pinned
+// withVerifyPin turns on verified mode (see the Client doc) with the pinned
 // root persisted at file — the ?verify=pin&pin=FILE DSN form.
-func WithVerifyPin(file string) ClientOption {
+func withVerifyPin(file string) clientOption {
 	return func(c *Client) { c.anchor = provauth.NewAnchor(file) }
 }
 
-// WithResultCache bounds a client-side result cache to maxBytes — the
+// withResultCache bounds a client-side result cache to maxBytes — the
 // ?cache=SIZE DSN form. Repeated declarative queries (Trace, Mod, …, via
 // ExecPlan) answer locally with zero round trips until this client appends
 // or observes a higher MaxTid.
 // Ignored (≤ 0, or combined with verified mode, whose reads must stay
 // individually proof-checked). MaxTid itself is never cached — it *is* the
 // horizon observation.
-func WithResultCache(maxBytes int64) ClientOption {
+func withResultCache(maxBytes int64) clientOption {
 	return func(c *Client) { c.cacheBytes = maxBytes }
 }
 
 // NewClient returns a Backend speaking to the provenance service at
 // hostport ("10.0.0.5:7070", "[::1]:7070"). It does not dial: like a
 // database/sql driver, connection errors surface on first use.
-func NewClient(hostport string, opts ...ClientOption) *Client {
+func NewClient(hostport string, opts ...clientOption) *Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 16 // scatter-gather queries reuse a warm pool
 	c := &Client{
@@ -900,21 +900,6 @@ func (c *Client) Stat(ctx context.Context) (provstore.Stat, error) {
 	return st, nil
 }
 
-// Ping reports whether the service answers — used by daemons and tests to
-// wait for readiness.
-func (c *Client) Ping(ctx context.Context) error {
-	var resp struct {
-		OK bool `json:"ok"`
-	}
-	if err := c.getJSON(ctx, "/v1/ping", nil, &resp); err != nil {
-		return err
-	}
-	if !resp.OK {
-		return fmt.Errorf("provhttp: %s did not acknowledge ping", c.Addr())
-	}
-	return nil
-}
-
 // Flush implements provstore.Flusher across the network: one round trip that
 // pushes the server backend's buffered group commits down to its store. It
 // carries the caller's context, so a flush issued while serving a request
@@ -1031,13 +1016,13 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []ClientOption
+	var opts []clientOption
 	if v := dsn.Param("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, fmt.Errorf("provstore: dsn %s: timeout %q is not a positive duration", dsn, v)
 		}
-		opts = append(opts, WithTimeout(d))
+		opts = append(opts, withTimeout(d))
 	}
 	if v := dsn.Param("cache"); v != "" {
 		if dsn.Param("verify") != "" {
@@ -1047,7 +1032,7 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("provstore: dsn %s: bad cache size: %w", dsn, err)
 		}
-		opts = append(opts, WithResultCache(n))
+		opts = append(opts, withResultCache(n))
 	}
 	switch v := dsn.Param("verify"); v {
 	case "":
@@ -1059,7 +1044,7 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		if file == "" {
 			return nil, fmt.Errorf("provstore: dsn %s: verify=pin needs a pin=FILE parameter", dsn)
 		}
-		opts = append(opts, WithVerifyPin(file))
+		opts = append(opts, withVerifyPin(file))
 	default:
 		return nil, fmt.Errorf("provstore: dsn %s: unknown verify mode %q (only \"pin\")", dsn, v)
 	}

@@ -139,7 +139,7 @@
 // fields are canonical path strings ("T/c1/y"). That is lossless for labels
 // of valid UTF-8 — labels cannot contain '/' — and for no others:
 // encoding/json would write U+FFFD for a stray byte, so a JSON line that
-// would carry such a path is a *PathNotUTF8Error instead (in band, like any
+// would carry such a path is a *pathNotUTF8Error instead (in band, like any
 // failure after the first line). A record frame carries any path. Errors
 // travel as JSON bodies with an HTTP status; the {Tid, Loc} key violation is
 // tagged so the client can rebuild the typed *provstore.DupKeyError the rest
@@ -381,25 +381,25 @@ func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// A PathNotUTF8Error reports a path a JSON line cannot carry: encoding/json
+// A pathNotUTF8Error reports a path a JSON line cannot carry: encoding/json
 // writes U+FFFD for every byte that is not UTF-8, so the line would name
 // another path. A record frame carries any path.
-type PathNotUTF8Error struct {
+type pathNotUTF8Error struct {
 	Path path.Path
 }
 
-func (e *PathNotUTF8Error) Error() string {
+func (e *pathNotUTF8Error) Error() string {
 	return fmt.Sprintf("provhttp: path %q is not valid UTF-8, so no JSON line can carry it", e.Path)
 }
 
-// checkUTF8 returns a *PathNotUTF8Error for the first of ps that is not
+// checkUTF8 returns a *pathNotUTF8Error for the first of ps that is not
 // valid UTF-8. A path's encoding puts only ASCII bytes between and inside
 // its labels' bytes, so it is valid UTF-8 exactly when the labels are.
 func checkUTF8(ps ...path.Path) error {
 	var buf [128]byte
 	for _, p := range ps {
 		if !utf8.Valid(p.AppendBinary(buf[:0])) {
-			return &PathNotUTF8Error{Path: p}
+			return &pathNotUTF8Error{Path: p}
 		}
 	}
 	return nil

@@ -19,7 +19,7 @@ const (
 // A Histogram records a distribution of non-negative int64 observations
 // (durations in nanoseconds, stream sizes in records) in log-spaced
 // buckets. It is safe for concurrent use; Observe never blocks. Use a
-// Registry to expose one, or NewHistogram for a standalone measurement
+// Registry to expose one, or newHistogram for a standalone measurement
 // (the bench sweeps).
 type Histogram struct {
 	count  atomic.Int64
@@ -28,9 +28,9 @@ type Histogram struct {
 	ex     atomic.Pointer[exemplarSet] // allocated on first ObserveExemplar
 }
 
-// An Exemplar links one observation in a bucket to the trace that produced
+// An exemplar links one observation in a bucket to the trace that produced
 // it — how a p99 /metrics bucket points straight at a stored span tree.
-type Exemplar struct {
+type exemplar struct {
 	TraceID string
 	Value   int64 // the raw observed value
 }
@@ -38,11 +38,11 @@ type Exemplar struct {
 // exemplarSet holds the latest exemplar per bucket. It is allocated lazily
 // so histograms on untraced deployments pay one nil pointer, not 512.
 type exemplarSet struct {
-	slot [histBuckets]atomic.Pointer[Exemplar]
+	slot [histBuckets]atomic.Pointer[exemplar]
 }
 
-// NewHistogram returns an unregistered histogram.
-func NewHistogram() *Histogram { return &Histogram{} }
+// newHistogram returns an unregistered histogram.
+func newHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a value to its bucket: the smallest i with
 // upperBound(i) >= v. Values <= 1 land in bucket 0.
@@ -98,38 +98,35 @@ func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 			es = h.ex.Load()
 		}
 	}
-	es.slot[bucketIndex(v)].Store(&Exemplar{TraceID: traceID, Value: v})
+	es.slot[bucketIndex(v)].Store(&exemplar{TraceID: traceID, Value: v})
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the sum of all observed values, in raw units.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// A HistSnapshot is a point-in-time copy of a histogram, safe to quantile
+// A histSnapshot is a point-in-time copy of a histogram, safe to quantile
 // and render without racing further observations. Buckets copied while
 // writers run may briefly disagree with Count by the in-flight
 // observations; the snapshot is internally consistent enough for
 // monitoring (each bucket value is a real count that was current when
 // copied).
-type HistSnapshot struct {
+type histSnapshot struct {
 	Count     int64
 	Sum       int64
 	Bucket    [histBuckets]int64
-	Exemplars []*Exemplar // per-bucket, nil when the series has none
+	Exemplars []*exemplar // per-bucket, nil when the series has none
 }
 
 // Snapshot copies the histogram's current state. Buckets load before
 // Count (and Observe writes them in the opposite order), so Count is
 // always >= the bucket total: the exposed cumulative series stays monotone.
-func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
+func (h *Histogram) snapshot() histSnapshot {
+	var s histSnapshot
 	for i := range h.bucket {
 		s.Bucket[i] = h.bucket[i].Load()
 	}
 	if es := h.ex.Load(); es != nil {
-		s.Exemplars = make([]*Exemplar, histBuckets)
+		s.Exemplars = make([]*exemplar, histBuckets)
 		for i := range es.slot {
 			s.Exemplars[i] = es.slot[i].Load()
 		}
@@ -141,7 +138,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 
 // add folds another series' snapshot into s: counts, sums and buckets add;
 // the exemplars are those of the first series that has any.
-func (s *HistSnapshot) add(o HistSnapshot) {
+func (s *histSnapshot) add(o histSnapshot) {
 	s.Count += o.Count
 	s.Sum += o.Sum
 	for i, c := range o.Bucket {
@@ -157,7 +154,7 @@ func (s *HistSnapshot) add(o HistSnapshot) {
 // whose cumulative count reaches ceil(q * total). The estimate is within a
 // factor of 2^(1/8) above a true order-statistic quantile. Returns 0 for
 // an empty histogram.
-func (s *HistSnapshot) Quantile(q float64) float64 {
+func (s *histSnapshot) Quantile(q float64) float64 {
 	total := int64(0)
 	for _, c := range s.Bucket {
 		total += c

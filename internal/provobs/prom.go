@@ -46,7 +46,7 @@ func escapeLabel(v string) string {
 }
 
 // labelString renders a label set as `k1="v1",k2="v2"` ("" when empty).
-func labelString(labels []Label) string {
+func labelString(labels []label) string {
 	if len(labels) == 0 {
 		return ""
 	}
@@ -132,9 +132,9 @@ func writeFamily(w io.Writer, f *family) {
 			sample(w, f.name, labels, strconv.FormatInt(v, 10))
 			continue
 		}
-		var sum HistSnapshot
+		var sum histSnapshot
 		for _, s := range byLabels[labels] {
-			sum.add(s.h.Snapshot())
+			sum.add(s.h.snapshot())
 		}
 		writeHistogram(w, f, labels, sum)
 	}
@@ -151,7 +151,7 @@ func writeFamily(w io.Writer, f *family) {
 //	name_bucket{le="0.001"} 17 # {trace_id="9f2c51e0a4b7d803"} 0.00083
 //
 // linking the bucket to a trace retrievable from GET /v1/traces/{id}.
-func writeHistogram(w io.Writer, f *family, labels string, s HistSnapshot) {
+func writeHistogram(w io.Writer, f *family, labels string, s histSnapshot) {
 	scale := f.unit.scale()
 	cum := int64(0)
 	for i, c := range s.Bucket {

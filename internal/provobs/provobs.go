@@ -39,11 +39,11 @@ import (
 	"sync/atomic"
 )
 
-// A Label is one metric dimension ({Key="endpoint", Value="scan"}).
+// A label is one metric dimension ({Key="endpoint", Value="scan"}).
 // Label values are rendered into the exposition escaped; keys must be valid
 // Prometheus label names ([a-zA-Z_][a-zA-Z0-9_]*), which every caller in
 // this module uses literals for.
-type Label struct {
+type label struct {
 	Key   string
 	Value string
 }
@@ -98,7 +98,7 @@ func (k metricKind) String() string {
 
 // metricMeta is the registration-time identity of one series.
 type metricMeta struct {
-	labels  []Label
+	labels  []label
 	statKey string
 }
 
@@ -107,11 +107,11 @@ type MetricOpt func(*metricMeta)
 
 // WithLabel adds one label pair to the series.
 func WithLabel(key, value string) MetricOpt {
-	return func(m *metricMeta) { m.labels = append(m.labels, Label{key, value}) }
+	return func(m *metricMeta) { m.labels = append(m.labels, label{key, value}) }
 }
 
 // WithStatKey also publishes the series (counters and gauges only) under
-// the given flat key in Registry.StatsMap — the legacy /v1/stats name the
+// the given flat key in Stats — the legacy /v1/stats name the
 // typed metric subsumes.
 func WithStatKey(key string) MetricOpt {
 	return func(m *metricMeta) { m.statKey = key }
@@ -225,7 +225,7 @@ func (r *Registry) scalar(name, help string, kind metricKind, s *series, opts []
 // observe nanoseconds and expose seconds (name them *_seconds), UnitCount
 // histograms expose raw values.
 func (r *Registry) Histogram(name, help string, unit Unit, opts ...MetricOpt) *Histogram {
-	s := &series{h: NewHistogram()}
+	s := &series{h: newHistogram()}
 	for _, o := range opts {
 		o(&s.meta)
 	}
@@ -282,9 +282,6 @@ func Stats(regs ...*Registry) map[string]int64 {
 	}
 	return out
 }
-
-// StatsMap is Stats of this registry alone.
-func (r *Registry) StatsMap() map[string]int64 { return Stats(r) }
 
 // DumpLines renders a stats snapshot as sorted "k=v" lines for a shutdown
 // dump. Zero values are elided, except the ones where zero is exactly the

@@ -50,7 +50,7 @@ func TestQuantileAgainstReference(t *testing.T) {
 		seed ^= seed << 17
 		return seed
 	}
-	h := NewHistogram()
+	h := newHistogram()
 	vals := make([]int64, 0, 10000)
 	for i := 0; i < 10000; i++ {
 		// 1 .. ~16M, log-uniform-ish: a mantissa shifted by a random octave.
@@ -59,7 +59,7 @@ func TestQuantileAgainstReference(t *testing.T) {
 		h.Observe(v)
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	s := h.Snapshot()
+	s := h.snapshot()
 	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
 		rank := int(math.Ceil(q * float64(len(vals))))
 		ref := float64(vals[rank-1])
@@ -74,14 +74,14 @@ func TestQuantileAgainstReference(t *testing.T) {
 }
 
 func TestQuantileEdgeCases(t *testing.T) {
-	var empty HistSnapshot
+	var empty histSnapshot
 	if got := empty.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %g, want 0", got)
 	}
-	h := NewHistogram()
+	h := newHistogram()
 	h.Observe(0)
 	h.Observe(1)
-	s := h.Snapshot()
+	s := h.snapshot()
 	if got := s.Quantile(1.0); got != 1 {
 		t.Errorf("Quantile(1.0) over bucket-0 values = %g, want 1", got)
 	}
@@ -109,7 +109,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				// Interleave snapshots with writers: cumulative buckets
 				// must never exceed Count (exposition monotonicity).
 				if i%500 == 0 {
-					s := h.Snapshot()
+					s := h.snapshot()
 					total := int64(0)
 					for _, b := range s.Bucket {
 						total += b
@@ -128,7 +128,7 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := g.Load(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", s.Count, workers*perWorker)
 	}

@@ -16,9 +16,35 @@ import (
 // queries are held equivalent to by TestPlanLegacyEquivalence, and nothing
 // else: test code, unchanged in behaviour from the query engine they were.
 // The one modernization is that a Mod wave's region scans go through
-// provplan.RunAll instead of the bespoke goroutine fan-out they used to
-// carry. legacyMod visits every region, including those of a source
-// database the store holds nothing of, which the planner's Mod skips.
+// runAll instead of the bespoke goroutine fan-out they used to carry.
+// legacyMod visits every region, including those of a source database the
+// store holds nothing of, which the planner's Mod skips.
+
+// runAll compiles several select queries against b and executes them one
+// after another on the caller's goroutine, materializing each result. Each
+// runs through whatever access path its predicate admits; a sharded store
+// still scatters every one of them across its shards below the plan.
+// Results are positional; a compile error on any query fails the whole call
+// before anything runs.
+func runAll(ctx context.Context, b provstore.Backend, qs []*provplan.Query) ([][]provstore.Record, error) {
+	plans := make([]*provplan.Plan, len(qs))
+	for i, q := range qs {
+		pl, err := provplan.Compile(b, q)
+		if err != nil {
+			return nil, err
+		}
+		plans[i] = pl
+	}
+	out := make([][]provstore.Record, len(qs))
+	for i, pl := range plans {
+		recs, err := pl.Records(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = recs
+	}
+	return out, nil
+}
 
 // effectiveAt resolves the effective record for loc in every transaction,
 // client-side, from one WithAncestors scan round trip: for each
@@ -160,7 +186,7 @@ func newRegion(prefix path.Path, bound int64) region {
 //
 // Regions are processed in BFS waves: every region of the current wave
 // fetches its two scans — the subtree scan and the ancestor scan, as two
-// declarative selects handed to provplan.RunAll — then the wave's results
+// declarative selects handed to runAll — then the wave's results
 // merge sequentially in queue order.
 func legacyMod(ctx context.Context, b provstore.Backend, p path.Path, tnow int64) ([]int64, error) {
 	result := make(map[int64]struct{})
@@ -203,7 +229,7 @@ func legacyMod(ctx context.Context, b provstore.Backend, p path.Path, tnow int64
 				&provplan.Query{Op: provplan.OpSelect, Where: provplan.Pred{LocUnder: prefix.String()}, Order: provplan.OrderLocTid},
 				&provplan.Query{Op: provplan.OpSelect, Where: provplan.Pred{LocAbove: prefix.String()}})
 		}
-		scans, err := provplan.RunAll(ctx, b, qs...)
+		scans, err := runAll(ctx, b, qs)
 		if err != nil {
 			return nil, err
 		}

@@ -173,7 +173,7 @@ func (p *parser) parseSelect() (*Query, error) {
 	q := &Query{Op: OpSelect}
 	if t, ok := p.peek(); ok {
 		switch t {
-		case AggCount, AggMinTid, AggMaxTid:
+		case aggCount, aggMinTid, aggMaxTid:
 			q.Agg = t
 			p.i++
 		}
@@ -198,7 +198,7 @@ func (p *parser) parseSelect() (*Query, error) {
 			return nil, badQuery("join needs a variable (tid, src-loc or loc-src)")
 		}
 		switch on {
-		case JoinTid, JoinSrcLoc, JoinLocSrc:
+		case joinTid, joinSrcLoc, joinLocSrc:
 		default:
 			return nil, badQuery("unknown join variable %q", on)
 		}

@@ -134,7 +134,7 @@ type Plan struct {
 	path path.Path
 	asOf int64
 
-	noPushdown bool // compiled under Options.NoPushdown
+	noPushdown bool // compiled under options.NoPushdown
 }
 
 // compiledJoin is a Join with its subquery compiled.
@@ -143,8 +143,8 @@ type compiledJoin struct {
 	sub *Plan
 }
 
-// Options tune compilation. The zero value is the default planner.
-type Options struct {
+// options tune compilation. The zero value is the default planner.
+type options struct {
 	// NoPushdown disables access-path selection, early stopping and
 	// shard scatter: every select runs as a full All() scan with a
 	// client-side residual filter — the baseline the bench sweep
@@ -154,11 +154,11 @@ type Options struct {
 
 // Compile validates q and builds its plan over b.
 func Compile(b provstore.Backend, q *Query) (*Plan, error) {
-	return CompileWith(b, q, Options{})
+	return compileWith(b, q, options{})
 }
 
-// CompileWith is Compile with explicit Options.
-func CompileWith(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
+// compileWith is Compile with explicit options.
+func compileWith(b provstore.Backend, q *Query, opts options) (*Plan, error) {
 	if q == nil {
 		return nil, badQuery("nil query")
 	}
@@ -179,14 +179,14 @@ func CompileWith(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	}
 }
 
-func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
+func compileSelect(b provstore.Backend, q *Query, opts options) (*Plan, error) {
 	pl := &Plan{b: b, q: q}
 	var err error
 	if pl.pred, err = compilePred(q.Where); err != nil {
 		return nil, err
 	}
 	switch q.Agg {
-	case "", AggCount, AggMinTid, AggMaxTid:
+	case "", aggCount, aggMinTid, aggMaxTid:
 	default:
 		return nil, badQuery("unknown aggregate %q", q.Agg)
 	}
@@ -207,10 +207,10 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 	if q.Join != nil {
 		on := q.Join.On
 		if on == "" {
-			on = JoinTid
+			on = joinTid
 		}
 		switch on {
-		case JoinTid, JoinSrcLoc, JoinLocSrc:
+		case joinTid, joinSrcLoc, joinLocSrc:
 		default:
 			return nil, badQuery("unknown join variable %q", q.Join.On)
 		}
@@ -223,7 +223,7 @@ func compileSelect(b provstore.Backend, q *Query, opts Options) (*Plan, error) {
 		if q.Join.Sub.Agg != "" {
 			return nil, badQuery("join subquery cannot aggregate")
 		}
-		sub, err := CompileWith(b, q.Join.Sub, opts)
+		sub, err := compileWith(b, q.Join.Sub, opts)
 		if err != nil {
 			return nil, fmt.Errorf("join subquery: %w", err)
 		}
@@ -326,10 +326,10 @@ func concretePrefix(pat path.Pattern) path.Path {
 	return p
 }
 
-// Explain describes the chosen access path, stream cuts and parallelism,
+// explain describes the chosen access path, stream cuts and parallelism,
 // one line per plan node. The lines are built on each call; compiling a
 // plan formats nothing.
-func (pl *Plan) Explain() []string {
+func (pl *Plan) explain() []string {
 	if pl.q.Op != OpSelect {
 		return []string{fmt.Sprintf("%s(%s) via iterated selects", pl.q.Op, pl.path)}
 	}
@@ -357,7 +357,7 @@ func (pl *Plan) Explain() []string {
 	}
 	lines := []string{strings.Join(parts, " ")}
 	if pl.join != nil {
-		for _, line := range pl.join.sub.Explain() {
+		for _, line := range pl.join.sub.explain() {
 			lines = append(lines, "  sub: "+line)
 		}
 	}
@@ -394,16 +394,16 @@ type joinKeys struct {
 
 func (k *joinKeys) match(r provstore.Record) bool {
 	switch k.on {
-	case JoinTid:
+	case joinTid:
 		_, ok := k.tids[r.Tid]
 		return ok
-	case JoinSrcLoc:
+	case joinSrcLoc:
 		if r.Src.IsRoot() {
 			return false
 		}
 		_, ok := k.locs[r.Src]
 		return ok
-	default: // JoinLocSrc
+	default: // joinLocSrc
 		_, ok := k.locs[r.Loc]
 		return ok
 	}
@@ -420,7 +420,7 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 	start := t.start()
 	keys := &joinKeys{on: pl.join.on}
 	switch pl.join.on {
-	case JoinTid:
+	case joinTid:
 		keys.tids = make(map[int64]struct{})
 	default:
 		keys.locs = make(map[path.Path]struct{})
@@ -432,11 +432,11 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 		}
 		in++
 		switch pl.join.on {
-		case JoinTid:
+		case joinTid:
 			keys.tids[r.Tid] = struct{}{}
-		case JoinSrcLoc:
+		case joinSrcLoc:
 			keys.locs[r.Loc] = struct{}{}
-		default: // JoinLocSrc
+		default: // joinLocSrc
 			if !r.Src.IsRoot() {
 				keys.locs[r.Src] = struct{}{}
 			}
@@ -594,23 +594,13 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 	}
 	at.done(start, total.count, 1)
 	switch pl.q.Agg {
-	case AggCount:
+	case aggCount:
 		return total.count, true, nil
-	case AggMinTid:
+	case aggMinTid:
 		return total.min, total.found, nil
-	default: // AggMaxTid
+	default: // aggMaxTid
 		return total.max, total.found, nil
 	}
-}
-
-// RunAll compiles several select queries against b and executes them one
-// after another on the caller's goroutine, materializing each result. Each
-// runs through whatever access path its predicate admits; a sharded store
-// still scatters every one of them across its shards below the plan.
-// Results are positional; a compile error on any query fails the whole call
-// before anything runs.
-func RunAll(ctx context.Context, b provstore.Backend, qs ...*Query) ([][]provstore.Record, error) {
-	return runAll(ctx, b, qs, nil)
 }
 
 func runAll(ctx context.Context, b provstore.Backend, qs []*Query, ex *exec) ([][]provstore.Record, error) {

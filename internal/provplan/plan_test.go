@@ -86,16 +86,16 @@ func naiveEval(q *Query, all []provstore.Record) []provstore.Record {
 			sub := naiveEval(q.Join.Sub, all)
 			on := q.Join.On
 			if on == "" {
-				on = JoinTid
+				on = joinTid
 			}
 			hit := false
 			for _, s := range sub {
 				switch on {
-				case JoinTid:
+				case joinTid:
 					hit = s.Tid == r.Tid
-				case JoinSrcLoc:
+				case joinSrcLoc:
 					hit = !r.Src.IsRoot() && r.Src.Equal(s.Loc)
-				case JoinLocSrc:
+				case joinLocSrc:
 					hit = !s.Src.IsRoot() && r.Loc.Equal(s.Src)
 				}
 				if hit {
@@ -200,7 +200,7 @@ func TestAccessSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", tc.text, err)
 		}
-		if got := pl.Explain()[0]; !strings.Contains(got, tc.want) {
+		if got := pl.explain()[0]; !strings.Contains(got, tc.want) {
 			t.Errorf("Explain(%q) = %q, want substring %q", tc.text, got, tc.want)
 		}
 	}
@@ -211,7 +211,7 @@ func TestAccessSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pl.Explain()[0]; !strings.Contains(got, "parallel=shards(4)") {
+	if got := pl.explain()[0]; !strings.Contains(got, "parallel=shards(4)") {
 		t.Errorf("sharded Explain = %q, want parallel=shards(4)", got)
 	}
 }
@@ -307,7 +307,7 @@ func TestRandomSelectEquivalence(t *testing.T) {
 		}
 		if depth > 0 && rng.Intn(3) == 0 {
 			q.Join = &Join{
-				On:  []string{JoinTid, JoinSrcLoc, JoinLocSrc}[rng.Intn(3)],
+				On:  []string{joinTid, joinSrcLoc, joinLocSrc}[rng.Intn(3)],
 				Sub: randQuery(depth - 1),
 			}
 			q.Join.Sub.Limit = 0 // keep the reference's join semantics order-free
@@ -384,7 +384,7 @@ func TestPushdownScansLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := CompileWith(b, q, Options{NoPushdown: true})
+	pl, err := compileWith(b, q, options{NoPushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestCompileErrors(t *testing.T) {
 		{Op: OpSelect, Where: Pred{TidMin: 5, TidMax: 2}},
 		{Op: OpSelect, Where: Pred{Loc: "T//x"}},
 		{Op: OpSelect, Agg: "sum"},
-		{Op: OpSelect, Agg: AggCount, Limit: 3},
+		{Op: OpSelect, Agg: aggCount, Limit: 3},
 		{Op: OpSelect, Order: "sideways"},
 		{Op: OpSelect, Join: &Join{On: "bogus", Sub: &Query{Op: OpSelect}}},
 		{Op: OpSelect, Join: &Join{}},

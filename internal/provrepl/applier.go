@@ -224,7 +224,7 @@ func (b *ReplicatedBackend) applyPass(r *replica) (err error) {
 // in the proven stream, so a verified replica trails the primary by any
 // still-open transaction until Flush seals it.
 func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int64, afterLoc path.Path) iter.Seq2[provstore.Record, error] {
-	auth := b.primary.(provauth.Authority) // checked in New
+	auth := b.primary.(provauth.Authority) // checked in newReplicated
 	return func(yield func(provstore.Record, error) bool) {
 		var root provauth.Root
 		anchored := false

@@ -15,7 +15,7 @@ import (
 //
 //	replicated://?primary=DSN&replica=DSN[&replica=DSN…]
 //	             [&read=primary|any]   read routing (default primary)
-//	             [&lag=N]              ReadAny staleness bound in tids (default 0:
+//	             [&lag=N]              readAny staleness bound in tids (default 0:
 //	                                   only fully caught-up replicas serve reads)
 //	             [&poll=500ms]         applier idle poll / error backoff
 //	             [&verify=1]           ship over the primary's authenticated
@@ -41,12 +41,12 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		return nil, fmt.Errorf("provstore: dsn %s: replicated:// needs at least one replica=DSN parameter", dsn)
 	}
 
-	var opts Options
+	var opts options
 	switch dsn.Param("read") {
 	case "", "primary":
-		opts.Read = ReadPrimary
+		opts.Read = readPrimary
 	case "any":
-		opts.Read = ReadAny
+		opts.Read = readAny
 	default:
 		return nil, fmt.Errorf("provstore: dsn %s: read=%q is not primary or any", dsn, dsn.Param("read"))
 	}
@@ -94,7 +94,7 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		opened = append(opened, r)
 		replicas = append(replicas, r)
 	}
-	rb, err := New(primary, replicas, opts)
+	rb, err := newReplicated(primary, replicas, opts)
 	if err != nil {
 		return fail(err)
 	}

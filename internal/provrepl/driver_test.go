@@ -2,11 +2,15 @@ package provrepl
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/path"
+	_ "repro/internal/provhttp" // cpdb://
 	"repro/internal/provstore"
+	_ "repro/internal/relprov" // rel://
 )
 
 // TestDriverOpen: the replicated:// scheme composes nested DSNs and carries
@@ -24,8 +28,8 @@ func TestDriverOpen(t *testing.T) {
 	if rb.NumReplicas() != 2 {
 		t.Errorf("NumReplicas = %d, want 2", rb.NumReplicas())
 	}
-	if rb.ReadPolicy() != ReadAny {
-		t.Errorf("ReadPolicy = %v, want any", rb.ReadPolicy())
+	if rb.opts.Read != readAny {
+		t.Errorf("read policy = %v, want any", rb.opts.Read)
 	}
 	if rb.LagBound() != 2 {
 		t.Errorf("LagBound = %d, want 2", rb.LagBound())
@@ -81,4 +85,36 @@ func TestDriverErrors(t *testing.T) {
 			t.Errorf("OpenDSN(%s) = %v, want error containing %q", c.dsn, err, c.want)
 		}
 	}
+}
+
+// TestDriverRepeatedParams: every built-in driver refuses a parameter given
+// twice, other than shard and replica, before it opens anything: Param reads
+// the first value alone, so rel://f.db?create=1&durable=0&durable=1 would
+// otherwise open a store that is not durable.
+func TestDriverRepeatedParams(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "f.db")
+	for _, c := range []struct{ dsn, param string }{
+		{"mem://?shards=2&shards=8", "shards"},
+		{"rel://" + file + "?create=1&durable=0&durable=1", "durable"},
+		{"rel://" + file + "?create=1&create=1", "create"},
+		{"cpdb://127.0.0.1:1?timeout=1s&timeout=2s", "timeout"},
+		{"replicated://?primary=mem://&primary=mem://&replica=mem://", "primary"},
+		{"replicated://?primary=mem://&replica=mem://&read=any&read=primary", "read"},
+		{"verified://?inner=mem://&inner=mem%3A%2F%2F%3Fshards%3D2", "inner"},
+	} {
+		_, err := provstore.OpenDSN(c.dsn)
+		if err == nil || !strings.Contains(err.Error(), `parameter "`+c.param+`" is given 2 times`) {
+			t.Errorf("OpenDSN(%q) = %v, want the repeated %s refused", c.dsn, err, c.param)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("a refused rel:// DSN left %v (%v) behind", entries, err)
+	}
+	// replica, like shard, names one store per value.
+	b, err := provstore.OpenDSN("replicated://?primary=mem://&replica=mem://&replica=mem://")
+	if err != nil {
+		t.Fatal(err)
+	}
+	provstore.Close(b)
 }

@@ -11,9 +11,9 @@
 // or a lag spike is one seeked cursor from the last key the replica holds.
 // There is no log to maintain beyond the relation itself.
 //
-// Reads route by policy: ReadPrimary sends everything to the primary
+// Reads route by policy: readPrimary sends everything to the primary
 // (replicas are pure standbys for failover and offline analytics);
-// ReadAny fans reads out round-robin across replicas whose staleness is
+// readAny fans reads out round-robin across replicas whose staleness is
 // within the configured LagBound, falling back to the primary when no
 // replica qualifies or a replica read fails mid-flight. With LagBound 0 a
 // replica serves reads only while fully caught up with everything this
@@ -52,33 +52,33 @@ import (
 	"repro/internal/provtrace"
 )
 
-// ReadPolicy selects where a replicated backend serves reads from.
-type ReadPolicy int
+// readPolicy selects where a replicated backend serves reads from.
+type readPolicy int
 
 const (
-	// ReadPrimary routes every read to the primary; replicas are pure
+	// readPrimary routes every read to the primary; replicas are pure
 	// standbys. This is the default: replication adds durability and
 	// failover without changing any observable behavior.
-	ReadPrimary ReadPolicy = iota
-	// ReadAny fans reads out round-robin across replicas within LagBound,
+	readPrimary readPolicy = iota
+	// readAny fans reads out round-robin across replicas within LagBound,
 	// failing over to the primary when none qualifies or a replica errors.
-	ReadAny
+	readAny
 )
 
 // String returns the DSN spelling of the policy.
-func (p ReadPolicy) String() string {
-	if p == ReadAny {
+func (p readPolicy) String() string {
+	if p == readAny {
 		return "any"
 	}
 	return "primary"
 }
 
-// Options configures a replicated backend.
-type Options struct {
-	// Read selects the read routing policy (default ReadPrimary).
-	Read ReadPolicy
+// options configures a replicated backend.
+type options struct {
+	// Read selects the read routing policy (default readPrimary).
+	Read readPolicy
 	// LagBound is the maximum transaction-id staleness a replica may show
-	// and still serve ReadAny reads. 0 (the default) means a replica only
+	// and still serve readAny reads. 0 (the default) means a replica only
 	// serves reads while fully caught up with every append this handle has
 	// acknowledged — fan-out reads then never observe a torn or stale
 	// prefix.
@@ -114,7 +114,7 @@ type Options struct {
 	Verify bool
 }
 
-func (o Options) withDefaults() Options {
+func (o options) withDefaults() options {
 	if o.Poll <= 0 {
 		o.Poll = 500 * time.Millisecond
 	}
@@ -130,7 +130,7 @@ func (o Options) withDefaults() Options {
 // A ReplicatedBackend is a provstore.Backend over one primary and N replica
 // stores: writes go to the primary synchronously and are acknowledged once
 // the primary has them; per-replica applier goroutines ship committed
-// records to the replicas asynchronously; reads route by Options.Read. It
+// records to the replicas asynchronously; reads route by options.Read. It
 // is safe for concurrent use.
 //
 // Lifecycle: Flush pushes the primary's buffered writes down and nudges the
@@ -139,7 +139,7 @@ func (o Options) withDefaults() Options {
 type ReplicatedBackend struct {
 	primary  provstore.Backend
 	replicas []*replica
-	opts     Options
+	opts     options
 
 	// shipped is the write version: it increments on every acknowledged
 	// append through this handle. A replica whose synced version has
@@ -154,11 +154,11 @@ type ReplicatedBackend struct {
 	// stops a primary (in particular a remote cpdb:// one, whose roots
 	// arrive as unauthenticated claims) from rewriting history between
 	// passes and re-proving everything against the rewritten tree. Shared
-	// by all appliers; used only under Options.Verify.
+	// by all appliers; used only under options.Verify.
 	anchor *provauth.Anchor
 
 	obs            *provobs.Registry
-	laggedReads    *provobs.Counter // ReadAny reads served by a stale replica
+	laggedReads    *provobs.Counter // readAny reads served by a stale replica
 	verifiedRecs   *provobs.Counter // records shipped with a verified proof (Verify mode only)
 	verifyFailures *provobs.Counter // proof/root checks that failed during shipping (Verify mode only)
 	applyDur       *provobs.Histogram
@@ -179,10 +179,11 @@ var (
 // errClosed reports use of a closed replicated backend.
 var errClosed = errors.New("provrepl: backend is closed")
 
-// New builds a replicated backend over the given primary and replica stores
-// and starts one applier goroutine per replica. Replica stores must be
-// dedicated to this backend (the appliers assume nothing else writes them).
-func New(primary provstore.Backend, replicas []provstore.Backend, opts Options) (*ReplicatedBackend, error) {
+// newReplicated builds a replicated backend over the given primary and
+// replica stores and starts one applier goroutine per replica. Replica
+// stores must be dedicated to this backend (the appliers assume nothing else
+// writes them).
+func newReplicated(primary provstore.Backend, replicas []provstore.Backend, opts options) (*ReplicatedBackend, error) {
 	if primary == nil {
 		return nil, errors.New("provrepl: New requires a primary")
 	}
@@ -243,13 +244,10 @@ func (b *ReplicatedBackend) NumReplicas() int { return len(b.replicas) }
 // Replica exposes one replica store (for tests and verification dumps).
 func (b *ReplicatedBackend) Replica(i int) provstore.Backend { return b.replicas[i].store }
 
-// ReadPolicy returns the configured read routing policy.
-func (b *ReplicatedBackend) ReadPolicy() ReadPolicy { return b.opts.Read }
-
 // LagBound returns the configured staleness bound.
 func (b *ReplicatedBackend) LagBound() int64 { return b.opts.LagBound }
 
-// LaggedReads returns how many ReadAny reads were served by a replica that
+// LaggedReads returns how many readAny reads were served by a replica that
 // trailed the primary's acknowledged transaction id (possible only with
 // LagBound > 0). The CLI surfaces a note after -dump when this is non-zero.
 func (b *ReplicatedBackend) LaggedReads() int64 { return b.laggedReads.Load() }
@@ -324,7 +322,7 @@ func (b *ReplicatedBackend) wakeAll() {
 // and the replica's staleness is within LagBound (with bound 0, the replica
 // must hold everything acknowledged so far).
 func (b *ReplicatedBackend) pickReplica() *replica {
-	if b.opts.Read != ReadAny {
+	if b.opts.Read != readAny {
 		return nil
 	}
 	shipped := b.shipped.Load()
@@ -482,12 +480,12 @@ func (b *ReplicatedBackend) Close() error {
 //
 //	repl.replicas          configured replica count
 //	repl.shipped_tid       max transaction id acknowledged on the primary
-//	repl.lagged_reads      ReadAny reads served by a stale replica
+//	repl.lagged_reads      readAny reads served by a stale replica
 //	repl.applied_tid.<i>   replica i's high-water transaction id
 //	repl.lag.<i>           repl.shipped_tid - repl.applied_tid.<i>, floored at 0
 //	repl.healthy.<i>       1 while replica i's applier is caught up and erroring-free
 //
-// With Options.Verify on, two more track the authenticated stream:
+// With options.Verify on, two more track the authenticated stream:
 //
 //	repl.verified_recs     records shipped after their inclusion proof checked out
 //	repl.verify_failures   proof or root-anchor checks that failed (shipping

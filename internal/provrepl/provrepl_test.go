@@ -18,16 +18,16 @@ import (
 )
 
 // fastOpts keeps test appliers snappy.
-func fastOpts(o Options) Options {
+func fastOpts(o options) options {
 	if o.Poll == 0 {
 		o.Poll = 5 * time.Millisecond
 	}
 	return o
 }
 
-func mustNew(t *testing.T, primary provstore.Backend, replicas []provstore.Backend, o Options) *ReplicatedBackend {
+func mustNew(t *testing.T, primary provstore.Backend, replicas []provstore.Backend, o options) *ReplicatedBackend {
 	t.Helper()
-	b, err := New(primary, replicas, fastOpts(o))
+	b, err := newReplicated(primary, replicas, fastOpts(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReplicasConvergeToPrimary(t *testing.T) {
 	ctx := context.Background()
 	primary := provstore.NewMemBackend()
 	reps := []provstore.Backend{provstore.NewMemBackend(), provstore.NewMemBackend()}
-	b := mustNew(t, primary, reps, Options{ApplyBatch: 8})
+	b := mustNew(t, primary, reps, options{ApplyBatch: 8})
 	for tid := int64(1); tid <= 25; tid++ {
 		if err := b.Append(ctx, tidBatch(tid, 7)); err != nil {
 			t.Fatal(err)
@@ -153,7 +153,7 @@ func TestReplicaRestartResumesFromHighWater(t *testing.T) {
 	gate := &gateStore{Backend: repMem}
 
 	// Small apply chunks so the kill lands between applier flushes.
-	b1 := mustNew(t, primary, []provstore.Backend{gate}, Options{ApplyBatch: 4})
+	b1 := mustNew(t, primary, []provstore.Backend{gate}, options{ApplyBatch: 4})
 	for tid := int64(1); tid <= 10; tid++ {
 		if err := b1.Append(ctx, tidBatch(tid, 5)); err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestReplicaRestartResumesFromHighWater(t *testing.T) {
 	// only the missing records.
 	shippedBefore := gate.appends.Load()
 	gate.failAppends.Store(false)
-	b2 := mustNew(t, primary, []provstore.Backend{gate}, Options{ApplyBatch: 64})
+	b2 := mustNew(t, primary, []provstore.Backend{gate}, options{ApplyBatch: 64})
 	waitCaughtUp(t, b2)
 	want := collectAll(t, primary)
 	if got := collectAll(t, repMem); !reflect.DeepEqual(got, want) {
@@ -216,7 +216,7 @@ func TestReadAnyLagZeroNeverTorn(t *testing.T) {
 	reps := []provstore.Backend{provstore.NewMemBackend(), provstore.NewMemBackend()}
 	// ApplyBatch below perTid forces the appliers to choose chunk cuts;
 	// they must still cut only at transaction boundaries.
-	b := mustNew(t, primary, reps, Options{Read: ReadAny, LagBound: 0, ApplyBatch: 3})
+	b := mustNew(t, primary, reps, options{Read: readAny, LagBound: 0, ApplyBatch: 3})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -287,7 +287,7 @@ func TestReadFailoverToPrimary(t *testing.T) {
 	gate := &gateStore{Backend: provstore.NewMemBackend()}
 	// A long poll keeps the demotion cooldown window comfortably wider
 	// than the assertions that run inside it.
-	b := mustNew(t, primary, []provstore.Backend{gate}, Options{Read: ReadAny, LagBound: 0, Poll: 300 * time.Millisecond})
+	b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: 0, Poll: 300 * time.Millisecond})
 	defer b.Close()
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
@@ -337,7 +337,7 @@ func TestLagBoundRouting(t *testing.T) {
 		// Slow replica appends (not failures): the applier stays healthy
 		// while visibly behind. ApplyBatch 2 means one delay per tid, so
 		// the lag window stays open for seconds.
-		b := mustNew(t, primary, []provstore.Backend{gate}, Options{Read: ReadAny, LagBound: lagBound, ApplyBatch: 2, Poll: time.Second})
+		b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: lagBound, ApplyBatch: 2, Poll: time.Second})
 		if err := b.Append(ctx, tidBatch(1, 2)); err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestCloseMidApplyLeaksNoGoroutines(t *testing.T) {
 	primary := provstore.NewMemBackend()
 	gate := &gateStore{Backend: provstore.NewMemBackend()}
 	gate.appendDelay.Store(int64(20 * time.Millisecond))
-	b := mustNew(t, primary, []provstore.Backend{gate}, Options{ApplyBatch: 2, CloseTimeout: 10 * time.Millisecond})
+	b := mustNew(t, primary, []provstore.Backend{gate}, options{ApplyBatch: 2, CloseTimeout: 10 * time.Millisecond})
 	for tid := int64(1); tid <= 30; tid++ {
 		if err := b.Append(ctx, tidBatch(tid, 4)); err != nil {
 			t.Fatal(err)
@@ -422,7 +422,7 @@ func TestScanAllMidStreamFailover(t *testing.T) {
 	open := func(t *testing.T, cutAfter int) (*ReplicatedBackend, *cutAfterStore, provstore.Backend) {
 		primary := provstore.NewMemBackend()
 		gate := &cutAfterStore{Backend: provstore.NewMemBackend(), cutAfter: cutAfter}
-		b := mustNew(t, primary, []provstore.Backend{gate}, Options{Read: ReadAny, LagBound: 0})
+		b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: 0})
 		t.Cleanup(func() { b.Close() })
 		for tid := int64(1); tid <= 6; tid++ {
 			batch := append(tidBatch(tid, 5), provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: hot})
@@ -534,7 +534,7 @@ func TestOutOfOrderCommitRewinds(t *testing.T) {
 	ctx := context.Background()
 	primary := provstore.NewMemBackend()
 	gate := &gateStore{Backend: provstore.NewMemBackend()}
-	b := mustNew(t, primary, []provstore.Backend{gate}, Options{ApplyBatch: 4})
+	b := mustNew(t, primary, []provstore.Backend{gate}, options{ApplyBatch: 4})
 	defer b.Close()
 	for _, tid := range []int64{2, 3, 4, 6, 7} {
 		if err := b.Append(ctx, tidBatch(tid, 3)); err != nil {

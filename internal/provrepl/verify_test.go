@@ -48,7 +48,7 @@ func waitRecs(t *testing.T, b provstore.Backend, n int) {
 // TestVerifyRequiresAuthority: Verify over a plain store is a construction
 // error, not a latent applier failure.
 func TestVerifyRequiresAuthority(t *testing.T) {
-	_, err := New(provstore.NewMemBackend(), []provstore.Backend{provstore.NewMemBackend()}, Options{Verify: true})
+	_, err := newReplicated(provstore.NewMemBackend(), []provstore.Backend{provstore.NewMemBackend()}, options{Verify: true})
 	if err == nil || !strings.Contains(err.Error(), "verified://") {
 		t.Fatalf("New with Verify over a plain store: err = %v, want a verified:// hint", err)
 	}
@@ -61,7 +61,7 @@ func TestVerifiedShipping(t *testing.T) {
 	ctx := context.Background()
 	primary := mustAuth(t, provstore.NewMemBackend())
 	rep := provstore.NewMemBackend()
-	b := mustNew(t, primary, []provstore.Backend{rep}, Options{Verify: true, ApplyBatch: 8})
+	b := mustNew(t, primary, []provstore.Backend{rep}, options{Verify: true, ApplyBatch: 8})
 	defer b.Close()
 	for tid := int64(1); tid <= 5; tid++ {
 		if err := b.Append(ctx, tidBatch(tid, 4)); err != nil {
@@ -96,7 +96,7 @@ func TestVerifiedShippingHorizon(t *testing.T) {
 	ctx := context.Background()
 	primary := mustAuth(t, provstore.NewMemBackend())
 	rep := provstore.NewMemBackend()
-	b := mustNew(t, primary, []provstore.Backend{rep}, Options{Verify: true})
+	b := mustNew(t, primary, []provstore.Backend{rep}, options{Verify: true})
 	defer b.Close()
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestVerifiedShippingBlocksTamper(t *testing.T) {
 	tamper := provtest.NewTamper(provstore.NewMemBackend(), nil)
 	primary := mustAuth(t, tamper)
 	rep := provstore.NewMemBackend()
-	b := mustNew(t, primary, []provstore.Backend{rep}, Options{Verify: true})
+	b := mustNew(t, primary, []provstore.Backend{rep}, options{Verify: true})
 	defer b.Close()
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	honest := mustAuth(t, provstore.NewMemBackend())
 	primary := newSwapAuth(honest)
 	rep := provstore.NewMemBackend()
-	b := mustNew(t, primary, []provstore.Backend{rep}, Options{Verify: true})
+	b := mustNew(t, primary, []provstore.Backend{rep}, options{Verify: true})
 	defer b.Close()
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	}
 }
 
-// TestVerifyDSN: the composite driver's verify=1 plumbs through to Options
+// TestVerifyDSN: the composite driver's verify=1 plumbs through to options
 // and demands a verified:// primary.
 func TestVerifyDSN(t *testing.T) {
 	good := "replicated://?primary=" + url.QueryEscape("verified://?inner=mem://") + "&replica=mem://&verify=1&poll=5ms"

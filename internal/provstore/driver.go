@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +33,6 @@ import (
 //	rel://file.db?create=1      relational store in file.db (create it)
 //	rel://file.db?durable=1     … with a WAL and group commit (file.db.wal)
 //	sharded://?shard=DSN&shard=DSN   sharded store over explicit shard DSNs
-//	sharded://?shards=N&each=DSN     … over N shards opened from a template
-//	                                 ("%d" in the template becomes the index)
 //
 // (The rel driver registers itself from internal/relprov, so importing the
 // root cpdb package makes all built-in schemes available.)
@@ -90,20 +89,19 @@ func (d DSN) IntParam(key string, def int) (int, error) {
 }
 
 // RejectUnknownParams errors on any parameter outside the allowed set, so a
-// typo ("durible=1") fails loudly instead of being ignored. Drivers are
-// expected to call it after reading their parameters.
+// typo ("durible=1") fails loudly instead of being ignored, and on any
+// parameter given twice except shard and replica, which name one store each:
+// Param reads the first of several values, so durable=0&durable=1 would
+// silently open a store that is not durable. Drivers are expected to call it
+// before they open anything.
 func (d DSN) RejectUnknownParams(allowed ...string) error {
-	for k := range d.Params {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+	for k, vs := range d.Params {
+		if !slices.Contains(allowed, k) {
 			return fmt.Errorf("provstore: dsn %s: unknown parameter %q (%s driver accepts %s)",
 				d.raw, k, d.Scheme, strings.Join(allowed, ", "))
+		}
+		if len(vs) > 1 && k != "shard" && k != "replica" {
+			return fmt.Errorf("provstore: dsn %s: parameter %q is given %d times; only shard and replica may repeat", d.raw, k, len(vs))
 		}
 	}
 	return nil
@@ -238,6 +236,27 @@ func OpenDSN(s string) (Backend, error) {
 
 // --- built-in drivers -------------------------------------------------------
 
+// opensFresh reports whether every open of the DSN s makes a store of its
+// own, as mem:// does: s names no file or address, and neither does any DSN
+// among its parameters. An unparseable s counts as fresh; opening it fails.
+func opensFresh(s string) bool {
+	d, err := ParseDSN(s)
+	if err != nil {
+		return true
+	}
+	if d.Path != "" {
+		return false
+	}
+	for _, vs := range d.Params {
+		for _, v := range vs {
+			if strings.Contains(v, "://") && !opensFresh(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func init() {
 	RegisterDriver("mem", DriverFunc(openMem))
 	RegisterDriver("sharded", DriverFunc(openComposite))
@@ -265,59 +284,26 @@ func openMem(dsn DSN) (Backend, error) {
 	return NewMemBackend(), nil
 }
 
-// openComposite opens sharded://, composing per-shard DSNs: either explicit
-// repeated shard=DSN parameters, or shards=N with an each=DSN template in
-// which "%d" (if present) is replaced by the shard index. With no
-// parameters at all it composes nothing and errors — a sharded store needs
-// its shards named.
+// openComposite opens sharded://?shard=DSN&shard=DSN…, a sharded store over
+// the shards the repeated shard parameters name, in order. A shard DSN that
+// names a file or an address, itself or in a DSN it nests, may be named
+// once: opening one store twice would give two shards one store, and each
+// would hold the other's partition too.
 func openComposite(dsn DSN) (Backend, error) {
 	if dsn.Path != "" {
-		return nil, fmt.Errorf("provstore: dsn %s: sharded stores have no path; name shards via ?shard=… or ?shards=N&each=…", dsn)
+		return nil, fmt.Errorf("provstore: dsn %s: sharded stores have no path; name shards via ?shard=…", dsn)
 	}
-	if err := dsn.RejectUnknownParams("shard", "shards", "each"); err != nil {
+	if err := dsn.RejectUnknownParams("shard"); err != nil {
 		return nil, err
 	}
-	explicit := dsn.Params["shard"]
-	_, hasCount := dsn.Params["shards"]
-	if len(explicit) > 0 && hasCount {
-		return nil, fmt.Errorf("provstore: dsn %s: use either shard=… or shards=N&each=…, not both", dsn)
+	shardDSNs := dsn.Params["shard"]
+	if len(shardDSNs) == 0 {
+		return nil, errors.New("provstore: sharded:// needs ?shard=… parameters")
 	}
-	var shardDSNs []string
-	switch {
-	case len(explicit) > 0:
-		shardDSNs = explicit
-	case hasCount:
-		n, err := dsn.IntParam("shards", 0)
-		if err != nil {
-			return nil, err
+	for i, sd := range shardDSNs {
+		if j := slices.Index(shardDSNs, sd); j < i && !opensFresh(sd) {
+			return nil, fmt.Errorf("provstore: dsn %s: shards %d and %d would share one store %q; name a store of its own for each shard", dsn, j, i, sd)
 		}
-		if n < 1 {
-			return nil, fmt.Errorf("provstore: dsn %s: shards must be >= 1", dsn)
-		}
-		each := dsn.Param("each")
-		if each == "" {
-			each = "mem://"
-		}
-		if n > 1 && !strings.Contains(each, "%d") {
-			// Expanding one fixed DSN N times is only safe when opening it
-			// repeatedly yields independent stores. That is guaranteed for
-			// the built-in mem scheme; for anything else (file- or
-			// network-backed), N handles onto one store would silently
-			// corrupt the partitioning, so demand an index placeholder or
-			// explicit shard= parameters.
-			tmpl, terr := ParseDSN(each)
-			if terr != nil {
-				return nil, fmt.Errorf("provstore: dsn %s: bad each template: %w", dsn, terr)
-			}
-			if tmpl.Scheme != "mem" {
-				return nil, fmt.Errorf("provstore: dsn %s: %d shards would share one %s store %q; put %%d in the each template or list explicit shard= DSNs", dsn, n, tmpl.Scheme, each)
-			}
-		}
-		for i := 0; i < n; i++ {
-			shardDSNs = append(shardDSNs, strings.ReplaceAll(each, "%d", strconv.Itoa(i)))
-		}
-	default:
-		return nil, errors.New("provstore: sharded:// needs ?shard=… parameters or ?shards=N&each=…")
 	}
 	shards := make([]Backend, 0, len(shardDSNs))
 	fail := func(err error) (Backend, error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -25,8 +26,8 @@ func TestParseDSNTable(t *testing.T) {
 		{in: "rel:///abs/path/prov.db?create=1&durable=1", scheme: "rel", path: "/abs/path/prov.db",
 			params: map[string]string{"create": "1", "durable": "1"}},
 		{in: "rel://dir%3Fodd/p.db", scheme: "rel", path: "dir?odd/p.db"},
-		{in: "sharded://?shards=4&each=mem://", scheme: "sharded",
-			params: map[string]string{"shards": "4", "each": "mem://"}},
+		{in: "sharded://?shard=mem://&shard=mem%3A%2F%2F%3Fshards%3D2", scheme: "sharded",
+			params: map[string]string{"shard": "mem://"}},
 		{in: "x-test+v1.0://anything", scheme: "x-test+v1.0", path: "anything"},
 		// Network authority forms: host:port travels as the DSN path.
 		{in: "cpdb://10.0.0.5:7070", scheme: "cpdb", path: "10.0.0.5:7070"},
@@ -274,7 +275,7 @@ func TestOpenDSNMem(t *testing.T) {
 
 func TestOpenDSNShardedComposite(t *testing.T) {
 	ctx := context.Background()
-	b, err := OpenDSN("sharded://?shards=3&each=mem://")
+	b, err := OpenDSN("sharded://?shard=mem://&shard=mem://&shard=mem://")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +305,56 @@ func TestOpenDSNShardedComposite(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"sharded://",                            // no shards named
-		"sharded://p",                           // no path allowed
-		"sharded://?shards=2&shard=mem://",      // both forms at once
-		"sharded://?shards=0&each=mem://",       // bad count
-		"sharded://?shard=nosuch://",            // unknown inner scheme
-		"sharded://?shards=2&each=nosuch://",    // unknown template scheme
-		"sharded://?shards=2&each=rel://one.db", // shards sharing one file
+		"sharded://",                                       // no shards named
+		"sharded://p",                                      // no path allowed
+		"sharded://?shards=2&shard=mem://",                 // the template spelling is gone
+		"sharded://?shards=2&each=mem://",                  // … in full
+		"sharded://?shard=nosuch://",                       // unknown inner scheme
+		"sharded://?shard=rel://one.db&shard=rel://one.db", // two shards sharing one file
 	} {
 		if _, err := OpenDSN(bad); err == nil {
 			t.Errorf("OpenDSN(%q) succeeded", bad)
 		}
+	}
+	// A store named twice is refused before any shard opens, naming both —
+	// a file or a daemon, or one nested in a decorator's DSN.
+	for _, shared := range []string{
+		"cpdb://h:1",
+		"x://?inner=rel%3A%2F%2Fone.db",
+	} {
+		dsn := "sharded://?shard=mem://&shard=" + url.QueryEscape(shared) + "&shard=" + url.QueryEscape(shared)
+		if _, err := OpenDSN(dsn); err == nil || !strings.Contains(err.Error(), "shards 1 and 2 would share one store") {
+			t.Errorf("OpenDSN(%q) = %v, want the shared store refused", dsn, err)
+		}
+	}
+	// A DSN that makes a store of its own on every open may repeat.
+	for _, s := range []string{"mem://", "mem://?shards=2", "x://?inner=mem%3A%2F%2F"} {
+		if !opensFresh(s) {
+			t.Errorf("opensFresh(%q) = false", s)
+		}
+	}
+}
+
+// TestDSNRepeatedParams: a parameter given twice is refused, whichever
+// driver reads it, except shard and replica, which name one store each.
+// Param would read the first value alone, so a repeat would open a store
+// other than the one the DSN appears to ask for.
+func TestDSNRepeatedParams(t *testing.T) {
+	for _, dsn := range []string{
+		"mem://?shards=2&shards=8",
+		"mem://?shards=2&shards=2",
+	} {
+		_, err := OpenDSN(dsn)
+		if err == nil || !strings.Contains(err.Error(), `parameter "shards" is given 2 times`) {
+			t.Errorf("OpenDSN(%q) = %v, want the repeat refused", dsn, err)
+		}
+	}
+	d, err := ParseDSN("x://?shard=a&shard=b&replica=c&replica=d&once=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RejectUnknownParams("shard", "replica", "once"); err != nil {
+		t.Errorf("shard and replica may repeat: %v", err)
 	}
 }
 

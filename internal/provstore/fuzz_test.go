@@ -24,9 +24,10 @@ func FuzzParseDSN(f *testing.F) {
 		"rel://prov.db?create=1",
 		"rel://prov.db?create=1&durable=1",
 		"rel://dir/with%3Fmark/prov.db?durable=1",
+		"rel://prov.db?create=1&durable=0&durable=1",
 		"sharded://?shard=mem://&shard=mem://",
-		"sharded://?shards=4&each=mem://",
-		"sharded://?shards=2&each=rel://shard-%d.db?create=1",
+		"sharded://?shard=mem://&shard=mem://&shard=mem://&shard=mem://",
+		"sharded://?shard=rel%3A%2F%2Fshard-0.db%3Fcreate%3D1&shard=rel%3A%2F%2Fshard-1.db%3Fcreate%3D1",
 		"cpdb://127.0.0.1:7070",
 		"cpdb://[::1]:7070",
 		"replicated://?primary=mem://&replica=mem://&read=any&lag=2&poll=20ms",

@@ -91,19 +91,19 @@ const scanWindowFirst = 16
 type Visit[T any] func(spec ScanSpec, buf []T, want int) (window []T, last Record, more bool, err error)
 
 // Idle keeps values reads are done with — window buffers, decoders — for
-// the next reads: as many as ran at once, up to IdleMax, the rest dropped.
+// the next reads: as many as ran at once, up to idleMax, the rest dropped.
 // Unlike a sync.Pool's, what it keeps does not depend on when the collector
 // last ran, so neither does what a read allocates.
 type Idle[T any] chan T
 
-// IdleMax is the most values an Idle keeps: more than the reads a store
+// idleMax is the most values an Idle keeps: more than the reads a store
 // serves at once on a few cores, so a steady load takes every value from
 // it, and few enough that what a burst of readers leaves behind stays small
 // (8 × 256 records of rel://, 16 KB each).
-const IdleMax = 8
+const idleMax = 8
 
 // NewIdle returns an empty Idle.
-func NewIdle[T any]() Idle[T] { return make(Idle[T], IdleMax) }
+func NewIdle[T any]() Idle[T] { return make(Idle[T], idleMax) }
 
 // Get takes an idle value, or the zero T if there is none.
 func (l Idle[T]) Get() (v T) {
@@ -114,7 +114,7 @@ func (l Idle[T]) Get() (v T) {
 	return v
 }
 
-// Put keeps v if fewer than IdleMax values are idle.
+// Put keeps v if fewer than idleMax values are idle.
 func (l Idle[T]) Put(v T) {
 	select {
 	case l <- v:
@@ -206,7 +206,7 @@ func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanS
 		for n := 1; n <= spec.Loc.Len(); n++ {
 			err := ctx.Err()
 			if err == nil {
-				all, err = probe(spec.Probe(n), all)
+				all, err = probe(spec.probe(n), all)
 			}
 			if err != nil {
 				yield(Record{}, err)

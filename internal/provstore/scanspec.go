@@ -190,12 +190,12 @@ func (s ScanSpec) start() (Record, bool) {
 	return from, false
 }
 
-// Probe returns the n-th of the Loc.Len() ByLoc scans a WithAncestors scan
+// probe returns the n-th of the Loc.Len() ByLoc scans a WithAncestors scan
 // splits into, the one at the first n labels of Loc: each location lives in
 // one stretch of the Loc index (and on one shard), and the merge of the
 // probes in (Tid, Loc) order is the scan's answer. A probe resumes where s
 // does, and stops at its bound.
-func (s ScanSpec) Probe(n int) ScanSpec {
+func (s ScanSpec) probe(n int) ScanSpec {
 	p := ByLoc(s.Loc.Prefix(n))
 	p.bounded, p.until = s.bounded, s.until
 	// (t, p) is after (afterTid, afterLoc) for t > afterTid, and for

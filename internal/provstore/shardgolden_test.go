@@ -12,7 +12,7 @@ import (
 )
 
 // updateShardGolden rewrites testdata/shardfor_golden.txt. A persisted
-// sharded://…&each=rel:// store routes every record by ShardFor, so the
+// sharded://?shard=rel://… store routes every record by ShardFor, so the
 // file pins the routing of existing stores: regenerate it only for a
 // deliberate change of the store layout.
 var updateShardGolden = flag.Bool("update-shard-golden", false, "rewrite testdata/shardfor_golden.txt")

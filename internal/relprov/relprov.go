@@ -67,8 +67,8 @@ var (
 	_ provobs.Source    = (*Backend)(nil)
 )
 
-// Schema returns the provenance table schema.
-func Schema() relstore.TableSchema {
+// schema returns the provenance table schema.
+func schema() relstore.TableSchema {
 	return relstore.TableSchema{
 		Name: TableName,
 		Columns: []relstore.Column{
@@ -87,7 +87,7 @@ func Schema() relstore.TableSchema {
 // Create creates the provenance table in the database and returns the
 // backend.
 func Create(db *relstore.DB) (*Backend, error) {
-	tbl, err := db.CreateTable(Schema())
+	tbl, err := db.CreateTable(schema())
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +208,7 @@ func toRow(r provstore.Record) relstore.Row {
 }
 
 // primaryKey appends to buf the primary key of the record (tid, loc), as
-// relstore lays Schema out: tid in the key codec's int form (a header byte
+// relstore lays schema out: tid in the key codec's int form (a header byte
 // and its significant bytes), then loc's binary encoding as a path field (its
 // bytes and one 0x00). A by_loc key is the same two fields the other way
 // round.

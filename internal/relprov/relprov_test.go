@@ -124,7 +124,7 @@ func plantedBackend(t *testing.T, recs []provstore.Record, rows ...relstore.Row)
 // through the catalog, with the engine's exported page-level API only.
 func plant(t *testing.T, file string, rows []relstore.Row) {
 	t.Helper()
-	pager, err := relstore.OpenPager(file, false)
+	pager, err := relstore.OpenPager(file)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type BTree struct {
 	w    leafWriter // the writer's scratch space; mu held for writing
 	// Iterators ScanFrom is done with, and the readers of point reads, kept
 	// with their buffers: a read then allocates nothing of its own.
-	iters   idle[*Iter]
+	iters   idle[*cursor]
 	readers idle[*runReader]
 }
 
@@ -58,24 +58,24 @@ func (l idle[T]) put(v T) {
 
 // Errors returned by B+tree operations.
 var (
-	ErrKeyNotFound = errors.New("relstore: key not found")
-	ErrDupKey      = errors.New("relstore: duplicate key")
+	errKeyNotFound = errors.New("relstore: key not found")
+	errDupKey      = errors.New("relstore: duplicate key")
 	ErrKeyTooBig   = errors.New("relstore: key/value too large for page")
 )
 
 // NewBTree creates an empty tree, allocating its root leaf.
 func NewBTree(bp *BufferPool) (*BTree, error) {
-	root, err := bp.Alloc(KindBTreeLeaf)
+	root, err := bp.alloc(kindBTreeLeaf)
 	if err != nil {
 		return nil, err
 	}
-	bp.Unpin(root.ID, true)
+	bp.unpin(root.ID, true)
 	return OpenBTree(bp, root.ID), nil
 }
 
 // OpenBTree attaches to an existing tree by root page id.
 func OpenBTree(bp *BufferPool, root PageID) *BTree {
-	return &BTree{bp: bp, root: root, iters: make(idle[*Iter], idleMax), readers: make(idle[*runReader], idleMax)}
+	return &BTree{bp: bp, root: root, iters: make(idle[*cursor], idleMax), readers: make(idle[*runReader], idleMax)}
 }
 
 // Root returns the current root page id (it changes when the root splits;
@@ -103,15 +103,15 @@ func (t *BTree) Root() PageID {
 
 const maxRunEntries = 16
 
-// MaxEntrySize is the largest entry a tree accepts, as EntrySize measures it:
+// MaxEntrySize is the largest entry a tree accepts, as entrySize measures it:
 // every entry must fit a run, hence a cell, of its own, and its key an inner
 // cell as a separator — whose child link takes four bytes where an entry
 // spends at least two besides its key.
-const MaxEntrySize = MaxCellSize - 2
+const MaxEntrySize = maxCellSize - 2
 
-// EntrySize returns the bytes an entry with a key and value of the given
+// entrySize returns the bytes an entry with a key and value of the given
 // lengths takes as the only entry of a run.
-func EntrySize(keyLen, valLen int) int {
+func entrySize(keyLen, valLen int) int {
 	return 1 + uvarintLen(keyLen) + keyLen + uvarintLen(valLen) + valLen
 }
 
@@ -137,14 +137,14 @@ func appendRunEntry(run, prev, key, val []byte) []byte {
 	return append(run, val...)
 }
 
-// What a run that is not one can get wrong; all are ErrCorrupt.
+// What a run that is not one can get wrong; all are errCorrupt.
 var (
-	errRunEmpty   = fmt.Errorf("%w: leaf run with no entry", ErrCorrupt)
-	errRunLong    = fmt.Errorf("%w: leaf run of more than %d entries", ErrCorrupt, maxRunEntries)
-	errRunShared  = fmt.Errorf("%w: leaf run entry shares more than the previous key", ErrCorrupt)
-	errRunBounds  = fmt.Errorf("%w: leaf run entry runs past its cell", ErrCorrupt)
-	errRunOrder   = fmt.Errorf("%w: leaf run keys not ascending", ErrCorrupt)
-	errRunNoFirst = fmt.Errorf("%w: leaf run's first entry shares a prefix with nothing", ErrCorrupt)
+	errRunEmpty   = fmt.Errorf("%w: leaf run with no entry", errCorrupt)
+	errRunLong    = fmt.Errorf("%w: leaf run of more than %d entries", errCorrupt, maxRunEntries)
+	errRunShared  = fmt.Errorf("%w: leaf run entry shares more than the previous key", errCorrupt)
+	errRunBounds  = fmt.Errorf("%w: leaf run entry runs past its cell", errCorrupt)
+	errRunOrder   = fmt.Errorf("%w: leaf run keys not ascending", errCorrupt)
+	errRunNoFirst = fmt.Errorf("%w: leaf run's first entry shares a prefix with nothing", errCorrupt)
 )
 
 // A runReader decodes the entries of one run in order. key is rebuilt in
@@ -245,7 +245,7 @@ func decodeInnerCell(cell []byte) (key []byte, child PageID, err error) {
 
 // nodeCells reads all cells of an inner node in slot order (which the
 // tree maintains as key order), copying them out of the page buffer.
-func nodeCells(pg *Page) ([][]byte, error) {
+func nodeCells(pg *page) ([][]byte, error) {
 	out := make([][]byte, 0, pg.NumSlots())
 	for i := 0; i < pg.NumSlots(); i++ {
 		c, err := pg.Cell(i)
@@ -260,7 +260,7 @@ func nodeCells(pg *Page) ([][]byte, error) {
 }
 
 // rewriteNode replaces a node's cells wholesale, preserving kind and link.
-func rewriteNode(pg *Page, cells [][]byte) error {
+func rewriteNode(pg *page, cells [][]byte) error {
 	kind, next := pg.Kind(), pg.Next()
 	pg.Init(kind)
 	pg.SetNext(next)
@@ -287,12 +287,12 @@ const nodeCapacity = PageSize - headerSize
 // Get returns a copy of the value stored under key.
 func (t *BTree) Get(key []byte) ([]byte, error) {
 	var out []byte
-	found, err := t.View(key, func(val []byte) { out = bytes.Clone(val) })
+	found, err := t.view(key, func(val []byte) { out = bytes.Clone(val) })
 	if err != nil {
 		return nil, err
 	}
 	if !found {
-		return nil, fmt.Errorf("%w: %q", ErrKeyNotFound, key)
+		return nil, fmt.Errorf("%w: %q", errKeyNotFound, key)
 	}
 	return out, nil
 }
@@ -300,7 +300,7 @@ func (t *BTree) Get(key []byte) ([]byte, error) {
 // View reports whether key is present and, if it is, hands visit the stored
 // value in place, while its leaf is pinned: visit must copy what it keeps
 // and must not call into the tree.
-func (t *BTree) View(key []byte, visit func(val []byte)) (bool, error) {
+func (t *BTree) view(key []byte, visit func(val []byte)) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.find(key, visit)
@@ -322,11 +322,11 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	pg, err := t.bp.Fetch(leafID)
+	pg, err := t.bp.fetch(leafID)
 	if err != nil {
 		return false, err
 	}
-	defer t.bp.Unpin(leafID, false)
+	defer t.bp.unpin(leafID, false)
 	r := t.readers.get()
 	if r == nil {
 		r = new(runReader)
@@ -346,18 +346,18 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 // Last returns a copy of the largest key, ok=false on an empty tree: one
 // rightmost descent, O(height) pages. Nothing is ever deleted, so the
 // rightmost leaf is empty only when it is the root of an empty tree.
-func (t *BTree) Last() (key []byte, ok bool, err error) {
+func (t *BTree) last() (key []byte, ok bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	id := t.root
 	for {
-		pg, err := t.bp.Fetch(id)
+		pg, err := t.bp.fetch(id)
 		if err != nil {
 			return nil, false, err
 		}
-		if pg.Kind() == KindBTreeLeaf {
+		if pg.Kind() == kindBTreeLeaf {
 			key, ok, err := lastInLeaf(pg, id == t.root)
-			t.bp.Unpin(id, false)
+			t.bp.unpin(id, false)
 			return key, ok, err
 		}
 		// An inner node has a cell for every split below it, and its last
@@ -366,7 +366,7 @@ func (t *BTree) Last() (key []byte, ok bool, err error) {
 		if err == nil {
 			_, id, err = decodeInnerCell(cell)
 		}
-		t.bp.Unpin(pg.ID, false)
+		t.bp.unpin(pg.ID, false)
 		if err != nil {
 			return nil, false, err
 		}
@@ -375,11 +375,11 @@ func (t *BTree) Last() (key []byte, ok bool, err error) {
 
 // lastInLeaf returns a copy of the last key of the pinned leaf pg, ok=false
 // if it is empty, which only the root may be.
-func lastInLeaf(pg *Page, root bool) ([]byte, bool, error) {
+func lastInLeaf(pg *page, root bool) ([]byte, bool, error) {
 	n := pg.NumSlots()
 	if n == 0 {
 		if !root {
-			return nil, false, fmt.Errorf("%w: empty leaf %d below the root", ErrCorrupt, pg.ID)
+			return nil, false, fmt.Errorf("%w: empty leaf %d below the root", errCorrupt, pg.ID)
 		}
 		return nil, false, nil
 	}
@@ -402,19 +402,19 @@ func lastInLeaf(pg *Page, root bool) ([]byte, bool, error) {
 func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
 	id := t.root
 	for {
-		pg, err := t.bp.Fetch(id)
+		pg, err := t.bp.fetch(id)
 		if err != nil {
 			return 0, err
 		}
-		if pg.Kind() == KindBTreeLeaf {
-			t.bp.Unpin(id, false)
+		if pg.Kind() == kindBTreeLeaf {
+			t.bp.unpin(id, false)
 			return id, nil
 		}
 		if path != nil {
 			*path = append(*path, id)
 		}
 		child, err := innerChild(pg, key)
-		t.bp.Unpin(id, false)
+		t.bp.unpin(id, false)
 		if err != nil {
 			return 0, err
 		}
@@ -424,7 +424,7 @@ func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
 
 // innerChild picks the child covering key: child 0 is the header link; keys
 // ≥ separator i go to child i+1.
-func innerChild(pg *Page, key []byte) (PageID, error) {
+func innerChild(pg *page, key []byte) (PageID, error) {
 	n := pg.NumSlots()
 	lo, hi := 0, n // count of separators ≤ key
 	for lo < hi {
@@ -461,7 +461,7 @@ func innerChild(pg *Page, key []byte) (PageID, error) {
 // r.val is the stored value; at == r.n means every entry of the run is
 // below key (which then sorts before the next run's first key). An empty
 // leaf answers 0, 0.
-func leafSearch(pg *Page, key []byte, r *runReader) (slot, at int, exact bool, err error) {
+func leafSearch(pg *page, key []byte, r *runReader) (slot, at int, exact bool, err error) {
 	if pg.NumSlots() == 0 {
 		return 0, 0, false, nil
 	}
@@ -487,7 +487,7 @@ func leafSearch(pg *Page, key []byte, r *runReader) (slot, at int, exact bool, e
 // runOf returns the slot of the run key falls in, in a leaf: the last run
 // whose first key is ≤ key, or the first run if there is none (0 for an
 // empty leaf). Every key of the runs after it sorts after key.
-func runOf(pg *Page, key []byte) (int, error) {
+func runOf(pg *page, key []byte) (int, error) {
 	lo, hi := 0, pg.NumSlots() // count of runs whose first key is ≤ key
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -516,7 +516,7 @@ func runOf(pg *Page, key []byte) (int, error) {
 // which are copied nowhere but with the page. Everything is reused from
 // insert to insert.
 type leafWriter struct {
-	old   Page       // the leaf as it was, while its page is rebuilt
+	old   page       // the leaf as it was, while its page is rebuilt
 	rd    runReader  // over cells of old
 	ents  []runEntry // the entries of the run being extended
 	keys  []byte     // backs their keys
@@ -530,7 +530,7 @@ type runEntry struct{ key, val []byte }
 
 // load copies pg aside and finds key in it (see leafSearch), decoding the
 // entries of its run into w.ents.
-func (w *leafWriter) load(pg *Page, key []byte) (slot, at int, exact bool, err error) {
+func (w *leafWriter) load(pg *page, key []byte) (slot, at int, exact bool, err error) {
 	w.old = *pg
 	w.ents, w.keys, w.ends = w.ents[:0], w.keys[:0], w.ends[:0]
 	slot, at, exact, err = leafSearch(&w.old, key, &w.rd)
@@ -564,7 +564,7 @@ func (w *leafWriter) load(pg *Page, key []byte) (slot, at int, exact bool, err e
 
 // pack re-encodes w.ents into w.enc, as one run or with a new run starting at
 // each index in cuts. It reports whether every run keeps within a run's
-// bounds, maxRunEntries entries and MaxCellSize bytes.
+// bounds, maxRunEntries entries and maxCellSize bytes.
 func (w *leafWriter) pack(cuts ...int) bool {
 	w.enc, w.ends = w.enc[:0], w.ends[:0]
 	start := 0
@@ -585,7 +585,7 @@ func (w *leafWriter) pack(cuts ...int) bool {
 			w.enc = appendRunEntry(w.enc, prev, e.key, e.val)
 			prev = e.key
 		}
-		if len(w.enc)-from > MaxCellSize {
+		if len(w.enc)-from > maxCellSize {
 			return false
 		}
 		w.ends = append(w.ends, len(w.enc))
@@ -618,9 +618,9 @@ func (w *leafWriter) splice(slot, del int) (int, error) {
 	return cellsSize(w.cells), nil
 }
 
-// Insert stores key→val, failing with ErrDupKey if the key exists.
+// Insert stores key→val, failing with errDupKey if the key exists.
 func (t *BTree) Insert(key, val []byte) error {
-	if EntrySize(len(key), len(val)) > MaxEntrySize {
+	if entrySize(len(key), len(val)) > MaxEntrySize {
 		return fmt.Errorf("%w: key %d val %d bytes", ErrKeyTooBig, len(key), len(val))
 	}
 	t.mu.Lock()
@@ -630,13 +630,13 @@ func (t *BTree) Insert(key, val []byte) error {
 	if err != nil {
 		return err
 	}
-	pg, err := t.bp.Fetch(leafID)
+	pg, err := t.bp.fetch(leafID)
 	if err != nil {
 		return err
 	}
 	right, sep, dirty, err := t.insertLeaf(pg, key, val)
-	t.bp.Unpin(leafID, dirty)
-	if err != nil || right == InvalidPage {
+	t.bp.unpin(leafID, dirty)
+	if err != nil || right == invalidPage {
 		return err
 	}
 	return t.insertSeparator(path, sep, leafID, right)
@@ -645,14 +645,14 @@ func (t *BTree) Insert(key, val []byte) error {
 // insertLeaf stores key→val in the leaf pg by re-encoding the one run it
 // falls in. If the leaf cannot hold the result it is split: right is then the
 // new sibling and sep its first key, for the parent.
-func (t *BTree) insertLeaf(pg *Page, key, val []byte) (right PageID, sep []byte, dirty bool, err error) {
+func (t *BTree) insertLeaf(pg *page, key, val []byte) (right PageID, sep []byte, dirty bool, err error) {
 	w := &t.w
 	slot, at, exact, err := w.load(pg, key)
 	if err != nil {
 		return 0, nil, false, err
 	}
 	if exact {
-		return 0, nil, false, fmt.Errorf("%w: %q", ErrDupKey, key)
+		return 0, nil, false, fmt.Errorf("%w: %q", errDupKey, key)
 	}
 	w.ents = slices.Insert(w.ents, at, runEntry{key, val})
 	// A run that has outgrown its bounds is cut: after the old entries if
@@ -675,13 +675,13 @@ func (t *BTree) insertLeaf(pg *Page, key, val []byte) (right PageID, sep []byte,
 		return 0, nil, true, rewriteNode(pg, w.cells)
 	}
 
-	rightPg, err := t.bp.Alloc(KindBTreeLeaf)
+	rightPg, err := t.bp.alloc(kindBTreeLeaf)
 	if err != nil {
 		return 0, nil, false, err
 	}
-	defer t.bp.Unpin(rightPg.ID, true)
+	defer t.bp.unpin(rightPg.ID, true)
 	rightPg.SetNext(pg.Next())
-	if appended && pg.Next() == InvalidPage && slot+del == w.old.NumSlots() {
+	if appended && pg.Next() == invalidPage && slot+del == w.old.NumSlots() {
 		// The new entry is the last of the tree: the split falls where the
 		// insert is. The full leaf stays as it is and the entry opens the
 		// next, so keys that arrive in order fill every leaf.
@@ -726,13 +726,13 @@ func (t *BTree) insertLeaf(pg *Page, key, val []byte) (right PageID, sep []byte,
 // fresh right sibling. The separator — the first key of the right half — is
 // moved up, not copied: the child it led to becomes the right node's
 // leftmost.
-func (t *BTree) splitNode(pg *Page, cells [][]byte) (left, right PageID, sep []byte, err error) {
+func (t *BTree) splitNode(pg *page, cells [][]byte) (left, right PageID, sep []byte, err error) {
 	half := len(cells) / 2
-	rightPg, err := t.bp.Alloc(KindBTreeInner)
+	rightPg, err := t.bp.alloc(kindBTreeInner)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	defer t.bp.Unpin(rightPg.ID, true)
+	defer t.bp.unpin(rightPg.ID, true)
 	k, child, err := decodeInnerCell(cells[half])
 	if err != nil {
 		return 0, 0, nil, err
@@ -752,27 +752,27 @@ func (t *BTree) splitNode(pg *Page, cells [][]byte) (left, right PageID, sep []b
 // empty, the split node was the root and a new root is created.
 func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) error {
 	if len(path) == 0 {
-		newRoot, err := t.bp.Alloc(KindBTreeInner)
+		newRoot, err := t.bp.alloc(kindBTreeInner)
 		if err != nil {
 			return err
 		}
 		newRoot.SetNext(left)
 		if _, err := newRoot.InsertCell(innerCell(sep, right)); err != nil {
-			t.bp.Unpin(newRoot.ID, true)
+			t.bp.unpin(newRoot.ID, true)
 			return err
 		}
 		t.root = newRoot.ID
-		t.bp.Unpin(newRoot.ID, true)
+		t.bp.unpin(newRoot.ID, true)
 		return nil
 	}
 	parentID := path[len(path)-1]
-	pg, err := t.bp.Fetch(parentID)
+	pg, err := t.bp.fetch(parentID)
 	if err != nil {
 		return err
 	}
 	cells, err := nodeCells(pg)
 	if err != nil {
-		t.bp.Unpin(parentID, false)
+		t.bp.unpin(parentID, false)
 		return err
 	}
 	// Find insert position among separators.
@@ -780,7 +780,7 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 	for pos < len(cells) {
 		k, _, err := decodeInnerCell(cells[pos])
 		if err != nil {
-			t.bp.Unpin(parentID, false)
+			t.bp.unpin(parentID, false)
 			return err
 		}
 		if bytes.Compare(k, sep) > 0 {
@@ -793,11 +793,11 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 	cells[pos] = innerCell(sep, right)
 	if cellsSize(cells) <= nodeCapacity {
 		err := rewriteNode(pg, cells)
-		t.bp.Unpin(parentID, true)
+		t.bp.unpin(parentID, true)
 		return err
 	}
 	l, r, upSep, err := t.splitNode(pg, cells)
-	t.bp.Unpin(parentID, true)
+	t.bp.unpin(parentID, true)
 	if err != nil {
 		return err
 	}
@@ -806,11 +806,11 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 
 // --- iteration -----------------------------------------------------------
 
-// An Iter is a forward iterator over leaf entries. Use Seek/First then Next;
+// A cursor is a forward iterator over leaf entries. Use seek then Next;
 // Valid reports whether Key/Value may be called. It walks a copy of one run
 // at a time, taken under one pin of the leaf: within a run Next touches
 // neither the tree's lock nor the buffer pool.
-type Iter struct {
+type cursor struct {
 	t     *BTree
 	leaf  PageID
 	slot  int       // of the run being walked
@@ -821,8 +821,8 @@ type Iter struct {
 }
 
 // Seek positions the iterator at the first entry with key ≥ start.
-func (t *BTree) Seek(start []byte) *Iter {
-	it := &Iter{t: t}
+func (t *BTree) seek(start []byte) *cursor {
+	it := &cursor{t: t}
 	it.seek(start)
 	return it
 }
@@ -830,7 +830,7 @@ func (t *BTree) Seek(start []byte) *Iter {
 // seek positions it, whatever it held, at the first entry with key ≥ start,
 // keeping its buffers. The run start falls in is chosen by the first keys
 // on the pinned leaf and copied off it once; only the copy is walked.
-func (it *Iter) seek(start []byte) {
+func (it *cursor) seek(start []byte) {
 	t := it.t
 	it.slot, it.valid, it.err = 0, false, nil
 	t.mu.RLock()
@@ -838,7 +838,7 @@ func (it *Iter) seek(start []byte) {
 	if it.leaf, it.err = t.descend(start, nil); it.err != nil {
 		return
 	}
-	pg, err := t.bp.Fetch(it.leaf)
+	pg, err := t.bp.fetch(it.leaf)
 	if err != nil {
 		it.err = err
 		return
@@ -846,7 +846,7 @@ func (it *Iter) seek(start []byte) {
 	if it.slot, it.err = runOf(pg, start); it.err == nil {
 		it.copyRun(pg)
 	}
-	t.bp.Unpin(it.leaf, false)
+	t.bp.unpin(it.leaf, false)
 	if it.err != nil {
 		return
 	}
@@ -857,27 +857,24 @@ func (it *Iter) seek(start []byte) {
 	}
 }
 
-// First positions the iterator at the smallest key.
-func (t *BTree) First() *Iter { return t.Seek(nil) }
-
 // loadRun copies the run at it.slot off its leaf, moving on through the leaf
 // chain while there is none there; it.valid reports whether it found one.
 // Caller holds t.mu.
-func (it *Iter) loadRun() {
+func (it *cursor) loadRun() {
 	it.valid = false
 	for {
-		pg, err := it.t.bp.Fetch(it.leaf)
+		pg, err := it.t.bp.fetch(it.leaf)
 		if err != nil {
 			it.err = err
 			return
 		}
 		if it.copyRun(pg) {
-			it.t.bp.Unpin(it.leaf, false)
+			it.t.bp.unpin(it.leaf, false)
 			return
 		}
 		next := pg.Next()
-		it.t.bp.Unpin(it.leaf, false)
-		if next == InvalidPage {
+		it.t.bp.unpin(it.leaf, false)
+		if next == invalidPage {
 			return
 		}
 		it.leaf, it.slot = next, 0
@@ -886,7 +883,7 @@ func (it *Iter) loadRun() {
 
 // copyRun copies the run at it.slot off pg, the pinned leaf it.leaf, and
 // starts it.rd over the copy; false if the leaf has no run there.
-func (it *Iter) copyRun(pg *Page) bool {
+func (it *cursor) copyRun(pg *page) bool {
 	if it.slot >= pg.NumSlots() {
 		return false
 	}
@@ -899,7 +896,7 @@ func (it *Iter) copyRun(pg *Page) bool {
 
 // step moves to the next entry of the loaded run, or of the runs after it.
 // Caller holds t.mu.
-func (it *Iter) step() {
+func (it *cursor) step() {
 	for it.valid {
 		if it.valid, it.err = it.rd.next(); it.valid || it.err != nil {
 			return
@@ -910,19 +907,19 @@ func (it *Iter) step() {
 }
 
 // Valid reports whether the iterator points at an entry.
-func (it *Iter) Valid() bool { return it.valid && it.err == nil }
+func (it *cursor) Valid() bool { return it.valid && it.err == nil }
 
 // Err returns the first error encountered, if any.
-func (it *Iter) Err() error { return it.err }
+func (it *cursor) Err() error { return it.err }
 
 // Key returns the current key (valid until the next call to Next).
-func (it *Iter) Key() []byte { return it.rd.key }
+func (it *cursor) Key() []byte { return it.rd.key }
 
 // Value returns the current value (valid until the next call to Next).
-func (it *Iter) Value() []byte { return it.rd.val }
+func (it *cursor) Value() []byte { return it.rd.val }
 
 // Next advances to the following entry.
-func (it *Iter) Next() {
+func (it *cursor) Next() {
 	if !it.Valid() {
 		return
 	}
@@ -940,10 +937,10 @@ func (it *Iter) Next() {
 // prefix (nil = every key), in key order, stopping early if fn returns
 // false. The walk ends on the first key outside the prefix, so the entry
 // that ends it is never handed to fn.
-func (t *BTree) ScanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
+func (t *BTree) scanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
 	it := t.iters.get()
 	if it == nil {
-		it = &Iter{t: t}
+		it = &cursor{t: t}
 	}
 	defer t.iters.put(it)
 	it.seek(from)
@@ -961,7 +958,7 @@ func (t *BTree) ScanFrom(from, prefix []byte, fn func(key, val []byte) bool) err
 // Len counts the entries (a full scan; used by tests and size accounting).
 func (t *BTree) Len() (int, error) {
 	n := 0
-	it := t.First()
+	it := t.seek(nil)
 	for ; it.Valid(); it.Next() {
 		n++
 	}

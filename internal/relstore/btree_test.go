@@ -33,14 +33,14 @@ func TestBTreeBasic(t *testing.T) {
 	if err := bt.Insert([]byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := bt.Insert([]byte("a"), []byte("x")); !errors.Is(err, ErrDupKey) {
+	if err := bt.Insert([]byte("a"), []byte("x")); !errors.Is(err, errDupKey) {
 		t.Errorf("duplicate insert: %v", err)
 	}
 	v, err := bt.Get([]byte("a"))
 	if err != nil || string(v) != "1" {
 		t.Fatalf("Get = %q, %v", v, err)
 	}
-	if _, err := bt.Get([]byte("zz")); !errors.Is(err, ErrKeyNotFound) {
+	if _, err := bt.Get([]byte("zz")); !errors.Is(err, errKeyNotFound) {
 		t.Errorf("missing key: %v", err)
 	}
 	ok, err := bt.Has([]byte("b"))
@@ -56,14 +56,14 @@ func TestBTreeBasic(t *testing.T) {
 func TestBTreeKeyTooBig(t *testing.T) {
 	bp := testPool(t, 64)
 	bt, _ := NewBTree(bp)
-	if err := bt.Insert(make([]byte, MaxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
+	if err := bt.Insert(make([]byte, maxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
 		t.Errorf("huge key: %v", err)
 	}
 	// The largest entries the tree accepts: each is a run and a cell of its
 	// own, and its key fits the inner nodes as a separator however they split.
 	const keyLen = MaxEntrySize - 4
-	if EntrySize(keyLen, 0) != MaxEntrySize {
-		t.Fatalf("EntrySize(%d, 0) = %d, want MaxEntrySize %d", keyLen, EntrySize(keyLen, 0), MaxEntrySize)
+	if entrySize(keyLen, 0) != MaxEntrySize {
+		t.Fatalf("EntrySize(%d, 0) = %d, want MaxEntrySize %d", keyLen, entrySize(keyLen, 0), MaxEntrySize)
 	}
 	key := func(i int) []byte { return append([]byte(fmt.Sprintf("%03d", i)), make([]byte, keyLen-3)...) }
 	const n = 200
@@ -109,7 +109,7 @@ func TestBTreeManyKeysOrdered(t *testing.T) {
 	// Ordered iteration sees every key exactly once, in order.
 	var prev []byte
 	count := 0
-	it := bt.First()
+	it := bt.seek(nil)
 	for ; it.Valid(); it.Next() {
 		if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
 			t.Fatalf("iteration out of order at %q", it.Key())
@@ -131,12 +131,12 @@ func TestBTreeSeekAndRange(t *testing.T) {
 	for _, k := range []string{"apple", "banana", "cherry", "damson", "elder"} {
 		bt.Insert([]byte(k), []byte("v"))
 	}
-	it := bt.Seek([]byte("c"))
+	it := bt.seek([]byte("c"))
 	if !it.Valid() || string(it.Key()) != "cherry" {
 		t.Fatalf("Seek(c) = %q", it.Key())
 	}
 	var got []string
-	bt.ScanFrom([]byte("banana"), nil, func(k, _ []byte) bool {
+	bt.scanFrom([]byte("banana"), nil, func(k, _ []byte) bool {
 		if string(k) >= "elder" {
 			return false
 		}
@@ -149,7 +149,7 @@ func TestBTreeSeekAndRange(t *testing.T) {
 	}
 	// Early stop.
 	calls := 0
-	bt.ScanFrom(nil, nil, func(_, _ []byte) bool { calls++; return false })
+	bt.scanFrom(nil, nil, func(_, _ []byte) bool { calls++; return false })
 	if calls != 1 {
 		t.Errorf("early stop did not stop: %d calls", calls)
 	}
@@ -157,7 +157,7 @@ func TestBTreeSeekAndRange(t *testing.T) {
 
 // TestBTreeAgainstMap runs a randomized insert workload mirrored in a Go map
 // and compares the full contents afterwards, including across reopen. A key
-// drawn again must be refused with ErrDupKey and keep its first value.
+// drawn again must be refused with errDupKey and keep its first value.
 func TestBTreeAgainstMap(t *testing.T) {
 	path := tempStore(t)
 	pager, err := CreatePager(path)
@@ -198,7 +198,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 			model[k] = v
 			continue
 		}
-		if !errors.Is(err, ErrDupKey) {
+		if !errors.Is(err, errDupKey) {
 			t.Fatalf("insert of existing %q: %v", k, err)
 		}
 		if got, err := bt.Get([]byte(k)); err != nil || string(got) != old {
@@ -211,7 +211,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 	checkMatchesModel := func(bt *BTree) {
 		t.Helper()
 		got := map[string]string{}
-		it := bt.First()
+		it := bt.seek(nil)
 		for ; it.Valid(); it.Next() {
 			got[string(it.Key())] = string(it.Value())
 		}
@@ -231,13 +231,13 @@ func TestBTreeAgainstMap(t *testing.T) {
 
 	// Persist, reopen, re-verify.
 	root := bt.Root()
-	if err := bp.FlushGroup(); err != nil {
+	if err := bp.flushGroup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pager2, err := OpenPager(path, false)
+	pager2, err := OpenPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func heapRecords(t *testing.T, h *Heap) []string {
 
 func TestHeapBasic(t *testing.T) {
 	bp := testPool(t, 64)
-	h, err := NewHeap(bp)
+	h, err := newHeap(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,20 +305,20 @@ func TestHeapBasic(t *testing.T) {
 	if got := heapRecords(t, h); len(got) != 1 || got[0] != "record" {
 		t.Fatalf("Scan after insert = %q", got)
 	}
-	if err := h.Reset(); err != nil {
+	if err := h.reset(); err != nil {
 		t.Fatal(err)
 	}
 	if got := heapRecords(t, h); len(got) != 0 {
 		t.Errorf("record readable after Reset: %q", got)
 	}
-	if err := h.Insert(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
+	if err := h.Insert(make([]byte, maxCellSize+1)); !errors.Is(err, errCellTooBig) {
 		t.Errorf("oversized record: %v", err)
 	}
 }
 
 func TestHeapGrowsAndScans(t *testing.T) {
 	bp := testPool(t, 32)
-	h, _ := NewHeap(bp)
+	h, _ := newHeap(bp)
 	const n = 500
 	payload := bytes.Repeat([]byte("z"), 100)
 	for i := 0; i < n; i++ {
@@ -330,11 +330,11 @@ func TestHeapGrowsAndScans(t *testing.T) {
 		t.Fatalf("scanned %d records, want %d", cnt, n)
 	}
 	// Records span multiple pages.
-	if h.last == h.First() {
+	if h.last == h.first {
 		t.Error("heap did not grow")
 	}
 	// Reopen and rescan.
-	h2, err := OpenHeap(bp, h.First())
+	h2, err := OpenHeap(bp, h.first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,9 +347,9 @@ func TestHeapGrowsAndScans(t *testing.T) {
 	}
 	// Reset keeps the chain and the same records fill it again: rewriting a
 	// heap wholesale, as the catalog is at every commit, allocates nothing.
-	pages := bp.Pager().NumPages()
+	pages := bp.pager.NumPages()
 	for round := 0; round < 3; round++ {
-		if err := h.Reset(); err != nil {
+		if err := h.reset(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
@@ -361,7 +361,7 @@ func TestHeapGrowsAndScans(t *testing.T) {
 			t.Fatalf("round %d: scanned %d records after Reset and refill, want %d", round, cnt, n)
 		}
 	}
-	if got := bp.Pager().NumPages(); got != pages {
+	if got := bp.pager.NumPages(); got != pages {
 		t.Errorf("rewriting the heap in place grew the file from %d to %d pages", pages, got)
 	}
 }
@@ -374,7 +374,7 @@ func TestBTreeLast(t *testing.T) {
 	var bt *BTree
 	wantLast := func(want string, wantOK bool) {
 		t.Helper()
-		got, ok, err := bt.Last()
+		got, ok, err := bt.last()
 		if err != nil || ok != wantOK || string(got) != want {
 			t.Fatalf("Last = %q, %v, %v; want %q, %v", got, ok, err, want, wantOK)
 		}
@@ -426,13 +426,13 @@ func TestBTreeLast(t *testing.T) {
 		}
 	}
 	for id, level := bt.Root(), 1; ; level++ {
-		pg, err := bp.Fetch(id)
+		pg, err := bp.fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kind, next := pg.Kind(), pg.Next()
-		bp.Unpin(id, false)
-		if kind == KindBTreeLeaf {
+		bp.unpin(id, false)
+		if kind == kindBTreeLeaf {
 			if level < 3 {
 				t.Fatalf("test premise: the tree has %d levels, want 3", level)
 			}
@@ -442,7 +442,7 @@ func TestBTreeLast(t *testing.T) {
 	}
 	wantLast(string(key(n-1)), true)
 	// The returned key is a copy: scribbling on it must not reach the page.
-	got, _, _ := bt.Last()
+	got, _, _ := bt.last()
 	got[0] = 'X'
 	wantLast(string(key(n-1)), true)
 }
@@ -454,7 +454,7 @@ func TestBTreeScanFrom(t *testing.T) {
 		bt.Insert([]byte(k), []byte("v"))
 	}
 	var got []string
-	bt.ScanFrom([]byte("a/2"), []byte("a/"), func(k, _ []byte) bool {
+	bt.scanFrom([]byte("a/2"), []byte("a/"), func(k, _ []byte) bool {
 		got = append(got, string(k))
 		return true
 	})
@@ -463,8 +463,8 @@ func TestBTreeScanFrom(t *testing.T) {
 	}
 	// A nil prefix bounds nothing; an empty range calls fn not at all.
 	calls := 0
-	bt.ScanFrom([]byte("a/3"), nil, func(_, _ []byte) bool { calls++; return true })
-	bt.ScanFrom([]byte("a/4"), []byte("a/"), func(_, _ []byte) bool { calls += 100; return true })
+	bt.scanFrom([]byte("a/3"), nil, func(_, _ []byte) bool { calls++; return true })
+	bt.scanFrom([]byte("a/4"), []byte("a/"), func(_, _ []byte) bool { calls += 100; return true })
 	if calls != 2 {
 		t.Errorf("ScanFrom calls = %d, want 2", calls)
 	}
@@ -496,7 +496,7 @@ func TestBTreeScanFrom(t *testing.T) {
 		{deep + "n02", deep + "n03", nil}, // from sorts before the prefix: the first key is outside it
 	} {
 		got = got[:0]
-		if err := bt.ScanFrom([]byte(c.from), []byte(c.prefix), func(k, v []byte) bool {
+		if err := bt.scanFrom([]byte(c.from), []byte(c.prefix), func(k, v []byte) bool {
 			if string(v) != string(k[len(deep):]) {
 				t.Errorf("key …%s has value %q", k[len(deep):], v)
 			}

@@ -12,7 +12,7 @@ import (
 //
 // The pool alone decides when a page image may leave memory. With a
 // write-ahead log attached to the pager, only inside a logged page group
-// (FlushGroup): a dirty frame is never a victim, so neither file ever holds
+// (flushGroup): a dirty frame is never a victim, so neither file ever holds
 // a page the log does not, and a crash loses the open commit whole. A frame
 // dirtied under a log leaves the LRU list until it is written. A commit
 // logged as its rows (DB.GroupCommit) leaves its frames dirty — held — and
@@ -37,15 +37,15 @@ type BufferPool struct {
 }
 
 type frame struct {
-	page  *Page
+	page  *page
 	pins  int
 	dirty bool
 	elem  *list.Element // nil while the frame is held for the open commit
 }
 
-// ErrPoolExhausted reports a page that cannot be admitted: the pool is full
+// errPoolExhausted reports a page that cannot be admitted: the pool is full
 // and every frame that could make room is pinned.
-var ErrPoolExhausted = errors.New("relstore: buffer pool exhausted, every frame pinned")
+var errPoolExhausted = errors.New("relstore: buffer pool exhausted, every frame pinned")
 
 // NewBufferPool wraps the pager with a pool of the given capacity (pages).
 // A capacity below 8 is raised to 8.
@@ -61,12 +61,9 @@ func NewBufferPool(p *Pager, capacity int) *BufferPool {
 	}
 }
 
-// Pager returns the underlying pager.
-func (bp *BufferPool) Pager() *Pager { return bp.pager }
-
 // Fetch returns the page pinned; callers must Unpin it when done, passing
 // dirty=true if they modified it.
-func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
+func (bp *BufferPool) fetch(id PageID) (*page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	if f, ok := bp.frames[id]; ok {
@@ -78,7 +75,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 		return f.page, nil
 	}
 	bp.misses++
-	pg, err := bp.pager.Read(id)
+	pg, err := bp.pager.read(id)
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +87,10 @@ func (bp *BufferPool) Fetch(id PageID) (*Page, error) {
 
 // Alloc allocates a fresh page through the pager and admits it pinned and
 // dirty.
-func (bp *BufferPool) Alloc(kind byte) (*Page, error) {
+func (bp *BufferPool) alloc(kind byte) (*page, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	pg, err := bp.pager.Alloc(kind)
+	pg, err := bp.pager.alloc(kind)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +103,14 @@ func (bp *BufferPool) Alloc(kind byte) (*Page, error) {
 
 // admit inserts a page pinned once, evicting while the list is full. Caller
 // holds mu.
-func (bp *BufferPool) admit(pg *Page) error {
+func (bp *BufferPool) admit(pg *page) error {
 	for bp.lru.Len()+bp.held >= bp.cap {
 		victim, err := bp.victim()
 		if err != nil {
 			return err
 		}
 		if victim.dirty {
-			if err := bp.pager.WriteGroup([]*Page{victim.page}); err != nil {
+			if err := bp.pager.writeGroup([]*page{victim.page}); err != nil {
 				return err
 			}
 		}
@@ -130,31 +127,31 @@ func (bp *BufferPool) admit(pg *Page) error {
 // unpinned and, with a log attached, clean (a frame dirtied before the log
 // was attached is still listed).
 func (bp *BufferPool) victim() (*frame, error) {
-	noSteal := bp.pager.HasWAL()
+	noSteal := bp.pager.hasWAL()
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
 		if f := bp.frames[e.Value.(PageID)]; f.pins == 0 && !(f.dirty && noSteal) {
 			return f, nil
 		}
 	}
-	return nil, fmt.Errorf("%w (%d pages)", ErrPoolExhausted, bp.cap)
+	return nil, fmt.Errorf("%w (%d pages)", errPoolExhausted, bp.cap)
 }
 
 // markDirty records that the frame's page was modified and, with a log
-// attached, takes it off the list until FlushGroup commits it.
+// attached, takes it off the list until flushGroup commits it.
 func (bp *BufferPool) markDirty(f *frame) {
 	if f.dirty {
 		return
 	}
 	f.dirty = true
 	bp.dirty++
-	if bp.pager.HasWAL() {
+	if bp.pager.hasWAL() {
 		bp.lru.Remove(f.elem)
 		f.elem = nil
 	}
 }
 
 // Unpin releases a pin; dirty marks the page modified.
-func (bp *BufferPool) Unpin(id PageID, dirty bool) {
+func (bp *BufferPool) unpin(id PageID, dirty bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	f, ok := bp.frames[id]
@@ -167,17 +164,17 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) {
 	}
 }
 
-// FlushGroup writes back every dirty page as one group commit
-// (Pager.WriteGroup). With a log attached the group — pages and pager
+// flushGroup writes back every dirty page as one group commit
+// (Pager.writeGroup). With a log attached the group — pages and pager
 // header — is durable behind one log write and one log fsync, however many
 // records dirtied the pages; the data file is written but not fsynced until
 // the log is checkpointed (DB.GroupCommit decides when). With no log the
 // data file is the only copy and is fsynced here, every time.
-func (bp *BufferPool) FlushGroup() error {
-	if wrote, err := bp.writeGroup(); err != nil || !wrote || bp.pager.HasWAL() {
+func (bp *BufferPool) flushGroup() error {
+	if wrote, err := bp.writeGroup(); err != nil || !wrote || bp.pager.hasWAL() {
 		return err
 	}
-	return bp.pager.Sync()
+	return bp.pager.sync()
 }
 
 // writeGroup hands every dirty page to the pager as one group and reports
@@ -185,13 +182,13 @@ func (bp *BufferPool) FlushGroup() error {
 func (bp *BufferPool) writeGroup() (bool, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	dirty := make([]*Page, 0, bp.dirty)
+	dirty := make([]*page, 0, bp.dirty)
 	for _, f := range bp.frames {
 		if f.dirty {
 			dirty = append(dirty, f.page)
 		}
 	}
-	if err := bp.pager.WriteGroup(dirty); err != nil {
+	if err := bp.pager.writeGroup(dirty); err != nil {
 		return false, err
 	}
 	for _, pg := range dirty {

@@ -346,8 +346,8 @@ func EncodeRow(types []ColType, row Row) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeRow undoes EncodeRow.
-func DecodeRow(types []ColType, buf []byte) (Row, error) {
+// decodeRow undoes EncodeRow.
+func decodeRow(types []ColType, buf []byte) (Row, error) {
 	row := make(Row, 0, len(types))
 	for i, t := range types {
 		switch t {

@@ -38,12 +38,12 @@ func Create(path string) (*DB, error) {
 		return nil, err
 	}
 	bp := NewBufferPool(pager, DefaultCachePages)
-	cat, err := NewHeap(bp)
+	cat, err := newHeap(bp)
 	if err != nil {
 		bp.Close()
 		return nil, err
 	}
-	if err := pager.SetCatalog(cat.First()); err != nil {
+	if err := pager.setCatalog(cat.first); err != nil {
 		bp.Close()
 		return nil, err
 	}
@@ -52,7 +52,7 @@ func Create(path string) (*DB, error) {
 
 // Open opens an existing database file.
 func Open(path string) (*DB, error) {
-	pager, err := OpenPager(path, false)
+	pager, err := OpenPager(path)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func (db *DB) CreateTable(schema TableSchema) (*Table, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.tables[schema.Name]; ok {
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, schema.Name)
+		return nil, fmt.Errorf("%w: %q", errTableExists, schema.Name)
 	}
 	primary, err := NewBTree(db.bp)
 	if err != nil {
@@ -132,7 +132,7 @@ func (db *DB) Table(name string) (*Table, error) {
 	defer db.mu.Unlock()
 	t, ok := db.tables[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchTable, name)
+		return nil, fmt.Errorf("%w: %q", errNoSuchTable, name)
 	}
 	return t, nil
 }
@@ -181,13 +181,13 @@ func appendLoggedRow(body []byte, table string, pk, val []byte) []byte {
 }
 
 // nextLoggedRow splits the first row off a rows record body; a body that is
-// not rows is ErrCorrupt.
+// not rows is errCorrupt.
 func nextLoggedRow(body []byte) (table, pk, val, rest []byte, err error) {
 	var fields [3][]byte
 	for i := range fields {
 		size, n := binary.Uvarint(body)
 		if n <= 0 || size > uint64(len(body)-n) {
-			return nil, nil, nil, nil, fmt.Errorf("%w: rows record field runs past its record", ErrCorrupt)
+			return nil, nil, nil, nil, fmt.Errorf("%w: rows record field runs past its record", errCorrupt)
 		}
 		fields[i], body = body[n:n+int(size)], body[n+int(size):]
 	}
@@ -207,7 +207,7 @@ func (db *DB) redo(bodies [][]byte) (n int, err error) {
 			t, ok := db.tables[string(table)]
 			db.mu.Unlock()
 			if !ok {
-				return n, fmt.Errorf("%w: logged row of %w %q", ErrCorrupt, ErrNoSuchTable, table)
+				return n, fmt.Errorf("%w: logged row of %w %q", errCorrupt, errNoSuchTable, table)
 			}
 			inserted, err := t.redo(pk, val)
 			if err != nil {
@@ -228,7 +228,7 @@ func (db *DB) flushCatalogLocked() error {
 		return nil
 	}
 	// Rewrite wholesale, in the pages the catalog already has.
-	if err := db.catalog.Reset(); err != nil {
+	if err := db.catalog.reset(); err != nil {
 		return err
 	}
 	for _, name := range db.tableNamesLocked() {
@@ -265,7 +265,7 @@ func (db *DB) tableNamesLocked() []string {
 // one group, so every commit after it is logged over a store the log
 // covers. Close the log after the database, whose Close truncates it.
 func (db *DB) AttachWAL(w *WAL) error {
-	db.bp.Pager().AttachWAL(w)
+	db.bp.pager.AttachWAL(w)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.wal = w
@@ -274,7 +274,7 @@ func (db *DB) AttachWAL(w *WAL) error {
 
 // GroupCommit makes everything written so far durable with one log write
 // and one log fsync, however many records it carries. Under a log a commit
-// is logged as its rows (WAL.AppendRows) and its pages stay dirty in the
+// is logged as its rows (WAL.appendRows) and its pages stay dirty in the
 // pool. Its pages are written — the catalog refreshed and every dirty page,
 // with the pager header, logged as one group and written to the data file
 // — only when they must leave memory: when the commit leaves more than half
@@ -294,7 +294,7 @@ func (db *DB) GroupCommit() error {
 	if len(db.rows) == 0 {
 		return nil
 	}
-	if err := db.wal.AppendRows(db.rows); err != nil {
+	if err := db.wal.appendRows(db.rows); err != nil {
 		return err
 	}
 	db.rows = db.rows[:0]
@@ -303,18 +303,18 @@ func (db *DB) GroupCommit() error {
 }
 
 // writePagesLocked commits by writing the pages: the catalog is refreshed
-// and every dirty page goes out as one group (BufferPool.FlushGroup), and a
+// and every dirty page goes out as one group (BufferPool.flushGroup), and a
 // log past walCheckpointBytes is checkpointed. Caller holds db.mu.
 func (db *DB) writePagesLocked() error {
 	db.rows, db.writePages = db.rows[:0], false
 	if err := db.flushCatalogLocked(); err != nil {
 		return err
 	}
-	if err := db.bp.FlushGroup(); err != nil {
+	if err := db.bp.flushGroup(); err != nil {
 		return err
 	}
 	if db.wal != nil && db.wal.Size() >= walCheckpointBytes {
-		return db.bp.Pager().Checkpoint()
+		return db.bp.pager.checkpoint()
 	}
 	return nil
 }
@@ -328,18 +328,18 @@ func (db *DB) Size() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return db.bp.Pager().FileSize()
+	return db.bp.pager.fileSize()
 }
 
 // NumPages returns the number of pages in the store file, its header page
 // included: the file's size in pages once everything is written back.
 func (db *DB) NumPages() int64 {
-	return int64(db.bp.Pager().NumPages())
+	return int64(db.bp.pager.NumPages())
 }
 
 // IOStats exposes the pager's fsync, log-byte and checkpoint counters.
 func (db *DB) IOStats() IOStats {
-	return db.bp.Pager().IOStats()
+	return db.bp.pager.IOStats()
 }
 
 // CacheStats exposes buffer-pool hit/miss counters.

@@ -36,7 +36,7 @@ func decodeRun(cell []byte) ([]runEntry, error) {
 }
 
 // FuzzLeafRun: whatever bytes a leaf cell holds, decoding it as a run never
-// panics and never reads outside the cell, what is not a run is ErrCorrupt,
+// panics and never reads outside the cell, what is not a run is errCorrupt,
 // and what is one holds at most maxRunEntries strictly ascending keys and
 // survives encoding and decoding again. Each key is then split as a primary
 // key (tid, path field) and as an index key (path field, tid): that never
@@ -76,10 +76,10 @@ func FuzzLeafRun(f *testing.F) {
 		ents, err := decodeRun(cell)
 		first, ferr := runFirstKey(cell)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("decoding %x: %v is not ErrCorrupt", data, err)
 			}
-			if ferr != nil && !errors.Is(ferr, ErrCorrupt) {
+			if ferr != nil && !errors.Is(ferr, errCorrupt) {
 				t.Fatalf("first key of %x: %v is not ErrCorrupt", data, ferr)
 			}
 			return

@@ -16,13 +16,13 @@ type Heap struct {
 	last  PageID
 }
 
-// NewHeap creates an empty heap, allocating its first page.
-func NewHeap(bp *BufferPool) (*Heap, error) {
-	pg, err := bp.Alloc(KindHeap)
+// newHeap creates an empty heap, allocating its first page.
+func newHeap(bp *BufferPool) (*Heap, error) {
+	pg, err := bp.alloc(kindHeap)
 	if err != nil {
 		return nil, err
 	}
-	bp.Unpin(pg.ID, true)
+	bp.unpin(pg.ID, true)
 	return &Heap{bp: bp, first: pg.ID, last: pg.ID}, nil
 }
 
@@ -31,73 +31,70 @@ func NewHeap(bp *BufferPool) (*Heap, error) {
 func OpenHeap(bp *BufferPool, first PageID) (*Heap, error) {
 	h := &Heap{bp: bp, first: first, last: first}
 	for {
-		pg, err := bp.Fetch(h.last)
+		pg, err := bp.fetch(h.last)
 		if err != nil {
 			return nil, err
 		}
 		next := pg.Next()
-		bp.Unpin(h.last, false)
-		if next == InvalidPage {
+		bp.unpin(h.last, false)
+		if next == invalidPage {
 			return h, nil
 		}
 		h.last = next
 	}
 }
 
-// First returns the first page id (the heap's persistent identity).
-func (h *Heap) First() PageID { return h.first }
-
 // Insert appends a record.
 func (h *Heap) Insert(data []byte) error {
-	if len(data) > MaxCellSize {
-		return fmt.Errorf("%w: %d bytes", ErrCellTooBig, len(data))
+	if len(data) > maxCellSize {
+		return fmt.Errorf("%w: %d bytes", errCellTooBig, len(data))
 	}
-	pg, err := h.bp.Fetch(h.last)
+	pg, err := h.bp.fetch(h.last)
 	if err != nil {
 		return err
 	}
 	_, err = pg.InsertCell(data)
 	if err == nil {
-		h.bp.Unpin(pg.ID, true)
+		h.bp.unpin(pg.ID, true)
 		return nil
 	}
-	if !errors.Is(err, ErrPageFull) {
-		h.bp.Unpin(pg.ID, false)
+	if !errors.Is(err, errPageFull) {
+		h.bp.unpin(pg.ID, false)
 		return err
 	}
-	if next := pg.Next(); next != InvalidPage {
+	if next := pg.Next(); next != invalidPage {
 		// A page kept by Reset: fill it before growing the chain.
-		h.bp.Unpin(pg.ID, false)
+		h.bp.unpin(pg.ID, false)
 		h.last = next
 		return h.Insert(data)
 	}
 	// Grow the chain.
-	npg, err := h.bp.Alloc(KindHeap)
+	npg, err := h.bp.alloc(kindHeap)
 	if err != nil {
-		h.bp.Unpin(pg.ID, false)
+		h.bp.unpin(pg.ID, false)
 		return err
 	}
 	pg.SetNext(npg.ID)
-	h.bp.Unpin(pg.ID, true)
+	h.bp.unpin(pg.ID, true)
 	h.last = npg.ID
 	_, err = npg.InsertCell(data)
-	h.bp.Unpin(npg.ID, true)
+	h.bp.unpin(npg.ID, true)
 	return err
 }
 
 // Reset empties the heap and keeps its pages: the next Insert fills them
 // again from the first. A heap rewritten wholesale — the catalog, at every
 // commit — so takes the room of its records, not of every version of them.
-func (h *Heap) Reset() error {
-	for id := h.first; id != InvalidPage; {
-		pg, err := h.bp.Fetch(id)
+func (h *Heap) reset() error {
+	for id := h.first; id != invalidPage; {
+		pg, err := h.bp.fetch(id)
 		if err != nil {
 			return err
 		}
 		next := pg.Next()
-		pg.Init(KindHeap)
+		pg.Init(kindHeap)
 		pg.SetNext(next)
-		h.bp.Unpin(id, true)
+		h.bp.unpin(id, true)
 		id = next
 	}
 	h.last = h.first
@@ -108,8 +105,8 @@ func (h *Heap) Reset() error {
 // early if fn returns false.
 func (h *Heap) Scan(fn func(data []byte) bool) error {
 	id := h.first
-	for id != InvalidPage {
-		pg, err := h.bp.Fetch(id)
+	for id != invalidPage {
+		pg, err := h.bp.fetch(id)
 		if err != nil {
 			return err
 		}
@@ -117,16 +114,16 @@ func (h *Heap) Scan(fn func(data []byte) bool) error {
 		for i := 0; i < n; i++ {
 			cell, err := pg.Cell(i)
 			if err != nil {
-				h.bp.Unpin(id, false)
+				h.bp.unpin(id, false)
 				return fmt.Errorf("relstore: heap page %d: %w", id, err)
 			}
 			if !fn(bytes.Clone(cell)) {
-				h.bp.Unpin(id, false)
+				h.bp.unpin(id, false)
 				return nil
 			}
 		}
 		next := pg.Next()
-		h.bp.Unpin(id, false)
+		h.bp.unpin(id, false)
 		id = next
 	}
 	return nil

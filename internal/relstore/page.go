@@ -29,15 +29,14 @@ const PageSize = 4096
 // and is never handed out.
 type PageID uint32
 
-// InvalidPage is the zero PageID, used as a nil link.
-const InvalidPage PageID = 0
+// invalidPage is the zero PageID, used as a nil link.
+const invalidPage PageID = 0
 
 // Page kinds.
 const (
-	KindHeap       byte = 1
-	KindBTreeLeaf  byte = 2
-	KindBTreeInner byte = 3
-	KindMeta       byte = 4
+	kindHeap       byte = 1
+	kindBTreeLeaf  byte = 2
+	kindBTreeInner byte = 3
 )
 
 // Page header layout (bytes):
@@ -66,32 +65,32 @@ const (
 
 // Errors returned by page operations.
 var (
-	ErrPageFull   = errors.New("relstore: page full")
-	ErrBadSlot    = errors.New("relstore: bad slot")
-	ErrCorrupt    = errors.New("relstore: page checksum mismatch")
-	ErrCellTooBig = errors.New("relstore: cell exceeds maximum size")
+	errPageFull   = errors.New("relstore: page full")
+	errBadSlot    = errors.New("relstore: bad slot")
+	errCorrupt    = errors.New("relstore: page checksum mismatch")
+	errCellTooBig = errors.New("relstore: cell exceeds maximum size")
 )
 
-// MaxCellSize is the largest cell a page accepts, chosen so a page always
+// maxCellSize is the largest cell a page accepts, chosen so a page always
 // fits at least four cells.
-const MaxCellSize = (PageSize - headerSize - 4*slotSize) / 4
+const maxCellSize = (PageSize - headerSize - 4*slotSize) / 4
 
-// A Page is one fixed-size block. Methods operate on the raw buffer; the
+// A page is one fixed-size block. Methods operate on the raw buffer; the
 // checksum is computed at write-out and verified at read-in by the Pager.
-type Page struct {
+type page struct {
 	ID  PageID
 	buf [PageSize]byte
 }
 
-// NewPage returns an initialized in-memory page of the given kind.
-func NewPage(id PageID, kind byte) *Page {
-	p := &Page{ID: id}
+// newPage returns an initialized in-memory page of the given kind.
+func newPage(id PageID, kind byte) *page {
+	p := &page{ID: id}
 	p.Init(kind)
 	return p
 }
 
 // Init resets the page to an empty page of the given kind.
-func (p *Page) Init(kind byte) {
+func (p *page) Init(kind byte) {
 	for i := range p.buf {
 		p.buf[i] = 0
 	}
@@ -101,28 +100,28 @@ func (p *Page) Init(kind byte) {
 }
 
 // Kind returns the page kind byte.
-func (p *Page) Kind() byte { return p.buf[offKind] }
+func (p *page) Kind() byte { return p.buf[offKind] }
 
 // Next returns the page's link field.
-func (p *Page) Next() PageID {
+func (p *page) Next() PageID {
 	return PageID(binary.BigEndian.Uint32(p.buf[offNext:]))
 }
 
 // SetNext sets the page's link field.
-func (p *Page) SetNext(id PageID) {
+func (p *page) SetNext(id PageID) {
 	binary.BigEndian.PutUint32(p.buf[offNext:], uint32(id))
 }
 
 // NumSlots returns the number of slots, one per cell.
-func (p *Page) NumSlots() int {
+func (p *page) NumSlots() int {
 	return int(binary.BigEndian.Uint16(p.buf[offSlotCount:]))
 }
 
-func (p *Page) setSlotCount(n int) {
+func (p *page) setSlotCount(n int) {
 	binary.BigEndian.PutUint16(p.buf[offSlotCount:], uint16(n))
 }
 
-func (p *Page) setFreeOff(off int) {
+func (p *page) setFreeOff(off int) {
 	if off == PageSize {
 		// PageSize does not fit in uint16; store 0xFFFF sentinel.
 		binary.BigEndian.PutUint16(p.buf[offFreeOff:], 0xFFFF)
@@ -131,7 +130,7 @@ func (p *Page) setFreeOff(off int) {
 	binary.BigEndian.PutUint16(p.buf[offFreeOff:], uint16(off))
 }
 
-func (p *Page) freeOffVal() int {
+func (p *page) freeOffVal() int {
 	v := int(binary.BigEndian.Uint16(p.buf[offFreeOff:]))
 	if v == 0xFFFF {
 		return PageSize
@@ -139,14 +138,14 @@ func (p *Page) freeOffVal() int {
 	return v
 }
 
-func (p *Page) slotPos(i int) int { return headerSize + i*slotSize }
+func (p *page) slotPos(i int) int { return headerSize + i*slotSize }
 
-func (p *Page) slot(i int) (off, length int) {
+func (p *page) slot(i int) (off, length int) {
 	pos := p.slotPos(i)
 	return int(binary.BigEndian.Uint16(p.buf[pos:])), int(binary.BigEndian.Uint16(p.buf[pos+2:]))
 }
 
-func (p *Page) setSlot(i, off, length int) {
+func (p *page) setSlot(i, off, length int) {
 	pos := p.slotPos(i)
 	binary.BigEndian.PutUint16(p.buf[pos:], uint16(off))
 	binary.BigEndian.PutUint16(p.buf[pos+2:], uint16(length))
@@ -154,17 +153,17 @@ func (p *Page) setSlot(i, off, length int) {
 
 // FreeSpace returns the bytes available for one more cell (including its
 // slot directory entry).
-func (p *Page) FreeSpace() int {
+func (p *page) FreeSpace() int {
 	return p.freeOffVal() - (headerSize + p.NumSlots()*slotSize) - slotSize
 }
 
 // InsertCell appends a cell in slot NumSlots() and returns that slot.
-func (p *Page) InsertCell(data []byte) (int, error) {
-	if len(data) > MaxCellSize {
-		return 0, fmt.Errorf("%w: %d > %d", ErrCellTooBig, len(data), MaxCellSize)
+func (p *page) InsertCell(data []byte) (int, error) {
+	if len(data) > maxCellSize {
+		return 0, fmt.Errorf("%w: %d > %d", errCellTooBig, len(data), maxCellSize)
 	}
 	if p.FreeSpace() < len(data) {
-		return 0, ErrPageFull
+		return 0, errPageFull
 	}
 	slot := p.NumSlots()
 	newOff := p.freeOffVal() - len(data)
@@ -177,30 +176,30 @@ func (p *Page) InsertCell(data []byte) (int, error) {
 
 // Cell returns the cell stored in the given slot. The returned slice aliases
 // the page buffer; callers must copy before the page is modified or evicted.
-func (p *Page) Cell(i int) ([]byte, error) {
+func (p *page) Cell(i int) ([]byte, error) {
 	if i < 0 || i >= p.NumSlots() {
-		return nil, fmt.Errorf("%w: %d of %d", ErrBadSlot, i, p.NumSlots())
+		return nil, fmt.Errorf("%w: %d of %d", errBadSlot, i, p.NumSlots())
 	}
 	// The slot came from disk: a cell inside the header or past the page
 	// end is a corrupt slot, not a cell.
 	off, length := p.slot(i)
 	if off < headerSize || off+length > PageSize {
-		return nil, fmt.Errorf("%w: slot %d corrupt (cell at %d, %d bytes)", ErrBadSlot, i, off, length)
+		return nil, fmt.Errorf("%w: slot %d corrupt (cell at %d, %d bytes)", errBadSlot, i, off, length)
 	}
 	return p.buf[off : off+length], nil
 }
 
 // seal computes and stores the checksum prior to write-out.
-func (p *Page) seal() {
+func (p *page) seal() {
 	sum := crc32.ChecksumIEEE(p.buf[4:])
 	binary.BigEndian.PutUint32(p.buf[offChecksum:], sum)
 }
 
 // verify checks the stored checksum after read-in.
-func (p *Page) verify() error {
+func (p *page) verify() error {
 	want := binary.BigEndian.Uint32(p.buf[offChecksum:])
 	if got := crc32.ChecksumIEEE(p.buf[4:]); got != want {
-		return fmt.Errorf("%w: page %d", ErrCorrupt, p.ID)
+		return fmt.Errorf("%w: page %d", errCorrupt, p.ID)
 	}
 	return nil
 }

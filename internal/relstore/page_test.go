@@ -7,7 +7,7 @@ import (
 )
 
 func TestPageInsertGet(t *testing.T) {
-	p := NewPage(1, KindHeap)
+	p := newPage(1, kindHeap)
 	for i, cell := range []string{"hello", "world!"} {
 		slot, err := p.InsertCell([]byte(cell))
 		if err != nil {
@@ -22,7 +22,7 @@ func TestPageInsertGet(t *testing.T) {
 		t.Fatalf("Cell = %q, %v", c, err)
 	}
 	for _, slot := range []int{-1, 2, 99} {
-		if _, err := p.Cell(slot); !errors.Is(err, ErrBadSlot) {
+		if _, err := p.Cell(slot); !errors.Is(err, errBadSlot) {
 			t.Errorf("Cell(%d) of 2: %v", slot, err)
 		}
 	}
@@ -30,20 +30,20 @@ func TestPageInsertGet(t *testing.T) {
 	// past the page end.
 	for _, bad := range [][2]int{{0, 0}, {headerSize - 1, 1}, {PageSize - 4, 5}} {
 		p.setSlot(1, bad[0], bad[1])
-		if _, err := p.Cell(1); !errors.Is(err, ErrBadSlot) {
+		if _, err := p.Cell(1); !errors.Is(err, errBadSlot) {
 			t.Errorf("slot of a cell at %d, %d bytes: %v", bad[0], bad[1], err)
 		}
 	}
 }
 
 func TestPageFull(t *testing.T) {
-	p := NewPage(1, KindHeap)
+	p := newPage(1, kindHeap)
 	payload := bytes.Repeat([]byte("x"), 100)
 	fill := func() int {
 		n := 0
 		for ; ; n++ {
 			s, err := p.InsertCell(payload)
-			if errors.Is(err, ErrPageFull) {
+			if errors.Is(err, errPageFull) {
 				return n
 			}
 			if err != nil {
@@ -64,49 +64,49 @@ func TestPageFull(t *testing.T) {
 		}
 	}
 	// Init is the only way back to an empty page, and it takes as many again.
-	p.Init(KindHeap)
+	p.Init(kindHeap)
 	if again := fill(); again != n {
 		t.Errorf("%d cells fit after Init, %d before", again, n)
 	}
 }
 
 func TestPageCellTooBig(t *testing.T) {
-	p := NewPage(1, KindHeap)
-	if _, err := p.InsertCell(make([]byte, MaxCellSize+1)); !errors.Is(err, ErrCellTooBig) {
+	p := newPage(1, kindHeap)
+	if _, err := p.InsertCell(make([]byte, maxCellSize+1)); !errors.Is(err, errCellTooBig) {
 		t.Errorf("oversized cell: %v", err)
 	}
-	if _, err := p.InsertCell(make([]byte, MaxCellSize)); err != nil {
+	if _, err := p.InsertCell(make([]byte, maxCellSize)); err != nil {
 		t.Errorf("max-size cell rejected: %v", err)
 	}
 }
 
 func TestPageChecksum(t *testing.T) {
-	p := NewPage(1, KindHeap)
+	p := newPage(1, kindHeap)
 	p.InsertCell([]byte("data"))
 	p.seal()
 	if err := p.verify(); err != nil {
 		t.Fatal(err)
 	}
 	p.buf[2000] ^= 0xFF
-	if err := p.verify(); !errors.Is(err, ErrCorrupt) {
+	if err := p.verify(); !errors.Is(err, errCorrupt) {
 		t.Errorf("corrupted page verified: %v", err)
 	}
 }
 
 func TestPageNextLink(t *testing.T) {
-	p := NewPage(1, KindHeap)
+	p := newPage(1, kindHeap)
 	p.SetNext(42)
 	if p.Next() != 42 {
 		t.Error("Next link lost")
 	}
-	p.Init(KindHeap)
-	if p.Next() != InvalidPage {
+	p.Init(kindHeap)
+	if p.Next() != invalidPage {
 		t.Error("Init must clear link")
 	}
 }
 
 func TestPageFreeSpaceAccounting(t *testing.T) {
-	p := NewPage(1, KindHeap)
+	p := newPage(1, kindHeap)
 	before := p.FreeSpace()
 	p.InsertCell(make([]byte, 64))
 	after := p.FreeSpace()

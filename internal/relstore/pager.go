@@ -25,7 +25,7 @@ const formatVersion uint32 = 5
 // A Pager reads and writes fixed-size pages of a store file. Page 0 holds
 // the store header: magic, page count, four reserved bytes (zero), the
 // catalog root page id and the format version. Pages are written in groups
-// (WriteGroup), the only way to the data file. Header changes are kept in
+// (writeGroup), the only way to the data file. Header changes are kept in
 // memory and written out with the next page group, Sync or Close — after the
 // attached write-ahead log, if any, has them: like every page, the header
 // never reaches the data file ahead of the log.
@@ -33,11 +33,10 @@ const formatVersion uint32 = 5
 // The Pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
 type Pager struct {
-	mu       sync.Mutex
-	f        *os.File
-	pages    PageID // total pages allocated, including page 0
-	catalog  PageID
-	readOnly bool
+	mu      sync.Mutex
+	f       *os.File
+	pages   PageID // total pages allocated, including page 0
+	catalog PageID
 	// hdrDirty: the header changed since it was last written; the next page
 	// group or Sync logs and writes it.
 	hdrDirty bool
@@ -51,12 +50,11 @@ const storeHeaderSize = 20
 
 // Errors returned by the pager.
 var (
-	ErrBadMagic = errors.New("relstore: not a relstore file")
-	// ErrFormatVersion refuses a store file another format version wrote. No
+	errBadMagic = errors.New("relstore: not a relstore file")
+	// errFormatVersion refuses a store file another format version wrote. No
 	// second decoder is kept: a store does not outlive the build that wrote it.
-	ErrFormatVersion = errors.New("relstore: store format version not supported")
-	ErrOutOfRange    = errors.New("relstore: page id out of range")
-	ErrReadOnly      = errors.New("relstore: store is read-only")
+	errFormatVersion = errors.New("relstore: store format version not supported")
+	errOutOfRange    = errors.New("relstore: page id out of range")
 )
 
 // CreatePager creates a new store file (truncating any existing one).
@@ -78,16 +76,12 @@ func CreatePager(path string) (*Pager, error) {
 }
 
 // OpenPager opens an existing store file.
-func OpenPager(path string, readOnly bool) (*Pager, error) {
-	flags := os.O_RDWR
-	if readOnly {
-		flags = os.O_RDONLY
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+func OpenPager(path string) (*Pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f, readOnly: readOnly}
+	p := &Pager{f: f}
 	if err := p.readHeader(); err != nil {
 		f.Close()
 		return nil, err
@@ -105,14 +99,14 @@ func (p *Pager) header() (buf [storeHeaderSize]byte) {
 	return buf
 }
 
-// checkFormat judges the front of page 0: ErrBadMagic for a file that is not
-// a store, ErrFormatVersion for a store of another format.
+// checkFormat judges the front of page 0: errBadMagic for a file that is not
+// a store, errFormatVersion for a store of another format.
 func checkFormat(hdr []byte) error {
 	if len(hdr) < storeHeaderSize || binary.BigEndian.Uint32(hdr[0:]) != storeMagic {
-		return ErrBadMagic
+		return errBadMagic
 	}
 	if v := binary.BigEndian.Uint32(hdr[16:]); v != formatVersion {
-		return fmt.Errorf("%w: file is version %d, this build reads and writes %d", ErrFormatVersion, v, formatVersion)
+		return fmt.Errorf("%w: file is version %d, this build reads and writes %d", errFormatVersion, v, formatVersion)
 	}
 	return nil
 }
@@ -151,13 +145,10 @@ func (p *Pager) Catalog() PageID {
 	return p.catalog
 }
 
-// SetCatalog records the catalog root page id in the header.
-func (p *Pager) SetCatalog(id PageID) error {
+// setCatalog records the catalog root page id in the header.
+func (p *Pager) setCatalog(id PageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.readOnly {
-		return ErrReadOnly
-	}
 	p.catalog = id
 	p.hdrDirty = true
 	return nil
@@ -171,32 +162,29 @@ func (p *Pager) NumPages() PageID {
 }
 
 // Alloc allocates a page at the end of the file. The returned page is
-// initialized to the given kind and exists only in memory until a WriteGroup
+// initialized to the given kind and exists only in memory until a writeGroup
 // carries it.
-func (p *Pager) Alloc(kind byte) (*Page, error) {
+func (p *Pager) alloc(kind byte) (*page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.readOnly {
-		return nil, ErrReadOnly
-	}
 	id := p.pages
 	p.pages++
 	p.hdrDirty = true
-	return NewPage(id, kind), nil
+	return newPage(id, kind), nil
 }
 
 // Read fetches a page from disk, verifying its checksum.
-func (p *Pager) Read(id PageID) (*Page, error) {
+func (p *Pager) read(id PageID) (*page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.readLocked(id)
 }
 
-func (p *Pager) readLocked(id PageID) (*Page, error) {
-	if id == InvalidPage || id >= p.pages {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrOutOfRange, id, p.pages)
+func (p *Pager) readLocked(id PageID) (*page, error) {
+	if id == invalidPage || id >= p.pages {
+		return nil, fmt.Errorf("%w: %d (have %d)", errOutOfRange, id, p.pages)
 	}
-	pg := &Page{ID: id}
+	pg := &page{ID: id}
 	if _, err := p.f.ReadAt(pg.buf[:], int64(id)*PageSize); err != nil {
 		return nil, fmt.Errorf("relstore: reading page %d: %w", id, err)
 	}
@@ -209,7 +197,7 @@ func (p *Pager) readLocked(id PageID) (*Page, error) {
 // Sync writes out a changed header and fsyncs the data file. With a log
 // attached, a group of no pages first makes the header durable there: the
 // data file on disk is never newer than the log.
-func (p *Pager) Sync() error {
+func (p *Pager) sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.syncLocked()
@@ -217,7 +205,7 @@ func (p *Pager) Sync() error {
 
 func (p *Pager) syncLocked() error {
 	if p.wal != nil && p.hdrDirty {
-		if err := p.wal.AppendGroup(nil, p.header()); err != nil {
+		if err := p.wal.appendGroup(nil, p.header()); err != nil {
 			return fmt.Errorf("relstore: syncing log: %w", err)
 		}
 	}
@@ -231,7 +219,7 @@ func (p *Pager) syncLocked() error {
 // Close checkpoints (syncs the data file, then empties the attached log,
 // which must still be open) and closes the store file.
 func (p *Pager) Close() error {
-	err := p.Checkpoint()
+	err := p.checkpoint()
 	if cerr := p.f.Close(); err == nil {
 		err = cerr
 	}
@@ -239,7 +227,7 @@ func (p *Pager) Close() error {
 }
 
 // FileSize returns the current size of the store file in bytes.
-func (p *Pager) FileSize() (int64, error) {
+func (p *Pager) fileSize() (int64, error) {
 	fi, err := p.f.Stat()
 	if err != nil {
 		return 0, err

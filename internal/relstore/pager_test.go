@@ -22,22 +22,22 @@ func TestPagerCreateOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := p.Alloc(KindHeap)
+	pg, err := p.alloc(kindHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pg.InsertCell([]byte("persisted"))
-	if err := p.WriteGroup([]*Page{pg}); err != nil {
+	if err := p.writeGroup([]*page{pg}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetCatalog(pg.ID); err != nil {
+	if err := p.setCatalog(pg.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	q, err := OpenPager(path, true)
+	q, err := OpenPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,20 +45,13 @@ func TestPagerCreateOpen(t *testing.T) {
 	if q.Catalog() != pg.ID {
 		t.Errorf("catalog = %d, want %d", q.Catalog(), pg.ID)
 	}
-	got, err := q.Read(pg.ID)
+	got, err := q.read(pg.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := got.Cell(0)
 	if err != nil || string(c) != "persisted" {
 		t.Errorf("cell = %q, %v", c, err)
-	}
-	// Read-only pager rejects writes.
-	if err := q.WriteGroup([]*Page{got}); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("read-only write: %v", err)
-	}
-	if _, err := q.Alloc(KindHeap); !errors.Is(err, ErrReadOnly) {
-		t.Errorf("read-only alloc: %v", err)
 	}
 }
 
@@ -67,7 +60,7 @@ func TestPagerBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, make([]byte, PageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPager(path, false); !errors.Is(err, ErrBadMagic) {
+	if _, err := OpenPager(path); !errors.Is(err, errBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 }
@@ -78,10 +71,10 @@ func TestPagerOutOfRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Read(InvalidPage); !errors.Is(err, ErrOutOfRange) {
+	if _, err := p.read(invalidPage); !errors.Is(err, errOutOfRange) {
 		t.Errorf("read page 0: %v", err)
 	}
-	if _, err := p.Read(999); !errors.Is(err, ErrOutOfRange) {
+	if _, err := p.read(999); !errors.Is(err, errOutOfRange) {
 		t.Errorf("read unallocated: %v", err)
 	}
 }
@@ -95,9 +88,9 @@ func TestPagerCorruptionDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, _ := p.Alloc(KindHeap)
+	pg, _ := p.alloc(kindHeap)
 	pg.InsertCell([]byte("precious provenance"))
-	p.WriteGroup([]*Page{pg})
+	p.writeGroup([]*page{pg})
 	p.Close()
 
 	// Flip one byte in the page body on disk.
@@ -112,12 +105,12 @@ func TestPagerCorruptionDetection(t *testing.T) {
 	f.WriteAt(b[:], off)
 	f.Close()
 
-	q, err := OpenPager(path, false)
+	q, err := OpenPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if _, err := q.Read(pg.ID); !errors.Is(err, ErrCorrupt) {
+	if _, err := q.read(pg.ID); !errors.Is(err, errCorrupt) {
 		t.Errorf("corrupted page read succeeded: %v", err)
 	}
 }
@@ -129,10 +122,10 @@ func TestPagerFileSize(t *testing.T) {
 	}
 	defer p.Close()
 	for i := 0; i < 5; i++ {
-		pg, _ := p.Alloc(KindHeap)
-		p.WriteGroup([]*Page{pg})
+		pg, _ := p.alloc(kindHeap)
+		p.writeGroup([]*page{pg})
 	}
-	sz, err := p.FileSize()
+	sz, err := p.fileSize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +138,7 @@ func TestPagerFileSize(t *testing.T) {
 // 2: int key fields of eight bytes, index entries with no value; version 3:
 // path key fields escaped as bytes; version 4: a log of page groups alone,
 // which would read a rows record as a torn tail — page 0 and a committed log, byte for
-// byte as that code wrote them, is refused with ErrFormatVersion by recovery
+// byte as that code wrote them, is refused with errFormatVersion by recovery
 // and by open, with neither file touched; a store this build writes carries
 // its version through Close/Open and, in every logged header, through
 // recovery.
@@ -166,11 +159,11 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.AttachWAL(w)
-	pg, err := p.Alloc(KindHeap)
+	pg, err := p.alloc(kindHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.WriteGroup([]*Page{pg}); err != nil {
+	if err := p.writeGroup([]*page{pg}); err != nil {
 		t.Fatal(err)
 	}
 	committed, err := os.ReadFile(fresh + ".wal")
@@ -194,7 +187,7 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 	}
 	reopen := func(path string, wantPages PageID) {
 		t.Helper()
-		q, err := OpenPager(path, true)
+		q, err := OpenPager(path)
 		if err != nil {
 			t.Fatalf("a store this build wrote does not open: %v", err)
 		}
@@ -221,7 +214,7 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 
 // refuseVersion writes, in dir, the one-page store and committed log the
 // given format version's code wrote, and requires recovery and open to
-// refuse them with ErrFormatVersion, touching neither file.
+// refuse them with errFormatVersion, touching neither file.
 func refuseVersion(t *testing.T, dir string, version uint32) {
 	t.Helper()
 	store := filepath.Join(dir, fmt.Sprintf("v%d.db", version))
@@ -233,7 +226,7 @@ func refuseVersion(t *testing.T, dir string, version uint32) {
 	hdr = binary.BigEndian.AppendUint32(hdr, 0)       // reserved
 	hdr = binary.BigEndian.AppendUint32(hdr, 1)       // catalog
 	hdr = binary.BigEndian.AppendUint32(hdr, version) // format version
-	cat := NewPage(1, KindHeap)
+	cat := newPage(1, kindHeap)
 	cat.InsertCell([]byte(`{"schema":{"name":"prov"}}`))
 	cat.seal()
 	data := append(append(hdr, make([]byte, PageSize-len(hdr))...), cat.buf[:]...)
@@ -255,13 +248,13 @@ func refuseVersion(t *testing.T, dir string, version uint32) {
 		}
 	}
 
-	if n, err := RecoverPager(store, log); !errors.Is(err, ErrFormatVersion) || n != 0 {
+	if n, err := RecoverPager(store, log); !errors.Is(err, errFormatVersion) || n != 0 {
 		t.Errorf("RecoverPager on a version %d store = %d, %v; want ErrFormatVersion", version, n, err)
 	}
-	if _, err := OpenPager(store, false); !errors.Is(err, ErrFormatVersion) {
+	if _, err := OpenPager(store); !errors.Is(err, errFormatVersion) {
 		t.Errorf("OpenPager on a version %d store: %v; want ErrFormatVersion", version, err)
 	}
-	if _, err := Open(store); !errors.Is(err, ErrFormatVersion) {
+	if _, err := Open(store); !errors.Is(err, errFormatVersion) {
 		t.Errorf("Open on a version %d store: %v; want ErrFormatVersion", version, err)
 	}
 	for name, content := range map[string][]byte{store: data, log: group} {

@@ -20,7 +20,7 @@ func redoRow(i int) Row {
 // recovery redoes them over the data file of the last checkpoint. A log that
 // comes back after a finished recovery redoes nothing and changes no byte of
 // the data file; a logged row the store holds with other bytes fails
-// recovery with ErrCorrupt, the data file untouched.
+// recovery with errCorrupt, the data file untouched.
 func TestRedoIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	store, log := filepath.Join(dir, "s.db"), filepath.Join(dir, "s.db.wal")
@@ -132,12 +132,12 @@ func TestRedoIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.AppendRows(appendLoggedRow(nil, "prov", pk, val)); err != nil {
+	if err := cw.appendRows(appendLoggedRow(nil, "prov", pk, val)); err != nil {
 		t.Fatal(err)
 	}
 	cw.Close()
 	recovered = readAll(t, crashed)
-	if _, err := RecoverPager(crashed, crashed+".wal"); !errors.Is(err, ErrCorrupt) {
+	if _, err := RecoverPager(crashed, crashed+".wal"); !errors.Is(err, errCorrupt) {
 		t.Errorf("redo of a row stored with other bytes: %v, want ErrCorrupt", err)
 	}
 	if !bytes.Equal(readAll(t, crashed), recovered) {
@@ -211,15 +211,15 @@ func FuzzWALScan(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	page := NewPage(3, KindHeap)
-	page.InsertCell([]byte("grouped"))
+	pg := newPage(3, kindHeap)
+	pg.InsertCell([]byte("grouped"))
 	for _, commit := range []func() error{
-		func() error { return w.AppendRows(appendLoggedRow(nil, "prov", []byte("k1"), []byte("v1"))) },
-		func() error { return w.AppendGroup([]*Page{page}, [storeHeaderSize]byte{0xC9}) },
-		func() error { return w.AppendRows(appendLoggedRow(nil, "prov", []byte("k2"), nil)) },
-		func() error { return w.AppendGroup(nil, [storeHeaderSize]byte{0xDB}) },
+		func() error { return w.appendRows(appendLoggedRow(nil, "prov", []byte("k1"), []byte("v1"))) },
+		func() error { return w.appendGroup([]*page{pg}, [storeHeaderSize]byte{0xC9}) },
+		func() error { return w.appendRows(appendLoggedRow(nil, "prov", []byte("k2"), nil)) },
+		func() error { return w.appendGroup(nil, [storeHeaderSize]byte{0xDB}) },
 		func() error {
-			return w.AppendRows(appendLoggedRow(appendLoggedRow(nil, "prov", []byte("k3"), []byte("v3")), "t", nil, nil))
+			return w.appendRows(appendLoggedRow(appendLoggedRow(nil, "prov", []byte("k3"), []byte("v3")), "t", nil, nil))
 		},
 	} {
 		if err := commit(); err != nil {

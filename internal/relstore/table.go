@@ -73,11 +73,11 @@ type indexPlan struct {
 
 // Errors returned by table operations.
 var (
-	ErrNoSuchTable = errors.New("relstore: no such table")
-	ErrTableExists = errors.New("relstore: table already exists")
-	ErrNoSuchIndex = errors.New("relstore: no such index")
+	errNoSuchTable = errors.New("relstore: no such table")
+	errTableExists = errors.New("relstore: table already exists")
+	errNoSuchIndex = errors.New("relstore: no such index")
 	ErrRowNotFound = errors.New("relstore: row not found")
-	ErrBadSchema   = errors.New("relstore: invalid schema")
+	errBadSchema   = errors.New("relstore: invalid schema")
 )
 
 func newTable(db *DB, meta tableMeta) (*Table, error) {
@@ -96,18 +96,18 @@ func newTable(db *DB, meta tableMeta) (*Table, error) {
 func (t *Table) buildPlan() error {
 	s := &t.meta.Schema
 	if s.Name == "" || len(s.Columns) == 0 || len(s.Key) == 0 {
-		return fmt.Errorf("%w: table needs a name, columns and a key", ErrBadSchema)
+		return fmt.Errorf("%w: table needs a name, columns and a key", errBadSchema)
 	}
 	t.colIdx = make(map[string]int, len(s.Columns))
 	t.types = make([]ColType, len(s.Columns))
 	for i, c := range s.Columns {
 		if _, dup := t.colIdx[c.Name]; dup {
-			return fmt.Errorf("%w: duplicate column %q", ErrBadSchema, c.Name)
+			return fmt.Errorf("%w: duplicate column %q", errBadSchema, c.Name)
 		}
 		switch c.Type {
 		case TInt, TStr, TBytes, TPath:
 		default:
-			return fmt.Errorf("%w: column %q has unknown type", ErrBadSchema, c.Name)
+			return fmt.Errorf("%w: column %q has unknown type", errBadSchema, c.Name)
 		}
 		t.colIdx[c.Name] = i
 		t.types[i] = c.Type
@@ -118,7 +118,7 @@ func (t *Table) buildPlan() error {
 		for i, n := range names {
 			j, ok := t.colIdx[n]
 			if !ok {
-				return nil, nil, fmt.Errorf("%w: unknown column %q", ErrBadSchema, n)
+				return nil, nil, fmt.Errorf("%w: unknown column %q", errBadSchema, n)
 			}
 			idx[i] = j
 			typ[i] = t.types[j]
@@ -136,7 +136,7 @@ func (t *Table) buildPlan() error {
 	}
 	for _, ix := range s.Indexes {
 		if ix.Name == "" {
-			return fmt.Errorf("%w: unnamed index", ErrBadSchema)
+			return fmt.Errorf("%w: unnamed index", errBadSchema)
 		}
 		var plan indexPlan
 		if plan.cols, plan.types, err = resolve(ix.Columns); err != nil {
@@ -187,13 +187,13 @@ func (t *Table) encodeRow(row Row) (pk, val []byte, err error) {
 	if val, err = EncodeRow(t.valType, vals); err != nil {
 		return nil, nil, err
 	}
-	size := EntrySize(len(pk), len(val))
+	size := entrySize(len(pk), len(val))
 	for _, plan := range t.indexes {
 		n := 0
 		for f, j := range plan.cols {
 			n += keyValueLen(plan.types[f], row[j])
 		}
-		size = max(size, EntrySize(n, len(val)))
+		size = max(size, entrySize(n, len(val)))
 	}
 	if size > MaxEntrySize {
 		return nil, nil, fmt.Errorf("%w: a row of %d bytes in one tree, of at most %d", ErrKeyTooBig, size, MaxEntrySize)
@@ -219,26 +219,6 @@ func (t *Table) indexKey(plan indexPlan, row Row) []byte {
 	return buf
 }
 
-// KeyPrefix encodes a partial primary key (the first len(vals) key columns)
-// for prefix scans.
-func (t *Table) KeyPrefix(vals ...Value) ([]byte, error) {
-	return EncodeKey(t.keyType, vals)
-}
-
-// IndexPrefix encodes a partial secondary-index key — values for its first
-// len(vals) fields, which are the index columns and then the primary-key
-// columns not among them — for prefix scans and seeks.
-func (t *Table) IndexPrefix(index string, vals ...Value) ([]byte, error) {
-	ixi := t.findIndex(index)
-	if ixi < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
-	}
-	if fields := t.indexes[ixi].types; len(vals) > len(fields) {
-		return nil, fmt.Errorf("relstore: %d values for %d index key fields", len(vals), len(fields))
-	}
-	return EncodeKey(t.indexes[ixi].types, vals)
-}
-
 func (t *Table) findIndex(name string) int {
 	for i, ix := range t.meta.Schema.Indexes {
 		if ix.Name == name {
@@ -248,7 +228,7 @@ func (t *Table) findIndex(name string) int {
 	return -1
 }
 
-// Insert stores a new row; it fails with ErrDupKey if the primary key
+// Insert stores a new row; it fails with errDupKey if the primary key
 // exists.
 func (t *Table) Insert(row Row) error {
 	pk, val, err := t.encodeRow(row)
@@ -279,17 +259,17 @@ func (t *Table) indexRow(row Row, pk, val []byte) error {
 
 // redo stores the row pk→val that a rows record logged, as Insert stored
 // it, unless it is stored already: then it must be with the same bytes, or
-// the store and its log disagree (ErrCorrupt). It reports whether it
+// the store and its log disagree (errCorrupt). It reports whether it
 // inserted the row.
 func (t *Table) redo(pk, val []byte) (bool, error) {
 	stored, err := t.primary.Get(pk)
 	if err == nil {
 		if !bytes.Equal(stored, val) {
-			return false, fmt.Errorf("%w: logged row %x of %q is stored with other bytes", ErrCorrupt, pk, t.Name())
+			return false, fmt.Errorf("%w: logged row %x of %q is stored with other bytes", errCorrupt, pk, t.Name())
 		}
 		return false, nil
 	}
-	if !errors.Is(err, ErrKeyNotFound) {
+	if !errors.Is(err, errKeyNotFound) {
 		return false, err
 	}
 	row, err := t.decodeRow(pk, val)
@@ -309,7 +289,7 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 		return nil, err
 	}
 	val, err := t.primary.Get(pk)
-	if errors.Is(err, ErrKeyNotFound) {
+	if errors.Is(err, errKeyNotFound) {
 		return nil, fmt.Errorf("%w: %v", ErrRowNotFound, keyVals)
 	}
 	if err != nil {
@@ -329,7 +309,7 @@ func (t *Table) Has(pk []byte) (bool, error) {
 // table: one rightmost descent of the primary tree, O(height) pages, and no
 // row decoded.
 func (t *Table) LastKey() (key []byte, ok bool, err error) {
-	return t.primary.Last()
+	return t.primary.last()
 }
 
 // RowsDecoded returns the number of rows this table has decoded since it
@@ -344,7 +324,7 @@ func (t *Table) decodeRow(pk, val []byte) (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	vals, err := DecodeRow(t.valType, val)
+	vals, err := decodeRow(t.valType, val)
 	if err != nil {
 		return nil, err
 	}
@@ -361,25 +341,19 @@ func (t *Table) decodeRow(pk, val []byte) (Row, error) {
 // Scan calls fn for every row in primary-key order, stopping early if fn
 // returns false.
 func (t *Table) Scan(fn func(Row) bool) error {
-	return t.ScanKeyPrefix(nil, fn)
+	return t.scanKeyFrom(nil, nil, func(_ []byte, row Row) bool { return fn(row) })
 }
 
-// ScanKeyPrefix calls fn for every row whose encoded primary key begins
-// with prefix (as built by KeyPrefix), in key order.
-func (t *Table) ScanKeyPrefix(prefix []byte, fn func(Row) bool) error {
-	return t.ScanKeyFrom(prefix, prefix, func(_ []byte, row Row) bool { return fn(row) })
-}
-
-// ScanKeyFrom calls fn for every row whose encoded primary key is ≥ from
+// scanKeyFrom calls fn for every row whose encoded primary key is ≥ from
 // and begins with prefix (nil = the whole table; from must not sort before
 // prefix), in key order, until fn returns false. The walk stops on the
 // first key outside the prefix without decoding its row. fn receives the
 // encoded key along with the row, so a caller iterating in bounded chunks
 // can record where a chunk ended and resume strictly after it (key‖0x00 is
 // the immediate successor of key in bytewise order).
-func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
+func (t *Table) scanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bool) error {
 	var derr error
-	err := t.primary.ScanFrom(from, prefix, func(pk, val []byte) bool {
+	err := t.primary.scanFrom(from, prefix, func(pk, val []byte) bool {
 		row, err := t.decodeRow(pk, val)
 		if err != nil {
 			derr = err
@@ -393,7 +367,7 @@ func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bo
 	return err
 }
 
-// ScanEncodedFrom is ScanKeyFrom handing fn each row as stored — its encoded
+// ScanEncodedFrom is scanKeyFrom handing fn each row as stored — its encoded
 // primary key and its value — instead of a decoded Row. The value is the row
 // codec's encoding (see EncodeRow) of the columns outside the primary key,
 // in column order: an int as a zigzag varint, a string or bytes behind a
@@ -401,14 +375,14 @@ func (t *Table) ScanKeyFrom(from, prefix []byte, fn func(key []byte, row Row) bo
 // are valid until fn returns: a caller that decodes them itself pays for no
 // Row and no copy. Every row handed out counts in RowsDecoded.
 func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) bool) error {
-	return t.primary.ScanFrom(from, prefix, func(pk, val []byte) bool {
+	return t.primary.scanFrom(from, prefix, func(pk, val []byte) bool {
 		t.decoded.Add(1)
 		return fn(pk, val)
 	})
 }
 
 // ScanIndexEncodedFrom is ScanEncodedFrom over a secondary index (from and
-// prefix as built by IndexPrefix): fn sees each entry as stored — the
+// prefix are encoded index key fields): fn sees each entry as stored — the
 // encoded index key, whose fields are the index columns and then the
 // primary-key columns not among them, and the row's stored value (see
 // ScanEncodedFrom), which the entry carries. The primary tree is not read. key and val are
@@ -417,9 +391,9 @@ func (t *Table) ScanEncodedFrom(from, prefix []byte, fn func(pk, val []byte) boo
 func (t *Table) ScanIndexEncodedFrom(index string, from, prefix []byte, fn func(key, val []byte) bool) error {
 	ixi := t.findIndex(index)
 	if ixi < 0 {
-		return fmt.Errorf("%w: %q", ErrNoSuchIndex, index)
+		return fmt.Errorf("%w: %q", errNoSuchIndex, index)
 	}
-	return t.seconds[ixi].ScanFrom(from, prefix, func(key, val []byte) bool {
+	return t.seconds[ixi].scanFrom(from, prefix, func(key, val []byte) bool {
 		t.decoded.Add(1)
 		return fn(key, val)
 	})

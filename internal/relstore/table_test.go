@@ -12,6 +12,23 @@ import (
 	"testing/quick"
 )
 
+// keyPrefix encodes a partial primary key of t — its first len(vals) key
+// columns — for prefix scans.
+func keyPrefix(t *Table, vals ...Value) ([]byte, error) {
+	return EncodeKey(t.keyType, vals)
+}
+
+// indexPrefix encodes a partial key of t's index — values for its first
+// len(vals) fields, the index columns and then the primary-key columns not
+// among them — for prefix scans and seeks.
+func indexPrefix(t *Table, index string, vals ...Value) ([]byte, error) {
+	ixi := t.findIndex(index)
+	if ixi < 0 {
+		return nil, fmt.Errorf("%w: %q", errNoSuchIndex, index)
+	}
+	return EncodeKey(t.indexes[ixi].types, vals)
+}
+
 func provSchema() TableSchema {
 	return TableSchema{
 		Name: "prov",
@@ -105,7 +122,7 @@ func TestPathField(t *testing.T) {
 		if _, err := EncodeRow([]ColType{TPath}, Row{v}); (err == nil) != c.valid {
 			t.Errorf("EncodeRow of the path field %q: %v", c.v, err)
 		}
-		if _, err := DecodeRow([]ColType{TPath}, append([]byte{byte(len(v))}, v...)); (err == nil) != c.valid {
+		if _, err := decodeRow([]ColType{TPath}, append([]byte{byte(len(v))}, v...)); (err == nil) != c.valid {
 			t.Errorf("DecodeRow of the path field %q: %v", c.v, err)
 		}
 	}
@@ -130,7 +147,7 @@ func TestRowCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRow(types, enc)
+	dec, err := decodeRow(types, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +160,10 @@ func TestRowCodec(t *testing.T) {
 	if _, err := EncodeRow(types, Row{"x", "y", []byte{}}); err == nil {
 		t.Error("type mismatch should error")
 	}
-	if _, err := DecodeRow(types, append(enc, 0xFF)); err == nil {
+	if _, err := decodeRow(types, append(enc, 0xFF)); err == nil {
 		t.Error("trailing bytes should error")
 	}
-	if _, err := DecodeRow(types, enc[:3]); err == nil {
+	if _, err := decodeRow(types, enc[:3]); err == nil {
 		t.Error("truncated row should error")
 	}
 }
@@ -157,14 +174,14 @@ func TestTableCRUD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.CreateTable(provSchema()); !errors.Is(err, ErrTableExists) {
+	if _, err := db.CreateTable(provSchema()); !errors.Is(err, errTableExists) {
 		t.Errorf("duplicate table: %v", err)
 	}
 	row := Row{int64(121), []byte("T/c5"), "D", []byte{}}
 	if err := tbl.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Insert(Row{int64(121), []byte("T/c5"), "C", []byte("S1/a1")}); !errors.Is(err, ErrDupKey) {
+	if err := tbl.Insert(Row{int64(121), []byte("T/c5"), "C", []byte("S1/a1")}); !errors.Is(err, errDupKey) {
 		t.Errorf("duplicate pk: %v", err)
 	}
 	got, err := tbl.Get(int64(121), []byte("T/c5"))
@@ -194,12 +211,12 @@ func TestTableScans(t *testing.T) {
 		}
 	}
 	// Primary prefix scan: all rows of tid 2.
-	prefix, err := tbl.KeyPrefix(int64(2))
+	prefix, err := keyPrefix(tbl, int64(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	tbl.ScanKeyPrefix(prefix, func(r Row) bool {
+	tbl.scanKeyFrom(prefix, prefix, func(_ []byte, r Row) bool {
 		if r[0].(int64) != 2 {
 			t.Errorf("wrong tid in scan: %v", r)
 		}
@@ -210,7 +227,7 @@ func TestTableScans(t *testing.T) {
 		t.Errorf("prefix scan saw %d rows", count)
 	}
 	// Secondary index scan: all tids touching T/c1.
-	iprefix, err := tbl.IndexPrefix("by_loc", []byte("T/c1"))
+	iprefix, err := indexPrefix(tbl, "by_loc", []byte("T/c1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +250,7 @@ func TestTableScans(t *testing.T) {
 		t.Errorf("full scan saw %d", total)
 	}
 	// Unknown index errors.
-	if _, err := tbl.IndexPrefix("nope"); !errors.Is(err, ErrNoSuchIndex) {
-		t.Errorf("unknown index: %v", err)
-	}
-	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrNoSuchIndex) {
+	if err := tbl.ScanIndexEncodedFrom("nope", nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, errNoSuchIndex) {
 		t.Errorf("unknown index scan: %v", err)
 	}
 }
@@ -256,7 +270,7 @@ func TestSchemaValidation(t *testing.T) {
 			Indexes: []IndexDef{{Name: "ix", Columns: []string{"zz"}}}},
 	}
 	for i, s := range bad {
-		if _, err := db.CreateTable(s); !errors.Is(err, ErrBadSchema) {
+		if _, err := db.CreateTable(s); !errors.Is(err, errBadSchema) {
 			t.Errorf("schema %d: %v", i, err)
 		}
 	}
@@ -307,13 +321,13 @@ func TestDBPersistence(t *testing.T) {
 		t.Fatalf("row after reopen: %v, %v", got, err)
 	}
 	// Secondary index still works.
-	iprefix, _ := tbl2.IndexPrefix("by_loc", []byte("T/c0/x35"))
+	iprefix, _ := indexPrefix(tbl2, "by_loc", []byte("T/c0/x35"))
 	found := 0
 	tbl2.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(_, _ []byte) bool { found++; return true })
 	if found != 1 {
 		t.Errorf("index after reopen found %d", found)
 	}
-	if _, err := db2.Table("missing"); !errors.Is(err, ErrNoSuchTable) {
+	if _, err := db2.Table("missing"); !errors.Is(err, errNoSuchTable) {
 		t.Errorf("missing table: %v", err)
 	}
 }
@@ -334,7 +348,7 @@ func TestOpenRefusesUnreadableCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pager, err := OpenPager(path, false)
+	pager, err := OpenPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +360,7 @@ func TestOpenRefusesUnreadableCatalog(t *testing.T) {
 	if err := cat.Insert([]byte("{not json")); err != nil {
 		t.Fatal(err)
 	}
-	if err := bp.FlushGroup(); err != nil {
+	if err := bp.flushGroup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Close(); err != nil {
@@ -383,7 +397,7 @@ func TestDBSizeGrows(t *testing.T) {
 
 // TestTableRandomizedAgainstModel mirrors a randomized insert workload in a
 // map keyed by the primary key and verifies contents and secondary
-// consistency. A primary key drawn again must be refused with ErrDupKey and
+// consistency. A primary key drawn again must be refused with errDupKey and
 // leave the stored row, the index and the counters as they were.
 func TestTableRandomizedAgainstModel(t *testing.T) {
 	db := testDB(t)
@@ -422,7 +436,7 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 			model[k] = Row{k.tid, []byte(k.loc), "C", []byte(src)}
 			continue
 		}
-		if !errors.Is(err, ErrDupKey) {
+		if !errors.Is(err, errDupKey) {
 			t.Fatalf("insert of existing %v: %v", k, err)
 		}
 		if got, err := tbl.Get(k.tid, []byte(k.loc)); err != nil || string(got[3].([]byte)) != string(old[3].([]byte)) {
@@ -526,7 +540,7 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		return tbl.RowsDecoded() - before
 	}
 	indexRows := func(loc string) (rows int) {
-		prefix, err := tbl.IndexPrefix("by_loc", []byte(loc))
+		prefix, err := indexPrefix(tbl, "by_loc", []byte(loc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,11 +569,11 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		}
 	}
 	// Primary walk bounded to tid 20, resumed after its second row.
-	prefix, _ := tbl.KeyPrefix(int64(20))
-	from, _ := tbl.KeyPrefix(int64(20), []byte("T/c1"))
+	prefix, _ := keyPrefix(tbl, int64(20))
+	from, _ := keyPrefix(tbl, int64(20), []byte("T/c1"))
 	if n := decoded(func() {
 		rows := 0
-		tbl.ScanKeyFrom(append(from, 0), prefix, func([]byte, Row) bool { rows++; return true })
+		tbl.scanKeyFrom(append(from, 0), prefix, func([]byte, Row) bool { rows++; return true })
 		if rows != 2 {
 			t.Errorf("resumed key scan saw %d rows, want 2", rows)
 		}
@@ -571,12 +585,12 @@ func TestScanDecidesOnKeys(t *testing.T) {
 		if ok, err := tbl.Has(from); err != nil || !ok {
 			t.Errorf("Has(stored) = %v, %v", ok, err)
 		}
-		absent, _ := tbl.KeyPrefix(int64(20), []byte("T/nope"))
+		absent, _ := keyPrefix(tbl, int64(20), []byte("T/nope"))
 		if ok, err := tbl.Has(absent); err != nil || ok {
 			t.Errorf("Has(absent) = %v, %v", ok, err)
 		}
 		last, ok, err := tbl.LastKey()
-		want, _ := tbl.KeyPrefix(int64(tids*10), []byte("T/c3"))
+		want, _ := keyPrefix(tbl, int64(tids*10), []byte("T/c3"))
 		if err != nil || !ok || !bytes.Equal(last, want) {
 			t.Errorf("LastKey = %x, %v, %v; want %x", last, ok, err, want)
 		}

@@ -40,11 +40,11 @@ import (
 //	crc32   uint32  of the body
 //	body            PageSize-byte image  pager header ‖ uint32 page count rows
 //
-// A group record opens a page group (AppendGroup): the pager header as of
+// A group record opens a page group (appendGroup): the pager header as of
 // the commit and the number of page records that follow and belong to it.
 // A group missing any of its records is not replayed at all, and a page
 // record outside a group ends the usable log like any other damage. A rows
-// record (AppendRows) stands alone at top level; its body is each row in
+// record (appendRows) stands alone at top level; its body is each row in
 // turn as three uvarint-length-prefixed byte strings: the table's name, the
 // row's encoded primary key and its encoded value.
 type WAL struct {
@@ -71,9 +71,9 @@ const (
 	walKeepBuf = 64 * walPageSize
 )
 
-// ErrTornLog reports a truncated or corrupt trailing log record, which
+// errTornLog reports a truncated or corrupt trailing log record, which
 // replay treats as the end of the usable log.
-var ErrTornLog = errors.New("relstore: torn write-ahead log record")
+var errTornLog = errors.New("relstore: torn write-ahead log record")
 
 // CreateWAL creates (truncating) a log file.
 func CreateWAL(path string) (*WAL, error) {
@@ -94,7 +94,7 @@ func OpenWAL(path string) (*WAL, error) {
 	w := &WAL{f: f, path: path}
 	// Find the end of the intact prefix and the newest LSN.
 	end, maxLSN, err := w.scan(math.MaxInt64, nil)
-	if err != nil && !errors.Is(err, ErrTornLog) {
+	if err != nil && !errors.Is(err, errTornLog) {
 		f.Close()
 		return nil, err
 	}
@@ -106,10 +106,10 @@ func OpenWAL(path string) (*WAL, error) {
 	return w, nil
 }
 
-// AppendGroup logs a commit — the pager header and a batch of page images —
+// appendGroup logs a commit — the pager header and a batch of page images —
 // with one write and one fsync: however many records (or whole
 // transactions) dirtied these pages, that is all the log pays.
-func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
+func (w *WAL) appendGroup(pgs []*page, header [storeHeaderSize]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var count [4]byte
@@ -122,9 +122,9 @@ func (w *WAL) AppendGroup(pgs []*Page, header [storeHeaderSize]byte) error {
 	return w.commit(buf)
 }
 
-// AppendRows logs a commit as the rows it stored — body is the rows record's
+// appendRows logs a commit as the rows it stored — body is the rows record's
 // body, see WAL — with one write and one fsync.
-func (w *WAL) AppendRows(body []byte) error {
+func (w *WAL) appendRows(body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.commit(w.appendRecord(w.buf[:0], walRowsMagic, PageID(len(body)), body))
@@ -168,7 +168,7 @@ func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) 
 // valid until visit returns. scan returns the offset after the last whole
 // record or group and the newest LSN seen. A torn tail, which includes a
 // group missing any of its records and a page record no group counts, yields
-// ErrTornLog with the prefix results intact. Records are visited as they are
+// errTornLog with the prefix results intact. Records are visited as they are
 // read, so a caller that must not see part of a group passes a limit some
 // earlier scan returned.
 func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte) error) (end int64, maxLSN uint64, err error) {
@@ -189,7 +189,7 @@ func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte)
 			if errors.Is(err, io.EOF) && pending == 0 {
 				return end, maxLSN, nil
 			}
-			return end, maxLSN, ErrTornLog
+			return end, maxLSN, errTornLog
 		}
 		magic, id, b := binary.BigEndian.Uint32(prefix[0:]), PageID(binary.BigEndian.Uint32(prefix[12:])), body[:PageSize]
 		switch {
@@ -202,10 +202,10 @@ func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte)
 			}
 			b = body[:id]
 		default:
-			return end, maxLSN, ErrTornLog
+			return end, maxLSN, errTornLog
 		}
 		if _, err := io.ReadFull(r, b); err != nil || crc32.ChecksumIEEE(b) != binary.BigEndian.Uint32(prefix[16:]) {
-			return end, maxLSN, ErrTornLog
+			return end, maxLSN, errTornLog
 		}
 		maxLSN = max(maxLSN, binary.BigEndian.Uint64(prefix[4:]))
 		pos += walHeaderSize + int64(len(b))
@@ -226,18 +226,12 @@ func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte)
 	}
 }
 
-// Replay applies every logged page image in order, and every group's pager
+// replay applies every logged page image in order, and every group's pager
 // header as a storeHeaderSize-byte image of page 0. It reads the extent
 // OpenWAL found intact plus what has been appended since, so it never
-// applies part of a group. It returns the number of page images applied.
-// Rows records are not Replay's: RecoverPager redoes them.
-func (w *WAL) Replay(apply func(id PageID, image []byte) error) (int, error) {
-	n, _, err := w.replay(apply)
-	return n, err
-}
-
-// replay is Replay that also returns, in log order, the bodies of the rows
-// records logged after the last group — the commits no page image holds.
+// applies part of a group. It returns the number of page images applied
+// and, in log order, the bodies of the rows records logged after the last
+// group — the commits no page image holds, which RecoverPager redoes.
 func (w *WAL) replay(apply func(id PageID, image []byte) error) (n int, rows [][]byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -253,7 +247,7 @@ func (w *WAL) replay(apply func(id PageID, image []byte) error) (n int, rows [][
 		}
 		return apply(id, body)
 	})
-	if err != nil && !errors.Is(err, ErrTornLog) {
+	if err != nil && !errors.Is(err, errTornLog) {
 		return n, rows, err
 	}
 	return n, rows, nil
@@ -263,7 +257,7 @@ func (w *WAL) replay(apply func(id PageID, image []byte) error) (n int, rows [][
 // fsynced data file). The truncation is not itself fsynced — the next
 // group's fsync covers it; a crash before that may bring the old log back,
 // and replaying it over a data file that holds all of it changes nothing.
-func (w *WAL) Truncate() error {
+func (w *WAL) truncate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
@@ -303,8 +297,8 @@ func (p *Pager) AttachWAL(w *WAL) {
 	p.mu.Unlock()
 }
 
-// HasWAL reports whether a write-ahead log is attached.
-func (p *Pager) HasWAL() bool {
+// hasWAL reports whether a write-ahead log is attached.
+func (p *Pager) hasWAL() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.wal != nil
@@ -315,32 +309,29 @@ func (p *Pager) HasWAL() bool {
 // (making every logged record redundant) and truncates the log.
 const walCheckpointBytes = 4 << 20
 
-// WriteGroup seals and persists a batch of pages as one group commit. With
+// writeGroup seals and persists a batch of pages as one group commit. With
 // a log attached, the images and the pager header reach the log with one
-// write and one fsync (AppendGroup) — the group is durable from then on —
+// write and one fsync (appendGroup) — the group is durable from then on —
 // and are then written to the data file, which is not fsynced: until the
 // next checkpoint the log is what a crash recovers the group from. With no
 // log attached these are plain writes, a single evicted page included; the
 // caller is then responsible for syncing the data file.
-func (p *Pager) WriteGroup(pgs []*Page) error {
+func (p *Pager) writeGroup(pgs []*page) error {
 	if len(pgs) == 0 {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.readOnly {
-		return ErrReadOnly
-	}
 	for _, pg := range pgs {
-		if pg.ID == InvalidPage || pg.ID >= p.pages {
-			return fmt.Errorf("%w: %d (have %d)", ErrOutOfRange, pg.ID, p.pages)
+		if pg.ID == invalidPage || pg.ID >= p.pages {
+			return fmt.Errorf("%w: %d (have %d)", errOutOfRange, pg.ID, p.pages)
 		}
 	}
 	if p.wal == nil {
 		for _, pg := range pgs {
 			pg.seal()
 		}
-	} else if err := p.wal.AppendGroup(pgs, p.header()); err != nil { // seals them
+	} else if err := p.wal.appendGroup(pgs, p.header()); err != nil { // seals them
 		return fmt.Errorf("relstore: logging page group: %w", err)
 	}
 	for _, pg := range pgs {
@@ -353,14 +344,14 @@ func (p *Pager) WriteGroup(pgs []*Page) error {
 
 // Checkpoint fsyncs the data file and then truncates the attached log,
 // whose every record is redundant from that moment.
-func (p *Pager) Checkpoint() error {
+func (p *Pager) checkpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.syncLocked(); err != nil || p.wal == nil {
 		return err
 	}
 	p.checkpoints++
-	return p.wal.Truncate()
+	return p.wal.truncate()
 }
 
 // IOStats counts the durability work done since the pager was opened:
@@ -393,10 +384,10 @@ func (p *Pager) IOStats() IOStats {
 //
 // Redo is idempotent: a logged row that is stored with the same bytes is
 // skipped, so a log that comes back after a finished recovery changes
-// nothing. A row stored with other bytes fails recovery with ErrCorrupt, and
+// nothing. A row stored with other bytes fails recovery with errCorrupt, and
 // nothing of the redo is written.
 //
-// A store of another format version is refused with ErrFormatVersion before
+// A store of another format version is refused with errFormatVersion before
 // either file is touched: its log is not this build's to replay. A page 0
 // that holds no header at all is left to the log, which has every header
 // since the last checkpoint.
@@ -408,7 +399,7 @@ func RecoverPager(storePath, walPath string) (int, error) {
 	defer f.Close()
 	var hdr [storeHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err == nil {
-		if err := checkFormat(hdr[:]); errors.Is(err, ErrFormatVersion) {
+		if err := checkFormat(hdr[:]); errors.Is(err, errFormatVersion) {
 			return 0, err
 		}
 	}
@@ -428,7 +419,7 @@ func RecoverPager(storePath, walPath string) (int, error) {
 		return n, err
 	}
 	if len(rows) == 0 {
-		return n, w.Truncate()
+		return n, w.truncate()
 	}
 	redone, err := redo(storePath, w, rows)
 	if err != nil {

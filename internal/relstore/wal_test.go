@@ -15,13 +15,13 @@ import (
 // holding its id as a cell, under a header whose first byte is the first id.
 func logGroup(t *testing.T, w *WAL, ids ...PageID) {
 	t.Helper()
-	var pgs []*Page
+	var pgs []*page
 	for _, id := range ids {
-		pg := NewPage(id, KindHeap)
+		pg := newPage(id, kindHeap)
 		pg.InsertCell([]byte(fmt.Sprintf("payload-%d", id)))
 		pgs = append(pgs, pg)
 	}
-	if err := w.AppendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
+	if err := w.appendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -30,9 +30,9 @@ func logGroup(t *testing.T, w *WAL, ids ...PageID) {
 // included.
 func replayedIDs(t *testing.T, w *WAL) (ids []PageID, pages int) {
 	t.Helper()
-	pages, err := w.Replay(func(id PageID, image []byte) error {
+	pages, _, err := w.replay(func(id PageID, image []byte) error {
 		ids = append(ids, id)
-		if id != InvalidPage && len(image) != PageSize {
+		if id != invalidPage && len(image) != PageSize {
 			t.Errorf("page %d replayed with an image of %d bytes", id, len(image))
 		}
 		return nil
@@ -61,7 +61,7 @@ func TestWALAppendReplay(t *testing.T) {
 		t.Errorf("after append: %d page records", n)
 	}
 	// Truncate checkpoints.
-	if err := w.Truncate(); err != nil {
+	if err := w.truncate(); err != nil {
 		t.Fatal(err)
 	}
 	if _, n := replayedIDs(t, w); n != 0 {
@@ -136,7 +136,7 @@ func TestWALPageRecordOutsideGroup(t *testing.T) {
 	logGroup(t, w, 1)
 	first := w.Size()
 	w.Close()
-	stolen := NewPage(7, KindHeap)
+	stolen := newPage(7, kindHeap)
 	stolen.seal()
 	rec := binary.BigEndian.AppendUint32(nil, walMagic)
 	rec = binary.BigEndian.AppendUint64(rec, 3)
@@ -194,7 +194,7 @@ func TestCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%100 == 99 {
-			if err := bp.FlushGroup(); err != nil {
+			if err := bp.flushGroup(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,9 +227,9 @@ func TestCrashRecovery(t *testing.T) {
 	f.Close()
 
 	// Without recovery, reads fail the checksum.
-	p2, err := OpenPager(storePath, false)
+	p2, err := OpenPager(storePath)
 	if err == nil {
-		_, rerr := p2.Read(1)
+		_, rerr := p2.read(1)
 		p2.Close()
 		if rerr == nil {
 			t.Fatal("scribbled page read without error")
@@ -244,7 +244,7 @@ func TestCrashRecovery(t *testing.T) {
 	if repaired == 0 {
 		t.Fatal("nothing repaired")
 	}
-	pager3, err := OpenPager(storePath, false)
+	pager3, err := OpenPager(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Recovery truncated the log (checkpoint).
 	w3, _ := OpenWAL(walPath)
 	defer w3.Close()
-	if cnt, _ := w3.Replay(func(PageID, []byte) error { return nil }); cnt != 0 {
+	if cnt, _, _ := w3.replay(func(PageID, []byte) error { return nil }); cnt != 0 {
 		t.Errorf("log not truncated after recovery: %d records", cnt)
 	}
 }
@@ -275,17 +275,17 @@ func TestWALAppendGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pgs []*Page
+	var pgs []*page
 	for i := 1; i <= 5; i++ {
-		pg := NewPage(PageID(i), KindHeap)
+		pg := newPage(PageID(i), kindHeap)
 		pg.InsertCell([]byte(fmt.Sprintf("grouped-%d", i)))
 		pgs = append(pgs, pg)
 	}
 	hdr := [storeHeaderSize]byte{0xC9, 0xDB}
-	if err := w.AppendGroup(pgs, hdr); err != nil {
+	if err := w.appendGroup(pgs, hdr); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendGroup(nil, hdr); err != nil {
+	if err := w.appendGroup(nil, hdr); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -296,7 +296,7 @@ func TestWALAppendGroup(t *testing.T) {
 	}
 	defer w2.Close()
 	var got []PageID
-	n, err := w2.Replay(func(id PageID, image []byte) error {
+	n, _, err := w2.replay(func(id PageID, image []byte) error {
 		got = append(got, id)
 		if id == 0 && !bytes.Equal(image, hdr[:]) {
 			t.Errorf("replayed header = %x, want %x", image, hdr)
@@ -332,30 +332,30 @@ func TestPagerWriteGroup(t *testing.T) {
 	}
 	defer w.Close()
 	pager.AttachWAL(w)
-	if !pager.HasWAL() {
+	if !pager.hasWAL() {
 		t.Fatal("HasWAL = false after attach")
 	}
 	emptyStore, err := os.ReadFile(storePath) // header only, 1 page
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pgs []*Page
+	var pgs []*page
 	for i := 0; i < 3; i++ {
-		pg, err := pager.Alloc(KindHeap)
+		pg, err := pager.alloc(kindHeap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pg.InsertCell([]byte(fmt.Sprintf("wg-%d", i)))
 		pgs = append(pgs, pg)
 	}
-	if err := pager.WriteGroup(pgs); err != nil {
+	if err := pager.writeGroup(pgs); err != nil {
 		t.Fatal(err)
 	}
 	if st := pager.IOStats(); st.WALFsyncs != 1 || st.DataFsyncs != 0 || st.WALBytes != walGroupSize+3*walPageSize {
 		t.Errorf("one group cost %+v; want 1 log fsync, 0 data fsyncs, %d log bytes", st, walGroupSize+3*walPageSize)
 	}
 	for _, pg := range pgs {
-		got, err := pager.Read(pg.ID)
+		got, err := pager.read(pg.ID)
 		if err != nil {
 			t.Fatalf("read back page %d: %v", pg.ID, err)
 		}
@@ -363,11 +363,11 @@ func TestPagerWriteGroup(t *testing.T) {
 			t.Errorf("page %d slots = %d", pg.ID, got.NumSlots())
 		}
 	}
-	if n, err := w.Replay(func(PageID, []byte) error { return nil }); err != nil || n != 3 {
+	if n, _, err := w.replay(func(PageID, []byte) error { return nil }); err != nil || n != 3 {
 		t.Errorf("log has %d page records, %v; want 3", n, err)
 	}
-	bad := NewPage(PageID(999), KindHeap)
-	if err := pager.WriteGroup([]*Page{bad}); !errors.Is(err, ErrOutOfRange) {
+	bad := newPage(PageID(999), kindHeap)
+	if err := pager.writeGroup([]*page{bad}); !errors.Is(err, errOutOfRange) {
 		t.Errorf("out-of-range group write: %v", err)
 	}
 	if got := w.Size(); got != walGroupSize+3*walPageSize {
@@ -384,7 +384,7 @@ func TestPagerWriteGroup(t *testing.T) {
 	if n, err := RecoverPager(crashed, crashed+".wal"); err != nil || n != 3 {
 		t.Fatalf("RecoverPager = %d, %v; want 3 pages", n, err)
 	}
-	rec, err := OpenPager(crashed, true)
+	rec, err := OpenPager(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestPagerWriteGroup(t *testing.T) {
 		t.Errorf("recovered NumPages = %d, want 4", rec.NumPages())
 	}
 	for _, pg := range pgs {
-		if got, err := rec.Read(pg.ID); err != nil || got.NumSlots() != 1 {
+		if got, err := rec.read(pg.ID); err != nil || got.NumSlots() != 1 {
 			t.Errorf("recovered page %d: %v", pg.ID, err)
 		}
 	}
@@ -437,10 +437,10 @@ func TestBufferPoolFlushGroup(t *testing.T) {
 			}
 		}
 		before := pager.IOStats()
-		if err := bp.FlushGroup(); err != nil {
+		if err := bp.flushGroup(); err != nil {
 			t.Fatal(err)
 		}
-		if err := bp.FlushGroup(); err != nil { // nothing dirty: no-op
+		if err := bp.flushGroup(); err != nil { // nothing dirty: no-op
 			t.Fatal(err)
 		}
 		after := pager.IOStats()
@@ -462,7 +462,7 @@ func TestBufferPoolFlushGroup(t *testing.T) {
 // over its capacity instead, and a crash there recovers the store as of the
 // last commit. The commit logs the pages as one group, and the first admit
 // after it brings the pool back under its capacity. Every frame pinned is
-// ErrPoolExhausted, with a log or without.
+// errPoolExhausted, with a log or without.
 func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	const capacity = 16
 	dir := t.TempDir()
@@ -499,7 +499,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	}
 	const committed, total = 200, 2200
 	put(0, committed)
-	if err := bp.FlushGroup(); err != nil {
+	if err := bp.flushGroup(); err != nil {
 		t.Fatal(err)
 	}
 	root, pagesBefore := bt.Root(), pager.NumPages()
@@ -527,7 +527,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	if _, err := RecoverPager(crashed, crashed+".wal"); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenPager(crashed, true)
+	cp, err := OpenPager(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	}
 
 	before := pager.IOStats()
-	if err := bp.FlushGroup(); err != nil {
+	if err := bp.flushGroup(); err != nil {
 		t.Fatal(err)
 	}
 	after := pager.IOStats()
@@ -553,11 +553,11 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	}
 	// Every page is still resident, so no read misses; the first admit is an
 	// allocation.
-	pg, err := bp.Alloc(KindHeap)
+	pg, err := bp.alloc(kindHeap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp.Unpin(pg.ID, true)
+	bp.unpin(pg.ID, true)
 	if got := resident(); got > capacity {
 		t.Errorf("%d frames resident after the commit and one admit, want at most %d", got, capacity)
 	}
@@ -573,21 +573,21 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 		}
 		pinned := NewBufferPool(p, 8)
 		for i := 0; i < 9; i++ {
-			pg, err := pinned.Alloc(KindHeap)
+			pg, err := pinned.alloc(kindHeap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pinned.Unpin(pg.ID, true)
+			pinned.unpin(pg.ID, true)
 		}
-		if err := pinned.FlushGroup(); err != nil {
+		if err := pinned.flushGroup(); err != nil {
 			t.Fatal(err)
 		}
 		for id := PageID(1); id <= 8; id++ {
-			if _, err := pinned.Fetch(id); err != nil {
+			if _, err := pinned.fetch(id); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := pinned.Alloc(KindHeap); !errors.Is(err, ErrPoolExhausted) {
+		if _, err := pinned.alloc(kindHeap); !errors.Is(err, errPoolExhausted) {
 			t.Errorf("logged=%v: ninth pin in a pool of eight: %v, want ErrPoolExhausted", logged, err)
 		}
 	}
@@ -613,11 +613,11 @@ func TestWALGroupIsAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := func(ids ...PageID) {
-		var pgs []*Page
+		var pgs []*page
 		for _, id := range ids {
-			pgs = append(pgs, NewPage(id, KindHeap))
+			pgs = append(pgs, newPage(id, kindHeap))
 		}
-		if err := w.AppendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
+		if err := w.appendGroup(pgs, [storeHeaderSize]byte{byte(ids[0])}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -646,7 +646,7 @@ func TestWALGroupIsAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []PageID
-		if _, err := w2.Replay(func(id PageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
+		if _, _, err := w2.replay(func(id PageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != "[0 1 2]" {
@@ -666,10 +666,10 @@ func TestWALAppendGroupAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	pgs := []*Page{NewPage(1, KindHeap), NewPage(2, KindHeap), NewPage(3, KindHeap)}
+	pgs := []*page{newPage(1, kindHeap), newPage(2, kindHeap), newPage(3, kindHeap)}
 	var hdr [storeHeaderSize]byte
 	if n := testing.AllocsPerRun(20, func() {
-		if err := w.AppendGroup(pgs, hdr); err != nil {
+		if err := w.appendGroup(pgs, hdr); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -685,7 +685,7 @@ func TestPagerCheckpoint(t *testing.T) {
 	}
 	defer pager.Close()
 	// Checkpoint without a WAL is a no-op.
-	if err := pager.Checkpoint(); err != nil {
+	if err := pager.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	w, err := CreateWAL(filepath.Join(dir, "s.wal"))
@@ -694,15 +694,15 @@ func TestPagerCheckpoint(t *testing.T) {
 	}
 	defer w.Close()
 	pager.AttachWAL(w)
-	pg, _ := pager.Alloc(KindHeap)
+	pg, _ := pager.alloc(kindHeap)
 	pg.InsertCell([]byte("x"))
-	if err := pager.WriteGroup([]*Page{pg}); err != nil {
+	if err := pager.writeGroup([]*page{pg}); err != nil {
 		t.Fatal(err)
 	}
 	if sz := w.Size(); sz == 0 {
 		t.Fatal("write not logged")
 	}
-	if err := pager.Checkpoint(); err != nil {
+	if err := pager.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if sz := w.Size(); sz != 0 {
@@ -714,8 +714,8 @@ func TestOpenWALMissingDir(t *testing.T) {
 	if _, err := OpenWAL(filepath.Join(t.TempDir(), "no", "dir", "log")); err == nil {
 		t.Error("missing directory should error")
 	}
-	var torn error = ErrTornLog
-	if !errors.Is(torn, ErrTornLog) {
+	var torn error = errTornLog
+	if !errors.Is(torn, errTornLog) {
 		t.Error("sentinel identity")
 	}
 }

@@ -14,15 +14,15 @@ type M map[string]any
 // input (duplicate labels are impossible in a map; invalid labels and
 // unsupported value types panic), making it suitable for fixtures only.
 func Build(m M) *Node {
-	n, err := TryBuild(m)
+	n, err := tryBuild(m)
 	if err != nil {
 		panic(err)
 	}
 	return n
 }
 
-// TryBuild is Build with an error return instead of panicking.
-func TryBuild(m M) (*Node, error) {
+// tryBuild is Build with an error return instead of panicking.
+func tryBuild(m M) (*Node, error) {
 	n := NewTree()
 	for label, v := range m {
 		child, err := buildValue(v)
@@ -45,7 +45,7 @@ func buildValue(v any) (*Node, error) {
 	case int:
 		return NewLeaf(fmt.Sprint(v)), nil
 	case M:
-		return TryBuild(v)
+		return tryBuild(v)
 	case *Node:
 		return v.Clone(), nil
 	default:

@@ -87,8 +87,8 @@ const (
 	kindLeaf     = 1
 )
 
-// AppendBinary appends the canonical binary encoding of n to buf.
-func (n *Node) AppendBinary(buf []byte) []byte {
+// appendBinary appends the canonical binary encoding of n to buf.
+func (n *Node) appendBinary(buf []byte) []byte {
 	if n.leaf {
 		buf = append(buf, kindLeaf)
 		buf = binary.AppendUvarint(buf, uint64(len(n.value)))
@@ -100,7 +100,7 @@ func (n *Node) AppendBinary(buf []byte) []byte {
 	for _, l := range labels {
 		buf = binary.AppendUvarint(buf, uint64(len(l)))
 		buf = append(buf, l...)
-		buf = n.children[l].AppendBinary(buf)
+		buf = n.children[l].appendBinary(buf)
 	}
 	return buf
 }
@@ -127,16 +127,8 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// DecodeBinary decodes one node from the front of buf, returning the node
-// and bytes consumed.
-func DecodeBinary(buf []byte) (*Node, int, error) {
-	n, rest, err := decodeBinary(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	return n, len(buf) - len(rest), nil
-}
-
+// decodeBinary decodes one node from the front of buf, returning the node
+// and the bytes after it.
 func decodeBinary(buf []byte) (*Node, []byte, error) {
 	if len(buf) == 0 {
 		return nil, nil, io.ErrUnexpectedEOF
@@ -192,7 +184,7 @@ func decodeString(buf []byte) (string, []byte, error) {
 // WriteBinary writes the canonical binary encoding of n to w.
 func (n *Node) WriteBinary(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(n.AppendBinary(nil)); err != nil {
+	if _, err := bw.Write(n.appendBinary(nil)); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -205,12 +197,12 @@ func ReadBinary(r io.Reader) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, used, err := DecodeBinary(data)
+	n, rest, err := decodeBinary(data)
 	if err != nil {
 		return nil, err
 	}
-	if used != len(data) {
-		return nil, fmt.Errorf("tree: %d trailing bytes after node", len(data)-used)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("tree: %d trailing bytes after node", len(rest))
 	}
 	return n, nil
 }

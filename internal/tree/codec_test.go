@@ -56,13 +56,13 @@ func TestXMLErrors(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	n := Build(M{"a1": M{"x": 1, "y": 2}, "a2": M{"x": 3}, "e": nil})
-	enc := n.AppendBinary(nil)
+	enc := n.appendBinary(nil)
 	if len(enc) != n.EncodedSize() {
 		t.Errorf("EncodedSize = %d, actual %d", n.EncodedSize(), len(enc))
 	}
-	m, used, err := DecodeBinary(enc)
-	if err != nil || used != len(enc) {
-		t.Fatalf("DecodeBinary: used=%d err=%v", used, err)
+	m, rest, err := decodeBinary(enc)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decodeBinary: %d bytes left, err=%v", len(rest), err)
 	}
 	if !m.Equal(n) {
 		t.Error("binary round trip failed")
@@ -78,22 +78,22 @@ func TestBinaryCanonical(t *testing.T) {
 	b := NewTree()
 	b.AddChild("y", NewLeaf("2"))
 	b.AddChild("x", NewLeaf("1"))
-	if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+	if !bytes.Equal(a.appendBinary(nil), b.appendBinary(nil)) {
 		t.Error("binary encoding not canonical")
 	}
 }
 
 func TestBinaryErrors(t *testing.T) {
-	if _, _, err := DecodeBinary(nil); err == nil {
+	if _, _, err := decodeBinary(nil); err == nil {
 		t.Error("empty buffer should error")
 	}
-	if _, _, err := DecodeBinary([]byte{0x99}); err == nil {
+	if _, _, err := decodeBinary([]byte{0x99}); err == nil {
 		t.Error("bad kind should error")
 	}
-	if _, _, err := DecodeBinary([]byte{kindLeaf, 0x05, 'a'}); err == nil {
+	if _, _, err := decodeBinary([]byte{kindLeaf, 0x05, 'a'}); err == nil {
 		t.Error("truncated leaf should error")
 	}
-	if _, _, err := DecodeBinary([]byte{kindInterior, 0x01, 0x01, 'a'}); err == nil {
+	if _, _, err := decodeBinary([]byte{kindInterior, 0x01, 0x01, 'a'}); err == nil {
 		t.Error("truncated interior should error")
 	}
 }
@@ -121,12 +121,12 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := randomTree(r, 5)
-		enc := n.AppendBinary(nil)
+		enc := n.appendBinary(nil)
 		if len(enc) != n.EncodedSize() {
 			return false
 		}
-		m, used, err := DecodeBinary(enc)
-		return err == nil && used == len(enc) && m.Equal(n)
+		m, rest, err := decodeBinary(enc)
+		return err == nil && len(rest) == 0 && m.Equal(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -150,14 +150,14 @@ func TestQuickXMLRoundTrip(t *testing.T) {
 }
 
 func TestTryBuildErrors(t *testing.T) {
-	if _, err := TryBuild(M{"a": 3.14}); err == nil {
+	if _, err := tryBuild(M{"a": 3.14}); err == nil {
 		t.Error("unsupported literal type should error")
 	}
-	if _, err := TryBuild(M{"bad/label": 1}); err == nil {
+	if _, err := tryBuild(M{"bad/label": 1}); err == nil {
 		t.Error("invalid label should error")
 	}
 	// Nested error propagates.
-	if _, err := TryBuild(M{"a": M{"b": []int{1}}}); err == nil {
+	if _, err := tryBuild(M{"a": M{"b": []int{1}}}); err == nil {
 		t.Error("nested unsupported type should error")
 	}
 }

@@ -48,7 +48,7 @@ func (f *Forest) Get(p path.Path) (*Node, error) {
 	if n == nil {
 		// The error speaks in database-relative paths, as root.Get would.
 		rel, _ := p.TrimPrefix(p.Prefix(1))
-		return nil, &NoSuchPathError{Path: rel, MissingAt: rel.Prefix(i)}
+		return nil, &noSuchPathError{Path: rel, MissingAt: rel.Prefix(i)}
 	}
 	return n, nil
 }

@@ -26,8 +26,8 @@ var (
 	ErrNoSuchPath   = errors.New("tree: no such path")
 	ErrDupEdge      = errors.New("tree: duplicate edge label")
 	ErrNoSuchEdge   = errors.New("tree: no such edge")
-	ErrLeafChild    = errors.New("tree: leaf nodes cannot have children")
-	ErrValueOnInner = errors.New("tree: interior nodes cannot carry a value")
+	errLeafChild    = errors.New("tree: leaf nodes cannot have children")
+	errValueOnInner = errors.New("tree: interior nodes cannot carry a value")
 )
 
 // A Node is a node of an unordered edge-labelled tree. A Node is either a
@@ -60,10 +60,10 @@ func (n *Node) Value() string {
 }
 
 // SetValue turns an empty interior node or leaf into a leaf with value v.
-// It returns ErrValueOnInner if n has children.
+// It returns errValueOnInner if n has children.
 func (n *Node) SetValue(v string) error {
 	if len(n.children) > 0 {
-		return ErrValueOnInner
+		return errValueOnInner
 	}
 	n.leaf = true
 	n.value = v
@@ -99,11 +99,11 @@ func (n *Node) Labels() []string {
 }
 
 // AddChild inserts the edge {label: child}, implementing t ⊎ {a:v}. It
-// returns ErrDupEdge if the label is already present and ErrLeafChild if n
+// returns ErrDupEdge if the label is already present and errLeafChild if n
 // is a leaf.
 func (n *Node) AddChild(label string, child *Node) error {
 	if n.leaf {
-		return fmt.Errorf("%w (adding %q)", ErrLeafChild, label)
+		return fmt.Errorf("%w (adding %q)", errLeafChild, label)
 	}
 	if !path.ValidLabel(label) {
 		return fmt.Errorf("tree: invalid edge label %q", label)
@@ -119,11 +119,11 @@ func (n *Node) AddChild(label string, child *Node) error {
 }
 
 // SetChild inserts or replaces the edge {label: child}. It is used by the
-// copy operation t[p := t'], which overwrites. It returns ErrLeafChild if n
+// copy operation t[p := t'], which overwrites. It returns errLeafChild if n
 // is a leaf.
 func (n *Node) SetChild(label string, child *Node) error {
 	if n.leaf {
-		return fmt.Errorf("%w (setting %q)", ErrLeafChild, label)
+		return fmt.Errorf("%w (setting %q)", errLeafChild, label)
 	}
 	if !path.ValidLabel(label) {
 		return fmt.Errorf("tree: invalid edge label %q", label)
@@ -145,20 +145,20 @@ func (n *Node) RemoveChild(label string) error {
 	return nil
 }
 
-// A NoSuchPathError is the ErrNoSuchPath of a failed Get: Path was asked
+// A noSuchPathError is the ErrNoSuchPath of a failed Get: Path was asked
 // for, and MissingAt is its shortest prefix that does not exist. The message
 // is rendered only when somebody reads it — a miss is the normal answer to
 // "does the target exist yet?", asked before every insert and copy.
-type NoSuchPathError struct {
+type noSuchPathError struct {
 	Path, MissingAt path.Path
 }
 
-func (e *NoSuchPathError) Error() string {
+func (e *noSuchPathError) Error() string {
 	return fmt.Sprintf("%v: %q (missing at %q)", ErrNoSuchPath, e.Path, e.MissingAt)
 }
 
 // Unwrap makes errors.Is(err, ErrNoSuchPath) hold.
-func (e *NoSuchPathError) Unwrap() error { return ErrNoSuchPath }
+func (e *noSuchPathError) Unwrap() error { return ErrNoSuchPath }
 
 // descend follows the labels p[from:] down from n and returns the node reached,
 // or nil and the index of the first label with no edge.
@@ -175,11 +175,11 @@ func (n *Node) descend(p path.Path, from int) (*Node, int) {
 }
 
 // Get returns the node at the relative path p under n (t.p in the paper),
-// or a *NoSuchPathError (which is an ErrNoSuchPath).
+// or a *noSuchPathError (which is an ErrNoSuchPath).
 func (n *Node) Get(p path.Path) (*Node, error) {
 	cur, i := n.descend(p, 0)
 	if cur == nil {
-		return nil, &NoSuchPathError{Path: p, MissingAt: p.Prefix(i + 1)}
+		return nil, &noSuchPathError{Path: p, MissingAt: p.Prefix(i + 1)}
 	}
 	return cur, nil
 }
@@ -249,30 +249,6 @@ func (n *Node) walk(rel path.Path, fn func(path.Path, *Node) error) error {
 		}
 	}
 	return nil
-}
-
-// Paths returns the relative paths of every node in the subtree rooted at n,
-// including the root (as the empty path), in deterministic pre-order.
-func (n *Node) Paths() []path.Path {
-	var out []path.Path
-	n.Walk(func(rel path.Path, _ *Node) error {
-		out = append(out, rel)
-		return nil
-	})
-	return out
-}
-
-// Leaves returns the relative path and value of every leaf under n in
-// deterministic pre-order.
-func (n *Node) Leaves() map[string]string {
-	out := make(map[string]string)
-	n.Walk(func(rel path.Path, node *Node) error {
-		if node.IsLeaf() {
-			out[rel.String()] = node.Value()
-		}
-		return nil
-	})
-	return out
 }
 
 // String renders the tree in the paper's brace notation, with children in

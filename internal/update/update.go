@@ -19,7 +19,7 @@ import (
 
 // Errors returned by update application.
 var (
-	ErrBadOp       = errors.New("update: malformed operation")
+	errBadOp       = errors.New("update: malformed operation")
 	ErrParse       = errors.New("update: parse error")
 	ErrRootTarget  = errors.New("update: operation must address a node inside a database")
 	ErrCopyMissing = errors.New("update: copy destination parent missing")
@@ -81,13 +81,13 @@ type Effect struct {
 	// Copied lists (dst, src) location pairs, one per node of the copied
 	// subtree, dst under the copy destination and src under the copy
 	// source. Copied[0] is always the pair of subtree roots.
-	Copied []CopyPair
+	Copied []copyPair
 	// Overwritten reports whether a Copy replaced an existing subtree.
 	Overwritten bool
 }
 
-// CopyPair relates one copied node location to its source location.
-type CopyPair struct {
+// copyPair relates one copied node location to its source location.
+type copyPair struct {
 	Dst path.Path
 	Src path.Path
 }
@@ -112,7 +112,7 @@ func (op Insert) target() (path.Path, error) {
 func (op Insert) Apply(f *tree.Forest) error {
 	v := op.value()
 	if !v.IsLeaf() && v.NumChildren() > 0 {
-		return fmt.Errorf("%w: insert value must be a data value or the empty tree", ErrBadOp)
+		return fmt.Errorf("%w: insert value must be a data value or the empty tree", errBadOp)
 	}
 	parent, err := f.Get(op.Into)
 	if err != nil {
@@ -199,7 +199,7 @@ func (op Copy) Apply(f *tree.Forest) error {
 	return parent.SetChild(op.Dst.Base(), src.Clone())
 }
 
-// Effect implements Op: one CopyPair per node of the copied subtree, plus
+// Effect implements Op: one copyPair per node of the copied subtree, plus
 // the overwritten destination subtree (if any) in Deleted.
 func (op Copy) Effect(f *tree.Forest) (Effect, error) {
 	src, err := f.Get(op.Src)
@@ -214,7 +214,7 @@ func (op Copy) Effect(f *tree.Forest) (Effect, error) {
 	}
 	var eff Effect
 	src.Walk(func(rel path.Path, _ *tree.Node) error {
-		eff.Copied = append(eff.Copied, CopyPair{Dst: op.Dst.Join(rel), Src: op.Src.Join(rel)})
+		eff.Copied = append(eff.Copied, copyPair{Dst: op.Dst.Join(rel), Src: op.Src.Join(rel)})
 		return nil
 	})
 	if old, err := f.Get(op.Dst); err == nil {

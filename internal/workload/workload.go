@@ -31,9 +31,6 @@ const (
 	Real                  // copy one subtree, add 3 nodes, delete 3 nodes
 )
 
-// AllPatterns lists the patterns in Table 2 order.
-var AllPatterns = []Pattern{Add, Delete, Copy, ACMix, Mix, Real}
-
 // String returns the paper's name for the pattern.
 func (p Pattern) String() string {
 	switch p {
@@ -52,16 +49,6 @@ func (p Pattern) String() string {
 	default:
 		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
-}
-
-// ParsePattern parses a Table 2 pattern name.
-func ParsePattern(s string) (Pattern, error) {
-	for _, p := range AllPatterns {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("workload: unknown pattern %q", s)
 }
 
 // Deletion is one of the deletion patterns of Table 3, governing which

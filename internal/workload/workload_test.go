@@ -1,6 +1,7 @@
 package workload_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -21,15 +22,17 @@ func newGen(t *testing.T, p workload.Pattern, d workload.Deletion) *workload.Gen
 	}, target, source)
 }
 
+// allPatterns lists the patterns in Table 2 order.
+var allPatterns = []workload.Pattern{workload.Add, workload.Delete, workload.Copy, workload.ACMix, workload.Mix, workload.Real}
+
+// TestPatternParsing: every pattern renders its own Table 2 name.
 func TestPatternParsing(t *testing.T) {
-	for _, p := range workload.AllPatterns {
-		got, err := workload.ParsePattern(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePattern(%q) = %v, %v", p.String(), got, err)
+	seen := map[string]bool{}
+	for _, p := range allPatterns {
+		if name := p.String(); seen[name] || strings.HasPrefix(name, "Pattern(") {
+			t.Errorf("pattern %d renders %q", int(p), name)
 		}
-	}
-	if _, err := workload.ParsePattern("bogus"); err == nil {
-		t.Error("bogus pattern parsed")
+		seen[p.String()] = true
 	}
 	if workload.Pattern(99).String() == "" || workload.Deletion(99).String() == "" {
 		t.Error("unknown values should render")
@@ -39,7 +42,7 @@ func TestPatternParsing(t *testing.T) {
 // TestSequencesApply: every generated sequence applies cleanly to a fresh
 // forest identical to the generator's view — the core validity contract.
 func TestSequencesApply(t *testing.T) {
-	for _, p := range workload.AllPatterns {
+	for _, p := range allPatterns {
 		target := dataset.GenMiMI(dataset.MiMIConfig{Entries: 30, MaxPTMs: 2, MaxCitations: 2, MaxInteracts: 2, Seed: 1})
 		source := dataset.GenOrganelleTree(dataset.OrganelleConfig{Proteins: 40, Seed: 2})
 		gen := workload.New(workload.Config{Pattern: p, Seed: 7}, target, source)

@@ -13,18 +13,12 @@
 package wrapper
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/path"
 	"repro/internal/relstore"
 	"repro/internal/tree"
 	"repro/internal/xmlstore"
-)
-
-// Errors returned by wrappers.
-var (
-	ErrReadOnly = errors.New("wrapper: source databases are read-only")
 )
 
 // A Source is a browsable database exposing the Figure 6 SourceDB surface.
@@ -69,9 +63,6 @@ var _ Target = (*XMLTarget)(nil)
 
 // NewXMLTarget wraps the store.
 func NewXMLTarget(s *xmlstore.Store) *XMLTarget { return &XMLTarget{store: s} }
-
-// Store exposes the wrapped store.
-func (w *XMLTarget) Store() *xmlstore.Store { return w.store }
 
 // Name implements Source.
 func (w *XMLTarget) Name() string { return w.store.Name() }

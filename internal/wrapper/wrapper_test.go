@@ -17,7 +17,7 @@ import (
 
 func TestXMLTargetSurface(t *testing.T) {
 	w := wrapper.NewXMLTarget(xmlstore.NewMem("T", figures.T0()))
-	if w.Name() != "T" || w.Store() == nil {
+	if w.Name() != "T" {
 		t.Error("identity wrong")
 	}
 	tr, err := w.Tree()

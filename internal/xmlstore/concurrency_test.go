@@ -53,9 +53,7 @@ func TestStoreConcurrent(t *testing.T) {
 					return
 				}
 				s.Has(path.MustParse("T/c5"))
-				s.NodeCount()
 				_ = s.Snapshot()
-				s.Revision()
 			}
 		}()
 	}

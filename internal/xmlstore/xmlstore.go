@@ -21,7 +21,7 @@ import (
 
 // Errors returned by the store.
 var (
-	ErrClosed = errors.New("xmlstore: store is closed")
+	errClosed = errors.New("xmlstore: store is closed")
 )
 
 // A Store is one named tree database.
@@ -31,8 +31,6 @@ type Store struct {
 	root   *tree.Node
 	file   string // "" for purely in-memory stores
 	closed bool
-	// revision counts applied updates, for cheap change detection.
-	revision int64
 }
 
 // NewMem creates an in-memory store with the given database name and
@@ -48,7 +46,7 @@ func NewMem(name string, initial *tree.Node) *Store {
 func Create(name, file string, initial *tree.Node) (*Store, error) {
 	s := NewMem(name, initial)
 	s.file = file
-	if err := s.Save(); err != nil {
+	if err := s.save(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -71,20 +69,13 @@ func Open(name, file string) (*Store, error) {
 // Name returns the database name (the first path component addressing it).
 func (s *Store) Name() string { return s.name }
 
-// Revision returns a counter incremented by every successful update.
-func (s *Store) Revision() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.revision
-}
-
-// Save persists the tree to the store's file (a no-op for in-memory
+// save persists the tree to the store's file (a no-op for in-memory
 // stores). The write is atomic: a temp file is renamed over the target.
-func (s *Store) Save() error {
+func (s *Store) save() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if s.file == "" {
 		return nil
@@ -108,7 +99,7 @@ func (s *Store) Save() error {
 
 // Close saves (if file-backed) and marks the store closed.
 func (s *Store) Close() error {
-	if err := s.Save(); err != nil {
+	if err := s.save(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -135,7 +126,7 @@ func (s *Store) Get(p path.Path) (*tree.Node, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, errClosed
 	}
 	rp, err := s.rel(p)
 	if err != nil {
@@ -169,28 +160,13 @@ func (s *Store) Snapshot() *tree.Node {
 	return s.root.Clone()
 }
 
-// NodeCount returns the number of nodes in the database, including the
-// root.
-func (s *Store) NodeCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.root.Size()
-}
-
-// ByteSize returns the canonical encoded size of the database.
-func (s *Store) ByteSize() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.root.EncodedSize()
-}
-
 // Insert adds the edge {label: value} under the node at absolute path p;
 // value must be nil (empty tree) or a leaf.
 func (s *Store) Insert(p path.Path, label string, value *tree.Node) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	rp, err := s.rel(p)
 	if err != nil {
@@ -209,7 +185,6 @@ func (s *Store) Insert(p path.Path, label string, value *tree.Node) error {
 	if err := parent.AddChild(label, value.Clone()); err != nil {
 		return err
 	}
-	s.revision++
 	return nil
 }
 
@@ -218,7 +193,7 @@ func (s *Store) Delete(p path.Path) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	rp, err := s.rel(p)
 	if err != nil {
@@ -234,7 +209,6 @@ func (s *Store) Delete(p path.Path) error {
 	if err := parent.RemoveChild(rp.Base()); err != nil {
 		return err
 	}
-	s.revision++
 	return nil
 }
 
@@ -244,7 +218,7 @@ func (s *Store) Paste(p path.Path, subtree *tree.Node) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	rp, err := s.rel(p)
 	if err != nil {
@@ -260,6 +234,5 @@ func (s *Store) Paste(p path.Path, subtree *tree.Node) error {
 	if err := parent.SetChild(rp.Base(), subtree.Clone()); err != nil {
 		return err
 	}
-	s.revision++
 	return nil
 }

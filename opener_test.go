@@ -49,10 +49,11 @@ func TestOpenBackendRoundTrip(t *testing.T) {
 		"mem://?shards=4",
 		"rel://" + filepath.Join(dir, "flat.db") + "?create=1",
 		"rel://" + filepath.Join(dir, "dur.db") + "?create=1&durable=1",
-		"sharded://?shards=3&each=mem://",
-		// Sharded over relational shard files; the inner DSN is a query
+		"sharded://?shard=mem://&shard=mem://&shard=mem://",
+		// Sharded over relational shard files; each inner DSN is a query
 		// parameter, so it is URL-escaped.
-		"sharded://?shards=2&each=" + url.QueryEscape("rel://"+filepath.Join(dir, "shard-%d.db")+"?create=1"),
+		"sharded://?shard=" + url.QueryEscape("rel://"+filepath.Join(dir, "shard-0.db")+"?create=1") +
+			"&shard=" + url.QueryEscape("rel://"+filepath.Join(dir, "shard-1.db")+"?create=1"),
 	}
 
 	ref := sessionOver(t, nil, 1)
