@@ -13,9 +13,12 @@ package cpdb_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	cpdb "repro"
 
@@ -458,6 +461,75 @@ func BenchmarkRelQueries(b *testing.B) {
 			}
 		}
 	})
+}
+
+// appendTxns is the write load of BenchmarkRelAppend: n records in
+// transactions of ten, one tid each, at random locs T/kNN/rNNNN/fN (distinct
+// within a transaction), a third of them copies of a random S/kNN/rNNNN.
+func appendTxns(n int) [][]provstore.Record {
+	rng := rand.New(rand.NewSource(2006))
+	var txns [][]provstore.Record
+	for tid := int64(1); len(txns)*10 < n; tid++ {
+		txn := make([]provstore.Record, 0, 10)
+		seen := map[string]bool{}
+		for len(txn) < 10 {
+			loc := fmt.Sprintf("T/k%02d/r%04d/f%d", rng.Intn(40), rng.Intn(10000), rng.Intn(5))
+			if seen[loc] {
+				continue
+			}
+			seen[loc] = true
+			r := provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: path.MustParse(loc)}
+			if rng.Intn(3) == 0 {
+				r.Op, r.Src = provstore.OpCopy, path.MustParse(fmt.Sprintf("S/k%02d/r%04d", rng.Intn(40), rng.Intn(10000)))
+			}
+			txn = append(txn, r)
+		}
+		txns = append(txns, txn)
+	}
+	return txns
+}
+
+// BenchmarkRelAppend is the write path of an in-process rel:// store: 10 000
+// records appended to a fresh store in 10-record Appends (appendTxns). One
+// op is the whole load; ns/record and allocs/record are per record appended,
+// opening and closing the store excluded. Durable adds a log and one
+// GroupCommit per Append, as a daemon's durable=1 store does.
+func BenchmarkRelAppend(b *testing.B) { benchRelAppend(b, "") }
+
+func BenchmarkRelAppendDurable(b *testing.B) { benchRelAppend(b, "&durable=1") }
+
+func benchRelAppend(b *testing.B, params string) {
+	txns := appendTxns(10000)
+	ctx := context.Background()
+	var elapsed time.Duration
+	var mallocs uint64
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		backend, err := cpdb.OpenBackend("rel://" + b.TempDir() + "/prov.db?create=1" + params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		t0 := time.Now()
+		for _, txn := range txns {
+			if err := backend.Append(ctx, txn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		elapsed += time.Since(t0)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		if err := provstore.Close(backend); err != nil {
+			b.Fatal(err)
+		}
+	}
+	records := float64(b.N * len(txns) * 10)
+	b.ReportMetric(float64(elapsed.Nanoseconds())/records, "ns/record")
+	b.ReportMetric(float64(mallocs)/records, "allocs/record")
 }
 
 // BenchmarkMemQueries is BenchmarkRelQueries over the in-memory store and its

@@ -16,7 +16,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -263,9 +262,9 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 	if spanID != "" {
 		req.Header.Set(headerSpanID, spanID)
 	}
-	switch body.(type) {
-	case nil:
-	case *pooledBody: // an Append's record frames
+	switch {
+	case body == nil:
+	case p == "/v1/append": // an Append's record frames
 		req.Header.Set("Content-Type", contentTypeFrames)
 	default:
 		req.Header.Set("Content-Type", "application/json") // a /v1/query body
@@ -609,31 +608,12 @@ func rows[T any](open func() *streamReader, convert func(*streamReader) (T, erro
 	}
 }
 
-// appendBufPool recycles the encode buffers of Append round trips.
-// A buffer returns to the pool from pooledBody.Close — called by the
-// transport exactly when it is done reading the request body — never
-// earlier, so reuse cannot race a still-sending request.
-var appendBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// pooledBody is a request body over a pooled buffer; Close recycles it.
-type pooledBody struct {
-	*bytes.Reader
-	buf *bytes.Buffer
-}
-
-func (b *pooledBody) Close() error {
-	if b.buf != nil {
-		b.buf.Reset()
-		appendBufPool.Put(b.buf)
-		b.buf = nil
-	}
-	return nil
-}
-
 // Append implements Backend: the whole batch travels as one POST of record
-// frames — the binary form, which carries any label byte for byte —
-// encoded into a pooled buffer. A successful append moves this client's
-// view of the store, so it invalidates the result cache.
+// frames — the binary form, which carries any label byte for byte — encoded
+// into a buffer of exactly their size. The body is a *bytes.Reader, so the
+// transport sends it with a Content-Length, headers and body in one write,
+// not chunked. A successful append moves this client's view of the store,
+// so it invalidates the result cache.
 func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error) {
 	ctx, sp := provtrace.Start(ctx, "rpc:append")
 	if sp != nil {
@@ -643,12 +623,11 @@ func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error
 			sp.End()
 		}()
 	}
-	buf := appendBufPool.Get().(*bytes.Buffer)
+	buf := make([]byte, 0, recordFramesLen(recs))
 	for i := range recs {
-		buf.Write(appendRecordFrame(buf.AvailableBuffer(), recs[i]))
+		buf = appendRecordFrame(buf, recs[i])
 	}
-	body := &pooledBody{Reader: bytes.NewReader(buf.Bytes()), buf: buf}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/append", nil, body, http.StatusNoContent)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/append", nil, bytes.NewReader(buf), http.StatusNoContent)
 	if err != nil {
 		return err
 	}

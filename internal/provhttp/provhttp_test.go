@@ -1,10 +1,12 @@
 package provhttp_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"iter"
 	"net/http"
 	"net/http/httptest"
@@ -891,5 +893,72 @@ func TestNonUTF8PathsRoundTrip(t *testing.T) {
 				t.Errorf("NDJSON scan: %d lines, then %s; want one line, then the error naming T/a\\xffb", len(lines), end)
 			}
 		})
+	}
+}
+
+// TestAppendRequestHasContentLength: a cpdb:// Append reaches the handler as
+// one request whose Content-Length is its body's length, not chunked, with
+// the frames' content type, and the records arrive whole.
+func TestAppendRequestHasContentLength(t *testing.T) {
+	inner := provstore.NewMemBackend()
+	srv := provhttp.NewServer(inner)
+	type seen struct {
+		length      int64
+		body        int
+		encoding    []string
+		contentType string
+	}
+	var (
+		mu   sync.Mutex
+		reqs []seen
+	)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/append" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			reqs = append(reqs, seen{r.ContentLength, len(body), r.TransferEncoding, r.Header.Get("Content-Type")})
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	b, err := provstore.OpenDSN("cpdb://" + hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { provstore.Close(b) }) //nolint:errcheck // loopback teardown
+	ctx := context.Background()
+	txns := [][]provstore.Record{
+		{rec(1, provstore.OpInsert, "T/a", ""), rec(1, provstore.OpCopy, "T/b", "S/x/y")},
+		// A body larger than the transport's write buffer.
+		slices.Collect(func(yield func(provstore.Record) bool) {
+			for i := range 300 {
+				if !yield(rec(2, provstore.OpInsert, fmt.Sprintf("T/c/%s%d", strings.Repeat("n", 40), i), "")) {
+					return
+				}
+			}
+		}),
+	}
+	for _, txn := range txns {
+		if err := b.Append(ctx, txn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(reqs) != len(txns) {
+		t.Fatalf("%d append requests, want %d", len(reqs), len(txns))
+	}
+	for i, r := range reqs {
+		if r.length != int64(r.body) || r.length <= 0 || len(r.encoding) != 0 || r.contentType != "application/x-cpdb-frames" {
+			t.Errorf("append %d: Content-Length %d for a body of %d bytes, Transfer-Encoding %q, Content-Type %q; want the body's length, none, the frames' type",
+				i, r.length, r.body, r.encoding, r.contentType)
+		}
+	}
+	got, err := provstore.CollectScan(inner.Scan(ctx, provstore.All()))
+	if err != nil || len(got) != len(txns[0])+len(txns[1]) {
+		t.Fatalf("inner store holds %d records (%v), want %d", len(got), err, len(txns[0])+len(txns[1]))
 	}
 }

@@ -342,6 +342,17 @@ func appendRecordFrame(buf []byte, r provstore.Record) []byte {
 	return r.AppendBinary(append(buf, frameRecord))
 }
 
+// recordFramesLen returns the bytes appendRecordFrame takes for recs.
+func recordFramesLen(recs []provstore.Record) int {
+	n := 0
+	var l [binary.MaxVarintLen64]byte
+	for i := range recs {
+		body := 1 + recs[i].EncodedSize()
+		n += len(binary.AppendUvarint(l[:0], uint64(body))) + body
+	}
+	return n
+}
+
 // frameReaders recycles the buffered readers frame streams are read through,
 // on both ends: a client's response stream and a server's append body. A
 // reader goes back once its body is done with, reset to hold nothing of it.
