@@ -119,8 +119,8 @@ func TestPathField(t *testing.T) {
 		if _, err := EncodeKey([]ColType{TPath}, []Value{v}); (err == nil) != c.valid {
 			t.Errorf("EncodeKey of the path field %q: %v", c.v, err)
 		}
-		if _, err := EncodeRow([]ColType{TPath}, Row{v}); (err == nil) != c.valid {
-			t.Errorf("EncodeRow of the path field %q: %v", c.v, err)
+		if _, err := encodeValues([]ColType{TPath}, Row{v}); (err == nil) != c.valid {
+			t.Errorf("encodeValues of the path field %q: %v", c.v, err)
 		}
 		if _, err := decodeRow([]ColType{TPath}, append([]byte{byte(len(v))}, v...)); (err == nil) != c.valid {
 			t.Errorf("DecodeRow of the path field %q: %v", c.v, err)
@@ -140,10 +140,26 @@ func TestKeyCodecErrors(t *testing.T) {
 	}
 }
 
+// encodeValues encodes a sequence of values per the column types, as a
+// table encodes the columns outside its key.
+func encodeValues(types []ColType, row Row) ([]byte, error) {
+	if len(row) != len(types) {
+		return nil, fmt.Errorf("relstore: row has %d values, table has %d columns", len(row), len(types))
+	}
+	var buf []byte
+	for i, v := range row {
+		var err error
+		if buf, err = appendValue(buf, i, types[i], v); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 func TestRowCodec(t *testing.T) {
 	types := []ColType{TInt, TStr, TBytes}
 	row := Row{int64(-42), "hello", []byte{0, 1, 2}}
-	enc, err := EncodeRow(types, row)
+	enc, err := encodeValues(types, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +170,10 @@ func TestRowCodec(t *testing.T) {
 	if dec[0].(int64) != -42 || dec[1].(string) != "hello" || !bytes.Equal(dec[2].([]byte), []byte{0, 1, 2}) {
 		t.Errorf("row round trip: %v", dec)
 	}
-	if _, err := EncodeRow(types, Row{int64(1)}); err == nil {
+	if _, err := encodeValues(types, Row{int64(1)}); err == nil {
 		t.Error("short row should error")
 	}
-	if _, err := EncodeRow(types, Row{"x", "y", []byte{}}); err == nil {
+	if _, err := encodeValues(types, Row{"x", "y", []byte{}}); err == nil {
 		t.Error("type mismatch should error")
 	}
 	if _, err := decodeRow(types, append(enc, 0xFF)); err == nil {
@@ -196,6 +212,42 @@ func TestTableCRUD(t *testing.T) {
 	}
 	if tbl.RowCount() != 1 || tbl.ByteSize() <= 0 {
 		t.Errorf("counters: rows=%d bytes=%d", tbl.RowCount(), tbl.ByteSize())
+	}
+}
+
+// TestInsertEncodedOwnTable: a table stores only a row its own Key encoded,
+// so the entry stored and the index entries built from the row agree.
+func TestInsertEncodedOwnTable(t *testing.T) {
+	db := testDB(t)
+	tbl, err := db.CreateTable(provSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := provSchema()
+	other.Name = "other"
+	otherTbl, err := db.CreateTable(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := tbl.Key(Row{int64(7), []byte("T/c1"), "I", []byte{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := otherTbl.InsertEncoded(e); err == nil {
+		t.Error("a row encoded by another table was stored")
+	}
+	if err := tbl.InsertEncoded(EncodedRow{}); err == nil {
+		t.Error("the zero EncodedRow was stored")
+	}
+	if otherTbl.RowCount() != 0 || tbl.RowCount() != 0 {
+		t.Fatalf("rows stored: %d, %d", tbl.RowCount(), otherTbl.RowCount())
+	}
+	if err := tbl.InsertEncoded(e); err != nil {
+		t.Fatal(err)
+	}
+	got, err := tbl.Get(int64(7), []byte("T/c1"))
+	if err != nil || got[2].(string) != "I" {
+		t.Fatalf("Get = %v, %v", got, err)
 	}
 }
 
