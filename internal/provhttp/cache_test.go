@@ -256,23 +256,19 @@ func TestServerPageCache(t *testing.T) {
 	}
 }
 
-// TestPageCacheKeyedByForm: a cached page is encoded bytes, so the form of
-// the stream is part of its key. The same page asked for in frames after
-// NDJSON (and the other way round) is a miss that fills its own entry, each
-// repeat is a hit in its own form, and each form's cached body is the body
-// an uncached server streams for that Accept header.
-func TestPageCacheKeyedByForm(t *testing.T) {
+// TestPageCacheServesBothForms: a cached page is its frames, so one entry
+// serves both forms of the stream. The first request of a page is the one
+// miss; a repeat in either form, in either order, is a hit, and each body is
+// the body an uncached server streams for that Accept header.
+func TestPageCacheServesBothForms(t *testing.T) {
 	inner := provstore.NewMemBackend()
 	queryFixture(t, inner)
 	streaming := httptest.NewServer(provhttp.NewServer(inner))
 	defer streaming.Close()
-	caching := provhttp.NewServer(inner, provhttp.WithPageCache(1<<20))
-	cached := httptest.NewServer(caching)
-	defer cached.Close()
 
-	get := func(base, accept string) string {
+	get := func(base, pathAndQuery, accept string) string {
 		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, base+"/v1/scan?kind=all&limit=3", nil)
+		req, err := http.NewRequest(http.MethodGet, base+pathAndQuery, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,27 +286,75 @@ func TestPageCacheKeyedByForm(t *testing.T) {
 		}
 		return fmt.Sprintf("%d %s\n%s", resp.StatusCode, resp.Header.Get("Content-Type"), raw)
 	}
-	want := map[string]string{"": get(streaming.URL, ""), provhttp.ContentTypeFrames: get(streaming.URL, provhttp.ContentTypeFrames)}
-	if !strings.HasPrefix(want[""], "200 "+provhttp.ContentTypeNDJSON+"\n") ||
-		!strings.HasPrefix(want[provhttp.ContentTypeFrames], "200 "+provhttp.ContentTypeFrames+"\n") {
-		t.Fatalf("the uncached server does not answer each request in its form:\n%q\n%q", want[""], want[provhttp.ContentTypeFrames])
-	}
-	hits, misses := int64(0), int64(0)
-	for _, order := range [][]string{{"", provhttp.ContentTypeFrames}, {provhttp.ContentTypeFrames, ""}} {
-		for _, accept := range order {
-			if misses < 2 {
-				misses++ // each form's first request fills its entry
-			} else {
-				hits++
-			}
-			if got := get(cached.URL, accept); got != want[accept] {
+	forms := []string{"", provhttp.ContentTypeFrames}
+	for i, order := range [][]string{forms, {forms[1], forms[0]}} {
+		// A fresh cache per order, so each starts with its page's one miss.
+		caching := provhttp.NewServer(inner, provhttp.WithPageCache(1<<20))
+		cached := httptest.NewServer(caching)
+		defer cached.Close()
+		pq := fmt.Sprintf("/v1/scan?kind=all&limit=%d", 3+i)
+		want := map[string]string{}
+		for _, accept := range forms {
+			want[accept] = get(streaming.URL, pq, accept)
+		}
+		if !strings.HasPrefix(want[""], "200 "+provhttp.ContentTypeNDJSON+"\n") ||
+			!strings.HasPrefix(want[provhttp.ContentTypeFrames], "200 "+provhttp.ContentTypeFrames+"\n") {
+			t.Fatalf("the uncached server does not answer each request in its form:\n%q\n%q", want[""], want[provhttp.ContentTypeFrames])
+		}
+		hits := int64(0)
+		for _, accept := range append([]string{order[0]}, order...) {
+			if got := get(cached.URL, pq, accept); got != want[accept] {
 				t.Errorf("Accept %q: the page cache answered\n%q\nwant\n%q", accept, got, want[accept])
 			}
-			if st := caching.Stats(); st["cache.page.misses"] != misses || st["cache.page.hits"] != hits {
-				t.Fatalf("Accept %q: %d misses and %d hits, want %d and %d", accept,
-					st["cache.page.misses"], st["cache.page.hits"], misses, hits)
+			if st := caching.Stats(); st["cache.page.misses"] != 1 || st["cache.page.hits"] != hits {
+				t.Fatalf("Accept %q after %v: %d misses and %d hits, want 1 and %d", accept, order,
+					st["cache.page.misses"], st["cache.page.hits"], hits)
 			}
+			hits++
 		}
+	}
+}
+
+// TestPageCacheNonUTF8Path: a page holding a path no JSON line can carry
+// is cached as its frames and served in them, while a bare request of it is
+// a 500 naming the path — on the miss and on the hit alike, as a page's
+// failure is wherever it falls.
+func TestPageCacheNonUTF8Path(t *testing.T) {
+	inner := provstore.NewMemBackend()
+	recs := []provstore.Record{
+		{Tid: 1, Op: provstore.OpInsert, Loc: path.New("T", "a")},
+		{Tid: 1, Op: provstore.OpInsert, Loc: path.New("T", "a\xffb")},
+	}
+	if err := inner.Append(context.Background(), recs); err != nil {
+		t.Fatal(err)
+	}
+	caching := provhttp.NewServer(inner, provhttp.WithPageCache(1<<20))
+	cached := httptest.NewServer(caching)
+	defer cached.Close()
+	for i, accept := range []string{"", "", provhttp.ContentTypeFrames} {
+		req, err := http.NewRequest(http.MethodGet, cached.URL+"/v1/scan?kind=all&limit=5", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck // test read
+		lines, end := provhttp.ReadStream(io.NopCloser(strings.NewReader(string(raw))), resp.Header.Get("Content-Type"))
+		switch {
+		case accept == "" && (resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), `not valid UTF-8`)):
+			t.Errorf("bare request %d: %d %q; want a 500 naming the path", i, resp.StatusCode, raw)
+		case accept != "" && (resp.StatusCode != http.StatusOK || len(lines) != 2 || end != "eof n=2 more=false"):
+			t.Errorf("framed request: %d, %d lines, %s; want both records", resp.StatusCode, len(lines), end)
+		}
+	}
+	if st := caching.Stats(); st["cache.page.misses"] != 1 || st["cache.page.hits"] != 2 {
+		t.Errorf("%d misses and %d hits, want 1 and 2", st["cache.page.misses"], st["cache.page.hits"])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -253,8 +252,9 @@ func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io
 		trace = provtrace.NewTraceID()
 	}
 	req.Header.Set(headerTraceID, trace)
-	// Every request prefers the framed row stream; only /v1/scan and
-	// /v1/query have one to offer, and any answer is acceptable.
+	// Every request asks for the framed row stream; only /v1/scan and
+	// /v1/query have one to offer, and the rest answer JSON whatever the
+	// header says.
 	req.Header.Set("Accept", contentTypeFrames+", */*")
 	// When a span is open on this context, stamp its id so the server
 	// continues this trace — its root span parents under the caller's and
@@ -324,24 +324,23 @@ const (
 )
 
 // A streamReader is the one decoder of the row stream (see the package
-// doc), in whichever form the response's Content-Type says it is. The body
-// is outside input: whatever arrives, next never panics, returns false for
-// good after the first error, and reports a clean end only after a
-// terminator whose count matches the data lines it returned, with nothing
-// behind it. next decodes each data line, whichever form or frame kind it
-// arrived in: a record line, validated, into sr.rec with its proof encoding
-// in sr.proofRaw, any other into sr.derived. Under tracing the reader holds
-// the round trip's rpc span, open from the request to close.
+// doc): it reads frames, the one form of the stream. The body is outside
+// input: whatever arrives, next never panics, returns false for good after
+// the first error, and reports a clean end only after a terminator whose
+// count matches the data lines it returned, with nothing behind it. next
+// decodes each data line, whichever frame kind it arrived in: a record
+// line, validated, into sr.rec with its proof encoding in sr.proofRaw, any
+// other into sr.derived. Under tracing the reader holds the round trip's
+// rpc span, open from the request to close.
 type streamReader struct {
 	ctx      context.Context
 	label    any // names the stream in errors and the span: a ScanSpec or an endpoint name
 	span     *provtrace.Span
 	body     io.Closer
-	br       *bufio.Reader    // the body of a framed stream, else nil
+	br       *bufio.Reader    // the body, once read accepts it
 	frame    []byte           // the frame last read, kind byte and body (reused)
-	dec      *json.Decoder    // the body of an NDJSON stream
 	root     provauth.Root    // proven streams: the header root the proofs are against
-	line     streamLine       // the last line as JSON, or the terminator however it came
+	line     streamLine       // a 'j' frame's line, or the terminator however it came
 	isRec    bool             // next last returned a record line
 	rec      provstore.Record // that record
 	proofRaw []byte           // and its proof's binary encoding: empty if it carries none, valid until the next line
@@ -351,15 +350,20 @@ type streamReader struct {
 	err      error
 }
 
-// read attaches the reader to a response body in the form contentType names.
+// read attaches the reader to a response body of the given Content-Type:
+// frames, or the stream fails as one from a daemon older than this client.
 func (sr *streamReader) read(body io.ReadCloser, contentType string) {
 	sr.body = body
-	if contentType == contentTypeFrames {
-		sr.br = getFrameReader(body)
-	} else {
-		sr.dec = json.NewDecoder(body)
+	if contentType != contentTypeFrames {
+		sr.fail(fmt.Errorf("provhttp: %v: answered as %q, not frames: %w", sr.label, contentType, errOldDaemon))
+		return
 	}
+	sr.br = getFrameReader(body)
 }
+
+// errOldDaemon ends a stream in a form this client no longer reads: an
+// NDJSON answer, or a data line in a 'j' frame.
+var errOldDaemon = errors.New("the daemon is older than this client; upgrade it")
 
 // stream issues one streaming round trip and returns the reader over its
 // body — already failed when the request did; the caller closes it either
@@ -400,8 +404,8 @@ func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.
 		return err
 	}
 	sr.read(resp.Body, resp.Header.Get("Content-Type"))
-	if mode == unproven {
-		return nil
+	if mode == unproven || sr.err != nil {
+		return sr.err
 	}
 	if sr.root, err = provauth.ParseRoot(resp.Header.Get(headerAuthRoot)); err != nil {
 		return fmt.Errorf("provhttp: bad %s header: %w", headerAuthRoot, err)
@@ -457,17 +461,10 @@ func (sr *streamReader) next() bool {
 	return false
 }
 
-// decode reads one line in the stream's form and reports whether it is a
-// data line, decoded into sr.rec and sr.proofRaw or sr.derived; a terminator
-// or an error line is left in sr.line. io.EOF means the body ended between
-// lines.
+// decode reads one frame and reports whether it is a data line, decoded
+// into sr.rec and sr.proofRaw or sr.derived; a terminator or an error line
+// is left in sr.line. io.EOF means the body ended between frames.
 func (sr *streamReader) decode() (data bool, err error) {
-	if sr.br == nil {
-		if err := sr.dec.Decode(&sr.line); err != nil {
-			return false, err
-		}
-		return sr.jsonLine()
-	}
 	if sr.frame, err = readFrame(sr.br, sr.frame); err != nil {
 		return false, err
 	}
@@ -487,40 +484,25 @@ func (sr *streamReader) decode() (data bool, err error) {
 		if err := json.Unmarshal(body, &sr.line); err != nil {
 			return false, err
 		}
-		return sr.jsonLine()
+		switch l := &sr.line; {
+		case l.Az != nil:
+			sr.derived = provplan.Row{Kind: provplan.RowAnalyze, Analysis: l.Az}
+			return true, nil
+		case l.Err != "" || l.EOF:
+			return false, nil
+		case *l == streamLine{}:
+			return false, errors.New("blank stream line")
+		default:
+			return false, errOldDaemon
+		}
 	default:
 		sr.derived, err = decodeRowBody(kind, body)
 		return err == nil, err
 	}
 }
 
-// jsonLine decodes the line in sr.line, when it is a data line, into sr.rec
-// and sr.proofRaw or sr.derived.
-func (sr *streamReader) jsonLine() (data bool, err error) {
-	l := &sr.line
-	switch {
-	case l.R != nil:
-		rec, err := l.R.record()
-		if err != nil {
-			return false, err
-		}
-		if sr.proofRaw, err = hex.DecodeString(l.P); err != nil {
-			return false, fmt.Errorf("bad proof hex: %w", err)
-		}
-		sr.rec, sr.isRec = rec, true
-		return true, nil
-	case l.Err != "" || l.EOF:
-		return false, nil
-	}
-	sr.derived, err = l.row()
-	return err == nil, err
-}
-
 // atEnd reports whether the body holds nothing more.
 func (sr *streamReader) atEnd() bool {
-	if sr.br == nil {
-		return !sr.dec.More()
-	}
 	_, err := sr.br.ReadByte()
 	return err == io.EOF
 }

@@ -3,6 +3,7 @@ package provhttp_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -284,14 +285,23 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d now vs %d before cancellation", runtime.NumGoroutine(), base)
 }
 
+// frame is one frame of a row stream: kind and body behind their uvarint
+// length.
+func frame(kind byte, body []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(1+len(body))), append([]byte{kind}, body...)...)
+}
+
+// recordFrame is the record frame of r, with no proof.
+func recordFrame(r provstore.Record) []byte { return frame('r', r.AppendBinary(nil)) }
+
 // TestTruncatedStreamDetected: a scan stream that dies before the eof
 // terminator must be reported as an error, not returned as a short result.
 func TestTruncatedStreamDetected(t *testing.T) {
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		// Two records, then silence — no terminator line.
-		fmt.Fprintln(w, `{"r":{"tid":1,"op":"I","loc":"T/a"}}`)
-		fmt.Fprintln(w, `{"r":{"tid":1,"op":"I","loc":"T/b"}}`)
+		w.Header().Set("Content-Type", provhttp.ContentTypeFrames)
+		// Two records, then silence — no terminator frame.
+		w.Write(recordFrame(rec(1, provstore.OpInsert, "T/a", ""))) //nolint:errcheck // test server
+		w.Write(recordFrame(rec(1, provstore.OpInsert, "T/b", ""))) //nolint:errcheck // test server
 	}))
 	defer fake.Close()
 	cli := provhttp.NewClient(fake.Listener.Addr().String())
@@ -689,9 +699,9 @@ func TestScanAllKeysetPagination(t *testing.T) {
 // the terminator must yield a truncation error, not end as a short result.
 func TestScanAllTruncationDetected(t *testing.T) {
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		fmt.Fprintln(w, `{"r":{"tid":1,"op":"I","loc":"T/a"}}`)
-		fmt.Fprintln(w, `{"r":{"tid":2,"op":"I","loc":"T/b"}}`)
+		w.Header().Set("Content-Type", provhttp.ContentTypeFrames)
+		w.Write(recordFrame(rec(1, provstore.OpInsert, "T/a", ""))) //nolint:errcheck // test server
+		w.Write(recordFrame(rec(2, provstore.OpInsert, "T/b", ""))) //nolint:errcheck // test server
 		// No terminator: the connection just ends.
 	}))
 	defer fake.Close()
@@ -711,6 +721,33 @@ func TestScanAllTruncationDetected(t *testing.T) {
 	}
 	if got == nil || !strings.Contains(got.Error(), "truncated") {
 		t.Fatalf("truncated cursor yielded %v, want truncation error", got)
+	}
+}
+
+// TestClientRefusesNonFramedAnswer: frames are the one form the Client
+// reads. A well-formed NDJSON answer, and a data line in a 'j' frame — the
+// forms of daemons older than the binary frame kinds — each end the scan
+// with the error naming the daemon as older than the client, never as rows.
+func TestClientRefusesNonFramedAnswer(t *testing.T) {
+	for name, c := range map[string]struct{ contentType, body string }{
+		"NDJSON": {provhttp.ContentTypeNDJSON,
+			`{"r":{"tid":1,"op":"I","loc":"T/a"}}` + "\n" + `{"eof":true,"n":1}` + "\n"},
+		"tid line in a j frame": {provhttp.ContentTypeFrames,
+			string(frame('j', []byte(`{"tid":1}`+"\n"))) + string(frame('n', []byte{1, 0}))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", c.contentType)
+				io.WriteString(w, c.body) //nolint:errcheck // test server
+			}))
+			defer fake.Close()
+			cli := provhttp.NewClient(fake.Listener.Addr().String())
+			defer cli.Close()
+			got, err := provstore.CollectScan(cli.Scan(context.Background(), provstore.ByTid(1)))
+			if len(got) != 0 || err == nil || !strings.Contains(err.Error(), "daemon is older than this client") {
+				t.Fatalf("scan of a %s answer returned %v, %v; want no rows and the error naming the daemon as too old", name, got, err)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,9 +83,9 @@ func WithSlowQuery(d time.Duration) ServerOption {
 
 // WithPageCache bounds a server-side scan page cache to maxBytes (≤ 0:
 // off) — the -cache-bytes daemon flag. Limit-bounded /v1/scan pages are
-// cached as their encoded bytes, keyed by (current MaxTid, scan with its
-// keyset position, limit, form of the stream): concurrent paging cursors at
-// the same horizon share one store scan and one encoding, and any append
+// cached as their frames, keyed by (current MaxTid, scan with its keyset
+// position, limit): concurrent paging cursors at the same horizon share one
+// store scan and one encoding, whichever form they ask for, and any append
 // moves the horizon so stale pages are simply never keyed again. Unbounded
 // (no-limit) drains and proofs=1 streams always bypass it.
 func WithPageCache(maxBytes int64) ServerOption {
@@ -621,52 +622,45 @@ func (s *Server) authStamp(w http.ResponseWriter, r *http.Request) (*provauth.Ro
 
 // A streamWriter is the one encoder of the row stream (see the package
 // doc): the scan endpoint, the page-cache fill and the query endpoint hand
-// it records and rows, and it owns everything else — which form the lines
-// take, where an error goes, proof stamping, what limit counts, the flush
+// it records and rows, and it owns everything else — the frames they
+// become, where an error goes, proof stamping, what limit counts, the flush
 // cadence, the terminator and the stream accounting. Lines are encoded as
-// the cursor yields them, so the server never materializes a scan; one line
-// value and one set of buffers are reused throughout.
+// the cursor yields them, so the server never materializes a scan; one set
+// of buffers is reused throughout. A stream answering a request that did
+// not ask for frames is rendered as NDJSON where it leaves (send).
 type streamWriter struct {
 	s        *Server
 	w        http.ResponseWriter
 	ctx      context.Context
 	flusher  http.Flusher
-	form     string         // contentTypeFrames or contentTypeNDJSON, as the request asked
-	out      bytes.Buffer   // lines encoded and not yet sent: a flush interval of them, or the whole page
-	enc      *json.Encoder  // of JSON lines, built for the first: into out, or into jsonBody when framed
-	jsonBody bytes.Buffer   // framed: the kind byte and body of the 'j' frame being built
-	body     []byte         // framed: the same for a frame of any other kind
+	out      bytes.Buffer   // frames encoded and not yet sent: a flush interval of them, or the whole page
+	body     []byte         // the kind byte and body of the frame being built
+	ndjson   bool           // the request did not ask for frames: send renders out as NDJSON lines
+	rendered []byte         // ndjson: the lines send rendered last (reused)
+	lines    int            // ndjson: the lines rendered so far
 	stamp    *provauth.Root // nil: no proofs; else the root each record is proven under
 	skip     bool           // proven: a record sealed after the root is passed over, not a failure
 	limit    int            // 0: unbounded
-	line     streamLine
-	rec      wireRecord // what line.R points at
-	n        int        // lines written
-	more     bool       // limit cut the stream with a record still to come
-	paged    bool       // lines stay in out, not on the connection
-	started  bool       // the 200 header is committed: errors go in band
-	dead     bool       // failed, or the client hung up: no terminator
+	n        int            // lines written
+	more     bool           // limit cut the stream with a record still to come
+	paged    bool           // lines stay in out, not on the connection
+	started  bool           // the 200 header is committed: errors go in band
+	dead     bool           // failed, or the client hung up: no terminator
 }
 
-// streamForm returns the form of the row stream r asks for, as its
-// Content-Type: frames when the Accept header names them, NDJSON otherwise.
-func streamForm(r *http.Request) string {
-	if strings.Contains(r.Header.Get("Accept"), contentTypeFrames) {
-		return contentTypeFrames
-	}
-	return contentTypeNDJSON
+// wantsFrames reports whether r asks for the row stream in frames; any
+// other request gets it rendered as NDJSON.
+func wantsFrames(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), contentTypeFrames)
 }
 
-// framed reports whether the stream's lines go out as frames.
-func (sw *streamWriter) framed() bool { return sw.form == contentTypeFrames }
-
-// newStream opens a row stream answering r, in the form r asks for. Unpaged,
-// the lines go to w at the flush cadence; paged, they stay in sw.out and
-// nothing reaches the client until the caller sends the finished page, so a
-// failure at any line still gets a proper status.
+// newStream opens a row stream answering r. Unpaged, the lines go to w at
+// the flush cadence; paged, they stay in sw.out and nothing reaches the
+// client until the caller sends the finished page, so a failure at any
+// line still gets a proper status.
 func (s *Server) newStream(w http.ResponseWriter, r *http.Request, stamp *provauth.Root, limit int, paged bool) *streamWriter {
 	s.stats.cursorsOpen.Add(1)
-	sw := &streamWriter{s: s, w: w, ctx: r.Context(), form: streamForm(r), stamp: stamp, limit: limit, paged: paged}
+	sw := &streamWriter{s: s, w: w, ctx: r.Context(), ndjson: !wantsFrames(r), stamp: stamp, limit: limit, paged: paged}
 	if !paged {
 		sw.flusher, _ = w.(http.Flusher)
 	}
@@ -698,18 +692,6 @@ func (sw *streamWriter) record(rec provstore.Record) bool {
 		sw.more = true // this record exists beyond the page
 		return false
 	}
-	if !sw.framed() {
-		if err := checkUTF8(rec.Loc, rec.Src); err != nil {
-			sw.fail(err)
-			return false
-		}
-		sw.rec = toWire(rec)
-		sw.line = streamLine{R: &sw.rec}
-		if sw.stamp != nil {
-			sw.line.P = encodeProof(proof)
-		}
-		return sw.write()
-	}
 	sw.body = rec.AppendBinary(append(sw.body[:0], frameRecord))
 	if sw.stamp != nil {
 		sw.body = proof.AppendBinary(sw.body)
@@ -721,68 +703,19 @@ func (sw *streamWriter) record(rec provstore.Record) bool {
 // row writes one result row of a plan. Record rows are record lines, proof
 // and all; derived rows (tids, aggregates, trace steps) are computed answers
 // with no leaf to prove — the root header still covers the relation they
-// were computed from. A framed stream carries each derived row but the
-// analyze trailer in a binary frame, which carries any path.
+// were computed from. Each derived row but the analyze trailer has a binary
+// frame, which carries any path; the trailer is a 'j' frame.
 func (sw *streamWriter) row(row provplan.Row) bool {
-	switch {
-	case row.Kind == provplan.RowRecord:
-		return sw.record(row.Rec)
-	case sw.framed() && row.Kind != provplan.RowAnalyze:
-		sw.body = appendRowBody(sw.body[:0], row)
-		sw.frame(sw.body)
-		return sw.wrote()
-	}
 	switch row.Kind {
-	case provplan.RowTid:
-		sw.line = streamLine{Tid: row.Tid}
-	case provplan.RowValue:
-		sw.line = streamLine{V: &wireValue{Val: row.Val, Found: row.Found}}
-	case provplan.RowEvent:
-		if err := checkUTF8(row.Event.Loc, row.Event.Src); err != nil {
-			sw.fail(err)
-			return false
-		}
-		ev := toWire(provstore.Record(row.Event))
-		sw.line = streamLine{Ev: &ev}
+	case provplan.RowRecord:
+		return sw.record(row.Rec)
 	case provplan.RowAnalyze:
-		sw.line = streamLine{Az: row.Analysis}
-	default: // provplan.RowEnd
-		if err := checkUTF8(row.External); err != nil {
-			sw.fail(err)
-			return false
-		}
-		end := wireEnd{Origin: row.Origin.String()}
-		if row.Origin == provplan.OriginExternal {
-			end.External = row.External.String()
-		}
-		sw.line = streamLine{End: &end}
+		sw.body = appendLine(append(sw.body[:0], frameLine), &streamLine{Az: row.Analysis})
+	default:
+		sw.body = appendRowBody(sw.body[:0], row)
 	}
-	return sw.write()
-}
-
-// write appends sw.line to the stream as a data line.
-func (sw *streamWriter) write() bool {
-	sw.encode()
+	sw.frame(sw.body)
 	return sw.wrote()
-}
-
-// encode appends sw.line to out as JSON: bare, or inside a 'j' frame. The
-// encoder is built for the stream's first JSON line, which on a framed
-// stream is an analyze trailer or an in-band error.
-func (sw *streamWriter) encode() {
-	dst := &sw.out
-	if sw.framed() {
-		dst = &sw.jsonBody
-		dst.Reset()
-		dst.WriteByte(frameLine)
-	}
-	if sw.enc == nil {
-		sw.enc = json.NewEncoder(dst)
-	}
-	sw.enc.Encode(&sw.line) //nolint:errcheck // a streamLine into a buffer
-	if sw.framed() {
-		sw.frame(sw.jsonBody.Bytes())
-	}
 }
 
 // frame appends one frame to out.
@@ -803,29 +736,50 @@ func (sw *streamWriter) wrote() bool {
 			sw.flusher.Flush()
 		}
 		if !sent || sw.ctx.Err() != nil {
-			sw.dead = true // client hung up; the connection carries the truncation
+			sw.dead = true // client hung up, or a line could not be rendered
 			return false
 		}
 	}
 	return true
 }
 
-// send hands the lines collected in out to the response — unless they are
-// a page, which its caller sends — and reports whether it took them.
+// send hands the frames collected in out to the response — unless they are
+// a page, which its caller sends — and reports whether it took them. An
+// NDJSON answer gets them rendered (renderNDJSON); a path no JSON line can
+// carry fails it there: with a status at the stream's first line, in band
+// after it.
 func (sw *streamWriter) send() bool {
 	if sw.paged {
 		return true
 	}
-	_, err := sw.w.Write(sw.out.Bytes())
-	sw.out.Reset()
-	return err == nil
+	defer sw.out.Reset()
+	if !sw.ndjson {
+		_, err := sw.w.Write(sw.out.Bytes())
+		return err == nil
+	}
+	var n int
+	var err error
+	sw.rendered, n, err = renderNDJSON(sw.rendered[:0], sw.out.Bytes())
+	sw.lines += n
+	if err != nil {
+		if sw.lines == 0 {
+			sw.s.fail(sw.w, err, http.StatusInternalServerError)
+			return false
+		}
+		sw.s.stats.errors.Add(1)
+		noteErr(sw.w, err)
+		sw.rendered = appendLine(sw.rendered, &streamLine{Err: err.Error()})
+	}
+	sw.w.Header().Set("Content-Type", contentTypeNDJSON) // over start's, before the first write sends it
+	_, werr := sw.w.Write(sw.rendered)
+	return err == nil && werr == nil
 }
 
 // start commits the stream to a 200 answer: from the first line on, an
 // error goes in band.
 func (sw *streamWriter) start() {
 	if !sw.started && !sw.paged {
-		sw.w.Header().Set("Content-Type", sw.form)
+		sw.w.Header().Set("Content-Type", contentTypeFrames)
 		sw.started = true
 	}
 }
@@ -840,30 +794,91 @@ func (sw *streamWriter) fail(err error) {
 	}
 	sw.s.stats.errors.Add(1)
 	noteErr(sw.w, err)
-	sw.line = streamLine{Err: err.Error()}
-	sw.encode()
+	sw.frame(appendLine(append(sw.body[:0], frameLine), &streamLine{Err: err.Error()}))
 	sw.send()
 }
 
-// end closes the stream: the terminator line and the stream accounting,
-// unless the stream already failed. It reports whether the stream is
-// complete.
+// end closes the stream: the terminator line and, unpaged, the stream
+// accounting, unless the stream already failed. It reports whether the
+// stream is complete.
 func (sw *streamWriter) end() bool {
 	sw.s.stats.cursorsOpen.Add(-1)
 	if sw.dead {
 		return false
 	}
 	sw.start()
-	if sw.framed() {
-		sw.body = appendEOFBody(sw.body[:0], sw.n, sw.more)
-		sw.frame(sw.body)
-	} else {
-		sw.line = streamLine{EOF: true, N: sw.n, More: sw.more}
-		sw.encode()
+	sw.frame(appendEOFBody(sw.body[:0], sw.n, sw.more))
+	if sw.paged {
+		return true // the caller sends the page, and books it
 	}
-	sw.send()
+	if !sw.send() {
+		return false
+	}
 	sw.s.streamed(sw.w, sw.n)
 	return true
+}
+
+// renderNDJSON appends to dst the NDJSON lines that frames — whole frames
+// of a row stream, as streamWriter wrote them — stand for, and returns it
+// with the number of lines: the body of every row stream answering a
+// request that did not ask for frames, and the one place a path is checked
+// for a JSON line. A record frame is {"r":…} with its proof as hex in "p",
+// a tid, value, trace step or trace end frame its derived line, a
+// terminator frame the terminator line, and a 'j' frame's body is its line
+// already. It stops at a path that is not valid UTF-8 with a
+// *pathNotUTF8Error, dst holding the lines before it.
+func renderNDJSON(dst, frames []byte) ([]byte, int, error) {
+	lines := 0
+	for len(frames) > 0 {
+		size, w := binary.Uvarint(frames)
+		kind, body := frames[w], frames[w+1:w+int(size)]
+		frames = frames[w+int(size):]
+		var l streamLine
+		switch kind {
+		case frameLine:
+			dst = append(dst, body...)
+			lines++
+			continue
+		case frameRecord:
+			rec, n, err := provstore.DecodeRecord(body)
+			if err == nil {
+				err = checkUTF8(rec.Loc, rec.Src)
+			}
+			if err != nil {
+				return dst, lines, err
+			}
+			wr := toWire(rec)
+			l = streamLine{R: &wr, P: hex.EncodeToString(body[n:])}
+		case frameEOF:
+			l.EOF = true
+			l.N, l.More, _ = decodeEOFBody(body) // the writer's own terminator
+		default:
+			row, err := decodeRowBody(kind, body)
+			if err == nil {
+				err = checkUTF8(row.Event.Loc, row.Event.Src, row.External)
+			}
+			if err != nil {
+				return dst, lines, err
+			}
+			switch row.Kind {
+			case provplan.RowTid:
+				l.Tid = row.Tid
+			case provplan.RowValue:
+				l.V = &wireValue{Val: row.Val, Found: row.Found}
+			case provplan.RowEvent:
+				ev := toWire(provstore.Record(row.Event))
+				l.Ev = &ev
+			default: // provplan.RowEnd
+				l.End = &wireEnd{Origin: row.Origin.String()}
+				if row.Origin == provplan.OriginExternal {
+					l.End.External = row.External.String()
+				}
+			}
+		}
+		dst = appendLine(dst, &l)
+		lines++
+	}
+	return dst, lines, nil
 }
 
 // streamed books one answered stream of n lines.
@@ -939,9 +954,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	s.scanInto(s.newStream(w, r, stamp, limit, false), spec)
 }
 
-// cachedPage is one encoded /v1/scan page — the bytes the stream would
-// have produced, because the same streamWriter produced them — with the
-// line count for the stream accounting.
+// cachedPage is one /v1/scan page as its frames — the bytes the stream
+// would have produced, because the same streamWriter produced them — with
+// the line count for the stream accounting.
 type cachedPage struct {
 	body []byte
 	n    int
@@ -955,9 +970,10 @@ type cachedPage struct {
 // moves the horizon, after which stale pages are never keyed again and age
 // out of the LRU. MaxTid stays in the key of a page bounded below it: a
 // store may take a batch that adds records at or below that bound along
-// with a newer transaction. The key also names the form the request asks for: a page
-// is cached as encoded bytes, so the framed and the NDJSON page of one scan
-// are two entries. A miss runs the stream into its buffer (bounded by limit,
+// with a newer transaction. A page is cached as its frames, so one entry
+// serves both forms: a request that did not ask for frames gets them
+// rendered (renderNDJSON), and a path no JSON line can carry fails the page
+// with a status. A miss runs the stream into its buffer (bounded by limit,
 // unlike a full drain) and stores it only if the scan terminated cleanly.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstore.ScanSpec, limit int) {
 	st, err := s.inner.Stat(r.Context())
@@ -968,13 +984,11 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 	if until, bounded := spec.Bound(); !bounded || until > st.MaxTid {
 		spec = spec.Until(st.MaxTid)
 	}
-	form := streamForm(r)
-	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit) + "\x00" + form
+	key := strconv.FormatInt(st.MaxTid, 10) + "\x00" + spec.Values().Encode() + "\x00" + strconv.Itoa(limit)
 	var pg *cachedPage
 	if v, ok := s.pageCache.Get(key); ok {
 		provtrace.Mark(r.Context(), "cache:hit", provtrace.Attr{K: "cache", V: "page"})
 		pg = v.(*cachedPage)
-		s.streamed(w, pg.n)
 	} else {
 		provtrace.Mark(r.Context(), "cache:miss", provtrace.Attr{K: "cache", V: "page"})
 		sw := s.newStream(w, r, nil, limit, true)
@@ -985,8 +999,17 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, spec provstor
 		pg = &cachedPage{body: bytes.Clone(sw.out.Bytes()), n: sw.n}
 		s.pageCache.Put(key, pg, int64(len(key)+len(pg.body)))
 	}
-	w.Header().Set("Content-Type", form)
-	w.Write(pg.body) //nolint:errcheck // stream end
+	body, contentType := pg.body, contentTypeFrames
+	if !wantsFrames(r) {
+		if body, _, err = renderNDJSON(nil, pg.body); err != nil {
+			s.fail(w, err, http.StatusInternalServerError)
+			return
+		}
+		contentType = contentTypeNDJSON
+	}
+	s.streamed(w, pg.n)
+	w.Header().Set("Content-Type", contentType)
+	w.Write(body) //nolint:errcheck // stream end
 }
 
 // handleQuery executes a whole declarative plan server-side, next to the

@@ -104,8 +104,8 @@ func (h *Histogram) ObserveExemplar(v int64, traceID string) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// A histSnapshot is a point-in-time copy of a histogram, safe to quantile
-// and render without racing further observations. Buckets copied while
+// A histSnapshot is a point-in-time copy of a histogram, safe to render
+// without racing further observations. Buckets copied while
 // writers run may briefly disagree with Count by the in-flight
 // observations; the snapshot is internally consistent enough for
 // monitoring (each bucket value is a real count that was current when
@@ -147,34 +147,4 @@ func (s *histSnapshot) add(o histSnapshot) {
 	if s.Exemplars == nil {
 		s.Exemplars = o.Exemplars
 	}
-}
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1) of the
-// observed distribution, in raw units: the upper bound of the first bucket
-// whose cumulative count reaches ceil(q * total). The estimate is within a
-// factor of 2^(1/8) above a true order-statistic quantile. Returns 0 for
-// an empty histogram.
-func (s *histSnapshot) Quantile(q float64) float64 {
-	total := int64(0)
-	for _, c := range s.Bucket {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	cum := int64(0)
-	for i, c := range s.Bucket {
-		cum += c
-		if cum >= rank {
-			if i == 0 {
-				return 1 // bucket 0 holds values <= 1
-			}
-			return upperBound(i)
-		}
-	}
-	return upperBound(histBuckets - 1)
 }

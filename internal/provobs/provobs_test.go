@@ -3,15 +3,11 @@ package provobs
 import (
 	"math"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// relErr is the documented quantile overestimate bound: one sub-bucket.
-var relErr = math.Pow(2, 1.0/histSub)
 
 func TestBucketIndexBounds(t *testing.T) {
 	vals := []int64{0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1023, 1024, 1025,
@@ -30,60 +26,10 @@ func TestBucketIndexBounds(t *testing.T) {
 			}
 		}
 	}
-	if got := bucketIndex(0); got != 0 {
-		t.Errorf("bucketIndex(0) = %d, want 0", got)
-	}
-	if got := bucketIndex(-5); got != 0 {
-		t.Errorf("bucketIndex(-5) = %d, want 0", got)
-	}
-}
-
-// TestQuantileAgainstReference checks histogram quantiles against the exact
-// order statistic of the observed values: the estimate must be >= the true
-// quantile and within one sub-bucket (factor 2^(1/8)) above it.
-func TestQuantileAgainstReference(t *testing.T) {
-	// Deterministic pseudo-random values spanning several octaves.
-	seed := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		seed ^= seed << 13
-		seed ^= seed >> 7
-		seed ^= seed << 17
-		return seed
-	}
-	h := newHistogram()
-	vals := make([]int64, 0, 10000)
-	for i := 0; i < 10000; i++ {
-		// 1 .. ~16M, log-uniform-ish: a mantissa shifted by a random octave.
-		v := int64(next()%1000+1) << (next() % 15)
-		vals = append(vals, v)
-		h.Observe(v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	s := h.snapshot()
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
-		rank := int(math.Ceil(q * float64(len(vals))))
-		ref := float64(vals[rank-1])
-		est := s.Quantile(q)
-		if est < ref*(1-1e-9) {
-			t.Errorf("q=%g: estimate %g below true quantile %g", q, est, ref)
+	for _, v := range []int64{-5, 0, 1} {
+		if got := bucketIndex(v); got != 0 {
+			t.Errorf("bucketIndex(%d) = %d, want 0", v, got)
 		}
-		if est > ref*relErr*(1+1e-9) {
-			t.Errorf("q=%g: estimate %g exceeds true quantile %g by more than %g", q, est, ref, relErr)
-		}
-	}
-}
-
-func TestQuantileEdgeCases(t *testing.T) {
-	var empty histSnapshot
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Errorf("empty Quantile = %g, want 0", got)
-	}
-	h := newHistogram()
-	h.Observe(0)
-	h.Observe(1)
-	s := h.snapshot()
-	if got := s.Quantile(1.0); got != 1 {
-		t.Errorf("Quantile(1.0) over bucket-0 values = %g, want 1", got)
 	}
 }
 
