@@ -31,7 +31,7 @@ const (
 )
 
 // A Row is one element of a query's result stream — the tagged union the
-// /v1/query NDJSON cursor carries. Which variants appear, and in what
+// /v1/query row stream carries. Which variants appear, and in what
 // shape, depends on the query kind:
 //
 //	select        RowRecord*               (in the requested order)
