@@ -235,7 +235,7 @@ func BenchmarkAblation_Provlist(b *testing.B) {
 // query experiment unindexed ("worst-case behavior").
 func BenchmarkAblation_Index(b *testing.B) {
 	dir := b.TempDir()
-	db, err := relstore.Create(dir + "/a3.rel")
+	db, err := relstore.Open(dir+"/a3.rel", true, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -576,44 +576,4 @@ func BenchmarkEditorPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkBTree measures the storage engine's index.
-func BenchmarkBTree(b *testing.B) {
-	pagerPath := b.TempDir() + "/bt.rel"
-	pager, err := relstore.CreatePager(pagerPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bp := relstore.NewBufferPool(pager, 256)
-	defer bp.Close()
-	bt, err := relstore.NewBTree(bp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probe := []byte("get-probe")
-	if err := bt.Insert(probe, []byte("value")); err != nil {
-		b.Fatal(err)
-	}
-	// The tree refuses a key twice, and the insert sub-benchmark runs once
-	// per b.N it tries: its keys count on across the runs.
-	next := 0
-	b.Run("insert", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := []byte(fmt.Sprintf("key-%09d", next))
-			next++
-			if err := bt.Insert(key, []byte("value")); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("get", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bt.Get(probe); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

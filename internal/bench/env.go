@@ -115,7 +115,7 @@ func newSimEnv(cfg simConfig, costs Costs) (_ *simEnv, err error) {
 		}
 		dir = env.tmpDir
 	}
-	if env.srcDB, err = relstore.Create(filepath.Join(dir, fmt.Sprintf("organelle-%s-%s.rel", cfg.Method, cfg.Pattern))); err != nil {
+	if env.srcDB, err = relstore.Open(filepath.Join(dir, fmt.Sprintf("organelle-%s-%s.rel", cfg.Method, cfg.Pattern)), true, false); err != nil {
 		return nil, err
 	}
 	if err = dataset.LoadOrganelleDB(env.srcDB, cfg.SourceScale); err != nil {
@@ -127,12 +127,11 @@ func newSimEnv(cfg simConfig, costs Costs) (_ *simEnv, err error) {
 	// Provenance store.
 	switch cfg.Backend {
 	case relProv:
-		if env.relDB, err = relstore.Create(filepath.Join(dir, fmt.Sprintf("prov-%s-%s.rel", cfg.Method, cfg.Pattern))); err != nil {
+		rel, err := relprov.OpenFile(filepath.Join(dir, fmt.Sprintf("prov-%s-%s.rel", cfg.Method, cfg.Pattern)), relprov.Options{Create: true})
+		if err != nil {
 			return nil, err
 		}
-		if env.Inner, err = relprov.Create(env.relDB); err != nil {
-			return nil, err
-		}
+		env.Inner, env.relDB = rel, rel.DB()
 	default:
 		env.Inner = provstore.NewMemBackend()
 	}

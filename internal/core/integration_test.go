@@ -26,7 +26,7 @@ func TestFullStackDiskBacked(t *testing.T) {
 	dir := t.TempDir()
 
 	// Source: OrganelleDB in the relational engine.
-	srcDB, err := relstore.Create(filepath.Join(dir, "organelle.rel"))
+	srcDB, err := relstore.Open(filepath.Join(dir, "organelle.rel"), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,8 @@ func TestFullStackDiskBacked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Provenance: relational store with WAL-backed pager.
-	provDB, err := relstore.Create(filepath.Join(dir, "prov.rel"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	backend, err := relprov.Create(provDB)
+	// Provenance: relational store in a file.
+	backend, err := relprov.OpenFile(filepath.Join(dir, "prov.rel"), relprov.Options{Create: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +97,7 @@ func TestFullStackDiskBacked(t *testing.T) {
 	if err := targetStore.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := provDB.Close(); err != nil {
+	if err := backend.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srcDB.Close(); err != nil {
@@ -109,15 +105,11 @@ func TestFullStackDiskBacked(t *testing.T) {
 	}
 
 	// Reopen from disk and answer queries.
-	provDB2, err := relstore.Open(filepath.Join(dir, "prov.rel"))
+	backend2, err := relprov.OpenFile(filepath.Join(dir, "prov.rel"), relprov.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer provDB2.Close()
-	backend2, err := relprov.Open(provDB2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer backend2.Close()
 	st2, _ := backend2.Stat(context.Background())
 	rows2 := st2.Count
 	if rows2 != rows {

@@ -59,7 +59,7 @@ func TestGenOrganelleShape(t *testing.T) {
 // documents).
 func TestRelationalViewMatchesTree(t *testing.T) {
 	cfg := dataset.OrganelleConfig{Proteins: 25, Seed: 5}
-	db, err := relstore.Create(filepath.Join(t.TempDir(), "org.rel"))
+	db, err := relstore.Open(filepath.Join(t.TempDir(), "org.rel"), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}

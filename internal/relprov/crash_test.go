@@ -238,7 +238,11 @@ func TestCrashMatrix(t *testing.T) {
 		// Recovery rewrote and fsynced the data file but died before it
 		// truncated the log: the next open replays the same log again.
 		crashed := crashedDir(t, old, log)
-		if _, err := relstore.RecoverPager(filepath.Join(crashed, "prov.db"), filepath.Join(crashed, "prov.db.wal")); err != nil {
+		recovered, err := relprov.OpenFile(filepath.Join(crashed, "prov.db"), relprov.Options{Durable: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recovered.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(crashed, "prov.db.wal"), log, 0o644); err != nil {
@@ -257,9 +261,9 @@ func TestCrashMatrix(t *testing.T) {
 
 	// A group larger than the pool: a store of several pools' worth of
 	// pages, then one group whose records scatter over by_loc, so the pages
-	// it dirties outnumber the frames. The group is inserted with the log
-	// attached and committed by hand, which is where a kill lands between
-	// the two.
+	// it dirties outnumber the frames. The group is inserted into the
+	// durable store as Append inserts it and committed by hand, which is
+	// where a kill lands between the two.
 	const bigTxns = 6000
 	file = filepath.Join(t.TempDir(), "prov.db")
 	big, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
@@ -283,18 +287,12 @@ func TestCrashMatrix(t *testing.T) {
 	if err := big.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db, err := relstore.Open(file)
+	db, err := relstore.Open(file, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	w, err := relstore.OpenWAL(file + ".wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	db.AttachWAL(w)
-	open, err := relprov.Open(db) // no EnableGroupCommit: Append inserts and does not commit
+	tbl, err := db.Table(relprov.TableName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +303,14 @@ func TestCrashMatrix(t *testing.T) {
 		group = append(group, rec(bigTxns+1, provstore.OpInsert, loc, ""))
 	}
 	_, missesBefore := db.CacheStats()
-	if err := open.Append(context.Background(), group); err != nil {
-		t.Fatal(err)
+	for _, r := range group { // relprov's Append without its GroupCommit
+		e, err := tbl.Key(relstore.Row{r.Tid, r.Loc.AppendBinary(nil), r.Op.String(), r.Src.AppendBinary(nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.InsertEncoded(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, misses := db.CacheStats(); misses-missesBefore <= relstore.DefaultCachePages {
 		t.Fatalf("test premise: the group read %d pages, want more than the pool's %d", misses-missesBefore, relstore.DefaultCachePages)
@@ -320,6 +324,32 @@ func TestCrashMatrix(t *testing.T) {
 	t.Run("a group larger than the pool, killed after its commit", func(t *testing.T) {
 		checkStore(t, crashedDir(t, readFile(t, file), readFile(t, file+".wal")), append(acked, group...))
 	})
+}
+
+// TestCrashBeforeFirstAppend: a new durable store is committed before its
+// open returns, catalog and table, so a crash before the first Append
+// leaves a store that opens, holds no record and takes appends that survive
+// Close and a reopen.
+func TestCrashBeforeFirstAppend(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "prov.db")
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	dir := crashedDir(t, readFile(t, file), readFile(t, file+".wal")) // no Close
+	crashed, err := relprov.OpenFile(filepath.Join(dir, "prov.db"), relprov.Options{Durable: true})
+	if err != nil {
+		t.Fatalf("a store crashed before its first Append does not open: %v", err)
+	}
+	if st, err := crashed.Stat(context.Background()); err != nil || st.Count != 0 {
+		t.Fatalf("Stat = %+v, %v; want 0 records", st, err)
+	}
+	acked := commitTxns(t, crashed, 1, 1)
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkStore(t, dir, acked)
 }
 
 // TestCloseLeavesEmptyLog: a clean Close checkpoints, so the store carries
@@ -340,8 +370,16 @@ func TestCloseLeavesEmptyLog(t *testing.T) {
 	if fi, err := os.Stat(file + ".wal"); err != nil || fi.Size() != 0 {
 		t.Fatalf("log after Close: %d bytes, %v; want 0", fi.Size(), err)
 	}
-	if n, err := relstore.RecoverPager(file, file+".wal"); err != nil || n != 0 {
-		t.Fatalf("reopening a cleanly closed store repairs %d pages, %v; want 0", n, err)
+	closed := readFile(t, file)
+	reopened, err := relprov.OpenFile(file, relprov.Options{Durable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, file), closed) {
+		t.Fatal("reopening a cleanly closed store repaired pages; want none")
+	}
+	if err := reopened.Close(); err != nil {
+		t.Fatal(err)
 	}
 	checkStore(t, filepath.Dir(file), acked)
 }

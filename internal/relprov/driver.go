@@ -2,7 +2,6 @@ package relprov
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/provstore"
 	"repro/internal/relstore"
@@ -12,13 +11,13 @@ import (
 // store addressed as rel://path/to/file.db with parameters
 //
 //	create=1    create the database file (it must not exist yet)
-//	durable=1   attach a write-ahead log (file + ".wal") and group-commit
-//	            every append batch; on open, first replay the log: after a
-//	            crash it holds everything committed since the data file was
-//	            last fsynced
+//	durable=1   write-ahead log the store (file + ".wal") and group-commit
+//	            every append batch
 //
 // so cpdb.OpenBackend (and any DSN-configured deployment) can reach the
-// relational engine without calling its constructors directly.
+// relational engine without calling its constructors directly. The log is
+// relstore's: its open replays it after a crash, its GroupCommit writes it,
+// its Close checkpoints and closes it.
 
 func init() {
 	provstore.RegisterDriver("rel", provstore.DriverFunc(openDSN))
@@ -47,68 +46,42 @@ type Options struct {
 	// Create makes a fresh database file instead of opening an existing
 	// one.
 	Create bool
-	// Durable attaches a write-ahead log (file + ".wal") and group-commits
-	// every append batch, replaying the log on open. See
-	// Backend.EnableGroupCommit.
+	// Durable write-ahead logs the store (file + ".wal") and makes every
+	// Append durable before it returns. See OpenFile.
 	Durable bool
 }
 
 // OpenFile opens (or, with opts.Create, creates) a relational provenance
-// store in the given database file. With opts.Durable the store group-
-// commits through a write-ahead log at file + ".wal"; opening an existing
-// durable store replays that log first, restoring whatever a crash kept
-// from the data file (which is written only when pages must leave memory
-// and fsynced only at checkpoints). A clean Close leaves the log empty.
-// Close the returned backend to release the files.
+// store in the given database file: relstore.Open, then the provenance
+// table, created and committed or found. relstore owns the log and its
+// whole life. With opts.Durable every Append is durable before it returns,
+// at the cost of one log write and one log fsync however many records or
+// whole transactions it carries; a commit logs the rows it stored and
+// leaves its pages in memory, so the data file is written only when pages
+// must leave memory — after a commit that leaves more than half the buffer
+// pool dirty, when the log is checkpointed (truncated, every few megabytes
+// logged) and at Close, which leaves the log empty — and fsynced only at the
+// last two. Without it the store is durable only at Close, as the paper's
+// MySQL deployment was at transaction boundaries. Opening an existing store
+// first replays a log that is not empty, durable or not, restoring whatever
+// a crash kept from the data file. Close the returned backend to release
+// the files.
 func OpenFile(file string, opts Options) (*Backend, error) {
-	walFile := file + ".wal"
-	if !opts.Create {
-		// A non-empty log is replayed even when this open will not write
-		// one: it holds commits a crashed durable session acknowledged
-		// and the data file may lack.
-		if fi, err := os.Stat(walFile); opts.Durable || err == nil && fi.Size() > 0 {
-			if _, err := relstore.RecoverPager(file, walFile); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var (
-		db  *relstore.DB
-		err error
-	)
-	if opts.Create {
-		db, err = relstore.Create(file)
-	} else {
-		db, err = relstore.Open(file)
-	}
+	db, err := relstore.Open(file, opts.Create, opts.Durable)
 	if err != nil {
 		return nil, err
 	}
-	var b *Backend
+	var tbl *relstore.Table
 	if opts.Create {
-		b, err = Create(db)
+		if tbl, err = db.CreateTable(schema()); err == nil {
+			err = db.GroupCommit()
+		}
 	} else {
-		b, err = Open(db)
+		tbl, err = db.Table(TableName)
 	}
 	if err != nil {
 		db.Close()
 		return nil, err
 	}
-	if opts.Durable {
-		var w *relstore.WAL
-		if opts.Create {
-			w, err = relstore.CreateWAL(walFile)
-		} else {
-			w, err = relstore.OpenWAL(walFile)
-		}
-		if err != nil {
-			db.Close()
-			return nil, err
-		}
-		if err := b.EnableGroupCommit(w); err != nil {
-			b.Close()
-			return nil, err
-		}
-	}
-	return b, nil
+	return newBackend(db, tbl), nil
 }

@@ -52,11 +52,7 @@ type Backend struct {
 	mu  sync.RWMutex
 	db  *relstore.DB
 	tbl *relstore.Table
-	wal *relstore.WAL // non-nil after EnableGroupCommit; closed by Close
-	// durable makes every Append end in one GroupCommit, instead of
-	// durability only at Close. See EnableGroupCommit.
-	durable bool
-	obs     *provobs.Registry
+	obs *provobs.Registry
 	// Every cursor's window buffer, and every read's decoder, is pooled.
 	windows  *provstore.Windows[provstore.Record]
 	decoders provstore.Idle[*decoder]
@@ -84,49 +80,8 @@ func schema() relstore.TableSchema {
 	}
 }
 
-// Create creates the provenance table in the database and returns the
-// backend.
-func Create(db *relstore.DB) (*Backend, error) {
-	tbl, err := db.CreateTable(schema())
-	if err != nil {
-		return nil, err
-	}
-	return newBackend(db, tbl), nil
-}
-
-// Open attaches to an existing provenance table.
-func Open(db *relstore.DB) (*Backend, error) {
-	tbl, err := db.Table(TableName)
-	if err != nil {
-		return nil, err
-	}
-	return newBackend(db, tbl), nil
-}
-
 // DB exposes the underlying database (for size accounting).
 func (b *Backend) DB() *relstore.DB { return b.db }
-
-// EnableGroupCommit attaches a write-ahead log to the underlying database
-// and makes every Append durable before returning — at the cost of one log
-// write and one log fsync per call, however many records or whole
-// transactions it carries, and nothing of an Append reaches either file
-// before that: a crash keeps the call whole or not at all. A commit logs the
-// rows it stored and leaves its pages in memory; the data file is written
-// only when pages must leave memory — after a commit that leaves more than
-// half the buffer pool dirty, when the log is checkpointed (truncated, every
-// few megabytes logged) and at Close, which leaves the log empty — and
-// fsynced only at the last two. Pages the store dirtied before the call are
-// written here, as one logged group. This is the group-commit write path of
-// the sharded ingest pipeline; without it the store is durable only at
-// Close, as the paper's MySQL deployment was at transaction boundaries. The
-// log is closed by Close. After a crash, run relstore.RecoverPager before
-// reopening (OpenFile does): the data file alone may lack anything committed
-// since the last checkpoint. If the write fails, the backend is still
-// Close's to release, log included.
-func (b *Backend) EnableGroupCommit(w *relstore.WAL) error {
-	b.wal, b.durable = w, true
-	return b.db.AttachWAL(w)
-}
 
 // newBackend registers the work the engine has done since the store was
 // opened, so a daemon's /v1/stats and /metrics show what a request cost below
@@ -183,19 +138,13 @@ func newBackend(db *relstore.DB, tbl *relstore.Table) *Backend {
 // ObsRegistries implements provobs.Source.
 func (b *Backend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{b.obs} }
 
-// Close releases the underlying database — whose Close syncs the data file
-// and then empties the log, so a cleanly closed store carries no log to
-// replay — and, if group commit was enabled, closes the log file.
+// Close releases the underlying database, whose Close syncs the data file
+// and then empties and closes the log of a durable store, so a cleanly
+// closed store carries no log to replay.
 func (b *Backend) Close() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	err := b.db.Close()
-	if b.wal != nil {
-		if werr := b.wal.Close(); err == nil {
-			err = werr
-		}
-	}
-	return err
+	return b.db.Close()
 }
 
 // toRows returns the rows of recs: their values in one backing array, the
@@ -349,8 +298,10 @@ func (b *Backend) putDecoder(d *decoder) {
 
 // Append implements provstore.Backend: the records — one transaction's, or
 // the several committed transactions a batching layer accumulated — are
-// inserted in the order given and then made durable together with a single
-// GroupCommit (one WAL write and fsync). The whole batch is validated before
+// inserted in the order given and then committed together with a single
+// GroupCommit: in a durable store one log write and fsync, before which
+// nothing of the batch reaches either file, so a crash keeps it whole or not
+// at all; in any other, nothing until Close. The whole batch is validated before
 // any row is inserted, so a duplicate {Tid, Loc} anywhere in it or against
 // the table, or a record too large to store, aborts it wholesale; each row is
 // encoded once, for the check and the insert.
@@ -393,10 +344,7 @@ func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 			return fmt.Errorf("relprov: appending record %d: %w", i, err)
 		}
 	}
-	if b.durable {
-		return b.db.GroupCommit()
-	}
-	return nil
+	return b.db.GroupCommit()
 }
 
 // refuseStored returns a *provstore.DupKeyError for the first record whose

@@ -25,15 +25,11 @@ import (
 
 func newBackend(t *testing.T) *relprov.Backend {
 	t.Helper()
-	db, err := relstore.Create(filepath.Join(t.TempDir(), "prov.rel"))
+	b, err := relprov.OpenFile(filepath.Join(t.TempDir(), "prov.rel"), relprov.Options{Create: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	b, err := relprov.Create(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { b.Close() })
 	return b
 }
 
@@ -224,25 +220,17 @@ func TestRelProvCorruptRows(t *testing.T) {
 
 // TestRelProvAppendBatch (the name predates the single write path, when a
 // group was a second method): an Append spanning transactions lands whole,
-// duplicate keys anywhere across it abort it before insertion, and with group
-// commit enabled the rows survive reopening after an unclean stop (durability
+// duplicate keys anywhere across it abort it before insertion, and in a
+// durable store the rows survive reopening after an unclean stop (durability
 // came from the WAL, not Close).
 func TestRelProvAppendBatch(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.rel")
-	db, err := relstore.Create(file)
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := relprov.Create(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := relstore.CreateWAL(file + ".wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.EnableGroupCommit(w)
+	defer b.Close()
 
 	if err := b.Append(context.Background(), nil); err != nil {
 		t.Fatalf("empty group: %v", err)
@@ -280,28 +268,20 @@ func TestRelProvAppendBatch(t *testing.T) {
 		t.Fatalf("stored dup: %v", err)
 	}
 
-	// The group commit made rows durable without a Close: recover the
-	// store file from the WAL and reopen.
-	w.Close()
-	if _, err := relstore.RecoverPager(file, file+".wal"); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := relstore.Open(file)
+	// The group commit made rows durable without a Close: copy both files
+	// as they stand, a crash, and reopen the copy, which recovers it.
+	crashed := crashedDir(t, readFile(t, file), readFile(t, file+".wal"))
+	b2, err := relprov.OpenFile(filepath.Join(crashed, "prov.db"), relprov.Options{Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	b2, err := relprov.Open(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer b2.Close()
 	if st, err := b2.Stat(context.Background()); err != nil || st.Count != 4 {
 		t.Fatalf("reopened Count = %d, %v", st.Count, err)
 	}
 	if r, ok, err := provstore.Lookup(context.Background(), b2, 3, path.MustParse("T/c")); err != nil || !ok || r.Op != provstore.OpInsert {
 		t.Fatalf("reopened Lookup = %v/%v/%v", r, ok, err)
 	}
-	db.Close()
 }
 
 func TestRelProvDupKey(t *testing.T) {
@@ -354,11 +334,7 @@ func TestRelProvLabelwisePrefix(t *testing.T) {
 func TestRelProvPersistence(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "prov.rel")
-	db, err := relstore.Create(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := relprov.Create(db)
+	b, err := relprov.OpenFile(file, relprov.Options{Create: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,19 +345,15 @@ func TestRelProvPersistence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := db.Close(); err != nil {
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	db2, err := relstore.Open(file)
+	b2, err := relprov.OpenFile(file, relprov.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	b2, err := relprov.Open(db2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer b2.Close()
 	st, _ := b2.Stat(context.Background())
 	n := st.Count
 	if n != 500 {
@@ -391,13 +363,20 @@ func TestRelProvPersistence(t *testing.T) {
 	if err != nil || !ok || r.Op != provstore.OpCopy {
 		t.Errorf("Lookup after reopen = %v %v %v", r, ok, err)
 	}
-	if b2.DB() != db2 {
-		t.Error("DB accessor wrong")
+	if tbl, err := b2.DB().Table(relprov.TableName); err != nil || tbl.RowCount() != 500 {
+		t.Errorf("DB accessor wrong: the table it holds %v, %v", tbl, err)
 	}
-	// Open on a database without the table errors.
-	db3, _ := relstore.Create(filepath.Join(dir, "empty.rel"))
-	defer db3.Close()
-	if _, err := relprov.Open(db3); err == nil {
+	// Opening a database without the table errors.
+	empty := filepath.Join(dir, "empty.rel")
+	db3, err := relstore.Open(empty, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db3.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b3, err := relprov.OpenFile(empty, relprov.Options{}); err == nil {
+		b3.Close()
 		t.Error("Open without table should error")
 	}
 }

@@ -8,22 +8,17 @@ import (
 
 	"repro/internal/path"
 	"repro/internal/provstore"
-	"repro/internal/relstore"
 )
 
 // windowStore returns a store of 2 000 records: 100 transactions of 20, each
 // under T/e<tid>, every other one a copy.
 func windowStore(t *testing.T) *Backend {
 	t.Helper()
-	db, err := relstore.Create(filepath.Join(t.TempDir(), "prov.rel"))
+	b, err := OpenFile(filepath.Join(t.TempDir(), "prov.rel"), Options{Create: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
-	b, err := Create(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Cleanup(func() { b.Close() })
 	for tid := int64(1); tid <= 100; tid++ {
 		recs := make([]provstore.Record, 0, 20)
 		for i := 0; i < 20; i++ {

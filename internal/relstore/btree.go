@@ -64,8 +64,8 @@ var (
 	ErrKeyTooBig   = errors.New("relstore: key/value too large for page")
 )
 
-// NewBTree creates an empty tree, allocating its root leaf.
-func NewBTree(bp *BufferPool) (*BTree, error) {
+// newBTree creates an empty tree, allocating its root leaf.
+func newBTree(bp *BufferPool) (*BTree, error) {
 	root, err := bp.alloc(kindBTreeLeaf)
 	if err != nil {
 		return nil, err

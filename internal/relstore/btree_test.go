@@ -12,7 +12,7 @@ import (
 
 func testPool(t *testing.T, cachePages int) *BufferPool {
 	t.Helper()
-	pager, err := CreatePager(tempStore(t))
+	pager, err := createPager(tempStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func testPool(t *testing.T, cachePages int) *BufferPool {
 
 func TestBTreeBasic(t *testing.T) {
 	bp := testPool(t, 64)
-	bt, err := NewBTree(bp)
+	bt, err := newBTree(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestBTreeBasic(t *testing.T) {
 
 func TestBTreeKeyTooBig(t *testing.T) {
 	bp := testPool(t, 64)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	if err := bt.Insert(make([]byte, maxCellSize), []byte("v")); !errors.Is(err, ErrKeyTooBig) {
 		t.Errorf("huge key: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestBTreeKeyTooBig(t *testing.T) {
 // splits and verifies full ordered iteration and point lookups.
 func TestBTreeManyKeysOrdered(t *testing.T) {
 	bp := testPool(t, 128)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	const n = 5000
 	perm := rand.New(rand.NewSource(7)).Perm(n)
 	for _, i := range perm {
@@ -127,7 +127,7 @@ func TestBTreeManyKeysOrdered(t *testing.T) {
 
 func TestBTreeSeekAndRange(t *testing.T) {
 	bp := testPool(t, 64)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	for _, k := range []string{"apple", "banana", "cherry", "damson", "elder"} {
 		bt.Insert([]byte(k), []byte("v"))
 	}
@@ -160,12 +160,12 @@ func TestBTreeSeekAndRange(t *testing.T) {
 // drawn again must be refused with errDupKey and keep its first value.
 func TestBTreeAgainstMap(t *testing.T) {
 	path := tempStore(t)
-	pager, err := CreatePager(path)
+	pager, err := createPager(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bp := NewBufferPool(pager, 64)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	model := map[string]string{}
 	r := rand.New(rand.NewSource(42))
 	// Keys of four shapes — short, behind a long shared prefix, and pairs of
@@ -250,7 +250,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 // pages than the tree, so every operation faults pages in and out.
 func TestBTreeTinyCache(t *testing.T) {
 	bp := testPool(t, 8)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	const n = 3000
 	for i := 0; i < n; i++ {
 		if err := bt.Insert([]byte(fmt.Sprintf("%06d", i)), []byte("payload")); err != nil {
@@ -382,7 +382,7 @@ func TestBTreeLast(t *testing.T) {
 	newTree := func() {
 		t.Helper()
 		var err error
-		if bt, err = NewBTree(bp); err != nil {
+		if bt, err = newBTree(bp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -449,7 +449,7 @@ func TestBTreeLast(t *testing.T) {
 
 func TestBTreeScanFrom(t *testing.T) {
 	bp := testPool(t, 64)
-	bt, _ := NewBTree(bp)
+	bt, _ := newBTree(bp)
 	for _, k := range []string{"a/1", "a/2", "a/3", "b/1"} {
 		bt.Insert([]byte(k), []byte("v"))
 	}
@@ -510,4 +510,44 @@ func TestBTreeScanFrom(t *testing.T) {
 				len(got), strings.ReplaceAll(strings.Join(got, " "), deep, ""), len(c.want), strings.ReplaceAll(strings.Join(c.want, " "), deep, ""))
 		}
 	}
+}
+
+// BenchmarkBTree measures the storage engine's index.
+func BenchmarkBTree(b *testing.B) {
+	pagerPath := b.TempDir() + "/bt.rel"
+	pager, err := createPager(pagerPath, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bp := NewBufferPool(pager, 256)
+	defer bp.Close()
+	bt, err := newBTree(bp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	probe := []byte("get-probe")
+	if err := bt.Insert(probe, []byte("value")); err != nil {
+		b.Fatal(err)
+	}
+	// The tree refuses a key twice, and the insert sub-benchmark runs once
+	// per b.N it tries: its keys count on across the runs.
+	next := 0
+	b.Run("insert", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			key := []byte(fmt.Sprintf("key-%09d", next))
+			next++
+			if err := bt.Insert(key, []byte("value")); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bt.Get(probe); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

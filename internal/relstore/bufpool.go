@@ -10,8 +10,8 @@ import (
 // A BufferPool caches pages above the Pager with LRU eviction. Pages are
 // pinned while in use; only unpinned pages are evictable.
 //
-// The pool alone decides when a page image may leave memory. With a
-// write-ahead log attached to the pager, only inside a logged page group
+// The pool alone decides when a page image may leave memory. Under the
+// store's write-ahead log, only inside a logged page group
 // (flushGroup): a dirty frame is never a victim, so neither file ever holds
 // a page the log does not, and a crash loses the open commit whole. A frame
 // dirtied under a log leaves the LRU list until it is written. A commit
@@ -123,28 +123,26 @@ func (bp *BufferPool) admit(pg *page) error {
 	return nil
 }
 
-// victim picks the least recently used frame that may leave the pool:
-// unpinned and, with a log attached, clean (a frame dirtied before the log
-// was attached is still listed).
+// victim picks the least recently used frame that may leave the pool: an
+// unpinned one. Under a log every listed frame is clean (see markDirty).
 func (bp *BufferPool) victim() (*frame, error) {
-	noSteal := bp.pager.hasWAL()
 	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		if f := bp.frames[e.Value.(PageID)]; f.pins == 0 && !(f.dirty && noSteal) {
+		if f := bp.frames[e.Value.(PageID)]; f.pins == 0 {
 			return f, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (%d pages)", errPoolExhausted, bp.cap)
 }
 
-// markDirty records that the frame's page was modified and, with a log
-// attached, takes it off the list until flushGroup commits it.
+// markDirty records that the frame's page was modified and, under a log,
+// takes it off the list until flushGroup commits it.
 func (bp *BufferPool) markDirty(f *frame) {
 	if f.dirty {
 		return
 	}
 	f.dirty = true
 	bp.dirty++
-	if bp.pager.hasWAL() {
+	if bp.pager.wal != nil {
 		bp.lru.Remove(f.elem)
 		f.elem = nil
 	}
@@ -165,13 +163,13 @@ func (bp *BufferPool) unpin(id PageID, dirty bool) {
 }
 
 // flushGroup writes back every dirty page as one group commit
-// (Pager.writeGroup). With a log attached the group — pages and pager
+// (Pager.writeGroup). Under a log the group — pages and pager
 // header — is durable behind one log write and one log fsync, however many
 // records dirtied the pages; the data file is written but not fsynced until
 // the log is checkpointed (DB.GroupCommit decides when). With no log the
 // data file is the only copy and is fsynced here, every time.
 func (bp *BufferPool) flushGroup() error {
-	if wrote, err := bp.writeGroup(); err != nil || !wrote || bp.pager.hasWAL() {
+	if wrote, err := bp.writeGroup(); err != nil || !wrote || bp.pager.wal != nil {
 		return err
 	}
 	return bp.pager.sync()
@@ -227,7 +225,7 @@ func (bp *BufferPool) Stats() (hits, misses int64) {
 
 // Close writes back every dirty page as one last group and closes the
 // underlying pager, whose checkpoint is the one fsync of the data file a
-// close costs and empties the attached log.
+// close costs and empties the log.
 func (bp *BufferPool) Close() error {
 	if _, err := bp.writeGroup(); err != nil {
 		bp.pager.Close()

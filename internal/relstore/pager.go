@@ -27,8 +27,9 @@ const formatVersion uint32 = 5
 // catalog root page id and the format version. Pages are written in groups
 // (writeGroup), the only way to the data file. Header changes are kept in
 // memory and written out with the next page group, Sync or Close — after the
-// attached write-ahead log, if any, has them: like every page, the header
-// never reaches the data file ahead of the log.
+// store's write-ahead log, if it has one, has them: like every page, the
+// header never reaches the data file ahead of the log. The log is fixed when
+// the pager is made, and the pager's Close closes it.
 //
 // The Pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
@@ -40,7 +41,7 @@ type Pager struct {
 	// hdrDirty: the header changed since it was last written; the next page
 	// group or Sync logs and writes it.
 	hdrDirty bool
-	wal      *WAL // optional write-ahead log (see AttachWAL)
+	wal      *wal // the store's write-ahead log, or nil
 
 	dataSyncs, checkpoints int64 // see IOStats
 }
@@ -57,13 +58,14 @@ var (
 	errOutOfRange    = errors.New("relstore: page id out of range")
 )
 
-// CreatePager creates a new store file (truncating any existing one).
-func CreatePager(path string) (*Pager, error) {
+// createPager creates a new store file (truncating any existing one) whose
+// page groups go to w first, if w is not nil.
+func createPager(path string, w *wal) (*Pager, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f, pages: 1, hdrDirty: true}
+	p := &Pager{f: f, pages: 1, hdrDirty: true, wal: w}
 	// Page 0 is all zeroes but for its header.
 	if err = f.Truncate(PageSize); err == nil {
 		err = p.writeHeader()
@@ -81,9 +83,18 @@ func OpenPager(path string) (*Pager, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f}
-	if err := p.readHeader(); err != nil {
+	p, err := openPager(f, nil)
+	if err != nil {
 		f.Close()
+	}
+	return p, err
+}
+
+// openPager reads the header of the store file f, whose page groups go to w
+// first, if w is not nil.
+func openPager(f *os.File, w *wal) (*Pager, error) {
+	p := &Pager{f: f, wal: w}
+	if err := p.readHeader(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -112,7 +123,7 @@ func checkFormat(hdr []byte) error {
 }
 
 // writeHeader writes the header to the data file if it may have changed.
-// With a log attached the caller has logged it first. Caller holds mu.
+// With a log the caller has logged it first. Caller holds mu.
 func (p *Pager) writeHeader() error {
 	if !p.hdrDirty {
 		return nil
@@ -194,8 +205,8 @@ func (p *Pager) readLocked(id PageID) (*page, error) {
 	return pg, nil
 }
 
-// Sync writes out a changed header and fsyncs the data file. With a log
-// attached, a group of no pages first makes the header durable there: the
+// Sync writes out a changed header and fsyncs the data file. With a log, a
+// group of no pages first makes the header durable there: the
 // data file on disk is never newer than the log.
 func (p *Pager) sync() error {
 	p.mu.Lock()
@@ -216,14 +227,14 @@ func (p *Pager) syncLocked() error {
 	return p.f.Sync()
 }
 
-// Close checkpoints (syncs the data file, then empties the attached log,
-// which must still be open) and closes the store file.
+// Close checkpoints (syncs the data file, then empties the log) and closes
+// the store file and the log.
 func (p *Pager) Close() error {
-	err := p.checkpoint()
-	if cerr := p.f.Close(); err == nil {
-		err = cerr
+	errs := []error{p.checkpoint(), p.f.Close()}
+	if p.wal != nil {
+		errs = append(errs, p.wal.f.Close())
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // FileSize returns the current size of the store file in bytes.

@@ -18,7 +18,7 @@ func tempStore(t *testing.T) string {
 
 func TestPagerCreateOpen(t *testing.T) {
 	path := tempStore(t)
-	p, err := CreatePager(path)
+	p, err := createPager(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPagerBadMagic(t *testing.T) {
 }
 
 func TestPagerOutOfRange(t *testing.T) {
-	p, err := CreatePager(tempStore(t))
+	p, err := createPager(tempStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPagerOutOfRange(t *testing.T) {
 // priceless", so silent corruption is unacceptable.
 func TestPagerCorruptionDetection(t *testing.T) {
 	path := tempStore(t)
-	p, err := CreatePager(path)
+	p, err := createPager(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPagerCorruptionDetection(t *testing.T) {
 }
 
 func TestPagerFileSize(t *testing.T) {
-	p, err := CreatePager(tempStore(t))
+	p, err := createPager(tempStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,14 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 
 	// A fresh store: the version is on page 0 after Close...
 	fresh := filepath.Join(dir, "fresh.db")
-	p, err := CreatePager(fresh)
+	w, err := createWAL(fresh + ".wal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := CreateWAL(fresh + ".wal")
+	p, err := createPager(fresh, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.AttachWAL(w)
 	pg, err := p.alloc(kindHeap)
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +172,6 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	page0 := make([]byte, storeHeaderSize)
 	if f, err := os.Open(fresh); err != nil {
 		t.Fatal(err)
@@ -206,8 +204,8 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 	if err := os.WriteFile(lost+".wal", committed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := RecoverPager(lost, lost+".wal"); err != nil || n != 1 {
-		t.Fatalf("RecoverPager = %d, %v; want 1 page", n, err)
+	if n, err := recoverPages(lost, lost+".wal"); err != nil || n != 1 {
+		t.Fatalf("recovery = %d, %v; want 1 page", n, err)
 	}
 	reopen(lost, 2)
 }
@@ -248,13 +246,13 @@ func refuseVersion(t *testing.T, dir string, version uint32) {
 		}
 	}
 
-	if n, err := RecoverPager(store, log); !errors.Is(err, errFormatVersion) || n != 0 {
-		t.Errorf("RecoverPager on a version %d store = %d, %v; want ErrFormatVersion", version, n, err)
+	if _, n, err := open(store, false, true); !errors.Is(err, errFormatVersion) || n != 0 {
+		t.Errorf("recovery on a version %d store = %d, %v; want ErrFormatVersion", version, n, err)
 	}
 	if _, err := OpenPager(store); !errors.Is(err, errFormatVersion) {
 		t.Errorf("OpenPager on a version %d store: %v; want ErrFormatVersion", version, err)
 	}
-	if _, err := Open(store); !errors.Is(err, errFormatVersion) {
+	if _, err := Open(store, false, false); !errors.Is(err, errFormatVersion) {
 		t.Errorf("Open on a version %d store: %v; want ErrFormatVersion", version, err)
 	}
 	for name, content := range map[string][]byte{store: data, log: group} {

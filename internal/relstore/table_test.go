@@ -47,7 +47,7 @@ func provSchema() TableSchema {
 
 func testDB(t *testing.T) *DB {
 	t.Helper()
-	db, err := Create(filepath.Join(t.TempDir(), "db.rel"))
+	db, err := Open(filepath.Join(t.TempDir(), "db.rel"), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestSchemaValidation(t *testing.T) {
 // verifies the catalog, rows, indexes and counters all survive.
 func TestDBPersistence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "persist.rel")
-	db, err := Create(path)
+	db, err := Open(path, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestDBPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(path)
+	db2, err := Open(path, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestDBPersistence(t *testing.T) {
 // rather than open the store without the table it describes.
 func TestOpenRefusesUnreadableCatalog(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.rel")
-	db, err := Create(path)
+	db, err := Open(path, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestOpenRefusesUnreadableCatalog(t *testing.T) {
 	}
 
 	var syntax *json.SyntaxError
-	if db, err := Open(path); !errors.As(err, &syntax) {
+	if db, err := Open(path, false, false); !errors.As(err, &syntax) {
 		if err == nil {
 			db.Close()
 		}

@@ -2,18 +2,19 @@ package relstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sync"
 )
 
-// A WAL is a write-ahead log of commits. A commit is logged one of two
+// A wal is the write-ahead log of a durable store, the file path + ".wal"
+// beside its data file; Open attaches it before the first page is dirtied and
+// Close checkpoints and closes it. A commit is logged one of two
 // ways. A rows record holds the rows it stored, as encoded keys and values:
 // its pages stay dirty in the buffer pool, and after a crash recovery redoes
 // the rows through Table.Insert. A page group holds full page images under
@@ -28,7 +29,7 @@ import (
 // The paper's related work (§5) discusses transaction logging as a
 // neighbouring mechanism and argues provenance must not be bolted onto it:
 // "such application-level code and data has no place in a system-critical
-// mechanism". This WAL is exactly that system-critical mechanism — it knows
+// mechanism". This log is exactly that system-critical mechanism — it knows
 // nothing about provenance; provenance records are ordinary table rows
 // above it.
 //
@@ -47,13 +48,12 @@ import (
 // record (appendRows) stands alone at top level; its body is each row in
 // turn as three uvarint-length-prefixed byte strings: the table's name, the
 // row's encoded primary key and its encoded value.
-type WAL struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	lsn  uint64
-	size int64  // bytes in the log; the next append goes here
-	buf  []byte // encode buffer, reused from append to append
+type wal struct {
+	mu  sync.Mutex
+	f   *os.File
+	lsn uint64
+	end int64  // bytes in the log; the next append goes here
+	buf []byte // encode buffer, reused from append to append
 	// fsyncs and bytes count log fsyncs and bytes appended since open.
 	fsyncs, bytes int64
 }
@@ -71,45 +71,43 @@ const (
 	walKeepBuf = 64 * walPageSize
 )
 
-// errTornLog reports a truncated or corrupt trailing log record, which
-// replay treats as the end of the usable log.
-var errTornLog = errors.New("relstore: torn write-ahead log record")
-
-// CreateWAL creates (truncating) a log file.
-func CreateWAL(path string) (*WAL, error) {
+// createWAL creates (truncating) a log file.
+func createWAL(path string) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &WAL{f: f, path: path}, nil
+	return &wal{f: f}, nil
 }
 
-// OpenWAL opens an existing log file (creating an empty one if absent),
-// positioning appends after the last intact record.
-func OpenWAL(path string) (*WAL, error) {
+// openWAL opens the log file at path, creating an empty one if absent, and
+// replays it through apply (see replay): one read of the file. The log is
+// cut after its last whole unit, where appends resume. It returns the
+// number of page images applied and the rows records to redo.
+func openWAL(path string, apply func(id PageID, image []byte) error) (w *wal, pages int, rows [][]byte, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	w := &WAL{f: f, path: path}
-	// Find the end of the intact prefix and the newest LSN.
-	end, maxLSN, err := w.scan(math.MaxInt64, nil)
-	if err != nil && !errors.Is(err, errTornLog) {
+	w = &wal{f: f}
+	fi, err := f.Stat()
+	if err == nil {
+		w.end = fi.Size()
+		if pages, rows, err = w.replay(apply); err == nil {
+			err = f.Truncate(w.end)
+		}
+	}
+	if err != nil {
 		f.Close()
-		return nil, err
+		return nil, 0, nil, err
 	}
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w.size, w.lsn = end, maxLSN
-	return w, nil
+	return w, pages, rows, nil
 }
 
 // appendGroup logs a commit — the pager header and a batch of page images —
 // with one write and one fsync: however many records (or whole
 // transactions) dirtied these pages, that is all the log pays.
-func (w *WAL) appendGroup(pgs []*page, header [storeHeaderSize]byte) error {
+func (w *wal) appendGroup(pgs []*page, header [storeHeaderSize]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var count [4]byte
@@ -123,8 +121,8 @@ func (w *WAL) appendGroup(pgs []*page, header [storeHeaderSize]byte) error {
 }
 
 // appendRows logs a commit as the rows it stored — body is the rows record's
-// body, see WAL — with one write and one fsync.
-func (w *WAL) appendRows(body []byte) error {
+// body, see wal — with one write and one fsync.
+func (w *wal) appendRows(body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.commit(w.appendRecord(w.buf[:0], walRowsMagic, PageID(len(body)), body))
@@ -133,14 +131,14 @@ func (w *WAL) appendRows(body []byte) error {
 // commit appends the encoded records of one commit to the log with one write
 // and one fsync, keeping buf to encode the next commit in unless it grew past
 // walKeepBuf. Caller holds mu.
-func (w *WAL) commit(buf []byte) error {
+func (w *wal) commit(buf []byte) error {
 	if cap(buf) <= walKeepBuf {
 		w.buf = buf[:0]
 	}
-	if _, err := w.f.WriteAt(buf, w.size); err != nil {
+	if _, err := w.f.WriteAt(buf, w.end); err != nil {
 		return err
 	}
-	w.size += int64(len(buf))
+	w.end += int64(len(buf))
 	w.bytes += int64(len(buf))
 	w.fsyncs++
 	return w.f.Sync()
@@ -148,7 +146,7 @@ func (w *WAL) commit(buf []byte) error {
 
 // appendRecord encodes one record, its body given in pieces, under the next
 // LSN. The checksum is taken over the encoded copy, so no piece escapes.
-func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) []byte {
+func (w *wal) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) []byte {
 	w.lsn++
 	buf = binary.BigEndian.AppendUint32(buf, magic)
 	buf = binary.BigEndian.AppendUint64(buf, w.lsn)
@@ -162,160 +160,129 @@ func (w *WAL) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) 
 	return buf
 }
 
-// scan reads the first limit bytes of the log, calling visit (if non-nil)
-// for every intact record: a page image with its page, a group's pager
-// header as page 0 and a rows record's body with magic walRowsMagic. body is
-// valid until visit returns. scan returns the offset after the last whole
-// record or group and the newest LSN seen. A torn tail, which includes a
-// group missing any of its records and a page record no group counts, yields
-// errTornLog with the prefix results intact. Records are visited as they are
-// read, so a caller that must not see part of a group passes a limit some
-// earlier scan returned.
-func (w *WAL) scan(limit int64, visit func(magic uint32, id PageID, body []byte) error) (end int64, maxLSN uint64, err error) {
-	if fi, err := w.f.Stat(); err != nil {
-		return 0, 0, err
-	} else if fi.Size() < limit {
-		limit = fi.Size()
-	}
-	var (
-		r       = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, limit), 1<<16)
-		prefix  [walHeaderSize]byte
-		body    = make([]byte, PageSize)
-		pos     int64
-		pending uint32 // page records the open group still lacks
-	)
-	for {
-		if _, err := io.ReadFull(r, prefix[:]); err != nil {
-			if errors.Is(err, io.EOF) && pending == 0 {
-				return end, maxLSN, nil
-			}
-			return end, maxLSN, errTornLog
-		}
-		magic, id, b := binary.BigEndian.Uint32(prefix[0:]), PageID(binary.BigEndian.Uint32(prefix[12:])), body[:PageSize]
-		switch {
-		case magic == walMagic && pending > 0:
-		case magic == walGroupMagic && pending == 0:
-			b = body[:storeHeaderSize+4]
-		case magic == walRowsMagic && pending == 0 && int64(id) <= limit-pos-walHeaderSize:
-			if int(id) > cap(body) {
-				body = make([]byte, id)
-			}
-			b = body[:id]
-		default:
-			return end, maxLSN, errTornLog
-		}
-		if _, err := io.ReadFull(r, b); err != nil || crc32.ChecksumIEEE(b) != binary.BigEndian.Uint32(prefix[16:]) {
-			return end, maxLSN, errTornLog
-		}
-		maxLSN = max(maxLSN, binary.BigEndian.Uint64(prefix[4:]))
-		pos += walHeaderSize + int64(len(b))
-		switch magic {
-		case walGroupMagic:
-			pending, b = binary.BigEndian.Uint32(b[storeHeaderSize:]), b[:storeHeaderSize]
-		case walMagic:
-			pending--
-		}
-		if visit != nil {
-			if err := visit(magic, id, b); err != nil {
-				return end, maxLSN, err
-			}
-		}
-		if pending == 0 {
-			end = pos
-		}
-	}
-}
+// errTornLog ends a replay: the next record is missing, cut short, fails its
+// checksum or has no place where it lies.
+var errTornLog = errors.New("relstore: torn write-ahead log record")
 
-// replay applies every logged page image in order, and every group's pager
-// header as a storeHeaderSize-byte image of page 0. It reads the extent
-// OpenWAL found intact plus what has been appended since, so it never
-// applies part of a group. It returns the number of page images applied
-// and, in log order, the bodies of the rows records logged after the last
-// group — the commits no page image holds, which RecoverPager redoes.
-func (w *WAL) replay(apply func(id PageID, image []byte) error) (n int, rows [][]byte, err error) {
+// replay reads the log up to its end and calls apply for every group header
+// and page image of its whole units, in order, a header as a
+// storeHeaderSize-byte image of page 0. A group is read whole before any of
+// it is applied, so apply never sees part of one, and image is valid until
+// apply returns. replay returns the number of page images applied and, in
+// log order, the bodies of the rows records after the last group — the
+// commits no page image holds, which an open redoes. A torn record, a group
+// missing any of its records and a page record no group counts each end the
+// usable log: replay leaves the log's end after the last whole unit (on a log
+// this process wrote, where it was) and the LSN after the newest one read.
+func (w *wal) replay(apply func(id PageID, image []byte) error) (pages int, rows [][]byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, _, err = w.scan(w.size, func(magic uint32, id PageID, body []byte) error {
+	var (
+		r        = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, w.end), 1<<16)
+		prefix   [walHeaderSize]byte
+		group    [storeHeaderSize + 4]byte // the open group's record,
+		ids      []PageID                  // its pages so far
+		images   []byte                    // and their images, back to back
+		pending  uint32                    // page records the open group still lacks
+		pos, end int64
+	)
+	next := func() (magic uint32, id PageID, body []byte, err error) {
+		if _, err := io.ReadFull(r, prefix[:]); err != nil {
+			return 0, 0, nil, errTornLog
+		}
+		magic, id = binary.BigEndian.Uint32(prefix[0:]), PageID(binary.BigEndian.Uint32(prefix[12:]))
+		switch {
+		case magic == walMagic && pending > 0:
+			images = slices.Grow(images, PageSize)
+			body = images[len(images) : len(images)+PageSize]
+		case magic == walGroupMagic && pending == 0:
+			body = group[:]
+		case magic == walRowsMagic && pending == 0 && int64(id) <= w.end-pos-walHeaderSize:
+			body = make([]byte, id)
+		default:
+			return 0, 0, nil, errTornLog
+		}
+		if _, err := io.ReadFull(r, body); err != nil || crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(prefix[16:]) {
+			return 0, 0, nil, errTornLog
+		}
+		w.lsn = max(w.lsn, binary.BigEndian.Uint64(prefix[4:]))
+		pos += walHeaderSize + int64(len(body))
+		return magic, id, body, nil
+	}
+	for {
+		magic, id, body, err := next()
+		if err != nil {
+			w.end = end
+			return pages, rows, nil
+		}
 		switch magic {
 		case walRowsMagic:
-			rows = append(rows, bytes.Clone(body))
-			return nil
+			rows = append(rows, body)
 		case walGroupMagic:
-			rows = rows[:0]
-		default:
-			n++
+			pending, ids, images = binary.BigEndian.Uint32(group[storeHeaderSize:]), ids[:0], images[:0]
+		case walMagic:
+			pending, ids, images = pending-1, append(ids, id), images[:len(images)+PageSize]
 		}
-		return apply(id, body)
-	})
-	if err != nil && !errors.Is(err, errTornLog) {
-		return n, rows, err
+		if pending > 0 {
+			continue
+		}
+		if magic != walRowsMagic { // a whole group: its header, then its pages
+			if err := apply(invalidPage, group[:storeHeaderSize]); err != nil {
+				return pages, rows, err
+			}
+			for i, id := range ids {
+				if err := apply(id, images[i*PageSize:(i+1)*PageSize]); err != nil {
+					return pages, rows, err
+				}
+			}
+			pages, rows = pages+len(ids), nil
+		}
+		end = pos
 	}
-	return n, rows, nil
 }
 
-// Truncate empties the log (a checkpoint: every logged write is in the
+// truncate empties the log (a checkpoint: every logged write is in the
 // fsynced data file). The truncation is not itself fsynced — the next
 // group's fsync covers it; a crash before that may bring the old log back,
 // and replaying it over a data file that holds all of it changes nothing.
-func (w *WAL) truncate() error {
+func (w *wal) truncate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.f.Truncate(0); err != nil {
 		return err
 	}
-	w.size = 0
+	w.end = 0
 	return nil
 }
 
-// Size returns the log size in bytes.
-func (w *WAL) Size() int64 {
+// size returns the log size in bytes.
+func (w *wal) size() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.end
 }
 
-// Stats returns the log fsyncs and bytes appended since the log was opened.
-func (w *WAL) Stats() (fsyncs, bytes int64) {
+// stats returns the log fsyncs and bytes appended since the log was opened.
+func (w *wal) stats() (fsyncs, bytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.fsyncs, w.bytes
 }
 
-// Close closes the log file.
-func (w *WAL) Close() error {
-	return w.f.Close()
-}
-
 // --- pager integration ------------------------------------------------------
 
-// AttachWAL makes every subsequent page group reach the log before the data
-// file (write-ahead), and a buffer pool over this pager hold its dirty pages
-// back until they commit as one.
-func (p *Pager) AttachWAL(w *WAL) {
-	p.mu.Lock()
-	p.wal = w
-	p.mu.Unlock()
-}
-
-// hasWAL reports whether a write-ahead log is attached.
-func (p *Pager) hasWAL() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.wal != nil
-}
-
-// walCheckpointBytes bounds the attached log's growth: a commit that finds
-// the log past this size writes its pages as a group, fsyncs the data file
-// (making every logged record redundant) and truncates the log.
+// walCheckpointBytes bounds the log's growth: a commit that finds the log
+// past this size writes its pages as a group, fsyncs the data file (making
+// every logged record redundant) and truncates the log.
 const walCheckpointBytes = 4 << 20
 
 // writeGroup seals and persists a batch of pages as one group commit. With
-// a log attached, the images and the pager header reach the log with one
-// write and one fsync (appendGroup) — the group is durable from then on —
-// and are then written to the data file, which is not fsynced: until the
-// next checkpoint the log is what a crash recovers the group from. With no
-// log attached these are plain writes, a single evicted page included; the
-// caller is then responsible for syncing the data file.
+// a log, the images and the pager header reach the log with one write and
+// one fsync (appendGroup) — the group is durable from then on — and are then
+// written to the data file, which is not fsynced: until the next checkpoint
+// the log is what a crash recovers the group from. Without a log these are
+// plain writes, a single evicted page included; the caller is then
+// responsible for syncing the data file.
 func (p *Pager) writeGroup(pgs []*page) error {
 	if len(pgs) == 0 {
 		return nil
@@ -342,8 +309,8 @@ func (p *Pager) writeGroup(pgs []*page) error {
 	return p.writeHeader()
 }
 
-// Checkpoint fsyncs the data file and then truncates the attached log,
-// whose every record is redundant from that moment.
+// checkpoint fsyncs the data file and then truncates the log, whose every
+// record is redundant from that moment.
 func (p *Pager) checkpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -355,9 +322,9 @@ func (p *Pager) checkpoint() error {
 }
 
 // IOStats counts the durability work done since the pager was opened:
-// fsyncs of the attached log (one per group commit) and bytes appended to
-// it, fsyncs of the data file, and checkpoints (each a data fsync followed
-// by a log truncation).
+// fsyncs of the log (one per group commit) and bytes appended to it, fsyncs
+// of the data file, and checkpoints (each a data fsync followed by a log
+// truncation).
 type IOStats struct{ WALFsyncs, WALBytes, DataFsyncs, Checkpoints int64 }
 
 // IOStats returns the pager's durability counters.
@@ -366,84 +333,7 @@ func (p *Pager) IOStats() IOStats {
 	defer p.mu.Unlock()
 	st := IOStats{DataFsyncs: p.dataSyncs, Checkpoints: p.checkpoints}
 	if p.wal != nil {
-		st.WALFsyncs, st.WALBytes = p.wal.Stats()
+		st.WALFsyncs, st.WALBytes = p.wal.stats()
 	}
 	return st
-}
-
-// RecoverPager repairs a store file from its write-ahead log: it rewrites
-// every logged page image and pager header and fsyncs the file; then, if rows
-// records follow the last group, it opens the store, redoes their rows
-// through Table.Insert and commits the redo as one group, whose checkpoint
-// fsyncs the file again. Last it truncates the log. It returns the number of
-// page images rewritten and rows redone. The log holds every page write
-// since the data file was last fsynced, in order, so it does not matter which
-// of them the file already has, or has torn; and it holds every row stored
-// since the last group. Use before OpenPager on any store that commits
-// through a log.
-//
-// Redo is idempotent: a logged row that is stored with the same bytes is
-// skipped, so a log that comes back after a finished recovery changes
-// nothing. A row stored with other bytes fails recovery with errCorrupt, and
-// nothing of the redo is written.
-//
-// A store of another format version is refused with errFormatVersion before
-// either file is touched: its log is not this build's to replay. A page 0
-// that holds no header at all is left to the log, which has every header
-// since the last checkpoint.
-func RecoverPager(storePath, walPath string) (int, error) {
-	f, err := os.OpenFile(storePath, os.O_RDWR, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var hdr [storeHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err == nil {
-		if err := checkFormat(hdr[:]); errors.Is(err, errFormatVersion) {
-			return 0, err
-		}
-	}
-	w, err := OpenWAL(walPath)
-	if err != nil {
-		return 0, err
-	}
-	defer w.Close()
-	n, rows, err := w.replay(func(id PageID, image []byte) error {
-		_, werr := f.WriteAt(image, int64(id)*PageSize)
-		return werr
-	})
-	if err != nil {
-		return n, fmt.Errorf("relstore: recovery replay: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return n, err
-	}
-	if len(rows) == 0 {
-		return n, w.truncate()
-	}
-	redone, err := redo(storePath, w, rows)
-	if err != nil {
-		return n, fmt.Errorf("relstore: recovery redo: %w", err)
-	}
-	return n + redone, nil
-}
-
-// redo opens the store, inserts the rows of the given rows record bodies that
-// it does not hold yet and closes it, which writes them as one logged group
-// and checkpoints. It returns the number of rows inserted. On an error
-// nothing is written.
-func redo(storePath string, w *WAL, bodies [][]byte) (int, error) {
-	db, err := Open(storePath)
-	if err != nil {
-		return 0, err
-	}
-	n, err := 0, db.AttachWAL(w)
-	if err == nil {
-		n, err = db.redo(bodies)
-	}
-	if err != nil {
-		db.bp.pager.f.Close()
-		return n, err
-	}
-	return n, db.Close()
 }

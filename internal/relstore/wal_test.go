@@ -13,7 +13,7 @@ import (
 
 // logGroup appends one group of fresh heap pages with the given ids, each
 // holding its id as a cell, under a header whose first byte is the first id.
-func logGroup(t *testing.T, w *WAL, ids ...PageID) {
+func logGroup(t *testing.T, w *wal, ids ...PageID) {
 	t.Helper()
 	var pgs []*page
 	for _, id := range ids {
@@ -28,7 +28,7 @@ func logGroup(t *testing.T, w *WAL, ids ...PageID) {
 
 // replayedIDs replays the log and returns the page ids applied, headers (0)
 // included.
-func replayedIDs(t *testing.T, w *WAL) (ids []PageID, pages int) {
+func replayedIDs(t *testing.T, w *wal) (ids []PageID, pages int) {
 	t.Helper()
 	pages, _, err := w.replay(func(id PageID, image []byte) error {
 		ids = append(ids, id)
@@ -43,13 +43,47 @@ func replayedIDs(t *testing.T, w *WAL) (ids []PageID, pages int) {
 	return ids, pages
 }
 
-func TestWALAppendReplay(t *testing.T) {
-	dir := t.TempDir()
-	w, err := CreateWAL(filepath.Join(dir, "log"))
+// reopenWAL opens the log at path, cut after its last whole unit, without
+// applying it anywhere.
+func reopenWAL(t *testing.T, path string) *wal {
+	t.Helper()
+	w, _, _, err := openWAL(path, func(PageID, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	return w
+}
+
+// recoverPages replays the log at logPath over the store file at path and
+// checkpoints, as opening a database does before it reads the catalog, which
+// the stores these tests build page by page do not have. It returns the
+// number of page images rewritten.
+func recoverPages(path, logPath string) (int, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	w, n, _, err := replayLog(f, logPath)
+	if err != nil {
+		f.Close()
+		return n, err
+	}
+	p, err := openPager(f, w)
+	if err != nil {
+		f.Close()
+		w.f.Close()
+		return n, err
+	}
+	return n, p.Close()
+}
+
+func TestWALAppendReplay(t *testing.T) {
+	dir := t.TempDir()
+	w, err := createWAL(filepath.Join(dir, "log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.f.Close()
 	logGroup(t, w, 1)
 	logGroup(t, w, 3, 2)
 	if got, n := replayedIDs(t, w); n != 3 || fmt.Sprint(got) != "[0 1 0 3 2]" {
@@ -67,7 +101,7 @@ func TestWALAppendReplay(t *testing.T) {
 	if _, n := replayedIDs(t, w); n != 0 {
 		t.Errorf("after truncate: %d page records", n)
 	}
-	if sz := w.Size(); sz != 0 {
+	if sz := w.size(); sz != 0 {
 		t.Errorf("size after truncate: %d", sz)
 	}
 }
@@ -75,24 +109,21 @@ func TestWALAppendReplay(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
-	w, err := CreateWAL(logPath)
+	w, err := createWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	logGroup(t, w, 1)
 	logGroup(t, w, 2)
-	w.Close()
+	w.f.Close()
 
 	// Tear the second group: chop off its last 100 bytes.
 	fi, _ := os.Stat(logPath)
 	if err := os.Truncate(logPath, fi.Size()-100); err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
+	w2 := reopenWAL(t, logPath)
+	defer w2.f.Close()
 	if got, n := replayedIDs(t, w2); n != 1 || fmt.Sprint(got) != "[0 1]" {
 		t.Fatalf("torn replay = %v (%d pages); want only the intact prefix [0 1]", got, n)
 	}
@@ -106,18 +137,15 @@ func TestWALTornTail(t *testing.T) {
 func TestWALCorruptImage(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
-	w, _ := CreateWAL(logPath)
+	w, _ := createWAL(logPath)
 	logGroup(t, w, 1)
-	w.Close()
+	w.f.Close()
 	// Flip a byte inside the image.
 	f, _ := os.OpenFile(logPath, os.O_RDWR, 0)
 	f.WriteAt([]byte{0xFF}, walGroupSize+walHeaderSize+500)
 	f.Close()
-	w2, err := OpenWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
+	w2 := reopenWAL(t, logPath)
+	defer w2.f.Close()
 	if got, n := replayedIDs(t, w2); n != 0 || len(got) != 0 {
 		t.Fatalf("corrupt image replay = %v (%d pages); want nothing, not even its header", got, n)
 	}
@@ -129,13 +157,13 @@ func TestWALCorruptImage(t *testing.T) {
 // log like a torn record, and so does everything behind it.
 func TestWALPageRecordOutsideGroup(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "log")
-	w, err := CreateWAL(logPath)
+	w, err := createWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	logGroup(t, w, 1)
-	first := w.Size()
-	w.Close()
+	first := w.size()
+	w.f.Close()
 	stolen := newPage(7, kindHeap)
 	stolen.seal()
 	rec := binary.BigEndian.AppendUint32(nil, walMagic)
@@ -151,16 +179,13 @@ func TestWALPageRecordOutsideGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	w, err = OpenWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
+	w = reopenWAL(t, logPath)
+	defer w.f.Close()
 	if got, _ := replayedIDs(t, w); fmt.Sprint(got) != "[0 1]" {
 		t.Errorf("replayed %v, want only the group [0 1]", got)
 	}
-	if w.Size() != first {
-		t.Errorf("appends resume at %d, want %d (after the group)", w.Size(), first)
+	if w.size() != first {
+		t.Errorf("appends resume at %d, want %d (after the group)", w.size(), first)
 	}
 }
 
@@ -172,17 +197,16 @@ func TestCrashRecovery(t *testing.T) {
 	storePath := filepath.Join(dir, "store.db")
 	walPath := filepath.Join(dir, "store.wal")
 
-	pager, err := CreatePager(storePath)
+	w, err := createWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := CreateWAL(walPath)
+	pager, err := createPager(storePath, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pager.AttachWAL(w)
 	bp := NewBufferPool(pager, 16)
-	bt, err := NewBTree(bp)
+	bt, err := newBTree(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +232,6 @@ func TestCrashRecovery(t *testing.T) {
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
 	if err := os.WriteFile(walPath, crashedLog, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +260,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Recover from the log, then verify every key.
-	repaired, err := RecoverPager(storePath, walPath)
+	repaired, err := recoverPages(storePath, walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,8 +280,8 @@ func TestCrashRecovery(t *testing.T) {
 		}
 	}
 	// Recovery truncated the log (checkpoint).
-	w3, _ := OpenWAL(walPath)
-	defer w3.Close()
+	w3 := reopenWAL(t, walPath)
+	defer w3.f.Close()
 	if cnt, _, _ := w3.replay(func(PageID, []byte) error { return nil }); cnt != 0 {
 		t.Errorf("log not truncated after recovery: %d records", cnt)
 	}
@@ -271,7 +294,7 @@ func TestCrashRecovery(t *testing.T) {
 func TestWALAppendGroup(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
-	w, err := CreateWAL(logPath)
+	w, err := createWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,13 +311,10 @@ func TestWALAppendGroup(t *testing.T) {
 	if err := w.appendGroup(nil, hdr); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	w.f.Close()
 
-	w2, err := OpenWAL(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
+	w2 := reopenWAL(t, logPath)
+	defer w2.f.Close()
 	var got []PageID
 	n, _, err := w2.replay(func(id PageID, image []byte) error {
 		got = append(got, id)
@@ -309,7 +329,7 @@ func TestWALAppendGroup(t *testing.T) {
 	if fmt.Sprint(got) != "[0 1 2 3 4 5 0]" {
 		t.Errorf("replay order = %v", got)
 	}
-	if fsyncs, logged := w.Stats(); fsyncs != 2 || logged != 2*walGroupSize+5*walPageSize {
+	if fsyncs, logged := w.stats(); fsyncs != 2 || logged != 2*walGroupSize+5*walPageSize {
 		t.Errorf("two groups cost %d fsyncs and %d bytes", fsyncs, logged)
 	}
 }
@@ -321,19 +341,17 @@ func TestWALAppendGroup(t *testing.T) {
 func TestPagerWriteGroup(t *testing.T) {
 	dir := t.TempDir()
 	storePath := filepath.Join(dir, "s.db")
-	pager, err := CreatePager(storePath)
+	w, err := createWAL(filepath.Join(dir, "s.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pager, err := createPager(storePath, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pager.Close()
-	w, err := CreateWAL(filepath.Join(dir, "s.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	pager.AttachWAL(w)
-	if !pager.hasWAL() {
-		t.Fatal("HasWAL = false after attach")
+	if pager.wal != w {
+		t.Fatal("the pager does not log to the log it was made with")
 	}
 	emptyStore, err := os.ReadFile(storePath) // header only, 1 page
 	if err != nil {
@@ -370,7 +388,7 @@ func TestPagerWriteGroup(t *testing.T) {
 	if err := pager.writeGroup([]*page{bad}); !errors.Is(err, errOutOfRange) {
 		t.Errorf("out-of-range group write: %v", err)
 	}
-	if got := w.Size(); got != walGroupSize+3*walPageSize {
+	if got := w.size(); got != walGroupSize+3*walPageSize {
 		t.Errorf("rejected group was logged: log size %d", got)
 	}
 
@@ -381,8 +399,8 @@ func TestPagerWriteGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	copyFile(t, filepath.Join(dir, "s.wal"), crashed+".wal")
-	if n, err := RecoverPager(crashed, crashed+".wal"); err != nil || n != 3 {
-		t.Fatalf("RecoverPager = %d, %v; want 3 pages", n, err)
+	if n, err := recoverPages(crashed, crashed+".wal"); err != nil || n != 3 {
+		t.Fatalf("recovery = %d, %v; want 3 pages", n, err)
 	}
 	rec, err := OpenPager(crashed)
 	if err != nil {
@@ -413,21 +431,20 @@ func copyFile(t *testing.T, from, to string) {
 func TestBufferPoolFlushGroup(t *testing.T) {
 	for _, logged := range []bool{true, false} {
 		dir := t.TempDir()
-		pager, err := CreatePager(filepath.Join(dir, "s.db"))
+		var w *wal
+		if logged {
+			var err error
+			if w, err = createWAL(filepath.Join(dir, "s.wal")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pager, err := createPager(filepath.Join(dir, "s.db"), w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if logged {
-			w, err := CreateWAL(filepath.Join(dir, "s.wal"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			pager.AttachWAL(w)
-		}
 		bp := NewBufferPool(pager, 16)
 		defer bp.Close()
-		bt, err := NewBTree(bp)
+		bt, err := newBTree(bp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,19 +484,17 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	const capacity = 16
 	dir := t.TempDir()
 	storePath, walPath := filepath.Join(dir, "s.db"), filepath.Join(dir, "s.db.wal")
-	pager, err := CreatePager(storePath)
+	w, err := createWAL(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := CreateWAL(walPath)
+	pager, err := createPager(storePath, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	pager.AttachWAL(w)
 	bp := NewBufferPool(pager, capacity)
 	defer bp.Close()
-	bt, err := NewBTree(bp)
+	bt, err := newBTree(bp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +539,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	crashed := filepath.Join(dir, "crashed.db")
 	copyFile(t, storePath, crashed)
 	copyFile(t, walPath, crashed+".wal")
-	if _, err := RecoverPager(crashed, crashed+".wal"); err != nil {
+	if _, err := recoverPages(crashed, crashed+".wal"); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := OpenPager(crashed)
@@ -563,14 +578,18 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	}
 
 	for _, logged := range []bool{true, false} {
-		p, err := CreatePager(filepath.Join(t.TempDir(), "pinned.db"))
+		dir := t.TempDir()
+		var pw *wal
+		if logged {
+			if pw, err = createWAL(filepath.Join(dir, "pinned.db.wal")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := createPager(filepath.Join(dir, "pinned.db"), pw)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		if logged {
-			p.AttachWAL(w)
-		}
 		pinned := NewBufferPool(p, 8)
 		for i := 0; i < 9; i++ {
 			pg, err := pinned.alloc(kindHeap)
@@ -608,7 +627,7 @@ func readAll(t *testing.T, name string) []byte {
 func TestWALGroupIsAtomic(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "log")
-	w, err := CreateWAL(logPath)
+	w, err := createWAL(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +642,7 @@ func TestWALGroupIsAtomic(t *testing.T) {
 	}
 	group(1, 2)
 	group(3, 4, 5)
-	w.Close()
+	w.f.Close()
 	whole, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -641,10 +660,7 @@ func TestWALGroupIsAtomic(t *testing.T) {
 		if err := os.WriteFile(logPath, damage(bytes.Clone(whole)), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w2, err := OpenWAL(logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w2 := reopenWAL(t, logPath)
 		var got []PageID
 		if _, _, err := w2.replay(func(id PageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
 			t.Fatal(err)
@@ -652,20 +668,20 @@ func TestWALGroupIsAtomic(t *testing.T) {
 		if fmt.Sprint(got) != "[0 1 2]" {
 			t.Errorf("%s: replayed %v, want only the first group [0 1 2]", name, got)
 		}
-		if w2.Size() != int64(second) {
-			t.Errorf("%s: appends resume at %d, want %d (after the first group)", name, w2.Size(), second)
+		if w2.size() != int64(second) {
+			t.Errorf("%s: appends resume at %d, want %d (after the first group)", name, w2.size(), second)
 		}
-		w2.Close()
+		w2.f.Close()
 	}
 }
 
 // TestWALAppendGroupAllocFree: a commit is encoded in the log's own buffer.
 func TestWALAppendGroupAllocFree(t *testing.T) {
-	w, err := CreateWAL(filepath.Join(t.TempDir(), "log"))
+	w, err := createWAL(filepath.Join(t.TempDir(), "log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
+	defer w.f.Close()
 	pgs := []*page{newPage(1, kindHeap), newPage(2, kindHeap), newPage(3, kindHeap)}
 	var hdr [storeHeaderSize]byte
 	if n := testing.AllocsPerRun(20, func() {
@@ -679,39 +695,42 @@ func TestWALAppendGroupAllocFree(t *testing.T) {
 
 func TestPagerCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	pager, err := CreatePager(filepath.Join(dir, "s.db"))
+	unlogged, err := createPager(filepath.Join(dir, "u.db"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unlogged.Close()
+	// Checkpoint without a WAL is a no-op.
+	if err := unlogged.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := createWAL(filepath.Join(dir, "s.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pager, err := createPager(filepath.Join(dir, "s.db"), w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pager.Close()
-	// Checkpoint without a WAL is a no-op.
-	if err := pager.checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	w, err := CreateWAL(filepath.Join(dir, "s.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	pager.AttachWAL(w)
 	pg, _ := pager.alloc(kindHeap)
 	pg.InsertCell([]byte("x"))
 	if err := pager.writeGroup([]*page{pg}); err != nil {
 		t.Fatal(err)
 	}
-	if sz := w.Size(); sz == 0 {
+	if sz := w.size(); sz == 0 {
 		t.Fatal("write not logged")
 	}
 	if err := pager.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if sz := w.Size(); sz != 0 {
+	if sz := w.size(); sz != 0 {
 		t.Errorf("log size after checkpoint: %d", sz)
 	}
 }
 
 func TestOpenWALMissingDir(t *testing.T) {
-	if _, err := OpenWAL(filepath.Join(t.TempDir(), "no", "dir", "log")); err == nil {
+	if _, _, _, err := openWAL(filepath.Join(t.TempDir(), "no", "dir", "log"), nil); err == nil {
 		t.Error("missing directory should error")
 	}
 	var torn error = errTornLog

@@ -48,7 +48,7 @@ func TestXMLTargetSurface(t *testing.T) {
 
 func orgDB(t *testing.T) *relstore.DB {
 	t.Helper()
-	db, err := relstore.Create(filepath.Join(t.TempDir(), "s.rel"))
+	db, err := relstore.Open(filepath.Join(t.TempDir(), "s.rel"), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestChargedSourceFaults(t *testing.T) {
 // TestRelSourceCompositeKey: multi-column keys render as joined labels and
 // resolve through the scan fallback.
 func TestRelSourceCompositeKey(t *testing.T) {
-	db, err := relstore.Create(filepath.Join(t.TempDir(), "c.rel"))
+	db, err := relstore.Open(filepath.Join(t.TempDir(), "c.rel"), true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
