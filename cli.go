@@ -13,7 +13,6 @@ import (
 	"repro/internal/figures"
 	"repro/internal/provauth"
 	"repro/internal/provhttp"
-	"repro/internal/provrepl"
 	"repro/internal/provstore"
 	"repro/internal/provtrace"
 	"repro/internal/tree"
@@ -193,18 +192,9 @@ func RunCLI(cfg CLIConfig, w io.Writer) error {
 			fmt.Fprintln(w, r)
 		}
 		fmt.Fprintf(w, "-- target %s --\n%s\n", s.TargetName(), s.View())
-		// A replicated:// backend under read=any with a lag allowance may
-		// have served reads (including the dump above) from a replica that
-		// trailed the primary; say so rather than let a short table pass as
-		// the whole story. Under lag=0 this cannot happen and stays silent.
-		if rb, ok := backend.(*provrepl.ReplicatedBackend); ok {
-			if n := rb.LaggedReads(); n > 0 {
-				fmt.Fprintf(w, "note: %d read(s) served by a replica lagging the primary (read=any, lag=%d); the dump may trail the latest commits\n", n, rb.LagBound())
-			}
-		}
-		// Likewise for a cpdb://…?cache= client: cached answers are only as
-		// fresh as the horizon the client last observed, so when any read in
-		// this run was answered locally, say so. With caching off (the
+		// A cpdb://…?cache= client's cached answers are only as fresh as the
+		// horizon the client last observed, so when any read in this run was
+		// answered locally, say so. With caching off (the
 		// default) this stays silent and the dump is byte-identical.
 		if cc, ok := backend.(*provhttp.Client); ok {
 			if hits, _ := cc.CacheStats(); hits > 0 {
@@ -496,7 +486,7 @@ func runTraces(ctx context.Context, s *Session, rest string, w io.Writer) error 
 			return err
 		}
 		if len(spans) == 0 {
-			return fmt.Errorf("cpdb: no trace %q in the daemon's buffer (evicted, sampled away, or never recorded)", id)
+			return fmt.Errorf("cpdb: no trace %q in the daemon's buffer (evicted, or never recorded)", id)
 		}
 		fmt.Fprintf(w, "trace %s (%d spans):\n", id, len(spans))
 		provtrace.Render(w, provtrace.BuildTree(spans))

@@ -46,10 +46,9 @@
 // X-Cpdb-Span-Id continues the caller's trace, so chained daemons yield
 // one tree, assembled at read time by GET /v1/traces/{id} on the
 // outermost daemon (GET /v1/traces lists summaries; ?min_dur filters).
-// -trace-sample R head-samples ordinary traces; slow, failed and
-// continued traces are always kept. Kept traces tag /metrics latency
-// buckets with {trace_id} exemplars, and -slow-query lines add the
-// top-3 spans by self time. Inspect with cpdb -query "traces [ID]".
+// Every finished trace is stored (the ring bounds memory); each tags its
+// /metrics latency bucket with a {trace_id} exemplar, and -slow-query
+// lines add the top-3 spans by self time. Inspect with cpdb -query "traces [ID]".
 //
 // Limits: a client must finish its request header within
 // provhttp.ReadHeaderTimeout and an idle keep-alive connection is closed
@@ -127,7 +126,6 @@ func main() {
 		cacheBytes      = flag.String("cache-bytes", "", `server-side scan page cache budget, e.g. "16mb" (empty or 0 = off)`)
 		planCache       = flag.Int("plan-cache", 0, "cache up to N compiled /v1/query plans (0 = off)")
 		traceBuffer     = flag.Int("trace-buffer", 0, "keep the last N request traces in memory, served at /v1/traces (0 = tracing off)")
-		traceSample     = flag.Float64("trace-sample", 1.0, "head-sampling ratio for stored traces; slow, failed, and cross-process traces are always kept")
 	)
 	flag.Parse()
 
@@ -141,19 +139,19 @@ func main() {
 		pageBytes = n
 	}
 
-	if err := run(*addr, *backendDSN, *shutdownTimeout, *slowQuery, *pprofOn, pageBytes, *planCache, *traceBuffer, *traceSample); err != nil {
+	if err := run(*addr, *backendDSN, *shutdownTimeout, *slowQuery, *pprofOn, pageBytes, *planCache, *traceBuffer); err != nil {
 		fmt.Fprintln(os.Stderr, "cpdbd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, pprofOn bool, pageBytes int64, planEntries, traceBuffer int, traceSample float64) error {
+func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, pprofOn bool, pageBytes int64, planEntries, traceBuffer int) error {
 	// The trace store must exist before the backend opens: background work
 	// the backend starts at open time (a replicated store's appliers) roots
 	// its traces at the process-wide default sink.
 	var traces *provtrace.Store
 	if traceBuffer > 0 {
-		traces = provtrace.NewStore(traceBuffer, traceSample, slowQuery)
+		traces = provtrace.NewStore(traceBuffer, slowQuery)
 		provtrace.SetDefault(traces)
 	}
 	backend, err := provstore.OpenDSN(backendDSN)
@@ -195,7 +193,7 @@ func run(addr, backendDSN string, shutdownTimeout, slowQuery time.Duration, ppro
 		log.Printf("cpdbd: pprof at http://%s/debug/pprof/", ln.Addr())
 	}
 	if traces != nil {
-		log.Printf("cpdbd: tracing last %d traces at http://%s/v1/traces (sample %g)", traceBuffer, ln.Addr(), traceSample)
+		log.Printf("cpdbd: tracing last %d traces at http://%s/v1/traces", traceBuffer, ln.Addr())
 	}
 
 	hs := provhttp.NewHTTPServer(handler)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/path"
 	_ "repro/internal/provhttp" // registers the cpdb:// network driver
 	"repro/internal/provplan"
+	_ "repro/internal/provrepl" // registers the replicated:// backend driver
 	"repro/internal/provstore"
 	_ "repro/internal/relprov" // registers the rel:// backend driver
 	"repro/internal/relstore"
@@ -141,7 +142,9 @@ func NewRelSource(name string, db *relstore.DB, tables ...string) Source {
 //
 //	mem://                              in-memory store
 //	mem://?shards=8                     8 hash-partitioned in-memory shards
-//	rel://prov.db?create=1              relational store in prov.db
+//	rel://prov.db?create=1              a new relational store in prov.db
+//	                                    (replaces any store at that path,
+//	                                    and its log)
 //	rel://prov.db?create=1&durable=1    … with WAL-backed group commit
 //	rel://prov.db?durable=1             reopen after a crash (log replay)
 //	sharded://?shard=mem://&shard=mem://
@@ -158,7 +161,6 @@ func NewRelSource(name string, db *relstore.DB, tables ...string) Source {
 //	                                    log-shipping to each replica
 //	                                    (&read=any fans reads across
 //	                                    caught-up replicas with failover;
-//	                                    &lag=N allows N tids of staleness;
 //	                                    URL-escape nested DSNs carrying
 //	                                    their own ?params)
 //

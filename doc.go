@@ -37,7 +37,8 @@
 // synchronously and log-shipped to each replica asynchronously (resuming
 // after a crash from the replica's high-water {Tid, Loc} mark), and
 // read=any fans reads across caught-up replicas with automatic failover
-// back to the primary (DESIGN.md §4). The verified:// scheme wraps any of
+// back to the primary — a replica that lacks an acknowledged append serves
+// no reads, so a session reads its own writes (DESIGN.md §4). The verified:// scheme wraps any of
 // them in an RFC 6962-style Merkle history tree — a root hash per
 // committed transaction, logarithmic inclusion and consistency proofs —
 // making the provenance log tamper-evident: a cpdb:// client opened with
@@ -91,8 +92,8 @@
 // gauges, internal/provobs), logs one structured line per request under
 // the client-stamped X-Cpdb-Trace-Id — the same id a failing client's
 // error prints — and dumps its counters on SIGTERM (DESIGN.md §9).
-// With -trace-buffer the daemon also records distributed span traces
-// (internal/provtrace): every backend hop, shard leg, plan operator and
+// With -trace-buffer N the daemon also records distributed span traces,
+// keeping the last N (internal/provtrace): every backend hop, shard leg, plan operator and
 // proof check becomes a span, chained daemons continue the caller's
 // trace across processes via X-Cpdb-Span-Id, and the assembled tree is
 // served at GET /v1/traces/{id}, rendered by the cpdb "traces" query

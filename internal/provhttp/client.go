@@ -88,12 +88,11 @@ type Client struct {
 	// coherence contract of DESIGN.md §10. Verified (verify=pin) clients
 	// never build a cache: a cached answer would bypass the per-read proof
 	// check, weakening the threat model for latency.
-	cacheBytes int64
-	cache      *provcache.Cache
-	cacheMet   *provcache.Metrics
-	cacheReg   *provobs.Registry
-	gen        atomic.Int64
-	obsTid     atomic.Int64
+	cache    *provcache.Cache
+	cacheMet *provcache.Metrics
+	cacheReg *provobs.Registry
+	gen      atomic.Int64
+	obsTid   atomic.Int64
 }
 
 // flushTimeout bounds the Flush/Close round trips, which a shutdown path
@@ -110,52 +109,16 @@ var (
 	_ provobs.Source     = (*Client)(nil)
 )
 
-// A clientOption configures a Client.
-type clientOption func(*Client)
-
-// withTimeout bounds every round trip (including reading a scan stream to
-// its end). The default is no timeout: per-call contexts are the intended
-// cancellation mechanism.
-func withTimeout(d time.Duration) clientOption {
-	return func(c *Client) { c.hc.Timeout = d }
-}
-
-// withVerifyPin turns on verified mode (see the Client doc) with the pinned
-// root persisted at file — the ?verify=pin&pin=FILE DSN form.
-func withVerifyPin(file string) clientOption {
-	return func(c *Client) { c.anchor = provauth.NewAnchor(file) }
-}
-
-// withResultCache bounds a client-side result cache to maxBytes — the
-// ?cache=SIZE DSN form. Repeated declarative queries (Trace, Mod, …, via
-// ExecPlan) answer locally with zero round trips until this client appends
-// or observes a higher MaxTid.
-// Ignored (≤ 0, or combined with verified mode, whose reads must stay
-// individually proof-checked). MaxTid itself is never cached — it *is* the
-// horizon observation.
-func withResultCache(maxBytes int64) clientOption {
-	return func(c *Client) { c.cacheBytes = maxBytes }
-}
-
 // NewClient returns a Backend speaking to the provenance service at
 // hostport ("10.0.0.5:7070", "[::1]:7070"). It does not dial: like a
 // database/sql driver, connection errors surface on first use.
-func NewClient(hostport string, opts ...clientOption) *Client {
+func NewClient(hostport string) *Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 16 // scatter-gather queries reuse a warm pool
-	c := &Client{
+	return &Client{
 		base: "http://" + hostport,
 		hc:   &http.Client{Transport: tr},
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.cacheBytes > 0 && c.anchor == nil {
-		c.cacheReg = provobs.NewRegistry()
-		c.cacheMet = provcache.NewMetrics(c.cacheReg, "client")
-		c.cache = provcache.New(c.cacheBytes, c.cacheMet)
-	}
-	return c
 }
 
 // Addr returns the service authority the client was opened against.
@@ -965,8 +928,17 @@ func ParseSizeBytes(s string) (int64, error) {
 
 // openDSN opens cpdb://host:port[?timeout=5s][&cache=SIZE]
 // [&verify=pin&pin=FILE]: a client backend speaking to the cpdbd
-// provenance service at that authority, caching read results locally
-// and/or verifying every answer against the pinned root when asked.
+// provenance service at that authority.
+//
+//   - timeout bounds every round trip, reading a scan stream to its end
+//     included (default: none; per-call contexts cancel).
+//   - cache bounds a client-side result cache: repeated declarative
+//     queries (Trace, Mod, …, via ExecPlan) answer locally with zero round
+//     trips until this client appends or observes a higher MaxTid. MaxTid
+//     itself is never cached — it *is* the horizon observation.
+//   - verify=pin turns on verified mode (see the Client doc) with the
+//     pinned root persisted at pin=FILE.
+//
 // cache combined with verify=pin is rejected: verified reads are
 // individually proof-checked and must not answer from a local cache.
 func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
@@ -977,13 +949,13 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []clientOption
+	c := NewClient(net.JoinHostPort(host, port))
 	if v := dsn.Param("timeout"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {
 			return nil, fmt.Errorf("provstore: dsn %s: timeout %q is not a positive duration", dsn, v)
 		}
-		opts = append(opts, withTimeout(d))
+		c.hc.Timeout = d
 	}
 	if v := dsn.Param("cache"); v != "" {
 		if dsn.Param("verify") != "" {
@@ -993,7 +965,9 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		if err != nil {
 			return nil, fmt.Errorf("provstore: dsn %s: bad cache size: %w", dsn, err)
 		}
-		opts = append(opts, withResultCache(n))
+		c.cacheReg = provobs.NewRegistry()
+		c.cacheMet = provcache.NewMetrics(c.cacheReg, "client")
+		c.cache = provcache.New(n, c.cacheMet)
 	}
 	switch v := dsn.Param("verify"); v {
 	case "":
@@ -1005,9 +979,9 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		if file == "" {
 			return nil, fmt.Errorf("provstore: dsn %s: verify=pin needs a pin=FILE parameter", dsn)
 		}
-		opts = append(opts, withVerifyPin(file))
+		c.anchor = provauth.NewAnchor(file)
 	default:
 		return nil, fmt.Errorf("provstore: dsn %s: unknown verify mode %q (only \"pin\")", dsn, v)
 	}
-	return NewClient(net.JoinHostPort(host, port), opts...), nil
+	return c, nil
 }

@@ -115,8 +115,7 @@ func WithPlanCache(n int) ServerOption {
 // daemon flag. Every request then records a span tree: the server's root
 // span, one span per backend hop beneath it, and (for /v1/query) the plan's
 // operator spans. Requests stamped with X-Cpdb-Span-Id continue the
-// caller's trace and are always stored; the rest go through the store's
-// head-sampling decision. Kept traces also tag the endpoint's latency
+// caller's trace. Every trace is stored and tags the endpoint's latency
 // histogram bucket with a trace-id exemplar, so an outlier bucket on
 // /metrics links straight to a representative trace.
 func WithTracing(st *provtrace.Store) ServerOption {
@@ -372,15 +371,10 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 		}
 		var rec *provtrace.Recorder
 		var rootSp *provtrace.Span
-		forced := false
 		if s.traces != nil {
 			// A caller-stamped span id means another process holds the other
-			// half of this trace: parent our root span under it and skip
-			// sampling — a sampled-away inner half would leave holes in every
-			// merged tree the outer daemon renders.
-			parent := r.Header.Get(headerSpanID)
-			forced = parent != ""
-			rec = provtrace.NewRecorder(trace, parent)
+			// half of this trace: parent our root span under it.
+			rec = provtrace.NewRecorder(trace, r.Header.Get(headerSpanID))
 			ctx := provtrace.WithRecorder(r.Context(), rec)
 			ctx, rootSp = provtrace.Start(ctx, "server:"+endpoint)
 			r = r.WithContext(ctx)
@@ -400,14 +394,11 @@ func (s *Server) handle(pattern, endpoint string, h http.HandlerFunc) {
 			}
 			rootSp.SetErr(ow.info.err)
 			rootSp.End()
-			if s.traces.Finish(rec, forced) {
-				// The trace survived sampling: tag this request's latency
-				// bucket with it, so /metrics exemplars point at traces the
-				// store can actually serve back.
-				lat.ObserveExemplar(dur.Nanoseconds(), trace)
-			} else {
-				lat.Observe(dur.Nanoseconds())
-			}
+			// The root span makes the trace non-empty, so the store keeps
+			// it: tag this request's latency bucket with it, and /metrics
+			// exemplars point at traces the store can serve back.
+			s.traces.Finish(rec)
+			lat.ObserveExemplar(dur.Nanoseconds(), trace)
 		} else {
 			lat.Observe(dur.Nanoseconds())
 		}

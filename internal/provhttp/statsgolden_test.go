@@ -155,7 +155,7 @@ func TestStatsSurfaceGolden(t *testing.T) {
 			}
 			var opts []provhttp.ServerOption
 			if tracing {
-				opts = append(opts, provhttp.WithTracing(provtrace.NewStore(64, 1, 0)))
+				opts = append(opts, provhttp.WithTracing(provtrace.NewStore(64, 0)))
 			}
 			srv := provhttp.NewServer(inner, opts...)
 			hs := httptest.NewServer(srv)

@@ -24,7 +24,7 @@ import (
 // the server's trace store.
 func traceServe(t *testing.T, inner provstore.Backend, opts ...provhttp.ServerOption) (*provhttp.Client, *provtrace.Store, string) {
 	t.Helper()
-	st := provtrace.NewStore(64, 1, 0)
+	st := provtrace.NewStore(64, 0)
 	srv := provhttp.NewServer(inner, append([]provhttp.ServerOption{provhttp.WithTracing(st)}, opts...)...)
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)
@@ -245,7 +245,7 @@ func TestTraceEndpoints(t *testing.T) {
 func TestTracedResponsesByteIdentical(t *testing.T) {
 	for name, openInner := range cacheEquivInners() {
 		t.Run(name, func(t *testing.T) {
-			st := provtrace.NewStore(64, 1, 0)
+			st := provtrace.NewStore(64, 0)
 			hs := httptest.NewServer(provhttp.NewServer(openInner(t), provhttp.WithTracing(st)))
 			t.Cleanup(hs.Close)
 			b, err := provstore.OpenDSN("cpdb://" + hs.Listener.Addr().String())

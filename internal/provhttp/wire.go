@@ -411,9 +411,8 @@ const headerTraceID = "X-Cpdb-Trace-Id"
 
 // headerSpanID carries the id of the span open on the client when the
 // request was issued. A server that sees it continues the caller's trace:
-// its root span parents under this id, and the trace is force-kept (the
-// caller sampled it already), so a daemon chain yields one coherent
-// cross-process tree instead of per-process fragments.
+// its root span parents under this id, so a daemon chain yields one
+// coherent cross-process tree instead of per-process fragments.
 const headerSpanID = "X-Cpdb-Span-Id"
 
 // encodeProof renders an inclusion proof for the "p" field.

@@ -8,9 +8,8 @@ import (
 )
 
 // TestConformance runs the shared backend conformance suite
-// (internal/provtest) against a replicated store with read fan-out under
-// the default zero lag bound, where replica reads must be
-// indistinguishable from primary reads — so the whole cursor contract
+// (internal/provtest) against a replicated store with read fan-out, where
+// replica reads must be indistinguishable from primary reads — so the whole cursor contract
 // (ordering, seeks, early break, cancellation) has to survive the
 // composite driver's routing and failover plumbing.
 func TestConformance(t *testing.T) {

@@ -15,8 +15,6 @@ import (
 //
 //	replicated://?primary=DSN&replica=DSN[&replica=DSN…]
 //	             [&read=primary|any]   read routing (default primary)
-//	             [&lag=N]              readAny staleness bound in tids (default 0:
-//	                                   only fully caught-up replicas serve reads)
 //	             [&poll=500ms]         applier idle poll / error backoff
 //	             [&verify=1]           ship over the primary's authenticated
 //	                                   stream; the primary DSN must be a
@@ -29,7 +27,7 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 	if dsn.Path != "" {
 		return nil, fmt.Errorf("provstore: dsn %s: replicated stores have no path; name stores via ?primary=…&replica=…", dsn)
 	}
-	if err := dsn.RejectUnknownParams("primary", "replica", "read", "lag", "poll", "verify"); err != nil {
+	if err := dsn.RejectUnknownParams("primary", "replica", "read", "poll", "verify"); err != nil {
 		return nil, err
 	}
 	primaryDSN := dsn.Param("primary")
@@ -50,14 +48,6 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 	default:
 		return nil, fmt.Errorf("provstore: dsn %s: read=%q is not primary or any", dsn, dsn.Param("read"))
 	}
-	lag, err := dsn.IntParam("lag", 0)
-	if err != nil {
-		return nil, err
-	}
-	if lag < 0 {
-		return nil, fmt.Errorf("provstore: dsn %s: lag must be >= 0", dsn)
-	}
-	opts.LagBound = int64(lag)
 	if v := dsn.Param("poll"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil || d <= 0 {

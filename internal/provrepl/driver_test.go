@@ -16,7 +16,7 @@ import (
 // TestDriverOpen: the replicated:// scheme composes nested DSNs and carries
 // the routing options through.
 func TestDriverOpen(t *testing.T) {
-	b, err := provstore.OpenDSN("replicated://?primary=mem://&replica=mem://&replica=mem://&read=any&lag=2&poll=20ms")
+	b, err := provstore.OpenDSN("replicated://?primary=mem://&replica=mem://&replica=mem://&read=any&poll=20ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,9 +30,6 @@ func TestDriverOpen(t *testing.T) {
 	}
 	if rb.opts.Read != readAny {
 		t.Errorf("read policy = %v, want any", rb.opts.Read)
-	}
-	if rb.LagBound() != 2 {
-		t.Errorf("LagBound = %d, want 2", rb.LagBound())
 	}
 	ctx := context.Background()
 	if err := rb.Append(ctx, []provstore.Record{{Tid: 1, Op: provstore.OpInsert, Loc: path.New("T", "x")}}); err != nil {
@@ -73,7 +70,7 @@ func TestDriverErrors(t *testing.T) {
 		{"replicated://?replica=mem://", "needs a primary"},
 		{"replicated://?primary=mem://", "at least one replica"},
 		{"replicated://?primary=mem://&replica=mem://&read=sometimes", "not primary or any"},
-		{"replicated://?primary=mem://&replica=mem://&lag=-1", "lag must be >= 0"},
+		{"replicated://?primary=mem://&replica=mem://&lag=1", "unknown parameter"},
 		{"replicated://?primary=mem://&replica=mem://&poll=fast", "not a positive duration"},
 		{"replicated://?primary=mem://&replica=mem://&bogus=1", "unknown parameter"},
 		{"replicated://?primary=nosuch://&replica=mem://", "primary"},

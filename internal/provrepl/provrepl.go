@@ -13,12 +13,12 @@
 //
 // Reads route by policy: readPrimary sends everything to the primary
 // (replicas are pure standbys for failover and offline analytics);
-// readAny fans reads out round-robin across replicas whose staleness is
-// within the configured LagBound, falling back to the primary when no
-// replica qualifies or a replica read fails mid-flight. With LagBound 0 a
+// readAny fans reads out round-robin across replicas, falling back to the
+// primary when no replica qualifies or a replica read fails mid-flight. A
 // replica serves reads only while fully caught up with everything this
 // handle has acknowledged, so fan-out reads are indistinguishable from
-// primary reads.
+// primary reads: a curator who appends and then asks for provenance reads
+// their own writes.
 //
 // Ordering contract: log-shipping by keyset resume assumes the primary's
 // records become visible in (Tid, Loc) order — true for the session ingest
@@ -60,7 +60,7 @@ const (
 	// standbys. This is the default: replication adds durability and
 	// failover without changing any observable behavior.
 	readPrimary readPolicy = iota
-	// readAny fans reads out round-robin across replicas within LagBound,
+	// readAny fans reads out round-robin across caught-up replicas,
 	// failing over to the primary when none qualifies or a replica errors.
 	readAny
 )
@@ -77,12 +77,6 @@ func (p readPolicy) String() string {
 type options struct {
 	// Read selects the read routing policy (default readPrimary).
 	Read readPolicy
-	// LagBound is the maximum transaction-id staleness a replica may show
-	// and still serve readAny reads. 0 (the default) means a replica only
-	// serves reads while fully caught up with every append this handle has
-	// acknowledged — fan-out reads then never observe a torn or stale
-	// prefix.
-	LagBound int64
 	// Poll is how often an idle applier re-checks the primary for records
 	// that arrived outside this handle (another client writing to the same
 	// cpdbd primary, say), and the floor of the retry backoff after an
@@ -158,7 +152,6 @@ type ReplicatedBackend struct {
 	anchor *provauth.Anchor
 
 	obs            *provobs.Registry
-	laggedReads    *provobs.Counter // readAny reads served by a stale replica
 	verifiedRecs   *provobs.Counter // records shipped with a verified proof (Verify mode only)
 	verifyFailures *provobs.Counter // proof/root checks that failed during shipping (Verify mode only)
 	applyDur       *provobs.Histogram
@@ -244,14 +237,6 @@ func (b *ReplicatedBackend) NumReplicas() int { return len(b.replicas) }
 // Replica exposes one replica store (for tests and verification dumps).
 func (b *ReplicatedBackend) Replica(i int) provstore.Backend { return b.replicas[i].store }
 
-// LagBound returns the configured staleness bound.
-func (b *ReplicatedBackend) LagBound() int64 { return b.opts.LagBound }
-
-// LaggedReads returns how many readAny reads were served by a replica that
-// trailed the primary's acknowledged transaction id (possible only with
-// LagBound > 0). The CLI surfaces a note after -dump when this is non-zero.
-func (b *ReplicatedBackend) LaggedReads() int64 { return b.laggedReads.Load() }
-
 // --- writes ------------------------------------------------------------------
 
 // Append implements Backend: the batch is appended to the primary
@@ -319,14 +304,13 @@ func (b *ReplicatedBackend) wakeAll() {
 
 // pickReplica chooses the next eligible replica under the read policy, or
 // nil when reads belong on the primary. Eligibility: the applier is healthy
-// and the replica's staleness is within LagBound (with bound 0, the replica
-// must hold everything acknowledged so far).
+// and the replica holds everything acknowledged so far, so a read never
+// observes a torn or stale prefix.
 func (b *ReplicatedBackend) pickReplica() *replica {
 	if b.opts.Read != readAny {
 		return nil
 	}
 	shipped := b.shipped.Load()
-	shippedTid := b.shippedTid.Load()
 	start := int(b.rr.Add(1))
 	now := time.Now().UnixNano()
 	for i := 0; i < len(b.replicas); i++ {
@@ -334,16 +318,7 @@ func (b *ReplicatedBackend) pickReplica() *replica {
 		if !r.healthy.Load() || now < r.demotedUntil.Load() {
 			continue
 		}
-		if b.opts.LagBound <= 0 {
-			if r.synced.Load() >= shipped {
-				return r
-			}
-			continue
-		}
-		if shippedTid-r.appliedTid.Load() <= b.opts.LagBound {
-			if r.appliedTid.Load() < shippedTid {
-				b.laggedReads.Add(1)
-			}
+		if r.synced.Load() >= shipped {
 			return r
 		}
 	}
@@ -480,7 +455,6 @@ func (b *ReplicatedBackend) Close() error {
 //
 //	repl.replicas          configured replica count
 //	repl.shipped_tid       max transaction id acknowledged on the primary
-//	repl.lagged_reads      readAny reads served by a stale replica
 //	repl.applied_tid.<i>   replica i's high-water transaction id
 //	repl.lag.<i>           repl.shipped_tid - repl.applied_tid.<i>, floored at 0
 //	repl.healthy.<i>       1 while replica i's applier is caught up and erroring-free
@@ -496,8 +470,6 @@ func (b *ReplicatedBackend) register() {
 		func() int64 { return int64(len(b.replicas)) }, key("repl.replicas"))
 	b.obs.GaugeFunc("cpdb_repl_shipped_tid", "Max transaction id acknowledged on the primary.",
 		b.shippedTid.Load, key("repl.shipped_tid"))
-	b.laggedReads = b.obs.Counter("cpdb_repl_lagged_reads_total",
-		"ReadAny reads served by a stale replica.", key("repl.lagged_reads"))
 	if b.opts.Verify {
 		b.verifiedRecs = b.obs.Counter("cpdb_repl_verified_records_total",
 			"Records shipped after their inclusion proof checked out.", key("repl.verified_recs"))

@@ -202,7 +202,7 @@ func TestReplicaRestartResumesFromHighWater(t *testing.T) {
 	}
 }
 
-// TestReadAnyLagZeroNeverTorn: under read=any with lag=0, concurrent
+// TestReadAnyLagZeroNeverTorn: under read=any, concurrent
 // readers scanning through the replicated handle must only ever observe
 // whole transactions — never a torn prefix where a transaction's records
 // are partially applied — and always in (Tid, Loc) order.
@@ -216,7 +216,7 @@ func TestReadAnyLagZeroNeverTorn(t *testing.T) {
 	reps := []provstore.Backend{provstore.NewMemBackend(), provstore.NewMemBackend()}
 	// ApplyBatch below perTid forces the appliers to choose chunk cuts;
 	// they must still cut only at transaction boundaries.
-	b := mustNew(t, primary, reps, options{Read: readAny, LagBound: 0, ApplyBatch: 3})
+	b := mustNew(t, primary, reps, options{Read: readAny, ApplyBatch: 3})
 	defer b.Close()
 
 	var wg sync.WaitGroup
@@ -287,7 +287,7 @@ func TestReadFailoverToPrimary(t *testing.T) {
 	gate := &gateStore{Backend: provstore.NewMemBackend()}
 	// A long poll keeps the demotion cooldown window comfortably wider
 	// than the assertions that run inside it.
-	b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: 0, Poll: 300 * time.Millisecond})
+	b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, Poll: 300 * time.Millisecond})
 	defer b.Close()
 	if err := b.Append(ctx, tidBatch(1, 3)); err != nil {
 		t.Fatal(err)
@@ -326,61 +326,49 @@ func TestReadFailoverToPrimary(t *testing.T) {
 	}
 }
 
-// TestLagBoundRouting: with lag=N a healthy replica trailing the primary by
-// more than N tids leaves the read rotation; one within N serves reads and
-// is counted as a lagged read.
-func TestLagBoundRouting(t *testing.T) {
+// TestLaggingReplicaLeavesRotation: a healthy replica trailing the
+// acknowledged appends is out of the read rotation, the gauges name its
+// lag, and a read issued meanwhile still finds the newest record
+// (read-your-writes). After catch-up the lag gauge returns to 0.
+func TestLaggingReplicaLeavesRotation(t *testing.T) {
 	ctx := context.Background()
-	run := func(lagBound int64) (*ReplicatedBackend, *gateStore) {
-		primary := provstore.NewMemBackend()
-		gate := &gateStore{Backend: provstore.NewMemBackend()}
-		// Slow replica appends (not failures): the applier stays healthy
-		// while visibly behind. ApplyBatch 2 means one delay per tid, so
-		// the lag window stays open for seconds.
-		b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: lagBound, ApplyBatch: 2, Poll: time.Second})
-		if err := b.Append(ctx, tidBatch(1, 2)); err != nil {
+	primary := provstore.NewMemBackend()
+	gate := &gateStore{Backend: provstore.NewMemBackend()}
+	// Slow replica appends (not failures): the applier stays healthy while
+	// visibly behind. ApplyBatch 2 means one delay per tid, so the lag
+	// window stays open for seconds.
+	b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, ApplyBatch: 2, Poll: time.Second})
+	defer b.Close()
+	if err := b.Append(ctx, tidBatch(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	waitCaughtUp(t, b)
+	gate.appendDelay.Store(int64(400 * time.Millisecond))
+	for tid := int64(2); tid <= 6; tid++ {
+		if err := b.Append(ctx, tidBatch(tid, 2)); err != nil {
 			t.Fatal(err)
 		}
-		waitCaughtUp(t, b)
-		gate.appendDelay.Store(int64(400 * time.Millisecond))
-		for tid := int64(2); tid <= 6; tid++ {
-			if err := b.Append(ctx, tidBatch(tid, 2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b, gate
 	}
 
-	// Bound 3, lag 5: the replica must be out of the rotation even though
-	// its applier is healthy, and the gauges must name the lag.
-	b, gate := run(3)
 	if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.shipped_tid"] != 6 || g["repl.lag.0"] < 4 {
 		t.Errorf("gauges = %v, want shipped_tid=6 and lag.0 >= 4", g)
 	}
 	if r := b.pickReplica(); r != nil {
-		t.Error("replica lagging past the bound still in the rotation")
+		t.Error("lagging replica still in the rotation")
 	}
+	newest := tidBatch(6, 2)[0].Loc
+	if _, ok, err := provstore.Lookup(ctx, gate.Backend, 6, newest); err != nil || ok {
+		t.Fatalf("replica already holds tid 6 (%v, %v): the lag window closed before the read", ok, err)
+	}
+	if _, ok, err := provstore.Lookup(ctx, b, 6, newest); err != nil || !ok {
+		t.Errorf("Lookup of the newest tid while the replica lags = %v, %v; want the record", ok, err)
+	}
+
 	gate.appendDelay.Store(0)
 	waitCaughtUp(t, b)
 	if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.lag.0"] != 0 {
 		t.Errorf("after catch-up repl.lag.0 = %d, want 0", g["repl.lag.0"])
 	}
-	b.Close()
-
-	// Bound 10, lag 5: the stale replica serves the read and the lagged
-	// read is counted — the signal behind the CLI's -dump note.
-	b, gate = run(10)
-	if r := b.pickReplica(); r == nil {
-		t.Error("replica within the bound not in the rotation")
-	}
-	if _, _, err := provstore.Lookup(ctx, b, 1, path.New("T", "c1", "n00")); err != nil {
-		t.Errorf("Lookup via lagging replica: %v", err)
-	}
-	if b.LaggedReads() == 0 {
-		t.Error("lagged reads not counted")
-	}
-	gate.appendDelay.Store(0)
-	b.Close()
 }
 
 // TestCloseMidApplyLeaksNoGoroutines: tearing down the backend while an
@@ -422,7 +410,7 @@ func TestScanAllMidStreamFailover(t *testing.T) {
 	open := func(t *testing.T, cutAfter int) (*ReplicatedBackend, *cutAfterStore, provstore.Backend) {
 		primary := provstore.NewMemBackend()
 		gate := &cutAfterStore{Backend: provstore.NewMemBackend(), cutAfter: cutAfter}
-		b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny, LagBound: 0})
+		b := mustNew(t, primary, []provstore.Backend{gate}, options{Read: readAny})
 		t.Cleanup(func() { b.Close() })
 		for tid := int64(1); tid <= 6; tid++ {
 			batch := append(tidBatch(tid, 5), provstore.Record{Tid: tid, Op: provstore.OpInsert, Loc: hot})

@@ -30,7 +30,7 @@ func FuzzParseDSN(f *testing.F) {
 		"sharded://?shard=rel%3A%2F%2Fshard-0.db%3Fcreate%3D1&shard=rel%3A%2F%2Fshard-1.db%3Fcreate%3D1",
 		"cpdb://127.0.0.1:7070",
 		"cpdb://[::1]:7070",
-		"replicated://?primary=mem://&replica=mem://&read=any&lag=2&poll=20ms",
+		"replicated://?primary=mem://&replica=mem://&read=any&poll=20ms",
 		"replicated://?primary=rel%3A%2F%2Fprov.db%3Fcreate%3D1&replica=mem://",
 		"",
 		"mem",

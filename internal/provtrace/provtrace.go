@@ -19,8 +19,8 @@
 //
 // A Recorder collects the finished spans of one trace (concurrency-safe:
 // sharded scatter-gather ends spans from many goroutines). The daemon keeps
-// recorded traces in a ring-buffer Store (see store.go) with head sampling
-// plus always-keep for slow and error traces, and serves them over
+// recorded traces in a ring-buffer Store (see store.go), flagging slow and
+// error traces, and serves them over
 // GET /v1/traces. Cross-process continuity comes from two headers: the
 // existing X-Cpdb-Trace-Id names the trace, and X-Cpdb-Span-Id carries the
 // caller's active span so the server's root span parents under it; each
@@ -214,7 +214,7 @@ func (s *Span) SetAttr(k, v string) {
 }
 
 // SetErr marks the span failed with err's message (a nil error is
-// ignored). Error spans defeat sampling: the store always keeps them.
+// ignored). The stored trace is flagged Err.
 func (s *Span) SetErr(err error) {
 	if s == nil || err == nil {
 		return
@@ -233,7 +233,7 @@ func (s *Span) End() {
 	s.rec = nil
 	rec.add(*s)
 	if s.sink != nil {
-		s.sink.Finish(rec, false)
+		s.sink.Finish(rec)
 	}
 }
 

@@ -85,8 +85,8 @@ func TestNoRecorderIsFree(t *testing.T) {
 	sp.End()
 }
 
-// record runs one minimal trace into st and returns whether it was stored.
-func record(st *Store, traceID string, fail bool, rootDur time.Duration) bool {
+// record runs one minimal trace into st and returns the stored trace.
+func record(st *Store, traceID string, fail bool, rootDur time.Duration) *Trace {
 	rec := NewRecorder(traceID, "")
 	ctx := WithRecorder(context.Background(), rec)
 	if rootDur > 0 {
@@ -100,47 +100,38 @@ func record(st *Store, traceID string, fail bool, rootDur time.Duration) bool {
 		}
 		sp.End()
 	}
-	return st.Finish(rec, false)
+	st.Finish(rec)
+	return st.Get(traceID)
 }
 
-// TestSamplingAlwaysKeepsSlowAndError: at ratio 0 nothing ordinary is
-// stored, but error and slow traces always are.
-func TestSamplingAlwaysKeepsSlowAndError(t *testing.T) {
-	st := NewStore(16, 0, 100*time.Millisecond)
-	if record(st, "fast", false, 0) {
-		t.Fatalf("ratio 0 stored an ordinary trace")
+// TestSlowAndErrorTracesFlagged: every trace is stored; an error trace is
+// flagged Err and one whose root reaches the slow threshold Slow.
+func TestSlowAndErrorTracesFlagged(t *testing.T) {
+	st := NewStore(16, 100*time.Millisecond)
+	if got := record(st, "fast", false, 0); got == nil || got.Err || got.Slow {
+		t.Fatalf("ordinary trace flagged or missing: %+v", got)
 	}
-	if !record(st, "err", true, 0) {
-		t.Fatalf("ratio 0 dropped an error trace")
-	}
-	if !record(st, "slow", false, time.Second) {
-		t.Fatalf("ratio 0 dropped a slow trace")
-	}
-	if got := st.Get("slow"); got == nil || !got.Slow {
-		t.Fatalf("slow trace not flagged: %+v", got)
-	}
-	if got := st.Get("err"); got == nil || !got.Err {
+	if got := record(st, "err", true, 0); got == nil || !got.Err || got.Slow {
 		t.Fatalf("error trace not flagged: %+v", got)
 	}
-	if st.Get("fast") != nil {
-		t.Fatalf("dropped trace still retrievable")
+	if got := record(st, "slow", false, time.Second); got == nil || !got.Slow || got.Err {
+		t.Fatalf("slow trace not flagged: %+v", got)
 	}
 }
 
-// TestForcedKeepBypassesSampling: a continued trace (forced) is stored even
-// at ratio 0 — the outer daemon already holds the other half.
-func TestForcedKeepBypassesSampling(t *testing.T) {
-	st := NewStore(4, 0, 0)
+// TestContinuedTraceRoot: a trace continued from another process (its
+// recorder parents under a remote span) is stored with the local root
+// span as its root — the outer daemon holds the other half.
+func TestContinuedTraceRoot(t *testing.T) {
+	st := NewStore(4, 0)
 	rec := NewRecorder("cont", "remote-span")
 	ctx := WithRecorder(context.Background(), rec)
 	_, sp := Start(ctx, "server:query")
 	sp.End()
-	if !st.Finish(rec, true) {
-		t.Fatalf("forced trace was sampled away")
-	}
+	st.Finish(rec)
 	got := st.Get("cont")
 	if got == nil {
-		t.Fatalf("forced trace not stored")
+		t.Fatalf("continued trace not stored")
 	}
 	if got.Root != "server:query" {
 		t.Fatalf("root %q, want server:query", got.Root)
@@ -150,10 +141,10 @@ func TestForcedKeepBypassesSampling(t *testing.T) {
 // TestRingEvictionOrder: the buffer is FIFO — filling past capacity evicts
 // the oldest stored trace, and List walks newest first.
 func TestRingEvictionOrder(t *testing.T) {
-	st := NewStore(2, 1, 0)
+	st := NewStore(2, 0)
 	for _, id := range []string{"t1", "t2", "t3"} {
-		if !record(st, id, false, 0) {
-			t.Fatalf("ratio 1 dropped trace %s", id)
+		if record(st, id, false, 0) == nil {
+			t.Fatalf("trace %s not stored", id)
 		}
 	}
 	if st.Get("t1") != nil {
@@ -176,14 +167,13 @@ func TestRingEvictionOrder(t *testing.T) {
 }
 
 // TestMergeSameTraceID: two requests of one trace (one CLI recorder issuing
-// several RPCs) merge into a single stored trace, never a duplicate — and
-// the later half of a kept trace is never dropped, even at ratio 0.
+// several RPCs) merge into a single stored trace, never a duplicate.
 func TestMergeSameTraceID(t *testing.T) {
-	st := NewStore(4, 0, 0)
-	if !record(st, "m", true, 0) { // error: stored despite ratio 0
+	st := NewStore(4, 0)
+	if record(st, "m", true, 0) == nil {
 		t.Fatalf("first half not stored")
 	}
-	if !record(st, "m", false, 0) { // ordinary second half: must merge, not drop
+	if record(st, "m", false, 0) == nil { // ordinary second half: must merge
 		t.Fatalf("second half of a stored trace dropped")
 	}
 	got := st.Get("m")
@@ -252,7 +242,7 @@ func TestOrphanParentBecomesRoot(t *testing.T) {
 // TestStartRootFilesOnEnd: StartRoot's span files the trace into the store
 // when it ends, and a nil store is a free no-op.
 func TestStartRootFilesOnEnd(t *testing.T) {
-	st := NewStore(4, 1, 0)
+	st := NewStore(4, 0)
 	ctx, sp := st.StartRoot(context.Background(), "repl:apply")
 	_, child := Start(ctx, "repl:read")
 	child.End()

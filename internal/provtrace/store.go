@@ -2,7 +2,6 @@ package provtrace
 
 import (
 	"context"
-	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,19 +25,13 @@ type Trace struct {
 // A Store keeps recently recorded traces in a fixed-capacity ring buffer:
 // the daemon's -trace-buffer. Insertion evicts the oldest stored trace once
 // the ring is full, so memory is bounded by capacity however long the
-// daemon runs.
-//
-// Which traces are stored is a head-style decision per trace (not per
-// span): a ratio-sampled coin flip, overridden to "keep" for (a) traces
-// continued from another process — the caller stamped a span id, so the
-// outer daemon is already storing its half and a sampled-away inner half
-// would leave holes in every merged tree — (b) error traces, and (c) slow
-// traces (root duration at or above the store's slow threshold). Sampling
-// exists to bound CPU spent storing, not correctness: recording itself is
-// per-request when tracing is enabled.
+// daemon runs. Every finished trace is stored: recording is per-request
+// when tracing is on, so storing is the cheap half, and a trace continued
+// from another process is never missing its inner half. A trace whose root
+// took at least the store's slow threshold is flagged Slow, one with a
+// failed span Err.
 type Store struct {
 	capacity int
-	ratio    float64
 	slow     time.Duration
 
 	mu   sync.Mutex
@@ -49,21 +42,18 @@ type Store struct {
 	reg     *provobs.Registry
 	stored  *provobs.Counter
 	evicted *provobs.Counter
-	dropped *provobs.Counter
 	kept    *provobs.Gauge
 }
 
-// NewStore returns a trace store holding at most capacity traces (min 1),
-// head-sampling at ratio (clamped to [0,1]), and flagging traces with root
-// duration >= slow as always-keep (slow <= 0 disables the slow override).
-func NewStore(capacity int, ratio float64, slow time.Duration) *Store {
+// NewStore returns a trace store holding at most capacity traces (min 1)
+// and flagging traces with root duration >= slow as Slow (slow <= 0 flags
+// none).
+func NewStore(capacity int, slow time.Duration) *Store {
 	if capacity < 1 {
 		capacity = 1
 	}
-	ratio = min(max(ratio, 0), 1)
 	st := &Store{
 		capacity: capacity,
-		ratio:    ratio,
 		slow:     slow,
 		ring:     make([]*Trace, 0, capacity),
 		byID:     make(map[string]*Trace, capacity),
@@ -73,8 +63,6 @@ func NewStore(capacity int, ratio float64, slow time.Duration) *Store {
 		"Traces stored in the ring buffer.", provobs.WithStatKey("trace.stored"))
 	st.evicted = st.reg.Counter("cpdb_trace_evicted_total",
 		"Traces evicted from the ring buffer.", provobs.WithStatKey("trace.evicted"))
-	st.dropped = st.reg.Counter("cpdb_trace_dropped_total",
-		"Recorded traces not stored (sampled away).", provobs.WithStatKey("trace.dropped"))
 	st.kept = st.reg.Gauge("cpdb_trace_buffered",
 		"Traces currently in the ring buffer.", provobs.WithStatKey("trace.buffered"))
 	return st
@@ -85,30 +73,18 @@ func NewStore(capacity int, ratio float64, slow time.Duration) *Store {
 // byte-identity of both endpoints.
 func (st *Store) Registry() *provobs.Registry { return st.reg }
 
-// sample is the head-sampling coin flip.
-func (st *Store) sample() bool {
-	if st.ratio >= 1 {
-		return true
-	}
-	if st.ratio <= 0 {
-		return false
-	}
-	return rand.Float64() < st.ratio
-}
-
-// Finish files the recorder's trace into the store, applying the sampling
-// decision. forced bypasses sampling (continued traces). The trace's
-// summary — root name, start, duration, error — comes from its root span:
-// the recorded span whose parent is the recorder's remote parent id (or
-// the longest span, if instrumentation never closed a root). Returns
-// whether the trace was stored.
-func (st *Store) Finish(rec *Recorder, forced bool) bool {
+// Finish files the recorder's trace into the store. The trace's summary —
+// root name, start, duration, error — comes from its root span: the
+// recorded span whose parent is the recorder's remote parent id (or the
+// longest span, if instrumentation never closed a root). A nil store or
+// recorder, or a recorder with no finished span, stores nothing.
+func (st *Store) Finish(rec *Recorder) {
 	if st == nil || rec == nil {
-		return false
+		return
 	}
 	spans := rec.Spans()
 	if len(spans) == 0 {
-		return false
+		return
 	}
 	t := summarize(rec, spans)
 	if st.slow > 0 && t.Dur >= st.slow {
@@ -119,14 +95,9 @@ func (st *Store) Finish(rec *Recorder, forced bool) bool {
 	defer st.mu.Unlock()
 	if prev, ok := st.byID[t.TraceID]; ok {
 		// Another request of the same trace is already stored (one CLI
-		// recorder can issue several RPCs): merge rather than duplicate, and
-		// never drop the later half of a kept trace.
+		// recorder can issue several RPCs): merge rather than duplicate.
 		mergeInto(prev, t)
-		return true
-	}
-	if !forced && !t.Err && !t.Slow && !st.sample() {
-		st.dropped.Add(1)
-		return false
+		return
 	}
 	if len(st.ring) < st.capacity {
 		st.ring = append(st.ring, t)
@@ -140,7 +111,6 @@ func (st *Store) Finish(rec *Recorder, forced bool) bool {
 	st.byID[t.TraceID] = t
 	st.stored.Add(1)
 	st.kept.Set(int64(len(st.byID)))
-	return true
 }
 
 // summarize builds the stored trace from one recorder's spans.
@@ -235,7 +205,7 @@ func (st *Store) Len() int {
 
 // StartRoot opens a fresh trace rooted at name and returns a context
 // recording into it; the returned span's End files the whole trace into
-// the store (subject to sampling). This is how background work with no
+// the store. This is how background work with no
 // incoming request — the replication applier's apply passes — gets traced.
 // A nil store returns (ctx, nil): the instrumentation is free when tracing
 // is off.

@@ -10,7 +10,8 @@ import (
 // This file registers the "rel" backend driver: a relational provenance
 // store addressed as rel://path/to/file.db with parameters
 //
-//	create=1    create the database file (it must not exist yet)
+//	create=1    create a new, empty store; a store already at the path is
+//	            replaced (truncated) and its log dropped
 //	durable=1   write-ahead log the store (file + ".wal") and group-commit
 //	            every append batch
 //
@@ -43,8 +44,8 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 
 // Options configures OpenFile.
 type Options struct {
-	// Create makes a fresh database file instead of opening an existing
-	// one.
+	// Create makes a fresh, empty store instead of opening an existing
+	// one; a store already at the path is replaced and its log dropped.
 	Create bool
 	// Durable write-ahead logs the store (file + ".wal") and makes every
 	// Append durable before it returns. See OpenFile.

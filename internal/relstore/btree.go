@@ -274,14 +274,6 @@ func rewriteNode(pg *page, cells [][]byte) error {
 	return nil
 }
 
-func cellsSize(cells [][]byte) int {
-	sz := 0
-	for _, c := range cells {
-		sz += len(c) + slotSize
-	}
-	return sz
-}
-
 const nodeCapacity = PageSize - headerSize
 
 // --- search --------------------------------------------------------------

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	cpdb "repro"
@@ -46,9 +45,9 @@ func runReplCLI(t *testing.T, backendDSN string) string {
 
 // TestCLIEquivalenceOverReplicated is the acceptance bar: the full CLI
 // golden workload over replicated://?primary=mem://&replica=mem:// is
-// byte-identical to mem://, under both read policies (with lag=0, fan-out
-// reads only ever come from fully caught-up replicas, so even read=any
-// changes nothing observable — and no lagging-replica note appears).
+// byte-identical to mem://, under both read policies (fan-out reads only
+// ever come from fully caught-up replicas, so even read=any changes nothing
+// observable).
 func TestCLIEquivalenceOverReplicated(t *testing.T) {
 	want := runReplCLI(t, "mem://")
 	for _, dsn := range []string{
@@ -58,9 +57,6 @@ func TestCLIEquivalenceOverReplicated(t *testing.T) {
 		got := runReplCLI(t, dsn)
 		if got != want {
 			t.Errorf("%s output differs from mem://\n--- mem ---\n%s--- replicated ---\n%s", dsn, want, got)
-		}
-		if strings.Contains(got, "lagging") {
-			t.Errorf("%s printed a lagging-replica note under lag=0:\n%s", dsn, got)
 		}
 	}
 }
