@@ -374,22 +374,6 @@ func (p Path) AppendBinary(buf []byte) []byte { return append(buf, p.enc...) }
 // BinaryLen returns the number of bytes AppendBinary appends for p.
 func (p Path) BinaryLen() int { return len(p.enc) }
 
-// MarshalBinary implements encoding.BinaryMarshaler using AppendBinary.
-func (p Path) MarshalBinary() ([]byte, error) {
-	return p.AppendBinary(nil), nil
-}
-
-// DecodeBinary decodes a path encoded by AppendBinary from the front of buf,
-// returning the path and the number of bytes consumed. A path encoding ends
-// at the end of buf. It is DecodeBinaryString over a copy of buf.
-func DecodeBinary(buf []byte) (Path, int, error) {
-	p, err := DecodeBinaryString(string(buf))
-	if err != nil {
-		return Root, 0, err
-	}
-	return p, len(buf), nil
-}
-
 // DecodeBinaryString decodes a path encoded by AppendBinary that makes up
 // all of s. The bytes may come from outside the program (a wire frame), so
 // a label ValidLabel rejects — empty, or holding the separator — is an
@@ -419,17 +403,4 @@ func DecodeBinaryString(s string) (Path, error) {
 		}
 	}
 	return Path{s}, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (p *Path) UnmarshalBinary(data []byte) error {
-	q, n, err := DecodeBinary(data)
-	if err != nil {
-		return err
-	}
-	if n != len(data) {
-		return fmt.Errorf("path: %d trailing bytes after binary path", len(data)-n)
-	}
-	*p = q
-	return nil
 }

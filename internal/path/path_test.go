@@ -197,15 +197,8 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPath(r)
-		enc, err := p.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var q Path
-		if err := q.UnmarshalBinary(enc); err != nil {
-			return false
-		}
-		return q.Equal(p)
+		q, err := DecodeBinaryString(string(p.AppendBinary(nil)))
+		return err == nil && q.Equal(p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -239,9 +232,9 @@ func TestBinaryEscaping(t *testing.T) {
 	// Labels containing NUL/SOH bytes must round-trip through escaping.
 	p := New("a\x00b", "c\x01d", "plain")
 	enc := p.AppendBinary(nil)
-	q, n, err := DecodeBinary(enc)
-	if err != nil || n != len(enc) {
-		t.Fatalf("DecodeBinary: n=%d err=%v", n, err)
+	q, err := DecodeBinaryString(string(enc))
+	if err != nil {
+		t.Fatalf("DecodeBinaryString: %v", err)
 	}
 	if !q.Equal(p) {
 		t.Errorf("escaped round trip: got %q want %q", q.Labels(), p.Labels())
@@ -267,23 +260,17 @@ func TestDecodeBinaryErrors(t *testing.T) {
 		{"bad escape", "T\x00a\x01\x7f\x00", nil},
 		{"unterminated label", "T\x00a", nil},
 		{"unterminated label after an escape", "a\x01\x02b", nil},
+		{"trailing garbage", string(MustParse("T/a").AppendBinary(nil)) + "x", nil},
 	} {
-		p, n, err := DecodeBinary([]byte(c.enc))
-		if err == nil || (c.want != nil && !errors.Is(err, c.want)) || n != 0 || !p.IsRoot() {
-			t.Errorf("%s: DecodeBinary(%q) = %q, %d, %v; want an error (%v)", c.name, c.enc, p, n, err, c.want)
+		p, err := DecodeBinaryString(c.enc)
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) || !p.IsRoot() {
+			t.Errorf("%s: DecodeBinaryString(%q) = %q, %v; want an error (%v)", c.name, c.enc, p, err, c.want)
 		}
-		if _, serr := DecodeBinaryString(c.enc); serr == nil {
-			t.Errorf("%s: DecodeBinaryString(%q) accepted it", c.name, c.enc)
-		}
-	}
-	var p Path
-	if err := p.UnmarshalBinary(append(MustParse("T/a").AppendBinary(nil), 'x')); err == nil {
-		t.Error("trailing garbage should error")
 	}
 }
 
 // TestDecodeBinaryStringSharesStorage: a decode allocates nothing — the
-// path is its input — and gives the same path DecodeBinary gives.
+// path is its input — and gives the path that was encoded.
 func TestDecodeBinaryStringSharesStorage(t *testing.T) {
 	want := MustParse("SwissProt/Release{20}/Q01780/Citation{3}/Title")
 	enc := string(want.AppendBinary(nil))

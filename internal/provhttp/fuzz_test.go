@@ -25,7 +25,7 @@ import (
 // so a decoded record re-encodes to the same bytes — and whose binary form
 // (the body of a record frame) decodes back to it, plainly and through the
 // intern table. The same bytes, read as a path's binary encoding: the frame
-// decoder's path decoder agrees with path.DecodeBinary, and what they accept
+// decoder's path decoder agrees with path.DecodeBinaryString, and what they accept
 // is canonical and survives the text form.
 func FuzzWireRecord(f *testing.F) {
 	f.Add([]byte("T\x00c1\x00y\x00"))
@@ -82,10 +82,10 @@ func FuzzWireRecord(f *testing.F) {
 // binaryPath checks the two decoders of a path's binary encoding against
 // each other on arbitrary bytes.
 func binaryPath(t *testing.T, enc []byte) {
-	want, _, werr := path.DecodeBinary(enc)
+	want, werr := path.DecodeBinaryString(string(enc))
 	got, gerr := decodeWirePath(enc)
 	if (werr == nil) != (gerr == nil) || !got.Equal(want) {
-		t.Fatalf("binary path %q: decodeWirePath says %q, %v; path.DecodeBinary says %q, %v", enc, got, gerr, want, werr)
+		t.Fatalf("binary path %q: decodeWirePath says %q, %v; path.DecodeBinaryString says %q, %v", enc, got, gerr, want, werr)
 	}
 	if werr != nil {
 		return

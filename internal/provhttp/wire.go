@@ -178,7 +178,7 @@ import (
 var wirePaths = provcache.NewIntern[path.Path](8192)
 
 // decodeWirePath decodes a path's binary encoding out of a record frame
-// through wirePaths: it accepts what path.DecodeBinary accepts and returns
+// through wirePaths: it accepts what path.DecodeBinaryString accepts and returns
 // the same path (the contract of provstore.DecodeRecordWith). The empty
 // encoding — the Src of every record but a copy — is the root without a
 // lookup. A path the table holds costs no allocation, any other one string,

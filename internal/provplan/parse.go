@@ -3,8 +3,6 @@ package provplan
 import (
 	"strconv"
 	"strings"
-
-	"repro/internal/provcache"
 )
 
 // This file is the text form of the query algebra — what the cpdb CLI's
@@ -40,28 +38,6 @@ func Parse(s string) (*Query, error) {
 	if t, ok := p.peek(); ok {
 		return nil, badQuery("unexpected trailing %q", t)
 	}
-	return q, nil
-}
-
-// parseMemo caches parsed queries by their exact input text. A process
-// tends to run the same handful of query texts over and over (retries, a
-// paging loop, a dashboard), so the memo is small and capped: past the cap
-// new texts just parse normally.
-var parseMemo = provcache.NewIntern[*Query](256)
-
-// ParseCached is Parse with memoization by exact input text. The returned
-// Query is shared across every caller of the same text and MUST be treated
-// as immutable — callers that need to modify it (pin a horizon, toggle
-// Analyze) must copy it first. Parse errors are not memoized.
-func ParseCached(s string) (*Query, error) {
-	if q, ok := parseMemo.Get(s); ok {
-		return q, nil
-	}
-	q, err := Parse(s)
-	if err != nil {
-		return nil, err
-	}
-	parseMemo.Put(s, q)
 	return q, nil
 }
 

@@ -73,8 +73,8 @@ func (d DSN) BoolParam(key string) (bool, error) {
 	}
 }
 
-// IntParam returns the named parameter as an int, or def when absent.
-func (d DSN) IntParam(key string, def int) (int, error) {
+// intParam returns the named parameter as an int, or def when absent.
+func (d DSN) intParam(key string, def int) (int, error) {
 	v := d.Params.Get(key)
 	if v == "" {
 		if _, ok := d.Params[key]; !ok {
@@ -272,7 +272,7 @@ func openMem(dsn DSN) (Backend, error) {
 		return nil, err
 	}
 	if _, sharded := dsn.Params["shards"]; sharded {
-		n, err := dsn.IntParam("shards", 1)
+		n, err := dsn.intParam("shards", 1)
 		if err != nil {
 			return nil, err
 		}

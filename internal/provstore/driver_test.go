@@ -227,13 +227,13 @@ func TestDSNParamHelpers(t *testing.T) {
 	if _, err := dsn.BoolParam("junk"); err == nil {
 		t.Error("junk boolean accepted")
 	}
-	if n, err := dsn.IntParam("n", 3); err != nil || n != 7 {
+	if n, err := dsn.intParam("n", 3); err != nil || n != 7 {
 		t.Errorf("n: %v %v", n, err)
 	}
-	if n, err := dsn.IntParam("absent", 3); err != nil || n != 3 {
+	if n, err := dsn.intParam("absent", 3); err != nil || n != 3 {
 		t.Errorf("absent int: %v %v", n, err)
 	}
-	if _, err := dsn.IntParam("notnum", 0); err == nil {
+	if _, err := dsn.intParam("notnum", 0); err == nil {
 		t.Error("notnum accepted")
 	}
 }

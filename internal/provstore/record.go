@@ -108,7 +108,7 @@ func DecodeRecord(buf []byte) (Record, int, error) {
 func decodePath(b []byte) (path.Path, error) { return path.DecodeBinaryString(string(b)) }
 
 // DecodeRecordWith is DecodeRecord with each path's encoding handed to
-// decode, which must accept exactly what path.DecodeBinary accepts, with
+// decode, which must accept exactly what path.DecodeBinaryString accepts, with
 // the same result. A decode hot path uses it to answer repeated locations
 // from an intern table instead of making a new string per path; decode must
 // not keep b.

@@ -99,22 +99,30 @@ func checkCovering(t *testing.T, tbl *relstore.Table) {
 	}
 	primary := map[key]string{}
 	if err := tbl.ScanEncodedFrom(nil, nil, func(pk, val []byte) bool {
-		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TInt, relstore.TPath}, pk)
-		if err != nil {
-			t.Fatalf("primary key %x: %v", pk, err)
+		tid, rest, err := relstore.DecodeKeyInt(pk)
+		var loc []byte
+		if err == nil {
+			loc, rest, err = relstore.DecodeKeyPath(rest)
 		}
-		primary[key{vals[0].(int64), string(vals[1].([]byte))}] = string(val)
+		if err != nil || len(rest) > 0 {
+			t.Fatalf("primary key %x: %v, %d trailing bytes", pk, err, len(rest))
+		}
+		primary[key{tid, string(loc)}] = string(val)
 		return true
 	}); err != nil {
 		t.Fatalf("primary walk: %v", err)
 	}
 	n := 0
 	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(ik, val []byte) bool {
-		vals, err := relstore.DecodeKey([]relstore.ColType{relstore.TPath, relstore.TInt}, ik)
-		if err != nil {
-			t.Fatalf("by_loc key %x: %v", ik, err)
+		loc, rest, err := relstore.DecodeKeyPath(ik)
+		var tid int64
+		if err == nil {
+			tid, rest, err = relstore.DecodeKeyInt(rest)
 		}
-		k := key{vals[1].(int64), string(vals[0].([]byte))}
+		if err != nil || len(rest) > 0 {
+			t.Fatalf("by_loc key %x: %v, %d trailing bytes", ik, err, len(rest))
+		}
+		k := key{tid, string(loc)}
 		if v, ok := primary[k]; !ok {
 			t.Errorf("by_loc entry (%q, %d) has no primary row", k.loc, k.tid)
 		} else if v != string(val) {

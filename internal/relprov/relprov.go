@@ -304,7 +304,10 @@ func (b *Backend) putDecoder(d *decoder) {
 // at all; in any other, nothing until Close. The whole batch is validated before
 // any row is inserted, so a duplicate {Tid, Loc} anywhere in it or against
 // the table, or a record too large to store, aborts it wholesale; each row is
-// encoded once, for the check and the insert.
+// encoded once, for the check and the insert. A durable commit that fails
+// fails the store closed: from then on Append, Scan and Stat return its
+// relstore.ErrCommitFailed, and a reopen holds the commits acknowledged
+// before it.
 func (b *Backend) Append(ctx context.Context, recs []provstore.Record) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -505,10 +508,13 @@ func (b *Backend) Stat(ctx context.Context) (provstore.Stat, error) {
 	}
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	st := provstore.Stat{Count: int(b.tbl.RowCount()), Bytes: b.tbl.ByteSize()}
 	key, ok, err := b.tbl.LastKey()
-	if err != nil || !ok {
-		return st, err
+	if err != nil {
+		return provstore.Stat{}, err
+	}
+	st := provstore.Stat{Count: int(b.tbl.RowCount()), Bytes: b.tbl.ByteSize()}
+	if !ok {
+		return st, nil
 	}
 	if st.MaxTid, _, err = relstore.DecodeKeyInt(key); err != nil {
 		return st, fmt.Errorf("relprov: bad primary key: %w", err)

@@ -9,7 +9,7 @@ import (
 	"sync"
 )
 
-// A BTree is a B+tree over byte-string keys and values, stored in pages.
+// A btree is a B+tree over byte-string keys and values, stored in pages.
 // Inner nodes hold separator keys and child links; all values live in the
 // leaf level, which is chained left-to-right for range scans. Keys are
 // unique and the tree only grows: an entry, once inserted, is never changed
@@ -18,12 +18,12 @@ import (
 //
 // The tree is safe for concurrent readers with a single writer, serialized
 // internally.
-type BTree struct {
+type btree struct {
 	mu   sync.RWMutex
-	bp   *BufferPool
-	root PageID
+	bp   *bufferPool
+	root pageID
 	w    leafWriter // the writer's scratch space; mu held for writing
-	path []PageID   // the inner nodes an insert descended through, root first
+	path []pageID   // the inner nodes an insert descended through, root first
 	// Iterators ScanFrom is done with, and the readers of point reads, kept
 	// with their buffers: a read then allocates nothing of its own.
 	iters   idle[*cursor]
@@ -65,23 +65,23 @@ var (
 )
 
 // newBTree creates an empty tree, allocating its root leaf.
-func newBTree(bp *BufferPool) (*BTree, error) {
+func newBTree(bp *bufferPool) (*btree, error) {
 	root, err := bp.alloc(kindBTreeLeaf)
 	if err != nil {
 		return nil, err
 	}
 	bp.unpin(root.ID, true)
-	return OpenBTree(bp, root.ID), nil
+	return openBTree(bp, root.ID), nil
 }
 
-// OpenBTree attaches to an existing tree by root page id.
-func OpenBTree(bp *BufferPool, root PageID) *BTree {
-	return &BTree{bp: bp, root: root, iters: make(idle[*cursor], idleMax), readers: make(idle[*runReader], idleMax)}
+// openBTree attaches to an existing tree by root page id.
+func openBTree(bp *bufferPool, root pageID) *btree {
+	return &btree{bp: bp, root: root, iters: make(idle[*cursor], idleMax), readers: make(idle[*runReader], idleMax)}
 }
 
 // Root returns the current root page id (it changes when the root splits;
 // persist it after mutations).
-func (t *BTree) Root() PageID {
+func (t *btree) Root() pageID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.root
@@ -225,7 +225,7 @@ func runFirstKey(cell []byte) ([]byte, error) {
 
 // --- inner cells ---------------------------------------------------------
 
-func innerCell(key []byte, child PageID) []byte {
+func innerCell(key []byte, child pageID) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(key)))
 	buf = append(buf, key...)
 	var c [4]byte
@@ -233,13 +233,13 @@ func innerCell(key []byte, child PageID) []byte {
 	return append(buf, c[:]...)
 }
 
-func decodeInnerCell(cell []byte) (key []byte, child PageID, err error) {
+func decodeInnerCell(cell []byte) (key []byte, child pageID, err error) {
 	kl, n := binary.Uvarint(cell)
 	if n <= 0 || uint64(len(cell)-n) < kl+4 {
 		return nil, 0, fmt.Errorf("relstore: corrupt inner cell")
 	}
 	key = cell[n : n+int(kl)]
-	child = PageID(binary.BigEndian.Uint32(cell[n+int(kl):]))
+	child = pageID(binary.BigEndian.Uint32(cell[n+int(kl):]))
 	return key, child, nil
 }
 
@@ -279,7 +279,7 @@ const nodeCapacity = PageSize - headerSize
 // --- search --------------------------------------------------------------
 
 // Get returns a copy of the value stored under key.
-func (t *BTree) Get(key []byte) ([]byte, error) {
+func (t *btree) Get(key []byte) ([]byte, error) {
 	var out []byte
 	found, err := t.view(key, func(val []byte) { out = bytes.Clone(val) })
 	if err != nil {
@@ -294,7 +294,7 @@ func (t *BTree) Get(key []byte) ([]byte, error) {
 // View reports whether key is present and, if it is, hands visit the stored
 // value in place, while its leaf is pinned: visit must copy what it keeps
 // and must not call into the tree.
-func (t *BTree) view(key []byte, visit func(val []byte)) (bool, error) {
+func (t *btree) view(key []byte, visit func(val []byte)) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.find(key, visit)
@@ -302,7 +302,7 @@ func (t *BTree) view(key []byte, visit func(val []byte)) (bool, error) {
 
 // Has reports whether key is present. It compares keys only: the value is
 // neither decoded nor copied.
-func (t *BTree) Has(key []byte) (bool, error) {
+func (t *btree) Has(key []byte) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.find(key, nil)
@@ -311,7 +311,7 @@ func (t *BTree) Has(key []byte) (bool, error) {
 // find descends to key's leaf and reports whether key is there; on a hit
 // with visit non-nil, visit sees the stored value while the leaf is still
 // pinned (it must copy what it keeps). Caller holds mu.
-func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
+func (t *btree) find(key []byte, visit func(val []byte)) (bool, error) {
 	leafID, err := t.descend(key, nil)
 	if err != nil {
 		return false, err
@@ -340,7 +340,7 @@ func (t *BTree) find(key []byte, visit func(val []byte)) (bool, error) {
 // Last returns a copy of the largest key, ok=false on an empty tree: one
 // rightmost descent, O(height) pages. Nothing is ever deleted, so the
 // rightmost leaf is empty only when it is the root of an empty tree.
-func (t *BTree) last() (key []byte, ok bool, err error) {
+func (t *btree) last() (key []byte, ok bool, err error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	id := t.root
@@ -393,7 +393,7 @@ func lastInLeaf(pg *page, root bool) ([]byte, bool, error) {
 
 // descend walks from the root to the leaf that should contain key. If path
 // is non-nil, it is filled with the inner node ids visited (root first).
-func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
+func (t *btree) descend(key []byte, path *[]pageID) (pageID, error) {
 	id := t.root
 	for {
 		pg, err := t.bp.fetch(id)
@@ -418,7 +418,7 @@ func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
 
 // innerChild picks the child covering key: child 0 is the header link; keys
 // ≥ separator i go to child i+1.
-func innerChild(pg *page, key []byte) (PageID, error) {
+func innerChild(pg *page, key []byte) (pageID, error) {
 	n := pg.NumSlots()
 	lo, hi := 0, n // count of separators ≤ key
 	for lo < hi {
@@ -630,7 +630,7 @@ func (w *leafWriter) splice(slot, del int) error {
 }
 
 // Insert stores key→val, failing with errDupKey if the key exists.
-func (t *BTree) Insert(key, val []byte) error {
+func (t *btree) Insert(key, val []byte) error {
 	if entrySize(len(key), len(val)) > MaxEntrySize {
 		return fmt.Errorf("%w: key %d val %d bytes", ErrKeyTooBig, len(key), len(val))
 	}
@@ -661,7 +661,7 @@ func (t *BTree) Insert(key, val []byte) error {
 // sibling and sep its first key, for the parent. Whether and where a leaf
 // splits is decided on its live cells alone, so which entries each leaf and
 // run holds does not depend on where cells lie within a page.
-func (t *BTree) insertLeaf(pg *page, key, val []byte) (right PageID, sep []byte, dirty bool, err error) {
+func (t *btree) insertLeaf(pg *page, key, val []byte) (right pageID, sep []byte, dirty bool, err error) {
 	w := &t.w
 	slot, at, exact, err := w.load(pg, key)
 	if err != nil {
@@ -760,7 +760,7 @@ func (t *BTree) insertLeaf(pg *page, key, val []byte) (right PageID, sep []byte,
 // fresh right sibling. The separator — the first key of the right half — is
 // moved up, not copied: the child it led to becomes the right node's
 // leftmost.
-func (t *BTree) splitNode(pg *page, cells [][]byte) (left, right PageID, sep []byte, err error) {
+func (t *btree) splitNode(pg *page, cells [][]byte) (left, right pageID, sep []byte, err error) {
 	half := len(cells) / 2
 	rightPg, err := t.bp.alloc(kindBTreeInner)
 	if err != nil {
@@ -787,7 +787,7 @@ func (t *BTree) splitNode(pg *page, cells [][]byte) (left, right PageID, sep []b
 // with room takes the new cell into its gap, in the slot of its key's place:
 // an inner node only gains cells, so its gap is its free space, and it is
 // rebuilt only at its own split.
-func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) error {
+func (t *btree) insertSeparator(path []pageID, sep []byte, left, right pageID) error {
 	if len(path) == 0 {
 		newRoot, err := t.bp.alloc(kindBTreeInner)
 		if err != nil {
@@ -851,8 +851,8 @@ func (t *BTree) insertSeparator(path []PageID, sep []byte, left, right PageID) e
 // at a time, taken under one pin of the leaf: within a run Next touches
 // neither the tree's lock nor the buffer pool.
 type cursor struct {
-	t     *BTree
-	leaf  PageID
+	t     *btree
+	leaf  pageID
 	slot  int       // of the run being walked
 	run   []byte    // that run, copied off its page
 	rd    runReader // over run; rd.key is rebuilt in place entry by entry
@@ -861,7 +861,7 @@ type cursor struct {
 }
 
 // Seek positions the iterator at the first entry with key ≥ start.
-func (t *BTree) seek(start []byte) *cursor {
+func (t *btree) seek(start []byte) *cursor {
 	it := &cursor{t: t}
 	it.seek(start)
 	return it
@@ -977,7 +977,7 @@ func (it *cursor) Next() {
 // prefix (nil = every key), in key order, stopping early if fn returns
 // false. The walk ends on the first key outside the prefix, so the entry
 // that ends it is never handed to fn.
-func (t *BTree) scanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
+func (t *btree) scanFrom(from, prefix []byte, fn func(key, val []byte) bool) error {
 	it := t.iters.get()
 	if it == nil {
 		it = &cursor{t: t}
@@ -993,14 +993,4 @@ func (t *BTree) scanFrom(from, prefix []byte, fn func(key, val []byte) bool) err
 		}
 	}
 	return it.Err()
-}
-
-// Len counts the entries (a full scan; used by tests and size accounting).
-func (t *BTree) Len() (int, error) {
-	n := 0
-	it := t.seek(nil)
-	for ; it.Valid(); it.Next() {
-		n++
-	}
-	return n, it.Err()
 }

@@ -10,13 +10,23 @@ import (
 	"testing"
 )
 
-func testPool(t *testing.T, cachePages int) *BufferPool {
+// Len counts the entries, a full scan.
+func (t *btree) Len() (int, error) {
+	n := 0
+	it := t.seek(nil)
+	for ; it.Valid(); it.Next() {
+		n++
+	}
+	return n, it.Err()
+}
+
+func testPool(t *testing.T, cachePages int) *bufferPool {
 	t.Helper()
 	pager, err := createPager(tempStore(t), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(pager, cachePages)
+	bp := newBufferPool(pager, cachePages)
 	t.Cleanup(func() { bp.Close() })
 	return bp
 }
@@ -164,7 +174,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(pager, 64)
+	bp := newBufferPool(pager, 64)
 	bt, _ := newBTree(bp)
 	model := map[string]string{}
 	r := rand.New(rand.NewSource(42))
@@ -208,7 +218,7 @@ func TestBTreeAgainstMap(t *testing.T) {
 	if len(model) < 1000 {
 		t.Fatalf("test premise: only %d distinct keys", len(model))
 	}
-	checkMatchesModel := func(bt *BTree) {
+	checkMatchesModel := func(bt *btree) {
 		t.Helper()
 		got := map[string]string{}
 		it := bt.seek(nil)
@@ -237,13 +247,13 @@ func TestBTreeAgainstMap(t *testing.T) {
 	if err := bp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	pager2, err := OpenPager(path)
+	pager2, err := openPagerPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp2 := NewBufferPool(pager2, 64)
+	bp2 := newBufferPool(pager2, 64)
 	defer bp2.Close()
-	checkMatchesModel(OpenBTree(bp2, root))
+	checkMatchesModel(openBTree(bp2, root))
 }
 
 // TestBTreeTinyCache exercises eviction pressure: the pool holds far fewer
@@ -284,7 +294,7 @@ func TestBTreeTinyCache(t *testing.T) {
 }
 
 // heapRecords scans h into a list of its records in chain order.
-func heapRecords(t *testing.T, h *Heap) []string {
+func heapRecords(t *testing.T, h *heap) []string {
 	t.Helper()
 	var out []string
 	if err := h.Scan(func(data []byte) bool { out = append(out, string(data)); return true }); err != nil {
@@ -334,7 +344,7 @@ func TestHeapGrowsAndScans(t *testing.T) {
 		t.Error("heap did not grow")
 	}
 	// Reopen and rescan.
-	h2, err := OpenHeap(bp, h.first)
+	h2, err := openHeap(bp, h.first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +381,7 @@ func TestHeapGrowsAndScans(t *testing.T) {
 // levels grown in random order.
 func TestBTreeLast(t *testing.T) {
 	bp := testPool(t, 128)
-	var bt *BTree
+	var bt *btree
 	wantLast := func(want string, wantOK bool) {
 		t.Helper()
 		got, ok, err := bt.last()
@@ -519,7 +529,7 @@ func BenchmarkBTree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bp := NewBufferPool(pager, 256)
+	bp := newBufferPool(pager, 256)
 	defer bp.Close()
 	bt, err := newBTree(bp)
 	if err != nil {

@@ -124,9 +124,9 @@ func appendKeyBytes(buf, v []byte) []byte {
 	return append(buf, 0x00)
 }
 
-// EncodeKey encodes a sequence of typed values as an order-preserving
+// encodeKey encodes a sequence of typed values as an order-preserving
 // composite key.
-func EncodeKey(types []ColType, vals []Value) ([]byte, error) {
+func encodeKey(types []ColType, vals []Value) ([]byte, error) {
 	if len(types) < len(vals) {
 		return nil, fmt.Errorf("relstore: %d key values for %d columns", len(vals), len(types))
 	}
@@ -234,9 +234,9 @@ func DecodeKeyPath(key []byte) (enc, rest []byte, err error) {
 	return key[:i+1], key[i+2:], nil
 }
 
-// DecodeKey undoes EncodeKey for a key that holds every column of types and
+// decodeKey undoes encodeKey for a key that holds every column of types and
 // nothing after them.
-func DecodeKey(types []ColType, key []byte) ([]Value, error) {
+func decodeKey(types []ColType, key []byte) ([]Value, error) {
 	vals := make([]Value, len(types))
 	for i, t := range types {
 		switch t {

@@ -18,8 +18,8 @@ import (
 // and by Close.
 type DB struct {
 	mu      sync.Mutex
-	bp      *BufferPool
-	catalog *Heap
+	bp      *bufferPool
+	catalog *heap
 	tables  map[string]*Table
 	dirty   bool
 	wal     *wal // the store's write-ahead log, or nil; the pager's too
@@ -30,6 +30,13 @@ type DB struct {
 	rows       []byte
 	writePages bool
 }
+
+// ErrCommitFailed wraps the error of a durable commit whose log write, page
+// write or fsync failed, and every error the store returns after it: such a
+// store fails closed. Its tables hold rows the log may not, so it refuses
+// every read and write until it is closed and reopened, which recovers
+// exactly the commits the log holds whole.
+var ErrCommitFailed = errors.New("relstore: a commit failed; the store refuses every call until reopened")
 
 // DefaultCachePages is the buffer-pool capacity of a DB.
 const DefaultCachePages = 256
@@ -54,10 +61,10 @@ func Open(path string, create, durable bool) (*DB, error) {
 func open(path string, create, durable bool) (db *DB, restored int, err error) {
 	logPath := path + ".wal"
 	var (
-		f     *os.File
-		w     *wal
-		pager *Pager
-		rows  [][]byte
+		f    *os.File
+		w    *wal
+		pgr  *pager
+		rows [][]byte
 	)
 	defer func() {
 		// Nothing of a failed open is written: its files are closed as they are.
@@ -82,11 +89,11 @@ func open(path string, create, durable bool) (db *DB, restored int, err error) {
 		if err != nil {
 			return
 		}
-		if pager, err = createPager(path, w); err != nil {
+		if pgr, err = createPager(path, w); err != nil {
 			return
 		}
-		f = pager.f
-		db, err = newDB(pager, true)
+		f = pgr.f
+		db, err = newDB(pgr, true)
 		return db, 0, err
 	}
 	if f, err = os.OpenFile(path, os.O_RDWR, 0o644); err != nil {
@@ -97,10 +104,10 @@ func open(path string, create, durable bool) (db *DB, restored int, err error) {
 			return
 		}
 	}
-	if pager, err = openPager(f, w); err != nil {
+	if pgr, err = openPager(f, w); err != nil {
 		return
 	}
-	if db, err = newDB(pager, false); err != nil || w == nil {
+	if db, err = newDB(pgr, false); err != nil || w == nil {
 		return
 	}
 	if len(rows) > 0 {
@@ -118,14 +125,14 @@ func open(path string, create, durable bool) (db *DB, restored int, err error) {
 		}
 	}
 	if w.size() > 0 {
-		if err = pager.checkpoint(); err != nil {
+		if err = pgr.checkpoint(); err != nil {
 			return
 		}
 	}
 	if !durable {
 		// The log is replayed; from here on the database is not logged.
 		logFile := w.f
-		db.wal, pager.wal, w = nil, nil, nil
+		db.wal, pgr.wal, w = nil, nil, nil
 		err = logFile.Close()
 	}
 	return db, restored, err
@@ -145,7 +152,7 @@ func replayLog(f *os.File, logPath string) (*wal, int, [][]byte, error) {
 			return nil, 0, nil, err
 		}
 	}
-	w, pages, rows, err := openWAL(logPath, func(id PageID, image []byte) error {
+	w, pages, rows, err := openWAL(logPath, func(id pageID, image []byte) error {
 		_, err := f.WriteAt(image, int64(id)*PageSize)
 		return err
 	})
@@ -155,17 +162,17 @@ func replayLog(f *os.File, logPath string) (*wal, int, [][]byte, error) {
 	return w, pages, rows, nil
 }
 
-// newDB makes the database over pager: a new catalog heap, or the one the
+// newDB makes the database over p: a new catalog heap, or the one the
 // header names and the tables it lists.
-func newDB(pager *Pager, create bool) (*DB, error) {
-	bp := NewBufferPool(pager, DefaultCachePages)
-	db := &DB{bp: bp, tables: make(map[string]*Table), wal: pager.wal}
+func newDB(p *pager, create bool) (*DB, error) {
+	bp := newBufferPool(p, DefaultCachePages)
+	db := &DB{bp: bp, tables: make(map[string]*Table), wal: p.wal}
 	var err error
 	if create {
 		if db.catalog, err = newHeap(bp); err == nil {
-			err = pager.setCatalog(db.catalog.first)
+			err = p.setCatalog(db.catalog.first)
 		}
-	} else if db.catalog, err = OpenHeap(bp, pager.Catalog()); err == nil {
+	} else if db.catalog, err = openHeap(bp, p.catalogRoot()); err == nil {
 		err = db.loadCatalog()
 	}
 	return db, err
@@ -372,9 +379,25 @@ func (db *DB) tableNamesLocked() []string {
 // replays and redoes it; an in-flight commit that never returned is
 // replayed whole or not at all). A database opened without durable has no
 // log and is made durable by Close alone: there GroupCommit does nothing.
+//
+// An error here fails the store closed (ErrCommitFailed): the commit's rows
+// are in its tables but maybe not in its log, and an fsync that failed once
+// is not retried. From then on every GroupCommit, read, insert and Size
+// returns that error, and Close closes the files without writing to either.
 func (db *DB) GroupCommit() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if err := db.bp.err(); err != nil {
+		return err
+	}
+	if err := db.groupCommitLocked(); err != nil {
+		return db.bp.fail(err)
+	}
+	return nil
+}
+
+// groupCommitLocked is GroupCommit's commit. Caller holds db.mu.
+func (db *DB) groupCommitLocked() error {
 	switch {
 	case db.wal == nil:
 		return nil
@@ -392,7 +415,7 @@ func (db *DB) GroupCommit() error {
 }
 
 // writePagesLocked commits by writing the pages: the catalog is refreshed
-// and every dirty page goes out as one group (BufferPool.flushGroup), and a
+// and every dirty page goes out as one group (bufferPool.flushGroup), and a
 // log past walCheckpointBytes is checkpointed. Caller holds db.mu.
 func (db *DB) writePagesLocked() error {
 	db.rows, db.writePages = db.rows[:0], false
@@ -438,7 +461,8 @@ func (db *DB) CacheStats() (hits, misses int64) {
 
 // Close writes back every page and closes the database: its checkpoint
 // fsyncs the data file and then empties the log, if it has one, which it
-// closes with the data file.
+// closes with the data file. A store that failed closed writes nothing: it
+// closes both files as they are and returns its ErrCommitFailed.
 func (db *DB) Close() error {
 	db.mu.Lock()
 	if err := db.flushCatalogLocked(); err != nil {

@@ -101,8 +101,8 @@ func FuzzLeafRun(f *testing.F) {
 		}
 		for _, e := range ents {
 			for _, types := range [][]ColType{{TInt, TPath}, {TPath, TInt}} {
-				if vals, err := DecodeKey(types, e.key); err == nil {
-					if key, err := EncodeKey(types, vals); err != nil || !bytes.Equal(key, e.key) {
+				if vals, err := decodeKey(types, e.key); err == nil {
+					if key, err := encodeKey(types, vals); err != nil || !bytes.Equal(key, e.key) {
 						t.Fatalf("key %x splits as %v, which encodes as %x, %v", e.key, vals, key, err)
 					}
 				}
@@ -114,8 +114,8 @@ func FuzzLeafRun(f *testing.F) {
 	})
 }
 
-// FuzzDecodeKey: DecodeKey undoes EncodeKey, a key cut short anywhere is an
-// error, keyValueLen measures what EncodeKey writes, and two ints' encodings
+// FuzzDecodeKey: decodeKey undoes encodeKey, a key cut short anywhere is an
+// error, keyValueLen measures what encodeKey writes, and two ints' encodings
 // compare as the ints do. Arbitrary bytes either are a key — then exactly
 // the one their values encode to: only the minimal form of an int decodes —
 // or an error, never a panic. A path field is split off arbitrary bytes
@@ -134,7 +134,7 @@ func FuzzDecodeKey(f *testing.F) {
 		{0, -1, ""}, {-1, 0, "T/c1/x"}, {1 << 62, 255, "a\x00b"}, {math.MinInt64, -256, "\x01\x00\x01"}, {2006, 2005, "\x00"}, {7, 256, "\x01\x02\x03"},
 		{math.MaxInt64, math.MinInt64, "z"}, {1, 2, "T/c1"}, {3, 2, "T/c1/x\x00y"},
 	} {
-		key, _ := EncodeKey(keyTypes, []Value{seed.v, []byte(seed.s), seed.s, pathField(seed.s)})
+		key, _ := encodeKey(keyTypes, []Value{seed.v, []byte(seed.s), seed.s, pathField(seed.s)})
 		f.Add(seed.v, seed.w, seed.s, key)
 	}
 	f.Add(int64(2), int64(1), "T/c1", []byte("T/c1/y"))                      // a parent, then its child
@@ -153,23 +153,23 @@ func FuzzDecodeKey(f *testing.F) {
 		}
 		p := pathField(s)
 		want := []Value{v, []byte(s), s, p}
-		key, err := EncodeKey(types, want)
+		key, err := encodeKey(types, want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeKey(types, key)
+		got, err := decodeKey(types, key)
 		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeKey(EncodeKey(%v)) = %v, %v", want, got, err)
+			t.Fatalf("decodeKey(encodeKey(%v)) = %v, %v", want, got, err)
 		}
 		if n := keyValueLen(TInt, v) + keyValueLen(TBytes, []byte(s)) + keyValueLen(TStr, s) + keyValueLen(TPath, p); n != len(key) {
 			t.Fatalf("keyValueLen sums to %d for a key of %d bytes", n, len(key))
 		}
 		for cut := 0; cut < len(key); cut++ {
-			if vals, err := DecodeKey(types, key[:cut]); err == nil {
+			if vals, err := decodeKey(types, key[:cut]); err == nil {
 				t.Fatalf("key %x cut to %d bytes decodes as %v", key, cut, vals)
 			}
 		}
-		if vals, err := DecodeKey(types, append(bytes.Clone(key), 0)); err == nil {
+		if vals, err := decodeKey(types, append(bytes.Clone(key), 0)); err == nil {
 			t.Fatalf("key %x with a trailing byte decodes as %v", key, vals)
 		}
 		kv, kw := AppendKeyInt(nil, v), AppendKeyInt(nil, w)
@@ -187,14 +187,14 @@ func FuzzDecodeKey(f *testing.F) {
 				t.Fatalf("%x splits off the path field %x, which is not valid or keys as %x", raw, enc, AppendKeyPath(nil, enc))
 			}
 		}
-		if key, err := EncodeKey([]ColType{TPath, TInt}, []Value{raw, w}); (err == nil) != validPathField(raw) {
-			t.Fatalf("EncodeKey of the path field %x: %v, but validPathField says %v", raw, err, validPathField(raw))
+		if key, err := encodeKey([]ColType{TPath, TInt}, []Value{raw, w}); (err == nil) != validPathField(raw) {
+			t.Fatalf("encodeKey of the path field %x: %v, but validPathField says %v", raw, err, validPathField(raw))
 		} else if enc, rest, err := DecodeKeyPath(key); err == nil && !bytes.Equal(enc, raw) || err != nil && validPathField(raw) {
 			t.Fatalf("the path field %x, keyed with tid %d as %x, splits back off it as %x, %v", raw, w, key, enc, err)
 		} else if err == nil && !bytes.Equal(rest, AppendKeyInt(nil, w)) {
 			t.Fatalf("the path field %x, keyed with tid %d as %x, leaves %x after it", raw, w, key, rest)
 		}
-		if _, n, err := path.DecodeBinary(raw); err == nil && n == len(raw) && !validPathField(raw) {
+		if _, err := path.DecodeBinaryString(string(raw)); err == nil && !validPathField(raw) {
 			t.Fatalf("%x is a path's encoding but no valid path field", raw)
 		}
 		q := pathField(string(raw))
@@ -206,11 +206,11 @@ func FuzzDecodeKey(f *testing.F) {
 			t.Fatalf("%v, keyed with tid %d, does not sort before its descendant %v with tid %d", pp, v, qp, w)
 		}
 
-		vals, err := DecodeKey(types, raw)
+		vals, err := decodeKey(types, raw)
 		if err != nil {
 			return
 		}
-		again, err := EncodeKey(types, vals)
+		again, err := encodeKey(types, vals)
 		if err != nil || !bytes.Equal(again, raw) {
 			t.Fatalf("%x decodes as %v, which encodes as %x, %v", raw, vals, again, err)
 		}

@@ -6,30 +6,30 @@ import (
 	"fmt"
 )
 
-// A Heap is an append-only file of variable-length records chained across
+// A heap is an append-only file of variable-length records chained across
 // pages. The heap remembers its last page for O(1) appends; scans follow the
 // page chain. Tables are index-organised (rows live in their primary
 // B-tree's leaves); the one heap in a store file holds the catalog.
-type Heap struct {
-	bp    *BufferPool
-	first PageID
-	last  PageID
+type heap struct {
+	bp    *bufferPool
+	first pageID
+	last  pageID
 }
 
 // newHeap creates an empty heap, allocating its first page.
-func newHeap(bp *BufferPool) (*Heap, error) {
+func newHeap(bp *bufferPool) (*heap, error) {
 	pg, err := bp.alloc(kindHeap)
 	if err != nil {
 		return nil, err
 	}
 	bp.unpin(pg.ID, true)
-	return &Heap{bp: bp, first: pg.ID, last: pg.ID}, nil
+	return &heap{bp: bp, first: pg.ID, last: pg.ID}, nil
 }
 
-// OpenHeap attaches to an existing heap by its first page id, walking the
+// openHeap attaches to an existing heap by its first page id, walking the
 // chain to find the last page.
-func OpenHeap(bp *BufferPool, first PageID) (*Heap, error) {
-	h := &Heap{bp: bp, first: first, last: first}
+func openHeap(bp *bufferPool, first pageID) (*heap, error) {
+	h := &heap{bp: bp, first: first, last: first}
 	for {
 		pg, err := bp.fetch(h.last)
 		if err != nil {
@@ -45,7 +45,7 @@ func OpenHeap(bp *BufferPool, first PageID) (*Heap, error) {
 }
 
 // Insert appends a record.
-func (h *Heap) Insert(data []byte) error {
+func (h *heap) Insert(data []byte) error {
 	if len(data) > maxCellSize {
 		return fmt.Errorf("%w: %d bytes", errCellTooBig, len(data))
 	}
@@ -85,7 +85,7 @@ func (h *Heap) Insert(data []byte) error {
 // Reset empties the heap and keeps its pages: the next Insert fills them
 // again from the first. A heap rewritten wholesale — the catalog, at every
 // commit — so takes the room of its records, not of every version of them.
-func (h *Heap) reset() error {
+func (h *heap) reset() error {
 	for id := h.first; id != invalidPage; {
 		pg, err := h.bp.fetch(id)
 		if err != nil {
@@ -103,7 +103,7 @@ func (h *Heap) reset() error {
 
 // Scan calls fn for every record in the heap, in chain order, stopping
 // early if fn returns false.
-func (h *Heap) Scan(fn func(data []byte) bool) error {
+func (h *heap) Scan(fn func(data []byte) bool) error {
 	id := h.first
 	for id != invalidPage {
 		pg, err := h.bp.fetch(id)

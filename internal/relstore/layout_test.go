@@ -48,7 +48,7 @@ func short(loc Value) string {
 // writeLeaves writes one line per leaf of tr, left to right: its number of
 // runs, then each run's entries as name renders them, runs separated by
 // " | ".
-func writeLeaves(t *testing.T, out *bytes.Buffer, name string, tr *BTree, entry func(key, val []byte) string) {
+func writeLeaves(t *testing.T, out *bytes.Buffer, name string, tr *btree, entry func(key, val []byte) string) {
 	t.Helper()
 	id, err := tr.descend(nil, nil)
 	if err != nil {
@@ -123,14 +123,14 @@ func TestLeafLayoutGolden(t *testing.T) {
 	}
 	var out bytes.Buffer
 	writeLeaves(t, &out, "primary", tbl.primary, func(key, v []byte) string {
-		f, err := DecodeKey(tbl.keyType, key)
+		f, err := decodeKey(tbl.keyType, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%d:%s=%s", f[0], short(f[1]), val(v))
 	})
 	writeLeaves(t, &out, "by_loc", tbl.seconds[0], func(key, v []byte) string {
-		f, err := DecodeKey(tbl.indexes[0].types, key)
+		f, err := decodeKey(tbl.indexes[0].types, key)
 		if err != nil {
 			t.Fatal(err)
 		}

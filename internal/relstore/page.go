@@ -13,6 +13,11 @@
 // through it; an int key field is as long as its value's significant bytes
 // (codec.go), and leaves hold keys front-coded in runs of up to 16
 // (btree.go), so consecutive keys cost their difference.
+//
+// What the package exports is the engine: DB and Table, the schema types,
+// rows and the key helpers its one durable caller (relprov) decodes with.
+// The page layer under them — pages, pager, buffer pool, heap and trees —
+// is the package's own.
 package relstore
 
 import (
@@ -25,12 +30,12 @@ import (
 // PageSize is the fixed size of every page, a conventional 4 KiB.
 const PageSize = 4096
 
-// PageID identifies a page within a store file. Page 0 is the store header
+// pageID identifies a page within a store file. Page 0 is the store header
 // and is never handed out.
-type PageID uint32
+type pageID uint32
 
-// invalidPage is the zero PageID, used as a nil link.
-const invalidPage PageID = 0
+// invalidPage is the zero pageID, used as a nil link.
+const invalidPage pageID = 0
 
 // Page kinds.
 const (
@@ -80,14 +85,14 @@ var (
 const maxCellSize = (PageSize - headerSize - 4*slotSize) / 4
 
 // A page is one fixed-size block. Methods operate on the raw buffer; the
-// checksum is computed at write-out and verified at read-in by the Pager.
+// checksum is computed at write-out and verified at read-in by the pager.
 type page struct {
-	ID  PageID
+	ID  pageID
 	buf [PageSize]byte
 }
 
 // newPage returns an initialized in-memory page of the given kind.
-func newPage(id PageID, kind byte) *page {
+func newPage(id pageID, kind byte) *page {
 	p := &page{ID: id}
 	p.Init(kind)
 	return p
@@ -107,12 +112,12 @@ func (p *page) Init(kind byte) {
 func (p *page) Kind() byte { return p.buf[offKind] }
 
 // Next returns the page's link field.
-func (p *page) Next() PageID {
-	return PageID(binary.BigEndian.Uint32(p.buf[offNext:]))
+func (p *page) Next() pageID {
+	return pageID(binary.BigEndian.Uint32(p.buf[offNext:]))
 }
 
 // SetNext sets the page's link field.
-func (p *page) SetNext(id PageID) {
+func (p *page) SetNext(id pageID) {
 	binary.BigEndian.PutUint32(p.buf[offNext:], uint32(id))
 }
 

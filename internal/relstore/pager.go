@@ -22,7 +22,7 @@ const storeMagic uint32 = 0xC9DB2006 // "curated databases, 2006"
 // so a store that predates it reads as version 0.
 const formatVersion uint32 = 5
 
-// A Pager reads and writes fixed-size pages of a store file. Page 0 holds
+// A pager reads and writes fixed-size pages of a store file. Page 0 holds
 // the store header: magic, page count, four reserved bytes (zero), the
 // catalog root page id and the format version. Pages are written in groups
 // (writeGroup), the only way to the data file. Header changes are kept in
@@ -31,13 +31,13 @@ const formatVersion uint32 = 5
 // header never reaches the data file ahead of the log. The log is fixed when
 // the pager is made, and the pager's Close closes it.
 //
-// The Pager is safe for concurrent use; callers serialize logical operations
+// The pager is safe for concurrent use; callers serialize logical operations
 // above it (the engine uses a single-writer model, as the paper's CPDB did).
-type Pager struct {
+type pager struct {
 	mu      sync.Mutex
 	f       *os.File
-	pages   PageID // total pages allocated, including page 0
-	catalog PageID
+	pages   pageID // total pages allocated, including page 0
+	catalog pageID
 	// hdrDirty: the header changed since it was last written; the next page
 	// group or Sync logs and writes it.
 	hdrDirty bool
@@ -60,12 +60,12 @@ var (
 
 // createPager creates a new store file (truncating any existing one) whose
 // page groups go to w first, if w is not nil.
-func createPager(path string, w *wal) (*Pager, error) {
+func createPager(path string, w *wal) (*pager, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pager{f: f, pages: 1, hdrDirty: true, wal: w}
+	p := &pager{f: f, pages: 1, hdrDirty: true, wal: w}
 	// Page 0 is all zeroes but for its header.
 	if err = f.Truncate(PageSize); err == nil {
 		err = p.writeHeader()
@@ -77,23 +77,10 @@ func createPager(path string, w *wal) (*Pager, error) {
 	return p, nil
 }
 
-// OpenPager opens an existing store file.
-func OpenPager(path string) (*Pager, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	p, err := openPager(f, nil)
-	if err != nil {
-		f.Close()
-	}
-	return p, err
-}
-
 // openPager reads the header of the store file f, whose page groups go to w
 // first, if w is not nil.
-func openPager(f *os.File, w *wal) (*Pager, error) {
-	p := &Pager{f: f, wal: w}
+func openPager(f *os.File, w *wal) (*pager, error) {
+	p := &pager{f: f, wal: w}
 	if err := p.readHeader(); err != nil {
 		return nil, err
 	}
@@ -101,7 +88,7 @@ func openPager(f *os.File, w *wal) (*Pager, error) {
 }
 
 // header encodes the current header fields.
-func (p *Pager) header() (buf [storeHeaderSize]byte) {
+func (p *pager) header() (buf [storeHeaderSize]byte) {
 	binary.BigEndian.PutUint32(buf[0:], storeMagic)
 	binary.BigEndian.PutUint32(buf[4:], uint32(p.pages))
 	// Bytes 8–11 are reserved and zero.
@@ -124,7 +111,7 @@ func checkFormat(hdr []byte) error {
 
 // writeHeader writes the header to the data file if it may have changed.
 // With a log the caller has logged it first. Caller holds mu.
-func (p *Pager) writeHeader() error {
+func (p *pager) writeHeader() error {
 	if !p.hdrDirty {
 		return nil
 	}
@@ -136,7 +123,7 @@ func (p *Pager) writeHeader() error {
 	return nil
 }
 
-func (p *Pager) readHeader() error {
+func (p *pager) readHeader() error {
 	var buf [PageSize]byte
 	if _, err := io.ReadFull(io.NewSectionReader(p.f, 0, PageSize), buf[:]); err != nil {
 		return fmt.Errorf("relstore: reading header: %w", err)
@@ -144,20 +131,20 @@ func (p *Pager) readHeader() error {
 	if err := checkFormat(buf[:]); err != nil {
 		return err
 	}
-	p.pages = PageID(binary.BigEndian.Uint32(buf[4:]))
-	p.catalog = PageID(binary.BigEndian.Uint32(buf[12:]))
+	p.pages = pageID(binary.BigEndian.Uint32(buf[4:]))
+	p.catalog = pageID(binary.BigEndian.Uint32(buf[12:]))
 	return nil
 }
 
-// Catalog returns the catalog root page id (0 if not yet set).
-func (p *Pager) Catalog() PageID {
+// catalogRoot returns the catalog root page id (0 if not yet set).
+func (p *pager) catalogRoot() pageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.catalog
 }
 
 // setCatalog records the catalog root page id in the header.
-func (p *Pager) setCatalog(id PageID) error {
+func (p *pager) setCatalog(id pageID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.catalog = id
@@ -166,7 +153,7 @@ func (p *Pager) setCatalog(id PageID) error {
 }
 
 // NumPages returns the total number of pages, including the header page.
-func (p *Pager) NumPages() PageID {
+func (p *pager) NumPages() pageID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.pages
@@ -175,7 +162,7 @@ func (p *Pager) NumPages() PageID {
 // Alloc allocates a page at the end of the file. The returned page is
 // initialized to the given kind and exists only in memory until a writeGroup
 // carries it.
-func (p *Pager) alloc(kind byte) (*page, error) {
+func (p *pager) alloc(kind byte) (*page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id := p.pages
@@ -185,13 +172,13 @@ func (p *Pager) alloc(kind byte) (*page, error) {
 }
 
 // Read fetches a page from disk, verifying its checksum.
-func (p *Pager) read(id PageID) (*page, error) {
+func (p *pager) read(id pageID) (*page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.readLocked(id)
 }
 
-func (p *Pager) readLocked(id PageID) (*page, error) {
+func (p *pager) readLocked(id pageID) (*page, error) {
 	if id == invalidPage || id >= p.pages {
 		return nil, fmt.Errorf("%w: %d (have %d)", errOutOfRange, id, p.pages)
 	}
@@ -208,13 +195,13 @@ func (p *Pager) readLocked(id PageID) (*page, error) {
 // Sync writes out a changed header and fsyncs the data file. With a log, a
 // group of no pages first makes the header durable there: the
 // data file on disk is never newer than the log.
-func (p *Pager) sync() error {
+func (p *pager) sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.syncLocked()
 }
 
-func (p *Pager) syncLocked() error {
+func (p *pager) syncLocked() error {
 	if p.wal != nil && p.hdrDirty {
 		if err := p.wal.appendGroup(nil, p.header()); err != nil {
 			return fmt.Errorf("relstore: syncing log: %w", err)
@@ -229,8 +216,13 @@ func (p *Pager) syncLocked() error {
 
 // Close checkpoints (syncs the data file, then empties the log) and closes
 // the store file and the log.
-func (p *Pager) Close() error {
-	errs := []error{p.checkpoint(), p.f.Close()}
+func (p *pager) Close() error {
+	return errors.Join(p.checkpoint(), p.closeFiles())
+}
+
+// closeFiles closes the store file and the log as they are.
+func (p *pager) closeFiles() error {
+	errs := []error{p.f.Close()}
 	if p.wal != nil {
 		errs = append(errs, p.wal.f.Close())
 	}
@@ -238,7 +230,7 @@ func (p *Pager) Close() error {
 }
 
 // FileSize returns the current size of the store file in bytes.
-func (p *Pager) fileSize() (int64, error) {
+func (p *pager) fileSize() (int64, error) {
 	fi, err := p.f.Stat()
 	if err != nil {
 		return 0, err

@@ -16,6 +16,19 @@ func tempStore(t *testing.T) string {
 	return filepath.Join(t.TempDir(), "store.db")
 }
 
+// openPagerPath opens the existing store file at path without a log.
+func openPagerPath(path string) (*pager, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	p, err := openPager(f, nil)
+	if err != nil {
+		f.Close()
+	}
+	return p, err
+}
+
 func TestPagerCreateOpen(t *testing.T) {
 	path := tempStore(t)
 	p, err := createPager(path, nil)
@@ -37,13 +50,13 @@ func TestPagerCreateOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q, err := OpenPager(path)
+	q, err := openPagerPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
-	if q.Catalog() != pg.ID {
-		t.Errorf("catalog = %d, want %d", q.Catalog(), pg.ID)
+	if q.catalogRoot() != pg.ID {
+		t.Errorf("catalog = %d, want %d", q.catalogRoot(), pg.ID)
 	}
 	got, err := q.read(pg.ID)
 	if err != nil {
@@ -60,7 +73,7 @@ func TestPagerBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, make([]byte, PageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenPager(path); !errors.Is(err, errBadMagic) {
+	if _, err := openPagerPath(path); !errors.Is(err, errBadMagic) {
 		t.Errorf("bad magic: %v", err)
 	}
 }
@@ -105,7 +118,7 @@ func TestPagerCorruptionDetection(t *testing.T) {
 	f.WriteAt(b[:], off)
 	f.Close()
 
-	q, err := OpenPager(path)
+	q, err := openPagerPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,9 +196,9 @@ func TestFormatVersionRefusesParent(t *testing.T) {
 	if v := binary.BigEndian.Uint32(page0[16:]); v != formatVersion || formatVersion == 0 {
 		t.Errorf("page 0 of a fresh store holds version %d, want %d", v, formatVersion)
 	}
-	reopen := func(path string, wantPages PageID) {
+	reopen := func(path string, wantPages pageID) {
 		t.Helper()
-		q, err := OpenPager(path)
+		q, err := openPagerPath(path)
 		if err != nil {
 			t.Fatalf("a store this build wrote does not open: %v", err)
 		}
@@ -217,7 +230,7 @@ func refuseVersion(t *testing.T, dir string, version uint32) {
 	t.Helper()
 	store := filepath.Join(dir, fmt.Sprintf("v%d.db", version))
 	log := store + ".wal"
-	// That version's Pager.header(): five big-endian words, the rest of
+	// That version's pager.header(): five big-endian words, the rest of
 	// page 0 zero; then its one page, the catalog heap.
 	hdr := binary.BigEndian.AppendUint32(nil, 0xC9DB2006)
 	hdr = binary.BigEndian.AppendUint32(hdr, 2)       // pages
@@ -249,8 +262,8 @@ func refuseVersion(t *testing.T, dir string, version uint32) {
 	if _, n, err := open(store, false, true); !errors.Is(err, errFormatVersion) || n != 0 {
 		t.Errorf("recovery on a version %d store = %d, %v; want ErrFormatVersion", version, n, err)
 	}
-	if _, err := OpenPager(store); !errors.Is(err, errFormatVersion) {
-		t.Errorf("OpenPager on a version %d store: %v; want ErrFormatVersion", version, err)
+	if _, err := openPagerPath(store); !errors.Is(err, errFormatVersion) {
+		t.Errorf("openPagerPath on a version %d store: %v; want ErrFormatVersion", version, err)
 	}
 	if _, err := Open(store, false, false); !errors.Is(err, errFormatVersion) {
 		t.Errorf("Open on a version %d store: %v; want ErrFormatVersion", version, err)

@@ -195,7 +195,7 @@ func TestCreateDropsStaleLog(t *testing.T) {
 // A walEvent is what a replay hands out: a page image or group header
 // (apply), or a rows record body returned for redo.
 type walEvent struct {
-	id   PageID
+	id   pageID
 	body string
 }
 
@@ -206,11 +206,11 @@ type walEvent struct {
 // images, the rows records after the last group, and where appends must
 // resume.
 func referenceReplay(log []byte) (applied []walEvent, pages int, rows []string, end int) {
-	record := func(pos int) (magic uint32, id PageID, body []byte, ok bool) {
+	record := func(pos int) (magic uint32, id pageID, body []byte, ok bool) {
 		if len(log)-pos < walHeaderSize {
 			return 0, 0, nil, false
 		}
-		magic, id = binary.BigEndian.Uint32(log[pos:]), PageID(binary.BigEndian.Uint32(log[pos+12:]))
+		magic, id = binary.BigEndian.Uint32(log[pos:]), pageID(binary.BigEndian.Uint32(log[pos+12:]))
 		size := map[uint32]int{walMagic: PageSize, walGroupMagic: storeHeaderSize + 4, walRowsMagic: int(id)}[magic]
 		if size == 0 && magic != walRowsMagic || len(log)-pos-walHeaderSize < size {
 			return 0, 0, nil, false
@@ -288,7 +288,7 @@ func FuzzWALScan(f *testing.F) {
 			t.Fatal(err)
 		}
 		var applied []walEvent
-		w, pages, rows, err := openWAL(name, func(id PageID, image []byte) error {
+		w, pages, rows, err := openWAL(name, func(id pageID, image []byte) error {
 			applied = append(applied, walEvent{id, string(image)})
 			return nil
 		})

@@ -19,7 +19,7 @@ type IndexDef struct {
 	Name    string   `json:"name"`
 	Columns []string `json:"columns"`
 	// Root is the index tree's root page; maintained by the engine.
-	Root PageID `json:"root"`
+	Root pageID `json:"root"`
 }
 
 // A TableSchema declares a table: its columns, primary key, and secondary
@@ -35,7 +35,7 @@ type TableSchema struct {
 // tableMeta is the persisted form of a table.
 type tableMeta struct {
 	Schema   TableSchema `json:"schema"`
-	Root     PageID      `json:"root"`
+	Root     pageID      `json:"root"`
 	RowCount int64       `json:"rows"`
 	ByteSize int64       `json:"bytes"`
 }
@@ -51,8 +51,8 @@ type tableMeta struct {
 type Table struct {
 	db      *DB
 	meta    tableMeta
-	primary *BTree
-	seconds []*BTree // parallel to meta.Schema.Indexes
+	primary *btree
+	seconds []*btree // parallel to meta.Schema.Indexes
 
 	colIdx  map[string]int
 	types   []ColType
@@ -86,9 +86,9 @@ func newTable(db *DB, meta tableMeta) (*Table, error) {
 	if err := t.buildPlan(); err != nil {
 		return nil, err
 	}
-	t.primary = OpenBTree(db.bp, meta.Root)
+	t.primary = openBTree(db.bp, meta.Root)
 	for _, ix := range meta.Schema.Indexes {
-		t.seconds = append(t.seconds, OpenBTree(db.bp, ix.Root))
+		t.seconds = append(t.seconds, openBTree(db.bp, ix.Root))
 	}
 	return t, nil
 }
@@ -322,7 +322,7 @@ func (t *Table) Get(keyVals ...Value) (Row, error) {
 	if len(keyVals) != len(t.keyIdx) {
 		return nil, fmt.Errorf("relstore: %d key values for %d key columns", len(keyVals), len(t.keyIdx))
 	}
-	pk, err := EncodeKey(t.keyType, keyVals)
+	pk, err := encodeKey(t.keyType, keyVals)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +358,7 @@ func (t *Table) RowsDecoded() int64 { return t.decoded.Load() }
 // from the key, the others from the value.
 func (t *Table) decodeRow(pk, val []byte) (Row, error) {
 	t.decoded.Add(1)
-	keyVals, err := DecodeKey(t.keyType, pk)
+	keyVals, err := decodeKey(t.keyType, pk)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // keyPrefix encodes a partial primary key of t — its first len(vals) key
 // columns — for prefix scans.
 func keyPrefix(t *Table, vals ...Value) ([]byte, error) {
-	return EncodeKey(t.keyType, vals)
+	return encodeKey(t.keyType, vals)
 }
 
 // indexPrefix encodes a partial key of t's index — values for its first
@@ -26,7 +26,7 @@ func indexPrefix(t *Table, index string, vals ...Value) ([]byte, error) {
 	if ixi < 0 {
 		return nil, fmt.Errorf("%w: %q", errNoSuchIndex, index)
 	}
-	return EncodeKey(t.indexes[ixi].types, vals)
+	return encodeKey(t.indexes[ixi].types, vals)
 }
 
 func provSchema() TableSchema {
@@ -116,8 +116,8 @@ func TestPathField(t *testing.T) {
 		if validPathField(v) != c.valid {
 			t.Errorf("validPathField(%q) = %v", c.v, !c.valid)
 		}
-		if _, err := EncodeKey([]ColType{TPath}, []Value{v}); (err == nil) != c.valid {
-			t.Errorf("EncodeKey of the path field %q: %v", c.v, err)
+		if _, err := encodeKey([]ColType{TPath}, []Value{v}); (err == nil) != c.valid {
+			t.Errorf("encodeKey of the path field %q: %v", c.v, err)
 		}
 		if _, err := encodeValues([]ColType{TPath}, Row{v}); (err == nil) != c.valid {
 			t.Errorf("encodeValues of the path field %q: %v", c.v, err)
@@ -132,10 +132,10 @@ func TestKeyCodecErrors(t *testing.T) {
 	if _, _, err := DecodeKeyInt([]byte{1, 2}); err == nil {
 		t.Error("short int key should error")
 	}
-	if _, err := EncodeKey([]ColType{TInt}, []Value{"notint"}); err == nil {
+	if _, err := encodeKey([]ColType{TInt}, []Value{"notint"}); err == nil {
 		t.Error("type mismatch should error")
 	}
-	if _, err := EncodeKey([]ColType{TInt}, []Value{int64(1), int64(2)}); err == nil {
+	if _, err := encodeKey([]ColType{TInt}, []Value{int64(1), int64(2)}); err == nil {
 		t.Error("too many values should error")
 	}
 }
@@ -285,7 +285,7 @@ func TestTableScans(t *testing.T) {
 	}
 	var tids []int64
 	tbl.ScanIndexEncodedFrom("by_loc", iprefix, iprefix, func(key, _ []byte) bool {
-		vals, err := DecodeKey([]ColType{TBytes, TInt}, key)
+		vals, err := decodeKey([]ColType{TBytes, TInt}, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,12 +400,12 @@ func TestOpenRefusesUnreadableCatalog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pager, err := OpenPager(path)
+	pager, err := openPagerPath(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(pager, 8)
-	cat, err := OpenHeap(bp, pager.Catalog())
+	bp := newBufferPool(pager, 8)
+	cat, err := openHeap(bp, pager.catalogRoot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +546,7 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	seen = 0
 	var last pk
 	if err := tbl.ScanIndexEncodedFrom("by_loc", nil, nil, func(key, val []byte) bool {
-		kv, err := DecodeKey([]ColType{TBytes, TInt}, key)
+		kv, err := decodeKey([]ColType{TBytes, TInt}, key)
 		if err != nil {
 			t.Fatal(err)
 		}

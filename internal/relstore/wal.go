@@ -84,7 +84,7 @@ func createWAL(path string) (*wal, error) {
 // replays it through apply (see replay): one read of the file. The log is
 // cut after its last whole unit, where appends resume. It returns the
 // number of page images applied and the rows records to redo.
-func openWAL(path string, apply func(id PageID, image []byte) error) (w *wal, pages int, rows [][]byte, err error) {
+func openWAL(path string, apply func(id pageID, image []byte) error) (w *wal, pages int, rows [][]byte, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, 0, nil, err
@@ -125,7 +125,7 @@ func (w *wal) appendGroup(pgs []*page, header [storeHeaderSize]byte) error {
 func (w *wal) appendRows(body []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.commit(w.appendRecord(w.buf[:0], walRowsMagic, PageID(len(body)), body))
+	return w.commit(w.appendRecord(w.buf[:0], walRowsMagic, pageID(len(body)), body))
 }
 
 // commit appends the encoded records of one commit to the log with one write
@@ -146,7 +146,7 @@ func (w *wal) commit(buf []byte) error {
 
 // appendRecord encodes one record, its body given in pieces, under the next
 // LSN. The checksum is taken over the encoded copy, so no piece escapes.
-func (w *wal) appendRecord(buf []byte, magic uint32, id PageID, body ...[]byte) []byte {
+func (w *wal) appendRecord(buf []byte, magic uint32, id pageID, body ...[]byte) []byte {
 	w.lsn++
 	buf = binary.BigEndian.AppendUint32(buf, magic)
 	buf = binary.BigEndian.AppendUint64(buf, w.lsn)
@@ -174,23 +174,23 @@ var errTornLog = errors.New("relstore: torn write-ahead log record")
 // missing any of its records and a page record no group counts each end the
 // usable log: replay leaves the log's end after the last whole unit (on a log
 // this process wrote, where it was) and the LSN after the newest one read.
-func (w *wal) replay(apply func(id PageID, image []byte) error) (pages int, rows [][]byte, err error) {
+func (w *wal) replay(apply func(id pageID, image []byte) error) (pages int, rows [][]byte, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var (
 		r        = bufio.NewReaderSize(io.NewSectionReader(w.f, 0, w.end), 1<<16)
 		prefix   [walHeaderSize]byte
 		group    [storeHeaderSize + 4]byte // the open group's record,
-		ids      []PageID                  // its pages so far
+		ids      []pageID                  // its pages so far
 		images   []byte                    // and their images, back to back
 		pending  uint32                    // page records the open group still lacks
 		pos, end int64
 	)
-	next := func() (magic uint32, id PageID, body []byte, err error) {
+	next := func() (magic uint32, id pageID, body []byte, err error) {
 		if _, err := io.ReadFull(r, prefix[:]); err != nil {
 			return 0, 0, nil, errTornLog
 		}
-		magic, id = binary.BigEndian.Uint32(prefix[0:]), PageID(binary.BigEndian.Uint32(prefix[12:]))
+		magic, id = binary.BigEndian.Uint32(prefix[0:]), pageID(binary.BigEndian.Uint32(prefix[12:]))
 		switch {
 		case magic == walMagic && pending > 0:
 			images = slices.Grow(images, PageSize)
@@ -283,7 +283,7 @@ const walCheckpointBytes = 4 << 20
 // the log is what a crash recovers the group from. Without a log these are
 // plain writes, a single evicted page included; the caller is then
 // responsible for syncing the data file.
-func (p *Pager) writeGroup(pgs []*page) error {
+func (p *pager) writeGroup(pgs []*page) error {
 	if len(pgs) == 0 {
 		return nil
 	}
@@ -311,7 +311,7 @@ func (p *Pager) writeGroup(pgs []*page) error {
 
 // checkpoint fsyncs the data file and then truncates the log, whose every
 // record is redundant from that moment.
-func (p *Pager) checkpoint() error {
+func (p *pager) checkpoint() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.syncLocked(); err != nil || p.wal == nil {
@@ -328,7 +328,7 @@ func (p *Pager) checkpoint() error {
 type IOStats struct{ WALFsyncs, WALBytes, DataFsyncs, Checkpoints int64 }
 
 // IOStats returns the pager's durability counters.
-func (p *Pager) IOStats() IOStats {
+func (p *pager) IOStats() IOStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := IOStats{DataFsyncs: p.dataSyncs, Checkpoints: p.checkpoints}

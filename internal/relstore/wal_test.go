@@ -13,7 +13,7 @@ import (
 
 // logGroup appends one group of fresh heap pages with the given ids, each
 // holding its id as a cell, under a header whose first byte is the first id.
-func logGroup(t *testing.T, w *wal, ids ...PageID) {
+func logGroup(t *testing.T, w *wal, ids ...pageID) {
 	t.Helper()
 	var pgs []*page
 	for _, id := range ids {
@@ -28,9 +28,9 @@ func logGroup(t *testing.T, w *wal, ids ...PageID) {
 
 // replayedIDs replays the log and returns the page ids applied, headers (0)
 // included.
-func replayedIDs(t *testing.T, w *wal) (ids []PageID, pages int) {
+func replayedIDs(t *testing.T, w *wal) (ids []pageID, pages int) {
 	t.Helper()
-	pages, _, err := w.replay(func(id PageID, image []byte) error {
+	pages, _, err := w.replay(func(id pageID, image []byte) error {
 		ids = append(ids, id)
 		if id != invalidPage && len(image) != PageSize {
 			t.Errorf("page %d replayed with an image of %d bytes", id, len(image))
@@ -47,7 +47,7 @@ func replayedIDs(t *testing.T, w *wal) (ids []PageID, pages int) {
 // applying it anywhere.
 func reopenWAL(t *testing.T, path string) *wal {
 	t.Helper()
-	w, _, _, err := openWAL(path, func(PageID, []byte) error { return nil })
+	w, _, _, err := openWAL(path, func(pageID, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(pager, 16)
+	bp := newBufferPool(pager, 16)
 	bt, err := newBTree(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestCrashRecovery(t *testing.T) {
 	f.Close()
 
 	// Without recovery, reads fail the checksum.
-	p2, err := OpenPager(storePath)
+	p2, err := openPagerPath(storePath)
 	if err == nil {
 		_, rerr := p2.read(1)
 		p2.Close()
@@ -267,13 +267,13 @@ func TestCrashRecovery(t *testing.T) {
 	if repaired == 0 {
 		t.Fatal("nothing repaired")
 	}
-	pager3, err := OpenPager(storePath)
+	pager3, err := openPagerPath(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp3 := NewBufferPool(pager3, 16)
+	bp3 := newBufferPool(pager3, 16)
 	defer bp3.Close()
-	bt3 := OpenBTree(bp3, root)
+	bt3 := openBTree(bp3, root)
 	for i := 0; i < n; i++ {
 		if _, err := bt3.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
 			t.Fatalf("key %d lost after recovery: %v", i, err)
@@ -282,7 +282,7 @@ func TestCrashRecovery(t *testing.T) {
 	// Recovery truncated the log (checkpoint).
 	w3 := reopenWAL(t, walPath)
 	defer w3.f.Close()
-	if cnt, _, _ := w3.replay(func(PageID, []byte) error { return nil }); cnt != 0 {
+	if cnt, _, _ := w3.replay(func(pageID, []byte) error { return nil }); cnt != 0 {
 		t.Errorf("log not truncated after recovery: %d records", cnt)
 	}
 }
@@ -300,7 +300,7 @@ func TestWALAppendGroup(t *testing.T) {
 	}
 	var pgs []*page
 	for i := 1; i <= 5; i++ {
-		pg := newPage(PageID(i), kindHeap)
+		pg := newPage(pageID(i), kindHeap)
 		pg.InsertCell([]byte(fmt.Sprintf("grouped-%d", i)))
 		pgs = append(pgs, pg)
 	}
@@ -315,8 +315,8 @@ func TestWALAppendGroup(t *testing.T) {
 
 	w2 := reopenWAL(t, logPath)
 	defer w2.f.Close()
-	var got []PageID
-	n, _, err := w2.replay(func(id PageID, image []byte) error {
+	var got []pageID
+	n, _, err := w2.replay(func(id pageID, image []byte) error {
 		got = append(got, id)
 		if id == 0 && !bytes.Equal(image, hdr[:]) {
 			t.Errorf("replayed header = %x, want %x", image, hdr)
@@ -381,10 +381,10 @@ func TestPagerWriteGroup(t *testing.T) {
 			t.Errorf("page %d slots = %d", pg.ID, got.NumSlots())
 		}
 	}
-	if n, _, err := w.replay(func(PageID, []byte) error { return nil }); err != nil || n != 3 {
+	if n, _, err := w.replay(func(pageID, []byte) error { return nil }); err != nil || n != 3 {
 		t.Errorf("log has %d page records, %v; want 3", n, err)
 	}
-	bad := newPage(PageID(999), kindHeap)
+	bad := newPage(pageID(999), kindHeap)
 	if err := pager.writeGroup([]*page{bad}); !errors.Is(err, errOutOfRange) {
 		t.Errorf("out-of-range group write: %v", err)
 	}
@@ -402,7 +402,7 @@ func TestPagerWriteGroup(t *testing.T) {
 	if n, err := recoverPages(crashed, crashed+".wal"); err != nil || n != 3 {
 		t.Fatalf("recovery = %d, %v; want 3 pages", n, err)
 	}
-	rec, err := OpenPager(crashed)
+	rec, err := openPagerPath(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestBufferPoolFlushGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bp := NewBufferPool(pager, 16)
+		bp := newBufferPool(pager, 16)
 		defer bp.Close()
 		bt, err := newBTree(bp)
 		if err != nil {
@@ -492,7 +492,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := NewBufferPool(pager, capacity)
+	bp := newBufferPool(pager, capacity)
 	defer bp.Close()
 	bt, err := newBTree(bp)
 	if err != nil {
@@ -542,13 +542,13 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 	if _, err := recoverPages(crashed, crashed+".wal"); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := OpenPager(crashed)
+	cp, err := openPagerPath(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cbp := NewBufferPool(cp, capacity)
+	cbp := newBufferPool(cp, capacity)
 	defer cbp.Close()
-	if n, err := OpenBTree(cbp, root).Len(); err != nil || n != committed {
+	if n, err := openBTree(cbp, root).Len(); err != nil || n != committed {
 		t.Errorf("recovered tree holds %d keys, %v; want the %d committed", n, err, committed)
 	}
 
@@ -590,7 +590,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer p.Close()
-		pinned := NewBufferPool(p, 8)
+		pinned := newBufferPool(p, 8)
 		for i := 0; i < 9; i++ {
 			pg, err := pinned.alloc(kindHeap)
 			if err != nil {
@@ -601,7 +601,7 @@ func TestBufferPoolNoStealUnderLog(t *testing.T) {
 		if err := pinned.flushGroup(); err != nil {
 			t.Fatal(err)
 		}
-		for id := PageID(1); id <= 8; id++ {
+		for id := pageID(1); id <= 8; id++ {
 			if _, err := pinned.fetch(id); err != nil {
 				t.Fatal(err)
 			}
@@ -631,7 +631,7 @@ func TestWALGroupIsAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	group := func(ids ...PageID) {
+	group := func(ids ...pageID) {
 		var pgs []*page
 		for _, id := range ids {
 			pgs = append(pgs, newPage(id, kindHeap))
@@ -661,8 +661,8 @@ func TestWALGroupIsAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		w2 := reopenWAL(t, logPath)
-		var got []PageID
-		if _, _, err := w2.replay(func(id PageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
+		var got []pageID
+		if _, _, err := w2.replay(func(id pageID, _ []byte) error { got = append(got, id); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(got) != "[0 1 2]" {

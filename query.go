@@ -147,7 +147,7 @@ func (q *Query) Mod(p Path) ([]int64, error) {
 // when it does not set its own (an explicit "asof N" in the text, or a tid
 // bound in a select, wins).
 func (q *Query) Plan(text string) (*PlanResult, error) {
-	pq, err := provplan.ParseCached(text)
+	pq, err := provplan.Parse(text)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +164,7 @@ func (q *Query) PlanQuery(pq *PlanQuery) (*PlanResult, error) {
 // cursor contract (in-stream errors, prompt release on break) — the
 // bounded-memory form of Plan for large selects.
 func (q *Query) PlanRows(text string) iter.Seq2[PlanRow, error] {
-	pq, err := provplan.ParseCached(text)
+	pq, err := provplan.Parse(text)
 	if err != nil {
 		return func(yield func(PlanRow, error) bool) { yield(PlanRow{}, err) }
 	}
