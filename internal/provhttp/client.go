@@ -2,7 +2,6 @@ package provhttp
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +14,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -77,8 +77,10 @@ import (
 // returns audit hashes that only verify against two roots the caller
 // already holds.
 type Client struct {
-	base string // "http://host:port"
-	hc   *http.Client
+	addr    string        // host:port
+	timeout time.Duration // timeout=: bounds each round trip, its body read included; 0 for none
+	mu      sync.Mutex
+	idle    []*conn // the connection pool, the last put back first
 
 	anchor *provauth.Anchor // verify=pin: admits every root the server answers with; nil otherwise
 
@@ -113,16 +115,11 @@ var (
 // hostport ("10.0.0.5:7070", "[::1]:7070"). It does not dial: like a
 // database/sql driver, connection errors surface on first use.
 func NewClient(hostport string) *Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = 16 // scatter-gather queries reuse a warm pool
-	return &Client{
-		base: "http://" + hostport,
-		hc:   &http.Client{Transport: tr},
-	}
+	return &Client{addr: hostport}
 }
 
 // Addr returns the service authority the client was opened against.
-func (c *Client) Addr() string { return c.base[len("http://"):] }
+func (c *Client) Addr() string { return c.addr }
 
 // --- the client result cache -------------------------------------------------
 
@@ -200,48 +197,29 @@ func (c *Client) ObsRegistries() []*provobs.Registry {
 // traced request down a backend chain) already carries one, else a fresh
 // one — and errors name that id, matching the server's request log line.
 // Context cancellation and typed store errors pass through bare: callers
-// match on them.
-func (c *Client) do(ctx context.Context, method, p string, q url.Values, body io.Reader, want int) (*http.Response, error) {
-	u := c.base + p
+// match on them. Every request asks for the framed row stream, which only
+// /v1/scan and /v1/query offer. An open span's id is stamped so that the
+// server's spans parent under the caller's, one cross-process tree.
+func (c *Client) do(ctx context.Context, method, p string, q url.Values, body []byte, want int) (*http.Response, error) {
+	target := p
 	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, body)
-	if err != nil {
-		return nil, err
+		target += "?" + q.Encode()
 	}
 	trace, spanID := provtrace.IDs(ctx)
 	if trace == "" {
 		trace = provtrace.NewTraceID()
 	}
-	req.Header.Set(headerTraceID, trace)
-	// Every request asks for the framed row stream; only /v1/scan and
-	// /v1/query have one to offer, and the rest answer JSON whatever the
-	// header says.
-	req.Header.Set("Accept", contentTypeFrames+", */*")
-	// When a span is open on this context, stamp its id so the server
-	// continues this trace — its root span parents under the caller's and
-	// the whole chain renders as one cross-process tree.
-	if spanID != "" {
-		req.Header.Set(headerSpanID, spanID)
+	x := &exchange{c: c, caller: ctx, ctx: ctx, cancel: func() {}, method: method, p: p, trace: trace}
+	if c.timeout > 0 {
+		x.ctx, x.cancel = context.WithTimeout(ctx, c.timeout)
 	}
-	switch {
-	case body == nil:
-	case p == "/v1/append": // an Append's record frames
-		req.Header.Set("Content-Type", contentTypeFrames)
-	default:
-		req.Header.Set("Content-Type", "application/json") // a /v1/query body
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := x.send(target, spanID, body)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("provhttp: %s %s [trace %s]: %w", method, p, trace, err)
+		return nil, err
 	}
 	if resp.StatusCode != want {
 		defer resp.Body.Close()
-		return nil, decodeError(resp)
+		return nil, decodeError(resp, trace)
 	}
 	return resp, nil
 }
@@ -335,7 +313,7 @@ var errOldDaemon = errors.New("the daemon is older than this client; upgrade it"
 // even the span's name is built. For a proven stream the header root is
 // parsed, and in pinned mode admitted by the anchor, before any line is
 // read.
-func (c *Client) stream(ctx context.Context, label any, method, p string, q url.Values, body io.Reader, mode proofMode) *streamReader {
+func (c *Client) stream(ctx context.Context, label any, method, p string, q url.Values, body []byte, mode proofMode) *streamReader {
 	sr := &streamReader{ctx: ctx, label: label}
 	if provtrace.Active(ctx) {
 		sr.ctx, sr.span = provtrace.Start(ctx, fmt.Sprintf("rpc:%v", label))
@@ -347,7 +325,7 @@ func (c *Client) stream(ctx context.Context, label any, method, p string, q url.
 }
 
 // open is the request half of stream.
-func (c *Client) open(sr *streamReader, method, p string, q url.Values, body io.Reader, mode proofMode) error {
+func (c *Client) open(sr *streamReader, method, p string, q url.Values, body []byte, mode proofMode) error {
 	var since provauth.Root
 	if mode != unproven {
 		if q == nil {
@@ -555,10 +533,9 @@ func rows[T any](open func() *streamReader, convert func(*streamReader) (T, erro
 
 // Append implements Backend: the whole batch travels as one POST of record
 // frames — the binary form, which carries any label byte for byte — encoded
-// into a buffer of exactly their size. The body is a *bytes.Reader, so the
-// transport sends it with a Content-Length, headers and body in one write,
-// not chunked. A successful append moves this client's view of the store,
-// so it invalidates the result cache.
+// into a buffer of exactly their size, sent with a Content-Length behind
+// the head in one write, not chunked. A successful append moves this
+// client's view of the store, so it invalidates the result cache.
 func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error) {
 	ctx, sp := provtrace.Start(ctx, "rpc:append")
 	if sp != nil {
@@ -572,7 +549,7 @@ func (c *Client) Append(ctx context.Context, recs []provstore.Record) (err error
 	for i := range recs {
 		buf = appendRecordFrame(buf, recs[i])
 	}
-	resp, err := c.do(ctx, http.MethodPost, "/v1/append", nil, bytes.NewReader(buf), http.StatusNoContent)
+	resp, err := c.do(ctx, http.MethodPost, "/v1/append", nil, buf, http.StatusNoContent)
 	if err != nil {
 		return err
 	}
@@ -764,7 +741,7 @@ func (c *Client) execPlan(ctx context.Context, q *provplan.Query) iter.Seq2[prov
 		if err != nil {
 			return &streamReader{done: true, err: err}
 		}
-		return c.stream(ctx, "query", http.MethodPost, "/v1/query", nil, bytes.NewReader(body), mode)
+		return c.stream(ctx, "query", http.MethodPost, "/v1/query", nil, body, mode)
 	}, func(sr *streamReader) (provplan.Row, error) {
 		row, err := sr.row()
 		if err == nil && mode == pinned && row.Kind == provplan.RowRecord {
@@ -891,7 +868,12 @@ func (c *Client) Traces(ctx context.Context, minDur time.Duration, limit int) ([
 // daemon owns its lifecycle.
 func (c *Client) Close() error {
 	err := c.Flush(context.Background())
-	c.hc.CloseIdleConnections()
+	c.mu.Lock()
+	for _, cn := range c.idle {
+		cn.Close() //nolint:errcheck // released
+	}
+	c.idle = nil
+	c.mu.Unlock()
 	return err
 }
 
@@ -955,7 +937,7 @@ func openDSN(dsn provstore.DSN) (provstore.Backend, error) {
 		if err != nil || d <= 0 {
 			return nil, fmt.Errorf("provstore: dsn %s: timeout %q is not a positive duration", dsn, v)
 		}
-		c.hc.Timeout = d
+		c.timeout = d
 	}
 	if v := dsn.Param("cache"); v != "" {
 		if dsn.Param("verify") != "" {

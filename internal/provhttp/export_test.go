@@ -19,6 +19,13 @@ const (
 	ContentTypeFrames = contentTypeFrames
 )
 
+// IdleConns reports how many idle connections the client's pool holds.
+func (c *Client) IdleConns() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idle)
+}
+
 // ReadStream decodes a row stream body for the external tests — frames the
 // way the Client does, NDJSON through readNDJSON — into every data line
 // rendered as text (a record line with its proof's bytes, an analyze trailer

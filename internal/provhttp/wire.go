@@ -647,11 +647,7 @@ func (e *RemoteError) Unwrap() error {
 // decodeError rebuilds the error of a non-2xx response, restoring the typed
 // *provstore.DupKeyError where the server tagged one (typed errors stay
 // unwrapped — callers match on them — so they carry no trace id).
-func decodeError(resp *http.Response) error {
-	trace := ""
-	if resp.Request != nil {
-		trace = resp.Request.Header.Get(headerTraceID)
-	}
+func decodeError(resp *http.Response, trace string) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	var we wireError
 	if json.Unmarshal(body, &we) == nil && we.Error != "" {

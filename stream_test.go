@@ -236,14 +236,17 @@ func TestRemoteDrainAllocBound(t *testing.T) {
 // live cpdb:// connection, the client and the in-process server together:
 // a trace, a hist, a mod and a bounded select over the 4000-record bench
 // store (mem://), each asked 20 times after a warm-up. Each budget is the
-// same in all of 20 runs of the test — 163, 160, 208 and 179 — plus 5 %.
+// count, the same in all of 20 runs of the test — 112, 109, 157 and 128 —
+// plus 5 %. The client writes each request and reads its answer on the
+// caller's goroutine; through net/http's Transport, which hands both to
+// goroutines of its own, the same questions cost 163, 160, 208 and 179.
 // Every line of a framed answer is a binary frame, decoded through the path
 // intern table; with a JSON line per tid, step, end and terminator, a
-// json.Decoder per request and a json.Encoder per stream, the same questions
-// cost 194, 171, 223 and 194. A -race build allocates 7 to 14 more per
-// question (20 runs: 170–174, 167–170, 216–218 and 190–193), because its
-// sync.Pool drops some of what the frame readers and buffers put back; its
-// budgets are 12 higher.
+// json.Decoder per request and a json.Encoder per stream, they cost 194,
+// 171, 223 and 194 through the Transport. A -race build allocates 3 to 9
+// more per question (20 runs: 115–118, 112–115, 160–163 and 135–137),
+// because its sync.Pool drops some of what the frame readers and buffers
+// put back; its budgets are 12 higher.
 func TestRemoteQueryAllocBound(t *testing.T) {
 	_, backend, _ := queryService(t)
 	ctx := context.Background()
@@ -251,10 +254,10 @@ func TestRemoteQueryAllocBound(t *testing.T) {
 		text      string
 		maxAllocs float64
 	}{
-		{"trace T/t50/n3", 171},
-		{"hist T/t50/n3", 168},
-		{"mod T/t50", 218},
-		{roundTripQuery, 188},
+		{"trace T/t50/n3", 118},
+		{"hist T/t50/n3", 114},
+		{"mod T/t50", 165},
+		{roundTripQuery, 134},
 	} {
 		q := provplan.MustParse(c.text)
 		ask := func() {
@@ -444,11 +447,11 @@ func (discardAppends) Append(context.Context, []provstore.Record) error { return
 // cpdb:// connection, the client and the in-process server together: a
 // five-record transaction of the curate workload's shape, appended 50 times
 // after a warm-up into a store that keeps nothing. The budget is the count,
-// the same in each of 20 runs of the test: 98, of which the request body is
-// one exact-size buffer and its *bytes.Reader, so a body that costs more
-// shows here. A -race build allocates a few more (105), because its
-// sync.Pool drops some of what the frame readers put back; its budget is 12
-// higher.
+// the same in each of 20 runs of the test: 50, of which the request body is
+// one exact-size buffer, so a body that costs more shows here (through
+// net/http's Transport, with a *bytes.Reader for the body, it was 98). A
+// -race build allocates a few more (53–54), because its sync.Pool drops
+// some of what the frame readers put back; its budget is 12 higher.
 func TestRemoteAppendAllocBound(t *testing.T) {
 	dsn, _ := startStatService(t, discardAppends{provstore.NewMemBackend()})
 	client, err := cpdb.OpenBackend(dsn)
@@ -469,7 +472,7 @@ func TestRemoteAppendAllocBound(t *testing.T) {
 	}
 	appendOne()
 	allocs := testing.AllocsPerRun(50, appendOne)
-	budget := 98.0
+	budget := 50.0
 	if raceEnabled {
 		budget += 12
 	}

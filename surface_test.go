@@ -36,8 +36,10 @@ type surfacePkg struct {
 // nothing does. The scan is by name, not by type: a package references
 // pkg.Name through a selector on its import of pkg, its own names
 // unqualified, and a method Type.Method through any selector .Method in a
-// package that is pkg or imports it. So a common method name over-counts and
-// a line is a lead for review, not a verdict.
+// package that is pkg or imports it — or that declares an interface with a
+// method Method, named or literal, through which the call may reach any
+// type. So a common method name over-counts and a line is a lead for
+// review, not a verdict.
 func TestExportedSurface(t *testing.T) {
 	pkgs := map[string]*surfacePkg{} // by import path
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
@@ -127,6 +129,29 @@ func TestExportedSurface(t *testing.T) {
 		}
 	}
 
+	// The method names each package declares in an interface: [0] in its
+	// non-test files, [1] in all of them.
+	ifaceMethods := map[string]*[2]map[string]bool{}
+	for importPath, p := range pkgs {
+		in := &[2]map[string]bool{{}, {}}
+		for i, file := range p.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, name := range m.Names {
+							in[1][name.Name] = true
+							if !p.test[i] {
+								in[0][name.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		ifaceMethods[importPath] = in
+	}
+
 	// The references: for each declared name, the packages whose non-test
 	// code names it, and whether any test does.
 	refs := map[key]map[string]bool{}
@@ -182,6 +207,10 @@ func TestExportedSurface(t *testing.T) {
 					}
 				}
 			}
+			ifaces := ifaceMethods[importPath][0]
+			if p.test[i] {
+				ifaces = ifaceMethods[importPath][1]
+			}
 			var visit func(n ast.Node) bool
 			visit = func(n ast.Node) bool {
 				switch n := n.(type) {
@@ -192,9 +221,11 @@ func TestExportedSurface(t *testing.T) {
 							return false
 						}
 					}
-					for dep := range reaches {
-						for _, recv := range methods[dep][n.Sel.Name] {
-							mark(key{dep, recv + "." + n.Sel.Name}, p.name, p.test[i])
+					for dep, ms := range methods {
+						if reaches[dep] || ifaces[n.Sel.Name] {
+							for _, recv := range ms[n.Sel.Name] {
+								mark(key{dep, recv + "." + n.Sel.Name}, p.name, p.test[i])
+							}
 						}
 					}
 					ast.Inspect(n.X, visit) // n.Sel names a field or method, not a package-level name
