@@ -321,23 +321,21 @@ func runPlan(ctx context.Context, s *Session, text string, w io.Writer, analyze 
 	return nil
 }
 
-// chainFind walks a backend chain from the outside in — through the Inner()
-// of every decorator (batching layers, size-charging wrappers) and the
-// Primary() of a replicated store, which answers for it: its authority and
-// its daemon are its primary's — to the first layer that is a T.
+// chainFind follows a backend chain's Inner() from the outside in — through
+// decorators (batching layers, size-charging wrappers) and a replicated
+// store, whose Inner() is its primary: its authority and its daemon are the
+// primary's — to the first layer that is a T. It never descends into the
+// shards of a sharded store, none of which answers for the whole.
 func chainFind[T any](b Backend) (T, bool) {
 	for b != nil {
 		if t, ok := b.(T); ok {
 			return t, true
 		}
-		switch u := b.(type) {
-		case interface{ Inner() provstore.Backend }:
-			b = u.Inner()
-		case interface{ Primary() provstore.Backend }:
-			b = u.Primary()
-		default:
-			b = nil
+		u, ok := b.(interface{ Inner() provstore.Backend })
+		if !ok {
+			break
 		}
+		b = u.Inner()
 	}
 	var none T
 	return none, false

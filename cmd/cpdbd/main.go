@@ -88,8 +88,9 @@
 // rel.rows_decoded — in /v1/stats and as cpdb_rel_*_total on /metrics;
 // the difference of two readings is what the requests in between cost
 // below the Backend interface. Every layer reports this way: /v1/stats, the
-// shutdown dump and /metrics are three renderings of the registries the
-// served chain exposes (internal/provobs).
+// shutdown dump and /metrics are three renderings of one list, the
+// registries of every store of the served chain (provstore.Registries), so
+// they agree whatever the chain's shape.
 package main
 
 import (

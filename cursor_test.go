@@ -250,12 +250,12 @@ func TestTraceAsofStopsAtHorizon(t *testing.T) {
 		if err := b.Append(ctx, recs); err != nil {
 			t.Fatal(err)
 		}
-		before := provobs.Stats(provobs.SourceRegistries(b)...)[c.counter]
+		before := provobs.Stats(provstore.Registries(b)...)[c.counter]
 		res, err := provplan.Collect(ctx, b, provplan.MustParse("trace T/hot/x asof 100"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		read := provobs.Stats(provobs.SourceRegistries(b)...)[c.counter] - before
+		read := provobs.Stats(provstore.Registries(b)...)[c.counter] - before
 		if len(res.Trace.Events) != 1 || res.Trace.Events[0].Tid != 100 {
 			t.Fatalf("%s: trace T/hot/x asof 100 = %+v, want the insert of transaction 100", c.dsn, res.Trace)
 		}

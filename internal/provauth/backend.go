@@ -257,11 +257,8 @@ func (a *AuthBackend) register() {
 		"Time to build one inclusion proof (lock wait included).", provobs.UnitSeconds)
 }
 
-// ObsRegistries implements provobs.Source: this layer's registry, then
-// whatever the wrapped store exposes.
-func (a *AuthBackend) ObsRegistries() []*provobs.Registry {
-	return append([]*provobs.Registry{a.obs}, provobs.SourceRegistries(a.inner)...)
-}
+// ObsRegistries implements provobs.Source: this layer's registry.
+func (a *AuthBackend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{a.obs} }
 
 // --- the Authority surface -----------------------------------------------------
 

@@ -104,7 +104,7 @@ func TestProveAndVerify(t *testing.T) {
 	if _, err := a.ProveAt(ctx, 9, path.MustParse("S/a"), 6); !errors.Is(err, provauth.ErrNotInLog) {
 		t.Fatalf("ProveAt of absent record: %v, want ErrNotInLog", err)
 	}
-	g := provobs.Stats(provobs.SourceRegistries(a)...)
+	g := provobs.Stats(provstore.Registries(a)...)
 	if g["auth.verify_failures"] == 0 {
 		t.Fatal("auth.verify_failures not bumped by ErrNotInLog")
 	}

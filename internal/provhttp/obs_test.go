@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/provhttp"
 	"repro/internal/provplan"
+	"repro/internal/provrepl"
 	"repro/internal/provstore"
 )
 
@@ -262,67 +263,84 @@ func scrape(t *testing.T, addr string) (samples map[string]string, stats map[str
 	return samples, stats
 }
 
-// TestShardedChainExposesInnerRegistries: a sharded store forwards what its
-// shards report — the verified:// shards' prove histogram reaches /metrics,
-// like-named series of the shards are one sample each, and the typed
-// counter is the number /v1/stats shows under its flat key.
-func TestShardedChainExposesInnerRegistries(t *testing.T) {
-	shard := url.QueryEscape("verified://?inner=mem://")
-	inner, err := provstore.OpenDSN("sharded://?shard=" + shard + "&shard=" + shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer provstore.Close(inner) //nolint:errcheck // in-memory teardown
-	cli, _ := serve(t, inner)
-	queryFixture(t, cli)
-	if _, err := provplan.Collect(context.Background(), cli, provplan.MustParse("trace T/c3")); err != nil {
-		t.Fatal(err)
-	}
-
-	samples, stats := scrape(t, cli.Addr())
-	if _, ok := samples["cpdb_auth_prove_duration_seconds_count"]; !ok {
-		t.Error("/metrics lacks the shards' cpdb_auth_prove_duration_seconds")
-	}
-	if stats["mem.recs_examined"] == 0 || stats["auth.root_size"] == 0 {
-		t.Errorf("/v1/stats lacks the shards' keys: %v", stats)
-	}
-	for series, key := range map[string]string{
-		"cpdb_mem_recs_examined_total": "mem.recs_examined",
-		"cpdb_auth_root_size":          "auth.root_size",
-	} {
-		if got, want := samples[series], strconv.FormatInt(stats[key], 10); got != want {
-			t.Errorf("/metrics %s = %q, /v1/stats %s = %s", series, got, key, want)
+// TestChainExposesInnerRegistries: a daemon reports the registries of every
+// store of its chain, however the chain is composed — the verified://
+// shards of a sharded store, a rel:// store behind a batching layer, the
+// verified primary and the replica of a replicated store. Each named /v1/stats
+// key is there, and the typed /metrics series is the number it shows.
+func TestChainExposesInnerRegistries(t *testing.T) {
+	verified := url.QueryEscape("verified://?inner=mem://")
+	openDSN := func(dsn string) func(*testing.T) provstore.Backend {
+		return func(t *testing.T) provstore.Backend {
+			b, err := provstore.OpenDSN(dsn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
 		}
 	}
-}
-
-// TestBatchingChainExposesInnerRegistries is the same for the batching
-// layer, which used to forward nothing: a rel:// store behind it still
-// reports its engine's work on both surfaces.
-func TestBatchingChainExposesInnerRegistries(t *testing.T) {
-	rel, err := provstore.OpenDSN("rel://" + filepath.ToSlash(t.TempDir()) + "/prov.db?create=1&durable=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner := provstore.NewBatching(rel, 4)
-	defer provstore.Close(inner) //nolint:errcheck // teardown
-	cli, _ := serve(t, inner)
-	queryFixture(t, cli)
-	if _, err := provplan.Collect(context.Background(), cli, provplan.MustParse("select")); err != nil {
-		t.Fatal(err)
-	}
-
-	samples, stats := scrape(t, cli.Addr())
-	if stats["rel.rows_decoded"] == 0 || stats["rel.wal.fsyncs"] == 0 {
-		t.Errorf("/v1/stats lacks the store's keys: %v", stats)
-	}
-	for series, key := range map[string]string{
-		"cpdb_rel_rows_decoded_total": "rel.rows_decoded",
-		"cpdb_rel_wal_fsyncs_total":   "rel.wal.fsyncs",
-		"cpdb_rel_bufpool_hits_total": "rel.bufpool.hits",
+	for _, c := range []struct {
+		name   string
+		open   func(*testing.T) provstore.Backend
+		query  string
+		series map[string]string // /metrics series → the /v1/stats key it equals ("": it need only be there)
+	}{
+		{"sharded", openDSN("sharded://?shard=" + verified + "&shard=" + verified), "trace T/c3", map[string]string{
+			"cpdb_mem_recs_examined_total":           "mem.recs_examined",
+			"cpdb_auth_root_size":                    "auth.root_size",
+			"cpdb_auth_prove_duration_seconds_count": "",
+		}},
+		{"batching", func(t *testing.T) provstore.Backend {
+			return provstore.NewBatching(openDSN("rel://"+filepath.ToSlash(t.TempDir())+"/prov.db?create=1&durable=1")(t), 4)
+		}, "select", map[string]string{
+			"cpdb_rel_rows_decoded_total": "rel.rows_decoded",
+			"cpdb_rel_wal_fsyncs_total":   "rel.wal.fsyncs",
+			"cpdb_rel_bufpool_hits_total": "rel.bufpool.hits",
+		}},
+		// An hourly poll and WaitForReplicas leave the appliers idle: the
+		// one pass the fixture's append woke is over before either scrape.
+		{"replicated", openDSN("replicated://?primary=" + verified + "&replica=mem://&poll=1h"), "trace T/c3", map[string]string{
+			"cpdb_mem_recs_examined_total": "mem.recs_examined",
+			"cpdb_auth_root_size":          "auth.root_size",
+			"cpdb_repl_replicas":           "repl.replicas",
+		}},
 	} {
-		if got, want := samples[series], strconv.FormatInt(stats[key], 10); got != want {
-			t.Errorf("/metrics %s = %q, /v1/stats %s = %s", series, got, key, want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			ctx := context.Background()
+			inner := c.open(t)
+			defer provstore.Close(inner) //nolint:errcheck // teardown
+			quiesce := func() {
+				if rb, ok := inner.(*provrepl.ReplicatedBackend); ok {
+					wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+					defer cancel()
+					if err := rb.WaitForReplicas(wctx); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			quiesce()
+			cli, _ := serve(t, inner)
+			queryFixture(t, cli)
+			if _, err := provplan.Collect(ctx, cli, provplan.MustParse(c.query)); err != nil {
+				t.Fatal(err)
+			}
+			quiesce()
+
+			samples, stats := scrape(t, cli.Addr())
+			for series, key := range c.series {
+				if key == "" {
+					if _, ok := samples[series]; !ok {
+						t.Errorf("/metrics lacks %s", series)
+					}
+					continue
+				}
+				if stats[key] == 0 {
+					t.Errorf("/v1/stats lacks %s: %v", key, stats)
+				}
+				if got, want := samples[series], strconv.FormatInt(stats[key], 10); got != want {
+					t.Errorf("/metrics %s = %q, /v1/stats %s = %s", series, got, key, want)
+				}
+			}
+		})
 	}
 }

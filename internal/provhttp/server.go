@@ -14,7 +14,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/path"
@@ -262,13 +261,13 @@ func (s *Server) Inner() provstore.Backend { return s.inner }
 
 // registries lists every registry this daemon reports from: the server's
 // own, the trace store's when tracing is on (so the tracing-off surface
-// stays byte-identical), and whatever the backend chain exposes.
+// stays byte-identical), and those of every store of the backend chain.
 func (s *Server) registries() []*provobs.Registry {
 	regs := []*provobs.Registry{s.stats.reg}
 	if s.traces != nil {
 		regs = append(regs, s.traces.Registry())
 	}
-	return append(regs, provobs.SourceRegistries(s.inner)...)
+	return append(regs, provstore.Registries(s.inner)...)
 }
 
 // Stats returns a snapshot of the server's counters — total requests,
@@ -1016,13 +1015,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, fmt.Errorf("provhttp: bad query body: %w", err), http.StatusBadRequest)
 		return
 	}
-	text := q.String()
-	var pl *provplan.Plan
 	// Plans are immutable and safe for concurrent use, so one compilation
 	// serves every request with the same canonical text. Analyze queries
 	// bypass the cache: Analyze is not part of the canonical text, and a
-	// plan compiled under it answers with tracing rows.
-	if s.planCache != nil && !q.Analyze {
+	// plan compiled under it answers with tracing rows. The text is
+	// rendered only for the cache and the slow-query log.
+	cached := s.planCache != nil && !q.Analyze
+	var text string
+	if cached || s.log != nil && s.slowQuery > 0 {
+		text = q.String()
+	}
+	var pl *provplan.Plan
+	if cached {
 		if v, ok := s.planCache.Get(text); ok {
 			pl = v.(*provplan.Plan)
 			provtrace.Mark(r.Context(), "cache:hit", provtrace.Attr{K: "cache", V: "plan"})
@@ -1035,7 +1039,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, err, http.StatusBadRequest)
 			return
 		}
-		if s.planCache != nil && !q.Analyze {
+		if cached {
 			s.planCache.Put(text, pl, 1)
 		}
 	}
@@ -1058,13 +1062,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// queryBodies recycles the buffers /v1/query bodies are read into.
-var queryBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// queryBodies keeps the buffers /v1/query bodies are read into.
+var queryBodies = provstore.NewIdle[*bytes.Buffer]()
 
-// readQuery reads a query body, bounded by its caller, into a pooled buffer
+// readQuery reads a query body, bounded by its caller, into a kept buffer
 // and decodes it: one JSON value, nothing behind it.
 func readQuery(body io.Reader, q *provplan.Query) error {
-	buf := queryBodies.Get().(*bytes.Buffer)
+	buf := queryBodies.Get()
+	if buf == nil {
+		buf = new(bytes.Buffer)
+	}
 	defer queryBodies.Put(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(body); err != nil {

@@ -48,9 +48,9 @@ var statsChains = []statsChain{
 	{name: "mem-sharded", dsn: "mem://?shards=4"},
 	{name: "rel-durable", dsn: "rel://%DIR%/prov.db?create=1&durable=1"},
 	{name: "verified", dsn: "verified://?inner=mem://"},
-	{name: "replicated", dsn: "replicated://?primary=mem://&replica=mem://&replica=mem://&poll=5ms"},
+	{name: "replicated", dsn: "replicated://?primary=mem://&replica=mem://&replica=mem://&poll=1h"},
 	{name: "replicated-verify", dsn: "replicated://?primary=" + url.QueryEscape("verified://?inner=mem://") +
-		"&replica=mem://&replica=mem://&poll=5ms&verify=1", shipLag: 1},
+		"&replica=mem://&replica=mem://&poll=1h&verify=1", shipLag: 1},
 	{name: "chained-cache", dsn: "cpdb://%UP%?cache=1mb"},
 }
 
@@ -66,23 +66,25 @@ func statsScript(t *testing.T, chain statsChain, srv *provhttp.Server, cli *prov
 		}
 	}
 	// settle waits until both replicas of a replicated chain have applied
-	// transaction tid, so that appends and applier passes never overlap and
-	// the repl.* values are a function of the script alone.
+	// everything acknowledged or flushed, and checks that this reached
+	// transaction tid. The chains poll hourly, so every applier pass is one
+	// an append or the flush woke, and it is over before the next request:
+	// the passes, and so the mem.* and auth.* values of the primary they
+	// read, are a function of the script alone.
 	settle := func(tid int64) {
 		t.Helper()
-		if _, ok := srv.Inner().(*provrepl.ReplicatedBackend); !ok {
+		rb, ok := srv.Inner().(*provrepl.ReplicatedBackend)
+		if !ok {
 			return
 		}
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			st := srv.Stats()
-			if st["repl.applied_tid.0"] == tid && st["repl.applied_tid.1"] == tid {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: replicas never applied transaction %d: %v", chain.name, tid, st)
-			}
+		wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+		defer cancel()
+		must(rb.WaitForReplicas(wctx))
+		if st := srv.Stats(); st["repl.applied_tid.0"] != tid || st["repl.applied_tid.1"] != tid {
+			t.Fatalf("%s: replicas did not apply transaction %d: %v", chain.name, tid, st)
 		}
 	}
+	settle(0) // the appliers' first passes, over an empty primary
 	for _, txn := range [][]provstore.Record{
 		{rec(1, provstore.OpInsert, "S/a", ""), rec(1, provstore.OpInsert, "S/a/x", ""), rec(1, provstore.OpInsert, "S/b", "")},
 		{rec(2, provstore.OpCopy, "T/c1", "S/a"), rec(2, provstore.OpCopy, "T/c2", "S/b")},

@@ -29,40 +29,18 @@ type traceFetcher interface {
 	FetchTrace(ctx context.Context, id string) ([]provtrace.Span, error)
 }
 
-// collectTraceFetchers walks the backend chain under b — wrapper Inner()s,
-// sharded fan-out, replicated primary and replicas — and returns every
-// remote hop found. The walk is structural (method-shape interfaces) so
-// this package needs no imports of the composite driver packages. It stops
-// at the first fetcher on each branch: a remote daemon answers for its own
-// chain.
-func collectTraceFetchers(b provstore.Backend, out []traceFetcher) []traceFetcher {
-	if b == nil {
-		return out
-	}
-	if f, ok := b.(traceFetcher); ok {
-		return append(out, f)
-	}
-	if w, ok := b.(interface{ Inner() provstore.Backend }); ok {
-		out = collectTraceFetchers(w.Inner(), out)
-	}
-	if sh, ok := b.(interface {
-		NumShards() int
-		Shard(int) provstore.Backend
-	}); ok {
-		for i := 0; i < sh.NumShards(); i++ {
-			out = collectTraceFetchers(sh.Shard(i), out)
+// traceFetchers returns every remote hop of the backend chain under b
+// (provstore.Walk). The walk stops at each fetcher: a remote daemon answers
+// for its own chain.
+func traceFetchers(b provstore.Backend) []traceFetcher {
+	var out []traceFetcher
+	provstore.Walk(b, func(s provstore.Backend) bool {
+		f, ok := s.(traceFetcher)
+		if ok {
+			out = append(out, f)
 		}
-	}
-	if rp, ok := b.(interface {
-		Primary() provstore.Backend
-		NumReplicas() int
-		Replica(int) provstore.Backend
-	}); ok {
-		out = collectTraceFetchers(rp.Primary(), out)
-		for i := 0; i < rp.NumReplicas(); i++ {
-			out = collectTraceFetchers(rp.Replica(i), out)
-		}
-	}
+		return !ok
+	})
 	return out
 }
 
@@ -109,7 +87,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	for i := range tr.Spans {
 		seen[tr.Spans[i].SpanID] = true
 	}
-	for _, f := range collectTraceFetchers(s.inner, nil) {
+	for _, f := range traceFetchers(s.inner) {
 		spans, err := f.FetchTrace(r.Context(), id)
 		if err != nil {
 			continue

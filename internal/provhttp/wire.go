@@ -160,7 +160,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/path"
@@ -332,14 +331,17 @@ func recordFramesLen(recs []provstore.Record) int {
 	return n
 }
 
-// frameReaders recycles the buffered readers frame streams are read through,
+// frameReaders keeps the buffered readers frame streams are read through,
 // on both ends: a client's response stream and a server's append body. A
 // reader goes back once its body is done with, reset to hold nothing of it.
-var frameReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+var frameReaders = provstore.NewIdle[*bufio.Reader]()
 
-// getFrameReader returns a pooled reader over r; putFrameReader gives it back.
+// getFrameReader returns a kept reader over r; putFrameReader gives it back.
 func getFrameReader(r io.Reader) *bufio.Reader {
-	br := frameReaders.Get().(*bufio.Reader)
+	br := frameReaders.Get()
+	if br == nil {
+		return bufio.NewReader(r)
+	}
 	br.Reset(r)
 	return br
 }

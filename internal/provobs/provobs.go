@@ -19,9 +19,10 @@
 //     on every request and inside every plan operator.
 //   - One registry per component: the provhttp server and every store or
 //     decorator that counts something (mem, rel, verified, replicated, the
-//     client cache) own a Registry; anything that wraps a backend forwards
-//     the inner registries via the Source interface, so a composed chain
-//     (verified over sharded over rel) exposes every layer's metrics through
+//     client cache) own a Registry and expose it, and only it, through the
+//     Source interface. The daemon walks its backend chain (provstore.Walk)
+//     and reads every store's Source, so a composed chain (replicated over
+//     verified over sharded over rel) exposes every layer's metrics through
 //     the one daemon endpoint.
 //   - Exposition is a pure function of snapshots: Stats and WritePrometheus
 //     take any number of registries and follow one rule — the same flat key,
@@ -246,22 +247,6 @@ func (r *Registry) families() []*family {
 	return fams
 }
 
-// Unkeyed returns a view of r holding the series registered so far — live:
-// the view shares their handles — without their stat keys, so they reach
-// /metrics but not Stats.
-func (r *Registry) Unkeyed() *Registry {
-	v := NewRegistry()
-	for _, f := range r.families() {
-		for i, s := range f.ser {
-			c := *s
-			c.meta.statKey = ""
-			f.ser[i] = &c
-		}
-		v.fams[f.name] = f
-	}
-	return v
-}
-
 // Stats snapshots every counter and gauge registered with a stat key into
 // one flat map; a key registered in several registries (one per shard) reads
 // as the sum. This is the one snapshot function behind both the /v1/stats
@@ -316,18 +301,10 @@ func alwaysDumped(k string) bool {
 	return len(k) > 5 && (k[:5] == "repl." || k[:5] == "auth.")
 }
 
-// A Source is a backend (or backend wrapper) that exposes provobs
-// registries. Wrappers forward their inner backend's registries after
-// their own, so the daemon's /metrics walks the whole chain.
+// A Source is a backend (or backend wrapper) that counts something itself.
+// It returns its own registries only: provstore.Walk reaches the stores it
+// is built over, so /metrics, /v1/stats and the shutdown dump read every
+// store of a chain once, whatever its shape.
 type Source interface {
 	ObsRegistries() []*Registry
-}
-
-// SourceRegistries returns v's registries when it is a Source, else nil —
-// the nil-tolerant unwrapping helper exposition sites use.
-func SourceRegistries(v any) []*Registry {
-	if s, ok := v.(Source); ok {
-		return s.ObsRegistries()
-	}
-	return nil
 }

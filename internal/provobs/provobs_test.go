@@ -209,8 +209,7 @@ func TestStatsMapAndDumpLines(t *testing.T) {
 
 // TestSnapshotsAddAcrossRegistries pins the one merge rule: the same flat
 // key, or the same family and label set, registered in several registries
-// (one per shard) is one number — scalars and histograms alike — and an
-// Unkeyed view keeps a series on the exposition but off the flat map.
+// (one per shard) is one number — scalars and histograms alike.
 func TestSnapshotsAddAcrossRegistries(t *testing.T) {
 	var regs []*Registry
 	for shard := int64(1); shard <= 3; shard++ {
@@ -222,10 +221,6 @@ func TestSnapshotsAddAcrossRegistries(t *testing.T) {
 	}
 	if m := Stats(regs...); m["reads"] != 6 || m["size"] != 60 || len(m) != 2 {
 		t.Errorf("Stats over three shards = %v, want reads=6 size=60", m)
-	}
-	regs[2] = regs[2].Unkeyed()
-	if m := Stats(regs...); m["reads"] != 3 || m["size"] != 30 {
-		t.Errorf("Stats with one shard unkeyed = %v, want reads=3 size=30", m)
 	}
 	var b strings.Builder
 	WritePrometheus(&b, regs...)

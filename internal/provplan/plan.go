@@ -125,10 +125,10 @@ type Plan struct {
 	// select compilation
 	pred     compiledPred
 	join     *compiledJoin
-	scan     provstore.ScanSpec        // the access path, bounded at the upper tid bound
-	order    string                    // resolved result order
-	streamed bool                      // access order satisfies the requested order
-	shards   *provstore.ShardedBackend // non-nil: scatter below the merge
+	scan     provstore.ScanSpec  // the access path, bounded at the upper tid bound
+	order    string              // resolved result order
+	streamed bool                // access order satisfies the requested order
+	shards   []provstore.Backend // non-nil: scatter below the merge, one subplan per shard
 
 	// ancestry compilation
 	path path.Path
@@ -256,10 +256,10 @@ func compileSelect(b provstore.Backend, q *Query, opts options) (*Plan, error) {
 
 	// Scatter paths on a sharded store push the residual filter (or the
 	// whole aggregate) below the k-way merge, one subplan per shard.
-	if sb, ok := b.(*provstore.ShardedBackend); ok && sb.NumShards() > 1 {
+	if sb, ok := b.(*provstore.ShardedBackend); ok && len(sb.Below()) > 1 {
 		switch pl.scan.Kind {
 		case provstore.KindAll, provstore.KindTid, provstore.KindPrefix:
-			pl.shards = sb
+			pl.shards = sb.Below()
 		}
 	}
 	return pl, nil
@@ -347,7 +347,7 @@ func (pl *Plan) explain() []string {
 		}
 	}
 	if pl.shards != nil {
-		parts = append(parts, fmt.Sprintf("parallel=shards(%d)", pl.shards.NumShards()))
+		parts = append(parts, fmt.Sprintf("parallel=shards(%d)", len(pl.shards)))
 	}
 	if pl.join != nil {
 		parts = append(parts, "semi-join="+pl.join.on)
@@ -459,9 +459,9 @@ func (pl *Plan) matched(ctx context.Context, keys *joinKeys, ex *exec) iter.Seq2
 	// (below the merge), so the merge only ever sees matching records.
 	// All shards share the access and filter taps — the analysis reports
 	// scatter totals, not per-shard rows.
-	cursors := make([]iter.Seq2[provstore.Record, error], pl.shards.NumShards())
-	for i := range cursors {
-		cursors[i] = pl.filtered(pl.accessScan(ctx, pl.shards.Shard(i), ex), keys, ft)
+	cursors := make([]iter.Seq2[provstore.Record, error], len(pl.shards))
+	for i, shard := range pl.shards {
+		cursors[i] = pl.filtered(pl.accessScan(ctx, shard, ex), keys, ft)
 	}
 	return ex.op("merge").stream(provstore.MergeScans(pl.scan.Order(), cursors...), nil)
 }
@@ -568,9 +568,9 @@ func (pl *Plan) aggregate(ctx context.Context, ex *exec) (val int64, found bool,
 	start := at.start()
 	var total aggPartial
 	if pl.shards != nil {
-		partials := make([]aggPartial, pl.shards.NumShards())
-		err := provstore.Fanout(ctx, pl.shards.NumShards(), func(i int) error {
-			for r, err := range pl.filtered(pl.accessScan(ctx, pl.shards.Shard(i), ex), keys, ft) {
+		partials := make([]aggPartial, len(pl.shards))
+		err := provstore.Fanout(ctx, len(pl.shards), func(i int) error {
+			for r, err := range pl.filtered(pl.accessScan(ctx, pl.shards[i], ex), keys, ft) {
 				if err != nil {
 					return err
 				}

@@ -234,7 +234,10 @@ func (b *ReplicatedBackend) verifiedScanAfter(ctx context.Context, afterTid int6
 				return
 			}
 			if !anchored || pr.Root != root {
-				if aerr := b.anchor.Admit(ctx, auth, pr.Root, provauth.Root{}, nil); aerr != nil {
+				b.admitMu.Lock()
+				aerr := b.anchor.Admit(ctx, auth, pr.Root, provauth.Root{}, nil)
+				b.admitMu.Unlock()
+				if aerr != nil {
 					b.verifyFailures.Add(1)
 					yield(provstore.Record{}, aerr)
 					return

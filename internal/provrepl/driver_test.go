@@ -25,8 +25,8 @@ func TestDriverOpen(t *testing.T) {
 		t.Fatalf("OpenDSN returned %T, want *ReplicatedBackend", b)
 	}
 	defer rb.Close()
-	if rb.NumReplicas() != 2 {
-		t.Errorf("NumReplicas = %d, want 2", rb.NumReplicas())
+	if len(rb.replicas) != 2 {
+		t.Errorf("replicas = %d, want 2", len(rb.replicas))
 	}
 	if rb.opts.Read != readAny {
 		t.Errorf("read policy = %v, want any", rb.opts.Read)
@@ -36,8 +36,8 @@ func TestDriverOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCaughtUp(t, rb)
-	for i := 0; i < rb.NumReplicas(); i++ {
-		st, err := rb.Replica(i).Stat(ctx)
+	for i, r := range rb.replicas {
+		st, err := r.store.Stat(ctx)
 		n := st.Count
 		if err != nil || n != 1 {
 			t.Errorf("replica %d count = %d, %v; want 1", i, n, err)
@@ -54,8 +54,8 @@ func TestDriverOpenSharded(t *testing.T) {
 	}
 	rb := b.(*ReplicatedBackend)
 	defer rb.Close()
-	if _, ok := rb.Primary().(*provstore.ShardedBackend); !ok {
-		t.Fatalf("primary is %T, want *ShardedBackend", rb.Primary())
+	if _, ok := rb.Inner().(*provstore.ShardedBackend); !ok {
+		t.Fatalf("primary is %T, want *ShardedBackend", rb.Inner())
 	}
 }
 

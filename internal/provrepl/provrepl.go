@@ -136,8 +136,8 @@ type ReplicatedBackend struct {
 	opts     options
 
 	// shipped is the write version: it increments on every acknowledged
-	// append through this handle. A replica whose synced version has
-	// reached it holds everything acknowledged so far.
+	// append through this handle and on every Flush. A replica whose synced
+	// version has reached it holds everything acknowledged so far.
 	shipped    atomic.Int64
 	shippedTid atomic.Int64 // max acknowledged transaction id
 	shipMu     sync.Mutex   // serializes noteShipped's read-then-update
@@ -148,8 +148,11 @@ type ReplicatedBackend struct {
 	// stops a primary (in particular a remote cpdb:// one, whose roots
 	// arrive as unauthenticated claims) from rewriting history between
 	// passes and re-proving everything against the rewritten tree. Shared
-	// by all appliers; used only under options.Verify.
-	anchor *provauth.Anchor
+	// by all appliers; used only under options.Verify. The appliers admit
+	// one at a time (admitMu): all are woken by the same append, and
+	// otherwise each would fetch the new root's consistency proof.
+	anchor  *provauth.Anchor
+	admitMu sync.Mutex
 
 	obs            *provobs.Registry
 	verifiedRecs   *provobs.Counter // records shipped with a verified proof (Verify mode only)
@@ -215,27 +218,21 @@ func newReplicated(primary provstore.Backend, replicas []provstore.Backend, opts
 	return b, nil
 }
 
-// ObsRegistries implements provobs.Source: this layer's registry, then the
-// primary's series without their stat keys — a replicated store's /v1/stats
-// is its repl.* keys, as it has always been (the work counters of one member
-// store are not the composite's: reads may be served by the replicas), while
-// /metrics carries the primary's typed families too.
-func (b *ReplicatedBackend) ObsRegistries() []*provobs.Registry {
-	regs := []*provobs.Registry{b.obs}
-	for _, r := range provobs.SourceRegistries(b.primary) {
-		regs = append(regs, r.Unkeyed())
+// ObsRegistries implements provobs.Source: this layer's registry.
+func (b *ReplicatedBackend) ObsRegistries() []*provobs.Registry { return []*provobs.Registry{b.obs} }
+
+// Inner returns the primary, which answers for the store: its authority
+// and its daemon are the primary's.
+func (b *ReplicatedBackend) Inner() provstore.Backend { return b.primary }
+
+// Below returns the primary and then the replicas (see provstore.Walk).
+func (b *ReplicatedBackend) Below() []provstore.Backend {
+	below := []provstore.Backend{b.primary}
+	for _, r := range b.replicas {
+		below = append(below, r.store)
 	}
-	return regs
+	return below
 }
-
-// Primary exposes the primary store (for tests and size accounting).
-func (b *ReplicatedBackend) Primary() provstore.Backend { return b.primary }
-
-// NumReplicas returns the number of replicas.
-func (b *ReplicatedBackend) NumReplicas() int { return len(b.replicas) }
-
-// Replica exposes one replica store (for tests and verification dumps).
-func (b *ReplicatedBackend) Replica(i int) provstore.Backend { return b.replicas[i].store }
 
 // --- writes ------------------------------------------------------------------
 
@@ -385,21 +382,24 @@ func (b *ReplicatedBackend) Stat(ctx context.Context) (provstore.Stat, error) {
 
 // --- lifecycle ---------------------------------------------------------------
 
-// Flush implements Flusher: it pushes the primary's buffered writes down
-// and nudges the appliers. It does not wait for the replicas — shipping
-// stays asynchronous; use WaitForReplicas for a barrier.
+// Flush implements Flusher: it pushes the primary's buffered writes down —
+// a verified primary seals its open transaction, which only then ships — and
+// counts as a shipment, so each applier passes once more. It does not wait
+// for the replicas — shipping stays asynchronous; use WaitForReplicas for a
+// barrier.
 func (b *ReplicatedBackend) Flush(ctx context.Context) error {
 	err := provstore.Flush(ctx, b.primary)
+	b.shipped.Add(1)
 	b.wakeAll()
 	return err
 }
 
 // WaitForReplicas blocks until every replica has applied everything
-// acknowledged before the call, or ctx expires. A replica stuck on a
-// persistent apply error holds the wait until the deadline.
+// acknowledged or flushed before the call, or ctx expires. Each of those
+// already woke the appliers, so the wait adds no pass of its own. A replica
+// stuck on a persistent apply error holds the wait until the deadline.
 func (b *ReplicatedBackend) WaitForReplicas(ctx context.Context) error {
 	target := b.shipped.Load()
-	b.wakeAll()
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {

@@ -350,7 +350,7 @@ func TestLaggingReplicaLeavesRotation(t *testing.T) {
 		}
 	}
 
-	if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.shipped_tid"] != 6 || g["repl.lag.0"] < 4 {
+	if g := provobs.Stats(provstore.Registries(b)...); g["repl.shipped_tid"] != 6 || g["repl.lag.0"] < 4 {
 		t.Errorf("gauges = %v, want shipped_tid=6 and lag.0 >= 4", g)
 	}
 	if r := b.pickReplica(); r != nil {
@@ -366,7 +366,7 @@ func TestLaggingReplicaLeavesRotation(t *testing.T) {
 
 	gate.appendDelay.Store(0)
 	waitCaughtUp(t, b)
-	if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.lag.0"] != 0 {
+	if g := provobs.Stats(provstore.Registries(b)...); g["repl.lag.0"] != 0 {
 		t.Errorf("after catch-up repl.lag.0 = %d, want 0", g["repl.lag.0"])
 	}
 }
@@ -473,7 +473,7 @@ func TestScanAllMidStreamFailover(t *testing.T) {
 		if !errors.Is(terminal, context.Canceled) || n >= 30 {
 			t.Fatalf("cancelled scan ended after %d records with %v, want context.Canceled", n, terminal)
 		}
-		if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.healthy.0"] != 1 {
+		if g := provobs.Stats(provstore.Registries(b)...); g["repl.healthy.0"] != 1 {
 			t.Errorf("caller cancellation demoted the replica: %v", g)
 		}
 	})
@@ -548,7 +548,7 @@ func TestOutOfOrderCommitRewinds(t *testing.T) {
 	if n := gate.appends.Load(); n != 18 {
 		t.Errorf("total shipped = %d records, want 18 (the repair ships only the missing tid, no re-send)", n)
 	}
-	if g := provobs.Stats(provobs.SourceRegistries(b)...); g["repl.applied_tid.0"] != 7 || g["repl.lag.0"] != 0 {
+	if g := provobs.Stats(provstore.Registries(b)...); g["repl.applied_tid.0"] != 7 || g["repl.lag.0"] != 0 {
 		t.Errorf("gauges after repair = %v, want applied_tid.0=7 lag.0=0 (high water must not regress)", g)
 	}
 }

@@ -80,7 +80,7 @@ func TestVerifiedShipping(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replica diverged from primary:\n got %+v\nwant %+v", got, want)
 	}
-	g := provobs.Stats(provobs.SourceRegistries(b)...)
+	g := provobs.Stats(provstore.Registries(b)...)
 	if g["repl.verified_recs"] < 20 {
 		t.Errorf("repl.verified_recs = %d, want >= 20", g["repl.verified_recs"])
 	}
@@ -142,7 +142,7 @@ func TestVerifiedShippingBlocksTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for provobs.Stats(provobs.SourceRegistries(b)...)["repl.verify_failures"] == 0 {
+	for provobs.Stats(provstore.Registries(b)...)["repl.verify_failures"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("repl.verify_failures never rose with an armed tamper layer")
 		}
@@ -237,7 +237,7 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	primary.cur.Store(rewritten)
 
 	deadline := time.Now().Add(10 * time.Second)
-	for provobs.Stats(provobs.SourceRegistries(b)...)["repl.verify_failures"] == 0 {
+	for provobs.Stats(provstore.Registries(b)...)["repl.verify_failures"] == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("repl.verify_failures never rose against a rewritten primary")
 		}
@@ -265,7 +265,7 @@ func TestVerifyDSN(t *testing.T) {
 	if !rb.opts.Verify {
 		t.Error("verify=1 did not set Options.Verify")
 	}
-	if _, ok := provobs.Stats(provobs.SourceRegistries(rb)...)["repl.verify_failures"]; !ok {
+	if _, ok := provobs.Stats(provstore.Registries(rb)...)["repl.verify_failures"]; !ok {
 		t.Error("verified backend does not surface repl.verify_failures")
 	}
 	if err := rb.Close(); err != nil {

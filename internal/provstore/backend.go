@@ -62,6 +62,41 @@ type Backend interface {
 	Stat(ctx context.Context) (Stat, error)
 }
 
+// Walk visits a backend chain from the outside in: b, then the stores it is
+// built over, each walked the same way. A composite names them with
+// Below() — a sharded store's shards, a replicated store's primary and then
+// its replicas — and a decorator with Inner(). When visit returns false the
+// walk skips what is below that store. This is the one way code sees below
+// a composite: a daemon's registries and the remote hops its trace merge
+// asks are both read off it.
+func Walk(b Backend, visit func(Backend) bool) {
+	if b == nil || !visit(b) {
+		return
+	}
+	switch c := b.(type) {
+	case interface{ Below() []Backend }:
+		for _, s := range c.Below() {
+			Walk(s, visit)
+		}
+	case interface{ Inner() Backend }:
+		Walk(c.Inner(), visit)
+	}
+}
+
+// Registries returns the own registries (provobs.Source) of every store of
+// b's chain, outermost first. A snapshot adds their like-named series, so a
+// chain reports the work of all its stores as the one store it stands for.
+func Registries(b Backend) []*provobs.Registry {
+	var regs []*provobs.Registry
+	Walk(b, func(s Backend) bool {
+		if src, ok := s.(interface{ ObsRegistries() []*provobs.Registry }); ok { // a provobs.Source
+			regs = append(regs, src.ObsRegistries()...)
+		}
+		return true
+	})
+	return regs
+}
+
 // A Stat is what a store knows about itself without reading a record (the
 // JSON form is the body of GET /v1/stat).
 type Stat struct {

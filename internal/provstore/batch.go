@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/path"
-	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
 
@@ -82,9 +81,8 @@ type recKey struct {
 }
 
 var (
-	_ Backend        = (*BatchingBackend)(nil)
-	_ Flusher        = (*BatchingBackend)(nil)
-	_ provobs.Source = (*BatchingBackend)(nil)
+	_ Backend = (*BatchingBackend)(nil)
+	_ Flusher = (*BatchingBackend)(nil)
 )
 
 // NewBatching wraps inner with a group-commit buffer of the given batch
@@ -105,12 +103,6 @@ func (b *BatchingBackend) BatchSize() int { return b.size }
 
 // Inner returns the wrapped store.
 func (b *BatchingBackend) Inner() Backend { return b.inner }
-
-// ObsRegistries implements provobs.Source: the layer counts nothing itself,
-// so it exposes what the wrapped store does.
-func (b *BatchingBackend) ObsRegistries() []*provobs.Registry {
-	return provobs.SourceRegistries(b.inner)
-}
 
 // Append implements Backend: the batch is validated and enqueued, and the
 // buffer is flushed once it holds at least BatchSize records.

@@ -255,8 +255,8 @@ func TestOpenDSNMem(t *testing.T) {
 	if !ok {
 		t.Fatalf("mem://?shards=4 opened %T", sb)
 	}
-	if sharded.NumShards() != 4 {
-		t.Fatalf("got %d shards", sharded.NumShards())
+	if n := len(sharded.Below()); n != 4 {
+		t.Fatalf("got %d shards", n)
 	}
 
 	for _, bad := range []string{
@@ -280,8 +280,8 @@ func TestOpenDSNShardedComposite(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb := b.(*ShardedBackend)
-	if sb.NumShards() != 3 {
-		t.Fatalf("got %d shards", sb.NumShards())
+	if n := len(sb.Below()); n != 3 {
+		t.Fatalf("got %d shards", n)
 	}
 	// The composed store works like any other backend.
 	if err := b.Append(ctx, []Record{
@@ -300,7 +300,7 @@ func TestOpenDSNShardedComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b2.(*ShardedBackend).NumShards() != 2 {
+	if len(b2.(*ShardedBackend).Below()) != 2 {
 		t.Fatal("explicit shard list miscounted")
 	}
 

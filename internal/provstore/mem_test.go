@@ -319,7 +319,7 @@ func TestMemMatchesReference(t *testing.T) {
 				checkMemAgainstRef(t, b, ref, locs, tids)
 			}
 		}
-		g := provobs.Stats(provobs.SourceRegistries(b)...)
+		g := provobs.Stats(Registries(b)...)
 		if refused == 0 || g["mem.appends_out_of_order"] == 0 || len(b.locTid.runs) < 3 || len(b.tidLoc.runs) < 3 {
 			t.Errorf("seed %d exercised too little: %d batches refused, %d records out of order, %d and %d runs",
 				seed, refused, g["mem.appends_out_of_order"], len(b.tidLoc.runs), len(b.locTid.runs))
@@ -345,7 +345,7 @@ func TestMemAppendAtomicOnDupKey(t *testing.T) {
 	fresh := func(tid int64, label string) Record {
 		return Record{Tid: tid, Op: OpInsert, Loc: path.New("T", "fresh", label)}
 	}
-	before := provobs.Stats(provobs.SourceRegistries(b)...)
+	before := provobs.Stats(Registries(b)...)
 	for _, tc := range []struct {
 		name  string
 		batch []Record
@@ -365,7 +365,7 @@ func TestMemAppendAtomicOnDupKey(t *testing.T) {
 		}
 		checkMemAgainstRef(t, b, ref, []path.Path{stored.Loc, path.New("T", "fresh")}, []int64{stored.Tid, last.Tid + 1})
 	}
-	after := provobs.Stats(provobs.SourceRegistries(b)...)
+	after := provobs.Stats(Registries(b)...)
 	if after["mem.appends_out_of_order"] != before["mem.appends_out_of_order"] {
 		t.Errorf("refused batches moved mem.appends_out_of_order: %d → %d", before["mem.appends_out_of_order"], after["mem.appends_out_of_order"])
 	}
@@ -509,7 +509,7 @@ func TestMemConcurrentAppendScan(t *testing.T) {
 			}
 		}
 	}
-	if provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"] == 0 {
+	if provobs.Stats(Registries(b)...)["mem.appends_out_of_order"] == 0 {
 		t.Error("no append landed out of order: the race covered the in-order path only")
 	}
 	checkMemAgainstRef(t, b, ref, []path.Path{path.New("T", "a", "7"), path.New("T", "ab")}, []int64{1, perWriter, 2 * perWriter})
@@ -535,7 +535,7 @@ func TestMemRunsStayFull(t *testing.T) {
 	if got := len(b.tidLoc.runs); got > n/memRunMax+2 {
 		t.Errorf("%d records in two ascending lanes fill %d (Tid, Loc) runs, want about %d", n, got, n/memRunMax)
 	}
-	if got := provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"]; got != n/2-1 {
+	if got := provobs.Stats(Registries(b)...)["mem.appends_out_of_order"]; got != n/2-1 {
 		t.Errorf("mem.appends_out_of_order = %d, want the first lane's %d records after its first", got, n/2-1)
 	}
 }
@@ -579,11 +579,11 @@ func TestMemScanCostIndependentOfStoreSize(t *testing.T) {
 		slack := int64(2*bits.Len(uint(n-1)) + 8)
 		cost := func(what string, answer int, read func() int) {
 			t.Helper()
-			before := provobs.Stats(provobs.SourceRegistries(b)...)["mem.recs_examined"]
+			before := provobs.Stats(Registries(b)...)["mem.recs_examined"]
 			if got := read(); got != answer {
 				t.Fatalf("%s at %d records answered %d records, want %d", what, n, got, answer)
 			}
-			if examined := provobs.Stats(provobs.SourceRegistries(b)...)["mem.recs_examined"] - before; examined > int64(answer)+slack {
+			if examined := provobs.Stats(Registries(b)...)["mem.recs_examined"] - before; examined > int64(answer)+slack {
 				t.Errorf("%s at %d records examined %d records for an answer of %d (allowed: answer + %d)", what, n, examined, answer, slack)
 			}
 		}

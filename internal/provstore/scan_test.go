@@ -339,11 +339,11 @@ func TestScanSnapshotIsolation(t *testing.T) {
 					}
 					got = append(got, r)
 					if len(got) == 1 {
-						before := provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"]
+						before := provobs.Stats(Registries(b)...)["mem.appends_out_of_order"]
 						if err := b.Append(ctx, late); err != nil {
 							t.Fatal(err)
 						}
-						if ooo := provobs.Stats(provobs.SourceRegistries(b)...)["mem.appends_out_of_order"] > before; ooo != (aname == "out-of-order") {
+						if ooo := provobs.Stats(Registries(b)...)["mem.appends_out_of_order"] > before; ooo != (aname == "out-of-order") {
 							t.Fatalf("the %s append landed out of order: %v", aname, ooo)
 						}
 					}

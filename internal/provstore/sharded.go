@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"repro/internal/path"
-	"repro/internal/provobs"
 	"repro/internal/provtrace"
 )
 
@@ -95,22 +94,7 @@ type ShardedBackend struct {
 	shards []Backend
 }
 
-var (
-	_ Backend        = (*ShardedBackend)(nil)
-	_ provobs.Source = (*ShardedBackend)(nil)
-)
-
-// ObsRegistries implements provobs.Source with every shard's registries, in
-// shard order. The layer counts nothing itself; a snapshot adds the shards'
-// like-named series, so a sharded store reports the work of its reads
-// (mem.recs_examined, rel.rows_decoded, …) as the one store it stands for.
-func (b *ShardedBackend) ObsRegistries() []*provobs.Registry {
-	var regs []*provobs.Registry
-	for _, s := range b.shards {
-		regs = append(regs, provobs.SourceRegistries(s)...)
-	}
-	return regs
-}
+var _ Backend = (*ShardedBackend)(nil)
 
 // NewSharded builds a sharded backend over the given shard stores. At least
 // one shard is required.
@@ -140,11 +124,9 @@ func NewShardedMem(n int) *ShardedBackend {
 	return sb
 }
 
-// NumShards returns the number of shards.
-func (b *ShardedBackend) NumShards() int { return len(b.shards) }
-
-// Shard exposes one underlying shard store (for tests and size accounting).
-func (b *ShardedBackend) Shard(i int) Backend { return b.shards[i] }
+// Below returns the shards, in shard order (see Walk). The layer counts
+// nothing itself, so a sharded store reports what its shards do.
+func (b *ShardedBackend) Below() []Backend { return b.shards }
 
 // shardFor routes one location.
 func (b *ShardedBackend) shardFor(loc path.Path) Backend {

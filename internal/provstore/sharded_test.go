@@ -289,7 +289,7 @@ func TestNewShardedValidation(t *testing.T) {
 	if _, err := provstore.NewSharded(provstore.NewMemBackend(), nil); err == nil {
 		t.Error("NewSharded accepted a nil shard")
 	}
-	if provstore.NewShardedMem(0).NumShards() != 1 {
+	if len(provstore.NewShardedMem(0).Below()) != 1 {
 		t.Error("NewShardedMem(0) should clamp to 1")
 	}
 }

@@ -136,7 +136,7 @@ func TestCrashMatrix(t *testing.T) {
 	acked = append(acked, commitTxns(t, b, 100, 1)...)
 	// The crash: no Close. Everything above was acknowledged.
 	log := readFile(t, file+".wal")
-	if provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] != 0 || len(log) == 0 {
+	if provobs.Stats(provstore.Registries(b)...)["rel.checkpoints"] != 0 || len(log) == 0 {
 		t.Fatal("test premise: the commits must stay below the checkpoint threshold")
 	}
 	if !bytes.Equal(readFile(t, file), old) {
@@ -352,10 +352,10 @@ func TestGroupCommitOneFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	before := provobs.Stats(provobs.SourceRegistries(b)...)
+	before := provobs.Stats(provstore.Registries(b)...)
 	const n = 25
 	acked := commitTxns(t, b, 1, n)
-	after := provobs.Stats(provobs.SourceRegistries(b)...)
+	after := provobs.Stats(provstore.Registries(b)...)
 	delta := func(name string) int64 { return after[name] - before[name] }
 	if delta("rel.wal.fsyncs") != n || delta("rel.data.fsyncs") != 0 || delta("rel.checkpoints") != 0 {
 		t.Fatalf("%d appends cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 0, 0",
@@ -370,7 +370,7 @@ func TestGroupCommitOneFsync(t *testing.T) {
 	// pool dirty and logs its pages as a group, so the log grows by groups
 	// as well as rows.
 	appends, tid := int64(n), int64(n)
-	for provobs.Stats(provobs.SourceRegistries(b)...)["rel.checkpoints"] == 0 {
+	for provobs.Stats(provstore.Registries(b)...)["rel.checkpoints"] == 0 {
 		if appends > n+500 {
 			t.Fatal("no checkpoint after 500 appends of forty transactions")
 		}
@@ -385,7 +385,7 @@ func TestGroupCommitOneFsync(t *testing.T) {
 		acked = append(acked, recs...)
 		appends++
 	}
-	after = provobs.Stats(provobs.SourceRegistries(b)...)
+	after = provobs.Stats(provstore.Registries(b)...)
 	if delta("rel.wal.fsyncs") != appends || delta("rel.data.fsyncs") != 1 || delta("rel.checkpoints") != 1 {
 		t.Errorf("%d appends and a checkpoint cost %d log fsyncs, %d data fsyncs, %d checkpoints; want %d, 1, 1",
 			appends, delta("rel.wal.fsyncs"), delta("rel.data.fsyncs"), delta("rel.checkpoints"), appends)
@@ -421,7 +421,7 @@ func TestBatchingThroughDecoratorIsOneCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	fsyncs := func() int64 { return provobs.Stats(provobs.SourceRegistries(store)...)["rel.wal.fsyncs"] }
+	fsyncs := func() int64 { return provobs.Stats(provstore.Registries(store)...)["rel.wal.fsyncs"] }
 	b := provstore.NewBatching(provtest.NewTamper(store, nil), 64)
 	before := fsyncs()
 	for tid := int64(1); tid <= 5; tid++ {

@@ -475,9 +475,9 @@ func TestRelCursorReadInLoopWithConcurrentWriter(t *testing.T) {
 // pagesAndRows reports what f cost the engine below b: buffer-pool fetches
 // (hits + misses) and rows decoded, as deltas of the backend's gauges.
 func pagesAndRows(b *relprov.Backend, f func()) (pages, rows int64) {
-	g0 := provobs.Stats(provobs.SourceRegistries(b)...)
+	g0 := provobs.Stats(provstore.Registries(b)...)
 	f()
-	g1 := provobs.Stats(provobs.SourceRegistries(b)...)
+	g1 := provobs.Stats(provstore.Registries(b)...)
 	pages = g1["rel.bufpool.hits"] + g1["rel.bufpool.misses"] - g0["rel.bufpool.hits"] - g0["rel.bufpool.misses"]
 	return pages, g1["rel.rows_decoded"] - g0["rel.rows_decoded"]
 }

@@ -90,14 +90,14 @@ func TestSessionCloseConvergesReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	want, err := provstore.CollectScan(rb.Primary().Scan(ctx, provstore.All()))
+	want, err := provstore.CollectScan(rb.Inner().Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
 		t.Fatal("primary empty after the golden workload")
 	}
-	got, err := provstore.CollectScan(rb.Replica(0).Scan(ctx, provstore.All()))
+	got, err := provstore.CollectScan(rb.Below()[1].Scan(ctx, provstore.All()))
 	if err != nil {
 		t.Fatal(err)
 	}
