@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	cpdb "repro"
 
@@ -214,6 +216,52 @@ func TestAncestorsAndBatchingScansStartNoGoroutine(t *testing.T) {
 		}
 		if n < 300 {
 			t.Fatalf("%s: %v answered %d records, too few to be mid-stream in", name, spec, n)
+		}
+	}
+}
+
+// TestAsofMaxInt64 asks trace, hist, src and mod as of the largest tid
+// there is, in process over mem:// and rel:// and through a cpdb:// daemon:
+// each must answer exactly as it does as of the store's newest transaction,
+// and return. A chain step that stepped through every tid up to its horizon
+// would never return; each question runs in a goroutine, failed at 10 s.
+func TestAsofMaxInt64(t *testing.T) {
+	ctx := context.Background()
+	daemon, _ := startStatService(t, provstore.NewMemBackend())
+	for _, dsn := range []string{"mem://", "rel://" + t.TempDir() + "/prov.db?create=1", daemon} {
+		b, locs := queryStore(t, dsn, 40, "")
+		st, err := b.Stat(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(locs); i += 37 {
+			for _, op := range []string{provplan.OpTrace, provplan.OpHist, provplan.OpSrc, provplan.OpMod} {
+				inf, now := *relQuery(op, locs, i), *relQuery(op, locs, i)
+				inf.AsOf, now.AsOf = math.MaxInt64, st.MaxTid
+				type answer struct {
+					got, want *provplan.Result
+					err       error
+				}
+				done := make(chan answer, 1)
+				go func() {
+					var a answer
+					if a.got, a.err = provplan.Collect(ctx, b, &inf); a.err == nil {
+						a.want, a.err = provplan.Collect(ctx, b, &now)
+					}
+					done <- a
+				}()
+				select {
+				case a := <-done:
+					if a.err != nil {
+						t.Fatalf("%s: %s: %v", dsn, &inf, a.err)
+					}
+					if !reflect.DeepEqual(a.got, a.want) {
+						t.Errorf("%s: %s = %+v, %s = %+v", dsn, &inf, a.got, &now, a.want)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: %s did not return in 10 s", dsn, &inf)
+				}
+			}
 		}
 	}
 }

@@ -419,31 +419,33 @@ func (s *Server) logRequest(endpoint, trace string, rec *provtrace.Recorder, ow 
 	if status == 0 {
 		status = http.StatusOK
 	}
-	attrs := []any{
+	var buf [9]slog.Attr // the most a line carries; LogAttrs copies them out
+	attrs := append(buf[:0],
 		slog.String("endpoint", endpoint),
 		slog.String("trace", trace),
 		slog.Int("status", status),
 		slog.Int("records", ow.info.records),
 		slog.Int64("bytes", ow.bytes),
-		slog.Duration("dur", dur),
-	}
+		slog.Duration("dur", dur))
 	if ow.info.scan != "" {
 		attrs = append(attrs, slog.String("scan", ow.info.scan))
 	}
+	level, msg := slog.LevelInfo, "request"
 	switch {
 	case ow.info.err != nil:
-		s.log.Warn("request failed", append(attrs, slog.String("err", ow.info.err.Error()))...)
+		level, msg = slog.LevelWarn, "request failed"
+		attrs = append(attrs, slog.String("err", ow.info.err.Error()))
 	case s.slowQuery > 0 && dur >= s.slowQuery && ow.info.query != "":
+		level, msg = slog.LevelWarn, "slow query"
 		if rec != nil {
 			// Tracing is on, so the slow-query line can say *where* the time
 			// went: the top spans by self-time, not just the total.
 			attrs = append(attrs, slog.String("spans",
 				provtrace.FormatTopSelf(provtrace.TopSelf(rec.Spans(), 3))))
 		}
-		s.log.Warn("slow query", append(attrs, slog.String("query", ow.info.query))...)
-	default:
-		s.log.Info("request", attrs...)
+		attrs = append(attrs, slog.String("query", ow.info.query))
 	}
+	s.log.LogAttrs(context.Background(), level, msg, attrs...)
 }
 
 // handleMetrics serves the Prometheus text exposition of the registries

@@ -425,10 +425,13 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 	default:
 		keys.locs = make(map[path.Path]struct{})
 	}
+	// The loop body returns nothing itself: a return inside it would move
+	// this function's results to the heap on entry, a plan with no join too.
 	var in int64
-	for r, err := range pl.join.sub.records(ctx, ex.sub("sub:")) {
-		if err != nil {
-			return nil, fmt.Errorf("join subquery: %w", err)
+	var err error
+	for r, rerr := range pl.join.sub.records(ctx, ex.sub("sub:")) {
+		if err = rerr; err != nil {
+			break
 		}
 		in++
 		switch pl.join.on {
@@ -441,6 +444,9 @@ func (pl *Plan) buildJoinKeys(ctx context.Context, ex *exec) (*joinKeys, error) 
 				keys.locs[r.Src] = struct{}{}
 			}
 		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("join subquery: %w", err)
 	}
 	t.done(start, in, int64(len(keys.tids)+len(keys.locs)))
 	return keys, nil

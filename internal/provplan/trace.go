@@ -1,10 +1,11 @@
 package provplan
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/path"
 	"repro/internal/provstore"
@@ -96,64 +97,70 @@ func (pl *Plan) horizon(ctx context.Context) (int64, error) {
 	return st.MaxTid, err
 }
 
-// effectiveAt resolves the effective record for loc in every transaction
-// up to tnow from one compiled select: the plan's access path is the
-// ancestor scan, its tid bound cuts the (Tid, Loc)-ordered stream at the
-// horizon, and for each transaction the record with the longest Loc
-// (nearest ancestor-or-self) governs. Hierarchical inference materializes
-// on the way out: copies rebase, inserts/deletes retarget.
-func effectiveAt(ctx context.Context, b provstore.Backend, loc path.Path, tnow int64, ex *exec) (map[int64]provstore.Record, error) {
+// effectiveAt resolves the effective record for loc as of upTo: the newest
+// transaction from 1 up to upTo that wrote loc or an ancestor of it, and in
+// it the record with the longest Loc (nearest ancestor-or-self). One
+// compiled select reads the candidates: its access path is the ancestor
+// scan, and its tid bound cuts the stream at the horizon tnow, the same
+// for every step of a trace, so what each step reads and analyzes does not
+// depend on how far back the chain has come. Hierarchical inference
+// materializes on the way out: a copy rebases, an insert or delete
+// retargets.
+func effectiveAt(ctx context.Context, b provstore.Backend, loc path.Path, tnow, upTo int64, ex *exec) (provstore.Record, bool, error) {
 	q := &Query{Op: OpSelect, Where: Pred{LocAbove: loc.String(), TidMax: tnow}}
 	pl, err := Compile(b, q)
 	if err != nil {
-		return nil, err
+		return provstore.Record{}, false, err
 	}
-	out := make(map[int64]provstore.Record)
-	for r, err := range pl.records(ctx, ex) {
-		if err != nil {
-			return nil, err
+	var eff provstore.Record // Tid 0: none found
+	for r, rerr := range pl.records(ctx, ex) {
+		if err = rerr; err != nil {
+			break
 		}
-		if prev, ok := out[r.Tid]; ok && prev.Loc.Len() >= r.Loc.Len() {
-			continue
+		if 1 <= r.Tid && r.Tid <= upTo && (r.Tid > eff.Tid || r.Tid == eff.Tid && r.Loc.Len() > eff.Loc.Len()) {
+			eff = r
 		}
-		out[r.Tid] = r
 	}
-	for tid, r := range out {
-		if r.Loc.Equal(loc) {
-			continue
-		}
-		inf := provstore.Record{Tid: tid, Op: r.Op, Loc: loc}
-		if r.Op == provstore.OpCopy {
-			src, err := loc.Rebase(r.Loc, r.Src)
-			if err != nil {
-				return nil, err
-			}
-			inf.Src = src
-		}
-		out[tid] = inf
+	if err != nil {
+		return provstore.Record{}, false, err
 	}
-	return out, nil
+	if eff.Tid == 0 || eff.Loc.Equal(loc) {
+		return eff, eff.Tid != 0, nil
+	}
+	inf := provstore.Record{Tid: eff.Tid, Op: eff.Op, Loc: loc}
+	if eff.Op == provstore.OpCopy {
+		if inf.Src, err = loc.Rebase(eff.Loc, eff.Src); err != nil {
+			return provstore.Record{}, false, err
+		}
+	}
+	return inf, true, nil
 }
 
 // runTrace computes the backward history of the plan's path as of its
-// horizon. The context is observed between chain steps (each step is one
-// select), so a trace over a slow or remote store can be cancelled.
+// horizon. Each chain step is one select, and of its answer only the
+// effective record of the newest transaction below the last step matters:
+// it either ends the chain (an insert, or a delete, which live data cannot
+// trace through) or moves it to the copy's source as of the transaction
+// before. So a step costs its select's answer, never the horizon's tids.
+// The context is observed by each select, so a trace over a slow or remote
+// store can be cancelled.
 func (pl *Plan) runTrace(ctx context.Context, ex *exec) (TraceResult, error) {
 	var res TraceResult
 	tnow, err := pl.horizon(ctx)
 	if err != nil {
 		return res, err
 	}
-	cur := pl.path
-	eff, err := effectiveAt(ctx, pl.b, cur, tnow, ex.sub("step:"))
-	if err != nil {
-		return res, err
-	}
-	for t := tnow; t >= 1; t-- {
-		rec, ok := eff[t]
-		if !ok {
-			continue // Unch(t, cur)
+	cur, upTo := pl.path, tnow
+	for {
+		rec, ok, err := effectiveAt(ctx, pl.b, cur, tnow, upTo, ex.sub("step:"))
+		if err != nil {
+			return res, err
 		}
+		if !ok {
+			res.Origin = OriginPreexisting
+			return res, nil
+		}
+		t := rec.Tid
 		switch rec.Op {
 		case provstore.OpInsert:
 			res.Events = append(res.Events, Event{Tid: t, Op: provstore.OpInsert, Loc: cur})
@@ -170,16 +177,12 @@ func (pl *Plan) runTrace(ctx context.Context, ex *exec) (TraceResult, error) {
 				res.External = cur
 				return res, nil
 			}
-			if eff, err = effectiveAt(ctx, pl.b, cur, tnow, ex.sub("step:")); err != nil {
-				return res, err
-			}
 		case provstore.OpDelete:
 			// Live data cannot trace through its own deletion.
 			return res, fmt.Errorf("%w: %s deleted in txn %d", ErrBadTrace, cur, t)
 		}
+		upTo = t - 1
 	}
-	res.Origin = OriginPreexisting
-	return res, nil
 }
 
 // runSrc answers which transaction first created the data at the plan's
@@ -333,8 +336,8 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 				}
 			}
 			// Newest first; shadowed locations drop older records.
-			sort.Slice(recs, func(i, j int) bool { return recs[i].Tid > recs[j].Tid })
-			shadow := make(map[path.Path]struct{})
+			slices.SortFunc(recs, func(a, b provstore.Record) int { return cmp.Compare(b.Tid, a.Tid) })
+			shadow := make(map[path.Path]struct{}, len(recs))
 			for _, r := range recs {
 				if r.Tid > g.bound {
 					continue
@@ -369,7 +372,7 @@ func (pl *Plan) runMod(ctx context.Context, ex *exec) ([]int64, error) {
 	for t := range result {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out, nil
 }
 

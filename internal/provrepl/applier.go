@@ -23,6 +23,7 @@ type replica struct {
 	wake  chan struct{} // capacity 1; kick() never blocks
 
 	healthy      atomic.Bool  // in the read rotation; restored by a clean pass
+	failing      atomic.Bool  // the applier's last pass failed
 	synced       atomic.Int64 // shipped version this replica has fully applied
 	appliedTid   atomic.Int64 // high-water transaction id (gauge)
 	appliedRecs  atomic.Int64 // records shipped by this handle's applier (gauge)
@@ -84,6 +85,7 @@ func (b *ReplicatedBackend) applier(r *replica) {
 				return
 			}
 			r.healthy.Store(false)
+			r.failing.Store(true)
 			r.hwValid = false
 			select {
 			case <-b.ctx.Done():
@@ -96,6 +98,7 @@ func (b *ReplicatedBackend) applier(r *replica) {
 		// replica holds at least every append acknowledged before it.
 		r.synced.Store(shippedBefore)
 		r.healthy.Store(true)
+		r.failing.Store(false)
 		select {
 		case <-b.ctx.Done():
 			return

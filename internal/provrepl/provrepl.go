@@ -399,13 +399,19 @@ func (b *ReplicatedBackend) Flush(ctx context.Context) error {
 // already woke the appliers, so the wait adds no pass of its own. A replica
 // stuck on a persistent apply error holds the wait until the deadline.
 func (b *ReplicatedBackend) WaitForReplicas(ctx context.Context) error {
+	return b.waitSynced(ctx, false)
+}
+
+// waitSynced is WaitForReplicas; with skipFailing it does not wait for a
+// replica whose applier's last pass failed.
+func (b *ReplicatedBackend) waitSynced(ctx context.Context, skipFailing bool) error {
 	target := b.shipped.Load()
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		done := true
 		for _, r := range b.replicas {
-			if r.synced.Load() < target {
+			if r.synced.Load() < target && !(skipFailing && r.failing.Load()) {
 				done = false
 				break
 			}
@@ -423,16 +429,20 @@ func (b *ReplicatedBackend) WaitForReplicas(ctx context.Context) error {
 
 // Close implements io.Closer: the primary's buffers flush, the appliers get
 // a bounded final drain so acknowledged records reach the replicas, then
-// they stop and every store holding external resources is closed. The first
-// error wins, flush errors foremost (acknowledged records that could not be
-// persisted matter more than a failed file release).
+// they stop and every store holding external resources is closed. The flush
+// is a shipment, as Flush's is — a verified primary's open transaction ships
+// only once sealed — and the drain waits for it on every replica but one
+// whose applier's last pass failed (a rewritten primary, say), which would
+// hold Close for the whole CloseTimeout. The first error wins, flush errors
+// foremost (acknowledged records that could not be persisted matter more
+// than a failed file release).
 func (b *ReplicatedBackend) Close() error {
 	if !b.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	err := provstore.Flush(context.Background(), b.primary)
+	err := b.Flush(context.Background())
 	drainCtx, cancelDrain := context.WithTimeout(context.Background(), b.opts.CloseTimeout)
-	b.WaitForReplicas(drainCtx) //nolint:errcheck // best effort: a dead replica must not wedge shutdown
+	b.waitSynced(drainCtx, true) //nolint:errcheck // best effort: a dead replica must not wedge shutdown
 	cancelDrain()
 	b.cancel()
 	b.wg.Wait()

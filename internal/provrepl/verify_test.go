@@ -253,6 +253,36 @@ func TestRewrittenPrimaryBlocksShipping(t *testing.T) {
 	}
 }
 
+// TestCloseShipsSealedTransaction: under Verify a replica trails the
+// primary by its open transaction until a flush seals it. Close's flush is
+// that seal, and Close waits for it to ship before the appliers stop. The
+// appliers poll hourly, so only the appends and Close wake them.
+func TestCloseShipsSealedTransaction(t *testing.T) {
+	ctx := context.Background()
+	rep := provstore.NewMemBackend()
+	b := mustNew(t, mustAuth(t, provstore.NewMemBackend()), []provstore.Backend{rep}, options{Verify: true, Poll: time.Hour})
+	for tid := int64(1); tid <= 2; tid++ {
+		if err := b.Append(ctx, tidBatch(tid, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := b.WaitForReplicas(wctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	held := map[int64]int{}
+	for _, r := range collectAll(t, rep) {
+		held[r.Tid]++
+	}
+	if held[1] != 3 || held[2] != 3 {
+		t.Fatalf("replica holds %v records per tid after Close, want 3 of tids 1 and 2", held)
+	}
+}
+
 // TestVerifyDSN: the composite driver's verify=1 plumbs through to options
 // and demands a verified:// primary.
 func TestVerifyDSN(t *testing.T) {

@@ -202,7 +202,8 @@ func ScanStretch[T any](ctx context.Context, spec ScanSpec, windows *Windows[T],
 func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanSpec, buf []T) ([]T, error), record func(*T) *Record) iter.Seq2[Record, error] {
 	return func(yield func(Record, error) bool) {
 		var all []T
-		ends := make([]int, 1, spec.Loc.Len()+1) // the n-th probe answered all[ends[n-1]:ends[n]]
+		var endsBuf, headsBuf [9]int   // room for a location eight labels deep
+		ends := append(endsBuf[:0], 0) // the n-th probe answered all[ends[n-1]:ends[n]]
 		for n := 1; n <= spec.Loc.Len(); n++ {
 			err := ctx.Err()
 			if err == nil {
@@ -216,7 +217,7 @@ func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanS
 		}
 		// Each answer ascends in Tid and a probe's location sorts before the
 		// next one's: the lowest Tid at a head is next, the earlier on a tie.
-		heads := slices.Clone(ends[:len(ends)-1])
+		heads := append(headsBuf[:0], ends[:len(ends)-1]...)
 		for range all {
 			next := -1
 			for n, h := range heads {
@@ -239,9 +240,9 @@ func ScanAncestors[T any](ctx context.Context, spec ScanSpec, probe func(p ScanS
 // Itself is the record function of windows that hold the records themselves.
 func Itself(r *Record) *Record { return r }
 
-// AppendScan drains a cursor onto buf; after an error buf holds the records
+// appendScan drains a cursor onto buf; after an error buf holds the records
 // that came before it.
-func AppendScan(buf []Record, scan iter.Seq2[Record, error]) ([]Record, error) {
+func appendScan(buf []Record, scan iter.Seq2[Record, error]) ([]Record, error) {
 	for r, err := range scan {
 		if err != nil {
 			return buf, err
@@ -254,7 +255,7 @@ func AppendScan(buf []Record, scan iter.Seq2[Record, error]) ([]Record, error) {
 // CollectScan drains a cursor into a slice — the materialized form of a
 // scan, for callers (tests, small stores, simulation wrappers) that want it.
 func CollectScan(scan iter.Seq2[Record, error]) ([]Record, error) {
-	return AppendScan(nil, scan)
+	return appendScan(nil, scan)
 }
 
 // MergeScans merges cursors that are each ordered by cmp into one cursor

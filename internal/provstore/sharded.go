@@ -211,7 +211,7 @@ func (b *ShardedBackend) Scan(ctx context.Context, spec ScanSpec) iter.Seq2[Reco
 		return b.shardFor(spec.Loc).Scan(ctx, spec)
 	case spec.Kind == KindAncestors:
 		return ScanAncestors(ctx, spec, func(p ScanSpec, buf []Record) ([]Record, error) {
-			return AppendScan(buf, b.shardFor(p.Loc).Scan(ctx, p))
+			return appendScan(buf, b.shardFor(p.Loc).Scan(ctx, p))
 		}, Itself)
 	}
 	var span string

@@ -452,11 +452,22 @@ func (b *Backend) visit(spec provstore.ScanSpec, buf []provstore.Record, want in
 // key is a seek straight to its successor (the key codec is order-preserving, so
 // key‖0x00 is the next possible key): one B-tree descent, not a walk over
 // what came before. A WithAncestors scan gathers one Tid-ordered by_loc walk
-// per prefix of the location — server-side, one logical round trip.
+// per prefix of the location — server-side, one logical round trip — each
+// visited straight into the gather: windowMax rows under one hold of the
+// read lock, the next window resumed after the last, and no cursor.
 func (b *Backend) Scan(ctx context.Context, spec provstore.ScanSpec) iter.Seq2[provstore.Record, error] {
 	if spec.Kind == provstore.KindAncestors {
 		return provstore.ScanAncestors(ctx, spec, func(p provstore.ScanSpec, buf []provstore.Record) ([]provstore.Record, error) {
-			return provstore.AppendScan(buf, b.Scan(ctx, p))
+			for {
+				window, last, more, err := b.visit(p, buf, windowMax)
+				if buf = window; err != nil || !more {
+					return buf, err
+				}
+				if err := ctx.Err(); err != nil {
+					return buf, err
+				}
+				p = p.After(last.Tid, last.Loc)
+			}
 		}, provstore.Itself)
 	}
 	return provstore.ScanStretch(ctx, spec, b.windows, b.visit, provstore.Itself)

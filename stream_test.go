@@ -299,15 +299,18 @@ func TestRelDrainAllocBound(t *testing.T) {
 
 // TestRelTraceAllocBound bounds what a small answer costs over the
 // relational engine: a trace and a hist on a 10k-record rel:// store, asked
-// "as of now" so the store resolves the horizon, must each stay under 1070
+// "as of now" so the store resolves the horizon, must each stay under 233
 // allocations and 256 KB whatever location they ask about. The allocation
-// budget is today's worst of the 16 locations (856) plus a quarter — the
-// steps of the walk are WithAncestors scans, each a gather of a few small
-// probes; a scan of the relation hiding in the read path costs ≈ 36k
-// allocations and 3 MB (when MaxTid walked the table).
+// budget is the worst of the 16 locations, 222 for both in all of 20 runs
+// (with -race too), plus 5 %. Each step of the walk is a WithAncestors
+// scan, a gather of a few small probes visited straight into it, of which
+// the step keeps one record; with a whole cursor per probe, copied out, and
+// a map of every transaction's record per step, the worst cost 494. A scan
+// of the relation hiding in the read path costs ≈ 36k allocations and 3 MB
+// (when MaxTid walked the table).
 func TestRelTraceAllocBound(t *testing.T) {
 	backend, locs := queryStore(t, "rel://"+t.TempDir()+"/prov.db?create=1", 500, "")
-	checkTraceAllocBound(t, "rel://", backend, locs, 1070, 256<<10)
+	checkTraceAllocBound(t, "rel://", backend, locs, 233, 256<<10)
 }
 
 // TestMemTraceAllocBound is TestRelTraceAllocBound for the in-memory store,
